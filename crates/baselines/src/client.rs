@@ -29,7 +29,7 @@ struct Inner {
     /// One QP per server instance (client-side sharding, §3's Redis note).
     conns: Vec<QpId>,
     next_req_id: u64,
-    outstanding: Option<Outstanding>,
+    pending: Option<Outstanding>,
     ops: u64,
     get_lat: Histogram,
     update_lat: Histogram,
@@ -49,7 +49,7 @@ impl BaselineClient {
                 fab,
                 conns: Vec::new(),
                 next_req_id: 0,
-                outstanding: None,
+                pending: None,
                 ops: 0,
                 get_lat: Histogram::new(),
                 update_lat: Histogram::new(),
@@ -71,13 +71,13 @@ impl BaselineClient {
             let mut inner = self.inner.borrow_mut();
             let resp = Response::decode(&payload).expect("well-formed response");
             let matches = inner
-                .outstanding
+                .pending
                 .as_ref()
                 .is_some_and(|o| o.req_id == resp.req_id);
             if !matches {
                 return;
             }
-            let out = inner.outstanding.take().expect("checked");
+            let out = inner.pending.take().expect("checked");
             let verdict: Result<Option<Vec<u8>>, OpError> = match (out.kind, resp.status) {
                 (Kind::Get, Status::Ok) => Ok(Some(resp.value.to_vec())),
                 (Kind::Get, Status::NotFound) => Ok(None),
@@ -113,10 +113,10 @@ impl BaselineClient {
     ) {
         let (fab, node, qp) = {
             let mut inner = self.inner.borrow_mut();
-            assert!(inner.outstanding.is_none(), "client is closed-loop");
+            assert!(inner.pending.is_none(), "client is closed-loop");
             assert!(!inner.conns.is_empty(), "client not connected");
             let qp = inner.conns[(shard_hash % inner.conns.len() as u64) as usize];
-            inner.outstanding = Some(Outstanding {
+            inner.pending = Some(Outstanding {
                 req_id,
                 kind,
                 cb: Some(cb),

@@ -27,7 +27,7 @@ use std::rc::Rc;
 use hydra_bench::{one_workload, Report, Scale};
 use hydra_db::{AimdConfig, ClusterBuilder, ClusterConfig, ReplicationMode};
 use hydra_fabric::{Fabric, FabricConfig};
-use hydra_replication::{replicate_strict, ReplConfig, ReplMode, ReplicationPair};
+use hydra_replication::{ReplConfig, ReplMode, ReplicationPair};
 use hydra_sim::{Histogram, Sim};
 use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};
 use hydra_wire::LogOp;
@@ -44,7 +44,6 @@ struct PairBench {
     total: u64,
     lat: RefCell<Histogram>,
     end: Cell<u64>,
-    strict: bool,
     keys: Vec<Vec<u8>>,
 }
 
@@ -67,13 +66,9 @@ fn issue(b: &Rc<PairBench>, sim: &mut Sim) {
         issue(&b2, sim);
     });
     let value = [0xCD; 32];
-    if b.strict {
-        replicate_strict(&b.pair, sim, LogOp::Put, &key, &value, cb).expect("record fits ring");
-    } else {
-        b.pair
-            .replicate(sim, LogOp::Put, &key, &value, Some(cb))
-            .expect("record fits ring");
-    }
+    b.pair
+        .replicate(sim, LogOp::Put, &key, &value, Some(cb))
+        .expect("record fits ring");
 }
 
 /// Closed-loop channel throughput at pipeline depth `depth`: records/sec
@@ -110,7 +105,6 @@ fn run_pair(mode: ReplMode, depth: usize, total: u64) -> (f64, f64, f64) {
         total,
         lat: RefCell::new(Histogram::new()),
         end: Cell::new(0),
-        strict: matches!(mode, ReplMode::Strict),
         keys: (0..1024u32)
             .map(|i| format!("repl-key-{i:06}").into_bytes())
             .collect(),

@@ -33,7 +33,7 @@ use hydra_sim::Sim;
 
 use crate::client::{HydraClient, OpCb};
 use crate::cluster::HaState;
-use crate::config::{ClusterConfig, ReplicationMode};
+use crate::config::ClusterConfig;
 use crate::migration::MigrationEngine;
 use crate::ring::ShardId;
 use crate::server::ShardServer;
@@ -182,11 +182,8 @@ impl ChaosController {
             let inner = self.inner.borrow();
             (inner.cfg.clone(), inner.ha.clone())
         };
-        let repl_mode = match cfg.replication {
-            ReplicationMode::Strict => ReplMode::Strict,
-            ReplicationMode::Logging { ack_every } => ReplMode::Logging { ack_every },
-            ReplicationMode::GroupCommit => ReplMode::GroupCommit,
-            ReplicationMode::None => return,
+        let Some(repl_mode) = cfg.replication.repl_mode() else {
+            return;
         };
         let groups: Vec<(Srv, Vec<Srv>)> = {
             let ha = ha_rc.borrow();
@@ -349,12 +346,7 @@ impl ChaosController {
         };
         fab.unfreeze_node(node, sim.now());
         fab.set_node_crashed(node, false);
-        let repl_mode = match cfg.replication {
-            ReplicationMode::Strict => Some(ReplMode::Strict),
-            ReplicationMode::Logging { ack_every } => Some(ReplMode::Logging { ack_every }),
-            ReplicationMode::GroupCommit => Some(ReplMode::GroupCommit),
-            ReplicationMode::None => None,
-        };
+        let repl_mode = cfg.replication.repl_mode();
         let n_parts = ha_rc.borrow().partitions.len();
         for p in 0..n_parts {
             let (primary, secondaries, znode, session) = {

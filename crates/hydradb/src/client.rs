@@ -11,19 +11,19 @@
 //! guardian word — falling back to the message path when the item was
 //! updated underneath (§4.2.3).
 //!
-//! Clients are closed-loop by default: one outstanding operation at a time,
-//! matching the paper's YCSB drivers. Timeouts trigger directory refresh and
-//! retry, which is how fail-over reaches clients.
-//!
-//! With [`ClusterConfig::pipeline_depth`] above 1 the client runs
-//! *pipelined*: operations queue per connection and ship as multi-request
-//! batch frames ([`hydra_wire::batch`]) — one RDMA Write, one doorbell, one
-//! server polling sweep for a whole window of requests — with at most one
-//! frame in flight per connection and up to `max_batch` requests per frame.
-//! The server answers with one response frame per request frame. Pipelined
-//! mode trades the fail-over machinery for throughput: a frame timeout
-//! fails its operations instead of retrying, and background lease renewal
-//! is skipped (expired pointers simply fall back to message GETs).
+//! Every operation takes one route: `submit` assigns it a request id and
+//! queues it on its partition, `pump` ships whatever the connection can take,
+//! and the response (or a timeout) settles it through the in-flight table.
+//! [`ClusterConfig::pipeline_depth`] selects only the *shipping shape*: at
+//! depth 1 (the paper's closed-loop YCSB discipline) a request travels as a
+//! bare message; above it, queued requests ship as multi-request batch
+//! frames ([`hydra_wire::batch`]) — one RDMA Write, one doorbell, one server
+//! polling sweep for a whole window of requests, up to `max_batch` per
+//! frame — and the server answers with one response frame per request
+//! frame. Either way a connection's message slot holds one shipment at a
+//! time, and an unanswered shipment is retried against the partition's
+//! current primary a bounded number of times, which is how fail-over
+//! reaches clients.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -37,8 +37,9 @@ use hydra_sim::time::SimTime;
 use hydra_sim::{Histogram, Sim};
 use hydra_store::{FetchedItem, ItemError};
 use hydra_wire::{
-    backlog_hint, frame, scan_items_begin, scan_items_finish, scan_items_push, BatchBuilder,
-    BatchFrame, KeyList, RemotePtr, Request, Response, ScanItems, Status, MAX_EXPORT_PTRS,
+    backlog_hint, frame, messages, scan_items_begin, scan_items_finish, scan_items_push,
+    BatchBuilder, BatchFrame, KeyList, RemotePtr, Request, Response, ScanItems, Status,
+    MAX_EXPORT_PTRS,
 };
 
 use crate::cluster::Directory;
@@ -195,7 +196,9 @@ enum OpKind {
     Scan,
 }
 
-struct Outstanding {
+/// An operation submitted and not yet settled: queued behind its
+/// connection, shipped, or posted as a one-sided read.
+struct InFlightOp {
     req_id: u64,
     kind: OpKind,
     key: Vec<u8>,
@@ -203,8 +206,14 @@ struct Outstanding {
     cb: Option<OpCb>,
     issued_at: SimTime,
     attempts: u32,
-    /// Pending timeout event, cancelled on completion so the event queue
-    /// never drags the virtual clock to the timeout horizon.
+    /// The shipment this op travelled in (the ops of one frame share it);
+    /// what its timeout and its connection slot are keyed by. 0 until
+    /// shipped.
+    ship: u64,
+    /// Timeout of an op that holds no connection slot (a Send/Recv message,
+    /// a replica read); a slot shipment's timer sits in its [`Slot`].
+    /// Cancelled on completion so the event queue never drags the virtual
+    /// clock to the timeout horizon.
     timeout_ev: Option<hydra_sim::EventId>,
     /// Item version the fetched blob must carry (fast-path reads of keys
     /// whose pointer was exported with a version stamp).
@@ -212,7 +221,7 @@ struct Outstanding {
     /// Partition this op was dispatched to. Scans retry against it directly
     /// (a scan cursor must NOT be re-routed by key hash — the step belongs
     /// to one partition regardless of where its cursor key would route).
-    partition: Option<u32>,
+    partition: u32,
 }
 
 /// In-progress range scan: the client walks every partition in id order
@@ -240,7 +249,7 @@ struct ScanState {
 }
 
 /// Per-connection AIMD congestion window bounding how many requests the
-/// pipelined client packs into one frame. Two signals drive it, both read
+/// client packs into one frame. Two signals drive it, both read
 /// from settled response frames: the server's piggybacked backlog hint
 /// (µs of shard-core work queued at response time, riding the response pad
 /// bytes) and the frame's observed completion latency. A congested frame
@@ -301,12 +310,13 @@ impl AimdWindow {
     }
 }
 
-/// A request frame awaiting its response frame.
-struct FrameInflight {
-    /// Frame timeout event (None only transiently while arming).
-    timeout_ev: Option<hydra_sim::EventId>,
-    /// When the frame shipped — settling measures frame latency for AIMD.
-    issued_at: SimTime,
+/// A connection's request buffer holds one shipment — a bare message or a
+/// batch frame — until its response arrives (or its timeout fires).
+struct Slot {
+    ship: u64,
+    timeout_ev: hydra_sim::EventId,
+    /// When the shipment left — settling measures frame latency for AIMD.
+    shipped_at: SimTime,
 }
 
 struct ClientConn {
@@ -339,10 +349,22 @@ struct MuxChannel {
     demux: Rc<RefCell<DemuxTable>>,
 }
 
-/// An operation queued behind the pipeline window, not yet shipped.
+/// An operation queued behind its connection, not yet shipped.
 struct QueuedOp {
-    out: Outstanding,
+    op: InFlightOp,
     payload: Vec<u8>,
+}
+
+/// What a partition's traffic waits in and on, whichever connection
+/// currently serves the partition.
+#[derive(Default)]
+struct Outbox {
+    /// Submitted operations awaiting a free connection slot.
+    queue: std::collections::VecDeque<QueuedOp>,
+    /// The shipment occupying the connection's message slot, if any.
+    slot: Option<Slot>,
+    /// AIMD congestion window (batch-frame shipping only).
+    aimd: Option<AimdWindow>,
 }
 
 pub(crate) struct ClientInner {
@@ -360,19 +382,26 @@ pub(crate) struct ClientInner {
     /// Round-robin cursor spreading fast-path reads across primary+replicas.
     spread_rr: u64,
     next_req_id: u64,
-    outstanding: Option<Outstanding>,
-    /// Pipelined mode: operations shipped (or posted one-sided) and awaiting
-    /// completion, keyed by request id.
-    window: HashMap<u64, Outstanding>,
-    /// Pipelined mode: per-partition queues awaiting a free frame slot.
-    queued: HashMap<u32, std::collections::VecDeque<QueuedOp>>,
-    /// Partitions with a request batch frame awaiting its response frame.
-    frame_inflight: HashMap<u32, FrameInflight>,
-    /// Per-partition AIMD congestion windows (RDMA-Write pipelined mode).
-    aimd: HashMap<u32, AimdWindow>,
-    /// Reused request-frame builder for the pipelined path.
+    next_ship: u64,
+    /// Operations shipped (or posted one-sided) and awaiting completion,
+    /// keyed by request id.
+    window: HashMap<u64, InFlightOp>,
+    /// Per-partition queue, connection slot and congestion window, indexed
+    /// by partition id (ids are small and dense).
+    outboxes: Vec<Outbox>,
+    /// Reused request-frame builder.
     req_batch: BatchBuilder,
     stats: ClientStats,
+}
+
+impl ClientInner {
+    fn outbox(&mut self, partition: u32) -> &mut Outbox {
+        let i = partition as usize;
+        if i >= self.outboxes.len() {
+            self.outboxes.resize_with(i + 1, Outbox::default);
+        }
+        &mut self.outboxes[i]
+    }
 }
 
 /// Handle to one client. Cheap to clone; all clones share state.
@@ -382,6 +411,14 @@ pub struct HydraClient {
 }
 
 const MAX_ATTEMPTS: u32 = 4;
+
+/// Receive buffers posted per connection endpoint (a dedicated ring per QP).
+pub(crate) const RECV_RING_DEPTH: u64 = 16;
+/// Receive buffers in a server node's shared receive queue when
+/// [`ClusterConfig::srq`] replaces the per-QP rings there.
+pub(crate) const SRQ_DEPTH: u64 = 1024;
+// The pool must dwarf a single ring or sharing it would *shrink* capacity.
+const _: () = assert!(SRQ_DEPTH > RECV_RING_DEPTH);
 
 impl HydraClient {
     pub(crate) fn new(
@@ -409,11 +446,9 @@ impl HydraClient {
                 replica_qps: HashMap::new(),
                 spread_rr: id as u64, // desynchronize clients' rotors
                 next_req_id: 0,
-                outstanding: None,
+                next_ship: 0,
                 window: HashMap::new(),
-                queued: HashMap::new(),
-                frame_inflight: HashMap::new(),
-                aimd: HashMap::new(),
+                outboxes: Vec::new(),
                 req_batch: BatchBuilder::new(),
                 stats: ClientStats::default(),
             })),
@@ -436,11 +471,6 @@ impl HydraClient {
         self.inner.borrow_mut().stats = ClientStats::default();
     }
 
-    /// Whether an operation is in flight (closed-loop discipline).
-    pub fn is_busy(&self) -> bool {
-        self.inner.borrow().outstanding.is_some()
-    }
-
     /// Live entries in this client's pointer cache (shared caches report
     /// the node-wide count). Bounded by `ptr_cache_capacity`.
     pub fn ptr_cache_len(&self) -> usize {
@@ -456,59 +486,31 @@ impl HydraClient {
     }
 
     /// Operations issued but not yet completed (shipped, posted one-sided,
-    /// or queued behind the pipeline window). Closed-loop clients report
-    /// 0 or 1; drivers use this to keep `pipeline_depth` ops in flight.
+    /// or queued behind a connection slot). Drivers use this to keep
+    /// `pipeline_depth` ops in flight.
     pub fn in_flight(&self) -> usize {
         let inner = self.inner.borrow();
-        usize::from(inner.outstanding.is_some())
-            + inner.window.len()
-            + inner.queued.values().map(|q| q.len()).sum::<usize>()
-    }
-
-    fn pipelined(&self) -> bool {
-        self.inner.borrow().cfg.pipeline_depth > 1
+        inner.window.len() + inner.outboxes.iter().map(|o| o.queue.len()).sum::<usize>()
     }
 
     /// GET: fast path via cached remote pointer when possible, message path
     /// otherwise.
     pub fn get(&self, sim: &mut Sim, key: &[u8], cb: OpCb) {
-        {
+        let use_read = {
             let mut inner = self.inner.borrow_mut();
             inner.stats.gets += 1;
             inner.stats.ops += 1;
-        }
-        let use_read = {
-            let inner = self.inner.borrow();
             inner.cfg.client_mode.rdma_read()
         };
         if use_read {
             if let Some(ptr) = self.valid_cached_ptr(sim.now(), key) {
-                if self.pipelined() {
-                    self.issue_rdma_get_pipelined(sim, key.to_vec(), ptr, cb);
-                } else {
-                    self.issue_rdma_get(sim, key.to_vec(), ptr, cb);
-                }
+                self.issue_rdma_get(sim, key.to_vec(), ptr, cb);
                 return;
             }
         }
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.msg_gets += 1;
-        }
-        if self.pipelined() {
-            let now = sim.now();
-            self.enqueue_pipelined(sim, OpKind::Get, key.to_vec(), Vec::new(), Some(cb), now);
-            return;
-        }
-        self.issue_message_op(
-            sim,
-            OpKind::Get,
-            key.to_vec(),
-            Vec::new(),
-            Some(cb),
-            1,
-            None,
-        );
+        self.inner.borrow_mut().stats.msg_gets += 1;
+        let now = sim.now();
+        self.submit(sim, OpKind::Get, key.to_vec(), Vec::new(), Some(cb), 1, now);
     }
 
     /// INSERT a new key.
@@ -518,26 +520,15 @@ impl HydraClient {
             inner.stats.inserts += 1;
             inner.stats.ops += 1;
         }
-        if self.pipelined() {
-            let now = sim.now();
-            self.enqueue_pipelined(
-                sim,
-                OpKind::Insert,
-                key.to_vec(),
-                value.to_vec(),
-                Some(cb),
-                now,
-            );
-            return;
-        }
-        self.issue_message_op(
+        let now = sim.now();
+        self.submit(
             sim,
             OpKind::Insert,
             key.to_vec(),
             value.to_vec(),
             Some(cb),
             1,
-            None,
+            now,
         );
     }
 
@@ -548,26 +539,15 @@ impl HydraClient {
             inner.stats.updates += 1;
             inner.stats.ops += 1;
         }
-        if self.pipelined() {
-            let now = sim.now();
-            self.enqueue_pipelined(
-                sim,
-                OpKind::Update,
-                key.to_vec(),
-                value.to_vec(),
-                Some(cb),
-                now,
-            );
-            return;
-        }
-        self.issue_message_op(
+        let now = sim.now();
+        self.submit(
             sim,
             OpKind::Update,
             key.to_vec(),
             value.to_vec(),
             Some(cb),
             1,
-            None,
+            now,
         );
     }
 
@@ -595,19 +575,15 @@ impl HydraClient {
             inner.stats.deletes += 1;
             inner.stats.ops += 1;
         }
-        if self.pipelined() {
-            let now = sim.now();
-            self.enqueue_pipelined(sim, OpKind::Delete, key.to_vec(), Vec::new(), Some(cb), now);
-            return;
-        }
-        self.issue_message_op(
+        let now = sim.now();
+        self.submit(
             sim,
             OpKind::Delete,
             key.to_vec(),
             Vec::new(),
             Some(cb),
             1,
-            None,
+            now,
         );
     }
 
@@ -728,7 +704,7 @@ impl HydraClient {
         cb(sim, Ok(Some(packed)));
     }
 
-    /// Ships one partition-pinned scan request (closed-loop or pipelined).
+    /// Submits one partition-pinned scan request.
     fn issue_scan_request(
         &self,
         sim: &mut Sim,
@@ -738,71 +714,45 @@ impl HydraClient {
         cb: OpCb,
     ) {
         self.inner.borrow_mut().stats.scan_steps += 1;
-        let limit_bytes = limit.to_le_bytes().to_vec();
-        if self.pipelined() {
-            let now = sim.now();
-            self.enqueue_pipelined_to(
-                sim,
-                partition,
-                OpKind::Scan,
-                cursor,
-                limit_bytes,
-                Some(cb),
-                now,
-            );
-            return;
-        }
-        let req_id = {
-            let mut inner = self.inner.borrow_mut();
-            inner.next_req_id += 1;
-            inner.next_req_id
-        };
-        let payload = encode_request(OpKind::Scan, req_id, &cursor, &limit_bytes);
-        self.dispatch_payload(
+        let now = sim.now();
+        self.submit_to(
             sim,
             partition,
-            req_id,
             OpKind::Scan,
             cursor,
-            limit_bytes,
+            limit.to_le_bytes().to_vec(),
             Some(cb),
             1,
-            None,
-            payload,
+            now,
         );
     }
 
     /// Sends one lease-renewal batch for cached pointers expiring within
     /// `horizon`. No-op (returns false) when busy or nothing qualifies.
     pub fn renew_expiring_leases(&self, sim: &mut Sim, horizon: SimTime) -> bool {
-        let batch = {
-            let inner = self.inner.borrow();
-            // Pipelined clients skip background renewal: an expired pointer
-            // simply falls back to the (batched) message path.
-            if inner.outstanding.is_some() || inner.cfg.pipeline_depth > 1 {
-                return false;
-            }
-            let now = sim.now();
-            inner.ptr_cache.expiring(now, now + horizon, 16)
-        };
-        let Some((partition, _)) = batch.first() else {
+        if self.in_flight() > 0 {
+            return false;
+        }
+        let now = sim.now();
+        let batch = self
+            .inner
+            .borrow()
+            .ptr_cache
+            .expiring(now, now + horizon, 16);
+        let Some(&(partition, _)) = batch.first() else {
             return false;
         };
-        let keys: Vec<Vec<u8>> = batch
-            .iter()
-            .filter(|(p, _)| p == partition)
-            .map(|(_, k)| k.clone())
-            .collect();
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.lease_renews += 1;
-        }
         // Pack the batch through the LeaseRenew request; completion updates
-        // nothing client-side beyond clearing the slot (leases re-extend on
-        // the server; expiries refresh lazily on the next message GET).
-        let key_refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+        // nothing client-side (leases re-extend on the server; expiries
+        // refresh lazily on the next message GET).
+        let key_refs: Vec<&[u8]> = batch
+            .iter()
+            .filter(|(p, _)| *p == partition)
+            .map(|(_, k)| k.as_slice())
+            .collect();
         let req_id = {
             let mut inner = self.inner.borrow_mut();
+            inner.stats.lease_renews += 1;
             inner.next_req_id += 1;
             inner.next_req_id
         };
@@ -811,18 +761,20 @@ impl HydraClient {
             keys: KeyList::Slices(&key_refs),
         }
         .encode();
-        self.dispatch_payload(
-            sim,
-            *partition,
+        let op = InFlightOp {
             req_id,
-            OpKind::LeaseRenew,
-            Vec::new(),
-            Vec::new(),
-            None,
-            1,
-            None,
-            payload,
-        );
+            kind: OpKind::LeaseRenew,
+            key: Vec::new(),
+            value: Vec::new(),
+            cb: None,
+            issued_at: now,
+            attempts: 1,
+            ship: 0,
+            timeout_ev: None,
+            expect_version: None,
+            partition,
+        };
+        self.enqueue(sim, op, payload);
         true
     }
 
@@ -871,18 +823,20 @@ impl HydraClient {
         qp
     }
 
+    /// Fast-path GET: a one-sided read of the cached location, flying
+    /// beside whatever else is in flight.
     fn issue_rdma_get(&self, sim: &mut Sim, key: Vec<u8>, ptr: CachedPtr, cb: OpCb) {
         self.ensure_conn(ptr.partition);
         let pick = self.pick_spread_target(&ptr);
-        let conn_parts = if pick == 0 {
+        let target = if pick == 0 {
             let mut inner = self.inner.borrow_mut();
-            assert!(inner.outstanding.is_none(), "client is closed-loop");
             inner.stats.rptr_reads += 1;
             let conn = &inner.conns[&ptr.partition];
             // After a fail-over the partition's arena is a different region;
             // a pointer into the old one is useless.
             if conn.arena_region.0 != ptr.rptr.region {
                 inner.stats.invalid_hits += 1;
+                inner.stats.msg_gets += 1;
                 inner.ptr_cache.remove(&key);
                 None
             } else {
@@ -892,51 +846,48 @@ impl HydraClient {
             let target = ptr.replicas[pick - 1];
             let qp = self.ensure_replica_qp(target.node);
             let mut inner = self.inner.borrow_mut();
-            assert!(inner.outstanding.is_none(), "client is closed-loop");
             inner.stats.rptr_reads += 1;
             inner.stats.replica_reads += 1;
             Some((qp, RegionId(target.rptr.region), target.rptr, true))
         };
-        let Some((qp, region, rptr, replica)) = conn_parts else {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.msg_gets += 1;
-            drop(inner);
-            self.issue_message_op(sim, OpKind::Get, key, Vec::new(), Some(cb), 1, None);
+        let now = sim.now();
+        let Some((qp, region, rptr, replica)) = target else {
+            self.submit(sim, OpKind::Get, key, Vec::new(), Some(cb), 1, now);
             return;
         };
-        let issued_at = sim.now();
-        let req_id = {
+        let (req_id, ship, node, fab) = {
             let mut inner = self.inner.borrow_mut();
             inner.next_req_id += 1;
-            let req_id = inner.next_req_id;
-            inner.outstanding = Some(Outstanding {
+            inner.next_ship += 1;
+            let (req_id, ship) = (inner.next_req_id, inner.next_ship);
+            inner.window.insert(
                 req_id,
-                kind: OpKind::RdmaGet,
-                key: key.clone(),
-                value: Vec::new(),
-                cb: Some(cb),
-                issued_at,
-                attempts: 1,
-                // Primary reads always complete (the NIC answers even when
-                // the shard process is dead); a replica's *machine* may be
-                // gone, in which case the read vanishes — arm a timeout.
-                timeout_ev: None,
-                expect_version: ptr.version,
-                partition: None,
-            });
-            req_id
+                InFlightOp {
+                    req_id,
+                    kind: OpKind::RdmaGet,
+                    key,
+                    value: Vec::new(),
+                    cb: Some(cb),
+                    issued_at: now,
+                    attempts: 1,
+                    ship,
+                    timeout_ev: None,
+                    expect_version: ptr.version,
+                    partition: ptr.partition,
+                },
+            );
+            (req_id, ship, inner.node, inner.fab.clone())
         };
+        // Primary reads always complete (the NIC answers even when the shard
+        // process is dead); a replica's *machine* may be gone, in which case
+        // the read vanishes — arm a timeout.
         if replica {
-            let this = self.clone();
-            let timeout = self.inner.borrow().cfg.op_timeout_ns;
-            let ev = sim.schedule_in(timeout, move |sim| this.on_timeout(sim, req_id));
-            if let Some(out) = self.inner.borrow_mut().outstanding.as_mut() {
-                out.timeout_ev = Some(ev);
+            let ev = self.arm_timeout(sim, ship);
+            if let Some(op) = self.inner.borrow_mut().window.get_mut(&req_id) {
+                op.timeout_ev = Some(ev);
             }
         }
         let this = self.clone();
-        let node = self.inner.borrow().node;
-        let fab = self.inner.borrow().fab.clone();
         fab.post_read(
             sim,
             qp,
@@ -949,33 +900,19 @@ impl HydraClient {
     }
 
     fn on_rdma_get_done(&self, sim: &mut Sim, req_id: u64, blob: Vec<u8>) {
-        let (key, cb, issued_at, expect_version, timeout_ev) = {
-            let mut inner = self.inner.borrow_mut();
-            let matches = inner
-                .outstanding
-                .as_ref()
-                .is_some_and(|o| o.req_id == req_id);
-            if !matches {
-                return; // late completion of a timed-out replica read
-            }
-            let out = inner.outstanding.take().expect("checked above");
-            debug_assert_eq!(out.kind, OpKind::RdmaGet);
-            (
-                out.key,
-                out.cb,
-                out.issued_at,
-                out.expect_version,
-                out.timeout_ev,
-            )
+        let Some(op) = self.inner.borrow_mut().window.remove(&req_id) else {
+            return; // late completion of a timed-out replica read
         };
-        if let Some(ev) = timeout_ev {
+        debug_assert_eq!(op.kind, OpKind::RdmaGet);
+        if let Some(ev) = op.timeout_ev {
             sim.cancel(ev);
         }
+        let (key, cb, issued_at) = (op.key, op.cb, op.issued_at);
         let fetched = FetchedItem::parse(&blob, &key).and_then(|item| {
             // Version stamp check: the guardian proves the block holds *a*
             // live item for this key; the version pins it to the one the
             // pointer was exported for (ABA guard across block reuse).
-            match expect_version {
+            match op.expect_version {
                 Some(v) if item.version != v => Err(ItemError::Stale),
                 _ => Ok(item),
             }
@@ -1005,15 +942,16 @@ impl HydraClient {
                 }
                 // Preserve the original issue time so the recorded latency
                 // covers the full (wasted read + retry) window.
-                self.issue_message_op(sim, OpKind::Get, key, Vec::new(), cb, 1, Some(issued_at));
+                self.submit(sim, OpKind::Get, key, Vec::new(), cb, 1, issued_at);
             }
         }
     }
 
     // ---- message path ----
 
+    /// Routes a keyed op to its partition and submits it there.
     #[allow(clippy::too_many_arguments)]
-    fn issue_message_op(
+    fn submit(
         &self,
         sim: &mut Sim,
         kind: OpKind,
@@ -1021,205 +959,298 @@ impl HydraClient {
         value: Vec<u8>,
         cb: Option<OpCb>,
         attempts: u32,
-        issued_at_override: Option<SimTime>,
+        issued_at: SimTime,
     ) {
         let partition = {
             let inner = self.inner.borrow();
             let dir = inner.directory.borrow();
-            match dir.ring.route(&key) {
-                Some(s) => s.0,
-                None => {
-                    drop(dir);
-                    drop(inner);
-                    if let Some(cb) = cb {
-                        cb(sim, Err(OpError::Server));
-                    }
-                    return;
+            dir.ring.route(&key).map(|s| s.0)
+        };
+        match partition {
+            Some(p) => self.submit_to(sim, p, kind, key, value, cb, attempts, issued_at),
+            None => {
+                if let Some(cb) = cb {
+                    cb(sim, Err(OpError::Server));
                 }
             }
-        };
+        }
+    }
+
+    /// Assigns the op its request id, encodes it and queues it on
+    /// `partition` — scan steps come here directly, being partition-pinned
+    /// rather than key-routed. `issued_at` is carried through so retries
+    /// keep their full latency window.
+    #[allow(clippy::too_many_arguments)]
+    fn submit_to(
+        &self,
+        sim: &mut Sim,
+        partition: u32,
+        kind: OpKind,
+        key: Vec<u8>,
+        value: Vec<u8>,
+        cb: Option<OpCb>,
+        attempts: u32,
+        issued_at: SimTime,
+    ) {
         let req_id = {
             let mut inner = self.inner.borrow_mut();
             inner.next_req_id += 1;
             inner.next_req_id
         };
         let payload = encode_request(kind, req_id, &key, &value);
-        self.dispatch_payload(
-            sim,
-            partition,
+        let op = InFlightOp {
             req_id,
             kind,
             key,
             value,
             cb,
+            issued_at,
             attempts,
-            issued_at_override,
-            payload,
-        );
+            ship: 0,
+            timeout_ev: None,
+            expect_version: None,
+            partition,
+        };
+        self.enqueue(sim, op, payload);
     }
 
-    /// Ships an encoded request and registers it as the outstanding op.
-    /// (Split out so LeaseRenew can reuse it.)
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_payload(
-        &self,
-        sim: &mut Sim,
-        partition: u32,
-        req_id: u64,
-        kind: OpKind,
-        key: Vec<u8>,
-        value: Vec<u8>,
-        cb: Option<OpCb>,
-        attempts: u32,
-        issued_at_override: Option<SimTime>,
-        mut payload: Vec<u8>,
-    ) {
-        self.ensure_conn(partition);
-        let (fab, qp, node, req_region, slot_words, send_recv, timeout, server_kick) = {
+    /// Queues an encoded request behind its partition's connection slot and
+    /// pumps the connection.
+    fn enqueue(&self, sim: &mut Sim, op: InFlightOp, payload: Vec<u8>) {
+        let partition = op.partition;
+        let fits = {
             let inner = self.inner.borrow();
-            assert!(inner.outstanding.is_none(), "client is closed-loop");
-            let conn = &inner.conns[&partition];
-            hydra_wire::set_channel_tag(&mut payload, conn.tag);
-            (
-                inner.fab.clone(),
-                conn.qp,
-                inner.node,
-                conn.req_region,
-                inner.cfg.msg_slot_words,
-                !inner.cfg.client_mode.rdma_write(),
-                inner.cfg.op_timeout_ns,
-                conn.server_kick.clone(),
-            )
+            // The op must fit a shipment of its own.
+            let alone = if ships_frames(&inner.cfg) {
+                hydra_wire::BATCH_HDR + hydra_wire::BATCH_ENTRY_HDR + payload.len()
+            } else {
+                payload.len()
+            };
+            frame::frame_words(alone) <= inner.cfg.msg_slot_words
         };
-        let words = frame::frame_to_words(&payload);
-        if words.len() > slot_words {
-            if let Some(cb) = cb {
+        if !fits {
+            if let Some(cb) = op.cb {
                 cb(sim, Err(OpError::TooLarge));
             }
             return;
         }
-        if send_recv {
-            fab.post_send(sim, qp, node, payload);
-        } else {
-            // Delivery wakes the shard's polling loop on this connection.
-            fab.post_write(
-                sim,
-                qp,
-                node,
-                words,
-                req_region,
-                0,
-                Some(Box::new(move |sim| server_kick(sim))),
-            );
+        self.inner
+            .borrow_mut()
+            .outbox(partition)
+            .queue
+            .push_back(QueuedOp { op, payload });
+        self.pump(sim, partition);
+    }
+
+    /// Ships queued operations for `partition` if the connection can take
+    /// them. The shipping shape is all that transport and depth select:
+    /// Send/Recv posts every queued request as its own message (one
+    /// doorbell for the train); RDMA Write fills the connection's one
+    /// message slot — with a bare request at depth 1, with a batch frame
+    /// (even of one request) above it — and waits for the response to free
+    /// it.
+    fn pump(&self, sim: &mut Sim, partition: u32) {
+        {
+            let mut inner = self.inner.borrow_mut();
+            let rdma_write = inner.cfg.client_mode.rdma_write();
+            let outbox = inner.outbox(partition);
+            // One shipment in flight per connection slot.
+            if outbox.queue.is_empty() || (rdma_write && outbox.slot.is_some()) {
+                return;
+            }
         }
-        self.inner.borrow_mut().outstanding = Some(Outstanding {
-            req_id,
-            kind,
-            key,
-            value,
-            cb,
-            issued_at: issued_at_override.unwrap_or(sim.now()),
-            attempts,
-            timeout_ev: None,
-            expect_version: None,
-            partition: Some(partition),
+        self.ensure_conn(partition);
+        let mut inner_ref = self.inner.borrow_mut();
+        let inner = &mut *inner_ref;
+        let fab = inner.fab.clone();
+        let node = inner.node;
+        let conn = &inner.conns[&partition];
+        let (qp, tag) = (conn.qp, conn.tag);
+        let outbox = &mut inner.outboxes[partition as usize];
+        let q = &mut outbox.queue;
+        if !inner.cfg.client_mode.rdma_write() {
+            // Individual responses, so every message is a shipment of its
+            // own with a timeout of its own.
+            let mut payloads = Vec::with_capacity(q.len());
+            let mut shipped = Vec::with_capacity(q.len());
+            while let Some(mut item) = q.pop_front() {
+                hydra_wire::set_channel_tag(&mut item.payload, tag);
+                inner.next_ship += 1;
+                item.op.ship = inner.next_ship;
+                shipped.push((item.op.req_id, item.op.ship));
+                payloads.push(item.payload);
+                inner.window.insert(item.op.req_id, item.op);
+            }
+            drop(inner_ref);
+            if payloads.len() == 1 {
+                fab.post_send(sim, qp, node, payloads.pop().expect("one payload"));
+            } else {
+                fab.post_send_batch(sim, qp, node, payloads);
+            }
+            for (req_id, ship) in shipped {
+                let ev = self.arm_timeout(sim, ship);
+                if let Some(op) = self.inner.borrow_mut().window.get_mut(&req_id) {
+                    op.timeout_ev = Some(ev);
+                }
+            }
+            return;
+        }
+        inner.next_ship += 1;
+        let ship = inner.next_ship;
+        let frames = ships_frames(&inner.cfg);
+        let slot_words = inner.cfg.msg_slot_words;
+        // AIMD: the congestion window bounds a frame below max_batch;
+        // excess operations stay queued client-side (the window sheds load
+        // instead of deepening the server's run queue).
+        let window = if !frames {
+            1
+        } else if inner.cfg.aimd.enabled {
+            let max_batch = inner.cfg.max_batch.max(1);
+            let cfg = &inner.cfg;
+            outbox
+                .aimd
+                .get_or_insert_with(|| AimdWindow::new(&cfg.aimd, max_batch))
+                .window()
+                .min(max_batch)
+        } else {
+            inner.cfg.max_batch.max(1)
+        };
+        let builder = &mut inner.req_batch;
+        builder.clear();
+        let mut bare = None;
+        let mut taken = 0;
+        while taken < window {
+            let Some(front) = q.front() else { break };
+            let grown = frame::frame_words(builder.byte_len_with(front.payload.len()));
+            if taken > 0 && grown > slot_words {
+                break; // next op overflows the slot; ship what we have
+            }
+            let mut item = q.pop_front().expect("front exists");
+            hydra_wire::set_channel_tag(&mut item.payload, tag);
+            item.op.ship = ship;
+            inner.window.insert(item.op.req_id, item.op);
+            if frames {
+                builder.push(&item.payload);
+            } else {
+                bare = Some(item.payload);
+            }
+            taken += 1;
+        }
+        let words = frame::frame_to_words(bare.as_deref().unwrap_or(builder.bytes()));
+        let req_region = conn.req_region;
+        // Delivery wakes the shard's polling loop on this connection.
+        let server_kick = conn.server_kick.clone();
+        drop(inner_ref);
+        fab.post_write(
+            sim,
+            qp,
+            node,
+            words,
+            req_region,
+            0,
+            Some(Box::new(move |sim| server_kick(sim))),
+        );
+        // If the shipment is still unanswered when this fires, the shard is
+        // unresponsive (dead or overloaded).
+        let timeout_ev = self.arm_timeout(sim, ship);
+        self.inner.borrow_mut().outbox(partition).slot = Some(Slot {
+            ship,
+            timeout_ev,
+            shipped_at: sim.now(),
         });
-        // Arm the timeout: if this req_id is still outstanding when it
-        // fires, the shard is unresponsive (dead or overloaded).
+    }
+
+    fn arm_timeout(&self, sim: &mut Sim, ship: u64) -> hydra_sim::EventId {
+        let timeout = self.inner.borrow().cfg.op_timeout_ns;
         let this = self.clone();
-        let ev = sim.schedule_in(timeout, move |sim| this.on_timeout(sim, req_id));
-        if let Some(out) = self.inner.borrow_mut().outstanding.as_mut() {
-            out.timeout_ev = Some(ev);
+        sim.schedule_in(timeout, move |sim| this.on_timeout(sim, ship))
+    }
+
+    /// Shipment `ship` went unanswered: put every op it carried through the
+    /// one retry policy, then free its connection slot — after the retries
+    /// have re-queued, so they leave together in the next shipment.
+    fn on_timeout(&self, sim: &mut Sim, ship: u64) {
+        let (ops, slot) = {
+            let mut inner = self.inner.borrow_mut();
+            let mut ids: Vec<u64> = inner
+                .window
+                .values()
+                .filter(|op| op.ship == ship)
+                .map(|op| op.req_id)
+                .collect();
+            // In submission order, whatever order the map iterates in.
+            ids.sort_unstable();
+            let ops: Vec<InFlightOp> = ids
+                .iter()
+                .filter_map(|id| inner.window.remove(id))
+                .collect();
+            let Some(first) = ops.first() else {
+                return; // answered long ago
+            };
+            inner.stats.timeouts += ops.len() as u64;
+            let partition = first.partition;
+            let slot = &inner.outbox(partition).slot;
+            let holds_slot = slot.as_ref().is_some_and(|s| s.ship == ship);
+            (ops, holds_slot.then_some(partition))
+        };
+        for op in ops {
+            self.retry(sim, op);
+        }
+        if let Some(partition) = slot {
+            {
+                let mut inner = self.inner.borrow_mut();
+                let outbox = inner.outbox(partition);
+                outbox.slot = None;
+                // A whole shipment unanswered is maximal congestion.
+                if let Some(win) = &mut outbox.aimd {
+                    win.on_timeout();
+                }
+            }
+            self.pump(sim, partition);
         }
     }
 
-    fn on_timeout(&self, sim: &mut Sim, req_id: u64) {
-        let out = {
-            let mut inner = self.inner.borrow_mut();
-            match &inner.outstanding {
-                Some(o) if o.req_id == req_id => {
-                    inner.stats.timeouts += 1;
-                    inner.outstanding.take()
-                }
-                _ => return, // completed long ago
-            }
-        };
-        let Some(mut out) = out else { return };
-        if out.attempts >= MAX_ATTEMPTS || out.kind == OpKind::LeaseRenew {
-            if let Some(cb) = out.cb {
+    /// The one timeout policy: up to [`MAX_ATTEMPTS`] shipments per op, each
+    /// retry re-resolving the route (the partition's primary may have been
+    /// replaced by SWAT; `pump` rebuilds a connection that points at a
+    /// deposed one) and keeping the original issue time.
+    fn retry(&self, sim: &mut Sim, mut op: InFlightOp) {
+        if op.attempts >= MAX_ATTEMPTS || op.kind == OpKind::LeaseRenew {
+            if let Some(cb) = op.cb {
                 cb(sim, Err(OpError::Timeout));
             }
             return;
         }
-        if out.kind == OpKind::RdmaGet {
-            // A spread read to a crashed replica machine never completes.
-            // Drop the pointer and retry through the primary message path.
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.invalid_hits += 1;
-            inner.stats.msg_gets += 1;
-            inner.ptr_cache.remove(&out.key);
-            out.kind = OpKind::Get;
-        }
-        // Refresh the view of the cluster: the partition's primary may have
-        // been replaced by SWAT. Dropping the connection forces a rebuild
-        // against the current owner.
         {
             let mut inner = self.inner.borrow_mut();
-            inner.stats.retries += 1;
-            let partition = if out.kind == OpKind::Scan {
-                // A scan step is pinned to its partition; the cursor key
-                // must not be re-routed by hash.
-                out.partition
-            } else {
-                let dir = inner.directory.borrow();
-                dir.ring.route(&out.key).map(|s| s.0)
-            };
-            if let Some(p) = partition {
-                let stale = inner
-                    .conns
-                    .get(&p)
-                    .zip(inner.directory.borrow().shards.get(&p).cloned())
-                    .is_some_and(|(c, cur)| !Rc::ptr_eq(&c.server, &cur));
-                if stale {
-                    drop(inner);
-                    self.retire_stale_conn(p);
-                    self.inner.borrow_mut().conns.remove(&p);
-                }
+            if op.kind == OpKind::RdmaGet {
+                // A spread read to a crashed replica machine never
+                // completes. Drop the pointer and retry through the primary
+                // message path.
+                inner.stats.invalid_hits += 1;
+                inner.stats.msg_gets += 1;
+                inner.ptr_cache.remove(&op.key);
+                op.kind = OpKind::Get;
             }
+            inner.stats.retries += 1;
         }
-        if out.kind == OpKind::Scan {
-            // Partition-pinned retry against the partition's current primary
-            // (ensure_conn rebuilds the connection after fail-over).
-            let partition = out.partition.expect("scan steps carry their partition");
-            let req_id = {
-                let mut inner = self.inner.borrow_mut();
-                inner.next_req_id += 1;
-                inner.next_req_id
-            };
-            let payload = encode_request(OpKind::Scan, req_id, &out.key, &out.value);
-            self.dispatch_payload(
+        let (attempts, issued_at) = (op.attempts + 1, op.issued_at);
+        if op.kind == OpKind::Scan {
+            // A scan step is pinned to its partition; the cursor key must
+            // not be re-routed by hash.
+            self.submit_to(
                 sim,
-                partition,
-                req_id,
-                OpKind::Scan,
-                out.key,
-                out.value,
-                out.cb,
-                out.attempts + 1,
-                Some(out.issued_at),
-                payload,
+                op.partition,
+                op.kind,
+                op.key,
+                op.value,
+                op.cb,
+                attempts,
+                issued_at,
             );
-            return;
+        } else {
+            self.submit(sim, op.kind, op.key, op.value, op.cb, attempts, issued_at);
         }
-        self.issue_message_op(
-            sim,
-            out.kind,
-            out.key,
-            out.value,
-            out.cb,
-            out.attempts + 1,
-            Some(out.issued_at),
-        );
     }
 
     /// Builds (or reuses) the connection to `partition`'s current primary.
@@ -1282,11 +1313,11 @@ impl HydraClient {
                 // Receive provisioning is per QP endpoint: a dedicated ring
                 // each side, or the server's node-wide SRQ pool.
                 if inner.cfg.srq {
-                    fab.ensure_srq(server_node, inner.cfg.srq_depth);
+                    fab.ensure_srq(server_node, SRQ_DEPTH);
                 } else {
-                    fab.provision_recvs(server_node, inner.cfg.recv_ring_depth);
+                    fab.provision_recvs(server_node, RECV_RING_DEPTH);
                 }
-                fab.provision_recvs(node, inner.cfg.recv_ring_depth);
+                fab.provision_recvs(node, RECV_RING_DEPTH);
                 qp
             };
             let (qp, tag, demux, new_channel) = if inner.cfg.mux_connections {
@@ -1441,40 +1472,52 @@ impl HydraClient {
                 Err(e) => panic!("corrupt response frame: {e}"),
             }
         };
-        if BatchFrame::is_batch(&payload) {
-            self.on_response_batch(sim, partition, payload);
-            return;
-        }
         self.on_response_payload(sim, payload);
     }
 
+    /// Settles every response `payload` carries (one bare response, or one
+    /// response frame answering one request frame), frees the connection
+    /// slot their shipment held, and pumps the next shipment into it.
     fn on_response_payload(&self, sim: &mut Sim, payload: Vec<u8>) {
-        let resp = Response::decode(&payload).expect("well-formed response");
-        let out = {
-            let mut inner = self.inner.borrow_mut();
-            let matches = inner
-                .outstanding
-                .as_ref()
-                .is_some_and(|o| o.req_id == resp.req_id);
-            if matches {
-                inner.outstanding.take()
-            } else {
-                // Pipelined SendRecv ops complete individually via the
-                // window; anything else is a late response for a timed-out
-                // attempt.
-                inner.window.remove(&resp.req_id)
+        // The server stamps its backlog (µs) into every response; the worst
+        // message of a frame is the congestion signal.
+        let mut max_hint: u16 = 0;
+        let mut freed = None;
+        for msg in messages(&payload) {
+            max_hint = max_hint.max(backlog_hint(msg));
+            let resp = Response::decode(msg).expect("well-formed response");
+            let op = {
+                let mut inner = self.inner.borrow_mut();
+                let Some(op) = inner.window.remove(&resp.req_id) else {
+                    continue; // late response for a timed-out attempt
+                };
+                let slot = &mut inner.outbox(op.partition).slot;
+                if slot.as_ref().is_some_and(|s| s.ship == op.ship) {
+                    let slot = slot.take().expect("checked above");
+                    sim.cancel(slot.timeout_ev);
+                    freed = Some((op.partition, slot.shipped_at));
+                }
+                op
+            };
+            if let Some(ev) = op.timeout_ev {
+                sim.cancel(ev);
             }
-        };
-        let Some(out) = out else { return };
-        if let Some(ev) = out.timeout_ev {
-            sim.cancel(ev);
+            self.complete_op(sim, op, &resp);
         }
-        self.complete_op(sim, out, &resp);
+        let Some((partition, shipped_at)) = freed else {
+            return;
+        };
+        if BatchFrame::is_batch(&payload) {
+            if let Some(win) = &mut self.inner.borrow_mut().outbox(partition).aimd {
+                win.on_frame(max_hint, sim.now().saturating_sub(shipped_at));
+            }
+        }
+        self.pump(sim, partition);
     }
 
     /// Settles one completed operation against its decoded response:
     /// pointer-cache upkeep, verdict mapping, latency recording, callback.
-    fn complete_op(&self, sim: &mut Sim, out: Outstanding, resp: &Response<'_>) {
+    fn complete_op(&self, sim: &mut Sim, out: InFlightOp, resp: &Response<'_>) {
         let now = sim.now();
         // Ownership redirect: the shard no longer owns the key (migration
         // flipped the ring). The shared directory already carries the new
@@ -1495,19 +1538,15 @@ impl HydraClient {
                 }
                 return;
             }
-            if self.pipelined() {
-                self.enqueue_pipelined(sim, out.kind, out.key, out.value, out.cb, out.issued_at);
-            } else {
-                self.issue_message_op(
-                    sim,
-                    out.kind,
-                    out.key,
-                    out.value,
-                    out.cb,
-                    out.attempts + 1,
-                    Some(out.issued_at),
-                );
-            }
+            self.submit(
+                sim,
+                out.kind,
+                out.key,
+                out.value,
+                out.cb,
+                out.attempts + 1,
+                out.issued_at,
+            );
             return;
         }
         let (verdict, client_ns) = {
@@ -1578,436 +1617,12 @@ impl HydraClient {
             sim.schedule_in(client_ns, move |sim| cb(sim, verdict));
         }
     }
+}
 
-    // ---- pipelined mode (pipeline_depth > 1) ----
-
-    /// Queues an operation behind the partition's pipeline window and pumps
-    /// the connection. `issued_at` is carried through so retries of invalid
-    /// fast-path hits keep their full latency window.
-    fn enqueue_pipelined(
-        &self,
-        sim: &mut Sim,
-        kind: OpKind,
-        key: Vec<u8>,
-        value: Vec<u8>,
-        cb: Option<OpCb>,
-        issued_at: SimTime,
-    ) {
-        let partition = {
-            let inner = self.inner.borrow();
-            let dir = inner.directory.borrow();
-            dir.ring.route(&key).map(|s| s.0)
-        };
-        let Some(partition) = partition else {
-            if let Some(cb) = cb {
-                cb(sim, Err(OpError::Server));
-            }
-            return;
-        };
-        self.enqueue_pipelined_to(sim, partition, kind, key, value, cb, issued_at);
-    }
-
-    /// [`Self::enqueue_pipelined`] with an explicit target partition — scan
-    /// steps are partition-pinned rather than key-routed.
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_pipelined_to(
-        &self,
-        sim: &mut Sim,
-        partition: u32,
-        kind: OpKind,
-        key: Vec<u8>,
-        value: Vec<u8>,
-        cb: Option<OpCb>,
-        issued_at: SimTime,
-    ) {
-        let (req_id, payload, fits) = {
-            let mut inner = self.inner.borrow_mut();
-            inner.next_req_id += 1;
-            let req_id = inner.next_req_id;
-            let payload = encode_request(kind, req_id, &key, &value);
-            // The op must fit a frame of its own (batch header + one entry).
-            let alone = hydra_wire::BATCH_HDR + hydra_wire::BATCH_ENTRY_HDR + payload.len();
-            let fits = frame::frame_words(alone) <= inner.cfg.msg_slot_words;
-            (req_id, payload, fits)
-        };
-        if !fits {
-            if let Some(cb) = cb {
-                cb(sim, Err(OpError::TooLarge));
-            }
-            return;
-        }
-        self.inner
-            .borrow_mut()
-            .queued
-            .entry(partition)
-            .or_default()
-            .push_back(QueuedOp {
-                out: Outstanding {
-                    req_id,
-                    kind,
-                    key,
-                    value,
-                    cb,
-                    issued_at,
-                    attempts: 1,
-                    timeout_ev: None,
-                    expect_version: None,
-                    partition: Some(partition),
-                },
-                payload,
-            });
-        self.pump(sim, partition);
-    }
-
-    /// Ships queued operations for `partition` if the connection can take
-    /// them: as one batch frame (one doorbell) in RDMA-Write mode, or as a
-    /// doorbell-batched train of individual sends in SendRecv mode.
-    fn pump(&self, sim: &mut Sim, partition: u32) {
-        self.ensure_conn(partition);
-        let send_recv = !self.inner.borrow().cfg.client_mode.rdma_write();
-        if send_recv {
-            self.pump_send_recv(sim, partition);
-        } else {
-            self.pump_frame(sim, partition);
-        }
-    }
-
-    fn pump_frame(&self, sim: &mut Sim, partition: u32) {
-        let (fab, qp, node, req_region, server_kick, timeout, words, req_ids) = {
-            let mut inner = self.inner.borrow_mut();
-            if inner.frame_inflight.contains_key(&partition) {
-                return; // one frame in flight per connection
-            }
-            if inner.queued.get(&partition).is_none_or(|q| q.is_empty()) {
-                return;
-            }
-            let slot_words = inner.cfg.msg_slot_words;
-            let max_batch = inner.cfg.max_batch.max(1);
-            let mut builder = std::mem::replace(&mut inner.req_batch, BatchBuilder::new());
-            builder.clear();
-            let mut req_ids = Vec::new();
-            let inner = &mut *inner;
-            // AIMD: the congestion window bounds the frame below max_batch;
-            // excess operations stay queued client-side (the window sheds
-            // load instead of deepening the server's run queue).
-            let window = if inner.cfg.aimd.enabled {
-                let cfg = &inner.cfg;
-                inner
-                    .aimd
-                    .entry(partition)
-                    .or_insert_with(|| AimdWindow::new(&cfg.aimd, max_batch))
-                    .window()
-                    .min(max_batch)
-            } else {
-                max_batch
-            };
-            let tag = inner.conns[&partition].tag;
-            let q = inner.queued.get_mut(&partition).expect("checked above");
-            while (builder.count() as usize) < window {
-                let Some(front) = q.front() else { break };
-                let grown = frame::frame_words(builder.byte_len_with(front.payload.len()));
-                if !builder.is_empty() && grown > slot_words {
-                    break; // next op overflows the slot; ship what we have
-                }
-                let mut item = q.pop_front().expect("front exists");
-                hydra_wire::set_channel_tag(&mut item.payload, tag);
-                builder.push(&item.payload);
-                req_ids.push(item.out.req_id);
-                inner.window.insert(item.out.req_id, item.out);
-            }
-            let words = frame::frame_to_words(builder.bytes());
-            inner.req_batch = builder;
-            // Reserve the frame slot now; the timeout event id lands below.
-            inner.frame_inflight.insert(
-                partition,
-                FrameInflight {
-                    timeout_ev: None,
-                    issued_at: sim.now(),
-                },
-            );
-            let conn = &inner.conns[&partition];
-            (
-                inner.fab.clone(),
-                conn.qp,
-                inner.node,
-                conn.req_region,
-                conn.server_kick.clone(),
-                inner.cfg.op_timeout_ns,
-                words,
-                req_ids,
-            )
-        };
-        fab.post_write(
-            sim,
-            qp,
-            node,
-            words,
-            req_region,
-            0,
-            Some(Box::new(move |sim| server_kick(sim))),
-        );
-        let this = self.clone();
-        let ids = req_ids;
-        let ev = sim.schedule_in(timeout, move |sim| {
-            this.on_frame_timeout(sim, partition, ids)
-        });
-        if let Some(inflight) = self.inner.borrow_mut().frame_inflight.get_mut(&partition) {
-            inflight.timeout_ev = Some(ev);
-        }
-    }
-
-    fn pump_send_recv(&self, sim: &mut Sim, partition: u32) {
-        let (fab, qp, node, timeout, mut payloads, req_ids) = {
-            let mut inner = self.inner.borrow_mut();
-            let inner = &mut *inner;
-            let Some(q) = inner.queued.get_mut(&partition) else {
-                return;
-            };
-            if q.is_empty() {
-                return;
-            }
-            let mut payloads = Vec::with_capacity(q.len());
-            let mut req_ids = Vec::with_capacity(q.len());
-            let tag = inner.conns[&partition].tag;
-            while let Some(mut item) = q.pop_front() {
-                hydra_wire::set_channel_tag(&mut item.payload, tag);
-                payloads.push(item.payload);
-                req_ids.push(item.out.req_id);
-                inner.window.insert(item.out.req_id, item.out);
-            }
-            let conn = &inner.conns[&partition];
-            (
-                inner.fab.clone(),
-                conn.qp,
-                inner.node,
-                inner.cfg.op_timeout_ns,
-                payloads,
-                req_ids,
-            )
-        };
-        if payloads.len() == 1 {
-            fab.post_send(sim, qp, node, payloads.pop().expect("one payload"));
-        } else {
-            fab.post_send_batch(sim, qp, node, payloads);
-        }
-        // Individual responses, individual timeouts (no retry in pipelined
-        // mode: a timeout fails the op).
-        for req_id in req_ids {
-            let this = self.clone();
-            let ev = sim.schedule_in(timeout, move |sim| this.on_window_timeout(sim, req_id));
-            if let Some(out) = self.inner.borrow_mut().window.get_mut(&req_id) {
-                out.timeout_ev = Some(ev);
-            }
-        }
-    }
-
-    /// One response frame answers one request frame: settle every response,
-    /// release the frame slot, and pump the next window.
-    fn on_response_batch(&self, sim: &mut Sim, partition: u32, payload: Vec<u8>) {
-        let inflight = {
-            let mut inner = self.inner.borrow_mut();
-            inner.frame_inflight.remove(&partition)
-        };
-        if let Some(ev) = inflight.as_ref().and_then(|f| f.timeout_ev) {
-            sim.cancel(ev);
-        }
-        let batch = BatchFrame::parse(&payload).expect("well-formed response batch");
-        // The server stamps its backlog (µs) into every response; the worst
-        // message of the frame is the congestion signal.
-        let mut max_hint: u16 = 0;
-        for msg in batch.iter() {
-            max_hint = max_hint.max(backlog_hint(msg));
-            let resp = Response::decode(msg).expect("well-formed response");
-            let out = self.inner.borrow_mut().window.remove(&resp.req_id);
-            if let Some(out) = out {
-                self.complete_op(sim, out, &resp);
-            }
-        }
-        {
-            let mut inner = self.inner.borrow_mut();
-            if inner.cfg.aimd.enabled {
-                if let Some(win) = inner.aimd.get_mut(&partition) {
-                    let frame_lat = inflight
-                        .map(|f| sim.now().saturating_sub(f.issued_at))
-                        .unwrap_or(0);
-                    win.on_frame(max_hint, frame_lat);
-                }
-            }
-        }
-        self.pump(sim, partition);
-    }
-
-    /// A whole request frame went unanswered: the shard is unresponsive.
-    /// Pipelined mode does not retry — fail every op in the frame.
-    fn on_frame_timeout(&self, sim: &mut Sim, partition: u32, req_ids: Vec<u64>) {
-        let outs: Vec<Outstanding> = {
-            let mut inner = self.inner.borrow_mut();
-            if inner.frame_inflight.remove(&partition).is_none() {
-                return; // frame already answered
-            }
-            let outs: Vec<Outstanding> = req_ids
-                .iter()
-                .filter_map(|id| inner.window.remove(id))
-                .collect();
-            inner.stats.timeouts += outs.len() as u64;
-            if inner.cfg.aimd.enabled {
-                if let Some(win) = inner.aimd.get_mut(&partition) {
-                    win.on_timeout();
-                }
-            }
-            outs
-        };
-        for out in outs {
-            if let Some(cb) = out.cb {
-                cb(sim, Err(OpError::Timeout));
-            }
-        }
-        self.pump(sim, partition);
-    }
-
-    /// Per-op timeout for pipelined SendRecv operations.
-    fn on_window_timeout(&self, sim: &mut Sim, req_id: u64) {
-        let out = {
-            let mut inner = self.inner.borrow_mut();
-            let out = inner.window.remove(&req_id);
-            if out.is_some() {
-                inner.stats.timeouts += 1;
-            }
-            out
-        };
-        let Some(mut out) = out else { return };
-        if out.kind == OpKind::RdmaGet {
-            // A one-sided read to a crashed replica machine vanished.
-            // Drop the pointer and retry through the primary message path.
-            {
-                let mut inner = self.inner.borrow_mut();
-                inner.stats.invalid_hits += 1;
-                inner.stats.msg_gets += 1;
-                inner.ptr_cache.remove(&out.key);
-            }
-            let cb = out.cb.take();
-            self.enqueue_pipelined(sim, OpKind::Get, out.key, Vec::new(), cb, out.issued_at);
-            return;
-        }
-        if let Some(cb) = out.cb {
-            cb(sim, Err(OpError::Timeout));
-        }
-    }
-
-    /// Fast-path GET through the pipeline window: the one-sided read flies
-    /// concurrently with whatever else is outstanding.
-    fn issue_rdma_get_pipelined(&self, sim: &mut Sim, key: Vec<u8>, ptr: CachedPtr, cb: OpCb) {
-        self.ensure_conn(ptr.partition);
-        let pick = self.pick_spread_target(&ptr);
-        let conn_parts = if pick == 0 {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.rptr_reads += 1;
-            let conn = &inner.conns[&ptr.partition];
-            if conn.arena_region.0 != ptr.rptr.region {
-                inner.stats.invalid_hits += 1;
-                inner.ptr_cache.remove(&key);
-                None
-            } else {
-                Some((conn.qp, conn.arena_region, ptr.rptr, false))
-            }
-        } else {
-            let target = ptr.replicas[pick - 1];
-            let qp = self.ensure_replica_qp(target.node);
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.rptr_reads += 1;
-            inner.stats.replica_reads += 1;
-            Some((qp, RegionId(target.rptr.region), target.rptr, true))
-        };
-        let Some((qp, region, rptr, replica)) = conn_parts else {
-            self.inner.borrow_mut().stats.msg_gets += 1;
-            let now = sim.now();
-            self.enqueue_pipelined(sim, OpKind::Get, key, Vec::new(), Some(cb), now);
-            return;
-        };
-        let issued_at = sim.now();
-        let (req_id, node, fab) = {
-            let mut inner = self.inner.borrow_mut();
-            inner.next_req_id += 1;
-            let req_id = inner.next_req_id;
-            inner.window.insert(
-                req_id,
-                Outstanding {
-                    req_id,
-                    kind: OpKind::RdmaGet,
-                    key,
-                    value: Vec::new(),
-                    cb: Some(cb),
-                    issued_at,
-                    attempts: 1,
-                    // Reads to a crashed replica machine never complete:
-                    // arm the per-op window timeout for replica targets.
-                    timeout_ev: None,
-                    expect_version: ptr.version,
-                    partition: None,
-                },
-            );
-            (req_id, inner.node, inner.fab.clone())
-        };
-        if replica {
-            let this = self.clone();
-            let timeout = self.inner.borrow().cfg.op_timeout_ns;
-            let ev = sim.schedule_in(timeout, move |sim| this.on_window_timeout(sim, req_id));
-            if let Some(out) = self.inner.borrow_mut().window.get_mut(&req_id) {
-                out.timeout_ev = Some(ev);
-            }
-        }
-        let this = self.clone();
-        fab.post_read(
-            sim,
-            qp,
-            node,
-            region,
-            (rptr.offset / 8) as usize,
-            rptr.len as usize,
-            Box::new(move |sim, blob| this.on_rdma_get_done_pipelined(sim, req_id, blob)),
-        );
-    }
-
-    fn on_rdma_get_done_pipelined(&self, sim: &mut Sim, req_id: u64, blob: Vec<u8>) {
-        let Some(out) = self.inner.borrow_mut().window.remove(&req_id) else {
-            return; // late completion of a timed-out replica read
-        };
-        debug_assert_eq!(out.kind, OpKind::RdmaGet);
-        if let Some(ev) = out.timeout_ev {
-            sim.cancel(ev);
-        }
-        let (key, cb, issued_at) = (out.key, out.cb, out.issued_at);
-        let fetched = FetchedItem::parse(&blob, &key).and_then(|item| match out.expect_version {
-            Some(v) if item.version != v => Err(ItemError::Stale),
-            _ => Ok(item),
-        });
-        match fetched {
-            Ok(item) => {
-                let client_ns = {
-                    let mut inner = self.inner.borrow_mut();
-                    inner.stats.rptr_hits += 1;
-                    let client_ns = inner.cfg.costs.client_ns;
-                    let lat = sim.now() - issued_at;
-                    inner.stats.get_lat.record(lat + client_ns);
-                    client_ns
-                };
-                if let Some(cb) = cb {
-                    sim.schedule_in(client_ns, move |sim| cb(sim, Ok(Some(item.value))));
-                }
-            }
-            Err(ItemError::Stale) | Err(ItemError::Corrupt) | Err(ItemError::Truncated) => {
-                {
-                    let mut inner = self.inner.borrow_mut();
-                    inner.stats.invalid_hits += 1;
-                    inner.stats.msg_gets += 1;
-                    inner.ptr_cache.remove(&key);
-                }
-                // Keep the original issue time so the recorded latency covers
-                // the full (wasted read + retry) window.
-                self.enqueue_pipelined(sim, OpKind::Get, key, Vec::new(), cb, issued_at);
-            }
-        }
-    }
+/// Whether requests ship as batch frames (RDMA Write at depth > 1) rather
+/// than as bare messages.
+fn ships_frames(cfg: &ClusterConfig) -> bool {
+    cfg.client_mode.rdma_write() && cfg.pipeline_depth > 1
 }
 
 fn encode_request(kind: OpKind, req_id: u64, key: &[u8], value: &[u8]) -> Vec<u8> {

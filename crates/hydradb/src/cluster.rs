@@ -22,13 +22,13 @@ use std::sync::Arc;
 use hydra_coord::{Coord, CreateMode, EventKind, LeaderElection, SessionId, WatcherId};
 use hydra_fabric::{Fabric, NodeId, Transport};
 use hydra_lockfree::ClockCache;
-use hydra_replication::{ReplConfig, ReplMode, ReplicationPair};
+use hydra_replication::{ReplConfig, ReplicationPair};
 use hydra_sim::time::SimTime;
 use hydra_sim::Sim;
 
 use crate::chaos::{ChaosController, RecordingClient};
 use crate::client::{CachedPtr, HydraClient};
-use crate::config::{ClientMode, ClusterConfig, ReplicationMode};
+use crate::config::{ClientMode, ClusterConfig};
 use crate::migration::{MigrationEngine, MigrationHandle, MigrationOutcome};
 use crate::ring::{HashRing, ShardId};
 use crate::server::{ReplicaExport, ShardServer};
@@ -257,12 +257,7 @@ impl HaState {
             new_primary.borrow_mut().mig = op.mig.take();
         }
         // Re-couple surviving secondaries to the new primary.
-        let repl_mode = match self.cfg.replication {
-            ReplicationMode::Strict => Some(ReplMode::Strict),
-            ReplicationMode::Logging { ack_every } => Some(ReplMode::Logging { ack_every }),
-            ReplicationMode::GroupCommit => Some(ReplMode::GroupCommit),
-            ReplicationMode::None => None,
-        };
+        let repl_mode = self.cfg.replication.repl_mode();
         if let Some(mode) = repl_mode {
             let mut np = new_primary.borrow_mut();
             np.repl.clear();
@@ -352,12 +347,7 @@ impl ClusterBuilder {
             .create("/servers", Vec::new(), CreateMode::Persistent, None)
             .expect("fresh tree");
 
-        let repl_mode = match cfg.replication {
-            ReplicationMode::Strict => Some(ReplMode::Strict),
-            ReplicationMode::Logging { ack_every } => Some(ReplMode::Logging { ack_every }),
-            ReplicationMode::GroupCommit => Some(ReplMode::GroupCommit),
-            ReplicationMode::None => None,
-        };
+        let repl_mode = cfg.replication.repl_mode();
 
         for p in 0..cfg.total_shards() {
             let home = if cfg.partitions.is_some() {
@@ -1114,11 +1104,11 @@ mod tests {
         // connection count.
         assert_eq!(
             dedicated.fab.recv_posted(node),
-            4 * dedicated.cfg.recv_ring_depth
+            4 * crate::client::RECV_RING_DEPTH
         );
         assert_eq!(
             optimized.fab.recv_posted(optimized.server_nodes[0]),
-            srq_cfg.srq_depth
+            crate::client::SRQ_DEPTH
         );
         // Huge pages collapse the MTT footprint of the same regions.
         let mtt_4k = dedicated.fab.mtt_registered(node);

@@ -1,6 +1,7 @@
 //! Deployment and cost-model configuration.
 
 use hydra_fabric::{FabricConfig, Transport};
+use hydra_replication::ReplMode;
 use hydra_sim::time::{SimTime, MS};
 use hydra_store::{IndexKind, WriteMode};
 
@@ -54,24 +55,22 @@ impl ClientMode {
     }
 }
 
-/// Per-shard run-queue discipline for the single-threaded execution model.
+/// How a shard's lane scheduler classifies arriving work (§12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// Arrival-order service: every request reserves shard-core time the
-    /// moment it lands (the pre-§12 behaviour). A point GET that arrives
-    /// behind a full scan quantum waits out the whole quantum.
+    /// Arrival-order service (the pre-§12 baseline): every task is
+    /// classified into one lane. A point GET that arrives behind a full
+    /// scan quantum waits out the whole quantum.
     Fifo,
     /// Dual-lane deficit-round-robin: point ops (GET/PUT/DELETE) ride a
     /// latency lane, SCANs and batch quanta ride a throughput lane, and
     /// running scans yield the core at chunk boundaries whenever the
-    /// latency lane is non-empty (§12). Applies only under
-    /// [`ExecModel::SingleThreaded`]; the decoupled ablation models keep
-    /// their legacy dispatch paths.
+    /// latency lane is non-empty.
     DualLane,
 }
 
-/// Client-side AIMD window controller parameters (§12.4): the pipelined
-/// client's per-connection issue window grows additively while the shard
+/// Client-side AIMD window controller parameters (§12.4): the
+/// per-connection frame window grows additively while the shard
 /// reports a shallow backlog and is cut multiplicatively when the response
 /// frames carry a deep backlog hint (or completion latency blows past the
 /// target), so scan-congested shards shed window instead of queueing.
@@ -135,6 +134,17 @@ impl ReplicationMode {
     pub fn strict_semantics(&self) -> bool {
         matches!(self, ReplicationMode::Strict | ReplicationMode::GroupCommit)
     }
+
+    /// The acknowledgement mode each primary/secondary channel runs in, or
+    /// `None` when writes do not replicate.
+    pub fn repl_mode(self) -> Option<ReplMode> {
+        match self {
+            ReplicationMode::None => None,
+            ReplicationMode::Strict => Some(ReplMode::Strict),
+            ReplicationMode::Logging { ack_every } => Some(ReplMode::Logging { ack_every }),
+            ReplicationMode::GroupCommit => Some(ReplMode::GroupCommit),
+        }
+    }
 }
 
 /// Server CPU cost model (nanoseconds of shard-core time per action).
@@ -172,8 +182,6 @@ pub struct CostModel {
     pub recv_cpu_ns: SimTime,
     /// Client-side processing per completed operation.
     pub client_ns: SimTime,
-    /// Penalty per op when shard memory lands on a remote NUMA node.
-    pub numa_remote_ns: SimTime,
     /// CPU cost to build one send/write WQE and ring the doorbell when
     /// posting a response. Charged per response on the singleton path and
     /// once per frame on the batched path (one WQE carries the whole
@@ -219,7 +227,6 @@ impl Default for CostModel {
             sync_ns: 400,
             recv_cpu_ns: 500,
             client_ns: 150,
-            numa_remote_ns: 320,
             post_wqe_ns: 0,
             batch_probe_factor: 0.85,
             batch_write_factor: 0.7,
@@ -286,11 +293,12 @@ pub struct ClusterConfig {
     /// Request/response buffer slot size in words (bounds message size).
     pub msg_slot_words: usize,
     /// Outstanding operations a client may keep in flight (1 = the paper's
-    /// closed-loop YCSB discipline). Depths above 1 enable the pipelined
-    /// client: operations queue per connection and ship as batch frames.
+    /// closed-loop YCSB discipline). Selects the client's shipping shape:
+    /// at 1 a request travels as a bare message; above it, queued requests
+    /// ship as batch frames.
     pub pipeline_depth: usize,
-    /// Maximum requests packed into one batch frame (one doorbell) by the
-    /// pipelined client, and the server's per-quantum execution batch.
+    /// Maximum requests packed into one batch frame (one doorbell, one
+    /// server execution quantum).
     pub max_batch: usize,
     /// Shard-core time budget one SCAN may consume before the server
     /// truncates it and hands the client a continuation (`more` flag). Keeps
@@ -305,26 +313,14 @@ pub struct ClusterConfig {
     /// to yield at the next chunk boundary (~`scan_chunk_items ×
     /// scan_item_ns` away) instead of holding the core for the full quantum.
     pub scan_chunk_items: u32,
-    /// Deficit-round-robin quantum credited to the latency lane per
-    /// scheduling round (ns of shard-core time).
-    pub latency_lane_quantum_ns: SimTime,
-    /// Deficit-round-robin quantum credited to the throughput lane per
-    /// scheduling round. The lane bandwidth ratio under saturation is
-    /// `latency_lane_quantum_ns : throughput_lane_quantum_ns`.
-    pub throughput_lane_quantum_ns: SimTime,
     /// Client-side AIMD window controller (§12.4).
     pub aimd: AimdConfig,
     /// Virtual nodes per shard on the consistent-hash ring.
     pub vnodes: u32,
-    /// Whether shards allocate NUMA-locally (§4.1.2); `false` models the
-    /// naive placement for the ablation.
-    pub numa_aware: bool,
     /// Minimum lease term (paper: 1 s).
     pub min_lease_ns: SimTime,
     /// Maximum lease term (paper: 64 s).
     pub max_lease_ns: SimTime,
-    /// Interval between shard reclamation pumps.
-    pub reclaim_interval_ns: SimTime,
     /// Poll-loop sleep backoff (§4.2.1's 100 ns high-resolution sleep);
     /// `None` burns the core busy-polling.
     pub sleep_backoff_ns: Option<SimTime>,
@@ -333,9 +329,6 @@ pub struct ClusterConfig {
     pub transport: Transport,
     /// Client-side response timeout per attempt (drives fail-over).
     pub op_timeout_ns: SimTime,
-    /// When set, clients periodically renew leases of soon-expiring cached
-    /// pointers (§4.2.3).
-    pub lease_renew_interval_ns: Option<SimTime>,
     /// Replication ring words per secondary.
     pub repl_ring_words: usize,
     /// Heartbeat period for shard/SWAT coordination sessions.
@@ -353,10 +346,6 @@ pub struct ClusterConfig {
     /// the latency lane keeps serving point ops between quanta; smaller
     /// quanta trade rebalance time for a shallower tail-latency dip.
     pub migration_quantum_items: u32,
-    /// Pacing interval between successive migration quanta of one
-    /// source-partition job (the migration rate is roughly
-    /// `migration_quantum_items / migration_tick_ns`).
-    pub migration_tick_ns: SimTime,
     /// Pool one QP per (client, server node) instead of one per partition:
     /// requests carry a channel tag in the frame-header pad bytes and the
     /// server demuxes to the tagged partition's connection state. Cuts a
@@ -365,15 +354,9 @@ pub struct ClusterConfig {
     /// fix for the NIC's ICM-cache connection cliff.
     pub mux_connections: bool,
     /// Post server receive buffers to one shared receive queue per node
-    /// (depth [`srq_depth`](Self::srq_depth)) instead of a dedicated
-    /// [`recv_ring_depth`](Self::recv_ring_depth)-deep ring per QP, so
-    /// posted-buffer memory stays O(1) in the connection count.
+    /// instead of a dedicated ring per QP, so posted-buffer memory stays
+    /// O(1) in the connection count.
     pub srq: bool,
-    /// Receive buffers posted per connection endpoint when `srq` is off.
-    pub recv_ring_depth: u64,
-    /// Receive buffers in the node-wide shared receive queue when `srq` is
-    /// on.
-    pub srq_depth: u64,
     /// Translation page size for the memory regions hydradb registers
     /// (arenas, message buffers, replication rings). The 4 KiB default
     /// models ordinary mappings; 2 MiB huge pages collapse the MTT
@@ -411,21 +394,13 @@ impl Default for ClusterConfig {
             scan_quantum_ns: 25_000,
             scheduler: SchedulerKind::DualLane,
             scan_chunk_items: 64,
-            // Equal lane quanta: a saturated shard splits core time evenly
-            // between point ops and scan/batch quanta; either lane may use
-            // the full core when the other is idle (DRR is work-conserving).
-            latency_lane_quantum_ns: 4_000,
-            throughput_lane_quantum_ns: 4_000,
             aimd: AimdConfig::default(),
             vnodes: 64,
-            numa_aware: true,
             min_lease_ns: 1_000_000_000,
             max_lease_ns: 64_000_000_000,
-            reclaim_interval_ns: 100 * MS,
             sleep_backoff_ns: Some(100),
             transport: Transport::Rdma,
             op_timeout_ns: 10 * MS,
-            lease_renew_interval_ns: None,
             repl_ring_words: 1 << 16,
             ha_heartbeat_ns: 5 * MS,
             ha_tick_ns: 10 * MS,
@@ -433,11 +408,8 @@ impl Default for ClusterConfig {
             fabric: FabricConfig::default(),
             costs: CostModel::default(),
             migration_quantum_items: 128,
-            migration_tick_ns: 100_000,
             mux_connections: false,
             srq: false,
-            recv_ring_depth: 16,
-            srq_depth: 1024,
             page_bytes: 4096,
         }
     }
@@ -474,10 +446,8 @@ mod tests {
         assert!(!ClientMode::RdmaWrite.rdma_read());
         assert!(ClientMode::RdmaWrite.rdma_write());
         // Connection-scaling knobs: dedicated QPs + per-QP rings + 4 KiB
-        // pages by default (the unoptimized baseline); the SRQ pool must
-        // dwarf a single ring or sharing it would *shrink* capacity.
+        // pages by default (the unoptimized baseline).
         assert!(!c.mux_connections && !c.srq);
-        assert!(c.srq_depth > c.recv_ring_depth);
         assert!(c.page_bytes.is_power_of_two());
         assert_eq!(c.page_bytes, c.fabric.default_page_bytes);
     }

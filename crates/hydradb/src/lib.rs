@@ -27,7 +27,7 @@
 //! let mut cluster = ClusterBuilder::new(ClusterConfig::default()).build();
 //! let client = cluster.add_client(0);
 //!
-//! // Clients are closed-loop (one op in flight): chain the GET off the PUT.
+//! // Closed loop, as the paper's YCSB drivers: chain the GET off the PUT.
 //! let c2 = client.clone();
 //! client.put(
 //!     &mut cluster.sim,

@@ -11,8 +11,8 @@
 //! driven by a recurring tick:
 //!
 //! * **Snapshot** — the source walks its ordered index in bounded quanta
-//!   ([`ClusterConfig::migration_quantum_items`] items per
-//!   [`ClusterConfig::migration_tick_ns`]), streaming every key-value whose
+//!   ([`ClusterConfig::migration_quantum_items`] items per [`TICK_NS`]),
+//!   streaming every key-value whose
 //!   hash routes elsewhere under the *target* ring to its new owner over a
 //!   dedicated RDMA channel. Quanta ride the throughput lane of the dual-lane
 //!   scheduler, so point-op tail latency stays isolated. Writes landing
@@ -56,15 +56,20 @@ use std::rc::Rc;
 
 use hydra_coord::{CreateMode, WatcherId};
 use hydra_fabric::{Fabric, NodeId, QpId, Transport};
-use hydra_replication::{ReplConfig, ReplMode, ReplicationPair};
+use hydra_replication::{ReplConfig, ReplicationPair};
 use hydra_sim::time::SimTime;
 use hydra_sim::Sim;
 use hydra_wire::LogOp;
 
 use crate::cluster::{Directory, HaState, PartitionState};
-use crate::config::{ClusterConfig, ReplicationMode};
+use crate::config::ClusterConfig;
 use crate::ring::{HashRing, ShardId};
 use crate::server::{ReplicaExport, ShardServer};
+
+/// Pacing interval between successive migration quanta of one
+/// source-partition job (the migration rate is roughly
+/// `migration_quantum_items / TICK_NS`).
+const TICK_NS: SimTime = 100_000;
 
 /// Ticks without any shipped/applied/phase progress before an un-flipped
 /// plan gives up (a crashed participant whose failure the liveness check
@@ -529,12 +534,7 @@ impl MigrationEngine {
                 inner.directory.clone(),
             )
         };
-        let repl_mode = match cfg.replication {
-            ReplicationMode::Strict => Some(ReplMode::Strict),
-            ReplicationMode::Logging { ack_every } => Some(ReplMode::Logging { ack_every }),
-            ReplicationMode::GroupCommit => Some(ReplMode::GroupCommit),
-            ReplicationMode::None => None,
-        };
+        let repl_mode = cfg.replication.repl_mode();
         let home = server_nodes
             .iter()
             .position(|n| *n == node)
@@ -748,8 +748,7 @@ impl MigrationEngine {
 
     fn schedule_tick(&self, sim: &mut Sim) {
         let me = self.clone();
-        let interval = self.inner.borrow().cfg.migration_tick_ns.max(1);
-        sim.schedule_in(interval, move |sim| {
+        sim.schedule_in(TICK_NS, move |sim| {
             if me.tick(sim) {
                 me.schedule_tick(sim);
             }

@@ -8,11 +8,10 @@
 //!
 //! Under the simulator the "polling loop" is event-driven but cost-faithful:
 //! request pickup pays the sweep/sleep detection latency, every operation
-//! occupies the shard's core (a [`FifoResource`]), and the optional
-//! *pipelined* execution model (§6.2.1 ablation) routes requests through a
-//! dispatcher resource plus worker resources with per-request hand-off and
-//! synchronization costs — reproducing why decoupling I/O from computation
-//! loses when the NIC already moves the data.
+//! occupies the shard's core (a [`FifoResource`]). Every arrival takes one
+//! route — admission, lane scheduler, quantum executor, replication,
+//! response (DESIGN §7) — except under the decoupled execution ablations,
+//! which branch off at admission into the `decoupled` submodule.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -21,19 +20,22 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use hydra_fabric::{Fabric, NodeId, QpId, RegionId};
-use hydra_replication::{replicate_strict, ReplicationPair};
+use hydra_replication::ReplicationPair;
 use hydra_sim::time::SimTime;
 use hydra_sim::{EventId, FifoResource, Sim};
-use hydra_store::{EngineError, HeatSketch, ItemInfo, ShardEngine};
+use hydra_store::{EngineError, HeatSketch, ItemInfo, ShardEngine, LOOKUP_BATCH};
 use hydra_wire::{
-    for_each_message_mut, frame, scan_items_begin, scan_items_finish, scan_items_push,
+    for_each_message_mut, frame, messages, scan_items_begin, scan_items_finish, scan_items_push,
     set_backlog_hint, BatchBuilder, BatchFrame, LogOp, RemotePtr, ReplicaPtr, ReplicaSet, Request,
-    Response, Status, MAX_EXPORT_PTRS,
+    Response, Status, BATCH_ENTRY_HDR, BATCH_HDR, MAX_EXPORT_PTRS,
 };
 
-use crate::config::{ClusterConfig, ExecModel, ReplicationMode, SchedulerKind};
+use crate::config::{ClusterConfig, ReplicationMode, SchedulerKind};
 use crate::migration::{ChannelShipments, MigrationState, RecordsByDst};
 use crate::ring::ShardId;
+
+mod decoupled;
+use decoupled::Decoupled;
 
 /// Buckets in the log2 observability histograms.
 pub const HIST_BUCKETS: usize = 16;
@@ -117,6 +119,9 @@ pub struct ServerStats {
     /// Times a running scan was forced to yield at a chunk boundary because
     /// the latency lane went non-empty.
     pub scan_preemptions: u64,
+    /// Background-reclamation pump firings (one per distinct lease-expiry
+    /// instant, not one per write).
+    pub reclaim_pumps: u64,
 }
 
 /// A secondary's remotely readable arena, registered with the primary so
@@ -248,6 +253,11 @@ impl ReadPlane {
 const LAT: usize = 0;
 /// Index of the throughput lane (scans and batch quanta).
 const THR: usize = 1;
+/// Deficit-round-robin credit each lane earns per scheduling round (ns of
+/// shard-core time). Equal quanta: a saturated shard splits core time evenly
+/// between point ops and scan/batch quanta; either lane may use the full
+/// core when the other is idle (DRR is work-conserving).
+const LANE_QUANTUM_NS: [SimTime; 2] = [4_000, 4_000];
 
 /// In-engine state of a scan executing in preemptible chunks: the response
 /// accumulates across chunk executions and the cursor tracks the next key,
@@ -275,23 +285,20 @@ pub(crate) type MigWork = Box<dyn FnOnce(&Rc<RefCell<ShardServer>>, &mut Sim)>;
 /// One unit of work queued on a lane. The shard-core cost rides alongside
 /// in the lane deque (it is fixed at enqueue time).
 enum LaneTask {
-    /// A singleton point op (anything but SCAN), executed via [`ShardServer::execute`].
-    Point {
+    /// A request quantum — one bare point op or a whole batch frame —
+    /// executed via [`ShardServer::execute`].
+    Quantum {
         conn_idx: usize,
         payload: Vec<u8>,
         arrived: SimTime,
+        /// Execute at dispatch instead of at the slot's end (an overlapped
+        /// group-commit write, see [`ShardServer::overlap_exec`]).
+        early: bool,
     },
-    /// A whole batch frame, executed via [`ShardServer::execute_batch`].
-    Batch {
-        conn_idx: usize,
-        payload: Vec<u8>,
-        arrived: SimTime,
-    },
-    /// A singleton scan, executed in preemptible chunks.
+    /// A bare scan, executed in preemptible chunks.
     Scan(ScanTask),
-    /// A point op that already executed at dispatch (a group-commit write
-    /// whose replication ship overlaps the modeled merge): the completion
-    /// event only frees the core.
+    /// A quantum that already executed at dispatch: the completion event
+    /// only frees the core.
     Executed,
     /// A migration quantum or inbound record batch (throughput lane: data
     /// movement shares bandwidth with scans and never blocks point ops).
@@ -647,34 +654,31 @@ pub fn run_batch<'a>(
             }
         }
         if matches!(reqs[i], Request::Get { .. }) {
-            // Maximal GET run: probe interleaved, emit in order. A gated
-            // key ends the run (the next iteration redirects it).
-            let mut j = i;
-            while j < reqs.len() {
-                let Request::Get { key, .. } = &reqs[j] else {
+            // Maximal GET run, capped at the engine's probe-batch width
+            // (where it would split a longer run anyway): probe
+            // interleaved, emit in order. A gated key ends the run (the
+            // next iteration redirects it).
+            let mut keys: [&[u8]; LOOKUP_BATCH] = [&[]; LOOKUP_BATCH];
+            let mut n = 0;
+            while n < LOOKUP_BATCH && i + n < reqs.len() {
+                let Request::Get { key, .. } = &reqs[i + n] else {
                     break;
                 };
-                if j > i && gate.is_some_and(|g| (g.wrong_owner)(key).is_some()) {
+                if n > 0 && gate.is_some_and(|g| (g.wrong_owner)(key).is_some()) {
                     break;
                 }
-                j += 1;
+                keys[n] = key;
+                n += 1;
             }
-            let keys: Vec<&[u8]> = reqs[i..j]
-                .iter()
-                .map(|r| match r {
-                    Request::Get { key, .. } => *key,
-                    _ => unreachable!("run holds only GETs"),
-                })
-                .collect();
-            let req_ids: Vec<u64> = reqs[i..j].iter().map(|r| r.req_id()).collect();
-            engine.get_batch_into(now, &keys, scratch, |k, info, val| match info {
+            let run = &reqs[i..i + n];
+            engine.get_batch_into(now, &keys[..n], scratch, |k, info, val| match info {
                 Some(info) => {
                     let hot = plane.note_get(keys[k]);
                     let replicas = plane.export(now, keys[k], &info, hot);
                     builder.push_with(|out| {
                         Response {
                             status: Status::Ok,
-                            req_id: req_ids[k],
+                            req_id: run[k].req_id(),
                             value: val,
                             rptr: RemotePtr::new(arena_region.0, info.off_words * 8, info.read_len),
                             lease_expiry: info.lease_expiry,
@@ -686,12 +690,12 @@ pub fn run_batch<'a>(
                 None => {
                     plane.note_get(keys[k]);
                     builder.push_with(|out| {
-                        Response::status_only(Status::NotFound, req_ids[k]).encode_into(out)
+                        Response::status_only(Status::NotFound, run[k].req_id()).encode_into(out)
                     })
                 }
             });
-            counts.gets += (j - i) as u64;
-            i = j;
+            counts.gets += n as u64;
+            i += n;
         } else {
             let req = &reqs[i];
             let mut action = None;
@@ -750,18 +754,20 @@ pub struct ShardServer {
     /// The arena registered for one-sided client reads.
     pub arena_region: RegionId,
     pub(crate) cfg: Rc<ClusterConfig>,
-    /// Shard core (single-threaded model) or dispatcher (pipelined model).
+    /// Shard core (the dispatcher under the decoupled ablation models).
     cpu: FifoResource,
-    /// Worker cores (pipelined model only).
-    workers: Vec<FifoResource>,
+    /// Hand-off cores of the decoupled ablation models (`None` for the
+    /// single-threaded shard).
+    decoupled: Option<Decoupled>,
     pub(crate) conns: Vec<ServerConn>,
     /// Replication channels to this shard's secondaries.
     pub(crate) repl: Vec<ReplicationPair>,
     pub alive: bool,
     fab: Fabric,
     stats: ServerStats,
-    /// Earliest scheduled reclamation event, if any (lazy GC scheduling).
-    reclaim_scheduled_at: Option<SimTime>,
+    /// The armed reclamation pump, if any, and when it fires (lazy GC
+    /// scheduling).
+    reclaim_armed: Option<(SimTime, EventId)>,
     /// Reused GET value buffer — steady-state GETs allocate nothing for the
     /// value copy.
     get_scratch: Vec<u8>,
@@ -772,8 +778,7 @@ pub struct ShardServer {
     resp_batch: BatchBuilder,
     /// Heat tracking + replica pointer export (read spreading).
     plane: ReadPlane,
-    /// Dual-lane DRR run queue (used when `cfg.scheduler` is `DualLane`
-    /// under the single-threaded execution model; empty otherwise).
+    /// The shard core's run queue.
     sched: DualLaneSched,
     /// Live-migration bookkeeping while this shard participates in a plan
     /// (source or destination); provides the ownership gate and the
@@ -799,15 +804,6 @@ impl ShardServer {
             max_lease_ns: cfg.max_lease_ns,
         })));
         let arena_region = fab.register_paged(node, engine.borrow().memory(), cfg.page_bytes);
-        let workers = match cfg.exec_model {
-            ExecModel::SingleThreaded => Vec::new(),
-            ExecModel::Pipelined { workers } => (0..workers)
-                .map(|w| FifoResource::new(format!("shard{}.worker{}", id.0, w)))
-                .collect(),
-            ExecModel::SubSharded { subs } => (0..subs)
-                .map(|w| FifoResource::new(format!("shard{}.sub{}", id.0, w)))
-                .collect(),
-        };
         let plane = ReadPlane::new(
             cfg.heat_sketch_cap,
             cfg.replica_read_spread,
@@ -819,15 +815,15 @@ impl ShardServer {
             node,
             engine,
             arena_region,
-            cfg,
             cpu: FifoResource::new(format!("shard{}.core", id.0)),
-            workers,
+            decoupled: Decoupled::new(cfg.exec_model, id),
+            cfg,
             conns: Vec::new(),
             repl: Vec::new(),
             alive: true,
             fab: fab.clone(),
             stats: ServerStats::default(),
-            reclaim_scheduled_at: None,
+            reclaim_armed: None,
             get_scratch: Vec::new(),
             scan_scratch: Vec::new(),
             resp_batch: BatchBuilder::new(),
@@ -883,67 +879,48 @@ impl ShardServer {
     /// Restarts CPU accounting (after warm-up).
     pub fn reset_cpu_window(&mut self, now: SimTime) {
         self.cpu.reset_window(now);
-        for w in &mut self.workers {
-            w.reset_window(now);
+        if let Some(d) = &mut self.decoupled {
+            d.reset_window(now);
         }
     }
 
-    /// Engine cost of `req` alone (no detection/post overhead).
-    fn base_cost(&self, req: &Request<'_>) -> SimTime {
+    /// Shard-core cost of `req` itself, without the per-arrival sweep step
+    /// and response post. Requests sharing a quantum (`batched`) probe the
+    /// index interleaved, overlapping their cache misses, and batched
+    /// writes likewise overlap their probe/allocation misses; value copies
+    /// stay serial.
+    fn item_cost(&self, req: &Request<'_>, send_recv: bool, batched: bool) -> SimTime {
         let c = &self.cfg.costs;
-        match req {
-            Request::Get { .. } => c.get_ns,
+        let (probe, write) = if batched {
+            (c.batch_probe_factor, c.batch_write_factor)
+        } else {
+            (1.0, 1.0)
+        };
+        let base = match req {
+            Request::Get { .. } => (c.get_ns as f64 * probe).round() as SimTime,
             Request::Insert { value, .. } | Request::Update { value, .. } => {
-                c.write_ns + (value.len() as f64 * c.per_byte_ns).round() as SimTime
+                (c.write_ns as f64 * write).round() as SimTime
+                    + (value.len() as f64 * c.per_byte_ns).round() as SimTime
             }
             Request::Delete { .. } => c.delete_ns,
             Request::LeaseRenew { keys, .. } => c.get_ns / 2 * keys.len().max(1) as SimTime,
             Request::Scan { limit, .. } => scan_cost(&self.cfg, *limit),
-        }
-    }
-
-    /// Per-op NUMA and receive-queue surcharges, per the cost model.
-    fn surcharges(&self, send_recv: bool) -> SimTime {
-        let c = &self.cfg.costs;
-        let numa = if self.cfg.numa_aware {
-            0
-        } else {
-            c.numa_remote_ns
         };
         // Two-sided transports make the server CPU shepherd every message
         // through the receive queue (§4.2.1 / HERD).
-        let recv = if send_recv { c.recv_cpu_ns } else { 0 };
-        numa + recv
+        base + if send_recv { c.recv_cpu_ns } else { 0 }
     }
 
-    /// CPU-cost of serving `req` on the singleton path: the op itself plus
-    /// one polling-sweep step and one response verb post.
-    fn op_cost(&self, req: &Request<'_>, send_recv: bool) -> SimTime {
-        let c = &self.cfg.costs;
-        self.base_cost(req) + c.poll_ns + c.post_wqe_ns + self.surcharges(send_recv)
-    }
-
-    /// CPU-cost of one request executed inside a batch quantum. The fixed
-    /// per-frame work (one sweep step, one response WQE for the whole
-    /// frame) is charged once by the caller; batched GETs probe the index
-    /// interleaved, overlapping their cache misses, and batched writes
-    /// likewise overlap their probe/allocation misses (value copies stay
-    /// serial).
-    fn batch_item_cost(&self, req: &Request<'_>, send_recv: bool) -> SimTime {
-        let c = &self.cfg.costs;
-        let base = match req {
-            Request::Get { .. } => (c.get_ns as f64 * c.batch_probe_factor).round() as SimTime,
-            Request::Insert { value, .. } | Request::Update { value, .. } => {
-                (c.write_ns as f64 * c.batch_write_factor).round() as SimTime
-                    + (value.len() as f64 * c.per_byte_ns).round() as SimTime
-            }
-            _ => self.base_cost(req),
-        };
-        base + self.surcharges(send_recv)
+    /// Delay before an idle shard notices an arrival: the sweep position
+    /// and the sleep backoff. A busy shard detects for free — its loop
+    /// re-polls right after finishing, and queueing dominates.
+    fn detection_ns(&self) -> SimTime {
+        self.cfg.costs.poll_ns * (self.conns.len() as u64 / 2)
+            + self.cfg.sleep_backoff_ns.unwrap_or(0) / 2
     }
 
     /// Entry point for RDMA-Write mode: a request frame has landed in
-    /// connection `conn_idx`'s buffer. Polls it out and schedules processing.
+    /// connection `conn_idx`'s buffer. Polls it out and admits it.
     pub fn on_request(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim, conn_idx: usize) {
         let payload = {
             let mut s = this.borrow_mut();
@@ -964,101 +941,109 @@ impl ShardServer {
         Self::on_request_payload(this, sim, conn_idx, payload);
     }
 
-    /// Entry point for Send/Recv mode (payload arrives through the verbs
-    /// receive queue) and the common scheduling path.
+    /// Admission: every arriving payload — one bare request or a batch
+    /// frame, over either transport (Send/Recv payloads arrive here straight
+    /// from the verbs receive queue) — becomes one lane task. The decoupled
+    /// ablation models branch off here and nowhere else.
     pub fn on_request_payload(
         this: &Rc<RefCell<ShardServer>>,
         sim: &mut Sim,
         conn_idx: usize,
         payload: Vec<u8>,
     ) {
-        if BatchFrame::is_batch(&payload) {
-            Self::on_batch_payload(this, sim, conn_idx, payload);
-            return;
-        }
-        if this.borrow().dual_lane() {
-            Self::on_single_dual(this, sim, conn_idx, payload);
-            return;
-        }
-        let (done_at, arrived, exec_at) = {
+        let (lane, task, cost) = {
             let mut s = this.borrow_mut();
             if !s.alive {
                 s.stats.dropped_while_dead += 1;
                 return;
             }
-            let req = Request::decode(&payload).expect("well-formed request");
-            let send_recv = s.conns[conn_idx].send_recv;
-            let cost = s.op_cost(&req, send_recv);
-            s.stats.requests += 1;
-            // Queue depth at arrival ≈ core backlog over this request's cost.
-            let backlog = s.cpu.free_at().saturating_sub(sim.now());
-            let depth_bucket = log2_bucket(backlog / cost.max(1));
-            s.stats.queue_depth_hist[depth_bucket] += 1;
-            s.stats.queue_depth_hist_by_op[op_slot(&req)][depth_bucket] += 1;
-            // Detection latency: when the core is idle, the sweep position
-            // and the sleep backoff determine how fast the shard notices the
-            // write; when busy, the queueing delay dominates and detection is
-            // free (the loop re-polls right after finishing).
-            let now = sim.now();
-            let mut arrival = now;
-            if s.cpu.idle_at(now) {
-                let sweep = s.cfg.costs.poll_ns * (s.conns.len() as u64 / 2);
-                let sleep = s.cfg.sleep_backoff_ns.unwrap_or(0) / 2;
-                arrival += sweep + sleep;
+            if s.decoupled.is_some() {
+                drop(s);
+                return decoupled::admit(this, sim, conn_idx, payload);
             }
-            let done_at = match s.cfg.exec_model {
-                ExecModel::SingleThreaded => s.cpu.acquire(arrival, cost),
-                ExecModel::Pipelined { .. } => {
-                    let costs = &s.cfg.costs;
-                    let mutation = cost.saturating_sub(costs.get_ns + costs.poll_ns);
-                    let serial = costs.dispatch_ns
-                        + (costs.pipeline_mutation_factor * mutation as f64).round() as SimTime;
-                    let sync = costs.sync_ns;
-                    let dispatched = s.cpu.acquire(arrival, serial);
-                    let worker = s
-                        .workers
-                        .iter_mut()
-                        .min_by_key(|w| w.free_at())
-                        .expect("pipelined model has workers");
-                    worker.acquire(dispatched + sync, cost)
-                }
-                ExecModel::SubSharded { subs } => {
-                    // The connection-owning thread pays only the poll +
-                    // route cost; sub-shards are keyed, not load-balanced
-                    // (they own disjoint partitions).
-                    let route = s.cfg.costs.poll_ns + s.cfg.costs.subshard_handoff_ns;
-                    let routed = s.cpu.acquire(arrival, route);
-                    let key_hash = match &req {
-                        Request::Get { key, .. }
-                        | Request::Insert { key, .. }
-                        | Request::Update { key, .. }
-                        | Request::Delete { key, .. } => hydra_store::hash_key(key),
-                        Request::LeaseRenew { keys, .. } => {
-                            keys.iter().next().map(hydra_store::hash_key).unwrap_or(0)
-                        }
-                        // Scans route by start key: cost accounting only —
-                        // every sub-shard sees the same engine.
-                        Request::Scan { start, .. } => hydra_store::hash_key(start),
-                    };
-                    let sub = (key_hash % subs as u64) as usize;
-                    s.workers[sub].acquire(routed, cost)
-                }
-            };
-            // Group-commit writes execute at their core slot's *start* so
-            // the replication ship overlaps the modeled merge; the response
-            // stays gated on `done_at`.
-            let exec_at =
-                if matches!(s.cfg.exec_model, ExecModel::SingleThreaded) && s.overlap_exec(&req) {
-                    done_at.saturating_sub(cost)
-                } else {
-                    done_at
-                };
-            (done_at, now, exec_at)
+            s.admit(sim.now(), conn_idx, payload)
         };
-        let this2 = this.clone();
-        sim.schedule_at(exec_at, move |sim| {
-            Self::execute(&this2, sim, conn_idx, payload, arrived, done_at);
-        });
+        Self::enqueue(this, sim, lane, task, cost);
+    }
+
+    /// Decodes an arrival, prices it, samples the queue-depth histograms and
+    /// classifies it into a lane. A bare message pays its own sweep step and
+    /// response WQE; a frame's requests share one of each and run at the
+    /// batched marginal cost.
+    fn admit(
+        &mut self,
+        now: SimTime,
+        conn_idx: usize,
+        payload: Vec<u8>,
+    ) -> (usize, LaneTask, SimTime) {
+        let send_recv = self.conns[conn_idx].send_recv;
+        let batched = BatchFrame::is_batch(&payload);
+        let fixed = self.cfg.costs.poll_ns + self.cfg.costs.post_wqe_ns;
+        let own_fixed = if batched { 0 } else { fixed };
+        // Queue depth at arrival ≈ core backlog (running task) plus both
+        // lanes' undispatched work, over the request's cost.
+        let backlog = self.cpu.free_at().saturating_sub(now) + self.sched.queued_total();
+        let (mut total, mut n) = (0, 0u64);
+        // What a bare arrival turned out to be: a scan, or an overlappable
+        // write.
+        let (mut scan, mut early) = (None, false);
+        for msg in messages(&payload) {
+            let req = Request::decode(msg).expect("well-formed request");
+            let cost = self.item_cost(&req, send_recv, batched);
+            // Per-op depth samples are per request on every path.
+            self.stats.queue_depth_hist_by_op[op_slot(&req)]
+                [log2_bucket(backlog / (cost + own_fixed).max(1))] += 1;
+            total += cost;
+            n += 1;
+            if !batched {
+                early = self.overlap_exec(&req);
+                if let Request::Scan {
+                    req_id,
+                    start,
+                    limit,
+                } = &req
+                {
+                    scan = Some((*req_id, start.to_vec(), *limit));
+                }
+            }
+        }
+        self.stats.requests += n;
+        if batched {
+            self.stats.batches += 1;
+            self.stats.batched_requests += n;
+        }
+        // One depth sample per arrival, against the mean per-request cost.
+        let mean_cost = total / n.max(1) + own_fixed;
+        self.stats.queue_depth_hist[log2_bucket(backlog / mean_cost.max(1))] += 1;
+        let cost = fixed + total;
+        // A bare scan runs in preemptible chunks on the throughput lane; a
+        // frame rides it whole (one frame, one dispatch — batches never
+        // preempt and are never preempted); every other bare request is a
+        // latency-lane point op. FIFO service is the same scheduler with
+        // every task in one lane: arrival order, nothing to preempt for.
+        if let Some((req_id, cursor, limit)) = scan {
+            let mut buf = Vec::new();
+            scan_items_begin(&mut buf);
+            let task = LaneTask::Scan(ScanTask {
+                conn_idx,
+                req_id,
+                cursor,
+                remaining: limit.min(scan_quantum_items(&self.cfg)),
+                served: 0,
+                buf,
+                arrived: now,
+            });
+            return (THR, task, cost);
+        }
+        let one_lane = matches!(self.cfg.scheduler, SchedulerKind::Fifo);
+        let lane = if batched || one_lane { THR } else { LAT };
+        let task = LaneTask::Quantum {
+            conn_idx,
+            payload,
+            arrived: now,
+            early,
+        };
+        (lane, task, cost)
     }
 
     /// Whether this write's execution can start at its core slot's *start*
@@ -1066,9 +1051,9 @@ impl ShardServer {
     /// replication WQE is posted as the local merge begins, so the record's
     /// flight and the cumulative ack overlap the modeled merge time instead
     /// of queueing behind it. Same-shard requests still serialize on the
-    /// core FIFO — no other execution lands inside the slot — and the
-    /// write's linearization point stays within its invocation-response
-    /// window, so the early mutation is observationally equivalent.
+    /// core — no other execution lands inside the slot — and the write's
+    /// linearization point stays within its invocation-response window, so
+    /// the early mutation is observationally equivalent.
     fn overlap_exec(&self, req: &Request) -> bool {
         matches!(self.cfg.replication, ReplicationMode::GroupCommit)
             && !self.repl.is_empty()
@@ -1078,93 +1063,12 @@ impl ShardServer {
             )
     }
 
-    /// [`Self::overlap_exec`] for an undecoded singleton payload.
-    fn overlap_exec_payload(&self, payload: &[u8]) -> bool {
-        Request::decode(payload)
-            .map(|req| self.overlap_exec(&req))
-            .unwrap_or(false)
-    }
-
-    /// Whether this shard runs the dual-lane DRR scheduler (single-threaded
-    /// execution model only; the §6.2.1 decoupled ablations keep their own
-    /// dispatch paths).
-    fn dual_lane(&self) -> bool {
-        matches!(self.cfg.exec_model, ExecModel::SingleThreaded)
-            && matches!(self.cfg.scheduler, SchedulerKind::DualLane)
-    }
-
-    /// Dual-lane arrival path for singleton requests: classify into a lane
-    /// (scans → throughput, everything else → latency), account arrival
-    /// stats, and kick the scheduler. A latency-lane arrival preempts a
-    /// running scan at its next chunk boundary.
-    fn on_single_dual(
-        this: &Rc<RefCell<ShardServer>>,
-        sim: &mut Sim,
-        conn_idx: usize,
-        payload: Vec<u8>,
-    ) {
-        let now = sim.now();
-        let (lane, task, cost) = {
-            let mut s = this.borrow_mut();
-            if !s.alive {
-                s.stats.dropped_while_dead += 1;
-                return;
-            }
-            let send_recv = s.conns[conn_idx].send_recv;
-            let (cost, slot, scan) = {
-                let req = Request::decode(&payload).expect("well-formed request");
-                let scan = match &req {
-                    Request::Scan {
-                        req_id,
-                        start,
-                        limit,
-                    } => Some((*req_id, start.to_vec(), *limit)),
-                    _ => None,
-                };
-                (s.op_cost(&req, send_recv), op_slot(&req), scan)
-            };
-            s.stats.requests += 1;
-            // Queue depth at arrival: core backlog (running task) plus both
-            // lanes' undispatched work, over this request's cost.
-            let backlog = s.cpu.free_at().saturating_sub(now) + s.sched.queued_total();
-            let depth_bucket = log2_bucket(backlog / cost.max(1));
-            s.stats.queue_depth_hist[depth_bucket] += 1;
-            s.stats.queue_depth_hist_by_op[slot][depth_bucket] += 1;
-            match scan {
-                Some((req_id, cursor, limit)) => {
-                    let mut buf = Vec::new();
-                    scan_items_begin(&mut buf);
-                    let task = LaneTask::Scan(ScanTask {
-                        conn_idx,
-                        req_id,
-                        cursor,
-                        remaining: limit.min(scan_quantum_items(&s.cfg)),
-                        served: 0,
-                        buf,
-                        arrived: now,
-                    });
-                    (THR, task, cost)
-                }
-                None => {
-                    let task = LaneTask::Point {
-                        conn_idx,
-                        payload,
-                        arrived: now,
-                    };
-                    (LAT, task, cost)
-                }
-            }
-        };
-        Self::dual_enqueue(this, sim, lane, task, cost);
-    }
-
     /// Queues a task on `lane` and kicks the scheduler: a fully idle shard
-    /// pays the detection latency (sweep position + sleep backoff, exactly
-    /// as the FIFO path) via an armed pump; a busy shard just queues — the
-    /// completion event re-pumps for free, matching the FIFO model where
-    /// the loop re-polls right after finishing. Latency-lane arrivals
-    /// additionally force a running scan to its next chunk boundary.
-    fn dual_enqueue(
+    /// pays the detection latency via an armed pump; a busy shard just
+    /// queues — the completion event re-pumps for free. Latency-lane
+    /// arrivals additionally force a running scan to its next chunk
+    /// boundary.
+    fn enqueue(
         this: &Rc<RefCell<ShardServer>>,
         sim: &mut Sim,
         lane: usize,
@@ -1178,9 +1082,7 @@ impl ShardServer {
             s.sched.enqueue(lane, task, cost);
             if idle {
                 s.sched.pump_armed = true;
-                let sweep = s.cfg.costs.poll_ns * (s.conns.len() as u64 / 2);
-                let sleep = s.cfg.sleep_backoff_ns.unwrap_or(0) / 2;
-                Some(now + sweep + sleep)
+                Some(now + s.detection_ns())
             } else {
                 if lane == LAT {
                     Self::preempt_running_scan(&mut s, sim, now, this);
@@ -1233,7 +1135,7 @@ impl ShardServer {
                 r.yield_items = Some((k * chunk_items) as u32);
                 let this2 = this.clone();
                 r.ev = sim.schedule_at(boundary, move |sim| {
-                    Self::on_scan_yield(&this2, sim);
+                    Self::on_task_complete(&this2, sim);
                 });
             }
         }
@@ -1252,11 +1154,7 @@ impl ShardServer {
             s.stats.dropped_while_dead += dropped;
             return;
         }
-        let quantum = [
-            s.cfg.latency_lane_quantum_ns,
-            s.cfg.throughput_lane_quantum_ns,
-        ];
-        let Some((task, cost)) = s.sched.next(quantum) else {
+        let Some((task, cost)) = s.sched.next(LANE_QUANTUM_NS) else {
             return;
         };
         let now = sim.now();
@@ -1277,13 +1175,12 @@ impl ShardServer {
         // response on the slot's end, letting the record's flight and the
         // cumulative ack overlap the modeled merge time.
         let (task, early) = match task {
-            LaneTask::Point {
+            LaneTask::Quantum {
                 conn_idx,
                 payload,
                 arrived,
-            } if s.overlap_exec_payload(&payload) => {
-                (LaneTask::Executed, Some((conn_idx, payload, arrived)))
-            }
+                early: true,
+            } => (LaneTask::Executed, Some((conn_idx, payload, arrived))),
             t => (t, None),
         };
         s.sched.running = Some(Running {
@@ -1300,60 +1197,45 @@ impl ShardServer {
         }
     }
 
-    /// A dispatched task ran to completion: execute it (decode + engine +
-    /// replication + response, identical kernels to the FIFO path) and pump
-    /// the next pick.
+    /// The dispatched task reached the end of its core slot (or, for a
+    /// preempted scan, its yield boundary): execute it and pump the next
+    /// pick.
     fn on_task_complete(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim) {
         let r = this.borrow_mut().sched.running.take();
         let Some(r) = r else { return };
         let now = sim.now();
         match r.task {
-            LaneTask::Point {
+            LaneTask::Quantum {
                 conn_idx,
                 payload,
                 arrived,
+                ..
             } => Self::execute(this, sim, conn_idx, payload, arrived, now),
-            LaneTask::Batch {
-                conn_idx,
-                payload,
-                arrived,
-            } => Self::execute_batch(this, sim, conn_idx, payload, arrived),
-            LaneTask::Scan(task) => Self::finish_scan_dispatch(this, sim, task),
-            LaneTask::Mig(work) => work(this, sim),
+            LaneTask::Scan(task) => Self::run_scan(this, sim, task, r.yield_items),
+            LaneTask::Mig(work) => {
+                if this.borrow().alive {
+                    work(this, sim)
+                }
+            }
             LaneTask::Executed => {}
         }
         Self::pump(this, sim);
     }
 
-    /// Charges `cost` of shard-core time, then runs `work`. Under the
-    /// dual-lane scheduler the charge rides the throughput lane (so
-    /// migration quanta share bandwidth with scans/batches and point-op
-    /// tails stay isolated); otherwise it queues on the core directly.
-    /// Dropped silently if the shard is (or goes) dead — the migration
-    /// engine's stall guard turns the missing progress into an abort.
+    /// Charges `cost` of shard-core time on the throughput lane, then runs
+    /// `work` — migration quanta share bandwidth with scans/batches and
+    /// point-op tails stay isolated. Dropped silently if the shard is (or
+    /// goes) dead — the migration engine's stall guard turns the missing
+    /// progress into an abort.
     pub(crate) fn run_on_core(
         this: &Rc<RefCell<ShardServer>>,
         sim: &mut Sim,
         cost: SimTime,
         work: MigWork,
     ) {
-        if !this.borrow().alive {
-            return;
+        if this.borrow().alive {
+            Self::enqueue(this, sim, THR, LaneTask::Mig(work), cost);
         }
-        if this.borrow().dual_lane() {
-            Self::dual_enqueue(this, sim, THR, LaneTask::Mig(work), cost);
-            return;
-        }
-        let done = {
-            let mut s = this.borrow_mut();
-            s.cpu.acquire(sim.now(), cost)
-        };
-        let this2 = this.clone();
-        sim.schedule_at(done, move |sim| {
-            if this2.borrow().alive {
-                work(&this2, sim);
-            }
-        });
     }
 
     /// Applies inbound migration records at a destination shard: Put
@@ -1439,25 +1321,26 @@ impl ShardServer {
         );
     }
 
-    /// A preempted scan reached its yield boundary: execute the chunks
-    /// covered so far (packing items and advancing the cursor), then either
-    /// finish (range drained ⇒ `more = false`) or re-queue the remainder at
-    /// the front of the throughput lane with the cheaper resume cost.
-    fn on_scan_yield(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim) {
+    /// A scan dispatch reached the end of its slot. Un-preempted
+    /// (`yield_items` is `None`) it serves its whole remaining allowance,
+    /// probes one item past it for the `more` flag — the same callback
+    /// contract as [`apply_request`], so the wire frame is byte-identical
+    /// over a quiescent engine — and responds. Preempted, it serves the
+    /// chunks covered up to the yield boundary, then either finishes (range
+    /// drained ⇒ `more = false`; the freed tail already serves the latency
+    /// lane) or re-queues the remainder at the front of the throughput lane
+    /// with the cheaper resume cost.
+    fn run_scan(
+        this: &Rc<RefCell<ShardServer>>,
+        sim: &mut Sim,
+        mut task: ScanTask,
+        yield_items: Option<u32>,
+    ) {
         let mut s = this.borrow_mut();
-        let Some(r) = s.sched.running.take() else {
-            return;
-        };
-        let LaneTask::Scan(mut task) = r.task else {
-            s.sched.running = Some(r);
-            return;
-        };
         if !s.alive {
-            drop(s);
-            Self::pump(this, sim);
             return;
         }
-        let allowance = r.yield_items.unwrap_or(0).min(task.remaining);
+        let allowance = yield_items.map_or(task.remaining, |y| y.min(task.remaining));
         let engine_rc = s.engine.clone();
         let mig = s.mig.clone();
         let mut scratch = std::mem::take(&mut s.get_scratch);
@@ -1474,8 +1357,10 @@ impl ShardServer {
                     return true; // not ours under the live ring: skip
                 }
                 scan_items_push(buf, k, v);
-                last_key.clear();
-                last_key.extend_from_slice(k);
+                if yield_items.is_some() {
+                    last_key.clear();
+                    last_key.extend_from_slice(k);
+                }
                 count += 1;
                 true
             });
@@ -1484,204 +1369,46 @@ impl ShardServer {
         task.remaining -= count;
         let chunk = s.cfg.scan_chunk_items.max(1) as u64;
         s.stats.scan_chunks += (count as u64).div_ceil(chunk).max(1);
-        if exhausted {
-            // The range drained inside the covered chunks: the scan is
-            // complete and the freed tail already serves the latency lane.
-            let now = sim.now();
-            scan_items_finish(&mut task.buf, false, task.served);
-            s.stats.scans += 1;
-            s.stats.service_time_hist_by_op[5][log2_bucket(now.saturating_sub(task.arrived))] += 1;
-            let mut resp = Vec::new();
-            Response {
-                status: Status::Ok,
-                req_id: task.req_id,
-                value: &task.buf,
-                rptr: RemotePtr::none(),
-                lease_expiry: 0,
-                replicas: None,
-            }
-            .encode_into(&mut resp);
-            let conn_idx = task.conn_idx;
-            drop(s);
-            Self::send_response(this, sim, conn_idx, resp);
-        } else {
+        if yield_items.is_some() && !exhausted {
             last_key.push(0);
             task.cursor = last_key;
             let c = &s.cfg.costs;
             let cost = c.scan_resume_ns + task.remaining as SimTime * c.scan_item_ns;
             s.sched.push_front(THR, LaneTask::Scan(task), cost);
-            drop(s);
+            return;
         }
-        Self::pump(this, sim);
-    }
-
-    /// A scan dispatch ran to its (un-preempted) end: serve the remaining
-    /// allowance, probe one item past it for the `more` flag — the same
-    /// callback contract as the FIFO path's [`apply_request`], so the wire
-    /// frame is byte-identical over a quiescent engine — and respond.
-    fn finish_scan_dispatch(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim, mut task: ScanTask) {
-        let (conn_idx, resp) = {
-            let mut s = this.borrow_mut();
-            if !s.alive {
-                return;
-            }
-            let now = sim.now();
-            let engine_rc = s.engine.clone();
-            let mig = s.mig.clone();
-            let mut scratch = std::mem::take(&mut s.get_scratch);
-            let allowance = task.remaining;
-            let mut count = 0u32;
-            let buf = &mut task.buf;
-            let exhausted = engine_rc
-                .borrow_mut()
-                .scan_into(&task.cursor, &mut scratch, |k, v| {
-                    if count == allowance {
-                        return false;
-                    }
-                    if mig.as_ref().is_some_and(|m| !m.borrow().owns(k)) {
-                        return true; // not ours under the live ring: skip
-                    }
-                    scan_items_push(buf, k, v);
-                    count += 1;
-                    true
-                });
-            s.get_scratch = scratch;
-            let total = task.served + count;
-            scan_items_finish(&mut task.buf, !exhausted, total);
-            let chunk = s.cfg.scan_chunk_items.max(1) as u64;
-            s.stats.scan_chunks += (count as u64).div_ceil(chunk).max(1);
-            s.stats.scans += 1;
-            s.stats.service_time_hist_by_op[5][log2_bucket(now.saturating_sub(task.arrived))] += 1;
-            let mut resp = Vec::new();
-            Response {
-                status: Status::Ok,
-                req_id: task.req_id,
-                value: &task.buf,
-                rptr: RemotePtr::none(),
-                lease_expiry: 0,
-                replicas: None,
-            }
-            .encode_into(&mut resp);
-            (task.conn_idx, resp)
-        };
+        scan_items_finish(&mut task.buf, !exhausted, task.served);
+        s.stats.scans += 1;
+        s.stats.service_time_hist_by_op[5][log2_bucket(sim.now().saturating_sub(task.arrived))] +=
+            1;
+        let mut resp = Vec::new();
+        Response {
+            status: Status::Ok,
+            req_id: task.req_id,
+            value: &task.buf,
+            rptr: RemotePtr::none(),
+            lease_expiry: 0,
+            replicas: None,
+        }
+        .encode_into(&mut resp);
+        drop(s);
         Self::maybe_schedule_reclaim(this, sim);
-        Self::send_response(this, sim, conn_idx, resp);
+        Self::send_response_frame(this, sim, task.conn_idx, resp, 1);
     }
 
-    /// A batch frame landed: charge the whole quantum against the shard
-    /// core in one [`FifoResource::acquire_batch`] — one sweep step and one
-    /// response WQE for the frame, per-request marginal cost back-to-back —
-    /// then execute it as a unit.
-    fn on_batch_payload(
-        this: &Rc<RefCell<ShardServer>>,
-        sim: &mut Sim,
-        conn_idx: usize,
-        payload: Vec<u8>,
-    ) {
-        // The decoupled execution ablations (§6.2.1) have no quantum
-        // scheduling path: unpack and run each request individually.
-        let single_threaded = matches!(this.borrow().cfg.exec_model, ExecModel::SingleThreaded);
-        if !single_threaded {
-            let msgs: Vec<Vec<u8>> = BatchFrame::parse(&payload)
-                .expect("validated batch frame")
-                .iter()
-                .map(|m| m.to_vec())
-                .collect();
-            for msg in msgs {
-                Self::on_request_payload(this, sim, conn_idx, msg);
-            }
-            return;
-        }
-        let dual = this.borrow().dual_lane();
-        if dual {
-            // Dual-lane: a batch quantum rides the throughput lane whole
-            // (one frame, one dispatch — batches never preempt and are
-            // never preempted).
-            let cost = {
-                let mut s = this.borrow_mut();
-                if !s.alive {
-                    s.stats.dropped_while_dead += 1;
-                    return;
-                }
-                let frame = BatchFrame::parse(&payload).expect("validated batch frame");
-                let send_recv = s.conns[conn_idx].send_recv;
-                let backlog = s.cpu.free_at().saturating_sub(sim.now()) + s.sched.queued_total();
-                let mut total: SimTime = 0;
-                let mut n: u64 = 0;
-                for msg in frame.iter() {
-                    let req = Request::decode(msg).expect("well-formed request");
-                    let cost = s.batch_item_cost(&req, send_recv);
-                    s.stats.queue_depth_hist_by_op[op_slot(&req)]
-                        [log2_bucket(backlog / cost.max(1))] += 1;
-                    total += cost;
-                    n += 1;
-                }
-                s.stats.requests += n;
-                s.stats.batches += 1;
-                s.stats.batched_requests += n;
-                let mean_cost = (total / n.max(1)).max(1);
-                s.stats.queue_depth_hist[log2_bucket(backlog / mean_cost)] += 1;
-                s.cfg.costs.poll_ns + s.cfg.costs.post_wqe_ns + total
-            };
-            let task = LaneTask::Batch {
-                conn_idx,
-                payload,
-                arrived: sim.now(),
-            };
-            Self::dual_enqueue(this, sim, THR, task, cost);
-            return;
-        }
-        let (done_at, arrived) = {
-            let mut s = this.borrow_mut();
-            if !s.alive {
-                s.stats.dropped_while_dead += 1;
-                return;
-            }
-            let frame = BatchFrame::parse(&payload).expect("validated batch frame");
-            let send_recv = s.conns[conn_idx].send_recv;
-            let backlog = s.cpu.free_at().saturating_sub(sim.now());
-            let mut per_item = Vec::with_capacity(frame.len());
-            for msg in frame.iter() {
-                let req = Request::decode(msg).expect("well-formed request");
-                let cost = s.batch_item_cost(&req, send_recv);
-                // Per-op depth samples are per request even on this path.
-                s.stats.queue_depth_hist_by_op[op_slot(&req)]
-                    [log2_bucket(backlog / cost.max(1))] += 1;
-                per_item.push(cost);
-            }
-            s.stats.requests += per_item.len() as u64;
-            s.stats.batches += 1;
-            s.stats.batched_requests += per_item.len() as u64;
-            // One depth sample per frame, against the mean per-item cost.
-            let mean_cost =
-                (per_item.iter().sum::<SimTime>() / per_item.len().max(1) as u64).max(1);
-            s.stats.queue_depth_hist[log2_bucket(backlog / mean_cost)] += 1;
-            let fixed = s.cfg.costs.poll_ns + s.cfg.costs.post_wqe_ns;
-            let now = sim.now();
-            let mut arrival = now;
-            if s.cpu.idle_at(now) {
-                let sweep = s.cfg.costs.poll_ns * (s.conns.len() as u64 / 2);
-                let sleep = s.cfg.sleep_backoff_ns.unwrap_or(0) / 2;
-                arrival += sweep + sleep;
-            }
-            (s.cpu.acquire_batch(arrival, fixed, &per_item), now)
-        };
-        let this2 = this.clone();
-        sim.schedule_at(done_at, move |sim| {
-            Self::execute_batch(&this2, sim, conn_idx, payload, arrived);
-        });
-    }
-
-    /// Runs the engine operation and emits the response (after replication,
-    /// for writes under HA).
+    /// The one quantum executor: runs the request(s) `payload` carries — one
+    /// bare message or a batch frame — through [`run_batch`], replicates the
+    /// quantum's writes in one shipment per secondary, and answers in the
+    /// shape it was asked in (a bare response, or one response frame — one
+    /// RDMA Write — in request order).
     ///
-    /// Hot-path contract: the request is decoded exactly once and its
+    /// Hot-path contract: requests are decoded exactly once and their
     /// key/value slices stay borrowed from `payload` end to end — the engine
     /// copies into its arena where it must, replication reads the borrowed
     /// slices directly, and GET values land in a per-shard scratch buffer
     /// reused across requests. No per-request `to_vec()`.
     ///
-    /// `ready_at` is the modeled completion time of this request's core
+    /// `ready_at` is the modeled completion time of the quantum's core
     /// slot: it equals `sim.now()` except for overlapped group-commit
     /// writes (see [`Self::overlap_exec`]), which execute at slot start and
     /// gate their response on the slot's end.
@@ -1693,217 +1420,64 @@ impl ShardServer {
         arrived: SimTime,
         ready_at: SimTime,
     ) {
-        enum Action<'a> {
-            Respond(Vec<u8>),
-            Replicate {
-                resp: Vec<u8>,
-                op: LogOp,
-                key: &'a [u8],
-                value: &'a [u8],
-            },
-        }
-        let (action, forward) = {
+        let (resp, resp_count, repl_records, forwards) = {
             let mut s = this.borrow_mut();
             if !s.alive {
                 return;
             }
             let now = sim.now();
-            let req = Request::decode(&payload).expect("validated on arrival");
-            let arena_region = s.arena_region;
-            let scan_cap = scan_quantum_items(&s.cfg);
-            let mut scratch = std::mem::take(&mut s.get_scratch);
-            let mut scan_buf = std::mem::take(&mut s.scan_scratch);
-            let engine_rc = s.engine.clone();
-            let mig = s.mig.clone();
-            let mut engine = engine_rc.borrow_mut();
-            let mut resp = Vec::new();
-            let repl = with_gate(mig.as_ref(), |gate| {
-                apply_request(
-                    &mut engine,
-                    now,
-                    &req,
-                    arena_region,
-                    &mut scratch,
-                    scan_cap,
-                    &mut scan_buf,
-                    &mut s.plane,
-                    gate,
-                    &mut resp,
-                )
-            });
-            match req {
-                Request::Get { .. } => s.stats.gets += 1,
-                Request::Insert { .. } => s.stats.inserts += 1,
-                Request::Update { .. } => s.stats.updates += 1,
-                Request::Delete { .. } => s.stats.deletes += 1,
-                Request::LeaseRenew { .. } => s.stats.lease_renews += 1,
-                Request::Scan { .. } => s.stats.scans += 1,
+            let batched = BatchFrame::is_batch(&payload);
+            fn decode(m: &[u8]) -> Request<'_> {
+                Request::decode(m).expect("validated on arrival")
             }
-            s.stats.service_time_hist_by_op[op_slot(&req)]
-                [log2_bucket(ready_at.saturating_sub(arrived))] += 1;
-            drop(engine);
-            s.get_scratch = scratch;
-            s.scan_scratch = scan_buf;
-            // Migration hook for a successful write: dirty the key during
-            // the copy phases, or forward it to the new owner during
-            // DoubleWrite (shipped after the borrow drops).
-            let forward = match (&repl, &mig) {
-                (Some((op, key, value)), Some(m)) => {
-                    let dst = m.borrow_mut().on_local_write(key);
-                    dst.and_then(|d| m.borrow().channel(d))
-                        .map(|ch| (ch, *op, key.to_vec(), value.to_vec()))
-                }
-                _ => None,
+            let (bare, frame);
+            let reqs: &[Request<'_>] = if batched {
+                frame = messages(&payload).map(decode).collect::<Vec<_>>();
+                &frame
+            } else {
+                bare = [decode(&payload)];
+                &bare
             };
-            let action = match repl {
-                Some((op, key, value)) => Action::Replicate {
-                    resp,
-                    op,
-                    key,
-                    value,
-                },
-                None => Action::Respond(resp),
-            };
-            (action, forward)
-        };
-        Self::maybe_schedule_reclaim(this, sim);
-        if let Some((ch, op, key, value)) = forward {
-            ch.ship(sim, vec![(op, key, value)]);
-        }
-        match action {
-            Action::Respond(resp) => Self::respond_at(this, sim, conn_idx, resp, ready_at),
-            Action::Replicate {
-                resp,
-                op,
-                key,
-                value,
-            } => {
-                let (pairs, mode) = {
-                    let s = this.borrow();
-                    (s.repl.clone(), s.cfg.replication)
-                };
-                if pairs.is_empty() || matches!(mode, ReplicationMode::None) {
-                    Self::respond_at(this, sim, conn_idx, resp, ready_at);
-                    return;
-                }
-                // Star replication: respond once every secondary reports
-                // completion for its mode. The shard pipeline is NOT held
-                // for the replication round trip — subsequent requests
-                // execute and ship while these completions are in flight;
-                // strict-semantics modes merely hold this one response
-                // until its covering ack (per-record for Strict, cumulative
-                // for GroupCommit) arrives. An overlapped group-commit
-                // write adds one more gate: the core slot itself, so the
-                // client never sees a completion before the modeled merge
-                // finishes.
-                let extra = usize::from(sim.now() < ready_at);
-                let remaining = Rc::new(std::cell::Cell::new(pairs.len() + extra));
-                if extra == 1 {
-                    let remaining = remaining.clone();
-                    let this2 = this.clone();
-                    let resp2 = resp.clone();
-                    sim.schedule_at(ready_at, move |sim| {
-                        remaining.set(remaining.get() - 1);
-                        if remaining.get() == 0 {
-                            Self::send_response(&this2, sim, conn_idx, resp2);
-                        }
-                    });
-                }
-                for pair in &pairs {
-                    let remaining = remaining.clone();
-                    let this2 = this.clone();
-                    let resp2 = resp.clone();
-                    let done: Box<dyn FnOnce(&mut Sim)> = Box::new(move |sim| {
-                        remaining.set(remaining.get() - 1);
-                        if remaining.get() == 0 {
-                            Self::send_response(&this2, sim, conn_idx, resp2);
-                        }
-                    });
-                    match mode {
-                        ReplicationMode::Strict => {
-                            replicate_strict(pair, sim, op, key, value, done)
-                                .expect("write bounded by msg slot, fits repl ring")
-                        }
-                        // GroupCommit ships even a singleton through the
-                        // doorbell-batched path so its AckRequest rides the
-                        // same doorbell as the record.
-                        ReplicationMode::GroupCommit => pair
-                            .replicate_batch(sim, &[(op, key, value)], Some(done))
-                            .expect("write bounded by msg slot, fits repl ring"),
-                        _ => pair
-                            .replicate(sim, op, key, value, Some(done))
-                            .expect("write bounded by msg slot, fits repl ring"),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Executes a whole batch frame as one quantum: decode once, serve
-    /// consecutive GET runs through the engine's interleaved batched probe,
-    /// coalesce the quantum's replication records into one doorbell-batched
-    /// shipment per secondary, and answer with a single response frame (one
-    /// RDMA Write for the whole batch). Responses keep request order.
-    fn execute_batch(
-        this: &Rc<RefCell<ShardServer>>,
-        sim: &mut Sim,
-        conn_idx: usize,
-        payload: Vec<u8>,
-        arrived: SimTime,
-    ) {
-        let (resp_bytes, resp_count, repl_records, forwards) = {
-            let mut s = this.borrow_mut();
-            if !s.alive {
-                return;
-            }
-            let now = sim.now();
-            let frame = BatchFrame::parse(&payload).expect("validated on arrival");
-            let reqs: Vec<Request<'_>> = frame
-                .iter()
-                .map(|m| Request::decode(m).expect("validated on arrival"))
-                .collect();
             // All requests of a quantum complete when the quantum does.
-            let sojourn_bucket = log2_bucket(now.saturating_sub(arrived));
-            for req in &reqs {
+            let sojourn_bucket = log2_bucket(ready_at.saturating_sub(arrived));
+            for req in reqs {
                 s.stats.service_time_hist_by_op[op_slot(req)][sojourn_bucket] += 1;
             }
-            let arena_region = s.arena_region;
+            let s = &mut *s;
             let scan_cap = scan_quantum_items(&s.cfg);
-            let mut scratch = std::mem::take(&mut s.get_scratch);
-            let mut scan_buf = std::mem::take(&mut s.scan_scratch);
-            let mut builder = std::mem::take(&mut s.resp_batch);
-            builder.clear();
+            s.resp_batch.clear();
             let engine_rc = s.engine.clone();
             let mig = s.mig.clone();
-            let mut engine = engine_rc.borrow_mut();
             let (repl, counts) = with_gate(mig.as_ref(), |gate| {
                 run_batch(
-                    &mut engine,
+                    &mut engine_rc.borrow_mut(),
                     now,
-                    &reqs,
-                    arena_region,
-                    &mut scratch,
+                    reqs,
+                    s.arena_region,
+                    &mut s.get_scratch,
                     scan_cap,
-                    &mut scan_buf,
+                    &mut s.scan_scratch,
                     &mut s.plane,
                     gate,
-                    &mut builder,
+                    &mut s.resp_batch,
                 )
             });
-            drop(engine);
             s.stats.gets += counts.gets;
             s.stats.inserts += counts.inserts;
             s.stats.updates += counts.updates;
             s.stats.deletes += counts.deletes;
             s.stats.lease_renews += counts.lease_renews;
             s.stats.scans += counts.scans;
-            s.get_scratch = scratch;
-            s.scan_scratch = scan_buf;
-            let resp_count = builder.count() as u64;
-            let resp_bytes = builder.bytes().to_vec();
-            s.resp_batch = builder;
-            // Migration hooks for the quantum's successful writes, grouped
-            // per destination channel (shipped after the borrow drops).
+            let resp_count = s.resp_batch.count() as u64;
+            let resp = if batched {
+                s.resp_batch.bytes().to_vec()
+            } else {
+                s.resp_batch.bytes()[BATCH_HDR + BATCH_ENTRY_HDR..].to_vec()
+            };
+            // Migration hooks for the quantum's successful writes: dirty
+            // the key during the copy phases, or forward it to the new
+            // owner during DoubleWrite — grouped per destination channel,
+            // shipped after the borrow drops.
             let mut forwards: ChannelShipments = Vec::new();
             if let Some(m) = &mig {
                 let mut grouped: RecordsByDst = BTreeMap::new();
@@ -1925,98 +1499,86 @@ impl ShardServer {
                     }
                 }
             }
-            (resp_bytes, resp_count, repl, forwards)
+            (resp, resp_count, repl, forwards)
         };
         Self::maybe_schedule_reclaim(this, sim);
         for (ch, recs) in forwards {
             ch.ship(sim, recs);
         }
-        let (pairs, mode) = {
-            let s = this.borrow();
-            (s.repl.clone(), s.cfg.replication)
+        // Star replication: respond once every secondary reports the
+        // quantum complete per its pair's mode. The shard pipeline is NOT
+        // held for the replication round trip — subsequent requests execute
+        // and ship while these completions are in flight; strict-semantics
+        // modes merely hold this one response until its covering ack
+        // arrives. An overlapped group-commit write adds one more gate: the
+        // core slot itself, so the client never sees a completion before
+        // the modeled merge finishes.
+        let pairs = if repl_records.is_empty() {
+            Vec::new()
+        } else {
+            this.borrow().repl.clone()
         };
-        if repl_records.is_empty() || pairs.is_empty() || matches!(mode, ReplicationMode::None) {
-            Self::send_response_frame(this, sim, conn_idx, resp_bytes, resp_count);
+        let gates = pairs.len() + usize::from(sim.now() < ready_at);
+        if gates == 0 {
+            Self::send_response_frame(this, sim, conn_idx, resp, resp_count);
             return;
         }
-        // One doorbell-batched shipment per secondary; respond once every
-        // pair reports the whole quantum complete (per its mode).
-        let remaining = Rc::new(std::cell::Cell::new(pairs.len()));
+        let held = Rc::new(RefCell::new((gates, resp)));
+        let gate = |held: Rc<RefCell<(usize, Vec<u8>)>>| {
+            let this = this.clone();
+            move |sim: &mut Sim| {
+                let resp = {
+                    let mut h = held.borrow_mut();
+                    h.0 -= 1;
+                    if h.0 > 0 {
+                        return;
+                    }
+                    std::mem::take(&mut h.1)
+                };
+                Self::send_response_frame(&this, sim, conn_idx, resp, resp_count);
+            }
+        };
+        if sim.now() < ready_at {
+            sim.schedule_at(ready_at, gate(held.clone()));
+        }
         for pair in &pairs {
-            let remaining = remaining.clone();
-            let this2 = this.clone();
-            let resp2 = resp_bytes.clone();
-            let done: Box<dyn FnOnce(&mut Sim)> = Box::new(move |sim| {
-                remaining.set(remaining.get() - 1);
-                if remaining.get() == 0 {
-                    Self::send_response_frame(&this2, sim, conn_idx, resp2, resp_count);
-                }
-            });
-            pair.replicate_batch(sim, &repl_records, Some(done))
+            pair.replicate_batch(sim, &repl_records, Some(Box::new(gate(held.clone()))))
                 .expect("writes bounded by msg slot, fit repl ring");
         }
     }
 
     /// Arms the background-reclamation event for the earliest pending lease
     /// expiry. The paper uses a background thread; the event-driven pump has
-    /// identical semantics and terminates when the queue drains.
+    /// identical semantics and terminates when the queue drains. At most one
+    /// pump is armed at a time: arming an earlier expiry cancels the later
+    /// event (its time is re-armed when the earlier one fires).
     fn maybe_schedule_reclaim(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim) {
-        let at = {
-            let s = this.borrow();
-            let Some(t) = s.engine.borrow().next_reclaim_at() else {
-                return;
-            };
-            let at = t.max(sim.now());
-            if s.reclaim_scheduled_at.is_some_and(|cur| cur <= at) {
-                return; // an earlier (or equal) pump is already armed
-            }
-            at
+        let mut s = this.borrow_mut();
+        let Some(t) = s.engine.borrow().next_reclaim_at() else {
+            return;
         };
-        this.borrow_mut().reclaim_scheduled_at = Some(at);
+        let at = t.max(sim.now());
+        match s.reclaim_armed {
+            Some((armed_at, _)) if armed_at <= at => return,
+            Some((_, later)) => sim.cancel(later),
+            None => {}
+        }
         let this2 = this.clone();
-        sim.schedule_at(at, move |sim| {
+        let ev = sim.schedule_at(at, move |sim| {
             {
-                let s = this2.borrow_mut();
+                let mut s = this2.borrow_mut();
+                s.reclaim_armed = None;
+                s.stats.reclaim_pumps += 1;
                 s.engine.borrow_mut().pump_reclaim(sim.now());
             }
-            this2.borrow_mut().reclaim_scheduled_at = None;
             Self::maybe_schedule_reclaim(&this2, sim);
         });
+        s.reclaim_armed = Some((at, ev));
     }
 
-    /// Frames and writes the response into the client's response buffer
-    /// (RDMA-Write mode), or posts it as a Send (Send/Recv mode).
-    fn send_response(
-        this: &Rc<RefCell<ShardServer>>,
-        sim: &mut Sim,
-        conn_idx: usize,
-        resp: Vec<u8>,
-    ) {
-        Self::send_response_frame(this, sim, conn_idx, resp, 1);
-    }
-
-    /// Emits a response at `ready_at` — immediately in the common case
-    /// where the core slot already completed, deferred for an overlapped
-    /// group-commit write that executed at its slot's start.
-    fn respond_at(
-        this: &Rc<RefCell<ShardServer>>,
-        sim: &mut Sim,
-        conn_idx: usize,
-        resp: Vec<u8>,
-        ready_at: SimTime,
-    ) {
-        if sim.now() >= ready_at {
-            Self::send_response(this, sim, conn_idx, resp);
-        } else {
-            let this2 = this.clone();
-            sim.schedule_at(ready_at, move |sim| {
-                Self::send_response(&this2, sim, conn_idx, resp);
-            });
-        }
-    }
-
-    /// Like [`Self::send_response`], for a frame carrying `count` responses
-    /// (a whole batch travels as one write / one doorbell).
+    /// Frames and writes a response carrying `count` answers (a whole batch
+    /// travels as one write / one doorbell) into the client's response
+    /// buffer (RDMA-Write mode), or posts it as a Send (Send/Recv mode).
     fn send_response_frame(
         this: &Rc<RefCell<ShardServer>>,
         sim: &mut Sim,
@@ -2109,27 +1671,26 @@ mod tests {
         assert_eq!(scan_quantum_items(&tight), 1);
     }
 
-    fn point(cost: SimTime) -> (LaneTask, SimTime) {
-        (
-            LaneTask::Point {
-                conn_idx: 0,
-                payload: Vec::new(),
-                arrived: 0,
-            },
-            cost,
-        )
+    /// A quantum task tagged by `conn_idx` so picks can be told apart.
+    fn quantum(conn_idx: usize) -> LaneTask {
+        LaneTask::Quantum {
+            conn_idx,
+            payload: Vec::new(),
+            arrived: 0,
+            early: false,
+        }
     }
 
-    fn batch(cost: SimTime) -> (LaneTask, SimTime) {
-        (
-            LaneTask::Batch {
-                conn_idx: 0,
-                payload: Vec::new(),
-                arrived: 0,
-            },
-            cost,
-        )
+    fn conn_of(task: &LaneTask) -> usize {
+        match task {
+            LaneTask::Quantum { conn_idx, .. } => *conn_idx,
+            _ => unreachable!("tests queue only quanta"),
+        }
     }
+
+    /// Point ops are tagged conn 0, batch quanta conn 1.
+    const POINT: usize = 0;
+    const BATCH: usize = 1;
 
     /// Latency isolation: point ops enqueued *behind* two full scan quanta
     /// are still served first — the latency lane's credit covers them long
@@ -2137,17 +1698,16 @@ mod tests {
     #[test]
     fn drr_serves_latency_lane_past_queued_scans() {
         let mut s = DualLaneSched::default();
-        for (t, c) in [batch(8_000), batch(8_000)] {
-            s.enqueue(THR, t, c);
+        for _ in 0..2 {
+            s.enqueue(THR, quantum(BATCH), 8_000);
         }
         for _ in 0..8 {
-            let (t, c) = point(500);
-            s.enqueue(LAT, t, c);
+            s.enqueue(LAT, quantum(POINT), 500);
         }
         assert_eq!(s.queued_total(), 2 * 8_000 + 8 * 500);
         let mut order = Vec::new();
-        while let Some((t, c)) = s.next([4_000, 4_000]) {
-            order.push((matches!(t, LaneTask::Point { .. }), c));
+        while let Some((t, c)) = s.next(LANE_QUANTUM_NS) {
+            order.push((conn_of(&t) == POINT, c));
         }
         assert_eq!(order.len(), 10);
         assert!(
@@ -2158,7 +1718,7 @@ mod tests {
         assert_eq!(s.queued_total(), 0);
         // Draining resets the deficits: no credit is banked across idle.
         assert_eq!(s.deficit, [0; 2]);
-        assert!(s.next([4_000, 4_000]).is_none());
+        assert!(s.next(LANE_QUANTUM_NS).is_none());
     }
 
     /// With sustained load on both lanes, equal quanta split the core's
@@ -2167,21 +1727,20 @@ mod tests {
     fn drr_shares_bandwidth_between_backlogged_lanes() {
         let mut s = DualLaneSched::default();
         for _ in 0..64 {
-            let (t, c) = point(500);
-            s.enqueue(LAT, t, c);
+            s.enqueue(LAT, quantum(POINT), 500);
         }
         for _ in 0..4 {
-            let (t, c) = batch(8_000);
-            s.enqueue(THR, t, c);
+            s.enqueue(THR, quantum(BATCH), 8_000);
         }
         // Serve half the total work and measure the split.
         let mut lat_ns = 0u64;
         let mut thr_ns = 0u64;
         while lat_ns + thr_ns < 32_000 {
-            let (t, c) = s.next([4_000, 4_000]).expect("backlogged");
-            match t {
-                LaneTask::Point { .. } => lat_ns += c,
-                _ => thr_ns += c,
+            let (t, c) = s.next(LANE_QUANTUM_NS).expect("backlogged");
+            if conn_of(&t) == POINT {
+                lat_ns += c;
+            } else {
+                thr_ns += c;
             }
         }
         let share = thr_ns as f64 / (lat_ns + thr_ns) as f64;
@@ -2191,38 +1750,21 @@ mod tests {
         );
     }
 
-    /// FIFO order within a lane, and push_front puts a yielded remainder
-    /// at the head of its lane.
+    /// FIFO order within a lane — which is all of FIFO service when every
+    /// task is classified into one lane — and push_front puts a yielded
+    /// remainder at the head of its lane.
     #[test]
     fn drr_keeps_fifo_within_lane_and_honours_push_front() {
         let mut s = DualLaneSched::default();
-        for id in 0..3u64 {
-            s.enqueue(
-                LAT,
-                LaneTask::Point {
-                    conn_idx: id as usize,
-                    payload: Vec::new(),
-                    arrived: 0,
-                },
-                100,
-            );
+        // Mixed costs, far beyond one round's credit: order must not bend.
+        for (id, cost) in [(0, 100), (1, 9_000), (2, 100)] {
+            s.enqueue(THR, quantum(id), cost);
         }
-        let (t, _) = s.next([4_000, 4_000]).unwrap();
-        assert!(matches!(t, LaneTask::Point { conn_idx: 0, .. }));
-        s.push_front(
-            LAT,
-            LaneTask::Point {
-                conn_idx: 9,
-                payload: Vec::new(),
-                arrived: 0,
-            },
-            100,
-        );
-        let picks: Vec<usize> = std::iter::from_fn(|| s.next([4_000, 4_000]))
-            .map(|(t, _)| match t {
-                LaneTask::Point { conn_idx, .. } => conn_idx,
-                _ => unreachable!(),
-            })
+        let (t, _) = s.next(LANE_QUANTUM_NS).unwrap();
+        assert_eq!(conn_of(&t), 0);
+        s.push_front(THR, quantum(9), 100);
+        let picks: Vec<usize> = std::iter::from_fn(|| s.next(LANE_QUANTUM_NS))
+            .map(|(t, _)| conn_of(&t))
             .collect();
         assert_eq!(picks, vec![9, 1, 2]);
     }

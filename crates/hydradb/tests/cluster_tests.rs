@@ -196,7 +196,7 @@ fn send_recv_mode_works_and_is_slower() {
 }
 
 #[test]
-fn pipelined_exec_model_is_slower_than_single_threaded() {
+fn decoupled_exec_model_is_slower_than_single_threaded() {
     let mean_lat = |exec: ExecModel| {
         let cfg = ClusterConfig {
             exec_model: exec,
@@ -724,10 +724,70 @@ fn cluster_report_reflects_state() {
     assert!(text.contains("miss_pen_ns"));
 }
 
-// ---- pipelined client (pipeline_depth > 1) ----
+/// Regression: arming an earlier lease expiry used to leave the later pump
+/// event live, and every firing re-armed, so each out-of-order expiry added
+/// a pump chain that lived until the queue emptied — hundreds of firings per
+/// write. One chain fires at most once per distinct expiry instant.
+#[test]
+fn reclaim_pump_is_a_single_chain() {
+    const CLIENTS: usize = 16;
+    const OPS_PER_CLIENT: u32 = 200;
+    let mut cluster = build(ClusterConfig {
+        client_mode: ClientMode::RdmaWrite,
+        ..Default::default()
+    });
+    let clients: Vec<HydraClient> = (0..CLIENTS).map(|_| cluster.add_client(0)).collect();
+    for k in 0..64u32 {
+        put_ok(
+            &mut cluster,
+            &clients[0],
+            format!("rk-{k:02}").as_bytes(),
+            b"v0",
+        );
+    }
+    // Closed loop per client, 50/50 GET/UPDATE, keys skewed towards rk-00:
+    // popular keys earn long leases, cold ones short, so superseded blocks
+    // expire out of write order.
+    fn next_op(sim: &mut hydra_sim::Sim, client: HydraClient, c: usize, i: u32) {
+        if i == OPS_PER_CLIENT {
+            return;
+        }
+        let draw = (c as u32 * 7919 + i * 104_729) % 4096;
+        let key = format!("rk-{:02}", (draw * draw) >> 18);
+        let c2 = client.clone();
+        let cb = Box::new(move |sim: &mut hydra_sim::Sim, r: Result<_, OpError>| {
+            r.expect("op succeeds");
+            next_op(sim, c2, c, i + 1);
+        });
+        if draw % 2 == 0 {
+            client.get(sim, key.as_bytes(), cb);
+        } else {
+            client.update(sim, key.as_bytes(), format!("v{i}").as_bytes(), cb);
+        }
+    }
+    for (c, client) in clients.iter().enumerate() {
+        next_op(&mut cluster.sim, client.clone(), c, 0);
+    }
+    // To an empty queue: every lease expires, every pump chain ends.
+    cluster.sim.run();
+    let (mut writes, mut pumps) = (0, 0);
+    for p in 0..cluster.cfg.total_shards() {
+        let stats = cluster.shard(p).primary.borrow().stats();
+        writes += stats.inserts + stats.updates;
+        pumps += stats.reclaim_pumps;
+    }
+    assert!(writes > 1_000, "the mix must actually write ({writes})");
+    assert!(pumps > 0, "superseded blocks must be reclaimed");
+    assert!(
+        pumps <= 2 * writes,
+        "{pumps} reclaim pump firings for {writes} writes"
+    );
+}
+
+// ---- batch-frame shipping (pipeline_depth > 1) ----
 
 #[test]
-fn pipelined_client_batches_requests_and_serves_correctly() {
+fn concurrent_requests_ship_as_batch_frames_and_serve_correctly() {
     let cfg = ClusterConfig {
         client_mode: ClientMode::RdmaWrite, // message path only: every op frames
         pipeline_depth: 16,
@@ -781,7 +841,7 @@ fn pipelined_client_batches_requests_and_serves_correctly() {
 }
 
 #[test]
-fn pipelined_send_recv_completes_through_the_window() {
+fn concurrent_send_recv_ops_complete_through_the_window() {
     let cfg = ClusterConfig {
         client_mode: ClientMode::SendRecv,
         pipeline_depth: 8,
@@ -814,7 +874,7 @@ fn pipelined_send_recv_completes_through_the_window() {
 }
 
 #[test]
-fn pipelined_fast_path_reads_fly_concurrently() {
+fn fast_path_reads_fly_concurrently() {
     let cfg = ClusterConfig {
         pipeline_depth: 8,
         ..Default::default()
@@ -844,12 +904,18 @@ fn pipelined_fast_path_reads_fly_concurrently() {
     assert_eq!(s.invalid_hits, 0);
 }
 
-#[test]
-fn pipelined_frame_timeout_fails_every_op_in_the_frame() {
+type GetResults = Rc<RefCell<Vec<Result<Vec<u8>, OpError>>>>;
+
+/// Five GETs against a dead primary at depth 8, one replica under group
+/// commit. Returns the cluster and client with the ops issued: the first
+/// left in a frame of its own, the rest queue behind its connection slot.
+fn five_gets_against_a_dead_primary(results: &GetResults) -> (Cluster, HydraClient) {
     let cfg = ClusterConfig {
-        server_nodes: 1,
-        shards_per_node: 1,
+        server_nodes: 2,
+        partitions: Some(1),
         client_mode: ClientMode::RdmaWrite,
+        replicas: 1,
+        replication: ReplicationMode::GroupCommit,
         pipeline_depth: 8,
         op_timeout_ns: MS,
         ..Default::default()
@@ -857,21 +923,47 @@ fn pipelined_frame_timeout_fails_every_op_in_the_frame() {
     let mut cluster = build(cfg);
     let client = cluster.add_client(0);
     put_ok(&mut cluster, &client, b"k", b"v");
+    cluster.settle_replication();
     cluster.kill_primary(0);
-    let errs = Rc::new(Cell::new(0u32));
     for _ in 0..5 {
-        let e = errs.clone();
+        let r = results.clone();
         client.get(
             &mut cluster.sim,
             b"k",
-            Box::new(move |_, r| {
-                assert_eq!(r.unwrap_err(), OpError::Timeout);
-                e.set(e.get() + 1);
-            }),
+            Box::new(move |_, res| r.borrow_mut().push(res.map(|v| v.expect("key exists")))),
         );
     }
+    (cluster, client)
+}
+
+#[test]
+fn unanswered_frames_retry_then_fail_every_op_with_timeout() {
+    let results = Rc::new(RefCell::new(Vec::new()));
+    let (mut cluster, client) = five_gets_against_a_dead_primary(&results);
     cluster.sim.run();
-    assert_eq!(errs.get(), 5, "every pipelined op must fail on timeout");
-    assert_eq!(client.stats().timeouts, 5);
+    assert_eq!(*results.borrow(), vec![Err(OpError::Timeout); 5]);
+    // The one timeout policy at every depth: each op travels in four
+    // frames (MAX_ATTEMPTS) before it gives up.
+    let s = client.stats();
+    assert_eq!((s.timeouts, s.retries), (5 * 4, 5 * 3));
+    assert_eq!(client.in_flight(), 0);
+}
+
+#[test]
+fn a_promotion_between_attempts_lets_every_op_in_the_frame_succeed() {
+    let results = Rc::new(RefCell::new(Vec::new()));
+    let (mut cluster, client) = five_gets_against_a_dead_primary(&results);
+    // Past the first frame's timeout, before the second's.
+    cluster.sim.run_until(cluster.sim.now() + MS + MS / 2);
+    assert!(results.borrow().is_empty());
+    assert!(cluster.force_promote(0));
+    cluster.sim.run();
+    assert_eq!(*results.borrow(), vec![Ok(b"v".to_vec()); 5]);
+    let s = client.stats();
+    assert_eq!(
+        (s.timeouts, s.retries),
+        (1 + 5, 1 + 5),
+        "the lone first frame, then the frame of five, each unanswered once"
+    );
     assert_eq!(client.in_flight(), 0);
 }

@@ -222,6 +222,17 @@ struct PendingRec {
     value: Vec<u8>,
 }
 
+impl PendingRec {
+    fn record(&self) -> LogRecord<'_> {
+        LogRecord {
+            seq: self.seq,
+            op: self.op,
+            key: &self.key,
+            value: &self.value,
+        }
+    }
+}
+
 type DoneCb = Box<dyn FnOnce(&mut Sim)>;
 /// A deferred replicate() call parked while the ring is full.
 type BacklogEntry = (LogOp, Vec<u8>, Vec<u8>, Option<DoneCb>);
@@ -235,13 +246,51 @@ struct Primary {
     next_seq: u64,
     acked: u64,
     inflight_words: usize,
+    /// Shipped, unacknowledged records (data and `AckRequest`s) in
+    /// sequence order — what a rollback re-ships.
     pending: VecDeque<PendingRec>,
-    strict_waiters: HashMap<u64, DoneCb>,
+    /// Strict-semantics completions keyed by the sequence whose covering
+    /// ack releases them.
+    waiters: HashMap<u64, DoneCb>,
     since_ack_req: u32,
-    ack_req_outstanding: bool,
+    /// Sequence of the `AckRequest` in flight, if any (at most one).
+    ack_req_seq: Option<u64>,
     backlog: VecDeque<BacklogEntry>,
     ack_mem: Arc<[AtomicU64]>,
     last_ack_processed: u64,
+}
+
+impl Primary {
+    /// Assigns the next sequence number to a record and files it as
+    /// pending.
+    fn assign_seq(&mut self, op: LogOp, key: Vec<u8>, value: Vec<u8>) -> u64 {
+        self.next_seq += 1;
+        let seq = self.next_seq;
+        if op == LogOp::AckRequest {
+            self.since_ack_req = 0;
+            self.ack_req_seq = Some(seq);
+        } else {
+            self.since_ack_req += 1;
+        }
+        self.pending.push_back(PendingRec {
+            seq,
+            op,
+            key,
+            value,
+        });
+        seq
+    }
+
+    /// Whether the ring can take a record of this size now. One frame of
+    /// wrap-marker waste plus [`RING_HEADROOM_WORDS`] stay in reserve so
+    /// `AckRequest`s always fit. (Oversized records were rejected at the
+    /// public boundary, so the saturation can only be hit by a
+    /// misconfigured ring.)
+    fn has_room(&self, key_len: usize, value_len: usize) -> bool {
+        let need = frame::frame_words(LogRecord::encoded_len_for(key_len, value_len));
+        let budget = self.ring_words.saturating_sub(need + RING_HEADROOM_WORDS);
+        self.inflight_words + need <= budget
+    }
 }
 
 struct Secondary {
@@ -314,9 +363,9 @@ impl ReplicationPair {
                 acked: 0,
                 inflight_words: 0,
                 pending: VecDeque::new(),
-                strict_waiters: HashMap::new(),
+                waiters: HashMap::new(),
                 since_ack_req: 0,
-                ack_req_outstanding: false,
+                ack_req_seq: None,
                 backlog: VecDeque::new(),
                 ack_mem,
                 last_ack_processed: 0,
@@ -368,7 +417,11 @@ impl ReplicationPair {
         let mut fire: Vec<DoneCb> = Vec::new();
         {
             let mut p = self.shared.p.borrow_mut();
-            fire.extend(p.strict_waiters.drain().map(|(_, cb)| cb));
+            // In sequence order: the release order must not depend on the
+            // map's per-process hashing.
+            let mut waiters: Vec<(u64, DoneCb)> = p.waiters.drain().collect();
+            waiters.sort_by_key(|(seq, _)| *seq);
+            fire.extend(waiters.into_iter().map(|(_, cb)| cb));
             fire.extend(p.backlog.drain(..).filter_map(|(_, _, _, cb)| cb));
         }
         for cb in fire {
@@ -376,12 +429,7 @@ impl ReplicationPair {
         }
     }
 
-    /// Replicates one write. `on_done` fires per the configured mode
-    /// (delivery for Logging, covering cumulative ack for GroupCommit,
-    /// per-record ack for Strict via [`replicate_strict`]).
-    ///
-    /// Returns [`ReplError::RecordTooLarge`] — without shipping anything or
-    /// consuming a sequence number — if the record can never fit the ring.
+    /// One-record convenience over [`replicate_batch`](Self::replicate_batch).
     pub fn replicate(
         &self,
         sim: &mut Sim,
@@ -390,13 +438,7 @@ impl ReplicationPair {
         value: &[u8],
         on_done: Option<DoneCb>,
     ) -> Result<(), ReplError> {
-        assert!(
-            op != LogOp::AckRequest,
-            "AckRequests are generated internally"
-        );
-        Self::check_fits(&self.shared.cfg, key.len(), value.len())?;
-        self.enqueue(sim, op, key.to_vec(), value.to_vec(), on_done);
-        Ok(())
+        self.replicate_batch(sim, &[(op, key, value)], on_done)
     }
 
     /// Rejects records whose frame could never ship: the ring budget keeps
@@ -415,16 +457,18 @@ impl ReplicationPair {
         Ok(())
     }
 
-    /// Replicates a whole quantum of writes with one doorbell: every record
-    /// that fits the ring is framed and posted through a single
-    /// [`Fabric::post_write_batch`] (wrap markers ride in the same batch),
-    /// so the NIC pays one MMIO kick per quantum instead of one per record.
-    /// Records the ring cannot take right now drain through the backlog
-    /// path in order. `on_done` fires once everything completed per the
-    /// mode — last delivery for Logging, covering cumulative ack for
-    /// GroupCommit (whose `AckRequest` rides the same doorbell), last ack
-    /// for Strict (whose per-record acknowledgement protocol leaves
-    /// nothing to coalesce, so it fans out through the per-record path).
+    /// The one replication entry point: ships a quantum of writes (one
+    /// record or many) with one doorbell. Every record that fits the ring
+    /// is framed and posted through a single [`Fabric::post_write_batch`]
+    /// (wrap markers ride in the same batch), so the NIC pays one MMIO kick
+    /// per quantum instead of one per record. Records the ring cannot take
+    /// right now drain through the backlog path in order. `on_done` fires
+    /// once everything completed per the pair's own [`ReplMode`]: last
+    /// delivery for Logging; the ack covering the quantum's last record for
+    /// the strict-semantics modes — GroupCommit's cumulative watermark
+    /// (whose `AckRequest` rides the same doorbell) or Strict's per-record
+    /// ack. The waiter registers where the sequence number is assigned, so
+    /// a record parked behind a full ring is released by *its own* ack.
     ///
     /// Returns [`ReplError::RecordTooLarge`] — without shipping anything —
     /// if any record can never fit the ring.
@@ -447,47 +491,17 @@ impl ReplicationPair {
             }
             return Ok(());
         }
-        if matches!(self.shared.cfg.mode, ReplMode::Strict) {
-            let remaining = Rc::new(std::cell::Cell::new(records.len()));
-            let done = Rc::new(RefCell::new(on_done));
-            for &(op, key, value) in records {
-                let remaining = remaining.clone();
-                let done = done.clone();
-                replicate_strict(
-                    self,
-                    sim,
-                    op,
-                    key,
-                    value,
-                    Box::new(move |sim| {
-                        remaining.set(remaining.get() - 1);
-                        if remaining.get() == 0 {
-                            if let Some(cb) = done.borrow_mut().take() {
-                                cb(sim);
-                            }
-                        }
-                    }),
-                )
-                .expect("records validated above");
-            }
-            return Ok(());
-        }
         let shared = &self.shared;
-        let gc = matches!(shared.cfg.mode, ReplMode::GroupCommit);
+        let held = shared.cfg.mode.strict_semantics();
         // Take as many leading records as the ring accepts right now.
         let mut head = 0usize;
         {
             let p = shared.p.borrow();
             if p.backlog.is_empty() {
                 let mut inflight = p.inflight_words;
-                for &(op, key, value) in records {
-                    let rec = LogRecord {
-                        seq: 0,
-                        op,
-                        key,
-                        value,
-                    };
-                    let need = frame::frame_words(rec.encoded_len());
+                for &(_, key, value) in records {
+                    let need =
+                        frame::frame_words(LogRecord::encoded_len_for(key.len(), value.len()));
                     let budget = p.ring_words.saturating_sub(need + RING_HEADROOM_WORDS);
                     if inflight + need > budget {
                         break;
@@ -499,7 +513,7 @@ impl ReplicationPair {
         }
         let tail = &records[head..];
         // Completion has up to two parts: the batched head's last delivery
-        // and the backlogged tail's completion.
+        // (or covering ack) and the backlogged tail's completion.
         let parts = usize::from(head > 0) + usize::from(!tail.is_empty());
         let remaining = Rc::new(std::cell::Cell::new(parts));
         let done = Rc::new(RefCell::new(on_done));
@@ -520,61 +534,31 @@ impl ReplicationPair {
         };
         if head > 0 {
             let mut writes: Vec<hydra_fabric::BatchWrite> = Vec::with_capacity(head + 2);
-            let mut last_data_seq = 0u64;
             let mut piggybacked_ackreq = false;
             {
                 let mut p = shared.p.borrow_mut();
                 for &(op, key, value) in records[..head].iter() {
-                    p.next_seq += 1;
-                    let seq = p.next_seq;
-                    last_data_seq = seq;
-                    p.pending.push_back(PendingRec {
-                        seq,
-                        op,
-                        key: key.to_vec(),
-                        value: value.to_vec(),
-                    });
-                    p.since_ack_req += 1;
-                    let rec = LogRecord {
-                        seq,
-                        op,
-                        key,
-                        value,
-                    };
-                    let words = frame::frame_to_words(&rec.encode());
-                    Self::push_ring_write(&mut p, &mut writes, words);
+                    Self::push_record(&mut p, &mut writes, op, key, value);
+                }
+                // Strict semantics: the ack covering the head's last record
+                // covers the whole head (acks are cumulative in both modes).
+                if held {
+                    let last_data_seq = p.next_seq;
+                    p.waiters.insert(last_data_seq, mk_part_cb());
                 }
                 // Group commit: the acknowledgement request rides the same
                 // doorbell as the quantum it covers — the secondary drains
                 // the records and the ackreq in one pass and answers with a
                 // single cumulative watermark.
-                if gc && !p.ack_req_outstanding {
-                    p.next_seq += 1;
-                    let seq = p.next_seq;
-                    p.pending.push_back(PendingRec {
-                        seq,
-                        op: LogOp::AckRequest,
-                        key: Vec::new(),
-                        value: Vec::new(),
-                    });
-                    p.since_ack_req = 0;
-                    p.ack_req_outstanding = true;
-                    let rec = LogRecord {
-                        seq,
-                        op: LogOp::AckRequest,
-                        key: &[],
-                        value: &[],
-                    };
-                    let words = frame::frame_to_words(&rec.encode());
-                    Self::push_ring_write(&mut p, &mut writes, words);
+                if matches!(shared.cfg.mode, ReplMode::GroupCommit) && p.ack_req_seq.is_none() {
+                    Self::push_record(&mut p, &mut writes, LogOp::AckRequest, &[], &[]);
                     piggybacked_ackreq = true;
                 }
             }
             // Deliveries land in posting order, so one kick at the last
             // write drains the whole quantum on the applier. Logging
-            // completes the head part at that delivery; GroupCommit
-            // completes it at the covering cumulative ack instead.
-            let part_cb: Option<DoneCb> = if gc { None } else { Some(mk_part_cb()) };
+            // completes the head part at that delivery.
+            let part_cb: Option<DoneCb> = if held { None } else { Some(mk_part_cb()) };
             let shared2 = shared.clone();
             writes
                 .last_mut()
@@ -585,9 +569,6 @@ impl ReplicationPair {
                 }
                 Self::poll_secondary(&shared2, sim);
             }) as hydra_fabric::WriteDelivered);
-            if gc {
-                Self::register_strict_waiter(shared, last_data_seq, mk_part_cb());
-            }
             {
                 let mut st = shared.stats.borrow_mut();
                 st.records += head as u64;
@@ -599,48 +580,59 @@ impl ReplicationPair {
                 (p.qp, p.node)
             };
             shared.fab.post_write_batch(sim, qp, node, writes);
-            let want_ack = {
-                let p = shared.p.borrow();
-                match shared.cfg.mode {
-                    ReplMode::Strict => false,
-                    // GroupCommit solicited inline above (or one is already
-                    // outstanding and on_ack re-solicits on arrival).
-                    ReplMode::GroupCommit => false,
-                    ReplMode::Logging { ack_every } => {
-                        p.since_ack_req >= ack_every && !p.ack_req_outstanding
-                    }
-                }
-            };
-            if want_ack {
-                Self::ship_ack_request(shared, sim);
-            }
+            Self::solicit_ack_if_due(shared, sim);
         }
         if !tail.is_empty() {
             let last = tail.len() - 1;
             for (i, &(op, key, value)) in tail.iter().enumerate() {
                 let cb = if i == last { Some(mk_part_cb()) } else { None };
-                self.enqueue(sim, op, key.to_vec(), value.to_vec(), cb);
+                Self::enqueue(shared, sim, op, key.to_vec(), value.to_vec(), cb);
             }
         }
         Ok(())
     }
 
-    /// Appends one framed ring write (planting a wrap marker first when the
-    /// frame would straddle the ring edge) and advances the write offset /
-    /// inflight budget. Used by the doorbell-batched path so data records
-    /// and piggybacked `AckRequest`s share the bookkeeping.
-    fn push_ring_write(
-        p: &mut Primary,
-        writes: &mut Vec<hydra_fabric::BatchWrite>,
-        words: Vec<u64>,
-    ) {
-        let need = words.len();
+    /// Reserves `need` words at the ring cursor (write offset and inflight
+    /// budget). A frame that would straddle the ring edge starts over at
+    /// offset 0; the returned marker offset, if any, is where the caller
+    /// must plant a [`WRAP_MARKER`] first so the reader follows. A frame
+    /// that ended exactly at the edge needs none: the reader wraps
+    /// implicitly.
+    fn ring_place(p: &mut Primary, need: usize) -> (Option<usize>, usize) {
+        let mut marker = None;
         if p.write_off == p.ring_words {
             p.write_off = 0;
         } else if p.write_off + need > p.ring_words {
-            let marker_off = p.write_off;
-            p.inflight_words += p.ring_words - marker_off;
+            marker = Some(p.write_off);
+            p.inflight_words += p.ring_words - p.write_off;
             p.write_off = 0;
+        }
+        let off = p.write_off;
+        p.write_off += need;
+        p.inflight_words += need;
+        (marker, off)
+    }
+
+    /// Assigns the next sequence number to a record and appends its framed
+    /// ring write (and wrap marker, if any) to a doorbell batch, so data
+    /// records and piggybacked `AckRequest`s share the bookkeeping.
+    fn push_record(
+        p: &mut Primary,
+        writes: &mut Vec<hydra_fabric::BatchWrite>,
+        op: LogOp,
+        key: &[u8],
+        value: &[u8],
+    ) {
+        let seq = p.assign_seq(op, key.to_vec(), value.to_vec());
+        let rec = LogRecord {
+            seq,
+            op,
+            key,
+            value,
+        };
+        let words = frame::frame_to_words(&rec.encode());
+        let (marker, off) = Self::ring_place(p, words.len());
+        if let Some(marker_off) = marker {
             writes.push(hydra_fabric::BatchWrite {
                 words: vec![WRAP_MARKER],
                 dst_region: p.ring_region,
@@ -648,9 +640,6 @@ impl ReplicationPair {
                 on_delivered: None,
             });
         }
-        let off = p.write_off;
-        p.write_off += need;
-        p.inflight_words += need;
         writes.push(hydra_fabric::BatchWrite {
             words,
             dst_region: p.ring_region,
@@ -702,137 +691,106 @@ impl ReplicationPair {
 
     // ---- primary side ----
 
+    /// Per-record path for what the doorbell batch could not take: ships
+    /// the record if the ring has room, else parks it (and solicits an ack
+    /// to free space, unless one is already on its way).
     fn enqueue(
-        &self,
+        shared: &Rc<Shared>,
         sim: &mut Sim,
         op: LogOp,
         key: Vec<u8>,
         value: Vec<u8>,
         on_done: Option<DoneCb>,
     ) {
-        let shared = &self.shared;
-        if shared.severed.get() {
-            if let Some(cb) = on_done {
-                cb(sim);
-            }
-            return;
-        }
-        let frame_len = {
-            let rec = LogRecord {
-                seq: 0,
-                op,
-                key: &key,
-                value: &value,
-            };
-            frame::frame_words(rec.encoded_len())
-        };
-        {
-            let mut p = shared.p.borrow_mut();
-            // Keep one frame + marker of headroom so AckRequests always fit.
-            // (Oversized records were rejected at the public boundary, so
-            // the saturation can only be hit by a misconfigured ring.)
-            let budget = p.ring_words.saturating_sub(frame_len + RING_HEADROOM_WORDS);
-            if p.inflight_words + frame_len > budget || !p.backlog.is_empty() {
-                shared.stats.borrow_mut().stalls += 1;
-                p.backlog.push_back((op, key, value, on_done));
-                let need_ack = !p.ack_req_outstanding;
-                drop(p);
-                if need_ack {
-                    Self::ship_ack_request(shared, sim);
-                }
-                return;
-            }
-        }
-        // GroupCommit completes at the covering cumulative ack, so its
-        // callback registers with the ack machinery; other modes hand it to
-        // `ship` (delivery semantics).
-        let (ship_cb, waiter) = if matches!(shared.cfg.mode, ReplMode::GroupCommit) {
-            (None, on_done)
-        } else {
-            (on_done, None)
-        };
-        let seq = {
-            let mut p = shared.p.borrow_mut();
-            p.next_seq += 1;
-            let seq = p.next_seq;
-            p.pending.push_back(PendingRec {
-                seq,
-                op,
-                key: key.clone(),
-                value: value.clone(),
-            });
-            p.since_ack_req += 1;
-            seq
-        };
-        if let Some(cb) = waiter {
-            Self::register_strict_waiter(shared, seq, cb);
-        }
-        shared.stats.borrow_mut().records += 1;
-        Self::ship(shared, sim, seq, op, &key, &value, ship_cb);
-        // Solicit acknowledgements per mode.
-        let want_ack = {
+        let fits = {
             let p = shared.p.borrow();
-            match shared.cfg.mode {
-                ReplMode::Strict => false, // secondary acks every record
-                ReplMode::GroupCommit => !p.ack_req_outstanding,
-                ReplMode::Logging { ack_every } => {
-                    p.since_ack_req >= ack_every && !p.ack_req_outstanding
-                }
-            }
+            p.backlog.is_empty() && p.has_room(key.len(), value.len())
         };
-        if want_ack {
+        if fits {
+            return Self::ship_record(shared, sim, op, key, value, on_done);
+        }
+        shared.stats.borrow_mut().stalls += 1;
+        let need_ack = {
+            let mut p = shared.p.borrow_mut();
+            p.backlog.push_back((op, key, value, on_done));
+            p.ack_req_seq.is_none()
+        };
+        if need_ack {
             Self::ship_ack_request(shared, sim);
         }
     }
 
-    /// Frames and writes one record into the ring; arranges the applier kick.
-    fn ship(
+    /// Assigns the record its sequence number, registers its completion per
+    /// the mode — a waiter released by the covering ack under strict
+    /// semantics, the delivery callback otherwise — ships it on a doorbell
+    /// of its own and solicits whatever ack the mode is due.
+    fn ship_record(
         shared: &Rc<Shared>,
         sim: &mut Sim,
-        seq: u64,
         op: LogOp,
-        key: &[u8],
-        value: &[u8],
+        key: Vec<u8>,
+        value: Vec<u8>,
         on_done: Option<DoneCb>,
     ) {
-        let rec = LogRecord {
-            seq,
-            op,
-            key,
-            value,
-        };
-        let words = frame::frame_to_words(&rec.encode());
-        let (qp, node, region, off) = {
+        let (seq, ship_cb) = {
             let mut p = shared.p.borrow_mut();
-            let need = words.len();
-            if p.write_off == p.ring_words {
-                // Previous frame ended exactly at the edge: the reader wraps
-                // implicitly, no marker word fits (or is needed).
-                p.write_off = 0;
-            } else if p.write_off + need > p.ring_words {
-                // Frame would straddle the edge: plant a marker, wrap.
-                let marker_off = p.write_off;
-                p.inflight_words += p.ring_words - marker_off;
-                p.write_off = 0;
-                let (qp, node, region) = (p.qp, p.node, p.ring_region);
-                drop(p);
-                shared
-                    .fab
-                    .post_write(sim, qp, node, vec![WRAP_MARKER], region, marker_off, None);
-                p = shared.p.borrow_mut();
+            let seq = p.assign_seq(op, key, value);
+            match on_done {
+                Some(cb) if shared.cfg.mode.strict_semantics() => {
+                    p.waiters.insert(seq, cb);
+                    (seq, None)
+                }
+                cb => (seq, cb),
             }
-            let off = p.write_off;
-            p.write_off += need;
-            p.inflight_words += need;
-            (p.qp, p.node, p.ring_region, off)
         };
+        shared.stats.borrow_mut().records += 1;
+        Self::ship(shared, sim, seq, ship_cb);
+        Self::solicit_ack_if_due(shared, sim);
+    }
+
+    /// Ships an `AckRequest` if the mode calls for one now: GroupCommit
+    /// whenever none is outstanding, Logging every `ack_every` records;
+    /// Strict never (the secondary acks every record unasked).
+    fn solicit_ack_if_due(shared: &Rc<Shared>, sim: &mut Sim) {
+        let due = {
+            let p = shared.p.borrow();
+            p.ack_req_seq.is_none()
+                && match shared.cfg.mode {
+                    ReplMode::Strict => false,
+                    ReplMode::GroupCommit => true,
+                    ReplMode::Logging { ack_every } => p.since_ack_req >= ack_every,
+                }
+        };
+        if due {
+            Self::ship_ack_request(shared, sim);
+        }
+    }
+
+    /// Frames pending record `seq` and writes it into the ring on a doorbell
+    /// of its own; arranges the applier kick. `on_delivered` is the relaxed
+    /// completion: the record is durable in the secondary's memory once the
+    /// write lands (strict-semantics waiters sit with the ack machinery
+    /// instead).
+    fn ship(shared: &Rc<Shared>, sim: &mut Sim, seq: u64, on_delivered: Option<DoneCb>) {
+        let (qp, node, region, marker, off, words) = {
+            let mut p = shared.p.borrow_mut();
+            // Pending holds every unacknowledged sequence, contiguously.
+            let first = p.pending.front().expect("shipped records are pending").seq;
+            let r = &p.pending[(seq - first) as usize];
+            debug_assert_eq!(r.seq, seq);
+            let words = frame::frame_to_words(&r.record().encode());
+            let (marker, off) = Self::ring_place(&mut p, words.len());
+            (p.qp, p.node, p.ring_region, marker, off, words)
+        };
+        if let Some(marker_off) = marker {
+            shared
+                .fab
+                .post_write(sim, qp, node, vec![WRAP_MARKER], region, marker_off, None);
+        }
         let kick = {
             let shared = shared.clone();
             Box::new(move |sim: &mut Sim| {
-                if let Some(cb) = on_done {
-                    // Relaxed completion: the record is durable in the
-                    // secondary's memory once the write lands. Strict mode
-                    // registers its callback with the ack machinery instead.
+                if let Some(cb) = on_delivered {
                     cb(sim);
                 }
                 Self::poll_secondary(&shared, sim);
@@ -843,31 +801,16 @@ impl ReplicationPair {
             .post_write(sim, qp, node, words, region, off, Some(kick));
     }
 
-    /// Registers a strict-mode waiter for `seq`.
-    fn register_strict_waiter(shared: &Rc<Shared>, seq: u64, cb: DoneCb) {
-        shared.p.borrow_mut().strict_waiters.insert(seq, cb);
-    }
-
     fn ship_ack_request(shared: &Rc<Shared>, sim: &mut Sim) {
         if shared.severed.get() {
             return;
         }
-        let seq = {
-            let mut p = shared.p.borrow_mut();
-            p.next_seq += 1;
-            let seq = p.next_seq;
-            p.pending.push_back(PendingRec {
-                seq,
-                op: LogOp::AckRequest,
-                key: Vec::new(),
-                value: Vec::new(),
-            });
-            p.since_ack_req = 0;
-            p.ack_req_outstanding = true;
-            seq
-        };
+        let seq = shared
+            .p
+            .borrow_mut()
+            .assign_seq(LogOp::AckRequest, Vec::new(), Vec::new());
         shared.stats.borrow_mut().ack_requests += 1;
-        Self::ship(shared, sim, seq, LogOp::AckRequest, &[], &[], None);
+        Self::ship(shared, sim, seq, None);
     }
 
     /// Handles an ack that landed in the primary's ack region.
@@ -893,7 +836,7 @@ impl ReplicationPair {
             None
         };
         let mut fire: Vec<DoneCb> = Vec::new();
-        let mut resend: Vec<(u64, LogOp, Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut resend: Vec<u64> = Vec::new();
         {
             let mut p = shared.p.borrow_mut();
             if acked < p.last_ack_processed && resend_from.is_none() {
@@ -904,29 +847,24 @@ impl ReplicationPair {
             let acked_now = p.acked;
             while p.pending.front().is_some_and(|r| r.seq <= acked_now) {
                 let r = p.pending.pop_front().expect("checked front");
-                if let Some(cb) = p.strict_waiters.remove(&r.seq) {
+                if let Some(cb) = p.waiters.remove(&r.seq) {
                     fire.push(cb);
                 }
             }
-            p.ack_req_outstanding = false;
+            // Only the ack that answers the outstanding request retires it:
+            // under Strict every record is acked, and an ack for an earlier
+            // record says nothing about a request still in the ring.
+            if p.ack_req_seq.is_some_and(|s| s <= acked_now) {
+                p.ack_req_seq = None;
+            }
             // Recompute in-flight budget: only unacked records occupy the ring.
             p.inflight_words = p
                 .pending
                 .iter()
-                .map(|r| {
-                    let rec = LogRecord {
-                        seq: r.seq,
-                        op: r.op,
-                        key: &r.key,
-                        value: &r.value,
-                    };
-                    frame::frame_words(rec.encoded_len())
-                })
+                .map(|r| frame::frame_words(r.record().encoded_len()))
                 .sum();
             if let Some(from) = resend_from {
-                for r in p.pending.iter().filter(|r| r.seq >= from) {
-                    resend.push((r.seq, r.op, r.key.clone(), r.value.clone()));
-                }
+                resend.extend(p.pending.iter().map(|r| r.seq).filter(|&s| s >= from));
             }
         }
         if !fire.is_empty() {
@@ -937,59 +875,61 @@ impl ReplicationPair {
         for cb in fire {
             cb(sim);
         }
-        if !resend.is_empty() {
+        if let Some(&last) = resend.last() {
             let mut st = shared.stats.borrow_mut();
             st.rollbacks += 1;
             st.resends += resend.len() as u64;
             drop(st);
-            let ends_with_ackreq = resend.last().is_some_and(|r| r.1 == LogOp::AckRequest);
-            for (seq, op, key, value) in resend {
-                Self::ship(shared, sim, seq, op, &key, &value, None);
+            for seq in resend {
+                Self::ship(shared, sim, seq, None);
             }
+            // The resent suffix must end in an ack solicitation.
+            let ends_with_ackreq = {
+                let mut p = shared.p.borrow_mut();
+                let ends = p.pending.back().is_some_and(|r| r.op == LogOp::AckRequest);
+                if ends {
+                    p.ack_req_seq = Some(last);
+                }
+                ends
+            };
             if !ends_with_ackreq {
                 Self::ship_ack_request(shared, sim);
-            } else {
-                shared.p.borrow_mut().ack_req_outstanding = true;
             }
         }
-        // Ring space may have opened up: drain the backlog.
-        let drained: Vec<_> = {
-            let mut p = shared.p.borrow_mut();
-            p.backlog.drain(..).collect()
-        };
-        if !drained.is_empty() {
-            let pair = ReplicationPair {
-                shared: shared.clone(),
+        // Ring space may have opened up: drain the backlog, in order, as far
+        // as it now fits; if records remain parked make sure an ack that
+        // will free their space is on its way.
+        loop {
+            let next = {
+                let mut p = shared.p.borrow_mut();
+                match p.backlog.front() {
+                    Some((_, key, value, _)) if p.has_room(key.len(), value.len()) => {
+                        p.backlog.pop_front()
+                    }
+                    _ => None,
+                }
             };
-            for (op, key, value, cb) in drained {
-                pair.enqueue_internal(sim, op, key, value, cb);
-            }
+            let Some((op, key, value, cb)) = next else {
+                break;
+            };
+            Self::ship_record(shared, sim, op, key, value, cb);
         }
         // Group commit runs a continuous ack train: if data records are
         // still unacknowledged (they shipped while the previous AckRequest
         // was in flight, so its watermark missed them) solicit again — one
         // cumulative ack per RTT covers however many records landed in
-        // between. Quiesces as soon as pending holds no data records.
-        if matches!(shared.cfg.mode, ReplMode::GroupCommit) {
-            let need = {
-                let p = shared.p.borrow();
-                !p.ack_req_outstanding && p.pending.iter().any(|r| r.op != LogOp::AckRequest)
-            };
-            if need {
-                Self::ship_ack_request(shared, sim);
-            }
+        // between. Quiesces as soon as pending holds no data records. Any
+        // mode solicits while records remain parked behind a full ring.
+        let need = {
+            let p = shared.p.borrow();
+            p.ack_req_seq.is_none()
+                && (!p.backlog.is_empty()
+                    || (matches!(shared.cfg.mode, ReplMode::GroupCommit)
+                        && p.pending.iter().any(|r| r.op != LogOp::AckRequest)))
+        };
+        if need {
+            Self::ship_ack_request(shared, sim);
         }
-    }
-
-    fn enqueue_internal(
-        &self,
-        sim: &mut Sim,
-        op: LogOp,
-        key: Vec<u8>,
-        value: Vec<u8>,
-        on_done: Option<DoneCb>,
-    ) {
-        self.enqueue(sim, op, key, value, on_done);
     }
 
     // ---- secondary side ----
@@ -1178,31 +1118,6 @@ impl ReplicationPair {
     }
 }
 
-/// Strict-mode replication helper: replicates and completes only when the
-/// record is acknowledged. (Relaxed callers use
-/// [`ReplicationPair::replicate`] directly.)
-pub fn replicate_strict(
-    pair: &ReplicationPair,
-    sim: &mut Sim,
-    op: LogOp,
-    key: &[u8],
-    value: &[u8],
-    on_done: DoneCb,
-) -> Result<(), ReplError> {
-    assert!(
-        matches!(pair.shared.cfg.mode, ReplMode::Strict),
-        "pair not configured for strict mode"
-    );
-    if pair.shared.severed.get() {
-        on_done(sim);
-        return Ok(());
-    }
-    pair.replicate(sim, op, key, value, None)?;
-    let seq = pair.shared.p.borrow().next_seq;
-    ReplicationPair::register_strict_waiter(&pair.shared, seq, on_done);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1271,13 +1186,12 @@ mod tests {
         let (mut sim, _fab, pair, _engine) = setup(cfg);
         let done_at = Rc::new(std::cell::Cell::new(0u64));
         let d = done_at.clone();
-        replicate_strict(
-            &pair,
+        pair.replicate(
             &mut sim,
             LogOp::Put,
             b"k",
             b"v",
-            Box::new(move |sim| d.set(sim.now())),
+            Some(Box::new(move |sim| d.set(sim.now()))),
         )
         .unwrap();
         sim.run();
@@ -1514,6 +1428,62 @@ mod tests {
         assert_eq!(engine.borrow().len(), 3);
     }
 
+    /// Regression: 200 strict puts posted at once against a ring that holds
+    /// a fraction of them. Parked records used to take another record's (or
+    /// an `AckRequest`'s) sequence for their waiter, and every per-record
+    /// ack cleared the outstanding-request flag, so each re-parked record
+    /// solicited again until `AckRequest` frames filled the ring: the sim
+    /// never quiesced and completions fired before their record applied.
+    #[test]
+    fn strict_under_ring_pressure_quiesces_and_completes_each_record_once() {
+        const RECORDS: u32 = 200;
+        let cfg = ReplConfig {
+            ring_words: 512,
+            mode: ReplMode::Strict,
+            ..ReplConfig::default()
+        };
+        let (mut sim, _fab, pair, engine) = setup(cfg);
+        let fired = Rc::new(RefCell::new(vec![0u32; RECORDS as usize]));
+        for i in 0..RECORDS {
+            let key = format!("key-{i:04}").into_bytes();
+            let (fired, engine, key2) = (fired.clone(), engine.clone(), key.clone());
+            pair.replicate(
+                &mut sim,
+                LogOp::Put,
+                &key,
+                &[7u8; 16],
+                Some(Box::new(move |_| {
+                    fired.borrow_mut()[i as usize] += 1;
+                    assert!(
+                        engine.borrow_mut().get(0, &key2).is_some(),
+                        "record {i} completed before the secondary applied it"
+                    );
+                })),
+            )
+            .unwrap();
+        }
+        let mut events = 0u64;
+        while sim.step() {
+            events += 1;
+            assert!(events < 100_000, "strict channel did not quiesce");
+        }
+        assert!(
+            fired.borrow().iter().all(|&n| n == 1),
+            "every completion fires exactly once: {:?}",
+            fired.borrow()
+        );
+        let st = pair.stats();
+        assert!(st.stalls > 0, "the burst must have hit ring pressure");
+        assert_eq!((st.records, st.applied), (200, 200));
+        assert!(
+            st.ack_requests <= st.records,
+            "{} ack requests for {} records",
+            st.ack_requests,
+            st.records
+        );
+        assert_eq!((pair.backlog_len(), pair.inflight_words()), (0, 0));
+    }
+
     #[test]
     fn deletes_replicate() {
         let (mut sim, _fab, pair, engine) = setup(ReplConfig::default());
@@ -1539,13 +1509,12 @@ mod tests {
         // Park a strict waiter in flight, then sever before the ack lands.
         let fired = Rc::new(std::cell::Cell::new(0u32));
         let f = fired.clone();
-        replicate_strict(
-            &pair,
+        pair.replicate(
             &mut sim,
             LogOp::Put,
             b"k",
             b"v",
-            Box::new(move |_| f.set(f.get() + 1)),
+            Some(Box::new(move |_| f.set(f.get() + 1))),
         )
         .unwrap();
         pair.sever(&mut sim);
@@ -1554,13 +1523,12 @@ mod tests {
         // Post-sever traffic completes immediately and applies nothing.
         let applied_before = pair.stats().applied;
         let f = fired.clone();
-        replicate_strict(
-            &pair,
+        pair.replicate(
             &mut sim,
             LogOp::Put,
             b"post",
             b"v",
-            Box::new(move |_| f.set(f.get() + 1)),
+            Some(Box::new(move |_| f.set(f.get() + 1))),
         )
         .unwrap();
         let f = fired.clone();
@@ -1601,14 +1569,8 @@ mod tests {
                 let done = Rc::new(std::cell::Cell::new(0u64));
                 let d = done.clone();
                 let cb: DoneCb = Box::new(move |sim: &mut Sim| d.set(sim.now()));
-                match mode {
-                    ReplMode::Strict => {
-                        replicate_strict(&pair, &mut sim, LogOp::Put, b"key", b"value", cb).unwrap()
-                    }
-                    _ => pair
-                        .replicate(&mut sim, LogOp::Put, b"key", b"value", Some(cb))
-                        .unwrap(),
-                }
+                pair.replicate(&mut sim, LogOp::Put, b"key", b"value", Some(cb))
+                    .unwrap();
                 sim.run();
                 total.set(total.get() + (done.get() - t0));
             }

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use hydra_fabric::{Fabric, FabricConfig};
-use hydra_replication::{replicate_strict, ReplConfig, ReplMode, ReplicationPair};
+use hydra_replication::{ReplConfig, ReplMode, ReplicationPair};
 use hydra_sim::Sim;
 use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};
 use hydra_wire::LogOp;
@@ -216,13 +216,8 @@ fn run_observed(
             Op::Put(k, v) => (LogOp::Put, key_of(*k), v.clone()),
             Op::Delete(k) => (LogOp::Delete, key_of(*k), Vec::new()),
         };
-        if matches!(mode, ReplMode::Strict) {
-            replicate_strict(&pair, &mut sim, log_op, &key, &value, covered)
-                .expect("record fits ring");
-        } else {
-            pair.replicate(&mut sim, log_op, &key, &value, Some(covered))
-                .expect("record fits ring");
-        }
+        pair.replicate(&mut sim, log_op, &key, &value, Some(covered))
+            .expect("record fits ring");
     }
     pair.request_ack(&mut sim);
     sim.run();

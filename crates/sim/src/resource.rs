@@ -91,24 +91,6 @@ impl FifoResource {
         (start, self.busy_until)
     }
 
-    /// Reserves a *batch* of work items handed to the server in one kick:
-    /// a one-time `fixed` cost (a NIC doorbell, a CQ polling sweep, a
-    /// syscall) followed by the per-item costs in `per_item`, all served
-    /// back-to-back with no gap. This is the batch cost model used by
-    /// doorbell-batched verbs and quantum request draining: the fixed cost
-    /// is paid once per batch instead of once per item. Returns the
-    /// completion time of the final item (equal to `now`-relative fixed
-    /// cost alone when `per_item` is empty).
-    pub fn acquire_batch(&mut self, now: SimTime, fixed: SimTime, per_item: &[SimTime]) -> SimTime {
-        assert!(self.frozen_at.is_none(), "acquire on frozen {}", self.name);
-        let start = self.busy_until.max(now);
-        let dur = fixed + per_item.iter().sum::<SimTime>();
-        self.busy_until = start + dur;
-        self.total_busy += dur;
-        self.jobs += per_item.len().max(1) as u64;
-        self.busy_until
-    }
-
     /// Cancels the *unstarted tail* of the most recent reservation: service
     /// that was reserved past `from` is handed back, so the resource frees at
     /// `from` instead of its previous `free_at()`. The caller guarantees
@@ -220,34 +202,6 @@ mod tests {
         assert_eq!(r.total_busy(), 0);
         r.acquire(1_000, 50);
         assert!((r.utilization(1_100) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn acquire_batch_pays_fixed_cost_once() {
-        let mut batched = FifoResource::new("nic-batched");
-        let done = batched.acquire_batch(0, 100, &[30, 30, 30, 30]);
-        assert_eq!(done, 220);
-        assert_eq!(batched.jobs(), 4);
-        assert_eq!(batched.total_busy(), 220);
-
-        // The same four items kicked individually each pay the fixed cost.
-        let mut single = FifoResource::new("nic-single");
-        let mut t = 0;
-        for _ in 0..4 {
-            t = single.acquire_batch(0, 100, &[30]);
-        }
-        assert_eq!(t, 520);
-        assert!(done < t);
-    }
-
-    #[test]
-    fn acquire_batch_queues_behind_prior_work() {
-        let mut r = FifoResource::new("cpu");
-        r.acquire(0, 100);
-        assert_eq!(r.acquire_batch(10, 5, &[10, 10]), 125);
-        // An empty batch still costs the fixed kick and counts one job.
-        assert_eq!(r.acquire_batch(0, 5, &[]), 130);
-        assert_eq!(r.jobs(), 4);
     }
 
     #[test]

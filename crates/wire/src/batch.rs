@@ -121,6 +121,20 @@ impl<'a> Iterator for BatchIter<'a> {
 
 impl ExactSizeIterator for BatchIter<'_> {}
 
+/// The encoded messages a payload carries, in order: the entries of a batch
+/// frame, or the payload itself when it is one bare message. Lets both ends
+/// of a connection treat "one request" and "a frame of requests" as the
+/// same thing.
+///
+/// # Panics
+/// If the payload claims to be a batch frame but does not validate.
+pub fn messages(payload: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let frame = BatchFrame::is_batch(payload)
+        .then(|| BatchFrame::parse(payload).expect("well-formed batch frame"));
+    let bare = frame.is_none().then_some(payload);
+    frame.into_iter().flat_map(|f| f.iter()).chain(bare)
+}
+
 /// Applies `f` to each packed message of a batch frame, in place — the
 /// mutable counterpart of [`BatchFrame::iter`], used by the server to stamp
 /// per-response metadata (the backlog hint) into an already-built response
@@ -227,6 +241,19 @@ impl BatchBuilder {
 mod tests {
     use super::*;
     use crate::codec::{OpCode, Request};
+
+    #[test]
+    fn messages_yields_frame_entries_or_the_bare_payload() {
+        let mut b = BatchBuilder::new();
+        b.push(b"one");
+        b.push(b"two");
+        let framed: Vec<&[u8]> = messages(b.bytes()).collect();
+        assert_eq!(framed, vec![b"one".as_slice(), b"two".as_slice()]);
+        b.clear();
+        assert_eq!(messages(b.bytes()).count(), 0);
+        let bare = [0x01u8, 2, 3];
+        assert_eq!(messages(&bare).collect::<Vec<_>>(), vec![&bare[..]]);
+    }
 
     #[test]
     fn round_trips_messages_in_order() {

@@ -27,8 +27,8 @@ pub mod log;
 pub mod rptr;
 
 pub use batch::{
-    for_each_message_mut, BatchBuilder, BatchFrame, BatchIter, BATCH_ENTRY_HDR, BATCH_HDR,
-    BATCH_MAGIC,
+    for_each_message_mut, messages, BatchBuilder, BatchFrame, BatchIter, BATCH_ENTRY_HDR,
+    BATCH_HDR, BATCH_MAGIC,
 };
 pub use codec::{
     backlog_hint, channel_tag, scan_items_begin, scan_items_finish, scan_items_push,

@@ -576,7 +576,7 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_window_beats_closed_loop_throughput() {
+    fn deeper_window_beats_closed_loop_throughput() {
         let run = |depth: usize, window: usize| {
             let cfg = ClusterConfig {
                 client_nodes: 2,

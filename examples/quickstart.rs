@@ -14,7 +14,7 @@ fn main() {
     let mut cluster = ClusterBuilder::new(ClusterConfig::default()).build();
     let client = cluster.add_client(0);
 
-    // Clients are closed-loop (one op in flight), so chain ops in callbacks.
+    // Closed loop, as the paper's YCSB drivers: chain ops in callbacks.
     let done = Rc::new(Cell::new(false));
     {
         let done = done.clone();

@@ -54,6 +54,17 @@ HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
 HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
     cargo run -q --release -p hydra-bench --bin perf_conn
 
+echo "==> benchmark crate (builds against the workspace; one smoke pass per workload)"
+# benchmark/ is a package of its own, outside the workspace: API drift
+# against it is caught here rather than by the pipeline running BENCHMARK.json.
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+for w in read_fastpath write_repl scan_mix prod_profile failover; do
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --scale smoke --trace 0 2>/dev/null | tail -n 1 |
+        python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(not r["correct"] or r["failed"] != 0)' ||
+        { echo "benchmark workload $w: failed ops or bad output" >&2; exit 1; }
+done
+
 echo "==> chaos soak (100 fixed-seed fault plans, full consistency checks)"
 cargo test -q --release -p hydra-integration --test chaos -- --ignored
 

@@ -108,9 +108,9 @@ fn chaos_lane_round(seed: u64) {
     });
 }
 
-/// The legacy FIFO run queue under the same adversary: now that DualLane is
-/// the default, this keeps the non-default scheduler exercised against
-/// faults.
+/// FIFO service — the lane scheduler with every task classified into one
+/// lane — under the same adversary: keeps the non-default classification
+/// exercised against faults.
 fn chaos_fifo_round(seed: u64) {
     chaos_round_cfg(seed, false, true, |cfg| {
         cfg.scheduler = SchedulerKind::Fifo;

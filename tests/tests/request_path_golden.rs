@@ -1,0 +1,236 @@
+//! Golden oracle for the request path.
+//!
+//! Ten fixed-seed arms drive the whole client → fabric → shard → replication
+//! → response route and fold every completion — `(op index, completion tick,
+//! result bytes)` in completion order — into one 64-bit hash per arm. The
+//! constants below were generated at the commit *before* the closed-loop
+//! client, the FIFO dispatch and the singleton executor were folded into the
+//! windowed client, the lane scheduler and the quantum kernel; the refactor
+//! had to (and any later change to the path has to) leave every one of them
+//! untouched. A mismatch means some op completed at a different virtual tick
+//! or with different bytes.
+//!
+//! Arms: `{RdmaWriteRead, RdmaWrite, SendRecv}` × `{no replica, one replica
+//! under GroupCommit, one replica under Strict}` at depth 1, plus `RdmaWrite`
+//! × GroupCommit at depth 8 with QP multiplexing and the SRQ on. Each arm
+//! runs 8 clients over 2 000 ops: 10 % scans, the rest 50/50 GET/UPDATE.
+//!
+//! To regenerate after an *intended* timing change, run
+//! `GOLDEN_PRINT=1 cargo test -p hydra-integration --test request_path_golden -- --nocapture`
+//! and paste the printed table.
+
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
+use hydra_db::client::OpError;
+use hydra_db::{
+    ClientMode, Cluster, ClusterBuilder, ClusterConfig, HydraClient, IndexKind, ReplicationMode,
+};
+use hydra_sim::Sim;
+
+const CLIENTS: usize = 8;
+const OPS: usize = 2_000;
+const KEYS: u64 = 512;
+
+#[derive(Clone, Copy)]
+struct Arm {
+    name: &'static str,
+    mode: ClientMode,
+    replication: ReplicationMode,
+    depth: usize,
+    golden: u64,
+}
+
+const fn arm(
+    name: &'static str,
+    mode: ClientMode,
+    replication: ReplicationMode,
+    depth: usize,
+    golden: u64,
+) -> Arm {
+    Arm {
+        name,
+        mode,
+        replication,
+        depth,
+        golden,
+    }
+}
+
+use ClientMode::{RdmaWrite, RdmaWriteRead, SendRecv};
+use ReplicationMode::{GroupCommit, None as NoRepl, Strict};
+
+#[rustfmt::skip]
+const ARMS: [Arm; 10] = [
+    arm("write_read/none",   RdmaWriteRead, NoRepl,      1, 0xDF4A_CE96_36CD_3436),
+    arm("write_read/gc",     RdmaWriteRead, GroupCommit, 1, 0xC392_C3DF_814D_5438),
+    arm("write_read/strict", RdmaWriteRead, Strict,      1, 0x9648_088B_624E_88B3),
+    arm("write/none",        RdmaWrite,     NoRepl,      1, 0x01BF_7307_CD4E_C792),
+    arm("write/gc",          RdmaWrite,     GroupCommit, 1, 0x1DDD_4594_D5FA_98D7),
+    arm("write/strict",      RdmaWrite,     Strict,      1, 0x25A5_4E91_C978_FB98),
+    arm("send_recv/none",    SendRecv,      NoRepl,      1, 0x3496_20A0_9BE8_F250),
+    arm("send_recv/gc",      SendRecv,      GroupCommit, 1, 0xE351_CC4D_4831_36E5),
+    arm("send_recv/strict",  SendRecv,      Strict,      1, 0xFC03_76B8_0D67_703E),
+    arm("write/gc/depth8",   RdmaWrite,     GroupCommit, 8, 0x5E20_610C_2D98_1282),
+];
+
+fn key_of(id: u64) -> Vec<u8> {
+    format!("golden-key-{id:05}").into_bytes()
+}
+
+fn value_of(id: u64, version: u64) -> Vec<u8> {
+    format!("golden-value-{id:05}-{version:08}-padpadpadpadpadpad").into_bytes()
+}
+
+/// splitmix64: the op streams must not depend on any crate under test.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn fold(hash: &mut u64, bytes: &[u8]) {
+    for b in bytes {
+        *hash = (*hash ^ *b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+struct Run {
+    hash: Cell<u64>,
+    completed: Cell<usize>,
+    /// Per-client (rng state, ops issued).
+    streams: RefCell<Vec<(u64, usize)>>,
+}
+
+/// Issues client `c`'s next op (if its stream has any left); the completion
+/// folds into the hash and issues the one after.
+fn issue(run: &Rc<Run>, clients: &Rc<Vec<HydraClient>>, sim: &mut Sim, c: usize) {
+    let per_client = OPS / CLIENTS;
+    let (draw, local) = {
+        let mut streams = run.streams.borrow_mut();
+        let (state, issued) = &mut streams[c];
+        if *issued == per_client {
+            return;
+        }
+        *issued += 1;
+        (next(state), *issued - 1)
+    };
+    let index = (c * per_client + local) as u64;
+    let id = (draw >> 16) % KEYS;
+    let (run2, clients2) = (run.clone(), clients.clone());
+    let cb = Box::new(
+        move |sim: &mut Sim, res: Result<Option<Vec<u8>>, OpError>| {
+            let mut h = run2.hash.get();
+            fold(&mut h, &index.to_le_bytes());
+            fold(&mut h, &sim.now().to_le_bytes());
+            match &res {
+                Ok(Some(v)) => {
+                    fold(&mut h, b"v");
+                    fold(&mut h, v);
+                }
+                Ok(None) => fold(&mut h, b"n"),
+                Err(e) => fold(&mut h, format!("e{e:?}").as_bytes()),
+            }
+            run2.hash.set(h);
+            run2.completed.set(run2.completed.get() + 1);
+            issue(&run2, &clients2, sim, c);
+        },
+    );
+    let client = &clients[c];
+    match draw % 20 {
+        0 | 1 => client.scan(sim, &key_of(id), 1 + ((draw >> 40) % 48) as u32, cb),
+        d if d % 2 == 0 => client.get(sim, &key_of(id), cb),
+        _ => client.update(sim, &key_of(id), &value_of(id, index + 1), cb),
+    }
+}
+
+fn build(arm: &Arm) -> Cluster {
+    let replicated = arm.replication != NoRepl;
+    let pipelined = arm.depth > 1;
+    ClusterBuilder::new(ClusterConfig {
+        seed: 20_150_915,
+        server_nodes: 2,
+        shards_per_node: 2,
+        client_nodes: 2,
+        index: IndexKind::Hybrid,
+        client_mode: arm.mode,
+        replicas: u32::from(replicated),
+        replication: arm.replication,
+        pipeline_depth: arm.depth,
+        max_batch: 8,
+        mux_connections: pipelined,
+        srq: pipelined,
+        ..ClusterConfig::default()
+    })
+    .build()
+}
+
+fn run_arm(arm: &Arm) -> u64 {
+    let mut cluster = build(arm);
+    let clients: Rc<Vec<HydraClient>> =
+        Rc::new((0..CLIENTS).map(|c| cluster.add_client(c % 2)).collect());
+    for id in 0..KEYS {
+        hydra_integration::put_ok(&mut cluster, &clients[0], &key_of(id), &value_of(id, 0));
+    }
+    let run = Rc::new(Run {
+        hash: Cell::new(0xCBF2_9CE4_8422_2325),
+        completed: Cell::new(0),
+        streams: RefCell::new(
+            (0..CLIENTS)
+                .map(|c| (0xD1B5_4A32_D192_ED03 ^ (c as u64) << 32, 0))
+                .collect(),
+        ),
+    });
+    for c in 0..CLIENTS {
+        for _ in 0..arm.depth {
+            issue(&run, &clients, &mut cluster.sim, c);
+        }
+    }
+    while run.completed.get() < OPS {
+        assert!(
+            cluster.sim.step(),
+            "{}: queue drained at {}/{OPS} completions",
+            arm.name,
+            run.completed.get()
+        );
+    }
+    for client in clients.iter() {
+        assert_eq!(client.in_flight(), 0, "{}: ops left in flight", arm.name);
+        assert_eq!(client.stats().timeouts, 0, "{}: an op timed out", arm.name);
+    }
+    run.hash.get()
+}
+
+#[test]
+fn every_arm_matches_its_parent_commit_hash() {
+    let print = std::env::var_os("GOLDEN_PRINT").is_some();
+    let mut mismatches = Vec::new();
+    for arm in &ARMS {
+        let got = run_arm(arm);
+        if print {
+            println!("{:<20} 0x{got:016X}", arm.name);
+        }
+        if got != arm.golden {
+            mismatches.push(format!(
+                "{}: got 0x{got:016X}, golden 0x{:016X}",
+                arm.name, arm.golden
+            ));
+        }
+    }
+    assert!(
+        print || mismatches.is_empty(),
+        "request path diverged from the parent commit:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// The hash must be a function of the path, not of the run: two builds of
+/// the same arm agree (guards the oracle itself against hidden nondeterminism
+/// such as hash-map iteration order leaking into timing).
+#[test]
+fn an_arm_hashes_the_same_twice() {
+    let arm = &ARMS[9];
+    assert_eq!(run_arm(arm), run_arm(arm));
+}

@@ -1,63 +1,23 @@
-//! Scheduler observational equivalence: Fifo vs DualLane.
+//! Scheduler observational equivalence: preemption transparency.
 //!
 //! The dual-lane deficit-round-robin scheduler changes *when* work runs on a
-//! contended shard core, never *what* it computes. Two properties pin that
-//! down:
+//! contended shard core, never *what* it computes. When a point client races
+//! a scan client over a read-only keyspace, running scans are preempted at
+//! chunk boundaries, yet every scan payload and every GET value must be
+//! byte-equal to a run in which no scan is ever preempted (chunks too large
+//! to have a boundary inside a dispatch) — and the preemption must visibly
+//! shorten the worst point latency.
 //!
-//! 1. **Sequential parity** — for a single closed-loop client (the shard is
-//!    idle at every arrival), DualLane must be indistinguishable from Fifo:
-//!    identical per-op results *and* identical virtual completion times, for
-//!    arbitrary op mixes including scans long enough to truncate at the scan
-//!    quantum and continue via the `more` cursor.
-//! 2. **Preemption transparency** — when a point client races a scan client
-//!    over a read-only keyspace, DualLane preempts running scans at chunk
-//!    boundaries, yet every scan payload and every GET value is byte-equal
-//!    to the Fifo run, and the preemption visibly shortens the worst point
-//!    latency.
+//! (FIFO service is the same scheduler with every task classified into one
+//! lane, so there is no second dispatch path left to compare against;
+//! `request_path_golden.rs` pins the path's timing.)
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use hydra_db::client::{OpCb, OpError};
-use hydra_db::{Cluster, ClusterBuilder, ClusterConfig, HydraClient, IndexKind, SchedulerKind};
+use hydra_db::client::OpError;
+use hydra_db::{ClusterBuilder, ClusterConfig, HydraClient, IndexKind};
 use hydra_sim::SimTime;
-use proptest::prelude::*;
-
-#[derive(Debug, Clone)]
-enum Op {
-    Get(u8),
-    Insert(u8, u8),
-    Update(u8, u8),
-    Delete(u8),
-    Scan(u8, u32),
-}
-
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        prop_oneof![
-            3 => any::<u8>().prop_map(|k| Op::Get(k % 24)),
-            1 => (any::<u8>(), any::<u8>()).prop_map(|(k, v)| Op::Insert(k % 24, v)),
-            1 => (any::<u8>(), any::<u8>()).prop_map(|(k, v)| Op::Update(k % 24, v)),
-            1 => any::<u8>().prop_map(|k| Op::Delete(k % 24)),
-            // Long enough to cross the scan quantum and the chunk size, so
-            // truncation + continuation is exercised on both paths.
-            1 => (any::<u8>(), 1..40u32).prop_map(|(k, l)| Op::Scan(k % 24, l)),
-        ],
-        1..32,
-    )
-}
-
-fn key_of(k: u8) -> Vec<u8> {
-    format!("seq-key-{k:03}").into_bytes()
-}
-
-fn value_of(k: u8, v: u8) -> Vec<u8> {
-    format!("val-{k}-{v}").into_bytes()
-}
-
-/// A comparable trace entry: virtual completion time plus a canonical
-/// rendering of the op result (value bytes or error discriminant).
-type Trace = Vec<(SimTime, String)>;
 
 fn render(res: &Result<Option<Vec<u8>>, OpError>) -> String {
     match res {
@@ -67,95 +27,10 @@ fn render(res: &Result<Option<Vec<u8>>, OpError>) -> String {
     }
 }
 
-fn cluster_with(scheduler: SchedulerKind, cfg_tweak: impl FnOnce(&mut ClusterConfig)) -> Cluster {
-    let mut cfg = ClusterConfig {
-        seed: 4242,
-        server_nodes: 1,
-        partitions: Some(2),
-        client_nodes: 1,
-        index: IndexKind::Hybrid,
-        // Small chunks so even modest scans span several chunk boundaries.
-        scan_chunk_items: 4,
-        scheduler,
-        ..ClusterConfig::default()
-    };
-    cfg_tweak(&mut cfg);
-    ClusterBuilder::new(cfg).build()
-}
-
-/// Replays `ops` closed-loop (op i+1 issued from op i's callback) and
-/// returns the completion-time/result trace.
-fn run_sequential(scheduler: SchedulerKind, ops: &[Op]) -> Trace {
-    let mut cluster = cluster_with(scheduler, |_| {});
-    let client = cluster.add_client(0);
-    // Seed half the key space so GETs hit, INSERTs collide, UPDATEs land.
-    for k in 0..12u8 {
-        hydra_integration::put_ok(&mut cluster, &client, &key_of(k), &value_of(k, 0));
-    }
-    let trace: Rc<RefCell<Trace>> = Rc::new(RefCell::new(Vec::new()));
-    let done = Rc::new(Cell::new(false));
-
-    fn step(
-        sim: &mut hydra_sim::Sim,
-        client: HydraClient,
-        ops: Rc<Vec<Op>>,
-        i: usize,
-        trace: Rc<RefCell<Trace>>,
-        done: Rc<Cell<bool>>,
-    ) {
-        if i >= ops.len() {
-            done.set(true);
-            return;
-        }
-        let op = ops[i].clone();
-        let c2 = client.clone();
-        let t2 = trace.clone();
-        let cont: OpCb = Box::new(move |sim, res| {
-            t2.borrow_mut().push((sim.now(), render(&res)));
-            step(sim, c2, ops, i + 1, trace, done);
-        });
-        match op {
-            Op::Get(k) => client.get(sim, &key_of(k), cont),
-            Op::Insert(k, v) => client.insert(sim, &key_of(k), &value_of(k, v), cont),
-            Op::Update(k, v) => client.update(sim, &key_of(k), &value_of(k, v), cont),
-            Op::Delete(k) => client.delete(sim, &key_of(k), cont),
-            Op::Scan(k, limit) => client.scan(sim, &key_of(k), limit, cont),
-        }
-    }
-
-    let ops_rc = Rc::new(ops.to_vec());
-    step(
-        &mut cluster.sim,
-        client,
-        ops_rc,
-        0,
-        trace.clone(),
-        done.clone(),
-    );
-    cluster.sim.run();
-    assert!(done.get(), "op chain did not complete");
-    Rc::try_unwrap(trace).unwrap().into_inner()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Sequential workloads observe *nothing* from the scheduler swap: the
-    /// dual-lane pump arms with the same detection latency as the FIFO
-    /// path, so every result and every virtual completion time is
-    /// identical.
-    #[test]
-    fn sequential_dual_lane_is_indistinguishable_from_fifo(ops in ops()) {
-        let fifo = run_sequential(SchedulerKind::Fifo, &ops);
-        let dual = run_sequential(SchedulerKind::DualLane, &ops);
-        prop_assert_eq!(fifo, dual);
-    }
-}
-
 /// Concurrent point + scan clients over a *read-only* keyspace: execution
-/// order differs between schedulers (that is the point), but with no
+/// order differs between the runs (that is the point), but with no
 /// mutations every response is a pure function of the pre-populated engine
-/// state, so all payloads must be byte-identical — even though the DualLane
+/// state, so all payloads must be byte-identical — even though the chunked
 /// run demonstrably preempted scans mid-flight.
 #[test]
 fn preempted_scans_return_byte_identical_results() {
@@ -163,14 +38,20 @@ fn preempted_scans_return_byte_identical_results() {
         format!("wide-key-{k:04}").into_bytes()
     }
 
-    fn run(scheduler: SchedulerKind) -> (Vec<String>, Vec<String>, SimTime, u64) {
-        let mut cluster = cluster_with(scheduler, |cfg| {
+    fn run(scan_chunk_items: u32) -> (Vec<String>, Vec<String>, SimTime, u64) {
+        let mut cluster = ClusterBuilder::new(ClusterConfig {
+            seed: 4242,
+            server_nodes: 1,
+            partitions: Some(2),
+            client_nodes: 1,
+            index: IndexKind::Hybrid,
             // Message-path GETs only, so every point op actually crosses the
             // shard core and contends with the scans.
-            cfg.client_mode = hydra_db::ClientMode::RdmaWrite;
-            // ~1.6 us chunks against ~20 us scan dispatches.
-            cfg.scan_chunk_items = 32;
-        });
+            client_mode: hydra_db::ClientMode::RdmaWrite,
+            scan_chunk_items,
+            ..ClusterConfig::default()
+        })
+        .build();
         let scanner = cluster.add_client(0);
         let pointer = cluster.add_client(0);
         for k in 0..400u16 {
@@ -252,19 +133,24 @@ fn preempted_scans_return_byte_identical_results() {
         )
     }
 
-    let (fifo_scans, fifo_gets, fifo_worst, fifo_preempt) = run(SchedulerKind::Fifo);
-    let (dual_scans, dual_gets, dual_worst, dual_preempt) = run(SchedulerKind::DualLane);
+    // Whole-dispatch chunks: no boundary ever falls inside a scan.
+    let (whole_scans, whole_gets, whole_worst, whole_preempt) = run(u32::MAX);
+    // 0.2 us chunks against ~20 us scan dispatches.
+    let (chunked_scans, chunked_gets, chunked_worst, chunked_preempt) = run(4);
 
-    assert_eq!(fifo_scans, dual_scans, "scan payloads must be byte-equal");
-    assert_eq!(fifo_gets, dual_gets, "GET values must be byte-equal");
-    assert_eq!(fifo_preempt, 0, "the FIFO path never preempts");
+    assert_eq!(
+        whole_scans, chunked_scans,
+        "scan payloads must be byte-equal"
+    );
+    assert_eq!(whole_gets, chunked_gets, "GET values must be byte-equal");
+    assert_eq!(whole_preempt, 0, "an unchunked scan cannot be preempted");
     assert!(
-        dual_preempt > 0,
-        "the DualLane run must actually have preempted scans"
+        chunked_preempt > 0,
+        "the chunked run must actually have preempted scans"
     );
     assert!(
-        dual_worst < fifo_worst,
+        chunked_worst < whole_worst,
         "preemption must shorten the worst point latency \
-         (dual {dual_worst} ns vs fifo {fifo_worst} ns)"
+         (chunked {chunked_worst} ns vs whole {whole_worst} ns)"
     );
 }
