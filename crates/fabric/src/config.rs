@@ -111,22 +111,24 @@ impl FabricConfig {
         1.0 + excess * self.qp_penalty_per_conn
     }
 
-    /// Per-op initiator cost including the QP penalty.
-    pub fn op_cost(&self, qps: u32) -> SimTime {
-        (self.rdma_op_ns as f64 * self.qp_penalty(qps)).round() as SimTime
-    }
-
-    /// Initiator cost of WQE `idx` within a doorbell batch: the first WQE
-    /// pays the full doorbell ([`op_cost`](Self::op_cost)), the rest only the
-    /// chained-WQE fetch.
-    pub fn wqe_cost(&self, qps: u32, idx: usize) -> SimTime {
-        let base = if idx == 0 {
+    /// Initiator NIC time of one WQE carrying `ser` ns of serialization
+    /// under the node's service-time multiplier `penalty`: the first WQE of
+    /// a doorbell pays the full per-op cost, each chained one only the
+    /// marginal WQE fetch. The posting kernel's formula, rounded once.
+    pub(crate) fn wqe_cost(&self, first: bool, ser: SimTime, penalty: f64) -> SimTime {
+        let base = if first {
             self.rdma_op_ns
         } else {
             self.rdma_wqe_ns
         };
-        (base as f64 * self.qp_penalty(qps)).round() as SimTime
+        scaled(base + ser, penalty)
     }
+}
+
+/// `ns` of NIC service time stretched by a node's multiplier (QP-count
+/// driver penalty × injected slowdown).
+pub(crate) fn scaled(ns: SimTime, penalty: f64) -> SimTime {
+    (ns as f64 * penalty).round() as SimTime
 }
 
 #[cfg(test)]
@@ -163,7 +165,7 @@ mod tests {
         assert_eq!(c.qp_penalty(1), 1.0);
         assert_eq!(c.qp_penalty(320), 1.0);
         assert!(c.qp_penalty(520) > 1.5);
-        assert!(c.op_cost(700) > c.op_cost(10));
+        assert!(c.wqe_cost(true, 0, c.qp_penalty(700)) > c.wqe_cost(true, 0, c.qp_penalty(10)));
     }
 
     #[test]
@@ -171,7 +173,7 @@ mod tests {
         // Sanity-anchor the default model against the paper's quoted range.
         let c = FabricConfig::default();
         let item = 64usize;
-        let rtt = c.op_cost(4) // initiator
+        let rtt = c.wqe_cost(true, 0, c.qp_penalty(4)) // initiator
             + c.rdma_prop_ns // request flight
             + c.rdma_dma_ns + c.nic_ser(item) // target DMA + response ser
             + c.rdma_prop_ns; // response flight
@@ -181,12 +183,19 @@ mod tests {
     #[test]
     fn doorbell_batch_amortizes_the_per_op_cost() {
         let c = FabricConfig::default();
-        assert_eq!(c.wqe_cost(1, 0), c.op_cost(1));
-        assert!(c.wqe_cost(1, 1) < c.wqe_cost(1, 0));
+        let ser = c.nic_ser(64);
+        assert_eq!(c.wqe_cost(true, ser, 1.0), c.rdma_op_ns + ser);
+        assert!(c.wqe_cost(false, ser, 1.0) < c.wqe_cost(true, ser, 1.0));
         // A 16-WQE doorbell batch costs well under half of 16 doorbells.
-        let batch: SimTime = (0..16).map(|i| c.wqe_cost(1, i)).sum();
-        assert!(batch * 2 < 16 * c.op_cost(1), "batch={batch}");
-        // The QP penalty still applies to chained WQEs.
-        assert!(c.wqe_cost(700, 1) > c.wqe_cost(10, 1));
+        let batch: SimTime = (0..16).map(|i| c.wqe_cost(i == 0, ser, 1.0)).sum();
+        assert!(batch * 2 < 16 * c.wqe_cost(true, ser, 1.0), "batch={batch}");
+        // The QP penalty still applies to chained WQEs, serialization
+        // included, and the product is rounded once.
+        let pen = c.qp_penalty(700);
+        assert!(c.wqe_cost(false, ser, pen) > c.wqe_cost(false, ser, 1.0));
+        assert_eq!(
+            c.wqe_cost(false, ser, pen),
+            ((c.rdma_wqe_ns + ser) as f64 * pen).round() as SimTime
+        );
     }
 }

@@ -27,11 +27,9 @@
 //!   baseline stores and HydraDB's TCP mode.
 
 mod config;
-pub mod cq;
 mod net;
 
 pub use config::{FabricConfig, Transport};
-pub use cq::{CompletionQueue, Cqe, CqeOp};
 pub use net::{
     BatchWrite, Fabric, FabricStats, FaultStats, LinkFault, NodeId, NodeStats, QpId, ReadComplete,
     RecvHandler, RegionId, WriteDelivered,

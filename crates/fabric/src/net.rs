@@ -10,7 +10,7 @@ use hydra_sim::time::SimTime;
 use hydra_sim::{FifoResource, Sim};
 use rand::Rng;
 
-use crate::config::{FabricConfig, Transport};
+use crate::config::{scaled, FabricConfig, Transport};
 
 /// A machine on the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,6 +102,20 @@ pub struct BatchWrite {
     pub on_delivered: Option<WriteDelivered>,
 }
 
+/// What one WQE handed to the posting kernel carries.
+enum Wqe {
+    Write(BatchWrite),
+    Send(Vec<u8>),
+}
+
+/// Which traffic counter an operation bumps.
+#[derive(Clone, Copy)]
+enum Verb {
+    Write,
+    Read,
+    Send,
+}
+
 /// A fault program installed on a link (one QP, or every QP between a node
 /// pair). Counts tick down as messages hit the link, so faults self-expire;
 /// `u32::MAX` means "until cleared".
@@ -153,10 +167,6 @@ impl LinkFault {
             dup_next: n,
             ..Default::default()
         }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.drop_next == 0 && self.drop_prob == 0.0 && self.delay_next == 0 && self.dup_next == 0
     }
 }
 
@@ -372,9 +382,36 @@ struct Inner {
 }
 
 impl Inner {
-    /// NIC slowdown multiplier for `n` (1.0 when healthy).
-    fn slow(&self, n: NodeId) -> f64 {
-        self.faults.slow.get(&n.0).copied().unwrap_or(1.0)
+    /// Multiplier on `n`'s RDMA NIC service times: the driver-scalability
+    /// slope past `qp_threshold` connections times any injected slowdown
+    /// (1.0 on a healthy, lightly connected machine).
+    fn penalty(&self, n: NodeId) -> f64 {
+        let slow = self.faults.slow.get(&n.0).copied().unwrap_or(1.0);
+        self.cfg.qp_penalty(self.nodes[n.0 as usize].qp_count) * slow
+    }
+
+    /// Books one delivered operation of `bytes` posted by `initiator`
+    /// towards `peer` (a Read's bytes flow back, everything else's out), and
+    /// the doorbell if this operation rang one.
+    fn count(&mut self, verb: Verb, initiator: NodeId, peer: NodeId, bytes: usize, doorbell: bool) {
+        let (bytes, doorbell) = (bytes as u64, doorbell as u64);
+        let src = &mut self.nodes[initiator.0 as usize].stats;
+        let (node_ops, fabric_ops) = match verb {
+            Verb::Write => (&mut src.writes, &mut self.stats.writes),
+            Verb::Read => (&mut src.reads, &mut self.stats.reads),
+            Verb::Send => (&mut src.sends, &mut self.stats.sends),
+        };
+        *node_ops += 1;
+        *fabric_ops += 1;
+        src.doorbells += doorbell;
+        self.stats.doorbells += doorbell;
+        self.stats.bytes += bytes;
+        let (tx, rx) = match verb {
+            Verb::Read => (peer, initiator),
+            Verb::Write | Verb::Send => (initiator, peer),
+        };
+        self.nodes[tx.0 as usize].stats.bytes_tx += bytes;
+        self.nodes[rx.0 as usize].stats.bytes_rx += bytes;
     }
 
     /// Resolves a QP handle, panicking on a stale or disconnected id.
@@ -542,11 +579,6 @@ impl Fabric {
         self.inner.borrow_mut().faults.qp.insert(qp.0, fault);
     }
 
-    /// Removes the fault program installed on `qp`, if any.
-    pub fn clear_qp_fault(&self, qp: QpId) {
-        self.inner.borrow_mut().faults.qp.remove(&qp.0);
-    }
-
     /// Installs a fault program on every message flowing `from -> to`,
     /// regardless of queue pair. Directional: the reverse path is
     /// unaffected.
@@ -556,11 +588,6 @@ impl Fabric {
             .faults
             .pair
             .insert((from.0, to.0), fault);
-    }
-
-    /// Removes the `from -> to` fault program, if any.
-    pub fn clear_pair_fault(&self, from: NodeId, to: NodeId) {
-        self.inner.borrow_mut().faults.pair.remove(&(from.0, to.0));
     }
 
     /// Severs all connectivity between `a` and `b` (network partition).
@@ -637,15 +664,6 @@ impl Fabric {
     /// Counters of injected fault effects since fabric creation.
     pub fn fault_stats(&self) -> FaultStats {
         self.inner.borrow().faults.stats
-    }
-
-    /// Drops link fault programs whose counts have all run out (installed
-    /// programs with probabilistic drops are kept). Called by long-running
-    /// chaos drivers to keep lookups cheap; purely an optimization.
-    pub fn sweep_exhausted_faults(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.faults.qp.retain(|_, f| !f.exhausted());
-        inner.faults.pair.retain(|_, f| !f.exhausted());
     }
 
     /// Adds a machine and returns its id.
@@ -771,19 +789,9 @@ impl Fabric {
         (inner.qps.len(), inner.free_qps.len())
     }
 
-    /// Number of machines on the fabric.
-    pub fn node_count(&self) -> usize {
-        self.inner.borrow().nodes.len()
-    }
-
     /// Shared handle to a region's memory.
     pub fn region_mem(&self, region: RegionId) -> Arc<[AtomicU64]> {
         self.inner.borrow().regions[region.0 as usize].mem.clone()
-    }
-
-    /// The node a region lives on.
-    pub fn region_node(&self, region: RegionId) -> NodeId {
-        self.inner.borrow().regions[region.0 as usize].node
     }
 
     /// Establishes a queue pair between `a` and `b`. Slots freed by
@@ -882,7 +890,8 @@ impl Fabric {
     /// `dst_word_off`, in increasing address order, with zero target-CPU
     /// involvement. `on_delivered` (if any) fires at delivery time — callers
     /// use it to model "data is now visible" hooks; real initiators learn of
-    /// completion only through higher-level protocol responses.
+    /// completion only through higher-level protocol responses. A chain of
+    /// one through [`post_write_batch`](Self::post_write_batch).
     #[allow(clippy::too_many_arguments)] // verbs post calls are wide by nature
     pub fn post_write(
         &self,
@@ -894,96 +903,13 @@ impl Fabric {
         dst_word_off: usize,
         on_delivered: Option<WriteDelivered>,
     ) {
-        let bytes = words.len() * 8;
-        let fated = {
-            let mut inner = self.inner.borrow_mut();
-            let q = inner.qp(qp);
-            assert_eq!(
-                q.transport,
-                Transport::Rdma,
-                "RDMA Write requires an RDMA QP"
-            );
-            let to = q.peer_of(from);
-            match inner.fault_verdict(sim, qp, from, to) {
-                FaultVerdict::Drop => None,
-                FaultVerdict::Deliver {
-                    extra_delay,
-                    duplicate,
-                } => {
-                    let region = &inner.regions[dst_region.0 as usize];
-                    assert_eq!(region.node, to, "write target region not on peer node");
-                    assert!(
-                        dst_word_off + words.len() <= region.mem.len(),
-                        "write beyond region bounds"
-                    );
-                    let mem = region.mem.clone();
-                    let pen_src = inner.cfg.qp_penalty(inner.nodes[from.0 as usize].qp_count)
-                        * inner.slow(from);
-                    let pen_dst =
-                        inner.cfg.qp_penalty(inner.nodes[to.0 as usize].qp_count) * inner.slow(to);
-                    let ser = inner.cfg.nic_ser(bytes);
-                    let prop = inner.cfg.rdma_prop_ns;
-                    let dma = inner.cfg.rdma_dma_ns;
-                    let tx_cost = (((inner.cfg.rdma_op_ns + ser) as f64) * pen_src).round()
-                        as SimTime
-                        + inner.qp_state_touch(from, qp);
-                    let rx_cost = (((dma + ser) as f64) * pen_dst).round() as SimTime
-                        + inner.qp_state_touch(to, qp)
-                        + inner.mtt_touch(to, dst_region, dst_word_off * 8, bytes);
-                    let tx_done = inner.nodes[from.0 as usize]
-                        .nic_tx
-                        .acquire(sim.now(), tx_cost);
-                    let rx_done = inner.nodes[to.0 as usize]
-                        .nic_rx
-                        .acquire(tx_done + prop, rx_cost);
-                    let src = &mut inner.nodes[from.0 as usize];
-                    src.stats.writes += 1;
-                    src.stats.doorbells += 1;
-                    src.stats.bytes_tx += bytes as u64;
-                    inner.nodes[to.0 as usize].stats.bytes_rx += bytes as u64;
-                    inner.stats.writes += 1;
-                    inner.stats.doorbells += 1;
-                    inner.stats.bytes += bytes as u64;
-                    (mem, rx_done + extra_delay, duplicate).into()
-                }
-            }
+        let write = BatchWrite {
+            words,
+            dst_region,
+            dst_word_off,
+            on_delivered,
         };
-        let Some((mem, deliver_at, duplicate)) = fated else {
-            return;
-        };
-        if duplicate {
-            // Redelivery: the payload lands a second time just after the
-            // first copy, with no extra completion callback (the HCA acks a
-            // retransmit once).
-            let mem = mem.clone();
-            let words = words.clone();
-            sim.schedule_at(deliver_at + 1, move |_| {
-                let n = words.len();
-                for (i, w) in words.into_iter().enumerate() {
-                    let ord = if i + 1 == n {
-                        Ordering::Release
-                    } else {
-                        Ordering::Relaxed
-                    };
-                    mem[dst_word_off + i].store(w, ord);
-                }
-            });
-        }
-        sim.schedule_at(deliver_at, move |sim| {
-            // Increasing address order; the final store releases the payload.
-            let n = words.len();
-            for (i, w) in words.into_iter().enumerate() {
-                let ord = if i + 1 == n {
-                    Ordering::Release
-                } else {
-                    Ordering::Relaxed
-                };
-                mem[dst_word_off + i].store(w, ord);
-            }
-            if let Some(cb) = on_delivered {
-                cb(sim);
-            }
-        });
+        self.post_write_batch(sim, qp, from, [write]);
     }
 
     /// Doorbell-batched one-sided Writes: the whole chain of WQEs is handed
@@ -995,126 +921,159 @@ impl Fabric {
     /// semantics are identical to the same sequence of
     /// [`post_write`](Self::post_write) calls — only the initiator-side
     /// fixed cost is amortized.
-    pub fn post_write_batch(&self, sim: &mut Sim, qp: QpId, from: NodeId, writes: Vec<BatchWrite>) {
-        if writes.is_empty() {
-            return;
-        }
-        let mut deliveries = Vec::with_capacity(writes.len());
-        {
-            let mut inner = self.inner.borrow_mut();
-            let q = inner.qp(qp);
-            assert_eq!(
-                q.transport,
-                Transport::Rdma,
+    pub fn post_write_batch(
+        &self,
+        sim: &mut Sim,
+        qp: QpId,
+        from: NodeId,
+        writes: impl IntoIterator<Item = BatchWrite>,
+    ) {
+        self.post_chain(sim, qp, from, writes.into_iter().map(Wqe::Write));
+    }
+
+    /// Two-sided Send: `payload` is delivered to the peer's registered recv
+    /// handler. Works on both transports with their respective cost models.
+    /// A chain of one through [`post_send_batch`](Self::post_send_batch).
+    pub fn post_send(&self, sim: &mut Sim, qp: QpId, from: NodeId, payload: Vec<u8>) {
+        self.post_send_batch(sim, qp, from, [payload]);
+    }
+
+    /// Doorbell-batched two-sided Sends: the payloads are posted as one WQE
+    /// chain with a single doorbell and delivered to the peer's recv handler
+    /// one by one, in posting order. Only the initiator-side fixed cost is
+    /// amortized; each message still pays its own serialization, flight and
+    /// receive processing. On the socket transport there is no doorbell to
+    /// amortize: every message pays the full per-message stack cost.
+    pub fn post_send_batch(
+        &self,
+        sim: &mut Sim,
+        qp: QpId,
+        from: NodeId,
+        payloads: impl IntoIterator<Item = Vec<u8>>,
+    ) {
+        self.post_chain(sim, qp, from, payloads.into_iter().map(Wqe::Send));
+    }
+
+    /// The posting kernel under the Write and Send verbs: one doorbell's
+    /// worth of WQEs from `from` over `qp`. Everything the NIC model charges
+    /// for a posted WQE is decided here, once — so a per-QP permission check
+    /// or a doorbell/arrival stamp is one edit, not one per verb.
+    ///
+    /// Each WQE runs the fault gauntlet on its own: a drop program can
+    /// swallow one record out of the middle of a chain, which is exactly the
+    /// crash-mid-batch scenario replication's gap detection exists for. A
+    /// dropped WQE vanishes whole (no NIC time, no counters); the chain's
+    /// doorbell belongs to the first WQE that survives. That WQE pays
+    /// [`FabricConfig::rdma_op_ns`] and references the QP context on both
+    /// NICs — which keep it resident while they walk the chain — and every
+    /// later one pays only [`FabricConfig::rdma_wqe_ns`]. Writes also
+    /// reference the target's translation cache, per WQE. Socket messages
+    /// share nothing: each is a doorbell of its own, at the flat socket
+    /// costs, with no NIC-resident state.
+    fn post_chain(&self, sim: &mut Sim, qp: QpId, from: NodeId, chain: impl Iterator<Item = Wqe>) {
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let q = inner.qp(qp);
+        let to = q.peer_of(from);
+        let rdma = q.transport == Transport::Rdma;
+        let handler = if to == q.a {
+            q.handler_a.clone()
+        } else {
+            q.handler_b.clone()
+        };
+        let (pen_src, pen_dst) = (inner.penalty(from), inner.penalty(to));
+        let mut rung = false;
+        for wqe in chain {
+            assert!(
+                rdma || matches!(wqe, Wqe::Send(_)),
                 "RDMA Write requires an RDMA QP"
             );
-            let to = q.peer_of(from);
-            let pen_src =
-                inner.cfg.qp_penalty(inner.nodes[from.0 as usize].qp_count) * inner.slow(from);
-            let pen_dst =
-                inner.cfg.qp_penalty(inner.nodes[to.0 as usize].qp_count) * inner.slow(to);
-            let prop = inner.cfg.rdma_prop_ns;
-            let dma = inner.cfg.rdma_dma_ns;
-            // The QP context is touched once per doorbell on each side: the
-            // NIC keeps it resident while it walks the WQE chain.
-            let qp_tx_surcharge = inner.qp_state_touch(from, qp);
-            let qp_rx_surcharge = inner.qp_state_touch(to, qp);
-            let mut delivered = 0u64;
-            let mut total_bytes = 0u64;
-            for (i, w) in writes.into_iter().enumerate() {
-                // Each WQE of the chain runs the fault gauntlet on its own:
-                // a drop program can swallow one record out of the middle of
-                // a doorbell batch, which is exactly the crash-mid-batch
-                // scenario replication's gap detection exists for.
-                let (extra_delay, duplicate) = match inner.fault_verdict(sim, qp, from, to) {
-                    FaultVerdict::Drop => continue,
-                    FaultVerdict::Deliver {
-                        extra_delay,
-                        duplicate,
-                    } => (extra_delay, duplicate),
-                };
-                let bytes = w.words.len() * 8;
-                let region = &inner.regions[w.dst_region.0 as usize];
-                assert_eq!(region.node, to, "write target region not on peer node");
-                assert!(
-                    w.dst_word_off + w.words.len() <= region.mem.len(),
-                    "write beyond region bounds"
-                );
-                let mem = region.mem.clone();
-                let ser = inner.cfg.nic_ser(bytes);
-                let base = if i == 0 {
-                    inner.cfg.rdma_op_ns
-                } else {
-                    inner.cfg.rdma_wqe_ns
-                };
-                let tx_cost = (((base + ser) as f64) * pen_src).round() as SimTime
-                    + if i == 0 { qp_tx_surcharge } else { 0 };
-                let rx_cost = (((dma + ser) as f64) * pen_dst).round() as SimTime
-                    + if i == 0 { qp_rx_surcharge } else { 0 }
-                    + inner.mtt_touch(to, w.dst_region, w.dst_word_off * 8, bytes);
-                let tx_done = inner.nodes[from.0 as usize]
-                    .nic_tx
-                    .acquire(sim.now(), tx_cost);
-                let rx_done = inner.nodes[to.0 as usize]
-                    .nic_rx
-                    .acquire(tx_done + prop, rx_cost);
-                total_bytes += bytes as u64;
-                delivered += 1;
-                deliveries.push((
-                    rx_done + extra_delay,
-                    w.words,
-                    mem,
-                    w.dst_word_off,
-                    w.on_delivered,
-                    duplicate,
-                ));
-            }
-            let src = &mut inner.nodes[from.0 as usize];
-            src.stats.writes += delivered;
-            src.stats.doorbells += 1;
-            src.stats.bytes_tx += total_bytes;
-            inner.nodes[to.0 as usize].stats.bytes_rx += total_bytes;
-            inner.stats.writes += delivered;
-            inner.stats.doorbells += 1;
-            inner.stats.bytes += total_bytes;
-        }
-        for (deliver_at, words, mem, dst_word_off, on_delivered, duplicate) in deliveries {
-            if duplicate {
-                let mem = mem.clone();
-                let words = words.clone();
-                sim.schedule_at(deliver_at + 1, move |_| {
-                    let n = words.len();
-                    for (i, w) in words.into_iter().enumerate() {
-                        let ord = if i + 1 == n {
-                            Ordering::Release
-                        } else {
-                            Ordering::Relaxed
-                        };
-                        mem[dst_word_off + i].store(w, ord);
+            let FaultVerdict::Deliver {
+                extra_delay,
+                duplicate,
+            } = inner.fault_verdict(sim, qp, from, to)
+            else {
+                continue;
+            };
+            let first = !(rdma && rung);
+            rung = true;
+            let (bytes, verb) = match &wqe {
+                Wqe::Write(w) => (w.words.len() * 8, Verb::Write),
+                Wqe::Send(p) => (p.len(), Verb::Send),
+            };
+            let (tx_cost, rx_cost, prop) = if rdma {
+                let (mut tx_miss, mut rx_miss) = (0, 0);
+                if first {
+                    tx_miss = inner.qp_state_touch(from, qp);
+                    rx_miss = inner.qp_state_touch(to, qp);
+                }
+                let rx_fixed = match &wqe {
+                    Wqe::Write(w) => {
+                        let region = &inner.regions[w.dst_region.0 as usize];
+                        assert_eq!(region.node, to, "write target region not on peer node");
+                        assert!(
+                            w.dst_word_off + w.words.len() <= region.mem.len(),
+                            "write beyond region bounds"
+                        );
+                        rx_miss += inner.mtt_touch(to, w.dst_region, w.dst_word_off * 8, bytes);
+                        inner.cfg.rdma_dma_ns
                     }
-                });
+                    Wqe::Send(_) => inner.cfg.rdma_dma_ns + inner.cfg.send_recv_extra_ns,
+                };
+                let ser = inner.cfg.nic_ser(bytes);
+                (
+                    inner.cfg.wqe_cost(first, ser, pen_src) + tx_miss,
+                    scaled(rx_fixed + ser, pen_dst) + rx_miss,
+                    inner.cfg.rdma_prop_ns,
+                )
+            } else {
+                let cost = inner.cfg.socket_op_ns + inner.cfg.socket_ser(bytes);
+                (cost, cost, inner.cfg.socket_prop_ns)
+            };
+            let tx_done = inner.nodes[from.0 as usize]
+                .nic_tx
+                .acquire(sim.now(), tx_cost);
+            let deliver_at = inner.nodes[to.0 as usize]
+                .nic_rx
+                .acquire(tx_done + prop, rx_cost)
+                + extra_delay;
+            inner.count(verb, from, to, bytes, first);
+            // A redelivered copy (as after an RC retransmit) arrives just
+            // behind the original, with no completion callback of its own.
+            match wqe {
+                Wqe::Write(w) => {
+                    let mem = inner.regions[w.dst_region.0 as usize].mem.clone();
+                    let (off, on_delivered) = (w.dst_word_off, w.on_delivered);
+                    if duplicate {
+                        let (mem, words) = (mem.clone(), w.words.clone());
+                        sim.schedule_at(deliver_at + 1, move |_| land(&mem, off, words));
+                    }
+                    sim.schedule_at(deliver_at, move |sim| {
+                        land(&mem, off, w.words);
+                        if let Some(cb) = on_delivered {
+                            cb(sim);
+                        }
+                    });
+                }
+                Wqe::Send(payload) => {
+                    let handler = handler.clone().unwrap_or_else(|| {
+                        panic!("no recv handler registered on peer of qp {qp:?}")
+                    });
+                    if duplicate {
+                        let (handler, payload) = (handler.clone(), payload.clone());
+                        sim.schedule_at(deliver_at + 1, move |sim| handler(sim, qp, payload));
+                    }
+                    sim.schedule_at(deliver_at, move |sim| handler(sim, qp, payload));
+                }
             }
-            sim.schedule_at(deliver_at, move |sim| {
-                let n = words.len();
-                for (i, w) in words.into_iter().enumerate() {
-                    let ord = if i + 1 == n {
-                        Ordering::Release
-                    } else {
-                        Ordering::Relaxed
-                    };
-                    mem[dst_word_off + i].store(w, ord);
-                }
-                if let Some(cb) = on_delivered {
-                    cb(sim);
-                }
-            });
         }
     }
 
     /// One-sided RDMA Read of `len_bytes` from `src_region` at
     /// `src_word_off`. The target memory is snapshotted when the request
     /// reaches the target NIC; `on_complete` receives the bytes when the
-    /// response lands back at the initiator.
+    /// response lands back at the initiator. A four-leg trip of its own, on
+    /// the posting kernel's hop, cache and counter helpers.
     #[allow(clippy::too_many_arguments)] // verbs post calls are wide by nature
     pub fn post_read(
         &self,
@@ -1127,8 +1086,9 @@ impl Fabric {
         on_complete: ReadComplete,
     ) {
         let words = len_bytes.div_ceil(8);
-        let fated = {
+        let (mem, snap_at, done_at) = {
             let mut inner = self.inner.borrow_mut();
+            let inner = &mut *inner;
             let q = inner.qp(qp);
             assert_eq!(
                 q.transport,
@@ -1136,17 +1096,12 @@ impl Fabric {
                 "RDMA Read requires an RDMA QP"
             );
             let target = q.peer_of(from);
-            let (extra_delay, _) = match inner.fault_verdict(sim, qp, from, target) {
-                // A dropped read never completes; the initiator's own
-                // timeout machinery is what notices.
-                FaultVerdict::Drop => {
-                    drop(inner);
-                    return;
-                }
-                FaultVerdict::Deliver {
-                    extra_delay,
-                    duplicate,
-                } => (extra_delay, duplicate),
+            // A dropped read never completes; the initiator's own timeout
+            // machinery is what notices. Reads are never duplicated.
+            let FaultVerdict::Deliver { extra_delay, .. } =
+                inner.fault_verdict(sim, qp, from, target)
+            else {
+                return;
             };
             let region = &inner.regions[src_region.0 as usize];
             assert_eq!(region.node, target, "read source region not on peer node");
@@ -1155,51 +1110,33 @@ impl Fabric {
                 "read beyond region bounds"
             );
             let mem = region.mem.clone();
-            let pen_src =
-                inner.cfg.qp_penalty(inner.nodes[from.0 as usize].qp_count) * inner.slow(from);
-            let pen_dst = inner
-                .cfg
-                .qp_penalty(inner.nodes[target.0 as usize].qp_count)
-                * inner.slow(target);
+            let (pen_src, pen_dst) = (inner.penalty(from), inner.penalty(target));
             let prop = inner.cfg.rdma_prop_ns;
             let dma = inner.cfg.rdma_dma_ns;
-            let op = inner.cfg.rdma_op_ns;
             let ser = inner.cfg.nic_ser(len_bytes);
-            let tx_surcharge = inner.qp_state_touch(from, qp);
-            let rx_surcharge = inner.qp_state_touch(target, qp)
+            let tx_miss = inner.qp_state_touch(from, qp);
+            let rx_miss = inner.qp_state_touch(target, qp)
                 + inner.mtt_touch(target, src_region, src_word_off * 8, len_bytes);
             // Request flight.
-            let tx_done = inner.nodes[from.0 as usize].nic_tx.acquire(
-                sim.now(),
-                ((op as f64) * pen_src).round() as SimTime + tx_surcharge,
-            );
-            // Target NIC performs the DMA fetch + response serialization
-            // entirely in hardware (zero target CPU).
+            let tx_done = inner.nodes[from.0 as usize]
+                .nic_tx
+                .acquire(sim.now(), inner.cfg.wqe_cost(true, 0, pen_src) + tx_miss);
             // The target HCA serves the read in hardware: one DMA fetch, no
             // WQE processing (that is the initiator's job) and no CPU.
-            let snap_at = inner.nodes[target.0 as usize].nic_rx.acquire(
-                tx_done + prop,
-                ((dma as f64) * pen_dst).round() as SimTime + rx_surcharge,
-            );
+            let snap_at = inner.nodes[target.0 as usize]
+                .nic_rx
+                .acquire(tx_done + prop, scaled(dma, pen_dst) + rx_miss);
             let resp_tx = inner.nodes[target.0 as usize]
                 .nic_tx
-                .acquire(snap_at, ((ser as f64) * pen_dst).round() as SimTime);
+                .acquire(snap_at, scaled(ser, pen_dst));
             let done_at = inner.nodes[from.0 as usize]
                 .nic_rx
-                .acquire(resp_tx + prop, ((dma as f64) * pen_src).round() as SimTime);
-            let src = &mut inner.nodes[from.0 as usize];
-            src.stats.reads += 1;
-            src.stats.doorbells += 1;
-            src.stats.bytes_rx += len_bytes as u64;
-            inner.nodes[target.0 as usize].stats.bytes_tx += len_bytes as u64;
-            inner.stats.reads += 1;
-            inner.stats.doorbells += 1;
-            inner.stats.bytes += len_bytes as u64;
+                .acquire(resp_tx + prop, scaled(dma, pen_src));
+            inner.count(Verb::Read, from, target, len_bytes, true);
             // A delayed read stalls in the request path: the snapshot itself
             // happens later, exactly like a slow wire would behave.
             (mem, snap_at + extra_delay, done_at + extra_delay)
         };
-        let (mem, snap_at, done_at) = fated;
         sim.schedule_at(snap_at, move |sim| {
             let mut blob = Vec::with_capacity(words * 8);
             for w in 0..words {
@@ -1211,192 +1148,19 @@ impl Fabric {
             sim.schedule_at(done_at.max(sim.now()), move |sim| on_complete(sim, blob));
         });
     }
+}
 
-    /// Two-sided Send: `payload` is delivered to the peer's registered recv
-    /// handler. Works on both transports with their respective cost models.
-    pub fn post_send(&self, sim: &mut Sim, qp: QpId, from: NodeId, payload: Vec<u8>) {
-        let bytes = payload.len();
-        let fated = {
-            let mut inner = self.inner.borrow_mut();
-            let q = inner.qp(qp);
-            let to = q.peer_of(from);
-            let transport = q.transport;
-            let handler = if to == q.a {
-                q.handler_a.clone()
-            } else {
-                q.handler_b.clone()
-            };
-            let (extra_delay, duplicate) = match inner.fault_verdict(sim, qp, from, to) {
-                FaultVerdict::Drop => {
-                    drop(inner);
-                    return;
-                }
-                FaultVerdict::Deliver {
-                    extra_delay,
-                    duplicate,
-                } => (extra_delay, duplicate),
-            };
-            let deliver_at = match transport {
-                Transport::Rdma => {
-                    let pen_src = inner.cfg.qp_penalty(inner.nodes[from.0 as usize].qp_count)
-                        * inner.slow(from);
-                    let pen_dst =
-                        inner.cfg.qp_penalty(inner.nodes[to.0 as usize].qp_count) * inner.slow(to);
-                    let op = inner.cfg.rdma_op_ns;
-                    let ser = inner.cfg.nic_ser(bytes);
-                    let extra = inner.cfg.send_recv_extra_ns;
-                    let prop = inner.cfg.rdma_prop_ns;
-                    let dma = inner.cfg.rdma_dma_ns;
-                    let tx_surcharge = inner.qp_state_touch(from, qp);
-                    let rx_surcharge = inner.qp_state_touch(to, qp);
-                    let tx = inner.nodes[from.0 as usize].nic_tx.acquire(
-                        sim.now(),
-                        (((op + ser) as f64) * pen_src).round() as SimTime + tx_surcharge,
-                    );
-                    inner.nodes[to.0 as usize].nic_rx.acquire(
-                        tx + prop,
-                        (((dma + ser + extra) as f64) * pen_dst).round() as SimTime + rx_surcharge,
-                    )
-                }
-                Transport::Socket => {
-                    let op = inner.cfg.socket_op_ns;
-                    let ser = inner.cfg.socket_ser(bytes);
-                    let prop = inner.cfg.socket_prop_ns;
-                    let tx = inner.nodes[from.0 as usize]
-                        .nic_tx
-                        .acquire(sim.now(), op + ser);
-                    inner.nodes[to.0 as usize]
-                        .nic_rx
-                        .acquire(tx + prop, op + ser)
-                }
-            };
-            let src = &mut inner.nodes[from.0 as usize];
-            src.stats.sends += 1;
-            src.stats.doorbells += 1;
-            src.stats.bytes_tx += bytes as u64;
-            inner.nodes[to.0 as usize].stats.bytes_rx += bytes as u64;
-            inner.stats.sends += 1;
-            inner.stats.doorbells += 1;
-            inner.stats.bytes += bytes as u64;
-            (handler, deliver_at + extra_delay, duplicate)
+/// Lands a Write's payload: increasing address order, the final store
+/// releases the payload.
+fn land(mem: &[AtomicU64], off: usize, words: Vec<u64>) {
+    let n = words.len();
+    for (i, w) in words.into_iter().enumerate() {
+        let ord = if i + 1 == n {
+            Ordering::Release
+        } else {
+            Ordering::Relaxed
         };
-        let (handler, deliver_at, duplicate) = fated;
-        let handler =
-            handler.unwrap_or_else(|| panic!("no recv handler registered on peer of qp {qp:?}"));
-        if duplicate {
-            // Redelivered copy arrives just behind the original.
-            let handler = handler.clone();
-            let payload = payload.clone();
-            sim.schedule_at(deliver_at + 1, move |sim| handler(sim, qp, payload));
-        }
-        sim.schedule_at(deliver_at, move |sim| handler(sim, qp, payload));
-    }
-
-    /// Doorbell-batched two-sided Sends: the payloads are posted as one WQE
-    /// chain with a single doorbell and delivered to the peer's recv handler
-    /// one by one, in posting order. Only the initiator-side fixed cost is
-    /// amortized; each message still pays its own serialization, flight and
-    /// receive processing. On the socket transport there is no doorbell to
-    /// amortize, so the batch degenerates to sequential
-    /// [`post_send`](Self::post_send) calls.
-    pub fn post_send_batch(&self, sim: &mut Sim, qp: QpId, from: NodeId, payloads: Vec<Vec<u8>>) {
-        if payloads.is_empty() {
-            return;
-        }
-        if self.inner.borrow().qp(qp).transport == Transport::Socket {
-            for p in payloads {
-                self.post_send(sim, qp, from, p);
-            }
-            return;
-        }
-        let mut deliveries = Vec::with_capacity(payloads.len());
-        let handler = {
-            let mut inner = self.inner.borrow_mut();
-            let q = inner.qp(qp);
-            let to = q.peer_of(from);
-            let handler = if to == q.a {
-                q.handler_a.clone()
-            } else {
-                q.handler_b.clone()
-            };
-            let pen_src =
-                inner.cfg.qp_penalty(inner.nodes[from.0 as usize].qp_count) * inner.slow(from);
-            let pen_dst =
-                inner.cfg.qp_penalty(inner.nodes[to.0 as usize].qp_count) * inner.slow(to);
-            let prop = inner.cfg.rdma_prop_ns;
-            let dma = inner.cfg.rdma_dma_ns;
-            let extra = inner.cfg.send_recv_extra_ns;
-            let qp_tx_surcharge = inner.qp_state_touch(from, qp);
-            let qp_rx_surcharge = inner.qp_state_touch(to, qp);
-            let mut delivered = 0u64;
-            let mut total_bytes = 0u64;
-            for (i, payload) in payloads.into_iter().enumerate() {
-                let (extra_delay, duplicate) = match inner.fault_verdict(sim, qp, from, to) {
-                    FaultVerdict::Drop => continue,
-                    FaultVerdict::Deliver {
-                        extra_delay,
-                        duplicate,
-                    } => (extra_delay, duplicate),
-                };
-                let bytes = payload.len();
-                let ser = inner.cfg.nic_ser(bytes);
-                let base = if i == 0 {
-                    inner.cfg.rdma_op_ns
-                } else {
-                    inner.cfg.rdma_wqe_ns
-                };
-                let tx = inner.nodes[from.0 as usize].nic_tx.acquire(
-                    sim.now(),
-                    (((base + ser) as f64) * pen_src).round() as SimTime
-                        + if i == 0 { qp_tx_surcharge } else { 0 },
-                );
-                let deliver_at = inner.nodes[to.0 as usize].nic_rx.acquire(
-                    tx + prop,
-                    (((dma + ser + extra) as f64) * pen_dst).round() as SimTime
-                        + if i == 0 { qp_rx_surcharge } else { 0 },
-                );
-                total_bytes += bytes as u64;
-                delivered += 1;
-                deliveries.push((deliver_at + extra_delay, payload, duplicate));
-            }
-            let src = &mut inner.nodes[from.0 as usize];
-            src.stats.sends += delivered;
-            src.stats.doorbells += 1;
-            src.stats.bytes_tx += total_bytes;
-            inner.nodes[to.0 as usize].stats.bytes_rx += total_bytes;
-            inner.stats.sends += delivered;
-            inner.stats.doorbells += 1;
-            inner.stats.bytes += total_bytes;
-            handler
-        };
-        if deliveries.is_empty() {
-            return;
-        }
-        let handler =
-            handler.unwrap_or_else(|| panic!("no recv handler registered on peer of qp {qp:?}"));
-        for (deliver_at, payload, duplicate) in deliveries {
-            if duplicate {
-                let handler = handler.clone();
-                let payload = payload.clone();
-                sim.schedule_at(deliver_at + 1, move |sim| handler(sim, qp, payload));
-            }
-            let handler = handler.clone();
-            sim.schedule_at(deliver_at, move |sim| handler(sim, qp, payload));
-        }
-    }
-
-    /// Round-trip estimate of a small RDMA read of `len_bytes` on an
-    /// otherwise idle fabric (used by benchmarks for sanity output).
-    pub fn estimate_read_rtt(&self, len_bytes: usize) -> SimTime {
-        let inner = self.inner.borrow();
-        let c = &inner.cfg;
-        c.rdma_op_ns
-            + c.rdma_prop_ns
-            + c.rdma_op_ns
-            + c.rdma_dma_ns
-            + c.nic_ser(len_bytes)
-            + c.rdma_prop_ns
-            + c.rdma_dma_ns
+        mem[off + i].store(w, ord);
     }
 }
 
@@ -1705,17 +1469,15 @@ mod tests {
             let (probe_region, _pm) = fab.alloc_region(c, 8);
             let last = Rc::new(Cell::new(0u64));
             if batched {
-                let writes = (0..16u64)
-                    .map(|i| {
-                        let l = last.clone();
-                        BatchWrite {
-                            words: vec![i + 1],
-                            dst_region: region,
-                            dst_word_off: i as usize,
-                            on_delivered: Some(Box::new(move |sim: &mut Sim| l.set(sim.now()))),
-                        }
-                    })
-                    .collect();
+                let writes = (0..16u64).map(|i| {
+                    let l = last.clone();
+                    BatchWrite {
+                        words: vec![i + 1],
+                        dst_region: region,
+                        dst_word_off: i as usize,
+                        on_delivered: Some(Box::new(move |sim: &mut Sim| l.set(sim.now()))),
+                    }
+                });
                 fab.post_write_batch(&mut sim, qp, a, writes);
             } else {
                 for i in 0..16u64 {
@@ -1766,17 +1528,15 @@ mod tests {
         let (mut sim, fab, a, b, qp) = setup();
         let (region, mem) = fab.alloc_region(b, 64);
         let order = Rc::new(RefCell::new(Vec::new()));
-        let writes = (0..5u64)
-            .map(|i| {
-                let o = order.clone();
-                BatchWrite {
-                    words: vec![100 + i],
-                    dst_region: region,
-                    dst_word_off: i as usize,
-                    on_delivered: Some(Box::new(move |_: &mut Sim| o.borrow_mut().push(i))),
-                }
-            })
-            .collect();
+        let writes = (0..5u64).map(|i| {
+            let o = order.clone();
+            BatchWrite {
+                words: vec![100 + i],
+                dst_region: region,
+                dst_word_off: i as usize,
+                on_delivered: Some(Box::new(move |_: &mut Sim| o.borrow_mut().push(i))),
+            }
+        });
         fab.post_write_batch(&mut sim, qp, a, writes);
         sim.run();
         assert_eq!(*order.borrow(), vec![0, 1, 2, 3, 4]);
@@ -1799,7 +1559,7 @@ mod tests {
                 }),
             );
         }
-        fab.post_send_batch(&mut sim, qp, a, (0..8u8).map(|i| vec![i; 4]).collect());
+        fab.post_send_batch(&mut sim, qp, a, (0..8u8).map(|i| vec![i; 4]));
         sim.run();
         let got = got.borrow();
         assert_eq!(got.len(), 8);
@@ -2009,28 +1769,24 @@ mod tests {
             &mut sim,
             qp,
             a,
-            (0..2u64)
-                .map(|i| BatchWrite {
-                    words: vec![i + 1],
-                    dst_region: region,
-                    dst_word_off: i as usize,
-                    on_delivered: None,
-                })
-                .collect(),
+            (0..2u64).map(|i| BatchWrite {
+                words: vec![i + 1],
+                dst_region: region,
+                dst_word_off: i as usize,
+                on_delivered: None,
+            }),
         );
         fab.set_pair_fault(a, b, LinkFault::drop_next(1));
         fab.post_write_batch(
             &mut sim,
             qp,
             a,
-            (2..5u64)
-                .map(|i| BatchWrite {
-                    words: vec![i + 1],
-                    dst_region: region,
-                    dst_word_off: i as usize,
-                    on_delivered: None,
-                })
-                .collect(),
+            (2..5u64).map(|i| BatchWrite {
+                words: vec![i + 1],
+                dst_region: region,
+                dst_word_off: i as usize,
+                on_delivered: None,
+            }),
         );
         sim.run();
         assert_eq!(mem[0].load(Ordering::Relaxed), 1);

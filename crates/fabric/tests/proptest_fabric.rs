@@ -6,12 +6,116 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 
-use hydra_fabric::{Fabric, FabricConfig, Transport};
+use hydra_fabric::{BatchWrite, Fabric, FabricConfig, FabricStats, NodeStats, Transport};
 use hydra_sim::Sim;
 use proptest::prelude::*;
 
+/// What one post leaves behind: delivery ticks, the target region's
+/// contents (Sends: the payloads received), and every counter.
+type Footprint = (Vec<u64>, Vec<u64>, FabricStats, [NodeStats; 2]);
+
+/// Posts `writes` from a fresh two-node fabric's node a to node b — each as
+/// a `post_write`, or each as a `post_write_batch` chain of one.
+fn write_footprint(writes: &[Vec<u64>], as_chain: bool) -> Footprint {
+    let mut sim = Sim::new(8);
+    let fab = Fabric::new(FabricConfig::default());
+    let (a, b) = (fab.add_node(), fab.add_node());
+    let qp = fab.connect(a, b, Transport::Rdma);
+    let (region, mem) = fab.alloc_region(b, writes.iter().map(|w| w.len()).sum());
+    let ticks: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+    let mut off = 0;
+    for words in writes {
+        let t = ticks.clone();
+        let w = BatchWrite {
+            words: words.clone(),
+            dst_region: region,
+            dst_word_off: off,
+            on_delivered: Some(Box::new(move |sim: &mut Sim| {
+                t.borrow_mut().push(sim.now())
+            })),
+        };
+        off += words.len();
+        if as_chain {
+            fab.post_write_batch(&mut sim, qp, a, [w]);
+        } else {
+            fab.post_write(
+                &mut sim,
+                qp,
+                a,
+                w.words,
+                w.dst_region,
+                w.dst_word_off,
+                w.on_delivered,
+            );
+        }
+    }
+    sim.run();
+    let image = mem.iter().map(|w| w.load(Ordering::Relaxed)).collect();
+    let ticks = ticks.borrow().clone();
+    (
+        ticks,
+        image,
+        fab.stats(),
+        [fab.node_stats(a), fab.node_stats(b)],
+    )
+}
+
+/// The Send twin of [`write_footprint`], on either transport.
+fn send_footprint(payloads: &[Vec<u8>], transport: Transport, as_chain: bool) -> Footprint {
+    let mut sim = Sim::new(9);
+    let fab = Fabric::new(FabricConfig::default());
+    let (a, b) = (fab.add_node(), fab.add_node());
+    let qp = fab.connect(a, b, transport);
+    let got: Rc<RefCell<(Vec<u64>, Vec<u64>)>> = Rc::default();
+    {
+        let got = got.clone();
+        fab.set_recv_handler(
+            qp,
+            b,
+            Rc::new(move |sim: &mut Sim, _qp, p: Vec<u8>| {
+                let mut got = got.borrow_mut();
+                got.0.push(sim.now());
+                got.1.push(p.len() as u64);
+                got.1.extend(p.iter().map(|&b| b as u64));
+            }),
+        );
+    }
+    for p in payloads {
+        if as_chain {
+            fab.post_send_batch(&mut sim, qp, a, [p.clone()]);
+        } else {
+            fab.post_send(&mut sim, qp, a, p.clone());
+        }
+    }
+    sim.run();
+    let (ticks, received) = got.borrow().clone();
+    (
+        ticks,
+        received,
+        fab.stats(),
+        [fab.node_stats(a), fab.node_stats(b)],
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `post_write` is `post_write_batch` of one WQE and `post_send` is
+    /// `post_send_batch` of one payload, on both transports: same delivery
+    /// ticks, same bytes landed, same counters.
+    #[test]
+    fn single_verbs_are_chains_of_one(
+        writes in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 1..600), 1..8),
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..300), 1..8),
+    ) {
+        prop_assert_eq!(write_footprint(&writes, true), write_footprint(&writes, false));
+        for transport in [Transport::Rdma, Transport::Socket] {
+            prop_assert_eq!(
+                send_footprint(&payloads, transport, true),
+                send_footprint(&payloads, transport, false)
+            );
+        }
+    }
 
     /// Writes posted on one QP arrive in post order, every payload intact.
     #[test]

@@ -26,13 +26,12 @@ use std::rc::Rc;
 
 use hydra_chaos::history::OpKind as HistOp;
 use hydra_chaos::{FaultEvent, FaultPlan, History, Outcome, PlannedFault, Trigger};
-use hydra_coord::{CreateMode, WatcherId};
 use hydra_fabric::{Fabric, LinkFault, NodeId, Transport};
-use hydra_replication::{ReplConfig, ReplMode, ReplicationPair};
+use hydra_replication::ReplicationPair;
 use hydra_sim::Sim;
 
 use crate::client::{HydraClient, OpCb};
-use crate::cluster::HaState;
+use crate::cluster::{couple, HaState};
 use crate::config::ClusterConfig;
 use crate::migration::MigrationEngine;
 use crate::ring::ShardId;
@@ -182,9 +181,9 @@ impl ChaosController {
             let inner = self.inner.borrow();
             (inner.cfg.clone(), inner.ha.clone())
         };
-        let Some(repl_mode) = cfg.replication.repl_mode() else {
+        if cfg.replication.repl_mode().is_none() {
             return;
-        };
+        }
         let groups: Vec<(Srv, Vec<Srv>)> = {
             let ha = ha_rc.borrow();
             ha.partitions
@@ -219,7 +218,7 @@ impl ChaosController {
                     .find(|pair| pair.secondary_node() == sec_node)
                     .is_none_or(|pair| pair.acked() < pair.stats().records);
                 if lagging {
-                    self.resync_secondary(sim, primary, sec, repl_mode);
+                    self.resync_secondary(sim, primary, sec);
                 }
             }
         }
@@ -346,18 +345,13 @@ impl ChaosController {
         };
         fab.unfreeze_node(node, sim.now());
         fab.set_node_crashed(node, false);
-        let repl_mode = cfg.replication.repl_mode();
+        let replicates = cfg.replication.repl_mode().is_some();
         let n_parts = ha_rc.borrow().partitions.len();
         for p in 0..n_parts {
-            let (primary, secondaries, znode, session) = {
+            let (primary, secondaries, session) = {
                 let ha = ha_rc.borrow();
                 let st = &ha.partitions[p];
-                (
-                    st.primary.clone(),
-                    st.secondaries.clone(),
-                    st.znode.clone(),
-                    st.session,
-                )
+                (st.primary.clone(), st.secondaries.clone(), st.session)
             };
             // A primary hosted here that was never promoted away restarts
             // with its memory intact; it re-registers its coordination
@@ -370,19 +364,9 @@ impl ChaosController {
                     // Fast restart, before the session lapsed: just beat.
                     let _ = ha.coord.heartbeat(session, now);
                 } else {
-                    // Session expired while down. Re-own the znode under a
-                    // fresh session (delete first in case expiry was never
-                    // ticked through) and re-arm the SWAT watch.
-                    let new_session = ha.coord.create_session(now, cfg.ha_session_timeout_ns);
-                    let _ = ha.coord.delete(&znode);
-                    let _ = ha.coord.create(
-                        &znode,
-                        p.to_string().into_bytes(),
-                        CreateMode::Ephemeral,
-                        Some(new_session),
-                    );
-                    ha.coord.watch_exists(&znode, WatcherId(p as u64));
-                    ha.partitions[p].session = new_session;
+                    // Session expired while down: re-own the znode under a
+                    // fresh session and re-arm the SWAT watch.
+                    ha.partitions[p].session = ha.register_primary(p, now);
                 }
             }
             if !primary.borrow().alive {
@@ -395,8 +379,8 @@ impl ChaosController {
             if primary.borrow().node != node {
                 for sec in secondaries.iter().filter(|s| s.borrow().node == node) {
                     sec.borrow_mut().alive = true;
-                    if let Some(mode) = repl_mode {
-                        self.resync_secondary(sim, &primary, sec, mode);
+                    if replicates {
+                        self.resync_secondary(sim, &primary, sec);
                     }
                 }
                 // A replica promoted away (or lost with the old primary)
@@ -414,8 +398,8 @@ impl ChaosController {
                         ShardId(90_000 + inner.rebuilt_shards)
                     };
                     let sec = ShardServer::new(id, node, &fab, cfg.clone());
-                    if let Some(mode) = repl_mode {
-                        self.resync_secondary(sim, &primary, &sec, mode);
+                    if replicates {
+                        self.resync_secondary(sim, &primary, &sec);
                     }
                     ha_rc.borrow_mut().partitions[p].secondaries.push(sec);
                 }
@@ -433,7 +417,6 @@ impl ChaosController {
         sim: &mut Sim,
         primary: &Rc<RefCell<ShardServer>>,
         sec: &Rc<RefCell<ShardServer>>,
-        mode: ReplMode,
     ) {
         let (fab, cfg) = {
             let inner = self.inner.borrow();
@@ -487,29 +470,20 @@ impl ChaosController {
                     .expect("secondary arena sized for resync");
             }
         }
-        // 4. Fresh replication channel from the current primary.
-        let pair = ReplicationPair::new(
-            &fab,
-            prim_node,
-            sec_node,
-            sec.borrow().engine.clone(),
-            ReplConfig {
-                ring_words: cfg.repl_ring_words,
-                mode,
-                apply_cost_ns: cfg.costs.write_ns,
-                page_bytes: cfg.page_bytes,
-                ..ReplConfig::default()
-            },
-        );
-        primary.borrow_mut().add_replica(pair);
+        // 4. Fresh replication channel (and replica export) from the
+        //    current primary.
+        couple(&fab, &cfg, primary, sec);
         // 5. The snapshot travels as one bulk write (cost modeling only —
-        //    state already copied above, deterministically).
+        //    state already copied above, deterministically) over a QP of
+        //    its own, released as soon as the write is posted: delivery
+        //    does not consult it.
         let bytes: usize = items.iter().map(|(k, v)| k.len() + v.len() + 16).sum();
         if bytes > 0 {
             let words = bytes.div_ceil(8);
             let qp = fab.connect(prim_node, sec_node, Transport::Rdma);
             let (region, _mem) = fab.alloc_region(sec_node, words);
             fab.post_write(sim, qp, prim_node, vec![0u64; words], region, 0, None);
+            fab.disconnect(qp);
         }
     }
 

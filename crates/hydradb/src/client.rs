@@ -1082,11 +1082,7 @@ impl HydraClient {
                 inner.window.insert(item.op.req_id, item.op);
             }
             drop(inner_ref);
-            if payloads.len() == 1 {
-                fab.post_send(sim, qp, node, payloads.pop().expect("one payload"));
-            } else {
-                fab.post_send_batch(sim, qp, node, payloads);
-            }
+            fab.post_send_batch(sim, qp, node, payloads);
             for (req_id, ship) in shipped {
                 let ev = self.arm_timeout(sim, ship);
                 if let Some(op) = self.inner.borrow_mut().window.get_mut(&req_id) {

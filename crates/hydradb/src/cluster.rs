@@ -22,7 +22,7 @@ use std::sync::Arc;
 use hydra_coord::{Coord, CreateMode, EventKind, LeaderElection, SessionId, WatcherId};
 use hydra_fabric::{Fabric, NodeId, Transport};
 use hydra_lockfree::ClockCache;
-use hydra_replication::{ReplConfig, ReplicationPair};
+use hydra_replication::ReplicationPair;
 use hydra_sim::time::SimTime;
 use hydra_sim::Sim;
 
@@ -212,7 +212,35 @@ pub(crate) struct PartitionState {
     pub(crate) primary: Rc<RefCell<ShardServer>>,
     pub(crate) secondaries: Vec<Rc<RefCell<ShardServer>>>,
     pub(crate) session: SessionId,
-    pub(crate) znode: String,
+}
+
+/// The ephemeral znode partition `p`'s primary holds while its session
+/// lives; SWAT watches it.
+pub(crate) fn partition_znode(p: usize) -> String {
+    format!("/servers/part-{p}")
+}
+
+/// Couples `secondary` to `primary`: a fresh replication channel, plus the
+/// secondary's arena registered for hot-key pointer export (read
+/// spreading). Nothing to couple when the deployment does not replicate.
+pub(crate) fn couple(
+    fab: &Fabric,
+    cfg: &ClusterConfig,
+    primary: &Rc<RefCell<ShardServer>>,
+    secondary: &Rc<RefCell<ShardServer>>,
+) {
+    let Some(repl) = cfg.repl_config() else {
+        return;
+    };
+    let sec = secondary.borrow();
+    let mut prim = primary.borrow_mut();
+    let pair = ReplicationPair::new(fab, prim.node, sec.node, sec.engine.clone(), repl);
+    prim.add_replica(pair);
+    prim.add_replica_export(ReplicaExport {
+        node: sec.node,
+        region: sec.arena_region,
+        engine: sec.engine.clone(),
+    });
 }
 
 pub(crate) struct HaState {
@@ -239,6 +267,60 @@ impl HaState {
             .position(|e| e.is_leader(&self.coord).unwrap_or(false))
     }
 
+    /// Assembles the next partition's replica group: a primary on
+    /// `server_nodes[home]`, one dedicated secondary (serving no client until
+    /// promoted) on each of the `replicas` machines after it, coupled, and
+    /// the primary registered with the coordination service. Returns the
+    /// partition id. Publishing it — ring and directory — is the caller's
+    /// step: the builder does so at once, a live join only at its flip.
+    pub(crate) fn spawn_group(
+        &mut self,
+        server_nodes: &[NodeId],
+        home: usize,
+        now: SimTime,
+    ) -> u32 {
+        let p = self.partitions.len() as u32;
+        let primary = ShardServer::new(ShardId(p), server_nodes[home], &self.fab, self.cfg.clone());
+        let secondaries: Vec<_> = (1..=self.cfg.replicas)
+            .map(|r| {
+                let node = server_nodes[(home + r as usize) % server_nodes.len()];
+                let sec =
+                    ShardServer::new(ShardId(p + (r * 10_000)), node, &self.fab, self.cfg.clone());
+                couple(&self.fab, &self.cfg, &primary, &sec);
+                sec
+            })
+            .collect();
+        let session = self.register_primary(p as usize, now);
+        self.partitions.push(PartitionState {
+            primary,
+            secondaries,
+            session,
+        });
+        p
+    }
+
+    /// Registers partition `p`'s (new) primary with the coordination
+    /// service: a fresh session owning the partition's ephemeral znode —
+    /// cleared first, in case a predecessor's expiry was never ticked
+    /// through — and SWAT's watch on it re-armed.
+    pub(crate) fn register_primary(&mut self, p: usize, now: SimTime) -> SessionId {
+        let znode = partition_znode(p);
+        let session = self
+            .coord
+            .create_session(now, self.cfg.ha_session_timeout_ns);
+        let _ = self.coord.delete(&znode);
+        self.coord
+            .create(
+                &znode,
+                p.to_string().into_bytes(),
+                CreateMode::Ephemeral,
+                Some(session),
+            )
+            .expect("partition znode was just cleared");
+        self.coord.watch_exists(&znode, WatcherId(p as u64));
+        session
+    }
+
     /// Reacts to a failed primary: promote the first live secondary,
     /// re-couple the remaining secondaries to it, publish the new map.
     fn promote(&mut self, sim: &mut Sim, partition: usize) -> bool {
@@ -254,59 +336,19 @@ impl HaState {
             // gate and forwarding state.
             let mut op = old_primary.borrow_mut();
             op.alive = false;
-            new_primary.borrow_mut().mig = op.mig.take();
-        }
-        // Re-couple surviving secondaries to the new primary.
-        let repl_mode = self.cfg.replication.repl_mode();
-        if let Some(mode) = repl_mode {
             let mut np = new_primary.borrow_mut();
+            np.mig = op.mig.take();
+            // The old primary's channels and exports die with it, and the
+            // promoted shard must not export itself.
             np.repl.clear();
-            for sec in &state.secondaries {
-                let pair = ReplicationPair::new(
-                    &self.fab,
-                    np.node,
-                    sec.borrow().node,
-                    sec.borrow().engine.clone(),
-                    ReplConfig {
-                        ring_words: self.cfg.repl_ring_words,
-                        mode,
-                        apply_cost_ns: self.cfg.costs.write_ns,
-                        page_bytes: self.cfg.page_bytes,
-                        ..ReplConfig::default()
-                    },
-                );
-                np.repl.push(pair);
-            }
-        }
-        // Rebuild the read-spreading export registry for the new group: the
-        // old primary's exports die with it, and the promoted shard must not
-        // export itself.
-        {
-            let mut np = new_primary.borrow_mut();
             np.clear_replica_exports();
-            for sec in &state.secondaries {
-                let sb = sec.borrow();
-                np.add_replica_export(crate::server::ReplicaExport {
-                    node: sb.node,
-                    region: sb.arena_region,
-                    engine: sb.engine.clone(),
-                });
-            }
+        }
+        for sec in &state.secondaries {
+            couple(&self.fab, &self.cfg, &new_primary, sec);
         }
         // New primary registers its own session + ephemeral; SWAT re-watches.
-        let now = sim.now();
-        let session = self
-            .coord
-            .create_session(now, self.cfg.ha_session_timeout_ns);
-        let _ = self.coord.create(
-            &state.znode,
-            partition.to_string().into_bytes(),
-            CreateMode::Ephemeral,
-            Some(session),
-        );
-        self.coord
-            .watch_exists(&state.znode, WatcherId(partition as u64));
-        state.session = session;
+        let session = self.register_primary(partition, sim.now());
+        self.partitions[partition].session = session;
         // Publish the reconfiguration.
         let mut dir = self.directory.borrow_mut();
         dir.shards.insert(partition as u32, new_primary);
@@ -339,111 +381,56 @@ impl ClusterBuilder {
         let server_nodes: Vec<NodeId> = (0..cfg.server_nodes).map(|_| fab.add_node()).collect();
         let client_nodes: Vec<NodeId> = (0..cfg.client_nodes).map(|_| fab.add_node()).collect();
 
-        let mut ring = HashRing::new(cfg.vnodes);
-        let mut shards_map = HashMap::new();
-        let mut partitions = Vec::new();
         let mut coord = Coord::new();
         coord
             .create("/servers", Vec::new(), CreateMode::Persistent, None)
             .expect("fresh tree");
+        let directory = Rc::new(RefCell::new(Directory {
+            ring: HashRing::new(cfg.vnodes),
+            shards: HashMap::new(),
+            generation: 0,
+        }));
+        let mut ha = HaState {
+            coord,
+            partitions: Vec::new(),
+            directory: directory.clone(),
+            fab: fab.clone(),
+            cfg: cfg.clone(),
+            swat_sessions: Vec::new(),
+            swat_elections: Vec::new(),
+            promotions: 0,
+            monitoring_until: 0,
+            partitioned_nodes: std::collections::HashSet::new(),
+        };
 
-        let repl_mode = cfg.replication.repl_mode();
-
-        for p in 0..cfg.total_shards() {
+        for i in 0..cfg.total_shards() {
             let home = if cfg.partitions.is_some() {
-                (p % cfg.server_nodes) as usize
+                (i % cfg.server_nodes) as usize
             } else {
-                (p / cfg.shards_per_node) as usize
+                (i / cfg.shards_per_node) as usize
             };
-            let primary = ShardServer::new(ShardId(p), server_nodes[home], &fab, cfg.clone());
-            let mut secondaries = Vec::new();
-            for r in 1..=cfg.replicas {
-                let node = server_nodes[(home + r as usize) % server_nodes.len()];
-                // Secondary shards are dedicated to their primary: they serve
-                // no client requests until promoted.
-                let sec = ShardServer::new(ShardId(p + (r * 10_000)), node, &fab, cfg.clone());
-                if let Some(mode) = repl_mode {
-                    let pair = ReplicationPair::new(
-                        &fab,
-                        primary.borrow().node,
-                        node,
-                        sec.borrow().engine.clone(),
-                        ReplConfig {
-                            ring_words: cfg.repl_ring_words,
-                            mode,
-                            apply_cost_ns: cfg.costs.write_ns,
-                            page_bytes: cfg.page_bytes,
-                            ..ReplConfig::default()
-                        },
-                    );
-                    let mut prim = primary.borrow_mut();
-                    prim.add_replica(pair);
-                    // Register the secondary's arena so hot GETs can export
-                    // its remote pointers (read spreading).
-                    let sb = sec.borrow();
-                    prim.add_replica_export(ReplicaExport {
-                        node: sb.node,
-                        region: sb.arena_region,
-                        engine: sb.engine.clone(),
-                    });
-                }
-                secondaries.push(sec);
-            }
-            ring.add_shard(ShardId(p));
-            shards_map.insert(p, primary.clone());
-
-            let session = coord.create_session(0, cfg.ha_session_timeout_ns);
-            let znode = format!("/servers/part-{p}");
-            coord
-                .create(
-                    &znode,
-                    p.to_string().into_bytes(),
-                    CreateMode::Ephemeral,
-                    Some(session),
-                )
-                .expect("unique partition znode");
-            coord.watch_exists(&znode, WatcherId(p as u64));
-            partitions.push(PartitionState {
-                primary,
-                secondaries,
-                session,
-                znode,
-            });
+            let p = ha.spawn_group(&server_nodes, home, 0);
+            let mut dir = directory.borrow_mut();
+            dir.ring.add_shard(ShardId(p));
+            dir.shards
+                .insert(p, ha.partitions[p as usize].primary.clone());
         }
 
         // SWAT group: two members with an ephemeral-sequential election.
-        let mut swat_sessions = Vec::new();
-        let mut swat_elections = Vec::new();
         for m in 0..2 {
-            let s = coord.create_session(0, cfg.ha_session_timeout_ns);
+            let s = ha.coord.create_session(0, cfg.ha_session_timeout_ns);
             let e = LeaderElection::join(
-                &mut coord,
+                &mut ha.coord,
                 "/swat/election",
                 s,
                 format!("swat-{m}").into_bytes(),
             )
             .expect("election joins");
-            swat_sessions.push(s);
-            swat_elections.push(e);
+            ha.swat_sessions.push(s);
+            ha.swat_elections.push(e);
         }
 
-        let directory = Rc::new(RefCell::new(Directory {
-            ring,
-            shards: shards_map,
-            generation: 0,
-        }));
-        let ha = Rc::new(RefCell::new(HaState {
-            coord,
-            partitions,
-            directory: directory.clone(),
-            fab: fab.clone(),
-            cfg: cfg.clone(),
-            swat_sessions,
-            swat_elections,
-            promotions: 0,
-            monitoring_until: 0,
-            partitioned_nodes: std::collections::HashSet::new(),
-        }));
+        let ha = Rc::new(RefCell::new(ha));
         let migration =
             MigrationEngine::new(fab.clone(), cfg.clone(), ha.clone(), directory.clone());
         // Settle any setup events (none today, but keeps the invariant that
@@ -774,9 +761,6 @@ impl Cluster {
     pub fn force_promote(&mut self, partition: u32) -> bool {
         let ha = self.ha.clone();
         let mut ha = ha.borrow_mut();
-        // Drop the old znode first so re-creation succeeds.
-        let znode = ha.partitions[partition as usize].znode.clone();
-        let _ = ha.coord.delete(&znode);
         ha.promote(&mut self.sim, partition as usize)
     }
 
@@ -1083,6 +1067,42 @@ mod tests {
         // The text rendering includes the occupancy table.
         let text = format!("{report}");
         assert!(text.contains("miss_pen_ns"));
+    }
+
+    #[test]
+    fn live_join_registers_at_the_cluster_page_size() {
+        // Regression: the join path spelled out its own ReplConfig and left
+        // `page_bytes` at the 4 KiB default, so on a huge-page cluster the
+        // new partition's 64 K-word replication ring alone took 128 MTT
+        // entries on the machine hosting its secondary.
+        let mut cfg = ClusterConfig {
+            server_nodes: 2,
+            shards_per_node: 1,
+            replicas: 1,
+            replication: crate::config::ReplicationMode::GroupCommit,
+            page_bytes: 2 << 20,
+            ..ClusterConfig::default()
+        };
+        cfg.fabric.default_page_bytes = cfg.page_bytes;
+        let mut cluster = ClusterBuilder::new(cfg).build();
+        let mtt = |c: &Cluster| -> Vec<u64> {
+            let per_node = |&n| c.fab.mtt_registered(n);
+            c.server_nodes.iter().map(per_node).collect()
+        };
+        // Each builder node holds one primary (arena + ack region) and one
+        // secondary (arena + ring): everything one partition registers.
+        let before = mtt(&cluster);
+        let group = before[0];
+        cluster.add_server_with_migration(1);
+        let after = mtt(&cluster);
+        for (node, &entries) in after.iter().enumerate() {
+            let grew = entries - before.get(node).copied().unwrap_or(0);
+            assert!(
+                grew <= group,
+                "node {node}: joining one partition registered {grew} MTT entries, \
+                 a builder-made one registers {group}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deployment and cost-model configuration.
 
 use hydra_fabric::{FabricConfig, Transport};
-use hydra_replication::ReplMode;
+use hydra_replication::{ReplConfig, ReplMode};
 use hydra_sim::time::{SimTime, MS};
 use hydra_store::{IndexKind, WriteMode};
 
@@ -420,6 +420,18 @@ impl ClusterConfig {
     pub fn total_shards(&self) -> u32 {
         self.partitions
             .unwrap_or(self.server_nodes * self.shards_per_node)
+    }
+
+    /// The settings every primary/secondary replication channel of this
+    /// deployment runs with, or `None` when writes do not replicate.
+    pub fn repl_config(&self) -> Option<ReplConfig> {
+        Some(ReplConfig {
+            ring_words: self.repl_ring_words,
+            mode: self.replication.repl_mode()?,
+            apply_cost_ns: self.costs.write_ns,
+            page_bytes: self.page_bytes,
+            ..ReplConfig::default()
+        })
     }
 }
 

@@ -38,9 +38,10 @@
 //!   [`MigrationState::wrong_owner`]); clients drop the stale remote pointer
 //!   and re-route through the already-updated shared directory.
 //!
-//! A node **join** creates the new partitions (with replicas and coordination
-//! sessions, exactly like the builder) but keeps them out of the live ring
-//! and directory until the flip. A node **drain** is the inverse: the
+//! A node **join** creates the new partitions through the builder's own
+//! `HaState::spawn_group` (replicas, replication channels and coordination
+//! sessions included) but keeps them out of the live ring and directory
+//! until the flip. A node **drain** is the inverse: the
 //! departing node's partitions stream everything to the surviving owners and
 //! leave the ring at the flip, remaining alive-but-empty so in-flight
 //! requests still get redirects.
@@ -54,17 +55,16 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use hydra_coord::{CreateMode, WatcherId};
-use hydra_fabric::{Fabric, NodeId, QpId, Transport};
-use hydra_replication::{ReplConfig, ReplicationPair};
+use hydra_coord::CreateMode;
+use hydra_fabric::{Fabric, NodeId, QpId, RegionId, Transport};
 use hydra_sim::time::SimTime;
 use hydra_sim::Sim;
 use hydra_wire::LogOp;
 
-use crate::cluster::{Directory, HaState, PartitionState};
+use crate::cluster::{partition_znode, Directory, HaState};
 use crate::config::ClusterConfig;
 use crate::ring::{HashRing, ShardId};
-use crate::server::{ReplicaExport, ShardServer};
+use crate::server::ShardServer;
 
 /// Pacing interval between successive migration quanta of one
 /// source-partition job (the migration rate is roughly
@@ -75,6 +75,10 @@ const TICK_NS: SimTime = 100_000;
 /// plan gives up (a crashed participant whose failure the liveness check
 /// cannot see — e.g. dropped migration records — must not hang the sim).
 const STALL_TICK_LIMIT: u64 = 10_000;
+
+/// Smallest staging buffer a migration channel registers at its destination
+/// (one default 4 KiB translation page).
+const STAGING_MIN_WORDS: usize = 512;
 
 /// One migration record: operation, key, value.
 pub(crate) type MigRecord = (LogOp, Vec<u8>, Vec<u8>);
@@ -142,6 +146,12 @@ pub(crate) struct MigrationChannel {
     src_node: NodeId,
     dst_node: NodeId,
     dst: Rc<RefCell<ShardServer>>,
+    /// The destination-side landing buffer shipments are written into, and
+    /// its size in words: registered once, re-registered only when a
+    /// shipment outgrows it (the fabric never deregisters, so a region per
+    /// shipment would grow the destination's MTT footprint with every
+    /// quantum).
+    staging: Rc<Cell<Option<(RegionId, usize)>>>,
     shipped: Rc<Cell<u64>>,
     applied: Rc<Cell<u64>>,
 }
@@ -155,6 +165,7 @@ impl MigrationChannel {
             src_node,
             dst_node,
             dst: dst.clone(),
+            staging: Rc::new(Cell::new(None)),
             shipped: Rc::new(Cell::new(0)),
             applied: Rc::new(Cell::new(0)),
         }
@@ -177,7 +188,17 @@ impl MigrationChannel {
         self.shipped.set(self.shipped.get() + n);
         let bytes: usize = records.iter().map(|(_, k, v)| k.len() + v.len() + 16).sum();
         let words = bytes.div_ceil(8).max(1);
-        let (region, _mem) = self.fab.alloc_region(self.dst_node, words);
+        let region = match self.staging.get() {
+            Some((region, cap)) if cap >= words => region,
+            _ => {
+                // Whole pages, doubling: a stream of small shipments settles
+                // on one registration.
+                let cap = words.next_power_of_two().max(STAGING_MIN_WORDS);
+                let (region, _mem) = self.fab.alloc_region(self.dst_node, cap);
+                self.staging.set(Some((region, cap)));
+                region
+            }
+        };
         let dst = self.dst.clone();
         let applied = self.applied.clone();
         self.fab.post_write(
@@ -329,6 +350,44 @@ pub enum MigrationOutcome {
 enum PlanKind {
     Join { new_parts: Vec<u32> },
     Drain { departing: Vec<u32> },
+}
+
+/// The two rings a plan moves between: the live directory and the ring it
+/// converges to. Enlists shards into the plan.
+struct PlanRings {
+    directory: Rc<RefCell<Directory>>,
+    target: Rc<HashRing>,
+}
+
+impl PlanRings {
+    /// Installs fresh migration bookkeeping on partition `p`'s primary.
+    fn enlist(&self, ha: &HaState, p: u32, phase: MigrationPhase) -> Rc<RefCell<MigrationState>> {
+        let state = MigrationState::new(
+            ShardId(p),
+            self.directory.clone(),
+            self.target.clone(),
+            phase,
+        );
+        ha.partitions[p as usize].primary.borrow_mut().mig = Some(state.clone());
+        state
+    }
+
+    /// Makes partition `src` a source: Snapshot-phase bookkeeping with one
+    /// record stream to each destination partition.
+    fn source_job(&self, fab: &Fabric, ha: &HaState, src: u32, dsts: &[u32]) -> SourceJob {
+        let state = self.enlist(ha, src, MigrationPhase::Snapshot);
+        let src_node = ha.partitions[src as usize].primary.borrow().node;
+        for &d in dsts {
+            let dst = &ha.partitions[d as usize].primary;
+            let channel = MigrationChannel::new(fab, src_node, dst);
+            state.borrow_mut().channels.insert(d, channel);
+        }
+        SourceJob {
+            partition: src,
+            state,
+            inflight: Rc::new(Cell::new(false)),
+        }
+    }
 }
 
 /// One source shard's job within a plan.
@@ -512,9 +571,9 @@ impl MigrationEngine {
     }
 
     /// Starts a node-join plan: `new_shards` fresh partitions homed on
-    /// `node` (already added to the fabric and to `server_nodes`), replicas
-    /// and coordination sessions wired like the builder, every live shard
-    /// streaming its moving ranges toward them. The new partitions join the
+    /// `node` (already added to the fabric and to `server_nodes`), spawned
+    /// by the builder's group assembler, every live shard streaming its
+    /// moving ranges toward them. The new partitions join the
     /// directory only at the flip.
     pub fn start_join(
         &self,
@@ -524,25 +583,24 @@ impl MigrationEngine {
         server_nodes: &[NodeId],
     ) -> MigrationHandle {
         assert!(new_shards > 0);
-        let (fab, cfg, ha_rc, directory) = {
+        let (fab, ha_rc, directory) = {
             let inner = self.inner.borrow();
             Self::assert_settled(&inner);
-            (
-                inner.fab.clone(),
-                inner.cfg.clone(),
-                inner.ha.clone(),
-                inner.directory.clone(),
-            )
+            (inner.fab.clone(), inner.ha.clone(), inner.directory.clone())
         };
-        let repl_mode = cfg.replication.repl_mode();
         let home = server_nodes
             .iter()
             .position(|n| *n == node)
             .expect("joining node registered in server_nodes");
 
+        // Spawn the new groups through the builder's own assembler — their
+        // replicas land on the *existing* machines, so a joiner crash never
+        // strands the only copy of migrated data — but keep them out of the
+        // live ring and directory until the flip.
         let mut ha = ha_rc.borrow_mut();
-        let first = ha.partitions.len() as u32;
-        let new_parts: Vec<u32> = (0..new_shards).map(|i| first + i).collect();
+        let new_parts: Vec<u32> = (0..new_shards)
+            .map(|_| ha.spawn_group(server_nodes, home, sim.now()))
+            .collect();
 
         // Target ring: live ring plus the joiners (monotone consistent
         // hashing: only ranges moving *to* them change owners).
@@ -550,98 +608,22 @@ impl MigrationEngine {
         for &p in &new_parts {
             tring.add_shard(ShardId(p));
         }
-        let target_ring = Rc::new(tring);
-
-        // Build the new partitions exactly like the cluster builder, but
-        // keep them out of the live ring and directory until the flip.
-        let mut dst_states = BTreeMap::new();
-        for &p in &new_parts {
-            let primary = ShardServer::new(ShardId(p), node, &fab, cfg.clone());
-            let mut secondaries = Vec::new();
-            for r in 1..=cfg.replicas {
-                // Replicas land on the *existing* machines, so a joiner
-                // crash never strands the only copy of migrated data.
-                let snode = server_nodes[(home + r as usize) % server_nodes.len()];
-                let sec = ShardServer::new(ShardId(p + (r * 10_000)), snode, &fab, cfg.clone());
-                if let Some(mode) = repl_mode {
-                    let pair = ReplicationPair::new(
-                        &fab,
-                        node,
-                        snode,
-                        sec.borrow().engine.clone(),
-                        ReplConfig {
-                            ring_words: cfg.repl_ring_words,
-                            mode,
-                            apply_cost_ns: cfg.costs.write_ns,
-                            ..ReplConfig::default()
-                        },
-                    );
-                    let mut prim = primary.borrow_mut();
-                    prim.add_replica(pair);
-                    let sb = sec.borrow();
-                    prim.add_replica_export(ReplicaExport {
-                        node: sb.node,
-                        region: sb.arena_region,
-                        engine: sb.engine.clone(),
-                    });
-                }
-                secondaries.push(sec);
-            }
-            let session = ha
-                .coord
-                .create_session(sim.now(), cfg.ha_session_timeout_ns);
-            let znode = format!("/servers/part-{p}");
-            let _ = ha.coord.create(
-                &znode,
-                p.to_string().into_bytes(),
-                CreateMode::Ephemeral,
-                Some(session),
-            );
-            ha.coord.watch_exists(&znode, WatcherId(p as u64));
-            let dst_state = MigrationState::new(
-                ShardId(p),
-                directory.clone(),
-                target_ring.clone(),
-                MigrationPhase::Receive,
-            );
-            primary.borrow_mut().mig = Some(dst_state.clone());
-            dst_states.insert(p, dst_state);
-            ha.partitions.push(PartitionState {
-                primary,
-                secondaries,
-                session,
-                znode,
-            });
-        }
+        let plan = PlanRings {
+            directory,
+            target: Rc::new(tring),
+        };
+        let dst_states = new_parts
+            .iter()
+            .map(|&p| (p, plan.enlist(&ha, p, MigrationPhase::Receive)))
+            .collect();
 
         // Every live shard is a source (consistent hashing moves a slice of
         // each one's range to the joiners).
-        let live: Vec<u32> = directory.borrow().ring.shards().map(|s| s.0).collect();
-        let mut jobs = Vec::new();
-        for src in live {
-            let primary = ha.partitions[src as usize].primary.clone();
-            let src_node = primary.borrow().node;
-            let state = MigrationState::new(
-                ShardId(src),
-                directory.clone(),
-                target_ring.clone(),
-                MigrationPhase::Snapshot,
-            );
-            {
-                let mut st = state.borrow_mut();
-                for &p in &new_parts {
-                    let dst = ha.partitions[p as usize].primary.clone();
-                    st.channels
-                        .insert(p, MigrationChannel::new(&fab, src_node, &dst));
-                }
-            }
-            primary.borrow_mut().mig = Some(state.clone());
-            jobs.push(SourceJob {
-                partition: src,
-                state,
-                inflight: Rc::new(Cell::new(false)),
-            });
-        }
+        let live: Vec<u32> = plan.directory.borrow().ring.shards().map(|s| s.0).collect();
+        let jobs = live
+            .iter()
+            .map(|&src| plan.source_job(&fab, &ha, src, &new_parts))
+            .collect();
         drop(ha);
         self.install_plan(sim, PlanKind::Join { new_parts }, jobs, dst_states)
     }
@@ -677,48 +659,22 @@ impl MigrationEngine {
         for &p in &departing {
             tring.remove_shard(ShardId(p));
         }
-        let target_ring = Rc::new(tring);
+        let plan = PlanRings {
+            directory,
+            target: Rc::new(tring),
+        };
 
         // Survivors are destinations: install Receive-side bookkeeping
         // (their live serving is untouched — the ownership gate passes every
         // key they already own).
-        let mut dst_states = BTreeMap::new();
-        for &p in &remaining {
-            let primary = ha.partitions[p as usize].primary.clone();
-            let state = MigrationState::new(
-                ShardId(p),
-                directory.clone(),
-                target_ring.clone(),
-                MigrationPhase::Receive,
-            );
-            primary.borrow_mut().mig = Some(state.clone());
-            dst_states.insert(p, state);
-        }
-        let mut jobs = Vec::new();
-        for &src in &departing {
-            let primary = ha.partitions[src as usize].primary.clone();
-            let src_node = primary.borrow().node;
-            let state = MigrationState::new(
-                ShardId(src),
-                directory.clone(),
-                target_ring.clone(),
-                MigrationPhase::Snapshot,
-            );
-            {
-                let mut st = state.borrow_mut();
-                for &p in &remaining {
-                    let dst = ha.partitions[p as usize].primary.clone();
-                    st.channels
-                        .insert(p, MigrationChannel::new(&fab, src_node, &dst));
-                }
-            }
-            primary.borrow_mut().mig = Some(state.clone());
-            jobs.push(SourceJob {
-                partition: src,
-                state,
-                inflight: Rc::new(Cell::new(false)),
-            });
-        }
+        let dst_states = remaining
+            .iter()
+            .map(|&p| (p, plan.enlist(&ha, p, MigrationPhase::Receive)))
+            .collect();
+        let jobs = departing
+            .iter()
+            .map(|&src| plan.source_job(&fab, &ha, src, &remaining))
+            .collect();
         drop(ha);
         self.install_plan(sim, PlanKind::Drain { departing }, jobs, dst_states)
     }
@@ -999,8 +955,7 @@ impl MigrationEngine {
                     for sec in &state.secondaries {
                         sec.borrow_mut().alive = false;
                     }
-                    let znode = state.znode.clone();
-                    let _ = ha.coord.delete(&znode);
+                    let _ = ha.coord.delete(&partition_znode(np as usize));
                     // A fail-over may have slipped the partition into the
                     // shard map before this abort; evict it.
                     dir_changed |= dir.shards.remove(&np).is_some();

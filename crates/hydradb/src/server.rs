@@ -195,9 +195,14 @@ impl ReadPlane {
         self.exports.clear();
     }
 
-    /// Registers a secondary's arena for read spreading.
+    /// Registers a secondary's arena for read spreading. Re-registering a
+    /// replica (re-coupled after a resync) replaces its entry in place.
     pub fn add_export(&mut self, export: ReplicaExport) {
-        self.exports.push(export);
+        let same = |e: &ReplicaExport| Rc::ptr_eq(&e.engine, &export.engine);
+        match self.exports.iter().position(same) {
+            Some(i) => self.exports[i] = export,
+            None => self.exports.push(export),
+        }
     }
 
     /// Records one GET against `key` in the sketch; returns whether the key

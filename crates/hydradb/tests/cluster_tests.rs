@@ -967,3 +967,65 @@ fn a_promotion_between_attempts_lets_every_op_in_the_frame_succeed() {
     );
     assert_eq!(client.in_flight(), 0);
 }
+
+/// Membership churn hands back every fabric resource it borrows. Restarts
+/// used to leave the severed channel's QP and the snapshot transfer's
+/// one-shot QP connected (both ends' `qp_count` feeds the driver penalty and
+/// the ICM model), and every migration shipment registered a fresh landing
+/// region the fabric can never deregister.
+#[test]
+fn membership_churn_leaks_no_qps_and_no_staging_regions() {
+    use hydra_chaos::FaultEvent;
+    // Crash -> restart twice, then join -> drain; returns each node's MTT
+    // footprint afterwards.
+    let churn = |migration_quantum_items: u32| -> Vec<u64> {
+        let mut cluster = build(ClusterConfig {
+            server_nodes: 2,
+            shards_per_node: 1,
+            replicas: 1,
+            replication: ReplicationMode::GroupCommit,
+            migration_quantum_items,
+            ..ClusterConfig::default()
+        });
+        let client = cluster.add_client(0);
+        for i in 0..300u32 {
+            put_ok(
+                &mut cluster,
+                &client,
+                format!("k{i:04}").as_bytes(),
+                &i.to_le_bytes(),
+            );
+        }
+        cluster.sim.run();
+        let qps = |c: &Cluster| -> Vec<u32> {
+            let per_node = |&n| c.fab.qp_count(n);
+            c.server_nodes.iter().map(per_node).collect()
+        };
+        let before = qps(&cluster);
+        let chaos = cluster.chaos();
+        for _ in 0..2 {
+            chaos.apply(&mut cluster.sim, &FaultEvent::CrashNode { node: 1 });
+            cluster.sim.run();
+            chaos.apply(&mut cluster.sim, &FaultEvent::RestartNode { node: 1 });
+            cluster.sim.run();
+        }
+        assert_eq!(qps(&cluster), before, "restart churn leaked QPs");
+        cluster.add_server_with_migration(1);
+        cluster.drain_server(2);
+        assert_eq!(cluster.ownership_audit(), (0, 0));
+        // All that remains is the joined group's own replication channel,
+        // from the new machine to the one after it in placement order.
+        assert_eq!(
+            qps(&cluster),
+            [before[0] + 1, before[1], 1],
+            "migration churn leaked QPs"
+        );
+        let per_node = |&n| cluster.fab.mtt_registered(n);
+        cluster.server_nodes.iter().map(per_node).collect()
+    };
+    assert_eq!(
+        churn(8),
+        churn(64),
+        "MTT footprint must not depend on how many quanta a migration took"
+    );
+}

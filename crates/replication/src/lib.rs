@@ -48,7 +48,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hydra_fabric::{Fabric, NodeId, QpId, RegionId};
+use hydra_fabric::{BatchWrite, Fabric, NodeId, QpId, RegionId, WriteDelivered};
 use hydra_sim::{FifoResource, Sim};
 use hydra_store::ShardEngine;
 use hydra_wire::frame;
@@ -409,7 +409,8 @@ impl ReplicationPair {
     /// replacement secondary is seeded from a snapshot of the primary's
     /// *current* state, which already contains every record this channel
     /// could still have delivered — and every later call on the pair is a
-    /// no-op (completions still fire so callers never hang).
+    /// no-op (completions still fire so callers never hang). The channel's
+    /// QP is released with it: writes already posted land without it.
     pub fn sever(&self, sim: &mut Sim) {
         if self.shared.severed.replace(true) {
             return;
@@ -417,6 +418,7 @@ impl ReplicationPair {
         let mut fire: Vec<DoneCb> = Vec::new();
         {
             let mut p = self.shared.p.borrow_mut();
+            self.shared.fab.disconnect(p.qp);
             // In sequence order: the release order must not depend on the
             // map's per-process hashing.
             let mut waiters: Vec<(u64, DoneCb)> = p.waiters.drain().collect();
@@ -533,12 +535,13 @@ impl ReplicationPair {
             }
         };
         if head > 0 {
-            let mut writes: Vec<hydra_fabric::BatchWrite> = Vec::with_capacity(head + 2);
+            let mut writes: Vec<BatchWrite> = Vec::with_capacity(head + 2);
             let mut piggybacked_ackreq = false;
             {
                 let mut p = shared.p.borrow_mut();
                 for &(op, key, value) in records[..head].iter() {
-                    Self::push_record(&mut p, &mut writes, op, key, value);
+                    let seq = p.assign_seq(op, key.to_vec(), value.to_vec());
+                    writes.extend(Self::frame_record(&mut p, seq, None));
                 }
                 // Strict semantics: the ack covering the head's last record
                 // covers the whole head (acks are cumulative in both modes).
@@ -551,7 +554,8 @@ impl ReplicationPair {
                 // the records and the ackreq in one pass and answers with a
                 // single cumulative watermark.
                 if matches!(shared.cfg.mode, ReplMode::GroupCommit) && p.ack_req_seq.is_none() {
-                    Self::push_record(&mut p, &mut writes, LogOp::AckRequest, &[], &[]);
+                    let seq = p.assign_seq(LogOp::AckRequest, Vec::new(), Vec::new());
+                    writes.extend(Self::frame_record(&mut p, seq, None));
                     piggybacked_ackreq = true;
                 }
             }
@@ -568,7 +572,7 @@ impl ReplicationPair {
                     cb(sim);
                 }
                 Self::poll_secondary(&shared2, sim);
-            }) as hydra_fabric::WriteDelivered);
+            }) as WriteDelivered);
             {
                 let mut st = shared.stats.borrow_mut();
                 st.records += head as u64;
@@ -613,39 +617,32 @@ impl ReplicationPair {
         (marker, off)
     }
 
-    /// Assigns the next sequence number to a record and appends its framed
-    /// ring write (and wrap marker, if any) to a doorbell batch, so data
-    /// records and piggybacked `AckRequest`s share the bookkeeping.
-    fn push_record(
+    /// Frames pending record `seq` at the ring cursor: the wrap-marker
+    /// write, when the frame had to start over at offset 0, then the
+    /// record's ring write carrying `on_delivered`. The one framing path —
+    /// first shipments, doorbell batches, piggybacked `AckRequest`s and
+    /// rollback resends all come through here.
+    fn frame_record(
         p: &mut Primary,
-        writes: &mut Vec<hydra_fabric::BatchWrite>,
-        op: LogOp,
-        key: &[u8],
-        value: &[u8],
-    ) {
-        let seq = p.assign_seq(op, key.to_vec(), value.to_vec());
-        let rec = LogRecord {
-            seq,
-            op,
-            key,
-            value,
-        };
-        let words = frame::frame_to_words(&rec.encode());
+        seq: u64,
+        on_delivered: Option<WriteDelivered>,
+    ) -> impl Iterator<Item = BatchWrite> {
+        // Pending holds every unacknowledged sequence, contiguously.
+        let first = p.pending.front().expect("framed records are pending").seq;
+        let r = &p.pending[(seq - first) as usize];
+        debug_assert_eq!(r.seq, seq);
+        let words = frame::frame_to_words(&r.record().encode());
         let (marker, off) = Self::ring_place(p, words.len());
-        if let Some(marker_off) = marker {
-            writes.push(hydra_fabric::BatchWrite {
-                words: vec![WRAP_MARKER],
-                dst_region: p.ring_region,
-                dst_word_off: marker_off,
-                on_delivered: None,
-            });
-        }
-        writes.push(hydra_fabric::BatchWrite {
+        let ring_write = |words, dst_word_off, on_delivered| BatchWrite {
             words,
             dst_region: p.ring_region,
-            dst_word_off: off,
-            on_delivered: None,
-        });
+            dst_word_off,
+            on_delivered,
+        };
+        let marker = marker.map(|marker_off| ring_write(vec![WRAP_MARKER], marker_off, None));
+        marker
+            .into_iter()
+            .chain([ring_write(words, off, on_delivered)])
     }
 
     /// Last sequence the secondary has acknowledged (0 = none yet; sequences
@@ -766,39 +763,27 @@ impl ReplicationPair {
         }
     }
 
-    /// Frames pending record `seq` and writes it into the ring on a doorbell
-    /// of its own; arranges the applier kick. `on_delivered` is the relaxed
-    /// completion: the record is durable in the secondary's memory once the
-    /// write lands (strict-semantics waiters sit with the ack machinery
-    /// instead).
+    /// Writes pending record `seq` into the ring on a doorbell of its own
+    /// (so does its wrap marker, if any: sharing one would shave the
+    /// record's initiator cost to the chained-WQE rate); arranges the
+    /// applier kick. `on_delivered` is the relaxed completion: the record is
+    /// durable in the secondary's memory once the write lands
+    /// (strict-semantics waiters sit with the ack machinery instead).
     fn ship(shared: &Rc<Shared>, sim: &mut Sim, seq: u64, on_delivered: Option<DoneCb>) {
-        let (qp, node, region, marker, off, words) = {
+        let shared2 = shared.clone();
+        let kick: WriteDelivered = Box::new(move |sim: &mut Sim| {
+            if let Some(cb) = on_delivered {
+                cb(sim);
+            }
+            Self::poll_secondary(&shared2, sim);
+        });
+        let (qp, node, writes) = {
             let mut p = shared.p.borrow_mut();
-            // Pending holds every unacknowledged sequence, contiguously.
-            let first = p.pending.front().expect("shipped records are pending").seq;
-            let r = &p.pending[(seq - first) as usize];
-            debug_assert_eq!(r.seq, seq);
-            let words = frame::frame_to_words(&r.record().encode());
-            let (marker, off) = Self::ring_place(&mut p, words.len());
-            (p.qp, p.node, p.ring_region, marker, off, words)
+            (p.qp, p.node, Self::frame_record(&mut p, seq, Some(kick)))
         };
-        if let Some(marker_off) = marker {
-            shared
-                .fab
-                .post_write(sim, qp, node, vec![WRAP_MARKER], region, marker_off, None);
+        for write in writes {
+            shared.fab.post_write_batch(sim, qp, node, [write]);
         }
-        let kick = {
-            let shared = shared.clone();
-            Box::new(move |sim: &mut Sim| {
-                if let Some(cb) = on_delivered {
-                    cb(sim);
-                }
-                Self::poll_secondary(&shared, sim);
-            })
-        };
-        shared
-            .fab
-            .post_write(sim, qp, node, words, region, off, Some(kick));
     }
 
     fn ship_ack_request(shared: &Rc<Shared>, sim: &mut Sim) {
@@ -1111,6 +1096,9 @@ impl ReplicationPair {
         let shared2 = shared.clone();
         let fab = shared.fab.clone();
         sim.schedule_in(ack_delay, move |sim| {
+            if shared2.severed.get() {
+                return; // the channel and its QP were retired meanwhile
+            }
             let on_ack: Box<dyn FnOnce(&mut Sim)> =
                 Box::new(move |sim| ReplicationPair::on_ack(&shared2, sim));
             fab.post_write(sim, qp, node, words, region, 0, Some(on_ack));

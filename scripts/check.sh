@@ -68,4 +68,7 @@ done
 echo "==> chaos soak (100 fixed-seed fault plans, full consistency checks)"
 cargo test -q --release -p hydra-integration --test chaos -- --ignored
 
+echo "==> counted lines and config field counts (report only)"
+scripts/loc.sh
+
 echo "OK: all tier-1 checks passed"
