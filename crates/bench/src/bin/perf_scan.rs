@@ -10,6 +10,11 @@
 //!    keys at scan length 100, plus a point-GET probe over both engines to
 //!    bound the hybrid's read-path overhead. The emulated baseline is
 //!    sampled (each scan is O(n log n)) and reported as per-scan rate.
+//!    Engines are loaded in scrambled id order, as a cluster fed by many
+//!    interleaved clients is: index nodes and items then lie in memory in
+//!    an order unrelated to key order and a range walk misses the cache per
+//!    item. Loading in key order instead lets the hardware prefetcher
+//!    stream the walk; that special case is reported as a second row.
 //! 2. **Cluster YCSB-E** — `Workload::workload_e` (95% scans, uniform
 //!    length 1..=100, 5% inserts) through the full wire/server/client scan
 //!    plane on a hybrid-indexed cluster, reporting end-to-end virtual-time
@@ -34,7 +39,16 @@ fn key_of(id: u64) -> Vec<u8> {
     k
 }
 
-fn engine(kind: IndexKind, records: u64) -> ShardEngine {
+/// Which order the records are inserted in.
+#[derive(Clone, Copy)]
+enum Load {
+    /// Ids sorted by their scramble: memory order unrelated to key order.
+    Scrambled,
+    /// Ids ascending: memory order equals key order.
+    KeyOrder,
+}
+
+fn engine(kind: IndexKind, records: u64, load: Load) -> ShardEngine {
     // ~64 B per item (16 B key + 32 B value + headers): size the arena with
     // ample slack so neither engine ever blocks on reclamation.
     let arena_words = ((records as usize * 16).next_power_of_two()).max(1 << 16);
@@ -46,7 +60,11 @@ fn engine(kind: IndexKind, records: u64) -> ShardEngine {
         min_lease_ns: 1_000_000,
         max_lease_ns: 64_000_000,
     });
-    for id in 0..records {
+    let mut ids: Vec<u64> = (0..records).collect();
+    if let Load::Scrambled = load {
+        ids.sort_by_key(|&id| ZipfianGenerator::fnv_scramble(id));
+    }
+    for id in ids {
         e.insert(0, &key_of(id), &[0x5A; 32]).expect("load");
     }
     e
@@ -170,8 +188,8 @@ fn main() {
     ));
 
     // --- engine ablation ---
-    let mut hybrid = engine(IndexKind::Hybrid, records);
-    let mut packed = engine(IndexKind::Packed, records);
+    let mut hybrid = engine(IndexKind::Hybrid, records, Load::Scrambled);
+    let mut packed = engine(IndexKind::Packed, records, Load::Scrambled);
     assert!(hybrid.scan_is_native());
     assert!(!packed.scan_is_native());
 
@@ -181,14 +199,27 @@ fn main() {
     let (hy_rate, hy_items) = bench_scans(&mut hybrid, records, hybrid_scans, 13);
     let (em_rate, _) = bench_scans(&mut packed, records, emul_scans, 13);
     let speedup = hy_rate / em_rate;
+    let ns_per_item = |rate: f64, items: u64| 1e9 * hybrid_scans as f64 / rate / items as f64;
+    let hy_ns_item = ns_per_item(hy_rate, hy_items);
     report.line(&format!(
-        "{:<22} {:>16.0} {:>16.2} {:>10.1}x",
-        "scans_per_sec", hy_rate, em_rate, speedup
+        "{:<22} {:>16.0} {:>16.2} {:>10.1}x   scrambled load, {:.0} ns/item",
+        "scans_per_sec", hy_rate, em_rate, speedup, hy_ns_item
     ));
     report.line(&format!(
         "# hybrid walked {} items ({:.1} per scan)",
         hy_items,
         hy_items as f64 / hybrid_scans as f64
+    ));
+    // The special case: memory order equals key order.
+    let (ko_rate, ko_items) = {
+        let mut keyorder = engine(IndexKind::Hybrid, records, Load::KeyOrder);
+        let _ = bench_scans(&mut keyorder, records, hybrid_scans / 10, 7);
+        bench_scans(&mut keyorder, records, hybrid_scans, 13)
+    };
+    let ko_ns_item = ns_per_item(ko_rate, ko_items);
+    report.line(&format!(
+        "{:<22} {:>16.0} {:>16} {:>11}   key-order load, {:.0} ns/item",
+        "scans_per_sec_keyorder", ko_rate, "-", "-", ko_ns_item
     ));
 
     let (g_hy, g_pk, regression_pct) =
@@ -199,6 +230,9 @@ fn main() {
     ));
 
     report.datum("hybrid_scans_per_s", hy_rate);
+    report.datum("hybrid_ns_per_item", hy_ns_item);
+    report.datum("hybrid_keyorder_scans_per_s", ko_rate);
+    report.datum("hybrid_keyorder_ns_per_item", ko_ns_item);
     report.datum("emulated_scans_per_s", em_rate);
     report.datum("scan_speedup", speedup);
     report.datum("get_hybrid_mops", g_hy);

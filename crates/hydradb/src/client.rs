@@ -37,9 +37,8 @@ use hydra_sim::time::SimTime;
 use hydra_sim::{Histogram, Sim};
 use hydra_store::{FetchedItem, ItemError};
 use hydra_wire::{
-    backlog_hint, frame, messages, scan_items_begin, scan_items_finish, scan_items_push,
-    BatchBuilder, BatchFrame, KeyList, RemotePtr, Request, Response, ScanItems, Status,
-    MAX_EXPORT_PTRS,
+    backlog_hint, frame, messages, scan_items_merge, BatchBuilder, BatchFrame, KeyList, RemotePtr,
+    Request, Response, ScanItems, Status, MAX_EXPORT_PTRS,
 };
 
 use crate::cluster::Directory;
@@ -62,7 +61,9 @@ pub enum OpError {
 }
 
 /// Completion callback: `Ok(Some(value))` for GET hits, `Ok(None)` for GET
-/// misses, `Ok(None)` for successful writes.
+/// misses, `Ok(None)` for successful writes. (A scan step — internal to
+/// [`HydraClient::scan`] — completes with its whole response message, so
+/// the payload polled off the wire changes hands instead of being copied.)
 pub type OpCb = Box<dyn FnOnce(&mut Sim, Result<Option<Vec<u8>>, OpError>)>;
 
 /// Per-client counters and latency recordings.
@@ -235,7 +236,7 @@ struct ScanState {
     /// smallest-`limit` set to be correct).
     limit: u32,
     /// Partition ids in fan-out order.
-    partitions: Vec<u32>,
+    partitions: Rc<[u32]>,
     /// Index of the partition currently being scanned.
     part_idx: usize,
     /// Items collected from the current partition so far.
@@ -243,9 +244,17 @@ struct ScanState {
     /// Next start key for the current partition (continuation: last
     /// received key + `0x00`, the immediate successor in byte order).
     cursor: Vec<u8>,
-    /// All collected `(key, value)` pairs, merged and truncated at the end.
-    items: Vec<(Vec<u8>, Vec<u8>)>,
+    /// The response message of every step so far, as it came off the wire:
+    /// each carries one key-sorted run, merged straight out of these at the
+    /// end.
+    runs: Vec<Vec<u8>>,
     issued_at: SimTime,
+}
+
+/// The packed items a scan step's response message carries.
+fn scan_run(msg: &[u8]) -> ScanItems<'_> {
+    let resp = Response::decode(msg).expect("checked when the step completed");
+    ScanItems::parse(resp.value).expect("well-formed scan payload")
 }
 
 /// Per-connection AIMD congestion window bounding how many requests the
@@ -391,6 +400,9 @@ pub(crate) struct ClientInner {
     outboxes: Vec<Outbox>,
     /// Reused request-frame builder.
     req_batch: BatchBuilder,
+    /// The directory's partition ids in scan fan-out order, as of the
+    /// directory generation they were listed at.
+    scan_order: Option<(u64, Rc<[u32]>)>,
     stats: ClientStats,
 }
 
@@ -450,6 +462,7 @@ impl HydraClient {
                 window: HashMap::new(),
                 outboxes: Vec::new(),
                 req_batch: BatchBuilder::new(),
+                scan_order: None,
                 stats: ClientStats::default(),
             })),
         }
@@ -597,17 +610,23 @@ impl HydraClient {
     /// [`hydra_wire::ScanItems`] payload (`more = false`), key-sorted and
     /// truncated to `limit`.
     pub fn scan(&self, sim: &mut Sim, start: &[u8], limit: u32, cb: OpCb) {
-        {
+        let partitions = {
             let mut inner = self.inner.borrow_mut();
             inner.stats.scans += 1;
             inner.stats.ops += 1;
-        }
-        let partitions: Vec<u32> = {
-            let inner = self.inner.borrow();
-            let dir = inner.directory.borrow();
-            let mut ps: Vec<u32> = dir.shards.keys().copied().collect();
-            ps.sort_unstable();
-            ps
+            // The partition set changes only with the directory generation.
+            let generation = inner.directory.borrow().generation;
+            match &inner.scan_order {
+                Some((listed_at, order)) if *listed_at == generation => order.clone(),
+                _ => {
+                    let mut ps: Vec<u32> =
+                        inner.directory.borrow().shards.keys().copied().collect();
+                    ps.sort_unstable();
+                    let order: Rc<[u32]> = ps.into();
+                    inner.scan_order = Some((generation, order.clone()));
+                    order
+                }
+            }
         };
         let state = ScanState {
             start: start.to_vec(),
@@ -616,7 +635,7 @@ impl HydraClient {
             part_idx: 0,
             part_count: 0,
             cursor: start.to_vec(),
-            items: Vec::new(),
+            runs: Vec::new(),
             issued_at: sim.now(),
         };
         self.scan_step(sim, state, cb);
@@ -639,8 +658,8 @@ impl HydraClient {
         self.issue_scan_request(sim, partition, cursor, remaining, step_cb);
     }
 
-    /// Settles one per-partition response: absorb its items, continue the
-    /// same partition while the server reports truncation, else advance.
+    /// Settles one per-partition response: keep its run, continue the same
+    /// partition while the server reports truncation, else advance.
     fn on_scan_step(
         &self,
         sim: &mut Sim,
@@ -648,8 +667,8 @@ impl HydraClient {
         cb: OpCb,
         res: Result<Option<Vec<u8>>, OpError>,
     ) {
-        let bytes = match res {
-            Ok(Some(bytes)) => bytes,
+        let msg = match res {
+            Ok(Some(msg)) => msg,
             // A scan step always answers Ok(value); treat anything else as
             // the underlying failure.
             Ok(None) => {
@@ -661,41 +680,36 @@ impl HydraClient {
                 return;
             }
         };
-        let parsed = ScanItems::parse(&bytes).expect("well-formed scan payload");
-        let mut last_key: Option<Vec<u8>> = None;
-        for (k, v) in parsed.iter() {
-            state.items.push((k.to_vec(), v.to_vec()));
-            last_key = Some(k.to_vec());
-            state.part_count += 1;
-        }
-        if parsed.more() && state.part_count < state.limit {
-            if let Some(lk) = last_key {
-                // Continuation: resume just past the last received key.
-                state.cursor = lk;
+        let run = scan_run(&msg);
+        state.part_count += run.len() as u32;
+        let more = run.more() && state.part_count < state.limit;
+        if more {
+            // Continuation: resume just past the last received key. A step
+            // crowded out of its response frame (a frame's responses share
+            // one slot) carries nothing and is asked again as it was.
+            if let Some((last, _)) = run.iter().last() {
+                state.cursor.clear();
+                state.cursor.extend_from_slice(last);
                 state.cursor.push(0);
-                self.scan_step(sim, state, cb);
-                return;
             }
+        } else {
+            // Partition drained (or its per-partition target met): advance.
+            state.part_idx += 1;
+            state.part_count = 0;
+            state.cursor.clear();
+            state.cursor.extend_from_slice(&state.start);
         }
-        // Partition drained (or its per-partition target met): advance.
-        state.part_idx += 1;
-        state.part_count = 0;
-        state.cursor = state.start.clone();
+        state.runs.push(msg);
         self.scan_step(sim, state, cb);
     }
 
-    /// Merges the fan-out: key-sort, truncate to the global limit, re-pack.
-    /// Keys are unique cluster-wide (each lives on one partition), so the
-    /// sort needs no dedup.
-    fn finish_scan(&self, sim: &mut Sim, mut state: ScanState, cb: OpCb) {
-        state.items.sort_by(|a, b| a.0.cmp(&b.0));
-        state.items.truncate(state.limit as usize);
+    /// Merges the fan-out: the steps' key-sorted runs, k-way, into one list
+    /// truncated to the global limit. Keys are unique cluster-wide (each
+    /// lives on one partition), so the merge needs no dedup.
+    fn finish_scan(&self, sim: &mut Sim, state: ScanState, cb: OpCb) {
         let mut packed = Vec::new();
-        scan_items_begin(&mut packed);
-        for (k, v) in &state.items {
-            scan_items_push(&mut packed, k, v);
-        }
-        scan_items_finish(&mut packed, false, state.items.len() as u32);
+        let runs = state.runs.iter().map(|msg| scan_run(msg));
+        scan_items_merge(runs, state.limit, &mut packed);
         {
             let mut inner = self.inner.borrow_mut();
             let lat = sim.now() - state.issued_at;
@@ -1479,6 +1493,11 @@ impl HydraClient {
         // message of a frame is the congestion signal.
         let mut max_hint: u16 = 0;
         let mut freed = None;
+        let batched = BatchFrame::is_batch(&payload);
+        // A scan step keeps its response message. One that came bare is the
+        // payload: it settles once the borrow below ends and takes the
+        // payload with it, uncopied.
+        let mut bare_scan = None;
         for msg in messages(&payload) {
             max_hint = max_hint.max(backlog_hint(msg));
             let resp = Response::decode(msg).expect("well-formed response");
@@ -1498,12 +1517,20 @@ impl HydraClient {
             if let Some(ev) = op.timeout_ev {
                 sim.cancel(ev);
             }
-            self.complete_op(sim, op, &resp);
+            match (op.kind, batched) {
+                (OpKind::Scan, false) => bare_scan = Some((op, resp.status)),
+                (OpKind::Scan, true) => self.complete_op(sim, op, &resp, Some(msg.to_vec())),
+                _ => self.complete_op(sim, op, &resp, None),
+            }
+        }
+        if let Some((op, status)) = bare_scan {
+            let resp = Response::status_only(status, op.req_id);
+            self.complete_op(sim, op, &resp, Some(payload));
         }
         let Some((partition, shipped_at)) = freed else {
             return;
         };
-        if BatchFrame::is_batch(&payload) {
+        if batched {
             if let Some(win) = &mut self.inner.borrow_mut().outbox(partition).aimd {
                 win.on_frame(max_hint, sim.now().saturating_sub(shipped_at));
             }
@@ -1513,7 +1540,15 @@ impl HydraClient {
 
     /// Settles one completed operation against its decoded response:
     /// pointer-cache upkeep, verdict mapping, latency recording, callback.
-    fn complete_op(&self, sim: &mut Sim, out: InFlightOp, resp: &Response<'_>) {
+    /// `scan_msg` is the response message itself, owned, when the operation
+    /// is a scan step: the step's completion value.
+    fn complete_op(
+        &self,
+        sim: &mut Sim,
+        out: InFlightOp,
+        resp: &Response<'_>,
+        scan_msg: Option<Vec<u8>>,
+    ) {
         let now = sim.now();
         // Ownership redirect: the shard no longer owns the key (migration
         // flipped the ring). The shared directory already carries the new
@@ -1588,8 +1623,8 @@ impl HydraClient {
                     Ok(Some(resp.value.to_vec()))
                 }
                 (OpKind::Get, Status::NotFound) => Ok(None),
-                // A scan step's payload is the packed item list.
-                (OpKind::Scan, Status::Ok) => Ok(Some(resp.value.to_vec())),
+                // A scan step's value is its whole response message.
+                (OpKind::Scan, Status::Ok) => Ok(scan_msg),
                 (_, Status::Ok) => Ok(None),
                 (_, Status::NotFound) => Err(OpError::NotFound),
                 (_, Status::Exists) => Err(OpError::Exists),

@@ -25,9 +25,10 @@ use hydra_sim::time::SimTime;
 use hydra_sim::{EventId, FifoResource, Sim};
 use hydra_store::{EngineError, HeatSketch, ItemInfo, ShardEngine, LOOKUP_BATCH};
 use hydra_wire::{
-    for_each_message_mut, frame, messages, scan_items_begin, scan_items_finish, scan_items_push,
-    set_backlog_hint, BatchBuilder, BatchFrame, LogOp, RemotePtr, ReplicaPtr, ReplicaSet, Request,
-    Response, Status, BATCH_ENTRY_HDR, BATCH_HDR, MAX_EXPORT_PTRS,
+    for_each_message_mut, frame, messages, scan_items_push, scan_response_begin,
+    scan_response_finish, set_backlog_hint, BatchBuilder, BatchFrame, LogOp, RemotePtr, ReplicaPtr,
+    ReplicaSet, Request, Response, Status, BATCH_ENTRY_HDR, BATCH_HDR, MAX_EXPORT_PTRS, RESP_HDR,
+    SCAN_ENTRY_HDR, SCAN_ITEMS_HDR,
 };
 
 use crate::config::{ClusterConfig, ReplicationMode, SchedulerKind};
@@ -276,10 +277,11 @@ struct ScanTask {
     cursor: Vec<u8>,
     /// Items still allowed (starts at `limit.min(scan_quantum_items)`).
     remaining: u32,
-    /// Items already packed into `buf` by earlier chunks.
+    /// Items already packed into `resp` by earlier chunks.
     served: u32,
-    /// Accumulated packed-items payload (`scan_items_begin` applied).
-    buf: Vec<u8>,
+    /// The response being framed in place (`scan_response_begin` applied):
+    /// drawn from the shard's pool at the first chunk, sent as it stands.
+    resp: Vec<u8>,
     arrived: SimTime,
 }
 
@@ -453,15 +455,115 @@ pub(crate) fn with_gate<R>(
     }
 }
 
+/// What bounds one scan step besides the client's limit.
+#[derive(Debug, Clone, Copy)]
+pub struct ScanBounds {
+    /// Most items a step returns: its quantum ([`scan_quantum_items`]).
+    pub items: u32,
+    /// Payload bytes the connection's message slot carries: the response —
+    /// with everything sharing its frame — must fit.
+    pub slot_bytes: usize,
+    /// Bytes of the slot spoken for by the responses still to come in the
+    /// same frame (0 for a bare scan).
+    pub reserved: usize,
+}
+
+impl ScanBounds {
+    /// The bounds `cfg` puts on a scan answered in a payload of its own.
+    pub fn of(cfg: &ClusterConfig) -> ScanBounds {
+        ScanBounds {
+            items: scan_quantum_items(cfg),
+            slot_bytes: frame::max_payload(cfg.msg_slot_words),
+            reserved: 0,
+        }
+    }
+
+    /// The least a response takes of a frame: what a scan step behind this
+    /// one must be left with to answer at all.
+    const MIN_RESPONSE: usize = BATCH_ENTRY_HDR + RESP_HDR + SCAN_ITEMS_HDR;
+}
+
+/// How a scan walk ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ScanEnd {
+    /// Ran off the end of the shard's keys: nothing remains.
+    Drained,
+    /// Stopped at the item allowance (probing one item past it).
+    Allowance,
+    /// The next item did not fit the bytes left; `stuck` when it would not
+    /// fit a response of its own either, so no continuation can pass it.
+    Full { stuck: bool },
+}
+
+/// The one scan walk, under the bare scan's chunks and the in-frame scan
+/// alike: appends the items from `cursor` on to the scan response open at the
+/// end of `out` — at most `bounds.items` of them (the caller has narrowed
+/// that to what this step may still return), skipping what the live ring
+/// routes elsewhere, stopping before the one that would grow `out` past
+/// what `bounds` leaves it — and reports how many it appended and why it
+/// stopped. `last_key`, when asked for, receives the last appended key.
+fn pack_scan_items(
+    engine: &mut ShardEngine,
+    cursor: &[u8],
+    scratch: &mut Vec<u8>,
+    owns: impl Fn(&[u8]) -> bool,
+    bounds: ScanBounds,
+    out: &mut Vec<u8>,
+    mut last_key: Option<&mut Vec<u8>>,
+) -> (u32, ScanEnd) {
+    let cap = bounds.slot_bytes.saturating_sub(bounds.reserved);
+    let sole = bounds
+        .slot_bytes
+        .saturating_sub(BATCH_HDR + ScanBounds::MIN_RESPONSE);
+    let mut count = 0u32;
+    let mut end = ScanEnd::Drained;
+    engine.scan_into(cursor, scratch, |k, v| {
+        if count == bounds.items {
+            end = ScanEnd::Allowance;
+            return false;
+        }
+        if !owns(k) {
+            return true; // not ours under the live ring: skip
+        }
+        let entry = SCAN_ENTRY_HDR + k.len() + v.len();
+        if out.len() + entry > cap {
+            end = ScanEnd::Full {
+                stuck: entry > sole,
+            };
+            return false;
+        }
+        scan_items_push(out, k, v);
+        if let Some(last) = last_key.as_deref_mut() {
+            last.clear();
+            last.extend_from_slice(k);
+        }
+        count += 1;
+        true
+    });
+    (count, end)
+}
+
+/// Completes the scan response open at `at` in `out` after a walk that
+/// ended in `end` with `served` items appended in all. A scan stuck on its
+/// first item — one too large for any response — answers `Error` instead
+/// of an empty list the client would follow forever.
+fn finish_scan_response(out: &mut Vec<u8>, at: usize, req_id: u64, served: u32, end: ScanEnd) {
+    if served == 0 && end == (ScanEnd::Full { stuck: true }) {
+        out.truncate(at);
+        Response::status_only(Status::Error, req_id).encode_into(out);
+    } else {
+        scan_response_finish(out, at, end != ScanEnd::Drained, served);
+    }
+}
+
 /// Applies one decoded request to `engine`, appending the encoded response
 /// to `out`. Returns the replication action for successful writes.
 ///
 /// This is the single execution kernel shared by the singleton path and the
 /// batched quantum path, so batched execution is behaviourally identical by
 /// construction; the batched-vs-sequential property test in `tests/` pins
-/// that down. `scratch` is the reused GET value buffer; `scan_cap` bounds
-/// the items one SCAN may return (its quantum, [`scan_quantum_items`]) and
-/// `scan_buf` is the reused packed-items response buffer. The returned
+/// that down. `scratch` is the reused GET value buffer; `scan` bounds what
+/// one SCAN may return, its items going straight into `out`. The returned
 /// slices borrow from the request payload, never from the engine.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_request<'a>(
@@ -470,8 +572,7 @@ pub fn apply_request<'a>(
     req: &Request<'a>,
     arena_region: RegionId,
     scratch: &mut Vec<u8>,
-    scan_cap: u32,
-    scan_buf: &mut Vec<u8>,
+    scan: ScanBounds,
     plane: &mut ReadPlane,
     gate: Option<&OwnershipGate<'_>>,
     out: &mut Vec<u8>,
@@ -563,34 +664,18 @@ pub fn apply_request<'a>(
         }
         Request::Scan { start, limit, .. } => {
             // Read-only: walk the ordered index from `start`, pack up to
-            // `min(limit, scan_cap)` items, and flag truncation so the
-            // client can continue from its last key. The cap is the scan
-            // quantum — a long range never occupies the core past its
-            // budget.
-            let cap = (*limit).min(scan_cap);
-            scan_items_begin(scan_buf);
-            let mut count: u32 = 0;
-            let exhausted = engine.scan_into(start, scratch, |k, v| {
-                if count == cap {
-                    return false;
-                }
-                if gate.is_some_and(|g| !(g.owns)(k)) {
-                    return true; // not ours under the live ring: skip
-                }
-                scan_items_push(scan_buf, k, v);
-                count += 1;
-                true
-            });
-            scan_items_finish(scan_buf, !exhausted, count);
-            Response {
-                status: Status::Ok,
-                req_id,
-                value: scan_buf,
-                rptr: RemotePtr::none(),
-                lease_expiry: 0,
-                replicas: None,
-            }
-            .encode_into(out);
+            // `min(limit, quantum)` items that fit the slot, and flag
+            // truncation so the client can continue from its last key. The
+            // quantum keeps a long range from occupying the core past its
+            // budget; the slot is what the response travels in.
+            let at = scan_response_begin(out, req_id);
+            let owns = |k: &[u8]| gate.is_none_or(|g| (g.owns)(k));
+            let step = ScanBounds {
+                items: (*limit).min(scan.items),
+                ..scan
+            };
+            let (count, end) = pack_scan_items(engine, start, scratch, owns, step, out, None);
+            finish_scan_response(out, at, req_id, count, end);
             None
         }
     }
@@ -615,7 +700,8 @@ pub struct BatchOpCounts {
 /// `builder` (cleared by the caller) in request order. Maximal runs of GETs
 /// probe the index interleaved ([`ShardEngine::get_batch_into`]); everything
 /// else goes through [`apply_request`], so a batch is behaviourally identical
-/// to executing its requests sequentially. Returns the replication records
+/// to executing its requests sequentially. `scan` bounds each SCAN of the
+/// batch, whose responses share one slot. Returns the replication records
 /// for successful writes (borrowing the request payloads) plus op counts.
 #[allow(clippy::too_many_arguments)]
 pub fn run_batch<'a>(
@@ -624,8 +710,7 @@ pub fn run_batch<'a>(
     reqs: &[Request<'a>],
     arena_region: RegionId,
     scratch: &mut Vec<u8>,
-    scan_cap: u32,
-    scan_buf: &mut Vec<u8>,
+    scan: ScanBounds,
     plane: &mut ReadPlane,
     gate: Option<&OwnershipGate<'_>>,
     builder: &mut BatchBuilder,
@@ -704,6 +789,12 @@ pub fn run_batch<'a>(
         } else {
             let req = &reqs[i];
             let mut action = None;
+            // A scan may fill the frame only as far as leaves every request
+            // behind it room to answer.
+            let scan = ScanBounds {
+                reserved: (reqs.len() - i - 1) * ScanBounds::MIN_RESPONSE,
+                ..scan
+            };
             builder.push_with(|out| {
                 action = apply_request(
                     engine,
@@ -711,8 +802,7 @@ pub fn run_batch<'a>(
                     req,
                     arena_region,
                     scratch,
-                    scan_cap,
-                    scan_buf,
+                    scan,
                     plane,
                     gate,
                     out,
@@ -776,9 +866,11 @@ pub struct ShardServer {
     /// Reused GET value buffer — steady-state GETs allocate nothing for the
     /// value copy.
     get_scratch: Vec<u8>,
-    /// Reused packed-items buffer for SCAN responses — steady-state scans
-    /// allocate nothing for item assembly.
-    scan_scratch: Vec<u8>,
+    /// Response buffers back from the wire: a response is built in one of
+    /// these and returns here once framed, so steady-state responses —
+    /// scan responses, which grow item by item, above all — neither
+    /// allocate nor regrow.
+    resp_pool: Vec<Vec<u8>>,
     /// Reused response-batch builder for the quantum path.
     resp_batch: BatchBuilder,
     /// Heat tracking + replica pointer export (read spreading).
@@ -830,7 +922,7 @@ impl ShardServer {
             stats: ServerStats::default(),
             reclaim_armed: None,
             get_scratch: Vec::new(),
-            scan_scratch: Vec::new(),
+            resp_pool: Vec::new(),
             resp_batch: BatchBuilder::new(),
             plane,
             sched: DualLaneSched::default(),
@@ -1027,15 +1119,13 @@ impl ShardServer {
         // latency-lane point op. FIFO service is the same scheduler with
         // every task in one lane: arrival order, nothing to preempt for.
         if let Some((req_id, cursor, limit)) = scan {
-            let mut buf = Vec::new();
-            scan_items_begin(&mut buf);
             let task = LaneTask::Scan(ScanTask {
                 conn_idx,
                 req_id,
                 cursor,
                 remaining: limit.min(scan_quantum_items(&self.cfg)),
                 served: 0,
-                buf,
+                resp: Vec::new(),
                 arrived: now,
             });
             return (THR, task, cost);
@@ -1346,35 +1436,32 @@ impl ShardServer {
             return;
         }
         let allowance = yield_items.map_or(task.remaining, |y| y.min(task.remaining));
+        if task.resp.is_empty() {
+            task.resp = s.resp_pool.pop().unwrap_or_default();
+            scan_response_begin(&mut task.resp, task.req_id);
+        }
         let engine_rc = s.engine.clone();
         let mig = s.mig.clone();
         let mut scratch = std::mem::take(&mut s.get_scratch);
-        let mut count = 0u32;
         let mut last_key: Vec<u8> = Vec::new();
-        let buf = &mut task.buf;
-        let exhausted = engine_rc
-            .borrow_mut()
-            .scan_into(&task.cursor, &mut scratch, |k, v| {
-                if count == allowance {
-                    return false;
-                }
-                if mig.as_ref().is_some_and(|m| !m.borrow().owns(k)) {
-                    return true; // not ours under the live ring: skip
-                }
-                scan_items_push(buf, k, v);
-                if yield_items.is_some() {
-                    last_key.clear();
-                    last_key.extend_from_slice(k);
-                }
-                count += 1;
-                true
-            });
+        let (count, end) = pack_scan_items(
+            &mut engine_rc.borrow_mut(),
+            &task.cursor,
+            &mut scratch,
+            |k| mig.as_ref().is_none_or(|m| m.borrow().owns(k)),
+            ScanBounds {
+                items: allowance,
+                ..ScanBounds::of(&s.cfg)
+            },
+            &mut task.resp,
+            yield_items.is_some().then_some(&mut last_key),
+        );
         s.get_scratch = scratch;
         task.served += count;
         task.remaining -= count;
         let chunk = s.cfg.scan_chunk_items.max(1) as u64;
         s.stats.scan_chunks += (count as u64).div_ceil(chunk).max(1);
-        if yield_items.is_some() && !exhausted {
+        if yield_items.is_some() && end == ScanEnd::Allowance {
             last_key.push(0);
             task.cursor = last_key;
             let c = &s.cfg.costs;
@@ -1382,23 +1469,13 @@ impl ShardServer {
             s.sched.push_front(THR, LaneTask::Scan(task), cost);
             return;
         }
-        scan_items_finish(&mut task.buf, !exhausted, task.served);
+        finish_scan_response(&mut task.resp, 0, task.req_id, task.served, end);
         s.stats.scans += 1;
         s.stats.service_time_hist_by_op[5][log2_bucket(sim.now().saturating_sub(task.arrived))] +=
             1;
-        let mut resp = Vec::new();
-        Response {
-            status: Status::Ok,
-            req_id: task.req_id,
-            value: &task.buf,
-            rptr: RemotePtr::none(),
-            lease_expiry: 0,
-            replicas: None,
-        }
-        .encode_into(&mut resp);
         drop(s);
         Self::maybe_schedule_reclaim(this, sim);
-        Self::send_response_frame(this, sim, task.conn_idx, resp, 1);
+        Self::send_response_frame(this, sim, task.conn_idx, task.resp, 1);
     }
 
     /// The one quantum executor: runs the request(s) `payload` carries — one
@@ -1449,7 +1526,7 @@ impl ShardServer {
                 s.stats.service_time_hist_by_op[op_slot(req)][sojourn_bucket] += 1;
             }
             let s = &mut *s;
-            let scan_cap = scan_quantum_items(&s.cfg);
+            let scan = ScanBounds::of(&s.cfg);
             s.resp_batch.clear();
             let engine_rc = s.engine.clone();
             let mig = s.mig.clone();
@@ -1460,8 +1537,7 @@ impl ShardServer {
                     reqs,
                     s.arena_region,
                     &mut s.get_scratch,
-                    scan_cap,
-                    &mut s.scan_scratch,
+                    scan,
                     &mut s.plane,
                     gate,
                     &mut s.resp_batch,
@@ -1474,11 +1550,12 @@ impl ShardServer {
             s.stats.lease_renews += counts.lease_renews;
             s.stats.scans += counts.scans;
             let resp_count = s.resp_batch.count() as u64;
-            let resp = if batched {
-                s.resp_batch.bytes().to_vec()
+            let mut resp = s.resp_pool.pop().unwrap_or_default();
+            resp.extend_from_slice(if batched {
+                s.resp_batch.bytes()
             } else {
-                s.resp_batch.bytes()[BATCH_HDR + BATCH_ENTRY_HDR..].to_vec()
-            };
+                &s.resp_batch.bytes()[BATCH_HDR + BATCH_ENTRY_HDR..]
+            });
             // Migration hooks for the quantum's successful writes: dirty
             // the key during the copy phases, or forward it to the new
             // owner during DoubleWrite — grouped per destination channel,
@@ -1624,6 +1701,8 @@ impl ShardServer {
             fab.post_send(sim, qp, node, resp);
         } else {
             let words = frame::frame_to_words(&resp);
+            resp.clear();
+            this.borrow_mut().resp_pool.push(resp);
             fab.post_write(
                 sim,
                 qp,

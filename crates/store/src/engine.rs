@@ -21,7 +21,7 @@ use crate::arena::Arena;
 use crate::index::{AnyIndex, Index, IndexKind};
 use crate::item::{item_words, ItemRef};
 use crate::reclaim::ReclaimQueue;
-use crate::{hash_key, ArenaStats, TableStats};
+use crate::{hash_key, ArenaStats, SkipListStats, TableStats};
 
 /// Whether the store is a reliable store (INSERT collides) or a cache
 /// (upserts + eviction under memory pressure).
@@ -164,9 +164,10 @@ pub struct ShardEngine {
 impl ShardEngine {
     /// Builds an engine from `cfg`.
     pub fn new(cfg: EngineConfig) -> Self {
+        let arena = Arena::new(cfg.arena_words);
         ShardEngine {
-            arena: Arena::new(cfg.arena_words),
-            table: AnyIndex::with_capacity(cfg.index, cfg.expected_items),
+            table: AnyIndex::with_capacity(cfg.index, cfg.expected_items, &arena),
+            arena,
             reclaim: ReclaimQueue::new(),
             clock: VecDeque::new(),
             cfg,
@@ -192,6 +193,15 @@ impl ShardEngine {
     /// Bytes held by the index's live structures.
     pub fn index_mem_bytes(&self) -> usize {
         self.table.mem_bytes()
+    }
+
+    /// Shape counters of the index's ordered side (`None` on a hash-only
+    /// shard): leaves, retired nodes, comparisons.
+    pub fn ordered_stats(&self) -> Option<SkipListStats> {
+        match &self.table {
+            AnyIndex::Hybrid(t) => Some(t.ordered_stats()),
+            _ => None,
+        }
     }
 
     /// The registered-memory word slice remote readers access.
@@ -709,10 +719,11 @@ impl ShardEngine {
     /// Returns `true` when the keyspace was exhausted, `false` when `emit`
     /// stopped the walk (i.e. more items remain past the last emitted key).
     ///
-    /// On a hybrid shard this walks the skiplist's level 0 and allocates
-    /// nothing after warmup. On hash-only shards it falls back to dumping
-    /// and sorting the whole partition per call — the ablation baseline the
-    /// `perf_scan` bench quantifies; correct, but O(n log n) per scan.
+    /// On a hybrid shard this walks the skiplist's packed leaves and
+    /// allocates nothing after warmup. On hash-only shards it falls back to
+    /// dumping and sorting the whole partition per call — the ablation
+    /// baseline the `perf_scan` bench quantifies; correct, but O(n log n)
+    /// per scan.
     pub fn scan_into(
         &mut self,
         start: &[u8],

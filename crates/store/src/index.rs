@@ -9,7 +9,7 @@
 //!   (one line per bucket, 16-bit signatures, dynamic overflow chains).
 //! * [`crate::ChainedTable`] — the naive linked-list baseline the paper's
 //!   §4.1.3 ablation contrasts against.
-//! * [`crate::HybridTable`] — the packed table paired with a cache-line
+//! * [`crate::HybridTable`] — the packed table paired with a packed-leaf
 //!   skiplist so ordered scans are possible; point ops are the packed path
 //!   unchanged. Requires the `*_keyed` mutation hooks (it must see key
 //!   bytes to maintain the ordered view).
@@ -25,7 +25,9 @@
 //!
 //! * Indexes map 64-bit key hashes to 48-bit arena word offsets and never
 //!   look at key bytes themselves — full equality is the caller's
-//!   `is_match(offset)` predicate.
+//!   `is_match(offset)` predicate. The hybrid's ordered side is the one
+//!   exception: it orders by the keys stored in the arena items its offsets
+//!   point at, so it is built over the shard's arena.
 //! * Mutating operations accept a `rehash(offset) -> hash` callback used by
 //!   implementations that relocate entries (the packed table's incremental
 //!   resize re-derives the home group of migrated entries from their stored
@@ -37,7 +39,7 @@
 //!   remote-pointer rules).
 
 use crate::table::TableStats;
-use crate::{ChainedTable, CompactTable, HybridTable, PackedTable};
+use crate::{Arena, ChainedTable, CompactTable, HybridTable, PackedTable};
 
 mod private {
     /// Seals [`super::Index`]: only this crate's index structures implement
@@ -404,15 +406,16 @@ pub enum AnyIndex {
 }
 
 impl AnyIndex {
-    /// Builds the index of `kind` sized for `items` entries.
-    pub fn with_capacity(kind: IndexKind, items: usize) -> AnyIndex {
+    /// Builds the index of `kind` sized for `items` entries over the items
+    /// of `arena`.
+    pub fn with_capacity(kind: IndexKind, items: usize, arena: &Arena) -> AnyIndex {
         match kind {
             // One chain head per expected item — the conventional load
             // factor the naive designs the paper argues against would run.
             IndexKind::Chained => AnyIndex::Chained(ChainedTable::new(items.max(1))),
             IndexKind::Compact => AnyIndex::Compact(CompactTable::with_capacity(items)),
             IndexKind::Packed => AnyIndex::Packed(PackedTable::with_capacity(items)),
-            IndexKind::Hybrid => AnyIndex::Hybrid(HybridTable::with_capacity(items)),
+            IndexKind::Hybrid => AnyIndex::Hybrid(HybridTable::with_capacity(items, arena)),
         }
     }
 
@@ -593,7 +596,7 @@ mod tests {
     #[test]
     fn all_kinds_pass_the_generic_exercise() {
         for kind in [IndexKind::Chained, IndexKind::Compact, IndexKind::Packed] {
-            let mut idx = AnyIndex::with_capacity(kind, 256);
+            let mut idx = AnyIndex::with_capacity(kind, 256, &Arena::new(1));
             assert_eq!(idx.kind(), kind);
             exercise(&mut idx);
         }

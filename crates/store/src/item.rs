@@ -194,6 +194,20 @@ impl ItemRef {
         true
     }
 
+    /// Lexicographic order of the stored key against `probe`, without
+    /// allocating: the ordered index keeps arena offsets, not keys, and
+    /// searches its leaves through this.
+    pub fn key_cmp(&self, words: &[AtomicU64], probe: &[u8]) -> std::cmp::Ordering {
+        cmp_packed(words, self.off as usize + 1, self.klen(words), probe)
+    }
+
+    /// Replaces `out`'s contents with the key bytes (no allocation once
+    /// `out` has grown past the largest key).
+    pub fn key_into(&self, words: &[AtomicU64], out: &mut Vec<u8>) {
+        out.clear();
+        Self::load_bytes(words, self.off as usize + 1, self.klen(words), out);
+    }
+
     /// Hashes the stored key without allocating — byte-for-byte identical to
     /// [`crate::hash_key`] on the key bytes. This is what lets the packed
     /// index re-derive an entry's home group during incremental resize from
@@ -317,6 +331,29 @@ impl ItemRef {
     }
 }
 
+/// Lexicographic order of the `len` bytes packed little-endian from word
+/// `base` on — how items and the ordered index's slabs store keys — against
+/// `probe`, a word at a time: byte-swapped, a word compares like its eight
+/// bytes do.
+pub(crate) fn cmp_packed(
+    words: &[AtomicU64],
+    base: usize,
+    len: usize,
+    probe: &[u8],
+) -> std::cmp::Ordering {
+    for (i, chunk) in probe[..len.min(probe.len())].chunks(8).enumerate() {
+        let unused = 8 * (8 - chunk.len()) as u32;
+        let stored = words[base + i].load(Ordering::Relaxed).swap_bytes() >> unused;
+        let mut be = [0u8; 8];
+        be[8 - chunk.len()..].copy_from_slice(chunk);
+        let probed = u64::from_be_bytes(be);
+        if stored != probed {
+            return stored.cmp(&probed);
+        }
+    }
+    len.cmp(&probe.len())
+}
+
 /// Client-side validation of a blob fetched by a one-sided RDMA Read.
 ///
 /// The blob must start at the item header and span
@@ -386,6 +423,41 @@ mod tests {
             );
         }
         out
+    }
+
+    #[test]
+    fn key_cmp_orders_like_byte_slices() {
+        // Every pair from a set built to differ in the first word, in a
+        // later word, in the zero-padded tail, in length only, and not at
+        // all — including the empty key and bytes above 0x7F.
+        let keys: [&[u8]; 12] = [
+            b"",
+            b"\0",
+            b"a",
+            b"a\0",
+            b"ab",
+            b"abcdefgh",
+            b"abcdefgh\0",
+            b"abcdefghi",
+            b"abcdefgi",
+            b"abcdefghijklmnop",
+            b"abcdefghijklmnoq",
+            b"\xff\x80",
+        ];
+        let words = arena_words(64);
+        let mut key_buf = Vec::new();
+        for stored in keys {
+            let item = ItemRef::write_new(&words, 5, stored, b"v");
+            item.key_into(&words, &mut key_buf);
+            assert_eq!(key_buf, stored);
+            for probe in keys {
+                assert_eq!(
+                    item.key_cmp(&words, probe),
+                    stored.cmp(probe),
+                    "{stored:?} vs {probe:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,33 +1,51 @@
-//! Cache-line-conscious skiplist and the hybrid ordered/hash index (§11).
+//! Packed-leaf skiplist and the hybrid ordered/hash index (§11).
 //!
 //! HydraDB's packed hash table answers point ops in one SWAR probe but cannot
 //! enumerate keys in order, so range scans would need a full-keyspace sort.
-//! [`SkipList`] adds the ordered dimension: every tower is exactly one
-//! 64-byte-aligned cache line (`[`Tower`]`, statically asserted), keys are
-//! interned into a chain of size-classed [`Arena`] slabs rather than boxed
-//! per-node, and unlinked towers are parked on a retired list that is drained
-//! by the same epoch pump that recycles `PackedTable` tables — the single
-//! writer unlinks, readers of a stale snapshot finish their walk, reclaim
-//! frees.
+//! [`SkipList`] adds the ordered dimension. Its level 0 is a chain of
+//! *packed leaves*: a node is one 64-byte tower ([`Tower`]) plus one 64-byte
+//! leaf ([`Leaf`]) holding up to [`LEAF_CAP`] arena offsets in key order, so
+//! a range walk pays one dependent load per leaf instead of several per
+//! item, and the item lines of a leaf — whose addresses all sit in that one
+//! line — are fetched together. A leaf covers the keys from its *separator*
+//! (the key it was split at, interned into a chain of size-classed [`Arena`]
+//! slabs) up to the next leaf's; the keys themselves are not copied: the
+//! arena item already stores its key behind the header, and leaves are
+//! searched and presented through it. The towers above level 0 route by
+//! separator exactly as a skiplist routes by key. A full leaf splits, an
+//! emptied one is unlinked and parked on a retired list drained by the same
+//! epoch pump that recycles `PackedTable` tables — the single writer
+//! unlinks, readers of a stale snapshot finish their walk, reclaim frees.
 //!
 //! [`HybridTable`] pairs the skiplist with a [`PackedTable`]: point lookups
 //! keep hitting the SWAR hash path untouched, while the keyed mutation hooks
 //! ([`Index::insert_keyed`] and friends) maintain the ordered view alongside.
-//! Ordered iteration ([`Index::scan_from`]) walks level 0 of the skiplist,
-//! presenting each interned key through a reused scratch buffer so steady-state
-//! scans allocate nothing.
+//! Ordered iteration ([`Index::scan_from`]) walks the leaves, presenting each
+//! key through a reused scratch buffer so steady-state scans allocate nothing.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::sync::atomic::Ordering;
+use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::arena::{size_class, Arena};
+use crate::hash_key;
 use crate::index::Index;
+use crate::item::{cmp_packed, ItemRef};
 use crate::packed::PackedTable;
 use crate::table::TableStats;
 
 /// Maximum tower height. With p = 1/4 this comfortably indexes 4^12 ≈ 16M
-/// items per shard — far above any per-shard sizing in the repo.
+/// leaves per shard — far above any per-shard sizing in the repo.
 pub const SKIP_MAX_HEIGHT: usize = 12;
+
+/// Offset slots in a leaf: 14 × 4 B beside the 8-byte count fill the line.
+const LEAF_SLOTS: usize = 14;
+
+/// Items a leaf holds before it splits. Unit tests run on tiny leaves so
+/// every structural case (split, emptied leaf, boundary keys) is crossed by
+/// a few dozen keys.
+pub const LEAF_CAP: usize = if cfg!(test) { 4 } else { LEAF_SLOTS };
 
 /// Null link.
 const NIL: u32 = u32::MAX;
@@ -35,45 +53,98 @@ const NIL: u32 = u32::MAX;
 /// Initial key-slab capacity in words; slabs double up to [`MAX_SLAB_WORDS`].
 const MIN_SLAB_WORDS: u32 = 1 << 10;
 /// Largest single slab (2^22 words = 32 MiB); also bounds the offset field of
-/// the packed `key_off` encoding (slab index in the top 8 bits).
+/// the packed `sep_off` encoding (slab index in the top 8 bits).
 const MAX_SLAB_WORDS: u32 = 1 << 22;
 const SLAB_OFF_BITS: u32 = 24;
 const SLAB_OFF_MASK: u32 = (1 << SLAB_OFF_BITS) - 1;
 
-/// One skiplist node: exactly one aligned cache line, so a level-0 walk
-/// touches one line per item and tall-tower traversal never splits a node
-/// across lines. Layout (64 B): key ref (4+2), height+pad (2), value offset
-/// (8), and the full 12-level link array (48).
+/// The routing half of a node: exactly one aligned cache line, so a descent
+/// touches one line per node visited and tall-tower traversal never splits a
+/// node across lines. Layout (64 B): separator ref (4+2), height+pad (2+8),
+/// and the full 12-level link array (48).
 #[repr(C, align(64))]
 #[derive(Clone, Copy)]
 struct Tower {
-    /// Packed interned-key reference: `slab_idx << 24 | word_offset`.
-    key_off: u32,
-    /// Key length in bytes.
-    key_len: u16,
+    /// Packed interned-separator reference: `slab_idx << 24 | word_offset`.
+    sep_off: u32,
+    /// Separator length in bytes (0 on the head, whose separator is the
+    /// empty key: it covers everything below the first split).
+    sep_len: u16,
     /// Number of live levels in `next` (1..=SKIP_MAX_HEIGHT).
     height: u8,
-    _pad: u8,
-    /// Arena word offset of the indexed item.
-    val_off: u64,
+    _pad: [u8; 9],
     /// Forward links; `NIL` terminates a level.
     next: [u32; SKIP_MAX_HEIGHT],
 }
 
+/// The ordered half of a node: the arena word offsets of the items whose keys
+/// fall in `[separator, next separator)`, sorted by key. One aligned cache
+/// line; offsets are 32-bit, which addresses 32 GiB of arena per shard.
+#[repr(C, align(64))]
+#[derive(Clone, Copy)]
+struct Leaf {
+    offs: [u32; LEAF_SLOTS],
+    len: u8,
+    _pad: [u8; 7],
+}
+
+/// Tower and leaf side by side, aligned as a pair: the two lines a range
+/// walk needs of a node are the two halves of one 128-byte block.
+#[repr(C, align(128))]
+#[derive(Clone, Copy)]
+struct Node {
+    tower: Tower,
+    leaf: Leaf,
+}
+
 const _: () = assert!(std::mem::size_of::<Tower>() == 64);
 const _: () = assert!(std::mem::align_of::<Tower>() == 64);
+const _: () = assert!(std::mem::size_of::<Leaf>() == 64);
+const _: () = assert!(std::mem::align_of::<Leaf>() == 64);
+const _: () = assert!(LEAF_CAP >= 2 && LEAF_CAP <= LEAF_SLOTS);
 
-impl Tower {
-    fn empty() -> Tower {
-        Tower {
-            key_off: 0,
-            key_len: 0,
-            height: SKIP_MAX_HEIGHT as u8,
-            _pad: 0,
-            val_off: 0,
-            next: [NIL; SKIP_MAX_HEIGHT],
+impl Node {
+    fn empty() -> Node {
+        Node {
+            tower: Tower {
+                sep_off: 0,
+                sep_len: 0,
+                height: SKIP_MAX_HEIGHT as u8,
+                _pad: [0; 9],
+                next: [NIL; SKIP_MAX_HEIGHT],
+            },
+            leaf: Leaf {
+                offs: [0; LEAF_SLOTS],
+                len: 0,
+                _pad: [0; 7],
+            },
         }
     }
+}
+
+impl Leaf {
+    fn items(&self) -> &[u32] {
+        &self.offs[..self.len as usize]
+    }
+
+    fn insert(&mut self, pos: usize, off: u32) {
+        let len = self.len as usize;
+        self.offs.copy_within(pos..len, pos + 1);
+        self.offs[pos] = off;
+        self.len += 1;
+    }
+
+    fn remove(&mut self, pos: usize) -> u32 {
+        let off = self.offs[pos];
+        self.offs.copy_within(pos + 1..self.len as usize, pos);
+        self.len -= 1;
+        off
+    }
+}
+
+/// An arena word offset as a leaf stores it.
+fn leaf_slot(off: u64) -> u32 {
+    u32::try_from(off).expect("ordered index addresses 2^32 arena words")
 }
 
 /// Statistics for the ordered side of the hybrid index.
@@ -81,31 +152,36 @@ impl Tower {
 pub struct SkipListStats {
     /// Live entries.
     pub len: u64,
-    /// Towers parked on the retired list awaiting reclaim.
+    /// Linked leaves (the head included).
+    pub leaves: u64,
+    /// Nodes parked on the retired list awaiting reclaim.
     pub retired_nodes: u64,
     /// Key-slab segments allocated so far.
     pub slabs: u64,
-    /// Total comparisons performed by `find`/`scan` walks.
+    /// Total comparisons performed by descents and leaf searches.
     pub cmps: u64,
 }
 
-/// Single-writer skiplist over interned byte keys, mapping each key to an
-/// arena word offset. See the module docs for the design.
+/// Single-writer ordered map from byte keys to arena word offsets. The keys
+/// live in the arena items the offsets point at, so every operation takes the
+/// arena's word slice. See the module docs for the design.
 pub struct SkipList {
-    towers: Vec<Tower>,
-    /// Recycled tower indices (from reclaimed removals).
+    /// Node 0 is the head: full height, empty separator, never unlinked.
+    nodes: Vec<Node>,
+    /// Recycled node indices (from reclaimed leaves).
     free: Vec<u32>,
-    /// Unlinked towers whose key bytes are still interned; drained by
+    /// Unlinked nodes whose separator is still interned; drained by
     /// [`reclaim_retired`](Self::reclaim_retired).
     retired: Vec<u32>,
     retired_bytes: usize,
-    /// Size-classed key slabs; geometrically grown, never shrunk.
+    /// Size-classed separator slabs; geometrically grown, never shrunk.
     slabs: Vec<Arena>,
     len: u64,
+    leaves: u64,
     cmps: u64,
-    /// Scan-key presentation buffer, reused across scans (zero-alloc
+    /// Key presentation buffer, reused across scans and splits (zero-alloc
     /// steady state).
-    scan_key_buf: Vec<u8>,
+    key_buf: Vec<u8>,
 }
 
 impl Default for SkipList {
@@ -115,24 +191,26 @@ impl Default for SkipList {
 }
 
 impl SkipList {
-    /// Creates an empty skiplist (head sentinel only; no key slab yet).
+    /// Creates an empty skiplist (head node only; no key slab yet).
     pub fn new() -> SkipList {
         SkipList {
-            towers: vec![Tower::empty()],
+            nodes: vec![Node::empty()],
             free: Vec::new(),
             retired: Vec::new(),
             retired_bytes: 0,
             slabs: Vec::new(),
             len: 0,
+            leaves: 1,
             cmps: 0,
-            scan_key_buf: Vec::new(),
+            key_buf: Vec::new(),
         }
     }
 
-    /// Creates a skiplist with tower storage pre-reserved for `items`.
+    /// Creates a skiplist with node storage pre-reserved for `items` (at the
+    /// half-full leaves random insertion order converges to).
     pub fn with_capacity(items: usize) -> SkipList {
         let mut s = SkipList::new();
-        s.towers.reserve(items);
+        s.nodes.reserve(items.div_ceil(LEAF_CAP / 2));
         s
     }
 
@@ -149,8 +227,8 @@ impl SkipList {
     }
 
     /// Deterministic tower height: count trailing zero bit-pairs of a remix
-    /// of the key hash (p = 1/4 per extra level). Independent of insertion
-    /// order, so twin engines fed identical ops build identical towers.
+    /// of the separator's hash (p = 1/4 per extra level). No RNG state, so
+    /// twin engines fed identical ops build identical structures.
     fn height_for(hash: u64) -> u8 {
         let mut x = hash.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31);
         let mut h = 1u8;
@@ -161,7 +239,7 @@ impl SkipList {
         h
     }
 
-    // ---- key interning ------------------------------------------------
+    // ---- separator interning ------------------------------------------
 
     /// Interns `key` into the slab chain, growing it if every slab is full.
     fn intern_key(&mut self, key: &[u8]) -> u32 {
@@ -219,205 +297,225 @@ impl SkipList {
         self.slabs[slab].free(off as u64, words);
     }
 
-    /// Lexicographic comparison of an interned key against `probe`, loading
-    /// slab words lazily (no staging buffer, no allocation).
-    fn cmp_key(&self, key_off: u32, key_len: u16, probe: &[u8]) -> CmpOrdering {
-        let (slab, off) = unpack_key_off(key_off);
-        let words = self.slabs[slab].words();
-        let klen = key_len as usize;
-        let n = klen.min(probe.len());
-        let mut i = 0;
-        while i < n {
-            let w = words[off as usize + i / 8]
-                .load(Ordering::Relaxed)
-                .to_le_bytes();
-            let end = (i / 8 * 8 + 8).min(n);
-            while i < end {
-                let (a, b) = (w[i % 8], probe[i]);
-                if a != b {
-                    return a.cmp(&b);
-                }
-                i += 1;
-            }
+    /// Lexicographic comparison of an interned separator against `probe`
+    /// (no staging buffer, no allocation). The head's empty separator has
+    /// no slab behind it.
+    fn cmp_sep(&self, t: &Tower, probe: &[u8]) -> CmpOrdering {
+        if t.sep_len == 0 {
+            return 0.cmp(&probe.len());
         }
-        klen.cmp(&probe.len())
-    }
-
-    /// Copies an interned key into `out` (clears it first). Reuses `out`'s
-    /// capacity — no allocation once warmed past the largest key.
-    fn load_key_into(&self, key_off: u32, key_len: u16, out: &mut Vec<u8>) {
-        let (slab, off) = unpack_key_off(key_off);
-        let words = self.slabs[slab].words();
-        out.clear();
-        let mut remaining = key_len as usize;
-        let mut w = off as usize;
-        while remaining > 0 {
-            let bytes = words[w].load(Ordering::Relaxed).to_le_bytes();
-            let take = remaining.min(8);
-            out.extend_from_slice(&bytes[..take]);
-            remaining -= take;
-            w += 1;
-        }
+        let (slab, off) = unpack_key_off(t.sep_off);
+        cmp_packed(
+            self.slabs[slab].words(),
+            off as usize,
+            t.sep_len as usize,
+            probe,
+        )
     }
 
     // ---- core walks ---------------------------------------------------
 
-    /// Walks down from the head, recording the rightmost tower strictly less
-    /// than `key` at every level. Returns the level-0 successor (the first
-    /// tower `>= key`, or `NIL`).
-    fn find_preds(&mut self, key: &[u8], update: &mut [u32; SKIP_MAX_HEIGHT]) -> u32 {
+    /// Walks down from the head to the node covering `key` — the rightmost
+    /// one whose separator is `<= key` — recording the rightmost such node
+    /// at every level. The walk never steps onto `stop`: with `stop` the
+    /// covering node itself, `update` holds its predecessors instead, which
+    /// is what unlinking it needs.
+    fn descend(&mut self, key: &[u8], stop: u32, update: &mut [u32; SKIP_MAX_HEIGHT]) -> u32 {
         let mut x = 0u32;
         for lvl in (0..SKIP_MAX_HEIGHT).rev() {
             loop {
-                let nxt = self.towers[x as usize].next[lvl];
-                if nxt == NIL {
+                let nxt = self.nodes[x as usize].tower.next[lvl];
+                if nxt == NIL || nxt == stop {
                     break;
                 }
-                let t = self.towers[nxt as usize];
                 self.cmps += 1;
-                if self.cmp_key(t.key_off, t.key_len, key) == CmpOrdering::Less {
-                    x = nxt;
-                } else {
+                if self.cmp_sep(&self.nodes[nxt as usize].tower, key) == CmpOrdering::Greater {
                     break;
                 }
+                x = nxt;
             }
             update[lvl] = x;
         }
-        self.towers[x as usize].next[0]
+        x
+    }
+
+    /// Binary search of `node`'s leaf through the arena items: `Ok(i)` when
+    /// slot `i` holds `key`, `Err(i)` with its insertion point otherwise.
+    fn search(&mut self, words: &[AtomicU64], node: u32, key: &[u8]) -> Result<usize, usize> {
+        let mut cmps = 0;
+        let found = self.nodes[node as usize]
+            .leaf
+            .items()
+            .binary_search_by(|&off| {
+                cmps += 1;
+                ItemRef { off: off as u64 }.key_cmp(words, key)
+            });
+        self.cmps += cmps;
+        found
     }
 
     /// Point lookup (used by tests and the ordered-only paths; the hybrid
     /// index answers point ops through the hash side).
-    pub fn get(&mut self, key: &[u8]) -> Option<u64> {
-        let mut update = [0u32; SKIP_MAX_HEIGHT];
-        let cand = self.find_preds(key, &mut update);
-        if cand != NIL {
-            let t = self.towers[cand as usize];
-            if self.cmp_key(t.key_off, t.key_len, key) == CmpOrdering::Equal {
-                return Some(t.val_off);
-            }
-        }
-        None
+    pub fn get(&mut self, words: &[AtomicU64], key: &[u8]) -> Option<u64> {
+        let node = self.descend(key, NIL, &mut [0; SKIP_MAX_HEIGHT]);
+        let pos = self.search(words, node, key).ok()?;
+        Some(self.nodes[node as usize].leaf.offs[pos] as u64)
     }
 
     /// Inserts `key → val_off`, or replaces the value offset when the key is
-    /// already present. Returns the previous offset, if any. `hash` is the
-    /// key's FNV hash (drives the deterministic tower height).
-    pub fn upsert(&mut self, key: &[u8], hash: u64, val_off: u64) -> Option<u64> {
+    /// already present. Returns the previous offset, if any. The item at
+    /// `val_off` must already hold `key`.
+    pub fn upsert(&mut self, words: &[AtomicU64], key: &[u8], val_off: u64) -> Option<u64> {
+        let off = leaf_slot(val_off);
         let mut update = [0u32; SKIP_MAX_HEIGHT];
-        let cand = self.find_preds(key, &mut update);
-        if cand != NIL {
-            let t = self.towers[cand as usize];
-            if self.cmp_key(t.key_off, t.key_len, key) == CmpOrdering::Equal {
-                let old = t.val_off;
-                self.towers[cand as usize].val_off = val_off;
-                return Some(old);
+        let node = self.descend(key, NIL, &mut update);
+        match self.search(words, node, key) {
+            Ok(pos) => Some(self.swap_slot(node, pos, off)),
+            Err(pos) => {
+                if self.nodes[node as usize].leaf.len as usize == LEAF_CAP {
+                    self.split_insert(words, node, pos, off, &update);
+                } else {
+                    self.nodes[node as usize].leaf.insert(pos, off);
+                }
+                self.len += 1;
+                None
             }
         }
-        let height = Self::height_for(hash);
-        let key_off = self.intern_key(key);
-        let node = self.alloc_tower();
-        {
-            let t = &mut self.towers[node as usize];
-            t.key_off = key_off;
-            t.key_len = key.len() as u16;
-            t.height = height;
-            t.val_off = val_off;
-            t.next = [NIL; SKIP_MAX_HEIGHT];
+    }
+
+    /// Inserts `off` at `pos` of the full leaf `node` by splitting it: the
+    /// upper half moves to a fresh node linked right behind, whose separator
+    /// is its first key. An append opens the fresh leaf with the new item
+    /// alone instead, so key-ordered loads leave full leaves behind.
+    /// `update` is the descent's record for the inserted key; no separator
+    /// lies between `node`'s and the new one, so it names the new node's
+    /// predecessors too.
+    fn split_insert(
+        &mut self,
+        words: &[AtomicU64],
+        node: u32,
+        pos: usize,
+        off: u32,
+        update: &[u32; SKIP_MAX_HEIGHT],
+    ) {
+        let at = if pos == LEAF_CAP { pos } else { LEAF_CAP / 2 };
+        let fresh = self.alloc_node();
+        let mut right = Node::empty().leaf;
+        let left = &mut self.nodes[node as usize].leaf;
+        right.offs[..LEAF_CAP - at].copy_from_slice(&left.offs[at..LEAF_CAP]);
+        right.len = (LEAF_CAP - at) as u8;
+        left.len = at as u8;
+        if pos < at {
+            left.insert(pos, off);
+        } else {
+            right.insert(pos - at, off);
         }
+        let mut sep = std::mem::take(&mut self.key_buf);
+        ItemRef {
+            off: right.offs[0] as u64,
+        }
+        .key_into(words, &mut sep);
+        let height = Self::height_for(hash_key(&sep));
+        let sep_off = self.intern_key(&sep);
+        let mut tower = Tower {
+            sep_off,
+            sep_len: sep.len() as u16,
+            height,
+            ..Node::empty().tower
+        };
+        self.key_buf = sep;
         for (lvl, &pred) in update.iter().enumerate().take(height as usize) {
-            self.towers[node as usize].next[lvl] = self.towers[pred as usize].next[lvl];
-            self.towers[pred as usize].next[lvl] = node;
+            let link = &mut self.nodes[pred as usize].tower.next[lvl];
+            tower.next[lvl] = std::mem::replace(link, fresh);
         }
-        self.len += 1;
-        None
+        self.nodes[fresh as usize] = Node { tower, leaf: right };
+        self.leaves += 1;
     }
 
     /// Replaces the value offset of an existing key. Returns the old offset,
     /// or `None` when absent (no structural change either way).
-    pub fn set(&mut self, key: &[u8], new_off: u64) -> Option<u64> {
-        let mut update = [0u32; SKIP_MAX_HEIGHT];
-        let cand = self.find_preds(key, &mut update);
-        if cand != NIL {
-            let t = self.towers[cand as usize];
-            if self.cmp_key(t.key_off, t.key_len, key) == CmpOrdering::Equal {
-                let old = t.val_off;
-                self.towers[cand as usize].val_off = new_off;
-                return Some(old);
-            }
-        }
-        None
+    pub fn set(&mut self, words: &[AtomicU64], key: &[u8], new_off: u64) -> Option<u64> {
+        let node = self.descend(key, NIL, &mut [0; SKIP_MAX_HEIGHT]);
+        let pos = self.search(words, node, key).ok()?;
+        Some(self.swap_slot(node, pos, leaf_slot(new_off)))
     }
 
-    /// Unlinks `key` and parks its tower on the retired list (key bytes stay
-    /// interned until [`reclaim_retired`](Self::reclaim_retired)). Returns
-    /// the removed value offset.
-    pub fn remove(&mut self, key: &[u8]) -> Option<u64> {
+    /// Points slot `pos` of `node`'s leaf at `off`; returns what it held.
+    fn swap_slot(&mut self, node: u32, pos: usize, off: u32) -> u64 {
+        std::mem::replace(&mut self.nodes[node as usize].leaf.offs[pos], off) as u64
+    }
+
+    /// Removes `key` from its leaf and returns the removed value offset. A
+    /// leaf left empty is unlinked and parked on the retired list (its
+    /// separator stays interned until
+    /// [`reclaim_retired`](Self::reclaim_retired)); the head stays.
+    pub fn remove(&mut self, words: &[AtomicU64], key: &[u8]) -> Option<u64> {
         let mut update = [0u32; SKIP_MAX_HEIGHT];
-        let cand = self.find_preds(key, &mut update);
-        if cand == NIL {
-            return None;
-        }
-        let t = self.towers[cand as usize];
-        if self.cmp_key(t.key_off, t.key_len, key) != CmpOrdering::Equal {
-            return None;
-        }
-        for (lvl, &pred) in update.iter().enumerate().take(t.height as usize) {
-            if self.towers[pred as usize].next[lvl] == cand {
-                self.towers[pred as usize].next[lvl] = t.next[lvl];
-            }
-        }
+        let node = self.descend(key, NIL, &mut update);
+        let pos = self.search(words, node, key).ok()?;
+        let old = self.nodes[node as usize].leaf.remove(pos);
         self.len -= 1;
-        self.retired.push(cand);
-        self.retired_bytes += Self::tower_footprint(t.key_len);
-        Some(t.val_off)
+        if node != 0 && self.nodes[node as usize].leaf.len == 0 {
+            // Second descent, stopping short of the node: its predecessors.
+            self.descend(key, node, &mut update);
+            let t = self.nodes[node as usize].tower;
+            for (lvl, &pred) in update.iter().enumerate().take(t.height as usize) {
+                debug_assert_eq!(self.nodes[pred as usize].tower.next[lvl], node);
+                self.nodes[pred as usize].tower.next[lvl] = t.next[lvl];
+            }
+            self.leaves -= 1;
+            self.retired.push(node);
+            self.retired_bytes += Self::node_footprint(t.sep_len);
+        }
+        Some(old as u64)
     }
 
-    fn tower_footprint(key_len: u16) -> usize {
-        let key_words = (key_len as usize).div_ceil(8).max(1) as u32;
-        64 + size_class(key_words) as usize * 8
+    fn node_footprint(sep_len: u16) -> usize {
+        let key_words = (sep_len as usize).div_ceil(8).max(1) as u32;
+        std::mem::size_of::<Node>() + size_class(key_words) as usize * 8
     }
 
-    fn alloc_tower(&mut self) -> u32 {
+    fn alloc_node(&mut self) -> u32 {
         if let Some(idx) = self.free.pop() {
             return idx;
         }
-        let idx = self.towers.len() as u32;
-        assert!(idx < NIL, "skiplist tower space exhausted");
-        self.towers.push(Tower::empty());
+        let idx = self.nodes.len() as u32;
+        assert!(idx < NIL, "skiplist node space exhausted");
+        self.nodes.push(Node::empty());
         idx
     }
 
-    /// Bytes parked on the retired list (towers + interned keys).
+    /// Bytes parked on the retired list (nodes + interned separators).
     #[inline]
     pub fn retired_bytes(&self) -> usize {
         self.retired_bytes
     }
 
-    /// Frees the interned keys of retired towers and recycles the towers.
-    /// Returns the number of towers reclaimed.
+    /// Frees the interned separators of retired nodes and recycles the
+    /// nodes. Returns the number of nodes reclaimed.
     pub fn reclaim_retired(&mut self) -> usize {
         let n = self.retired.len();
         while let Some(idx) = self.retired.pop() {
-            let t = self.towers[idx as usize];
-            self.free_key(t.key_off, t.key_len);
+            let t = self.nodes[idx as usize].tower;
+            self.free_key(t.sep_off, t.sep_len);
             self.free.push(idx);
         }
         self.retired_bytes = 0;
         n
     }
 
-    /// Resident bytes: tower storage plus key slabs.
+    /// Resident bytes: node storage plus separator slabs.
     pub fn mem_bytes(&self) -> usize {
-        let towers = self.towers.capacity() * 64;
+        let nodes = self.nodes.capacity() * std::mem::size_of::<Node>();
         let slabs: u64 = self.slabs.iter().map(|s| s.capacity_words() * 8).sum();
-        towers + slabs as usize
+        nodes + slabs as usize
     }
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> SkipListStats {
         SkipListStats {
             len: self.len,
+            leaves: self.leaves,
             retired_nodes: self.retired.len() as u64,
             slabs: self.slabs.len() as u64,
             cmps: self.cmps,
@@ -430,40 +528,45 @@ impl SkipList {
     /// scan), `false` when `f` stopped it — the "more items remain" signal
     /// behind the wire continuation token.
     ///
-    /// The key is presented through an internal scratch buffer that is
-    /// reused across calls: after one warmup scan, this path allocates
-    /// nothing.
-    pub fn scan_from(&mut self, start: &[u8], mut f: impl FnMut(&[u8], u64) -> bool) -> bool {
-        // Position: rightmost tower < start, then step to its successor.
-        let mut x = 0u32;
-        for lvl in (0..SKIP_MAX_HEIGHT).rev() {
-            loop {
-                let nxt = self.towers[x as usize].next[lvl];
-                if nxt == NIL {
-                    break;
-                }
-                let t = self.towers[nxt as usize];
-                self.cmps += 1;
-                if self.cmp_key(t.key_off, t.key_len, start) == CmpOrdering::Less {
-                    x = nxt;
-                } else {
-                    break;
-                }
-            }
-        }
-        let mut cur = self.towers[x as usize].next[0];
-        let mut scratch = std::mem::take(&mut self.scan_key_buf);
+    /// Each leaf is walked in two passes, like `PackedTable::lookup_batch`:
+    /// first touch the next node and the header line of every item the leaf
+    /// still has to present — independent loads whose misses overlap — then
+    /// present them in order. The key is read from the item into an internal
+    /// scratch buffer that is reused across calls: after one warmup scan,
+    /// this path allocates nothing.
+    pub fn scan_from(
+        &mut self,
+        words: &[AtomicU64],
+        start: &[u8],
+        mut f: impl FnMut(&[u8], u64) -> bool,
+    ) -> bool {
+        let mut node = self.descend(start, NIL, &mut [0; SKIP_MAX_HEIGHT]);
+        let mut pos = self.search(words, node, start).unwrap_or_else(|at| at);
+        let mut key = std::mem::take(&mut self.key_buf);
         let mut exhausted = true;
-        while cur != NIL {
-            let t = self.towers[cur as usize];
-            self.load_key_into(t.key_off, t.key_len, &mut scratch);
-            if !f(&scratch, t.val_off) {
-                exhausted = false;
-                break;
+        'walk: while node != NIL {
+            let Node { tower, leaf } = self.nodes[node as usize];
+            let next = tower.next[0];
+            if next != NIL {
+                let ahead = &self.nodes[next as usize];
+                black_box((ahead.tower.height, ahead.leaf.len));
             }
-            cur = t.next[0];
+            let items = &leaf.items()[pos..];
+            for &off in items {
+                black_box(words[off as usize].load(Ordering::Relaxed));
+            }
+            for &off in items {
+                let item = ItemRef { off: off as u64 };
+                item.key_into(words, &mut key);
+                if !f(&key, off as u64) {
+                    exhausted = false;
+                    break 'walk;
+                }
+            }
+            node = next;
+            pos = 0;
         }
-        self.scan_key_buf = scratch;
+        self.key_buf = key;
         exhausted
     }
 }
@@ -491,20 +594,29 @@ fn unpack_key_off(key_off: u32) -> (usize, u32) {
 pub struct HybridTable {
     hash: PackedTable,
     ordered: SkipList,
+    /// The arena the indexed offsets point into: the ordered side reads its
+    /// keys there.
+    mem: Arc<[AtomicU64]>,
 }
 
 impl HybridTable {
-    /// Creates a hybrid index sized for `items`.
-    pub fn with_capacity(items: usize) -> HybridTable {
+    /// Creates a hybrid index sized for `items` over the items of `arena`.
+    pub fn with_capacity(items: usize, arena: &Arena) -> HybridTable {
         HybridTable {
             hash: PackedTable::with_capacity(items),
             ordered: SkipList::with_capacity(items),
+            mem: arena.memory(),
         }
     }
 
-    /// The ordered side, for direct inspection in tests.
-    pub fn ordered(&mut self) -> &mut SkipList {
-        &mut self.ordered
+    /// Ordered-side point lookup, for direct inspection in tests.
+    pub fn ordered_get(&mut self, key: &[u8]) -> Option<u64> {
+        self.ordered.get(&self.mem, key)
+    }
+
+    /// Ordered-side statistics.
+    pub fn ordered_stats(&self) -> SkipListStats {
+        self.ordered.stats()
     }
 
     /// The hash side, for direct inspection in tests.
@@ -568,7 +680,7 @@ impl Index for HybridTable {
 
     fn insert_keyed(&mut self, hash: u64, key: &[u8], offset: u64, rehash: impl FnMut(u64) -> u64) {
         self.hash.insert(hash, offset, rehash);
-        self.ordered.upsert(key, hash, offset);
+        self.ordered.upsert(&self.mem, key, offset);
     }
 
     fn replace_keyed(
@@ -581,7 +693,7 @@ impl Index for HybridTable {
     ) -> Option<u64> {
         let old = self.hash.replace(hash, new_offset, is_match, rehash);
         if old.is_some() {
-            self.ordered.set(key, new_offset);
+            self.ordered.set(&self.mem, key, new_offset);
         }
         old
     }
@@ -595,7 +707,7 @@ impl Index for HybridTable {
     ) -> Option<u64> {
         let old = self.hash.remove(hash, is_match, rehash);
         if old.is_some() {
-            self.ordered.remove(key);
+            self.ordered.remove(&self.mem, key);
         }
         old
     }
@@ -625,39 +737,117 @@ impl Index for HybridTable {
     }
 
     fn scan_from(&mut self, start: &[u8], f: impl FnMut(&[u8], u64) -> bool) -> bool {
-        self.ordered.scan_from(start, f)
+        self.ordered.scan_from(&self.mem, start, f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{hash_key, IndexKind};
+    use crate::item::item_words;
+    use crate::IndexKind;
     use std::collections::BTreeMap;
 
-    /// Pinned by scripts/check.sh: a tower is exactly one aligned cache line.
+    /// Pinned by scripts/check.sh: a tower and a leaf are each exactly one
+    /// aligned cache line, and a node is the two side by side.
     #[test]
     fn skiplist_tower_layout_is_one_aligned_cache_line() {
         assert_eq!(std::mem::size_of::<Tower>(), 64);
         assert_eq!(std::mem::align_of::<Tower>(), 64);
-        // 12 levels fit exactly: 4+2+1+1+8 header bytes + 12*4 link bytes.
-        assert_eq!(8 + 8 + SKIP_MAX_HEIGHT * 4, 64);
+        // 12 levels fit exactly: 4+2+1+9 header bytes + 12*4 link bytes.
+        assert_eq!(16 + SKIP_MAX_HEIGHT * 4, 64);
+        assert_eq!(std::mem::size_of::<Leaf>(), 64);
+        assert_eq!(std::mem::align_of::<Leaf>(), 64);
+        // 14 offsets beside the count and its padding.
+        assert_eq!(LEAF_SLOTS * 4 + 8, 64);
+        assert_eq!(std::mem::size_of::<Node>(), 128);
+        assert_eq!(std::mem::align_of::<Node>(), 128);
     }
 
-    fn dump(s: &mut SkipList) -> Vec<(Vec<u8>, u64)> {
-        let mut out = Vec::new();
-        s.scan_from(b"", |k, v| {
-            out.push((k.to_vec(), v));
-            true
-        });
-        out
+    /// A skiplist over an arena of real items, as the engine drives it: the
+    /// item is written first, then indexed by its offset.
+    struct Rig {
+        arena: Arena,
+        list: SkipList,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            Rig {
+                arena: Arena::new(1 << 16),
+                list: SkipList::new(),
+            }
+        }
+
+        /// Writes a fresh item for `key` and upserts it; returns
+        /// `(new offset, displaced offset)`.
+        fn put(&mut self, key: &[u8]) -> (u64, Option<u64>) {
+            let off = self.arena.alloc(item_words(key.len(), 0)).expect("arena");
+            ItemRef::write_new(self.arena.words(), off, key, b"");
+            (off, self.list.upsert(self.arena.words(), key, off))
+        }
+
+        fn remove(&mut self, key: &[u8]) -> Option<u64> {
+            self.list.remove(self.arena.words(), key)
+        }
+
+        fn scan(&mut self, start: &[u8], limit: usize) -> (Vec<(Vec<u8>, u64)>, bool) {
+            let mut out = Vec::new();
+            let exhausted = self.list.scan_from(self.arena.words(), start, |k, v| {
+                out.push((k.to_vec(), v));
+                out.len() < limit
+            });
+            (out, exhausted)
+        }
+
+        fn dump(&mut self) -> Vec<(Vec<u8>, u64)> {
+            let (all, exhausted) = self.scan(b"", usize::MAX);
+            assert!(exhausted);
+            all
+        }
+
+        /// Every linked node in level-0 order: separator, height, and the
+        /// leaf's keys. Checks the structure's own invariants on the way.
+        fn shape(&self) -> Vec<(Vec<u8>, u8, Vec<Vec<u8>>)> {
+            let words = self.arena.words();
+            let mut out: Vec<(Vec<u8>, u8, Vec<Vec<u8>>)> = Vec::new();
+            let mut node = 0u32;
+            while node != NIL {
+                let Node { tower, leaf } = self.list.nodes[node as usize];
+                let mut sep = Vec::new();
+                if tower.sep_len > 0 {
+                    let (slab, off) = unpack_key_off(tower.sep_off);
+                    let w = self.list.slabs[slab].words();
+                    for i in 0..tower.sep_len as usize {
+                        let word = w[off as usize + i / 8].load(Ordering::Relaxed);
+                        sep.push(word.to_le_bytes()[i % 8]);
+                    }
+                }
+                let keys: Vec<Vec<u8>> = leaf
+                    .items()
+                    .iter()
+                    .map(|&o| ItemRef { off: o as u64 }.key(words))
+                    .collect();
+                assert!(node == 0 || !keys.is_empty(), "linked empty leaf");
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "leaf out of order");
+                assert!(keys.iter().all(|k| *k >= sep), "key below its separator");
+                if let Some((_, _, prev)) = out.last() {
+                    assert!(prev.iter().all(|k| *k < sep), "key past the next separator");
+                }
+                out.push((sep, tower.height, keys));
+                node = tower.next[0];
+            }
+            assert_eq!(out.len() as u64, self.list.stats().leaves);
+            out
+        }
     }
 
     #[test]
     fn ordered_iteration_matches_btreemap_model() {
-        let mut s = SkipList::new();
+        let mut rig = Rig::new();
         let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-        // Deterministic LCG-driven mixed workload.
+        // Deterministic LCG-driven mixed workload. With test-sized leaves
+        // (LEAF_CAP = 4) 700 keys keep ~200 leaves splitting and emptying.
         let mut x = 0x1234_5678_9abc_def0u64;
         let mut step = || {
             x = x
@@ -665,159 +855,265 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             x >> 33
         };
-        for i in 0..4_000u64 {
+        let (mut splits, mut unlinks) = (0u64, 0u64);
+        for i in 0..6_000u64 {
             let k = format!("key-{:05}", step() % 700).into_bytes();
-            let h = hash_key(&k);
-            match step() % 10 {
+            let leaves = rig.list.stats().leaves;
+            match step() % 12 {
                 0..=5 => {
-                    s.upsert(&k, h, i);
-                    model.insert(k, i);
+                    let (off, old) = rig.put(&k);
+                    assert_eq!(old, model.insert(k, off), "upsert {i}");
                 }
                 6..=7 => {
-                    assert_eq!(s.remove(&k), model.remove(&k), "remove {i}");
+                    assert_eq!(rig.remove(&k), model.remove(&k), "remove {i}");
                 }
                 8 => {
-                    let expect = model.get(&k).copied();
-                    if let Some(v) = expect {
-                        assert_eq!(s.set(&k, v + 1), Some(v));
-                        model.insert(k, v + 1);
+                    let words = rig.arena.words();
+                    if let Some(&v) = model.get(&k) {
+                        // Same item re-linked: the offset is all `set` swaps.
+                        assert_eq!(rig.list.set(words, &k, v), Some(v));
+                        assert_eq!(rig.list.get(words, &k), Some(v));
                     } else {
-                        assert_eq!(s.set(&k, 0), None);
+                        assert_eq!(rig.list.set(words, &k, 0), None);
+                        assert_eq!(rig.list.get(words, &k), None);
                     }
                 }
+                9..=10 => {
+                    // A bounded scan, then its continuation from
+                    // `last_key + 0x00`: together they read what one scan
+                    // of twice the limit reads.
+                    let limit = 1 + (step() % 9) as usize;
+                    let (mut got, exhausted) = rig.scan(&k, limit);
+                    if !exhausted {
+                        let mut cursor = got.last().expect("stopped on an item").0.clone();
+                        cursor.push(0);
+                        got.extend(rig.scan(&cursor, limit).0);
+                    }
+                    let want: Vec<(Vec<u8>, u64)> = model
+                        .range(k..)
+                        .take(2 * limit)
+                        .map(|(k, v)| (k.clone(), *v))
+                        .collect();
+                    assert_eq!(got, want, "scan {i}");
+                }
                 _ => {
-                    s.reclaim_retired();
+                    rig.list.reclaim_retired();
                 }
             }
-            assert_eq!(s.len(), model.len() as u64);
+            assert_eq!(rig.list.len(), model.len() as u64);
+            let now = rig.list.stats().leaves;
+            splits += u64::from(now > leaves);
+            unlinks += u64::from(now < leaves);
         }
-        let got = dump(&mut s);
+        assert!(
+            splits > 100 && unlinks > 20,
+            "{splits} splits, {unlinks} unlinks"
+        );
+        rig.shape();
         let want: Vec<(Vec<u8>, u64)> = model.into_iter().collect();
-        assert_eq!(got, want);
+        assert_eq!(rig.dump(), want);
+    }
+
+    #[test]
+    fn leaf_boundaries_splits_and_unlinks() {
+        let mut rig = Rig::new();
+        let key = |i: u32| format!("b{i:03}").into_bytes();
+        // Key-ordered load: appends split without moving anything, leaving
+        // full leaves behind.
+        for i in 0..3 * LEAF_CAP as u32 {
+            rig.put(&key(10 * i));
+        }
+        let shape = rig.shape();
+        assert_eq!(shape.len(), 3);
+        assert!(shape.iter().all(|(_, _, keys)| keys.len() == LEAF_CAP));
+        // An insert into the middle of a full leaf halves it.
+        rig.put(&key(5));
+        let shape = rig.shape();
+        assert_eq!(shape.len(), 4);
+        assert_eq!(shape[0].2.len(), LEAF_CAP / 2 + 1);
+        assert_eq!(shape[1].0, shape[1].2[0], "separator = the key split at");
+        // A start key exactly on a separator begins in that leaf; one just
+        // below it begins in the previous leaf and crosses over.
+        let sep = shape[2].0.clone();
+        assert_eq!(rig.scan(&sep, 1).0[0].0, sep);
+        let mut below = sep.clone();
+        *below.last_mut().unwrap() -= 1;
+        assert_eq!(rig.scan(&below, 1).0[0].0, sep);
+        // A continuation from the last key of a leaf lands on the first key
+        // of the next one.
+        let mut cursor = shape[1].2.last().unwrap().clone();
+        cursor.push(0);
+        assert_eq!(rig.scan(&cursor, 1).0[0].0, sep);
+        // Removing a leaf's first key leaves its separator standing: the
+        // key comes back into the same leaf.
+        assert!(rig.remove(&sep).is_some());
+        assert_eq!(rig.shape()[2].0, sep);
+        assert_ne!(rig.shape()[2].2[0], sep);
+        rig.put(&sep);
+        assert_eq!(rig.shape()[2].2[0], sep);
+        // Emptying a leaf unlinks and retires it; scans step over the gap.
+        for k in shape[2].2.clone() {
+            assert!(rig.remove(&k).is_some());
+        }
+        assert_eq!(rig.shape().len(), 3);
+        assert_eq!(rig.list.stats().retired_nodes, 1);
+        assert_eq!(rig.scan(&cursor, 1).0[0].0, shape[3].2[0]);
+        // The head survives being emptied and takes new smallest keys.
+        for k in shape[0].2.clone() {
+            assert!(rig.remove(&k).is_some());
+        }
+        assert_eq!(rig.shape().len(), 3);
+        assert!(rig.shape()[0].2.is_empty());
+        rig.put(b"a");
+        assert_eq!(rig.dump()[0].0, b"a");
+    }
+
+    #[test]
+    fn twin_lists_build_identical_structures() {
+        // Same operations, same structure: heights come from separator
+        // hashes and splits from leaf occupancy, never from RNG or addresses.
+        let build = || {
+            let mut rig = Rig::new();
+            let mut x = 99u64;
+            for _ in 0..3_000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let k = format!("tw{:04}", (x >> 40) % 400).into_bytes();
+                if (x >> 20) % 3 == 0 {
+                    rig.remove(&k);
+                } else {
+                    rig.put(&k);
+                }
+                if (x >> 12) % 64 == 0 {
+                    rig.list.reclaim_retired();
+                }
+            }
+            rig
+        };
+        let (a, b) = (build(), build());
+        assert_eq!(a.shape(), b.shape());
+        assert_eq!(a.list.stats(), b.list.stats());
+        assert!(a.list.stats().leaves > 20);
     }
 
     #[test]
     fn scan_from_starts_at_first_key_geq_start_and_reports_exhaustion() {
-        let mut s = SkipList::new();
+        let mut rig = Rig::new();
+        let mut offs = Vec::new();
         for i in [10u64, 20, 30, 40] {
-            let k = format!("k{i:03}").into_bytes();
-            s.upsert(&k, hash_key(&k), i);
+            offs.push(rig.put(format!("k{i:03}").as_bytes()).0);
         }
         // Start between keys.
-        let mut seen = Vec::new();
-        let exhausted = s.scan_from(b"k015", |k, v| {
-            seen.push((k.to_vec(), v));
-            true
-        });
+        let (seen, exhausted) = rig.scan(b"k015", usize::MAX);
         assert!(exhausted);
         assert_eq!(
             seen,
             vec![
-                (b"k020".to_vec(), 20),
-                (b"k030".to_vec(), 30),
-                (b"k040".to_vec(), 40)
+                (b"k020".to_vec(), offs[1]),
+                (b"k030".to_vec(), offs[2]),
+                (b"k040".to_vec(), offs[3])
             ]
         );
         // Early stop => not exhausted.
-        let mut n = 0;
-        let exhausted = s.scan_from(b"", |_, _| {
-            n += 1;
-            n < 2
-        });
+        let (seen, exhausted) = rig.scan(b"", 2);
         assert!(!exhausted);
-        assert_eq!(n, 2);
+        assert_eq!(seen.len(), 2);
         // Start past the end: exhausted, nothing visited.
-        let exhausted = s.scan_from(b"zzz", |_, _| panic!("no items expected"));
+        let words = rig.arena.words();
+        let exhausted = rig
+            .list
+            .scan_from(words, b"zzz", |_, _| panic!("no items expected"));
         assert!(exhausted);
     }
 
     #[test]
     fn retired_towers_and_keys_are_recycled() {
-        let mut s = SkipList::new();
-        for i in 0..100u64 {
-            let k = format!("rk{i:04}").into_bytes();
-            s.upsert(&k, hash_key(&k), i);
+        let mut rig = Rig::new();
+        let keys: Vec<Vec<u8>> = (0..100).map(|i| format!("rk{i:04}").into_bytes()).collect();
+        for k in &keys {
+            rig.put(k);
         }
-        let slabs_before = s.stats().slabs;
-        for i in 0..100u64 {
-            let k = format!("rk{i:04}").into_bytes();
-            assert_eq!(s.remove(&k), Some(i));
+        let before = rig.list.stats();
+        assert!(before.leaves > 10);
+        for k in &keys {
+            assert!(rig.remove(k).is_some());
         }
-        assert!(s.retired_bytes() > 0);
-        assert_eq!(s.reclaim_retired(), 100);
-        assert_eq!(s.retired_bytes(), 0);
-        // Re-insert: towers and key slab space come from the free lists,
-        // no new slab growth.
-        for i in 0..100u64 {
-            let k = format!("rk{i:04}").into_bytes();
-            s.upsert(&k, hash_key(&k), i);
+        // Every leaf but the head emptied, was unlinked and is parked.
+        assert_eq!(rig.list.stats().leaves, 1);
+        assert!(rig.list.retired_bytes() > 0);
+        assert_eq!(rig.list.reclaim_retired() as u64, before.leaves - 1);
+        assert_eq!(rig.list.retired_bytes(), 0);
+        // Re-insert: nodes and separator slab space come from the free
+        // lists, no new slab growth and no new node storage.
+        let nodes = rig.list.nodes.len();
+        for k in &keys {
+            rig.put(k);
         }
-        assert_eq!(s.stats().slabs, slabs_before);
-        assert_eq!(s.len(), 100);
+        assert_eq!(rig.list.stats().slabs, before.slabs);
+        assert_eq!(rig.list.nodes.len(), nodes);
+        assert_eq!(rig.list.len(), 100);
     }
 
     #[test]
     fn key_interning_grows_across_slabs() {
-        let mut s = SkipList::new();
-        // Big keys force multiple slab segments (MIN_SLAB_WORDS = 1024 words
-        // = 8 KiB; 2000 × 64 B keys ≈ 128 KiB of key bytes).
+        let mut rig = Rig::new();
+        // One separator is interned per leaf: 2000 × 64 B keys in
+        // test-sized leaves are ~500 separators ≈ 32 KiB, past the first
+        // slab (MIN_SLAB_WORDS = 1024 words = 8 KiB).
         for i in 0..2_000u64 {
             let mut k = format!("grow-{i:06}").into_bytes();
             k.resize(64, b'x');
-            s.upsert(&k, hash_key(&k), i);
+            rig.put(&k);
         }
-        assert!(s.stats().slabs > 1, "expected slab chain growth");
-        assert_eq!(s.len(), 2_000);
-        let items = dump(&mut s);
+        assert!(rig.list.stats().slabs > 1, "expected slab chain growth");
+        assert_eq!(rig.list.len(), 2_000);
+        let items = rig.dump();
         assert_eq!(items.len(), 2_000);
         assert!(items.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
     fn hybrid_keeps_hash_and_ordered_sides_coherent() {
-        let mut t = HybridTable::with_capacity(8);
+        let mut arena = Arena::new(1 << 14);
+        let mut t = HybridTable::with_capacity(8, &arena);
+        let mem = arena.memory();
         let keys: Vec<Vec<u8>> = (0..300)
             .map(|i| format!("hy-{i:04}").into_bytes())
             .collect();
-        // Offsets are key indices here, so resize migration can re-derive
-        // any entry's hash from its offset.
-        let rehash = |o: u64| hash_key(&keys[o as usize]);
-        for (i, k) in keys.iter().enumerate() {
-            let h = hash_key(k);
-            t.insert_keyed(h, k, i as u64, rehash);
+        let mut write = |k: &[u8]| {
+            let off = arena.alloc(item_words(k.len(), 0)).expect("arena");
+            ItemRef::write_new(arena.words(), off, k, b"");
+            off
+        };
+        let rehash = |o: u64| ItemRef { off: o }.stored_key_hash(&mem);
+        let offs: Vec<u64> = keys.iter().map(|k| write(k)).collect();
+        for (k, &off) in keys.iter().zip(&offs) {
+            t.insert_keyed(hash_key(k), k, off, rehash);
         }
         assert_eq!(t.len(), 300);
-        assert_eq!(t.ordered().len(), 300);
+        assert_eq!(t.ordered_stats().len, 300);
         // Point path agrees with ordered path.
-        for (i, k) in keys.iter().enumerate() {
-            let h = hash_key(k);
-            assert_eq!(t.lookup(h, |off| off == i as u64), Some(i as u64));
-            assert_eq!(t.ordered().get(k), Some(i as u64));
+        for (k, &off) in keys.iter().zip(&offs) {
+            assert_eq!(t.lookup(hash_key(k), |o| o == off), Some(off));
+            assert_eq!(t.ordered_get(k), Some(off));
         }
-        // Replace moves both sides. (Offset 9_999 stands in for a relocated
-        // item and still hashes to keys[7] if migration rehashes it.)
+        // Replace moves both sides.
         let h = hash_key(&keys[7]);
-        let rehash2 = |o: u64| {
-            if o == 9_999 {
-                hash_key(&keys[7])
-            } else {
-                hash_key(&keys[o as usize])
-            }
-        };
+        let moved = write(&keys[7]);
         assert_eq!(
-            t.replace_keyed(h, &keys[7], 9_999, |off| off == 7, rehash2),
-            Some(7)
+            t.replace_keyed(h, &keys[7], moved, |o| o == offs[7], rehash),
+            Some(offs[7])
         );
-        assert_eq!(t.ordered().get(&keys[7]), Some(9_999));
+        assert_eq!(t.ordered_get(&keys[7]), Some(moved));
         // Remove drops both sides.
         assert_eq!(
-            t.remove_keyed(h, &keys[7], |off| off == 9_999, rehash2),
-            Some(9_999)
+            t.remove_keyed(h, &keys[7], |o| o == moved, rehash),
+            Some(moved)
         );
         assert_eq!(t.len(), 299);
-        assert_eq!(t.ordered().len(), 299);
-        assert_eq!(t.ordered().get(&keys[7]), None);
+        assert_eq!(t.ordered_stats().len, 299);
+        assert_eq!(t.ordered_get(&keys[7]), None);
         assert!(t.is_ordered());
+        // The hash side's growth retired group arrays; one pump frees them.
         assert!(t.retired_bytes() > 0);
         t.reclaim_retired();
         assert_eq!(SkipList::new().retired_bytes(), 0);
@@ -825,20 +1121,23 @@ mod tests {
 
     #[test]
     fn hybrid_is_constructible_through_the_index_kind() {
-        let mut any = crate::AnyIndex::with_capacity(IndexKind::Hybrid, 16);
+        let mut arena = Arena::new(64);
+        let mut any = crate::AnyIndex::with_capacity(IndexKind::Hybrid, 16, &arena);
         assert_eq!(any.kind(), IndexKind::Hybrid);
         assert!(any.is_ordered());
         let k = b"via-any".to_vec();
         let h = hash_key(&k);
-        any.insert_keyed(h, &k, 42, |_| unreachable!());
-        assert_eq!(any.lookup(h, |off| off == 42), Some(42));
+        let off = arena.alloc(item_words(k.len(), 0)).expect("arena");
+        ItemRef::write_new(arena.words(), off, &k, b"");
+        any.insert_keyed(h, &k, off, |_| unreachable!());
+        assert_eq!(any.lookup(h, |o| o == off), Some(off));
         let mut seen = Vec::new();
         let exhausted = any.scan_from(b"", |key, off| {
             seen.push((key.to_vec(), off));
             true
         });
         assert!(exhausted);
-        assert_eq!(seen, vec![(k, 42)]);
+        assert_eq!(seen, vec![(k, off)]);
     }
 
     #[test]

@@ -216,7 +216,8 @@ impl Status {
 }
 
 const REQ_HDR: usize = 1 + 1 + 2 + 4 + 4 + 8;
-const RESP_HDR: usize = 1 + 1 + 2 + 4 + 8 + REMOTE_PTR_BYTES + 8;
+/// Bytes of the response header (everything before the value).
+pub const RESP_HDR: usize = 1 + 1 + 2 + 4 + 8 + REMOTE_PTR_BYTES + 8;
 
 /// The key batch of a LEASE_RENEW request, iterable without allocation.
 ///
@@ -511,6 +512,9 @@ pub fn scan_items_begin(out: &mut Vec<u8>) {
     out.extend_from_slice(&[0u8; SCAN_ITEMS_HDR]);
 }
 
+/// Per-entry overhead of a packed item (`[klen:4][vlen:4]`).
+pub const SCAN_ENTRY_HDR: usize = 8;
+
 /// Appends one `[klen:4][vlen:4][key][value]` entry.
 pub fn scan_items_push(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
     out.extend_from_slice(&(key.len() as u32).to_le_bytes());
@@ -523,6 +527,70 @@ pub fn scan_items_push(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
 pub fn scan_items_finish(out: &mut [u8], more: bool, count: u32) {
     out[0] = more as u8;
     out[4..8].copy_from_slice(&count.to_le_bytes());
+}
+
+/// Opens a scan response at the end of `out`: the response header for
+/// `req_id` and an empty packed-items header, both to be completed by
+/// [`scan_response_finish`] once the items have been appended behind them
+/// with [`scan_items_push`]. The server frames a scan response in place
+/// this way — every item is copied into the outgoing buffer once, with no
+/// staging list to encode afterwards. Returns where the response starts.
+pub fn scan_response_begin(out: &mut Vec<u8>, req_id: u64) -> usize {
+    let at = out.len();
+    Response {
+        value: &[0u8; SCAN_ITEMS_HDR],
+        ..Response::status_only(Status::Ok, req_id)
+    }
+    .encode_into(out);
+    at
+}
+
+/// Completes the scan response opened at `at`, which runs to the end of
+/// `out`: stamps the value length into the response header and `more` and
+/// `count` into the packed-items header.
+pub fn scan_response_finish(out: &mut [u8], at: usize, more: bool, count: u32) {
+    let vlen = (out.len() - at - RESP_HDR) as u32;
+    out[at + 4..at + 8].copy_from_slice(&vlen.to_le_bytes());
+    scan_items_finish(&mut out[at + RESP_HDR..], more, count);
+}
+
+/// Merges key-sorted runs into `out` as one packed list of their `limit`
+/// smallest items (`more = false`) — what concatenating the runs, sorting
+/// by key (stably: the earlier run wins a tie) and truncating would pack,
+/// without materialising an item. The client merges the per-partition
+/// responses of a range scan with it, straight out of the response buffers.
+pub fn scan_items_merge<'a>(
+    runs: impl IntoIterator<Item = ScanItems<'a>>,
+    limit: u32,
+    out: &mut Vec<u8>,
+) {
+    let (mut items, mut bytes) = (0usize, 0usize);
+    let mut heads: Vec<_> = runs
+        .into_iter()
+        .map(|run| {
+            items += run.len();
+            bytes += run.entries.len();
+            let mut rest = run.iter();
+            (rest.next(), rest)
+        })
+        .collect();
+    scan_items_begin(out);
+    // Exact when items are of one size, as a scan of fixed-size records is.
+    let take = items.min(limit as usize);
+    out.reserve((bytes * take).div_ceil(items.max(1)));
+    for _ in 0..take {
+        let (_, run) = heads
+            .iter()
+            .enumerate()
+            .filter_map(|(run, (head, _))| head.map(|(key, _)| (key, run)))
+            .min()
+            .expect("fewer items taken than the runs hold");
+        let (head, rest) = &mut heads[run];
+        let (key, value) = head.take().expect("chosen by its head");
+        scan_items_push(out, key, value);
+        *head = rest.next();
+    }
+    scan_items_finish(out, false, take as u32);
 }
 
 /// The packed multi-item payload of a scan response — a *validated window*

@@ -5,8 +5,9 @@
 use std::sync::atomic::AtomicU64;
 
 use hydra_wire::{
-    frame, BatchBuilder, BatchFrame, KeyList, LogOp, LogRecord, RemotePtr, Request, Response,
-    Status,
+    frame, scan_items_begin, scan_items_finish, scan_items_merge, scan_items_push,
+    scan_response_begin, scan_response_finish, BatchBuilder, BatchFrame, KeyList, LogOp, LogRecord,
+    RemotePtr, Request, Response, ScanItems, Status,
 };
 use proptest::prelude::*;
 
@@ -200,5 +201,73 @@ proptest! {
         if let Some(frame) = BatchFrame::parse(&buf) {
             prop_assert_eq!(frame.iter().count(), frame.len());
         }
+    }
+}
+
+fn pack(items: &[(Vec<u8>, Vec<u8>)], more: bool) -> Vec<u8> {
+    let mut out = Vec::new();
+    scan_items_begin(&mut out);
+    for (k, v) in items {
+        scan_items_push(&mut out, k, v);
+    }
+    scan_items_finish(&mut out, more, items.len() as u32);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Merging key-sorted runs under a limit packs, byte for byte, what
+    /// concatenating them, sorting by key (stably) and truncating packs —
+    /// empty runs, no runs, duplicate keys across runs and limit 0 included.
+    #[test]
+    fn merging_sorted_runs_equals_concatenate_sort_truncate(
+        runs in proptest::collection::vec(
+            proptest::collection::vec((bytes(6), bytes(40)), 0..12), 0..7),
+        limit in prop_oneof![Just(0u32), 0u32..80, Just(u32::MAX)],
+        more in any::<bool>(),
+    ) {
+        let runs: Vec<Vec<(Vec<u8>, Vec<u8>)>> = runs
+            .into_iter()
+            .map(|mut run| {
+                run.sort_by(|a, b| a.0.cmp(&b.0));
+                run
+            })
+            .collect();
+        let packed: Vec<Vec<u8>> = runs.iter().map(|run| pack(run, more)).collect();
+        let mut merged = vec![0xEE; 3]; // stale contents must not survive
+        scan_items_merge(
+            packed.iter().map(|p| ScanItems::parse(p).expect("packed above")),
+            limit,
+            &mut merged,
+        );
+        let mut all: Vec<(Vec<u8>, Vec<u8>)> = runs.concat();
+        all.sort_by(|a, b| a.0.cmp(&b.0));
+        all.truncate(limit as usize);
+        prop_assert_eq!(merged, pack(&all, false));
+    }
+
+    /// A scan response framed in place — header opened, items appended,
+    /// lengths patched — is the response `encode_into` builds from a staged
+    /// item list, wherever in a buffer it starts.
+    #[test]
+    fn scan_response_framed_in_place_equals_encoded_response(
+        prefix in bytes(24),
+        req_id in any::<u64>(),
+        items in proptest::collection::vec((bytes(16), bytes(48)), 0..10),
+        more in any::<bool>(),
+    ) {
+        let mut framed = prefix.clone();
+        let at = scan_response_begin(&mut framed, req_id);
+        prop_assert_eq!(at, prefix.len());
+        for (k, v) in &items {
+            scan_items_push(&mut framed, k, v);
+        }
+        scan_response_finish(&mut framed, at, more, items.len() as u32);
+        let staged = pack(&items, more);
+        let mut encoded = prefix;
+        Response { value: &staged, ..Response::status_only(Status::Ok, req_id) }
+            .encode_into(&mut encoded);
+        prop_assert_eq!(framed, encoded);
     }
 }

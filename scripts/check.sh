@@ -16,7 +16,7 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> packed-group + skiplist-tower layout static assertions (64 B size + alignment)"
+echo "==> packed-group + skiplist tower and leaf layout static assertions (64 B size + alignment each, 128 B node)"
 cargo test -q --release -p hydra-store layout_is_one_aligned_cache_line
 
 echo "==> bench smoke (reduced scale, scratch results dir)"

@@ -8,7 +8,7 @@
 //! mixes, including duplicate keys inside one batch, misses, collisions,
 //! and deletes of absent keys.
 
-use hydra_db::server::{apply_request, run_batch, ReadPlane};
+use hydra_db::server::{apply_request, run_batch, ReadPlane, ScanBounds};
 use hydra_fabric::RegionId;
 use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};
 use hydra_wire::{BatchBuilder, BatchFrame, Request};
@@ -26,9 +26,14 @@ enum Op {
     Scan(u8, u32),
 }
 
-/// Scan-quantum cap used by both execution paths; small enough that the
-/// generated scans exercise truncation (`more` flag) as well as exhaustion.
-const SCAN_CAP: u32 = 7;
+/// Scan bounds used by both execution paths: a quantum small enough that
+/// the generated scans exercise truncation (`more` flag) as well as
+/// exhaustion, in a slot nothing overflows.
+const SCAN: ScanBounds = ScanBounds {
+    items: 7,
+    slot_bytes: usize::MAX,
+    reserved: 0,
+};
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
@@ -104,15 +109,14 @@ proptest! {
         let mut seq_engine = engine();
         let mut seq_builder = BatchBuilder::new();
         let mut seq_scratch = Vec::new();
-        let mut seq_scan_buf = Vec::new();
         let mut seq_plane = ReadPlane::disabled();
         let mut seq_repl = Vec::new();
         for req in &reqs {
             let mut action = None;
             seq_builder.push_with(|out| {
                 action = apply_request(
-                    &mut seq_engine, NOW, req, ARENA, &mut seq_scratch, SCAN_CAP,
-                    &mut seq_scan_buf, &mut seq_plane, None, out,
+                    &mut seq_engine, NOW, req, ARENA, &mut seq_scratch, SCAN,
+                    &mut seq_plane, None, out,
                 );
             });
             if let Some(a) = action {
@@ -124,11 +128,10 @@ proptest! {
         let mut batch_engine = engine();
         let mut batch_builder = BatchBuilder::new();
         let mut batch_scratch = Vec::new();
-        let mut batch_scan_buf = Vec::new();
         let mut batch_plane = ReadPlane::disabled();
         let (batch_repl, counts) = run_batch(
-            &mut batch_engine, NOW, &reqs, ARENA, &mut batch_scratch, SCAN_CAP,
-            &mut batch_scan_buf, &mut batch_plane, None, &mut batch_builder,
+            &mut batch_engine, NOW, &reqs, ARENA, &mut batch_scratch, SCAN,
+            &mut batch_plane, None, &mut batch_builder,
         );
 
         // Byte-identical response frames, in request order.

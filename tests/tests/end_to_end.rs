@@ -1,8 +1,8 @@
 //! Whole-stack integration: YCSB workloads against full HydraDB
 //! deployments, crossing every crate in the workspace.
 
-use hydra_db::{ClientMode, ClusterBuilder, ClusterConfig, ReplicationMode};
-use hydra_integration::{get_value, put_ok};
+use hydra_db::{ClientMode, ClusterBuilder, ClusterConfig, IndexKind, ReplicationMode};
+use hydra_integration::{get_value, put_ok, step_until};
 use hydra_ycsb::{run_workload, DriverConfig, KeyDist, OpMix, Workload};
 
 fn wl(records: u64, ops: u64, read_ratio: f64, dist: KeyDist) -> Workload {
@@ -165,4 +165,129 @@ fn uniform_load_spreads_evenly_across_cluster() {
             "shard {p} underloaded: {c} of {total} ({counts:?})"
         );
     }
+}
+
+#[test]
+fn scans_larger_than_the_response_slot_continue_instead_of_overflowing() {
+    // The scan quantum (488 items) is not the only bound on a step: its
+    // response travels in the connection's 8 KiB slot, which holds 145 items
+    // of this shape (16 B keys, 32 B values) behind the response header and
+    // fewer in a batch frame. A step stops at the last item that fits and
+    // answers `more`; the client's continuation does the rest. Before the
+    // server bounded a step by the slot, every scan below died in the
+    // fabric with "write beyond region bounds".
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
+    let model: std::collections::BTreeMap<Vec<u8>, Vec<u8>> = (0..800u64)
+        .map(|id| {
+            let key = format!("u{:015}", id * 7919 % 800).into_bytes();
+            (key, vec![id as u8; 32])
+        })
+        .collect();
+    for (shards, depth) in [(1, 1), (4, 1), (1, 8), (4, 8)] {
+        let cfg = ClusterConfig {
+            server_nodes: 1,
+            shards_per_node: shards,
+            client_nodes: 1,
+            index: IndexKind::Hybrid,
+            client_mode: ClientMode::RdmaWrite,
+            pipeline_depth: depth,
+            ..ClusterConfig::default()
+        };
+        let mut cluster = ClusterBuilder::new(cfg).build();
+        let client = cluster.add_client(0);
+        for (key, value) in &model {
+            put_ok(&mut cluster, &client, key, value);
+        }
+        // One at a time, then (pipelined clients) all three in one frame,
+        // where they share the response slot with each other.
+        let limits = [146u32, 300, u32::MAX];
+        let windows: Vec<&[u32]> = if depth > 1 {
+            limits.chunks(1).chain([&limits[..]]).collect()
+        } else {
+            limits.chunks(1).collect()
+        };
+        for window in windows {
+            let pending = Rc::new(Cell::new(window.len()));
+            let done = Rc::new(Cell::new(false));
+            let results = Rc::new(RefCell::new(Vec::new()));
+            for &limit in window {
+                let (pending, done, results) = (pending.clone(), done.clone(), results.clone());
+                client.scan(
+                    &mut cluster.sim,
+                    b"u",
+                    limit,
+                    Box::new(move |_, res| {
+                        let packed = res.expect("scan succeeds").expect("scan payload");
+                        results.borrow_mut().push((limit, packed));
+                        pending.set(pending.get() - 1);
+                        done.set(pending.get() == 0);
+                    }),
+                );
+            }
+            step_until(&mut cluster, &done);
+            for (limit, packed) in results.borrow().iter() {
+                let got = hydra_wire::ScanItems::parse(packed).expect("well-formed result");
+                assert!(!got.more());
+                let got: Vec<(&[u8], &[u8])> = got.iter().collect();
+                let want: Vec<(&[u8], &[u8])> = model
+                    .iter()
+                    .take(*limit as usize)
+                    .map(|(k, v)| (k.as_slice(), v.as_slice()))
+                    .collect();
+                assert_eq!(
+                    got, want,
+                    "{shards} partition(s), depth {depth}, limit {limit}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_scan_stuck_on_an_item_no_response_can_carry_fails_instead_of_looping() {
+    // An item can fit a request (20 B header) yet not a scan response (40 B
+    // header, 8 B list header, 8 B entry header). No continuation gets past
+    // it, so the step answers `Error` and the scan fails; it must not come
+    // back empty with `more` set, which the client would follow forever.
+    use std::cell::Cell;
+    use std::rc::Rc;
+    let cfg = ClusterConfig {
+        server_nodes: 1,
+        shards_per_node: 1,
+        client_nodes: 1,
+        index: IndexKind::Hybrid,
+        client_mode: ClientMode::RdmaWrite,
+        ..ClusterConfig::default()
+    };
+    let slot_bytes = hydra_wire::frame::max_payload(cfg.msg_slot_words);
+    let mut cluster = ClusterBuilder::new(cfg).build();
+    let client = cluster.add_client(0);
+    put_ok(&mut cluster, &client, b"a-small", b"fits");
+    put_ok(
+        &mut cluster,
+        &client,
+        b"b-large",
+        &vec![7u8; slot_bytes - 20 - 7],
+    );
+    let scan = |cluster: &mut hydra_db::Cluster, start: &[u8]| {
+        let (done, ok) = (Rc::new(Cell::new(false)), Rc::new(Cell::new(false)));
+        let (d, o) = (done.clone(), ok.clone());
+        client.scan(
+            &mut cluster.sim,
+            start,
+            10,
+            Box::new(move |_, res| {
+                o.set(res.is_ok());
+                d.set(true);
+            }),
+        );
+        step_until(cluster, &done);
+        ok.get()
+    };
+    // The item ahead of it is served (with `more`); the continuation, which
+    // starts on the oversized item, is what fails.
+    assert!(!scan(&mut cluster, b"a"));
+    assert!(!scan(&mut cluster, b"b"));
+    assert!(scan(&mut cluster, b"c"));
 }

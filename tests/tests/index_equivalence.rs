@@ -6,9 +6,14 @@
 //! length, and the final full iteration contents must agree — across
 //! incremental resizes (the packed engines are deliberately under-sized so
 //! load forces several group splits mid-sequence) and across reclamation
-//! pumps. A second property pins the hybrid's *ordered* plane: scans must
-//! match a `BTreeMap` model item-for-item under the same interleavings.
+//! pumps. A second property pins the hybrid's *ordered* plane: scans, and
+//! scans continued from `last_key + 0x00` as the wire protocol continues
+//! them, must match a `BTreeMap` model item-for-item under the same
+//! interleavings — which split the skiplist's packed leaves, empty and
+//! unlink them, and remove their first keys — and a twin engine fed the
+//! same operations must build the same structure.
 
+use hydra_store::skiplist::LEAF_CAP;
 use hydra_store::{EngineConfig, EngineError, IndexKind, ShardEngine, WriteMode};
 use proptest::prelude::*;
 
@@ -132,21 +137,43 @@ proptest! {
     }
 }
 
-/// Ops for the ordered-plane model check: mutations plus bounded scans.
+/// Ops for the ordered-plane model check: mutations, bounded scans, and
+/// bounded scans followed by their continuation.
 #[derive(Debug, Clone)]
 enum OrderedOp {
     Put(u16, Vec<u8>),
     Delete(u16),
+    /// Deletes the next so-many live keys from a start key on: neighbours
+    /// in key order, which is what empties a leaf.
+    DeleteRun(u16, usize),
     Scan(u16, usize),
+    ScanContinued(u16, usize),
+    Reclaim,
 }
 
 fn ordered_op_strategy() -> impl Strategy<Value = OrderedOp> {
     let val = proptest::collection::vec(any::<u8>(), 0..40);
     prop_oneof![
-        4 => (any::<u16>(), val).prop_map(|(k, v)| OrderedOp::Put(k, v)),
+        8 => (any::<u16>(), val).prop_map(|(k, v)| OrderedOp::Put(k, v)),
         2 => any::<u16>().prop_map(OrderedOp::Delete),
+        1 => (any::<u16>(), 24..48usize).prop_map(|(k, n)| OrderedOp::DeleteRun(k, n)),
         2 => (any::<u16>(), 1..24usize).prop_map(|(k, l)| OrderedOp::Scan(k, l)),
+        2 => (any::<u16>(), 1..24usize).prop_map(|(k, l)| OrderedOp::ScanContinued(k, l)),
+        1 => Just(OrderedOp::Reclaim),
     ]
+}
+
+type Items = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// One bounded scan: the items and whether the keyspace ran out.
+fn scan(e: &mut ShardEngine, start: &[u8], limit: usize) -> (Items, bool) {
+    let mut got: Items = Vec::new();
+    let mut scratch = Vec::new();
+    let exhausted = e.scan_into(start, &mut scratch, |key, value| {
+        got.push((key.to_vec(), value.to_vec()));
+        got.len() < limit
+    });
+    (got, exhausted)
 }
 
 proptest! {
@@ -161,31 +188,48 @@ proptest! {
     fn hybrid_ordered_iteration_matches_btreemap_model(
         ops in proptest::collection::vec(ordered_op_strategy(), 1..400),
     ) {
+        // The twin is fed the same operations.
         let mut e = engine(IndexKind::Hybrid);
+        let mut twin = engine(IndexKind::Hybrid);
         let mut model = std::collections::BTreeMap::<Vec<u8>, Vec<u8>>::new();
-        let mut scratch = Vec::new();
         let mut resized = false;
+        let mut most_leaves = 0;
         for (step, op) in ops.iter().enumerate() {
             match op {
                 OrderedOp::Put(k, v) => {
                     e.put(0, &key_of(*k), v).expect("put");
+                    twin.put(0, &key_of(*k), v).expect("put");
                     model.insert(key_of(*k), v.clone());
                 }
                 OrderedOp::Delete(k) => {
                     let removed = e.delete(0, &key_of(*k)).is_ok();
+                    prop_assert_eq!(twin.delete(0, &key_of(*k)).is_ok(), removed);
                     prop_assert_eq!(
                         removed,
                         model.remove(&key_of(*k)).is_some(),
                         "delete presence diverged at step {}", step
                     );
                 }
+                OrderedOp::DeleteRun(k, n) => {
+                    let leaves = e.ordered_stats().expect("hybrid").leaves;
+                    let run: Vec<Vec<u8>> =
+                        model.range(key_of(*k)..).take(*n).map(|(k, _)| k.clone()).collect();
+                    for key in &run {
+                        e.delete(0, key).expect("live key");
+                        twin.delete(0, key).expect("live key");
+                        model.remove(key);
+                    }
+                    // A leaf holds at most `LEAF_CAP` neighbours: this many
+                    // covered a whole leaf, unlinked when its last key went.
+                    if run.len() >= 2 * LEAF_CAP + 2 {
+                        let now = e.ordered_stats().expect("hybrid").leaves;
+                        prop_assert!(now < leaves, "{} keys gone, {} -> {} leaves", run.len(), leaves, now);
+                    }
+                }
                 OrderedOp::Scan(k, limit) => {
                     let start = key_of(*k);
-                    let mut got: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-                    let exhausted = e.scan_into(&start, &mut scratch, |key, value| {
-                        got.push((key.to_vec(), value.to_vec()));
-                        got.len() < *limit
-                    });
+                    let (got, exhausted) = scan(&mut e, &start, *limit);
+                    prop_assert_eq!(&scan(&mut twin, &start, *limit).0, &got);
                     let want: Vec<(Vec<u8>, Vec<u8>)> = model
                         .range(start..)
                         .take(*limit)
@@ -198,28 +242,56 @@ proptest! {
                         "exhaustion flag diverged at step {}", step
                     );
                 }
+                OrderedOp::ScanContinued(k, limit) => {
+                    // A quantum, then its continuation from the last key's
+                    // immediate successor: together, one scan of twice the
+                    // limit, wherever in a leaf the quantum ended.
+                    let start = key_of(*k);
+                    let (mut got, exhausted) = scan(&mut e, &start, *limit);
+                    scan(&mut twin, &start, *limit);
+                    if !exhausted {
+                        let mut cursor = got.last().expect("stopped on an item").0.clone();
+                        cursor.push(0);
+                        got.extend(scan(&mut e, &cursor, *limit).0);
+                        scan(&mut twin, &cursor, *limit);
+                    }
+                    let want: Vec<(Vec<u8>, Vec<u8>)> = model
+                        .range(start..)
+                        .take(2 * *limit)
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    prop_assert_eq!(&got, &want, "continued scan diverged at step {}", step);
+                }
+                OrderedOp::Reclaim => {
+                    e.pump_reclaim(0);
+                    twin.pump_reclaim(0);
+                }
             }
             prop_assert_eq!(e.len(), model.len());
             resized |= e.index_resizing();
+            most_leaves = most_leaves.max(e.ordered_stats().expect("hybrid").leaves);
         }
         if e.len() >= 64 {
             prop_assert!(
                 resized || e.table_stats().resizes > 0,
                 "hybrid hash half never resized despite {} live items", e.len()
             );
+            // 64 keys do not fit four leaves: the run crossed splits.
+            prop_assert!(most_leaves > 4, "only {} leaves for {} items", most_leaves, e.len());
         }
         // Full ordered walk from the empty key equals the whole model.
-        let mut walk: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let exhausted = e.scan_into(b"", &mut scratch, |k, v| {
-            walk.push((k.to_vec(), v.to_vec()));
-            true
-        });
+        let (walk, exhausted) = scan(&mut e, b"", usize::MAX);
         prop_assert!(exhausted);
         let full: Vec<(Vec<u8>, Vec<u8>)> = model
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
-        prop_assert_eq!(walk, full, "final ordered walk differs from model");
+        prop_assert_eq!(&walk, &full, "final ordered walk differs from model");
+        // Determinism: the twin holds the same structure — as many leaves,
+        // retired nodes and slabs, walked in as many comparisons.
+        prop_assert_eq!(scan(&mut twin, b"", usize::MAX).0, full);
+        prop_assert_eq!(e.ordered_stats(), twin.ordered_stats());
+        prop_assert_eq!(e.index_mem_bytes(), twin.index_mem_bytes());
     }
 }
 

@@ -13,8 +13,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hydra_db::{ClusterBuilder, ClusterConfig};
-use hydra_integration::{get_value, put_ok};
+use hydra_db::{ClientMode, ClusterBuilder, ClusterConfig};
+use hydra_integration::{get_value, put_ok, step_until};
 use hydra_lockfree::{ClockCache, LockFreeMap};
 use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};
 use hydra_wire::{channel_tag, set_channel_tag, KeyList, Request};
@@ -72,6 +72,7 @@ fn hot_paths_do_not_allocate() {
     shared_cache_lookup_is_zero_alloc();
     clock_cache_lookup_is_zero_alloc();
     server_get_alloc_count_is_constant();
+    whole_path_scan_allocates_per_step_not_per_item();
     mux_tag_stamp_and_demux_add_no_allocations();
 }
 
@@ -149,7 +150,7 @@ fn packed_probe_paths_are_zero_alloc_at_high_lf_and_mid_resize() {
 
 /// The hybrid index's hot paths stay allocation-free: point lookups route
 /// through the same SWAR hash probe as the packed table, and ordered scans
-/// walk the skiplist's level-0 chain directly out of the interned-key arena.
+/// walk the skiplist's packed leaves, reading each key out of its arena item.
 /// The continuation pattern — re-entering `scan_into` at `last_key + 0x00`,
 /// exactly what the server does between scan quanta — must also allocate
 /// nothing once the cursor buffer is sized.
@@ -411,6 +412,71 @@ fn server_get_alloc_count_is_constant() {
         small / 16 <= 32,
         "message GET allocates {} times per request; hot path regressed",
         small / 16
+    );
+}
+
+/// A whole range scan — `HydraClient::scan`, four partition steps through
+/// `ShardServer` and the fabric, the client's merge — allocates per *step*,
+/// not per item: the server frames each response in place in a recycled
+/// buffer, the client keeps the response messages as they came off the wire
+/// and merges borrowed slices into one result. So a scan of 100 items
+/// allocates exactly as often as a scan of 10, and what a step allocates is
+/// a short fixed list: its request (cursor, limit, encoded message, framed
+/// words, op record, callbacks), the events that carry it, the polled
+/// payloads and the framed response.
+fn whole_path_scan_allocates_per_step_not_per_item() {
+    const PARTITIONS: u64 = 4;
+    const SCANS: u64 = 8;
+    let cfg = ClusterConfig {
+        server_nodes: 1,
+        shards_per_node: PARTITIONS as u32,
+        client_nodes: 1,
+        index: IndexKind::Hybrid,
+        client_mode: ClientMode::RdmaWrite,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = ClusterBuilder::new(cfg).build();
+    let client = cluster.add_client(0);
+    for i in 0..1_000u64 {
+        let key = format!("wp{:06}", i * 7_919 % 1_000);
+        put_ok(&mut cluster, &client, key.as_bytes(), &[0x33; 32]);
+    }
+    let mut scans = |limit: u32| {
+        let mut items = 0;
+        for round in 0..SCANS {
+            let done = std::rc::Rc::new(std::cell::Cell::new(false));
+            let got = std::rc::Rc::new(std::cell::Cell::new(0));
+            let (d, g) = (done.clone(), got.clone());
+            client.scan(
+                &mut cluster.sim,
+                format!("wp{:06}", round * 100).as_bytes(),
+                limit,
+                Box::new(move |_, res| {
+                    let packed = res.expect("scan succeeds").expect("scan payload");
+                    g.set(hydra_wire::ScanItems::parse(&packed).expect("packed").len());
+                    d.set(true);
+                }),
+            );
+            step_until(&mut cluster, &done);
+            items += got.get();
+        }
+        items
+    };
+    // Warm-up at the larger size: response pools, the step list, the sim's
+    // event arena and every scratch buffer reach their steady state.
+    assert_eq!(scans(100), 800);
+    let (mut small_items, mut large_items) = (0, 0);
+    let small = count_allocs(|| small_items = scans(10));
+    let large = count_allocs(|| large_items = scans(100));
+    assert_eq!((small_items, large_items), (80, 800));
+    assert_eq!(
+        small, large,
+        "a scan's allocation count depends on how many items it returns"
+    );
+    let per_step = large / (SCANS * PARTITIONS);
+    assert!(
+        per_step <= 16,
+        "a scan step allocates {per_step} times; the scan path regressed"
     );
 }
 
