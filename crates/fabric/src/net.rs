@@ -2,6 +2,7 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -225,7 +226,7 @@ fn cut_key(a: NodeId, b: NodeId) -> (u32, u32) {
 /// reports a miss. Capacity 0 disables the cache (every touch hits).
 pub(crate) struct NicCache {
     cap: usize,
-    map: HashMap<u64, usize>,
+    map: HashMap<u64, usize, BuildHasherDefault<IdHasher>>,
     slab: Vec<CacheLine>,
     head: usize,
     tail: usize,
@@ -239,11 +240,34 @@ struct CacheLine {
 
 const LRU_NIL: usize = usize::MAX;
 
+/// Multiply-shift hash of one `u64` id. The keys are QP ids and
+/// `(region, page)` pairs this process numbered itself and the map is never
+/// iterated, so SipHash's keyed mixing buys nothing here; folding the upper
+/// product half down keeps ids that differ only above bit 32 apart in the
+/// low bits a table indexes by.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("NIC cache keys are u64 ids");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 impl NicCache {
     pub(crate) fn new(cap: usize) -> NicCache {
         NicCache {
             cap,
-            map: HashMap::new(),
+            map: HashMap::default(),
             slab: Vec::new(),
             head: LRU_NIL,
             tail: LRU_NIL,
@@ -737,9 +761,11 @@ impl Fabric {
         words: usize,
         page_bytes: usize,
     ) -> (RegionId, Arc<[AtomicU64]>) {
-        let mut v = Vec::with_capacity(words);
-        v.resize_with(words, || AtomicU64::new(0));
-        let mem: Arc<[AtomicU64]> = v.into();
+        // Zeroed by the allocator and never written here: the host commits a
+        // page when traffic first touches it, however large the region is.
+        // SAFETY: the all-zero bit pattern is a valid `AtomicU64` (it has the
+        // representation of `u64`), so every element is initialised.
+        let mem = unsafe { Arc::<[AtomicU64]>::new_zeroed_slice(words).assume_init() };
         (self.register_paged(node, mem.clone(), page_bytes), mem)
     }
 

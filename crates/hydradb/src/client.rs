@@ -382,7 +382,8 @@ pub(crate) struct ClientInner {
     fab: Fabric,
     cfg: Rc<ClusterConfig>,
     directory: Rc<RefCell<Directory>>,
-    conns: HashMap<u32, ClientConn>,
+    /// The connection serving each partition, indexed like `outboxes`.
+    conns: Vec<Option<ClientConn>>,
     /// Multiplexed mode: pooled QPs keyed by server node.
     channels: HashMap<u32, MuxChannel>,
     ptr_cache: PtrCache,
@@ -407,6 +408,10 @@ pub(crate) struct ClientInner {
 }
 
 impl ClientInner {
+    fn conn(&self, partition: u32) -> Option<&ClientConn> {
+        self.conns.get(partition as usize)?.as_ref()
+    }
+
     fn outbox(&mut self, partition: u32) -> &mut Outbox {
         let i = partition as usize;
         if i >= self.outboxes.len() {
@@ -452,7 +457,7 @@ impl HydraClient {
                 fab,
                 cfg,
                 directory,
-                conns: HashMap::new(),
+                conns: Vec::new(),
                 channels: HashMap::new(),
                 ptr_cache,
                 replica_qps: HashMap::new(),
@@ -495,7 +500,7 @@ impl HydraClient {
     /// one server node reports the same pooled QP — tests use this to
     /// verify the sharing (and chaos tests to fault the shared channel).
     pub fn conn_qp(&self, partition: u32) -> Option<QpId> {
-        self.inner.borrow().conns.get(&partition).map(|c| c.qp)
+        self.inner.borrow().conn(partition).map(|c| c.qp)
     }
 
     /// Operations issued but not yet completed (shipped, posted one-sided,
@@ -845,7 +850,7 @@ impl HydraClient {
         let target = if pick == 0 {
             let mut inner = self.inner.borrow_mut();
             inner.stats.rptr_reads += 1;
-            let conn = &inner.conns[&ptr.partition];
+            let conn = inner.conn(ptr.partition).expect("ensure_conn built it");
             // After a fail-over the partition's arena is a different region;
             // a pointer into the old one is useless.
             if conn.arena_region.0 != ptr.rptr.region {
@@ -1078,7 +1083,9 @@ impl HydraClient {
         let inner = &mut *inner_ref;
         let fab = inner.fab.clone();
         let node = inner.node;
-        let conn = &inner.conns[&partition];
+        let conn = inner.conns[partition as usize]
+            .as_ref()
+            .expect("ensure_conn built it");
         let (qp, tag) = (conn.qp, conn.tag);
         let outbox = &mut inner.outboxes[partition as usize];
         let q = &mut outbox.queue;
@@ -1281,8 +1288,7 @@ impl HydraClient {
                 .cloned()
                 .expect("partition exists");
             let reuse = inner
-                .conns
-                .get(&partition)
+                .conn(partition)
                 .is_some_and(|c| Rc::ptr_eq(&c.server, &current));
             (current, reuse)
         };
@@ -1439,18 +1445,20 @@ impl HydraClient {
                 ShardServer::on_request(&server_rc, sim, conn_idx);
             })
         };
-        self.inner.borrow_mut().conns.insert(
-            partition,
-            ClientConn {
-                server: current,
-                qp,
-                req_region,
-                resp_mem,
-                arena_region,
-                server_kick,
-                tag,
-            },
-        );
+        let mut inner = self.inner.borrow_mut();
+        let i = partition as usize;
+        if i >= inner.conns.len() {
+            inner.conns.resize_with(i + 1, || None);
+        }
+        inner.conns[i] = Some(ClientConn {
+            server: current,
+            qp,
+            req_region,
+            resp_mem,
+            arena_region,
+            server_kick,
+            tag,
+        });
     }
 
     /// Drops `partition`'s demux registration when its connection is about
@@ -1458,7 +1466,7 @@ impl HydraClient {
     /// shared channel stops routing its tag to the dead server instance.
     fn retire_stale_conn(&self, partition: u32) {
         let inner = self.inner.borrow();
-        let Some(old) = inner.conns.get(&partition) else {
+        let Some(old) = inner.conn(partition) else {
             return;
         };
         let old_node = old.server.borrow().node;
@@ -1470,7 +1478,7 @@ impl HydraClient {
     fn on_response_kick(&self, sim: &mut Sim, partition: u32) {
         let payload = {
             let inner = self.inner.borrow();
-            let Some(conn) = inner.conns.get(&partition) else {
+            let Some(conn) = inner.conn(partition) else {
                 return;
             };
             match frame::poll_message(&conn.resp_mem) {

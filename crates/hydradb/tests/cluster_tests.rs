@@ -759,7 +759,7 @@ fn reclaim_pump_is_a_single_chain() {
             r.expect("op succeeds");
             next_op(sim, c2, c, i + 1);
         });
-        if draw % 2 == 0 {
+        if draw.is_multiple_of(2) {
             client.get(sim, key.as_bytes(), cb);
         } else {
             client.update(sim, key.as_bytes(), format!("v{i}").as_bytes(), cb);

@@ -4,26 +4,50 @@
 //! Three requirements shape the structure (Storm, Novakovic et al.: pointer
 //! caches only pay off when they stay bounded *and* hot):
 //!
-//! * **Bounded**: capacity is fixed at construction; the slot array never
-//!   grows. Under overload the CLOCK hand evicts, so memory is `O(capacity)`
-//!   no matter how many distinct keys stream past.
+//! * **Bounded**: capacity is fixed at construction and nothing is committed
+//!   for it: slots are appended as keys arrive, up to `capacity`, and the
+//!   index doubles with them. Under overload the CLOCK hand evicts, so memory
+//!   is `O(min(capacity, distinct keys cached))` no matter how many keys
+//!   stream past — the admission sketch, sized from `capacity` at
+//!   construction, is the one part an idle cache pays for.
 //! * **Hot**: admission is gated by a [`FreqSketch`] — a newcomer only
 //!   displaces the CLOCK victim when its estimated access frequency exceeds
 //!   the victim's, so a scan of cold keys cannot flush the hot working set.
 //! * **Renewal without scans**: every entry is indexed by lease expiry in a
 //!   coarse bucket wheel, so `expiring(now, horizon)` visits only the
-//!   buckets that are actually due instead of walking the whole cache
-//!   (previously an O(cache) sweep per renewal tick).
+//!   buckets that are actually due instead of walking the whole cache.
+//!
+//! # Layout
+//!
+//! One hash per call ([`hash_bytes`](crate::hash_bytes), the value the sketch
+//! needs anyway) drives everything. The **index** is one open-addressed
+//! array of 8-byte words, `(upper 32 hash bits, slot number + 1)`, 0 for an
+//! empty word, at most half full; a key's home is the top bits of its hash,
+//! so a word names its own home and neither growth nor deletion reads a
+//! slot. Probing is linear; deletion shifts the rest of the run back, so
+//! there are no tombstones and a lookup ends at the first empty word. The
+//! **slot** holds the key itself (inline up to [`INLINE_KEY`] bytes, boxed
+//! beyond), the full hash, the value, the CLOCK bit and the filed expiry: a
+//! hit touches the sketch rows, one index line and the slot, and caching a
+//! short key allocates nothing beyond the amortised growth of the two arrays.
+//!
+//! # Decisions
+//!
+//! What the cache admits, evicts and rejects is a function of the call
+//! sequence alone and is pinned by `tests/proptest_clock.rs` against a
+//! `HashMap` model: a freed slot is reused before an unused one, the most
+//! recently freed first; unused slots are taken in ascending order; the hand
+//! sweeps slot numbers in ascending order, wrapping at `capacity`.
 //!
 //! Interior mutability is a single `Mutex` (the sketch is lock-free): the
 //! cache is shared by every client on a node via `Arc`, and the critical
 //! sections are a few probes long. This is deliberately not a lock-free
 //! structure — CLOCK's hand and the wheel want coherent mutation, and the
 //! paper's shared-cache contention point is the *pointer lookup*, which is
-//! one mutex acquire + one `HashMap` probe here.
+//! one mutex acquire + one index probe here.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::sketch::FreqSketch;
 
@@ -32,8 +56,52 @@ use crate::sketch::FreqSketch;
 /// renewal horizon maps to a handful of buckets.
 const WHEEL_SHIFT: u32 = 20;
 
+/// The wheel holds at most this many filings per live entry (plus repeated
+/// filings of one slot under one expiry, which the harvest returns once
+/// each): a filing that would exceed it first drops the stale ones — what a
+/// harvest skips, so `expiring` returns what an unbounded wheel returns. Two
+/// corners differ, neither reachable from a lease clock that moves forward:
+/// a dropped filing does not come back to life when its slot returns to the
+/// very expiry it was filed under, and a harvest with `limit` 0, which turns
+/// the first due bucket around, may find a different bucket first.
+const WHEEL_SLACK: usize = 4;
+
+/// Longest key stored in the slot itself; with the length byte and the
+/// variant tag it fills the three words a boxed key's variant occupies.
+const INLINE_KEY: usize = 22;
+
+/// Index words of a new cache: one cache line.
+const MIN_INDEX: usize = 8;
+
+enum Key {
+    Inline { len: u8, bytes: [u8; INLINE_KEY] },
+    Boxed(Box<[u8]>),
+}
+
+impl Key {
+    fn new(key: &[u8]) -> Key {
+        if key.len() <= INLINE_KEY {
+            let mut bytes = [0; INLINE_KEY];
+            bytes[..key.len()].copy_from_slice(key);
+            Key::Inline {
+                len: key.len() as u8,
+                bytes,
+            }
+        } else {
+            Key::Boxed(key.into())
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Key::Inline { len, bytes } => &bytes[..*len as usize],
+            Key::Boxed(bytes) => bytes,
+        }
+    }
+}
+
 struct Slot<V> {
-    key: Vec<u8>,
+    key: Key,
     hash: u64,
     value: V,
     /// CLOCK second-chance bit, set on every hit.
@@ -42,19 +110,149 @@ struct Slot<V> {
     expiry: u64,
 }
 
+/// The index word naming `slot` for a key hashing to `hash`.
+fn index_word(hash: u64, slot: usize) -> u64 {
+    (hash & !0xFFFF_FFFF) | (slot as u64 + 1)
+}
+
 struct Inner<V> {
-    /// Fixed slot array; `None` entries are free.
+    /// Slots ever used, at most `capacity`; `None` entries are free.
     slots: Vec<Option<Slot<V>>>,
-    /// Key -> slot index.
-    map: HashMap<Vec<u8>, usize>,
-    /// Free slot indices (pre-filled at construction).
-    free: Vec<usize>,
+    /// Open-addressed index over the occupied slots (see module docs);
+    /// a power of two long.
+    index: Vec<u64>,
+    /// Freed slot numbers, reused last in, first out.
+    free: Vec<u32>,
+    /// Occupied slots.
+    live: usize,
     /// CLOCK hand position.
     hand: usize,
     /// Expiry wheel: coarse time bucket -> (slot, expiry recorded at filing).
     /// Entries are lazily invalidated — a slot whose current expiry or
     /// occupancy no longer matches is skipped and dropped on scan.
-    wheel: BTreeMap<u64, Vec<(usize, u64)>>,
+    wheel: BTreeMap<u64, Vec<(u32, u64)>>,
+    /// Entries in `wheel`.
+    wheel_len: usize,
+    /// Twice what the last stale-entry sweep left behind: the next one waits
+    /// for at least that many, so sweeps that find nothing to drop stay
+    /// amortised.
+    wheel_floor: usize,
+    stats: ClockCacheStats,
+}
+
+impl<V> Inner<V> {
+    /// Home position of a word (or hash) in the index: its top bits.
+    fn home(&self, word: u64) -> usize {
+        (word >> (64 - self.index.len().trailing_zeros())) as usize
+    }
+
+    /// Slot number of `key`.
+    fn find(&self, hash: u64, key: &[u8]) -> Option<usize> {
+        let mask = self.index.len() - 1;
+        let mut pos = self.home(hash);
+        loop {
+            let word = self.index[pos];
+            if word == 0 {
+                return None;
+            }
+            if word >> 32 == hash >> 32 {
+                let slot = (word as u32 - 1) as usize;
+                let s = self.slots[slot].as_ref().expect("indexed slot occupied");
+                if s.hash == hash && s.key.as_slice() == key {
+                    return Some(slot);
+                }
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// Writes `word` into the first empty position of its probe run.
+    fn place(&mut self, word: u64) {
+        let mask = self.index.len() - 1;
+        let mut pos = self.home(word);
+        while self.index[pos] != 0 {
+            pos = (pos + 1) & mask;
+        }
+        self.index[pos] = word;
+    }
+
+    /// Makes room in the index for one more entry at no more than half
+    /// full, doubling it from its own words: no slot is read, so a key whose
+    /// insertion triggered the doubling cannot be indexed twice.
+    fn reserve_index(&mut self) {
+        if (self.live + 1) * 2 <= self.index.len() {
+            return;
+        }
+        let doubled = vec![0; self.index.len() * 2];
+        let old = std::mem::replace(&mut self.index, doubled);
+        for word in old.into_iter().filter(|&w| w != 0) {
+            self.place(word);
+        }
+    }
+
+    /// Empties index position `hole` and shifts the rest of its probe run
+    /// back over it, so every remaining word stays reachable from its home.
+    fn unindex(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut pos = hole;
+        loop {
+            pos = (pos + 1) & mask;
+            let word = self.index[pos];
+            if word == 0 {
+                break;
+            }
+            // The word may move back only as far as its home.
+            let from_home = pos.wrapping_sub(self.home(word)) & mask;
+            if from_home >= (pos.wrapping_sub(hole) & mask) {
+                self.index[hole] = word;
+                hole = pos;
+            }
+        }
+        self.index[hole] = 0;
+    }
+
+    /// Empties slot `idx` and the index word naming it, which is found by
+    /// value: no key is compared.
+    fn vacate(&mut self, idx: usize) -> Slot<V> {
+        let slot = self.slots[idx].take().expect("indexed slot occupied");
+        let word = index_word(slot.hash, idx);
+        let mut pos = self.home(word);
+        while self.index[pos] != word {
+            pos = (pos + 1) & (self.index.len() - 1);
+        }
+        self.unindex(pos);
+        self.live -= 1;
+        slot
+    }
+
+    /// Moves slot `idx` to lease `expiry`, filing it anew if that changed.
+    fn refile(&mut self, idx: usize, expiry: u64) {
+        let slot = self.slots[idx].as_mut().expect("indexed slot occupied");
+        if slot.expiry != expiry {
+            slot.expiry = expiry;
+            self.file(idx, expiry);
+        }
+    }
+
+    /// Files slot `idx` (already carrying `expiry`) in the wheel.
+    fn file(&mut self, idx: usize, expiry: u64) {
+        if self.wheel_len >= (WHEEL_SLACK * self.live).max(self.wheel_floor) {
+            // Drop what a harvest would skip, in place: live filings keep
+            // their order, so the harvest returns what it would have.
+            let slots = &self.slots;
+            self.wheel.retain(|_, filed| {
+                filed.retain(|&(i, e)| slots[i as usize].as_ref().is_some_and(|s| s.expiry == e));
+                !filed.is_empty()
+            });
+            self.wheel_len = self.wheel.values().map(Vec::len).sum();
+            self.wheel_floor = 2 * self.wheel_len;
+        }
+        self.wheel
+            .entry(expiry >> WHEEL_SHIFT)
+            .or_default()
+            .push((idx as u32, expiry));
+        self.wheel_len += 1;
+    }
 }
 
 /// Statistics counters (monotonic since construction).
@@ -75,27 +273,35 @@ pub struct ClockCache<V> {
     inner: Mutex<Inner<V>>,
     sketch: FreqSketch,
     capacity: usize,
-    stats: Mutex<ClockCacheStats>,
 }
 
 impl<V: Clone> ClockCache<V> {
-    /// Builds a cache holding at most `capacity` entries.
+    /// Builds a cache holding at most `capacity` entries (and at most 2^31:
+    /// an index word has 32 bits for the slot number and the index is kept
+    /// half empty).
     pub fn new(capacity: usize) -> ClockCache<V> {
-        let capacity = capacity.max(1);
-        let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, || None);
+        let capacity = capacity.clamp(1, 1 << 31);
         ClockCache {
             inner: Mutex::new(Inner {
-                slots,
-                map: HashMap::with_capacity(capacity),
-                free: (0..capacity).rev().collect(),
+                slots: Vec::new(),
+                index: vec![0; MIN_INDEX],
+                free: Vec::new(),
+                live: 0,
                 hand: 0,
                 wheel: BTreeMap::new(),
+                wheel_len: 0,
+                wheel_floor: 0,
+                stats: ClockCacheStats::default(),
             }),
             sketch: FreqSketch::new(capacity),
             capacity,
-            stats: Mutex::new(ClockCacheStats::default()),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner<V>> {
+        self.inner
+            .lock()
+            .expect("a panic under the cache lock leaves it half-updated")
     }
 
     /// Maximum entries.
@@ -105,7 +311,7 @@ impl<V: Clone> ClockCache<V> {
 
     /// Current live entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.lock().live
     }
 
     /// Whether the cache holds no entries.
@@ -115,7 +321,7 @@ impl<V: Clone> ClockCache<V> {
 
     /// Counter snapshot.
     pub fn stats(&self) -> ClockCacheStats {
-        *self.stats.lock().unwrap()
+        self.lock().stats
     }
 
     /// Looks up `key`, cloning the value on a hit. Records the touch in the
@@ -123,22 +329,15 @@ impl<V: Clone> ClockCache<V> {
     pub fn get(&self, key: &[u8]) -> Option<V> {
         let hash = crate::hash_bytes(key);
         self.sketch.touch(hash);
-        let mut inner = self.inner.lock().unwrap();
-        let idx = inner.map.get(key).copied();
-        let out = idx.and_then(|i| {
-            inner.slots[i].as_mut().map(|s| {
-                s.referenced = true;
-                s.value.clone()
-            })
-        });
-        drop(inner);
-        let mut st = self.stats.lock().unwrap();
-        if out.is_some() {
-            st.hits += 1;
-        } else {
-            st.misses += 1;
-        }
-        out
+        let mut inner = self.lock();
+        let Some(idx) = inner.find(hash, key) else {
+            inner.stats.misses += 1;
+            return None;
+        };
+        inner.stats.hits += 1;
+        let slot = inner.slots[idx].as_mut().expect("indexed slot occupied");
+        slot.referenced = true;
+        Some(slot.value.clone())
     }
 
     /// Inserts or replaces `key`. `expiry` files the entry in the lease
@@ -150,20 +349,20 @@ impl<V: Clone> ClockCache<V> {
     pub fn insert(&self, key: &[u8], value: V, expiry: u64) -> bool {
         let hash = crate::hash_bytes(key);
         self.sketch.touch(hash);
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(&idx) = inner.map.get(key) {
-            let slot = inner.slots[idx].as_mut().expect("mapped slot occupied");
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        if let Some(idx) = inner.find(hash, key) {
+            let slot = inner.slots[idx].as_mut().expect("indexed slot occupied");
             slot.value = value;
             slot.referenced = true;
-            let refile = slot.expiry != expiry;
-            if refile {
-                slot.expiry = expiry;
-                Self::file(&mut inner.wheel, idx, expiry);
-            }
+            inner.refile(idx, expiry);
             return true;
         }
         let idx = if let Some(idx) = inner.free.pop() {
-            idx
+            idx as usize
+        } else if inner.slots.len() < self.capacity {
+            inner.slots.push(None);
+            inner.slots.len() - 1
         } else {
             // CLOCK sweep: clear reference bits until a victim surfaces,
             // then let the sketch arbitrate newcomer vs victim.
@@ -178,38 +377,36 @@ impl<V: Clone> ClockCache<V> {
                     break hand;
                 }
             };
-            let victim_hash = inner.slots[victim].as_ref().unwrap().hash;
+            let victim_hash = inner.slots[victim].as_ref().expect("victim occupied").hash;
             if self.sketch.estimate(hash) <= self.sketch.estimate(victim_hash) {
-                drop(inner);
-                self.stats.lock().unwrap().rejected += 1;
+                inner.stats.rejected += 1;
                 return false;
             }
-            let old = inner.slots[victim].take().expect("victim occupied");
-            inner.map.remove(&old.key);
-            self.stats.lock().unwrap().evictions += 1;
+            inner.vacate(victim);
+            inner.stats.evictions += 1;
             victim
         };
+        inner.reserve_index();
         inner.slots[idx] = Some(Slot {
-            key: key.to_vec(),
+            key: Key::new(key),
             hash,
             value,
             referenced: true,
             expiry,
         });
-        inner.map.insert(key.to_vec(), idx);
-        Self::file(&mut inner.wheel, idx, expiry);
+        inner.place(index_word(hash, idx));
+        inner.live += 1;
+        inner.file(idx, expiry);
         true
     }
 
     /// Removes `key`, returning its value. The wheel entry is left to lazy
     /// invalidation.
     pub fn remove(&self, key: &[u8]) -> Option<V> {
-        let mut inner = self.inner.lock().unwrap();
-        let idx = inner.map.remove(key)?;
-        inner.slots[idx].take().map(|s| {
-            inner.free.push(idx);
-            s.value
-        })
+        let mut inner = self.lock();
+        let idx = inner.find(crate::hash_bytes(key), key)?;
+        inner.free.push(idx as u32);
+        Some(inner.vacate(idx).value)
     }
 
     /// Collects up to `limit` entries whose lease expires within
@@ -220,34 +417,32 @@ impl<V: Clone> ClockCache<V> {
     pub fn expiring(&self, now: u64, horizon: u64, limit: usize) -> Vec<(Vec<u8>, V)> {
         let deadline = now.saturating_add(horizon);
         let last_bucket = deadline >> WHEEL_SHIFT;
-        let mut inner = self.inner.lock().unwrap();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         let mut out = Vec::new();
         let due: Vec<u64> = inner.wheel.range(..=last_bucket).map(|(b, _)| *b).collect();
         for bucket in due {
             let Some(mut entries) = inner.wheel.remove(&bucket) else {
                 continue;
             };
+            inner.wheel_len -= entries.len();
             let mut keep = Vec::new();
             while let Some((idx, filed_expiry)) = entries.pop() {
-                let live = inner.slots[idx]
+                let Some(slot) = inner.slots[idx as usize]
                     .as_ref()
-                    .is_some_and(|s| s.expiry == filed_expiry);
-                if !live {
+                    .filter(|s| s.expiry == filed_expiry)
+                else {
                     continue; // evicted, removed, or refiled: drop lazily
-                }
-                let slot = inner.slots[idx].as_ref().unwrap();
-                if slot.expiry > deadline {
-                    keep.push((idx, filed_expiry));
-                    continue;
-                }
-                if out.len() < limit {
-                    out.push((slot.key.clone(), slot.value.clone()));
+                };
+                if slot.expiry <= deadline && out.len() < limit {
+                    out.push((slot.key.as_slice().to_vec(), slot.value.clone()));
                 } else {
                     keep.push((idx, filed_expiry));
                 }
             }
             if !keep.is_empty() {
-                inner.wheel.entry(bucket).or_default().extend(keep);
+                inner.wheel_len += keep.len();
+                inner.wheel.insert(bucket, keep);
             }
             if out.len() >= limit {
                 break;
@@ -258,31 +453,18 @@ impl<V: Clone> ClockCache<V> {
 
     /// Re-files `key` under a new lease expiry (after a successful renewal).
     pub fn refile(&self, key: &[u8], expiry: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        let Some(&idx) = inner.map.get(key) else {
-            return;
-        };
-        if let Some(slot) = inner.slots[idx].as_mut() {
-            if slot.expiry != expiry {
-                slot.expiry = expiry;
-                Self::file(&mut inner.wheel, idx, expiry);
-            }
+        let mut inner = self.lock();
+        if let Some(idx) = inner.find(crate::hash_bytes(key), key) {
+            inner.refile(idx, expiry);
         }
     }
 
     /// Visits a snapshot of live entries (diagnostics / tests).
     pub fn for_each(&self, mut f: impl FnMut(&[u8], &V)) {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         for slot in inner.slots.iter().flatten() {
-            f(&slot.key, &slot.value);
+            f(slot.key.as_slice(), &slot.value);
         }
-    }
-
-    fn file(wheel: &mut BTreeMap<u64, Vec<(usize, u64)>>, idx: usize, expiry: u64) {
-        wheel
-            .entry(expiry >> WHEEL_SHIFT)
-            .or_default()
-            .push((idx, expiry));
     }
 }
 
@@ -409,5 +591,96 @@ mod tests {
         assert!(keys.contains(&b"y".as_slice()));
         assert!(keys.contains(&b"z".as_slice()));
         assert!(!keys.contains(&b"x".as_slice()));
+    }
+
+    impl<V> ClockCache<V> {
+        /// Filings in the wheel, counted bucket by bucket.
+        fn wheel_entries(&self) -> usize {
+            let inner = self.inner.lock().unwrap();
+            let counted = inner.wheel.values().map(Vec::len).sum();
+            assert_eq!(inner.wheel_len, counted);
+            counted
+        }
+
+        /// Every occupied slot is named by exactly one index word, found
+        /// from its home, and the index is at most half full.
+        fn check_index(&self) {
+            let inner = self.inner.lock().unwrap();
+            let words = inner.index.iter().filter(|&&w| w != 0).count();
+            assert_eq!(words, inner.live);
+            assert!(words * 2 <= inner.index.len());
+            let mut occupied = 0;
+            for (i, slot) in inner.slots.iter().enumerate() {
+                let Some(s) = slot else { continue };
+                occupied += 1;
+                assert_eq!(inner.find(s.hash, s.key.as_slice()), Some(i));
+            }
+            assert_eq!(occupied, inner.live);
+        }
+    }
+
+    #[test]
+    fn a_new_cache_commits_one_index_line_and_keys_fill_three_words() {
+        let c: ClockCache<u64> = ClockCache::new(64 << 10);
+        let inner = c.inner.lock().unwrap();
+        assert_eq!(inner.slots.capacity(), 0);
+        assert_eq!(inner.index.len(), MIN_INDEX);
+        assert_eq!(inner.free.capacity(), 0);
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+    }
+
+    /// The trap a first version of the flat index fell into: doubling the
+    /// index from the slots while the slot being inserted was already
+    /// written indexed that key twice, and the second word outlived the
+    /// key's removal. Every insert here is followed by a remove, across
+    /// seven doublings.
+    #[test]
+    fn index_growth_keeps_one_word_per_key() {
+        let c: ClockCache<u64> = ClockCache::new(1024);
+        for i in 0..600u64 {
+            let key = format!("grow{i:04}");
+            assert!(c.insert(key.as_bytes(), i, MS));
+            c.check_index();
+            assert_eq!(c.remove(key.as_bytes()), Some(i));
+            assert_eq!(c.get(key.as_bytes()), None);
+            c.check_index();
+            assert!(c.insert(key.as_bytes(), i, MS));
+        }
+        c.check_index();
+        assert_eq!(c.len(), 600);
+        for i in 0..600u64 {
+            assert_eq!(c.get(format!("grow{i:04}").as_bytes()), Some(i));
+        }
+    }
+
+    /// The message path re-caches a key under a later lease on every GET and
+    /// nothing in a client ever harvests: the wheel must forget the filings
+    /// those re-inserts made stale instead of keeping all of them.
+    #[test]
+    fn wheel_is_bounded_by_the_live_entries_and_keeps_its_harvest_order() {
+        const KEYS: u64 = 64;
+        const ROUNDS: u64 = 1_000_000 / KEYS;
+        let c: ClockCache<u64> = ClockCache::new(KEYS as usize);
+        // Sixteen filings a bucket, so the last round's span four buckets.
+        let expiry = |round: u64, i: u64| (round * KEYS + i) * (MS / 16);
+        for round in 0..ROUNDS {
+            for i in 0..KEYS {
+                assert!(c.insert(format!("w{i:02}").as_bytes(), round, expiry(round, i)));
+            }
+            assert!(c.wheel_entries() <= WHEEL_SLACK * KEYS as usize);
+        }
+        assert_eq!(c.len(), KEYS as usize);
+        // Harvest order: buckets ascending, the last filed first within one.
+        let mut expect: Vec<u64> = (0..KEYS).collect();
+        expect.sort_by_key(|&i| (expiry(ROUNDS - 1, i) >> WHEEL_SHIFT, std::cmp::Reverse(i)));
+        let due = c.expiring(0, u64::MAX, usize::MAX);
+        let got: Vec<Vec<u8>> = due.iter().map(|(k, _)| k.clone()).collect();
+        let expect: Vec<Vec<u8>> = expect
+            .iter()
+            .map(|i| format!("w{i:02}").into_bytes())
+            .collect();
+        assert_eq!(got, expect);
+        assert!(due.iter().all(|(_, v)| *v == ROUNDS - 1));
+        assert_eq!(c.wheel_entries(), 0);
     }
 }

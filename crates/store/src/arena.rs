@@ -77,10 +77,13 @@ pub struct Arena {
 impl Arena {
     /// Creates an arena with `capacity_words` zeroed words.
     pub fn new(capacity_words: usize) -> Self {
-        let mut v = Vec::with_capacity(capacity_words);
-        v.resize_with(capacity_words, || AtomicU64::new(0));
         Arena {
-            words: v.into(),
+            // Zeroed by the allocator and never written here: the host
+            // commits a page when an item first lands on it, so an arena
+            // sized for the worst case costs what its occupancy costs.
+            // SAFETY: the all-zero bit pattern is a valid `AtomicU64` (it has
+            // the representation of `u64`), so every element is initialised.
+            words: unsafe { Arc::<[AtomicU64]>::new_zeroed_slice(capacity_words).assume_init() },
             bump: 0,
             free: HashMap::new(),
             live_words: 0,

@@ -978,12 +978,12 @@ mod tests {
             for _ in 0..3_000 {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let k = format!("tw{:04}", (x >> 40) % 400).into_bytes();
-                if (x >> 20) % 3 == 0 {
+                if (x >> 20).is_multiple_of(3) {
                     rig.remove(&k);
                 } else {
                     rig.put(&k);
                 }
-                if (x >> 12) % 64 == 0 {
+                if (x >> 12).is_multiple_of(64) {
                     rig.list.reclaim_retired();
                 }
             }

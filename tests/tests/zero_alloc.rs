@@ -71,7 +71,9 @@ fn hot_paths_do_not_allocate() {
     hybrid_point_lookup_and_scan_paths_are_zero_alloc();
     shared_cache_lookup_is_zero_alloc();
     clock_cache_lookup_is_zero_alloc();
+    clock_cache_recaching_is_zero_alloc();
     server_get_alloc_count_is_constant();
+    whole_path_fast_get_allocates_a_fixed_count();
     whole_path_scan_allocates_per_step_not_per_item();
     mux_tag_stamp_and_demux_add_no_allocations();
 }
@@ -266,6 +268,37 @@ fn clock_cache_lookup_is_zero_alloc() {
     assert_eq!(allocs, 0, "CLOCK cache hit path must not allocate");
 }
 
+/// What the message path does to the pointer cache on every GET: replace a
+/// cached key's pointer under a later lease, and re-cache a key in the slot
+/// an invalidation freed. A short key lives inside its slot and the index is
+/// sized for the keys it holds, so neither allocates; only the lease wheel
+/// does, while its buckets grow to the bound they are swept at.
+fn clock_cache_recaching_is_zero_alloc() {
+    let c: ClockCache<u64> = ClockCache::new(64);
+    let keys: Vec<Vec<u8>> = (0..64).map(|i| format!("rk{i:04}").into_bytes()).collect();
+    for k in &keys {
+        assert!(c.insert(k, 0, 0));
+    }
+    let mut lease = 0u64;
+    let mut recache = |rounds: u64| {
+        for round in 0..rounds {
+            let k = &keys[(round % 64) as usize];
+            lease += 1;
+            if round % 2 == 1 {
+                assert!(c.remove(k).is_some(), "cached a lap ago");
+            }
+            assert!(c.insert(k, round, lease));
+        }
+    };
+    let growing = count_allocs(|| recache(10_000));
+    assert!(
+        growing <= 32,
+        "10 000 re-inserts allocated {growing} times: more than the wheel's growth"
+    );
+    let steady = count_allocs_min(|| recache(1_024));
+    assert_eq!(steady, 0, "re-caching a short key must not allocate");
+}
+
 /// Borrowed request decode performs zero heap allocations for every opcode —
 /// including LEASE_RENEW, whose key batch decodes as a validated window over
 /// the packed bytes instead of a `Vec` of slices.
@@ -412,6 +445,64 @@ fn server_get_alloc_count_is_constant() {
         small / 16 <= 32,
         "message GET allocates {} times per request; hot path regressed",
         small / 16
+    );
+}
+
+/// The headline path end to end: a `HydraClient::get` that hits the pointer
+/// cache, posts a one-sided read and completes in the caller's callback, the
+/// shard never involved. One such GET allocates five times — the caller's
+/// boxed callback, the key copied into the op record, the read's boxed
+/// completion, the fetched blob and the value handed to the callback — and
+/// the pointer cache adds nothing to that. Pinned so the point-op half of
+/// ROADMAP item 1 has a number to lower; the slack covers the periodic
+/// timers that land inside the window (one or two per 256 GETs).
+fn whole_path_fast_get_allocates_a_fixed_count() {
+    const GETS: u64 = 256;
+    const ALLOCS_PER_GET: u64 = 5;
+    let cfg = ClusterConfig {
+        server_nodes: 1,
+        shards_per_node: 1,
+        client_nodes: 1,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = ClusterBuilder::new(cfg).build();
+    let client = cluster.add_client(0);
+    let keys: Vec<Vec<u8>> = (0..32).map(|i| format!("fp{i:05}").into_bytes()).collect();
+    for k in &keys {
+        put_ok(&mut cluster, &client, k, &[0x44; 32]);
+        // The message-path GET caches the pointer the later ones read through.
+        assert!(get_value(&mut cluster, &client, k).is_some());
+    }
+    let done = std::rc::Rc::new(std::cell::Cell::new(0u64));
+    let mut gets = |n: u64| {
+        let start = done.get();
+        for round in 0..n {
+            let d = done.clone();
+            client.get(
+                &mut cluster.sim,
+                &keys[(round % 32) as usize],
+                Box::new(move |_, res| {
+                    assert_eq!(res.expect("get succeeds").expect("hit").len(), 32);
+                    d.set(d.get() + 1);
+                }),
+            );
+            while done.get() <= start + round {
+                assert!(cluster.sim.step(), "queue drained before completion");
+            }
+        }
+    };
+    gets(GETS); // warm-up: window map, event arena, fabric scratch
+    let before = client.stats().rptr_hits;
+    let allocs = count_allocs_min(|| gets(GETS));
+    assert_eq!(
+        client.stats().rptr_hits - before,
+        3 * GETS,
+        "every GET a hit"
+    );
+    assert!(
+        (GETS * ALLOCS_PER_GET..GETS * ALLOCS_PER_GET + 8).contains(&allocs),
+        "a fast-path GET allocates {} times, not {ALLOCS_PER_GET}",
+        allocs as f64 / GETS as f64
     );
 }
 
