@@ -2,10 +2,12 @@
 //! measure the three phases of HydraDB's resilience story (§5.1) on the
 //! virtual clock —
 //!
-//! * **detection**: fault injection → the primary's coordination session is
-//!   observed expired (missed SWAT heartbeats);
-//! * **failover**: fault injection → SWAT has promoted a secondary and
-//!   published the new partition map;
+//! * **detection**: fault injection → the secondary has missed `MISSES`
+//!   liveness beats in a row, suspected its primary and fenced it (revoked
+//!   its ring, applied what had landed);
+//! * **failover**: fault injection → the SWAT leader has the report, has
+//!   expired the primary's session, promoted the secondary and published
+//!   the new partition map;
 //! * **first op**: fault injection → a client write against the failed
 //!   partition completes successfully again (full client-visible outage).
 //!
@@ -18,7 +20,7 @@ use std::rc::Rc;
 
 use hydra_bench::{results_dir, Report};
 use hydra_chaos::FaultEvent;
-use hydra_db::{Cluster, ClusterBuilder, ClusterConfig, ReplicationMode, ShardId};
+use hydra_db::{Cluster, ClusterBuilder, ClusterConfig, ReplicationMode, ShardId, BEAT_NS, MISSES};
 use hydra_sim::time::{MS, SEC, US};
 
 /// A key that the consistent-hash ring routes to `partition`.
@@ -47,7 +49,7 @@ struct Timings {
 
 /// Builds a fresh 3-machine, 2-partition, 1-replica Strict cluster, injects
 /// `faults` against partition 0 at `inject_at` (varying the phase relative
-/// to the heartbeat/tick period across trials), and measures the phases.
+/// to the liveness beat across trials), and measures the phases.
 fn measure(seed: u64, faults: &[FaultEvent], inject_at: u64) -> Timings {
     let cfg = ClusterConfig {
         seed,
@@ -97,9 +99,6 @@ fn measure(seed: u64, faults: &[FaultEvent], inject_at: u64) -> Timings {
     assert!(warm.get());
 
     let chaos = cluster.chaos();
-    // Failover replaces the partition's session; watch the pre-fault one to
-    // catch the expiry (detection) instant itself.
-    let pre_fault_session = cluster.session_id(0);
     let t0 = cluster.sim.now();
     for f in faults {
         chaos.apply(&mut cluster.sim, f);
@@ -140,28 +139,21 @@ fn measure(seed: u64, faults: &[FaultEvent], inject_at: u64) -> Timings {
         reads_stop.clone(),
     );
 
-    // Phase 1: session expiry observed (step the virtual clock finely so
-    // the measurement granularity is 50 µs, well under the timings).
-    while cluster.session_alive_id(pre_fault_session) {
-        let t = cluster.sim.now() + 50 * US;
-        cluster.sim.run_until(t);
-        assert!(cluster.sim.now() - t0 < 5 * SEC, "detection never happened");
-    }
-    let detection = cluster.sim.now() - t0;
-
-    // Phase 2: promotion published.
+    // Phases 1 and 2: step event by event to the promotion, so the reader
+    // stops at that instant; the fail-over log has both stamps.
     while cluster.promotions() == 0 {
-        let t = cluster.sim.now() + 50 * US;
-        cluster.sim.run_until(t);
+        assert!(cluster.sim.step(), "failover never happened");
         assert!(cluster.sim.now() - t0 < 5 * SEC, "failover never happened");
     }
-    let failover = cluster.sim.now() - t0;
     let reads_in_outage = reads_ok.get();
     reads_stop.set(true);
+    let log = cluster.failovers()[0];
+    let (detection, failover) = (log.fenced_at - t0, log.promoted_at - t0);
 
     // Phase 3: first successful client op against the failed partition.
-    // Retry the write until it lands on the promoted primary (the client
-    // discovers the new map through its timeout path).
+    // Retry the write until it lands on the promoted primary (a client
+    // that had nothing parked on the old one finds the new map when it
+    // routes its next op).
     let first_ok: Rc<Cell<u64>> = Rc::new(Cell::new(0));
     fn attempt(
         sim: &mut hydra_sim::Sim,
@@ -205,10 +197,12 @@ fn main() {
         "Recovery timeline per fault type (virtual clock)",
     );
     report.line(&format!("# seed={seed} (set HYDRA_SEED to repin)"));
-    report.line(
-        "# 3 machines, 2 partitions, 1 sync replica; heartbeat 5 ms, session \
-         timeout 25 ms, SWAT tick 10 ms; 8 trials de-phased across the tick",
-    );
+    report.line(&format!(
+        "# 3 machines, 2 partitions, 1 sync replica; liveness beat {} us, \
+         suspicion after {MISSES} missed beats, one socket hop to the \
+         promotion; 8 trials de-phased across the beat",
+        BEAT_NS / US
+    ));
     report.line(
         "# *_us columns in microseconds; outage_reads = one-sided GETs of a \
          warmed key completing during the fault-to-promotion window",
@@ -243,9 +237,10 @@ fn main() {
             ],
         ),
     ];
-    // De-phase the injection instant against the 10 ms tick: real faults
-    // don't align with the detector, so the timings below sweep the phase.
-    let trials: Vec<u64> = (0..8u64).map(|i| 50 * MS + i * 1_300 * US).collect();
+    // De-phase the injection instant against the beat: real faults don't
+    // align with the detector, so the timings below sweep the phase (steps
+    // of 13 us inside the beat, 1.3 ms across the SWAT tick).
+    let trials: Vec<u64> = (0..8u64).map(|i| 50 * MS + i * 1_313 * US).collect();
     for (name, faults) in cases {
         let runs: Vec<Timings> = trials
             .iter()
@@ -258,6 +253,13 @@ fn main() {
         let fm = mean(|t| t.failover_us);
         let (om, ox) = (mean(|t| t.first_op_us), max(|t| t.first_op_us));
         let reads: u64 = runs.iter().map(|t| t.reads_in_outage).sum::<u64>() / runs.len() as u64;
+        // The floor: a fault is acted on within MISSES + 1 beats, wherever
+        // in the beat it falls (34 800 us under the session timeout).
+        assert!(
+            dx < 1_000.0,
+            "{name}: detection took {dx} us; the probe's bound is {} us",
+            (MISSES as u64 + 1) * BEAT_NS / US
+        );
         report.line(&format!(
             "{name:<24} {dm:>12.1} {dx:>12.1} {fm:>13.1} {om:>13.1} {ox:>12.1} {reads:>13}"
         ));

@@ -168,7 +168,9 @@ impl Coord {
         c
     }
 
-    /// Opens a session with the given heartbeat timeout.
+    /// Opens a session with the given heartbeat timeout (`u64::MAX`: the
+    /// session never lapses and ends only by
+    /// [`expire_session`](Self::expire_session)).
     pub fn create_session(&mut self, now: u64, timeout: u64) -> SessionId {
         let id = SessionId(self.next_session);
         self.next_session += 1;
@@ -204,7 +206,7 @@ impl Coord {
         let expired: Vec<SessionId> = self
             .sessions
             .iter()
-            .filter(|(_, s)| s.last_heartbeat + s.timeout < now)
+            .filter(|(_, s)| s.last_heartbeat.saturating_add(s.timeout) < now)
             .map(|(&id, _)| id)
             .collect();
         let mut events = Vec::new();

@@ -105,6 +105,15 @@ impl FabricConfig {
         (bytes as f64 * self.socket_byte_ns).round() as SimTime
     }
 
+    /// One-way latency of a `bytes`-long message on the socket path, stack
+    /// to stack: both ends' per-message overhead and copies plus the flight
+    /// — what a Send over a [`Transport::Socket`] QP takes on idle engines.
+    /// Control messages that travel outside the fabric (to and from the
+    /// coordination service) are charged this.
+    pub fn socket_one_way(&self, bytes: usize) -> SimTime {
+        2 * (self.socket_op_ns + self.socket_ser(bytes)) + self.socket_prop_ns
+    }
+
     /// Driver-scalability multiplier for a node with `qps` connections.
     pub fn qp_penalty(&self, qps: u32) -> f64 {
         let excess = qps.saturating_sub(self.qp_threshold) as f64;

@@ -31,6 +31,6 @@ mod net;
 
 pub use config::{FabricConfig, Transport};
 pub use net::{
-    BatchWrite, Fabric, FabricStats, FaultStats, LinkFault, NodeId, NodeStats, QpId, ReadComplete,
-    RecvHandler, RegionId, WriteDelivered,
+    BatchWrite, ErrorHandler, Fabric, FabricStats, FaultStats, LinkFault, NodeId, NodeStats, QpId,
+    ReadComplete, RecvHandler, RegionId, WcError, WriteDelivered,
 };

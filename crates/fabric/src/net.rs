@@ -17,17 +17,35 @@ use crate::config::{scaled, FabricConfig, Transport};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(pub u32);
 
-/// A registered memory region.
+/// A registered memory region, as a remote writer names it.
+///
+/// Like [`QpId`], the raw id packs a slot index (low 24 bits) beside a
+/// counter (high 8 bits): the region's *write-permission epoch* at the time
+/// the handle was issued. [`Fabric::revoke_write`] bumps the region's epoch,
+/// so every Write carrying an older handle bounces at the target NIC —
+/// memory untouched, completion in error at the initiator — while Reads,
+/// which need no write permission, keep working through any handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RegionId(pub u32);
+
+impl RegionId {
+    fn slot(self) -> usize {
+        (self.0 & QP_SLOT_MASK) as usize
+    }
+
+    fn epoch(self) -> u32 {
+        self.0 >> QP_SLOT_BITS
+    }
+}
 
 /// A queue pair (reliable connection between two nodes).
 ///
 /// The raw id packs a slot index (low 24 bits) and a generation counter
 /// (high 8 bits): [`Fabric::disconnect`] recycles the slot and bumps the
 /// generation, so a stale handle kept across a disconnect can never
-/// silently address the connection that now occupies the slot — any verb
-/// posted on it panics instead.
+/// silently address the connection that now occupies the slot — a verb
+/// posted on it is flushed in error ([`WcError::QpGone`]) while the slot is
+/// free, and panics once another connection has taken it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QpId(pub u32);
 
@@ -57,6 +75,27 @@ pub type WriteDelivered = Box<dyn FnOnce(&mut Sim)>;
 
 /// Callback fired when a one-sided Read's response reaches the initiator.
 pub type ReadComplete = Box<dyn FnOnce(&mut Sim, Vec<u8>)>;
+
+/// Why a posted WQE completed in error at its initiator instead of landing.
+/// Every variant is a condition the *target* side decides — a peer can
+/// provoke it at will — so none of them may take the process down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WcError {
+    /// The Write's region handle carries a revoked write-permission epoch.
+    PermissionRevoked,
+    /// The Write runs past the end of its target region.
+    OutOfBounds,
+    /// The Write's target region is not registered on the peer.
+    RegionNotOnPeer,
+    /// The queue pair was torn down before the WQE was posted.
+    QpGone,
+    /// The peer registered no receive handler for this Send.
+    NoReceiver,
+}
+
+/// Callback invoked at an endpoint when a WQE it posted on the queue pair
+/// completes in error.
+pub type ErrorHandler = dyn Fn(&mut Sim, QpId, WcError);
 
 /// Per-node traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -92,6 +131,9 @@ pub struct FabricStats {
     pub sends: u64,
     pub bytes: u64,
     pub doorbells: u64,
+    /// WQEs that completed in error at their initiator ([`WcError`]); they
+    /// appear in no other counter.
+    pub errors: u64,
 }
 
 /// One WQE of a doorbell-batched Write chain (see
@@ -365,6 +407,9 @@ struct Region {
     mem: Arc<[AtomicU64]>,
     /// Translation granularity this region was registered with.
     page_bytes: usize,
+    /// Current write-permission epoch: a Write lands only through a handle
+    /// stamped with it.
+    write_epoch: u32,
 }
 
 struct Qp {
@@ -373,6 +418,8 @@ struct Qp {
     transport: Transport,
     handler_a: Option<Rc<RecvHandler>>,
     handler_b: Option<Rc<RecvHandler>>,
+    errors_a: Option<Rc<ErrorHandler>>,
+    errors_b: Option<Rc<ErrorHandler>>,
 }
 
 impl Qp {
@@ -454,6 +501,67 @@ impl Inner {
             .unwrap_or_else(|| panic!("QpId {id:?} was disconnected"))
     }
 
+    /// Resolves the handle a verb was posted on. `None` when the connection
+    /// was torn down and its slot has not been reused: either end may
+    /// disconnect under a poster that could not know, so the WQE is flushed
+    /// in error ([`WcError::QpGone`]) rather than treated as a bug. A handle
+    /// into a recycled slot, or one that never existed, still panics.
+    fn posted_qp(&self, id: QpId) -> Option<&Qp> {
+        let free = self.qps.get(id.slot()).is_some_and(|s| s.qp.is_none());
+        (!free).then(|| self.qp(id))
+    }
+
+    /// Books a completion in error for a WQE `from` posted on `qp` and hands
+    /// it to that endpoint's error handler at `at`, if it registered one and
+    /// the connection is still there to look it up on (a refusal can come
+    /// back to a QP torn down, even recycled, in the meantime).
+    fn complete_in_error(
+        &mut self,
+        sim: &mut Sim,
+        qp: QpId,
+        from: NodeId,
+        err: WcError,
+        at: SimTime,
+    ) {
+        self.stats.errors += 1;
+        let live = self
+            .qps
+            .get(qp.slot())
+            .filter(|s| s.generation == qp.generation())
+            .and_then(|s| s.qp.as_ref());
+        let handler = live.and_then(|q| {
+            if from == q.a {
+                q.errors_a.clone()
+            } else {
+                q.errors_b.clone()
+            }
+        });
+        if let Some(handler) = handler {
+            sim.schedule_at(at, move |sim| handler(sim, qp, err));
+        }
+    }
+
+    /// Whether a Write through `region` may land now; the verdict of the
+    /// target NIC, which owns the region's current permission epoch.
+    fn write_verdict(
+        &self,
+        region: RegionId,
+        to: NodeId,
+        off: usize,
+        words: usize,
+    ) -> Result<(), WcError> {
+        let r = &self.regions[region.slot()];
+        if r.node != to {
+            Err(WcError::RegionNotOnPeer)
+        } else if off + words > r.mem.len() {
+            Err(WcError::OutOfBounds)
+        } else if r.write_epoch != region.epoch() {
+            Err(WcError::PermissionRevoked)
+        } else {
+            Ok(())
+        }
+    }
+
     /// Mutable variant of [`qp`](Self::qp).
     fn qp_mut(&mut self, id: QpId) -> &mut Qp {
         let slot = self
@@ -495,14 +603,14 @@ impl Inner {
         byte_off: usize,
         len_bytes: usize,
     ) -> SimTime {
-        let page = self.regions[region.0 as usize].page_bytes;
+        let page = self.regions[region.slot()].page_bytes;
         let miss_ns = self.cfg.nic_miss_ns;
         let first = byte_off / page;
         let last = (byte_off + len_bytes.max(1) - 1) / page;
         let n = &mut self.nodes[node.0 as usize];
         let mut surcharge = 0;
         for p in first..=last {
-            let key = ((region.0 as u64) << 32) | p as u64;
+            let key = ((region.slot() as u64) << 32) | p as u64;
             if n.mtt_cache.touch(key) {
                 n.stats.mtt_cache_misses += 1;
                 n.stats.miss_penalty_ns += miss_ns;
@@ -734,15 +842,17 @@ impl Fabric {
             "page size must be a power of two of at least 64 B"
         );
         let mut inner = self.inner.borrow_mut();
-        let id = RegionId(inner.regions.len() as u32);
+        let slot = inner.regions.len();
+        assert!(slot <= QP_SLOT_MASK as usize, "region table exhausted");
         let entries = (mem.len() * 8).div_ceil(page_bytes) as u64;
         inner.nodes[node.0 as usize].mtt_registered += entries;
         inner.regions.push(Region {
             node,
             mem,
             page_bytes,
+            write_epoch: 0,
         });
-        id
+        RegionId(slot as u32)
     }
 
     /// Allocates and registers a zeroed region of `words` words on `node`
@@ -817,7 +927,21 @@ impl Fabric {
 
     /// Shared handle to a region's memory.
     pub fn region_mem(&self, region: RegionId) -> Arc<[AtomicU64]> {
-        self.inner.borrow().regions[region.0 as usize].mem.clone()
+        self.inner.borrow().regions[region.slot()].mem.clone()
+    }
+
+    /// Revokes write permission on `region`: its permission epoch moves on,
+    /// so every Write still carrying an older handle — posted from now on,
+    /// or already in flight and arriving from now on — leaves the memory
+    /// untouched and completes in error at its initiator
+    /// ([`WcError::PermissionRevoked`]). The owner's NIC does this locally,
+    /// in no virtual time. Returns the handle of the new epoch, for whoever
+    /// the owner grants write access next.
+    pub fn revoke_write(&self, region: RegionId) -> RegionId {
+        let mut inner = self.inner.borrow_mut();
+        let r = &mut inner.regions[region.slot()];
+        r.write_epoch = (r.write_epoch + 1) & 0xFF;
+        RegionId((r.write_epoch << QP_SLOT_BITS) | region.slot() as u32)
     }
 
     /// Establishes a queue pair between `a` and `b`. Slots freed by
@@ -833,6 +957,8 @@ impl Fabric {
             transport,
             handler_a: None,
             handler_b: None,
+            errors_a: None,
+            errors_b: None,
         };
         let id = match inner.free_qps.pop() {
             Some(slot) => {
@@ -887,6 +1013,21 @@ impl Fabric {
             q.handler_a = Some(handler);
         } else if endpoint == q.b {
             q.handler_b = Some(handler);
+        } else {
+            panic!("node {endpoint:?} is not an endpoint of qp {qp:?}");
+        }
+    }
+
+    /// Registers the callback that receives `endpoint`'s completions in
+    /// error on `qp` ([`WcError`]). Without one they are only counted
+    /// ([`FabricStats::errors`]).
+    pub fn set_error_handler(&self, qp: QpId, endpoint: NodeId, handler: Rc<ErrorHandler>) {
+        let mut inner = self.inner.borrow_mut();
+        let q = inner.qp_mut(qp);
+        if endpoint == q.a {
+            q.errors_a = Some(handler);
+        } else if endpoint == q.b {
+            q.errors_b = Some(handler);
         } else {
             panic!("node {endpoint:?} is not an endpoint of qp {qp:?}");
         }
@@ -996,10 +1137,23 @@ impl Fabric {
     /// reference the target's translation cache, per WQE. Socket messages
     /// share nothing: each is a doorbell of its own, at the flat socket
     /// costs, with no NIC-resident state.
+    ///
+    /// A WQE the target would refuse — a Write through a revoked handle,
+    /// outside its region or into a region that is not the peer's, a Send
+    /// nobody receives, anything on a torn-down QP — is accounted like a
+    /// dropped one, except that the refusal comes back: it completes in
+    /// error at the initiator ([`WcError`]) one round trip later. A Write
+    /// whose permission is revoked while it is in flight has paid its way
+    /// and is refused on arrival instead (see [`arrive`](Self::arrive)).
     fn post_chain(&self, sim: &mut Sim, qp: QpId, from: NodeId, chain: impl Iterator<Item = Wqe>) {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        let q = inner.qp(qp);
+        let Some(q) = inner.posted_qp(qp) else {
+            for _ in chain {
+                inner.complete_in_error(sim, qp, from, WcError::QpGone, sim.now());
+            }
+            return;
+        };
         let to = q.peer_of(from);
         let rdma = q.transport == Transport::Rdma;
         let handler = if to == q.a {
@@ -1008,6 +1162,11 @@ impl Fabric {
             q.handler_b.clone()
         };
         let (pen_src, pen_dst) = (inner.penalty(from), inner.penalty(to));
+        let prop = if rdma {
+            inner.cfg.rdma_prop_ns
+        } else {
+            inner.cfg.socket_prop_ns
+        };
         let mut rung = false;
         for wqe in chain {
             assert!(
@@ -1021,13 +1180,23 @@ impl Fabric {
             else {
                 continue;
             };
+            let refused = match &wqe {
+                Wqe::Write(w) => inner
+                    .write_verdict(w.dst_region, to, w.dst_word_off, w.words.len())
+                    .err(),
+                Wqe::Send(_) => handler.is_none().then_some(WcError::NoReceiver),
+            };
+            if let Some(err) = refused {
+                inner.complete_in_error(sim, qp, from, err, sim.now() + 2 * prop);
+                continue;
+            }
             let first = !(rdma && rung);
             rung = true;
             let (bytes, verb) = match &wqe {
                 Wqe::Write(w) => (w.words.len() * 8, Verb::Write),
                 Wqe::Send(p) => (p.len(), Verb::Send),
             };
-            let (tx_cost, rx_cost, prop) = if rdma {
+            let (tx_cost, rx_cost) = if rdma {
                 let (mut tx_miss, mut rx_miss) = (0, 0);
                 if first {
                     tx_miss = inner.qp_state_touch(from, qp);
@@ -1035,12 +1204,6 @@ impl Fabric {
                 }
                 let rx_fixed = match &wqe {
                     Wqe::Write(w) => {
-                        let region = &inner.regions[w.dst_region.0 as usize];
-                        assert_eq!(region.node, to, "write target region not on peer node");
-                        assert!(
-                            w.dst_word_off + w.words.len() <= region.mem.len(),
-                            "write beyond region bounds"
-                        );
                         rx_miss += inner.mtt_touch(to, w.dst_region, w.dst_word_off * 8, bytes);
                         inner.cfg.rdma_dma_ns
                     }
@@ -1050,11 +1213,10 @@ impl Fabric {
                 (
                     inner.cfg.wqe_cost(first, ser, pen_src) + tx_miss,
                     scaled(rx_fixed + ser, pen_dst) + rx_miss,
-                    inner.cfg.rdma_prop_ns,
                 )
             } else {
                 let cost = inner.cfg.socket_op_ns + inner.cfg.socket_ser(bytes);
-                (cost, cost, inner.cfg.socket_prop_ns)
+                (cost, cost)
             };
             let tx_done = inner.nodes[from.0 as usize]
                 .nic_tx
@@ -1068,23 +1230,32 @@ impl Fabric {
             // behind the original, with no completion callback of its own.
             match wqe {
                 Wqe::Write(w) => {
-                    let mem = inner.regions[w.dst_region.0 as usize].mem.clone();
-                    let (off, on_delivered) = (w.dst_word_off, w.on_delivered);
+                    // The delivery event carries the Fabric handle instead of
+                    // the region's memory so the target can judge the handle
+                    // on arrival; a 32-bit offset keeps the closure inside
+                    // the scheduler's 64-byte inline payload (no allocation).
+                    let off =
+                        u32::try_from(w.dst_word_off).expect("in bounds of a 24-bit-slot region");
+                    let (region, on_delivered) = (w.dst_region, w.on_delivered);
                     if duplicate {
-                        let (mem, words) = (mem.clone(), w.words.clone());
-                        sim.schedule_at(deliver_at + 1, move |_| land(&mem, off, words));
+                        let (fab, words) = (self.clone(), w.words.clone());
+                        sim.schedule_at(deliver_at + 1, move |_| {
+                            fab.arrive(region, off, words);
+                        });
                     }
+                    let fab = self.clone();
                     sim.schedule_at(deliver_at, move |sim| {
-                        land(&mem, off, w.words);
-                        if let Some(cb) = on_delivered {
+                        if !fab.arrive(region, off, w.words) {
+                            let mut inner = fab.inner.borrow_mut();
+                            let at = sim.now() + inner.cfg.rdma_prop_ns;
+                            inner.complete_in_error(sim, qp, from, WcError::PermissionRevoked, at);
+                        } else if let Some(cb) = on_delivered {
                             cb(sim);
                         }
                     });
                 }
                 Wqe::Send(payload) => {
-                    let handler = handler.clone().unwrap_or_else(|| {
-                        panic!("no recv handler registered on peer of qp {qp:?}")
-                    });
+                    let handler = handler.clone().expect("a Send nobody receives was refused");
                     if duplicate {
                         let (handler, payload) = (handler.clone(), payload.clone());
                         sim.schedule_at(deliver_at + 1, move |sim| handler(sim, qp, payload));
@@ -1093,6 +1264,20 @@ impl Fabric {
                 }
             }
         }
+    }
+
+    /// A Write reaches its target NIC, which checks the handle against the
+    /// region's permission epoch as it stands *now*: the payload lands, or
+    /// — revoked while in flight — the memory stays untouched. Returns
+    /// whether it landed.
+    fn arrive(&self, region: RegionId, off: u32, words: Vec<u64>) -> bool {
+        let inner = self.inner.borrow();
+        let r = &inner.regions[region.slot()];
+        let permitted = r.write_epoch == region.epoch();
+        if permitted {
+            land(&r.mem, off as usize, words);
+        }
+        permitted
     }
 
     /// One-sided RDMA Read of `len_bytes` from `src_region` at
@@ -1115,7 +1300,10 @@ impl Fabric {
         let (mem, snap_at, done_at) = {
             let mut inner = self.inner.borrow_mut();
             let inner = &mut *inner;
-            let q = inner.qp(qp);
+            let Some(q) = inner.posted_qp(qp) else {
+                inner.complete_in_error(sim, qp, from, WcError::QpGone, sim.now());
+                return;
+            };
             assert_eq!(
                 q.transport,
                 Transport::Rdma,
@@ -1129,7 +1317,7 @@ impl Fabric {
             else {
                 return;
             };
-            let region = &inner.regions[src_region.0 as usize];
+            let region = &inner.regions[src_region.slot()];
             assert_eq!(region.node, target, "read source region not on peer node");
             assert!(
                 src_word_off + words <= region.mem.len(),
@@ -1373,6 +1561,11 @@ mod tests {
         };
         let rdma = sim_t(Transport::Rdma);
         let socket = sim_t(Transport::Socket);
+        assert_eq!(
+            socket,
+            FabricConfig::default().socket_one_way(64),
+            "the closed form control messages are charged is this path's cost"
+        );
         assert!(
             socket > 10 * rdma,
             "socket one-way {socket}ns should dwarf rdma {rdma}ns"
@@ -1445,21 +1638,139 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "not on peer node")]
-    fn write_to_region_on_wrong_node_panics() {
-        let (mut sim, fab, a, _b, qp) = setup();
-        // Region on the *initiator's* node: invalid target.
-        let (region, _mem) = fab.alloc_region(a, 8);
-        fab.post_write(&mut sim, qp, a, vec![1], region, 0, None);
+    /// Collects `endpoint`'s completions in error on `qp` as `(tick, error)`.
+    fn errors_of(fab: &Fabric, qp: QpId, endpoint: NodeId) -> Rc<RefCell<Vec<(u64, WcError)>>> {
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let s = seen.clone();
+        fab.set_error_handler(
+            qp,
+            endpoint,
+            Rc::new(move |sim: &mut Sim, _qp, err| s.borrow_mut().push((sim.now(), err))),
+        );
+        seen
     }
 
     #[test]
-    #[should_panic(expected = "beyond region bounds")]
-    fn out_of_bounds_write_panics() {
+    fn write_to_region_on_wrong_node_completes_in_error() {
+        let (mut sim, fab, a, _b, qp) = setup();
+        let errors = errors_of(&fab, qp, a);
+        // Region on the *initiator's* node: not the peer's to write.
+        let (region, mem) = fab.alloc_region(a, 8);
+        fab.post_write(&mut sim, qp, a, vec![1], region, 0, None);
+        sim.run();
+        assert_eq!(mem[0].load(Ordering::Relaxed), 0, "memory untouched");
+        let prop = FabricConfig::default().rdma_prop_ns;
+        assert_eq!(*errors.borrow(), [(2 * prop, WcError::RegionNotOnPeer)]);
+        assert_eq!(fab.stats().errors, 1);
+        assert_eq!(fab.stats().writes, 0, "a refused WQE is not a write");
+    }
+
+    #[test]
+    fn out_of_bounds_write_completes_in_error() {
         let (mut sim, fab, a, b, qp) = setup();
-        let (region, _mem) = fab.alloc_region(b, 4);
+        let errors = errors_of(&fab, qp, a);
+        let (region, mem) = fab.alloc_region(b, 4);
         fab.post_write(&mut sim, qp, a, vec![1, 2, 3, 4, 5], region, 0, None);
+        sim.run();
+        assert!(mem.iter().all(|w| w.load(Ordering::Relaxed) == 0));
+        assert_eq!(errors.borrow().len(), 1);
+        assert_eq!(errors.borrow()[0].1, WcError::OutOfBounds);
+        assert_eq!(fab.node_stats(a).doorbells, 0, "no NIC time either");
+    }
+
+    #[test]
+    fn post_on_a_torn_down_qp_is_flushed_in_error() {
+        let (mut sim, fab, a, b, qp) = setup();
+        let (region, mem) = fab.alloc_region(b, 4);
+        // The peer tears the connection down under the poster's feet.
+        fab.disconnect(qp);
+        fab.post_write(&mut sim, qp, a, vec![7], region, 0, None);
+        fab.post_send(&mut sim, qp, a, vec![1, 2, 3]);
+        fab.post_read(
+            &mut sim,
+            qp,
+            a,
+            region,
+            0,
+            8,
+            Box::new(|_, _| panic!("never completes")),
+        );
+        sim.run();
+        assert_eq!(mem[0].load(Ordering::Relaxed), 0);
+        assert_eq!(fab.stats().errors, 3, "one flush per WQE");
+        let s = fab.stats();
+        assert_eq!((s.writes, s.sends, s.reads), (0, 0, 0));
+    }
+
+    #[test]
+    fn send_without_a_receiver_completes_in_error() {
+        let (mut sim, fab, a, _b, qp) = setup();
+        let errors = errors_of(&fab, qp, a);
+        fab.post_send(&mut sim, qp, a, vec![9; 16]);
+        sim.run();
+        assert_eq!(errors.borrow().len(), 1);
+        assert_eq!(errors.borrow()[0].1, WcError::NoReceiver);
+        assert_eq!(fab.stats().sends, 0);
+    }
+
+    #[test]
+    fn revoked_handle_bounces_at_the_post_and_in_flight() {
+        let (mut sim, fab, a, b, qp) = setup();
+        let errors = errors_of(&fab, qp, a);
+        let (region, mem) = fab.alloc_region(b, 8);
+        // In flight when the permission goes: paid for, refused on arrival.
+        let delivered = Rc::new(Cell::new(false));
+        let d = delivered.clone();
+        fab.post_write(
+            &mut sim,
+            qp,
+            a,
+            vec![11],
+            region,
+            0,
+            Some(Box::new(move |_| d.set(true))),
+        );
+        let fresh = fab.revoke_write(region);
+        assert_ne!(fresh, region, "the new epoch has a handle of its own");
+        // Posted after the revocation: refused outright, no NIC time.
+        fab.post_write(&mut sim, qp, a, vec![22], region, 1, None);
+        sim.run();
+        assert!(!delivered.get(), "a bounced write has no delivery");
+        assert!(mem.iter().all(|w| w.load(Ordering::Relaxed) == 0));
+        let kinds: Vec<WcError> = errors.borrow().iter().map(|e| e.1).collect();
+        assert_eq!(kinds, [WcError::PermissionRevoked; 2]);
+        assert_eq!(fab.stats().writes, 1, "only the in-flight one was charged");
+        // The new epoch's handle writes, and any handle still reads.
+        fab.post_write(&mut sim, qp, a, vec![33], fresh, 2, None);
+        let got = Rc::new(Cell::new(0u64));
+        let g = got.clone();
+        fab.post_read(
+            &mut sim,
+            qp,
+            a,
+            region,
+            2,
+            8,
+            Box::new(move |_, blob| g.set(u64::from_le_bytes(blob.try_into().unwrap()))),
+        );
+        sim.run();
+        assert_eq!(mem[2].load(Ordering::Relaxed), 33);
+        assert_eq!(got.get(), 33);
+        assert_eq!(errors.borrow().len(), 2);
+    }
+
+    #[test]
+    fn refusal_returning_to_a_recycled_qp_is_only_counted() {
+        let (mut sim, fab, a, b, qp) = setup();
+        let (region, _mem) = fab.alloc_region(b, 8);
+        fab.post_write(&mut sim, qp, a, vec![5], region, 0, None);
+        fab.revoke_write(region);
+        // The connection goes, and another takes its slot, while the Write
+        // is still in flight.
+        fab.disconnect(qp);
+        let _fresh = fab.connect(a, b, Transport::Rdma);
+        sim.run();
+        assert_eq!(fab.stats().errors, 1);
     }
 
     #[test]

@@ -2,16 +2,19 @@
 //!
 //! One scripted sequence over a 3-node fabric posts every verb — single and
 //! doorbell-chained Writes (one chain crossing a page boundary), Reads, RDMA
-//! and socket Sends single and chained — through seven phases: quiet links,
+//! and socket Sends single and chained — through eight phases: quiet links,
 //! `delay_next`, `duplicate_next`, drops (singles, and WQEs out of the
-//! middle of a chain), slow nodes, more QPs than `qp_threshold`, and a
-//! thrashed 4-entry ICM/MTT cache. Each phase folds every delivery —
+//! middle of a chain), slow nodes, more QPs than `qp_threshold`, a
+//! thrashed 4-entry ICM/MTT cache, and a revoked write permission (the tail
+//! of a chain refused at the post, the tail of another refused on arrival).
+//! Each phase folds every delivery —
 //! `(verb index, delivery tick, bytes landed)` in delivery order — and then
 //! the fabric-wide, per-node and fault counters plus the contents of every
 //! region into one 64-bit hash. The constants below were generated at the
 //! commit *before* the five verbs were folded onto one posting kernel; that
 //! refactor had to (and any later change to the NIC model has to) leave
-//! every one of them untouched. A mismatch means some WQE was charged a
+//! every one of them untouched; the eighth was added with the permission
+//! epoch, which had to leave the first seven where they were. A mismatch means some WQE was charged a
 //! different cost, landed at a different tick, or bumped a different
 //! counter.
 //!
@@ -25,12 +28,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hydra_fabric::{
-    BatchWrite, Fabric, FabricConfig, LinkFault, NodeId, QpId, RegionId, Transport,
+    BatchWrite, Fabric, FabricConfig, LinkFault, NodeId, QpId, RegionId, Transport, WcError,
 };
 use hydra_sim::Sim;
 
 #[rustfmt::skip]
-const GOLDEN: [(&str, u64); 7] = [
+const GOLDEN: [(&str, u64); 8] = [
     ("quiet",        0x2B7D_B5DD_46F3_3875),
     ("delay",        0xCDA3_5821_735A_D47F),
     ("duplicate",    0x4A50_A899_4F7B_29D8),
@@ -38,6 +41,7 @@ const GOLDEN: [(&str, u64); 7] = [
     ("slow",         0xCD5D_0CB6_361C_36F0),
     ("qp_pressure",  0x2908_C68B_F6CD_7813),
     ("cache_thrash", 0xA4EE_0451_F910_50A5),
+    ("revoked",      0x0280_E3AA_EBE1_E0B2),
 ];
 
 /// Words per 4 KiB translation page.
@@ -123,8 +127,19 @@ impl Script {
     /// delivery folds and then consumes (zeroes) the first word, so a
     /// redelivered copy shows in the final memory image.
     fn wqe(&mut self, to: usize, off: usize, len: usize) -> BatchWrite {
-        let verb = self.verb();
         let (region, mem) = self.regions[to].clone();
+        self.wqe_into(region, mem, off, len)
+    }
+
+    /// [`wqe`](Self::wqe) through an explicit region handle.
+    fn wqe_into(
+        &mut self,
+        region: RegionId,
+        mem: Arc<[AtomicU64]>,
+        off: usize,
+        len: usize,
+    ) -> BatchWrite {
+        let verb = self.verb();
         let (hash, delivered) = (self.hash.clone(), self.delivered.clone());
         BatchWrite {
             words: (0..len as u64).map(|i| verb * 1_000 + i).collect(),
@@ -373,6 +388,69 @@ fn fabric_cost_model_matches_the_pre_kernel_oracle() {
             s.read(qp, 0, 1, (i % 3) * PAGE_WORDS + 256, 8 * PAGE_WORDS);
         }
     }
+    got.push(s.close_phase());
+
+    // revoked: a region of its own on node 1, every completion in error on
+    // the a->b connection folded with its tick.
+    let (x, x_mem) = s.fab.alloc_region(b, REGION_WORDS);
+    {
+        let hash = s.hash.clone();
+        s.fab.set_error_handler(
+            rdma,
+            a,
+            Rc::new(move |sim: &mut Sim, _qp, err: WcError| {
+                fold(&hash, &[0xE44, sim.now(), err as u64]);
+            }),
+        );
+    }
+    // Refused at the post: a chain whose head aims at node 1's ordinary
+    // region and whose tail goes through a handle revoked beforehand. The
+    // head lands; the tail is charged like a dropped tail — no NIC time, no
+    // counters, the one doorbell stays with the head — and bounces.
+    let x1 = s.fab.revoke_write(x);
+    let before = s.fab.stats();
+    let chain = vec![
+        s.wqe(1, 200, 2),
+        s.wqe(1, 208, 2),
+        s.wqe_into(x, x_mem.clone(), 0, 2),
+        s.wqe_into(x, x_mem.clone(), 8, 2),
+    ];
+    s.fab.post_write_batch(&mut s.sim, rdma, a, chain);
+    s.sim.run();
+    let after = s.fab.stats();
+    assert_eq!(
+        (
+            after.writes - before.writes,
+            after.doorbells - before.doorbells,
+            after.errors - before.errors
+        ),
+        (2, 1, 2),
+        "two WQEs charged under one doorbell, two refused"
+    );
+    // Refused on arrival: the permission goes while the chain is in flight —
+    // the head's delivery revokes it — so the rest has paid its way and
+    // bounces off the target, the memory untouched.
+    let mut chain = vec![
+        s.wqe_into(x1, x_mem.clone(), 16, 2),
+        s.wqe_into(x1, x_mem.clone(), 24, 2),
+        s.wqe_into(x1, x_mem.clone(), 32, 2),
+    ];
+    let (fab, landed) = (s.fab.clone(), chain[0].on_delivered.take().unwrap());
+    chain[0].on_delivered = Some(Box::new(move |sim: &mut Sim| {
+        landed(sim);
+        fab.revoke_write(x1);
+    }));
+    s.fab.post_write_batch(&mut s.sim, rdma, a, chain);
+    s.burst(rdma, socket, cross);
+    s.sim.run();
+    let image: Vec<u64> = x_mem.iter().map(|w| w.load(Ordering::Relaxed)).collect();
+    assert_eq!(
+        image.iter().filter(|&&w| w != 0).count(),
+        1,
+        "of five WQEs aimed at the region, one landed (its first word consumed)"
+    );
+    fold(&s.hash, &image);
+    fold(&s.hash, &[s.fab.stats().errors]);
     got.push(s.close_phase());
 
     if std::env::var("GOLDEN_PRINT").is_ok() {

@@ -7,11 +7,13 @@
 //!
 //! * machine faults map to the fabric's crash/freeze hooks (NIC engines
 //!   pause, traffic vanishes) plus the shard servers' liveness flags, so
-//!   SWAT detection and promotion run exactly as for an organic failure;
+//!   the liveness probe and SWAT promotion run exactly as for an organic
+//!   failure;
 //! * network faults map to the fabric's per-link drop/delay/duplicate
-//!   interceptors and symmetric partition cuts, with primary heartbeats of
-//!   isolated machines suppressed (HydraDB's coordination service is an
-//!   external quorum ensemble, so only the *server's* heartbeats stop);
+//!   interceptors and symmetric partition cuts — which the probe's reads
+//!   cross like any other traffic — with isolated machines also cut off
+//!   from the coordination service (an external quorum ensemble that is
+//!   not on the fabric), so a secondary there cannot report a suspicion;
 //! * restarts rebuild the node's shards: a never-promoted primary comes
 //!   back with its memory intact, stale or promoted-away secondaries are
 //!   resynced from the current primary's state over a fresh replication
@@ -173,9 +175,12 @@ impl ChaosController {
 
     /// A dropped ring frame leaves a zero slot the secondary's applier can
     /// never fill — it parks there silently, and every later record (and in
-    /// Strict mode every later write) stalls behind it. The only repair is
-    /// the one a real operator performs: detect the laggard by its ack
-    /// high-water mark and resync it from the primary.
+    /// Strict mode every later write) stalls behind it. So does a ring its
+    /// secondary fenced while cut off from the coordination service: the
+    /// primary was never deposed, and nothing reopens a revoked ring. The
+    /// only repair is the one a real operator performs: detect the laggard
+    /// by its ack high-water mark, or by its fence, and resync it from the
+    /// primary.
     fn repair_stalled_replication(&self, sim: &mut Sim) {
         let (cfg, ha_rc) = {
             let inner = self.inner.borrow();
@@ -216,7 +221,7 @@ impl ChaosController {
                     .repl
                     .iter()
                     .find(|pair| pair.secondary_node() == sec_node)
-                    .is_none_or(|pair| pair.acked() < pair.stats().records);
+                    .is_none_or(|pair| pair.acked() < pair.stats().records || pair.is_fenced());
                 if lagging {
                     self.resync_secondary(sim, primary, sec);
                 }
@@ -317,8 +322,8 @@ impl ChaosController {
         fab.set_node_crashed(node, true);
         fab.freeze_node(node, sim.now());
         // Every shard process hosted there goes dark: primaries stop
-        // serving and heartbeating (SWAT detects the silence), secondaries
-        // become non-promotable.
+        // serving and stamping (their secondaries notice the silence),
+        // secondaries become non-promotable.
         let ha = ha.borrow();
         for p in &ha.partitions {
             if p.primary.borrow().node == node {
@@ -348,26 +353,16 @@ impl ChaosController {
         let replicates = cfg.replication.repl_mode().is_some();
         let n_parts = ha_rc.borrow().partitions.len();
         for p in 0..n_parts {
-            let (primary, secondaries, session) = {
+            let (primary, secondaries) = {
                 let ha = ha_rc.borrow();
                 let st = &ha.partitions[p];
-                (st.primary.clone(), st.secondaries.clone(), st.session)
+                (st.primary.clone(), st.secondaries.clone())
             };
-            // A primary hosted here that was never promoted away restarts
-            // with its memory intact; it re-registers its coordination
-            // session so the *next* failure is detectable.
+            // A primary hosted here that was never promoted away (nobody
+            // was left to suspect it) restarts with its memory intact and
+            // its membership record standing, and resumes stamping.
             if primary.borrow().node == node && !primary.borrow().alive {
                 primary.borrow_mut().alive = true;
-                let mut ha = ha_rc.borrow_mut();
-                let now = sim.now();
-                if ha.coord.session_alive(session) {
-                    // Fast restart, before the session lapsed: just beat.
-                    let _ = ha.coord.heartbeat(session, now);
-                } else {
-                    // Session expired while down: re-own the znode under a
-                    // fresh session and re-arm the SWAT watch.
-                    ha.partitions[p].session = ha.register_primary(p, now);
-                }
             }
             if !primary.borrow().alive {
                 continue; // partition fully down; nothing to rebuild against
@@ -508,10 +503,11 @@ impl ChaosController {
                 fab.block_pair(a, b);
             }
         }
-        // Heartbeats travel out-of-band to the quorum service in this
-        // model, so isolation must silence them explicitly: an isolated
-        // primary cannot reach the ensemble, its session expires, SWAT
-        // fails over — and on heal the fenced old primary stays demoted.
+        // The coordination service is not on the fabric, so isolation from
+        // it is recorded explicitly: a suspicion report from an isolated
+        // secondary is lost. An isolated primary needs no such help — the
+        // probe's reads die on the cut, its secondary fences and reports,
+        // and on heal the deposed primary stays demoted.
         let mut ha = ha.borrow_mut();
         for n in &isolated {
             ha.partitioned_nodes.insert(n.0);

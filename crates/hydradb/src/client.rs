@@ -21,9 +21,12 @@
 //! polling sweep for a whole window of requests, up to `max_batch` per
 //! frame — and the server answers with one response frame per request
 //! frame. Either way a connection's message slot holds one shipment at a
-//! time, and an unanswered shipment is retried against the partition's
-//! current primary a bounded number of times, which is how fail-over
-//! reaches clients.
+//! time. A fail-over reaches clients as a directory-change notification:
+//! every shipment parked on a replaced primary is re-routed at once
+//! ([`HydraClient::wake_subscribers`]). The backstop — for a lost response,
+//! a dead shard nobody replaced — is the timeout: an unanswered shipment is
+//! retried against the partition's current primary a bounded number of
+//! times.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -419,6 +422,19 @@ impl ClientInner {
         }
         &mut self.outboxes[i]
     }
+
+    /// Takes every in-flight op `which` selects out of the window, in
+    /// submission order whatever order the map iterates in.
+    fn take_ops(&mut self, which: impl Fn(&InFlightOp) -> bool) -> Vec<InFlightOp> {
+        let mut ids: Vec<u64> = self
+            .window
+            .values()
+            .filter(|op| which(op))
+            .map(|op| op.req_id)
+            .collect();
+        ids.sort_unstable();
+        ids.iter().filter_map(|id| self.window.remove(id)).collect()
+    }
 }
 
 /// Handle to one client. Cheap to clone; all clones share state.
@@ -450,7 +466,8 @@ impl HydraClient {
             Some(c) => PtrCache::Shared(c),
             None => PtrCache::Own(Rc::new(ClockCache::new(cfg.ptr_cache_capacity))),
         };
-        HydraClient {
+        let subscription = directory.clone();
+        let client = HydraClient {
             inner: Rc::new(RefCell::new(ClientInner {
                 id,
                 node,
@@ -470,10 +487,76 @@ impl HydraClient {
                 scan_order: None,
                 stats: ClientStats::default(),
             })),
+        };
+        subscription
+            .borrow_mut()
+            .subscribers
+            .push(Rc::downgrade(&client.inner));
+        client
+    }
+
+    /// Delivers a directory-change notification to every live client, `hop`
+    /// after the change was published (the coordination service speaks TCP):
+    /// each re-routes whatever it has parked on a replaced primary.
+    pub(crate) fn wake_subscribers(
+        directory: &Rc<RefCell<Directory>>,
+        sim: &mut Sim,
+        hop: SimTime,
+    ) {
+        let directory = directory.clone();
+        sim.schedule_in(hop, move |sim| {
+            let clients: Vec<_> = {
+                let mut dir = directory.borrow_mut();
+                dir.subscribers.retain(|c| c.strong_count() > 0);
+                dir.subscribers.iter().filter_map(|c| c.upgrade()).collect()
+            };
+            for inner in clients {
+                HydraClient { inner }.on_directory_change(sim);
+            }
+        });
+    }
+
+    /// The directory names a new primary for some partitions: for each one
+    /// this client still holds a connection to the old primary of, take
+    /// back every operation shipped there and send it again through the
+    /// directory — now, not when its timer would have fired. The attempt
+    /// was cut short, not failed, so it does not count against the op.
+    fn on_directory_change(&self, sim: &mut Sim) {
+        let stale: Vec<u32> = {
+            let inner = self.inner.borrow();
+            let dir = inner.directory.borrow();
+            let replaced = |(p, conn): (usize, &Option<ClientConn>)| {
+                let current = dir.shards.get(&(p as u32))?;
+                let conn = conn.as_ref()?;
+                (!Rc::ptr_eq(&conn.server, current)).then_some(p as u32)
+            };
+            inner
+                .conns
+                .iter()
+                .enumerate()
+                .filter_map(replaced)
+                .collect()
+        };
+        for partition in stale {
+            let ops = {
+                let mut inner = self.inner.borrow_mut();
+                let ops = inner.take_ops(|op| op.partition == partition);
+                if let Some(slot) = inner.outbox(partition).slot.take() {
+                    sim.cancel(slot.timeout_ev);
+                }
+                ops
+            };
+            for op in ops {
+                if let Some(ev) = op.timeout_ev {
+                    sim.cancel(ev);
+                }
+                let attempts = op.attempts;
+                self.resubmit(sim, op, attempts);
+            }
+            self.pump(sim, partition);
         }
     }
 
-    /// This client's id.
     pub fn id(&self) -> u32 {
         self.inner.borrow().id
     }
@@ -1189,18 +1272,7 @@ impl HydraClient {
     fn on_timeout(&self, sim: &mut Sim, ship: u64) {
         let (ops, slot) = {
             let mut inner = self.inner.borrow_mut();
-            let mut ids: Vec<u64> = inner
-                .window
-                .values()
-                .filter(|op| op.ship == ship)
-                .map(|op| op.req_id)
-                .collect();
-            // In submission order, whatever order the map iterates in.
-            ids.sort_unstable();
-            let ops: Vec<InFlightOp> = ids
-                .iter()
-                .filter_map(|id| inner.window.remove(id))
-                .collect();
+            let ops = inner.take_ops(|op| op.ship == ship);
             let Some(first) = ops.first() else {
                 return; // answered long ago
             };
@@ -1227,23 +1299,32 @@ impl HydraClient {
         }
     }
 
-    /// The one timeout policy: up to [`MAX_ATTEMPTS`] shipments per op, each
-    /// retry re-resolving the route (the partition's primary may have been
-    /// replaced by SWAT; `pump` rebuilds a connection that points at a
-    /// deposed one) and keeping the original issue time.
-    fn retry(&self, sim: &mut Sim, mut op: InFlightOp) {
-        if op.attempts >= MAX_ATTEMPTS || op.kind == OpKind::LeaseRenew {
+    /// The one timeout policy: up to [`MAX_ATTEMPTS`] shipments per op.
+    fn retry(&self, sim: &mut Sim, op: InFlightOp) {
+        if op.attempts >= MAX_ATTEMPTS {
             if let Some(cb) = op.cb {
                 cb(sim, Err(OpError::Timeout));
             }
             return;
         }
+        let attempts = op.attempts + 1;
+        self.resubmit(sim, op, attempts);
+    }
+
+    /// Sends `op` again as its attempt number `attempts`, re-resolving the
+    /// route (the partition's primary may have been replaced by SWAT; `pump`
+    /// rebuilds a connection that points at a deposed one) and keeping the
+    /// original issue time.
+    fn resubmit(&self, sim: &mut Sim, mut op: InFlightOp, attempts: u32) {
+        if op.kind == OpKind::LeaseRenew {
+            return; // best effort, no callback: the next renewal pass asks again
+        }
         {
             let mut inner = self.inner.borrow_mut();
             if op.kind == OpKind::RdmaGet {
-                // A spread read to a crashed replica machine never
-                // completes. Drop the pointer and retry through the primary
-                // message path.
+                // A one-sided read that will not come back — its replica's
+                // machine crashed, or its primary was replaced. Drop the
+                // pointer and go through the message path.
                 inner.stats.invalid_hits += 1;
                 inner.stats.msg_gets += 1;
                 inner.ptr_cache.remove(&op.key);
@@ -1251,7 +1332,7 @@ impl HydraClient {
             }
             inner.stats.retries += 1;
         }
-        let (attempts, issued_at) = (op.attempts + 1, op.issued_at);
+        let issued_at = op.issued_at;
         if op.kind == OpKind::Scan {
             // A scan step is pinned to its partition; the cursor key must
             // not be re-routed by hash.

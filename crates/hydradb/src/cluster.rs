@@ -6,28 +6,34 @@
 //! a ZooKeeper-like coordination service, and the SWAT group. The resulting
 //! [`Cluster`] owns the simulation and hands out [`HydraClient`]s.
 //!
-//! Failure handling follows the paper: every primary shard holds a
-//! coordination session backed by periodic heartbeats and an ephemeral
-//! znode under `/servers`; the SWAT leader (elected via ephemeral-sequential
-//! znodes) watches those ephemerals, and when a session expires it selects a
-//! secondary, promotes it to primary, re-couples the remaining secondaries,
-//! and publishes the new partition map — which clients discover on their
-//! next timeout.
+//! Failure handling follows the paper's "a few missed heartbeats" (§5.1),
+//! with the heartbeats moved onto the fabric (DESIGN.md §16). Every primary
+//! shard owns an ephemeral znode under `/servers` — its membership record —
+//! and stamps a liveness word in registered memory every beat; its first
+//! live secondary reads the word one-sidedly every beat and, after
+//! [`MISSES`](hydra_replication::MISSES) beats without a fresh stamp,
+//! revokes the primary's write permission on its replication ring, applies
+//! what had landed and reports to the SWAT leader (elected via
+//! ephemeral-sequential znodes). The leader
+//! expires the primary's session, promotes the reporter, re-couples the
+//! remaining secondaries and publishes the new partition map — which wakes
+//! every client with a shipment parked on the deposed primary. Both
+//! notifications travel at the socket path's one-way latency.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use hydra_coord::{Coord, CreateMode, EventKind, LeaderElection, SessionId, WatcherId};
+use hydra_coord::{Coord, CreateMode, LeaderElection, SessionId};
 use hydra_fabric::{Fabric, NodeId, Transport};
 use hydra_lockfree::ClockCache;
-use hydra_replication::ReplicationPair;
+use hydra_replication::{ReplicationPair, BEAT_NS};
 use hydra_sim::time::SimTime;
 use hydra_sim::Sim;
 
 use crate::chaos::{ChaosController, RecordingClient};
-use crate::client::{CachedPtr, HydraClient};
+use crate::client::{CachedPtr, ClientInner, HydraClient};
 use crate::config::{ClientMode, ClusterConfig};
 use crate::migration::{MigrationEngine, MigrationHandle, MigrationOutcome};
 use crate::ring::{HashRing, ShardId};
@@ -43,6 +49,25 @@ pub struct Directory {
     pub shards: HashMap<u32, Rc<RefCell<ShardServer>>>,
     /// Bumped on every reconfiguration.
     pub generation: u64,
+    /// Clients to wake when a fail-over replaces a primary.
+    pub(crate) subscribers: Vec<std::rc::Weak<RefCell<ClientInner>>>,
+}
+
+/// Payload of the two fail-over notifications (suspicion report, directory
+/// change): a partition id and a generation, with headers.
+const NOTIFY_BYTES: usize = 64;
+
+/// One completed fail-over, on the virtual clock (see
+/// [`Cluster::failovers`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Failover {
+    pub partition: u32,
+    /// The secondary's last missed beat: it suspected its primary, revoked
+    /// the ring and drained it, all at this instant.
+    pub fenced_at: SimTime,
+    /// The SWAT leader had the report, expired the old session, promoted
+    /// the reporter and published the directory.
+    pub promoted_at: SimTime,
 }
 
 /// Operator-facing snapshot of the whole cluster (see
@@ -184,6 +209,10 @@ pub struct PartitionReport {
     pub repl_inflight_words: usize,
     /// Records parked behind full rings, summed over the channels.
     pub repl_backlog: usize,
+    /// Channels whose secondary has fenced them (suspected this primary and
+    /// revoked its ring). On a live primary that means the suspicion never
+    /// reached SWAT: its writes stall until the secondary is resynced.
+    pub repl_fenced: usize,
     /// Acknowledgements received per shipped record (cumulative acks push
     /// this well below 1.0; per-record strict sits at ~1.0).
     pub repl_acks_per_record: f64,
@@ -252,10 +281,12 @@ pub(crate) struct HaState {
     pub(crate) swat_sessions: Vec<SessionId>,
     pub(crate) swat_elections: Vec<LeaderElection>,
     pub(crate) promotions: u64,
+    pub(crate) failovers: Vec<Failover>,
     pub(crate) monitoring_until: SimTime,
     /// Server machines currently cut off from the coordination ensemble by
-    /// an injected network partition (fabric node ids). Their primaries'
-    /// heartbeats are suppressed so sessions expire and SWAT fails over.
+    /// an injected network partition (fabric node ids): a secondary there
+    /// may fence its primary but its report never arrives, so it is never
+    /// promoted.
     pub(crate) partitioned_nodes: std::collections::HashSet<u32>,
 }
 
@@ -300,29 +331,85 @@ impl HaState {
     }
 
     /// Registers partition `p`'s (new) primary with the coordination
-    /// service: a fresh session owning the partition's ephemeral znode —
-    /// cleared first, in case a predecessor's expiry was never ticked
-    /// through — and SWAT's watch on it re-armed.
+    /// service: a session owning the partition's ephemeral znode, the
+    /// membership record. The session never times out — liveness is the
+    /// probe's business — and ends when SWAT expires it to depose its
+    /// holder.
     pub(crate) fn register_primary(&mut self, p: usize, now: SimTime) -> SessionId {
-        let znode = partition_znode(p);
-        let session = self
-            .coord
-            .create_session(now, self.cfg.ha_session_timeout_ns);
-        let _ = self.coord.delete(&znode);
+        let session = self.coord.create_session(now, SimTime::MAX);
         self.coord
             .create(
-                &znode,
+                &partition_znode(p),
                 p.to_string().into_bytes(),
                 CreateMode::Ephemeral,
                 Some(session),
             )
-            .expect("partition znode was just cleared");
-        self.coord.watch_exists(&znode, WatcherId(p as u64));
+            .expect("the predecessor's znode went with its session");
         session
     }
 
-    /// Reacts to a failed primary: promote the first live secondary,
-    /// re-couple the remaining secondaries to it, publish the new map.
+    /// One beat of every partition's failure detector: live primaries stamp
+    /// their liveness word, each partition's first live secondary probes it.
+    /// Returns the secondaries that suspected (and fenced) their primary on
+    /// this beat, as `(partition, their channel, their machine)`.
+    fn beat(&self, sim: &mut Sim) -> Vec<(usize, ReplicationPair, NodeId)> {
+        let mut suspects = Vec::new();
+        for (p, state) in self.partitions.iter().enumerate() {
+            let primary = state.primary.borrow();
+            if primary.alive && !self.fab.is_node_crashed(primary.node) {
+                for pair in &primary.repl {
+                    pair.stamp();
+                }
+            }
+            let Some(node) = state
+                .secondaries
+                .iter()
+                .find_map(|s| Some(s.borrow()).filter(|s| s.alive).map(|s| s.node))
+            else {
+                continue;
+            };
+            let channel = primary.repl.iter().find(|c| c.secondary_node() == node);
+            if let Some(pair) = channel.filter(|pair| pair.probe(sim)) {
+                suspects.push((p, pair.clone(), node));
+            }
+        }
+        suspects
+    }
+
+    /// A secondary's suspicion report reached the coordination service. The
+    /// SWAT leader acts on it unless it is stale — the partition has been
+    /// reconfigured since `channel` was its primary's — so one fault is one
+    /// promotion.
+    fn on_suspicion(
+        &mut self,
+        sim: &mut Sim,
+        partition: usize,
+        channel: &ReplicationPair,
+        fenced_at: SimTime,
+    ) {
+        // Only the SWAT leader reacts (§5.1); with the whole SWAT group
+        // down, failures go unhandled.
+        if self.swat_leader_idx().is_none() {
+            return;
+        }
+        let primary = self.partitions[partition].primary.clone();
+        let current = primary
+            .borrow()
+            .repl
+            .iter()
+            .any(|c| c.same_channel(channel));
+        if current && self.promote(sim, partition) {
+            self.failovers.push(Failover {
+                partition: partition as u32,
+                fenced_at,
+                promoted_at: sim.now(),
+            });
+        }
+    }
+
+    /// Deposes partition `partition`'s primary: expire its session, promote
+    /// the first live secondary, re-couple the remaining secondaries to it,
+    /// publish the new map and wake the clients.
     fn promote(&mut self, sim: &mut Sim, partition: usize) -> bool {
         let state = &mut self.partitions[partition];
         let Some(idx) = state.secondaries.iter().position(|s| s.borrow().alive) else {
@@ -330,12 +417,19 @@ impl HaState {
         };
         let new_primary = state.secondaries.remove(idx);
         let old_primary = std::mem::replace(&mut state.primary, new_primary.clone());
+        self.coord.expire_session(state.session);
         {
             // Live-migration bookkeeping survives fail-over: the promoted
             // primary owns the same key range, so it inherits the ownership
             // gate and forwarding state.
             let mut op = old_primary.borrow_mut();
             op.alive = false;
+            // Every ring of the deposed primary closes, not only the
+            // reporter's: whatever it still ships lands nowhere, and each
+            // secondary's state is final before it is re-coupled.
+            for pair in &op.repl {
+                pair.fence(sim);
+            }
             let mut np = new_primary.borrow_mut();
             np.mig = op.mig.take();
             // The old primary's channels and exports die with it, and the
@@ -346,14 +440,18 @@ impl HaState {
         for sec in &state.secondaries {
             couple(&self.fab, &self.cfg, &new_primary, sec);
         }
-        // New primary registers its own session + ephemeral; SWAT re-watches.
+        // New primary registers its own session + ephemeral.
         let session = self.register_primary(partition, sim.now());
         self.partitions[partition].session = session;
         // Publish the reconfiguration.
-        let mut dir = self.directory.borrow_mut();
-        dir.shards.insert(partition as u32, new_primary);
-        dir.generation += 1;
+        {
+            let mut dir = self.directory.borrow_mut();
+            dir.shards.insert(partition as u32, new_primary);
+            dir.generation += 1;
+        }
         self.promotions += 1;
+        let hop = self.cfg.fabric.socket_one_way(NOTIFY_BYTES);
+        HydraClient::wake_subscribers(&self.directory, sim, hop);
         true
     }
 }
@@ -389,6 +487,7 @@ impl ClusterBuilder {
             ring: HashRing::new(cfg.vnodes),
             shards: HashMap::new(),
             generation: 0,
+            subscribers: Vec::new(),
         }));
         let mut ha = HaState {
             coord,
@@ -399,6 +498,7 @@ impl ClusterBuilder {
             swat_sessions: Vec::new(),
             swat_elections: Vec::new(),
             promotions: 0,
+            failovers: Vec::new(),
             monitoring_until: 0,
             partitioned_nodes: std::collections::HashSet::new(),
         };
@@ -542,27 +642,57 @@ impl Cluster {
         self.directory.borrow().generation
     }
 
-    /// Starts heartbeat + failure-detection machinery until virtual time
-    /// `until`. Without this, failures are never detected (matching a
-    /// deployment that lost its ZooKeeper ensemble).
+    /// Completed fail-overs, oldest first.
+    pub fn failovers(&self) -> Vec<Failover> {
+        self.ha.borrow().failovers.clone()
+    }
+
+    /// Starts the failure-detection machinery until virtual time `until`:
+    /// the liveness beat between every primary and its first live secondary
+    /// (period [`BEAT_NS`], suspicion after
+    /// [`MISSES`](hydra_replication::MISSES) missed beats), and the SWAT
+    /// members' own coordination sessions (`ha_heartbeat_ns` / `ha_tick_ns`
+    /// / `ha_session_timeout_ns`), which decide who leads.
+    /// Without this, failures are never detected.
     pub fn enable_ha(&mut self, until: SimTime) {
         {
             let mut ha = self.ha.borrow_mut();
             ha.monitoring_until = until;
             // Align session liveness with the monitoring start.
             let now = self.sim.now();
-            let sessions: Vec<SessionId> = ha
-                .partitions
-                .iter()
-                .map(|p| p.session)
-                .chain(ha.swat_sessions.iter().copied())
-                .collect();
-            for s in sessions {
+            for s in ha.swat_sessions.clone() {
                 let _ = ha.coord.heartbeat(s, now);
             }
         }
+        Self::schedule_beat(&self.ha, &mut self.sim);
         Self::schedule_heartbeat(&self.ha, &mut self.sim, self.cfg.ha_heartbeat_ns);
         Self::schedule_tick(&self.ha, &mut self.sim, self.cfg.ha_tick_ns);
+    }
+
+    fn schedule_beat(ha: &Rc<RefCell<HaState>>, sim: &mut Sim) {
+        let ha2 = ha.clone();
+        sim.schedule_in(BEAT_NS, move |sim| {
+            let now = sim.now();
+            if now > ha2.borrow().monitoring_until {
+                return;
+            }
+            let suspects = ha2.borrow().beat(sim);
+            for (partition, channel, node) in suspects {
+                let ha = ha2.borrow();
+                // The report is a message to the coordination service: it
+                // takes the socket path, and from a machine cut off from the
+                // ensemble it never arrives.
+                if ha.partitioned_nodes.contains(&node.0) {
+                    continue;
+                }
+                let hop = ha.cfg.fabric.socket_one_way(NOTIFY_BYTES);
+                let ha3 = ha2.clone();
+                sim.schedule_in(hop, move |sim| {
+                    ha3.borrow_mut().on_suspicion(sim, partition, &channel, now);
+                });
+            }
+            Cluster::schedule_beat(&ha2, sim);
+        });
     }
 
     fn schedule_heartbeat(ha: &Rc<RefCell<HaState>>, sim: &mut Sim, interval: SimTime) {
@@ -574,23 +704,7 @@ impl Cluster {
                 if now > ha.monitoring_until {
                     return;
                 }
-                let beats: Vec<SessionId> = ha
-                    .partitions
-                    .iter()
-                    .filter(|p| {
-                        let prim = p.primary.borrow();
-                        // A primary inside an injected network partition is
-                        // alive but unreachable: its heartbeats never reach
-                        // the ensemble, so its session must lapse.
-                        prim.alive && !ha.partitioned_nodes.contains(&prim.node.0)
-                    })
-                    .map(|p| p.session)
-                    .collect();
-                for s in beats {
-                    let _ = ha.coord.heartbeat(s, now);
-                }
-                let swat: Vec<SessionId> = ha.swat_sessions.clone();
-                for s in swat {
+                for s in ha.swat_sessions.clone() {
                     if ha.coord.session_alive(s) {
                         let _ = ha.coord.heartbeat(s, now);
                     }
@@ -604,23 +718,14 @@ impl Cluster {
         let ha2 = ha.clone();
         sim.schedule_in(interval, move |sim| {
             let now = sim.now();
-            let (events, leader) = {
+            {
                 let mut ha = ha2.borrow_mut();
                 if now > ha.monitoring_until {
                     return;
                 }
-                let events = ha.coord.tick(now);
-                (events, ha.swat_leader_idx())
-            };
-            // Only the SWAT leader reacts (§5.1); with the whole SWAT group
-            // down, failures go unhandled.
-            if leader.is_some() {
-                for ev in events {
-                    if ev.kind == EventKind::Deleted {
-                        let partition = ev.watcher.0 as usize;
-                        ha2.borrow_mut().promote(sim, partition);
-                    }
-                }
+                // Expires SWAT members that fell silent; the election's
+                // ephemeral-sequential znodes go with their sessions.
+                ha.coord.tick(now);
             }
             Cluster::schedule_tick(&ha2, sim, interval);
         });
@@ -664,9 +769,9 @@ impl Cluster {
         ha.coord.session_alive(s)
     }
 
-    /// The partition's current coordination session id. Failover replaces
-    /// it, so capture it *before* a fault to observe that session's expiry
-    /// (the detection instant) independently of the promotion that follows.
+    /// The partition's current coordination session id. Failover expires
+    /// and replaces it, so capture it *before* a fault to observe that
+    /// session's end: the instant the SWAT leader acted on the suspicion.
     pub fn session_id(&self, partition: u32) -> SessionId {
         self.ha.borrow().partitions[partition as usize].session
     }
@@ -677,7 +782,7 @@ impl Cluster {
     }
 
     /// Crashes a partition's current primary process: it stops serving,
-    /// heartbeating, and replicating. Detection requires
+    /// stamping its liveness word, and replicating. Detection requires
     /// [`enable_ha`](Self::enable_ha). Thin wrapper over the chaos
     /// controller's [`FaultEvent::CrashPrimary`](hydra_chaos::FaultEvent).
     pub fn kill_primary(&mut self, partition: u32) {
@@ -798,6 +903,7 @@ impl Cluster {
                 let repl_inflight_words: usize =
                     s.repl.iter().map(|pair| pair.inflight_words()).sum();
                 let repl_backlog: usize = s.repl.iter().map(|pair| pair.backlog_len()).sum();
+                let repl_fenced = s.repl.iter().filter(|pair| pair.is_fenced()).count();
                 let (acks, records) = s.repl.iter().fold((0u64, 0u64), |(a, r), pair| {
                     let st = pair.stats();
                     (a + st.acks, r + st.records)
@@ -837,6 +943,7 @@ impl Cluster {
                     repl_lag_max,
                     repl_inflight_words,
                     repl_backlog,
+                    repl_fenced,
                     repl_acks_per_record,
                     repl_release_hist,
                     migration_phase,

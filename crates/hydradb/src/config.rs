@@ -327,15 +327,19 @@ pub struct ClusterConfig {
     /// Transport for client connections: native RDMA or the kernel socket
     /// path (HydraDB's TCP mode, Fig. 2). Socket implies `SendRecv`.
     pub transport: Transport,
-    /// Client-side response timeout per attempt (drives fail-over).
+    /// Client-side response timeout per attempt: the backstop behind the
+    /// directory-change wake (a lost response, a dead shard nobody replaced).
     pub op_timeout_ns: SimTime,
     /// Replication ring words per secondary.
     pub repl_ring_words: usize,
-    /// Heartbeat period for shard/SWAT coordination sessions.
+    /// Heartbeat period of the SWAT members' coordination sessions. (Shard
+    /// liveness is not a coordination matter: each primary is probed by its
+    /// secondary every `hydra_replication::BEAT_NS`, DESIGN.md §16.)
     pub ha_heartbeat_ns: SimTime,
     /// Coordination-service tick (session-expiry scan) period.
     pub ha_tick_ns: SimTime,
-    /// Session timeout after which a silent shard is declared failed.
+    /// Session timeout after which a silent SWAT member loses its place in
+    /// the leader election.
     pub ha_session_timeout_ns: SimTime,
     /// Fabric latency model.
     pub fabric: FabricConfig,

@@ -55,11 +55,13 @@ pub use chaos::{ChaosController, RecordingClient};
 pub use client::AimdWindow;
 pub use client::{ClientStats, HydraClient, OpError};
 pub use cluster::{
-    Cluster, ClusterBuilder, ClusterReport, NodeFabricReport, PartitionReport, ShardHandle,
+    Cluster, ClusterBuilder, ClusterReport, Failover, NodeFabricReport, PartitionReport,
+    ShardHandle,
 };
 pub use config::{
     AimdConfig, ClientMode, ClusterConfig, CostModel, ExecModel, ReplicationMode, SchedulerKind,
 };
+pub use hydra_replication::{BEAT_NS, MISSES};
 pub use hydra_store::IndexKind;
 pub use migration::{MigrationEngine, MigrationHandle, MigrationOutcome, MigrationPhase};
 pub use ring::{HashRing, ShardId};

@@ -1213,6 +1213,7 @@ mod tests {
             ring,
             shards: std::collections::HashMap::new(),
             generation: 7,
+            subscribers: Vec::new(),
         }));
         let st = MigrationState::new(
             ShardId(0),

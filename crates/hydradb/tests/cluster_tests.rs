@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use hydra_db::{
     ClientMode, Cluster, ClusterBuilder, ClusterConfig, ExecModel, HydraClient, OpError,
-    ReplicationMode,
+    ReplicationMode, BEAT_NS, MISSES,
 };
 use hydra_sim::time::{MS, SEC, US};
 
@@ -363,9 +363,6 @@ fn failover_promotes_secondary_and_clients_recover() {
         server_nodes: 2,
         shards_per_node: 1,
         replication: ReplicationMode::Logging { ack_every: 4 },
-        // Per-attempt timeout sized so 4 attempts comfortably cover the
-        // ~35 ms detection window (session timeout + tick).
-        op_timeout_ns: 20 * MS,
         ..Default::default()
     };
     let mut cluster = build(cfg);
@@ -383,10 +380,11 @@ fn failover_promotes_secondary_and_clients_recover() {
     let gen_before = cluster.generation();
     // Crash every partition's primary at t+10ms.
     cluster.sim.run_until(cluster.sim.now() + 10 * MS);
+    let kill = cluster.sim.now();
     cluster.kill_primary(0);
     cluster.kill_primary(1);
     // A GET issued while the primary is dead and SWAT has not yet reacted
-    // must ride the timeout/retry path to the promoted secondary.
+    // is parked on the dead primary until the directory change wakes it.
     let during: Rc<RefCell<Option<Option<Vec<u8>>>>> = Rc::new(RefCell::new(None));
     {
         let d = during.clone();
@@ -407,8 +405,15 @@ fn failover_promotes_secondary_and_clients_recover() {
         Some(Some(b"val-0".as_slice())),
         "in-flight GET must recover via retry"
     );
+    // Was: detected 25-35 ms after the kill (session timeout + tick), the
+    // GET recovered by its 20 ms retry timer, `timeouts > 0`. Now: fenced
+    // within MISSES + 1 beats, promoted and woken two socket hops later.
+    for f in cluster.failovers() {
+        assert!(f.fenced_at - kill <= (MISSES as u64 + 1) * BEAT_NS, "{f:?}");
+        assert!(f.promoted_at - kill < MS, "{f:?}");
+    }
     let s = client.stats();
-    assert!(s.timeouts > 0, "recovery must have gone through timeouts");
+    assert_eq!(s.timeouts, 0, "the wake beat every retry timer");
     assert!(s.retries > 0);
     // Every previously acknowledged key must survive on the new primaries.
     for i in 0..40 {
@@ -439,11 +444,14 @@ fn swat_leader_failure_hands_over_before_shard_failure() {
     cluster.sim.run_until(10 * MS);
     cluster.kill_swat_leader();
     cluster.sim.run_until(100 * MS);
-    // The surviving SWAT member must still react to a shard failure.
+    // The surviving SWAT member must still react to a shard failure — in
+    // the same few beats (was: run to 400 ms, 300 ms after the kill, to
+    // clear the 25-35 ms session window).
     cluster.kill_primary(0);
-    cluster.sim.run_until(400 * MS);
-    assert!(
-        cluster.promotions() >= 1,
+    cluster.sim.run_until(101 * MS);
+    assert_eq!(
+        cluster.promotions(),
+        1,
         "new SWAT leader must handle the failure"
     );
     assert_eq!(
@@ -962,8 +970,9 @@ fn a_promotion_between_attempts_lets_every_op_in_the_frame_succeed() {
     let s = client.stats();
     assert_eq!(
         (s.timeouts, s.retries),
-        (1 + 5, 1 + 5),
-        "the lone first frame, then the frame of five, each unanswered once"
+        (1, 1 + 5),
+        "the lone first frame unanswered once; the frame of five taken back \
+         by the directory-change wake, half-way to its own timeout"
     );
     assert_eq!(client.in_flight(), 0);
 }

@@ -41,6 +41,18 @@
 //!   and the watermark ack is published from the receive path, delayed only
 //!   when the merge backlog exceeds [`ReplConfig::staged_ack_lag_ns`]
 //!   (bounded-apply-queue backpressure).
+//!
+//! The channel is also the partition's failure detector and its fence
+//! (DESIGN.md §16). The primary [`stamp`](ReplicationPair::stamp)s a liveness
+//! word in its ack region every [`BEAT_NS`]; the secondary
+//! [`probe`](ReplicationPair::probe)s it with a one-sided Read over the same
+//! QP every beat, and [`MISSES`] beats in a row without a fresh stamp are a
+//! suspicion. A suspecting secondary [`fence`](ReplicationPair::fence)s
+//! before it tells anyone: it revokes the primary's write permission on the
+//! ring — from that instant no record can land, so nothing the primary still
+//! ships can ever be acknowledged — and applies what had already landed.
+//! A primary that was merely slow finds out from its first bounced ring
+//! write and stops shipping ([`is_revoked`](ReplicationPair::is_revoked)).
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -48,7 +60,8 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hydra_fabric::{BatchWrite, Fabric, NodeId, QpId, RegionId, WriteDelivered};
+use hydra_fabric::{BatchWrite, Fabric, NodeId, QpId, RegionId, WcError, WriteDelivered};
+use hydra_sim::time::SimTime;
 use hydra_sim::{FifoResource, Sim};
 use hydra_store::ShardEngine;
 use hydra_wire::frame;
@@ -56,6 +69,21 @@ use hydra_wire::{LogOp, LogRecord};
 
 /// Sentinel word marking "jump back to offset 0" in the ring.
 pub const WRAP_MARKER: u64 = 0x5752_4150_5F5F_5F5F; // "WRAP____"
+
+/// Period of the liveness beat: the primary stamps and the secondary probes
+/// once per beat. A probe is one 8-byte Read (≈ 2 µs round trip), so the
+/// period is set by how often a healthy primary may be late, not by cost.
+pub const BEAT_NS: SimTime = 100_000;
+
+/// Consecutive beats without a fresh stamp after which the secondary
+/// suspects — and fences — its primary: "a few missed heartbeats" (§5.1).
+/// A fault is acted on between `MISSES` and `MISSES + 1` beats after it.
+pub const MISSES: u32 = 3;
+
+/// Words of the primary's ack region: `(acked, resend_from)`, one spare,
+/// and the liveness stamp.
+const ACK_REGION_WORDS: usize = 4;
+const LIVENESS_WORD: usize = 3;
 
 /// Replication acknowledgement mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,6 +286,10 @@ struct Primary {
     backlog: VecDeque<BacklogEntry>,
     ack_mem: Arc<[AtomicU64]>,
     last_ack_processed: u64,
+    /// A ring write came back refused: the secondary revoked this primary's
+    /// write permission. Nothing ships from here on and nothing still held
+    /// is ever acknowledged.
+    revoked: bool,
 }
 
 impl Primary {
@@ -311,6 +343,22 @@ struct Secondary {
     stream_warm: bool,
     fail_seqs: std::collections::HashSet<u64>,
     ack_region: RegionId,
+    /// The failure detector's state, advanced once per beat.
+    probe: Probe,
+    /// Set by [`ReplicationPair::fence`]: the ring is closed to its primary
+    /// and drained; the applier never runs again.
+    fenced: bool,
+}
+
+/// What the secondary knows of its primary's liveness stamp.
+struct Probe {
+    /// Highest stamp any completed probe has returned.
+    seen: u64,
+    /// A probe completed since the last beat with a stamp above `seen`
+    /// (starts true: before the first probe there is nothing to miss).
+    fresh: bool,
+    /// Beats in a row that ended without a fresh stamp.
+    misses: u32,
 }
 
 struct Shared {
@@ -349,7 +397,8 @@ impl ReplicationPair {
         let qp = fab.connect(primary_node, secondary_node, hydra_fabric::Transport::Rdma);
         let (ring_region, ring_mem) =
             fab.alloc_region_paged(secondary_node, cfg.ring_words, cfg.page_bytes);
-        let (ack_region, ack_mem) = fab.alloc_region_paged(primary_node, 4, cfg.page_bytes);
+        let (ack_region, ack_mem) =
+            fab.alloc_region_paged(primary_node, ACK_REGION_WORDS, cfg.page_bytes);
         let shared = Rc::new(Shared {
             fab: fab.clone(),
             cfg: cfg.clone(),
@@ -369,6 +418,7 @@ impl ReplicationPair {
                 backlog: VecDeque::new(),
                 ack_mem,
                 last_ack_processed: 0,
+                revoked: false,
             }),
             s: RefCell::new(Secondary {
                 node: secondary_node,
@@ -381,11 +431,117 @@ impl ReplicationPair {
                 stream_warm: false,
                 fail_seqs: std::collections::HashSet::new(),
                 ack_region,
+                probe: Probe {
+                    seen: 0,
+                    fresh: true,
+                    misses: 0,
+                },
+                fenced: false,
             }),
             stats: RefCell::new(ReplStats::default()),
             severed: std::cell::Cell::new(false),
         });
+        // The primary's end of the QP: a refused ring write is how it learns
+        // that it was fenced.
+        let weak = Rc::downgrade(&shared);
+        fab.set_error_handler(
+            qp,
+            primary_node,
+            Rc::new(move |_sim: &mut Sim, _qp, err| {
+                if let (WcError::PermissionRevoked, Some(shared)) = (err, weak.upgrade()) {
+                    shared.p.borrow_mut().revoked = true;
+                }
+            }),
+        );
         ReplicationPair { shared }
+    }
+
+    /// Whether `other` is a handle to this same channel.
+    pub fn same_channel(&self, other: &ReplicationPair) -> bool {
+        Rc::ptr_eq(&self.shared, &other.shared)
+    }
+
+    // ---- liveness probe and fence ----
+
+    /// Primary side, once per beat while the shard process is alive: advance
+    /// the liveness stamp in the ack region.
+    pub fn stamp(&self) {
+        self.shared.p.borrow().ack_mem[LIVENESS_WORD].fetch_add(1, Ordering::Release);
+    }
+
+    /// Secondary side, once per beat: judge the beat that just ended — a
+    /// probe that is not back, or came back with a stamp it had seen before,
+    /// is a miss — and post the next one-sided Read of the stamp over the
+    /// replication QP. On the [`MISSES`]th miss in a row the secondary
+    /// [`fence`](Self::fence)s and this returns `true`, once: the caller
+    /// owes the coordination service a report.
+    pub fn probe(&self, sim: &mut Sim) -> bool {
+        let shared = &self.shared;
+        if shared.severed.get() {
+            return false;
+        }
+        let (node, region) = {
+            let mut s = shared.s.borrow_mut();
+            if s.fenced {
+                return false;
+            }
+            let probe = &mut s.probe;
+            probe.misses = if probe.fresh { 0 } else { probe.misses + 1 };
+            probe.fresh = false;
+            if probe.misses >= MISSES {
+                drop(s);
+                self.fence(sim);
+                return true;
+            }
+            (s.node, s.ack_region)
+        };
+        let qp = shared.p.borrow().qp;
+        let shared2 = shared.clone();
+        shared.fab.post_read(
+            sim,
+            qp,
+            node,
+            region,
+            LIVENESS_WORD,
+            8,
+            Box::new(move |_, blob| {
+                let stamp = u64::from_le_bytes(blob.try_into().expect("one word"));
+                let probe = &mut shared2.s.borrow_mut().probe;
+                if stamp > probe.seen {
+                    probe.seen = stamp;
+                    probe.fresh = true;
+                }
+            }),
+        );
+        false
+    }
+
+    /// Secondary side: close the ring to its primary. The write permission
+    /// is revoked first — a local NIC operation, so from this instant no
+    /// further record can land, whatever the primary believes — and then
+    /// everything that had landed is applied (and acknowledged: it is
+    /// durable here). The applier never runs again; the secondary's state is
+    /// final and safe to promote. Idempotent.
+    pub fn fence(&self, sim: &mut Sim) {
+        let shared = &self.shared;
+        if shared.severed.get() || shared.s.borrow().fenced {
+            return;
+        }
+        let ring = shared.p.borrow().ring_region;
+        shared.fab.revoke_write(ring);
+        Self::poll_secondary(shared, sim);
+        shared.s.borrow_mut().fenced = true;
+    }
+
+    /// Whether the secondary has [`fence`](Self::fence)d this channel.
+    pub fn is_fenced(&self) -> bool {
+        self.shared.s.borrow().fenced
+    }
+
+    /// Whether the primary has learned, from a refused ring write, that its
+    /// write permission is gone.
+    pub fn is_revoked(&self) -> bool {
+        self.shared.p.borrow().revoked
     }
 
     /// The node hosting the primary end of this channel.
@@ -494,6 +650,11 @@ impl ReplicationPair {
             return Ok(());
         }
         let shared = &self.shared;
+        if shared.p.borrow().revoked {
+            // Fenced: the record cannot reach the replica, so its completion
+            // must never fire. Dropped with the callback.
+            return Ok(());
+        }
         let held = shared.cfg.mode.strict_semantics();
         // Take as many leading records as the ring accepts right now.
         let mut head = 0usize;
@@ -770,6 +931,9 @@ impl ReplicationPair {
     /// durable in the secondary's memory once the write lands
     /// (strict-semantics waiters sit with the ack machinery instead).
     fn ship(shared: &Rc<Shared>, sim: &mut Sim, seq: u64, on_delivered: Option<DoneCb>) {
+        if shared.p.borrow().revoked {
+            return;
+        }
         let shared2 = shared.clone();
         let kick: WriteDelivered = Box::new(move |sim: &mut Sim| {
             if let Some(cb) = on_delivered {
@@ -930,7 +1094,7 @@ impl ReplicationPair {
     /// Strict mode — an ack after every record — at the cold per-record
     /// cost that fig. 13 models.
     fn poll_secondary(shared: &Rc<Shared>, sim: &mut Sim) {
-        if shared.severed.get() {
+        if shared.severed.get() || shared.s.borrow().fenced {
             return;
         }
         loop {
@@ -1533,6 +1697,124 @@ mod tests {
         assert!(engine.borrow_mut().get(0, b"post").is_none());
         // Severing twice is harmless.
         pair.sever(&mut sim);
+    }
+
+    /// Drives the detector the way the cluster does: one `stamp` (while the
+    /// primary is `alive`) and one `probe` per beat, `beats` times. Returns
+    /// the beat (1-based) on which the secondary suspected, if it did.
+    fn beat(
+        sim: &mut Sim,
+        pair: &ReplicationPair,
+        beats: u32,
+        alive: impl Fn(u32) -> bool,
+    ) -> Option<u32> {
+        let mut suspected = None;
+        for b in 1..=beats {
+            let at = sim.now() + BEAT_NS;
+            sim.run_until(at);
+            if alive(b) {
+                pair.stamp();
+            }
+            if pair.probe(sim) {
+                suspected.get_or_insert(b);
+            }
+        }
+        suspected
+    }
+
+    #[test]
+    fn probe_suspects_after_exactly_misses_silent_beats() {
+        let (mut sim, fab, pair, _engine) = setup(ReplConfig::default());
+        // A live primary is never suspected, however long it is watched.
+        assert_eq!(beat(&mut sim, &pair, 50, |_| true), None);
+        assert!(!pair.is_fenced());
+        let reads = fab.stats().reads;
+        assert_eq!(reads, 50, "one 8-byte read per beat");
+        // It falls silent after beat 3 of this stretch: the probes of beats
+        // 4, 5 and 6 come back stale, and beat 7 — which judges the third —
+        // raises the suspicion. Once.
+        assert_eq!(beat(&mut sim, &pair, 12, |b| b <= 3), Some(3 + MISSES + 1));
+        assert!(pair.is_fenced());
+        assert_eq!(
+            fab.stats().reads,
+            reads + 3 + MISSES as u64,
+            "a fenced channel stops probing"
+        );
+    }
+
+    #[test]
+    fn late_probes_are_misses_not_a_suspicion() {
+        let (mut sim, fab, pair, _engine) = setup(ReplConfig::default());
+        beat(&mut sim, &pair, 3, |_| true);
+        // Two probes in a row are held up for longer than a beat...
+        let (s, p) = (pair.secondary_node(), pair.primary_node());
+        fab.set_pair_fault(s, p, hydra_fabric::LinkFault::delay_next(2, 150_000));
+        // ...and the stamps they finally carry are as good as any.
+        assert_eq!(beat(&mut sim, &pair, 20, |_| true), None);
+        assert!(!pair.is_fenced());
+    }
+
+    #[test]
+    fn fence_drains_what_landed_and_bounces_what_follows() {
+        let cfg = ReplConfig {
+            mode: ReplMode::GroupCommit,
+            ..ReplConfig::default()
+        };
+        let (mut sim, fab, pair, engine) = setup(cfg);
+        let acked: Rc<RefCell<Vec<&str>>> = Rc::new(RefCell::new(Vec::new()));
+        let done = |tag: &'static str| -> Option<DoneCb> {
+            let a = acked.clone();
+            Some(Box::new(move |_| a.borrow_mut().push(tag)))
+        };
+        pair.replicate(&mut sim, LogOp::Put, b"early", b"v", done("early"))
+            .unwrap();
+        sim.run();
+        // An ack train of six records: its frames land one by one, the
+        // applier's kick and the ack request ride behind the last. Stop when
+        // the first has landed and the rest are still in flight.
+        let train: Vec<Vec<u8>> = (0..6).map(|i| format!("train-{i}").into_bytes()).collect();
+        let refs: Vec<(LogOp, &[u8], &[u8])> = train
+            .iter()
+            .map(|k| (LogOp::Put, k.as_slice(), b"v".as_slice()))
+            .collect();
+        let head = pair.shared.s.borrow().read_off;
+        pair.replicate_batch(&mut sim, &refs, done("train"))
+            .unwrap();
+        while pair.shared.s.borrow().ring_mem[head].load(Ordering::Acquire) == 0 {
+            assert!(sim.step());
+        }
+        assert_eq!(pair.stats().applied, 1, "landed, not yet applied");
+        pair.fence(&mut sim);
+        assert!(pair.is_fenced());
+        let drained = pair.stats().applied - 1;
+        assert!(
+            (1..6).contains(&drained),
+            "the fence applies the landed prefix itself ({drained} of 6)"
+        );
+        assert!(engine.borrow_mut().get(0, b"train-0").is_some());
+        // The primary does not know yet and ships on.
+        pair.replicate(&mut sim, LogOp::Put, b"late", b"v", done("late"))
+            .unwrap();
+        sim.run();
+        assert!(pair.is_revoked(), "the first bounce told the primary");
+        assert_eq!(
+            *acked.borrow(),
+            ["early"],
+            "neither the train in flight nor anything after it is ever acknowledged"
+        );
+        assert_eq!(pair.stats().applied, 1 + drained, "the ring stayed closed");
+        let mut e = engine.borrow_mut();
+        assert!(e.get(0, b"train-5").is_none() && e.get(0, b"late").is_none());
+        drop(e);
+        // Nothing ships any more, and nothing it is handed ever completes.
+        let writes = fab.stats().writes;
+        pair.replicate(&mut sim, LogOp::Put, b"after", b"v", done("after"))
+            .unwrap();
+        sim.run();
+        assert_eq!(fab.stats().writes, writes);
+        assert_eq!(acked.borrow().len(), 1);
+        // Fencing twice is harmless.
+        pair.fence(&mut sim);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! High availability end to end (§5), driven by a scripted chaos plan:
 //! replicated writes, a machine crash and a network partition injected by
-//! the hydra-chaos engine, SWAT detection through missed heartbeats,
-//! secondary promotion, recovery, and machine-checked consistency — every
-//! recorded op linearizable, no stale reads, replicas converged, and zero
-//! acknowledged-data loss.
+//! the hydra-chaos engine, detection by the secondaries' RDMA-read liveness
+//! probe ("a few missed heartbeats"), fence, SWAT promotion and client
+//! wake — printed as a timeline in microseconds — then recovery and
+//! machine-checked consistency: every recorded op linearizable, no stale
+//! reads, replicas converged, and zero acknowledged-data loss.
 //!
 //! Run with: `cargo run --release --example failover`
 //! Replay any run exactly with `HYDRA_SEED=<seed>`.
@@ -13,7 +14,7 @@ use std::rc::Rc;
 
 use hydra_chaos::{check_convergence, FaultEvent, FaultPlan};
 use hydra_db::{ClusterBuilder, ClusterConfig, RecordingClient, ReplicationMode};
-use hydra_sim::time::{MS, SEC};
+use hydra_sim::time::{SimTime, MS, SEC, US};
 
 fn main() {
     let seed = hydra_sim::seed_from_env(42);
@@ -35,12 +36,48 @@ fn main() {
     // The adversary's script: machine 0 dies at 60 ms and stays down for
     // 120 ms; while it is being repaired, machine 1 drops out of the
     // network for 60 ms. Every fault is data, logged and replayable.
+    // (when, what, the partition whose primary it takes out)
+    let faults = [
+        (60 * MS, FaultEvent::CrashNode { node: 0 }, 0u32),
+        (100 * MS, FaultEvent::Partition { nodes: vec![1] }, 1u32),
+    ];
     let plan = FaultPlan::new(seed)
-        .at(60 * MS, FaultEvent::CrashNode { node: 0 })
-        .at(100 * MS, FaultEvent::Partition { nodes: vec![1] })
+        .at(faults[0].0, faults[0].1.clone())
+        .at(faults[1].0, faults[1].1.clone())
         .at(160 * MS, FaultEvent::Heal)
         .at(180 * MS, FaultEvent::RestartNode { node: 0 });
     cluster.install_plan(&plan);
+
+    // A canary per fault: 10 us after it, a second client writes to the
+    // partition that just lost its primary. The write parks on the dead
+    // primary; when it is acknowledged is the client-visible outage.
+    let canary = cluster.add_recording_client(0);
+    let served: Vec<Rc<Cell<SimTime>>> = faults
+        .iter()
+        .map(|&(at, _, partition)| {
+            let key = (0..)
+                .map(|i| format!("canary:{i:03}"))
+                .find(|k| {
+                    let dir = cluster.directory.borrow();
+                    dir.ring.route(k.as_bytes()).map(|s| s.0) == Some(partition)
+                })
+                .expect("some key routes to every partition");
+            let (canary, acked_at) = (canary.clone(), Rc::new(Cell::new(0)));
+            let a = acked_at.clone();
+            cluster.sim.schedule_at(at + 10 * US, move |sim| {
+                canary.put(
+                    sim,
+                    key.as_bytes(),
+                    b"first op after the fault",
+                    Box::new(move |sim, r| {
+                        r.expect("the canary outlives the fail-over");
+                        a.set(sim.now());
+                    }),
+                );
+            });
+            acked_at
+        })
+        .collect();
 
     // Write a stream of orders with synchronous replication, recorded in
     // the chaos history and paced 1 ms apart so the stream runs straight
@@ -92,6 +129,26 @@ fn main() {
         loaded.get(),
         failed.get()
     );
+    // Each fail-over against its fault: the secondary's third missed beat
+    // (it suspects and fences in the same instant), the promotion one
+    // socket hop later, the canary's write served one more hop and a round
+    // trip after that.
+    println!("fail-over timeline (us after the fault):");
+    for (f, ((at, fault, _), served)) in cluster.failovers().iter().zip(faults.iter().zip(&served))
+    {
+        let us = |t: SimTime| (t - at) as f64 / US as f64;
+        println!(
+            "  partition {}: {fault:?} at {} us -> suspected +{:.1} -> fenced +{:.1} \
+             -> promoted +{:.1} -> first op served +{:.1}",
+            f.partition,
+            at / US,
+            us(f.fenced_at),
+            us(f.fenced_at),
+            us(f.promoted_at),
+            us(served.get()),
+        );
+        assert!(served.get() - at < MS, "fail-over in a few missed beats");
+    }
     println!(
         "chaos injected {} faults; SWAT performed {} promotions (directory generation {})",
         chaos.injected(),

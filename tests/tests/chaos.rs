@@ -232,17 +232,7 @@ fn chaos_round_cfg(seed: u64, spread: bool, scans: bool, tweak: impl FnOnce(&mut
         "both workloads plus the probe recorded (got {})",
         history.len()
     );
-    if let Err(v) = history.check_linearizable() {
-        panic!("{v}");
-    }
-    if let Err(v) = history.check_reads_observed_writes() {
-        panic!("{v}");
-    }
-    for p in 0..cluster.cfg.total_shards() {
-        if let Err(v) = check_convergence(seed, &cluster.replica_dumps(p)) {
-            panic!("partition {p}: {v}");
-        }
-    }
+    assert_history_clean(&cluster, &chaos, seed);
 }
 
 proptest! {
@@ -482,7 +472,7 @@ fn mux_qp_fault_fans_out_to_channel_partners() {
 }
 
 /// The legacy kill hooks now route through the chaos controller: same
-/// SWAT detection and promotion behavior, but the faults are logged.
+/// detection and SWAT promotion behavior, but the faults are logged.
 #[test]
 fn kill_primary_via_chaos_controller_still_promotes() {
     let cfg = ClusterConfig {
@@ -499,7 +489,9 @@ fn kill_primary_via_chaos_controller_still_promotes() {
     cluster.sim.run_until(20 * MS);
     cluster.kill_primary(0);
     cluster.kill_swat_leader();
-    cluster.sim.run_until(500 * MS);
+    // Was run_until(500 ms): the session window plus the hand-over. Now the
+    // surviving SWAT member has the secondary's report within a millisecond.
+    cluster.sim.run_until(21 * MS);
     assert_eq!(cluster.promotions(), 1, "partition 0 failed over");
     assert!(cluster.session_alive(0), "new primary registered a session");
     let chaos = cluster.chaos();
@@ -632,19 +624,7 @@ fn crash_primary_between_ship_and_cumulative_ack() {
 
     chaos.recover(&mut cluster.sim);
     cluster.settle_replication();
-
-    let history = chaos.history();
-    if let Err(v) = history.check_linearizable() {
-        panic!("{v}");
-    }
-    if let Err(v) = history.check_reads_observed_writes() {
-        panic!("{v}");
-    }
-    for p in 0..cluster.cfg.total_shards() {
-        if let Err(v) = check_convergence(seed, &cluster.replica_dumps(p)) {
-            panic!("partition {p}: {v}");
-        }
-    }
+    assert_history_clean(&cluster, &chaos, seed);
 }
 
 /// Lease-reclamation safety (§4.2.3): force-expire every read lease while a
@@ -1007,4 +987,413 @@ fn replica_crash_under_spreading_falls_back_to_primary() {
     if let Err(v) = history.check_linearizable() {
         panic!("{v}");
     }
+}
+
+// ---- fail-over: the liveness probe, the fence and the wake ----
+
+/// What one [`failover_run`] observed.
+struct FailoverRun {
+    /// Ops that completed with an error.
+    failed: u64,
+    /// `Timeout`s the clients counted (attempts given up on by timer).
+    timeouts: u64,
+    /// The longest any client waited for one op, fault included.
+    worst_wait: hydra_sim::SimTime,
+    /// Clients whose private key reads back older than their last
+    /// acknowledged write to it.
+    lost: u64,
+    promotions: u64,
+}
+
+/// The `failover` benchmark's traffic on the `chaos_recovery` deployment: 50
+/// closed-loop clients, GET / UPDATE alternating over shared keys with every
+/// eighth op an UPDATE of the client's own key to a rising counter; 3
+/// machines, 2 partitions, one group-commit replica each, so machine 0 hosts
+/// nothing but partition 0's primary. `fault` lands `fault_after` after
+/// `enable_ha`; traffic runs 2 ms past it, then every private key is read
+/// back.
+fn failover_run(fault: FaultEvent, fault_after: hydra_sim::SimTime) -> FailoverRun {
+    use hydra_db::HydraClient;
+    use hydra_sim::SimTime;
+    use std::cell::RefCell;
+
+    const CLIENTS: usize = 50;
+    let cfg = ClusterConfig {
+        seed: 1,
+        server_nodes: 3,
+        partitions: Some(2),
+        client_nodes: 1,
+        replicas: 1,
+        replication: ReplicationMode::GroupCommit,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = ClusterBuilder::new(cfg).build();
+    let clients: Vec<HydraClient> = (0..CLIENTS).map(|c| cluster.add_client(c)).collect();
+    let keys: Rc<Vec<Vec<u8>>> = Rc::new(
+        (0..256 + CLIENTS)
+            .map(|i| format!("fo-{i:04}").into_bytes())
+            .collect(),
+    );
+    for (i, k) in keys.iter().enumerate() {
+        hydra_integration::put_ok(&mut cluster, &clients[i % CLIENTS], k, &0u64.to_le_bytes());
+    }
+
+    #[derive(Default)]
+    struct Tally {
+        failed: u64,
+        worst_wait: SimTime,
+        /// Per client: the last acknowledged value of its private key.
+        acked: Vec<u64>,
+        stop: bool,
+        idle: usize,
+    }
+    let tally = Rc::new(RefCell::new(Tally {
+        acked: vec![0; CLIENTS],
+        ..Tally::default()
+    }));
+    fn next(
+        sim: &mut Sim,
+        client: HydraClient,
+        c: usize,
+        i: u64,
+        keys: Rc<Vec<Vec<u8>>>,
+        tally: Rc<RefCell<Tally>>,
+    ) {
+        if tally.borrow().stop {
+            tally.borrow_mut().idle += 1;
+            return;
+        }
+        let issued = sim.now();
+        let private = i % 8 == 7;
+        let (c2, k2, t2) = (client.clone(), keys.clone(), tally.clone());
+        let done: hydra_db::client::OpCb = Box::new(move |sim, r| {
+            {
+                let mut t = t2.borrow_mut();
+                t.worst_wait = t.worst_wait.max(sim.now() - issued);
+                match r {
+                    Ok(_) if private => t.acked[c] = i,
+                    Ok(_) => {}
+                    Err(_) => t.failed += 1,
+                }
+            }
+            next(sim, c2, c, i + 1, k2, t2);
+        });
+        let shared = &keys[(i as usize * 31 + c * 7) % 256];
+        if private {
+            client.update(sim, &keys[256 + c], &i.to_le_bytes(), done);
+        } else if i.is_multiple_of(2) {
+            client.get(sim, shared, done);
+        } else {
+            client.update(sim, shared, &i.to_le_bytes(), done);
+        }
+    }
+    for (c, client) in clients.iter().enumerate() {
+        next(
+            &mut cluster.sim,
+            client.clone(),
+            c,
+            0,
+            keys.clone(),
+            tally.clone(),
+        );
+    }
+
+    let fault_at = cluster.sim.now() + fault_after;
+    cluster.enable_ha(fault_at + 10 * MS);
+    cluster.sim.run_until(fault_at);
+    let chaos = cluster.chaos();
+    chaos.apply(&mut cluster.sim, &fault);
+    cluster.sim.run_until(fault_at + 2 * MS);
+    tally.borrow_mut().stop = true;
+    while tally.borrow().idle < CLIENTS {
+        assert!(cluster.sim.step(), "a client never came back");
+    }
+
+    let mut lost = 0;
+    for (c, client) in clients.iter().enumerate() {
+        let got = hydra_integration::get_value(&mut cluster, client, &keys[256 + c])
+            .expect("private key exists");
+        let got = u64::from_le_bytes(got.try_into().expect("8-byte counter"));
+        lost += u64::from(got < tally.borrow().acked[c]);
+    }
+    let t = tally.borrow();
+    FailoverRun {
+        failed: t.failed,
+        timeouts: clients.iter().map(|c| c.stats().timeouts).sum(),
+        worst_wait: t.worst_wait,
+        lost,
+        promotions: cluster.promotions(),
+    }
+}
+
+/// Sweeps the fault's phase: twelve instants for each of `crash_primary`,
+/// `crash_node` and `partition_node` — eight spread over one 10 ms
+/// coordination tick, four inside one liveness beat — under the `failover`
+/// benchmark's 50 closed-loop clients. Wherever the fault falls: no op
+/// fails, no attempt times out, no client waits a millisecond, no
+/// acknowledged write is lost, and there is exactly one promotion.
+///
+/// At the parent (`785d068`) detection was the 25 ms coordination session
+/// noticed at the next 10 ms tick, against a client that gave up after four
+/// attempts 10 ms apart: at the first four tick phases below the fault was
+/// detected 25–30 ms later and every blocked op succeeded on its last
+/// attempt, after a 30 ms wait; at the last four detection took 30–35 ms,
+/// the last attempt went out before the promotion, and every blocked op —
+/// one per client — failed with `Timeout` (`benchmark/README.md`, trap 4).
+#[test]
+fn failover_is_a_few_missed_beats_at_every_fault_phase() {
+    use hydra_db::BEAT_NS;
+    let faults = [
+        FaultEvent::CrashPrimary { partition: 0 },
+        FaultEvent::CrashNode { node: 0 },
+        FaultEvent::Partition { nodes: vec![0] },
+    ];
+    let tick_phases = (0..8u64).map(|i| MS + i * 10 * MS / 8);
+    let beat_phases = (0..4u64).map(|i| MS + i * BEAT_NS / 4 + 1);
+    for fault in &faults {
+        for phase in tick_phases.clone().chain(beat_phases.clone()) {
+            let run = failover_run(fault.clone(), phase);
+            let at = format!("{fault:?} {phase} ns after enable_ha");
+            assert_eq!(run.failed, 0, "{at}: failed ops");
+            assert_eq!(run.timeouts, 0, "{at}: timeouts");
+            assert!(
+                run.worst_wait < MS,
+                "{at}: a client waited {} ns",
+                run.worst_wait
+            );
+            assert_eq!(run.lost, 0, "{at}: acknowledged writes lost");
+            assert_eq!(run.promotions, 1, "{at}: one fault, one promotion");
+        }
+    }
+}
+
+/// The three checks every recorded fault arm ends with: per-key
+/// linearizability, reads that observed real writes, converged replicas.
+fn assert_history_clean(cluster: &hydra_db::Cluster, chaos: &hydra_db::ChaosController, seed: u64) {
+    let history = chaos.history();
+    if let Err(v) = history.check_linearizable() {
+        panic!("{v}");
+    }
+    if let Err(v) = history.check_reads_observed_writes() {
+        panic!("{v}");
+    }
+    for p in 0..cluster.cfg.total_shards() {
+        if let Err(v) = check_convergence(seed, &cluster.replica_dumps(p)) {
+            panic!("partition {p}: {v}");
+        }
+    }
+}
+
+/// One of the recorded workload's keys that routes to `partition`.
+fn key_on(cluster: &hydra_db::Cluster, partition: u32) -> Vec<u8> {
+    let dir = cluster.directory.borrow();
+    (0..)
+        .map(|i| format!("fo-{i:02}").into_bytes())
+        .find(|k| dir.ring.route(k).unwrap().0 == partition)
+        .unwrap()
+}
+
+/// A 3-machine, 2-partition, one-replica group-commit cluster with HA armed
+/// (partition `p`: primary on machine `p`, secondary on machine `p + 1`),
+/// one recorded client driving `ops` closed-loop ops over twelve keys.
+fn recorded_gc_cluster(
+    seed: u64,
+    replicas: u32,
+    ops: usize,
+) -> (hydra_db::Cluster, hydra_db::ChaosController, Rc<Cell<bool>>) {
+    let cfg = ClusterConfig {
+        seed,
+        server_nodes: 3,
+        partitions: Some(2),
+        client_nodes: 1,
+        replicas,
+        replication: ReplicationMode::GroupCommit,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = ClusterBuilder::new(cfg).build();
+    cluster.enable_ha(2 * SEC);
+    let chaos = cluster.chaos();
+    let keys: Rc<Vec<Vec<u8>>> =
+        Rc::new((0..12).map(|i| format!("fo-{i:02}").into_bytes()).collect());
+    let client = cluster.add_recording_client(0);
+    let done = Rc::new(Cell::new(false));
+    drive(&mut cluster.sim, client, keys, 0, ops, done.clone());
+    (cluster, chaos, done)
+}
+
+/// Directed false suspicion: the link from partition 0's secondary back to
+/// its primary turns slow — probe reads and acks take 600 µs — while the
+/// primary is alive, serving, and has a group-commit ack train in flight.
+/// The secondary fences a healthy primary and SWAT promotes it. That must
+/// be safe: nothing the old primary shipped after the revocation reaches
+/// the replica or is acknowledged (the history stays linearizable and the
+/// replicas converge), the promotion happens once, and the old primary is
+/// still deposed after the link heals.
+///
+/// Cannot be expressed at the parent: a slow link there delays acks and
+/// nothing else — no detector reads across it, nothing revokes a ring.
+#[test]
+fn a_falsely_suspected_primary_is_fenced_before_it_is_replaced() {
+    let seed = 31;
+    let (mut cluster, chaos, done) = recorded_gc_cluster(seed, 1, 400);
+    let old_primary = cluster.shard(0).primary;
+    // Catch partition 0 with a quantum shipped and not yet acknowledged,
+    // then slow the way back.
+    loop {
+        assert!(cluster.sim.step(), "never caught an ack train in flight");
+        let row = &cluster.report().rows[0];
+        if row.repl_inflight_words > 0 && row.repl_lag_max > 0 {
+            break;
+        }
+    }
+    chaos.apply(
+        &mut cluster.sim,
+        &FaultEvent::DelayMessage {
+            from: 1,
+            to: 0,
+            delay_ns: 600_000,
+            count: 10_000,
+        },
+    );
+    // The moment the ring closes — the primary has not been told, nor has
+    // SWAT — a second client sends the old primary one more write.
+    while cluster.report().rows[0].repl_fenced == 0 {
+        assert!(cluster.sim.step(), "the secondary never fenced");
+    }
+    assert_eq!(cluster.promotions(), 0, "fenced first, promoted later");
+    let late = cluster.add_recording_client(0);
+    let key = key_on(&cluster, 0);
+    let acked_at = Rc::new(Cell::new(0));
+    let a = acked_at.clone();
+    late.put(
+        &mut cluster.sim,
+        &key,
+        b"shipped-after-the-fence",
+        Box::new(move |sim, r| {
+            r.expect("the write survives the fail-over");
+            a.set(sim.now());
+        }),
+    );
+    let fenced_at = cluster.sim.now();
+    cluster.sim.run_until(fenced_at + 2 * MS);
+    let failovers = cluster.failovers();
+    assert_eq!(failovers.len(), 1, "{failovers:?}");
+    assert_eq!(
+        (failovers[0].partition, failovers[0].fenced_at),
+        (0, fenced_at)
+    );
+    assert!(
+        cluster.fab.stats().errors >= 1,
+        "the old primary shipped it and the closed ring refused it"
+    );
+    assert!(
+        acked_at.get() > failovers[0].promoted_at,
+        "acknowledged by the new primary, not by the fenced one \
+         (acked at {}, {failovers:?})",
+        acked_at.get()
+    );
+    assert!(!old_primary.borrow().alive, "deposed with the promotion");
+    assert!(
+        !Rc::ptr_eq(&cluster.shard(0).primary, &old_primary),
+        "the secondary took over"
+    );
+
+    chaos.apply(&mut cluster.sim, &FaultEvent::Heal);
+    cluster.sim.run();
+    assert!(done.get(), "traffic ran on across the fail-over");
+    assert_eq!(
+        cluster.promotions(),
+        1,
+        "healing brings no second promotion"
+    );
+    assert!(
+        !old_primary.borrow().alive,
+        "and the old primary stays deposed"
+    );
+    chaos.recover(&mut cluster.sim);
+    cluster.settle_replication();
+    assert_history_clean(&cluster, &chaos, seed);
+}
+
+/// Directed isolated secondary: machine 2 hosts nothing but partition 1's
+/// secondary, and is cut off from everything — its primary and the
+/// coordination service included. It may fence (it cannot tell a dead
+/// primary from a dead link), but its report goes nowhere, so it is never
+/// promoted: the primary keeps serving reads, its writes stall behind the
+/// closed ring exactly as they stall behind a dropped frame today, and
+/// `recover()` resyncs the secondary over a fresh ring.
+///
+/// At the parent the same fault dropped the ring's frames and stalled the
+/// same writes; there was no fence for `repl_fenced` to report.
+#[test]
+fn an_isolated_secondary_fences_but_is_never_promoted() {
+    use hydra_db::OpError;
+    let seed = 37;
+    let (mut cluster, chaos, done) = recorded_gc_cluster(seed, 1, 30);
+    cluster.sim.run_until(20 * MS);
+    assert!(done.get());
+    chaos.apply(&mut cluster.sim, &FaultEvent::Partition { nodes: vec![2] });
+    cluster.sim.run_until(25 * MS);
+    assert_eq!(cluster.report().rows[1].repl_fenced, 1, "it did fence");
+    assert_eq!(cluster.promotions(), 0, "and nobody heard about it");
+
+    // A key of partition 1: reads are served, writes stall.
+    let client = cluster.add_recording_client(0);
+    let key = key_on(&cluster, 1);
+    let outcome = Rc::new(Cell::new(None));
+    let o = outcome.clone();
+    client.get(
+        &mut cluster.sim,
+        &key,
+        Box::new(move |_, r| o.set(Some(r.is_ok()))),
+    );
+    cluster.sim.run_until(26 * MS);
+    assert_eq!(outcome.get(), Some(true), "the primary still serves reads");
+    let o = outcome.clone();
+    client.put(
+        &mut cluster.sim,
+        &key,
+        b"stalled",
+        Box::new(move |_, r| o.set(Some(r == Err(OpError::Timeout)))),
+    );
+    cluster.sim.run_until(100 * MS);
+    assert_eq!(outcome.get(), Some(true), "the write stalls into a Timeout");
+    assert_eq!(cluster.promotions(), 0);
+
+    chaos.recover(&mut cluster.sim);
+    cluster.settle_replication();
+    assert_eq!(cluster.report().rows[1].repl_fenced, 0, "resynced");
+    let o = outcome.clone();
+    client.put(
+        &mut cluster.sim,
+        &key,
+        b"flows again",
+        Box::new(move |_, r| o.set(Some(r.is_ok()))),
+    );
+    cluster.sim.run_until(cluster.sim.now() + MS);
+    assert_eq!(outcome.get(), Some(true), "writes flow over the fresh ring");
+    cluster.settle_replication();
+    assert_history_clean(&cluster, &chaos, seed);
+}
+
+/// One fault, one promotion — with a second secondary standing by, whose
+/// own ring the promotion closes too, nothing promotes twice; and the next
+/// fault is detected by the survivor and promotes once more.
+#[test]
+fn one_fault_is_exactly_one_promotion() {
+    let seed = 41;
+    let (mut cluster, chaos, done) = recorded_gc_cluster(seed, 2, 200);
+    cluster.sim.run_until(5 * MS);
+    cluster.kill_primary(0);
+    cluster.sim.run_until(50 * MS);
+    assert_eq!(cluster.promotions(), 1);
+    assert_eq!(cluster.shard(0).secondaries.len(), 1, "one stand-by left");
+    cluster.kill_primary(0);
+    cluster.sim.run();
+    assert!(done.get());
+    assert_eq!(cluster.promotions(), 2);
+    assert_eq!(cluster.failovers().len(), 2);
+    chaos.recover(&mut cluster.sim);
+    cluster.settle_replication();
+    assert_history_clean(&cluster, &chaos, seed);
 }
