@@ -3,11 +3,12 @@
 //! failure, a new leader from the SWAT group is elected and takes over").
 //!
 //! Each candidate creates `/prefix/member-<seq>` (ephemeral sequential). The
-//! candidate owning the lowest sequence is the leader; every other candidate
-//! watches the member immediately preceding it, so a failure wakes exactly
-//! one successor (no herd effect).
+//! candidate owning the lowest sequence is the leader; when its session ends
+//! its znode goes with it and the next sequence leads. Candidates ask
+//! ([`LeaderElection::is_leader`]) rather than being told: the cluster's SWAT
+//! members poll on their tick.
 
-use crate::tree::{Coord, CoordError, CreateMode, SessionId, WatcherId};
+use crate::tree::{Coord, CoordError, CreateMode, SessionId};
 
 /// One candidate's handle into an election.
 #[derive(Debug, Clone)]
@@ -39,7 +40,7 @@ impl LeaderElection {
                 }
             }
         }
-        let (me, _) = coord.create(
+        let me = coord.create(
             &format!("{prefix}/member-"),
             data,
             CreateMode::EphemeralSequential,
@@ -73,36 +74,15 @@ impl LeaderElection {
         }
     }
 
-    /// Registers the no-herd watch: the candidate immediately ahead of `me`.
-    /// Returns the watched path (`None` when `me` is already the leader).
-    pub fn watch_predecessor(
-        &self,
-        coord: &mut Coord,
-        watcher: WatcherId,
-    ) -> Result<Option<String>, CoordError> {
-        let children = coord.children_vec(&self.prefix)?;
-        let my_idx = children
-            .iter()
-            .position(|c| c == &self.me)
-            .ok_or(CoordError::NoNode)?;
-        if my_idx == 0 {
-            return Ok(None);
-        }
-        let pred = children[my_idx - 1].clone();
-        coord.watch_exists(&pred, watcher);
-        Ok(Some(pred))
-    }
-
     /// Leaves the election (clean shutdown).
     pub fn resign(&self, coord: &mut Coord) -> Result<(), CoordError> {
-        coord.delete(&self.me).map(|_| ())
+        coord.delete(&self.me)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::EventKind;
 
     #[test]
     fn lowest_sequence_leads() {
@@ -125,30 +105,11 @@ mod tests {
         let s2 = z.create_session(0, 10_000);
         let e1 = LeaderElection::join(&mut z, "/el", s1, vec![]).unwrap();
         let e2 = LeaderElection::join(&mut z, "/el", s2, vec![]).unwrap();
-        let watched = e2.watch_predecessor(&mut z, WatcherId(2)).unwrap();
-        assert_eq!(watched, Some(e1.me.clone()));
+        assert!(e1.is_leader(&z).unwrap());
         // Leader's session dies.
-        let events = z.tick(10_000);
-        assert!(events
-            .iter()
-            .any(|e| e.kind == EventKind::Deleted && e.watcher == WatcherId(2)));
+        z.tick(10_000);
+        assert!(!z.exists(&e1.me));
         assert!(e2.is_leader(&z).unwrap());
-    }
-
-    #[test]
-    fn middle_candidate_watches_its_predecessor_not_the_leader() {
-        let mut z = Coord::new();
-        let sessions: Vec<_> = (0..3).map(|_| z.create_session(0, 1_000)).collect();
-        let els: Vec<_> = sessions
-            .iter()
-            .map(|&s| LeaderElection::join(&mut z, "/el", s, vec![]).unwrap())
-            .collect();
-        let watched = els[2].watch_predecessor(&mut z, WatcherId(3)).unwrap();
-        assert_eq!(watched, Some(els[1].me.clone()));
-        assert_eq!(
-            els[0].watch_predecessor(&mut z, WatcherId(1)).unwrap(),
-            None
-        );
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! ZooKeeper-like coordination kernel for HydraDB's HA layer (§5.1).
 //!
 //! The paper deploys a 3–5 node ZooKeeper ensemble whose *semantics* —
-//! a znode tree with ephemeral/sequential nodes, sessions that expire on
-//! missed heartbeats, and one-shot watches — drive the SWAT (Status Watcher
-//! and reAct Team) failure-reaction pipeline. This crate implements those
+//! a znode tree with ephemeral/sequential nodes and sessions that expire on
+//! missed heartbeats — drive the SWAT (Status Watcher and reAct Team)
+//! failure-reaction pipeline. ZooKeeper's one-shot watches are not here:
+//! since shard liveness moved onto the fabric (a secondary's RDMA-read probe
+//! reports a silent primary) nothing in the cluster registers one, and SWAT
+//! members learn who leads by asking on their tick. This crate implements those
 //! semantics as a deterministic state machine driven by explicit timestamps,
 //! so it runs identically under the discrete-event simulator and in
 //! plain unit tests. The replicated-consensus internals of ZooKeeper are out
@@ -17,4 +20,4 @@ pub mod election;
 pub mod tree;
 
 pub use election::LeaderElection;
-pub use tree::{Coord, CoordError, CreateMode, EventKind, SessionId, Stat, WatchEvent, WatcherId};
+pub use tree::{Coord, CoordError, CreateMode, SessionId, Stat};

@@ -1,15 +1,10 @@
-//! The znode tree, sessions and watches.
+//! The znode tree and sessions.
 
 use std::collections::{BTreeMap, HashMap};
 
 /// A client session. Ephemeral znodes die with their session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub u64);
-
-/// Identifies the party that registered a watch; events are routed back to
-/// it by the caller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WatcherId(pub u64);
 
 /// Node creation modes, mirroring ZooKeeper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,26 +29,6 @@ impl CreateMode {
             CreateMode::PersistentSequential | CreateMode::EphemeralSequential
         )
     }
-}
-
-/// What happened at a watched path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    Created,
-    Deleted,
-    DataChanged,
-    ChildrenChanged,
-}
-
-/// A fired (one-shot) watch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WatchEvent {
-    /// The path the watch was registered on.
-    pub path: String,
-    /// What happened.
-    pub kind: EventKind,
-    /// Who registered the watch.
-    pub watcher: WatcherId,
 }
 
 /// Znode metadata.
@@ -110,15 +85,7 @@ struct Session {
     timeout: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WatchType {
-    Exists,
-    Data,
-    Children,
-}
-
-/// The coordination service. All mutating calls return the watch events they
-/// fired; the embedding runtime routes them to watchers.
+/// The coordination service.
 ///
 /// ```
 /// use hydra_coord::{Coord, CreateMode};
@@ -136,7 +103,6 @@ enum WatchType {
 pub struct Coord {
     znodes: BTreeMap<String, Znode>,
     sessions: HashMap<SessionId, Session>,
-    watches: HashMap<String, Vec<(WatcherId, WatchType)>>,
     next_session: u64,
 }
 
@@ -201,23 +167,21 @@ impl Coord {
     }
 
     /// Expires sessions whose heartbeat lapsed, deleting their ephemerals.
-    /// Returns fired watches. Call periodically (the ZooKeeper tick).
-    pub fn tick(&mut self, now: u64) -> Vec<WatchEvent> {
+    /// Call periodically (the ZooKeeper tick).
+    pub fn tick(&mut self, now: u64) {
         let expired: Vec<SessionId> = self
             .sessions
             .iter()
             .filter(|(_, s)| s.last_heartbeat.saturating_add(s.timeout) < now)
             .map(|(&id, _)| id)
             .collect();
-        let mut events = Vec::new();
         for id in expired {
-            events.extend(self.expire_session(id));
+            self.expire_session(id);
         }
-        events
     }
 
     /// Forcibly expires a session (e.g. the simulator killing a process).
-    pub fn expire_session(&mut self, session: SessionId) -> Vec<WatchEvent> {
+    pub fn expire_session(&mut self, session: SessionId) {
         self.sessions.remove(&session);
         let owned: Vec<String> = self
             .znodes
@@ -225,14 +189,11 @@ impl Coord {
             .filter(|(_, z)| z.owner == Some(session))
             .map(|(p, _)| p.clone())
             .collect();
-        let mut events = Vec::new();
-        // Delete deepest-first so parents empty out before their own delete.
+        // Delete deepest-first so parents empty out before their own
+        // delete; one that still has another session's child stays.
         for path in owned.into_iter().rev() {
-            if let Ok(ev) = self.delete(&path) {
-                events.extend(ev);
-            }
+            let _ = self.delete(&path);
         }
-        events
     }
 
     /// Creates a znode. For sequential modes the returned path carries the
@@ -243,7 +204,7 @@ impl Coord {
         data: Vec<u8>,
         mode: CreateMode,
         session: Option<SessionId>,
-    ) -> Result<(String, Vec<WatchEvent>), CoordError> {
+    ) -> Result<String, CoordError> {
         if !valid_path(path) || path == "/" {
             return Err(CoordError::BadPath);
         }
@@ -277,13 +238,11 @@ impl Coord {
                 seq_counter: 0,
             },
         );
-        let mut events = self.fire(&actual, EventKind::Created, &[WatchType::Exists]);
-        events.extend(self.fire(&parent, EventKind::ChildrenChanged, &[WatchType::Children]));
-        Ok((actual, events))
+        Ok(actual)
     }
 
     /// Deletes a childless znode.
-    pub fn delete(&mut self, path: &str) -> Result<Vec<WatchEvent>, CoordError> {
+    pub fn delete(&mut self, path: &str) -> Result<(), CoordError> {
         if !self.znodes.contains_key(path) {
             return Err(CoordError::NoNode);
         }
@@ -291,24 +250,15 @@ impl Coord {
             return Err(CoordError::NotEmpty);
         }
         self.znodes.remove(path);
-        let mut events = self.fire(
-            path,
-            EventKind::Deleted,
-            &[WatchType::Exists, WatchType::Data],
-        );
-        if let Some(parent) = parent_of(path) {
-            let parent = parent.to_string();
-            events.extend(self.fire(&parent, EventKind::ChildrenChanged, &[WatchType::Children]));
-        }
-        Ok(events)
+        Ok(())
     }
 
     /// Replaces a znode's data, bumping its version.
-    pub fn set_data(&mut self, path: &str, data: Vec<u8>) -> Result<Vec<WatchEvent>, CoordError> {
+    pub fn set_data(&mut self, path: &str, data: Vec<u8>) -> Result<(), CoordError> {
         let z = self.znodes.get_mut(path).ok_or(CoordError::NoNode)?;
         z.data = data;
         z.version += 1;
-        Ok(self.fire(path, EventKind::DataChanged, &[WatchType::Data]))
+        Ok(())
     }
 
     /// Reads a znode's data.
@@ -366,54 +316,6 @@ impl Coord {
     pub fn children_vec(&self, path: &str) -> Result<Vec<String>, CoordError> {
         Ok(self.children(path)?.map(|s| s.to_string()).collect())
     }
-
-    /// Registers a one-shot watch fired when `path` is created or deleted.
-    pub fn watch_exists(&mut self, path: &str, watcher: WatcherId) {
-        self.watches
-            .entry(path.to_string())
-            .or_default()
-            .push((watcher, WatchType::Exists));
-    }
-
-    /// Registers a one-shot watch fired when `path`'s data changes or it is
-    /// deleted.
-    pub fn watch_data(&mut self, path: &str, watcher: WatcherId) {
-        self.watches
-            .entry(path.to_string())
-            .or_default()
-            .push((watcher, WatchType::Data));
-    }
-
-    /// Registers a one-shot watch fired when `path`'s children change.
-    pub fn watch_children(&mut self, path: &str, watcher: WatcherId) {
-        self.watches
-            .entry(path.to_string())
-            .or_default()
-            .push((watcher, WatchType::Children));
-    }
-
-    fn fire(&mut self, path: &str, kind: EventKind, types: &[WatchType]) -> Vec<WatchEvent> {
-        let Some(list) = self.watches.get_mut(path) else {
-            return Vec::new();
-        };
-        let mut fired = Vec::new();
-        list.retain(|(watcher, ty)| {
-            if types.contains(ty) {
-                fired.push(WatchEvent {
-                    path: path.to_string(),
-                    kind,
-                    watcher: *watcher,
-                });
-                false // one-shot
-            } else {
-                true
-            }
-        });
-        if list.is_empty() {
-            self.watches.remove(path);
-        }
-        fired
-    }
 }
 
 #[cfg(test)]
@@ -427,7 +329,7 @@ mod tests {
     #[test]
     fn create_get_set_delete_cycle() {
         let mut z = c();
-        let (p, _) = z
+        let p = z
             .create("/a", b"one".to_vec(), CreateMode::Persistent, None)
             .unwrap();
         assert_eq!(p, "/a");
@@ -489,10 +391,10 @@ mod tests {
         let mut z = c();
         z.create("/q", vec![], CreateMode::Persistent, None)
             .unwrap();
-        let (p1, _) = z
+        let p1 = z
             .create("/q/n-", vec![], CreateMode::PersistentSequential, None)
             .unwrap();
-        let (p2, _) = z
+        let p2 = z
             .create("/q/n-", vec![], CreateMode::PersistentSequential, None)
             .unwrap();
         assert_eq!(p1, "/q/n-0000000000");
@@ -525,7 +427,7 @@ mod tests {
             .unwrap();
         assert!(z.exists("/live"));
         z.heartbeat(s, 50).unwrap();
-        assert!(!z.tick(140).is_empty() || z.exists("/live"));
+        z.tick(140);
         // At t=140 heartbeat(50)+timeout(100)=150 >= 140 -> still alive.
         assert!(z.exists("/live"));
         z.tick(151);
@@ -545,73 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn exists_watch_fires_once_on_create_and_delete() {
-        let mut z = c();
-        let w = WatcherId(1);
-        z.watch_exists("/a", w);
-        let (_, ev) = z
-            .create("/a", vec![], CreateMode::Persistent, None)
-            .unwrap();
-        assert_eq!(
-            ev,
-            vec![WatchEvent {
-                path: "/a".into(),
-                kind: EventKind::Created,
-                watcher: w
-            }]
-        );
-        // One-shot: the delete does not re-fire unless re-registered.
-        let ev = z.delete("/a").unwrap();
-        assert!(ev.is_empty());
-    }
-
-    #[test]
-    fn data_watch_fires_on_set_and_delete() {
-        let mut z = c();
-        z.create("/d", vec![], CreateMode::Persistent, None)
-            .unwrap();
-        z.watch_data("/d", WatcherId(7));
-        let ev = z.set_data("/d", b"x".to_vec()).unwrap();
-        assert_eq!(ev[0].kind, EventKind::DataChanged);
-        z.watch_data("/d", WatcherId(7));
-        let ev = z.delete("/d").unwrap();
-        assert_eq!(ev[0].kind, EventKind::Deleted);
-    }
-
-    #[test]
-    fn children_watch_fires_on_membership_change() {
-        let mut z = c();
-        z.create("/servers", vec![], CreateMode::Persistent, None)
-            .unwrap();
-        z.watch_children("/servers", WatcherId(3));
-        let (_, ev) = z
-            .create("/servers/s1", vec![], CreateMode::Persistent, None)
-            .unwrap();
-        assert!(ev
-            .iter()
-            .any(|e| e.path == "/servers" && e.kind == EventKind::ChildrenChanged));
-    }
-
-    #[test]
-    fn session_expiry_fires_watches_on_ephemerals() {
-        let mut z = c();
-        let s = z.create_session(0, 10);
-        z.create("/servers", vec![], CreateMode::Persistent, None)
-            .unwrap();
-        z.create("/servers/shard0", vec![], CreateMode::Ephemeral, Some(s))
-            .unwrap();
-        z.watch_exists("/servers/shard0", WatcherId(9));
-        z.watch_children("/servers", WatcherId(9));
-        let ev = z.tick(100);
-        assert!(ev
-            .iter()
-            .any(|e| e.kind == EventKind::Deleted && e.path == "/servers/shard0"));
-        assert!(ev
-            .iter()
-            .any(|e| e.kind == EventKind::ChildrenChanged && e.path == "/servers"));
-    }
-
-    #[test]
     fn forced_expiry_cleans_nested_ephemerals() {
         let mut z = c();
         let s = z.create_session(0, 1_000);
@@ -619,7 +454,7 @@ mod tests {
             .unwrap();
         z.create("/a/b", vec![], CreateMode::Ephemeral, Some(s))
             .unwrap();
-        let _ = z.expire_session(s);
+        z.expire_session(s);
         assert!(!z.exists("/a"));
         assert!(!z.exists("/a/b"));
     }

@@ -74,7 +74,7 @@ proptest! {
                     let mode = if eph { CreateMode::Ephemeral } else { CreateMode::Persistent };
                     let session = if eph { Some(sessions[(n % 3) as usize]) } else { None };
                     match c.create(&path, vec![n], mode, session) {
-                        Ok((actual, _)) => prop_assert_eq!(actual, path),
+                        Ok(actual) => prop_assert_eq!(actual, path),
                         Err(CoordError::NodeExists | CoordError::NoNode | CoordError::NoSession) => {}
                         Err(e) => prop_assert!(false, "unexpected {e:?}"),
                     }
@@ -151,7 +151,7 @@ proptest! {
         c.create("/q", vec![], CreateMode::Persistent, None).unwrap();
         let mut last = String::new();
         for _ in 0..n {
-            let (p, _) = c.create("/q/x-", vec![], CreateMode::PersistentSequential, None).unwrap();
+            let p = c.create("/q/x-", vec![], CreateMode::PersistentSequential, None).unwrap();
             prop_assert!(p > last, "{p} !> {last}");
             last = p;
         }

@@ -412,6 +412,13 @@ struct Region {
     write_epoch: u32,
 }
 
+impl Region {
+    /// Translation entries the registration holds on its node's NIC.
+    fn mtt_entries(&self) -> u64 {
+        (self.mem.len() * 8).div_ceil(self.page_bytes) as u64
+    }
+}
+
 struct Qp {
     a: NodeId,
     b: NodeId,
@@ -844,14 +851,14 @@ impl Fabric {
         let mut inner = self.inner.borrow_mut();
         let slot = inner.regions.len();
         assert!(slot <= QP_SLOT_MASK as usize, "region table exhausted");
-        let entries = (mem.len() * 8).div_ceil(page_bytes) as u64;
-        inner.nodes[node.0 as usize].mtt_registered += entries;
-        inner.regions.push(Region {
+        let region = Region {
             node,
             mem,
             page_bytes,
             write_epoch: 0,
-        });
+        };
+        inner.nodes[node.0 as usize].mtt_registered += region.mtt_entries();
+        inner.regions.push(region);
         RegionId(slot as u32)
     }
 
@@ -877,6 +884,20 @@ impl Fabric {
         // representation of `u64`), so every element is initialised.
         let mem = unsafe { Arc::<[AtomicU64]>::new_zeroed_slice(words).assume_init() };
         (self.register_paged(node, mem.clone(), page_bytes), mem)
+    }
+
+    /// Deregisters `region`: its translation entries return to the node's
+    /// budget and the fabric lets go of the memory. The slot is retired, not
+    /// reused, and the permission epoch moves on, so a Write still in flight
+    /// to it bounces exactly as after [`revoke_write`](Self::revoke_write);
+    /// the owner must have stopped reading through it.
+    pub fn deregister(&self, region: RegionId) {
+        let mut inner = self.inner.borrow_mut();
+        let r = &mut inner.regions[region.slot()];
+        let (node, entries) = (r.node.0 as usize, r.mtt_entries());
+        r.mem = Arc::new([]);
+        r.write_epoch = (r.write_epoch + 1) & 0xFF;
+        inner.nodes[node].mtt_registered -= entries;
     }
 
     /// Translation entries consumed by regions registered on `node`.
@@ -923,11 +944,6 @@ impl Fabric {
     pub fn qp_slots(&self) -> (usize, usize) {
         let inner = self.inner.borrow();
         (inner.qps.len(), inner.free_qps.len())
-    }
-
-    /// Shared handle to a region's memory.
-    pub fn region_mem(&self, region: RegionId) -> Arc<[AtomicU64]> {
-        self.inner.borrow().regions[region.slot()].mem.clone()
     }
 
     /// Revokes write permission on `region`: its permission epoch moves on,
@@ -1757,6 +1773,23 @@ mod tests {
         assert_eq!(mem[2].load(Ordering::Relaxed), 33);
         assert_eq!(got.get(), 33);
         assert_eq!(errors.borrow().len(), 2);
+    }
+
+    #[test]
+    fn deregistering_returns_the_entries_and_bounces_what_is_in_flight() {
+        let (mut sim, fab, a, b, qp) = setup();
+        let errors = errors_of(&fab, qp, a);
+        let before = fab.mtt_registered(b);
+        let (region, mem) = fab.alloc_region_paged(b, 2048, 4096);
+        assert_eq!(fab.mtt_registered(b), before + 4);
+        fab.post_write(&mut sim, qp, a, vec![7], region, 0, None);
+        fab.deregister(region);
+        assert_eq!(fab.mtt_registered(b), before);
+        fab.post_write(&mut sim, qp, a, vec![8], region, 0, None);
+        sim.run();
+        assert!(mem.iter().all(|w| w.load(Ordering::Relaxed) == 0));
+        let kinds: Vec<WcError> = errors.borrow().iter().map(|e| e.1).collect();
+        assert_eq!(kinds, [WcError::OutOfBounds, WcError::PermissionRevoked]);
     }
 
     #[test]

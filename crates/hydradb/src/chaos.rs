@@ -23,7 +23,7 @@
 //! cluster seed, so a checker failure always prints the `HYDRA_SEED` that
 //! reproduces it.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use hydra_chaos::history::OpKind as HistOp;
@@ -35,7 +35,7 @@ use hydra_sim::Sim;
 use crate::client::{HydraClient, OpCb};
 use crate::cluster::{couple, HaState};
 use crate::config::ClusterConfig;
-use crate::migration::MigrationEngine;
+use crate::migration::{MigrationEngine, Staging};
 use crate::ring::ShardId;
 use crate::server::ShardServer;
 
@@ -61,6 +61,9 @@ struct ChaosInner {
     injected: u64,
     /// Distinct ids for secondaries rebuilt after a restart.
     rebuilt_shards: u32,
+    /// Where resync snapshots land, one buffer per secondary machine
+    /// (fabric node id).
+    resync_staging: HashMap<u32, Staging>,
 }
 
 /// Applies fault plans to one cluster. Cheap to clone; obtained from
@@ -95,6 +98,7 @@ impl ChaosController {
                 crashed: HashSet::new(),
                 injected: 0,
                 rebuilt_shards: 0,
+                resync_staging: HashMap::new(),
             })),
         }
     }
@@ -476,7 +480,13 @@ impl ChaosController {
         if bytes > 0 {
             let words = bytes.div_ceil(8);
             let qp = fab.connect(prim_node, sec_node, Transport::Rdma);
-            let (region, _mem) = fab.alloc_region(sec_node, words);
+            let region = self
+                .inner
+                .borrow_mut()
+                .resync_staging
+                .entry(sec_node.0)
+                .or_insert_with(|| Staging::new(sec_node, cfg.page_bytes))
+                .region_for(&fab, words);
             fab.post_write(sim, qp, prim_node, vec![0u64; words], region, 0, None);
             fab.disconnect(qp);
         }
@@ -565,7 +575,7 @@ impl ChaosController {
         let mut ha = ha.borrow_mut();
         if let Some(idx) = ha.swat_leader_idx() {
             let s = ha.swat_sessions[idx];
-            let _ = ha.coord.expire_session(s);
+            ha.coord.expire_session(s);
         }
     }
 

@@ -5,8 +5,8 @@
 //! a request buffer on the server's node and a response buffer on its own
 //! node, both written one-sidedly and detected by polling (§4.2.1). GETs of
 //! previously accessed keys take the fast path: the remote pointer returned
-//! by the first access is cached (privately, or in the node-wide lock-free
-//! shared cache of §4.2.4) and, while its lease holds, later GETs fetch the
+//! by the first access is cached (privately, or in the node-wide shared
+//! cache of §4.2.4) and, while its lease holds, later GETs fetch the
 //! item directly with a one-sided RDMA Read and validate it against the
 //! guardian word — falling back to the message path when the item was
 //! updated underneath (§4.2.3).
@@ -132,45 +132,38 @@ pub struct CachedPtr {
     pub n_replicas: u8,
 }
 
-/// Remote-pointer cache: a bounded CLOCK cache with sketch-gated admission,
-/// private to one client or shared node-wide (§4.2.4). Bounded capacity
-/// means a key-space sweep cannot grow the cache without limit, and the
-/// admission sketch keeps the hot set resident under skew.
+/// Remote-pointer cache: a bounded CLOCK cache with sketch-gated admission.
+/// One handle type whether a client holds the only clone or every client on
+/// its node holds one (§4.2.4): [`ClockCache`] is `Sync` either way. Bounded
+/// capacity means a key-space sweep cannot grow the cache without limit, and
+/// the admission sketch keeps the hot set resident under skew.
 #[derive(Clone)]
-pub enum PtrCache {
-    /// Exclusive cache (also used when security isolation is enforced).
-    Own(Rc<ClockCache<CachedPtr>>),
-    /// Node-wide shared cache.
-    Shared(Arc<ClockCache<CachedPtr>>),
-}
+pub(crate) struct PtrCache(Arc<ClockCache<CachedPtr>>);
 
 impl PtrCache {
-    fn cache(&self) -> &ClockCache<CachedPtr> {
-        match self {
-            PtrCache::Own(c) => c,
-            PtrCache::Shared(c) => c,
-        }
+    pub(crate) fn new(capacity: usize) -> PtrCache {
+        PtrCache(Arc::new(ClockCache::new(capacity)))
     }
 
     fn get(&self, key: &[u8]) -> Option<CachedPtr> {
-        self.cache().get(key)
+        self.0.get(key)
     }
 
     fn insert(&self, key: &[u8], ptr: CachedPtr) {
         // Filed in the expiry wheel under the lease so renewal scans only
         // touch due buckets; admission may reject a cold newcomer.
-        self.cache().insert(key, ptr, ptr.lease_expiry);
+        self.0.insert(key, ptr, ptr.lease_expiry);
     }
 
     fn remove(&self, key: &[u8]) {
-        self.cache().remove(key);
+        self.0.remove(key);
     }
 
     /// Keys whose lease expires within `(now, horizon]` — renewal
     /// candidates, harvested from the wheel's due buckets only (no full
     /// cache scan).
     fn expiring(&self, now: u64, horizon: u64, limit: usize) -> Vec<(u32, Vec<u8>)> {
-        self.cache()
+        self.0
             .expiring(now, horizon.saturating_sub(now), limit)
             .into_iter()
             .filter(|(_, v)| v.lease_expiry > now)
@@ -179,13 +172,8 @@ impl PtrCache {
     }
 
     /// Live entries (bounded by construction; tests assert it).
-    pub fn len(&self) -> usize {
-        self.cache().len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    fn len(&self) -> usize {
+        self.0.len()
     }
 }
 
@@ -460,12 +448,8 @@ impl HydraClient {
         fab: Fabric,
         cfg: Rc<ClusterConfig>,
         directory: Rc<RefCell<Directory>>,
-        shared_cache: Option<Arc<ClockCache<CachedPtr>>>,
+        ptr_cache: PtrCache,
     ) -> HydraClient {
-        let ptr_cache = match shared_cache {
-            Some(c) => PtrCache::Shared(c),
-            None => PtrCache::Own(Rc::new(ClockCache::new(cfg.ptr_cache_capacity))),
-        };
         let subscription = directory.clone();
         let client = HydraClient {
             inner: Rc::new(RefCell::new(ClientInner {

@@ -23,20 +23,18 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use hydra_coord::{Coord, CreateMode, LeaderElection, SessionId};
 use hydra_fabric::{Fabric, NodeId, Transport};
-use hydra_lockfree::ClockCache;
 use hydra_replication::{ReplicationPair, BEAT_NS};
-use hydra_sim::time::SimTime;
+use hydra_sim::time::{SimTime, MS};
 use hydra_sim::Sim;
 
 use crate::chaos::{ChaosController, RecordingClient};
-use crate::client::{CachedPtr, ClientInner, HydraClient};
+use crate::client::{ClientInner, HydraClient, PtrCache};
 use crate::config::{ClientMode, ClusterConfig};
 use crate::migration::{MigrationEngine, MigrationHandle, MigrationOutcome};
-use crate::ring::{HashRing, ShardId};
+use crate::ring::{HashRing, ShardId, VNODES};
 use crate::server::{ReplicaExport, ShardServer};
 
 /// The cluster-wide view clients route through: the consistent-hash ring
@@ -56,6 +54,15 @@ pub struct Directory {
 /// Payload of the two fail-over notifications (suspicion report, directory
 /// change): a partition id and a generation, with headers.
 const NOTIFY_BYTES: usize = 64;
+
+/// The SWAT members' own coordination sessions, which decide who leads:
+/// heartbeat period, session-expiry scan period, and the silence after which
+/// a member loses its place in the election. (Shard liveness is not a
+/// coordination matter: each primary is probed by its secondary every
+/// [`BEAT_NS`], DESIGN.md §16.)
+const SWAT_HEARTBEAT_NS: SimTime = 5 * MS;
+const SWAT_TICK_NS: SimTime = 10 * MS;
+const SWAT_SESSION_TIMEOUT_NS: SimTime = 25 * MS;
 
 /// One completed fail-over, on the virtual clock (see
 /// [`Cluster::failovers`]).
@@ -117,7 +124,7 @@ impl std::fmt::Display for ClusterReport {
         )?;
         writeln!(
             f,
-            "{:<5} {:<5} {:<6} {:>9} {:>8} {:>8} {:>10} {:>6} {:>8} {:>6} {:>8} {:>8} {:<9} {:>8} {:>8}",
+            "{:<5} {:<5} {:<6} {:>9} {:>8} {:>8} {:>10} {:>9} {:>6} {:>8} {:>6} {:>8} {:>8} {:<9} {:>8} {:>8}",
             "part",
             "node",
             "alive",
@@ -125,6 +132,7 @@ impl std::fmt::Display for ClusterReport {
             "mem%",
             "reclaim",
             "requests",
+            "malformed",
             "secs",
             "unacked",
             "lag",
@@ -137,7 +145,7 @@ impl std::fmt::Display for ClusterReport {
         for r in &self.rows {
             writeln!(
                 f,
-                "{:<5} {:<5} {:<6} {:>9} {:>7.1}% {:>8} {:>10} {:>6} {:>8} {:>6} {:>8} {:>8.3} {:<9} {:>8} {:>8}",
+                "{:<5} {:<5} {:<6} {:>9} {:>7.1}% {:>8} {:>10} {:>9} {:>6} {:>8} {:>6} {:>8} {:>8.3} {:<9} {:>8} {:>8}",
                 r.partition,
                 r.node,
                 r.alive,
@@ -145,6 +153,7 @@ impl std::fmt::Display for ClusterReport {
                 r.arena_occupancy * 100.0,
                 r.reclaim_pending,
                 r.requests,
+                r.malformed,
                 r.secondaries,
                 r.repl_unacked,
                 r.repl_lag_max,
@@ -198,6 +207,9 @@ pub struct PartitionReport {
     pub overflow_buckets: usize,
     pub reclaim_pending: usize,
     pub requests: u64,
+    /// Arrivals the primary dropped at admission because they did not
+    /// decode.
+    pub malformed: u64,
     pub responses: u64,
     pub secondaries: usize,
     pub repl_unacked: u64,
@@ -244,7 +256,8 @@ pub(crate) struct PartitionState {
 }
 
 /// The ephemeral znode partition `p`'s primary holds while its session
-/// lives; SWAT watches it.
+/// lives: the partition's membership record, gone when SWAT expires the
+/// session to depose the primary.
 pub(crate) fn partition_znode(p: usize) -> String {
     format!("/servers/part-{p}")
 }
@@ -484,7 +497,7 @@ impl ClusterBuilder {
             .create("/servers", Vec::new(), CreateMode::Persistent, None)
             .expect("fresh tree");
         let directory = Rc::new(RefCell::new(Directory {
-            ring: HashRing::new(cfg.vnodes),
+            ring: HashRing::new(VNODES),
             shards: HashMap::new(),
             generation: 0,
             subscribers: Vec::new(),
@@ -518,7 +531,7 @@ impl ClusterBuilder {
 
         // SWAT group: two members with an ephemeral-sequential election.
         for m in 0..2 {
-            let s = ha.coord.create_session(0, cfg.ha_session_timeout_ns);
+            let s = ha.coord.create_session(0, SWAT_SESSION_TIMEOUT_NS);
             let e = LeaderElection::join(
                 &mut ha.coord,
                 "/swat/election",
@@ -571,7 +584,7 @@ pub struct Cluster {
     /// Client machines, in id order.
     pub client_nodes: Vec<NodeId>,
     clients: Vec<HydraClient>,
-    shared_caches: HashMap<usize, Arc<ClockCache<CachedPtr>>>,
+    shared_caches: HashMap<usize, PtrCache>,
     next_client_id: u32,
     chaos: Option<ChaosController>,
 }
@@ -585,16 +598,14 @@ impl Cluster {
         } else {
             self.client_nodes[node_idx % self.client_nodes.len()]
         };
-        let shared = if self.cfg.shared_ptr_cache {
-            let cap = self.cfg.ptr_cache_capacity;
-            Some(
-                self.shared_caches
-                    .entry(node_idx % self.client_nodes.len())
-                    .or_insert_with(|| Arc::new(ClockCache::new(cap)))
-                    .clone(),
-            )
+        let cap = self.cfg.ptr_cache_capacity;
+        let ptr_cache = if self.cfg.shared_ptr_cache {
+            self.shared_caches
+                .entry(node_idx % self.client_nodes.len())
+                .or_insert_with(|| PtrCache::new(cap))
+                .clone()
         } else {
-            None
+            PtrCache::new(cap)
         };
         let id = self.next_client_id;
         self.next_client_id += 1;
@@ -604,7 +615,7 @@ impl Cluster {
             self.fab.clone(),
             self.cfg.clone(),
             self.directory.clone(),
-            shared,
+            ptr_cache,
         );
         self.clients.push(client.clone());
         client
@@ -651,8 +662,8 @@ impl Cluster {
     /// the liveness beat between every primary and its first live secondary
     /// (period [`BEAT_NS`], suspicion after
     /// [`MISSES`](hydra_replication::MISSES) missed beats), and the SWAT
-    /// members' own coordination sessions (`ha_heartbeat_ns` / `ha_tick_ns`
-    /// / `ha_session_timeout_ns`), which decide who leads.
+    /// members' own coordination sessions (the `SWAT_*_NS` constants), which
+    /// decide who leads.
     /// Without this, failures are never detected.
     pub fn enable_ha(&mut self, until: SimTime) {
         {
@@ -665,8 +676,8 @@ impl Cluster {
             }
         }
         Self::schedule_beat(&self.ha, &mut self.sim);
-        Self::schedule_heartbeat(&self.ha, &mut self.sim, self.cfg.ha_heartbeat_ns);
-        Self::schedule_tick(&self.ha, &mut self.sim, self.cfg.ha_tick_ns);
+        Self::schedule_heartbeat(&self.ha, &mut self.sim);
+        Self::schedule_tick(&self.ha, &mut self.sim);
     }
 
     fn schedule_beat(ha: &Rc<RefCell<HaState>>, sim: &mut Sim) {
@@ -695,9 +706,9 @@ impl Cluster {
         });
     }
 
-    fn schedule_heartbeat(ha: &Rc<RefCell<HaState>>, sim: &mut Sim, interval: SimTime) {
+    fn schedule_heartbeat(ha: &Rc<RefCell<HaState>>, sim: &mut Sim) {
         let ha2 = ha.clone();
-        sim.schedule_in(interval, move |sim| {
+        sim.schedule_in(SWAT_HEARTBEAT_NS, move |sim| {
             let now = sim.now();
             {
                 let mut ha = ha2.borrow_mut();
@@ -710,13 +721,13 @@ impl Cluster {
                     }
                 }
             }
-            Cluster::schedule_heartbeat(&ha2, sim, interval);
+            Cluster::schedule_heartbeat(&ha2, sim);
         });
     }
 
-    fn schedule_tick(ha: &Rc<RefCell<HaState>>, sim: &mut Sim, interval: SimTime) {
+    fn schedule_tick(ha: &Rc<RefCell<HaState>>, sim: &mut Sim) {
         let ha2 = ha.clone();
-        sim.schedule_in(interval, move |sim| {
+        sim.schedule_in(SWAT_TICK_NS, move |sim| {
             let now = sim.now();
             {
                 let mut ha = ha2.borrow_mut();
@@ -727,7 +738,7 @@ impl Cluster {
                 // ephemeral-sequential znodes go with their sessions.
                 ha.coord.tick(now);
             }
-            Cluster::schedule_tick(&ha2, sim, interval);
+            Cluster::schedule_tick(&ha2, sim);
         });
     }
 
@@ -937,6 +948,7 @@ impl Cluster {
                     overflow_buckets: 0, // index internals are shard-private
                     reclaim_pending: engine.reclaim_pending(),
                     requests: stats.requests,
+                    malformed: stats.malformed,
                     responses: stats.responses,
                     secondaries: state.secondaries.len(),
                     repl_unacked: repl_lag,
@@ -1101,6 +1113,36 @@ mod tests {
             cluster.sim.run();
         }
         (cluster, client)
+    }
+
+    /// A request slot whose head word is not a frame header (ROADMAP 4(e))
+    /// is counted, cleared for the sender and survived; the parent commit
+    /// panicked with `corrupt request frame`.
+    #[test]
+    fn corrupt_request_frame_is_counted_and_the_slot_released() {
+        use std::sync::atomic::Ordering;
+        let cfg = ClusterConfig {
+            server_nodes: 1,
+            shards_per_node: 1,
+            ..ClusterConfig::default()
+        };
+        let (mut cluster, client) = run_all_partitions(cfg);
+        let shard = cluster.shard(0).primary;
+        let slot = shard.borrow().conns[0].req_mem.clone();
+        slot[0].store(0xDEAD_BEEF_0000_0040, Ordering::Release);
+        slot[5].store(7, Ordering::Release);
+        ShardServer::on_request(&shard, &mut cluster.sim, 0);
+        assert_eq!(shard.borrow().stats().malformed, 1);
+        assert!(slot.iter().all(|w| w.load(Ordering::Acquire) == 0));
+        let got = Rc::new(RefCell::new(None));
+        let g = got.clone();
+        client.get(
+            &mut cluster.sim,
+            b"key-0000",
+            Box::new(move |_, r| *g.borrow_mut() = Some(r)),
+        );
+        cluster.sim.run();
+        assert_eq!(got.borrow_mut().take(), Some(Ok(Some(b"value".to_vec()))));
     }
 
     #[test]

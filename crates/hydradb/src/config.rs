@@ -270,8 +270,9 @@ pub struct ClusterConfig {
     /// Reliable store or cache semantics.
     pub write_mode: WriteMode,
     /// Index structure per shard: the paper's chained table, the compact
-    /// signature table, or the packed cache-line-group table (the default;
-    /// see `abl_hashtable` for the A/B).
+    /// signature table, the packed cache-line-group table (the default; see
+    /// `abl_hashtable` for the A/B), or the packed table paired with an
+    /// ordered skiplist, which serves range scans natively.
     pub index: IndexKind,
     /// Share the remote-pointer cache among clients on one node (§4.2.4).
     pub shared_ptr_cache: bool,
@@ -315,8 +316,6 @@ pub struct ClusterConfig {
     pub scan_chunk_items: u32,
     /// Client-side AIMD window controller (§12.4).
     pub aimd: AimdConfig,
-    /// Virtual nodes per shard on the consistent-hash ring.
-    pub vnodes: u32,
     /// Minimum lease term (paper: 1 s).
     pub min_lease_ns: SimTime,
     /// Maximum lease term (paper: 64 s).
@@ -332,15 +331,6 @@ pub struct ClusterConfig {
     pub op_timeout_ns: SimTime,
     /// Replication ring words per secondary.
     pub repl_ring_words: usize,
-    /// Heartbeat period of the SWAT members' coordination sessions. (Shard
-    /// liveness is not a coordination matter: each primary is probed by its
-    /// secondary every `hydra_replication::BEAT_NS`, DESIGN.md §16.)
-    pub ha_heartbeat_ns: SimTime,
-    /// Coordination-service tick (session-expiry scan) period.
-    pub ha_tick_ns: SimTime,
-    /// Session timeout after which a silent SWAT member loses its place in
-    /// the leader election.
-    pub ha_session_timeout_ns: SimTime,
     /// Fabric latency model.
     pub fabric: FabricConfig,
     /// Server CPU cost model.
@@ -399,16 +389,12 @@ impl Default for ClusterConfig {
             scheduler: SchedulerKind::DualLane,
             scan_chunk_items: 64,
             aimd: AimdConfig::default(),
-            vnodes: 64,
             min_lease_ns: 1_000_000_000,
             max_lease_ns: 64_000_000_000,
             sleep_backoff_ns: Some(100),
             transport: Transport::Rdma,
             op_timeout_ns: 10 * MS,
             repl_ring_words: 1 << 16,
-            ha_heartbeat_ns: 5 * MS,
-            ha_tick_ns: 10 * MS,
-            ha_session_timeout_ns: 25 * MS,
             fabric: FabricConfig::default(),
             costs: CostModel::default(),
             migration_quantum_items: 128,
@@ -434,7 +420,6 @@ impl ClusterConfig {
             mode: self.replication.repl_mode()?,
             apply_cost_ns: self.costs.write_ns,
             page_bytes: self.page_bytes,
-            ..ReplConfig::default()
         })
     }
 }

@@ -76,9 +76,45 @@ const TICK_NS: SimTime = 100_000;
 /// cannot see — e.g. dropped migration records — must not hang the sim).
 const STALL_TICK_LIMIT: u64 = 10_000;
 
-/// Smallest staging buffer a migration channel registers at its destination
-/// (one default 4 KiB translation page).
+/// Smallest staging buffer registered (one default 4 KiB translation page).
 const STAGING_MIN_WORDS: usize = 512;
+
+/// The landing buffer bulk transfers to one machine are written into —
+/// migration shipments, a restarted replica's snapshot. Registered at the
+/// cluster's page size, and re-registered only when a transfer outgrows it:
+/// whole pages, doubling, so a stream of small transfers settles on one
+/// registration. (An outgrown buffer stays registered, since a transfer may
+/// still be in flight to it; doubling bounds the lot at twice the largest.
+/// A region per transfer would grow the machine's MTT footprint without
+/// limit.)
+pub(crate) struct Staging {
+    node: NodeId,
+    page_bytes: usize,
+    region: Cell<Option<(RegionId, usize)>>,
+}
+
+impl Staging {
+    pub(crate) fn new(node: NodeId, page_bytes: usize) -> Staging {
+        Staging {
+            node,
+            page_bytes,
+            region: Cell::new(None),
+        }
+    }
+
+    /// The buffer, grown to hold `words`.
+    pub(crate) fn region_for(&self, fab: &Fabric, words: usize) -> RegionId {
+        match self.region.get() {
+            Some((region, cap)) if cap >= words => region,
+            _ => {
+                let cap = words.next_power_of_two().max(STAGING_MIN_WORDS);
+                let (region, _mem) = fab.alloc_region_paged(self.node, cap, self.page_bytes);
+                self.region.set(Some((region, cap)));
+                region
+            }
+        }
+    }
+}
 
 /// One migration record: operation, key, value.
 pub(crate) type MigRecord = (LogOp, Vec<u8>, Vec<u8>);
@@ -144,28 +180,25 @@ pub(crate) struct MigrationChannel {
     fab: Fabric,
     qp: QpId,
     src_node: NodeId,
-    dst_node: NodeId,
     dst: Rc<RefCell<ShardServer>>,
-    /// The destination-side landing buffer shipments are written into, and
-    /// its size in words: registered once, re-registered only when a
-    /// shipment outgrows it (the fabric never deregisters, so a region per
-    /// shipment would grow the destination's MTT footprint with every
-    /// quantum).
-    staging: Rc<Cell<Option<(RegionId, usize)>>>,
+    /// The destination-side landing buffer shipments are written into.
+    staging: Rc<Staging>,
     shipped: Rc<Cell<u64>>,
     applied: Rc<Cell<u64>>,
 }
 
 impl MigrationChannel {
     fn new(fab: &Fabric, src_node: NodeId, dst: &Rc<RefCell<ShardServer>>) -> MigrationChannel {
-        let dst_node = dst.borrow().node;
+        let (dst_node, page_bytes) = {
+            let dst = dst.borrow();
+            (dst.node, dst.cfg.page_bytes)
+        };
         MigrationChannel {
             fab: fab.clone(),
             qp: fab.connect(src_node, dst_node, Transport::Rdma),
             src_node,
-            dst_node,
             dst: dst.clone(),
-            staging: Rc::new(Cell::new(None)),
+            staging: Rc::new(Staging::new(dst_node, page_bytes)),
             shipped: Rc::new(Cell::new(0)),
             applied: Rc::new(Cell::new(0)),
         }
@@ -188,17 +221,7 @@ impl MigrationChannel {
         self.shipped.set(self.shipped.get() + n);
         let bytes: usize = records.iter().map(|(_, k, v)| k.len() + v.len() + 16).sum();
         let words = bytes.div_ceil(8).max(1);
-        let region = match self.staging.get() {
-            Some((region, cap)) if cap >= words => region,
-            _ => {
-                // Whole pages, doubling: a stream of small shipments settles
-                // on one registration.
-                let cap = words.next_power_of_two().max(STAGING_MIN_WORDS);
-                let (region, _mem) = self.fab.alloc_region(self.dst_node, cap);
-                self.staging.set(Some((region, cap)));
-                region
-            }
-        };
+        let region = self.staging.region_for(&self.fab, words);
         let dst = self.dst.clone();
         let applied = self.applied.clone();
         self.fab.post_write(

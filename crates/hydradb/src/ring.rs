@@ -9,6 +9,9 @@ use hydra_store::hash_key;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShardId(pub u32);
 
+/// Virtual nodes per shard on the cluster's ring.
+pub(crate) const VNODES: u32 = 64;
+
 /// A consistent-hash ring of shards with virtual nodes.
 ///
 /// Virtual nodes smooth the key distribution: with `v` vnodes per shard the

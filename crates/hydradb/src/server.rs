@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hydra_fabric::{Fabric, NodeId, QpId, RegionId};
@@ -58,6 +58,16 @@ pub fn op_slot(req: &Request<'_>) -> usize {
     }
 }
 
+/// Whether an arriving payload decodes whole: a batch frame that parses and
+/// carries only requests, or one bare request.
+fn well_formed(payload: &[u8]) -> bool {
+    if BatchFrame::is_batch(payload) {
+        BatchFrame::parse(payload).is_some_and(|f| f.iter().all(|m| Request::decode(m).is_some()))
+    } else {
+        Request::decode(payload).is_some()
+    }
+}
+
 /// Log2 bucket index for a histogram sample (0 stays in bucket 0).
 fn log2_bucket(v: u64) -> usize {
     ((64 - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
@@ -94,6 +104,10 @@ pub struct ServerStats {
     pub scans: u64,
     pub responses: u64,
     pub dropped_while_dead: u64,
+    /// Arrivals dropped at admission because they did not decode: a corrupt
+    /// request frame, a batch frame that does not parse, or any request
+    /// that is not one.
+    pub malformed: u64,
     /// Batch frames executed through the quantum path.
     pub batches: u64,
     /// Requests that arrived inside batch frames (subset of `requests`).
@@ -1032,7 +1046,16 @@ impl ShardServer {
                     p
                 }
                 Ok(None) => return, // spurious kick (already drained)
-                Err(e) => panic!("corrupt request frame: {e}"),
+                Err(_) => {
+                    // Nothing says how long the frame was meant to be:
+                    // clear the whole slot, head word last, so the sender
+                    // finds it free again.
+                    for w in conn.req_mem.iter().rev() {
+                        w.store(0, Ordering::Release);
+                    }
+                    s.stats.malformed += 1;
+                    return;
+                }
             }
         };
         Self::on_request_payload(this, sim, conn_idx, payload);
@@ -1041,7 +1064,10 @@ impl ShardServer {
     /// Admission: every arriving payload — one bare request or a batch
     /// frame, over either transport (Send/Recv payloads arrive here straight
     /// from the verbs receive queue) — becomes one lane task. The decoupled
-    /// ablation models branch off here and nowhere else.
+    /// ablation models branch off here and nowhere else. This is also where
+    /// bytes from outside are judged: a payload that does not decode whole
+    /// is dropped and counted before any cost is charged, so everything
+    /// downstream may `expect` what it decodes again.
     pub fn on_request_payload(
         this: &Rc<RefCell<ShardServer>>,
         sim: &mut Sim,
@@ -1052,6 +1078,10 @@ impl ShardServer {
             let mut s = this.borrow_mut();
             if !s.alive {
                 s.stats.dropped_while_dead += 1;
+                return;
+            }
+            if !well_formed(&payload) {
+                s.stats.malformed += 1;
                 return;
             }
             if s.decoupled.is_some() {
@@ -1085,7 +1115,7 @@ impl ShardServer {
         // write.
         let (mut scan, mut early) = (None, false);
         for msg in messages(&payload) {
-            let req = Request::decode(msg).expect("well-formed request");
+            let req = Request::decode(msg).expect("admission validated it");
             let cost = self.item_cost(&req, send_recv, batched);
             // Per-op depth samples are per request on every path.
             self.stats.queue_depth_hist_by_op[op_slot(&req)]

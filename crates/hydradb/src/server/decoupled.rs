@@ -75,7 +75,7 @@ pub(super) fn admit(
 /// Reserves the dispatch core and a hand-off core for one request; returns
 /// when the hand-off core finishes it.
 fn dispatch(s: &mut ShardServer, now: SimTime, conn_idx: usize, msg: &[u8]) -> SimTime {
-    let req = Request::decode(msg).expect("well-formed request");
+    let req = Request::decode(msg).expect("admission validated it");
     let cfg = Rc::clone(&s.cfg);
     let c = &cfg.costs;
     let cost = s.item_cost(&req, s.conns[conn_idx].send_recv, false) + c.poll_ns + c.post_wqe_ns;

@@ -1038,3 +1038,86 @@ fn membership_churn_leaks_no_qps_and_no_staging_regions() {
         "MTT footprint must not depend on how many quanta a migration took"
     );
 }
+
+/// Restarting a machine costs its NIC nothing the first restart did not
+/// already pay, and every bulk transfer lands in memory registered at
+/// [`ClusterConfig::page_bytes`]. At the parent commit each resync
+/// registered a fresh snapshot-sized landing region at the fabric's default
+/// page size, and a fresh replication ring and ack region beside the severed
+/// channel's, none of which the fabric could give back: here every restart
+/// after the first added 80 MTT entries to the restarted machine (45 + 33
+/// for its two replicas' snapshots at 4 KiB pages, 2 rings) and 2 ack
+/// regions to its peer.
+#[test]
+fn restart_cycles_reuse_their_registrations_at_the_cluster_page_size() {
+    use hydra_chaos::FaultEvent;
+    // Load, five crash -> restart cycles of node 1 under HA (the first
+    // promotes partition 1 away and rebuilds its replica on the returning
+    // machine; the rest resync both replicas hosted there), then a join that
+    // migrates data in. Returns every node's MTT footprint.
+    let churn = |fabric_default_page: usize| -> Vec<u64> {
+        let mut cfg = ClusterConfig {
+            server_nodes: 2,
+            shards_per_node: 1,
+            replicas: 1,
+            replication: ReplicationMode::GroupCommit,
+            page_bytes: 2 << 20,
+            ..ClusterConfig::default()
+        };
+        cfg.fabric.default_page_bytes = fabric_default_page;
+        let mut cluster = build(cfg);
+        cluster.enable_ha(10 * SEC);
+        let client = cluster.add_client(0);
+        for i in 0..300u32 {
+            put_ok(
+                &mut cluster,
+                &client,
+                format!("k{i:04}").as_bytes(),
+                &[i as u8; 1024],
+            );
+        }
+        let settle = |c: &mut Cluster| c.sim.run_until(c.sim.now() + 5 * MS);
+        let footprint = |c: &Cluster| {
+            let r = c.report();
+            let fabric: Vec<(u32, u64, u64)> = r
+                .nodes
+                .iter()
+                .map(|n| (n.qps, n.recv_posted, n.mtt_entries))
+                .collect();
+            let arenas: Vec<(usize, f64)> = r
+                .rows
+                .iter()
+                .map(|p| (p.items, p.arena_occupancy))
+                .collect();
+            (fabric, arenas)
+        };
+        let chaos = cluster.chaos();
+        let mut after_first = None;
+        for cycle in 0..5 {
+            chaos.apply(&mut cluster.sim, &FaultEvent::CrashNode { node: 1 });
+            settle(&mut cluster);
+            chaos.apply(&mut cluster.sim, &FaultEvent::RestartNode { node: 1 });
+            settle(&mut cluster);
+            let now = footprint(&cluster);
+            assert_eq!(
+                *after_first.get_or_insert_with(|| now.clone()),
+                now,
+                "restart {cycle} left the cluster's occupancy somewhere new"
+            );
+        }
+        assert_eq!(
+            cluster.promotions(),
+            1,
+            "only the first crash deposes anyone"
+        );
+        cluster.add_server_with_migration(1);
+        assert_eq!(cluster.ownership_audit(), (0, 0));
+        let nodes = cluster.server_nodes.iter().chain(&cluster.client_nodes);
+        nodes.map(|&n| cluster.fab.mtt_registered(n)).collect()
+    };
+    assert_eq!(
+        churn(4096),
+        churn(2 << 20),
+        "a registration was mapped at the fabric's default page size, not the cluster's"
+    );
+}

@@ -1,23 +1,10 @@
-//! A lock-free hash map in the style of Michael's high-performance dynamic
-//! lock-free hash tables (SPAA '02) — the structure §4.2.4 of the HydraDB
-//! paper uses for the *shared* remote-pointer cache when many client
-//! processes are collocated on one machine.
-//!
-//! Layout: a fixed array of buckets, each the head of a Harris-Michael
-//! lock-free linked list ordered by `(hash, key)`. Deletion is two-phase
-//! (logical mark on the `next` pointer tag, then physical unlink by any
-//! traversal); memory reclamation is epoch-based via `crossbeam-epoch`.
-//! Values are replaced in place through an epoch-protected pointer swap, so
-//! a reader never observes a torn value and an updater never blocks readers.
-//!
-//! The map intentionally does not resize: the pointer cache is sized at
-//! client start (like registered memory, capacity is a deployment-time
-//! decision), and unresizable tables keep every operation lock-free without
-//! helping schemes.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
+//! The client-side remote-pointer cache (§4.2.4 of the HydraDB paper) and
+//! its parts: [`ClockCache`], a bounded CLOCK cache behind one mutex that a
+//! client owns alone or shares with every client on its node; the lock-free
+//! [`FreqSketch`] that gates admission to it; and [`hash_bytes`], the one
+//! key hash both are driven by. The sketch is what is left of the crate's
+//! name: the cache's critical sections are a few probes long, and CLOCK's
+//! hand and the lease wheel want coherent mutation (see [`ClockCache`]).
 
 mod clock;
 mod sketch;
@@ -25,526 +12,36 @@ mod sketch;
 pub use clock::{ClockCache, ClockCacheStats};
 pub use sketch::FreqSketch;
 
-/// Hashes a byte slice with the map's FNV-1a + avalanche mix (shared with
-/// [`ClockCache`] so admission-sketch estimates line up with map placement).
+/// Hashes a key: FNV-1a over the key's length (eight little-endian bytes,
+/// so a key and its zero-extended prefix differ from the first byte) and
+/// then its bytes, finished with an avalanche mix. Stable and
+/// dependency-free: which pointers a cache admits and evicts is a function
+/// of these values, so they are part of every experiment's model.
 pub fn hash_bytes(key: &[u8]) -> u64 {
-    hash_of(key)
-}
-
-/// Hashes a key with FNV-1a + avalanche; stable and dependency-free.
-fn hash_of<K: std::hash::Hash + ?Sized>(key: &K) -> u64 {
-    struct Fnv(u64);
-    impl std::hash::Hasher for Fnv {
-        fn finish(&self) -> u64 {
-            let mut h = self.0;
-            h ^= h >> 30;
-            h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            h ^= h >> 27;
-            h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-            h ^ (h >> 31)
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in (key.len() as u64).to_le_bytes().iter().chain(key) {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
     }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    key.hash(&mut h);
-    std::hash::Hasher::finish(&h)
-}
-
-struct Node<K, V> {
-    hash: u64,
-    key: K,
-    value: Atomic<V>,
-    next: Atomic<Node<K, V>>,
-}
-
-/// A fixed-capacity lock-free hash map. See crate docs.
-///
-/// ```
-/// use hydra_lockfree::LockFreeMap;
-///
-/// let m: LockFreeMap<String, u64> = LockFreeMap::new(64);
-/// assert!(m.insert("ptr:user:1".into(), 0xdead_beef));
-/// assert_eq!(m.get(&"ptr:user:1".into()), Some(0xdead_beef));
-/// assert!(!m.insert("ptr:user:1".into(), 0xcafe)); // replace
-/// assert_eq!(m.remove(&"ptr:user:1".into()), Some(0xcafe));
-/// ```
-pub struct LockFreeMap<K, V> {
-    buckets: Box<[Atomic<Node<K, V>>]>,
-    mask: u64,
-    len: AtomicUsize,
-}
-
-// The map owns K and V values and hands out clones; standard bounds.
-unsafe impl<K: Send + Sync, V: Send + Sync> Send for LockFreeMap<K, V> {}
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for LockFreeMap<K, V> {}
-
-enum FindResult<'g, K, V> {
-    Found {
-        prev: &'g Atomic<Node<K, V>>,
-        cur: Shared<'g, Node<K, V>>,
-    },
-    NotFound {
-        prev: &'g Atomic<Node<K, V>>,
-        next: Shared<'g, Node<K, V>>,
-    },
-}
-
-impl<K, V> LockFreeMap<K, V>
-where
-    K: std::hash::Hash + Ord + Clone,
-    V: Clone,
-{
-    /// Creates a map with at least `buckets` buckets (rounded up to a power
-    /// of two).
-    pub fn new(buckets: usize) -> Self {
-        let n = buckets.next_power_of_two().max(1);
-        let mut v = Vec::with_capacity(n);
-        v.resize_with(n, Atomic::null);
-        LockFreeMap {
-            buckets: v.into_boxed_slice(),
-            mask: (n - 1) as u64,
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Approximate number of entries (exact when quiescent).
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    /// Whether the map is (approximately) empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Harris-Michael search: returns the insertion point for `(hash, key)`,
-    /// physically unlinking any marked nodes encountered on the way.
-    ///
-    /// Generic over a borrowed key form `Q` (like `HashMap::get`) so hot-path
-    /// callers can probe with `&[u8]` without materializing a `Vec<u8>`.
-    fn find<'g, Q>(&'g self, hash: u64, key: &Q, guard: &'g Guard) -> FindResult<'g, K, V>
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let head = &self.buckets[(hash & self.mask) as usize];
-        'retry: loop {
-            let mut prev = head;
-            let mut cur = prev.load(Ordering::Acquire, guard);
-            loop {
-                let Some(cur_ref) = (unsafe { cur.as_ref() }) else {
-                    return FindResult::NotFound {
-                        prev,
-                        next: Shared::null(),
-                    };
-                };
-                let next = cur_ref.next.load(Ordering::Acquire, guard);
-                if next.tag() == 1 {
-                    // cur is logically deleted: help unlink it.
-                    match prev.compare_exchange(
-                        cur.with_tag(0),
-                        next.with_tag(0),
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                        guard,
-                    ) {
-                        Ok(_) => {
-                            unsafe { guard.defer_destroy(cur) };
-                            cur = next.with_tag(0);
-                        }
-                        Err(_) => continue 'retry,
-                    }
-                    continue;
-                }
-                match (cur_ref.hash, cur_ref.key.borrow()).cmp(&(hash, key)) {
-                    std::cmp::Ordering::Less => {
-                        prev = &cur_ref.next;
-                        cur = next;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        return FindResult::Found { prev, cur };
-                    }
-                    std::cmp::Ordering::Greater => {
-                        return FindResult::NotFound { prev, next: cur };
-                    }
-                }
-            }
-        }
-    }
-
-    /// Returns a clone of the value for `key`, if present.
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.get_with(key)
-    }
-
-    /// [`Self::get`] through a borrowed key form: a `LockFreeMap<Vec<u8>, V>`
-    /// answers `get_with(b"k".as_slice())` without allocating the owned key.
-    /// `Q` must hash and order identically to `K` (true for the std
-    /// `Borrow` pairs: `Vec<u8>`/`[u8]`, `String`/`str`).
-    pub fn get_with<Q>(&self, key: &Q) -> Option<V>
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: std::hash::Hash + Ord + ?Sized,
-    {
-        let hash = hash_of(key);
-        let guard = &epoch::pin();
-        match self.find(hash, key, guard) {
-            FindResult::Found { cur, .. } => {
-                let cur_ref = unsafe { cur.as_ref() }.expect("found node is non-null");
-                let v = cur_ref.value.load(Ordering::Acquire, guard);
-                // Value pointers are never null while the node is reachable.
-                Some(unsafe { v.as_ref() }.expect("value present").clone())
-            }
-            FindResult::NotFound { .. } => None,
-        }
-    }
-
-    /// Inserts or replaces. Returns `true` when the key was newly inserted,
-    /// `false` when an existing value was replaced.
-    pub fn insert(&self, key: K, value: V) -> bool {
-        let hash = hash_of(&key);
-        let guard = &epoch::pin();
-        let mut value = Owned::new(value);
-        loop {
-            match self.find(hash, &key, guard) {
-                FindResult::Found { cur, .. } => {
-                    let cur_ref = unsafe { cur.as_ref() }.expect("found node is non-null");
-                    let old = cur_ref.value.swap(value, Ordering::AcqRel, guard);
-                    unsafe { guard.defer_destroy(old) };
-                    return false;
-                }
-                FindResult::NotFound { prev, next } => {
-                    let node = Owned::new(Node {
-                        hash,
-                        key: key.clone(),
-                        value: Atomic::from(value),
-                        next: Atomic::from(next),
-                    });
-                    match prev.compare_exchange(
-                        next.with_tag(0),
-                        node,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                        guard,
-                    ) {
-                        Ok(_) => {
-                            self.len.fetch_add(1, Ordering::Relaxed);
-                            return true;
-                        }
-                        Err(e) => {
-                            // Reclaim the failed node; retry with the value.
-                            let node = e.new;
-                            let inner = node.into_box();
-                            let v = inner.value.load(Ordering::Acquire, guard);
-                            value = unsafe { v.into_owned() };
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Removes `key`. Returns the removed value, or `None` if absent.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        self.remove_with(key)
-    }
-
-    /// [`Self::remove`] through a borrowed key form (see [`Self::get_with`]).
-    pub fn remove_with<Q>(&self, key: &Q) -> Option<V>
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: std::hash::Hash + Ord + ?Sized,
-    {
-        let hash = hash_of(key);
-        let guard = &epoch::pin();
-        loop {
-            match self.find(hash, key, guard) {
-                FindResult::NotFound { .. } => return None,
-                FindResult::Found { prev, cur } => {
-                    let cur_ref = unsafe { cur.as_ref() }.expect("found node is non-null");
-                    let next = cur_ref.next.load(Ordering::Acquire, guard);
-                    if next.tag() == 1 {
-                        continue; // someone else is deleting it; re-find
-                    }
-                    // Logical delete: mark the next pointer.
-                    if cur_ref
-                        .next
-                        .compare_exchange(
-                            next,
-                            next.with_tag(1),
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                            guard,
-                        )
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.len.fetch_sub(1, Ordering::Relaxed);
-                    let out = {
-                        let v = cur_ref.value.load(Ordering::Acquire, guard);
-                        unsafe { v.as_ref() }.expect("value present").clone()
-                    };
-                    // Physical unlink (best effort; traversals will finish it).
-                    if prev
-                        .compare_exchange(
-                            cur.with_tag(0),
-                            next.with_tag(0),
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                            guard,
-                        )
-                        .is_ok()
-                    {
-                        unsafe { guard.defer_destroy(cur) };
-                    }
-                    return Some(out);
-                }
-            }
-        }
-    }
-
-    /// Visits a snapshot of live entries. Concurrent mutations may or may
-    /// not be observed; each live key is visited at most once.
-    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        let guard = &epoch::pin();
-        for head in self.buckets.iter() {
-            let mut cur = head.load(Ordering::Acquire, guard);
-            while let Some(cur_ref) = unsafe { cur.as_ref() } {
-                let next = cur_ref.next.load(Ordering::Acquire, guard);
-                if next.tag() == 0 {
-                    let v = cur_ref.value.load(Ordering::Acquire, guard);
-                    f(&cur_ref.key, unsafe { v.as_ref() }.expect("value present"));
-                }
-                cur = next.with_tag(0);
-            }
-        }
-    }
-}
-
-impl<K, V> Drop for LockFreeMap<K, V> {
-    fn drop(&mut self) {
-        // Exclusive access: walk and free all nodes and values directly.
-        let guard = unsafe { epoch::unprotected() };
-        for head in self.buckets.iter() {
-            let mut cur = head.load(Ordering::Relaxed, guard);
-            while !cur.is_null() {
-                let owned = unsafe { cur.into_owned() };
-                let value = owned.value.load(Ordering::Relaxed, guard);
-                if !value.is_null() {
-                    drop(unsafe { value.into_owned() });
-                }
-                cur = owned.next.load(Ordering::Relaxed, guard).with_tag(0);
-            }
-        }
-    }
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
+    /// The values every committed result was produced under.
     #[test]
-    fn insert_get_remove_basics() {
-        let m: LockFreeMap<String, u64> = LockFreeMap::new(16);
-        assert!(m.insert("a".into(), 1));
-        assert!(m.insert("b".into(), 2));
-        assert!(!m.insert("a".into(), 10), "replace reports false");
-        assert_eq!(m.get(&"a".into()), Some(10));
-        assert_eq!(m.get(&"b".into()), Some(2));
-        assert_eq!(m.get(&"c".into()), None);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.remove(&"a".into()), Some(10));
-        assert_eq!(m.remove(&"a".into()), None);
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn borrowed_key_lookups_match_owned_lookups() {
-        // `Vec<u8>` keys probed with `&[u8]` — the shared pointer cache's
-        // hot path. Hash and order must agree across the Borrow pair.
-        let m: LockFreeMap<Vec<u8>, u64> = LockFreeMap::new(8);
-        for i in 0..200u64 {
-            m.insert(format!("key-{i}").into_bytes(), i);
-        }
-        for i in 0..200u64 {
-            let owned = format!("key-{i}").into_bytes();
-            assert_eq!(m.get_with(owned.as_slice()), Some(i), "key {i}");
-            assert_eq!(m.get(&owned), m.get_with(owned.as_slice()));
-        }
-        assert_eq!(m.get_with(b"absent".as_slice()), None);
-        assert_eq!(m.remove_with(b"key-7".as_slice()), Some(7));
-        assert_eq!(m.get_with(b"key-7".as_slice()), None);
-        assert_eq!(m.len(), 199);
-    }
-
-    #[test]
-    fn collisions_in_single_bucket() {
-        let m: LockFreeMap<u64, u64> = LockFreeMap::new(1);
-        for i in 0..100 {
-            assert!(m.insert(i, i * 10));
-        }
-        for i in 0..100 {
-            assert_eq!(m.get(&i), Some(i * 10), "key {i}");
-        }
-        for i in (0..100).step_by(2) {
-            assert_eq!(m.remove(&i), Some(i * 10));
-        }
-        for i in 0..100 {
-            let expect = if i % 2 == 0 { None } else { Some(i * 10) };
-            assert_eq!(m.get(&i), expect, "key {i}");
-        }
-        assert_eq!(m.len(), 50);
-    }
-
-    #[test]
-    fn for_each_sees_live_entries() {
-        let m: LockFreeMap<u64, u64> = LockFreeMap::new(8);
-        for i in 0..20 {
-            m.insert(i, i);
-        }
-        m.remove(&7);
-        let mut seen = Vec::new();
-        m.for_each(|k, v| seen.push((*k, *v)));
-        seen.sort_unstable();
-        let expect: Vec<(u64, u64)> = (0..20).filter(|&i| i != 7).map(|i| (i, i)).collect();
-        assert_eq!(seen, expect);
-    }
-
-    #[test]
-    fn randomized_against_std_hashmap() {
-        use rand::{rngs::SmallRng, Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(2024);
-        let m: LockFreeMap<u32, u32> = LockFreeMap::new(8);
-        let mut reference = std::collections::HashMap::new();
-        for _ in 0..30_000 {
-            let k = rng.gen_range(0..400u32);
-            match rng.gen_range(0..4) {
-                0 | 1 => {
-                    let v = rng.gen();
-                    let newly = m.insert(k, v);
-                    assert_eq!(newly, reference.insert(k, v).is_none());
-                }
-                2 => assert_eq!(m.get(&k), reference.get(&k).copied()),
-                _ => assert_eq!(m.remove(&k), reference.remove(&k)),
-            }
-            assert_eq!(m.len(), reference.len());
-        }
-    }
-
-    #[test]
-    fn concurrent_disjoint_writers() {
-        let m: Arc<LockFreeMap<u64, u64>> = Arc::new(LockFreeMap::new(64));
-        let threads = 4;
-        let per = 2_000u64;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let m = m.clone();
-                std::thread::spawn(move || {
-                    for i in 0..per {
-                        let k = t * per + i;
-                        assert!(m.insert(k, k * 2));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(m.len(), (threads * per) as usize);
-        for k in 0..threads * per {
-            assert_eq!(m.get(&k), Some(k * 2));
-        }
-    }
-
-    #[test]
-    fn concurrent_same_key_churn() {
-        // Many threads hammering one key: the cascading-invalidation scenario
-        // of §4.2.4. Final state must be a value some thread wrote, and no
-        // crash/UAF may occur under mark/unlink races.
-        let m: Arc<LockFreeMap<u64, u64>> = Arc::new(LockFreeMap::new(4));
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let m = m.clone();
-                std::thread::spawn(move || {
-                    for i in 0..3_000u64 {
-                        match (t + i) % 3 {
-                            0 => {
-                                m.insert(42, t * 1_000_000 + i);
-                            }
-                            1 => {
-                                if let Some(v) = m.get(&42) {
-                                    assert!(v % 1_000_000 < 3_000 || v < 4_000_000);
-                                }
-                            }
-                            _ => {
-                                m.remove(&42);
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(m.len() <= 1);
-    }
-
-    #[test]
-    fn concurrent_mixed_workload_consistency() {
-        // Writers insert k -> k; removers delete; readers must only ever see
-        // v == k (values are never torn or mismatched).
-        let m: Arc<LockFreeMap<u64, u64>> = Arc::new(LockFreeMap::new(32));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for t in 0..2 {
-            let m = m.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..5_000u64 {
-                    let k = (i * 7 + t * 13) % 257;
-                    if i % 3 == 0 {
-                        m.remove(&k);
-                    } else {
-                        m.insert(k, k);
-                    }
-                }
-            }));
-        }
-        {
-            let m = m.clone();
-            let stop = stop.clone();
-            handles.push(std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    for k in 0..257u64 {
-                        if let Some(v) = m.get(&k) {
-                            assert_eq!(v, k, "reader saw mismatched value");
-                        }
-                    }
-                }
-            }));
-        }
-        for h in handles.drain(..2) {
-            h.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn drop_frees_populated_map() {
-        let m: LockFreeMap<u64, Vec<u8>> = LockFreeMap::new(8);
-        for i in 0..1_000 {
-            m.insert(i, vec![0u8; 64]);
-        }
-        drop(m); // Miri/ASan would flag leaks or double frees here.
+    fn hash_values_are_pinned() {
+        assert_eq!(hash_bytes(b""), 0x813f_0174_a236_7c13);
+        assert_eq!(hash_bytes(b"a"), 0xb2a8_1edc_870f_611d);
+        assert_eq!(hash_bytes(b"user0000000042"), 0x5753_ab5c_61d4_2583);
+        assert_eq!(
+            hash_bytes(b"a-key-longer-than-twenty-two-bytes-0001"),
+            0x26b7_982a_e7e5_2dc6
+        );
     }
 }

@@ -35,12 +35,11 @@
 //!   and processing failures stall the watermark until the rollback resend
 //!   repairs them), so an acknowledged write survives a primary crash.
 //!   The secondary drains each delivered quantum through a batched applier:
-//!   consecutive records of one drain pass merge at
-//!   [`ReplConfig::batch_apply_factor`] of the cold cost (streaming a
-//!   contiguous log quantum, the way the server's `run_batch` amortizes),
-//!   and the watermark ack is published from the receive path, delayed only
-//!   when the merge backlog exceeds [`ReplConfig::staged_ack_lag_ns`]
-//!   (bounded-apply-queue backpressure).
+//!   consecutive records of one drain pass merge at `BATCH_APPLY_FACTOR`
+//!   of the cold cost (streaming a contiguous log quantum, the way the
+//!   server's `run_batch` amortizes), and the watermark ack is published
+//!   from the receive path, delayed only when the merge backlog exceeds
+//!   `STAGED_ACK_LAG_NS` (bounded-apply-queue backpressure).
 //!
 //! The channel is also the partition's failure detector and its fence
 //! (DESIGN.md §16). The primary [`stamp`](ReplicationPair::stamp)s a liveness
@@ -124,24 +123,6 @@ pub struct ReplConfig {
     pub mode: ReplMode,
     /// Secondary CPU cost to merge one record into its store.
     pub apply_cost_ns: u64,
-    /// Merge-cost multiplier for records merged mid-stream by the batched
-    /// applier. Streaming backlogged log records out of the ring amortizes
-    /// decode and overlaps index/arena cache misses the way the server's
-    /// `run_batch` does, so a warm merge costs
-    /// `apply_cost_ns * batch_apply_factor`. The stream breaks — and the
-    /// next record pays the full cold cost — when the applier idles, and
-    /// whenever a per-record acknowledgement (Strict, and Logging's every
-    /// `ack_every`-th record) forces the applier out of its decode-merge
-    /// loop to build the ack. Group commit's cumulative watermark is
-    /// published from the receive path, so its acks never break the stream.
-    pub batch_apply_factor: f64,
-    /// GroupCommit only: how far (in modeled merge time) the receive-path
-    /// watermark ack may run ahead of the applier's merge completion.
-    /// Within the bound the ack is published as soon as the quantum is
-    /// staged; beyond it the ack is delayed by the excess — a bounded
-    /// apply queue, so acknowledgement throughput can never outrun the
-    /// applier for long.
-    pub staged_ack_lag_ns: u64,
     /// Translation page size the ring and ack regions register with on the
     /// fabric's NIC model (4 KiB default mappings; 2 MiB collapses the MTT
     /// footprint).
@@ -154,8 +135,6 @@ impl Default for ReplConfig {
             ring_words: 1 << 16,
             mode: ReplMode::Logging { ack_every: 32 },
             apply_cost_ns: 600,
-            batch_apply_factor: 0.55,
-            staged_ack_lag_ns: 25_000,
             page_bytes: 4096,
         }
     }
@@ -170,6 +149,24 @@ pub const RING_HEADROOM_WORDS: usize = 16;
 /// watermark for an `AckRequest`, or building and posting one ack WQE. The
 /// records themselves carry the (much larger) merge cost.
 const ACK_CONTROL_NS: u64 = 100;
+
+/// Merge-cost multiplier for records merged mid-stream by the batched
+/// applier. Streaming backlogged log records out of the ring amortizes
+/// decode and overlaps index/arena cache misses the way the server's
+/// `run_batch` does, so a warm merge costs `apply_cost_ns ×` this. The
+/// stream breaks — and the next record pays the full cold cost — when the
+/// applier idles, and whenever a per-record acknowledgement (Strict, and
+/// Logging's every `ack_every`-th record) forces the applier out of its
+/// decode-merge loop to build the ack. Group commit's cumulative watermark
+/// is published from the receive path, so its acks never break the stream.
+const BATCH_APPLY_FACTOR: f64 = 0.55;
+
+/// GroupCommit only: how far (in modeled merge time) the receive-path
+/// watermark ack may run ahead of the applier's merge completion. Within
+/// the bound the ack is published as soon as the quantum is staged; beyond
+/// it the ack is delayed by the excess — a bounded apply queue, so
+/// acknowledgement throughput can never outrun the applier for long.
+const STAGED_ACK_LAG_NS: u64 = 25_000;
 
 /// Errors surfaced by the replication API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -566,7 +563,8 @@ impl ReplicationPair {
     /// *current* state, which already contains every record this channel
     /// could still have delivered — and every later call on the pair is a
     /// no-op (completions still fire so callers never hang). The channel's
-    /// QP is released with it: writes already posted land without it.
+    /// QP, ring and ack region are released with it: writes already posted
+    /// bounce off the deregistered ring.
     pub fn sever(&self, sim: &mut Sim) {
         if self.shared.severed.replace(true) {
             return;
@@ -574,7 +572,10 @@ impl ReplicationPair {
         let mut fire: Vec<DoneCb> = Vec::new();
         {
             let mut p = self.shared.p.borrow_mut();
-            self.shared.fab.disconnect(p.qp);
+            let fab = &self.shared.fab;
+            fab.disconnect(p.qp);
+            fab.deregister(p.ring_region);
+            fab.deregister(self.shared.s.borrow().ack_region);
             // In sequence order: the release order must not depend on the
             // map's per-process hashing.
             let mut waiters: Vec<(u64, DoneCb)> = p.waiters.drain().collect();
@@ -1087,7 +1088,7 @@ impl ReplicationPair {
     ///
     /// The drain is a batched applier: the first record of a pass pays the
     /// cold `apply_cost_ns`, and each consecutive in-order record after it
-    /// merges warm at `apply_cost_ns * batch_apply_factor` — streaming a
+    /// merges warm at `apply_cost_ns ×` [`BATCH_APPLY_FACTOR`] — streaming a
     /// contiguous log quantum out of the ring amortizes decode and
     /// overlaps index/arena misses. Sending an ack ends the stream (the
     /// applier turned around to talk to the NIC), which is also what keeps
@@ -1141,7 +1142,7 @@ impl ReplicationPair {
 
     /// Merges one record, tracking the applier's warm-stream state: a
     /// record that reaches a still-busy applier whose stream is unbroken
-    /// pays the amortized `batch_apply_factor` cost; `AckRequest`s are
+    /// pays the amortized [`BATCH_APPLY_FACTOR`] cost; `AckRequest`s are
     /// control records (they only read the watermark) and cost a fixed
     /// [`ACK_CONTROL_NS`].
     fn apply_record(shared: &Rc<Shared>, sim: &mut Sim, payload: &[u8]) {
@@ -1181,9 +1182,7 @@ impl ReplicationPair {
                 let cost = if rec.op == LogOp::AckRequest {
                     ACK_CONTROL_NS
                 } else if s.stream_warm && s.cpu.free_at() > now {
-                    (((shared.cfg.apply_cost_ns as f64) * shared.cfg.batch_apply_factor).round()
-                        as u64)
-                        .max(1)
+                    (((shared.cfg.apply_cost_ns as f64) * BATCH_APPLY_FACTOR).round() as u64).max(1)
                 } else {
                     shared.cfg.apply_cost_ns
                 };
@@ -1240,7 +1239,7 @@ impl ReplicationPair {
                 // that backlog exceeds the bounded apply queue, in which
                 // case the ack waits out the excess as backpressure.
                 let merge_lag = s.cpu.free_at().saturating_sub(now);
-                ACK_CONTROL_NS + merge_lag.saturating_sub(shared.cfg.staged_ack_lag_ns)
+                ACK_CONTROL_NS + merge_lag.saturating_sub(STAGED_ACK_LAG_NS)
             } else {
                 // Per-record protocol: the applier thread itself builds and
                 // posts the ack once it reaches the record — leaving the

@@ -95,11 +95,6 @@ impl Arena {
         }
     }
 
-    /// Creates an arena sized in bytes (rounded down to whole words).
-    pub fn with_capacity_bytes(bytes: usize) -> Self {
-        Self::new(bytes / 8)
-    }
-
     /// The raw word slice — this is the "registered memory region" remote
     /// peers read through one-sided operations.
     #[inline]

@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::AtomicU64;
 
 use crate::arena::Arena;
-use crate::index::{AnyIndex, Index, IndexKind};
+use crate::index::{AnyIndex, IndexKind};
 use crate::item::{item_words, ItemRef};
 use crate::reclaim::ReclaimQueue;
 use crate::{hash_key, ArenaStats, SkipListStats, TableStats};
@@ -175,11 +175,6 @@ impl ShardEngine {
         }
     }
 
-    /// Which index structure this shard runs.
-    pub fn index_kind(&self) -> IndexKind {
-        self.table.kind()
-    }
-
     /// Whether the index has an incremental resize in progress.
     pub fn index_resizing(&self) -> bool {
         self.table.is_resizing()
@@ -274,7 +269,7 @@ impl ShardEngine {
     /// maintain their view; hash-only indexes ignore them.
     fn index_insert(&mut self, hash: u64, key: &[u8], off: u64) {
         let words = self.arena.words();
-        self.table.insert_keyed(hash, key, off, |o| {
+        self.table.insert(hash, key, off, |o| {
             ItemRef { off: o }.stored_key_hash(words)
         });
     }
@@ -323,7 +318,7 @@ impl ShardEngine {
                 let victim_key = item.key(words);
                 let removed = self
                     .table
-                    .remove_keyed(
+                    .remove(
                         h,
                         &victim_key,
                         |o| o == off,
@@ -452,7 +447,7 @@ impl ShardEngine {
         let old_words = old_item.total_words(words);
         let old_lease = old_item.lease(words);
         old_item.kill(words);
-        let replaced = self.table.replace_keyed(
+        let replaced = self.table.replace(
             hash,
             key,
             new_off,
@@ -639,7 +634,7 @@ impl ShardEngine {
         let item = ItemRef { off };
         let total = item.total_words(words);
         let lease = item.lease(words);
-        self.table.remove_keyed(
+        self.table.remove(
             hash,
             key,
             |o| o == off,

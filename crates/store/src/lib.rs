@@ -37,7 +37,7 @@ pub use engine::{
     EngineConfig, EngineError, EngineStats, GetResult, ItemInfo, ShardEngine, WriteMode,
 };
 pub use heat::{HeatEntry, HeatSketch};
-pub use index::{AnyIndex, Index, IndexKind};
+pub use index::{AnyIndex, IndexKind};
 pub use item::{
     item_words, rdma_read_len, FetchedItem, ItemError, ItemRef, GUARD_DEAD, GUARD_VALID,
 };

@@ -18,10 +18,11 @@
 //! unlinks, readers of a stale snapshot finish their walk, reclaim frees.
 //!
 //! [`HybridTable`] pairs the skiplist with a [`PackedTable`]: point lookups
-//! keep hitting the SWAR hash path untouched, while the keyed mutation hooks
-//! ([`Index::insert_keyed`] and friends) maintain the ordered view alongside.
-//! Ordered iteration ([`Index::scan_from`]) walks the leaves, presenting each
-//! key through a reused scratch buffer so steady-state scans allocate nothing.
+//! keep hitting the SWAR hash path untouched, while every mutation
+//! ([`HybridTable::insert`] and friends) carries the key and maintains the
+//! ordered view alongside. Ordered iteration ([`HybridTable::scan_from`])
+//! walks the leaves, presenting each key through a reused scratch buffer so
+//! steady-state scans allocate nothing.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::hint::black_box;
@@ -30,7 +31,6 @@ use std::sync::Arc;
 
 use crate::arena::{size_class, Arena};
 use crate::hash_key;
-use crate::index::Index;
 use crate::item::{cmp_packed, ItemRef};
 use crate::packed::PackedTable;
 use crate::table::TableStats;
@@ -619,34 +619,33 @@ impl HybridTable {
         self.ordered.stats()
     }
 
-    /// The hash side, for direct inspection in tests.
-    pub fn hash(&self) -> &PackedTable {
-        &self.hash
-    }
-}
-
-impl Index for HybridTable {
-    fn len(&self) -> usize {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
         self.hash.len()
     }
 
-    fn stats(&self) -> TableStats {
+    /// Whether the index is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Hash-side statistics snapshot.
+    pub fn stats(&self) -> TableStats {
         self.hash.stats()
     }
 
-    fn reset_stats(&mut self) {
-        self.hash.reset_stats();
-    }
-
-    fn mem_bytes(&self) -> usize {
+    /// Bytes held by both sides' live structures.
+    pub fn mem_bytes(&self) -> usize {
         self.hash.mem_bytes() + self.ordered.mem_bytes()
     }
 
-    fn lookup(&mut self, hash: u64, is_match: impl FnMut(u64) -> bool) -> Option<u64> {
+    /// Point lookup on the hash side (see [`PackedTable::lookup`]).
+    pub fn lookup(&mut self, hash: u64, is_match: impl FnMut(u64) -> bool) -> Option<u64> {
         self.hash.lookup(hash, is_match)
     }
 
-    fn lookup_batch(
+    /// Batched point lookup on the hash side.
+    pub fn lookup_batch(
         &mut self,
         hashes: &[u64],
         out: &mut [Option<u64>],
@@ -655,35 +654,16 @@ impl Index for HybridTable {
         self.hash.lookup_batch(hashes, out, is_match)
     }
 
-    fn insert(&mut self, _hash: u64, _offset: u64, _rehash: impl FnMut(u64) -> u64) {
-        panic!("hybrid index requires keyed mutation (insert_keyed)");
-    }
-
-    fn replace(
-        &mut self,
-        _hash: u64,
-        _new_offset: u64,
-        _is_match: impl FnMut(u64) -> bool,
-        _rehash: impl FnMut(u64) -> u64,
-    ) -> Option<u64> {
-        panic!("hybrid index requires keyed mutation (replace_keyed)");
-    }
-
-    fn remove(
-        &mut self,
-        _hash: u64,
-        _is_match: impl FnMut(u64) -> bool,
-        _rehash: impl FnMut(u64) -> u64,
-    ) -> Option<u64> {
-        panic!("hybrid index requires keyed mutation (remove_keyed)");
-    }
-
-    fn insert_keyed(&mut self, hash: u64, key: &[u8], offset: u64, rehash: impl FnMut(u64) -> u64) {
+    /// Inserts `(hash, offset)` on the hash side and `key` on the ordered
+    /// side; the caller guarantees the key is absent.
+    pub fn insert(&mut self, hash: u64, key: &[u8], offset: u64, rehash: impl FnMut(u64) -> u64) {
         self.hash.insert(hash, offset, rehash);
         self.ordered.upsert(&self.mem, key, offset);
     }
 
-    fn replace_keyed(
+    /// Replaces the offset of `key`'s entry on both sides; returns the old
+    /// offset.
+    pub fn replace(
         &mut self,
         hash: u64,
         key: &[u8],
@@ -698,7 +678,8 @@ impl Index for HybridTable {
         old
     }
 
-    fn remove_keyed(
+    /// Removes `key`'s entry from both sides; returns its offset.
+    pub fn remove(
         &mut self,
         hash: u64,
         key: &[u8],
@@ -712,31 +693,34 @@ impl Index for HybridTable {
         old
     }
 
-    fn touch(&mut self, hash: u64, offset: u64, lease_class: u8) {
+    /// Refreshes the hash side's inline lease class.
+    pub fn touch(&mut self, hash: u64, offset: u64, lease_class: u8) {
         self.hash.touch(hash, offset, lease_class)
     }
 
-    fn for_each(&self, f: impl FnMut(u64)) {
+    /// Visits every stored offset (hash-side order).
+    pub fn for_each(&self, f: impl FnMut(u64)) {
         self.hash.for_each(f)
     }
 
-    fn is_resizing(&self) -> bool {
+    /// Whether the hash side's incremental resize is in progress.
+    pub fn is_resizing(&self) -> bool {
         self.hash.is_resizing()
     }
 
-    fn retired_bytes(&self) -> usize {
+    /// Bytes either side has parked awaiting reclamation.
+    pub fn retired_bytes(&self) -> usize {
         self.hash.retired_bytes() + self.ordered.retired_bytes()
     }
 
-    fn reclaim_retired(&mut self) -> usize {
+    /// Frees both sides' retired structures; returns how many.
+    pub fn reclaim_retired(&mut self) -> usize {
         self.hash.reclaim_retired() + self.ordered.reclaim_retired()
     }
 
-    fn is_ordered(&self) -> bool {
-        true
-    }
-
-    fn scan_from(&mut self, start: &[u8], f: impl FnMut(&[u8], u64) -> bool) -> bool {
+    /// Ordered iteration from the first key `>= start`; see
+    /// [`crate::AnyIndex::scan_from`].
+    pub fn scan_from(&mut self, start: &[u8], f: impl FnMut(&[u8], u64) -> bool) -> bool {
         self.ordered.scan_from(&self.mem, start, f)
     }
 }
@@ -1087,7 +1071,7 @@ mod tests {
         let rehash = |o: u64| ItemRef { off: o }.stored_key_hash(&mem);
         let offs: Vec<u64> = keys.iter().map(|k| write(k)).collect();
         for (k, &off) in keys.iter().zip(&offs) {
-            t.insert_keyed(hash_key(k), k, off, rehash);
+            t.insert(hash_key(k), k, off, rehash);
         }
         assert_eq!(t.len(), 300);
         assert_eq!(t.ordered_stats().len, 300);
@@ -1100,19 +1084,15 @@ mod tests {
         let h = hash_key(&keys[7]);
         let moved = write(&keys[7]);
         assert_eq!(
-            t.replace_keyed(h, &keys[7], moved, |o| o == offs[7], rehash),
+            t.replace(h, &keys[7], moved, |o| o == offs[7], rehash),
             Some(offs[7])
         );
         assert_eq!(t.ordered_get(&keys[7]), Some(moved));
         // Remove drops both sides.
-        assert_eq!(
-            t.remove_keyed(h, &keys[7], |o| o == moved, rehash),
-            Some(moved)
-        );
+        assert_eq!(t.remove(h, &keys[7], |o| o == moved, rehash), Some(moved));
         assert_eq!(t.len(), 299);
         assert_eq!(t.ordered_stats().len, 299);
         assert_eq!(t.ordered_get(&keys[7]), None);
-        assert!(t.is_ordered());
         // The hash side's growth retired group arrays; one pump frees them.
         assert!(t.retired_bytes() > 0);
         t.reclaim_retired();
@@ -1123,13 +1103,12 @@ mod tests {
     fn hybrid_is_constructible_through_the_index_kind() {
         let mut arena = Arena::new(64);
         let mut any = crate::AnyIndex::with_capacity(IndexKind::Hybrid, 16, &arena);
-        assert_eq!(any.kind(), IndexKind::Hybrid);
         assert!(any.is_ordered());
         let k = b"via-any".to_vec();
         let h = hash_key(&k);
         let off = arena.alloc(item_words(k.len(), 0)).expect("arena");
         ItemRef::write_new(arena.words(), off, &k, b"");
-        any.insert_keyed(h, &k, off, |_| unreachable!());
+        any.insert(h, &k, off, |_| unreachable!());
         assert_eq!(any.lookup(h, |o| o == off), Some(off));
         let mut seen = Vec::new();
         let exhausted = any.scan_from(b"", |key, off| {

@@ -226,11 +226,6 @@ impl BatchBuilder {
         &self.buf
     }
 
-    /// Encoded size in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Encoded size in bytes if one more `msg_len`-byte message were pushed.
     pub fn byte_len_with(&self, msg_len: usize) -> usize {
         self.buf.len() + BATCH_ENTRY_HDR + msg_len

@@ -26,7 +26,6 @@ pub struct ZipfianGenerator {
     n: u64,
     theta: f64,
     zetan: f64,
-    zeta2: f64,
     kind: DrawKind,
 }
 
@@ -60,7 +59,6 @@ impl ZipfianGenerator {
             n,
             theta,
             zetan,
-            zeta2,
             kind,
         }
     }
@@ -123,11 +121,6 @@ impl ZipfianGenerator {
         h ^= h >> 33;
         h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
         h ^ (h >> 33)
-    }
-
-    /// The ζ(2)/ζ(n) diagnostics pair (exposed for tests).
-    pub fn zetas(&self) -> (f64, f64) {
-        (self.zeta2, self.zetan)
     }
 }
 

@@ -78,7 +78,13 @@ done
 echo "==> chaos soak (100 fixed-seed fault plans, full consistency checks)"
 cargo test -q --release -p hydra-integration --test chaos -- --ignored
 
-echo "==> counted lines and config field counts (report only)"
+echo "==> counted lines, config field counts, unsafe lines, vendored crates (report only)"
 scripts/loc.sh
+
+echo "==> pub fns no production code reaches (report only)"
+scripts/unreached.sh
+
+echo "==> the benchmark's sources and declaration are as committed"
+git diff --exit-code -- benchmark/src BENCHMARK.json
 
 echo "OK: all tier-1 checks passed"

@@ -2,7 +2,8 @@
 # Counted lines: the size figure CHANGES.md quotes from PR to PR.
 # Non-blank, non-comment (`//`, `///`, `//!`) lines of crates/*/src outside
 # `#[cfg(test)] mod` blocks, per crate and in total, plus the public field
-# counts of the three config structs. A report, not a gate.
+# counts of the four config structs, the lines that say `unsafe` and the
+# number of vendored crates. A report, not a gate.
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -41,7 +42,12 @@ for crate in crates/*/; do
 done
 printf '%-14s %6d\n' "crates/*/src" "$total"
 echo
-printf 'pub fields: ClusterConfig %d, CostModel %d, FabricConfig %d\n' \
+printf 'pub fields: ClusterConfig %d, CostModel %d, FabricConfig %d, ReplConfig %d\n' \
     "$(fields ClusterConfig crates/hydradb/src/config.rs)" \
     "$(fields CostModel crates/hydradb/src/config.rs)" \
-    "$(fields FabricConfig crates/fabric/src/config.rs)"
+    "$(fields FabricConfig crates/fabric/src/config.rs)" \
+    "$(fields ReplConfig crates/replication/src/lib.rs)"
+# Code lines only: a comment that mentions the word is not one.
+printf 'unsafe lines under crates/*/src: %d\n' \
+    "$(grep -rhE '\bunsafe\b' crates/*/src --include='*.rs' | grep -cvE '^[[:space:]]*//')"
+printf 'vendored crates: %d\n' "$(find vendor -mindepth 1 -maxdepth 1 -type d | wc -l)"

@@ -7,7 +7,9 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use hydra_db::{ClusterBuilder, ClusterConfig, OpError, ReplicationMode};
+use hydra_db::server::ShardServer;
+use hydra_db::{ClusterBuilder, ClusterConfig, ExecModel, OpError, ReplicationMode};
+use hydra_wire::{BatchBuilder, BatchFrame, KeyList, Request, BATCH_MAGIC};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -142,8 +144,203 @@ fn run_scenario(ops: Vec<Op>, cfg: ClusterConfig) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// One arrival at the shard's admission site, to be built from a template.
+#[derive(Debug, Clone)]
+struct Arrival {
+    /// 0: the raw bytes; 1: the raw bytes behind the batch magic;
+    /// 2: a valid request cut short; 3: a valid request with one bit flipped;
+    /// 4 / 5: a valid frame whose middle request is cut short / bit-flipped;
+    /// 6 / 7: a whole valid frame cut short / bit-flipped;
+    /// 8 / 9: a valid request / a valid frame, untouched.
+    shape: u8,
+    /// Which valid request is the template (or the frame's middle entry).
+    template: u8,
+    raw: Vec<u8>,
+    /// Where to cut or which bit to flip, scaled to the victim's length.
+    at: u16,
+}
+
+fn arrivals() -> impl Strategy<Value = Vec<Arrival>> {
+    proptest::collection::vec(
+        (
+            0u8..10,
+            any::<u8>(),
+            proptest::collection::vec(any::<u8>(), 0..96),
+            any::<u16>(),
+        )
+            .prop_map(|(shape, template, raw, at)| Arrival {
+                shape,
+                template,
+                raw,
+                at,
+            }),
+        1..24,
+    )
+}
+
+/// One valid encoded request of each kind, over keys the shard may or may
+/// not hold. Ids sit far above anything the client issues.
+fn valid_request(template: u8) -> Vec<u8> {
+    let req_id = (1 << 40) + template as u64;
+    let key = key_of(template % 8);
+    let other = key_of(template % 8 + 1);
+    let keys = [key.as_slice(), other.as_slice()];
+    match template % 6 {
+        0 => Request::Get { req_id, key: &key },
+        1 => Request::Insert {
+            req_id,
+            key: &key,
+            value: b"injected",
+        },
+        2 => Request::Update {
+            req_id,
+            key: &key,
+            value: b"injected-update",
+        },
+        3 => Request::Delete { req_id, key: &key },
+        4 => Request::LeaseRenew {
+            req_id,
+            keys: KeyList::Slices(&keys),
+        },
+        _ => Request::Scan {
+            req_id,
+            start: &key,
+            limit: template as u32,
+        },
+    }
+    .encode()
+}
+
+fn cut(mut bytes: Vec<u8>, at: u16) -> Vec<u8> {
+    // Always strictly shorter: a cut request can never decode.
+    bytes.truncate(at as usize % bytes.len());
+    bytes
+}
+
+fn flip(mut bytes: Vec<u8>, at: u16) -> Vec<u8> {
+    let bit = at as usize % (bytes.len() * 8);
+    bytes[bit / 8] ^= 1 << (bit % 8);
+    bytes
+}
+
+fn frame_of(msgs: &[Vec<u8>]) -> Vec<u8> {
+    let mut b = BatchBuilder::new();
+    for m in msgs {
+        b.push(m);
+    }
+    b.bytes().to_vec()
+}
+
+impl Arrival {
+    fn payload(&self) -> Vec<u8> {
+        let valid = valid_request(self.template);
+        let around = |middle: Vec<u8>| {
+            frame_of(&[
+                valid_request(self.template.wrapping_add(1)),
+                middle,
+                valid_request(self.template.wrapping_add(2)),
+            ])
+        };
+        match self.shape {
+            0 => self.raw.clone(),
+            1 => [&[BATCH_MAGIC], self.raw.as_slice()].concat(),
+            2 => cut(valid, self.at),
+            3 => flip(valid, self.at),
+            4 => around(cut(valid, self.at)),
+            5 => around(flip(valid, self.at)),
+            6 => cut(around(valid), self.at),
+            7 => flip(around(valid), self.at),
+            8 => valid,
+            _ => around(valid),
+        }
+    }
+}
+
+/// How many requests `payload` carries if every byte of it decodes, `None`
+/// if any does not. Cut-short payloads are bad by construction; the rest
+/// are judged by the codec, as the server must.
+fn requests_in(payload: &[u8]) -> Option<u64> {
+    if BatchFrame::is_batch(payload) {
+        let frame = BatchFrame::parse(payload)?;
+        frame
+            .iter()
+            .all(|m| Request::decode(m).is_some())
+            .then_some(frame.len() as u64)
+    } else {
+        Request::decode(payload).map(|_| 1)
+    }
+}
+
+/// ROADMAP 4(e): bytes that do not decode are dropped and counted at the
+/// shard's one admission site, and the connection they arrived on keeps
+/// working. At the parent commit the first bad arrival panicked the process
+/// (`expect("well-formed request")` / `expect("well-formed batch frame")`).
+fn hostile_arrivals_are_counted_not_fatal(
+    arrivals: Vec<Arrival>,
+    cfg: ClusterConfig,
+) -> Result<(), TestCaseError> {
+    let mut cluster = ClusterBuilder::new(cfg).build();
+    let client = cluster.add_client(0);
+    let result = Rc::new(RefCell::new(None));
+    let r = result.clone();
+    let cb = move |_: &mut hydra_sim::Sim, v| *r.borrow_mut() = Some(v);
+    // Opens the connection the arrivals come in on.
+    client.insert(&mut cluster.sim, b"canary", b"alive", Box::new(cb.clone()));
+    cluster.sim.run();
+    prop_assert_eq!(result.borrow_mut().take(), Some(Ok(None)));
+    let shard = cluster.shard(0).primary;
+    let before = shard.borrow().stats();
+
+    let (mut bad, mut requests) = (0u64, 0u64);
+    for a in &arrivals {
+        let payload = a.payload();
+        let carried = requests_in(&payload);
+        if matches!(a.shape, 2 | 4 | 6) {
+            prop_assert_eq!(carried, None, "a cut payload decoded: {:?}", a);
+        }
+        match carried {
+            Some(n) => requests += n,
+            None => bad += 1,
+        }
+        ShardServer::on_request_payload(&shard, &mut cluster.sim, 0, payload);
+        // One shipment per connection slot at a time, as a client would.
+        cluster.sim.run();
+        let now = shard.borrow().stats();
+        prop_assert_eq!(now.malformed - before.malformed, bad, "after {:?}", a);
+        prop_assert_eq!(now.requests - before.requests, requests, "after {:?}", a);
+    }
+
+    let r = result.clone();
+    let cb = move |_: &mut hydra_sim::Sim, v| *r.borrow_mut() = Some(v);
+    client.get(&mut cluster.sim, b"canary", Box::new(cb));
+    cluster.sim.run();
+    prop_assert_eq!(
+        result.borrow_mut().take(),
+        Some(Ok(Some(b"alive".to_vec())))
+    );
+    prop_assert_eq!(shard.borrow().stats().malformed - before.malformed, bad);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn malformed_arrivals_are_dropped_and_counted(arrivals in arrivals()) {
+        let one_shard = ClusterConfig {
+            server_nodes: 1,
+            shards_per_node: 1,
+            client_nodes: 1,
+            ..ClusterConfig::default()
+        };
+        hostile_arrivals_are_counted_not_fatal(arrivals.clone(), one_shard.clone())?;
+        // The decoupled models branch off at the same admission site.
+        let pipelined = ClusterConfig {
+            exec_model: ExecModel::Pipelined { workers: 2 },
+            ..one_shard
+        };
+        hostile_arrivals_are_counted_not_fatal(arrivals, pipelined)?;
+    }
 
     #[test]
     fn cluster_matches_model(ops in ops()) {

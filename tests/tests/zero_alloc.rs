@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use hydra_db::{ClientMode, ClusterBuilder, ClusterConfig};
 use hydra_integration::{get_value, put_ok, step_until};
-use hydra_lockfree::{ClockCache, LockFreeMap};
+use hydra_lockfree::ClockCache;
 use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};
 use hydra_wire::{channel_tag, set_channel_tag, KeyList, Request};
 
@@ -69,7 +69,6 @@ fn hot_paths_do_not_allocate() {
     steady_state_get_into_is_zero_alloc();
     packed_probe_paths_are_zero_alloc_at_high_lf_and_mid_resize();
     hybrid_point_lookup_and_scan_paths_are_zero_alloc();
-    shared_cache_lookup_is_zero_alloc();
     clock_cache_lookup_is_zero_alloc();
     clock_cache_recaching_is_zero_alloc();
     server_get_alloc_count_is_constant();
@@ -222,33 +221,8 @@ fn hybrid_point_lookup_and_scan_paths_are_zero_alloc() {
     );
 }
 
-/// The node-wide shared pointer cache resolves GET keys through the
-/// borrowed-key lookup (`get_with`), so the fast-path cache probe performs
-/// zero heap allocations — previously every probe cloned the key into a
-/// `Vec` just to call `get`.
-fn shared_cache_lookup_is_zero_alloc() {
-    let m: LockFreeMap<Vec<u8>, u64> = LockFreeMap::new(64);
-    let keys: Vec<Vec<u8>> = (0..64).map(|i| format!("ck{i:04}").into_bytes()).collect();
-    for (i, k) in keys.iter().enumerate() {
-        m.insert(k.clone(), i as u64);
-    }
-    // Warm-up: the first guard pin may set up thread-local epoch state.
-    assert_eq!(m.get_with(keys[0].as_slice()), Some(0));
-    let mut hits = 0usize;
-    let allocs = count_allocs_min(|| {
-        for round in 0..1_000usize {
-            let k: &[u8] = &keys[round % 64];
-            if m.get_with(k).is_some() {
-                hits += 1;
-            }
-        }
-    });
-    assert_eq!(hits, 3_000);
-    assert_eq!(allocs, 0, "borrowed-key cache lookup must not allocate");
-}
-
-/// The bounded CLOCK pointer cache — the structure actually backing the
-/// client's remote-pointer cache — probes with a borrowed key and returns a
+/// The bounded CLOCK pointer cache behind every client's remote-pointer
+/// cache, private or node-wide, probes with a borrowed key and returns a
 /// `Copy` value, so the steady-state hit path allocates nothing.
 fn clock_cache_lookup_is_zero_alloc() {
     let c: ClockCache<u64> = ClockCache::new(64);
