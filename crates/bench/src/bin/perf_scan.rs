@@ -2,7 +2,7 @@
 //! hash-only baseline that can only *emulate* a range scan by dumping and
 //! sorting the whole shard.
 //!
-//! Two measurements:
+//! Three measurements:
 //!
 //! 1. **Engine microbenchmark** — `ShardEngine::scan_into` with
 //!    `IndexKind::Hybrid` (native skiplist walk) vs `IndexKind::Packed`
@@ -19,6 +19,10 @@
 //!    length 1..=100, 5% inserts) through the full wire/server/client scan
 //!    plane on a hybrid-indexed cluster, reporting end-to-end virtual-time
 //!    throughput and scan latency.
+//!
+//! 3. **Fan-out** — the same workload on 1, 2, 4, 8 and 16 partitions:
+//!    steps per scan and items fetched per item returned (acceptance
+//!    ceilings 2.0 on 4 partitions, 3.0 on 16).
 //!
 //! Headline data: `scan_speedup` (hybrid vs emulated scans/sec, acceptance
 //! floor 5x) and `get_regression_pct` (hybrid point-GET cost vs packed,
@@ -261,6 +265,51 @@ fn main() {
             "errors": r.errors,
         }),
     );
+
+    // --- what the client's fan-out costs over its result ---
+    // The same workload on 1 to 16 partitions: steps per scan, and items the
+    // partitions shipped per item the merged answers kept. Asking every
+    // partition for the whole limit made the second column the partition
+    // count; a quota per partition keeps it near 2.
+    report.line("# fan-out (ycsb-e): partitions  steps_per_scan  fetched_per_returned");
+    let mut fanout = Vec::new();
+    for (server_nodes, shards_per_node) in [(1, 1), (1, 2), (1, 4), (2, 4), (4, 4)] {
+        let cfg = hydra_db::ClusterConfig {
+            server_nodes,
+            shards_per_node,
+            index: IndexKind::Hybrid,
+            ..paper_cluster_config()
+        };
+        let (mut cluster, clients) = paper_cluster(cfg, 50);
+        let wl = Workload::workload_e(records.min(100_000), scale.ops() / 6, 27);
+        let r = run_workload(&mut cluster.sim, &clients, &wl, &DriverConfig::default());
+        assert_eq!(r.errors, 0);
+        let stats: Vec<_> = clients.iter().map(|c| c.stats()).collect();
+        let sum = |f: fn(&hydra_db::ClientStats) -> u64| stats.iter().map(f).sum::<u64>() as f64;
+        let steps_per_scan = sum(|s| s.scan_steps) / sum(|s| s.scans);
+        let fetched_per_returned = sum(|s| s.scan_items_fetched) / sum(|s| s.scan_items_returned);
+        let partitions = server_nodes * shards_per_node;
+        report.line(&format!(
+            "{:<22} {partitions:>7} {steps_per_scan:>15.3} {fetched_per_returned:>21.2}",
+            "fanout"
+        ));
+        fanout.push(serde_json::json!({
+            "partitions": partitions,
+            "steps_per_scan": steps_per_scan,
+            "fetched_per_returned": fetched_per_returned,
+        }));
+        let ceiling = match partitions {
+            4 => 2.0,
+            16 => 3.0,
+            _ => f64::INFINITY,
+        };
+        assert!(
+            fetched_per_returned <= ceiling,
+            "acceptance: on {partitions} partitions a scan fetches at most {ceiling}x what it \
+             returns (got {fetched_per_returned:.2}x)"
+        );
+    }
+    report.datum("fanout", fanout);
 
     report.line(&format!(
         "# headline: hybrid serves scans {speedup:.1}x faster than the emulated hash-only \

@@ -31,7 +31,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hydra_fabric::{Fabric, NodeId, QpId, RegionId, Transport};
@@ -40,8 +40,8 @@ use hydra_sim::time::SimTime;
 use hydra_sim::{Histogram, Sim};
 use hydra_store::{FetchedItem, ItemError};
 use hydra_wire::{
-    backlog_hint, frame, messages, scan_items_merge, BatchBuilder, BatchFrame, KeyList, RemotePtr,
-    Request, Response, ScanItems, Status, MAX_EXPORT_PTRS,
+    backlog_hint, frame, messages, scan_items_merge, scan_items_rank, BatchBuilder, BatchFrame,
+    KeyList, RemotePtr, Request, Response, ScanItems, Status, MAX_EXPORT_PTRS,
 };
 
 use crate::cluster::Directory;
@@ -90,11 +90,20 @@ pub struct ClientStats {
     /// Per-partition scan requests shipped (fan-out steps plus quantum
     /// continuations; ≥ `scans × partitions` when scans run).
     pub scan_steps: u64,
+    /// Items the scan steps' responses carried.
+    pub scan_items_fetched: u64,
+    /// Items the merged answers kept of them: fetched ÷ returned is what the
+    /// fan-out costs over its result.
+    pub scan_items_returned: u64,
     pub timeouts: u64,
     pub retries: u64,
     /// `WrongOwner` redirects received (stale routing after a migration
     /// flip): the op re-resolved through the shared directory and retried.
     pub redirects: u64,
+    /// Arrivals dropped because their bytes did not decode: a corrupt
+    /// response frame, a batch frame that does not parse, a message that is
+    /// not a response.
+    pub malformed: u64,
     /// GET completion latency (both fast and message paths).
     pub get_lat: Histogram,
     /// INSERT/UPDATE/DELETE completion latency.
@@ -216,36 +225,80 @@ struct InFlightOp {
     partition: u32,
 }
 
-/// In-progress range scan: the client walks every partition in id order
-/// (hash partitioning scatters the key range across all of them), following
-/// each server's quantum continuations, then merges.
+/// In-progress range scan: hash partitioning scatters the key range across
+/// every partition, so the client reads each one — a quota first, then only
+/// as far as the merged answer is still unsettled — one step at a time,
+/// following the servers' quantum continuations, then merges.
 struct ScanState {
-    /// Original start key (partition cursors reset to it).
+    /// Original start key (where every partition is first read from).
     start: Vec<u8>,
-    /// Global item target; also the per-partition target (each partition
-    /// must contribute its own `limit` smallest candidates for the merged
-    /// smallest-`limit` set to be correct).
+    /// Global item target.
     limit: u32,
     /// Partition ids in fan-out order.
     partitions: Rc<[u32]>,
-    /// Index of the partition currently being scanned.
-    part_idx: usize,
-    /// Items collected from the current partition so far.
-    part_count: u32,
-    /// Next start key for the current partition (continuation: last
-    /// received key + `0x00`, the immediate successor in byte order).
-    cursor: Vec<u8>,
-    /// The response message of every step so far, as it came off the wire:
-    /// each carries one key-sorted run, merged straight out of these at the
-    /// end.
-    runs: Vec<Vec<u8>>,
+    /// Partitions the first pass has reached.
+    asked: usize,
+    /// Index (into `partitions`) of the partition being read.
+    at: usize,
+    /// Items the partition being read still owes the request made of it.
+    want: u32,
+    /// The response message of every step so far, as it came off the wire
+    /// and checked by [`scan_run`], with the index of the partition that
+    /// sent it: each carries one key-sorted run, merged straight out of
+    /// these at the end. What is known of a partition is read off its runs.
+    runs: Vec<(usize, Vec<u8>)>,
     issued_at: SimTime,
 }
 
-/// The packed items a scan step's response message carries.
-fn scan_run(msg: &[u8]) -> ScanItems<'_> {
-    let resp = Response::decode(msg).expect("checked when the step completed");
-    ScanItems::parse(resp.value).expect("well-formed scan payload")
+impl ScanState {
+    /// Everything received so far.
+    fn all_runs(&self) -> impl Iterator<Item = ScanItems<'_>> {
+        self.runs.iter().filter_map(|(_, msg)| scan_run(msg))
+    }
+
+    /// What partition `at` has sent, latest step first.
+    fn runs_of(&self, at: usize) -> impl Iterator<Item = ScanItems<'_>> {
+        let of_part = self.runs.iter().rev().filter(move |(part, _)| *part == at);
+        of_part.filter_map(|(_, msg)| scan_run(msg))
+    }
+
+    /// The last key partition `at` has sent, if it has sent any.
+    fn last_key(&self, at: usize) -> Option<&[u8]> {
+        let (last, _) = self.runs_of(at).find_map(|run| run.iter().last())?;
+        Some(last)
+    }
+
+    /// The first partition the answer is not settled on, and the most it can
+    /// still add: one that has more to send past a last key with fewer than
+    /// `limit` received items at or before it. Every other partition is
+    /// drained, or read up to the `limit`-th smallest key received — past
+    /// which nothing of the answer lies.
+    fn unsettled(&self) -> Option<(usize, u32)> {
+        (0..self.partitions.len()).find_map(|at| {
+            if !self.runs_of(at).next()?.more() {
+                return None;
+            }
+            let rank = scan_items_rank(self.all_runs(), self.last_key(at)?);
+            let short = (self.limit as usize).checked_sub(rank)?;
+            (short > 0).then_some((at, short as u32))
+        })
+    }
+}
+
+/// What a scan of `limit` items asks each of `partitions` partitions for
+/// first: its Binomial(`limit`, 1/`partitions`) share of the answer at the
+/// mean plus two standard deviations, rounded up. Derived, not tuned; one
+/// partition is asked for everything.
+pub fn scan_quota(limit: u32, partitions: usize) -> u32 {
+    let (l, p) = (limit as f64, partitions.max(1) as f64);
+    let share = (l / p).ceil() + (2.0 * (l * (p - 1.0)).sqrt() / p).ceil() + 1.0;
+    share.min(l) as u32
+}
+
+/// The packed items a scan step's response message carries, if that is what
+/// the message is.
+fn scan_run(msg: &[u8]) -> Option<ScanItems<'_>> {
+    ScanItems::parse(Response::decode(msg)?.value)
 }
 
 /// Per-connection AIMD congestion window bounding how many requests the
@@ -674,13 +727,14 @@ impl HydraClient {
 
     /// Ordered range scan: the `limit` smallest keys `>= start` cluster-wide,
     /// with their values. Hash partitioning scatters the key range over every
-    /// partition, so the client fans out across partitions sequentially
-    /// (closed-loop discipline), following each server's continuation
-    /// (`more` flag → reissue from the last received key + `0x00`) so no
-    /// single request occupies a shard core past its scan quantum. The
-    /// callback receives the merged result as a packed
-    /// [`hydra_wire::ScanItems`] payload (`more = false`), key-sorted and
-    /// truncated to `limit`.
+    /// partition, so the client asks each in turn (closed-loop discipline)
+    /// for its likely share of the answer ([`scan_quota`]), then tops up only
+    /// the partitions whose last key still sorts among the `limit` smallest
+    /// received — following each server's continuation (`more` flag →
+    /// reissue from the last received key + `0x00`) so no single request
+    /// occupies a shard core past its scan quantum. The callback receives
+    /// the merged result as a packed [`hydra_wire::ScanItems`] payload
+    /// (`more = false`), key-sorted and truncated to `limit`.
     pub fn scan(&self, sim: &mut Sim, start: &[u8], limit: u32, cb: OpCb) {
         let partitions = {
             let mut inner = self.inner.borrow_mut();
@@ -703,35 +757,58 @@ impl HydraClient {
         let state = ScanState {
             start: start.to_vec(),
             limit,
+            runs: Vec::with_capacity(partitions.len()),
             partitions,
-            part_idx: 0,
-            part_count: 0,
-            cursor: start.to_vec(),
-            runs: Vec::new(),
+            asked: 0,
+            at: 0,
+            want: 0,
             issued_at: sim.now(),
         };
+        self.scan_next(sim, state, cb);
+    }
+
+    /// Moves the scan to the partition it has to read next — the first pass
+    /// asks each for its quota, after it whichever is still unsettled for
+    /// what it is short — or finishes it when none is (or `limit` is 0).
+    /// What is unsettled is judged afresh at every pick: every item that
+    /// arrives can only lower the `limit`-th smallest key.
+    fn scan_next(&self, sim: &mut Sim, mut state: ScanState, cb: OpCb) {
+        let next = if state.limit == 0 {
+            None
+        } else if state.asked < state.partitions.len() {
+            let at = state.asked;
+            state.asked += 1;
+            Some((at, scan_quota(state.limit, state.partitions.len())))
+        } else {
+            state.unsettled()
+        };
+        let Some((at, want)) = next else {
+            self.finish_scan(sim, state, cb);
+            return;
+        };
+        (state.at, state.want) = (at, want);
         self.scan_step(sim, state, cb);
     }
 
-    /// Issues the next per-partition scan request, or finishes the scan when
-    /// every partition is drained (or `limit` is 0).
+    /// Issues the next request to the partition being read: what it still
+    /// owes, from just past the last key it sent (`start` if none).
     fn scan_step(&self, sim: &mut Sim, state: ScanState, cb: OpCb) {
-        if state.limit == 0 || state.part_idx >= state.partitions.len() {
-            self.finish_scan(sim, state, cb);
-            return;
-        }
-        let partition = state.partitions[state.part_idx];
-        let remaining = state.limit - state.part_count;
-        let cursor = state.cursor.clone();
+        let partition = state.partitions[state.at];
+        let cursor = match state.last_key(state.at) {
+            Some(last) => [last, &[0]].concat(),
+            None => state.start.clone(),
+        };
+        let want = state.want;
         let this = self.clone();
         let step_cb: OpCb = Box::new(move |sim, res| {
             this.on_scan_step(sim, state, cb, res);
         });
-        self.issue_scan_request(sim, partition, cursor, remaining, step_cb);
+        self.issue_scan_request(sim, partition, cursor, want, step_cb);
     }
 
     /// Settles one per-partition response: keep its run, continue the same
-    /// partition while the server reports truncation, else advance.
+    /// partition while the server reports truncation short of what was
+    /// asked, else move on.
     fn on_scan_step(
         &self,
         sim: &mut Sim,
@@ -739,40 +816,31 @@ impl HydraClient {
         cb: OpCb,
         res: Result<Option<Vec<u8>>, OpError>,
     ) {
+        // A scan step answers Ok(a packed item list): anything else fails
+        // the scan, with the underlying failure if there is one.
         let msg = match res {
-            Ok(Some(msg)) => msg,
-            // A scan step always answers Ok(value); treat anything else as
-            // the underlying failure.
-            Ok(None) => {
-                cb(sim, Err(OpError::Server));
-                return;
-            }
+            Ok(msg) => msg.unwrap_or_default(),
             Err(e) => {
                 cb(sim, Err(e));
                 return;
             }
         };
-        let run = scan_run(&msg);
-        state.part_count += run.len() as u32;
-        let more = run.more() && state.part_count < state.limit;
-        if more {
+        let Some(run) = scan_run(&msg) else {
+            cb(sim, Err(OpError::Server));
+            return;
+        };
+        let (got, more) = (run.len() as u32, run.more());
+        self.inner.borrow_mut().stats.scan_items_fetched += got as u64;
+        state.want = state.want.saturating_sub(got);
+        state.runs.push((state.at, msg));
+        if more && state.want > 0 {
             // Continuation: resume just past the last received key. A step
             // crowded out of its response frame (a frame's responses share
             // one slot) carries nothing and is asked again as it was.
-            if let Some((last, _)) = run.iter().last() {
-                state.cursor.clear();
-                state.cursor.extend_from_slice(last);
-                state.cursor.push(0);
-            }
+            self.scan_step(sim, state, cb);
         } else {
-            // Partition drained (or its per-partition target met): advance.
-            state.part_idx += 1;
-            state.part_count = 0;
-            state.cursor.clear();
-            state.cursor.extend_from_slice(&state.start);
+            self.scan_next(sim, state, cb);
         }
-        state.runs.push(msg);
-        self.scan_step(sim, state, cb);
     }
 
     /// Merges the fan-out: the steps' key-sorted runs, k-way, into one list
@@ -780,12 +848,12 @@ impl HydraClient {
     /// lives on one partition), so the merge needs no dedup.
     fn finish_scan(&self, sim: &mut Sim, state: ScanState, cb: OpCb) {
         let mut packed = Vec::new();
-        let runs = state.runs.iter().map(|msg| scan_run(msg));
-        scan_items_merge(runs, state.limit, &mut packed);
+        let returned = scan_items_merge(state.all_runs(), state.limit, &mut packed);
         {
             let mut inner = self.inner.borrow_mut();
             let lat = sim.now() - state.issued_at;
             inner.stats.scan_lat.record(lat);
+            inner.stats.scan_items_returned += returned as u64;
         }
         cb(sim, Ok(Some(packed)));
     }
@@ -1542,7 +1610,7 @@ impl HydraClient {
 
     fn on_response_kick(&self, sim: &mut Sim, partition: u32) {
         let payload = {
-            let inner = self.inner.borrow();
+            let mut inner = self.inner.borrow_mut();
             let Some(conn) = inner.conn(partition) else {
                 return;
             };
@@ -1552,7 +1620,16 @@ impl HydraClient {
                     p
                 }
                 Ok(None) => return,
-                Err(e) => panic!("corrupt response frame: {e}"),
+                Err(_) => {
+                    // As the server does with a corrupt request frame: clear
+                    // the whole buffer, head word last, and count it. The
+                    // shipment it should have answered times out.
+                    for w in conn.resp_mem.iter().rev() {
+                        w.store(0, Ordering::Release);
+                    }
+                    inner.stats.malformed += 1;
+                    return;
+                }
             }
         };
         self.on_response_payload(sim, payload);
@@ -1560,20 +1637,31 @@ impl HydraClient {
 
     /// Settles every response `payload` carries (one bare response, or one
     /// response frame answering one request frame), frees the connection
-    /// slot their shipment held, and pumps the next shipment into it.
-    fn on_response_payload(&self, sim: &mut Sim, payload: Vec<u8>) {
+    /// slot their shipment held, and pumps the next shipment into it. Both
+    /// transports end here, so this is where bytes from outside are judged:
+    /// a frame that does not parse is dropped whole, a message that is not a
+    /// response is dropped by itself, each counted once; whatever they
+    /// should have answered is left to its timeout.
+    pub fn on_response_payload(&self, sim: &mut Sim, payload: Vec<u8>) {
+        let batched = BatchFrame::is_batch(&payload);
+        if batched && BatchFrame::parse(&payload).is_none() {
+            self.inner.borrow_mut().stats.malformed += 1;
+            return;
+        }
         // The server stamps its backlog (µs) into every response; the worst
         // message of a frame is the congestion signal.
         let mut max_hint: u16 = 0;
         let mut freed = None;
-        let batched = BatchFrame::is_batch(&payload);
         // A scan step keeps its response message. One that came bare is the
         // payload: it settles once the borrow below ends and takes the
         // payload with it, uncopied.
         let mut bare_scan = None;
         for msg in messages(&payload) {
             max_hint = max_hint.max(backlog_hint(msg));
-            let resp = Response::decode(msg).expect("well-formed response");
+            let Some(resp) = Response::decode(msg) else {
+                self.inner.borrow_mut().stats.malformed += 1;
+                continue;
+            };
             let op = {
                 let mut inner = self.inner.borrow_mut();
                 let Some(op) = inner.window.remove(&resp.req_id) else {
@@ -1750,6 +1838,36 @@ fn encode_request(kind: OpKind, req_id: u64, key: &[u8], value: &[u8]) -> Vec<u8
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The client half of `corrupt_request_frame_is_counted_and_the_slot_
+    /// released` (ROADMAP 4(e)): a response buffer whose head word is not a
+    /// frame header is counted, cleared and survived; the parent commit
+    /// panicked with `corrupt response frame`.
+    #[test]
+    fn corrupt_response_frame_is_counted_and_the_buffer_cleared() {
+        let cfg = ClusterConfig {
+            server_nodes: 1,
+            shards_per_node: 1,
+            ..ClusterConfig::default()
+        };
+        let mut cluster = crate::ClusterBuilder::new(cfg).build();
+        let client = cluster.add_client(0);
+        let got = Rc::new(RefCell::new(None));
+        let g = got.clone();
+        let cb = move |_: &mut Sim, r| *g.borrow_mut() = Some(r);
+        client.insert(&mut cluster.sim, b"canary", b"alive", Box::new(cb.clone()));
+        cluster.sim.run();
+        assert_eq!(got.borrow_mut().take(), Some(Ok(None)));
+        let buffer = client.inner.borrow().conn(0).unwrap().resp_mem.clone();
+        buffer[0].store(0xDEAD_BEEF_0000_0040, Ordering::Release);
+        buffer[5].store(7, Ordering::Release);
+        client.on_response_kick(&mut cluster.sim, 0);
+        assert_eq!(client.stats().malformed, 1);
+        assert!(buffer.iter().all(|w| w.load(Ordering::Acquire) == 0));
+        client.get(&mut cluster.sim, b"canary", Box::new(cb));
+        cluster.sim.run();
+        assert_eq!(got.borrow_mut().take(), Some(Ok(Some(b"alive".to_vec()))));
+    }
 
     /// Golden trace of the AIMD controller: cold start at line rate, a
     /// congestion step (high backlog hints) walking the window down

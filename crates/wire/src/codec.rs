@@ -557,13 +557,14 @@ pub fn scan_response_finish(out: &mut [u8], at: usize, more: bool, count: u32) {
 /// Merges key-sorted runs into `out` as one packed list of their `limit`
 /// smallest items (`more = false`) — what concatenating the runs, sorting
 /// by key (stably: the earlier run wins a tie) and truncating would pack,
-/// without materialising an item. The client merges the per-partition
-/// responses of a range scan with it, straight out of the response buffers.
+/// without materialising an item — and returns how many that was. The
+/// client merges the per-partition responses of a range scan with it,
+/// straight out of the response buffers.
 pub fn scan_items_merge<'a>(
     runs: impl IntoIterator<Item = ScanItems<'a>>,
     limit: u32,
     out: &mut Vec<u8>,
-) {
+) -> u32 {
     let (mut items, mut bytes) = (0usize, 0usize);
     let mut heads: Vec<_> = runs
         .into_iter()
@@ -591,6 +592,18 @@ pub fn scan_items_merge<'a>(
         *head = rest.next();
     }
     scan_items_finish(out, false, take as u32);
+    take as u32
+}
+
+/// [`scan_items_merge`] that emits nothing and stops at `key`: how many items
+/// of key-sorted runs sort at or before it, counted straight off the
+/// response buffers. With `key` the last one a partition has sent, this is
+/// how far the merged answer is settled: a range scan that wants `limit`
+/// items has read that partition far enough once the rank reaches `limit`.
+pub fn scan_items_rank<'a>(runs: impl IntoIterator<Item = ScanItems<'a>>, key: &[u8]) -> usize {
+    runs.into_iter()
+        .map(|run| run.iter().take_while(|(k, _)| *k <= key).count())
+        .sum()
 }
 
 /// The packed multi-item payload of a scan response — a *validated window*

@@ -5,7 +5,7 @@
 use std::sync::atomic::AtomicU64;
 
 use hydra_wire::{
-    frame, scan_items_begin, scan_items_finish, scan_items_merge, scan_items_push,
+    frame, scan_items_begin, scan_items_finish, scan_items_merge, scan_items_push, scan_items_rank,
     scan_response_begin, scan_response_finish, BatchBuilder, BatchFrame, KeyList, LogOp, LogRecord,
     RemotePtr, Request, Response, ScanItems, Status,
 };
@@ -245,6 +245,30 @@ proptest! {
         all.sort_by(|a, b| a.0.cmp(&b.0));
         all.truncate(limit as usize);
         prop_assert_eq!(merged, pack(&all, false));
+    }
+
+    /// A key's rank among key-sorted runs is how many of their items sort at
+    /// or before it — present or absent, before the first or past the last,
+    /// with duplicates across runs each counted.
+    #[test]
+    fn rank_counts_the_items_at_or_before_a_key(
+        runs in proptest::collection::vec(
+            proptest::collection::vec((bytes(3), bytes(8)), 0..12), 0..7),
+        key in bytes(3),
+    ) {
+        let runs: Vec<Vec<(Vec<u8>, Vec<u8>)>> = runs
+            .into_iter()
+            .map(|mut run| {
+                run.sort_by(|a, b| a.0.cmp(&b.0));
+                run
+            })
+            .collect();
+        let packed: Vec<Vec<u8>> = runs.iter().map(|run| pack(run, false)).collect();
+        let rank = scan_items_rank(
+            packed.iter().map(|p| ScanItems::parse(p).expect("packed above")),
+            &key,
+        );
+        prop_assert_eq!(rank, runs.concat().iter().filter(|(k, _)| *k <= key).count());
     }
 
     /// A scan response framed in place — header opened, items appended,

@@ -34,6 +34,9 @@ HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
     cargo run -q --release -p hydra-bench --bin chaos_recovery
 HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
     cargo run -q --release -p hydra-bench --bin perf_skew
+# perf_scan asserts the scan-plane floors: hybrid >= 5x emulated scans, and
+# a scan's fan-out fetches <= 2.0x the items it returns on 4 partitions,
+# <= 3.0x on 16.
 HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
     cargo run -q --release -p hydra-bench --bin perf_scan
 # perf_mix asserts the tail-isolation floors: mixed point-GET p99 <= 2x

@@ -199,11 +199,12 @@ fn scans_larger_than_the_response_slot_continue_instead_of_overflowing() {
         for (key, value) in &model {
             put_ok(&mut cluster, &client, key, value);
         }
-        // One at a time, then (pipelined clients) all three in one frame,
-        // where they share the response slot with each other.
-        let limits = [146u32, 300, u32::MAX];
+        // One at a time, then (pipelined clients) three in one frame, where
+        // they share the response slot with each other. The first three fit
+        // any slot: their steps are bounded by the fan-out's quota alone.
+        let limits = [1u32, 7, 50, 146, 300, u32::MAX];
         let windows: Vec<&[u32]> = if depth > 1 {
-            limits.chunks(1).chain([&limits[..]]).collect()
+            limits.chunks(1).chain(limits.chunks(3)).collect()
         } else {
             limits.chunks(1).collect()
         };

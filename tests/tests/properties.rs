@@ -8,8 +8,13 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use hydra_db::server::ShardServer;
-use hydra_db::{ClusterBuilder, ClusterConfig, ExecModel, OpError, ReplicationMode};
-use hydra_wire::{BatchBuilder, BatchFrame, KeyList, Request, BATCH_MAGIC};
+use hydra_db::{
+    ClientMode, ClusterBuilder, ClusterConfig, ExecModel, IndexKind, OpError, ReplicationMode,
+};
+use hydra_wire::{
+    scan_items_begin, scan_items_finish, scan_items_push, BatchBuilder, BatchFrame, KeyList,
+    ReplicaPtr, ReplicaSet, Request, Response, ScanItems, Status, BATCH_MAGIC,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -232,13 +237,16 @@ fn frame_of(msgs: &[Vec<u8>]) -> Vec<u8> {
 }
 
 impl Arrival {
-    fn payload(&self) -> Vec<u8> {
-        let valid = valid_request(self.template);
+    /// The arrival's bytes, with `valid_message` supplying the well-formed
+    /// messages it is built from (requests for a shard, responses for a
+    /// client).
+    fn payload(&self, valid_message: fn(u8) -> Vec<u8>) -> Vec<u8> {
+        let valid = valid_message(self.template);
         let around = |middle: Vec<u8>| {
             frame_of(&[
-                valid_request(self.template.wrapping_add(1)),
+                valid_message(self.template.wrapping_add(1)),
                 middle,
-                valid_request(self.template.wrapping_add(2)),
+                valid_message(self.template.wrapping_add(2)),
             ])
         };
         match self.shape {
@@ -279,21 +287,13 @@ fn hostile_arrivals_are_counted_not_fatal(
     arrivals: Vec<Arrival>,
     cfg: ClusterConfig,
 ) -> Result<(), TestCaseError> {
-    let mut cluster = ClusterBuilder::new(cfg).build();
-    let client = cluster.add_client(0);
-    let result = Rc::new(RefCell::new(None));
-    let r = result.clone();
-    let cb = move |_: &mut hydra_sim::Sim, v| *r.borrow_mut() = Some(v);
-    // Opens the connection the arrivals come in on.
-    client.insert(&mut cluster.sim, b"canary", b"alive", Box::new(cb.clone()));
-    cluster.sim.run();
-    prop_assert_eq!(result.borrow_mut().take(), Some(Ok(None)));
+    let (mut cluster, client, landing) = client_with_canary(cfg);
     let shard = cluster.shard(0).primary;
     let before = shard.borrow().stats();
 
     let (mut bad, mut requests) = (0u64, 0u64);
     for a in &arrivals {
-        let payload = a.payload();
+        let payload = a.payload(valid_request);
         let carried = requests_in(&payload);
         if matches!(a.shape, 2 | 4 | 6) {
             prop_assert_eq!(carried, None, "a cut payload decoded: {:?}", a);
@@ -310,20 +310,214 @@ fn hostile_arrivals_are_counted_not_fatal(
         prop_assert_eq!(now.requests - before.requests, requests, "after {:?}", a);
     }
 
-    let r = result.clone();
-    let cb = move |_: &mut hydra_sim::Sim, v| *r.borrow_mut() = Some(v);
-    client.get(&mut cluster.sim, b"canary", Box::new(cb));
-    cluster.sim.run();
-    prop_assert_eq!(
-        result.borrow_mut().take(),
-        Some(Ok(Some(b"alive".to_vec())))
-    );
+    canary_still_answers(&mut cluster, &client, &landing);
     prop_assert_eq!(shard.borrow().stats().malformed - before.malformed, bad);
     Ok(())
 }
 
+/// One valid encoded response of each kind. Ids sit far above anything the
+/// client issues, so none of them answers an operation.
+fn valid_response(template: u8) -> Vec<u8> {
+    let req_id = (1 << 40) + template as u64;
+    let mut replicas = ReplicaSet::new(template);
+    replicas.push(ReplicaPtr::default());
+    match template % 6 {
+        0 => Response {
+            value: b"a value nobody asked for",
+            ..Response::status_only(Status::Ok, req_id)
+        },
+        1 => Response::status_only(Status::NotFound, req_id),
+        2 => Response::status_only(Status::Error, req_id),
+        3 => Response::wrong_owner(req_id, template as u64),
+        4 => Response {
+            value: b"hot",
+            lease_expiry: u64::MAX,
+            replicas: Some(replicas),
+            ..Response::status_only(Status::Ok, req_id)
+        },
+        _ => Response::status_only(Status::Exists, req_id),
+    }
+    .encode()
+}
+
+/// What the client must reject of `payload`: a frame that does not parse
+/// counts once, as does each message — bare or framed — that is not a
+/// response. Judged by the codec, as the client must.
+fn rejects_in(payload: &[u8]) -> u64 {
+    let not_a_response = |m: &[u8]| Response::decode(m).is_none();
+    if BatchFrame::is_batch(payload) {
+        BatchFrame::parse(payload)
+            .map_or(1, |f| f.iter().filter(|m| not_a_response(m)).count() as u64)
+    } else {
+        not_a_response(payload) as u64
+    }
+}
+
+/// Where a test's completions land.
+type Landing = Rc<RefCell<Option<Result<Option<Vec<u8>>, OpError>>>>;
+
+/// A cluster, a client whose connection the canary's insert has opened, and
+/// the slot its completions land in.
+fn client_with_canary(cfg: ClusterConfig) -> (hydra_db::Cluster, hydra_db::HydraClient, Landing) {
+    let mut cluster = ClusterBuilder::new(cfg).build();
+    let client = cluster.add_client(0);
+    let landing: Landing = Rc::new(RefCell::new(None));
+    let l = landing.clone();
+    client.insert(
+        &mut cluster.sim,
+        b"canary",
+        b"alive",
+        Box::new(move |_, v| *l.borrow_mut() = Some(v)),
+    );
+    cluster.sim.run();
+    assert_eq!(landing.borrow_mut().take(), Some(Ok(None)));
+    (cluster, client, landing)
+}
+
+fn canary_still_answers(
+    cluster: &mut hydra_db::Cluster,
+    client: &hydra_db::HydraClient,
+    landing: &Landing,
+) {
+    let l = landing.clone();
+    client.get(
+        &mut cluster.sim,
+        b"canary",
+        Box::new(move |_, v| *l.borrow_mut() = Some(v)),
+    );
+    cluster.sim.run();
+    assert_eq!(
+        landing.borrow_mut().take(),
+        Some(Ok(Some(b"alive".to_vec())))
+    );
+}
+
+/// ROADMAP 4(e), client half: bytes that do not decode are dropped and
+/// counted where responses of either transport arrive, and the client keeps
+/// working. At the parent commit the first bad arrival panicked the process
+/// (`expect("well-formed response")` / `expect("well-formed batch frame")`).
+fn hostile_responses_are_counted_not_fatal(
+    arrivals: Vec<Arrival>,
+    cfg: ClusterConfig,
+) -> Result<(), TestCaseError> {
+    let (mut cluster, client, landing) = client_with_canary(cfg);
+    let mut bad = 0u64;
+    for a in &arrivals {
+        let payload = a.payload(valid_response);
+        let rejects = rejects_in(&payload);
+        if matches!(a.shape, 2 | 4 | 6) {
+            prop_assert!(rejects > 0, "a cut payload decoded: {:?}", a);
+        }
+        bad += rejects;
+        client.on_response_payload(&mut cluster.sim, payload);
+        cluster.sim.run();
+        prop_assert_eq!(client.stats().malformed, bad, "after {:?}", a);
+    }
+    canary_still_answers(&mut cluster, &client, &landing);
+    prop_assert_eq!(client.stats().malformed, bad);
+    prop_assert_eq!(client.in_flight(), 0);
+    Ok(())
+}
+
+/// The other place outside bytes are trusted: a scan step's value. Each
+/// `value` is delivered as the `Ok` answer to a scan step in flight, bare or
+/// inside a response frame. One that is not a packed item list fails that
+/// scan with `OpError::Server` — at the parent `scan_run` panicked
+/// (`expect("well-formed scan payload")`) — and is not counted malformed: it
+/// was a response. One that still parses is followed like any other.
+fn hostile_scan_values_fail_the_scan_not_the_process(
+    values: Vec<Vec<u8>>,
+    cfg: ClusterConfig,
+) -> Result<(), TestCaseError> {
+    let framed = cfg.pipeline_depth > 1;
+    let (mut cluster, client, landing) = client_with_canary(cfg);
+    for value in &values {
+        let l = landing.clone();
+        client.scan(
+            &mut cluster.sim,
+            b"c",
+            10,
+            Box::new(move |_, v| *l.borrow_mut() = Some(v)),
+        );
+        // The step is in flight under one of the ids issued so far; the
+        // other answers are late ones for nobody.
+        for req_id in 1..=client.stats().ops + client.stats().scan_steps {
+            let answer = Response {
+                value,
+                ..Response::status_only(Status::Ok, req_id)
+            }
+            .encode();
+            let payload = if framed { frame_of(&[answer]) } else { answer };
+            client.on_response_payload(&mut cluster.sim, payload);
+        }
+        cluster.sim.run();
+        let outcome = landing.borrow_mut().take();
+        if ScanItems::parse(value).is_none() {
+            prop_assert_eq!(outcome, Some(Err(OpError::Server)), "value {:?}", value);
+        } else {
+            prop_assert!(outcome.is_some(), "value {:?}", value);
+        }
+    }
+    canary_still_answers(&mut cluster, &client, &landing);
+    prop_assert_eq!(client.stats().malformed, 0);
+    prop_assert_eq!(client.in_flight(), 0);
+    Ok(())
+}
+
+/// A packed list of the canary alone, with one bit flipped.
+fn flipped_scan_value(at: u16) -> Vec<u8> {
+    let mut packed = Vec::new();
+    scan_items_begin(&mut packed);
+    scan_items_push(&mut packed, b"canary", b"alive");
+    scan_items_finish(&mut packed, false, 1);
+    flip(packed, at)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn malformed_responses_are_dropped_and_counted(arrivals in arrivals()) {
+        let one_shard = ClusterConfig {
+            server_nodes: 1,
+            shards_per_node: 1,
+            client_nodes: 1,
+            ..ClusterConfig::default()
+        };
+        hostile_responses_are_counted_not_fatal(arrivals.clone(), one_shard.clone())?;
+        // Send/Recv payloads reach the same site straight off the verbs.
+        let send_recv = ClusterConfig {
+            client_mode: ClientMode::SendRecv,
+            ..one_shard
+        };
+        hostile_responses_are_counted_not_fatal(arrivals, send_recv)?;
+    }
+
+    #[test]
+    fn malformed_scan_values_fail_the_scan(
+        values in proptest::collection::vec(
+            prop_oneof![
+                proptest::collection::vec(any::<u8>(), 0..64),
+                any::<u16>().prop_map(flipped_scan_value),
+            ],
+            1..12,
+        ),
+    ) {
+        let bare = ClusterConfig {
+            server_nodes: 1,
+            shards_per_node: 1,
+            client_nodes: 1,
+            index: IndexKind::Hybrid,
+            client_mode: ClientMode::RdmaWrite,
+            ..ClusterConfig::default()
+        };
+        hostile_scan_values_fail_the_scan_not_the_process(values.clone(), bare.clone())?;
+        let framed = ClusterConfig {
+            pipeline_depth: 8,
+            ..bare
+        };
+        hostile_scan_values_fail_the_scan_not_the_process(values, framed)?;
+    }
 
     #[test]
     fn malformed_arrivals_are_dropped_and_counted(arrivals in arrivals()) {
