@@ -1,5 +1,5 @@
 //! Shard-engine operation costs: the server-side CPU work per GET/UPDATE
-//! that the cluster cost model abstracts as `get_ns`/`write_ns`.
+//! that the cluster cost model abstracts as `hydra_db::costs::{GET_NS, WRITE_NS}`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};

@@ -10,7 +10,7 @@
 //! of the time by construction.
 
 use hydra_bench::{one_workload, paper_cluster_config, Report, Scale};
-use hydra_db::ClusterConfig;
+use hydra_db::{costs, ClusterConfig};
 use hydra_ycsb::{run_workload, DriverConfig};
 
 fn main() {
@@ -44,9 +44,8 @@ fn main() {
             // Processing utilization per shard core, derived from the
             // measured rate and the cost model (the simulator charges
             // exactly these costs to the core): rate/shard x mean op cost.
-            let costs = &cluster.cfg.costs;
-            let mean_cost = 0.9 * (costs.get_ns + costs.poll_ns) as f64
-                + 0.1 * (costs.write_ns + costs.poll_ns + 2) as f64;
+            let mean_cost = 0.9 * (costs::GET_NS + costs::POLL_NS) as f64
+                + 0.1 * (costs::WRITE_NS + costs::POLL_NS + 2) as f64;
             let per_shard_rate = r.mops * 1e6 / cluster.cfg.total_shards() as f64;
             // RDMA-Read hits never touch the core.
             let served = r.msg_gets + r.invalid_hits; // server-handled gets

@@ -28,17 +28,14 @@ const CLIENTS: usize = 50;
 const POST_WQE_NS: u64 = 180;
 
 fn run_point(depth: usize, batch: usize, scale: Scale) -> (hydra_ycsb::WorkloadReport, f64) {
-    let mut cfg = ClusterConfig {
+    let cfg = ClusterConfig {
         client_mode: ClientMode::RdmaWrite,
         pipeline_depth: depth,
         max_batch: batch,
-        aimd: AimdConfig {
-            enabled: false,
-            ..AimdConfig::default()
-        },
+        post_wqe_ns: POST_WQE_NS,
+        aimd: AimdConfig { enabled: false },
         ..paper_cluster_config()
     };
-    cfg.costs.post_wqe_ns = POST_WQE_NS;
     let wl = one_workload(scale, 1.0, true, 33);
     let nodes = cfg.client_nodes as usize;
     let mut cluster = ClusterBuilder::new(cfg).build();

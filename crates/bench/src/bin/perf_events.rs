@@ -1,24 +1,24 @@
 //! Hot-path wall-clock benchmark for this PR's zero-allocation work.
 //!
-//! Three measurements, written to `results/BENCH_hotpath.json`:
+//! Two measurements, written to `results/BENCH_hotpath.json`:
 //!
 //! 1. **Event throughput** — the slab + timer-wheel scheduler
 //!    ([`hydra_sim::Sim`]) against the seed's boxed-closure binary-heap
 //!    scheduler (kept verbatim as [`hydra_sim::reference::Sim`]), on the
 //!    same deterministic workloads. The acceptance bar for the PR is a
 //!    ≥2× speedup on event churn.
-//! 2. **Dispatch throughput** — wall-clock ops/sec of a full simulated
-//!    cluster running a GET-heavy workload through the borrowed-decode
-//!    server path.
-//! 3. **Peak RSS** — `VmHWM` from `/proc/self/status`, recorded after the
+//! 2. **Peak RSS** — `VmHWM` from `/proc/self/status`, recorded after the
 //!    runs as a coarse memory footprint check.
+//!
+//! Whole-cluster serving rate is the benchmark's `host_kops` (`benchmark/`),
+//! which times the traffic window alone.
 //!
 //! Both schedulers expose the same API, so each workload is written once
 //! as a macro and instantiated per scheduler type.
 
 use std::time::Instant;
 
-use hydra_bench::{one_workload, paper_cluster_config, Report, Scale};
+use hydra_bench::{Report, Scale};
 
 /// Self-perpetuating timer churn: `fanout` events each reschedule
 /// themselves at a pseudorandom small delay until `total` events have
@@ -123,7 +123,7 @@ fn main() {
     };
     let mut report = Report::new(
         "BENCH_hotpath",
-        "Hot-path benchmark: slab+wheel scheduler vs seed heap, dispatch ops/sec, peak RSS",
+        "Hot-path benchmark: slab+wheel scheduler vs seed heap, peak RSS",
     );
 
     report.line(&format!(
@@ -160,25 +160,6 @@ fn main() {
         report.datum(&format!("{name}/speedup"), speedup);
         report.datum(&format!("{name}/events_fired"), wheel_n);
     }
-
-    // Full-cluster dispatch: wall-clock cost of the borrowed-decode server
-    // path under a GET-heavy Zipfian workload.
-    let wl = one_workload(scale, 0.9, true, 11);
-    let t = Instant::now();
-    let wr = hydra_bench::run_hydra(paper_cluster_config(), 50, &wl);
-    let wall = t.elapsed();
-    let wall_ops_per_sec = wr.ops as f64 / wall.as_secs_f64();
-    report.line(&format!(
-        "{:<22} {:>11.2} k/s  ({} ops in {:.2}s wall, {:.3} simulated Mops)",
-        "dispatch_get_heavy",
-        wall_ops_per_sec / 1e3,
-        wr.ops,
-        wall.as_secs_f64(),
-        wr.mops
-    ));
-    report.datum("dispatch/wall_ops_per_sec", wall_ops_per_sec);
-    report.datum("dispatch/ops", wr.ops);
-    report.datum("dispatch/simulated_mops", wr.mops);
 
     let rss = peak_rss_kib();
     report.line(&format!("peak RSS: {} KiB", rss));

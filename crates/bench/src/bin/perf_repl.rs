@@ -25,17 +25,13 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use hydra_bench::{one_workload, Report, Scale};
-use hydra_db::{AimdConfig, ClusterBuilder, ClusterConfig, ReplicationMode};
+use hydra_db::{costs, AimdConfig, ClusterBuilder, ClusterConfig, ReplicationMode};
 use hydra_fabric::{Fabric, FabricConfig};
 use hydra_replication::{ReplConfig, ReplMode, ReplicationPair};
 use hydra_sim::{Histogram, Sim};
 use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};
 use hydra_wire::LogOp;
 use hydra_ycsb::{run_workload, DriverConfig, Workload};
-
-/// Mirrors the cluster's production channel: apply cost = the primary's
-/// write cost, everything else at `ReplConfig` defaults.
-const APPLY_COST_NS: u64 = 2_200;
 
 struct PairBench {
     pair: ReplicationPair,
@@ -94,7 +90,8 @@ fn run_pair(mode: ReplMode, depth: usize, total: u64) -> (f64, f64, f64) {
         ReplConfig {
             ring_words: 1 << 18,
             mode,
-            apply_cost_ns: APPLY_COST_NS,
+            // The cluster's channel: apply cost = the primary's write cost.
+            apply_cost_ns: costs::WRITE_NS,
             ..ReplConfig::default()
         },
     );
@@ -143,10 +140,7 @@ fn cluster_run(
         replicas,
         replication: mode,
         pipeline_depth: window,
-        aimd: AimdConfig {
-            enabled: false,
-            ..AimdConfig::default()
-        },
+        aimd: AimdConfig { enabled: false },
         arena_words: 1 << 23,
         expected_items: 1 << 20,
         repl_ring_words: 1 << 18,

@@ -21,7 +21,7 @@
 //!   100%-GET scale-up curves in Fig. 12.
 //! * **QP scalability.** Per §6.3, drivers degrade beyond a few hundred
 //!   connections; per-op NIC overhead grows once a node's QP count passes
-//!   `qp_threshold`.
+//!   `FabricConfig::qp_threshold`.
 //! * **Transports.** `Rdma` uses the native latency model; `Socket` models
 //!   the IPoIB/TCP path (kernel round trips, no one-sided ops) used by the
 //!   baseline stores and HydraDB's TCP mode.
@@ -29,7 +29,10 @@
 mod config;
 mod net;
 
-pub use config::{FabricConfig, Transport};
+pub use config::{
+    FabricConfig, Transport, NIC_BYTE_NS, NIC_MISS_NS, QP_PENALTY_PER_CONN, RDMA_DMA_NS,
+    RDMA_OP_NS, RDMA_PROP_NS, RDMA_WQE_NS, SEND_RECV_EXTRA_NS, SOCKET_PROP_NS,
+};
 pub use net::{
     BatchWrite, ErrorHandler, Fabric, FabricStats, FaultStats, LinkFault, NodeId, NodeStats, QpId,
     ReadComplete, RecvHandler, RegionId, WcError, WriteDelivered,

@@ -11,7 +11,10 @@ use hydra_sim::time::SimTime;
 use hydra_sim::{FifoResource, Sim};
 use rand::Rng;
 
-use crate::config::{scaled, FabricConfig, Transport};
+use crate::config::{
+    nic_ser, scaled, wqe_cost, FabricConfig, Transport, NIC_MISS_NS, RDMA_DMA_NS, RDMA_PROP_NS,
+    SEND_RECV_EXTRA_NS, SOCKET_PROP_NS,
+};
 
 /// A machine on the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -588,12 +591,11 @@ impl Inner {
     /// References `node`'s QP-state cache for `qp` and returns the PCIe
     /// surcharge (0 on hit / warm fill).
     fn qp_state_touch(&mut self, node: NodeId, qp: QpId) -> SimTime {
-        let miss_ns = self.cfg.nic_miss_ns;
         let n = &mut self.nodes[node.0 as usize];
         if n.qp_cache.touch(qp.0 as u64) {
             n.stats.qp_cache_misses += 1;
-            n.stats.miss_penalty_ns += miss_ns;
-            miss_ns
+            n.stats.miss_penalty_ns += NIC_MISS_NS;
+            NIC_MISS_NS
         } else {
             n.stats.qp_cache_hits += 1;
             0
@@ -611,7 +613,6 @@ impl Inner {
         len_bytes: usize,
     ) -> SimTime {
         let page = self.regions[region.slot()].page_bytes;
-        let miss_ns = self.cfg.nic_miss_ns;
         let first = byte_off / page;
         let last = (byte_off + len_bytes.max(1) - 1) / page;
         let n = &mut self.nodes[node.0 as usize];
@@ -620,8 +621,8 @@ impl Inner {
             let key = ((region.slot() as u64) << 32) | p as u64;
             if n.mtt_cache.touch(key) {
                 n.stats.mtt_cache_misses += 1;
-                n.stats.miss_penalty_ns += miss_ns;
-                surcharge += miss_ns;
+                n.stats.miss_penalty_ns += NIC_MISS_NS;
+                surcharge += NIC_MISS_NS;
             } else {
                 n.stats.mtt_cache_hits += 1;
             }
@@ -1097,9 +1098,9 @@ impl Fabric {
 
     /// Doorbell-batched one-sided Writes: the whole chain of WQEs is handed
     /// to the NIC with a single MMIO doorbell. The first WQE pays the full
-    /// per-op initiator cost ([`FabricConfig::rdma_op_ns`]); each subsequent
+    /// per-op initiator cost ([`crate::RDMA_OP_NS`]); each subsequent
     /// WQE only the marginal chained-WQE fetch
-    /// ([`FabricConfig::rdma_wqe_ns`]). Every write still serializes its own
+    /// ([`crate::RDMA_WQE_NS`]). Every write still serializes its own
     /// bytes, flies and DMAs independently, and lands in posting order;
     /// semantics are identical to the same sequence of
     /// [`post_write`](Self::post_write) calls — only the initiator-side
@@ -1147,9 +1148,9 @@ impl Fabric {
     /// crash-mid-batch scenario replication's gap detection exists for. A
     /// dropped WQE vanishes whole (no NIC time, no counters); the chain's
     /// doorbell belongs to the first WQE that survives. That WQE pays
-    /// [`FabricConfig::rdma_op_ns`] and references the QP context on both
+    /// [`crate::RDMA_OP_NS`] and references the QP context on both
     /// NICs — which keep it resident while they walk the chain — and every
-    /// later one pays only [`FabricConfig::rdma_wqe_ns`]. Writes also
+    /// later one pays only [`crate::RDMA_WQE_NS`]. Writes also
     /// reference the target's translation cache, per WQE. Socket messages
     /// share nothing: each is a doorbell of its own, at the flat socket
     /// costs, with no NIC-resident state.
@@ -1178,11 +1179,7 @@ impl Fabric {
             q.handler_b.clone()
         };
         let (pen_src, pen_dst) = (inner.penalty(from), inner.penalty(to));
-        let prop = if rdma {
-            inner.cfg.rdma_prop_ns
-        } else {
-            inner.cfg.socket_prop_ns
-        };
+        let prop = if rdma { RDMA_PROP_NS } else { SOCKET_PROP_NS };
         let mut rung = false;
         for wqe in chain {
             assert!(
@@ -1221,13 +1218,13 @@ impl Fabric {
                 let rx_fixed = match &wqe {
                     Wqe::Write(w) => {
                         rx_miss += inner.mtt_touch(to, w.dst_region, w.dst_word_off * 8, bytes);
-                        inner.cfg.rdma_dma_ns
+                        RDMA_DMA_NS
                     }
-                    Wqe::Send(_) => inner.cfg.rdma_dma_ns + inner.cfg.send_recv_extra_ns,
+                    Wqe::Send(_) => RDMA_DMA_NS + SEND_RECV_EXTRA_NS,
                 };
-                let ser = inner.cfg.nic_ser(bytes);
+                let ser = nic_ser(bytes);
                 (
-                    inner.cfg.wqe_cost(first, ser, pen_src) + tx_miss,
+                    wqe_cost(first, ser, pen_src) + tx_miss,
                     scaled(rx_fixed + ser, pen_dst) + rx_miss,
                 )
             } else {
@@ -1263,7 +1260,7 @@ impl Fabric {
                     sim.schedule_at(deliver_at, move |sim| {
                         if !fab.arrive(region, off, w.words) {
                             let mut inner = fab.inner.borrow_mut();
-                            let at = sim.now() + inner.cfg.rdma_prop_ns;
+                            let at = sim.now() + RDMA_PROP_NS;
                             inner.complete_in_error(sim, qp, from, WcError::PermissionRevoked, at);
                         } else if let Some(cb) = on_delivered {
                             cb(sim);
@@ -1341,16 +1338,16 @@ impl Fabric {
             );
             let mem = region.mem.clone();
             let (pen_src, pen_dst) = (inner.penalty(from), inner.penalty(target));
-            let prop = inner.cfg.rdma_prop_ns;
-            let dma = inner.cfg.rdma_dma_ns;
-            let ser = inner.cfg.nic_ser(len_bytes);
+            let prop = RDMA_PROP_NS;
+            let dma = RDMA_DMA_NS;
+            let ser = nic_ser(len_bytes);
             let tx_miss = inner.qp_state_touch(from, qp);
             let rx_miss = inner.qp_state_touch(target, qp)
                 + inner.mtt_touch(target, src_region, src_word_off * 8, len_bytes);
             // Request flight.
             let tx_done = inner.nodes[from.0 as usize]
                 .nic_tx
-                .acquire(sim.now(), inner.cfg.wqe_cost(true, 0, pen_src) + tx_miss);
+                .acquire(sim.now(), wqe_cost(true, 0, pen_src) + tx_miss);
             // The target HCA serves the read in hardware: one DMA fetch, no
             // WQE processing (that is the initiator's job) and no CPU.
             let snap_at = inner.nodes[target.0 as usize]
@@ -1675,7 +1672,7 @@ mod tests {
         fab.post_write(&mut sim, qp, a, vec![1], region, 0, None);
         sim.run();
         assert_eq!(mem[0].load(Ordering::Relaxed), 0, "memory untouched");
-        let prop = FabricConfig::default().rdma_prop_ns;
+        let prop = RDMA_PROP_NS;
         assert_eq!(*errors.borrow(), [(2 * prop, WcError::RegionNotOnPeer)]);
         assert_eq!(fab.stats().errors, 1);
         assert_eq!(fab.stats().writes, 0, "a refused WQE is not a write");
@@ -2326,8 +2323,8 @@ mod tests {
         );
         assert_eq!(
             s.miss_penalty_ns,
-            (s.qp_cache_misses + s.mtt_cache_misses) * cfg.nic_miss_ns,
-            "surcharge must equal misses x nic_miss_ns"
+            (s.qp_cache_misses + s.mtt_cache_misses) * NIC_MISS_NS,
+            "surcharge must equal misses x NIC_MISS_NS"
         );
         // A config with 8+ lines sees zero misses on the same trace.
         let roomy = FabricConfig {

@@ -45,7 +45,8 @@ use hydra_wire::{
 };
 
 use crate::cluster::Directory;
-use crate::config::{AimdConfig, ClusterConfig};
+use crate::config::ClusterConfig;
+use crate::costs;
 use crate::server::{ServerConn, ShardServer};
 
 /// Client-visible operation failures.
@@ -301,58 +302,67 @@ fn scan_run(msg: &[u8]) -> Option<ScanItems<'_>> {
     ScanItems::parse(Response::decode(msg)?.value)
 }
 
+/// Floor on the AIMD congestion window (requests per frame).
+pub const MIN_WINDOW: usize = 1;
+/// Additive increase per congestion-free response frame.
+pub const INCREASE: f64 = 1.0;
+/// Multiplicative decrease factor applied on congestion.
+pub const DECREASE: f64 = 0.5;
+/// Backlog hint (µs of queued shard-core work) at or below which the window
+/// may grow. A response frame normally reports ≤ a few µs of backlog (one
+/// point quantum); a scan quantum parked ahead reports ≥ 25 µs.
+pub const BACKLOG_LO_US: u16 = 4;
+/// Backlog hint at or above which the window is cut.
+pub const BACKLOG_HI_US: u16 = 16;
+/// Frame completion latency above which the window is cut even without a
+/// backlog hint (covers SendRecv and hint-less servers).
+pub const LATENCY_TARGET_NS: SimTime = 200_000;
+
+const _: () = assert!(MIN_WINDOW >= 1);
+const _: () = assert!(BACKLOG_LO_US < BACKLOG_HI_US);
+const _: () = assert!(DECREASE > 0.0 && DECREASE < 1.0);
+
 /// Per-connection AIMD congestion window bounding how many requests the
 /// client packs into one frame. Two signals drive it, both read
 /// from settled response frames: the server's piggybacked backlog hint
 /// (µs of shard-core work queued at response time, riding the response pad
 /// bytes) and the frame's observed completion latency. A congested frame
-/// (hint at or above the high watermark, or latency above target) halves
-/// the window; a comfortably clear frame (hint at or below the low
-/// watermark) grows it by one; in between it holds. The window starts at
-/// the configured maximum — an unloaded cluster keeps full-rate batching
-/// from the first frame, and only measured congestion sheds it.
+/// (hint at or above [`BACKLOG_HI_US`], or latency above
+/// [`LATENCY_TARGET_NS`]) halves the window; a comfortably clear frame (hint
+/// at or below [`BACKLOG_LO_US`]) grows it by one; in between it holds. The
+/// window starts at the configured maximum — an unloaded cluster keeps
+/// full-rate batching from the first frame, and only measured congestion
+/// sheds it.
 #[derive(Debug, Clone)]
 pub struct AimdWindow {
     cwnd: f64,
-    min: usize,
     max: usize,
-    increase: f64,
-    decrease: f64,
-    backlog_lo_us: u16,
-    backlog_hi_us: u16,
-    latency_target_ns: SimTime,
 }
 
 impl AimdWindow {
-    /// Builds a controller from the cluster's AIMD knobs, capped at `max`
-    /// requests per frame (the transport's `max_batch`).
-    pub fn new(cfg: &AimdConfig, max: usize) -> AimdWindow {
-        let max = max.max(1);
+    /// Builds a controller capped at `max` requests per frame (the
+    /// transport's `max_batch`).
+    pub fn new(max: usize) -> AimdWindow {
+        let max = max.max(MIN_WINDOW);
         AimdWindow {
             cwnd: max as f64,
-            min: cfg.min_window.clamp(1, max),
             max,
-            increase: cfg.increase,
-            decrease: cfg.decrease,
-            backlog_lo_us: cfg.backlog_lo_us,
-            backlog_hi_us: cfg.backlog_hi_us,
-            latency_target_ns: cfg.latency_target_ns,
         }
     }
 
     /// Current window: how many requests the next frame may carry.
     pub fn window(&self) -> usize {
-        (self.cwnd as usize).clamp(self.min, self.max)
+        (self.cwnd as usize).clamp(MIN_WINDOW, self.max)
     }
 
     /// Feeds one settled response frame into the controller: `max_hint_us`
     /// is the largest backlog hint across the frame's responses and
     /// `frame_latency_ns` the ship-to-settle time of the whole frame.
     pub fn on_frame(&mut self, max_hint_us: u16, frame_latency_ns: SimTime) {
-        if max_hint_us >= self.backlog_hi_us || frame_latency_ns > self.latency_target_ns {
-            self.cwnd = (self.cwnd * self.decrease).max(self.min as f64);
-        } else if max_hint_us <= self.backlog_lo_us {
-            self.cwnd = (self.cwnd + self.increase).min(self.max as f64);
+        if max_hint_us >= BACKLOG_HI_US || frame_latency_ns > LATENCY_TARGET_NS {
+            self.cwnd = (self.cwnd * DECREASE).max(MIN_WINDOW as f64);
+        } else if max_hint_us <= BACKLOG_LO_US {
+            self.cwnd = (self.cwnd + INCREASE).min(self.max as f64);
         }
         // Between the watermarks: hold — the backlog is draining.
     }
@@ -1073,16 +1083,14 @@ impl HydraClient {
         });
         match fetched {
             Ok(item) => {
-                let client_ns = {
+                {
                     let mut inner = self.inner.borrow_mut();
                     inner.stats.rptr_hits += 1;
-                    let client_ns = inner.cfg.costs.client_ns;
                     let lat = sim.now() - issued_at;
-                    inner.stats.get_lat.record(lat + client_ns);
-                    client_ns
-                };
+                    inner.stats.get_lat.record(lat + costs::CLIENT_NS);
+                }
                 if let Some(cb) = cb {
-                    sim.schedule_in(client_ns, move |sim| cb(sim, Ok(Some(item.value))));
+                    sim.schedule_in(costs::CLIENT_NS, move |sim| cb(sim, Ok(Some(item.value))));
                 }
             }
             Err(ItemError::Stale) | Err(ItemError::Corrupt) | Err(ItemError::Truncated) => {
@@ -1258,10 +1266,9 @@ impl HydraClient {
             1
         } else if inner.cfg.aimd.enabled {
             let max_batch = inner.cfg.max_batch.max(1);
-            let cfg = &inner.cfg;
             outbox
                 .aimd
-                .get_or_insert_with(|| AimdWindow::new(&cfg.aimd, max_batch))
+                .get_or_insert_with(|| AimdWindow::new(max_batch))
                 .window()
                 .min(max_batch)
         } else {
@@ -1741,7 +1748,7 @@ impl HydraClient {
             );
             return;
         }
-        let (verdict, client_ns) = {
+        let verdict = {
             let mut inner = self.inner.borrow_mut();
             let verdict: Result<Option<Vec<u8>>, OpError> = match (out.kind, resp.status) {
                 (OpKind::Get, Status::Ok) => {
@@ -1794,8 +1801,7 @@ impl HydraClient {
                 // server error; callers fall back through the message path.
                 (_, Status::WrongOwner) => Err(OpError::Server),
             };
-            let client_ns = inner.cfg.costs.client_ns;
-            let lat = now - out.issued_at + client_ns;
+            let lat = now - out.issued_at + costs::CLIENT_NS;
             match out.kind {
                 OpKind::Get | OpKind::RdmaGet => inner.stats.get_lat.record(lat),
                 // Scan latency is recorded end-to-end by `finish_scan`, not
@@ -1803,10 +1809,10 @@ impl HydraClient {
                 OpKind::LeaseRenew | OpKind::Scan => {}
                 _ => inner.stats.update_lat.record(lat),
             }
-            (verdict, client_ns)
+            verdict
         };
         if let Some(cb) = out.cb {
-            sim.schedule_in(client_ns, move |sim| cb(sim, verdict));
+            sim.schedule_in(costs::CLIENT_NS, move |sim| cb(sim, verdict));
         }
     }
 }
@@ -1876,21 +1882,19 @@ mod tests {
     /// any behavioural change to the controller must rewrite this trace.
     #[test]
     fn aimd_window_golden_trace() {
-        let cfg = AimdConfig::default();
-        assert!(cfg.enabled);
-        let mut w = AimdWindow::new(&cfg, 16);
+        let mut w = AimdWindow::new(16);
         // Cold start: full window (an unloaded cluster keeps max batching).
         assert_eq!(w.window(), 16);
         // Congestion step: backlog hint at the high watermark halves the
         // window per frame down to the floor.
         let mut trace = Vec::new();
         for _ in 0..6 {
-            w.on_frame(cfg.backlog_hi_us, 10_000);
+            w.on_frame(BACKLOG_HI_US, 10_000);
             trace.push(w.window());
         }
         assert_eq!(trace, vec![8, 4, 2, 1, 1, 1]);
         // Hold band: a hint between the watermarks leaves the window alone.
-        w.on_frame(cfg.backlog_lo_us + 1, 10_000);
+        w.on_frame(BACKLOG_LO_US + 1, 10_000);
         assert_eq!(w.window(), 1);
         // Recovery: clear frames (hint at/below the low watermark) climb
         // additively, capped at max_batch.
@@ -1904,21 +1908,16 @@ mod tests {
             vec![2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 16]
         );
         // A latency breach alone (hint clear) is also congestion.
-        w.on_frame(0, cfg.latency_target_ns + 1);
+        w.on_frame(0, LATENCY_TARGET_NS + 1);
         assert_eq!(w.window(), 8);
         // A frame timeout is maximal congestion.
-        let mut w2 = AimdWindow::new(&cfg, 16);
+        let mut w2 = AimdWindow::new(16);
         w2.on_timeout();
         assert_eq!(w2.window(), 8);
-        // The floor respects min_window even against the decrease factor.
-        let floor_cfg = AimdConfig {
-            min_window: 4,
-            ..AimdConfig::default()
-        };
-        let mut w3 = AimdWindow::new(&floor_cfg, 16);
+        // Repeated timeouts stop at the floor.
         for _ in 0..10 {
-            w3.on_timeout();
+            w2.on_timeout();
         }
-        assert_eq!(w3.window(), 4);
+        assert_eq!(w2.window(), MIN_WINDOW);
     }
 }

@@ -34,7 +34,7 @@ use crate::chaos::{ChaosController, RecordingClient};
 use crate::client::{ClientInner, HydraClient, PtrCache};
 use crate::config::{ClientMode, ClusterConfig};
 use crate::migration::{MigrationEngine, MigrationHandle, MigrationOutcome};
-use crate::ring::{HashRing, ShardId, VNODES};
+use crate::ring::{HashRing, ShardId};
 use crate::server::{ReplicaExport, ShardServer};
 
 /// The cluster-wide view clients route through: the consistent-hash ring
@@ -497,7 +497,7 @@ impl ClusterBuilder {
             .create("/servers", Vec::new(), CreateMode::Persistent, None)
             .expect("fresh tree");
         let directory = Rc::new(RefCell::new(Directory {
-            ring: HashRing::new(VNODES),
+            ring: HashRing::new(),
             shards: HashMap::new(),
             generation: 0,
             subscribers: Vec::new(),

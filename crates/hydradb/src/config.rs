@@ -1,9 +1,11 @@
-//! Deployment and cost-model configuration.
+//! Deployment configuration. The CPU calibration is [`crate::costs`].
 
 use hydra_fabric::{FabricConfig, Transport};
 use hydra_replication::{ReplConfig, ReplMode};
 use hydra_sim::time::{SimTime, MS};
 use hydra_store::{IndexKind, WriteMode};
+
+use crate::costs;
 
 /// Server-side execution model (§4.1.1, evaluated in §6.2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,44 +71,21 @@ pub enum SchedulerKind {
     DualLane,
 }
 
-/// Client-side AIMD window controller parameters (§12.4): the
-/// per-connection frame window grows additively while the shard
-/// reports a shallow backlog and is cut multiplicatively when the response
-/// frames carry a deep backlog hint (or completion latency blows past the
-/// target), so scan-congested shards shed window instead of queueing.
+/// Client-side AIMD window controller (§12.4): the per-connection frame
+/// window grows additively while the shard reports a shallow backlog and is
+/// cut multiplicatively when the response frames carry a deep backlog hint
+/// (or completion latency blows past the target), so scan-congested shards
+/// shed window instead of queueing. Its gains are constants beside
+/// [`crate::AimdWindow`].
 #[derive(Debug, Clone)]
 pub struct AimdConfig {
     /// Gate for the controller; off = fixed `max_batch` packing.
     pub enabled: bool,
-    /// Floor on the congestion window (requests per frame).
-    pub min_window: usize,
-    /// Additive increase per congestion-free response frame.
-    pub increase: f64,
-    /// Multiplicative decrease factor applied on congestion (0 < f < 1).
-    pub decrease: f64,
-    /// Backlog hint (µs of queued shard-core work) at or below which the
-    /// window may grow.
-    pub backlog_lo_us: u16,
-    /// Backlog hint at or above which the window is cut.
-    pub backlog_hi_us: u16,
-    /// Frame completion latency above which the window is cut even without
-    /// a backlog hint (covers SendRecv and hint-less servers).
-    pub latency_target_ns: SimTime,
 }
 
 impl Default for AimdConfig {
     fn default() -> Self {
-        AimdConfig {
-            enabled: true,
-            min_window: 1,
-            increase: 1.0,
-            decrease: 0.5,
-            // A response frame normally reports ≤ a few µs of backlog (one
-            // point quantum); a scan quantum parked ahead reports ≥ 25 µs.
-            backlog_lo_us: 4,
-            backlog_hi_us: 16,
-            latency_target_ns: 200_000,
-        }
+        AimdConfig { enabled: true }
     }
 }
 
@@ -129,12 +108,6 @@ pub enum ReplicationMode {
 }
 
 impl ReplicationMode {
-    /// Whether responses are held for a covering secondary acknowledgement
-    /// (strict durability semantics) rather than completing at delivery.
-    pub fn strict_semantics(&self) -> bool {
-        matches!(self, ReplicationMode::Strict | ReplicationMode::GroupCommit)
-    }
-
     /// The acknowledgement mode each primary/secondary channel runs in, or
     /// `None` when writes do not replicate.
     pub fn repl_mode(self) -> Option<ReplMode> {
@@ -143,97 +116,6 @@ impl ReplicationMode {
             ReplicationMode::Strict => Some(ReplMode::Strict),
             ReplicationMode::Logging { ack_every } => Some(ReplMode::Logging { ack_every }),
             ReplicationMode::GroupCommit => Some(ReplMode::GroupCommit),
-        }
-    }
-}
-
-/// Server CPU cost model (nanoseconds of shard-core time per action).
-///
-/// Values approximate a 2.6 GHz Xeon doing the corresponding work on
-/// cache-resident state; they anchor absolute throughput but the figures
-/// only claim relative shapes.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Hash-table lookup + response assembly for a GET.
-    pub get_ns: SimTime,
-    /// Allocation + item write + index insert for INSERT/UPDATE.
-    pub write_ns: SimTime,
-    /// Index removal + guardian flip for DELETE.
-    pub delete_ns: SimTime,
-    /// Per-value-byte copy cost on the server.
-    pub per_byte_ns: f64,
-    /// Cost of one polling sweep step (checking a request buffer).
-    pub poll_ns: SimTime,
-    /// Pipelined model: fixed serial hand-off cost per request on the
-    /// dispatch path (detection, request copy, enqueue, wake, response
-    /// hand-back).
-    pub dispatch_ns: SimTime,
-    /// Pipelined model: the *state-mutating* share of an op (its cost beyond
-    /// a plain GET) effectively serializes through the shared partition with
-    /// cross-core coherence amplification — the cache lines a worker dirties
-    /// must bounce to whichever thread touches them next. Calibrated against
-    /// §6.2.1 (single-threaded wins 27.4-94.8%, most at 50/50).
-    pub pipeline_mutation_factor: f64,
-    /// Pipelined model: queue synchronization overhead per request.
-    pub sync_ns: SimTime,
-    /// Two-sided (Send/Recv) mode: server CPU charge per message for recv
-    /// WQE replenishment + CQE handling — the cost HERD's analysis (and
-    /// §4.2.1) holds against Send/Recv-based designs.
-    pub recv_cpu_ns: SimTime,
-    /// Client-side processing per completed operation.
-    pub client_ns: SimTime,
-    /// CPU cost to build one send/write WQE and ring the doorbell when
-    /// posting a response. Charged per response on the singleton path and
-    /// once per frame on the batched path (one WQE carries the whole
-    /// response batch). Defaults to 0 so pre-batching calibrations are
-    /// untouched; the batching study sets it to a measured MMIO cost.
-    pub post_wqe_ns: SimTime,
-    /// Multiplier on `get_ns` for GETs served through the batched path:
-    /// interleaved bucket probing overlaps the index cache misses of
-    /// neighbouring keys (memory-level parallelism), so a batched GET's
-    /// probe phase costs less than a serial one.
-    pub batch_probe_factor: f64,
-    /// Multiplier on `write_ns` for INSERT/UPDATEs executed through the
-    /// batched path: like `batch_probe_factor`, neighbouring writes in a
-    /// quantum overlap their index-probe and arena-allocation misses
-    /// (memory-level parallelism), and the write path has more miss work to
-    /// hide than a pure probe. Value copies (`per_byte_ns`) stay serial.
-    pub batch_write_factor: f64,
-    /// Sub-sharding model: in-process hand-off from the connection thread
-    /// to a sub-shard core (no kernel synchronization, just a queue push).
-    pub subshard_handoff_ns: SimTime,
-    /// Fixed cost of a SCAN: skiplist descent to the start key + response
-    /// header assembly.
-    pub scan_base_ns: SimTime,
-    /// Per-returned-item cost of a SCAN: successor hop + key/value copy into
-    /// the packed response.
-    pub scan_item_ns: SimTime,
-    /// Cost to resume a preempted scan from its in-engine cursor (guardian
-    /// revalidation + one successor hop) — far cheaper than the full
-    /// `scan_base_ns` descent, and paid only when a scan actually yielded.
-    pub scan_resume_ns: SimTime,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            get_ns: 450,
-            write_ns: 2_200,
-            delete_ns: 1_500,
-            per_byte_ns: 0.06,
-            poll_ns: 15,
-            dispatch_ns: 600,
-            pipeline_mutation_factor: 2.4,
-            sync_ns: 400,
-            recv_cpu_ns: 500,
-            client_ns: 150,
-            post_wqe_ns: 0,
-            batch_probe_factor: 0.85,
-            batch_write_factor: 0.7,
-            subshard_handoff_ns: 120,
-            scan_base_ns: 600,
-            scan_item_ns: 50,
-            scan_resume_ns: 150,
         }
     }
 }
@@ -301,18 +183,19 @@ pub struct ClusterConfig {
     /// Maximum requests packed into one batch frame (one doorbell, one
     /// server execution quantum).
     pub max_batch: usize,
-    /// Shard-core time budget one SCAN may consume before the server
-    /// truncates it and hands the client a continuation (`more` flag). Keeps
-    /// a long range scan from parking behind it every point op in the
-    /// quantum: the per-scan charge is `scan_base_ns + items × scan_item_ns`,
-    /// and the item count is capped so the charge never exceeds this budget.
-    pub scan_quantum_ns: SimTime,
+    /// CPU cost to build one send/write WQE and ring the doorbell when
+    /// posting a response. Charged per response on the singleton path and
+    /// once per frame on the batched path (one WQE carries the whole
+    /// response batch). 0 keeps the pre-batching calibration; the batching
+    /// study sets it to a measured MMIO cost.
+    pub post_wqe_ns: SimTime,
     /// Run-queue discipline for single-threaded shards (§12).
     pub scheduler: SchedulerKind,
     /// Items a running scan emits between preemption points under
     /// [`SchedulerKind::DualLane`]: a latency-lane arrival forces the scan
     /// to yield at the next chunk boundary (~`scan_chunk_items ×
-    /// scan_item_ns` away) instead of holding the core for the full quantum.
+    /// costs::SCAN_ITEM_NS` away) instead of holding the core for the full
+    /// quantum.
     pub scan_chunk_items: u32,
     /// Client-side AIMD window controller (§12.4).
     pub aimd: AimdConfig,
@@ -333,8 +216,6 @@ pub struct ClusterConfig {
     pub repl_ring_words: usize,
     /// Fabric latency model.
     pub fabric: FabricConfig,
-    /// Server CPU cost model.
-    pub costs: CostModel,
     /// Items a live migration moves per quantum (snapshot scan, catch-up
     /// flush, post-flip drain). Each quantum rides the throughput lane, so
     /// the latency lane keeps serving point ops between quanta; smaller
@@ -385,7 +266,7 @@ impl Default for ClusterConfig {
             msg_slot_words: 1 << 10,
             pipeline_depth: 1,
             max_batch: 16,
-            scan_quantum_ns: 25_000,
+            post_wqe_ns: 0,
             scheduler: SchedulerKind::DualLane,
             scan_chunk_items: 64,
             aimd: AimdConfig::default(),
@@ -396,7 +277,6 @@ impl Default for ClusterConfig {
             op_timeout_ns: 10 * MS,
             repl_ring_words: 1 << 16,
             fabric: FabricConfig::default(),
-            costs: CostModel::default(),
             migration_quantum_items: 128,
             mux_connections: false,
             srq: false,
@@ -418,7 +298,7 @@ impl ClusterConfig {
         Some(ReplConfig {
             ring_words: self.repl_ring_words,
             mode: self.replication.repl_mode()?,
-            apply_cost_ns: self.costs.write_ns,
+            apply_cost_ns: costs::WRITE_NS,
             page_bytes: self.page_bytes,
         })
     }
@@ -433,14 +313,9 @@ mod tests {
         let c = ClusterConfig::default();
         assert_eq!(c.total_shards(), 4);
         assert_eq!(c.scheduler, SchedulerKind::DualLane);
-        // A scan chunk must fit inside the scan quantum, and the resume
-        // charge must undercut a fresh descent (else preemption never pays).
-        assert!(c.scan_chunk_items as u64 * c.costs.scan_item_ns <= c.scan_quantum_ns);
-        assert!(c.costs.scan_resume_ns < c.costs.scan_base_ns);
-        let a = &c.aimd;
-        assert!(a.min_window >= 1);
-        assert!(a.decrease > 0.0 && a.decrease < 1.0);
-        assert!(a.backlog_lo_us < a.backlog_hi_us);
+        // A scan chunk must fit inside the scan quantum.
+        assert!(c.scan_chunk_items as u64 * costs::SCAN_ITEM_NS <= crate::server::SCAN_QUANTUM_NS);
+        assert!(c.aimd.enabled);
         assert!(c.client_mode.rdma_read());
         assert!(c.client_mode.rdma_write());
         assert!(!ClientMode::SendRecv.rdma_write());

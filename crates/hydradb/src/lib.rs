@@ -47,6 +47,7 @@ pub mod chaos;
 pub mod client;
 pub mod cluster;
 pub mod config;
+pub mod costs;
 pub mod migration;
 pub mod ring;
 pub mod server;
@@ -59,7 +60,7 @@ pub use cluster::{
     ShardHandle,
 };
 pub use config::{
-    AimdConfig, ClientMode, ClusterConfig, CostModel, ExecModel, ReplicationMode, SchedulerKind,
+    AimdConfig, ClientMode, ClusterConfig, ExecModel, ReplicationMode, SchedulerKind,
 };
 pub use hydra_replication::{BEAT_NS, MISSES};
 pub use hydra_store::IndexKind;

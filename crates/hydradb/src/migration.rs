@@ -63,6 +63,7 @@ use hydra_wire::LogOp;
 
 use crate::cluster::{partition_znode, Directory, HaState};
 use crate::config::ClusterConfig;
+use crate::costs;
 use crate::ring::{HashRing, ShardId};
 use crate::server::ShardServer;
 
@@ -819,10 +820,9 @@ impl MigrationEngine {
                 .collect()
         };
         for (server, state, inflight, phase) in dispatches {
-            let c = &cfg.costs;
             let cost = match phase {
-                MigrationPhase::CatchUp => c.poll_ns + quantum as SimTime * c.get_ns,
-                _ => c.scan_base_ns + quantum as SimTime * c.scan_item_ns,
+                MigrationPhase::CatchUp => costs::POLL_NS + quantum as SimTime * costs::GET_NS,
+                _ => costs::SCAN_BASE_NS + quantum as SimTime * costs::SCAN_ITEM_NS,
             };
             inflight.set(true);
             let state2 = state.clone();
@@ -1227,7 +1227,7 @@ mod tests {
 
     #[test]
     fn ownership_gate_follows_the_live_ring() {
-        let mut ring = HashRing::new(32);
+        let mut ring = HashRing::new();
         ring.add_shard(ShardId(0));
         ring.add_shard(ShardId(1));
         let mut target = ring.clone();

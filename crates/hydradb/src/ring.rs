@@ -9,10 +9,10 @@ use hydra_store::hash_key;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShardId(pub u32);
 
-/// Virtual nodes per shard on the cluster's ring.
-pub(crate) const VNODES: u32 = 64;
+/// Virtual nodes per shard.
+const VNODES: u32 = 64;
 
-/// A consistent-hash ring of shards with virtual nodes.
+/// A consistent-hash ring of shards with [`VNODES`] virtual nodes each.
 ///
 /// Virtual nodes smooth the key distribution: with `v` vnodes per shard the
 /// expected load imbalance is O(sqrt(log n / v)). The paper's fine-grained
@@ -22,18 +22,12 @@ pub(crate) const VNODES: u32 = 64;
 pub struct HashRing {
     points: BTreeMap<u64, ShardId>,
     shards: BTreeSet<ShardId>,
-    vnodes: u32,
 }
 
 impl HashRing {
-    /// Creates an empty ring with `vnodes` virtual nodes per shard.
-    pub fn new(vnodes: u32) -> Self {
-        assert!(vnodes > 0, "at least one virtual node required");
-        HashRing {
-            points: BTreeMap::new(),
-            shards: BTreeSet::new(),
-            vnodes,
-        }
+    /// Creates an empty ring.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn point(shard: ShardId, vnode: u32) -> u64 {
@@ -49,7 +43,7 @@ impl HashRing {
         if !self.shards.insert(shard) {
             return; // already present; the points are in place
         }
-        for v in 0..self.vnodes {
+        for v in 0..VNODES {
             self.points.insert(Self::point(shard, v), shard);
         }
     }
@@ -59,19 +53,9 @@ impl HashRing {
         if !self.shards.remove(&shard) {
             return;
         }
-        for v in 0..self.vnodes {
+        for v in 0..VNODES {
             self.points.remove(&Self::point(shard, v));
         }
-    }
-
-    /// Number of distinct shards present.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether `shard` currently owns ring points.
-    pub fn contains(&self, shard: ShardId) -> bool {
-        self.shards.contains(&shard)
     }
 
     /// Distinct shards present, in ascending id order.
@@ -80,7 +64,7 @@ impl HashRing {
     }
 
     /// Routes a key hash to its owning shard (clockwise successor).
-    pub fn route_hash(&self, hash: u64) -> Option<ShardId> {
+    fn route_hash(&self, hash: u64) -> Option<ShardId> {
         self.points
             .range(hash..)
             .next()
@@ -100,7 +84,7 @@ mod tests {
 
     #[test]
     fn routing_is_deterministic_and_total() {
-        let mut r = HashRing::new(32);
+        let mut r = HashRing::new();
         for s in 0..4 {
             r.add_shard(ShardId(s));
         }
@@ -110,18 +94,18 @@ mod tests {
             let b = r.route(k.as_bytes()).unwrap();
             assert_eq!(a, b);
         }
-        assert_eq!(r.shard_count(), 4);
+        assert_eq!(r.shards().count(), 4);
     }
 
     #[test]
     fn empty_ring_routes_nowhere() {
-        let r = HashRing::new(8);
+        let r = HashRing::new();
         assert_eq!(r.route(b"anything"), None);
     }
 
     #[test]
     fn load_is_roughly_balanced() {
-        let mut r = HashRing::new(128);
+        let mut r = HashRing::new();
         let shards = 8u32;
         for s in 0..shards {
             r.add_shard(ShardId(s));
@@ -141,7 +125,7 @@ mod tests {
 
     #[test]
     fn removing_a_shard_only_moves_its_keys() {
-        let mut r = HashRing::new(64);
+        let mut r = HashRing::new();
         for s in 0..5 {
             r.add_shard(ShardId(s));
         }
@@ -169,7 +153,7 @@ mod tests {
     fn adding_a_shard_only_moves_keys_to_it() {
         // Monotone consistent hashing: a join may steal keys for the new
         // shard, but must never reshuffle keys between surviving shards.
-        let mut r = HashRing::new(64);
+        let mut r = HashRing::new();
         for s in 0..5 {
             r.add_shard(ShardId(s));
         }
@@ -179,7 +163,7 @@ mod tests {
             .map(|k| r.route(k.as_bytes()).unwrap())
             .collect();
         r.add_shard(ShardId(5));
-        assert_eq!(r.shard_count(), 6);
+        assert_eq!(r.shards().count(), 6);
         let mut moved_to_new = 0;
         for (k, &was) in keys.iter().zip(&before) {
             let now = r.route(k.as_bytes()).unwrap();
@@ -196,7 +180,7 @@ mod tests {
 
         // Removing the joiner restores the exact prior routing.
         r.remove_shard(ShardId(5));
-        assert_eq!(r.shard_count(), 5);
+        assert_eq!(r.shards().count(), 5);
         for (k, &was) in keys.iter().zip(&before) {
             assert_eq!(r.route(k.as_bytes()).unwrap(), was, "{k}");
         }
@@ -204,21 +188,21 @@ mod tests {
 
     #[test]
     fn add_and_remove_are_idempotent() {
-        let mut r = HashRing::new(16);
+        let mut r = HashRing::new();
         r.add_shard(ShardId(7));
         let points_once = r.points.len();
         r.add_shard(ShardId(7));
         assert_eq!(r.points.len(), points_once);
-        assert_eq!(r.shard_count(), 1);
+        assert_eq!(r.shards().count(), 1);
         r.remove_shard(ShardId(7));
         r.remove_shard(ShardId(7));
-        assert_eq!(r.shard_count(), 0);
+        assert_eq!(r.shards().count(), 0);
         assert!(r.points.is_empty());
     }
 
     #[test]
     fn wraparound_routes_to_first_point() {
-        let mut r = HashRing::new(1);
+        let mut r = HashRing::new();
         r.add_shard(ShardId(0));
         // Any hash beyond the single point wraps to it.
         assert_eq!(r.route_hash(u64::MAX), Some(ShardId(0)));

@@ -32,6 +32,7 @@ use hydra_wire::{
 };
 
 use crate::config::{ClusterConfig, ReplicationMode, SchedulerKind};
+use crate::costs;
 use crate::migration::{ChannelShipments, MigrationState, RecordsByDst};
 use crate::ring::ShardId;
 
@@ -73,23 +74,27 @@ fn log2_bucket(v: u64) -> usize {
     ((64 - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
 }
 
+/// Shard-core time budget one SCAN may consume before the server truncates
+/// it and hands the client a continuation (`more` flag). Keeps a long range
+/// scan from parking behind it every point op in the quantum.
+pub const SCAN_QUANTUM_NS: SimTime = 25_000;
+
 /// Largest item count one scan may return inside its quantum: the biggest
-/// `C` with `scan_base_ns + C × scan_item_ns ≤ scan_quantum_ns`, floored at
-/// 1 so a scan always makes progress. The server truncates longer scans here
-/// and sets the response's `more` flag; the client continues from its last
-/// received key.
-pub fn scan_quantum_items(cfg: &ClusterConfig) -> u32 {
-    let c = &cfg.costs;
-    (cfg.scan_quantum_ns.saturating_sub(c.scan_base_ns) / c.scan_item_ns.max(1)).max(1) as u32
-}
+/// `C` with `SCAN_BASE_NS + C × SCAN_ITEM_NS ≤ SCAN_QUANTUM_NS`. The server
+/// truncates longer scans here and sets the response's `more` flag; the
+/// client continues from its last received key.
+pub const SCAN_QUANTUM_ITEMS: u32 =
+    ((SCAN_QUANTUM_NS - costs::SCAN_BASE_NS) / costs::SCAN_ITEM_NS) as u32;
+
+// A scan always makes progress.
+const _: () = assert!(SCAN_QUANTUM_ITEMS >= 1);
 
 /// Shard-core charge for a scan requesting `limit` items: the descent base
 /// plus per-item cost for the items actually served (the quantum cap bounds
 /// the count, so for any `limit` the charge never exceeds
-/// `scan_quantum_ns` — pinned by `scan_cost_respects_quantum_budget`).
-pub fn scan_cost(cfg: &ClusterConfig, limit: u32) -> SimTime {
-    let c = &cfg.costs;
-    c.scan_base_ns + limit.min(scan_quantum_items(cfg)) as SimTime * c.scan_item_ns
+/// [`SCAN_QUANTUM_NS`] — pinned by `scan_cost_respects_quantum_budget`).
+pub fn scan_cost(limit: u32) -> SimTime {
+    costs::SCAN_BASE_NS + limit.min(SCAN_QUANTUM_ITEMS) as SimTime * costs::SCAN_ITEM_NS
 }
 
 /// Operation counters for one shard.
@@ -289,7 +294,7 @@ struct ScanTask {
     req_id: u64,
     /// Next key to walk from (original start, then `last_key + 0x00`).
     cursor: Vec<u8>,
-    /// Items still allowed (starts at `limit.min(scan_quantum_items)`).
+    /// Items still allowed (starts at `limit.min(SCAN_QUANTUM_ITEMS)`).
     remaining: u32,
     /// Items already packed into `resp` by earlier chunks.
     served: u32,
@@ -472,7 +477,7 @@ pub(crate) fn with_gate<R>(
 /// What bounds one scan step besides the client's limit.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanBounds {
-    /// Most items a step returns: its quantum ([`scan_quantum_items`]).
+    /// Most items a step returns: its quantum ([`SCAN_QUANTUM_ITEMS`]).
     pub items: u32,
     /// Payload bytes the connection's message slot carries: the response —
     /// with everything sharing its frame — must fit.
@@ -486,7 +491,7 @@ impl ScanBounds {
     /// The bounds `cfg` puts on a scan answered in a payload of its own.
     pub fn of(cfg: &ClusterConfig) -> ScanBounds {
         ScanBounds {
-            items: scan_quantum_items(cfg),
+            items: SCAN_QUANTUM_ITEMS,
             slot_bytes: frame::max_payload(cfg.msg_slot_words),
             reserved: 0,
         }
@@ -1000,34 +1005,32 @@ impl ShardServer {
     /// index interleaved, overlapping their cache misses, and batched
     /// writes likewise overlap their probe/allocation misses; value copies
     /// stay serial.
-    fn item_cost(&self, req: &Request<'_>, send_recv: bool, batched: bool) -> SimTime {
-        let c = &self.cfg.costs;
+    fn item_cost(req: &Request<'_>, send_recv: bool, batched: bool) -> SimTime {
         let (probe, write) = if batched {
-            (c.batch_probe_factor, c.batch_write_factor)
+            (costs::BATCH_PROBE_FACTOR, costs::BATCH_WRITE_FACTOR)
         } else {
             (1.0, 1.0)
         };
         let base = match req {
-            Request::Get { .. } => (c.get_ns as f64 * probe).round() as SimTime,
+            Request::Get { .. } => (costs::GET_NS as f64 * probe).round() as SimTime,
             Request::Insert { value, .. } | Request::Update { value, .. } => {
-                (c.write_ns as f64 * write).round() as SimTime
-                    + (value.len() as f64 * c.per_byte_ns).round() as SimTime
+                (costs::WRITE_NS as f64 * write).round() as SimTime
+                    + (value.len() as f64 * costs::PER_BYTE_NS).round() as SimTime
             }
-            Request::Delete { .. } => c.delete_ns,
-            Request::LeaseRenew { keys, .. } => c.get_ns / 2 * keys.len().max(1) as SimTime,
-            Request::Scan { limit, .. } => scan_cost(&self.cfg, *limit),
+            Request::Delete { .. } => costs::DELETE_NS,
+            Request::LeaseRenew { keys, .. } => costs::GET_NS / 2 * keys.len().max(1) as SimTime,
+            Request::Scan { limit, .. } => scan_cost(*limit),
         };
         // Two-sided transports make the server CPU shepherd every message
         // through the receive queue (§4.2.1 / HERD).
-        base + if send_recv { c.recv_cpu_ns } else { 0 }
+        base + if send_recv { costs::RECV_CPU_NS } else { 0 }
     }
 
     /// Delay before an idle shard notices an arrival: the sweep position
     /// and the sleep backoff. A busy shard detects for free — its loop
     /// re-polls right after finishing, and queueing dominates.
     fn detection_ns(&self) -> SimTime {
-        self.cfg.costs.poll_ns * (self.conns.len() as u64 / 2)
-            + self.cfg.sleep_backoff_ns.unwrap_or(0) / 2
+        costs::POLL_NS * (self.conns.len() as u64 / 2) + self.cfg.sleep_backoff_ns.unwrap_or(0) / 2
     }
 
     /// Entry point for RDMA-Write mode: a request frame has landed in
@@ -1105,7 +1108,7 @@ impl ShardServer {
     ) -> (usize, LaneTask, SimTime) {
         let send_recv = self.conns[conn_idx].send_recv;
         let batched = BatchFrame::is_batch(&payload);
-        let fixed = self.cfg.costs.poll_ns + self.cfg.costs.post_wqe_ns;
+        let fixed = costs::POLL_NS + self.cfg.post_wqe_ns;
         let own_fixed = if batched { 0 } else { fixed };
         // Queue depth at arrival ≈ core backlog (running task) plus both
         // lanes' undispatched work, over the request's cost.
@@ -1116,7 +1119,7 @@ impl ShardServer {
         let (mut scan, mut early) = (None, false);
         for msg in messages(&payload) {
             let req = Request::decode(msg).expect("admission validated it");
-            let cost = self.item_cost(&req, send_recv, batched);
+            let cost = Self::item_cost(&req, send_recv, batched);
             // Per-op depth samples are per request on every path.
             self.stats.queue_depth_hist_by_op[op_slot(&req)]
                 [log2_bucket(backlog / (cost + own_fixed).max(1))] += 1;
@@ -1153,7 +1156,7 @@ impl ShardServer {
                 conn_idx,
                 req_id,
                 cursor,
-                remaining: limit.min(scan_quantum_items(&self.cfg)),
+                remaining: limit.min(SCAN_QUANTUM_ITEMS),
                 served: 0,
                 resp: Vec::new(),
                 arrived: now,
@@ -1239,7 +1242,7 @@ impl ShardServer {
         };
         if matches!(r.task, LaneTask::Scan(_)) && r.yield_items.is_none() {
             let chunk_items = s.cfg.scan_chunk_items.max(1) as u64;
-            let chunk_ns = chunk_items * s.cfg.costs.scan_item_ns.max(1);
+            let chunk_ns = chunk_items * costs::SCAN_ITEM_NS;
             let head_end = r.start + r.head_ns;
             // Smallest whole-chunk boundary at or after the arrival (at
             // least one chunk completes per dispatch, so a scan always
@@ -1285,9 +1288,7 @@ impl ShardServer {
         let now = sim.now();
         let done = s.cpu.acquire(now, cost);
         let head_ns = match &task {
-            LaneTask::Scan(t) => {
-                cost.saturating_sub(t.remaining as SimTime * s.cfg.costs.scan_item_ns)
-            }
+            LaneTask::Scan(t) => cost.saturating_sub(t.remaining as SimTime * costs::SCAN_ITEM_NS),
             _ => 0,
         };
         let this2 = this.clone();
@@ -1381,18 +1382,14 @@ impl ShardServer {
         if !this.borrow().alive {
             return;
         }
-        let cost = {
-            let s = this.borrow();
-            let c = &s.cfg.costs;
-            records
-                .iter()
-                .map(|(op, _k, v)| match op {
-                    LogOp::Delete => c.delete_ns,
-                    _ => c.write_ns + (v.len() as f64 * c.per_byte_ns).round() as SimTime,
-                })
-                .sum::<SimTime>()
-                + c.poll_ns
-        };
+        let cost = records
+            .iter()
+            .map(|(op, _k, v)| match op {
+                LogOp::Delete => costs::DELETE_NS,
+                _ => costs::WRITE_NS + (v.len() as f64 * costs::PER_BYTE_NS).round() as SimTime,
+            })
+            .sum::<SimTime>()
+            + costs::POLL_NS;
         Self::run_on_core(
             this,
             sim,
@@ -1494,8 +1491,7 @@ impl ShardServer {
         if yield_items.is_some() && end == ScanEnd::Allowance {
             last_key.push(0);
             task.cursor = last_key;
-            let c = &s.cfg.costs;
-            let cost = c.scan_resume_ns + task.remaining as SimTime * c.scan_item_ns;
+            let cost = costs::SCAN_RESUME_NS + task.remaining as SimTime * costs::SCAN_ITEM_NS;
             s.sched.push_front(THR, LaneTask::Scan(task), cost);
             return;
         }
@@ -1755,34 +1751,22 @@ mod tests {
     /// the item cap is exactly the largest count that fits.
     #[test]
     fn scan_cost_respects_quantum_budget() {
-        let cfg = ClusterConfig::default();
-        let cap = scan_quantum_items(&cfg);
-        assert!(cap >= 1);
+        let cap = SCAN_QUANTUM_ITEMS;
         // The cap fills the budget: one more item would overflow it.
-        assert!(scan_cost(&cfg, cap) <= cfg.scan_quantum_ns);
-        assert!(
-            cfg.costs.scan_base_ns + (cap as SimTime + 1) * cfg.costs.scan_item_ns
-                > cfg.scan_quantum_ns
-        );
+        assert!(scan_cost(cap) <= SCAN_QUANTUM_NS);
+        assert!(scan_cost(cap) + costs::SCAN_ITEM_NS > SCAN_QUANTUM_NS);
         for limit in [0u32, 1, 10, 100, cap, cap + 1, 1 << 20, u32::MAX] {
-            let cost = scan_cost(&cfg, limit);
+            let cost = scan_cost(limit);
             assert!(
-                cost <= cfg.scan_quantum_ns,
-                "limit={limit}: cost {cost} exceeds quantum {}",
-                cfg.scan_quantum_ns
+                cost <= SCAN_QUANTUM_NS,
+                "limit={limit}: cost {cost} exceeds quantum {SCAN_QUANTUM_NS}"
             );
         }
         // Below the cap the charge is exactly base + items × per-item.
         assert_eq!(
-            scan_cost(&cfg, 100),
-            cfg.costs.scan_base_ns + 100 * cfg.costs.scan_item_ns
+            scan_cost(100),
+            costs::SCAN_BASE_NS + 100 * costs::SCAN_ITEM_NS
         );
-        // Tighter budgets shrink the cap but never below progress.
-        let tight = ClusterConfig {
-            scan_quantum_ns: 0,
-            ..ClusterConfig::default()
-        };
-        assert_eq!(scan_quantum_items(&tight), 1);
     }
 
     /// A quantum task tagged by `conn_idx` so picks can be told apart.

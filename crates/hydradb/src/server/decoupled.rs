@@ -19,6 +19,7 @@ use hydra_wire::{messages, Request};
 
 use super::{log2_bucket, op_slot, ShardServer};
 use crate::config::ExecModel;
+use crate::costs;
 use crate::ring::ShardId;
 
 /// The cores requests are handed to (the shard's own core is the
@@ -76,9 +77,9 @@ pub(super) fn admit(
 /// when the hand-off core finishes it.
 fn dispatch(s: &mut ShardServer, now: SimTime, conn_idx: usize, msg: &[u8]) -> SimTime {
     let req = Request::decode(msg).expect("admission validated it");
-    let cfg = Rc::clone(&s.cfg);
-    let c = &cfg.costs;
-    let cost = s.item_cost(&req, s.conns[conn_idx].send_recv, false) + c.poll_ns + c.post_wqe_ns;
+    let cost = ShardServer::item_cost(&req, s.conns[conn_idx].send_recv, false)
+        + costs::POLL_NS
+        + s.cfg.post_wqe_ns;
     s.stats.requests += 1;
     let backlog = s.cpu.free_at().saturating_sub(now);
     let depth_bucket = log2_bucket(backlog / cost.max(1));
@@ -92,7 +93,9 @@ fn dispatch(s: &mut ShardServer, now: SimTime, conn_idx: usize, msg: &[u8]) -> S
     let d = s.decoupled.as_mut().expect("decoupled model");
     if d.keyed {
         // The connection-owning thread pays only the poll + route cost.
-        let routed = s.cpu.acquire(arrival, c.poll_ns + c.subshard_handoff_ns);
+        let routed = s
+            .cpu
+            .acquire(arrival, costs::POLL_NS + costs::SUBSHARD_HANDOFF_NS);
         let key = match &req {
             Request::Get { key, .. }
             | Request::Insert { key, .. }
@@ -108,15 +111,15 @@ fn dispatch(s: &mut ShardServer, now: SimTime, conn_idx: usize, msg: &[u8]) -> S
     } else {
         // The state-mutating share of the op serializes on the dispatch
         // path with cross-core coherence amplification.
-        let mutation = cost.saturating_sub(c.get_ns + c.poll_ns);
-        let serial =
-            c.dispatch_ns + (c.pipeline_mutation_factor * mutation as f64).round() as SimTime;
+        let mutation = cost.saturating_sub(costs::GET_NS + costs::POLL_NS);
+        let serial = costs::DISPATCH_NS
+            + (costs::PIPELINE_MUTATION_FACTOR * mutation as f64).round() as SimTime;
         let dispatched = s.cpu.acquire(arrival, serial);
         let worker = d
             .workers
             .iter_mut()
             .min_by_key(|w| w.free_at())
             .expect("pipelined model has workers");
-        worker.acquire(dispatched + c.sync_ns, cost)
+        worker.acquire(dispatched + costs::SYNC_NS, cost)
     }
 }

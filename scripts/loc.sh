@@ -2,8 +2,9 @@
 # Counted lines: the size figure CHANGES.md quotes from PR to PR.
 # Non-blank, non-comment (`//`, `///`, `//!`) lines of crates/*/src outside
 # `#[cfg(test)] mod` blocks, per crate and in total, plus the public field
-# counts of the four config structs, the lines that say `unsafe` and the
-# number of vendored crates. A report, not a gate.
+# counts of the four config structs and their sum (the settable config
+# values), the lines that say `unsafe` and the number of vendored crates.
+# A report, not a gate.
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,11 +43,13 @@ for crate in crates/*/; do
 done
 printf '%-14s %6d\n' "crates/*/src" "$total"
 echo
-printf 'pub fields: ClusterConfig %d, CostModel %d, FabricConfig %d, ReplConfig %d\n' \
-    "$(fields ClusterConfig crates/hydradb/src/config.rs)" \
-    "$(fields CostModel crates/hydradb/src/config.rs)" \
-    "$(fields FabricConfig crates/fabric/src/config.rs)" \
-    "$(fields ReplConfig crates/replication/src/lib.rs)"
+cluster=$(fields ClusterConfig crates/hydradb/src/config.rs)
+aimd=$(fields AimdConfig crates/hydradb/src/config.rs)
+fabric=$(fields FabricConfig crates/fabric/src/config.rs)
+repl=$(fields ReplConfig crates/replication/src/lib.rs)
+printf 'pub fields: ClusterConfig %d, AimdConfig %d, FabricConfig %d, ReplConfig %d\n' \
+    "$cluster" "$aimd" "$fabric" "$repl"
+printf 'settable config values: %d\n' $((cluster + aimd + fabric + repl))
 # Code lines only: a comment that mentions the word is not one.
 printf 'unsafe lines under crates/*/src: %d\n' \
     "$(grep -rhE '\bunsafe\b' crates/*/src --include='*.rs' | grep -cvE '^[[:space:]]*//')"
