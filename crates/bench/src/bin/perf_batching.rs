@@ -13,6 +13,15 @@
 //! model asymmetry: the default configuration keeps `post_wqe_ns = 0` and
 //! is untouched by this study.
 //!
+//! The closed-loop arm is not batch-free: its depth-1 clients ship bare
+//! requests, and a busy shard serves the bare requests it finds queued as
+//! one sweep at the same batched marginal cost (DESIGN §7). So the ratio
+//! compares client frames against server-side sweeps, and its floor is
+//! 1.4× (1.64× before the shard swept; 1.46× at smoke and 1.47× at normal
+//! scale with it). The frame arm never sweeps, and its own floor is its
+//! rate before sweeps existed, per scale: batching must not lose throughput
+//! to them.
+//!
 //! The AIMD congestion window (on by default) is disabled here: this is an
 //! ablation of *fixed-depth* batching, and an adaptive controller would
 //! fight the very knob the grid sweeps (at depth 64 it throttles the window
@@ -26,6 +35,16 @@ use hydra_ycsb::{run_workload, DriverConfig};
 
 const CLIENTS: usize = 50;
 const POST_WQE_NS: u64 = 180;
+
+/// Depth-64 / batch-16 GET throughput (Mops) before the shard swept bare
+/// requests, per scale (rounded down): a frame-only arm must not fall below it.
+fn frame_arm_floor(scale: Scale) -> f64 {
+    match scale {
+        Scale::Smoke => 6.146,
+        Scale::Normal => 8.342,
+        Scale::Paper => 7.482,
+    }
+}
 
 fn run_point(depth: usize, batch: usize, scale: Scale) -> (hydra_ycsb::WorkloadReport, f64) {
     let cfg = ClusterConfig {
@@ -65,13 +84,14 @@ fn main() {
     ));
     let grid = [(1usize, 1usize), (4, 4), (16, 16), (64, 16)];
     let mut baseline = 0.0;
-    let mut speedup_d64_b16 = 0.0;
+    let (mut d64_b16, mut speedup_d64_b16) = (0.0, 0.0);
     for (depth, batch) in grid {
         let (r, per_op) = run_point(depth, batch, scale);
         if depth == 1 {
             baseline = r.mops;
         }
         if depth == 64 {
+            d64_b16 = r.mops;
             speedup_d64_b16 = r.mops / baseline;
         }
         report.line(&format!(
@@ -85,13 +105,21 @@ fn main() {
         report.datum(&format!("d{depth}_b{batch}"), ReportRow::from(&r));
         report.datum(&format!("d{depth}_b{batch}_doorbells_per_op"), per_op);
     }
+    let floor = frame_arm_floor(scale);
     report.line(&format!(
-        "# speedup d64/b16 over closed-loop: {speedup_d64_b16:.2}x (acceptance floor 1.5x)"
+        "# speedup d64/b16 over closed-loop: {speedup_d64_b16:.2}x (acceptance floor 1.4x)"
+    ));
+    report.line(&format!(
+        "# d64/b16: {d64_b16:.3} Mops (acceptance floor {floor:.3}, its rate before sweeps)"
     ));
     report.datum("speedup_d64_b16", speedup_d64_b16);
     report.save();
     assert!(
-        speedup_d64_b16 >= 1.5,
-        "batched pipeline must deliver >= 1.5x GETs ({speedup_d64_b16:.2}x)"
+        speedup_d64_b16 >= 1.4,
+        "batched pipeline must deliver >= 1.4x the GETs of swept bare requests ({speedup_d64_b16:.2}x)"
+    );
+    assert!(
+        d64_b16 >= floor,
+        "the frame arm fell below its rate before sweeps ({d64_b16:.3} < {floor:.3} Mops)"
     );
 }

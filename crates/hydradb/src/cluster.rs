@@ -124,7 +124,7 @@ impl std::fmt::Display for ClusterReport {
         )?;
         writeln!(
             f,
-            "{:<5} {:<5} {:<6} {:>9} {:>8} {:>8} {:>10} {:>9} {:>6} {:>8} {:>6} {:>8} {:>8} {:<9} {:>8} {:>8}",
+            "{:<5} {:<5} {:<6} {:>9} {:>8} {:>8} {:>10} {:>9} {:>6} {:>6} {:>8} {:>6} {:>8} {:>8} {:<9} {:>8} {:>8}",
             "part",
             "node",
             "alive",
@@ -133,6 +133,7 @@ impl std::fmt::Display for ClusterReport {
             "reclaim",
             "requests",
             "malformed",
+            "fill",
             "secs",
             "unacked",
             "lag",
@@ -145,7 +146,7 @@ impl std::fmt::Display for ClusterReport {
         for r in &self.rows {
             writeln!(
                 f,
-                "{:<5} {:<5} {:<6} {:>9} {:>7.1}% {:>8} {:>10} {:>9} {:>6} {:>8} {:>6} {:>8} {:>8.3} {:<9} {:>8} {:>8}",
+                "{:<5} {:<5} {:<6} {:>9} {:>7.1}% {:>8} {:>10} {:>9} {:>6.2} {:>6} {:>8} {:>6} {:>8} {:>8.3} {:<9} {:>8} {:>8}",
                 r.partition,
                 r.node,
                 r.alive,
@@ -154,6 +155,7 @@ impl std::fmt::Display for ClusterReport {
                 r.reclaim_pending,
                 r.requests,
                 r.malformed,
+                r.sweep_fill,
                 r.secondaries,
                 r.repl_unacked,
                 r.repl_lag_max,
@@ -210,6 +212,9 @@ pub struct PartitionReport {
     /// Arrivals the primary dropped at admission because they did not
     /// decode.
     pub malformed: u64,
+    /// Mean bare requests per sweep (a quantum of two or more taken from a
+    /// lane together); 0 when the primary never swept.
+    pub sweep_fill: f64,
     pub responses: u64,
     pub secondaries: usize,
     pub repl_unacked: u64,
@@ -949,6 +954,7 @@ impl Cluster {
                     reclaim_pending: engine.reclaim_pending(),
                     requests: stats.requests,
                     malformed: stats.malformed,
+                    sweep_fill: stats.swept_requests as f64 / stats.sweeps.max(1) as f64,
                     responses: stats.responses,
                     secondaries: state.secondaries.len(),
                     repl_unacked: repl_lag,

@@ -11,7 +11,9 @@
 //! occupies the shard's core (a [`FifoResource`]). Every arrival takes one
 //! route — admission, lane scheduler, quantum executor, replication,
 //! response (DESIGN §7) — except under the decoupled execution ablations,
-//! which branch off at admission into the `decoupled` submodule.
+//! which branch off at admission into the `decoupled` submodule. A busy
+//! shard serves the bare point ops its lane holds, from every connection,
+//! as one quantum: a *sweep* ([`ShardServer::take_sweep`]).
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -117,6 +119,11 @@ pub struct ServerStats {
     pub batches: u64,
     /// Requests that arrived inside batch frames (subset of `requests`).
     pub batched_requests: u64,
+    /// Sweeps: quanta of two or more bare point ops, from one or more
+    /// connections, that the shard took from a lane together.
+    pub sweeps: u64,
+    /// Bare requests executed inside sweeps (subset of `requests`).
+    pub swept_requests: u64,
     /// Log2 histogram of the shard-core queue depth observed at request
     /// arrival (estimated as core backlog divided by this request's cost):
     /// bucket 0 counts arrivals that found the core idle, bucket k counts
@@ -304,6 +311,16 @@ struct ScanTask {
     arrived: SimTime,
 }
 
+/// One bare point op of a sweep, taken from its lane at dispatch.
+struct Member {
+    conn_idx: usize,
+    payload: Vec<u8>,
+    arrived: SimTime,
+    /// When its response may leave: dispatch plus the prices of the
+    /// members up to and including it.
+    ready_at: SimTime,
+}
+
 /// Deferred migration work executed once its shard-core charge has been
 /// paid (a snapshot/catch-up/drain quantum, or an inbound record batch).
 pub(crate) type MigWork = Box<dyn FnOnce(&Rc<RefCell<ShardServer>>, &mut Sim)>;
@@ -320,11 +337,15 @@ enum LaneTask {
         /// Execute at dispatch instead of at the slot's end (an overlapped
         /// group-commit write, see [`ShardServer::overlap_exec`]).
         early: bool,
+        /// A bare point op's price as a member of a sweep of two or more
+        /// (see [`ShardServer::take_sweep`]); `None` for a frame, which
+        /// never sweeps.
+        swept_ns: Option<SimTime>,
     },
     /// A bare scan, executed in preemptible chunks.
     Scan(ScanTask),
-    /// A quantum that already executed at dispatch: the completion event
-    /// only frees the core.
+    /// A quantum that already executed at dispatch — an overlapped write or
+    /// a sweep: the completion event only frees the core.
     Executed,
     /// A migration quantum or inbound record batch (throughput lane: data
     /// movement shares bandwidth with scans and never blocks point ops).
@@ -428,6 +449,34 @@ impl DualLaneSched {
                 }
             }
         }
+    }
+
+    /// The pick [`Self::next`] would make after the one it just made, taken
+    /// only when it comes from the same lane and `price` prices its head as
+    /// a sweep member: the head is charged that price, not its queued cost.
+    /// Stops (`None`) at a head `price` refuses, or when the lane's credit
+    /// does not cover the head while the other lane has work — `next` would
+    /// rotate there. With the other lane idle, `next` would credit this
+    /// lane round by round until the head fits; so does this.
+    fn next_member(
+        &mut self,
+        quantum: [SimTime; 2],
+        price: impl Fn(&LaneTask) -> Option<SimTime>,
+    ) -> Option<(LaneTask, SimTime)> {
+        let lane = self.current;
+        let swept = price(&self.lanes[lane].front()?.0)?;
+        if self.deficit[lane] < swept {
+            if !self.lanes[lane ^ 1].is_empty() {
+                return None;
+            }
+            let q = quantum[lane].max(1);
+            self.deficit[lane] += (swept - self.deficit[lane]).div_ceil(q) * q;
+            self.deficit[lane ^ 1] = 0;
+        }
+        let (task, cost) = self.lanes[lane].pop_front().expect("non-empty head");
+        self.deficit[lane] -= swept;
+        self.queued_ns[lane] = self.queued_ns[lane].saturating_sub(cost);
+        Some((task, swept))
     }
 
     /// Drops everything queued (shard crashed); returns the task count.
@@ -896,6 +945,10 @@ pub struct ShardServer {
     plane: ReadPlane,
     /// The shard core's run queue.
     sched: DualLaneSched,
+    /// The sweep being dispatched: filled from a lane by
+    /// [`Self::take_sweep`], emptied by [`Self::execute_sweep`], its
+    /// capacity kept for the next one.
+    sweep: Vec<Member>,
     /// Live-migration bookkeeping while this shard participates in a plan
     /// (source or destination); provides the ownership gate and the
     /// double-write forwarding hook. Carried across fail-over by promotion.
@@ -945,6 +998,7 @@ impl ShardServer {
             resp_batch: BatchBuilder::new(),
             plane,
             sched: DualLaneSched::default(),
+            sweep: Vec::new(),
             mig: None,
         }))
     }
@@ -1099,7 +1153,8 @@ impl ShardServer {
     /// Decodes an arrival, prices it, samples the queue-depth histograms and
     /// classifies it into a lane. A bare message pays its own sweep step and
     /// response WQE; a frame's requests share one of each and run at the
-    /// batched marginal cost.
+    /// batched marginal cost. A bare point op also carries its price as a
+    /// member of a sweep: its own step and WQE, at the batched marginal cost.
     fn admit(
         &mut self,
         now: SimTime,
@@ -1115,8 +1170,8 @@ impl ShardServer {
         let backlog = self.cpu.free_at().saturating_sub(now) + self.sched.queued_total();
         let (mut total, mut n) = (0, 0u64);
         // What a bare arrival turned out to be: a scan, or an overlappable
-        // write.
-        let (mut scan, mut early) = (None, false);
+        // write; and what it costs as a member of a sweep.
+        let (mut scan, mut early, mut swept) = (None, false, 0);
         for msg in messages(&payload) {
             let req = Request::decode(msg).expect("admission validated it");
             let cost = Self::item_cost(&req, send_recv, batched);
@@ -1127,6 +1182,7 @@ impl ShardServer {
             n += 1;
             if !batched {
                 early = self.overlap_exec(&req);
+                swept = fixed + Self::item_cost(&req, send_recv, true);
                 if let Request::Scan {
                     req_id,
                     start,
@@ -1170,6 +1226,7 @@ impl ShardServer {
             payload,
             arrived: now,
             early,
+            swept_ns: (!batched).then_some(swept),
         };
         (lane, task, cost)
     }
@@ -1272,6 +1329,8 @@ impl ShardServer {
 
     /// Dispatches the next DRR pick onto the (idle) shard core. At most one
     /// task runs at a time; its completion event executes it and re-pumps.
+    /// A bare point op takes the ones queued behind it as a sweep, which
+    /// executes here, at dispatch.
     fn pump(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim) {
         let mut s = this.borrow_mut();
         if s.sched.running.is_some() {
@@ -1286,6 +1345,13 @@ impl ShardServer {
             return;
         };
         let now = sim.now();
+        let (task, cost) = match task {
+            LaneTask::Quantum {
+                swept_ns: Some(_), ..
+            } => s.take_sweep(now, task, cost),
+            t => (t, cost),
+        };
+        let swept = !s.sweep.is_empty();
         let done = s.cpu.acquire(now, cost);
         let head_ns = match &task {
             LaneTask::Scan(t) => cost.saturating_sub(t.remaining as SimTime * costs::SCAN_ITEM_NS),
@@ -1306,6 +1372,7 @@ impl ShardServer {
                 payload,
                 arrived,
                 early: true,
+                ..
             } => (LaneTask::Executed, Some((conn_idx, payload, arrived))),
             t => (t, None),
         };
@@ -1317,10 +1384,58 @@ impl ShardServer {
             yield_items: None,
             task,
         });
-        if let Some((conn_idx, payload, arrived)) = early {
-            drop(s);
+        drop(s);
+        if swept {
+            Self::execute_sweep(this, sim);
+        } else if let Some((conn_idx, payload, arrived)) = early {
             Self::execute(this, sim, conn_idx, payload, arrived, done);
         }
+    }
+
+    /// Gathers the sweep a bare point op `first` (just picked, charged
+    /// `cost`) heads: the bare point ops [`DualLaneSched::next_member`]
+    /// hands over from the same lane, up to [`LOOKUP_BATCH`] in all. With
+    /// two or more, the members land in `self.sweep` with their release
+    /// times — dispatch plus each one's cumulative price — and the task to
+    /// dispatch becomes [`LaneTask::Executed`] at the sweep's whole price.
+    /// Alone, `first` goes back as it came, at its singleton cost.
+    fn take_sweep(&mut self, now: SimTime, first: LaneTask, cost: SimTime) -> (LaneTask, SimTime) {
+        let swept_ns = |t: &LaneTask| match t {
+            LaneTask::Quantum { swept_ns, .. } => *swept_ns,
+            _ => None,
+        };
+        let price = swept_ns(&first).expect("a bare point op heads a sweep");
+        // The head is charged its sweep price if anything joins it.
+        let lane = self.sched.current;
+        self.sched.deficit[lane] += cost - price;
+        let Some(second) = self.sched.next_member(LANE_QUANTUM_NS, swept_ns) else {
+            self.sched.deficit[lane] -= cost - price;
+            return (first, cost);
+        };
+        let mut members = std::mem::take(&mut self.sweep);
+        let mut total = 0;
+        let rest = std::iter::from_fn(|| self.sched.next_member(LANE_QUANTUM_NS, swept_ns));
+        let picks = [(first, price), second].into_iter().chain(rest);
+        for (task, price) in picks.take(LOOKUP_BATCH) {
+            let LaneTask::Quantum {
+                conn_idx,
+                payload,
+                arrived,
+                ..
+            } = task
+            else {
+                unreachable!("sweep members are bare point ops");
+            };
+            total += price;
+            members.push(Member {
+                conn_idx,
+                payload,
+                arrived,
+                ready_at: now + total,
+            });
+        }
+        self.sweep = members;
+        (LaneTask::Executed, total)
     }
 
     /// The dispatched task reached the end of its core slot (or, for a
@@ -1552,29 +1667,7 @@ impl ShardServer {
                 s.stats.service_time_hist_by_op[op_slot(req)][sojourn_bucket] += 1;
             }
             let s = &mut *s;
-            let scan = ScanBounds::of(&s.cfg);
-            s.resp_batch.clear();
-            let engine_rc = s.engine.clone();
-            let mig = s.mig.clone();
-            let (repl, counts) = with_gate(mig.as_ref(), |gate| {
-                run_batch(
-                    &mut engine_rc.borrow_mut(),
-                    now,
-                    reqs,
-                    s.arena_region,
-                    &mut s.get_scratch,
-                    scan,
-                    &mut s.plane,
-                    gate,
-                    &mut s.resp_batch,
-                )
-            });
-            s.stats.gets += counts.gets;
-            s.stats.inserts += counts.inserts;
-            s.stats.updates += counts.updates;
-            s.stats.deletes += counts.deletes;
-            s.stats.lease_renews += counts.lease_renews;
-            s.stats.scans += counts.scans;
+            let (repl, forwards) = s.run_quantum(now, reqs);
             let resp_count = s.resp_batch.count() as u64;
             let mut resp = s.resp_pool.pop().unwrap_or_default();
             resp.extend_from_slice(if batched {
@@ -1582,31 +1675,6 @@ impl ShardServer {
             } else {
                 &s.resp_batch.bytes()[BATCH_HDR + BATCH_ENTRY_HDR..]
             });
-            // Migration hooks for the quantum's successful writes: dirty
-            // the key during the copy phases, or forward it to the new
-            // owner during DoubleWrite — grouped per destination channel,
-            // shipped after the borrow drops.
-            let mut forwards: ChannelShipments = Vec::new();
-            if let Some(m) = &mig {
-                let mut grouped: RecordsByDst = BTreeMap::new();
-                {
-                    let mut mm = m.borrow_mut();
-                    for (op, k, v) in &repl {
-                        if let Some(d) = mm.on_local_write(k) {
-                            grouped
-                                .entry(d)
-                                .or_default()
-                                .push((*op, k.to_vec(), v.to_vec()));
-                        }
-                    }
-                }
-                let mm = m.borrow();
-                for (d, recs) in grouped {
-                    if let Some(ch) = mm.channel(d) {
-                        forwards.push((ch, recs));
-                    }
-                }
-            }
             (resp, resp_count, repl, forwards)
         };
         Self::maybe_schedule_reclaim(this, sim);
@@ -1653,6 +1721,153 @@ impl ShardServer {
             pair.replicate_batch(sim, &repl_records, Some(Box::new(gate(held.clone()))))
                 .expect("writes bounded by msg slot, fit repl ring");
         }
+    }
+
+    /// Runs `reqs` at `now` as one quantum through [`run_batch`] into the
+    /// response builder and counts them. Returns the replication records of
+    /// its successful writes and their migration hooks — each key dirtied
+    /// during the copy phases, or forwarded to its new owner during
+    /// DoubleWrite — grouped per destination channel, to ship once the
+    /// caller's borrow drops.
+    fn run_quantum<'a>(
+        &mut self,
+        now: SimTime,
+        reqs: &[Request<'a>],
+    ) -> (ReplRecords<'a>, ChannelShipments) {
+        let scan = ScanBounds::of(&self.cfg);
+        self.resp_batch.clear();
+        let engine_rc = self.engine.clone();
+        let mig = self.mig.clone();
+        let (repl, counts) = with_gate(mig.as_ref(), |gate| {
+            run_batch(
+                &mut engine_rc.borrow_mut(),
+                now,
+                reqs,
+                self.arena_region,
+                &mut self.get_scratch,
+                scan,
+                &mut self.plane,
+                gate,
+                &mut self.resp_batch,
+            )
+        });
+        self.stats.gets += counts.gets;
+        self.stats.inserts += counts.inserts;
+        self.stats.updates += counts.updates;
+        self.stats.deletes += counts.deletes;
+        self.stats.lease_renews += counts.lease_renews;
+        self.stats.scans += counts.scans;
+        let mut forwards: ChannelShipments = Vec::new();
+        if let Some(m) = &mig {
+            let mut grouped: RecordsByDst = BTreeMap::new();
+            {
+                let mut mm = m.borrow_mut();
+                for (op, k, v) in &repl {
+                    if let Some(d) = mm.on_local_write(k) {
+                        grouped
+                            .entry(d)
+                            .or_default()
+                            .push((*op, k.to_vec(), v.to_vec()));
+                    }
+                }
+            }
+            let mm = m.borrow();
+            for (d, recs) in grouped {
+                if let Some(ch) = mm.channel(d) {
+                    forwards.push((ch, recs));
+                }
+            }
+        }
+        (repl, forwards)
+    }
+
+    /// Executes the sweep [`Self::take_sweep`] left in `self.sweep`, at its
+    /// dispatch: one [`run_batch`] over the members in queue order (GET runs
+    /// probe interleaved across connections), one shipment per secondary
+    /// for all their writes, and one bare response per member, to its own
+    /// connection, leaving at its `ready_at`. A write that produced a
+    /// replication record also waits for the acks covering the shipment;
+    /// everything else leaves on time.
+    fn execute_sweep(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim) {
+        let now = sim.now();
+        let mut members = std::mem::take(&mut this.borrow_mut().sweep);
+        // Each member's response, and whether it waits for the acks.
+        let mut resps: [(Vec<u8>, bool); LOOKUP_BATCH] = Default::default();
+        let (repl_records, forwards) = {
+            let mut s = this.borrow_mut();
+            let s = &mut *s;
+            let mut reqs: [Request<'_>; LOOKUP_BATCH] = std::array::from_fn(|_| Request::Get {
+                req_id: 0,
+                key: &[],
+            });
+            for (req, m) in reqs.iter_mut().zip(&members) {
+                *req = Request::decode(&m.payload).expect("validated on arrival");
+                s.stats.service_time_hist_by_op[op_slot(req)]
+                    [log2_bucket(m.ready_at.saturating_sub(m.arrived))] += 1;
+            }
+            let reqs = &reqs[..members.len()];
+            let out = s.run_quantum(now, reqs);
+            s.stats.sweeps += 1;
+            s.stats.swept_requests += reqs.len() as u64;
+            let answers = reqs.iter().zip(messages(s.resp_batch.bytes()));
+            for ((resp, held), (req, msg)) in resps.iter_mut().zip(answers) {
+                *resp = s.resp_pool.pop().unwrap_or_default();
+                resp.extend_from_slice(msg);
+                // A write answered Ok is one that produced a record.
+                *held = msg[0] == Status::Ok as u8
+                    && matches!(
+                        req,
+                        Request::Insert { .. } | Request::Update { .. } | Request::Delete { .. }
+                    );
+            }
+            out
+        };
+        Self::maybe_schedule_reclaim(this, sim);
+        for (ch, recs) in forwards {
+            ch.ship(sim, recs);
+        }
+        let pairs = if repl_records.is_empty() {
+            Vec::new()
+        } else {
+            this.borrow().repl.clone()
+        };
+        // (acks still to come, held responses whose time has come).
+        let acks = (!pairs.is_empty()).then(|| Rc::new(RefCell::new((pairs.len(), Vec::new()))));
+        for (m, (resp, held)) in members.iter().zip(resps) {
+            let (this, conn_idx) = (this.clone(), m.conn_idx);
+            let acks = acks.clone().filter(|_| held);
+            sim.schedule_at(m.ready_at, move |sim| {
+                if let Some(acks) = acks {
+                    let mut a = acks.borrow_mut();
+                    if a.0 > 0 {
+                        a.1.push((conn_idx, resp));
+                        return;
+                    }
+                }
+                Self::send_response_frame(&this, sim, conn_idx, resp, 1);
+            });
+        }
+        for pair in &pairs {
+            let (this, acks) = (this.clone(), acks.clone().expect("acks await a shipment"));
+            let release = move |sim: &mut Sim| {
+                let held: Vec<(usize, Vec<u8>)> = {
+                    let mut a = acks.borrow_mut();
+                    a.0 -= 1;
+                    if a.0 > 0 {
+                        return;
+                    }
+                    std::mem::take(&mut a.1)
+                };
+                for (conn_idx, resp) in held {
+                    Self::send_response_frame(&this, sim, conn_idx, resp, 1);
+                }
+            };
+            pair.replicate_batch(sim, &repl_records, Some(Box::new(release)))
+                .expect("writes bounded by msg slot, fit repl ring");
+        }
+        drop(repl_records);
+        members.clear();
+        this.borrow_mut().sweep = members;
     }
 
     /// Arms the background-reclamation event for the earliest pending lease
@@ -1776,6 +1991,7 @@ mod tests {
             payload: Vec::new(),
             arrived: 0,
             early: false,
+            swept_ns: None,
         }
     }
 
@@ -1865,6 +2081,73 @@ mod tests {
             .map(|(t, _)| conn_of(&t))
             .collect();
         assert_eq!(picks, vec![9, 1, 2]);
+    }
+
+    /// A bare point op tagged by `conn_idx`, priced `swept` inside a sweep.
+    fn point(conn_idx: usize, swept: SimTime) -> LaneTask {
+        LaneTask::Quantum {
+            conn_idx,
+            payload: Vec::new(),
+            arrived: 0,
+            early: false,
+            swept_ns: Some(swept),
+        }
+    }
+
+    fn swept_ns(t: &LaneTask) -> Option<SimTime> {
+        match t {
+            LaneTask::Quantum { swept_ns, .. } => *swept_ns,
+            _ => None,
+        }
+    }
+
+    /// A sweep takes the picks `next` would make from the lane it serves,
+    /// charged at their sweep price, and stops at a task that does not
+    /// sweep (a frame) without taking it.
+    #[test]
+    fn sweep_members_are_consecutive_picks_at_their_sweep_price() {
+        let mut s = DualLaneSched::default();
+        for c in 0..3 {
+            s.enqueue(THR, point(c, 300), 500);
+        }
+        s.enqueue(THR, quantum(9), 500);
+        s.enqueue(THR, point(4, 300), 500);
+        let (t, _) = s.next(LANE_QUANTUM_NS).unwrap();
+        assert_eq!(conn_of(&t), 0);
+        let picks: Vec<(usize, SimTime)> =
+            std::iter::from_fn(|| s.next_member(LANE_QUANTUM_NS, swept_ns))
+                .map(|(t, price)| (conn_of(&t), price))
+                .collect();
+        assert_eq!(picks, vec![(1, 300), (2, 300)], "stops at the frame");
+        assert_eq!(s.queued_total(), 2 * 500, "queued costs leave the lane");
+        assert_eq!(s.deficit[THR], LANE_QUANTUM_NS[THR] - 500 - 2 * 300);
+        assert_eq!(conn_of(&s.next(LANE_QUANTUM_NS).unwrap().0), 9);
+    }
+
+    /// DRR keeps its bandwidth split: a sweep ends where its lane's credit
+    /// runs out while the other lane has work (`next` would rotate there),
+    /// and runs on — crediting round by round as `next` would — while the
+    /// other lane is idle.
+    #[test]
+    fn sweeps_end_where_the_lane_credit_does_while_the_other_lane_waits() {
+        let member = 1_500;
+        let mut s = DualLaneSched::default();
+        for c in 0..8 {
+            s.enqueue(LAT, point(c, member), 2_000);
+        }
+        s.enqueue(THR, quantum(99), 8_000);
+        s.next(LANE_QUANTUM_NS).unwrap();
+        let taken = std::iter::from_fn(|| s.next_member(LANE_QUANTUM_NS, swept_ns)).count();
+        // 4 000 ns of credit: the head's 2 000, then one more member.
+        assert_eq!(taken, 1);
+        let mut s = DualLaneSched::default();
+        for c in 0..8 {
+            s.enqueue(LAT, point(c, member), 2_000);
+        }
+        s.next(LANE_QUANTUM_NS).unwrap();
+        let taken = std::iter::from_fn(|| s.next_member(LANE_QUANTUM_NS, swept_ns)).count();
+        assert_eq!(taken, 7, "an idle throughput lane never ends a sweep");
+        assert!(s.deficit[LAT] < LANE_QUANTUM_NS[LAT]);
     }
 
     #[test]

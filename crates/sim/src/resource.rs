@@ -4,9 +4,16 @@
 //! a shard's CPU core, a NIC's DMA engine, an IPoIB soft-interrupt path.
 //! Instead of emitting begin/end event pairs, callers *reserve* service time
 //! and get back the completion timestamp; queueing delay falls out of the
-//! `busy_until` bookkeeping. This analytic treatment is exact for
-//! work-conserving FIFO servers and keeps event counts (and therefore wall
+//! `busy_until` bookkeeping, which keeps event counts (and therefore wall
 //! time on the host) low.
+//!
+//! The treatment is exact for a work-conserving FIFO server only when
+//! reservations are made in the order their jobs can start. The resource
+//! keeps one `busy_until` watermark, not a timeline: a job booked for a
+//! start in the future (a NIC leg reserved when its verb is posted, ahead of
+//! the packet's arrival) pushes the watermark there, and a job booked later
+//! that was ready earlier queues behind it instead of filling the idle gap
+//! before it (`a_job_booked_ahead_delays_an_earlier_ready_one` pins this).
 
 use crate::time::SimTime;
 
@@ -282,6 +289,20 @@ mod tests {
         r.acquire(0, 100);
         r.freeze(10);
         r.preempt_tail(50);
+    }
+
+    /// How the resource behaves today when reservations are not made in
+    /// start-time order: the server is idle over [0, 1 000), yet a job ready
+    /// at 10 waits until 1 100 because a job starting at 1 000 was booked
+    /// first. A gap-filling (timeline) server would finish it at 60.
+    #[test]
+    fn a_job_booked_ahead_delays_an_earlier_ready_one() {
+        let mut r = FifoResource::new("nic.rx");
+        assert_eq!(r.acquire(1_000, 100), 1_100);
+        let (start, end) = r.acquire_with_start(10, 50);
+        assert_eq!((start, end), (1_100, 1_150));
+        // The busy time is right; only the order is not.
+        assert_eq!(r.total_busy(), 150);
     }
 
     #[test]

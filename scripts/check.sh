@@ -78,8 +78,11 @@ sys.exit(not ok)' "$w" ||
         { echo "benchmark workload $w: failed ops, bad output or a slow fail-over" >&2; exit 1; }
 done
 
-echo "==> chaos soak (100 fixed-seed fault plans, full consistency checks)"
+echo "==> chaos + elastic soaks (fixed-seed fault plans and join/drain rounds, full consistency checks)"
+# Every soak also asserts that some round formed a sweep of two or more
+# bare requests, so the shard's sweep path is soaked, not just compiled.
 cargo test -q --release -p hydra-integration --test chaos -- --ignored
+cargo test -q --release -p hydra-integration --test migration -- --ignored
 
 echo "==> counted lines, config field counts, unsafe lines, vendored crates (report only)"
 scripts/loc.sh

@@ -16,6 +16,12 @@ use hydra_sim::time::{MS, SEC};
 use hydra_sim::Sim;
 use proptest::prelude::*;
 
+/// Recorded clients per chaos round: enough closed-loop clients over two
+/// partitions that requests queue at a shard, so rounds drive its sweeps
+/// (two or more bare requests taken from a lane as one quantum) as well as
+/// its singletons.
+const CLIENTS: usize = 4;
+
 /// Closed-loop recorded workload: `total` ops over `keys`, two writes per
 /// read, unique write values (`c<client>-<op>`), tolerant of op failures
 /// (the checker treats failed writes as maybe-applied).
@@ -75,25 +81,26 @@ fn drive_with_scans(
 }
 
 /// One full chaos round: 3 machines, 2 partitions, one synchronous replica
-/// each, HA armed, a random fault plan derived from `seed`, two recorded
-/// clients, recovery, then all three checks.
-fn chaos_round(seed: u64) {
-    chaos_round_with(seed, false);
+/// each, HA armed, a random fault plan derived from `seed`, [`CLIENTS`]
+/// recorded clients, recovery, then all three checks. Returns the sweeps the shards
+/// still standing ran (see [`sweeps`]).
+fn chaos_round(seed: u64) -> u64 {
+    chaos_round_with(seed, false)
 }
 
 /// `spread` additionally enables replica read spreading with an aggressive
 /// export threshold, so fast-path reads rotate over primary + secondary
 /// pointers while the fault plan fires.
-fn chaos_round_with(seed: u64, spread: bool) {
-    chaos_round_inner(seed, spread, false);
+fn chaos_round_with(seed: u64, spread: bool) -> u64 {
+    chaos_round_inner(seed, spread, false)
 }
 
 /// A chaos round on a hybrid-indexed cluster whose workload interleaves
 /// SCANs with the writes: every returned scan item is checked against the
 /// recorded write history, so fail-over can never surface a torn or stale
 /// item through the ordered plane.
-fn chaos_scan_round(seed: u64) {
-    chaos_round_inner(seed, false, true);
+fn chaos_scan_round(seed: u64) -> u64 {
+    chaos_round_inner(seed, false, true)
 }
 
 /// A scan-bearing chaos round with aggressive dual-lane preemption: tiny
@@ -101,34 +108,34 @@ fn chaos_scan_round(seed: u64) {
 /// crashes and revivals race against mid-flight yielded scans (the
 /// re-queued remainder must be dropped cleanly on a dead shard and the
 /// lanes must drain after revival).
-fn chaos_lane_round(seed: u64) {
+fn chaos_lane_round(seed: u64) -> u64 {
     chaos_round_cfg(seed, false, true, |cfg| {
         cfg.scheduler = SchedulerKind::DualLane;
         cfg.scan_chunk_items = 4;
-    });
+    })
 }
 
 /// FIFO service — the lane scheduler with every task classified into one
 /// lane — under the same adversary: keeps the non-default classification
 /// exercised against faults.
-fn chaos_fifo_round(seed: u64) {
+fn chaos_fifo_round(seed: u64) -> u64 {
     chaos_round_cfg(seed, false, true, |cfg| {
         cfg.scheduler = SchedulerKind::Fifo;
-    });
+    })
 }
 
 /// The group-commit write plane under the full adversary: cumulative acks,
 /// piggybacked ack requests and the batched applier must preserve exactly
 /// the per-record strict guarantees while crashes, drops and delays hit the
 /// channel. The shared driver is already write-heavy (two writes per read).
-fn chaos_gc_round(seed: u64) {
+fn chaos_gc_round(seed: u64) -> u64 {
     chaos_round_cfg(seed, false, false, |cfg| {
         cfg.replication = ReplicationMode::GroupCommit;
-    });
+    })
 }
 
-fn chaos_round_inner(seed: u64, spread: bool, scans: bool) {
-    chaos_round_cfg(seed, spread, scans, |_| {});
+fn chaos_round_inner(seed: u64, spread: bool, scans: bool) -> u64 {
+    chaos_round_cfg(seed, spread, scans, |_| {})
 }
 
 /// The multiplexed connection plane under the full adversary: one QP per
@@ -137,15 +144,41 @@ fn chaos_round_inner(seed: u64, spread: bool, scans: bool) {
 /// request path. A QP-level fault now fans out to *all* partitions sharing
 /// the channel, and fail-over re-homes a partition onto the surviving
 /// node's channel mid-plan — the checker must stay clean regardless.
-fn chaos_mux_round(seed: u64) {
+fn chaos_mux_round(seed: u64) -> u64 {
     chaos_round_cfg(seed, false, true, |cfg| {
         cfg.mux_connections = true;
         cfg.srq = true;
         cfg.client_mode = hydra_db::ClientMode::SendRecv;
-    });
+    })
 }
 
-fn chaos_round_cfg(seed: u64, spread: bool, scans: bool, tweak: impl FnOnce(&mut ClusterConfig)) {
+/// Sweeps — quanta of two or more bare requests taken from a lane together
+/// — run by every shard of `cluster` still standing (a deposed primary's
+/// count leaves with it).
+fn sweeps(cluster: &hydra_db::Cluster) -> u64 {
+    (0..cluster.report().rows.len() as u32)
+        .map(|p| {
+            let group = cluster.shard(p);
+            std::iter::once(&group.primary)
+                .chain(&group.secondaries)
+                .map(|s| s.borrow().stats().sweeps)
+                .sum::<u64>()
+        })
+        .sum()
+}
+
+/// A soak drove the sweep path: at least one of its rounds took two or more
+/// bare requests from a lane as one quantum.
+fn assert_swept(soak: &str, sweeps: u64) {
+    assert!(sweeps > 0, "{soak}: no round formed a sweep of two or more");
+}
+
+fn chaos_round_cfg(
+    seed: u64,
+    spread: bool,
+    scans: bool,
+    tweak: impl FnOnce(&mut ClusterConfig),
+) -> u64 {
     let horizon = 400 * MS;
     let mut cfg = ClusterConfig {
         seed,
@@ -176,7 +209,7 @@ fn chaos_round_cfg(seed: u64, spread: bool, scans: bool, tweak: impl FnOnce(&mut
             .collect(),
     );
     let mut dones = Vec::new();
-    for c in 0..2 {
+    for c in 0..CLIENTS {
         let client = cluster.add_recording_client(c);
         let done = Rc::new(Cell::new(false));
         if scans {
@@ -226,13 +259,14 @@ fn chaos_round_cfg(seed: u64, spread: bool, scans: bool, tweak: impl FnOnce(&mut
     let history = chaos.history();
     // Scan rounds record per-item observations instead of one entry per
     // scan invocation, and a scan that failed mid-fault records nothing.
-    let min_recorded = if scans { 96 } else { 121 };
+    let min_recorded = CLIENTS * if scans { 48 } else { 60 } + usize::from(!scans);
     assert!(
         history.len() >= min_recorded,
         "both workloads plus the probe recorded (got {})",
         history.len()
     );
     assert_history_clean(&cluster, &chaos, seed);
+    sweeps(&cluster)
 }
 
 proptest! {
@@ -330,27 +364,38 @@ proptest! {
 #[test]
 #[ignore = "soak: ~100 full chaos rounds"]
 fn chaos_round_soak() {
-    for seed in 0..100u64 {
-        chaos_round(seed);
-    }
+    assert_swept("chaos_round_soak", (0..100u64).map(chaos_round).sum());
 }
 
 /// Scan-bearing soak: `cargo test -- --ignored chaos_scan`.
 #[test]
 #[ignore = "soak: ~50 scan-heavy chaos rounds"]
 fn chaos_scan_round_soak() {
-    for seed in 0..50u64 {
-        chaos_scan_round(seed);
-    }
+    assert_swept(
+        "chaos_scan_round_soak",
+        (0..50u64).map(chaos_scan_round).sum(),
+    );
 }
 
 /// Dual-lane preemption soak: `cargo test -- --ignored chaos_lane`.
 #[test]
 #[ignore = "soak: ~50 preemption-heavy chaos rounds"]
 fn chaos_lane_round_soak() {
-    for seed in 0..50u64 {
-        chaos_lane_round(seed);
-    }
+    assert_swept(
+        "chaos_lane_round_soak",
+        (0..50u64).map(chaos_lane_round).sum(),
+    );
+}
+
+/// FIFO soak — every task in one lane, so sweeps are runs of consecutive
+/// point ops between scans: `cargo test -- --ignored chaos_fifo`.
+#[test]
+#[ignore = "soak: ~50 single-lane chaos rounds"]
+fn chaos_fifo_round_soak() {
+    assert_swept(
+        "chaos_fifo_round_soak",
+        (0..50u64).map(chaos_fifo_round).sum(),
+    );
 }
 
 /// Group-commit soak over write-heavy seeds (the shared driver issues two
@@ -358,18 +403,17 @@ fn chaos_lane_round_soak() {
 #[test]
 #[ignore = "soak: ~50 group-commit chaos rounds"]
 fn chaos_gc_round_soak() {
-    for seed in 0..50u64 {
-        chaos_gc_round(seed);
-    }
+    assert_swept("chaos_gc_round_soak", (0..50u64).map(chaos_gc_round).sum());
 }
 
 /// Multiplexed-channel soak: `cargo test -- --ignored chaos_mux`.
 #[test]
 #[ignore = "soak: ~50 multiplexed-channel chaos rounds"]
 fn chaos_mux_round_soak() {
-    for seed in 0..50u64 {
-        chaos_mux_round(seed);
-    }
+    assert_swept(
+        "chaos_mux_round_soak",
+        (0..50u64).map(chaos_mux_round).sum(),
+    );
 }
 
 /// Directed fan-out check: with multiplexing on, a fault programmed on the

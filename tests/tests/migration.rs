@@ -140,8 +140,9 @@ fn drive_mix(
 /// event at a workload-pinned op count), then the first machine drains out
 /// under a second recorded wave. The history must stay linearizable across
 /// both flips, no key may be lost, duplicated, or misplaced, and the old
-/// owners must shed their ranges completely.
-fn elastic_round(seed: u64) {
+/// owners must shed their ranges completely. Returns the sweeps (quanta of
+/// two or more bare requests taken from a lane together) the primaries ran.
+fn elastic_round(seed: u64) -> u64 {
     let cfg = ClusterConfig {
         seed,
         server_nodes: 3,
@@ -245,6 +246,9 @@ fn elastic_round(seed: u64) {
     if let Err(v) = history.check_reads_observed_writes() {
         panic!("HYDRA_SEED={seed}: {v}");
     }
+    (0..cluster.report().rows.len() as u32)
+        .map(|p| cluster.shard(p).primary.borrow().stats().sweeps)
+        .sum()
 }
 
 #[test]
@@ -342,14 +346,17 @@ fn crash_of_joining_node_mid_double_write_aborts_cleanly() {
 
 /// Seeded elastic soak: `cargo test -- --ignored elastic`. Every seed runs
 /// a full join+drain round under recorded traffic; every third also runs
-/// the crash-during-DoubleWrite abort arm.
+/// the crash-during-DoubleWrite abort arm. The rounds must have driven the
+/// sweep path at least once.
 #[test]
 #[ignore = "soak: ~12 elastic rounds with linearizability checks"]
 fn elastic_round_soak() {
+    let mut sweeps = 0;
     for seed in 0..12u64 {
-        elastic_round(seed);
+        sweeps += elastic_round(seed);
         if seed % 3 == 0 {
             abort_round(seed);
         }
     }
+    assert!(sweeps > 0, "no elastic round formed a sweep of two or more");
 }

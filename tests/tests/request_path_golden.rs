@@ -10,11 +10,19 @@
 //! untouched. A mismatch means some op completed at a different virtual tick
 //! or with different bytes.
 //!
-//! Re-pinned once since, on purpose: every arm drives scans, and PR 24 made
-//! the client ask each partition for a quota instead of the whole limit, so
-//! every scan — and every op queued behind one — completes earlier. With the
-//! scans of the op stream issued as GETs instead, the ten hashes of that
-//! commit and of its parent are equal: nothing but scans moved.
+//! Re-pinned twice since, on purpose. First, every arm drives scans, and
+//! the client began asking each partition for a quota instead of the whole
+//! limit (`client::scan_quota`), so every scan — and every op queued behind
+//! one — completes earlier. With the scans of the op stream issued as GETs
+//! instead, the ten hashes of that commit and of its parent are equal:
+//! nothing but scans moved. Second, the nine depth-1 arms, when a shard
+//! began serving the bare requests queued in a lane together as one sweep
+//! (one quantum at the batched marginal cost, each response leaving at
+//! dispatch plus its cumulative price, one replication shipment): eight
+//! clients at depth 1 queue bare requests at a shard, so their ops complete
+//! at other ticks. The depth-8 arm ships frames, which never sweep, and
+//! kept its hash. With one client per arm, where no queue can form, all ten
+//! hashes of that commit and of its parent are equal.
 //!
 //! Arms: `{RdmaWriteRead, RdmaWrite, SendRecv}` × `{no replica, one replica
 //! under GroupCommit, one replica under Strict}` at depth 1, plus `RdmaWrite`
@@ -68,15 +76,15 @@ use ReplicationMode::{GroupCommit, None as NoRepl, Strict};
 
 #[rustfmt::skip]
 const ARMS: [Arm; 10] = [
-    arm("write_read/none",   RdmaWriteRead, NoRepl,      1, 0x2CE9_CB84_3A3D_FEC8),
-    arm("write_read/gc",     RdmaWriteRead, GroupCommit, 1, 0x2CE4_0935_D939_81FB),
-    arm("write_read/strict", RdmaWriteRead, Strict,      1, 0xA845_F318_F7C0_7108),
-    arm("write/none",        RdmaWrite,     NoRepl,      1, 0x02DE_37E3_C990_900D),
-    arm("write/gc",          RdmaWrite,     GroupCommit, 1, 0x4303_66C4_0C6A_3106),
-    arm("write/strict",      RdmaWrite,     Strict,      1, 0x12CB_6F71_4760_03DD),
-    arm("send_recv/none",    SendRecv,      NoRepl,      1, 0xE521_9649_7BE6_371F),
-    arm("send_recv/gc",      SendRecv,      GroupCommit, 1, 0xE1D9_37D6_434C_B9B5),
-    arm("send_recv/strict",  SendRecv,      Strict,      1, 0x8E58_E281_17BB_164C),
+    arm("write_read/none",   RdmaWriteRead, NoRepl,      1, 0xFDD9_35D5_E4FE_DB46),
+    arm("write_read/gc",     RdmaWriteRead, GroupCommit, 1, 0xB3D5_2E61_F79C_FA15),
+    arm("write_read/strict", RdmaWriteRead, Strict,      1, 0x2148_F0F9_5518_1237),
+    arm("write/none",        RdmaWrite,     NoRepl,      1, 0x1BBB_BBB7_EE2E_B1B7),
+    arm("write/gc",          RdmaWrite,     GroupCommit, 1, 0x0F74_78B1_DF75_7213),
+    arm("write/strict",      RdmaWrite,     Strict,      1, 0xBD81_616E_B581_06DC),
+    arm("send_recv/none",    SendRecv,      NoRepl,      1, 0x0E1A_AB3A_75AD_0605),
+    arm("send_recv/gc",      SendRecv,      GroupCommit, 1, 0x04C6_AB00_C84B_7AFF),
+    arm("send_recv/strict",  SendRecv,      Strict,      1, 0x4D84_4FA3_55BE_6D5E),
     arm("write/gc/depth8",   RdmaWrite,     GroupCommit, 8, 0x2651_AA44_B8BE_E6EF),
 ];
 

@@ -74,6 +74,7 @@ fn hot_paths_do_not_allocate() {
     server_get_alloc_count_is_constant();
     whole_path_fast_get_allocates_a_fixed_count();
     whole_path_scan_allocates_per_step_not_per_item();
+    sweep_allocates_no_more_per_request_than_a_singleton();
     mux_tag_stamp_and_demux_add_no_allocations();
     write_permission_check_adds_no_allocations();
 }
@@ -478,6 +479,98 @@ fn whole_path_fast_get_allocates_a_fixed_count() {
         (GETS * ALLOCS_PER_GET..GETS * ALLOCS_PER_GET + 8).contains(&allocs),
         "a fast-path GET allocates {} times, not {ALLOCS_PER_GET}",
         allocs as f64 / GETS as f64
+    );
+}
+
+/// One round of [`sweep_allocates_no_more_per_request_than_a_singleton`]:
+/// each of `issuers` issues one op at the same instant — a GET of its key on
+/// even rounds, an UPDATE on odd ones — and the simulation steps until all
+/// of them are answered.
+fn one_op_each(
+    cluster: &mut hydra_db::Cluster,
+    clients: &[hydra_db::HydraClient],
+    issuers: std::ops::Range<usize>,
+    round: usize,
+) {
+    let done = std::rc::Rc::new(std::cell::Cell::new(0));
+    let want = issuers.len();
+    for c in issuers {
+        let key = format!("sw{c:04}");
+        let d = done.clone();
+        let cb: hydra_db::client::OpCb = Box::new(move |_, res| {
+            res.expect("op succeeds");
+            d.set(d.get() + 1);
+        });
+        if round.is_multiple_of(2) {
+            clients[c].get(&mut cluster.sim, key.as_bytes(), cb);
+        } else {
+            clients[c].update(&mut cluster.sim, key.as_bytes(), &[round as u8; 32], cb);
+        }
+    }
+    while done.get() < want {
+        assert!(cluster.sim.step(), "queue drained before completion");
+    }
+}
+
+/// A shard serves the bare requests it finds queued from several
+/// connections as one sweep. Its member list and response buffers are
+/// reused and its decoded requests live on the stack, so a steady-state
+/// sweep allocates no more per request than the same requests answered one
+/// at a time — fewer, since the quantum's bookkeeping is paid once.
+fn sweep_allocates_no_more_per_request_than_a_singleton() {
+    const CLIENTS: usize = 8;
+    const ROUNDS: usize = 32;
+    let cfg = ClusterConfig {
+        server_nodes: 1,
+        shards_per_node: 1,
+        client_nodes: 1,
+        client_mode: ClientMode::RdmaWrite,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = ClusterBuilder::new(cfg).build();
+    let clients: Vec<_> = (0..CLIENTS).map(|_| cluster.add_client(0)).collect();
+    for (c, client) in clients.iter().enumerate() {
+        put_ok(
+            &mut cluster,
+            client,
+            format!("sw{c:04}").as_bytes(),
+            &[0; 32],
+        );
+    }
+    let shard = cluster.shard(0).primary;
+    let swept = |shard: &std::rc::Rc<std::cell::RefCell<hydra_db::server::ShardServer>>| {
+        shard.borrow().stats().swept_requests
+    };
+    let alone = |cluster: &mut hydra_db::Cluster| {
+        for r in 0..ROUNDS {
+            for c in 0..CLIENTS {
+                one_op_each(cluster, &clients, c..c + 1, r);
+            }
+        }
+    };
+    alone(&mut cluster); // warm-up: windows, pools, the event arena
+    let before = swept(&shard);
+    let singleton = count_allocs_min(|| alone(&mut cluster));
+    assert_eq!(swept(&shard), before, "one op at a time never sweeps");
+    let together = |cluster: &mut hydra_db::Cluster| {
+        for r in 0..ROUNDS {
+            one_op_each(cluster, &clients, 0..CLIENTS, r);
+        }
+    };
+    together(&mut cluster);
+    let before = swept(&shard);
+    let sweep = count_allocs_min(|| together(&mut cluster));
+    let ops = (3 * ROUNDS * CLIENTS) as u64;
+    assert!(
+        swept(&shard) - before >= ops / 2,
+        "most requests of the concurrent rounds swept ({} of {ops})",
+        swept(&shard) - before
+    );
+    assert!(
+        sweep <= singleton,
+        "a swept request allocates {:.2} times, a singleton {:.2}",
+        sweep as f64 / (ROUNDS * CLIENTS) as f64,
+        singleton as f64 / (ROUNDS * CLIENTS) as f64
     );
 }
 
