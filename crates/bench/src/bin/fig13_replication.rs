@@ -3,6 +3,11 @@
 //! Logging replication, for 1 and 2 secondaries and a growing client count.
 //! The paper's headline: strict acks double the no-replication latency,
 //! while RDMA Logging adds only ~12% (1 replica) / ~41% (2 replicas).
+//!
+//! The figure's shape is asserted after the table is saved: at every client
+//! and replica count none < logging < strict and group commit <= logging,
+//! logging costs at least 5 %, and strict is at least 1.8x none at one
+//! client. A claim that fails prints the paper sentence it contradicts.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -45,7 +50,10 @@ fn insert_stream(
     step(sim, client.clone(), prefix, 0, count, done);
 }
 
-fn mean_insert_latency(mode: ReplicationMode, replicas: u32, clients: usize, inserts: u64) -> f64 {
+/// Mean INSERT latency (µs) with `repl` = (mode, secondaries), or with no
+/// replica at all.
+fn mean_insert_latency(repl: Option<(ReplicationMode, u32)>, clients: usize, inserts: u64) -> f64 {
+    let (mode, replicas) = repl.unwrap_or((ReplicationMode::GroupCommit, 0));
     let cfg = ClusterConfig {
         server_nodes: 1 + replicas.max(1),
         shards_per_node: 1,
@@ -84,20 +92,27 @@ fn main() {
         "{:<10} {:<22} {:>10} {:>10} {:>12}",
         "clients", "protocol", "mean_us", "vs none", "overhead"
     ));
+    let mut contradicted = Vec::new();
+    let mut claim = |holds: bool, row: String, paper: &str| {
+        if !holds {
+            contradicted.push(format!("{row}: contradicts \"{paper}\""));
+        }
+    };
     for clients in [1usize, 2, 4, 8] {
-        let none = mean_insert_latency(ReplicationMode::None, 0, clients, inserts_per_client);
+        let none = mean_insert_latency(None, clients, inserts_per_client);
         report.line(&format!(
             "{:<10} {:<22} {:>10.2} {:>10} {:>12}",
             clients, "no replication", none, "1.00x", "-"
         ));
         report.datum(&format!("none/{clients}"), none);
         for replicas in [1u32, 2] {
-            for (label, mode) in [
+            let [strict, logging, gc] = [
                 ("strict req/ack", ReplicationMode::Strict),
                 ("RDMA logging", ReplicationMode::Logging { ack_every: 32 }),
                 ("group commit", ReplicationMode::GroupCommit),
-            ] {
-                let us = mean_insert_latency(mode, replicas, clients, inserts_per_client);
+            ]
+            .map(|(label, mode)| {
+                let us = mean_insert_latency(Some((mode, replicas)), clients, inserts_per_client);
                 report.line(&format!(
                     "{:<10} {:<22} {:>10.2} {:>9.2}x {:>11.1}%",
                     clients,
@@ -107,11 +122,44 @@ fn main() {
                     (us / none - 1.0) * 100.0
                 ));
                 report.datum(&format!("{label}-r{replicas}/{clients}"), us);
-            }
+                us
+            });
+            let row = |what: &str| format!("{clients} clients x{replicas}: {what}");
+            claim(
+                none < logging && logging < strict,
+                row(&format!(
+                    "none {none:.2} / logging {logging:.2} / strict {strict:.2} us"
+                )),
+                "strict request/acknowledge doubles the latency of no replication, \
+                 while RDMA Logging adds only a fraction of it",
+            );
+            claim(
+                logging >= 1.05 * none,
+                row(&format!("logging {:+.1} %", (logging / none - 1.0) * 100.0)),
+                "RDMA Logging costs 12.3 % with one replica and 41.1 % with two",
+            );
+            claim(
+                clients > 1 || strict >= 1.8 * none,
+                row(&format!("strict {:.2}x none", strict / none)),
+                "strict request/acknowledge doubles the latency of no replication",
+            );
+            claim(
+                gc <= logging,
+                row(&format!(
+                    "group commit {gc:.2} us > logging {logging:.2} us"
+                )),
+                "(DESIGN §14) group commit keeps strict's promise at no more than \
+                 RDMA Logging's latency",
+            );
         }
     }
     report.line(
         "# paper anchors: strict ~2.0x none; logging ~1.12x (1 replica), ~1.41x (2 replicas)",
     );
     report.save();
+    assert!(
+        contradicted.is_empty(),
+        "Fig. 13's shape does not hold:\n{}",
+        contradicted.join("\n")
+    );
 }

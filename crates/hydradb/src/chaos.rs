@@ -190,7 +190,7 @@ impl ChaosController {
             let inner = self.inner.borrow();
             (inner.cfg.clone(), inner.ha.clone())
         };
-        if cfg.replication.repl_mode().is_none() {
+        if cfg.replicas == 0 {
             return;
         }
         let groups: Vec<(Srv, Vec<Srv>)> = {
@@ -354,7 +354,7 @@ impl ChaosController {
         };
         fab.unfreeze_node(node, sim.now());
         fab.set_node_crashed(node, false);
-        let replicates = cfg.replication.repl_mode().is_some();
+        let replicates = cfg.replicas > 0;
         let n_parts = ha_rc.borrow().partitions.len();
         for p in 0..n_parts {
             let (primary, secondaries) = {

@@ -1,7 +1,7 @@
 //! Deployment configuration. The CPU calibration is [`crate::costs`].
 
 use hydra_fabric::{FabricConfig, Transport};
-use hydra_replication::{ReplConfig, ReplMode};
+use hydra_replication::ReplConfig;
 use hydra_sim::time::{SimTime, MS};
 use hydra_store::{IndexKind, WriteMode};
 
@@ -89,36 +89,10 @@ impl Default for AimdConfig {
     }
 }
 
-/// How writes replicate to secondaries (§5.2, Fig. 13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicationMode {
-    /// No replication (cache deployments, baseline measurements).
-    None,
-    /// Strict request/acknowledge per record.
-    Strict,
-    /// RDMA Logging with relaxed acks every `ack_every` records.
-    Logging {
-        /// Records between acknowledgement requests.
-        ack_every: u32,
-    },
-    /// Group commit: strict durability (respond only once a cumulative ack
-    /// covers the record) with doorbell-coalesced log quanta, one watermark
-    /// ack per train, and seq-ordered release of held responses.
-    GroupCommit,
-}
-
-impl ReplicationMode {
-    /// The acknowledgement mode each primary/secondary channel runs in, or
-    /// `None` when writes do not replicate.
-    pub fn repl_mode(self) -> Option<ReplMode> {
-        match self {
-            ReplicationMode::None => None,
-            ReplicationMode::Strict => Some(ReplMode::Strict),
-            ReplicationMode::Logging { ack_every } => Some(ReplMode::Logging { ack_every }),
-            ReplicationMode::GroupCommit => Some(ReplMode::GroupCommit),
-        }
-    }
-}
+/// How writes replicate to secondaries (§5.2, Fig. 13): the acknowledgement
+/// mode every primary/secondary channel runs in. A deployment that does not
+/// replicate says so with `replicas: 0`.
+pub use hydra_replication::ReplMode as ReplicationMode;
 
 /// Whole-cluster deployment description consumed by
 /// [`crate::ClusterBuilder`].
@@ -143,7 +117,7 @@ pub struct ClusterConfig {
     pub collocate_clients: bool,
     /// Secondary replicas per partition (0 = no HA).
     pub replicas: u32,
-    /// Replication acknowledgement mode.
+    /// Replication acknowledgement mode (unused while `replicas` is 0).
     pub replication: ReplicationMode,
     /// Client communication mode.
     pub client_mode: ClientMode,
@@ -184,10 +158,10 @@ pub struct ClusterConfig {
     /// server execution quantum).
     pub max_batch: usize,
     /// CPU cost to build one send/write WQE and ring the doorbell when
-    /// posting a response. Charged per response on the singleton path and
-    /// once per frame on the batched path (one WQE carries the whole
-    /// response batch). 0 keeps the pre-batching calibration; the batching
-    /// study sets it to a measured MMIO cost.
+    /// posting a response. Charged once per response: per bare request,
+    /// swept or alone, and once per frame (one WQE carries all of a frame's
+    /// answers). 0 keeps the pre-batching calibration; the batching study
+    /// sets it to a measured MMIO cost.
     pub post_wqe_ns: SimTime,
     /// Run-queue discipline for single-threaded shards (§12).
     pub scheduler: SchedulerKind,
@@ -251,7 +225,7 @@ impl Default for ClusterConfig {
             client_nodes: 1,
             collocate_clients: false,
             replicas: 0,
-            replication: ReplicationMode::None,
+            replication: ReplicationMode::GroupCommit,
             client_mode: ClientMode::RdmaWriteRead,
             exec_model: ExecModel::SingleThreaded,
             write_mode: WriteMode::Reliable,
@@ -295,9 +269,9 @@ impl ClusterConfig {
     /// The settings every primary/secondary replication channel of this
     /// deployment runs with, or `None` when writes do not replicate.
     pub fn repl_config(&self) -> Option<ReplConfig> {
-        Some(ReplConfig {
+        (self.replicas > 0).then_some(ReplConfig {
             ring_words: self.repl_ring_words,
-            mode: self.replication.repl_mode()?,
+            mode: self.replication,
             apply_cost_ns: costs::WRITE_NS,
             page_bytes: self.page_bytes,
         })

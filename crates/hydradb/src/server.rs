@@ -13,7 +13,9 @@
 //! response (DESIGN §7) — except under the decoupled execution ablations,
 //! which branch off at admission into the `decoupled` submodule. A busy
 //! shard serves the bare point ops its lane holds, from every connection,
-//! as one quantum: a *sweep* ([`ShardServer::take_sweep`]).
+//! as one quantum: a *sweep* ([`ShardServer::take_sweep`]). A lone request
+//! and a frame are sweeps of one; every sweep runs through one executor,
+//! [`ShardServer::execute`].
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -33,7 +35,7 @@ use hydra_wire::{
     SCAN_ENTRY_HDR, SCAN_ITEMS_HDR,
 };
 
-use crate::config::{ClusterConfig, ReplicationMode, SchedulerKind};
+use crate::config::{ClusterConfig, SchedulerKind};
 use crate::costs;
 use crate::migration::{ChannelShipments, MigrationState, RecordsByDst};
 use crate::ring::ShardId;
@@ -69,6 +71,14 @@ fn well_formed(payload: &[u8]) -> bool {
     } else {
         Request::decode(payload).is_some()
     }
+}
+
+/// Whether `req` mutates the store (and so, succeeding, replicates).
+fn is_write(req: &Request<'_>) -> bool {
+    matches!(
+        req,
+        Request::Insert { .. } | Request::Update { .. } | Request::Delete { .. }
+    )
 }
 
 /// Log2 bucket index for a histogram sample (0 stays in bucket 0).
@@ -131,9 +141,9 @@ pub struct ServerStats {
     pub queue_depth_hist: [u64; HIST_BUCKETS],
     /// Per-op-kind breakdown of the queue-depth histogram, one row per
     /// [`op_slot`] (Get, Insert, Update, Delete, LeaseRenew, Scan). Sampled
-    /// once per *request* on both the singleton and batched paths (the
-    /// aggregate histogram keeps its one-sample-per-frame batching), so
-    /// scan-induced backlog is distinguishable from point-op backlog.
+    /// once per *request*, bare or in a frame (the aggregate histogram keeps
+    /// one sample per arrival), so scan-induced backlog is distinguishable
+    /// from point-op backlog.
     pub queue_depth_hist_by_op: [[u64; HIST_BUCKETS]; OP_KINDS],
     /// Per-op-kind log2 histogram of *service time* (sojourn: arrival to
     /// engine completion, ns), one row per [`op_slot`]. This is the server
@@ -311,7 +321,8 @@ struct ScanTask {
     arrived: SimTime,
 }
 
-/// One bare point op of a sweep, taken from its lane at dispatch.
+/// One member of a quantum — a bare point op or a whole frame — taken from
+/// its lane at dispatch.
 struct Member {
     conn_idx: usize,
     payload: Vec<u8>,
@@ -321,6 +332,30 @@ struct Member {
     ready_at: SimTime,
 }
 
+/// A member's response on its way out: it leaves at the member's release
+/// time, and a write that produced a record also waits for `acks`.
+struct Release {
+    conn_idx: usize,
+    resp: Vec<u8>,
+    acks: Option<Rc<RefCell<AckGate>>>,
+}
+
+/// The acks a quantum's shipment still awaits, one per secondary, and the
+/// responses (connection, bytes) whose time came before them, in the order
+/// it came.
+struct AckGate {
+    pending: usize,
+    held: [Option<(usize, Vec<u8>)>; LOOKUP_BATCH],
+}
+
+/// Hands `v`'s allocation back emptied, for requests borrowing from other
+/// payloads: every quantum decodes into the same buffer. (Collecting a
+/// `Vec`'s own `into_iter` reuses its allocation.)
+fn recycle<'b>(mut v: Vec<Request<'_>>) -> Vec<Request<'b>> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("cleared")).collect()
+}
+
 /// Deferred migration work executed once its shard-core charge has been
 /// paid (a snapshot/catch-up/drain quantum, or an inbound record batch).
 pub(crate) type MigWork = Box<dyn FnOnce(&Rc<RefCell<ShardServer>>, &mut Sim)>;
@@ -328,25 +363,26 @@ pub(crate) type MigWork = Box<dyn FnOnce(&Rc<RefCell<ShardServer>>, &mut Sim)>;
 /// One unit of work queued on a lane. The shard-core cost rides alongside
 /// in the lane deque (it is fixed at enqueue time).
 enum LaneTask {
-    /// A request quantum — one bare point op or a whole batch frame —
-    /// executed via [`ShardServer::execute`].
+    /// A request quantum's head — one bare point op or a whole batch frame
+    /// — gathered into a sweep by [`ShardServer::take_sweep`] at dispatch.
     Quantum {
         conn_idx: usize,
         payload: Vec<u8>,
         arrived: SimTime,
-        /// Execute at dispatch instead of at the slot's end (an overlapped
-        /// group-commit write, see [`ShardServer::overlap_exec`]).
-        early: bool,
-        /// A bare point op's price as a member of a sweep of two or more
-        /// (see [`ShardServer::take_sweep`]); `None` for a frame, which
-        /// never sweeps.
+        /// It carries a write.
+        writes: bool,
+        /// A bare point op's price as a member of a sweep of two or more;
+        /// `None` for a frame, which never sweeps.
         swept_ns: Option<SimTime>,
     },
     /// A bare scan, executed in preemptible chunks.
     Scan(ScanTask),
-    /// A quantum that already executed at dispatch — an overlapped write or
-    /// a sweep: the completion event only frees the core.
-    Executed,
+    /// A dispatched quantum that runs when its slot ends, its members
+    /// waiting in `ShardServer::sweep`.
+    Late,
+    /// A quantum that ran at dispatch, and the response due when its slot
+    /// ends.
+    Ran(Option<Release>),
     /// A migration quantum or inbound record batch (throughput lane: data
     /// movement shares bandwidth with scans and never blocks point ops).
     Mig(MigWork),
@@ -627,12 +663,13 @@ fn finish_scan_response(out: &mut Vec<u8>, at: usize, req_id: u64, served: u32, 
 /// Applies one decoded request to `engine`, appending the encoded response
 /// to `out`. Returns the replication action for successful writes.
 ///
-/// This is the single execution kernel shared by the singleton path and the
-/// batched quantum path, so batched execution is behaviourally identical by
-/// construction; the batched-vs-sequential property test in `tests/` pins
-/// that down. `scratch` is the reused GET value buffer; `scan` bounds what
-/// one SCAN may return, its items going straight into `out`. The returned
-/// slices borrow from the request payload, never from the engine.
+/// This is the execution kernel [`run_batch`] runs every request through
+/// outside a GET run, so a quantum is behaviourally identical to its
+/// requests applied one at a time by construction; the batched-vs-sequential
+/// property tests in `tests/` pin that down. `scratch` is the reused GET
+/// value buffer; `scan` bounds what one SCAN may return, its items going
+/// straight into `out`. The returned slices borrow from the request payload,
+/// never from the engine.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_request<'a>(
     engine: &mut ShardEngine,
@@ -646,27 +683,18 @@ pub fn apply_request<'a>(
     out: &mut Vec<u8>,
 ) -> Option<(LogOp, &'a [u8], &'a [u8])> {
     let req_id = req.req_id();
-    let err_status = |e: EngineError| match e {
-        EngineError::Exists => Status::Exists,
-        EngineError::NotFound => Status::NotFound,
-        _ => Status::Error,
+    let redirect = match req {
+        Request::Get { key, .. }
+        | Request::Insert { key, .. }
+        | Request::Update { key, .. }
+        | Request::Delete { key, .. } => gate.and_then(|g| (g.wrong_owner)(key)),
+        _ => None,
     };
-    if let Some(g) = gate {
-        let keyed = match req {
-            Request::Get { key, .. }
-            | Request::Insert { key, .. }
-            | Request::Update { key, .. }
-            | Request::Delete { key, .. } => Some(*key),
-            _ => None,
-        };
-        if let Some(k) = keyed {
-            if let Some(generation) = (g.wrong_owner)(k) {
-                Response::wrong_owner(req_id, generation).encode_into(out);
-                return None;
-            }
-        }
+    if let Some(generation) = redirect {
+        Response::wrong_owner(req_id, generation).encode_into(out);
+        return None;
     }
-    match req {
+    let (done, record) = match req {
         Request::Get { key, .. } => {
             match engine.get_into(now, key, scratch) {
                 Some(info) => {
@@ -687,38 +715,17 @@ pub fn apply_request<'a>(
                     Response::status_only(Status::NotFound, req_id).encode_into(out)
                 }
             }
-            None
+            return None;
         }
-        Request::Insert { key, value, .. } => match engine.insert(now, key, value) {
-            Ok(_) => {
-                Response::status_only(Status::Ok, req_id).encode_into(out);
-                Some((LogOp::Put, *key, *value))
-            }
-            Err(e) => {
-                Response::status_only(err_status(e), req_id).encode_into(out);
-                None
-            }
-        },
-        Request::Update { key, value, .. } => match engine.update(now, key, value) {
-            Ok(_) => {
-                Response::status_only(Status::Ok, req_id).encode_into(out);
-                Some((LogOp::Put, *key, *value))
-            }
-            Err(e) => {
-                Response::status_only(err_status(e), req_id).encode_into(out);
-                None
-            }
-        },
-        Request::Delete { key, .. } => match engine.delete(now, key) {
-            Ok(()) => {
-                Response::status_only(Status::Ok, req_id).encode_into(out);
-                Some((LogOp::Delete, *key, &[][..]))
-            }
-            Err(e) => {
-                Response::status_only(err_status(e), req_id).encode_into(out);
-                None
-            }
-        },
+        Request::Insert { key, value, .. } => (
+            engine.insert(now, key, value).map(drop),
+            (LogOp::Put, *key, *value),
+        ),
+        Request::Update { key, value, .. } => (
+            engine.update(now, key, value).map(drop),
+            (LogOp::Put, *key, *value),
+        ),
+        Request::Delete { key, .. } => (engine.delete(now, key), (LogOp::Delete, *key, &[][..])),
         Request::LeaseRenew { keys, .. } => {
             for k in keys.iter() {
                 // A moved-away key's lease is not renewable here; the next
@@ -728,7 +735,7 @@ pub fn apply_request<'a>(
                 }
             }
             Response::status_only(Status::Ok, req_id).encode_into(out);
-            None
+            return None;
         }
         Request::Scan { start, limit, .. } => {
             // Read-only: walk the ordered index from `start`, pack up to
@@ -744,9 +751,18 @@ pub fn apply_request<'a>(
             };
             let (count, end) = pack_scan_items(engine, start, scratch, owns, step, out, None);
             finish_scan_response(out, at, req_id, count, end);
-            None
+            return None;
         }
-    }
+    };
+    // A write answers its outcome and, done, yields its replication record.
+    let status = match done {
+        Ok(()) => Status::Ok,
+        Err(EngineError::Exists) => Status::Exists,
+        Err(EngineError::NotFound) => Status::NotFound,
+        Err(_) => Status::Error,
+    };
+    Response::status_only(status, req_id).encode_into(out);
+    done.is_ok().then_some(record)
 }
 
 /// Replication records produced by a batch: one `(op, key, value)` triple
@@ -762,6 +778,20 @@ pub struct BatchOpCounts {
     pub deletes: u64,
     pub lease_renews: u64,
     pub scans: u64,
+}
+
+impl BatchOpCounts {
+    /// Counts `n` requests of `req`'s kind.
+    fn add(&mut self, req: &Request<'_>, n: u64) {
+        *match req {
+            Request::Get { .. } => &mut self.gets,
+            Request::Insert { .. } => &mut self.inserts,
+            Request::Update { .. } => &mut self.updates,
+            Request::Delete { .. } => &mut self.deletes,
+            Request::LeaseRenew { .. } => &mut self.lease_renews,
+            Request::Scan { .. } => &mut self.scans,
+        } += n;
+    }
 }
 
 /// Executes a decoded batch against `engine`, packing the responses into
@@ -787,47 +817,23 @@ pub fn run_batch<'a>(
     let mut counts = BatchOpCounts::default();
     let mut i = 0;
     while i < reqs.len() {
-        // A key the live ring routes elsewhere answers with a redirect,
-        // bypassing the engine (mirrors the gate in [`apply_request`]).
-        if let Some(g) = gate {
-            let keyed = match &reqs[i] {
-                Request::Get { key, .. }
-                | Request::Insert { key, .. }
-                | Request::Update { key, .. }
-                | Request::Delete { key, .. } => Some(*key),
-                _ => None,
+        // Maximal GET run from here, capped at the engine's probe-batch
+        // width (where it would split a longer run anyway): probe
+        // interleaved, emit in order. A key the live ring routes elsewhere
+        // ends the run; `apply_request` answers it with a redirect.
+        let mut keys: [&[u8]; LOOKUP_BATCH] = [&[]; LOOKUP_BATCH];
+        let mut n = 0;
+        while n < LOOKUP_BATCH && i + n < reqs.len() {
+            let Request::Get { key, .. } = &reqs[i + n] else {
+                break;
             };
-            if let Some(generation) = keyed.and_then(|k| (g.wrong_owner)(k)) {
-                let req_id = reqs[i].req_id();
-                builder.push_with(|out| Response::wrong_owner(req_id, generation).encode_into(out));
-                match &reqs[i] {
-                    Request::Get { .. } => counts.gets += 1,
-                    Request::Insert { .. } => counts.inserts += 1,
-                    Request::Update { .. } => counts.updates += 1,
-                    Request::Delete { .. } => counts.deletes += 1,
-                    _ => unreachable!("only keyed ops are gated"),
-                }
-                i += 1;
-                continue;
+            if gate.is_some_and(|g| (g.wrong_owner)(key).is_some()) {
+                break;
             }
+            keys[n] = key;
+            n += 1;
         }
-        if matches!(reqs[i], Request::Get { .. }) {
-            // Maximal GET run, capped at the engine's probe-batch width
-            // (where it would split a longer run anyway): probe
-            // interleaved, emit in order. A gated key ends the run (the
-            // next iteration redirects it).
-            let mut keys: [&[u8]; LOOKUP_BATCH] = [&[]; LOOKUP_BATCH];
-            let mut n = 0;
-            while n < LOOKUP_BATCH && i + n < reqs.len() {
-                let Request::Get { key, .. } = &reqs[i + n] else {
-                    break;
-                };
-                if n > 0 && gate.is_some_and(|g| (g.wrong_owner)(key).is_some()) {
-                    break;
-                }
-                keys[n] = key;
-                n += 1;
-            }
+        if n > 0 {
             let run = &reqs[i..i + n];
             engine.get_batch_into(now, &keys[..n], scratch, |k, info, val| match info {
                 Some(info) => {
@@ -852,7 +858,7 @@ pub fn run_batch<'a>(
                     })
                 }
             });
-            counts.gets += n as u64;
+            counts.add(&reqs[i], n as u64);
             i += n;
         } else {
             let req = &reqs[i];
@@ -879,14 +885,7 @@ pub fn run_batch<'a>(
             if let Some(a) = action {
                 repl.push(a);
             }
-            match req {
-                Request::Get { .. } => unreachable!("handled by the run path"),
-                Request::Insert { .. } => counts.inserts += 1,
-                Request::Update { .. } => counts.updates += 1,
-                Request::Delete { .. } => counts.deletes += 1,
-                Request::LeaseRenew { .. } => counts.lease_renews += 1,
-                Request::Scan { .. } => counts.scans += 1,
-            }
+            counts.add(req, 1);
             i += 1;
         }
     }
@@ -945,10 +944,12 @@ pub struct ShardServer {
     plane: ReadPlane,
     /// The shard core's run queue.
     sched: DualLaneSched,
-    /// The sweep being dispatched: filled from a lane by
-    /// [`Self::take_sweep`], emptied by [`Self::execute_sweep`], its
-    /// capacity kept for the next one.
+    /// The quantum on the core: filled from a lane by [`Self::take_sweep`],
+    /// emptied by [`Self::execute`], its capacity kept for the next one.
     sweep: Vec<Member>,
+    /// The quantum's decoded requests, emptied between quanta (see
+    /// [`recycle`]).
+    reqs: Vec<Request<'static>>,
     /// Live-migration bookkeeping while this shard participates in a plan
     /// (source or destination); provides the ownership gate and the
     /// double-write forwarding hook. Carried across fail-over by promotion.
@@ -999,6 +1000,7 @@ impl ShardServer {
             plane,
             sched: DualLaneSched::default(),
             sweep: Vec::new(),
+            reqs: Vec::new(),
             mig: None,
         }))
     }
@@ -1169,9 +1171,9 @@ impl ShardServer {
         // lanes' undispatched work, over the request's cost.
         let backlog = self.cpu.free_at().saturating_sub(now) + self.sched.queued_total();
         let (mut total, mut n) = (0, 0u64);
-        // What a bare arrival turned out to be: a scan, or an overlappable
-        // write; and what it costs as a member of a sweep.
-        let (mut scan, mut early, mut swept) = (None, false, 0);
+        // Whether the arrival carries a write; what a bare one turned out to
+        // be (a scan?) and what it costs as a member of a sweep.
+        let (mut scan, mut writes, mut swept) = (None, false, 0);
         for msg in messages(&payload) {
             let req = Request::decode(msg).expect("admission validated it");
             let cost = Self::item_cost(&req, send_recv, batched);
@@ -1180,8 +1182,8 @@ impl ShardServer {
                 [log2_bucket(backlog / (cost + own_fixed).max(1))] += 1;
             total += cost;
             n += 1;
+            writes |= is_write(&req);
             if !batched {
-                early = self.overlap_exec(&req);
                 swept = fixed + Self::item_cost(&req, send_recv, true);
                 if let Request::Scan {
                     req_id,
@@ -1225,27 +1227,10 @@ impl ShardServer {
             conn_idx,
             payload,
             arrived: now,
-            early,
+            writes,
             swept_ns: (!batched).then_some(swept),
         };
         (lane, task, cost)
-    }
-
-    /// Whether this write's execution can start at its core slot's *start*
-    /// with the response gated on the slot's end: under group commit the
-    /// replication WQE is posted as the local merge begins, so the record's
-    /// flight and the cumulative ack overlap the modeled merge time instead
-    /// of queueing behind it. Same-shard requests still serialize on the
-    /// core — no other execution lands inside the slot — and the write's
-    /// linearization point stays within its invocation-response window, so
-    /// the early mutation is observationally equivalent.
-    fn overlap_exec(&self, req: &Request) -> bool {
-        matches!(self.cfg.replication, ReplicationMode::GroupCommit)
-            && !self.repl.is_empty()
-            && matches!(
-                req,
-                Request::Insert { .. } | Request::Update { .. } | Request::Delete { .. }
-            )
     }
 
     /// Queues a task on `lane` and kicks the scheduler: a fully idle shard
@@ -1328,9 +1313,11 @@ impl ShardServer {
     }
 
     /// Dispatches the next DRR pick onto the (idle) shard core. At most one
-    /// task runs at a time; its completion event executes it and re-pumps.
-    /// A bare point op takes the ones queued behind it as a sweep, which
-    /// executes here, at dispatch.
+    /// task runs at a time; its completion event re-pumps. A request quantum
+    /// gathers its sweep and runs here, at dispatch — unless it holds a
+    /// write its secondaries may see only after the local merge (`Strict`,
+    /// `Logging`: the execute-then-replicate order, DESIGN §14), which runs
+    /// when its slot ends.
     fn pump(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim) {
         let mut s = this.borrow_mut();
         if s.sched.running.is_some() {
@@ -1345,13 +1332,14 @@ impl ShardServer {
             return;
         };
         let now = sim.now();
-        let (task, cost) = match task {
-            LaneTask::Quantum {
-                swept_ns: Some(_), ..
-            } => s.take_sweep(now, task, cost),
-            t => (t, cost),
+        let (task, cost, run_now) = match task {
+            LaneTask::Quantum { .. } => {
+                let (cost, writes) = s.take_sweep(now, task, cost);
+                let late = writes && !s.repl.is_empty() && !s.cfg.replication.overlaps_merge();
+                (LaneTask::Late, cost, !late)
+            }
+            t => (t, cost, false),
         };
-        let swept = !s.sweep.is_empty();
         let done = s.cpu.acquire(now, cost);
         let head_ns = match &task {
             LaneTask::Scan(t) => cost.saturating_sub(t.remaining as SimTime * costs::SCAN_ITEM_NS),
@@ -1361,22 +1349,13 @@ impl ShardServer {
         let ev = sim.schedule_at(done, move |sim| {
             Self::on_task_complete(&this2, sim);
         });
-        // A group-commit write posts its replication WQE as the merge
-        // starts: execute at dispatch (the mutation is synchronous, so the
-        // log record only ships for a write that succeeded) and gate the
-        // response on the slot's end, letting the record's flight and the
-        // cumulative ack overlap the modeled merge time.
-        let (task, early) = match task {
-            LaneTask::Quantum {
-                conn_idx,
-                payload,
-                arrived,
-                early: true,
-                ..
-            } => (LaneTask::Executed, Some((conn_idx, payload, arrived))),
-            t => (t, None),
+        drop(s);
+        let task = if run_now {
+            LaneTask::Ran(Self::execute(this, sim))
+        } else {
+            task
         };
-        s.sched.running = Some(Running {
+        this.borrow_mut().sched.running = Some(Running {
             ev,
             start: now,
             end: done,
@@ -1384,49 +1363,56 @@ impl ShardServer {
             yield_items: None,
             task,
         });
-        drop(s);
-        if swept {
-            Self::execute_sweep(this, sim);
-        } else if let Some((conn_idx, payload, arrived)) = early {
-            Self::execute(this, sim, conn_idx, payload, arrived, done);
-        }
     }
 
-    /// Gathers the sweep a bare point op `first` (just picked, charged
-    /// `cost`) heads: the bare point ops [`DualLaneSched::next_member`]
-    /// hands over from the same lane, up to [`LOOKUP_BATCH`] in all. With
-    /// two or more, the members land in `self.sweep` with their release
-    /// times — dispatch plus each one's cumulative price — and the task to
-    /// dispatch becomes [`LaneTask::Executed`] at the sweep's whole price.
-    /// Alone, `first` goes back as it came, at its singleton cost.
-    fn take_sweep(&mut self, now: SimTime, first: LaneTask, cost: SimTime) -> (LaneTask, SimTime) {
+    /// Gathers the quantum `first` (just picked, charged `cost`) heads into
+    /// `self.sweep`; returns its price and whether it holds a write. A frame
+    /// is a quantum of its own. A bare point op also takes the bare point
+    /// ops [`DualLaneSched::next_member`] hands over from the same lane, up
+    /// to [`LOOKUP_BATCH`] in all; with two or more, each is charged its
+    /// sweep price, and alone it keeps its singleton cost. Each member may
+    /// answer at dispatch plus the prices up to and including its own.
+    fn take_sweep(&mut self, now: SimTime, first: LaneTask, cost: SimTime) -> (SimTime, bool) {
         let swept_ns = |t: &LaneTask| match t {
             LaneTask::Quantum { swept_ns, .. } => *swept_ns,
             _ => None,
         };
-        let price = swept_ns(&first).expect("a bare point op heads a sweep");
-        // The head is charged its sweep price if anything joins it.
-        let lane = self.sched.current;
-        self.sched.deficit[lane] += cost - price;
-        let Some(second) = self.sched.next_member(LANE_QUANTUM_NS, swept_ns) else {
-            self.sched.deficit[lane] -= cost - price;
-            return (first, cost);
+        let (mut price, mut second) = (cost, None);
+        if let Some(swept) = swept_ns(&first) {
+            // The head is charged its sweep price if anything joins it.
+            let lane = self.sched.current;
+            self.sched.deficit[lane] += cost - swept;
+            second = self.sched.next_member(LANE_QUANTUM_NS, swept_ns);
+            match second {
+                Some(_) => price = swept,
+                None => self.sched.deficit[lane] -= cost - swept,
+            }
+        }
+        let more = if second.is_some() {
+            LOOKUP_BATCH - 2
+        } else {
+            0
         };
-        let mut members = std::mem::take(&mut self.sweep);
-        let mut total = 0;
         let rest = std::iter::from_fn(|| self.sched.next_member(LANE_QUANTUM_NS, swept_ns));
-        let picks = [(first, price), second].into_iter().chain(rest);
-        for (task, price) in picks.take(LOOKUP_BATCH) {
+        let mut members = std::mem::take(&mut self.sweep);
+        let (mut total, mut writes) = (0, false);
+        for (task, price) in [(first, price)]
+            .into_iter()
+            .chain(second)
+            .chain(rest.take(more))
+        {
             let LaneTask::Quantum {
                 conn_idx,
                 payload,
                 arrived,
+                writes: w,
                 ..
             } = task
             else {
-                unreachable!("sweep members are bare point ops");
+                unreachable!("quantum members are request quanta");
             };
             total += price;
+            writes |= w;
             members.push(Member {
                 conn_idx,
                 payload,
@@ -1435,30 +1421,31 @@ impl ShardServer {
             });
         }
         self.sweep = members;
-        (LaneTask::Executed, total)
+        (total, writes)
     }
 
     /// The dispatched task reached the end of its core slot (or, for a
-    /// preempted scan, its yield boundary): execute it and pump the next
-    /// pick.
+    /// preempted scan, its yield boundary): run or answer what is due, then
+    /// pump the next pick.
     fn on_task_complete(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim) {
         let r = this.borrow_mut().sched.running.take();
         let Some(r) = r else { return };
-        let now = sim.now();
         match r.task {
-            LaneTask::Quantum {
-                conn_idx,
-                payload,
-                arrived,
-                ..
-            } => Self::execute(this, sim, conn_idx, payload, arrived, now),
+            LaneTask::Late => {
+                Self::execute(this, sim);
+            }
+            LaneTask::Ran(due) => {
+                if let Some(due) = due {
+                    Self::release(this, sim, due);
+                }
+            }
             LaneTask::Scan(task) => Self::run_scan(this, sim, task, r.yield_items),
             LaneTask::Mig(work) => {
                 if this.borrow().alive {
                     work(this, sim)
                 }
             }
-            LaneTask::Executed => {}
+            LaneTask::Quantum { .. } => unreachable!("a quantum is dispatched as a sweep"),
         }
         Self::pump(this, sim);
     }
@@ -1616,111 +1603,145 @@ impl ShardServer {
             1;
         drop(s);
         Self::maybe_schedule_reclaim(this, sim);
-        Self::send_response_frame(this, sim, task.conn_idx, task.resp, 1);
+        Self::send_response_frame(this, sim, task.conn_idx, task.resp);
     }
 
-    /// The one quantum executor: runs the request(s) `payload` carries — one
-    /// bare message or a batch frame — through [`run_batch`], replicates the
-    /// quantum's writes in one shipment per secondary, and answers in the
-    /// shape it was asked in (a bare response, or one response frame — one
-    /// RDMA Write — in request order).
+    /// The one quantum executor: runs the members [`Self::take_sweep`] left
+    /// in `self.sweep` — a frame, or up to [`LOOKUP_BATCH`] bare point ops
+    /// from any connections — now, as one [`run_quantum`](Self::run_quantum)
+    /// in queue order (GET runs probe interleaved across connections), ships
+    /// their writes' records in one shipment per secondary, and answers each
+    /// member in the shape it asked: a bare response, or one response frame
+    /// carrying all of a frame's answers in request order.
     ///
-    /// Hot-path contract: requests are decoded exactly once and their
-    /// key/value slices stay borrowed from `payload` end to end — the engine
-    /// copies into its arena where it must, replication reads the borrowed
-    /// slices directly, and GET values land in a per-shard scratch buffer
-    /// reused across requests. No per-request `to_vec()`.
+    /// A member's response leaves at its `ready_at`; one that produced a
+    /// record also waits for the acks covering the shipment. Whatever is
+    /// due by now leaves now (a late quantum, the decoupled models); the
+    /// one due when the slot ends is returned for the completion event to
+    /// release before the next pick; the rest are scheduled.
     ///
-    /// `ready_at` is the modeled completion time of the quantum's core
-    /// slot: it equals `sim.now()` except for overlapped group-commit
-    /// writes (see [`Self::overlap_exec`]), which execute at slot start and
-    /// gate their response on the slot's end.
-    fn execute(
-        this: &Rc<RefCell<ShardServer>>,
-        sim: &mut Sim,
-        conn_idx: usize,
-        payload: Vec<u8>,
-        arrived: SimTime,
-        ready_at: SimTime,
-    ) {
-        let (resp, resp_count, repl_records, forwards) = {
+    /// Hot-path contract: requests are decoded once here and their
+    /// key/value slices stay borrowed from the payloads end to end — the
+    /// engine copies into its arena where it must, replication reads the
+    /// borrowed slices directly, and GET values land in a per-shard scratch
+    /// buffer reused across requests. No per-request `to_vec()`.
+    fn execute(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim) -> Option<Release> {
+        let now = sim.now();
+        let mut members = std::mem::take(&mut this.borrow_mut().sweep);
+        let mut out: [Option<Release>; LOOKUP_BATCH] = Default::default();
+        let (records, forwards, pairs, acks) = {
             let mut s = this.borrow_mut();
             if !s.alive {
-                return;
-            }
-            let now = sim.now();
-            let batched = BatchFrame::is_batch(&payload);
-            fn decode(m: &[u8]) -> Request<'_> {
-                Request::decode(m).expect("validated on arrival")
-            }
-            let (bare, frame);
-            let reqs: &[Request<'_>] = if batched {
-                frame = messages(&payload).map(decode).collect::<Vec<_>>();
-                &frame
-            } else {
-                bare = [decode(&payload)];
-                &bare
-            };
-            // All requests of a quantum complete when the quantum does.
-            let sojourn_bucket = log2_bucket(ready_at.saturating_sub(arrived));
-            for req in reqs {
-                s.stats.service_time_hist_by_op[op_slot(req)][sojourn_bucket] += 1;
+                members.clear();
+                s.sweep = members;
+                return None;
             }
             let s = &mut *s;
-            let (repl, forwards) = s.run_quantum(now, reqs);
-            let resp_count = s.resp_batch.count() as u64;
-            let mut resp = s.resp_pool.pop().unwrap_or_default();
-            resp.extend_from_slice(if batched {
-                s.resp_batch.bytes()
+            let mut reqs = recycle(std::mem::take(&mut s.reqs));
+            for m in &members {
+                let from = reqs.len();
+                let decode = |msg| Request::decode(msg).expect("validated on arrival");
+                reqs.extend(messages(&m.payload).map(decode));
+                // A member's requests complete when its response is due.
+                let bucket = log2_bucket(m.ready_at.saturating_sub(m.arrived));
+                for req in &reqs[from..] {
+                    s.stats.service_time_hist_by_op[op_slot(req)][bucket] += 1;
+                }
+            }
+            let (records, forwards) = s.run_quantum(now, &reqs);
+            if members.len() > 1 {
+                s.stats.sweeps += 1;
+                s.stats.swept_requests += members.len() as u64;
+            }
+            // Star replication: the shard pipeline is NOT held for the round
+            // trip — later quanta execute and ship while these acks are in
+            // flight; only the responses of writes that produced a record
+            // wait for them.
+            let pairs = if records.is_empty() {
+                Vec::new()
             } else {
-                &s.resp_batch.bytes()[BATCH_HDR + BATCH_ENTRY_HDR..]
+                s.repl.clone()
+            };
+            let acks = (!pairs.is_empty()).then(|| {
+                let held = Default::default();
+                Rc::new(RefCell::new(AckGate {
+                    pending: pairs.len(),
+                    held,
+                }))
             });
-            (resp, resp_count, repl, forwards)
+            let bytes = s.resp_batch.bytes();
+            // A write answered Ok is one that produced a record.
+            let recorded =
+                |(req, msg): (&Request<'_>, &[u8])| msg[0] == Status::Ok as u8 && is_write(req);
+            let mut answers = reqs.iter().zip(messages(bytes));
+            for (m, out) in members.iter().zip(&mut out) {
+                let mut resp = s.resp_pool.pop().unwrap_or_default();
+                let held = if BatchFrame::is_batch(&m.payload) {
+                    resp.extend_from_slice(bytes);
+                    answers.by_ref().any(recorded)
+                } else {
+                    let answer = answers.next().expect("an answer per request");
+                    resp.extend_from_slice(answer.1);
+                    recorded(answer)
+                };
+                let acks = acks.clone().filter(|_| held);
+                *out = Some(Release {
+                    conn_idx: m.conn_idx,
+                    resp,
+                    acks,
+                });
+            }
+            s.reqs = recycle(reqs);
+            (records, forwards, pairs, acks)
         };
         Self::maybe_schedule_reclaim(this, sim);
         for (ch, recs) in forwards {
             ch.ship(sim, recs);
         }
-        // Star replication: respond once every secondary reports the
-        // quantum complete per its pair's mode. The shard pipeline is NOT
-        // held for the replication round trip — subsequent requests execute
-        // and ship while these completions are in flight; strict-semantics
-        // modes merely hold this one response until its covering ack
-        // arrives. An overlapped group-commit write adds one more gate: the
-        // core slot itself, so the client never sees a completion before
-        // the modeled merge finishes.
-        let pairs = if repl_records.is_empty() {
-            Vec::new()
-        } else {
-            this.borrow().repl.clone()
-        };
-        let gates = pairs.len() + usize::from(sim.now() < ready_at);
-        if gates == 0 {
-            Self::send_response_frame(this, sim, conn_idx, resp, resp_count);
-            return;
-        }
-        let held = Rc::new(RefCell::new((gates, resp)));
-        let gate = |held: Rc<RefCell<(usize, Vec<u8>)>>| {
-            let this = this.clone();
-            move |sim: &mut Sim| {
-                let resp = {
-                    let mut h = held.borrow_mut();
-                    h.0 -= 1;
-                    if h.0 > 0 {
-                        return;
-                    }
-                    std::mem::take(&mut h.1)
-                };
-                Self::send_response_frame(&this, sim, conn_idx, resp, resp_count);
+        let mut due = None;
+        let last = members.len() - 1;
+        for (i, (m, r)) in members.iter().zip(out.into_iter().flatten()).enumerate() {
+            if m.ready_at <= now {
+                Self::release(this, sim, r);
+            } else if i == last {
+                due = Some(r);
+            } else {
+                let this = this.clone();
+                sim.schedule_at(m.ready_at, move |sim| Self::release(&this, sim, r));
             }
-        };
-        if sim.now() < ready_at {
-            sim.schedule_at(ready_at, gate(held.clone()));
         }
         for pair in &pairs {
-            pair.replicate_batch(sim, &repl_records, Some(Box::new(gate(held.clone()))))
+            let (this, acks) = (this.clone(), acks.clone().expect("acks await a shipment"));
+            let on_ack = move |sim: &mut Sim| {
+                let mut a = acks.borrow_mut();
+                a.pending -= 1;
+                if a.pending == 0 {
+                    for (conn_idx, resp) in a.held.iter_mut().map_while(Option::take) {
+                        Self::send_response_frame(&this, sim, conn_idx, resp);
+                    }
+                }
+            };
+            pair.replicate_batch(sim, &records, Some(Box::new(on_ack)))
                 .expect("writes bounded by msg slot, fit repl ring");
         }
+        drop(records);
+        members.clear();
+        this.borrow_mut().sweep = members;
+        due
+    }
+
+    /// Sends a response whose time has come — unless it still waits for
+    /// acks, in which case it joins the ones they will release.
+    fn release(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim, r: Release) {
+        if let Some(acks) = r.acks {
+            let mut a = acks.borrow_mut();
+            if a.pending > 0 {
+                let free = a.held.iter_mut().find(|h| h.is_none());
+                *free.expect("a slot per member") = Some((r.conn_idx, r.resp));
+                return;
+            }
+        }
+        Self::send_response_frame(this, sim, r.conn_idx, r.resp);
     }
 
     /// Runs `reqs` at `now` as one quantum through [`run_batch`] into the
@@ -1781,95 +1802,6 @@ impl ShardServer {
         (repl, forwards)
     }
 
-    /// Executes the sweep [`Self::take_sweep`] left in `self.sweep`, at its
-    /// dispatch: one [`run_batch`] over the members in queue order (GET runs
-    /// probe interleaved across connections), one shipment per secondary
-    /// for all their writes, and one bare response per member, to its own
-    /// connection, leaving at its `ready_at`. A write that produced a
-    /// replication record also waits for the acks covering the shipment;
-    /// everything else leaves on time.
-    fn execute_sweep(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim) {
-        let now = sim.now();
-        let mut members = std::mem::take(&mut this.borrow_mut().sweep);
-        // Each member's response, and whether it waits for the acks.
-        let mut resps: [(Vec<u8>, bool); LOOKUP_BATCH] = Default::default();
-        let (repl_records, forwards) = {
-            let mut s = this.borrow_mut();
-            let s = &mut *s;
-            let mut reqs: [Request<'_>; LOOKUP_BATCH] = std::array::from_fn(|_| Request::Get {
-                req_id: 0,
-                key: &[],
-            });
-            for (req, m) in reqs.iter_mut().zip(&members) {
-                *req = Request::decode(&m.payload).expect("validated on arrival");
-                s.stats.service_time_hist_by_op[op_slot(req)]
-                    [log2_bucket(m.ready_at.saturating_sub(m.arrived))] += 1;
-            }
-            let reqs = &reqs[..members.len()];
-            let out = s.run_quantum(now, reqs);
-            s.stats.sweeps += 1;
-            s.stats.swept_requests += reqs.len() as u64;
-            let answers = reqs.iter().zip(messages(s.resp_batch.bytes()));
-            for ((resp, held), (req, msg)) in resps.iter_mut().zip(answers) {
-                *resp = s.resp_pool.pop().unwrap_or_default();
-                resp.extend_from_slice(msg);
-                // A write answered Ok is one that produced a record.
-                *held = msg[0] == Status::Ok as u8
-                    && matches!(
-                        req,
-                        Request::Insert { .. } | Request::Update { .. } | Request::Delete { .. }
-                    );
-            }
-            out
-        };
-        Self::maybe_schedule_reclaim(this, sim);
-        for (ch, recs) in forwards {
-            ch.ship(sim, recs);
-        }
-        let pairs = if repl_records.is_empty() {
-            Vec::new()
-        } else {
-            this.borrow().repl.clone()
-        };
-        // (acks still to come, held responses whose time has come).
-        let acks = (!pairs.is_empty()).then(|| Rc::new(RefCell::new((pairs.len(), Vec::new()))));
-        for (m, (resp, held)) in members.iter().zip(resps) {
-            let (this, conn_idx) = (this.clone(), m.conn_idx);
-            let acks = acks.clone().filter(|_| held);
-            sim.schedule_at(m.ready_at, move |sim| {
-                if let Some(acks) = acks {
-                    let mut a = acks.borrow_mut();
-                    if a.0 > 0 {
-                        a.1.push((conn_idx, resp));
-                        return;
-                    }
-                }
-                Self::send_response_frame(&this, sim, conn_idx, resp, 1);
-            });
-        }
-        for pair in &pairs {
-            let (this, acks) = (this.clone(), acks.clone().expect("acks await a shipment"));
-            let release = move |sim: &mut Sim| {
-                let held: Vec<(usize, Vec<u8>)> = {
-                    let mut a = acks.borrow_mut();
-                    a.0 -= 1;
-                    if a.0 > 0 {
-                        return;
-                    }
-                    std::mem::take(&mut a.1)
-                };
-                for (conn_idx, resp) in held {
-                    Self::send_response_frame(&this, sim, conn_idx, resp, 1);
-                }
-            };
-            pair.replicate_batch(sim, &repl_records, Some(Box::new(release)))
-                .expect("writes bounded by msg slot, fit repl ring");
-        }
-        drop(repl_records);
-        members.clear();
-        this.borrow_mut().sweep = members;
-    }
-
     /// Arms the background-reclamation event for the earliest pending lease
     /// expiry. The paper uses a background thread; the event-driven pump has
     /// identical semantics and terminates when the queue drains. At most one
@@ -1899,22 +1831,21 @@ impl ShardServer {
         s.reclaim_armed = Some((at, ev));
     }
 
-    /// Frames and writes a response carrying `count` answers (a whole batch
-    /// travels as one write / one doorbell) into the client's response
-    /// buffer (RDMA-Write mode), or posts it as a Send (Send/Recv mode).
+    /// Frames and writes a response — one answer, or a response frame of
+    /// them (a whole batch travels as one write / one doorbell) — into the
+    /// client's response buffer (RDMA-Write mode), or posts it as a Send
+    /// (Send/Recv mode).
     fn send_response_frame(
         this: &Rc<RefCell<ShardServer>>,
         sim: &mut Sim,
         conn_idx: usize,
         mut resp: Vec<u8>,
-        count: u64,
     ) {
         let (fab, qp, node, region, kick, send_recv) = {
             let mut s = this.borrow_mut();
             if !s.alive {
                 return;
             }
-            s.stats.responses += count;
             // Piggyback the shard's backlog (µs, saturating at u16::MAX) in
             // the response pad bytes: core reservation still ahead of `now`
             // plus both lanes' undispatched work. The client's AIMD window
@@ -1922,11 +1853,15 @@ impl ShardServer {
             // shard stamps 0, which is byte-identical to the zeroed pad.
             let backlog = s.cpu.free_at().saturating_sub(sim.now()) + s.sched.queued_total();
             let hint = (backlog / 1_000).min(u16::MAX as u64) as u16;
-            if BatchFrame::is_batch(&resp) {
-                for_each_message_mut(&mut resp, |m| set_backlog_hint(m, hint));
-            } else {
+            let mut answers = 0;
+            if !for_each_message_mut(&mut resp, |m| {
+                set_backlog_hint(m, hint);
+                answers += 1;
+            }) {
                 set_backlog_hint(&mut resp, hint);
+                answers = 1;
             }
+            s.stats.responses += answers;
             let conn = &s.conns[conn_idx];
             (
                 s.fab.clone(),
@@ -1990,7 +1925,7 @@ mod tests {
             conn_idx,
             payload: Vec::new(),
             arrived: 0,
-            early: false,
+            writes: false,
             swept_ns: None,
         }
     }
@@ -2089,7 +2024,7 @@ mod tests {
             conn_idx,
             payload: Vec::new(),
             arrived: 0,
-            early: false,
+            writes: false,
             swept_ns: Some(swept),
         }
     }

@@ -8,7 +8,7 @@
 //! hook into the request path at exactly one point —
 //! [`ShardServer::on_request_payload`] hands an arriving payload to
 //! [`admit`] instead of the lane scheduler — and rejoin it at the quantum
-//! executor, one request per quantum.
+//! executor, one request per quantum, run when its hand-off core is done.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -17,7 +17,7 @@ use hydra_sim::time::SimTime;
 use hydra_sim::{FifoResource, Sim};
 use hydra_wire::{messages, Request};
 
-use super::{log2_bucket, op_slot, ShardServer};
+use super::{log2_bucket, op_slot, Member, ShardServer};
 use crate::config::ExecModel;
 use crate::costs;
 use crate::ring::ShardId;
@@ -66,9 +66,16 @@ pub(super) fn admit(
     let now = sim.now();
     for msg in messages(&payload) {
         let done_at = dispatch(&mut this.borrow_mut(), now, conn_idx, msg);
-        let (this, msg) = (this.clone(), msg.to_vec());
+        let (this, payload) = (this.clone(), msg.to_vec());
         sim.schedule_at(done_at, move |sim| {
-            ShardServer::execute(&this, sim, conn_idx, msg, now, done_at);
+            this.borrow_mut().sweep.push(Member {
+                conn_idx,
+                payload,
+                arrived: now,
+                ready_at: done_at,
+            });
+            // Due now: the executor answers at once and returns nothing.
+            ShardServer::execute(&this, sim);
         });
     }
 }

@@ -111,6 +111,14 @@ impl ReplMode {
     pub fn strict_semantics(&self) -> bool {
         matches!(self, ReplMode::Strict | ReplMode::GroupCommit)
     }
+
+    /// Whether a record may leave before the primary's local merge of it
+    /// ends, its flight overlapping the merge. Only group commit ships that
+    /// early; Strict and Logging are the paper's execute-then-replicate
+    /// baselines.
+    pub fn overlaps_merge(&self) -> bool {
+        matches!(self, ReplMode::GroupCommit)
+    }
 }
 
 /// Configuration for one primary/secondary pair.

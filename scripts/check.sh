@@ -58,6 +58,11 @@ HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
 # cliff), and <= 5% overhead at 16 clients where the caches never miss.
 HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
     cargo run -q --release -p hydra-bench --bin perf_conn
+# fig13_replication asserts the figure's shape: none < RDMA logging < strict
+# and group commit <= logging at every client and replica count, logging
+# >= +5 %, strict >= 1.8x none at one client.
+HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
+    cargo run -q --release -p hydra-bench --bin fig13_replication
 
 echo "==> benchmark crate (builds against the workspace; one smoke pass per workload)"
 # benchmark/ is a package of its own, outside the workspace: API drift

@@ -10,7 +10,7 @@
 //! untouched. A mismatch means some op completed at a different virtual tick
 //! or with different bytes.
 //!
-//! Re-pinned twice since, on purpose. First, every arm drives scans, and
+//! Re-pinned three times since, on purpose. First, every arm drives scans, and
 //! the client began asking each partition for a quota instead of the whole
 //! limit (`client::scan_quota`), so every scan — and every op queued behind
 //! one — completes earlier. With the scans of the op stream issued as GETs
@@ -22,7 +22,22 @@
 //! clients at depth 1 queue bare requests at a shard, so their ops complete
 //! at other ticks. The depth-8 arm ships frames, which never sweep, and
 //! kept its hash. With one client per arm, where no queue can form, all ten
-//! hashes of that commit and of its parent are equal.
+//! hashes of that commit and of its parent are equal. Third, the seven
+//! replicated arms, when every quantum began to run through one executor at
+//! dispatch — a lone request, a frame and a sweep alike — except one holding
+//! a write replicated under Strict, which runs when its slot ends (§14's
+//! execute-then-replicate order, now for sweeps too). The six replicated
+//! depth-1 arms move because a swept Strict write used to ship before its
+//! merge and now ships after it, and a Strict sweep's GETs answer at the
+//! slot's end with it; under group commit, a response due when its slot ends
+//! (a lone write, a sweep's last member) now leaves from the slot's
+//! completion event before the next pick is dispatched, where it used to
+//! leave from an event of its own after it — behind the next quantum's
+//! shipment on the NIC. The depth-8 arm moves because a group-commit frame
+//! now runs at dispatch, its record's flight overlapping the merge as a lone
+//! write's did. The three unreplicated arms kept their hashes; with one
+//! client per arm, the nine depth-1 hashes of that commit and of its parent
+//! are equal.
 //!
 //! Arms: `{RdmaWriteRead, RdmaWrite, SendRecv}` × `{no replica, one replica
 //! under GroupCommit, one replica under Strict}` at depth 1, plus `RdmaWrite`
@@ -50,7 +65,8 @@ const KEYS: u64 = 512;
 struct Arm {
     name: &'static str,
     mode: ClientMode,
-    replication: ReplicationMode,
+    /// `None`: no replica.
+    replication: Option<ReplicationMode>,
     depth: usize,
     golden: u64,
 }
@@ -58,7 +74,7 @@ struct Arm {
 const fn arm(
     name: &'static str,
     mode: ClientMode,
-    replication: ReplicationMode,
+    replication: Option<ReplicationMode>,
     depth: usize,
     golden: u64,
 ) -> Arm {
@@ -72,20 +88,22 @@ const fn arm(
 }
 
 use ClientMode::{RdmaWrite, RdmaWriteRead, SendRecv};
-use ReplicationMode::{GroupCommit, None as NoRepl, Strict};
+const NO_REPL: Option<ReplicationMode> = None;
+const GC: Option<ReplicationMode> = Some(ReplicationMode::GroupCommit);
+const STRICT: Option<ReplicationMode> = Some(ReplicationMode::Strict);
 
 #[rustfmt::skip]
 const ARMS: [Arm; 10] = [
-    arm("write_read/none",   RdmaWriteRead, NoRepl,      1, 0xFDD9_35D5_E4FE_DB46),
-    arm("write_read/gc",     RdmaWriteRead, GroupCommit, 1, 0xB3D5_2E61_F79C_FA15),
-    arm("write_read/strict", RdmaWriteRead, Strict,      1, 0x2148_F0F9_5518_1237),
-    arm("write/none",        RdmaWrite,     NoRepl,      1, 0x1BBB_BBB7_EE2E_B1B7),
-    arm("write/gc",          RdmaWrite,     GroupCommit, 1, 0x0F74_78B1_DF75_7213),
-    arm("write/strict",      RdmaWrite,     Strict,      1, 0xBD81_616E_B581_06DC),
-    arm("send_recv/none",    SendRecv,      NoRepl,      1, 0x0E1A_AB3A_75AD_0605),
-    arm("send_recv/gc",      SendRecv,      GroupCommit, 1, 0x04C6_AB00_C84B_7AFF),
-    arm("send_recv/strict",  SendRecv,      Strict,      1, 0x4D84_4FA3_55BE_6D5E),
-    arm("write/gc/depth8",   RdmaWrite,     GroupCommit, 8, 0x2651_AA44_B8BE_E6EF),
+    arm("write_read/none",   RdmaWriteRead, NO_REPL,     1, 0xFDD9_35D5_E4FE_DB46),
+    arm("write_read/gc",     RdmaWriteRead, GC,          1, 0x4EC1_2ACE_93D4_7CC5),
+    arm("write_read/strict", RdmaWriteRead, STRICT,      1, 0x05B3_6BA2_A243_0D3A),
+    arm("write/none",        RdmaWrite,     NO_REPL,     1, 0x1BBB_BBB7_EE2E_B1B7),
+    arm("write/gc",          RdmaWrite,     GC,          1, 0xD555_17B5_A1C9_4BFE),
+    arm("write/strict",      RdmaWrite,     STRICT,      1, 0x3962_33C9_48AC_12A4),
+    arm("send_recv/none",    SendRecv,      NO_REPL,     1, 0x0E1A_AB3A_75AD_0605),
+    arm("send_recv/gc",      SendRecv,      GC,          1, 0x13A0_CB45_055C_77FA),
+    arm("send_recv/strict",  SendRecv,      STRICT,      1, 0x5AF0_9C40_F673_3FB3),
+    arm("write/gc/depth8",   RdmaWrite,     GC,          8, 0x7CDB_5C5F_D052_A81C),
 ];
 
 fn key_of(id: u64) -> Vec<u8> {
@@ -161,7 +179,6 @@ fn issue(run: &Rc<Run>, clients: &Rc<Vec<HydraClient>>, sim: &mut Sim, c: usize)
 }
 
 fn build(arm: &Arm) -> Cluster {
-    let replicated = arm.replication != NoRepl;
     let pipelined = arm.depth > 1;
     ClusterBuilder::new(ClusterConfig {
         seed: 20_150_915,
@@ -170,8 +187,8 @@ fn build(arm: &Arm) -> Cluster {
         client_nodes: 2,
         index: IndexKind::Hybrid,
         client_mode: arm.mode,
-        replicas: u32::from(replicated),
-        replication: arm.replication,
+        replicas: u32::from(arm.replication.is_some()),
+        replication: arm.replication.unwrap_or(ReplicationMode::GroupCommit),
         pipeline_depth: arm.depth,
         max_batch: 8,
         mux_connections: pipelined,

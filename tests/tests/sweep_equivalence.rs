@@ -1,24 +1,29 @@
-//! Sweep equivalence: a busy shard serves the bare requests its lane holds,
-//! from every connection, as one quantum — and that changes *when* a
-//! response leaves, never *what* it says.
+//! Sweep equivalence: a shard serves what its lanes hold — a lone bare
+//! request, a frame, or the bare requests queued from every connection — as
+//! one quantum through one executor, and that changes *when* a response
+//! leaves, never *what* it says.
 //!
-//! Requests are injected straight into a shard's admission on 2–16 client
-//! connections, in random interleavings over a few hot keys, under both
-//! schedulers, with and without an installed migration gate (a completed
-//! join leaves the source shard redirecting the keys it gave away). The
+//! Bare requests and frames are injected straight into a shard's admission
+//! on 2–16 client connections, in random interleavings over a few hot keys,
+//! under both schedulers, with no replica or one under each replication
+//! mode, and with and without an installed migration gate (a completed join
+//! leaves the source shard redirecting the keys it gave away). The
 //! responses are caught on the client side of each Send/Recv connection and
 //! checked against three oracles:
 //!
-//! - **Bytes.** Every response (backlog hint zeroed) and the final engine
+//! - **Bytes.** Every response (backlog hints zeroed) and the final engine
 //!   state equal one-at-a-time execution in arrival order: `apply_request`
 //!   on a mirror engine, each request at the instant its quantum executed.
-//! - **Timing.** A model of the core replays the arrivals. A quantum of one
-//!   is the singleton it always was — priced alone, executed and answered
-//!   at the end of its slot; a sweep of two or more executes at dispatch
-//!   and member *i*'s response leaves at dispatch + the cumulative price
-//!   of members 0..=i (each its own poll step, its own response WQE, the
-//!   batched marginal cost). Every observed response post tick must be the
-//!   model's.
+//! - **Timing.** A model of the core replays the arrivals through the
+//!   shard's deficit-round-robin lanes. Every quantum executes at dispatch —
+//!   a lone request at its own price, a frame at its frame price, a sweep of
+//!   two or more at each member's batched price — except one that holds a
+//!   write replicated under `Strict` or `Logging`: it executes when its
+//!   slot ends, and so do the GETs swept with it. Member *i*'s response
+//!   leaves at dispatch + the cumulative price of members 0..=i, or when its
+//!   quantum executed if that is later. Every observed response post tick
+//!   must be the model's — no earlier than it, for a write that produced a
+//!   record and so also waits for its secondary's ack.
 //! - **Counters.** `ServerStats::{sweeps, swept_requests}` equal the
 //!   model's.
 //!
@@ -37,11 +42,18 @@ use hydra_db::{
 };
 use hydra_sim::SimTime;
 use hydra_store::{EngineConfig, ShardEngine, LOOKUP_BATCH};
-use hydra_wire::{set_backlog_hint, KeyList, Request, Response};
+use hydra_wire::{
+    for_each_message_mut, messages, set_backlog_hint, BatchBuilder, BatchFrame, KeyList, Request,
+    Response,
+};
 use proptest::prelude::*;
 
 const KEYS: u8 = 8;
 const REQ_BASE: u64 = 1 << 40;
+/// Request ids of one arrival: `REQ_BASE + (arrival << 8) + position`.
+const POSITIONS: u64 = 1 << 8;
+/// Credit a lane earns per DRR visit (the server's `LANE_QUANTUM_NS`).
+const LANE_QUANTUM: SimTime = 4_000;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -57,16 +69,29 @@ struct Arrival {
     /// Ticks after the previous arrival (0: same instant, queued behind it).
     gap: SimTime,
     conn: usize,
-    op: Op,
+    /// One bare request, or (`frame`) a batch frame of these.
+    ops: Vec<Op>,
+    frame: bool,
+}
+
+impl Arrival {
+    fn bare(gap: SimTime, conn: usize, op: Op) -> Arrival {
+        Arrival {
+            gap,
+            conn,
+            ops: vec![op],
+            frame: false,
+        }
+    }
 }
 
 fn key_of(k: u8) -> Vec<u8> {
     format!("sweep-key-{k}").into_bytes()
 }
 
-/// The encoded request `op` becomes as arrival `i`.
-fn encode(i: usize, op: &Op) -> Vec<u8> {
-    let req_id = REQ_BASE + i as u64;
+/// The encoded request `op` becomes at `position` of arrival `i`.
+fn encode(i: usize, position: usize, op: &Op) -> Vec<u8> {
+    let req_id = REQ_BASE + i as u64 * POSITIONS + position as u64;
     let value = |tag: u8| vec![b'a' + tag % 26; 8 + (tag % 24) as usize];
     match op {
         Op::Get(k) => Request::Get {
@@ -103,6 +128,30 @@ fn encode(i: usize, op: &Op) -> Vec<u8> {
     }
 }
 
+/// The payload arrival `i` delivers: its one request, or its frame.
+fn payload(i: usize, a: &Arrival) -> Vec<u8> {
+    if !a.frame {
+        return encode(i, 0, &a.ops[0]);
+    }
+    let mut frame = BatchBuilder::new();
+    for (position, op) in a.ops.iter().enumerate() {
+        frame.push(&encode(i, position, op));
+    }
+    frame.bytes().to_vec()
+}
+
+/// The arrival whose request `req_id` is.
+fn arrival_of(req_id: u64) -> usize {
+    ((req_id - REQ_BASE) / POSITIONS) as usize
+}
+
+fn is_write(req: &Request<'_>) -> bool {
+    matches!(
+        req,
+        Request::Insert { .. } | Request::Update { .. } | Request::Delete { .. }
+    )
+}
+
 /// Shard-core price of `req` over a Send/Recv connection: its poll step
 /// and response WQE (`post_wqe_ns` is 0 here), the receive-queue charge,
 /// and its own cost — at the batched marginal rate inside a sweep.
@@ -125,22 +174,90 @@ fn price(req: &Request<'_>, swept: bool) -> SimTime {
     costs::POLL_NS + costs::RECV_CPU_NS + own
 }
 
+/// A queued task of the model: its arrival, its queued cost, and its price
+/// as a sweep member (`None` for a frame, which never sweeps).
+type Task = (usize, SimTime, Option<SimTime>);
+
+/// The shard's two deficit-round-robin lanes (`DualLaneSched`), replayed.
+#[derive(Default)]
+struct Lanes {
+    queued: [VecDeque<Task>; 2],
+    deficit: [SimTime; 2],
+    current: usize,
+}
+
+impl Lanes {
+    fn is_empty(&self) -> bool {
+        self.queued.iter().all(VecDeque::is_empty)
+    }
+
+    /// The DRR pick.
+    fn next(&mut self) -> Option<Task> {
+        if self.is_empty() {
+            self.deficit = [0; 2];
+            return None;
+        }
+        loop {
+            let lane = self.current;
+            match self.queued[lane].front() {
+                None => {
+                    self.deficit[lane] = 0;
+                    self.current ^= 1;
+                }
+                Some(&(_, cost, _)) if self.deficit[lane] >= cost => {
+                    self.deficit[lane] -= cost;
+                    return self.queued[lane].pop_front();
+                }
+                Some(_) => {
+                    self.deficit[lane] += LANE_QUANTUM;
+                    self.current ^= 1;
+                }
+            }
+        }
+    }
+
+    /// The next sweep member from the lane just served, at its sweep price:
+    /// none at a frame, or where the lane's credit ends while the other
+    /// lane waits.
+    fn next_member(&mut self) -> Option<(usize, SimTime)> {
+        let lane = self.current;
+        let swept = self.queued[lane].front()?.2?;
+        if self.deficit[lane] < swept {
+            if !self.queued[lane ^ 1].is_empty() {
+                return None;
+            }
+            self.deficit[lane] +=
+                (swept - self.deficit[lane]).div_ceil(LANE_QUANTUM) * LANE_QUANTUM;
+            self.deficit[lane ^ 1] = 0;
+        }
+        self.deficit[lane] -= swept;
+        self.queued[lane].pop_front().map(|(i, _, _)| (i, swept))
+    }
+}
+
 /// One quantum of the model: its members (arrival indices), when it
-/// executed, and when each member's response was posted.
+/// executed, and when each member's response is due.
 struct Quantum {
     members: Vec<usize>,
     exec_at: SimTime,
-    posts: Vec<SimTime>,
+    due: Vec<SimTime>,
 }
 
 /// Replays the arrivals (`at`, nudged past any tick where the core
 /// dispatches, so no arrival races a dispatch at the same instant) through
 /// the shard core: an idle shard notices an arrival after `detection`; a
-/// busy one takes what its lane holds, up to `LOOKUP_BATCH`, when the
-/// running quantum ends.
-fn model(at: &mut [SimTime], reqs: &[Request<'_>], detection: SimTime) -> Vec<Quantum> {
+/// busy one picks from its lanes when the running quantum ends. `late`:
+/// a quantum that holds a write executes when its slot ends.
+fn model(
+    at: &mut [SimTime],
+    arrivals: &[Arrival],
+    reqs: &[Vec<Request<'_>>],
+    detection: SimTime,
+    fifo: bool,
+    late: bool,
+) -> Vec<Quantum> {
     let mut quanta = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
+    let mut lanes = Lanes::default();
     // The next dispatch: the armed detection pump, or the running
     // quantum's end. Never both.
     let mut next_dispatch: Option<SimTime> = None;
@@ -155,10 +272,21 @@ fn model(at: &mut [SimTime], reqs: &[Request<'_>], detection: SimTime) -> Vec<Qu
                 at[i] += 1;
             }
             if next_dispatch.is_none_or(|d| at[i] < d) {
-                if !running && next_dispatch.is_none() && queue.is_empty() {
+                if !running && next_dispatch.is_none() && lanes.is_empty() {
                     next_dispatch = Some(at[i] + detection);
                 }
-                queue.push_back(i);
+                let task = if arrivals[i].frame {
+                    let own: SimTime = reqs[i]
+                        .iter()
+                        .map(|r| price(r, true) - costs::POLL_NS)
+                        .sum();
+                    (i, costs::POLL_NS + own, None)
+                } else {
+                    (i, price(&reqs[i][0], false), Some(price(&reqs[i][0], true)))
+                };
+                // Frames ride the throughput lane; FIFO puts everything there.
+                let lane = usize::from(fifo || arrivals[i].frame);
+                lanes.queued[lane].push_back(task);
                 i += 1;
                 continue;
             }
@@ -166,36 +294,47 @@ fn model(at: &mut [SimTime], reqs: &[Request<'_>], detection: SimTime) -> Vec<Qu
         let Some(d) = next_dispatch.take() else {
             break;
         };
-        running = !queue.is_empty();
-        if !running {
+        let Some((first, cost, swept)) = lanes.next() else {
+            running = false;
             continue;
-        }
-        let n = queue.len().min(LOOKUP_BATCH);
-        let members: Vec<usize> = queue.drain(..n).collect();
-        let quantum = if n == 1 {
-            let end = d + price(&reqs[members[0]], false);
-            Quantum {
-                members,
-                exec_at: end,
-                posts: vec![end],
-            }
-        } else {
-            let mut t = d;
-            let posts = members
-                .iter()
-                .map(|&m| {
-                    t += price(&reqs[m], true);
-                    t
-                })
-                .collect();
-            Quantum {
-                members,
-                exec_at: d,
-                posts,
-            }
         };
-        next_dispatch = Some(*quantum.posts.last().expect("a member"));
-        quanta.push(quantum);
+        running = true;
+        let mut picks = Vec::new();
+        match swept {
+            Some(p) => {
+                // The head pays its sweep price if anything joins it.
+                let lane = lanes.current;
+                lanes.deficit[lane] += cost - p;
+                if let Some(second) = lanes.next_member() {
+                    picks.extend([(first, p), second]);
+                    while picks.len() < LOOKUP_BATCH {
+                        let Some(member) = lanes.next_member() else {
+                            break;
+                        };
+                        picks.push(member);
+                    }
+                } else {
+                    lanes.deficit[lane] -= cost - p;
+                    picks.push((first, cost));
+                }
+            }
+            None => picks.push((first, cost)),
+        }
+        let mut t = d;
+        let due: Vec<SimTime> = picks
+            .iter()
+            .map(|&(_, p)| {
+                t += p;
+                t
+            })
+            .collect();
+        let writes = picks.iter().any(|&(m, _)| reqs[m].iter().any(is_write));
+        quanta.push(Quantum {
+            members: picks.iter().map(|&(m, _)| m).collect(),
+            exec_at: if late && writes { t } else { d },
+            due,
+        });
+        next_dispatch = Some(t);
     }
     quanta
 }
@@ -203,34 +342,50 @@ fn model(at: &mut [SimTime], reqs: &[Request<'_>], detection: SimTime) -> Vec<Qu
 /// Responses caught on the client side: (connection, payload).
 type Caught = Rc<RefCell<Vec<(usize, Vec<u8>)>>>;
 
-/// A one-shard cluster with `conns` connected Send/Recv clients whose
-/// response deliveries land in the returned list instead of the clients.
-/// `gated` first joins a second server by live migration, leaving the shard
-/// a gate that redirects the keys it gave away.
-fn cluster(conns: usize, scheduler: SchedulerKind, gated: bool) -> (Cluster, Caught) {
+/// A one-partition cluster with `conns` connected Send/Recv clients whose
+/// response deliveries land in the returned list instead of the clients,
+/// its primary replicating to one secondary under `repl`, if any. `gated`
+/// first joins another server by live migration, leaving the shard a gate
+/// that redirects the keys it gave away.
+fn cluster(
+    conns: usize,
+    scheduler: SchedulerKind,
+    repl: Option<ReplicationMode>,
+    gated: bool,
+) -> (Cluster, Caught) {
+    let replicas = u32::from(repl.is_some());
     let mut cluster = ClusterBuilder::new(ClusterConfig {
         seed: 26,
-        server_nodes: 1,
+        server_nodes: 1 + replicas,
         partitions: Some(1),
         client_nodes: 1,
         client_mode: ClientMode::SendRecv,
         scheduler,
+        replicas,
+        replication: repl.unwrap_or(ReplicationMode::GroupCommit),
         arena_words: 1 << 16,
         expected_items: 1 << 10,
         ..ClusterConfig::default()
     })
     .build();
-    let clients: Vec<_> = (0..conns).map(|_| cluster.add_client(0)).collect();
-    // A GET of an absent key opens each client's connection (the server
-    // numbers them in this order) and leaves the engine untouched.
-    for c in &clients {
-        assert_eq!(
-            hydra_integration::get_value(&mut cluster, c, b"connect"),
-            None
-        );
-    }
     if gated {
         cluster.add_server_with_migration(1);
+    }
+    // A GET of an absent key the shard owns opens each client's connection
+    // (the server numbers them in this order) and leaves the engine
+    // untouched. It also leaves the shard's lanes as the model starts them:
+    // the latency lane was served last.
+    let me = cluster.shard(0).primary.borrow().id;
+    let connect = (0..)
+        .map(|i| format!("connect-{i}").into_bytes())
+        .find(|k| cluster.directory.borrow().ring.route(k) == Some(me))
+        .expect("the shard owns some key");
+    let clients: Vec<_> = (0..conns).map(|_| cluster.add_client(0)).collect();
+    for c in &clients {
+        assert_eq!(
+            hydra_integration::get_value(&mut cluster, c, &connect),
+            None
+        );
     }
     let caught: Caught = Rc::default();
     let client_node = cluster.client_nodes[0];
@@ -254,7 +409,8 @@ fn detection(conns: usize) -> SimTime {
 
 /// Schedules the arrivals at `at` into partition 0's primary, then steps
 /// the simulation until every response has been caught. Returns the tick
-/// of every response post (the shard node's Send count rising).
+/// each answer was posted at (the shard's `ServerStats::responses` rising:
+/// a frame's response posts all its answers at once).
 fn drive(
     cluster: &mut Cluster,
     caught: &Caught,
@@ -262,18 +418,18 @@ fn drive(
     arrivals: &[Arrival],
 ) -> Vec<SimTime> {
     let shard = cluster.shard(0).primary;
-    let node = shard.borrow().node;
+    let answered = || shard.borrow().stats().responses;
     for (i, (a, &t)) in arrivals.iter().zip(at).enumerate() {
-        let (shard, conn, payload) = (shard.clone(), a.conn, encode(i, &a.op));
+        let (shard, conn, payload) = (shard.clone(), a.conn, payload(i, a));
         cluster.sim.schedule_at(t, move |sim| {
             ShardServer::on_request_payload(&shard, sim, conn, payload);
         });
     }
     let mut posts = Vec::new();
-    let mut sent = cluster.fab.node_stats(node).sends;
+    let mut sent = answered();
     while caught.borrow().len() < arrivals.len() {
         assert!(cluster.sim.step(), "queue drained before every response");
-        let now = cluster.fab.node_stats(node).sends;
+        let now = answered();
         posts.extend((sent..now).map(|_| cluster.sim.now()));
         sent = now;
     }
@@ -303,18 +459,23 @@ fn sweeps_equal_one_at_a_time(
     conns: usize,
     arrivals: Vec<Arrival>,
     scheduler: SchedulerKind,
+    repl: Option<ReplicationMode>,
     gated: bool,
 ) -> Result<(), TestCaseError> {
-    let (mut cluster, caught) = cluster(conns, scheduler, gated);
+    let (mut cluster, caught) = cluster(conns, scheduler, repl, gated);
     let shard = cluster.shard(0).primary;
     let payloads: Vec<Vec<u8>> = arrivals
         .iter()
         .enumerate()
-        .map(|(i, a)| encode(i, &a.op))
+        .map(|(i, a)| payload(i, a))
         .collect();
-    let reqs: Vec<Request<'_>> = payloads
+    let reqs: Vec<Vec<Request<'_>>> = payloads
         .iter()
-        .map(|p| Request::decode(p).expect("well-formed"))
+        .map(|p| {
+            messages(p)
+                .map(|m| Request::decode(m).expect("well-formed"))
+                .collect()
+        })
         .collect();
     let mut at: Vec<SimTime> = Vec::with_capacity(arrivals.len());
     let mut t = cluster.sim.now() + 10_000;
@@ -322,14 +483,11 @@ fn sweeps_equal_one_at_a_time(
         t += a.gap;
         at.push(t);
     }
-    let quanta = model(&mut at, &reqs, detection(conns));
+    let late = repl.is_some_and(|m| !m.overlaps_merge());
+    let fifo = scheduler == SchedulerKind::Fifo;
+    let quanta = model(&mut at, &arrivals, &reqs, detection(conns), fifo, late);
     let before = shard.borrow().stats();
     let observed = drive(&mut cluster, &caught, &at, &arrivals);
-
-    // Timing: every post where the model puts it.
-    let mut expected: Vec<SimTime> = quanta.iter().flat_map(|q| q.posts.clone()).collect();
-    expected.sort_unstable();
-    prop_assert_eq!(&observed, &expected, "response post ticks");
 
     // Counters: the sweeps the model formed.
     let stats = shard.borrow().stats();
@@ -341,7 +499,8 @@ fn sweeps_equal_one_at_a_time(
     );
 
     // Bytes: one request at a time, in arrival order, each at the instant
-    // its quantum executed, on a mirror of the shard's engine and gate.
+    // its quantum executed, on a mirror of the shard's engine and gate. A
+    // frame's answers travel in one response frame.
     let mut mirror = engine_of(&cluster.cfg);
     let mut plane = ReadPlane::disabled();
     let (arena, me) = {
@@ -358,43 +517,96 @@ fn sweeps_equal_one_at_a_time(
         wrong_owner: &wrong_owner,
         owns: &owns,
     };
-    let mut want: Vec<Vec<u8>> = vec![Vec::new(); reqs.len()];
+    let mut want: Vec<Vec<u8>> = vec![Vec::new(); arrivals.len()];
+    // Whether an arrival produced a replication record.
+    let mut recorded = vec![false; arrivals.len()];
     let mut scratch = Vec::new();
     let mut last_exec = None;
     for q in &quanta {
         // The shard frees retired blocks from an event at the instant they
         // were retired: it runs between two quanta, unless the second
-        // executes in the same instant (a sweep dispatched as a singleton's
-        // slot ends). Where a block lands shows in a GET's remote pointer.
+        // executes in the same instant (a late quantum ran as its slot
+        // ended, and the next pick runs at that dispatch). Where a block
+        // lands shows in a GET's remote pointer.
         if let Some(t) = last_exec.filter(|&t| t < q.exec_at) {
             mirror.pump_reclaim(t);
         }
         last_exec = Some(q.exec_at);
         for &m in &q.members {
-            apply_request(
-                &mut mirror,
-                q.exec_at,
-                &reqs[m],
-                arena,
-                &mut scratch,
-                ScanBounds::of(&cluster.cfg),
-                &mut plane,
-                gated.then_some(&gate),
-                &mut want[m],
-            );
+            let mut frame = BatchBuilder::new();
+            for req in &reqs[m] {
+                frame.push_with(|out| {
+                    recorded[m] |= apply_request(
+                        &mut mirror,
+                        q.exec_at,
+                        req,
+                        arena,
+                        &mut scratch,
+                        ScanBounds::of(&cluster.cfg),
+                        &mut plane,
+                        gated.then_some(&gate),
+                        out,
+                    )
+                    .is_some();
+                });
+            }
+            want[m] = if arrivals[m].frame {
+                frame.bytes().to_vec()
+            } else {
+                messages(frame.bytes()).next().expect("one answer").to_vec()
+            };
         }
     }
     let caught = caught.borrow();
-    prop_assert_eq!(caught.len(), reqs.len());
+    prop_assert_eq!(caught.len(), arrivals.len());
     for (conn, payload) in caught.iter() {
         let mut got = payload.clone();
-        set_backlog_hint(&mut got, 0);
-        let req_id = Response::decode(&got).expect("a response").req_id;
-        let i = (req_id - REQ_BASE) as usize;
+        if !for_each_message_mut(&mut got, |m| set_backlog_hint(m, 0)) {
+            set_backlog_hint(&mut got, 0);
+        }
+        let first = messages(&got).next().expect("an answer");
+        let i = arrival_of(Response::decode(first).expect("a response").req_id);
         prop_assert_eq!(*conn, arrivals[i].conn, "answered on its own connection");
+        prop_assert_eq!(BatchFrame::is_batch(&got), arrivals[i].frame);
         prop_assert_eq!(&got, &want[i], "response to arrival {}", i);
     }
     prop_assert_eq!(contents(&shard.borrow().engine.borrow()), contents(&mirror));
+
+    // Timing: every answer posted where the model puts it — no earlier,
+    // for one that also waits for its record's ack.
+    let (mut exact, mut bounds) = (Vec::new(), Vec::new());
+    for q in &quanta {
+        for (&m, &due) in q.members.iter().zip(&q.due) {
+            let due = due.max(q.exec_at);
+            let answers = std::iter::repeat_n(due, arrivals[m].ops.len());
+            if repl.is_some() && recorded[m] {
+                bounds.extend(answers);
+            } else {
+                exact.extend(answers);
+            }
+        }
+    }
+    let mut left = observed.clone();
+    for due in &exact {
+        let at = left.iter().position(|p| p == due);
+        prop_assert!(
+            at.is_some(),
+            "no response posted at {}: {:?}",
+            due,
+            observed
+        );
+        left.remove(at.unwrap());
+    }
+    bounds.sort_unstable();
+    prop_assert_eq!(left.len(), bounds.len());
+    for (posted, due) in left.iter().zip(&bounds) {
+        prop_assert!(
+            posted >= due,
+            "a write posted at {}, before {}",
+            posted,
+            due
+        );
+    }
     Ok(())
 }
 
@@ -409,13 +621,25 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Arrivals on up to 16 connections (folded onto the case's count).
+/// Arrivals on up to 16 connections (folded onto the case's count): mostly
+/// bare requests, some frames of one to six.
 fn arrivals() -> impl Strategy<Value = Vec<Arrival>> {
     // Mostly bursts (queued behind the previous arrival), some arrivals
     // mid-quantum, a few after the shard went idle again.
     let gap = prop_oneof![4 => Just(0u64), 3 => 1..2_000u64, 1 => 2_000..40_000u64];
+    let frame = prop_oneof![5 => Just(0usize), 1 => 1..7usize];
     proptest::collection::vec(
-        (gap, 0..16usize, op()).prop_map(|(gap, conn, op)| Arrival { gap, conn, op }),
+        (gap, 0..16usize, proptest::collection::vec(op(), 6), frame).prop_map(
+            |(gap, conn, mut ops, frame)| {
+                ops.truncate(frame.max(1));
+                Arrival {
+                    gap,
+                    conn,
+                    ops,
+                    frame: frame > 0,
+                }
+            },
+        ),
         1..72,
     )
 }
@@ -428,13 +652,20 @@ proptest! {
         conns in 2usize..=16,
         mut arrivals in arrivals(),
         fifo in any::<bool>(),
+        repl in 0..4usize,
         gated in any::<bool>(),
     ) {
         for a in &mut arrivals {
             a.conn %= conns;
         }
         let scheduler = if fifo { SchedulerKind::Fifo } else { SchedulerKind::DualLane };
-        sweeps_equal_one_at_a_time(conns, arrivals, scheduler, gated)?;
+        let repl = [
+            None,
+            Some(ReplicationMode::Strict),
+            Some(ReplicationMode::Logging { ack_every: 4 }),
+            Some(ReplicationMode::GroupCommit),
+        ][repl];
+        sweeps_equal_one_at_a_time(conns, arrivals, scheduler, repl, gated)?;
     }
 }
 
@@ -442,7 +673,7 @@ proptest! {
 /// away from the shard, and kept some.
 #[test]
 fn the_gate_redirects_some_hot_keys_and_keeps_others() {
-    let (cluster, _) = cluster(2, SchedulerKind::DualLane, true);
+    let (cluster, _) = cluster(2, SchedulerKind::DualLane, None, true);
     let me = cluster.shard(0).primary.borrow().id;
     let dir = cluster.directory.borrow();
     let kept = (0..KEYS)
@@ -454,13 +685,14 @@ fn the_gate_redirects_some_hot_keys_and_keeps_others() {
     );
 }
 
-/// A request that finds the shard idle is a sweep of one: the singleton it
-/// always was, answered at arrival + detection + its own unbatched price.
+/// A request that finds the shard idle is a sweep of one at its singleton
+/// price: it runs at dispatch and answers when its slot ends, at arrival +
+/// detection + its own unbatched price.
 #[test]
 fn spaced_arrivals_never_sweep_and_keep_singleton_timing() {
     for scheduler in [SchedulerKind::DualLane, SchedulerKind::Fifo] {
         let conns = 4;
-        let (mut cluster, caught) = cluster(conns, scheduler, false);
+        let (mut cluster, caught) = cluster(conns, scheduler, None, false);
         let ops = [
             Op::Insert(1, 3),
             Op::Get(1),
@@ -473,11 +705,7 @@ fn spaced_arrivals_never_sweep_and_keep_singleton_timing() {
         let arrivals: Vec<Arrival> = ops
             .iter()
             .enumerate()
-            .map(|(i, op)| Arrival {
-                gap: 50_000,
-                conn: i % conns,
-                op: op.clone(),
-            })
+            .map(|(i, op)| Arrival::bare(50_000, i % conns, op.clone()))
             .collect();
         let start = cluster.sim.now();
         let at: Vec<SimTime> = (1..=ops.len() as u64).map(|i| start + i * 50_000).collect();
@@ -486,7 +714,7 @@ fn spaced_arrivals_never_sweep_and_keep_singleton_timing() {
             .iter()
             .enumerate()
             .map(|(i, a)| {
-                let payload = encode(i, &a.op);
+                let payload = encode(i, 0, &a.ops[0]);
                 at[i] + detection(conns) + price(&Request::decode(&payload).unwrap(), false)
             })
             .collect();
@@ -541,11 +769,7 @@ fn a_replicated_sweep_ships_once_and_holds_only_its_writes() {
     let arrivals: Vec<Arrival> = ops
         .iter()
         .enumerate()
-        .map(|(conn, op)| Arrival {
-            gap: 0,
-            conn,
-            op: op.clone(),
-        })
+        .map(|(conn, op)| Arrival::bare(0, conn, op.clone()))
         .collect();
     let t0 = cluster.sim.now() + 10_000;
     let at = vec![t0; conns];
@@ -566,9 +790,9 @@ fn a_replicated_sweep_ships_once_and_holds_only_its_writes() {
     let mut t = dispatch;
     let (mut gets, mut writes) = (Vec::new(), Vec::new());
     for (i, a) in arrivals.iter().enumerate() {
-        let payload = encode(i, &a.op);
+        let payload = encode(i, 0, &a.ops[0]);
         t += price(&Request::decode(&payload).unwrap(), true);
-        match a.op {
+        match a.ops[0] {
             Op::Get(_) => gets.push(t),
             _ => writes.push(t),
         }

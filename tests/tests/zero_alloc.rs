@@ -75,6 +75,7 @@ fn hot_paths_do_not_allocate() {
     whole_path_fast_get_allocates_a_fixed_count();
     whole_path_scan_allocates_per_step_not_per_item();
     sweep_allocates_no_more_per_request_than_a_singleton();
+    frame_allocates_no_more_than_when_it_collected_its_requests();
     mux_tag_stamp_and_demux_add_no_allocations();
     write_permission_check_adds_no_allocations();
 }
@@ -513,8 +514,8 @@ fn one_op_each(
 }
 
 /// A shard serves the bare requests it finds queued from several
-/// connections as one sweep. Its member list and response buffers are
-/// reused and its decoded requests live on the stack, so a steady-state
+/// connections as one sweep. Its member list, decoded-request buffer and
+/// response buffers are reused, so a steady-state
 /// sweep allocates no more per request than the same requests answered one
 /// at a time — fewer, since the quantum's bookkeeping is paid once.
 fn sweep_allocates_no_more_per_request_than_a_singleton() {
@@ -571,6 +572,55 @@ fn sweep_allocates_no_more_per_request_than_a_singleton() {
         "a swept request allocates {:.2} times, a singleton {:.2}",
         sweep as f64 / (ROUNDS * CLIENTS) as f64,
         singleton as f64 / (ROUNDS * CLIENTS) as f64
+    );
+}
+
+/// A pipelined client ships what it has queued as one frame, and the shard
+/// runs a frame through the same executor as a sweep, decoding its requests
+/// into the buffer every quantum reuses. A steady-state round of eight ops
+/// from one depth-8 client — GETs on even rounds, UPDATEs on odd ones, each
+/// round shipping frames — allocates no more than when the executor
+/// collected each frame's requests into a fresh `Vec` (`BEFORE`, measured
+/// then over the same rounds).
+fn frame_allocates_no_more_than_when_it_collected_its_requests() {
+    const OPS: usize = 8;
+    const ROUNDS: usize = 32;
+    const BEFORE: u64 = 2_079;
+    let cfg = ClusterConfig {
+        server_nodes: 1,
+        shards_per_node: 1,
+        client_nodes: 1,
+        client_mode: ClientMode::RdmaWrite,
+        pipeline_depth: OPS,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = ClusterBuilder::new(cfg).build();
+    let client = cluster.add_client(0);
+    for c in 0..OPS {
+        put_ok(
+            &mut cluster,
+            &client,
+            format!("sw{c:04}").as_bytes(),
+            &[0; 32],
+        );
+    }
+    let issuers = vec![client; OPS];
+    let rounds = |cluster: &mut hydra_db::Cluster| {
+        for r in 0..ROUNDS {
+            one_op_each(cluster, &issuers, 0..OPS, r);
+        }
+    };
+    rounds(&mut cluster); // warm-up: window, pools, the event arena
+    let shard = cluster.shard(0).primary;
+    let before = shard.borrow().stats().batches;
+    let allocs = count_allocs_min(|| rounds(&mut cluster));
+    assert!(
+        shard.borrow().stats().batches - before >= (3 * ROUNDS) as u64,
+        "every round ships frames"
+    );
+    assert!(
+        allocs <= BEFORE,
+        "{ROUNDS} rounds of frames allocate {allocs} times, {BEFORE} before"
     );
 }
 
