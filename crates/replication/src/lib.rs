@@ -7,39 +7,52 @@
 //! one-sided RDMA Writes in a log-structured fashion — no per-request
 //! acknowledgement round trip.
 //!
-//! Protocol, as implemented here:
+//! Protocol, as implemented here — one protocol for every [`ReplMode`]:
 //!
-//! * The primary assigns each log record a sequence number (+1 per record),
-//!   frames it with the indicator format ([`hydra_wire::frame`]) and writes
-//!   it at its ring cursor; a 1-word `WRAP` marker handles the ring edge.
+//! * Every write joins the primary's backlog, and one *flush* takes every
+//!   parked record the ring has room for, in order. It assigns each its
+//!   sequence number (+1 per record), frames it with the indicator format
+//!   ([`hydra_wire::frame`]) at the ring cursor — behind a 1-word `WRAP`
+//!   marker when the frame has to start over at the ring edge — adds the
+//!   `AckRequest` records the mode asks for, and posts it all with one
+//!   doorbell. Records the ring cannot take stay parked until an ack frees
+//!   their space, and an `AckRequest` ships while they do.
 //! * A dedicated applier on the secondary consumes frames in order, applying
 //!   records whose sequence matches its expectation and *discarding*
 //!   everything after a gap or a processing failure.
-//! * Every `ack_every` records the primary appends an `AckRequest` record.
-//!   The secondary answers it by RDMA-writing `(acked_seq, resend_from?)`
-//!   into a small ack region on the *primary* (so even control traffic is
-//!   one-sided). On a resend indication the primary rolls back and re-ships
-//!   every unacknowledged record, in order, and solicits a fresh ack.
-//! * In the **relaxed** mode a replication request completes when its RDMA
+//! * The secondary acks only when it reaches an `AckRequest`: it RDMA-writes
+//!   `(acked_seq, resend_from?)` into a small ack region on the *primary*
+//!   (so even control traffic is one-sided). The ack is cumulative — the
+//!   highest contiguously accepted sequence — and the primary releases
+//!   *every* waiter at or below it. On a resend indication the primary
+//!   rolls back and re-ships every unacknowledged record, in order, with
+//!   one doorbell that ends in an `AckRequest`.
+//! * The modes differ in three answers, each a [`ReplMode`] method:
+//!
+//!   | mode | completes at | asks for an ack | ack is built |
+//!   |---|---|---|---|
+//!   | Strict | the covering ack | after every record | on the apply path |
+//!   | Logging{n} | delivery | after every n-th record | on the apply path |
+//!   | GroupCommit | the covering ack | when none is outstanding and data is unacked | from the receive path |
+//!
+//!   Logging is the paper's relaxed mode: a write completes when its RDMA
 //!   Write is delivered — one one-way flight; repairs happen asynchronously.
-//!   In the **strict** baseline mode (Fig. 13's "request/acknowledge") the
-//!   secondary acknowledges every record and completion waits for the ack.
-//! * The **group-commit** mode keeps strict's respond-only-after-ack
-//!   durability at a fraction of the ack traffic: records ship through the
-//!   doorbell-batched ring path with the `AckRequest` riding the same
-//!   doorbell, the secondary writes back one cumulative watermark (the
-//!   highest contiguously accepted sequence), and the primary releases
-//!   *every* waiter at or below it from the seq-ordered completion queue.
-//!   The ack-coverage invariant: a waiter fires only once its record — and
-//!   every record before it — is contiguously staged in the replica (gaps
-//!   and processing failures stall the watermark until the rollback resend
-//!   repairs them), so an acknowledged write survives a primary crash.
-//!   The secondary drains each delivered quantum through a batched applier:
+//!   Strict is Fig. 13's "request/acknowledge" baseline. Group commit keeps
+//!   strict's respond-only-after-ack durability at a fraction of the ack
+//!   traffic: its `AckRequest` rides the doorbell of the quantum it covers,
+//!   and while data is unacked one request is always in flight (the ack
+//!   train). The ack-coverage invariant: a waiter fires only once its
+//!   record — and every record before it — is contiguously staged in the
+//!   replica (gaps and processing failures stall the watermark until the
+//!   rollback resend repairs them), so an acknowledged write survives a
+//!   primary crash.
+//! * The secondary drains each delivered quantum through a batched applier:
 //!   consecutive records of one drain pass merge at `BATCH_APPLY_FACTOR`
 //!   of the cold cost (streaming a contiguous log quantum, the way the
-//!   server's `run_batch` amortizes), and the watermark ack is published
-//!   from the receive path, delayed only when the merge backlog exceeds
-//!   `STAGED_ACK_LAG_NS` (bounded-apply-queue backpressure).
+//!   server's `run_batch` amortizes). An ack built on the apply path breaks
+//!   the stream; group commit's watermark is published from the receive
+//!   path, delayed only when the merge backlog exceeds `STAGED_ACK_LAG_NS`
+//!   (bounded-apply-queue backpressure).
 //!
 //! The channel is also the partition's failure detector and its fence
 //! (DESIGN.md §16). The primary [`stamp`](ReplicationPair::stamp)s a liveness
@@ -84,11 +97,21 @@ pub const MISSES: u32 = 3;
 const ACK_REGION_WORDS: usize = 4;
 const LIVENESS_WORD: usize = 3;
 
-/// Replication acknowledgement mode.
+/// Replication acknowledgement mode. The pair asks the methods below and
+/// never matches on the variants:
+///
+/// | mode | completes at | asks for an ack | ack is built |
+/// |---|---|---|---|
+/// | Strict | the covering ack | after every record | on the apply path |
+/// | Logging{n} | delivery | after every n-th record | on the apply path |
+/// | GroupCommit | the covering ack | when none is outstanding and data is unacked | from the receive path |
+///
+/// In every mode an `AckRequest` also ships while records stay parked
+/// behind a full ring and none is outstanding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplMode {
-    /// Conventional request/acknowledge: the secondary acks every record and
-    /// completion waits for the ack (the Fig. 13 baseline).
+    /// Conventional request/acknowledge: every record asks for an ack and
+    /// completion waits for it (the Fig. 13 baseline).
     Strict,
     /// RDMA Logging: complete at write delivery; solicit an ack every
     /// `ack_every` records ("several tens" in the paper).
@@ -97,19 +120,41 @@ pub enum ReplMode {
         ack_every: u32,
     },
     /// Group commit: strict's durability (complete only at a covering ack)
-    /// with cumulative acknowledgements. Records ship through the
-    /// doorbell-batched ring path, an `AckRequest` rides the same doorbell
-    /// whenever none is outstanding, and one watermark ack releases every
-    /// waiter at or below it in sequence order.
+    /// with cumulative acknowledgements. An `AckRequest` rides the doorbell
+    /// of the quantum it covers whenever none is outstanding, and one
+    /// watermark ack releases every waiter at or below it in sequence order.
     GroupCommit,
 }
 
 impl ReplMode {
-    /// Whether completions in this mode carry strict durability semantics
-    /// (the client response is held until a secondary acknowledgement
-    /// covers the record) rather than delivery semantics.
+    /// Whether a write completes at the ack covering its record (the client
+    /// response is held until then) rather than at its delivery.
     pub fn strict_semantics(&self) -> bool {
         matches!(self, ReplMode::Strict | ReplMode::GroupCommit)
+    }
+
+    /// Whether a flush asks for an ack right behind a record, `since`
+    /// records after the last request (this one included).
+    fn asks_after_record(&self, since: u32) -> bool {
+        match *self {
+            ReplMode::Strict => true,
+            ReplMode::Logging { ack_every } => since >= ack_every,
+            ReplMode::GroupCommit => false,
+        }
+    }
+
+    /// Whether a flush ends in an `AckRequest` whenever none is outstanding
+    /// and a record is unacknowledged: group commit's ack train, one
+    /// cumulative ack per round trip however many records landed meanwhile.
+    fn asks_while_unacked(&self) -> bool {
+        matches!(self, ReplMode::GroupCommit)
+    }
+
+    /// Whether the secondary publishes its ack from the receive path (group
+    /// commit's watermark) rather than building it on the apply path, where
+    /// the applier leaves its decode-merge loop to do so.
+    fn acks_on_receive(&self) -> bool {
+        matches!(self, ReplMode::GroupCommit)
     }
 
     /// Whether a record may leave before the primary's local merge of it
@@ -163,9 +208,9 @@ const ACK_CONTROL_NS: u64 = 100;
 /// decode and overlaps index/arena cache misses the way the server's
 /// `run_batch` does, so a warm merge costs `apply_cost_ns ×` this. The
 /// stream breaks — and the next record pays the full cold cost — when the
-/// applier idles, and whenever a per-record acknowledgement (Strict, and
-/// Logging's every `ack_every`-th record) forces the applier out of its
-/// decode-merge loop to build the ack. Group commit's cumulative watermark
+/// applier idles, and whenever an ack built on the apply path (Strict's
+/// after every record, Logging's after every `ack_every`-th) forces the
+/// applier out of its decode-merge loop. Group commit's cumulative watermark
 /// is published from the receive path, so its acks never break the stream.
 const BATCH_APPLY_FACTOR: f64 = 0.55;
 
@@ -229,10 +274,10 @@ pub struct ReplStats {
     /// pointers cannot serve a stale value while the rollback resend is in
     /// flight.
     pub invalidated: u64,
-    /// Times the primary stalled on ring space.
+    /// Flushes that left records parked behind a full ring.
     pub stalls: u64,
-    /// Doorbell-batched shipments ([`ReplicationPair::replicate_batch`]);
-    /// each posted a whole quantum of records with one doorbell.
+    /// Doorbells posted: every ring write — first shipments, `AckRequest`s
+    /// and rollback resends alike — leaves with one per flush or resend.
     pub batches: u64,
     /// Histogram of group-commit release-batch sizes: bucket `i` counts the
     /// cumulative acks that released `n` waiters with
@@ -267,8 +312,15 @@ impl PendingRec {
 }
 
 type DoneCb = Box<dyn FnOnce(&mut Sim)>;
-/// A deferred replicate() call parked while the ring is full.
-type BacklogEntry = (LogOp, Vec<u8>, Vec<u8>, Option<DoneCb>);
+
+/// A record waiting for the next flush to find ring room for it; a
+/// quantum's completion rides its last record.
+struct Parked {
+    op: LogOp,
+    key: Vec<u8>,
+    value: Vec<u8>,
+    on_done: Option<DoneCb>,
+}
 
 struct Primary {
     node: NodeId,
@@ -285,10 +337,14 @@ struct Primary {
     /// Strict-semantics completions keyed by the sequence whose covering
     /// ack releases them.
     waiters: HashMap<u64, DoneCb>,
+    /// Data records since the last `AckRequest`.
     since_ack_req: u32,
-    /// Sequence of the `AckRequest` in flight, if any (at most one).
+    /// Sequence of the last `AckRequest` while no ack has covered it.
     ack_req_seq: Option<u64>,
-    backlog: VecDeque<BacklogEntry>,
+    backlog: VecDeque<Parked>,
+    /// Ring writes framed for the next doorbell. Kept across posts, so a
+    /// warm channel frames into a list it already has.
+    writes: Vec<BatchWrite>,
     ack_mem: Arc<[AtomicU64]>,
     last_ack_processed: u64,
     /// A ring write came back refused: the secondary revoked this primary's
@@ -318,6 +374,15 @@ impl Primary {
         seq
     }
 
+    /// Pending record `seq` (pending holds every unacknowledged sequence,
+    /// contiguously).
+    fn rec(&self, seq: u64) -> &PendingRec {
+        let first = self.pending.front().expect("the record is pending").seq;
+        let r = &self.pending[(seq - first) as usize];
+        debug_assert_eq!(r.seq, seq);
+        r
+    }
+
     /// Whether the ring can take a record of this size now. One frame of
     /// wrap-marker waste plus [`RING_HEADROOM_WORDS`] stay in reserve so
     /// `AckRequest`s always fit. (Oversized records were rejected at the
@@ -341,8 +406,8 @@ struct Secondary {
     /// Whether the applier is mid-stream: the previous record was merged in
     /// the same uninterrupted decode-merge loop, so the next backlogged
     /// record pays the warm (amortized) cost. Broken by idling (the loop
-    /// parks) and by per-record acknowledgements (Strict/Logging build the
-    /// ack on the apply path, draining the loop's locality); the
+    /// parks) and by acks built on the apply path (Strict and Logging,
+    /// draining the loop's locality); the
     /// group-commit watermark publishes from the receive path and leaves
     /// the stream intact.
     stream_warm: bool,
@@ -421,6 +486,7 @@ impl ReplicationPair {
                 since_ack_req: 0,
                 ack_req_seq: None,
                 backlog: VecDeque::new(),
+                writes: Vec::new(),
                 ack_mem,
                 last_ack_processed: 0,
                 revoked: false,
@@ -589,7 +655,7 @@ impl ReplicationPair {
             let mut waiters: Vec<(u64, DoneCb)> = p.waiters.drain().collect();
             waiters.sort_by_key(|(seq, _)| *seq);
             fire.extend(waiters.into_iter().map(|(_, cb)| cb));
-            fire.extend(p.backlog.drain(..).filter_map(|(_, _, _, cb)| cb));
+            fire.extend(p.backlog.drain(..).filter_map(|r| r.on_done));
         }
         for cb in fire {
             cb(sim);
@@ -612,7 +678,7 @@ impl ReplicationPair {
     /// one frame of wrap-marker waste plus [`RING_HEADROOM_WORDS`] in
     /// reserve, so a record only ever fits when
     /// `2 * frame + RING_HEADROOM_WORDS <= ring_words`. Anything larger
-    /// used to underflow the budget arithmetic in `enqueue`.
+    /// used to underflow the budget arithmetic.
     fn check_fits(cfg: &ReplConfig, key_len: usize, value_len: usize) -> Result<(), ReplError> {
         let frame_words = frame::frame_words(LogRecord::encoded_len_for(key_len, value_len));
         if 2 * frame_words + RING_HEADROOM_WORDS > cfg.ring_words {
@@ -624,18 +690,14 @@ impl ReplicationPair {
         Ok(())
     }
 
-    /// The one replication entry point: ships a quantum of writes (one
-    /// record or many) with one doorbell. Every record that fits the ring
-    /// is framed and posted through a single [`Fabric::post_write_batch`]
-    /// (wrap markers ride in the same batch), so the NIC pays one MMIO kick
-    /// per quantum instead of one per record. Records the ring cannot take
-    /// right now drain through the backlog path in order. `on_done` fires
-    /// once everything completed per the pair's own [`ReplMode`]: last
-    /// delivery for Logging; the ack covering the quantum's last record for
-    /// the strict-semantics modes — GroupCommit's cumulative watermark
-    /// (whose `AckRequest` rides the same doorbell) or Strict's per-record
-    /// ack. The waiter registers where the sequence number is assigned, so
-    /// a record parked behind a full ring is released by *its own* ack.
+    /// The one replication entry point: appends a quantum of writes (one
+    /// record or many) to the backlog and flushes, so every record the ring
+    /// has room for leaves with one doorbell — the NIC pays one MMIO kick
+    /// per quantum instead of one per record — and the rest leave, in order,
+    /// with the flush of the ack that frees their space. `on_done` rides the
+    /// quantum's last record and fires per the pair's own [`ReplMode`]: at
+    /// that record's delivery, or when the ack covering it lands (acks are
+    /// cumulative, so it covers the whole quantum).
     ///
     /// Returns [`ReplError::RecordTooLarge`] — without shipping anything —
     /// if any record can never fit the ring.
@@ -658,111 +720,23 @@ impl ReplicationPair {
             }
             return Ok(());
         }
-        let shared = &self.shared;
-        if shared.p.borrow().revoked {
-            // Fenced: the record cannot reach the replica, so its completion
-            // must never fire. Dropped with the callback.
-            return Ok(());
-        }
-        let held = shared.cfg.mode.strict_semantics();
-        // Take as many leading records as the ring accepts right now.
-        let mut head = 0usize;
         {
-            let p = shared.p.borrow();
-            if p.backlog.is_empty() {
-                let mut inflight = p.inflight_words;
-                for &(_, key, value) in records {
-                    let need =
-                        frame::frame_words(LogRecord::encoded_len_for(key.len(), value.len()));
-                    let budget = p.ring_words.saturating_sub(need + RING_HEADROOM_WORDS);
-                    if inflight + need > budget {
-                        break;
-                    }
-                    inflight += need;
-                    head += 1;
-                }
+            let mut p = self.shared.p.borrow_mut();
+            if p.revoked {
+                // Fenced: the record cannot reach the replica, so its
+                // completion must never fire. Dropped with the callback.
+                return Ok(());
             }
+            p.backlog
+                .extend(records.iter().map(|&(op, key, value)| Parked {
+                    op,
+                    key: key.to_vec(),
+                    value: value.to_vec(),
+                    on_done: None,
+                }));
+            p.backlog.back_mut().expect("records were appended").on_done = on_done;
         }
-        let tail = &records[head..];
-        // Completion has up to two parts: the batched head's last delivery
-        // (or covering ack) and the backlogged tail's completion.
-        let parts = usize::from(head > 0) + usize::from(!tail.is_empty());
-        let remaining = Rc::new(std::cell::Cell::new(parts));
-        let done = Rc::new(RefCell::new(on_done));
-        let mk_part_cb = {
-            let remaining = remaining.clone();
-            move || -> DoneCb {
-                let remaining = remaining.clone();
-                let done = done.clone();
-                Box::new(move |sim: &mut Sim| {
-                    remaining.set(remaining.get() - 1);
-                    if remaining.get() == 0 {
-                        if let Some(cb) = done.borrow_mut().take() {
-                            cb(sim);
-                        }
-                    }
-                })
-            }
-        };
-        if head > 0 {
-            let mut writes: Vec<BatchWrite> = Vec::with_capacity(head + 2);
-            let mut piggybacked_ackreq = false;
-            {
-                let mut p = shared.p.borrow_mut();
-                for &(op, key, value) in records[..head].iter() {
-                    let seq = p.assign_seq(op, key.to_vec(), value.to_vec());
-                    writes.extend(Self::frame_record(&mut p, seq, None));
-                }
-                // Strict semantics: the ack covering the head's last record
-                // covers the whole head (acks are cumulative in both modes).
-                if held {
-                    let last_data_seq = p.next_seq;
-                    p.waiters.insert(last_data_seq, mk_part_cb());
-                }
-                // Group commit: the acknowledgement request rides the same
-                // doorbell as the quantum it covers — the secondary drains
-                // the records and the ackreq in one pass and answers with a
-                // single cumulative watermark.
-                if matches!(shared.cfg.mode, ReplMode::GroupCommit) && p.ack_req_seq.is_none() {
-                    let seq = p.assign_seq(LogOp::AckRequest, Vec::new(), Vec::new());
-                    writes.extend(Self::frame_record(&mut p, seq, None));
-                    piggybacked_ackreq = true;
-                }
-            }
-            // Deliveries land in posting order, so one kick at the last
-            // write drains the whole quantum on the applier. Logging
-            // completes the head part at that delivery.
-            let part_cb: Option<DoneCb> = if held { None } else { Some(mk_part_cb()) };
-            let shared2 = shared.clone();
-            writes
-                .last_mut()
-                .expect("head > 0 produced at least one write")
-                .on_delivered = Some(Box::new(move |sim: &mut Sim| {
-                if let Some(cb) = part_cb {
-                    cb(sim);
-                }
-                Self::poll_secondary(&shared2, sim);
-            }) as WriteDelivered);
-            {
-                let mut st = shared.stats.borrow_mut();
-                st.records += head as u64;
-                st.batches += 1;
-                st.ack_requests += u64::from(piggybacked_ackreq);
-            }
-            let (qp, node) = {
-                let p = shared.p.borrow();
-                (p.qp, p.node)
-            };
-            shared.fab.post_write_batch(sim, qp, node, writes);
-            Self::solicit_ack_if_due(shared, sim);
-        }
-        if !tail.is_empty() {
-            let last = tail.len() - 1;
-            for (i, &(op, key, value)) in tail.iter().enumerate() {
-                let cb = if i == last { Some(mk_part_cb()) } else { None };
-                Self::enqueue(shared, sim, op, key.to_vec(), value.to_vec(), cb);
-            }
-        }
+        Self::flush(&self.shared, sim, false);
         Ok(())
     }
 
@@ -787,21 +761,13 @@ impl ReplicationPair {
         (marker, off)
     }
 
-    /// Frames pending record `seq` at the ring cursor: the wrap-marker
-    /// write, when the frame had to start over at offset 0, then the
-    /// record's ring write carrying `on_delivered`. The one framing path —
-    /// first shipments, doorbell batches, piggybacked `AckRequest`s and
-    /// rollback resends all come through here.
-    fn frame_record(
-        p: &mut Primary,
-        seq: u64,
-        on_delivered: Option<WriteDelivered>,
-    ) -> impl Iterator<Item = BatchWrite> {
-        // Pending holds every unacknowledged sequence, contiguously.
-        let first = p.pending.front().expect("framed records are pending").seq;
-        let r = &p.pending[(seq - first) as usize];
-        debug_assert_eq!(r.seq, seq);
-        let words = frame::frame_to_words(&r.record().encode());
+    /// Frames pending record `seq` at the ring cursor for the next post: the
+    /// wrap-marker write, when the frame had to start over at offset 0, then
+    /// the record's ring write carrying `on_delivered`. The one framing
+    /// path — first shipments, `AckRequest`s and rollback resends all come
+    /// through here.
+    fn frame_record(p: &mut Primary, seq: u64, on_delivered: Option<WriteDelivered>) {
+        let words = frame::frame_to_words(&p.rec(seq).record().encode());
         let (marker, off) = Self::ring_place(p, words.len());
         let ring_write = |words, dst_word_off, on_delivered| BatchWrite {
             words,
@@ -809,10 +775,11 @@ impl ReplicationPair {
             dst_word_off,
             on_delivered,
         };
-        let marker = marker.map(|marker_off| ring_write(vec![WRAP_MARKER], marker_off, None));
-        marker
-            .into_iter()
-            .chain([ring_write(words, off, on_delivered)])
+        if let Some(marker_off) = marker {
+            p.writes
+                .push(ring_write(vec![WRAP_MARKER], marker_off, None));
+        }
+        p.writes.push(ring_write(words, off, on_delivered));
     }
 
     /// Last sequence the secondary has acknowledged (0 = none yet; sequences
@@ -851,127 +818,72 @@ impl ReplicationPair {
     }
 
     /// Forces an acknowledgement request (used by shutdown/failover to drain
-    /// the channel).
+    /// the channel): a flush that adds an `AckRequest` even when one is
+    /// outstanding, so a lost request is replaced.
     pub fn request_ack(&self, sim: &mut Sim) {
-        Self::ship_ack_request(&self.shared, sim);
+        Self::flush(&self.shared, sim, true);
     }
 
     // ---- primary side ----
 
-    /// Per-record path for what the doorbell batch could not take: ships
-    /// the record if the ring has room, else parks it (and solicits an ack
-    /// to free space, unless one is already on its way).
-    fn enqueue(
-        shared: &Rc<Shared>,
-        sim: &mut Sim,
-        op: LogOp,
-        key: Vec<u8>,
-        value: Vec<u8>,
-        on_done: Option<DoneCb>,
-    ) {
-        let fits = {
-            let p = shared.p.borrow();
-            p.backlog.is_empty() && p.has_room(key.len(), value.len())
-        };
-        if fits {
-            return Self::ship_record(shared, sim, op, key, value, on_done);
-        }
-        shared.stats.borrow_mut().stalls += 1;
-        let need_ack = {
-            let mut p = shared.p.borrow_mut();
-            p.backlog.push_back((op, key, value, on_done));
-            p.ack_req_seq.is_none()
-        };
-        if need_ack {
-            Self::ship_ack_request(shared, sim);
-        }
-    }
-
-    /// Assigns the record its sequence number, registers its completion per
-    /// the mode — a waiter released by the covering ack under strict
-    /// semantics, the delivery callback otherwise — ships it on a doorbell
-    /// of its own and solicits whatever ack the mode is due.
-    fn ship_record(
-        shared: &Rc<Shared>,
-        sim: &mut Sim,
-        op: LogOp,
-        key: Vec<u8>,
-        value: Vec<u8>,
-        on_done: Option<DoneCb>,
-    ) {
-        let (seq, ship_cb) = {
-            let mut p = shared.p.borrow_mut();
-            let seq = p.assign_seq(op, key, value);
-            match on_done {
-                Some(cb) if shared.cfg.mode.strict_semantics() => {
-                    p.waiters.insert(seq, cb);
-                    (seq, None)
-                }
-                cb => (seq, cb),
-            }
-        };
-        shared.stats.borrow_mut().records += 1;
-        Self::ship(shared, sim, seq, ship_cb);
-        Self::solicit_ack_if_due(shared, sim);
-    }
-
-    /// Ships an `AckRequest` if the mode calls for one now: GroupCommit
-    /// whenever none is outstanding, Logging every `ack_every` records;
-    /// Strict never (the secondary acks every record unasked).
-    fn solicit_ack_if_due(shared: &Rc<Shared>, sim: &mut Sim) {
-        let due = {
-            let p = shared.p.borrow();
-            p.ack_req_seq.is_none()
-                && match shared.cfg.mode {
-                    ReplMode::Strict => false,
-                    ReplMode::GroupCommit => true,
-                    ReplMode::Logging { ack_every } => p.since_ack_req >= ack_every,
-                }
-        };
-        if due {
-            Self::ship_ack_request(shared, sim);
-        }
-    }
-
-    /// Writes pending record `seq` into the ring on a doorbell of its own
-    /// (so does its wrap marker, if any: sharing one would shave the
-    /// record's initiator cost to the chained-WQE rate); arranges the
-    /// applier kick. `on_delivered` is the relaxed completion: the record is
-    /// durable in the secondary's memory once the write lands
-    /// (strict-semantics waiters sit with the ack machinery instead).
-    fn ship(shared: &Rc<Shared>, sim: &mut Sim, seq: u64, on_delivered: Option<DoneCb>) {
-        if shared.p.borrow().revoked {
-            return;
-        }
-        let shared2 = shared.clone();
-        let kick: WriteDelivered = Box::new(move |sim: &mut Sim| {
-            if let Some(cb) = on_delivered {
-                cb(sim);
-            }
-            Self::poll_secondary(&shared2, sim);
-        });
-        let (qp, node, writes) = {
-            let mut p = shared.p.borrow_mut();
-            (p.qp, p.node, Self::frame_record(&mut p, seq, Some(kick)))
-        };
-        for write in writes {
-            shared.fab.post_write_batch(sim, qp, node, [write]);
-        }
-    }
-
-    fn ship_ack_request(shared: &Rc<Shared>, sim: &mut Sim) {
+    /// The one way into the ring. Takes every parked record the ring has
+    /// room for, in order: assigns its sequence number, frames it at the
+    /// ring cursor and registers its completion — a waiter for the covering
+    /// ack, or its write's delivery, per the mode. Adds the `AckRequest`s the
+    /// mode asks for — one more if records stay parked and none is
+    /// outstanding, and one whatever the mode says under `force` — and posts
+    /// everything with one doorbell. A fenced primary assigns nothing.
+    fn flush(shared: &Rc<Shared>, sim: &mut Sim, force: bool) {
         if shared.severed.get() {
             return;
         }
-        let seq = shared
-            .p
-            .borrow_mut()
-            .assign_seq(LogOp::AckRequest, Vec::new(), Vec::new());
-        shared.stats.borrow_mut().ack_requests += 1;
-        Self::ship(shared, sim, seq, None);
+        let mode = shared.cfg.mode;
+        let mut p = shared.p.borrow_mut();
+        if p.revoked {
+            return;
+        }
+        let (mut records, mut ack_requests) = (0, 0);
+        while p
+            .backlog
+            .front()
+            .is_some_and(|r| p.has_room(r.key.len(), r.value.len()))
+        {
+            let r = p.backlog.pop_front().expect("checked front");
+            let seq = p.assign_seq(r.op, r.key, r.value);
+            let on_delivered = match r.on_done {
+                Some(cb) if mode.strict_semantics() => {
+                    p.waiters.insert(seq, cb);
+                    None
+                }
+                cb => cb,
+            };
+            Self::frame_record(&mut p, seq, on_delivered);
+            records += 1;
+            if mode.asks_after_record(p.since_ack_req) {
+                Self::ask(&mut p);
+                ack_requests += 1;
+            }
+        }
+        let parked = !p.backlog.is_empty();
+        let idle = p.ack_req_seq.is_none();
+        // With no request outstanding, every pending record is data.
+        if force || idle && (parked || mode.asks_while_unacked() && !p.pending.is_empty()) {
+            Self::ask(&mut p);
+            ack_requests += 1;
+        }
+        drop(p);
+        {
+            let mut st = shared.stats.borrow_mut();
+            st.records += records;
+            st.ack_requests += ack_requests;
+            st.stalls += u64::from(parked);
+        }
+        Self::post(shared, sim);
     }
 
-    /// Handles an ack that landed in the primary's ack region.
+    /// Handles an ack that landed in the primary's ack region: releases
+    /// every waiter it covers, re-ships a rolled-back suffix, and flushes
+    /// what the freed ring space now takes.
     fn on_ack(shared: &Rc<Shared>, sim: &mut Sim) {
         if shared.severed.get() {
             return;
@@ -988,13 +900,9 @@ impl ReplicationPair {
             return;
         }
         let acked = acked_raw - 1;
-        let resend_from = if resend_raw > 0 {
-            Some(resend_raw - 1)
-        } else {
-            None
-        };
+        let resend_from = (resend_raw > 0).then(|| resend_raw - 1);
         let mut fire: Vec<DoneCb> = Vec::new();
-        let mut resend: Vec<u64> = Vec::new();
+        let mut resend = None;
         {
             let mut p = shared.p.borrow_mut();
             if acked < p.last_ack_processed && resend_from.is_none() {
@@ -1009,9 +917,10 @@ impl ReplicationPair {
                     fire.push(cb);
                 }
             }
-            // Only the ack that answers the outstanding request retires it:
-            // under Strict every record is acked, and an ack for an earlier
-            // record says nothing about a request still in the ring.
+            // Only an ack that covers the last request retires it: several
+            // may be in flight (Strict asks after every record), and an ack
+            // for an earlier one says nothing about a request still in the
+            // ring.
             if p.ack_req_seq.is_some_and(|s| s <= acked_now) {
                 p.ack_req_seq = None;
             }
@@ -1021,8 +930,8 @@ impl ReplicationPair {
                 .iter()
                 .map(|r| frame::frame_words(r.record().encoded_len()))
                 .sum();
-            if let Some(from) = resend_from {
-                resend.extend(p.pending.iter().map(|r| r.seq).filter(|&s| s >= from));
+            if let (Some(from), Some(last)) = (resend_from, p.pending.back()) {
+                resend = Some((from.max(acked_now + 1), last.seq));
             }
         }
         if !fire.is_empty() {
@@ -1033,61 +942,62 @@ impl ReplicationPair {
         for cb in fire {
             cb(sim);
         }
-        if let Some(&last) = resend.last() {
+        if let Some((from, last)) = resend {
+            Self::resend(shared, sim, from, last);
+        }
+        Self::flush(shared, sim, false);
+    }
+
+    /// Re-ships pending records `from..=last` with one doorbell that ends
+    /// in an `AckRequest` — the suffix's own, or a fresh one.
+    fn resend(shared: &Rc<Shared>, sim: &mut Sim, from: u64, last: u64) {
+        {
+            let mut p = shared.p.borrow_mut();
+            if shared.severed.get() || p.revoked || from > last {
+                return;
+            }
+            for seq in from..=last {
+                Self::frame_record(&mut p, seq, None);
+            }
             let mut st = shared.stats.borrow_mut();
+            if p.rec(last).op != LogOp::AckRequest {
+                Self::ask(&mut p);
+                st.ack_requests += 1;
+            }
             st.rollbacks += 1;
-            st.resends += resend.len() as u64;
-            drop(st);
-            for seq in resend {
-                Self::ship(shared, sim, seq, None);
-            }
-            // The resent suffix must end in an ack solicitation.
-            let ends_with_ackreq = {
-                let mut p = shared.p.borrow_mut();
-                let ends = p.pending.back().is_some_and(|r| r.op == LogOp::AckRequest);
-                if ends {
-                    p.ack_req_seq = Some(last);
-                }
-                ends
-            };
-            if !ends_with_ackreq {
-                Self::ship_ack_request(shared, sim);
-            }
+            st.resends += last + 1 - from;
         }
-        // Ring space may have opened up: drain the backlog, in order, as far
-        // as it now fits; if records remain parked make sure an ack that
-        // will free their space is on its way.
-        loop {
-            let next = {
-                let mut p = shared.p.borrow_mut();
-                match p.backlog.front() {
-                    Some((_, key, value, _)) if p.has_room(key.len(), value.len()) => {
-                        p.backlog.pop_front()
-                    }
-                    _ => None,
+        Self::post(shared, sim);
+    }
+
+    /// Assigns the next sequence number to an `AckRequest` and frames it.
+    fn ask(p: &mut Primary) {
+        let seq = p.assign_seq(LogOp::AckRequest, Vec::new(), Vec::new());
+        Self::frame_record(p, seq, None);
+    }
+
+    /// Posts the framed ring writes with one doorbell. Deliveries land in
+    /// posting order, so the last write's delivery kicks the applier for
+    /// them all.
+    fn post(shared: &Rc<Shared>, sim: &mut Sim) {
+        let (qp, node, mut writes) = {
+            let mut p = shared.p.borrow_mut();
+            let Some(last) = p.writes.last_mut() else {
+                return;
+            };
+            let done = last.on_delivered.take();
+            let shared2 = shared.clone();
+            last.on_delivered = Some(Box::new(move |sim: &mut Sim| {
+                if let Some(cb) = done {
+                    cb(sim);
                 }
-            };
-            let Some((op, key, value, cb)) = next else {
-                break;
-            };
-            Self::ship_record(shared, sim, op, key, value, cb);
-        }
-        // Group commit runs a continuous ack train: if data records are
-        // still unacknowledged (they shipped while the previous AckRequest
-        // was in flight, so its watermark missed them) solicit again — one
-        // cumulative ack per RTT covers however many records landed in
-        // between. Quiesces as soon as pending holds no data records. Any
-        // mode solicits while records remain parked behind a full ring.
-        let need = {
-            let p = shared.p.borrow();
-            p.ack_req_seq.is_none()
-                && (!p.backlog.is_empty()
-                    || (matches!(shared.cfg.mode, ReplMode::GroupCommit)
-                        && p.pending.iter().any(|r| r.op != LogOp::AckRequest)))
+                Self::poll_secondary(&shared2, sim);
+            }));
+            (p.qp, p.node, std::mem::take(&mut p.writes))
         };
-        if need {
-            Self::ship_ack_request(shared, sim);
-        }
+        shared.stats.borrow_mut().batches += 1;
+        shared.fab.post_write_batch(sim, qp, node, writes.drain(..));
+        shared.p.borrow_mut().writes = writes;
     }
 
     // ---- secondary side ----
@@ -1166,22 +1076,27 @@ impl ReplicationPair {
             let in_order = rec.seq == s.expected + 1;
             if failed || !in_order {
                 // Gap or processing failure: stop advancing, discard.
-                s.discarded_since_ack = true;
                 shared.stats.borrow_mut().discarded += 1;
                 // A discarded record *ahead* of the applied prefix (a gap or
-                // an injected processing failure on the next record) leaves
-                // the replica's copy of this key outdated relative to a
-                // record the primary may already count as delivered — and
+                // an injected processing failure on the next record) is lost:
+                // the next ack asks for a resend from `expected + 1`. It also
+                // leaves the replica's copy of this key outdated relative to
+                // a record the primary may already count as delivered — and
                 // that copy could be serving one-sided reads via an exported
                 // pointer. Kill the local copy so stale fast-path reads fail
-                // guardian validation; the rollback resend (which restarts
-                // from `expected + 1`) is guaranteed to re-apply this key.
-                // Records at or below `expected` are duplicates/stale
-                // frames: killing for those would break convergence, since
-                // the resend never covers them again.
-                if rec.seq > s.expected && matches!(rec.op, LogOp::Put | LogOp::Delete) {
-                    let _ = s.engine.borrow_mut().delete(now, rec.key);
-                    shared.stats.borrow_mut().invalidated += 1;
+                // guardian validation; the rollback resend is guaranteed to
+                // re-apply this key. Records at or below `expected` are
+                // duplicates of a resend: they lose nothing, so they ask for
+                // no resend (each one would re-ship the whole suffix, and a
+                // resend that arrives twice would multiply itself), and
+                // killing for them would break convergence, since the resend
+                // never covers them again.
+                if rec.seq > s.expected {
+                    s.discarded_since_ack = true;
+                    if matches!(rec.op, LogOp::Put | LogOp::Delete) {
+                        let _ = s.engine.borrow_mut().delete(now, rec.key);
+                        shared.stats.borrow_mut().invalidated += 1;
+                    }
                 }
                 if rec.op == LogOp::AckRequest {
                     send_ack = true;
@@ -1218,9 +1133,6 @@ impl ReplicationPair {
                 }
                 s.expected = rec.seq;
             }
-            if matches!(shared.cfg.mode, ReplMode::Strict) && rec.op != LogOp::AckRequest {
-                send_ack = true;
-            }
         }
         if send_ack {
             Self::send_ack(shared, sim);
@@ -1238,7 +1150,7 @@ impl ReplicationPair {
                 0
             };
             s.discarded_since_ack = false;
-            let delay = if matches!(shared.cfg.mode, ReplMode::GroupCommit) {
+            let delay = if shared.cfg.mode.acks_on_receive() {
                 // Group commit publishes the watermark from the receive
                 // path: the quantum's records are already staged (the
                 // engine merge happens as the frames are drained, only the
@@ -1356,7 +1268,8 @@ mod tests {
         sim.run();
         let t = done_at.get();
         assert!(t > 2_000, "strict ack requires a round trip, got {t}ns");
-        assert_eq!(pair.acked(), 1);
+        // The record, then the `AckRequest` that asked for its ack.
+        assert_eq!(pair.acked(), 2);
     }
 
     #[test]
@@ -1583,8 +1496,137 @@ mod tests {
             .unwrap();
         sim.run();
         assert!(done_at.get() > 2_000, "strict batch waits for acks");
-        assert_eq!(pair.acked(), 3);
+        // Each record is followed by the `AckRequest` it asked for.
+        assert_eq!(pair.acked(), 6);
+        assert_eq!(pair.stats().ack_requests, 3);
         assert_eq!(engine.borrow().len(), 3);
+    }
+
+    /// Steps `sim` until `done` holds; returns the doorbells rung by the
+    /// event that made it so.
+    fn doorbells_of_the_step_that(sim: &mut Sim, fab: &Fabric, done: impl Fn() -> bool) -> u64 {
+        loop {
+            let before = fab.stats().doorbells;
+            assert!(sim.step(), "the sim drained first");
+            if done() {
+                return fab.stats().doorbells - before;
+            }
+        }
+    }
+
+    #[test]
+    fn parked_records_leave_in_one_doorbell_once_an_ack_frees_room() {
+        let cfg = ReplConfig {
+            ring_words: 256,
+            mode: ReplMode::Logging { ack_every: 1_000 },
+            ..Default::default()
+        };
+        let (mut sim, fab, pair, engine) = setup(cfg);
+        let records: Vec<Vec<u8>> = (0..60u32)
+            .map(|i| format!("key-{i:04}").into_bytes())
+            .collect();
+        let refs: Vec<(LogOp, &[u8], &[u8])> = records
+            .iter()
+            .map(|k| (LogOp::Put, k.as_slice(), [9u8; 24].as_slice()))
+            .collect();
+        pair.replicate_batch(&mut sim, &refs, None).unwrap();
+        assert_eq!(fab.stats().doorbells, 1);
+        let parked = pair.backlog_len();
+        assert!(parked > 2, "the ring took only part of the quantum");
+        // The flush that parked them asked for the ack that frees room.
+        assert_eq!(pair.stats().ack_requests, 1);
+        let rung = doorbells_of_the_step_that(&mut sim, &fab, || pair.stats().acks == 1);
+        assert_eq!(
+            rung, 1,
+            "the ack's flush posts what now fits with one doorbell"
+        );
+        assert!(
+            parked - pair.backlog_len() >= 2,
+            "more than one parked record left"
+        );
+        sim.run();
+        assert_eq!(engine.borrow().len(), 60);
+        assert_eq!(pair.backlog_len(), 0);
+    }
+
+    #[test]
+    fn a_logging_ack_request_rides_the_doorbell_of_the_record_that_made_it_due() {
+        let cfg = ReplConfig {
+            mode: ReplMode::Logging { ack_every: 4 },
+            ..Default::default()
+        };
+        let (mut sim, fab, pair, _engine) = setup(cfg);
+        for i in 0..4u32 {
+            let before = fab.stats().doorbells;
+            pair.replicate(&mut sim, LogOp::Put, format!("k{i}").as_bytes(), b"v", None)
+                .unwrap();
+            assert_eq!(fab.stats().doorbells - before, 1, "record {i}");
+            sim.run();
+        }
+        let st = pair.stats();
+        assert_eq!((st.ack_requests, st.acks), (1, 1));
+        assert_eq!(
+            pair.acked(),
+            5,
+            "four records and the request behind the fourth"
+        );
+    }
+
+    #[test]
+    fn a_resend_is_one_doorbell_ending_in_an_ack_request() {
+        let cfg = ReplConfig {
+            mode: ReplMode::Logging { ack_every: 4 },
+            ..Default::default()
+        };
+        let (mut sim, fab, pair, engine) = setup(cfg);
+        pair.inject_failure(2);
+        let keys: Vec<Vec<u8>> = (0..5u32).map(|i| format!("r{i}").into_bytes()).collect();
+        let refs: Vec<(LogOp, &[u8], &[u8])> = keys
+            .iter()
+            .map(|k| (LogOp::Put, k.as_slice(), b"v".as_slice()))
+            .collect();
+        // Records 1-4 and the request behind the fourth, then record 6 while
+        // that request is still out: the suffix to resend ends in data.
+        pair.replicate_batch(&mut sim, &refs[..4], None).unwrap();
+        pair.replicate_batch(&mut sim, &refs[4..], None).unwrap();
+        let rung = doorbells_of_the_step_that(&mut sim, &fab, || pair.stats().rollbacks == 1);
+        assert_eq!(rung, 1, "the rolled-back suffix leaves with one doorbell");
+        assert_eq!(pair.stats().resends, 5, "sequences 2 to 6");
+        {
+            let p = pair.shared.p.borrow();
+            assert_eq!(p.pending.back().map(|r| r.op), Some(LogOp::AckRequest));
+            assert_eq!(p.ack_req_seq, Some(7), "a fresh request closes the resend");
+        }
+        sim.run();
+        assert_eq!(engine.borrow().len(), 5);
+        assert_eq!(pair.lag(), 0);
+    }
+
+    /// Regression: a primary that learned it was fenced still assigned a
+    /// sequence number to every `AckRequest` it was asked for — and never
+    /// shipped it — so `lag()` and `ack_requests` grew without bound.
+    #[test]
+    fn a_fenced_channel_assigns_nothing_more() {
+        let cfg = ReplConfig {
+            mode: ReplMode::GroupCommit,
+            ..ReplConfig::default()
+        };
+        let (mut sim, _fab, pair, _engine) = setup(cfg);
+        pair.replicate(&mut sim, LogOp::Put, b"one", b"v", None)
+            .unwrap();
+        sim.run();
+        pair.fence(&mut sim);
+        pair.replicate(&mut sim, LogOp::Put, b"bounced", b"v", None)
+            .unwrap();
+        sim.run();
+        assert!(pair.is_revoked());
+        let (lag, asked) = (pair.lag(), pair.stats().ack_requests);
+        assert_eq!((lag, asked), (2, 2));
+        for _ in 0..3 {
+            pair.request_ack(&mut sim);
+        }
+        sim.run();
+        assert_eq!((pair.lag(), pair.stats().ack_requests), (lag, asked));
     }
 
     /// Regression: 200 strict puts posted at once against a ring that holds

@@ -136,6 +136,16 @@ proptest! {
     }
 
     #[test]
+    fn strict_converges_on_tiny_ring_with_failures(
+        ops in ops(),
+        fails in proptest::collection::vec(1u64..150, 0..4),
+    ) {
+        // Every record asks for its ack, so each one's `AckRequest` ships
+        // inside the ring's headroom while the ring wraps and stalls.
+        run(&ops, &fails, ReplMode::Strict, 256)?;
+    }
+
+    #[test]
     fn group_commit_converges_with_failures(
         ops in ops(),
         fails in proptest::collection::vec(1u64..150, 0..6),

@@ -64,6 +64,14 @@ HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
 HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
     cargo run -q --release -p hydra-bench --bin fig13_replication
 
+echo "==> examples (each asserts what it demonstrates)"
+# failover is the end-to-end Strict run through crash, partition, fence and
+# promotion, with zero-acknowledged-loss and linearizability checks.
+for ex in quickstart mapreduce_cache g2_sensemaking call_records failover elastic; do
+    cargo run -q --release -p hydra-db --example "$ex" >/dev/null ||
+        { echo "example $ex failed" >&2; exit 1; }
+done
+
 echo "==> benchmark crate (builds against the workspace; one smoke pass per workload)"
 # benchmark/ is a package of its own, outside the workspace: API drift
 # against it is caught here rather than by the pipeline running BENCHMARK.json.

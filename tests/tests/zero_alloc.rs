@@ -22,20 +22,27 @@ use hydra_wire::{channel_tag, set_channel_tag, KeyList, Request};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested by those allocations (a realloc counts its new size).
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn counted(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        counted(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        counted(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        counted(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -63,6 +70,13 @@ fn count_allocs_min(mut f: impl FnMut()) -> u64 {
     (0..3).map(|_| count_allocs(&mut f)).min().unwrap()
 }
 
+/// Bytes `f` allocates.
+fn count_bytes(f: impl FnOnce()) -> u64 {
+    let before = BYTES.load(Ordering::Relaxed);
+    f();
+    BYTES.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn hot_paths_do_not_allocate() {
     decode_is_zero_alloc();
@@ -76,6 +90,7 @@ fn hot_paths_do_not_allocate() {
     whole_path_scan_allocates_per_step_not_per_item();
     sweep_allocates_no_more_per_request_than_a_singleton();
     frame_allocates_no_more_than_when_it_collected_its_requests();
+    group_commit_shipment_allocates_a_fixed_count();
     mux_tag_stamp_and_demux_add_no_allocations();
     write_permission_check_adds_no_allocations();
 }
@@ -621,6 +636,75 @@ fn frame_allocates_no_more_than_when_it_collected_its_requests() {
     assert!(
         allocs <= BEFORE,
         "{ROUNDS} rounds of frames allocate {allocs} times, {BEFORE} before"
+    );
+}
+
+/// One replicated write under group commit, from `replicate_batch` to the
+/// release of its waiter by the covering ack, allocates a fixed count on a
+/// warm channel: the record's key and value copies, its frame and the
+/// `AckRequest`'s (each encoded, then framed), the applier's kick, the
+/// ack's words and completion, the released-waiter list and the caller's
+/// own callback; the doorbell's write list is the channel's own, reused.
+/// `BEFORE` is the count when a quantum's completion was split over two
+/// shipping paths by a shared counter (three allocations) and each doorbell
+/// framed into a fresh list (one). A four-record quantum allocates no more
+/// bytes than it did then (`BYTES_BEFORE`).
+fn group_commit_shipment_allocates_a_fixed_count() {
+    use hydra_fabric::{Fabric, FabricConfig};
+    use hydra_replication::{ReplConfig, ReplMode, ReplicationPair};
+    use hydra_sim::Sim;
+    use hydra_wire::LogOp;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
+
+    const BEFORE: u64 = 17;
+    const ALLOCS: u64 = 13;
+    const BYTES_BEFORE: u64 = 1_552;
+    let mut sim = Sim::new(5);
+    let fab = Fabric::new(FabricConfig::default());
+    let (p, s) = (fab.add_node(), fab.add_node());
+    let engine = Rc::new(RefCell::new(ShardEngine::new(EngineConfig {
+        arena_words: 1 << 16,
+        expected_items: 64,
+        index: IndexKind::Packed,
+        write_mode: WriteMode::Reliable,
+        min_lease_ns: 1_000,
+        max_lease_ns: 64_000,
+    })));
+    let cfg = ReplConfig {
+        mode: ReplMode::GroupCommit,
+        ..ReplConfig::default()
+    };
+    let pair = ReplicationPair::new(&fab, p, s, engine, cfg);
+    let keys: Vec<Vec<u8>> = (0..4).map(|i| format!("gc{i:04}").into_bytes()).collect();
+    let value = [7u8; 32];
+    let quantum: Vec<(LogOp, &[u8], &[u8])> = keys
+        .iter()
+        .map(|k| (LogOp::Put, k.as_slice(), value.as_slice()))
+        .collect();
+    let released = Rc::new(Cell::new(0u64));
+    let mut ship = |records: &[(LogOp, &[u8], &[u8])]| {
+        let released = released.clone();
+        let on_done = Box::new(move |_: &mut Sim| released.set(released.get() + 1));
+        pair.replicate_batch(&mut sim, records, Some(on_done))
+            .expect("fits the ring");
+        sim.run();
+    };
+    for _ in 0..256 {
+        ship(&quantum[..1]); // warm-up: event arena, waiter map, backlog
+        ship(&quantum);
+    }
+    let allocs = (0..8).map(|_| count_allocs(|| ship(&quantum[..1]))).min();
+    let bytes = (0..8).map(|_| count_bytes(|| ship(&quantum))).min();
+    let (allocs, bytes) = (allocs.unwrap(), bytes.unwrap());
+    assert_eq!(released.get(), 2 * 256 + 16, "every shipment was released");
+    assert!(
+        allocs == ALLOCS && ALLOCS + 3 <= BEFORE,
+        "a group-commit shipment allocates {allocs} times ({ALLOCS} pinned, {BEFORE} before)"
+    );
+    assert!(
+        bytes <= BYTES_BEFORE,
+        "a four-record quantum allocates {bytes} B ({BYTES_BEFORE} B before)"
     );
 }
 
