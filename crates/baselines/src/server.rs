@@ -254,7 +254,6 @@ impl BaselineServer {
                     Ok(()) => to(Status::Ok),
                     Err(e) => to(err(e)),
                 },
-                Request::LeaseRenew { .. } => to(Status::Ok),
                 // Baseline stores are hash-only; they never advertise SCAN
                 // and reject it if asked.
                 Request::Scan { .. } => to(Status::Error),

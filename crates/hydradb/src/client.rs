@@ -41,7 +41,7 @@ use hydra_sim::{Histogram, Sim};
 use hydra_store::{FetchedItem, ItemError};
 use hydra_wire::{
     backlog_hint, frame, messages, scan_items_merge, scan_items_rank, BatchBuilder, BatchFrame,
-    KeyList, RemotePtr, Request, Response, ScanItems, Status, MAX_EXPORT_PTRS,
+    RemotePtr, Request, Response, ScanItems, Status, MAX_EXPORT_PTRS,
 };
 
 use crate::cluster::Directory;
@@ -85,7 +85,6 @@ pub struct ClientStats {
     pub inserts: u64,
     pub updates: u64,
     pub deletes: u64,
-    pub lease_renews: u64,
     /// Logical range scans started by the application.
     pub scans: u64,
     /// Per-partition scan requests shipped (fan-out steps plus quantum
@@ -160,25 +159,12 @@ impl PtrCache {
     }
 
     fn insert(&self, key: &[u8], ptr: CachedPtr) {
-        // Filed in the expiry wheel under the lease so renewal scans only
-        // touch due buckets; admission may reject a cold newcomer.
-        self.0.insert(key, ptr, ptr.lease_expiry);
+        // Admission may reject a cold newcomer.
+        self.0.insert(key, ptr, 0);
     }
 
     fn remove(&self, key: &[u8]) {
         self.0.remove(key);
-    }
-
-    /// Keys whose lease expires within `(now, horizon]` — renewal
-    /// candidates, harvested from the wheel's due buckets only (no full
-    /// cache scan).
-    fn expiring(&self, now: u64, horizon: u64, limit: usize) -> Vec<(u32, Vec<u8>)> {
-        self.0
-            .expiring(now, horizon.saturating_sub(now), limit)
-            .into_iter()
-            .filter(|(_, v)| v.lease_expiry > now)
-            .map(|(k, v)| (v.partition, k))
-            .collect()
     }
 
     /// Live entries (bounded by construction; tests assert it).
@@ -194,7 +180,6 @@ enum OpKind {
     Insert,
     Update,
     Delete,
-    LeaseRenew,
     Scan,
 }
 
@@ -891,57 +876,6 @@ impl HydraClient {
         );
     }
 
-    /// Sends one lease-renewal batch for cached pointers expiring within
-    /// `horizon`. No-op (returns false) when busy or nothing qualifies.
-    pub fn renew_expiring_leases(&self, sim: &mut Sim, horizon: SimTime) -> bool {
-        if self.in_flight() > 0 {
-            return false;
-        }
-        let now = sim.now();
-        let batch = self
-            .inner
-            .borrow()
-            .ptr_cache
-            .expiring(now, now + horizon, 16);
-        let Some(&(partition, _)) = batch.first() else {
-            return false;
-        };
-        // Pack the batch through the LeaseRenew request; completion updates
-        // nothing client-side (leases re-extend on the server; expiries
-        // refresh lazily on the next message GET).
-        let key_refs: Vec<&[u8]> = batch
-            .iter()
-            .filter(|(p, _)| *p == partition)
-            .map(|(_, k)| k.as_slice())
-            .collect();
-        let req_id = {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.lease_renews += 1;
-            inner.next_req_id += 1;
-            inner.next_req_id
-        };
-        let payload = Request::LeaseRenew {
-            req_id,
-            keys: KeyList::Slices(&key_refs),
-        }
-        .encode();
-        let op = InFlightOp {
-            req_id,
-            kind: OpKind::LeaseRenew,
-            key: Vec::new(),
-            value: Vec::new(),
-            cb: None,
-            issued_at: now,
-            attempts: 1,
-            ship: 0,
-            timeout_ev: None,
-            expect_version: None,
-            partition,
-        };
-        self.enqueue(sim, op, payload);
-        true
-    }
-
     // ---- fast path ----
 
     fn valid_cached_ptr(&self, now: SimTime, key: &[u8]) -> Option<CachedPtr> {
@@ -1375,9 +1309,6 @@ impl HydraClient {
     /// rebuilds a connection that points at a deposed one) and keeping the
     /// original issue time.
     fn resubmit(&self, sim: &mut Sim, mut op: InFlightOp, attempts: u32) {
-        if op.kind == OpKind::LeaseRenew {
-            return; // best effort, no callback: the next renewal pass asks again
-        }
         {
             let mut inner = self.inner.borrow_mut();
             if op.kind == OpKind::RdmaGet {
@@ -1723,9 +1654,7 @@ impl HydraClient {
         // ring, so re-routing by hash lands on the current owner. Scan steps
         // are partition-pinned (the emit filter on the server drops moved
         // keys), so only keyed ops redirect.
-        if resp.status == Status::WrongOwner
-            && !matches!(out.kind, OpKind::Scan | OpKind::LeaseRenew)
-        {
+        if resp.status == Status::WrongOwner && out.kind != OpKind::Scan {
             {
                 let mut inner = self.inner.borrow_mut();
                 inner.stats.redirects += 1;
@@ -1797,8 +1726,8 @@ impl HydraClient {
                 (_, Status::NotFound) => Err(OpError::NotFound),
                 (_, Status::Exists) => Err(OpError::Exists),
                 (_, Status::Error) => Err(OpError::Server),
-                // Unredirected WrongOwner (scan / lease-renew): surface as a
-                // server error; callers fall back through the message path.
+                // Unredirected WrongOwner (a scan step): surface as a server
+                // error; callers fall back through the message path.
                 (_, Status::WrongOwner) => Err(OpError::Server),
             };
             let lat = now - out.issued_at + costs::CLIENT_NS;
@@ -1806,7 +1735,7 @@ impl HydraClient {
                 OpKind::Get | OpKind::RdmaGet => inner.stats.get_lat.record(lat),
                 // Scan latency is recorded end-to-end by `finish_scan`, not
                 // per fan-out step.
-                OpKind::LeaseRenew | OpKind::Scan => {}
+                OpKind::Scan => {}
                 _ => inner.stats.update_lat.record(lat),
             }
             verdict
@@ -1837,7 +1766,7 @@ fn encode_request(kind: OpKind, req_id: u64, key: &[u8], value: &[u8]) -> Vec<u8
             limit: u32::from_le_bytes(value.try_into().expect("4-byte scan limit")),
         }
         .encode(),
-        OpKind::RdmaGet | OpKind::LeaseRenew => unreachable!("not message ops"),
+        OpKind::RdmaGet => unreachable!("not a message op"),
     }
 }
 

@@ -1140,6 +1140,21 @@ mod tests {
         ShardServer::on_request(&shard, &mut cluster.sim, 0);
         assert_eq!(shard.borrow().stats().malformed, 1);
         assert!(slot.iter().all(|w| w.load(Ordering::Acquire) == 0));
+        // Opcode 5 is retired: a frame carrying it is dropped too, even one
+        // whose value area is the empty key list the old renewal carried.
+        let mut retired = hydra_wire::Request::Insert {
+            req_id: 1,
+            key: b"",
+            value: &0u32.to_le_bytes(),
+        }
+        .encode();
+        retired[0] = 5;
+        for (w, v) in slot.iter().zip(hydra_wire::frame_to_words(&retired)) {
+            w.store(v, Ordering::Release);
+        }
+        ShardServer::on_request(&shard, &mut cluster.sim, 0);
+        assert_eq!(shard.borrow().stats().malformed, 2);
+        assert!(slot.iter().all(|w| w.load(Ordering::Acquire) == 0));
         let got = Rc::new(RefCell::new(None));
         let g = got.clone();
         client.get(

@@ -51,16 +51,10 @@ pub const HIST_BUCKETS: usize = 16;
 pub const OP_KINDS: usize = 6;
 
 /// Row index of `req`'s kind in [`ServerStats::queue_depth_hist_by_op`]:
-/// Get, Insert, Update, Delete, LeaseRenew, Scan.
+/// its wire opcode less one, so Get, Insert, Update, Delete, then Scan in
+/// row 5. Row 4, the retired opcode 5's, stays empty.
 pub fn op_slot(req: &Request<'_>) -> usize {
-    match req {
-        Request::Get { .. } => 0,
-        Request::Insert { .. } => 1,
-        Request::Update { .. } => 2,
-        Request::Delete { .. } => 3,
-        Request::LeaseRenew { .. } => 4,
-        Request::Scan { .. } => 5,
-    }
+    req.op() as usize - 1
 }
 
 /// Whether an arriving payload decodes whole: a batch frame that parses and
@@ -117,7 +111,6 @@ pub struct ServerStats {
     pub inserts: u64,
     pub updates: u64,
     pub deletes: u64,
-    pub lease_renews: u64,
     pub scans: u64,
     pub responses: u64,
     pub dropped_while_dead: u64,
@@ -140,7 +133,7 @@ pub struct ServerStats {
     /// arrivals that queued behind ~2^(k-1) requests' worth of work.
     pub queue_depth_hist: [u64; HIST_BUCKETS],
     /// Per-op-kind breakdown of the queue-depth histogram, one row per
-    /// [`op_slot`] (Get, Insert, Update, Delete, LeaseRenew, Scan). Sampled
+    /// [`op_slot`] (Get, Insert, Update, Delete, none, Scan). Sampled
     /// once per *request*, bare or in a frame (the aggregate histogram keeps
     /// one sample per arrival), so scan-induced backlog is distinguishable
     /// from point-op backlog.
@@ -265,8 +258,8 @@ impl ReadPlane {
             return None;
         }
         let mut set = ReplicaSet::new(info.version);
-        // Lease class: granted duration in units of the minimum lease — the
-        // client's renewal wheel files longer classes into later buckets.
+        // Lease class: granted duration in units of the minimum lease. No
+        // client reads it; the byte keeps the response layout.
         let lease_class =
             (info.lease_expiry.saturating_sub(now) / self.min_lease_ns).min(255) as u8;
         for ex in self.exports.iter().take(MAX_EXPORT_PTRS) {
@@ -290,8 +283,7 @@ impl ReadPlane {
     }
 }
 
-/// Index of the latency lane (GET / PUT / DELETE / lease traffic) in the
-/// dual-lane scheduler.
+/// Index of the latency lane (GET / PUT / DELETE) in the dual-lane scheduler.
 const LAT: usize = 0;
 /// Index of the throughput lane (scans and batch quanta).
 const THR: usize = 1;
@@ -726,17 +718,6 @@ pub fn apply_request<'a>(
             (LogOp::Put, *key, *value),
         ),
         Request::Delete { key, .. } => (engine.delete(now, key), (LogOp::Delete, *key, &[][..])),
-        Request::LeaseRenew { keys, .. } => {
-            for k in keys.iter() {
-                // A moved-away key's lease is not renewable here; the next
-                // point op on it earns the redirect.
-                if gate.is_none_or(|g| (g.owns)(k)) {
-                    engine.renew_lease(now, k);
-                }
-            }
-            Response::status_only(Status::Ok, req_id).encode_into(out);
-            return None;
-        }
         Request::Scan { start, limit, .. } => {
             // Read-only: walk the ordered index from `start`, pack up to
             // `min(limit, quantum)` items that fit the slot, and flag
@@ -776,7 +757,6 @@ pub struct BatchOpCounts {
     pub inserts: u64,
     pub updates: u64,
     pub deletes: u64,
-    pub lease_renews: u64,
     pub scans: u64,
 }
 
@@ -788,7 +768,6 @@ impl BatchOpCounts {
             Request::Insert { .. } => &mut self.inserts,
             Request::Update { .. } => &mut self.updates,
             Request::Delete { .. } => &mut self.deletes,
-            Request::LeaseRenew { .. } => &mut self.lease_renews,
             Request::Scan { .. } => &mut self.scans,
         } += n;
     }
@@ -1074,7 +1053,6 @@ impl ShardServer {
                     + (value.len() as f64 * costs::PER_BYTE_NS).round() as SimTime
             }
             Request::Delete { .. } => costs::DELETE_NS,
-            Request::LeaseRenew { keys, .. } => costs::GET_NS / 2 * keys.len().max(1) as SimTime,
             Request::Scan { limit, .. } => scan_cost(*limit),
         };
         // Two-sided transports make the server CPU shepherd every message
@@ -1776,7 +1754,6 @@ impl ShardServer {
         self.stats.inserts += counts.inserts;
         self.stats.updates += counts.updates;
         self.stats.deletes += counts.deletes;
-        self.stats.lease_renews += counts.lease_renews;
         self.stats.scans += counts.scans;
         let mut forwards: ChannelShipments = Vec::new();
         if let Some(m) = &mig {
@@ -2087,7 +2064,6 @@ mod tests {
 
     #[test]
     fn op_slot_covers_every_request_kind() {
-        let keys = [b"k".as_slice()];
         let reqs = [
             Request::Get {
                 req_id: 1,
@@ -2107,10 +2083,6 @@ mod tests {
                 req_id: 4,
                 key: b"k",
             },
-            Request::LeaseRenew {
-                req_id: 5,
-                keys: hydra_wire::KeyList::Slices(&keys),
-            },
             Request::Scan {
                 req_id: 6,
                 start: b"k",
@@ -2118,6 +2090,7 @@ mod tests {
             },
         ];
         let slots: Vec<usize> = reqs.iter().map(op_slot).collect();
-        assert_eq!(slots, (0..OP_KINDS).collect::<Vec<_>>());
+        assert_eq!(slots, [0, 1, 2, 3, 5]);
+        assert_eq!(OP_KINDS, 6, "SCAN keeps row 5");
     }
 }

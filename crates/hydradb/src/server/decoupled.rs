@@ -107,13 +107,12 @@ fn dispatch(s: &mut ShardServer, now: SimTime, conn_idx: usize, msg: &[u8]) -> S
             Request::Get { key, .. }
             | Request::Insert { key, .. }
             | Request::Update { key, .. }
-            | Request::Delete { key, .. } => Some(*key),
-            Request::LeaseRenew { keys, .. } => keys.iter().next(),
+            | Request::Delete { key, .. } => *key,
             // Scans route by start key: cost accounting only — every
             // sub-shard sees the same engine.
-            Request::Scan { start, .. } => Some(*start),
+            Request::Scan { start, .. } => *start,
         };
-        let sub = key.map_or(0, hydra_store::hash_key) % d.workers.len() as u64;
+        let sub = hydra_store::hash_key(key) % d.workers.len() as u64;
         d.workers[sub as usize].acquire(routed, cost)
     } else {
         // The state-mutating share of the op serializes on the dispatch

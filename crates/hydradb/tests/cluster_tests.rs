@@ -487,31 +487,6 @@ fn dead_partition_without_replica_times_out() {
 }
 
 #[test]
-fn lease_renewal_keeps_fast_path_alive() {
-    let cfg = ClusterConfig {
-        // Short leases so expiry is reachable in a quick test.
-        min_lease_ns: 5 * MS,
-        max_lease_ns: 40 * MS,
-        ..Default::default()
-    };
-    let mut cluster = build(cfg);
-    let client = cluster.add_client(0);
-    put_ok(&mut cluster, &client, b"k", b"v");
-    assert!(get_value(&mut cluster, &client, b"k").is_some()); // caches ptr, lease ~5ms
-                                                               // Renew before expiry, then jump past the original expiry.
-    let renewed = client.renew_expiring_leases(&mut cluster.sim, 10 * MS);
-    assert!(renewed, "a renewal batch should have been sent");
-    cluster.sim.run();
-    cluster.sim.run_until(4 * MS);
-    // Lease was extended server-side; the item must still be RDMA-readable
-    // (the client refreshes its own expiry lazily via the message path, so
-    // force one message GET then a fast GET).
-    assert!(get_value(&mut cluster, &client, b"k").is_some());
-    let s = client.stats();
-    assert_eq!(s.lease_renews, 1);
-}
-
-#[test]
 fn rdma_get_latency_is_microseconds_and_below_message_path() {
     let mut cluster = build(ClusterConfig::default());
     let client = cluster.add_client(0);

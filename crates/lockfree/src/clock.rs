@@ -1,7 +1,7 @@
-//! A bounded CLOCK cache with TinyLFU-style admission and an integrated
-//! lease-expiry wheel — the client-side remote-pointer cache.
+//! A bounded CLOCK cache with TinyLFU-style admission — the client-side
+//! remote-pointer cache.
 //!
-//! Three requirements shape the structure (Storm, Novakovic et al.: pointer
+//! Two requirements shape the structure (Storm, Novakovic et al.: pointer
 //! caches only pay off when they stay bounded *and* hot):
 //!
 //! * **Bounded**: capacity is fixed at construction and nothing is committed
@@ -13,9 +13,10 @@
 //! * **Hot**: admission is gated by a [`FreqSketch`] — a newcomer only
 //!   displaces the CLOCK victim when its estimated access frequency exceeds
 //!   the victim's, so a scan of cold keys cannot flush the hot working set.
-//! * **Renewal without scans**: every entry is indexed by lease expiry in a
-//!   coarse bucket wheel, so `expiring(now, horizon)` visits only the
-//!   buckets that are actually due instead of walking the whole cache.
+//!
+//! A cached pointer's lease is the caller's business: it travels inside the
+//! value, and the message-path GET that re-caches a pointer is what extends
+//! the lease on the server.
 //!
 //! # Layout
 //!
@@ -27,9 +28,9 @@
 //! slot. Probing is linear; deletion shifts the rest of the run back, so
 //! there are no tombstones and a lookup ends at the first empty word. The
 //! **slot** holds the key itself (inline up to [`INLINE_KEY`] bytes, boxed
-//! beyond), the full hash, the value, the CLOCK bit and the filed expiry: a
-//! hit touches the sketch rows, one index line and the slot, and caching a
-//! short key allocates nothing beyond the amortised growth of the two arrays.
+//! beyond), the full hash, the value and the CLOCK bit: a hit touches the
+//! sketch rows, one index line and the slot, and caching a short key
+//! allocates nothing beyond the amortised growth of the two arrays.
 //!
 //! # Decisions
 //!
@@ -42,29 +43,13 @@
 //! Interior mutability is a single `Mutex` (the sketch is lock-free): the
 //! cache is shared by every client on a node via `Arc`, and the critical
 //! sections are a few probes long. This is deliberately not a lock-free
-//! structure — CLOCK's hand and the wheel want coherent mutation, and the
+//! structure — CLOCK's hand and the index want coherent mutation, and the
 //! paper's shared-cache contention point is the *pointer lookup*, which is
 //! one mutex acquire + one index probe here.
 
-use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 
 use crate::sketch::FreqSketch;
-
-/// Expiry bucket granularity: wheel bucket = expiry >> this. 2^20 ns ≈ 1 ms
-/// of virtual time per bucket — far finer than the 1 s minimum lease, so a
-/// renewal horizon maps to a handful of buckets.
-const WHEEL_SHIFT: u32 = 20;
-
-/// The wheel holds at most this many filings per live entry (plus repeated
-/// filings of one slot under one expiry, which the harvest returns once
-/// each): a filing that would exceed it first drops the stale ones — what a
-/// harvest skips, so `expiring` returns what an unbounded wheel returns. Two
-/// corners differ, neither reachable from a lease clock that moves forward:
-/// a dropped filing does not come back to life when its slot returns to the
-/// very expiry it was filed under, and a harvest with `limit` 0, which turns
-/// the first due bucket around, may find a different bucket first.
-const WHEEL_SLACK: usize = 4;
 
 /// Longest key stored in the slot itself; with the length byte and the
 /// variant tag it fills the three words a boxed key's variant occupies.
@@ -106,8 +91,6 @@ struct Slot<V> {
     value: V,
     /// CLOCK second-chance bit, set on every hit.
     referenced: bool,
-    /// Lease expiry this slot is filed under in the wheel.
-    expiry: u64,
 }
 
 /// The index word naming `slot` for a key hashing to `hash`.
@@ -127,16 +110,6 @@ struct Inner<V> {
     live: usize,
     /// CLOCK hand position.
     hand: usize,
-    /// Expiry wheel: coarse time bucket -> (slot, expiry recorded at filing).
-    /// Entries are lazily invalidated — a slot whose current expiry or
-    /// occupancy no longer matches is skipped and dropped on scan.
-    wheel: BTreeMap<u64, Vec<(u32, u64)>>,
-    /// Entries in `wheel`.
-    wheel_len: usize,
-    /// Twice what the last stale-entry sweep left behind: the next one waits
-    /// for at least that many, so sweeps that find nothing to drop stay
-    /// amortised.
-    wheel_floor: usize,
     stats: ClockCacheStats,
 }
 
@@ -224,35 +197,6 @@ impl<V> Inner<V> {
         self.live -= 1;
         slot
     }
-
-    /// Moves slot `idx` to lease `expiry`, filing it anew if that changed.
-    fn refile(&mut self, idx: usize, expiry: u64) {
-        let slot = self.slots[idx].as_mut().expect("indexed slot occupied");
-        if slot.expiry != expiry {
-            slot.expiry = expiry;
-            self.file(idx, expiry);
-        }
-    }
-
-    /// Files slot `idx` (already carrying `expiry`) in the wheel.
-    fn file(&mut self, idx: usize, expiry: u64) {
-        if self.wheel_len >= (WHEEL_SLACK * self.live).max(self.wheel_floor) {
-            // Drop what a harvest would skip, in place: live filings keep
-            // their order, so the harvest returns what it would have.
-            let slots = &self.slots;
-            self.wheel.retain(|_, filed| {
-                filed.retain(|&(i, e)| slots[i as usize].as_ref().is_some_and(|s| s.expiry == e));
-                !filed.is_empty()
-            });
-            self.wheel_len = self.wheel.values().map(Vec::len).sum();
-            self.wheel_floor = 2 * self.wheel_len;
-        }
-        self.wheel
-            .entry(expiry >> WHEEL_SHIFT)
-            .or_default()
-            .push((idx as u32, expiry));
-        self.wheel_len += 1;
-    }
 }
 
 /// Statistics counters (monotonic since construction).
@@ -288,9 +232,6 @@ impl<V: Clone> ClockCache<V> {
                 free: Vec::new(),
                 live: 0,
                 hand: 0,
-                wheel: BTreeMap::new(),
-                wheel_len: 0,
-                wheel_floor: 0,
                 stats: ClockCacheStats::default(),
             }),
             sketch: FreqSketch::new(capacity),
@@ -340,13 +281,12 @@ impl<V: Clone> ClockCache<V> {
         Some(slot.value.clone())
     }
 
-    /// Inserts or replaces `key`. `expiry` files the entry in the lease
-    /// wheel (pass the pointer's lease expiry). Replacement of an existing
-    /// key always succeeds; a brand-new key entering a full cache must beat
-    /// the CLOCK victim's sketch estimate or it is rejected (returns
-    /// `false`). Rejected keys still record their touch, so a key that keeps
-    /// arriving eventually qualifies.
-    pub fn insert(&self, key: &[u8], value: V, expiry: u64) -> bool {
+    /// Inserts or replaces `key`; `_expiry` is ignored. Replacement of an
+    /// existing key always succeeds; a brand-new key entering a full cache
+    /// must beat the CLOCK victim's sketch estimate or it is rejected
+    /// (returns `false`). Rejected keys still record their touch, so a key
+    /// that keeps arriving eventually qualifies.
+    pub fn insert(&self, key: &[u8], value: V, _expiry: u64) -> bool {
         let hash = crate::hash_bytes(key);
         self.sketch.touch(hash);
         let mut guard = self.lock();
@@ -355,7 +295,6 @@ impl<V: Clone> ClockCache<V> {
             let slot = inner.slots[idx].as_mut().expect("indexed slot occupied");
             slot.value = value;
             slot.referenced = true;
-            inner.refile(idx, expiry);
             return true;
         }
         let idx = if let Some(idx) = inner.free.pop() {
@@ -392,71 +331,18 @@ impl<V: Clone> ClockCache<V> {
             hash,
             value,
             referenced: true,
-            expiry,
         });
         inner.place(index_word(hash, idx));
         inner.live += 1;
-        inner.file(idx, expiry);
         true
     }
 
-    /// Removes `key`, returning its value. The wheel entry is left to lazy
-    /// invalidation.
+    /// Removes `key`, returning its value.
     pub fn remove(&self, key: &[u8]) -> Option<V> {
         let mut inner = self.lock();
         let idx = inner.find(crate::hash_bytes(key), key)?;
         inner.free.push(idx as u32);
         Some(inner.vacate(idx).value)
-    }
-
-    /// Collects up to `limit` entries whose lease expires within
-    /// `(now, now + horizon]`, already expired included. Only wheel buckets
-    /// covering that window are visited — the rest of the cache is never
-    /// touched. Stale wheel entries (evicted slots, refiled expiries) are
-    /// dropped as they are encountered.
-    pub fn expiring(&self, now: u64, horizon: u64, limit: usize) -> Vec<(Vec<u8>, V)> {
-        let deadline = now.saturating_add(horizon);
-        let last_bucket = deadline >> WHEEL_SHIFT;
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        let mut out = Vec::new();
-        let due: Vec<u64> = inner.wheel.range(..=last_bucket).map(|(b, _)| *b).collect();
-        for bucket in due {
-            let Some(mut entries) = inner.wheel.remove(&bucket) else {
-                continue;
-            };
-            inner.wheel_len -= entries.len();
-            let mut keep = Vec::new();
-            while let Some((idx, filed_expiry)) = entries.pop() {
-                let Some(slot) = inner.slots[idx as usize]
-                    .as_ref()
-                    .filter(|s| s.expiry == filed_expiry)
-                else {
-                    continue; // evicted, removed, or refiled: drop lazily
-                };
-                if slot.expiry <= deadline && out.len() < limit {
-                    out.push((slot.key.as_slice().to_vec(), slot.value.clone()));
-                } else {
-                    keep.push((idx, filed_expiry));
-                }
-            }
-            if !keep.is_empty() {
-                inner.wheel_len += keep.len();
-                inner.wheel.insert(bucket, keep);
-            }
-            if out.len() >= limit {
-                break;
-            }
-        }
-        out
-    }
-
-    /// Re-files `key` under a new lease expiry (after a successful renewal).
-    pub fn refile(&self, key: &[u8], expiry: u64) {
-        let mut inner = self.lock();
-        if let Some(idx) = inner.find(crate::hash_bytes(key), key) {
-            inner.refile(idx, expiry);
-        }
     }
 
     /// Visits a snapshot of live entries (diagnostics / tests).
@@ -472,13 +358,11 @@ impl<V: Clone> ClockCache<V> {
 mod tests {
     use super::*;
 
-    const MS: u64 = 1 << WHEEL_SHIFT; // one wheel bucket
-
     #[test]
     fn bounded_under_overload() {
         let c: ClockCache<u64> = ClockCache::new(64);
         for i in 0..640u64 {
-            c.insert(format!("k{i:05}").as_bytes(), i, 1_000 * MS);
+            c.insert(format!("k{i:05}").as_bytes(), i, 0);
         }
         assert!(c.len() <= 64, "cache exceeded capacity: {}", c.len());
         let mut count = 0;
@@ -493,13 +377,13 @@ mod tests {
         for round in 0..50 {
             for h in 0..16u64 {
                 let key = format!("hot{h:02}");
-                c.insert(key.as_bytes(), round, 1_000 * MS);
+                c.insert(key.as_bytes(), round, 0);
                 c.get(key.as_bytes());
             }
         }
         // Flood with one-shot cold keys (10x capacity).
         for i in 0..320u64 {
-            c.insert(format!("cold{i:04}").as_bytes(), i, 1_000 * MS);
+            c.insert(format!("cold{i:04}").as_bytes(), i, 0);
         }
         let mut hot_alive = 0;
         for h in 0..16u64 {
@@ -518,90 +402,27 @@ mod tests {
     fn replace_existing_key_always_succeeds() {
         let c: ClockCache<u64> = ClockCache::new(4);
         for i in 0..4u64 {
-            assert!(c.insert(format!("k{i}").as_bytes(), i, 100 * MS));
+            assert!(c.insert(format!("k{i}").as_bytes(), i, 0));
         }
         // Full cache: replacing an existing key is not an admission decision.
-        assert!(c.insert(b"k2", 99, 100 * MS));
+        assert!(c.insert(b"k2", 99, 0));
         assert_eq!(c.get(b"k2"), Some(99));
     }
 
     #[test]
     fn remove_frees_a_slot() {
         let c: ClockCache<u64> = ClockCache::new(2);
-        c.insert(b"a", 1, 100 * MS);
-        c.insert(b"b", 2, 100 * MS);
+        c.insert(b"a", 1, 0);
+        c.insert(b"b", 2, 0);
         assert_eq!(c.remove(b"a"), Some(1));
         assert_eq!(c.remove(b"a"), None);
         assert_eq!(c.len(), 1);
         // The freed slot admits a newcomer without an eviction fight.
-        assert!(c.insert(b"c", 3, 100 * MS));
+        assert!(c.insert(b"c", 3, 0));
         assert_eq!(c.len(), 2);
     }
 
-    #[test]
-    fn expiring_visits_only_due_buckets() {
-        let c: ClockCache<u64> = ClockCache::new(64);
-        // 8 entries due soon, 40 due far in the future.
-        for i in 0..8u64 {
-            c.insert(format!("soon{i}").as_bytes(), i, 10 * MS + i);
-        }
-        for i in 0..40u64 {
-            c.insert(format!("late{i:02}").as_bytes(), i, 100_000 * MS + i);
-        }
-        let due = c.expiring(9 * MS, 2 * MS, 16);
-        assert_eq!(due.len(), 8);
-        assert!(due.iter().all(|(k, _)| k.starts_with(b"soon")));
-        // Far-future entries stay filed: a later scan at their time sees them.
-        let later = c.expiring(100_000 * MS, MS, 64);
-        assert_eq!(later.len(), 40);
-    }
-
-    #[test]
-    fn expiring_respects_limit_and_keeps_leftovers() {
-        let c: ClockCache<u64> = ClockCache::new(64);
-        for i in 0..20u64 {
-            c.insert(format!("e{i:02}").as_bytes(), i, 5 * MS);
-        }
-        let first = c.expiring(5 * MS, MS, 8);
-        assert_eq!(first.len(), 8);
-        let rest = c.expiring(5 * MS, MS, 64);
-        assert_eq!(rest.len(), 12, "unharvested entries must stay filed");
-    }
-
-    #[test]
-    fn refile_moves_the_wheel_entry() {
-        let c: ClockCache<u64> = ClockCache::new(8);
-        c.insert(b"r", 7, 10 * MS);
-        c.refile(b"r", 500 * MS);
-        assert!(c.expiring(10 * MS, MS, 8).is_empty(), "old filing is stale");
-        let due = c.expiring(500 * MS, MS, 8);
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].0, b"r");
-    }
-
-    #[test]
-    fn stale_wheel_entries_for_evicted_slots_are_dropped() {
-        let c: ClockCache<u64> = ClockCache::new(2);
-        c.insert(b"x", 1, 10 * MS);
-        c.insert(b"y", 2, 10 * MS);
-        c.remove(b"x");
-        c.insert(b"z", 3, 10 * MS);
-        let due = c.expiring(10 * MS, MS, 8);
-        let keys: Vec<&[u8]> = due.iter().map(|(k, _)| k.as_slice()).collect();
-        assert!(keys.contains(&b"y".as_slice()));
-        assert!(keys.contains(&b"z".as_slice()));
-        assert!(!keys.contains(&b"x".as_slice()));
-    }
-
     impl<V> ClockCache<V> {
-        /// Filings in the wheel, counted bucket by bucket.
-        fn wheel_entries(&self) -> usize {
-            let inner = self.inner.lock().unwrap();
-            let counted = inner.wheel.values().map(Vec::len).sum();
-            assert_eq!(inner.wheel_len, counted);
-            counted
-        }
-
         /// Every occupied slot is named by exactly one index word, found
         /// from its home, and the index is at most half full.
         fn check_index(&self) {
@@ -639,48 +460,17 @@ mod tests {
         let c: ClockCache<u64> = ClockCache::new(1024);
         for i in 0..600u64 {
             let key = format!("grow{i:04}");
-            assert!(c.insert(key.as_bytes(), i, MS));
+            assert!(c.insert(key.as_bytes(), i, 0));
             c.check_index();
             assert_eq!(c.remove(key.as_bytes()), Some(i));
             assert_eq!(c.get(key.as_bytes()), None);
             c.check_index();
-            assert!(c.insert(key.as_bytes(), i, MS));
+            assert!(c.insert(key.as_bytes(), i, 0));
         }
         c.check_index();
         assert_eq!(c.len(), 600);
         for i in 0..600u64 {
             assert_eq!(c.get(format!("grow{i:04}").as_bytes()), Some(i));
         }
-    }
-
-    /// The message path re-caches a key under a later lease on every GET and
-    /// nothing in a client ever harvests: the wheel must forget the filings
-    /// those re-inserts made stale instead of keeping all of them.
-    #[test]
-    fn wheel_is_bounded_by_the_live_entries_and_keeps_its_harvest_order() {
-        const KEYS: u64 = 64;
-        const ROUNDS: u64 = 1_000_000 / KEYS;
-        let c: ClockCache<u64> = ClockCache::new(KEYS as usize);
-        // Sixteen filings a bucket, so the last round's span four buckets.
-        let expiry = |round: u64, i: u64| (round * KEYS + i) * (MS / 16);
-        for round in 0..ROUNDS {
-            for i in 0..KEYS {
-                assert!(c.insert(format!("w{i:02}").as_bytes(), round, expiry(round, i)));
-            }
-            assert!(c.wheel_entries() <= WHEEL_SLACK * KEYS as usize);
-        }
-        assert_eq!(c.len(), KEYS as usize);
-        // Harvest order: buckets ascending, the last filed first within one.
-        let mut expect: Vec<u64> = (0..KEYS).collect();
-        expect.sort_by_key(|&i| (expiry(ROUNDS - 1, i) >> WHEEL_SHIFT, std::cmp::Reverse(i)));
-        let due = c.expiring(0, u64::MAX, usize::MAX);
-        let got: Vec<Vec<u8>> = due.iter().map(|(k, _)| k.clone()).collect();
-        let expect: Vec<Vec<u8>> = expect
-            .iter()
-            .map(|i| format!("w{i:02}").into_bytes())
-            .collect();
-        assert_eq!(got, expect);
-        assert!(due.iter().all(|(_, v)| *v == ROUNDS - 1));
-        assert_eq!(c.wheel_entries(), 0);
     }
 }

@@ -4,7 +4,7 @@
 //! [`FreqSketch`] that gates admission to it; and [`hash_bytes`], the one
 //! key hash both are driven by. The sketch is what is left of the crate's
 //! name: the cache's critical sections are a few probes long, and CLOCK's
-//! hand and the lease wheel want coherent mutation (see [`ClockCache`]).
+//! hand and the index want coherent mutation (see [`ClockCache`]).
 
 mod clock;
 mod sketch;

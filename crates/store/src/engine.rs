@@ -5,8 +5,8 @@
 //!
 //! * out-of-place writes with guardian flips (INSERT / UPDATE / DELETE),
 //! * GETs that bump popularity, extend leases (1–64 s scaled by popularity)
-//!   and hand back the remote pointer metadata clients cache for RDMA Reads,
-//! * lease renewal,
+//!   and hand back the remote pointer metadata clients cache for RDMA Reads
+//!   (the GET that re-caches a pointer is what renews its lease),
 //! * lease-deferred reclamation,
 //! * CLOCK eviction when configured as a cache.
 //!
@@ -124,7 +124,6 @@ pub struct EngineStats {
     pub inserts: u64,
     pub updates: u64,
     pub deletes: u64,
-    pub lease_renews: u64,
     /// Range scans served (each continuation quantum counts once).
     pub scans: u64,
     /// Items emitted across all scans.
@@ -467,8 +466,7 @@ impl ShardEngine {
 
     /// Lease tier of an item with popularity `pop`: `floor(log2(pop))`
     /// clamped to 0..=6, i.e. the seven doublings of the §4.2.3 1–64 s
-    /// range. This is the value the packed index caches inline in the
-    /// bucket's meta word ([`crate::PackedTable::touch`]).
+    /// range.
     fn lease_class(pop: u8) -> u8 {
         (63 - (pop as u64).max(1).leading_zeros() as u64).min(6) as u8
     }
@@ -509,9 +507,6 @@ impl ShardEngine {
         let expiry = now + self.lease_term(pop);
         item.extend_lease(words, expiry);
         item.value_into(words, out);
-        // Mirror the granted lease tier into the bucket line while it is
-        // still cache-hot (no-op for indexes without inline metadata).
-        self.table.touch(hash, off, Self::lease_class(pop));
         Some(ItemInfo {
             off_words: off,
             read_len: item.read_len(words),
@@ -603,7 +598,6 @@ impl ShardEngine {
                 let expiry = now + self.lease_term(pop);
                 item.extend_lease(words, expiry);
                 item.value_into(words, scratch);
-                self.table.touch(hashes[i], off, Self::lease_class(pop));
                 emit(
                     chunk_start + i,
                     Some(ItemInfo {
@@ -644,22 +638,6 @@ impl ShardEngine {
         self.reclaim.push(off, total, lease.max(now));
         self.stats.deletes += 1;
         Ok(())
-    }
-
-    /// Extends the lease of `key` (client-initiated renewal). Returns the
-    /// new expiry, or `None` when the key is gone — at which point the
-    /// server stops extending, per §4.2.3.
-    pub fn renew_lease(&mut self, now: u64, key: &[u8]) -> Option<u64> {
-        self.stats.lease_renews += 1;
-        let hash = hash_key(key);
-        let off = self.find(hash, key)?;
-        let words = self.arena.words();
-        let item = ItemRef { off };
-        let pop = item.popularity(words);
-        let expiry = now + self.lease_term(pop);
-        item.extend_lease(words, expiry);
-        self.table.touch(hash, off, Self::lease_class(pop));
-        Some(item.lease(words))
     }
 
     /// Frees every dead block whose lease has expired. The paper runs this on
@@ -990,16 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn renew_lease_extends_and_stops_after_delete() {
-        let mut e = ShardEngine::new(cfg_small(WriteMode::Reliable));
-        e.insert(0, b"k", b"v").unwrap();
-        let l1 = e.renew_lease(100, b"k").unwrap();
-        assert!(l1 >= 1_100);
-        e.delete(200, b"k").unwrap();
-        assert_eq!(e.renew_lease(300, b"k"), None, "no renewal for dead keys");
-    }
-
-    #[test]
     fn cache_mode_evicts_under_pressure() {
         let cfg = EngineConfig {
             arena_words: 512,
@@ -1163,7 +1131,7 @@ mod tests {
                 .unwrap();
         }
         // Deletes only from here on; leases are short, so blocks keep
-        // expiring as virtual time advances.
+        // coming due as virtual time advances.
         let mut peak_pending = 0;
         for i in 0..2_000u64 {
             let now = 1_000_000 + i * 100; // far past every grant

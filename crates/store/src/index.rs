@@ -179,17 +179,6 @@ impl AnyIndex {
         }
     }
 
-    /// Refreshes inline per-entry metadata (lease class) after the engine
-    /// granted or renewed a lease. Nothing to do for the structures without
-    /// inline metadata.
-    pub fn touch(&mut self, hash: u64, offset: u64, lease_class: u8) {
-        match self {
-            AnyIndex::Chained(_) | AnyIndex::Compact(_) => {}
-            AnyIndex::Packed(t) => t.touch(hash, offset, lease_class),
-            AnyIndex::Hybrid(t) => t.touch(hash, offset, lease_class),
-        }
-    }
-
     /// Visits every stored offset.
     pub fn for_each(&self, f: impl FnMut(u64)) {
         dispatch!(self, t => t.for_each(f))
@@ -353,7 +342,6 @@ mod tests {
 
             assert!(idx.mem_bytes() > 0);
             assert!(idx.stats().lookups > 0);
-            idx.touch(hash_key(&keys[1]), offs[1], 3);
             assert_eq!(idx.lookup(hash_key(&keys[1]), is(&keys[1])), Some(offs[1]));
             // Growing from 16 entries retired the relocating kinds' old
             // tables; one pump frees them.

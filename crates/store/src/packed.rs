@@ -9,8 +9,7 @@
 //!
 //! ```text
 //! word 0 : tag array  [ tag0 ][ tag1 ] ... [ tag6 ][ control byte ]
-//! word i : slot i-1   [ meta : 16 bits ][ arena word offset : 48 bits ]
-//!          meta = [ entry incarnation : 8 ][ lease class : 8 ]
+//! word i : slot i-1   [ arena word offset : 48 bits ]
 //! ```
 //!
 //! * **Tags** — one byte per slot derived from the high hash bits
@@ -20,16 +19,11 @@
 //!   per-slot loop, no nightly SIMD.
 //! * **Control byte** — the group's `OVERFLOWED` sticky bit (an insert once
 //!   passed through this group while it was full, so probes must continue to
-//!   the next group), the `MIGRATED` bit (resize has drained this group, but
-//!   probe chains still pass through it), and a 6-bit group incarnation
-//!   bumped on every slot mutation.
-//! * **Slot meta** — the paper's lease + incarnation word packed inline next
-//!   to the item pointer: the 8-bit *entry incarnation* increments on every
-//!   out-of-place update of the key (so a stale location can be recognized
-//!   from the bucket line alone), and the 8-bit *lease class* mirrors the
-//!   lease tier last granted by the engine (via [`PackedTable::touch`]).
-//!   The fast-path GET and the one-sided-read address computation therefore
-//!   touch a single cache line before the value bytes.
+//!   the next group) and the `MIGRATED` bit (resize has drained this group,
+//!   but probe chains still pass through it).
+//! * **Slots** — the item's arena word offset and nothing else: the lease
+//!   lives in the item header, where one-sided reads and reclamation read
+//!   it, so a lookup touches a single cache line before the item.
 //!
 //! **Probing** is bounded linear group probing: start at `hash & mask`, stop
 //! at the first group whose `OVERFLOWED`/`MIGRATED` bits are both clear.
@@ -64,12 +58,9 @@ const TAG_TOMB: u8 = 0x01;
 const CTRL_SHIFT: u64 = 56;
 const CTRL_OVERFLOWED: u8 = 0x01;
 const CTRL_MIGRATED: u8 = 0x02;
-const CTRL_INC_STEP: u8 = 0x04; // incarnation lives in bits 2..8
 
+/// Largest arena word offset a slot holds (48 bits).
 const OFF_MASK: u64 = (1 << 48) - 1;
-const META_SHIFT: u64 = 48;
-const META_LEASE_MASK: u16 = 0x00FF;
-const META_INC_STEP: u16 = 0x0100;
 
 const LSB: u64 = 0x0101_0101_0101_0101;
 const MSB: u64 = 0x8080_8080_8080_8080;
@@ -148,18 +139,6 @@ impl Group {
         self.set_ctrl(self.ctrl() | flag);
     }
 
-    /// 6-bit wrapping group incarnation (bits 2..8 of the control byte),
-    /// bumped on every slot mutation.
-    #[inline]
-    fn incarnation(&self) -> u8 {
-        self.ctrl() >> 2
-    }
-
-    #[inline]
-    fn bump_incarnation(&mut self) {
-        self.set_ctrl((self.ctrl() & 0x03) | (self.ctrl().wrapping_add(CTRL_INC_STEP) & 0xFC));
-    }
-
     #[inline]
     fn tag_at(&self, lane: usize) -> u8 {
         (self.tags >> (lane * 8)) as u8
@@ -169,23 +148,6 @@ impl Group {
     fn set_tag(&mut self, lane: usize, tag: u8) {
         let shift = lane * 8;
         self.tags = (self.tags & !(0xFFu64 << shift)) | ((tag as u64) << shift);
-        self.bump_incarnation();
-    }
-
-    #[inline]
-    fn slot_off(&self, lane: usize) -> u64 {
-        self.slots[lane] & OFF_MASK
-    }
-
-    #[inline]
-    fn slot_meta(&self, lane: usize) -> u16 {
-        (self.slots[lane] >> META_SHIFT) as u16
-    }
-
-    #[inline]
-    fn set_slot(&mut self, lane: usize, off: u64, meta: u16) {
-        debug_assert!(off <= OFF_MASK);
-        self.slots[lane] = off | ((meta as u64) << META_SHIFT);
     }
 
     /// Candidate lanes whose tag equals `tag`.
@@ -329,46 +291,13 @@ impl PackedTable {
     pub fn lookup(&mut self, hash: u64, mut is_match: impl FnMut(u64) -> bool) -> Option<u64> {
         self.stats.lookups += 1;
         let tag = tag_of(hash);
-        if let Some((off, _)) =
-            Self::probe(&self.groups, self.mask, hash, tag, &mut self.stats, |off| {
-                is_match(off)
-            })
-        {
-            return Some(off);
-        }
-        if let Some(old) = &self.old {
-            if let Some((off, _)) =
-                Self::probe(&old.groups, old.mask, hash, tag, &mut self.stats, is_match)
-            {
-                return Some(off);
-            }
-        }
-        None
-    }
-
-    /// [`lookup`](Self::lookup) that also returns the slot's packed meta
-    /// word (`[incarnation:8][lease class:8]`) straight from the bucket
-    /// line. Charges the same statistics as a plain lookup.
-    pub fn lookup_meta(
-        &mut self,
-        hash: u64,
-        mut is_match: impl FnMut(u64) -> bool,
-    ) -> Option<(u64, u16)> {
-        self.stats.lookups += 1;
-        let tag = tag_of(hash);
-        if let Some(hit) = Self::probe(&self.groups, self.mask, hash, tag, &mut self.stats, |off| {
+        if let Some(off) = Self::probe(&self.groups, self.mask, hash, tag, &mut self.stats, |off| {
             is_match(off)
         }) {
-            return Some(hit);
+            return Some(off);
         }
-        if let Some(old) = &self.old {
-            if let Some(hit) =
-                Self::probe(&old.groups, old.mask, hash, tag, &mut self.stats, is_match)
-            {
-                return Some(hit);
-            }
-        }
-        None
+        let old = self.old.as_ref()?;
+        Self::probe(&old.groups, old.mask, hash, tag, &mut self.stats, is_match)
     }
 
     /// Walks the probe chain of `hash` in one half, confirming candidates
@@ -380,7 +309,7 @@ impl PackedTable {
         tag: u8,
         stats: &mut TableStats,
         mut is_match: impl FnMut(u64) -> bool,
-    ) -> Option<(u64, u16)> {
+    ) -> Option<u64> {
         let mut idx = (hash & mask) as usize;
         for _ in 0..groups.len() {
             stats.buckets_probed += 1;
@@ -390,9 +319,9 @@ impl PackedTable {
                 let lane = lane_of(m);
                 m &= m - 1;
                 stats.full_compares += 1;
-                let off = g.slot_off(lane);
+                let off = g.slots[lane];
                 if is_match(off) {
-                    return Some((off, g.slot_meta(lane)));
+                    return Some(off);
                 }
                 stats.false_positives += 1;
             }
@@ -450,7 +379,7 @@ impl PackedTable {
             self.len + self.tombs < self.groups.len() * GROUP_SLOTS,
             "packed table full"
         );
-        let reused_tomb = Self::place(&mut self.groups, self.mask, hash, offset, 0);
+        let reused_tomb = Self::place(&mut self.groups, self.mask, hash, offset);
         if reused_tomb {
             self.tombs -= 1;
         }
@@ -461,7 +390,7 @@ impl PackedTable {
     /// Raw placement into one half: bounded linear group probing from the
     /// home group, setting the sticky `OVERFLOWED` bit on every full group
     /// passed. Returns whether a tombstone lane was reused.
-    fn place(groups: &mut [Group], mask: u64, hash: u64, offset: u64, meta: u16) -> bool {
+    fn place(groups: &mut [Group], mask: u64, hash: u64, offset: u64) -> bool {
         let tag = tag_of(hash);
         let mut idx = (hash & mask) as usize;
         loop {
@@ -470,7 +399,7 @@ impl PackedTable {
             if free != 0 {
                 let lane = lane_of(free);
                 let was_tomb = g.tag_at(lane) == TAG_TOMB;
-                g.set_slot(lane, offset, meta);
+                g.slots[lane] = offset;
                 g.set_tag(lane, tag);
                 return was_tomb;
             }
@@ -480,9 +409,7 @@ impl PackedTable {
     }
 
     /// Replaces the offset of an existing entry (out-of-place update: same
-    /// key, new item location). Bumps the slot's entry incarnation and
-    /// resets its lease class (the new item has not been leased yet).
-    /// Returns the old offset.
+    /// key, new item location). Returns the old offset.
     pub fn replace(
         &mut self,
         hash: u64,
@@ -509,12 +436,9 @@ impl PackedTable {
                 while m != 0 {
                     let lane = lane_of(m);
                     m &= m - 1;
-                    let off = g.slot_off(lane);
+                    let off = g.slots[lane];
                     if is_match(off) {
-                        let inc =
-                            (g.slot_meta(lane) & !META_LEASE_MASK).wrapping_add(META_INC_STEP);
-                        g.set_slot(lane, new_offset, inc);
-                        g.bump_incarnation();
+                        g.slots[lane] = new_offset;
                         found = Some(off);
                         break 'halves;
                     }
@@ -559,11 +483,11 @@ impl PackedTable {
                 while m != 0 {
                     let lane = lane_of(m);
                     m &= m - 1;
-                    let off = g.slot_off(lane);
+                    let off = g.slots[lane];
                     if is_match(off) {
                         let tomb = g.overflowed();
                         g.set_tag(lane, if tomb { TAG_TOMB } else { TAG_EMPTY });
-                        g.set_slot(lane, 0, 0);
+                        g.slots[lane] = 0;
                         removed = Some(off);
                         main_tomb = tomb && half == 0;
                         break 'done;
@@ -591,42 +515,6 @@ impl PackedTable {
             self.migrate_step(rehash);
         }
         removed
-    }
-
-    /// Refreshes the inline lease class of the entry for `(hash, offset)`.
-    /// The engine calls this right after a GET/renewal extended the item's
-    /// lease — the group line is still hot, so the write is effectively
-    /// free. Identity is by offset; no key comparison is needed.
-    pub fn touch(&mut self, hash: u64, offset: u64, lease_class: u8) {
-        self.stats.touches += 1;
-        let tag = tag_of(hash);
-        for half in 0..2 {
-            let (groups, mask) = match half {
-                0 => (&mut self.groups[..], self.mask),
-                _ => match &mut self.old {
-                    Some(o) => (&mut o.groups[..], o.mask),
-                    None => return,
-                },
-            };
-            let mut idx = (hash & mask) as usize;
-            for _ in 0..groups.len() {
-                let g = &mut groups[idx];
-                let mut m = g.match_mask(tag);
-                while m != 0 {
-                    let lane = lane_of(m);
-                    m &= m - 1;
-                    if g.slot_off(lane) == offset {
-                        let meta = (g.slot_meta(lane) & !META_LEASE_MASK) | (lease_class as u16);
-                        g.set_slot(lane, offset, meta);
-                        return;
-                    }
-                }
-                if !g.chains_on() {
-                    break;
-                }
-                idx = (idx + 1) & mask as usize;
-            }
-        }
     }
 
     /// Installs a fresh group array and turns the current one into the old
@@ -658,10 +546,8 @@ impl PackedTable {
         if old.pos < old.groups.len() {
             let g = old.groups[old.pos];
             for lane in g.live_lanes() {
-                let off = g.slot_off(lane);
-                let meta = g.slot_meta(lane);
-                let hash = rehash(off);
-                Self::place(&mut self.groups, self.mask, hash, off, meta);
+                let off = g.slots[lane];
+                Self::place(&mut self.groups, self.mask, rehash(off), off);
                 self.stats.displacements += 1;
             }
             let drained = &mut old.groups[old.pos];
@@ -685,15 +571,9 @@ impl PackedTable {
             .chain(self.old.iter().flat_map(|o| o.groups.iter()))
         {
             for lane in g.live_lanes() {
-                f(g.slot_off(lane));
+                f(g.slots[lane]);
             }
         }
-    }
-
-    /// 6-bit incarnation of the home group of `hash` in the live half —
-    /// changes whenever any slot of that group is mutated.
-    pub fn group_incarnation(&self, hash: u64) -> u8 {
-        self.groups[(hash & self.mask) as usize].incarnation()
     }
 }
 
@@ -911,58 +791,6 @@ mod tests {
     }
 
     #[test]
-    fn replace_bumps_entry_incarnation_and_resets_lease_class() {
-        let mut m = Model::new(4);
-        let off = m.insert(b"k");
-        let h = hash_key(b"k");
-        m.table.touch(h, off, 5);
-        let by_off = m.by_off.clone();
-        let (_, meta) = m
-            .table
-            .lookup_meta(h, |o| by_off.get(&o).is_some_and(|k| k == b"k"))
-            .unwrap();
-        assert_eq!(meta & 0x00FF, 5, "lease class recorded inline");
-        assert_eq!(meta >> 8, 0, "fresh entry: incarnation 0");
-        m.by_off.insert(999, b"k".to_vec());
-        let by_off = m.by_off.clone();
-        let old = m.table.replace(
-            h,
-            999,
-            |o| by_off.get(&o).is_some_and(|k| k == b"k"),
-            |o| hash_key(&by_off[&o]),
-        );
-        assert_eq!(old, Some(off));
-        let by_off = m.by_off.clone();
-        let (got, meta) = m
-            .table
-            .lookup_meta(h, |o| by_off.get(&o).is_some_and(|k| k == b"k"))
-            .unwrap();
-        assert_eq!(got, 999);
-        assert_eq!(meta >> 8, 1, "replace must bump the entry incarnation");
-        assert_eq!(meta & 0x00FF, 0, "new location: lease class reset");
-        assert_eq!(m.table.len(), 1, "replace must not change len");
-    }
-
-    #[test]
-    fn meta_survives_migration() {
-        let mut m = Model::new(1);
-        let off = m.insert(b"sticky");
-        let h = hash_key(b"sticky");
-        m.table.touch(h, off, 7);
-        for i in 0..3_000 {
-            m.insert(format!("mv-{i}").as_bytes());
-        }
-        assert!(m.table.stats().resizes >= 1);
-        let by_off = m.by_off.clone();
-        let (got, meta) = m
-            .table
-            .lookup_meta(h, |o| by_off.get(&o).is_some_and(|k| k == b"sticky"))
-            .unwrap();
-        assert_eq!(got, off);
-        assert_eq!(meta & 0x00FF, 7, "lease class must ride along migrations");
-    }
-
-    #[test]
     fn lookup_batch_matches_scalar_lookups_and_stats() {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(0xBA7C4);
@@ -1017,15 +845,6 @@ mod tests {
         let mut expect: Vec<u64> = m.by_off.keys().copied().collect();
         expect.sort_unstable();
         assert_eq!(seen, expect);
-    }
-
-    #[test]
-    fn group_incarnation_changes_on_mutation() {
-        let mut m = Model::new(4);
-        let h = hash_key(b"inc-key");
-        let before = m.table.group_incarnation(h);
-        m.insert(b"inc-key");
-        assert_ne!(m.table.group_incarnation(h), before);
     }
 
     #[test]

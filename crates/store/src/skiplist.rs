@@ -693,11 +693,6 @@ impl HybridTable {
         old
     }
 
-    /// Refreshes the hash side's inline lease class.
-    pub fn touch(&mut self, hash: u64, offset: u64, lease_class: u8) {
-        self.hash.touch(hash, offset, lease_class)
-    }
-
     /// Visits every stored offset (hash-side order).
     pub fn for_each(&self, f: impl FnMut(u64)) {
         self.hash.for_each(f)

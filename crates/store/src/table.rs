@@ -130,8 +130,6 @@ pub struct TableStats {
     pub migrated_groups: u64,
     /// Packed table: tombstone lanes discarded when a resize began.
     pub tombstones_purged: u64,
-    /// Packed table: inline lease-class refreshes ([`crate::PackedTable::touch`]).
-    pub touches: u64,
 }
 
 /// The compact hash table. Maps 64-bit key hashes to arena word offsets,

@@ -4,14 +4,14 @@
 //! so the whole batch costs one RDMA Write (one doorbell, one polling sweep,
 //! one frame) instead of one per request; servers answer with the responses
 //! packed the same way. The layout is a validated length-prefixed window in
-//! the spirit of [`crate::codec::KeyList`] packed key lists:
+//! the spirit of [`crate::codec::ScanItems`] packed item lists:
 //!
 //! ```text
 //! [magic:1][pad:3][count:4] ([len:4][msg: len bytes])*
 //! ```
 //!
 //! The magic byte `0xB7` is deliberately outside the [`crate::OpCode`] and
-//! [`crate::Status`] value ranges (1..=6 and 1..=4), so the first byte of a framed
+//! [`crate::Status`] value ranges (1..=6 and 1..=5), so the first byte of a framed
 //! payload tells the receiver whether it holds one message or a batch.
 //! [`BatchFrame::parse`] validates the entire window once — count, per-entry
 //! bounds, and the absence of trailing garbage — after which iteration is

@@ -12,13 +12,13 @@
 //! [op:1][flags:1][pad:2][klen:4][vlen:4][req_id:8][key][value]
 //! ```
 //!
-//! `LEASE_RENEW` reuses the value area for a packed key list. `SCAN` carries
-//! its start key in the key area and its item limit as a 4-byte value; the
-//! scan *response* reuses the value area for a packed multi-item list
-//! (`[more:1][pad:3][count:4]` then `count` entries of
-//! `[klen:4][vlen:4][key][value]` — see [`ScanItems`]), with the `more` flag
-//! doubling as the continuation token: the client resumes from its last
-//! received key.
+//! Opcodes are GET 1, INSERT 2, UPDATE 3, DELETE 4 and SCAN 6; byte 5 is
+//! retired and decodes as malformed. `SCAN` carries its start key in the key
+//! area and its item limit as a 4-byte value; the scan *response* reuses the
+//! value area for a packed multi-item list (`[more:1][pad:3][count:4]` then
+//! `count` entries of `[klen:4][vlen:4][key][value]` — see [`ScanItems`]),
+//! with the `more` flag doubling as the continuation token: the client
+//! resumes from its last received key.
 //!
 //! Response layout:
 //!
@@ -46,7 +46,8 @@ pub const MAX_EXPORT_PTRS: usize = 4;
 pub struct ReplicaPtr {
     /// Fabric node index hosting the replica region.
     pub node: u32,
-    /// Lease tier (0..=6) the primary granted; informs renewal batching.
+    /// Lease tier (0..=6) the primary granted. Nothing reads it: the byte
+    /// is kept because it is part of the response layout.
     pub lease_class: u8,
     /// Where the replica's copy of the item lives.
     pub rptr: RemotePtr,
@@ -160,8 +161,6 @@ pub enum OpCode {
     Update = 3,
     /// Remove a key.
     Delete = 4,
-    /// Extend the leases of a batch of popular keys (§4.2.3).
-    LeaseRenew = 5,
     /// Ordered range scan: up to `limit` items starting at `start_key`,
     /// served in bounded quanta (§11).
     Scan = 6,
@@ -175,7 +174,6 @@ impl OpCode {
             2 => OpCode::Insert,
             3 => OpCode::Update,
             4 => OpCode::Delete,
-            5 => OpCode::LeaseRenew,
             6 => OpCode::Scan,
             _ => return None,
         })
@@ -219,149 +217,6 @@ const REQ_HDR: usize = 1 + 1 + 2 + 4 + 4 + 8;
 /// Bytes of the response header (everything before the value).
 pub const RESP_HDR: usize = 1 + 1 + 2 + 4 + 8 + REMOTE_PTR_BYTES + 8;
 
-/// The key batch of a LEASE_RENEW request, iterable without allocation.
-///
-/// On the encode side it wraps the caller's key slices; on the decode side it
-/// is a *validated window* over the packed `[count:4]([klen:4][key])*` wire
-/// bytes — decoding walks the packing once to check bounds and then borrows
-/// it, so the request hot path never builds a `Vec` of key slices.
-#[derive(Clone, Copy)]
-pub enum KeyList<'a> {
-    /// Unpacked key slices (encode side).
-    Slices(&'a [&'a [u8]]),
-    /// Validated packed wire bytes, including the count prefix (decode side).
-    Packed { count: u32, bytes: &'a [u8] },
-}
-
-impl<'a> KeyList<'a> {
-    /// Number of keys in the batch.
-    pub fn len(&self) -> usize {
-        match self {
-            KeyList::Slices(keys) => keys.len(),
-            KeyList::Packed { count, .. } => *count as usize,
-        }
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterates over the key slices.
-    pub fn iter(&self) -> KeyListIter<'a> {
-        match self {
-            KeyList::Slices(keys) => KeyListIter::Slices(keys.iter()),
-            KeyList::Packed { count, bytes } => KeyListIter::Packed {
-                remaining: *count,
-                rest: &bytes[4..],
-            },
-        }
-    }
-
-    /// Validates `bytes` as a complete packed key list (count prefix
-    /// included, no trailing garbage) and wraps it.
-    fn parse_packed(bytes: &'a [u8]) -> Option<KeyList<'a>> {
-        let count = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?);
-        let mut p = &bytes[4..];
-        for _ in 0..count {
-            let kl = u32::from_le_bytes(p.get(..4)?.try_into().ok()?) as usize;
-            p = p.get(4 + kl..)?;
-        }
-        if !p.is_empty() {
-            return None;
-        }
-        Some(KeyList::Packed { count, bytes })
-    }
-
-    fn packed_len(&self) -> usize {
-        match self {
-            KeyList::Slices(keys) => 4 + keys.iter().map(|k| 4 + k.len()).sum::<usize>(),
-            KeyList::Packed { bytes, .. } => bytes.len(),
-        }
-    }
-
-    fn pack_into(&self, out: &mut Vec<u8>) {
-        match self {
-            KeyList::Slices(keys) => {
-                out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-                for k in *keys {
-                    out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                    out.extend_from_slice(k);
-                }
-            }
-            KeyList::Packed { bytes, .. } => out.extend_from_slice(bytes),
-        }
-    }
-}
-
-impl<'a> From<&'a [&'a [u8]]> for KeyList<'a> {
-    fn from(keys: &'a [&'a [u8]]) -> Self {
-        KeyList::Slices(keys)
-    }
-}
-
-impl<'a> From<&'a Vec<&'a [u8]>> for KeyList<'a> {
-    fn from(keys: &'a Vec<&'a [u8]>) -> Self {
-        KeyList::Slices(keys)
-    }
-}
-
-impl<'a> IntoIterator for &KeyList<'a> {
-    type Item = &'a [u8];
-    type IntoIter = KeyListIter<'a>;
-    fn into_iter(self) -> KeyListIter<'a> {
-        self.iter()
-    }
-}
-
-impl PartialEq for KeyList<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
-    }
-}
-impl Eq for KeyList<'_> {}
-
-impl std::fmt::Debug for KeyList<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-/// Iterator over [`KeyList`] key slices.
-pub enum KeyListIter<'a> {
-    Slices(std::slice::Iter<'a, &'a [u8]>),
-    Packed { remaining: u32, rest: &'a [u8] },
-}
-
-impl<'a> Iterator for KeyListIter<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        match self {
-            KeyListIter::Slices(it) => it.next().copied(),
-            KeyListIter::Packed { remaining, rest } => {
-                if *remaining == 0 {
-                    return None;
-                }
-                *remaining -= 1;
-                // Bounds were validated by `parse_packed`.
-                let kl = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-                let key = &rest[4..4 + kl];
-                *rest = &rest[4 + kl..];
-                Some(key)
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = match self {
-            KeyListIter::Slices(it) => it.len(),
-            KeyListIter::Packed { remaining, .. } => *remaining as usize,
-        };
-        (n, Some(n))
-    }
-}
-
 /// A decoded request, borrowing key/value bytes from the frame payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request<'a> {
@@ -381,8 +236,6 @@ pub enum Request<'a> {
     },
     /// DELETE a key.
     Delete { req_id: u64, key: &'a [u8] },
-    /// Renew leases on a batch of keys the client deems popular.
-    LeaseRenew { req_id: u64, keys: KeyList<'a> },
     /// Ordered scan of up to `limit` items from the first key `>= start`.
     /// The server may truncate at its scan-quantum cap and set the response's
     /// [`ScanItems::more`] flag; the client then continues from the last key
@@ -402,7 +255,6 @@ impl<'a> Request<'a> {
             | Request::Insert { req_id, .. }
             | Request::Update { req_id, .. }
             | Request::Delete { req_id, .. }
-            | Request::LeaseRenew { req_id, .. }
             | Request::Scan { req_id, .. } => *req_id,
         }
     }
@@ -414,7 +266,6 @@ impl<'a> Request<'a> {
             Request::Insert { .. } => OpCode::Insert,
             Request::Update { .. } => OpCode::Update,
             Request::Delete { .. } => OpCode::Delete,
-            Request::LeaseRenew { .. } => OpCode::LeaseRenew,
             Request::Scan { .. } => OpCode::Scan,
         }
     }
@@ -439,22 +290,9 @@ impl<'a> Request<'a> {
                 start,
                 limit,
             } => {
-                // The limit rides in the value area, like LEASE_RENEW's keys.
+                // The limit rides in the value area.
                 limit_bytes = limit.to_le_bytes();
                 (OpCode::Scan, *req_id, start, &limit_bytes)
-            }
-            Request::LeaseRenew { req_id, keys } => {
-                // Pack the key list into the value area: [count:4] then
-                // repeated [klen:4][key], written straight into `out`.
-                out.reserve(REQ_HDR + keys.packed_len());
-                out.push(OpCode::LeaseRenew as u8);
-                out.push(0);
-                out.extend_from_slice(&[0, 0]);
-                out.extend_from_slice(&0u32.to_le_bytes());
-                out.extend_from_slice(&(keys.packed_len() as u32).to_le_bytes());
-                out.extend_from_slice(&req_id.to_le_bytes());
-                keys.pack_into(out);
-                return;
             }
         };
         out.push(op as u8);
@@ -487,10 +325,6 @@ impl<'a> Request<'a> {
             OpCode::Insert => Request::Insert { req_id, key, value },
             OpCode::Update => Request::Update { req_id, key, value },
             OpCode::Delete => Request::Delete { req_id, key },
-            OpCode::LeaseRenew => Request::LeaseRenew {
-                req_id,
-                keys: KeyList::parse_packed(value)?,
-            },
             OpCode::Scan => Request::Scan {
                 req_id,
                 start: key,
@@ -608,9 +442,8 @@ pub fn scan_items_rank<'a>(runs: impl IntoIterator<Item = ScanItems<'a>>, key: &
 
 /// The packed multi-item payload of a scan response — a *validated window*
 /// over `[more:1][pad:3][count:4]([klen:4][vlen:4][key][value])*`, borrowed
-/// from the response value like [`KeyList`] borrows renewal keys: parsing
-/// walks the packing once to check every bound, iteration then slices
-/// without re-validating or allocating.
+/// from the response value: parsing walks the packing once to check every
+/// bound, iteration then slices without re-validating or allocating.
 #[derive(Clone, Copy)]
 pub struct ScanItems<'a> {
     more: bool,
@@ -893,15 +726,6 @@ mod tests {
             req_id: 4,
             key: b"",
         });
-        let keys = [b"a".as_slice(), b"bb".as_slice(), b"ccc".as_slice()];
-        roundtrip_req(&Request::LeaseRenew {
-            req_id: 5,
-            keys: KeyList::Slices(&keys),
-        });
-        roundtrip_req(&Request::LeaseRenew {
-            req_id: 6,
-            keys: KeyList::Slices(&[]),
-        });
     }
 
     #[test]
@@ -1054,30 +878,21 @@ mod tests {
 
     #[test]
     fn unknown_opcode_and_status_rejected() {
-        let mut enc = Request::Get {
+        // No key and a 4-byte value: for opcode 5 that is the empty key
+        // list the retired lease renewal carried.
+        let mut enc = Request::Insert {
             req_id: 1,
-            key: b"k",
+            key: b"",
+            value: &0u32.to_le_bytes(),
         }
         .encode();
-        enc[0] = 0xFF;
-        assert!(Request::decode(&enc).is_none());
+        for op in [0, 5, 7, 0xFF] {
+            enc[0] = op;
+            assert!(Request::decode(&enc).is_none(), "opcode {op}");
+        }
         let mut enc = Response::status_only(Status::Ok, 1).encode();
         enc[0] = 0;
         assert!(Response::decode(&enc).is_none());
-    }
-
-    #[test]
-    fn lease_renew_with_corrupt_count_rejected() {
-        let keys = [b"abc".as_slice()];
-        let r = Request::LeaseRenew {
-            req_id: 5,
-            keys: KeyList::Slices(&keys),
-        };
-        let mut enc = r.encode();
-        // Inflate the declared key count beyond the available bytes.
-        let count_off = REQ_HDR;
-        enc[count_off..count_off + 4].copy_from_slice(&1000u32.to_le_bytes());
-        assert!(Request::decode(&enc).is_none());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   `AtomicU64` word slices so the same code is sound both under the
 //!   simulator (single thread) and across real OS threads in tests.
 //! * [`codec`] — request/response encodings for the key-value protocol
-//!   (GET / INSERT / UPDATE / DELETE / LEASE_RENEW / SCAN) plus the
+//!   (GET / INSERT / UPDATE / DELETE / SCAN) plus the
 //!   remote-pointer and lease metadata piggybacked on GET responses and the
 //!   packed multi-item payload of SCAN responses.
 //! * [`log`] — replication log records written by the primary into the
@@ -33,9 +33,8 @@ pub use batch::{
 pub use codec::{
     backlog_hint, channel_tag, scan_items_begin, scan_items_finish, scan_items_merge,
     scan_items_push, scan_items_rank, scan_response_begin, scan_response_finish, set_backlog_hint,
-    set_channel_tag, KeyList, OpCode, ReplicaPtr, ReplicaSet, Request, Response, ScanItems,
-    ScanItemsIter, Status, MAX_EXPORT_PTRS, RESP_FLAG_REPLICAS, RESP_HDR, SCAN_ENTRY_HDR,
-    SCAN_ITEMS_HDR,
+    set_channel_tag, OpCode, ReplicaPtr, ReplicaSet, Request, Response, ScanItems, ScanItemsIter,
+    Status, MAX_EXPORT_PTRS, RESP_FLAG_REPLICAS, RESP_HDR, SCAN_ENTRY_HDR, SCAN_ITEMS_HDR,
 };
 pub use frame::{
     consume_message, frame_to_words, frame_words, poll_message, write_message, FrameError,

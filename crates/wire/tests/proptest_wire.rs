@@ -6,7 +6,7 @@ use std::sync::atomic::AtomicU64;
 
 use hydra_wire::{
     frame, scan_items_begin, scan_items_finish, scan_items_merge, scan_items_push, scan_items_rank,
-    scan_response_begin, scan_response_finish, BatchBuilder, BatchFrame, KeyList, LogOp, LogRecord,
+    scan_response_begin, scan_response_finish, BatchBuilder, BatchFrame, LogOp, LogRecord,
     RemotePtr, Request, Response, ScanItems, Status,
 };
 use proptest::prelude::*;
@@ -52,18 +52,6 @@ proptest! {
         let enc = req.encode();
         let dec = Request::decode(&enc).expect("decodes");
         prop_assert_eq!(dec, req);
-    }
-
-    #[test]
-    fn lease_renew_roundtrips(req_id in any::<u64>(), keys in proptest::collection::vec(bytes(32), 0..12)) {
-        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        let req = Request::LeaseRenew { req_id, keys: KeyList::Slices(&refs) };
-        let enc = req.encode();
-        let dec = Request::decode(&enc).expect("decodes");
-        prop_assert_eq!(&dec, &req);
-        // The borrowed (packed) decode re-encodes byte-identically to the
-        // owned (slices) original.
-        prop_assert_eq!(dec.encode(), enc);
     }
 
     /// Decoding borrows; re-encoding the borrowed form must reproduce the

@@ -157,7 +157,7 @@ proptest! {
         }
         // Counts add up to the request list.
         let total = counts.gets + counts.inserts + counts.updates + counts.deletes
-            + counts.lease_renews + counts.scans;
+            + counts.scans;
         prop_assert_eq!(total as usize, reqs.len());
     }
 }

@@ -25,7 +25,6 @@ enum Op {
     Get(u16),
     GetBatch(Vec<u16>),
     Delete(u16),
-    RenewLease(u16),
     Reclaim,
     AdvanceTime(u64),
 }
@@ -41,7 +40,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => any::<u16>().prop_map(Op::Get),
         1 => proptest::collection::vec(any::<u16>(), 1..12).prop_map(Op::GetBatch),
         2 => any::<u16>().prop_map(Op::Delete),
-        1 => any::<u16>().prop_map(Op::RenewLease),
         1 => Just(Op::Reclaim),
         1 => (1u64..4_000).prop_map(Op::AdvanceTime),
     ]
@@ -317,7 +315,6 @@ fn apply(e: &mut ShardEngine, op: &Op, now: u64) -> Result<Vec<Option<Vec<u8>>>,
             Ok(out)
         }
         Op::Delete(k) => e.delete(now, &key_of(*k)).map(|_| Vec::new()),
-        Op::RenewLease(k) => Ok(vec![e.renew_lease(now, &key_of(*k)).map(|_| Vec::new())]),
         Op::Reclaim => {
             e.pump_reclaim(now);
             Ok(Vec::new())

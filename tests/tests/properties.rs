@@ -12,8 +12,8 @@ use hydra_db::{
     ClientMode, ClusterBuilder, ClusterConfig, ExecModel, IndexKind, OpError, ReplicationMode,
 };
 use hydra_wire::{
-    scan_items_begin, scan_items_finish, scan_items_push, BatchBuilder, BatchFrame, KeyList,
-    ReplicaPtr, ReplicaSet, Request, Response, ScanItems, Status, BATCH_MAGIC,
+    scan_items_begin, scan_items_finish, scan_items_push, BatchBuilder, BatchFrame, ReplicaPtr,
+    ReplicaSet, Request, Response, ScanItems, Status, BATCH_MAGIC,
 };
 use proptest::prelude::*;
 
@@ -188,9 +188,7 @@ fn arrivals() -> impl Strategy<Value = Vec<Arrival>> {
 fn valid_request(template: u8) -> Vec<u8> {
     let req_id = (1 << 40) + template as u64;
     let key = key_of(template % 8);
-    let other = key_of(template % 8 + 1);
-    let keys = [key.as_slice(), other.as_slice()];
-    match template % 6 {
+    match template % 5 {
         0 => Request::Get { req_id, key: &key },
         1 => Request::Insert {
             req_id,
@@ -203,10 +201,6 @@ fn valid_request(template: u8) -> Vec<u8> {
             value: b"injected-update",
         },
         3 => Request::Delete { req_id, key: &key },
-        4 => Request::LeaseRenew {
-            req_id,
-            keys: KeyList::Slices(&keys),
-        },
         _ => Request::Scan {
             req_id,
             start: &key,

@@ -43,8 +43,7 @@ use hydra_db::{
 use hydra_sim::SimTime;
 use hydra_store::{EngineConfig, ShardEngine, LOOKUP_BATCH};
 use hydra_wire::{
-    for_each_message_mut, messages, set_backlog_hint, BatchBuilder, BatchFrame, KeyList, Request,
-    Response,
+    for_each_message_mut, messages, set_backlog_hint, BatchBuilder, BatchFrame, Request, Response,
 };
 use proptest::prelude::*;
 
@@ -61,7 +60,6 @@ enum Op {
     Insert(u8, u8),
     Update(u8, u8),
     Delete(u8),
-    Renew(u8, u8),
 }
 
 #[derive(Debug, Clone)]
@@ -116,15 +114,6 @@ fn encode(i: usize, position: usize, op: &Op) -> Vec<u8> {
             key: &key_of(*k),
         }
         .encode(),
-        Op::Renew(a, b) => {
-            let (a, b) = (key_of(*a), key_of(*b));
-            let keys = [a.as_slice(), b.as_slice()];
-            Request::LeaseRenew {
-                req_id,
-                keys: KeyList::Slices(&keys),
-            }
-            .encode()
-        }
     }
 }
 
@@ -168,7 +157,6 @@ fn price(req: &Request<'_>, swept: bool) -> SimTime {
                 + (value.len() as f64 * costs::PER_BYTE_NS).round() as SimTime
         }
         Request::Delete { .. } => costs::DELETE_NS,
-        Request::LeaseRenew { keys, .. } => costs::GET_NS / 2 * keys.len().max(1) as SimTime,
         Request::Scan { .. } => unreachable!("scans do not sweep"),
     };
     costs::POLL_NS + costs::RECV_CPU_NS + own
@@ -616,8 +604,7 @@ fn op() -> impl Strategy<Value = Op> {
         4 => k.clone().prop_map(Op::Get),
         2 => (k.clone(), any::<u8>()).prop_map(|(k, v)| Op::Insert(k, v)),
         2 => (k.clone(), any::<u8>()).prop_map(|(k, v)| Op::Update(k, v)),
-        1 => k.clone().prop_map(Op::Delete),
-        1 => (k.clone(), k).prop_map(|(a, b)| Op::Renew(a, b)),
+        1 => k.prop_map(Op::Delete),
     ]
 }
 
@@ -697,7 +684,6 @@ fn spaced_arrivals_never_sweep_and_keep_singleton_timing() {
             Op::Insert(1, 3),
             Op::Get(1),
             Op::Update(1, 9),
-            Op::Renew(1, 2),
             Op::Get(2),
             Op::Delete(1),
             Op::Get(1),
