@@ -79,6 +79,9 @@ pub struct ClientStats {
     pub rptr_reads: u64,
     pub rptr_hits: u64,
     pub invalid_hits: u64,
+    /// GETs of a key whose cached pointer was suspect: sent as message GETs
+    /// instead of one-sided reads (subset of `msg_gets`).
+    pub suspect_gets: u64,
     /// Fast-path reads issued against a replica instead of the primary
     /// (subset of `rptr_reads`; read spreading).
     pub replica_reads: u64,
@@ -139,6 +142,11 @@ pub struct CachedPtr {
     pub replicas: [ReplicaTarget; MAX_EXPORT_PTRS],
     /// Live prefix of `replicas`.
     pub n_replicas: u8,
+    /// The key was seen superseded — a read found its item dead, or the
+    /// shard answered with a pointer other than the one the client held —
+    /// and has not since been seen holding still. A suspect pointer is not
+    /// read: its GETs take the message path and carry it along.
+    pub suspect: bool,
 }
 
 /// Remote-pointer cache: a bounded CLOCK cache with sketch-gated admission.
@@ -209,6 +217,38 @@ struct InFlightOp {
     /// (a scan cursor must NOT be re-routed by key hash — the step belongs
     /// to one partition regardless of where its cursor key would route).
     partition: u32,
+    /// The cached pointer a GET checks on the shard in place of a one-sided
+    /// read (or after one, or of one that never came back): the pointer in
+    /// its response is cached suspect iff it differs — an unchanged pointer
+    /// means a read would have found the item live. `None` for a cold miss.
+    seen: Option<RemotePtr>,
+}
+
+impl InFlightOp {
+    /// An operation's first attempt, before it is given a request id, a
+    /// partition or a shipment.
+    fn new(
+        kind: OpKind,
+        key: Vec<u8>,
+        value: Vec<u8>,
+        cb: Option<OpCb>,
+        issued_at: SimTime,
+    ) -> InFlightOp {
+        InFlightOp {
+            req_id: 0,
+            kind,
+            key,
+            value,
+            cb,
+            issued_at,
+            attempts: 1,
+            ship: 0,
+            timeout_ev: None,
+            expect_version: None,
+            partition: 0,
+            seen: None,
+        }
+    }
 }
 
 /// In-progress range scan: hash partitioning scatters the key range across
@@ -598,6 +638,11 @@ impl HydraClient {
         self.inner.borrow().stats.clone()
     }
 
+    /// [`ClientStats::suspect_gets`], without copying the histograms.
+    pub(crate) fn suspect_gets(&self) -> u64 {
+        self.inner.borrow().stats.suspect_gets
+    }
+
     /// Clears counters and histograms — called between the load phase and
     /// the measured run, exactly like YCSB's warm-up discard.
     pub fn reset_stats(&self) {
@@ -642,8 +687,8 @@ impl HydraClient {
             }
         }
         self.inner.borrow_mut().stats.msg_gets += 1;
-        let now = sim.now();
-        self.submit(sim, OpKind::Get, key.to_vec(), Vec::new(), Some(cb), 1, now);
+        let op = InFlightOp::new(OpKind::Get, key.to_vec(), Vec::new(), Some(cb), sim.now());
+        self.submit(sim, op);
     }
 
     /// INSERT a new key.
@@ -653,16 +698,14 @@ impl HydraClient {
             inner.stats.inserts += 1;
             inner.stats.ops += 1;
         }
-        let now = sim.now();
-        self.submit(
-            sim,
+        let op = InFlightOp::new(
             OpKind::Insert,
             key.to_vec(),
             value.to_vec(),
             Some(cb),
-            1,
-            now,
+            sim.now(),
         );
+        self.submit(sim, op);
     }
 
     /// UPDATE an existing key.
@@ -672,16 +715,14 @@ impl HydraClient {
             inner.stats.updates += 1;
             inner.stats.ops += 1;
         }
-        let now = sim.now();
-        self.submit(
-            sim,
+        let op = InFlightOp::new(
             OpKind::Update,
             key.to_vec(),
             value.to_vec(),
             Some(cb),
-            1,
-            now,
+            sim.now(),
         );
+        self.submit(sim, op);
     }
 
     /// Upsert sugar used by examples: INSERT, retrying as UPDATE on
@@ -708,16 +749,14 @@ impl HydraClient {
             inner.stats.deletes += 1;
             inner.stats.ops += 1;
         }
-        let now = sim.now();
-        self.submit(
-            sim,
+        let op = InFlightOp::new(
             OpKind::Delete,
             key.to_vec(),
             Vec::new(),
             Some(cb),
-            1,
-            now,
+            sim.now(),
         );
+        self.submit(sim, op);
     }
 
     /// Ordered range scan: the `limit` smallest keys `>= start` cluster-wide,
@@ -863,17 +902,12 @@ impl HydraClient {
         cb: OpCb,
     ) {
         self.inner.borrow_mut().stats.scan_steps += 1;
-        let now = sim.now();
-        self.submit_to(
-            sim,
+        let limit = limit.to_le_bytes().to_vec();
+        let op = InFlightOp {
             partition,
-            OpKind::Scan,
-            cursor,
-            limit.to_le_bytes().to_vec(),
-            Some(cb),
-            1,
-            now,
-        );
+            ..InFlightOp::new(OpKind::Scan, cursor, limit, Some(cb), sim.now())
+        };
+        self.submit_to(sim, op);
     }
 
     // ---- fast path ----
@@ -922,23 +956,36 @@ impl HydraClient {
     }
 
     /// Fast-path GET: a one-sided read of the cached location, flying
-    /// beside whatever else is in flight.
+    /// beside whatever else is in flight — unless the pointer is suspect,
+    /// when the GET takes the message path carrying it instead.
     fn issue_rdma_get(&self, sim: &mut Sim, key: Vec<u8>, ptr: CachedPtr, cb: OpCb) {
         self.ensure_conn(ptr.partition);
-        let pick = self.pick_spread_target(&ptr);
+        // A suspect pointer is read nowhere, so it turns no spread rotor.
+        let pick = if ptr.suspect {
+            0
+        } else {
+            self.pick_spread_target(&ptr)
+        };
+        // The read's target, or (`Err`) what the message GET carries.
         let target = if pick == 0 {
             let mut inner = self.inner.borrow_mut();
-            inner.stats.rptr_reads += 1;
             let conn = inner.conn(ptr.partition).expect("ensure_conn built it");
+            let (qp, arena_region) = (conn.qp, conn.arena_region);
             // After a fail-over the partition's arena is a different region;
             // a pointer into the old one is useless.
-            if conn.arena_region.0 != ptr.rptr.region {
+            if arena_region.0 != ptr.rptr.region {
+                inner.stats.rptr_reads += 1;
                 inner.stats.invalid_hits += 1;
                 inner.stats.msg_gets += 1;
                 inner.ptr_cache.remove(&key);
-                None
+                Err(None)
+            } else if ptr.suspect {
+                inner.stats.suspect_gets += 1;
+                inner.stats.msg_gets += 1;
+                Err(Some(ptr.rptr))
             } else {
-                Some((conn.qp, conn.arena_region, ptr.rptr, false))
+                inner.stats.rptr_reads += 1;
+                Ok((qp, arena_region, ptr.rptr, false))
             }
         } else {
             let target = ptr.replicas[pick - 1];
@@ -946,12 +993,19 @@ impl HydraClient {
             let mut inner = self.inner.borrow_mut();
             inner.stats.rptr_reads += 1;
             inner.stats.replica_reads += 1;
-            Some((qp, RegionId(target.rptr.region), target.rptr, true))
+            Ok((qp, RegionId(target.rptr.region), target.rptr, true))
         };
         let now = sim.now();
-        let Some((qp, region, rptr, replica)) = target else {
-            self.submit(sim, OpKind::Get, key, Vec::new(), Some(cb), 1, now);
-            return;
+        let (qp, region, rptr, replica) = match target {
+            Ok(target) => target,
+            Err(seen) => {
+                let op = InFlightOp {
+                    seen,
+                    ..InFlightOp::new(OpKind::Get, key, Vec::new(), Some(cb), now)
+                };
+                self.submit(sim, op);
+                return;
+            }
         };
         let (req_id, ship, node, fab) = {
             let mut inner = self.inner.borrow_mut();
@@ -962,16 +1016,11 @@ impl HydraClient {
                 req_id,
                 InFlightOp {
                     req_id,
-                    kind: OpKind::RdmaGet,
-                    key,
-                    value: Vec::new(),
-                    cb: Some(cb),
-                    issued_at: now,
-                    attempts: 1,
                     ship,
-                    timeout_ev: None,
                     expect_version: ptr.version,
                     partition: ptr.partition,
+                    seen: Some(ptr.rptr),
+                    ..InFlightOp::new(OpKind::RdmaGet, key, Vec::new(), Some(cb), now)
                 },
             );
             (req_id, ship, inner.node, inner.fab.clone())
@@ -1005,7 +1054,7 @@ impl HydraClient {
         if let Some(ev) = op.timeout_ev {
             sim.cancel(ev);
         }
-        let (key, cb, issued_at) = (op.key, op.cb, op.issued_at);
+        let (key, cb, issued_at, seen) = (op.key, op.cb, op.issued_at, op.seen);
         let fetched = FetchedItem::parse(&blob, &key).and_then(|item| {
             // Version stamp check: the guardian proves the block holds *a*
             // live item for this key; the version pins it to the one the
@@ -1029,7 +1078,9 @@ impl HydraClient {
             }
             Err(ItemError::Stale) | Err(ItemError::Corrupt) | Err(ItemError::Truncated) => {
                 // Outdated or reclaimed item observed: invalid hit. Drop the
-                // pointer and fetch the latest version via the message path.
+                // pointer and fetch the latest version via the message path,
+                // carrying the dead pointer: the one that comes back differs
+                // from it and is cached suspect.
                 {
                     let mut inner = self.inner.borrow_mut();
                     inner.stats.invalid_hits += 1;
@@ -1038,7 +1089,11 @@ impl HydraClient {
                 }
                 // Preserve the original issue time so the recorded latency
                 // covers the full (wasted read + retry) window.
-                self.submit(sim, OpKind::Get, key, Vec::new(), cb, 1, issued_at);
+                let op = InFlightOp {
+                    seen,
+                    ..InFlightOp::new(OpKind::Get, key, Vec::new(), cb, issued_at)
+                };
+                self.submit(sim, op);
             }
         }
     }
@@ -1046,67 +1101,38 @@ impl HydraClient {
     // ---- message path ----
 
     /// Routes a keyed op to its partition and submits it there.
-    #[allow(clippy::too_many_arguments)]
-    fn submit(
-        &self,
-        sim: &mut Sim,
-        kind: OpKind,
-        key: Vec<u8>,
-        value: Vec<u8>,
-        cb: Option<OpCb>,
-        attempts: u32,
-        issued_at: SimTime,
-    ) {
+    fn submit(&self, sim: &mut Sim, mut op: InFlightOp) {
         let partition = {
             let inner = self.inner.borrow();
             let dir = inner.directory.borrow();
-            dir.ring.route(&key).map(|s| s.0)
+            dir.ring.route(&op.key).map(|s| s.0)
         };
         match partition {
-            Some(p) => self.submit_to(sim, p, kind, key, value, cb, attempts, issued_at),
+            Some(p) => {
+                op.partition = p;
+                self.submit_to(sim, op);
+            }
             None => {
-                if let Some(cb) = cb {
+                if let Some(cb) = op.cb {
                     cb(sim, Err(OpError::Server));
                 }
             }
         }
     }
 
-    /// Assigns the op its request id, encodes it and queues it on
-    /// `partition` — scan steps come here directly, being partition-pinned
-    /// rather than key-routed. `issued_at` is carried through so retries
-    /// keep their full latency window.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_to(
-        &self,
-        sim: &mut Sim,
-        partition: u32,
-        kind: OpKind,
-        key: Vec<u8>,
-        value: Vec<u8>,
-        cb: Option<OpCb>,
-        attempts: u32,
-        issued_at: SimTime,
-    ) {
-        let req_id = {
+    /// Assigns the op a fresh request id, encodes it and queues it on its
+    /// partition — scan steps come here directly, being partition-pinned
+    /// rather than key-routed. Everything else the op carries — its issue
+    /// time above all, so retries keep their full latency window — goes
+    /// along.
+    fn submit_to(&self, sim: &mut Sim, mut op: InFlightOp) {
+        op.req_id = {
             let mut inner = self.inner.borrow_mut();
             inner.next_req_id += 1;
             inner.next_req_id
         };
-        let payload = encode_request(kind, req_id, &key, &value);
-        let op = InFlightOp {
-            req_id,
-            kind,
-            key,
-            value,
-            cb,
-            issued_at,
-            attempts,
-            ship: 0,
-            timeout_ev: None,
-            expect_version: None,
-            partition,
-        };
+        (op.ship, op.timeout_ev) = (0, None);
+        let payload = encode_request(op.kind, op.req_id, &op.key, &op.value);
         self.enqueue(sim, op, payload);
     }
 
@@ -1307,7 +1333,7 @@ impl HydraClient {
     /// Sends `op` again as its attempt number `attempts`, re-resolving the
     /// route (the partition's primary may have been replaced by SWAT; `pump`
     /// rebuilds a connection that points at a deposed one) and keeping the
-    /// original issue time.
+    /// original issue time and the pointer a GET carries.
     fn resubmit(&self, sim: &mut Sim, mut op: InFlightOp, attempts: u32) {
         {
             let mut inner = self.inner.borrow_mut();
@@ -1322,22 +1348,13 @@ impl HydraClient {
             }
             inner.stats.retries += 1;
         }
-        let issued_at = op.issued_at;
+        op.attempts = attempts;
         if op.kind == OpKind::Scan {
             // A scan step is pinned to its partition; the cursor key must
             // not be re-routed by hash.
-            self.submit_to(
-                sim,
-                op.partition,
-                op.kind,
-                op.key,
-                op.value,
-                op.cb,
-                attempts,
-                issued_at,
-            );
+            self.submit_to(sim, op);
         } else {
-            self.submit(sim, op.kind, op.key, op.value, op.cb, attempts, issued_at);
+            self.submit(sim, op);
         }
     }
 
@@ -1666,15 +1683,8 @@ impl HydraClient {
                 }
                 return;
             }
-            self.submit(
-                sim,
-                out.kind,
-                out.key,
-                out.value,
-                out.cb,
-                out.attempts + 1,
-                out.issued_at,
-            );
+            let attempts = out.attempts + 1;
+            self.submit(sim, InFlightOp { attempts, ..out });
             return;
         }
         let verdict = {
@@ -1713,6 +1723,7 @@ impl HydraClient {
                                     version,
                                     replicas,
                                     n_replicas,
+                                    suspect: out.seen.is_some_and(|seen| seen != resp.rptr),
                                 },
                             );
                         }
@@ -1802,6 +1813,45 @@ mod tests {
         client.get(&mut cluster.sim, b"canary", Box::new(cb));
         cluster.sim.run();
         assert_eq!(got.borrow_mut().take(), Some(Ok(Some(b"alive".to_vec()))));
+    }
+
+    /// A suspect GET whose shipment times out is retried still carrying the
+    /// pointer it was sent to check: the retry's answer, a pointer other
+    /// than the carried one, leaves the entry suspect — a cold miss's answer
+    /// would have cleared it.
+    #[test]
+    fn a_suspect_get_keeps_its_pointer_across_a_retry() {
+        let cfg = ClusterConfig {
+            server_nodes: 1,
+            shards_per_node: 1,
+            ..ClusterConfig::default()
+        };
+        let mut cluster = crate::ClusterBuilder::new(cfg).build();
+        let client = cluster.add_client(0);
+        let got = Rc::new(RefCell::new(None));
+        let g = got.clone();
+        let cb = move |_: &mut Sim, r| *g.borrow_mut() = Some(r);
+        client.insert(&mut cluster.sim, b"k", b"v", Box::new(cb.clone()));
+        client.get(&mut cluster.sim, b"k", Box::new(cb.clone()));
+        cluster.sim.run();
+        let cache = client.inner.borrow().ptr_cache.clone();
+        let live = cache.get(b"k").expect("the GET cached its pointer");
+        assert!(!live.suspect, "a cold miss is never suspect");
+        // Suspect of a pointer the shard no longer hands out.
+        let mut dead = live;
+        dead.rptr.offset += 8;
+        dead.suspect = true;
+        cache.insert(b"k", dead);
+        client.get(&mut cluster.sim, b"k", Box::new(cb));
+        let ship = client.inner.borrow().window.values().next().unwrap().ship;
+        client.on_timeout(&mut cluster.sim, ship);
+        cluster.sim.run();
+        assert_eq!(got.borrow_mut().take(), Some(Ok(Some(b"v".to_vec()))));
+        let s = client.stats();
+        assert_eq!((s.suspect_gets, s.retries, s.rptr_reads), (1, 1, 0));
+        let now = cache.get(b"k").unwrap();
+        assert_eq!(now.rptr, live.rptr);
+        assert!(now.suspect, "judged against the pointer it carried");
     }
 
     /// Golden trace of the AIMD controller: cold start at line rate, a

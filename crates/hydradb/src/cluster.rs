@@ -85,6 +85,9 @@ pub struct ClusterReport {
     pub generation: u64,
     /// SWAT promotions performed so far.
     pub promotions: u64,
+    /// GETs the cluster's clients sent as message GETs because the key's
+    /// cached pointer was suspect ([`crate::client::ClientStats::suspect_gets`]).
+    pub suspect_gets: u64,
     /// One row per partition.
     pub rows: Vec<PartitionReport>,
     /// One row per machine: fabric/NIC occupancy (connection-scaling
@@ -119,12 +122,12 @@ impl std::fmt::Display for ClusterReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "cluster generation {} ({} promotions)",
-            self.generation, self.promotions
+            "cluster generation {} ({} promotions, {} suspect gets)",
+            self.generation, self.promotions, self.suspect_gets
         )?;
         writeln!(
             f,
-            "{:<5} {:<5} {:<6} {:>9} {:>8} {:>8} {:>10} {:>9} {:>6} {:>6} {:>8} {:>6} {:>8} {:>8} {:<9} {:>8} {:>8}",
+            "{:<5} {:<5} {:<6} {:>9} {:>8} {:>8} {:>10} {:>9} {:>6} {:>8} {:>6} {:>8} {:>6} {:>8} {:>8} {:<9} {:>8} {:>8}",
             "part",
             "node",
             "alive",
@@ -134,6 +137,7 @@ impl std::fmt::Display for ClusterReport {
             "requests",
             "malformed",
             "fill",
+            "absorbed",
             "secs",
             "unacked",
             "lag",
@@ -146,7 +150,7 @@ impl std::fmt::Display for ClusterReport {
         for r in &self.rows {
             writeln!(
                 f,
-                "{:<5} {:<5} {:<6} {:>9} {:>7.1}% {:>8} {:>10} {:>9} {:>6.2} {:>6} {:>8} {:>6} {:>8} {:>8.3} {:<9} {:>8} {:>8}",
+                "{:<5} {:<5} {:<6} {:>9} {:>7.1}% {:>8} {:>10} {:>9} {:>6.2} {:>8} {:>6} {:>8} {:>6} {:>8} {:>8.3} {:<9} {:>8} {:>8}",
                 r.partition,
                 r.node,
                 r.alive,
@@ -156,6 +160,7 @@ impl std::fmt::Display for ClusterReport {
                 r.requests,
                 r.malformed,
                 r.sweep_fill,
+                r.absorbed_writes,
                 r.secondaries,
                 r.repl_unacked,
                 r.repl_lag_max,
@@ -215,6 +220,9 @@ pub struct PartitionReport {
     /// Mean bare requests per sweep (a quantum of two or more taken from a
     /// lane together); 0 when the primary never swept.
     pub sweep_fill: f64,
+    /// UPDATEs the primary answered without writing, a later UPDATE of the
+    /// key overwriting them inside their quantum.
+    pub absorbed_writes: u64,
     pub responses: u64,
     pub secondaries: usize,
     pub repl_unacked: u64,
@@ -955,6 +963,7 @@ impl Cluster {
                     requests: stats.requests,
                     malformed: stats.malformed,
                     sweep_fill: stats.swept_requests as f64 / stats.sweeps.max(1) as f64,
+                    absorbed_writes: stats.absorbed_writes,
                     responses: stats.responses,
                     secondaries: state.secondaries.len(),
                     repl_unacked: repl_lag,
@@ -993,6 +1002,7 @@ impl Cluster {
         ClusterReport {
             generation: self.directory.borrow().generation,
             promotions: ha.promotions,
+            suspect_gets: self.clients.iter().map(HydraClient::suspect_gets).sum(),
             rows,
             nodes,
         }

@@ -17,7 +17,7 @@
 //! and a frame are sweeps of one; every sweep runs through one executor,
 //! [`ShardServer::execute`].
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,7 +27,7 @@ use hydra_fabric::{Fabric, NodeId, QpId, RegionId};
 use hydra_replication::ReplicationPair;
 use hydra_sim::time::SimTime;
 use hydra_sim::{EventId, FifoResource, Sim};
-use hydra_store::{EngineError, HeatSketch, ItemInfo, ShardEngine, LOOKUP_BATCH};
+use hydra_store::{EngineError, HeatSketch, ItemInfo, ShardEngine, WriteMode, LOOKUP_BATCH};
 use hydra_wire::{
     for_each_message_mut, frame, messages, scan_items_push, scan_response_begin,
     scan_response_finish, set_backlog_hint, BatchBuilder, BatchFrame, LogOp, RemotePtr, ReplicaPtr,
@@ -73,6 +73,46 @@ fn is_write(req: &Request<'_>) -> bool {
         req,
         Request::Insert { .. } | Request::Update { .. } | Request::Delete { .. }
     )
+}
+
+/// The key a point request names; `None` for a scan, which may read any.
+fn point_key<'a>(req: &Request<'a>) -> Option<&'a [u8]> {
+    match req {
+        Request::Get { key, .. }
+        | Request::Insert { key, .. }
+        | Request::Update { key, .. }
+        | Request::Delete { key, .. } => Some(*key),
+        Request::Scan { .. } => None,
+    }
+}
+
+/// Whether `reqs[i]`, a quantum's requests in order, is an UPDATE its
+/// quantum overwrites: the first later request on its key (a scan may read
+/// any) is an UPDATE. Both are pending at dispatch and nothing observes the
+/// key between them, so the shard *absorbs* the first — prices it as the
+/// GET probe that decides its answer and answers it without writing
+/// anything ([`ShardServer::run_quantum`]).
+fn absorbed(reqs: &[Request<'_>], i: usize) -> bool {
+    let Request::Update { key, .. } = reqs[i] else {
+        return false;
+    };
+    let on_key = |r: &&Request<'_>| point_key(r).is_none_or(|k| k == key);
+    matches!(
+        reqs[i + 1..].iter().find(on_key),
+        Some(Request::Update { .. })
+    )
+}
+
+/// The absorbed UPDATE `reqs[j]` overwrites, if it overwrites one: the
+/// inverse of [`absorbed`].
+fn absorbs(reqs: &[Request<'_>], j: usize) -> Option<usize> {
+    let Request::Update { key, .. } = reqs[j] else {
+        return None;
+    };
+    let i = reqs[..j]
+        .iter()
+        .rposition(|r| point_key(r).is_none_or(|k| k == key))?;
+    matches!(reqs[i], Request::Update { .. }).then_some(i)
 }
 
 /// Log2 bucket index for a histogram sample (0 stays in bucket 0).
@@ -127,6 +167,10 @@ pub struct ServerStats {
     pub sweeps: u64,
     /// Bare requests executed inside sweeps (subset of `requests`).
     pub swept_requests: u64,
+    /// UPDATEs a later UPDATE of the same key overwrote inside their
+    /// quantum: priced and answered as the GET probe that decides their
+    /// status, never written (subset of `updates`).
+    pub absorbed_writes: u64,
     /// Log2 histogram of the shard-core queue depth observed at request
     /// arrival (estimated as core backlog divided by this request's cost):
     /// bucket 0 counts arrivals that found the core idle, bucket k counts
@@ -329,16 +373,12 @@ struct Member {
 struct Release {
     conn_idx: usize,
     resp: Vec<u8>,
-    acks: Option<Rc<RefCell<AckGate>>>,
+    acks: Option<AckGate>,
 }
 
-/// The acks a quantum's shipment still awaits, one per secondary, and the
-/// responses (connection, bytes) whose time came before them, in the order
-/// it came.
-struct AckGate {
-    pending: usize,
-    held: [Option<(usize, Vec<u8>)>; LOOKUP_BATCH],
-}
+/// The acks a quantum's shipment still awaits, one per secondary. A
+/// response whose time comes before them waits in [`ShardServer::held`].
+type AckGate = Rc<Cell<usize>>;
 
 /// Hands `v`'s allocation back emptied, for requests borrowing from other
 /// payloads: every quantum decodes into the same buffer. (Collecting a
@@ -560,7 +600,8 @@ pub struct ScanBounds {
     /// with everything sharing its frame — must fit.
     pub slot_bytes: usize,
     /// Bytes of the slot spoken for by the responses still to come in the
-    /// same frame (0 for a bare scan).
+    /// same frame besides those of the requests [`run_batch`] is given (0
+    /// for a bare scan).
     pub reserved: usize,
 }
 
@@ -675,13 +716,7 @@ pub fn apply_request<'a>(
     out: &mut Vec<u8>,
 ) -> Option<(LogOp, &'a [u8], &'a [u8])> {
     let req_id = req.req_id();
-    let redirect = match req {
-        Request::Get { key, .. }
-        | Request::Insert { key, .. }
-        | Request::Update { key, .. }
-        | Request::Delete { key, .. } => gate.and_then(|g| (g.wrong_owner)(key)),
-        _ => None,
-    };
+    let redirect = point_key(req).and_then(|key| gate.and_then(|g| (g.wrong_owner)(key)));
     if let Some(generation) = redirect {
         Response::wrong_owner(req_id, generation).encode_into(out);
         return None;
@@ -845,7 +880,7 @@ pub fn run_batch<'a>(
             // A scan may fill the frame only as far as leaves every request
             // behind it room to answer.
             let scan = ScanBounds {
-                reserved: (reqs.len() - i - 1) * ScanBounds::MIN_RESPONSE,
+                reserved: scan.reserved + (reqs.len() - i - 1) * ScanBounds::MIN_RESPONSE,
                 ..scan
             };
             builder.push_with(|out| {
@@ -929,6 +964,10 @@ pub struct ShardServer {
     /// The quantum's decoded requests, emptied between quanta (see
     /// [`recycle`]).
     reqs: Vec<Request<'static>>,
+    /// Responses whose time came before the acks of their quantum's
+    /// shipment, with the gate that holds them (connection, bytes), in the
+    /// order their time came.
+    held: Vec<(AckGate, usize, Vec<u8>)>,
     /// Live-migration bookkeeping while this shard participates in a plan
     /// (source or destination); provides the ownership gate and the
     /// double-write forwarding hook. Carried across fail-over by promotion.
@@ -980,6 +1019,7 @@ impl ShardServer {
             sched: DualLaneSched::default(),
             sweep: Vec::new(),
             reqs: Vec::new(),
+            held: Vec::new(),
             mig: None,
         }))
     }
@@ -1060,6 +1100,19 @@ impl ShardServer {
         base + if send_recv { costs::RECV_CPU_NS } else { 0 }
     }
 
+    /// Shard-core cost of an absorbed UPDATE ([`absorbed`]): the GET probe
+    /// that decides its answer.
+    fn probe_cost(send_recv: bool, batched: bool) -> SimTime {
+        Self::item_cost(
+            &Request::Get {
+                req_id: 0,
+                key: &[],
+            },
+            send_recv,
+            batched,
+        )
+    }
+
     /// Delay before an idle shard notices an arrival: the sweep position
     /// and the sleep backoff. A busy shard detects for free — its loop
     /// re-polls right after finishing, and queueing dominates.
@@ -1133,8 +1186,10 @@ impl ShardServer {
     /// Decodes an arrival, prices it, samples the queue-depth histograms and
     /// classifies it into a lane. A bare message pays its own sweep step and
     /// response WQE; a frame's requests share one of each and run at the
-    /// batched marginal cost. A bare point op also carries its price as a
-    /// member of a sweep: its own step and WQE, at the batched marginal cost.
+    /// batched marginal cost, but for an UPDATE the frame overwrites
+    /// ([`absorbed`]), which costs the probe that decides its answer. A bare
+    /// point op also carries its price as a member of a sweep: its own step
+    /// and WQE, at the batched marginal cost.
     fn admit(
         &mut self,
         now: SimTime,
@@ -1148,31 +1203,37 @@ impl ShardServer {
         // Queue depth at arrival ≈ core backlog (running task) plus both
         // lanes' undispatched work, over the request's cost.
         let backlog = self.cpu.free_at().saturating_sub(now) + self.sched.queued_total();
-        let (mut total, mut n) = (0, 0u64);
+        let mut reqs = recycle(std::mem::take(&mut self.reqs));
+        let decode = |msg| Request::decode(msg).expect("admission validated it");
+        reqs.extend(messages(&payload).map(decode));
+        let (mut total, n) = (0, reqs.len() as u64);
         // Whether the arrival carries a write; what a bare one turned out to
         // be (a scan?) and what it costs as a member of a sweep.
         let (mut scan, mut writes, mut swept) = (None, false, 0);
-        for msg in messages(&payload) {
-            let req = Request::decode(msg).expect("admission validated it");
-            let cost = Self::item_cost(&req, send_recv, batched);
+        for (i, req) in reqs.iter().enumerate() {
+            let cost = if absorbed(&reqs, i) {
+                Self::probe_cost(send_recv, batched)
+            } else {
+                Self::item_cost(req, send_recv, batched)
+            };
             // Per-op depth samples are per request on every path.
-            self.stats.queue_depth_hist_by_op[op_slot(&req)]
+            self.stats.queue_depth_hist_by_op[op_slot(req)]
                 [log2_bucket(backlog / (cost + own_fixed).max(1))] += 1;
             total += cost;
-            n += 1;
-            writes |= is_write(&req);
+            writes |= is_write(req);
             if !batched {
-                swept = fixed + Self::item_cost(&req, send_recv, true);
+                swept = fixed + Self::item_cost(req, send_recv, true);
                 if let Request::Scan {
                     req_id,
                     start,
                     limit,
-                } = &req
+                } = req
                 {
                     scan = Some((*req_id, start.to_vec(), *limit));
                 }
             }
         }
+        self.reqs = recycle(reqs);
         self.stats.requests += n;
         if batched {
             self.stats.batches += 1;
@@ -1348,17 +1409,19 @@ impl ShardServer {
     /// is a quantum of its own. A bare point op also takes the bare point
     /// ops [`DualLaneSched::next_member`] hands over from the same lane, up
     /// to [`LOOKUP_BATCH`] in all; with two or more, each is charged its
-    /// sweep price, and alone it keeps its singleton cost. Each member may
-    /// answer at dispatch plus the prices up to and including its own.
+    /// sweep price — an UPDATE the sweep overwrites ([`absorbed`]) the probe
+    /// that decides its answer, the lane getting the difference back — and
+    /// alone it keeps its singleton cost. Each member may answer at
+    /// dispatch plus the prices up to and including its own.
     fn take_sweep(&mut self, now: SimTime, first: LaneTask, cost: SimTime) -> (SimTime, bool) {
         let swept_ns = |t: &LaneTask| match t {
             LaneTask::Quantum { swept_ns, .. } => *swept_ns,
             _ => None,
         };
+        let lane = self.sched.current;
         let (mut price, mut second) = (cost, None);
         if let Some(swept) = swept_ns(&first) {
             // The head is charged its sweep price if anything joins it.
-            let lane = self.sched.current;
             self.sched.deficit[lane] += cost - swept;
             second = self.sched.next_member(LANE_QUANTUM_NS, swept_ns);
             match second {
@@ -1373,7 +1436,8 @@ impl ShardServer {
         };
         let rest = std::iter::from_fn(|| self.sched.next_member(LANE_QUANTUM_NS, swept_ns));
         let mut members = std::mem::take(&mut self.sweep);
-        let (mut total, mut writes) = (0, false);
+        let mut prices = [0; LOOKUP_BATCH];
+        let mut writes = false;
         for (task, price) in [(first, price)]
             .into_iter()
             .chain(second)
@@ -1389,14 +1453,34 @@ impl ShardServer {
             else {
                 unreachable!("quantum members are request quanta");
             };
-            total += price;
+            prices[members.len()] = price;
             writes |= w;
             members.push(Member {
                 conn_idx,
                 payload,
                 arrived,
-                ready_at: now + total,
+                ready_at: now,
             });
+        }
+        if members.len() > 1 {
+            let mut reqs = recycle(std::mem::take(&mut self.reqs));
+            let decode = |msg| Request::decode(msg).expect("validated on arrival");
+            reqs.extend(members.iter().map(|m| decode(&m.payload)));
+            for (i, m) in members.iter().enumerate() {
+                if absorbed(&reqs, i) {
+                    let send_recv = self.conns[m.conn_idx].send_recv;
+                    let probe =
+                        costs::POLL_NS + self.cfg.post_wqe_ns + Self::probe_cost(send_recv, true);
+                    self.sched.deficit[lane] += prices[i] - probe;
+                    prices[i] = probe;
+                }
+            }
+            self.reqs = recycle(reqs);
+        }
+        let mut total = 0;
+        for (m, price) in members.iter_mut().zip(prices) {
+            total += price;
+            m.ready_at = now + total;
         }
         self.sweep = members;
         (total, writes)
@@ -1640,15 +1724,10 @@ impl ShardServer {
             } else {
                 s.repl.clone()
             };
-            let acks = (!pairs.is_empty()).then(|| {
-                let held = Default::default();
-                Rc::new(RefCell::new(AckGate {
-                    pending: pairs.len(),
-                    held,
-                }))
-            });
+            let acks = (!pairs.is_empty()).then(|| Rc::new(Cell::new(pairs.len())));
             let bytes = s.resp_batch.bytes();
-            // A write answered Ok is one that produced a record.
+            // A write answered Ok produced a record, or was absorbed by one
+            // that did.
             let recorded =
                 |(req, msg): (&Request<'_>, &[u8])| msg[0] == Status::Ok as u8 && is_write(req);
             let mut answers = reqs.iter().zip(messages(bytes));
@@ -1691,12 +1770,9 @@ impl ShardServer {
         for pair in &pairs {
             let (this, acks) = (this.clone(), acks.clone().expect("acks await a shipment"));
             let on_ack = move |sim: &mut Sim| {
-                let mut a = acks.borrow_mut();
-                a.pending -= 1;
-                if a.pending == 0 {
-                    for (conn_idx, resp) in a.held.iter_mut().map_while(Option::take) {
-                        Self::send_response_frame(&this, sim, conn_idx, resp);
-                    }
+                acks.set(acks.get() - 1);
+                if acks.get() == 0 {
+                    Self::release_held(&this, sim, &acks);
                 }
             };
             pair.replicate_batch(sim, &records, Some(Box::new(on_ack)))
@@ -1711,50 +1787,83 @@ impl ShardServer {
     /// Sends a response whose time has come — unless it still waits for
     /// acks, in which case it joins the ones they will release.
     fn release(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim, r: Release) {
-        if let Some(acks) = r.acks {
-            let mut a = acks.borrow_mut();
-            if a.pending > 0 {
-                let free = a.held.iter_mut().find(|h| h.is_none());
-                *free.expect("a slot per member") = Some((r.conn_idx, r.resp));
-                return;
-            }
+        if let Some(acks) = r.acks.filter(|a| a.get() > 0) {
+            this.borrow_mut().held.push((acks, r.conn_idx, r.resp));
+            return;
         }
         Self::send_response_frame(this, sim, r.conn_idx, r.resp);
     }
 
-    /// Runs `reqs` at `now` as one quantum through [`run_batch`] into the
-    /// response builder and counts them. Returns the replication records of
-    /// its successful writes and their migration hooks — each key dirtied
-    /// during the copy phases, or forwarded to its new owner during
-    /// DoubleWrite — grouped per destination channel, to ship once the
-    /// caller's borrow drops.
+    /// The last ack `acks` awaited is in: sends the responses it held, in
+    /// the order their time came.
+    fn release_held(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim, acks: &AckGate) {
+        loop {
+            let (_, conn_idx, resp) = {
+                let mut s = this.borrow_mut();
+                let Some(i) = s.held.iter().position(|(a, ..)| Rc::ptr_eq(a, acks)) else {
+                    return;
+                };
+                s.held.remove(i)
+            };
+            Self::send_response_frame(this, sim, conn_idx, resp);
+        }
+    }
+
+    /// Runs `reqs` at `now` as one quantum into the response builder and
+    /// counts them. Every request runs through [`run_batch`] but the
+    /// UPDATEs the quantum overwrites ([`absorbed`]): such a write answers
+    /// as the probe that decides it — the redirect the live ring calls for,
+    /// else `Ok` if the key is present (or the engine upserts), `NotFound`
+    /// if not — and writes nothing. The write that overwrites it runs by
+    /// itself, and should it fail, [`Self::fall_back`] applies the absorbed
+    /// one after all. Returns the replication records of the successful
+    /// writes and their migration hooks — each key dirtied during the copy
+    /// phases, or forwarded to its new owner during DoubleWrite — grouped
+    /// per destination channel, to ship once the caller's borrow drops.
     fn run_quantum<'a>(
         &mut self,
         now: SimTime,
         reqs: &[Request<'a>],
     ) -> (ReplRecords<'a>, ChannelShipments) {
-        let scan = ScanBounds::of(&self.cfg);
         self.resp_batch.clear();
         let engine_rc = self.engine.clone();
+        let engine = &mut *engine_rc.borrow_mut();
         let mig = self.mig.clone();
-        let (repl, counts) = with_gate(mig.as_ref(), |gate| {
-            run_batch(
-                &mut engine_rc.borrow_mut(),
-                now,
-                reqs,
-                self.arena_region,
-                &mut self.get_scratch,
-                scan,
-                &mut self.plane,
-                gate,
-                &mut self.resp_batch,
-            )
+        let upserts = self.cfg.write_mode == WriteMode::Cache;
+        let mut repl = Vec::new();
+        with_gate(mig.as_ref(), |gate| {
+            let mut from = 0;
+            for i in 0..reqs.len() {
+                let over = absorbed(reqs, i);
+                if !over && absorbs(reqs, i).is_none() {
+                    continue;
+                }
+                self.run_batch_of(engine, now, reqs, from..i, gate, &mut repl);
+                from = i + 1;
+                if over {
+                    let Request::Update { req_id, key, .. } = reqs[i] else {
+                        unreachable!("only an UPDATE is absorbed");
+                    };
+                    let answer = match gate.and_then(|g| (g.wrong_owner)(key)) {
+                        Some(generation) => Response::wrong_owner(req_id, generation),
+                        None if upserts || engine.peek(key).is_some() => {
+                            Response::status_only(Status::Ok, req_id)
+                        }
+                        None => Response::status_only(Status::NotFound, req_id),
+                    };
+                    self.resp_batch.push_with(|out| answer.encode_into(out));
+                    self.stats.updates += 1;
+                    self.stats.absorbed_writes += 1;
+                    continue;
+                }
+                let status = self.resp_batch.bytes().len() + BATCH_ENTRY_HDR;
+                self.run_batch_of(engine, now, reqs, i..i + 1, gate, &mut repl);
+                if self.resp_batch.bytes()[status] != Status::Ok as u8 {
+                    self.fall_back(engine, now, reqs, i, gate, &mut repl);
+                }
+            }
+            self.run_batch_of(engine, now, reqs, from..reqs.len(), gate, &mut repl);
         });
-        self.stats.gets += counts.gets;
-        self.stats.inserts += counts.inserts;
-        self.stats.updates += counts.updates;
-        self.stats.deletes += counts.deletes;
-        self.stats.scans += counts.scans;
         let mut forwards: ChannelShipments = Vec::new();
         if let Some(m) = &mig {
             let mut grouped: RecordsByDst = BTreeMap::new();
@@ -1777,6 +1886,95 @@ impl ShardServer {
             }
         }
         (repl, forwards)
+    }
+
+    /// Runs `reqs[run]` through [`run_batch`] into the response builder,
+    /// appending their records to `repl` and counting them; a scan among
+    /// them leaves room for the answers of the requests behind `run` too.
+    fn run_batch_of<'a>(
+        &mut self,
+        engine: &mut ShardEngine,
+        now: SimTime,
+        reqs: &[Request<'a>],
+        run: std::ops::Range<usize>,
+        gate: Option<&OwnershipGate<'_>>,
+        repl: &mut ReplRecords<'a>,
+    ) {
+        if run.is_empty() {
+            return;
+        }
+        let scan = ScanBounds {
+            reserved: (reqs.len() - run.end) * ScanBounds::MIN_RESPONSE,
+            ..ScanBounds::of(&self.cfg)
+        };
+        let (records, counts) = run_batch(
+            engine,
+            now,
+            &reqs[run],
+            self.arena_region,
+            &mut self.get_scratch,
+            scan,
+            &mut self.plane,
+            gate,
+            &mut self.resp_batch,
+        );
+        if repl.is_empty() {
+            *repl = records;
+        } else {
+            repl.extend(records);
+        }
+        self.stats.gets += counts.gets;
+        self.stats.inserts += counts.inserts;
+        self.stats.updates += counts.updates;
+        self.stats.deletes += counts.deletes;
+        self.stats.scans += counts.scans;
+    }
+
+    /// `reqs[j]` ran and failed: the write it absorbed, if any, is applied
+    /// for real behind it and its answer corrected — and, failing too, so is
+    /// the one that one absorbed, down the chain. Nothing on the key ran in
+    /// between, so each lands as it would have in its own place.
+    fn fall_back<'a>(
+        &mut self,
+        engine: &mut ShardEngine,
+        now: SimTime,
+        reqs: &[Request<'a>],
+        mut j: usize,
+        gate: Option<&OwnershipGate<'_>>,
+        repl: &mut ReplRecords<'a>,
+    ) {
+        while let Some(i) = absorbs(reqs, j) {
+            let mut answer = self.resp_pool.pop().unwrap_or_default();
+            let record = apply_request(
+                engine,
+                now,
+                &reqs[i],
+                self.arena_region,
+                &mut self.get_scratch,
+                ScanBounds::of(&self.cfg),
+                &mut self.plane,
+                gate,
+                &mut answer,
+            );
+            if let Some(record) = record {
+                repl.push(record);
+                self.stats.absorbed_writes -= 1;
+            }
+            if messages(self.resp_batch.bytes()).nth(i) != Some(&answer[..]) {
+                // Rebuilt with the answer in its place: a failure path only.
+                let answers = std::mem::take(&mut self.resp_batch);
+                for (k, msg) in messages(answers.bytes()).enumerate() {
+                    self.resp_batch.push(if k == i { &answer } else { msg });
+                }
+            }
+            let done = answer[0] == Status::Ok as u8;
+            answer.clear();
+            self.resp_pool.push(answer);
+            if done {
+                return;
+            }
+            j = i;
+        }
     }
 
     /// Arms the background-reclamation event for the earliest pending lease

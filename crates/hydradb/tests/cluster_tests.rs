@@ -142,12 +142,89 @@ fn update_invalidates_cached_pointer_via_guardian() {
     assert_eq!(s.invalid_hits, 1, "stale read must be detected");
     assert_eq!(s.rptr_reads, 1);
     assert_eq!(s.msg_gets, 2, "initial miss + fallback");
-    // And the fallback re-cached the new pointer: next GET is fast again.
+    // The fallback re-cached the new pointer as suspect: the next GET asks
+    // the shard instead of reading, and finds the pointer unchanged...
+    assert_eq!(
+        get_value(&mut cluster, &reader, b"k").as_deref(),
+        Some(b"new".as_slice())
+    );
+    let s = reader.stats();
+    assert_eq!((s.suspect_gets, s.rptr_reads), (1, 1), "suspect: not read");
+    // ...so the key held still, and the GET after it is fast again.
     assert_eq!(
         get_value(&mut cluster, &reader, b"k").as_deref(),
         Some(b"new".as_slice())
     );
     assert_eq!(reader.stats().rptr_hits, 1);
+}
+
+/// Updates `key` through `writer` and waits for the acknowledgement.
+fn update_ok(cluster: &mut Cluster, writer: &HydraClient, key: &[u8], value: &[u8]) {
+    let done = Rc::new(Cell::new(false));
+    let d = done.clone();
+    let cb = Box::new(move |_: &mut hydra_sim::Sim, r: Result<_, OpError>| {
+        r.unwrap();
+        d.set(true);
+    });
+    writer.update(&mut cluster.sim, key, value, cb);
+    step_until(cluster, &done);
+}
+
+/// A pointer seen superseded is not read again until the key is seen holding
+/// still: a stale read leaves the entry suspect; a suspect GET posts no
+/// one-sided read; a suspect GET that finds a new pointer keeps the entry
+/// suspect, one that finds the same pointer clears it.
+#[test]
+fn a_superseded_pointer_is_not_read_until_the_key_holds_still() {
+    let mut cluster = build(ClusterConfig::default());
+    let writer = cluster.add_client(0);
+    let reader = cluster.add_client(0);
+    put_ok(&mut cluster, &writer, b"k", b"v0");
+    get_value(&mut cluster, &reader, b"k");
+    update_ok(&mut cluster, &writer, b"k", b"v1");
+    // The stale read and its fallback: one read on the fabric.
+    let reads = cluster.fab.stats().reads;
+    assert_eq!(get_value(&mut cluster, &reader, b"k"), Some(b"v1".to_vec()));
+    assert_eq!(cluster.fab.stats().reads, reads + 1);
+    assert_eq!(reader.stats().invalid_hits, 1);
+    // Moved again: the suspect GET posts no read and finds a new pointer.
+    update_ok(&mut cluster, &writer, b"k", b"v2");
+    let reads = cluster.fab.stats().reads;
+    assert_eq!(get_value(&mut cluster, &reader, b"k"), Some(b"v2".to_vec()));
+    assert_eq!(
+        cluster.fab.stats().reads,
+        reads,
+        "a suspect GET posts no read"
+    );
+    let s = reader.stats();
+    assert_eq!((s.suspect_gets, s.rptr_reads, s.msg_gets), (1, 1, 3));
+    // Still suspect: the next GET asks the shard again, and finds the key
+    // where it was.
+    assert_eq!(get_value(&mut cluster, &reader, b"k"), Some(b"v2".to_vec()));
+    assert_eq!(cluster.fab.stats().reads, reads);
+    assert_eq!(reader.stats().suspect_gets, 2);
+    // Cleared: read one-sidedly, and live.
+    assert_eq!(get_value(&mut cluster, &reader, b"k"), Some(b"v2".to_vec()));
+    let s = reader.stats();
+    assert_eq!((s.suspect_gets, s.rptr_reads, s.rptr_hits), (2, 2, 1));
+    assert_eq!(s.invalid_hits, 1);
+}
+
+/// A cold miss is never suspect: the pointer its GET brings back is read at
+/// once, even for a key other clients keep updating.
+#[test]
+fn a_cold_miss_is_never_suspect() {
+    let mut cluster = build(ClusterConfig::default());
+    let writer = cluster.add_client(0);
+    let reader = cluster.add_client(0);
+    put_ok(&mut cluster, &writer, b"k", b"v0");
+    for v in [b"v1", b"v2", b"v3"] {
+        update_ok(&mut cluster, &writer, b"k", v);
+    }
+    assert_eq!(get_value(&mut cluster, &reader, b"k"), Some(b"v3".to_vec()));
+    assert_eq!(get_value(&mut cluster, &reader, b"k"), Some(b"v3".to_vec()));
+    let s = reader.stats();
+    assert_eq!((s.msg_gets, s.suspect_gets, s.rptr_hits), (1, 0, 1));
 }
 
 #[test]

@@ -63,6 +63,11 @@ HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
 # >= +5 %, strict >= 1.8x none at one client.
 HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
     cargo run -q --release -p hydra-bench --bin fig13_replication
+# fig10_incremental asserts the figure's shape: under Zipf, what one-sided
+# reads add over RDMA-Write-only messaging does not shrink as the GET share
+# rises (50 / 90 / 100 % GET).
+HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
+    cargo run -q --release -p hydra-bench --bin fig10_incremental
 
 echo "==> examples (each asserts what it demonstrates)"
 # failover is the end-to-end Strict run through crash, partition, fence and

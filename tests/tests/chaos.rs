@@ -82,16 +82,16 @@ fn drive_with_scans(
 
 /// One full chaos round: 3 machines, 2 partitions, one synchronous replica
 /// each, HA armed, a random fault plan derived from `seed`, [`CLIENTS`]
-/// recorded clients, recovery, then all three checks. Returns the sweeps the shards
-/// still standing ran (see [`sweeps`]).
-fn chaos_round(seed: u64) -> u64 {
+/// recorded clients, recovery, then all three checks. Returns what the
+/// shards still standing ran of the quantum paths (see [`quanta`]).
+fn chaos_round(seed: u64) -> Quanta {
     chaos_round_with(seed, false)
 }
 
 /// `spread` additionally enables replica read spreading with an aggressive
 /// export threshold, so fast-path reads rotate over primary + secondary
 /// pointers while the fault plan fires.
-fn chaos_round_with(seed: u64, spread: bool) -> u64 {
+fn chaos_round_with(seed: u64, spread: bool) -> Quanta {
     chaos_round_inner(seed, spread, false)
 }
 
@@ -99,7 +99,7 @@ fn chaos_round_with(seed: u64, spread: bool) -> u64 {
 /// SCANs with the writes: every returned scan item is checked against the
 /// recorded write history, so fail-over can never surface a torn or stale
 /// item through the ordered plane.
-fn chaos_scan_round(seed: u64) -> u64 {
+fn chaos_scan_round(seed: u64) -> Quanta {
     chaos_round_inner(seed, false, true)
 }
 
@@ -108,7 +108,7 @@ fn chaos_scan_round(seed: u64) -> u64 {
 /// crashes and revivals race against mid-flight yielded scans (the
 /// re-queued remainder must be dropped cleanly on a dead shard and the
 /// lanes must drain after revival).
-fn chaos_lane_round(seed: u64) -> u64 {
+fn chaos_lane_round(seed: u64) -> Quanta {
     chaos_round_cfg(seed, false, true, |cfg| {
         cfg.scheduler = SchedulerKind::DualLane;
         cfg.scan_chunk_items = 4;
@@ -118,7 +118,7 @@ fn chaos_lane_round(seed: u64) -> u64 {
 /// FIFO service — the lane scheduler with every task classified into one
 /// lane — under the same adversary: keeps the non-default classification
 /// exercised against faults.
-fn chaos_fifo_round(seed: u64) -> u64 {
+fn chaos_fifo_round(seed: u64) -> Quanta {
     chaos_round_cfg(seed, false, true, |cfg| {
         cfg.scheduler = SchedulerKind::Fifo;
     })
@@ -128,13 +128,13 @@ fn chaos_fifo_round(seed: u64) -> u64 {
 /// piggybacked ack requests and the batched applier must preserve exactly
 /// the per-record strict guarantees while crashes, drops and delays hit the
 /// channel. The shared driver is already write-heavy (two writes per read).
-fn chaos_gc_round(seed: u64) -> u64 {
+fn chaos_gc_round(seed: u64) -> Quanta {
     chaos_round_cfg(seed, false, false, |cfg| {
         cfg.replication = ReplicationMode::GroupCommit;
     })
 }
 
-fn chaos_round_inner(seed: u64, spread: bool, scans: bool) -> u64 {
+fn chaos_round_inner(seed: u64, spread: bool, scans: bool) -> Quanta {
     chaos_round_cfg(seed, spread, scans, |_| {})
 }
 
@@ -144,7 +144,7 @@ fn chaos_round_inner(seed: u64, spread: bool, scans: bool) -> u64 {
 /// request path. A QP-level fault now fans out to *all* partitions sharing
 /// the channel, and fail-over re-homes a partition onto the surviving
 /// node's channel mid-plan — the checker must stay clean regardless.
-fn chaos_mux_round(seed: u64) -> u64 {
+fn chaos_mux_round(seed: u64) -> Quanta {
     chaos_round_cfg(seed, false, true, |cfg| {
         cfg.mux_connections = true;
         cfg.srq = true;
@@ -152,25 +152,52 @@ fn chaos_mux_round(seed: u64) -> u64 {
     })
 }
 
-/// Sweeps — quanta of two or more bare requests taken from a lane together
-/// — run by every shard of `cluster` still standing (a deposed primary's
-/// count leaves with it).
-fn sweeps(cluster: &hydra_db::Cluster) -> u64 {
+/// What shards ran of the quantum paths: sweeps — quanta of two or more
+/// bare requests taken from a lane together — and absorbed writes — UPDATEs
+/// a later UPDATE of the key overwrote inside their quantum.
+#[derive(Clone, Copy, Default)]
+struct Quanta {
+    sweeps: u64,
+    absorbed: u64,
+}
+
+impl std::iter::Sum for Quanta {
+    fn sum<I: Iterator<Item = Quanta>>(rounds: I) -> Quanta {
+        rounds.fold(Quanta::default(), |a, b| Quanta {
+            sweeps: a.sweeps + b.sweeps,
+            absorbed: a.absorbed + b.absorbed,
+        })
+    }
+}
+
+/// The [`Quanta`] of every shard of `cluster` still standing (a deposed
+/// primary's count leaves with it).
+fn quanta(cluster: &hydra_db::Cluster) -> Quanta {
     (0..cluster.report().rows.len() as u32)
-        .map(|p| {
+        .flat_map(|p| {
             let group = cluster.shard(p);
-            std::iter::once(&group.primary)
-                .chain(&group.secondaries)
-                .map(|s| s.borrow().stats().sweeps)
-                .sum::<u64>()
+            let shards = std::iter::once(group.primary).chain(group.secondaries);
+            shards.map(|s| {
+                let stats = s.borrow().stats();
+                Quanta {
+                    sweeps: stats.sweeps,
+                    absorbed: stats.absorbed_writes,
+                }
+            })
         })
         .sum()
 }
 
-/// A soak drove the sweep path: at least one of its rounds took two or more
-/// bare requests from a lane as one quantum.
-fn assert_swept(soak: &str, sweeps: u64) {
-    assert!(sweeps > 0, "{soak}: no round formed a sweep of two or more");
+/// A soak drove the sweep path and the absorption of overwritten writes: at
+/// least one of its rounds took two or more bare requests from a lane as
+/// one quantum, and at least one answered an UPDATE its quantum overwrote
+/// without writing it.
+fn assert_swept(soak: &str, quanta: Quanta) {
+    assert!(
+        quanta.sweeps > 0,
+        "{soak}: no round formed a sweep of two or more"
+    );
+    assert!(quanta.absorbed > 0, "{soak}: no round absorbed a write");
 }
 
 fn chaos_round_cfg(
@@ -178,7 +205,7 @@ fn chaos_round_cfg(
     spread: bool,
     scans: bool,
     tweak: impl FnOnce(&mut ClusterConfig),
-) -> u64 {
+) -> Quanta {
     let horizon = 400 * MS;
     let mut cfg = ClusterConfig {
         seed,
@@ -266,7 +293,7 @@ fn chaos_round_cfg(
         history.len()
     );
     assert_history_clean(&cluster, &chaos, seed);
-    sweeps(&cluster)
+    quanta(&cluster)
 }
 
 proptest! {

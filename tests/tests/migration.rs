@@ -136,13 +136,40 @@ fn drive_mix(
     }
 }
 
+/// Closed-loop recorded UPDATEs of one hot key, unique values. Two of these
+/// started together keep meeting at the key's shard in one sweep — under
+/// Strict replication both answers leave with the same ack — so the shard
+/// absorbs the first UPDATE of each pair.
+fn drive_hot(
+    sim: &mut Sim,
+    client: RecordingClient,
+    key: Vec<u8>,
+    i: usize,
+    total: usize,
+    done: Rc<Cell<bool>>,
+) {
+    if i >= total {
+        done.set(true);
+        return;
+    }
+    let value = format!("h{}-{}", client.client().id(), i).into_bytes();
+    let (c2, k2) = (client.clone(), key.clone());
+    let cont: hydra_db::client::OpCb = Box::new(move |sim, _r| {
+        drive_hot(sim, c2, k2, i + 1, total, done);
+    });
+    client.update(sim, &key, &value, cont);
+}
+
 /// One elastic round: a node joins mid-traffic (scripted `JoinNode` chaos
 /// event at a workload-pinned op count), then the first machine drains out
-/// under a second recorded wave. The history must stay linearizable across
+/// under a second recorded wave; in each wave two more clients update one
+/// hot key together. The history must stay linearizable across
 /// both flips, no key may be lost, duplicated, or misplaced, and the old
 /// owners must shed their ranges completely. Returns the sweeps (quanta of
-/// two or more bare requests taken from a lane together) the primaries ran.
-fn elastic_round(seed: u64) -> u64 {
+/// two or more bare requests taken from a lane together) the primaries ran
+/// and the writes they absorbed (UPDATEs a later UPDATE of the key
+/// overwrote inside their quantum).
+fn elastic_round(seed: u64) -> (u64, u64) {
     let cfg = ClusterConfig {
         seed,
         server_nodes: 3,
@@ -177,6 +204,7 @@ fn elastic_round(seed: u64) -> u64 {
         );
         dones.push(done);
     }
+    hot_pair(&mut cluster, &keys[0], &mut dones);
     cluster.sim.run();
     assert!(
         dones.iter().all(|d| d.get()),
@@ -211,6 +239,7 @@ fn elastic_round(seed: u64) -> u64 {
         );
         dones2.push(done);
     }
+    hot_pair(&mut cluster, &keys[0], &mut dones2);
     cluster.sim.run();
     assert!(
         dones2.iter().all(|d| d.get()),
@@ -247,8 +276,20 @@ fn elastic_round(seed: u64) -> u64 {
         panic!("HYDRA_SEED={seed}: {v}");
     }
     (0..cluster.report().rows.len() as u32)
-        .map(|p| cluster.shard(p).primary.borrow().stats().sweeps)
-        .sum()
+        .map(|p| cluster.shard(p).primary.borrow().stats())
+        .fold((0, 0), |(sweeps, absorbed), s| {
+            (sweeps + s.sweeps, absorbed + s.absorbed_writes)
+        })
+}
+
+/// Starts two [`drive_hot`] clients on `key` at the same instant.
+fn hot_pair(cluster: &mut hydra_db::Cluster, key: &[u8], dones: &mut Vec<Rc<Cell<bool>>>) {
+    for _ in 0..2 {
+        let client = cluster.add_recording_client(0);
+        let done = Rc::new(Cell::new(false));
+        drive_hot(&mut cluster.sim, client, key.to_vec(), 0, 12, done.clone());
+        dones.push(done);
+    }
 }
 
 #[test]
@@ -347,16 +388,18 @@ fn crash_of_joining_node_mid_double_write_aborts_cleanly() {
 /// Seeded elastic soak: `cargo test -- --ignored elastic`. Every seed runs
 /// a full join+drain round under recorded traffic; every third also runs
 /// the crash-during-DoubleWrite abort arm. The rounds must have driven the
-/// sweep path at least once.
+/// sweep path and absorbed an overwritten write at least once.
 #[test]
 #[ignore = "soak: ~12 elastic rounds with linearizability checks"]
 fn elastic_round_soak() {
-    let mut sweeps = 0;
+    let (mut sweeps, mut absorbed) = (0, 0);
     for seed in 0..12u64 {
-        sweeps += elastic_round(seed);
+        let (s, a) = elastic_round(seed);
+        (sweeps, absorbed) = (sweeps + s, absorbed + a);
         if seed % 3 == 0 {
             abort_round(seed);
         }
     }
     assert!(sweeps > 0, "no elastic round formed a sweep of two or more");
+    assert!(absorbed > 0, "no elastic round absorbed a write");
 }

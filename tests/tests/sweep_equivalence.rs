@@ -13,24 +13,31 @@
 //!
 //! - **Bytes.** Every response (backlog hints zeroed) and the final engine
 //!   state equal one-at-a-time execution in arrival order: `apply_request`
-//!   on a mirror engine, each request at the instant its quantum executed.
+//!   on a mirror engine, each request at the instant its quantum executed —
+//!   but an absorbed UPDATE, which answers what a probe of the mirror finds
+//!   (or the redirect) and writes nothing.
 //! - **Timing.** A model of the core replays the arrivals through the
 //!   shard's deficit-round-robin lanes. Every quantum executes at dispatch —
 //!   a lone request at its own price, a frame at its frame price, a sweep of
-//!   two or more at each member's batched price — except one that holds a
+//!   two or more at each member's batched price, an UPDATE the quantum
+//!   overwrites (absorbs) at the price of a GET — except one that holds a
 //!   write replicated under `Strict` or `Logging`: it executes when its
 //!   slot ends, and so do the GETs swept with it. Member *i*'s response
 //!   leaves at dispatch + the cumulative price of members 0..=i, or when its
 //!   quantum executed if that is later. Every observed response post tick
 //!   must be the model's — no earlier than it, for a write that produced a
 //!   record and so also waits for its secondary's ack.
-//! - **Counters.** `ServerStats::{sweeps, swept_requests}` equal the
-//!   model's.
+//! - **Counters.** `ServerStats::{sweeps, swept_requests, absorbed_writes}`
+//!   equal the model's.
 //!
-//! Two directed tests pin what the proptest cannot see: spaced arrivals
-//! never sweep and answer exactly at arrival + detection + singleton price,
-//! and a replicated sweep ships its writes in one doorbell while its GETs
-//! leave on time and its writes wait for the covering ack.
+//! Directed tests pin what the proptest cannot see: spaced arrivals never
+//! sweep and answer exactly at arrival + detection + singleton price; a
+//! replicated sweep ships its writes in one doorbell while its GETs leave on
+//! time and its writes wait for the covering ack; and an absorbed UPDATE is
+//! blocked by a request on its key between it and its successor, answers
+//! `NotFound` for a missing key, is applied after all when its successor
+//! fails, waits for the covering ack, and passes on its successor's
+//! redirect.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -44,6 +51,7 @@ use hydra_sim::SimTime;
 use hydra_store::{EngineConfig, ShardEngine, LOOKUP_BATCH};
 use hydra_wire::{
     for_each_message_mut, messages, set_backlog_hint, BatchBuilder, BatchFrame, Request, Response,
+    Status,
 };
 use proptest::prelude::*;
 
@@ -60,6 +68,8 @@ enum Op {
     Insert(u8, u8),
     Update(u8, u8),
     Delete(u8),
+    /// An UPDATE of a key to a value no small arena holds.
+    Big(u8),
 }
 
 #[derive(Debug, Clone)]
@@ -87,10 +97,14 @@ fn key_of(k: u8) -> Vec<u8> {
     format!("sweep-key-{k}").into_bytes()
 }
 
+/// The value tag `tag` writes.
+fn value(tag: u8) -> Vec<u8> {
+    vec![b'a' + tag % 26; 8 + (tag % 24) as usize]
+}
+
 /// The encoded request `op` becomes at `position` of arrival `i`.
 fn encode(i: usize, position: usize, op: &Op) -> Vec<u8> {
     let req_id = REQ_BASE + i as u64 * POSITIONS + position as u64;
-    let value = |tag: u8| vec![b'a' + tag % 26; 8 + (tag % 24) as usize];
     match op {
         Op::Get(k) => Request::Get {
             req_id,
@@ -112,6 +126,12 @@ fn encode(i: usize, position: usize, op: &Op) -> Vec<u8> {
         Op::Delete(k) => Request::Delete {
             req_id,
             key: &key_of(*k),
+        }
+        .encode(),
+        Op::Big(k) => Request::Update {
+            req_id,
+            key: &key_of(*k),
+            value: &[b'z'; 6_000],
         }
         .encode(),
     }
@@ -138,6 +158,36 @@ fn is_write(req: &Request<'_>) -> bool {
     matches!(
         req,
         Request::Insert { .. } | Request::Update { .. } | Request::Delete { .. }
+    )
+}
+
+/// The shard's absorption rule over a quantum's requests: `reqs[i]` is an
+/// UPDATE and the first later request on its key is an UPDATE too.
+fn absorbed(reqs: &[&Request<'_>], i: usize) -> bool {
+    fn key_of<'a>(r: &Request<'a>) -> &'a [u8] {
+        match r {
+            Request::Get { key, .. }
+            | Request::Insert { key, .. }
+            | Request::Update { key, .. }
+            | Request::Delete { key, .. } => key,
+            Request::Scan { .. } => unreachable!("no scans here"),
+        }
+    }
+    let Request::Update { key, .. } = reqs[i] else {
+        return false;
+    };
+    let next = reqs[i + 1..].iter().find(|r| key_of(r) == *key);
+    matches!(next, Some(Request::Update { .. }))
+}
+
+/// What an absorbed UPDATE costs in place of its own price: a GET's.
+fn probe(swept: bool) -> SimTime {
+    price(
+        &Request::Get {
+            req_id: 0,
+            key: &[],
+        },
+        swept,
     )
 }
 
@@ -264,9 +314,12 @@ fn model(
                     next_dispatch = Some(at[i] + detection);
                 }
                 let task = if arrivals[i].frame {
-                    let own: SimTime = reqs[i]
-                        .iter()
-                        .map(|r| price(r, true) - costs::POLL_NS)
+                    let frame: Vec<&Request<'_>> = reqs[i].iter().collect();
+                    let own: SimTime = (0..frame.len())
+                        .map(|k| match absorbed(&frame, k) {
+                            true => probe(true) - costs::POLL_NS,
+                            false => price(frame[k], true) - costs::POLL_NS,
+                        })
                         .sum();
                     (i, costs::POLL_NS + own, None)
                 } else {
@@ -308,6 +361,17 @@ fn model(
             }
             None => picks.push((first, cost)),
         }
+        if picks.len() > 1 {
+            // A member the sweep overwrites costs a GET; the lane gets the
+            // difference back.
+            let members: Vec<&Request<'_>> = picks.iter().map(|&(m, _)| &reqs[m][0]).collect();
+            for (k, pick) in picks.iter_mut().enumerate() {
+                if absorbed(&members, k) {
+                    lanes.deficit[lanes.current] += pick.1 - probe(true);
+                    pick.1 = probe(true);
+                }
+            }
+        }
         let mut t = d;
         let due: Vec<SimTime> = picks
             .iter()
@@ -341,6 +405,17 @@ fn cluster(
     repl: Option<ReplicationMode>,
     gated: bool,
 ) -> (Cluster, Caught) {
+    cluster_of(conns, scheduler, repl, gated, 1 << 16)
+}
+
+/// [`cluster`], its shards' arenas `arena_words` long.
+fn cluster_of(
+    conns: usize,
+    scheduler: SchedulerKind,
+    repl: Option<ReplicationMode>,
+    gated: bool,
+    arena_words: usize,
+) -> (Cluster, Caught) {
     let replicas = u32::from(repl.is_some());
     let mut cluster = ClusterBuilder::new(ClusterConfig {
         seed: 26,
@@ -351,7 +426,7 @@ fn cluster(
         scheduler,
         replicas,
         replication: repl.unwrap_or(ReplicationMode::GroupCommit),
-        arena_words: 1 << 16,
+        arena_words,
         expected_items: 1 << 10,
         ..ClusterConfig::default()
     })
@@ -510,6 +585,7 @@ fn sweeps_equal_one_at_a_time(
     let mut recorded = vec![false; arrivals.len()];
     let mut scratch = Vec::new();
     let mut last_exec = None;
+    let mut absorbed_writes = 0;
     for q in &quanta {
         // The shard frees retired blocks from an event at the instant they
         // were retired: it runs between two quanta, unless the second
@@ -520,22 +596,57 @@ fn sweeps_equal_one_at_a_time(
             mirror.pump_reclaim(t);
         }
         last_exec = Some(q.exec_at);
+        let quantum: Vec<&Request<'_>> = q.members.iter().flat_map(|&m| &reqs[m]).collect();
+        let mut at = 0;
         for &m in &q.members {
             let mut frame = BatchBuilder::new();
             for req in &reqs[m] {
+                let over = absorbed(&quantum, at);
+                at += 1;
                 frame.push_with(|out| {
-                    recorded[m] |= apply_request(
-                        &mut mirror,
-                        q.exec_at,
-                        req,
-                        arena,
-                        &mut scratch,
-                        ScanBounds::of(&cluster.cfg),
-                        &mut plane,
-                        gated.then_some(&gate),
-                        out,
-                    )
-                    .is_some();
+                    let Request::Update { req_id, key, .. } = req else {
+                        recorded[m] |= apply_request(
+                            &mut mirror,
+                            q.exec_at,
+                            req,
+                            arena,
+                            &mut scratch,
+                            ScanBounds::of(&cluster.cfg),
+                            &mut plane,
+                            gated.then_some(&gate),
+                            out,
+                        )
+                        .is_some();
+                        return;
+                    };
+                    let redirect = wrong_owner(key).filter(|_| gated);
+                    let answer = match redirect {
+                        _ if !over => {
+                            let record = apply_request(
+                                &mut mirror,
+                                q.exec_at,
+                                req,
+                                arena,
+                                &mut scratch,
+                                ScanBounds::of(&cluster.cfg),
+                                &mut plane,
+                                gated.then_some(&gate),
+                                out,
+                            );
+                            recorded[m] |= record.is_some();
+                            return;
+                        }
+                        Some(generation) => Response::wrong_owner(*req_id, generation),
+                        None if mirror.peek(key).is_some() => {
+                            // Its Ok waits for the ack its successor's
+                            // record brings.
+                            recorded[m] = true;
+                            Response::status_only(Status::Ok, *req_id)
+                        }
+                        None => Response::status_only(Status::NotFound, *req_id),
+                    };
+                    absorbed_writes += 1;
+                    answer.encode_into(out);
                 });
             }
             want[m] = if arrivals[m].frame {
@@ -559,6 +670,10 @@ fn sweeps_equal_one_at_a_time(
         prop_assert_eq!(&got, &want[i], "response to arrival {}", i);
     }
     prop_assert_eq!(contents(&shard.borrow().engine.borrow()), contents(&mirror));
+    prop_assert_eq!(
+        shard.borrow().stats().absorbed_writes - before.absorbed_writes,
+        absorbed_writes
+    );
 
     // Timing: every answer posted where the model puts it — no earlier,
     // for one that also waits for its record's ack.
@@ -800,4 +915,141 @@ fn a_replicated_sweep_ships_once_and_holds_only_its_writes() {
         left[0] > writes[0],
         "the first write waits for the shipment's ack"
     );
+}
+
+/// Runs `setup` one request at a time on connection 0, then `ops` at one
+/// instant, one per connection, so the shard takes them as one sweep.
+/// Returns what each of `ops` answered (status and value) and the tick each
+/// answer of the burst was posted at, in time order.
+fn burst(
+    cluster: &mut Cluster,
+    caught: &Caught,
+    setup: &[Op],
+    ops: &[Op],
+) -> (Vec<(Status, Vec<u8>)>, Vec<SimTime>) {
+    let start = cluster.sim.now() + 10_000;
+    let spaced = setup.iter().enumerate().map(|(i, op)| {
+        let at = start + i as SimTime * 50_000;
+        (at, Arrival::bare(0, 0, op.clone()))
+    });
+    let burst_at = start + setup.len() as SimTime * 50_000;
+    let together =
+        (ops.iter().enumerate()).map(|(c, op)| (burst_at, Arrival::bare(0, c, op.clone())));
+    let (at, arrivals): (Vec<SimTime>, Vec<Arrival>) = spaced.chain(together).unzip();
+    let before = cluster.shard(0).primary.borrow().stats().sweeps;
+    let posts = drive(cluster, caught, &at, &arrivals);
+    assert_eq!(
+        cluster.shard(0).primary.borrow().stats().sweeps - before,
+        1,
+        "the burst is one sweep"
+    );
+    let mut answers = vec![None; arrivals.len()];
+    for (_, payload) in caught.borrow().iter() {
+        let resp = Response::decode(payload).expect("a response");
+        answers[arrival_of(resp.req_id)] = Some((resp.status, resp.value.to_vec()));
+    }
+    let answers = answers.split_off(setup.len());
+    (
+        answers.into_iter().map(Option::unwrap).collect(),
+        posts[setup.len()..].to_vec(),
+    )
+}
+
+fn absorbed_writes(cluster: &Cluster) -> u64 {
+    cluster.shard(0).primary.borrow().stats().absorbed_writes
+}
+
+fn value_in(cluster: &Cluster, k: u8) -> Option<Vec<u8>> {
+    contents(&cluster.shard(0).primary.borrow().engine.borrow()).remove(&key_of(k))
+}
+
+/// Two UPDATEs of a key in one sweep: the first is answered and never
+/// written. A GET of the key between them sees the first, so it blocks that.
+#[test]
+fn a_request_on_the_key_between_two_updates_blocks_absorption() {
+    let (mut cluster, caught) = cluster(3, SchedulerKind::DualLane, None, false);
+    let updates = [Op::Update(1, 1), Op::Update(1, 2)];
+    let (answers, _) = burst(&mut cluster, &caught, &[Op::Insert(1, 0)], &updates);
+    assert!(answers.iter().all(|(s, _)| *s == Status::Ok));
+    assert_eq!(absorbed_writes(&cluster), 1);
+    assert_eq!(value_in(&cluster, 1), Some(value(2)));
+    let (mut blocked, caught) = self::cluster(3, SchedulerKind::DualLane, None, false);
+    let between = [Op::Update(1, 1), Op::Get(1), Op::Update(1, 2)];
+    let (answers, _) = burst(&mut blocked, &caught, &[Op::Insert(1, 0)], &between);
+    assert_eq!(answers[1], (Status::Ok, value(1)), "the GET sees the first");
+    assert_eq!(absorbed_writes(&blocked), 0);
+    assert_eq!(value_in(&blocked, 1), Some(value(2)));
+}
+
+/// An absorbed UPDATE of a key the shard does not hold answers `NotFound`,
+/// as its successor does.
+#[test]
+fn an_absorbed_update_of_a_missing_key_answers_not_found() {
+    let (mut cluster, caught) = cluster(2, SchedulerKind::DualLane, None, false);
+    let updates = [Op::Update(3, 1), Op::Update(3, 2)];
+    let (answers, _) = burst(&mut cluster, &caught, &[], &updates);
+    let statuses: Vec<Status> = answers.iter().map(|(s, _)| *s).collect();
+    assert_eq!(statuses, [Status::NotFound, Status::NotFound]);
+    assert_eq!(absorbed_writes(&cluster), 1);
+    assert_eq!(value_in(&cluster, 3), None);
+}
+
+/// When the UPDATE that overwrote an absorbed one fails — its value does not
+/// fit the arena — the absorbed one is applied after all, and answers what
+/// applying it answered.
+#[test]
+fn a_failed_successor_makes_the_absorbed_write_apply() {
+    let small_arena = 1 << 9;
+    let (mut cluster, caught) = cluster_of(2, SchedulerKind::DualLane, None, false, small_arena);
+    let updates = [Op::Update(1, 1), Op::Big(1)];
+    let (answers, _) = burst(&mut cluster, &caught, &[Op::Insert(1, 0)], &updates);
+    let statuses: Vec<Status> = answers.iter().map(|(s, _)| *s).collect();
+    assert_eq!(statuses, [Status::Ok, Status::Error]);
+    assert_eq!(value_in(&cluster, 1), Some(value(1)), "applied after all");
+    assert_eq!(absorbed_writes(&cluster), 0);
+    let (mut both, caught) = cluster_of(2, SchedulerKind::DualLane, None, false, small_arena);
+    let updates = [Op::Big(1), Op::Big(1)];
+    let (answers, _) = burst(&mut both, &caught, &[Op::Insert(1, 0)], &updates);
+    let statuses: Vec<Status> = answers.iter().map(|(s, _)| *s).collect();
+    assert_eq!(
+        statuses,
+        [Status::Error, Status::Error],
+        "its answer corrected"
+    );
+    assert_eq!(value_in(&both, 1), Some(value(0)));
+}
+
+/// An absorbed UPDATE's `Ok` is a write's: it waits for the ack covering
+/// the sweep's shipment — which its successor's record brings — and does not
+/// leave at its own price.
+#[test]
+fn an_absorbed_ok_waits_for_the_covering_ack() {
+    let repl = Some(ReplicationMode::GroupCommit);
+    let (mut cluster, caught) = cluster(2, SchedulerKind::DualLane, repl, false);
+    let updates = [Op::Update(1, 1), Op::Update(1, 2)];
+    let start = cluster.sim.now() + 10_000;
+    let (answers, posts) = burst(&mut cluster, &caught, &[Op::Insert(1, 0)], &updates);
+    assert!(answers.iter().all(|(s, _)| *s == Status::Ok));
+    assert_eq!(absorbed_writes(&cluster), 1);
+    let own_price = start + 50_000 + detection(2) + probe(true);
+    assert!(
+        posts.iter().all(|&p| p > own_price),
+        "both answers wait for the ack, none leaves at {own_price}: {posts:?}"
+    );
+}
+
+/// Under migration, an absorbed UPDATE of a key the shard gave away gets
+/// the redirect its successor gets.
+#[test]
+fn an_absorbed_update_passes_on_its_successors_redirect() {
+    let (mut cluster, caught) = cluster(2, SchedulerKind::DualLane, None, true);
+    let me = cluster.shard(0).primary.borrow().id;
+    let moved = (0..KEYS)
+        .find(|&k| cluster.directory.borrow().ring.route(&key_of(k)) != Some(me))
+        .expect("the join moved a key");
+    let updates = [Op::Update(moved, 1), Op::Update(moved, 2)];
+    let (answers, _) = burst(&mut cluster, &caught, &[], &updates);
+    let statuses: Vec<Status> = answers.iter().map(|(s, _)| *s).collect();
+    assert_eq!(statuses, [Status::WrongOwner, Status::WrongOwner]);
+    assert_eq!(absorbed_writes(&cluster), 1);
 }

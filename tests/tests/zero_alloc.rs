@@ -91,6 +91,8 @@ fn hot_paths_do_not_allocate() {
     sweep_allocates_no_more_per_request_than_a_singleton();
     frame_allocates_no_more_than_when_it_collected_its_requests();
     group_commit_shipment_allocates_a_fixed_count();
+    replicated_sweep_holds_its_writes_in_a_fixed_byte_count();
+    suspect_get_allocates_no_more_than_a_message_get();
     mux_tag_stamp_and_demux_add_no_allocations();
     write_permission_check_adds_no_allocations();
 }
@@ -691,6 +693,116 @@ fn group_commit_shipment_allocates_a_fixed_count() {
     assert!(
         bytes <= BYTES_BEFORE,
         "a four-record quantum allocates {bytes} B ({BYTES_BEFORE} B before)"
+    );
+}
+
+/// A replicated sweep's writes wait for the ack covering its shipment in the
+/// shard's own list, behind a gate that is no more than the count of acks
+/// still due: a steady-state round of eight concurrent UPDATEs under group
+/// commit allocates `BYTES` in all, where it allocated `BYTES_BEFORE` when
+/// every replicated quantum's gate kept a response slot for each of
+/// `LOOKUP_BATCH` members, whatever the quantum held.
+fn replicated_sweep_holds_its_writes_in_a_fixed_byte_count() {
+    const CLIENTS: usize = 8;
+    const ROUNDS: usize = 16;
+    const BYTES: u64 = 124_224;
+    const BYTES_BEFORE: u64 = 157_504;
+    let cfg = ClusterConfig {
+        server_nodes: 2,
+        shards_per_node: 1,
+        client_nodes: 1,
+        replicas: 1,
+        replication: hydra_db::ReplicationMode::GroupCommit,
+        client_mode: ClientMode::RdmaWrite,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = ClusterBuilder::new(cfg).build();
+    let clients: Vec<_> = (0..CLIENTS).map(|_| cluster.add_client(0)).collect();
+    for (c, client) in clients.iter().enumerate() {
+        put_ok(
+            &mut cluster,
+            client,
+            format!("sw{c:04}").as_bytes(),
+            &[0; 32],
+        );
+    }
+    // Odd rounds: every client UPDATEs its own key at one instant.
+    let rounds = |cluster: &mut hydra_db::Cluster| {
+        for r in 0..ROUNDS {
+            one_op_each(cluster, &clients, 0..CLIENTS, 2 * r + 1);
+        }
+    };
+    rounds(&mut cluster); // warm-up: windows, pools, the event arena
+    let shard = cluster.shard(0).primary;
+    let before = shard.borrow().stats().sweeps;
+    let bytes = (0..3)
+        .map(|_| count_bytes(|| rounds(&mut cluster)))
+        .min()
+        .unwrap();
+    assert!(
+        shard.borrow().stats().sweeps - before >= (3 * ROUNDS) as u64,
+        "every round sweeps"
+    );
+    assert!(
+        bytes <= BYTES && BYTES < BYTES_BEFORE,
+        "{ROUNDS} replicated sweep rounds allocate {bytes} B ({BYTES} B pinned, {BYTES_BEFORE} B before)"
+    );
+}
+
+/// A GET of a suspect key travels as a message GET carrying the pointer it
+/// stands in for; it allocates no more than a message-path GET of the same
+/// key — the carried pointer rides in the op record, and re-caching the
+/// answer reuses the cache entry.
+fn suspect_get_allocates_no_more_than_a_message_get() {
+    const KEYS: usize = 32;
+    let gets = |mode: ClientMode| {
+        let cfg = ClusterConfig {
+            server_nodes: 1,
+            shards_per_node: 1,
+            client_nodes: 1,
+            client_mode: mode,
+            ..ClusterConfig::default()
+        };
+        let mut cluster = ClusterBuilder::new(cfg).build();
+        let (writer, reader) = (cluster.add_client(0), cluster.add_client(0));
+        let keys: Vec<Vec<u8>> = (0..KEYS)
+            .map(|i| format!("sg{i:05}").into_bytes())
+            .collect();
+        for k in &keys {
+            put_ok(&mut cluster, &writer, k, &[0; 32]);
+        }
+        // Every key moves, then the reader GETs each: from the third round
+        // on, in read mode, every one of those GETs is suspect.
+        let round = |cluster: &mut hydra_db::Cluster, r: u8| {
+            for k in &keys {
+                let done = std::rc::Rc::new(std::cell::Cell::new(false));
+                let d = done.clone();
+                let cb = Box::new(move |_: &mut hydra_sim::Sim, res: Result<_, _>| {
+                    res.expect("update succeeds");
+                    d.set(true);
+                });
+                writer.update(&mut cluster.sim, k, &[r; 32], cb);
+                step_until(cluster, &done);
+            }
+            count_allocs(|| {
+                for k in &keys {
+                    assert_eq!(get_value(cluster, &reader, k), Some(vec![r; 32]));
+                }
+            })
+        };
+        for r in 0..4 {
+            round(&mut cluster, r); // warm-up: cache, window, event arena
+        }
+        let before = reader.stats().suspect_gets;
+        let allocs = (4..8).map(|r| round(&mut cluster, r)).min().unwrap();
+        (allocs, reader.stats().suspect_gets - before)
+    };
+    let (suspect, suspect_gets) = gets(ClientMode::RdmaWriteRead);
+    assert_eq!(suspect_gets, 4 * KEYS as u64, "every measured GET suspect");
+    let (message, _) = gets(ClientMode::RdmaWrite);
+    assert!(
+        suspect <= message,
+        "{KEYS} suspect GETs allocate {suspect} times, {KEYS} message GETs {message}"
     );
 }
 
