@@ -13,9 +13,10 @@
 //! Wall-clock microbench numbers live in `perf_index` and the Criterion
 //! bench (`benches/hashtable.rs`).
 
-use hydra_bench::{one_workload, paper_cluster, paper_cluster_config, Report, Scale};
 use hydra_store::{hash_key, ChainedTable, CompactTable, IndexKind, PackedTable, TableStats};
 use hydra_ycsb::{run_workload, DriverConfig};
+
+use crate::{one_workload, paper_cluster, paper_cluster_config, Report, Scale};
 
 fn keys(n: usize) -> Vec<Vec<u8>> {
     (0..n)
@@ -23,18 +24,19 @@ fn keys(n: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn main() {
-    let scale = Scale::from_env();
+/// One table's row: lookups, then lines (or nodes) and full compares per
+/// lookup.
+fn per_lookup(report: &mut Report, name: &str, s: &TableStats) -> (f64, f64) {
+    let lines = s.buckets_probed as f64 / s.lookups as f64;
+    let cmps = s.full_compares as f64 / s.lookups as f64;
+    report.row(&[&name, &s.lookups, &lines, &cmps]);
+    (lines, cmps)
+}
+
+pub fn run(scale: Scale, report: &mut Report) {
     let n = (scale.records() as usize).min(400_000);
     let keys = keys(n);
-    let mut report = Report::new(
-        "abl_hashtable",
-        "A-HASH: packed cache-line-group vs compact vs chained tables",
-    );
-    report.line(&format!(
-        "{:<22} {:>14} {:>18} {:>16}",
-        "table / phase", "lookups", "lines_or_nodes/op", "full_cmp/op"
-    ));
+    report.header("table / phase<22|lookups>14|lines_or_nodes/op>18.3|full_cmp/op>16.3");
 
     // Size compact/chained for ~2x overload of the main branch to expose
     // collision handling; the packed table runs at its natural 7/8 ceiling
@@ -64,19 +66,10 @@ fn main() {
         ("compact / loaded", compact.stats()),
         ("chained / loaded", chained.stats()),
     ] {
-        report.line(&format!(
-            "{:<22} {:>14} {:>18.3} {:>16.3}",
-            name,
-            s.lookups,
-            s.buckets_probed as f64 / s.lookups as f64,
-            s.full_compares as f64 / s.lookups as f64
-        ));
+        let (lines, cmps) = per_lookup(report, name, &s);
         report.datum(
             name,
-            serde_json::json!({
-                "lines_per_lookup": s.buckets_probed as f64 / s.lookups as f64,
-                "cmp_per_lookup": s.full_compares as f64 / s.lookups as f64,
-            }),
+            serde_json::json!({ "lines_per_lookup": lines, "cmp_per_lookup": cmps }),
         );
     }
 
@@ -111,13 +104,7 @@ fn main() {
         ("compact / post-merge", compact.stats()),
         ("chained / post-merge", chained.stats()),
     ] {
-        report.line(&format!(
-            "{:<22} {:>14} {:>18.3} {:>16.3}",
-            name,
-            s.lookups,
-            s.buckets_probed as f64 / s.lookups as f64,
-            s.full_compares as f64 / s.lookups as f64
-        ));
+        per_lookup(report, name, &s);
     }
     report.line(&format!(
         "# during removals: compact merged {} overflow buckets away; packed purged \
@@ -134,10 +121,9 @@ fn main() {
     // the host wall-clock of the run, whose delta is dominated by the index
     // since everything else in the two runs is identical.
     let wl = one_workload(scale, 0.95, true, 4113);
-    report.line(&format!(
-        "{:<22} {:>14} {:>18} {:>16} {:>10}",
-        "ycsb-b 95/5 zipf", "lookups", "lines_or_nodes/op", "full_cmp/op", "wall_s"
-    ));
+    report.header(
+        "ycsb-b 95/5 zipf<22|lookups>14|lines_or_nodes/op>18.3|full_cmp/op>16.3|wall_s>10.2",
+    );
     for (name, kind) in [
         ("chained", IndexKind::Chained),
         ("packed", IndexKind::Packed),
@@ -146,13 +132,12 @@ fn main() {
             index: kind,
             ..paper_cluster_config()
         };
-        let partitions = cfg.server_nodes * cfg.shards_per_node;
         let (mut cluster, clients) = paper_cluster(cfg, 50);
         let t0 = std::time::Instant::now();
         let r = run_workload(&mut cluster.sim, &clients, &wl, &DriverConfig::default());
         let wall = t0.elapsed().as_secs_f64();
         let mut s = TableStats::default();
-        for p in 0..partitions {
+        for p in 0..cluster.cfg.total_shards() {
             let shard = cluster.shard(p);
             let t = shard.primary.borrow().engine.borrow().table_stats();
             s.lookups += t.lookups;
@@ -161,21 +146,16 @@ fn main() {
             s.displacements += t.displacements;
             s.resizes += t.resizes;
         }
-        report.line(&format!(
-            "{:<22} {:>14} {:>18.3} {:>16.3} {:>10.2}",
-            format!("  index={name}"),
-            s.lookups,
-            s.buckets_probed as f64 / s.lookups as f64,
-            s.full_compares as f64 / s.lookups as f64,
-            wall,
-        ));
+        let (lines, cmps) = (s.buckets_probed as f64, s.full_compares as f64);
+        let (lines, cmps) = (lines / s.lookups as f64, cmps / s.lookups as f64);
+        report.row(&[&format!("  index={name}"), &s.lookups, &lines, &cmps, &wall]);
         report.datum(
             &format!("ycsb_b_{name}"),
             serde_json::json!({
                 "sim_mops": r.mops,
                 "wall_s": wall,
-                "lines_per_lookup": s.buckets_probed as f64 / s.lookups as f64,
-                "cmp_per_lookup": s.full_compares as f64 / s.lookups as f64,
+                "lines_per_lookup": lines,
+                "cmp_per_lookup": cmps,
                 "displacements": s.displacements,
                 "resizes": s.resizes,
             }),
@@ -185,5 +165,4 @@ fn main() {
         "# simulated Mops is index-insensitive (calibrated fixed per-op cost); \
          see BENCH_index for isolated wall-clock probe speedups",
     );
-    report.save();
 }

@@ -7,21 +7,16 @@
 //! pinned) but shrink the fast-path window; longer leases pin more dead
 //! bytes between update bursts.
 
-use hydra_bench::{one_workload, paper_cluster_config, Report, Scale};
 use hydra_db::ClusterConfig;
 use hydra_sim::time::MS;
 use hydra_ycsb::{run_workload, DriverConfig, Workload};
 
-fn main() {
-    let scale = Scale::from_env();
-    let mut report = Report::new(
-        "abl_lease",
-        "A-LEASE: lease term vs fast-path effectiveness and memory pinned by dead items",
+use crate::{hit_rate, one_workload, paper_cluster, paper_cluster_config, Report, Scale};
+
+pub fn run(scale: Scale, report: &mut Report) {
+    report.header(
+        "lease<14|Mops>10.3|hit_rate>12|invalid_hits>14|reclaimed_blks>16|peak_pinned_blks>16",
     );
-    report.line(&format!(
-        "{:<14} {:>10} {:>12} {:>14} {:>16} {:>16}",
-        "lease", "Mops", "hit_rate", "invalid_hits", "reclaimed_blks", "peak_pinned_blks"
-    ));
     for (label, min_l, max_l) in [
         ("1ms-64ms", MS, 64 * MS),
         ("10ms-640ms", 10 * MS, 640 * MS),
@@ -36,16 +31,9 @@ fn main() {
             ops: (scale.ops() / 2).max(10_000),
             ..one_workload(scale, 0.5, true, 31)
         };
-        let nodes = cfg.client_nodes as usize;
-        let mut cluster = hydra_db::ClusterBuilder::new(cfg).build();
-        let clients: Vec<_> = (0..50).map(|i| cluster.add_client(i % nodes)).collect();
+        let (mut cluster, clients) = paper_cluster(cfg, 50);
         let r = run_workload(&mut cluster.sim, &clients, &wl, &DriverConfig::default());
-        let fast = r.rptr_hits + r.invalid_hits;
-        let hit_rate = if fast + r.msg_gets == 0 {
-            0.0
-        } else {
-            r.rptr_hits as f64 / (fast + r.msg_gets) as f64
-        };
+        let hit_rate = hit_rate(&r);
         let (mut reclaimed, mut peak) = (0u64, 0usize);
         for p in 0..cluster.cfg.total_shards() {
             let h = cluster.shard(p);
@@ -54,15 +42,8 @@ fn main() {
             reclaimed += e.stats().reclaimed_blocks;
             peak += e.reclaim_peak().0;
         }
-        report.line(&format!(
-            "{:<14} {:>10.3} {:>11.1}% {:>14} {:>16} {:>16}",
-            label,
-            r.mops,
-            hit_rate * 100.0,
-            r.invalid_hits,
-            reclaimed,
-            peak
-        ));
+        let rate = format!("{:.1}%", hit_rate * 100.0);
+        report.row(&[&label, &r.mops, &rate, &r.invalid_hits, &reclaimed, &peak]);
         report.datum(
             label,
             serde_json::json!({
@@ -73,10 +54,13 @@ fn main() {
                 "peak_pinned_blocks": peak,
             }),
         );
-        assert_eq!(r.errors, 0, "no reader may ever observe silent corruption");
+        report.claim(
+            r.errors == 0,
+            format!("{label}: {} errors", r.errors),
+            "no reader may ever observe silent corruption",
+        );
     }
     report.line(
         "# all runs completed with zero corruption: every stale fast read was detected and retried",
     );
-    report.save();
 }

@@ -9,20 +9,15 @@
 //! analytic identity that a no-backoff polling loop occupies its core 100%
 //! of the time by construction.
 
-use hydra_bench::{one_workload, paper_cluster_config, Report, Scale};
 use hydra_db::{costs, ClusterConfig};
 use hydra_ycsb::{run_workload, DriverConfig};
 
-fn main() {
-    let scale = Scale::from_env();
-    let mut report = Report::new(
-        "abl_sleep",
-        "T-SLEEP: poll-loop sleep backoff — CPU cost vs latency across offered load",
+use crate::{one_workload, paper_cluster, paper_cluster_config, Report, Scale};
+
+pub fn run(scale: Scale, report: &mut Report) {
+    report.header(
+        "clients<10|Mops>12.3|lat_sleep_us>14.2|lat_spin_us>14.2|cpu_sleep>16|cpu_spin>16",
     );
-    report.line(&format!(
-        "{:<10} {:>12} {:>14} {:>14} {:>16} {:>16}",
-        "clients", "Mops", "lat_sleep_us", "lat_spin_us", "cpu_sleep", "cpu_spin"
-    ));
     for clients in [1usize, 2, 4, 8, 16, 32, 50] {
         let mut results = Vec::new();
         for sleep in [Some(100u64), None] {
@@ -30,16 +25,11 @@ fn main() {
                 sleep_backoff_ns: sleep,
                 ..paper_cluster_config()
             };
-            let wl = one_workload(scale, 0.9, true, 21);
             let wl = hydra_ycsb::Workload {
                 ops: (scale.ops() / 4).max(4_000),
-                ..wl
+                ..one_workload(scale, 0.9, true, 21)
             };
-            let nodes = cfg.client_nodes as usize;
-            let mut cluster = hydra_db::ClusterBuilder::new(cfg).build();
-            let cs: Vec<_> = (0..clients)
-                .map(|i| cluster.add_client(i % nodes))
-                .collect();
+            let (mut cluster, cs) = paper_cluster(cfg, clients);
             let r = run_workload(&mut cluster.sim, &cs, &wl, &DriverConfig::default());
             // Processing utilization per shard core, derived from the
             // measured rate and the cost model (the simulator charges
@@ -60,15 +50,9 @@ fn main() {
         }
         let (with_sleep, util_sleep) = &results[0];
         let (spin, _) = &results[1];
-        report.line(&format!(
-            "{:<10} {:>12.3} {:>14.2} {:>14.2} {:>15.1}% {:>16}",
-            clients,
-            spin.mops,
-            with_sleep.get_mean_us,
-            spin.get_mean_us,
-            util_sleep * 100.0,
-            "100% (spin)"
-        ));
+        let cpu_sleep = format!("{:.1}%", util_sleep * 100.0);
+        let (lat_sleep, lat_spin) = (with_sleep.get_mean_us, spin.get_mean_us);
+        report.row(&[&clients, &spin.mops, &lat_sleep, &lat_spin, &cpu_sleep, &"100% (spin)"]);
         report.datum(
             &format!("{clients}"),
             serde_json::json!({
@@ -80,5 +64,4 @@ fn main() {
         );
     }
     report.line("# with backoff, CPU burn tracks offered load (negligible when idle); latency cost is <= sleep/2 per op");
-    report.save();
 }

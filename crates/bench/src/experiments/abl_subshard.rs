@@ -8,56 +8,35 @@
 //!   (A) 8 independent shard instances  -> clients x 8 QPs at the driver;
 //!   (B) 1 instance with 8 sub-shards   -> clients x 1 QPs.
 
-use hydra_bench::{one_workload, Report, Scale};
 use hydra_db::{ClusterConfig, ExecModel};
 use hydra_ycsb::{run_workload, DriverConfig, Workload};
 
-fn run(clients: usize, exec: ExecModel, shards: u32, wl: &Workload) -> (f64, u32) {
+use crate::{one_workload, paper_cluster, paper_cluster_config, Report, Scale};
+
+fn run_arm(clients: usize, exec: ExecModel, shards: u32, wl: &Workload) -> (f64, u32) {
     let cfg = ClusterConfig {
-        server_nodes: 1,
         shards_per_node: shards,
         client_nodes: 6,
         exec_model: exec,
-        arena_words: 1 << 23,
-        expected_items: 1 << 20,
-        ..ClusterConfig::default()
+        ..paper_cluster_config()
     };
-    let nodes = cfg.client_nodes as usize;
-    let mut cluster = hydra_db::ClusterBuilder::new(cfg).build();
-    let cs: Vec<_> = (0..clients)
-        .map(|i| cluster.add_client(i % nodes))
-        .collect();
+    let (mut cluster, cs) = paper_cluster(cfg, clients);
     let r = run_workload(&mut cluster.sim, &cs, wl, &DriverConfig::default());
     let qps = cluster.fab.qp_count(cluster.server_nodes[0]);
     (r.mops, qps)
 }
 
-fn main() {
-    let scale = Scale::from_env();
-    let mut report = Report::new(
-        "abl_subshard",
-        "A-SUBSHARD: 8 shard instances vs 1 instance with 8 sub-shards (one 8-core server)",
-    );
-    report.line(&format!(
-        "{:<10} {:>14} {:>10} {:>16} {:>10} {:>8}",
-        "clients", "8-shards Mops", "QPs", "sub-shard Mops", "QPs", "gain"
-    ));
+pub fn run(scale: Scale, report: &mut Report) {
+    report.header("clients<10|8-shards Mops>14.3|QPs>10|sub-shard Mops>16.3|QPs>10|gain>8");
     for clients in [30usize, 60, 90, 120] {
         let wl = Workload {
             ops: (scale.ops() / 2).max(10_000),
             ..one_workload(scale, 0.5, false, 61)
         };
-        let (flat, flat_qps) = run(clients, ExecModel::SingleThreaded, 8, &wl);
-        let (sub, sub_qps) = run(clients, ExecModel::SubSharded { subs: 8 }, 1, &wl);
-        report.line(&format!(
-            "{:<10} {:>14.3} {:>10} {:>16.3} {:>10} {:>7.1}%",
-            clients,
-            flat,
-            flat_qps,
-            sub,
-            sub_qps,
-            (sub / flat - 1.0) * 100.0
-        ));
+        let (flat, flat_qps) = run_arm(clients, ExecModel::SingleThreaded, 8, &wl);
+        let (sub, sub_qps) = run_arm(clients, ExecModel::SubSharded { subs: 8 }, 1, &wl);
+        let gain = format!("{:.1}%", (sub / flat - 1.0) * 100.0);
+        report.row(&[&clients, &flat, &flat_qps, &sub, &sub_qps, &gain]);
         report.datum(
             &format!("{clients}"),
             serde_json::json!({
@@ -67,5 +46,4 @@ fn main() {
         );
     }
     report.line("# sub-sharding keeps driver QP counts flat; its advantage appears exactly when clients x shards crosses the driver threshold");
-    report.save();
 }

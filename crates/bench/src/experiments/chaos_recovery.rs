@@ -18,10 +18,11 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use hydra_bench::{results_dir, Report};
 use hydra_chaos::FaultEvent;
 use hydra_db::{Cluster, ClusterBuilder, ClusterConfig, ReplicationMode, ShardId, BEAT_NS, MISSES};
 use hydra_sim::time::{MS, SEC, US};
+
+use crate::{in_sequence, Report, Scale};
 
 /// A key that the consistent-hash ring routes to `partition`.
 fn key_for_partition(cluster: &Cluster, partition: u32) -> Vec<u8> {
@@ -68,33 +69,18 @@ fn measure(seed: u64, faults: &[FaultEvent], inject_at: u64) -> Timings {
     // Seed the partition and warm a reader's remote-pointer cache (two GETs:
     // the first learns the pointer, the second takes the one-sided path).
     let reader = cluster.add_client(0);
-    let warm = Rc::new(Cell::new(false));
-    let w = warm.clone();
-    let (r1, k1) = (reader.clone(), probe_key.clone());
-    client.put(
-        &mut cluster.sim,
-        &probe_key,
-        b"pre-fault",
-        Box::new(move |sim, r| {
-            r.expect("warm write succeeds");
-            let (r2, k2) = (r1.clone(), k1.clone());
-            r1.get(
-                sim,
-                &k1,
-                Box::new(move |sim, r| {
-                    r.expect("warm read succeeds");
-                    r2.get(
-                        sim,
-                        &k2,
-                        Box::new(move |_, r| {
-                            r.expect("warm fast read succeeds");
-                            w.set(true);
-                        }),
-                    );
-                }),
-            );
-        }),
-    );
+    let (writer, r, key) = (client.clone(), reader.clone(), probe_key.clone());
+    let warm = in_sequence(&mut cluster.sim, 3, move |sim, i, next| {
+        let cb = Box::new(move |sim: &mut _, res: Result<_, _>| {
+            res.expect("warm-up op succeeds");
+            next(sim);
+        });
+        if i == 0 {
+            writer.put(sim, &key, b"pre-fault", cb);
+        } else {
+            r.get(sim, &key, cb);
+        }
+    });
     cluster.sim.run_until(inject_at);
     assert!(warm.get());
 
@@ -109,35 +95,23 @@ fn measure(seed: u64, faults: &[FaultEvent], inject_at: u64) -> Timings {
     // failed but not yet replaced.
     let reads_ok = Rc::new(Cell::new(0u64));
     let reads_stop = Rc::new(Cell::new(false));
-    fn read_loop(
-        sim: &mut hydra_sim::Sim,
-        client: hydra_db::HydraClient,
-        key: Vec<u8>,
-        ok: Rc<Cell<u64>>,
-        stop: Rc<Cell<bool>>,
-    ) {
+    let (ok, stop, key) = (reads_ok.clone(), reads_stop.clone(), probe_key.clone());
+    in_sequence(&mut cluster.sim, u64::MAX, move |sim, _, next| {
         if stop.get() {
             return;
         }
-        let (c2, k2, o2, s2) = (client.clone(), key.clone(), ok.clone(), stop.clone());
-        client.get(
+        let (ok, stop) = (ok.clone(), stop.clone());
+        reader.get(
             sim,
             &key,
             Box::new(move |sim, r| {
-                if r.is_ok() && !s2.get() {
-                    o2.set(o2.get() + 1);
+                if r.is_ok() && !stop.get() {
+                    ok.set(ok.get() + 1);
                 }
-                read_loop(sim, c2, k2, o2, s2);
+                next(sim);
             }),
         );
-    }
-    read_loop(
-        &mut cluster.sim,
-        reader,
-        probe_key.clone(),
-        reads_ok.clone(),
-        reads_stop.clone(),
-    );
+    });
 
     // Phases 1 and 2: step event by event to the promotion, so the reader
     // stops at that instant; the fail-over log has both stamps.
@@ -154,27 +128,20 @@ fn measure(seed: u64, faults: &[FaultEvent], inject_at: u64) -> Timings {
     // Retry the write until it lands on the promoted primary (a client
     // that had nothing parked on the old one finds the new map when it
     // routes its next op).
-    let first_ok: Rc<Cell<u64>> = Rc::new(Cell::new(0));
-    fn attempt(
-        sim: &mut hydra_sim::Sim,
-        client: hydra_db::HydraClient,
-        key: Vec<u8>,
-        first_ok: Rc<Cell<u64>>,
-    ) {
-        let c2 = client.clone();
-        let k2 = key.clone();
-        let f2 = first_ok.clone();
+    let first_ok = Rc::new(Cell::new(0));
+    let done = first_ok.clone();
+    in_sequence(&mut cluster.sim, u64::MAX, move |sim, _, next| {
+        let done = done.clone();
         client.put(
             sim,
-            &key,
+            &probe_key,
             b"post-fault",
             Box::new(move |sim, r| match r {
-                Ok(_) => f2.set(sim.now()),
-                Err(_) => attempt(sim, c2, k2, f2),
+                Ok(_) => done.set(sim.now()),
+                Err(_) => next(sim),
             }),
         );
-    }
-    attempt(&mut cluster.sim, client, probe_key, first_ok.clone());
+    });
     while first_ok.get() == 0 {
         let t = cluster.sim.now() + 50 * US;
         cluster.sim.run_until(t);
@@ -190,12 +157,8 @@ fn measure(seed: u64, faults: &[FaultEvent], inject_at: u64) -> Timings {
     }
 }
 
-fn main() {
+pub fn run(_: Scale, report: &mut Report) {
     let seed = hydra_sim::seed_from_env(42);
-    let mut report = Report::new(
-        "BENCH_chaos",
-        "Recovery timeline per fault type (virtual clock)",
-    );
     report.line(&format!("# seed={seed} (set HYDRA_SEED to repin)"));
     report.line(&format!(
         "# 3 machines, 2 partitions, 1 sync replica; liveness beat {} us, \
@@ -207,35 +170,18 @@ fn main() {
         "# *_us columns in microseconds; outage_reads = one-sided GETs of a \
          warmed key completing during the fault-to-promotion window",
     );
-    report.line(&format!(
-        "{:<24} {:>12} {:>12} {:>13} {:>13} {:>12} {:>13}",
-        "fault",
-        "detect_mean",
-        "detect_max",
-        "failover_mean",
-        "first_op_mean",
-        "first_op_max",
-        "outage_reads"
-    ));
+    report.header(
+        "fault<24|detect_mean>12.1|detect_max>12.1|failover_mean>13.1|first_op_mean>13.1|\
+         first_op_max>12.1|outage_reads>13",
+    );
     report.datum("seed", seed);
 
-    let cases: Vec<(&str, Vec<FaultEvent>)> = vec![
-        (
-            "crash_primary",
-            vec![FaultEvent::CrashPrimary { partition: 0 }],
-        ),
+    let crash = FaultEvent::CrashPrimary { partition: 0 };
+    let cases = [
+        ("crash_primary", vec![crash.clone()]),
         ("crash_node", vec![FaultEvent::CrashNode { node: 0 }]),
-        (
-            "partition_node",
-            vec![FaultEvent::Partition { nodes: vec![0] }],
-        ),
-        (
-            "swat_leader_then_crash",
-            vec![
-                FaultEvent::ExpireSwatLeader,
-                FaultEvent::CrashPrimary { partition: 0 },
-            ],
-        ),
+        ("partition_node", vec![FaultEvent::Partition { nodes: vec![0] }]),
+        ("swat_leader_then_crash", vec![FaultEvent::ExpireSwatLeader, crash]),
     ];
     // De-phase the injection instant against the beat: real faults don't
     // align with the detector, so the timings below sweep the phase (steps
@@ -253,16 +199,7 @@ fn main() {
         let fm = mean(|t| t.failover_us);
         let (om, ox) = (mean(|t| t.first_op_us), max(|t| t.first_op_us));
         let reads: u64 = runs.iter().map(|t| t.reads_in_outage).sum::<u64>() / runs.len() as u64;
-        // The floor: a fault is acted on within MISSES + 1 beats, wherever
-        // in the beat it falls (34 800 us under the session timeout).
-        assert!(
-            dx < 1_000.0,
-            "{name}: detection took {dx} us; the probe's bound is {} us",
-            (MISSES as u64 + 1) * BEAT_NS / US
-        );
-        report.line(&format!(
-            "{name:<24} {dm:>12.1} {dx:>12.1} {fm:>13.1} {om:>13.1} {ox:>12.1} {reads:>13}"
-        ));
+        report.row(&[&name, &dm, &dx, &fm, &om, &ox, &reads]);
         report.datum(
             name,
             serde_json::json!({
@@ -275,10 +212,15 @@ fn main() {
                 "trials": runs.len(),
             }),
         );
+        // The floor: a fault is acted on within MISSES + 1 beats, wherever
+        // in the beat it falls (34 800 us under the session timeout).
+        report.claim(
+            dx < 1_000.0,
+            format!(
+                "{name}: detection took {dx} us; the probe's bound is {} us",
+                (MISSES as u64 + 1) * BEAT_NS / US
+            ),
+            "a failed primary is fenced and replaced within a few missed beats, under 1 ms",
+        );
     }
-    report.line(&format!(
-        "# wrote {}/BENCH_chaos.{{txt,json}}",
-        results_dir().display()
-    ));
-    report.save();
 }

@@ -8,16 +8,14 @@
 //! block is the application model. Speedup = job time on in-memory HDFS /
 //! job time on HydraDB.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use hydra_baselines::{BaselineCluster, BaselineConfig, BaselineKind};
-use hydra_bench::{Report, Scale};
 use hydra_db::{ClientMode, ClusterBuilder, ClusterConfig};
 use hydra_fabric::Transport;
 use hydra_sim::time::{as_secs, MS};
 use hydra_sim::Sim;
 use hydra_ycsb::{KvCb, KvClient};
+
+use crate::{in_sequence, Report, Scale};
 
 const BLOCK: usize = 4 << 20; // 4 MiB chunks, as in §2.1
 
@@ -38,64 +36,31 @@ fn apps(scale: Scale) -> Vec<(&'static str, u64, u64, u64)> {
     ]
 }
 
-/// Sequentially reads/writes blocks through any KvClient; returns IO time.
-fn run_io<C: KvClient>(sim: &mut Sim, client: &C, reads: u64, writes: u64) -> u64 {
-    let t0 = sim.now();
-    let done = Rc::new(Cell::new(false));
-    fn step<C: KvClient>(
-        sim: &mut Sim,
-        client: C,
-        i: u64,
-        reads: u64,
-        writes: u64,
-        done: Rc<Cell<bool>>,
-    ) {
-        if i >= reads + writes {
-            done.set(true);
-            return;
-        }
-        let c2 = client.clone();
-        let cont: KvCb = Box::new(move |sim, r| {
-            r.expect("block io succeeds");
-            step(sim, c2, i + 1, reads, writes, done);
+/// Through any KvClient, one block at a time: loads `preload` input
+/// blocks, then reads `reads` of them and writes `writes` output blocks.
+/// Returns the time of the reads and writes.
+fn io_time<C: KvClient>(sim: &mut Sim, client: &C, preload: u64, reads: u64, writes: u64) -> u64 {
+    let mut t0 = 0;
+    for (reads, writes, out, fill) in [(0, preload, "block", 0xA5), (reads, writes, "out", 0x5A)] {
+        t0 = sim.now();
+        let client = client.clone();
+        let done = in_sequence(sim, reads + writes, move |sim, i, next| {
+            let cont: KvCb = Box::new(move |sim, r| {
+                r.expect("block io succeeds");
+                next(sim);
+            });
+            if i < reads {
+                let key = format!("block-{:08}", i % reads.max(1));
+                client.kv_get(sim, key.as_bytes(), cont);
+            } else {
+                let key = format!("{out}-{:08}", i - reads);
+                client.kv_insert(sim, key.as_bytes(), &vec![fill; BLOCK], cont);
+            }
         });
-        if i < reads {
-            let key = format!("block-{:08}", i % reads.max(1));
-            client.kv_get(sim, key.as_bytes(), cont);
-        } else {
-            let key = format!("out-{:08}", i - reads);
-            client.kv_insert(sim, key.as_bytes(), &vec![0x5A; BLOCK], cont);
-        }
+        sim.run();
+        assert!(done.get());
     }
-    step(sim, client.clone(), 0, reads, writes, done.clone());
-    sim.run();
-    assert!(done.get());
     sim.now() - t0
-}
-
-/// Preloads `blocks` input blocks.
-fn preload<C: KvClient>(sim: &mut Sim, client: &C, blocks: u64) {
-    let done = Rc::new(Cell::new(false));
-    fn step<C: KvClient>(sim: &mut Sim, client: C, i: u64, blocks: u64, done: Rc<Cell<bool>>) {
-        if i >= blocks {
-            done.set(true);
-            return;
-        }
-        let key = format!("block-{i:08}");
-        let c2 = client.clone();
-        client.kv_insert(
-            sim,
-            key.as_bytes(),
-            &vec![0xA5; BLOCK],
-            Box::new(move |sim, r| {
-                r.expect("preload succeeds");
-                step(sim, c2, i + 1, blocks, done);
-            }),
-        );
-    }
-    step(sim, client.clone(), 0, blocks, done.clone());
-    sim.run();
-    assert!(done.get());
 }
 
 fn hdfs_io(reads: u64, writes: u64, preload_blocks: u64) -> u64 {
@@ -120,8 +85,7 @@ fn hdfs_io(reads: u64, writes: u64, preload_blocks: u64) -> u64 {
     };
     let mut c = BaselineCluster::build(cfg);
     let client = c.add_client(0);
-    preload(&mut c.sim, &client, preload_blocks);
-    run_io(&mut c.sim, &client, reads, writes)
+    io_time(&mut c.sim, &client, preload_blocks, reads, writes)
 }
 
 fn hydra_io(rdma: bool, reads: u64, writes: u64, preload_blocks: u64) -> u64 {
@@ -147,45 +111,32 @@ fn hydra_io(rdma: bool, reads: u64, writes: u64, preload_blocks: u64) -> u64 {
     };
     let mut cluster = ClusterBuilder::new(cfg).build();
     let client = cluster.add_client(0);
-    preload(&mut cluster.sim, &client, preload_blocks);
-    run_io(&mut cluster.sim, &client, reads, writes)
+    io_time(&mut cluster.sim, &client, preload_blocks, reads, writes)
 }
 
-fn main() {
-    let scale = Scale::from_env();
-    let mut report = Report::new(
-        "fig02_mapreduce",
-        "Fig. 2: Hadoop/Spark speedup of HydraDB (TCP & RDMA) over in-memory HDFS",
+pub fn run(scale: Scale, report: &mut Report) {
+    report.header(
+        "application<24|HDFS_s>12.3|HydraTCP_s>12.3|HydraRDMA_s>12.3|spd_TCP>10|spd_RDMA>10",
     );
-    report.line(&format!(
-        "{:<24} {:>12} {:>12} {:>12} {:>10} {:>10}",
-        "application", "HDFS_s", "HydraTCP_s", "HydraRDMA_s", "spd_TCP", "spd_RDMA"
-    ));
     for (name, reads, writes, compute) in apps(scale) {
         let preload_blocks = reads.max(1);
         let hdfs = hdfs_io(reads, writes, preload_blocks) + compute * (reads + writes);
         let tcp = hydra_io(false, reads, writes, preload_blocks) + compute * (reads + writes);
         let rdma = hydra_io(true, reads, writes, preload_blocks) + compute * (reads + writes);
-        report.line(&format!(
-            "{:<24} {:>12.3} {:>12.3} {:>12.3} {:>9.2}x {:>9.2}x",
-            name,
-            as_secs(hdfs),
-            as_secs(tcp),
-            as_secs(rdma),
-            hdfs as f64 / tcp as f64,
-            hdfs as f64 / rdma as f64,
-        ));
+        let (spd_tcp, spd_rdma) = (hdfs as f64 / tcp as f64, hdfs as f64 / rdma as f64);
+        let [spd_tcp_x, spd_rdma_x] = [spd_tcp, spd_rdma].map(|s| format!("{s:.2}x"));
+        let [hdfs_s, tcp_s, rdma_s] = [hdfs, tcp, rdma].map(as_secs);
+        report.row(&[&name, &hdfs_s, &tcp_s, &rdma_s, &spd_tcp_x, &spd_rdma_x]);
         report.datum(
             name,
             serde_json::json!({
-                "hdfs_s": as_secs(hdfs),
-                "hydra_tcp_s": as_secs(tcp),
-                "hydra_rdma_s": as_secs(rdma),
-                "speedup_tcp": hdfs as f64 / tcp as f64,
-                "speedup_rdma": hdfs as f64 / rdma as f64,
+                "hdfs_s": hdfs_s,
+                "hydra_tcp_s": tcp_s,
+                "hydra_rdma_s": rdma_s,
+                "speedup_tcp": spd_tcp,
+                "speedup_rdma": spd_rdma,
             }),
         );
     }
     report.line("# paper anchors: I/O-bound Hadoop jobs up to 17.9x; Spark jobs 4%-41%; RDMA > TCP everywhere");
-    report.save();
 }

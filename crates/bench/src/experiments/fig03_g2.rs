@@ -3,49 +3,29 @@
 //! replaced (§2.2). Each engine continuously performs entity lookups (60%)
 //! and assertion writes (40%) against the shared store.
 
-use hydra_baselines::{BaselineCluster, BaselineConfig};
-use hydra_bench::{paper_cluster_config, Report, Scale};
-use hydra_ycsb::{run_workload, DriverConfig, KeyDist, Workload};
+use hydra_baselines::BaselineConfig;
+use hydra_ycsb::Workload;
+
+use crate::{one_workload, paper_cluster_config, run_baseline, run_hydra, Report, Scale};
 
 fn wl(scale: Scale) -> Workload {
     Workload {
         records: scale.records() / 2,
         ops: scale.ops() / 2,
-        read_ratio: 0.6,
-        dist: KeyDist::zipfian(),
-        key_len: 16,
         value_len: 64, // protobuf-packed entity rows are a bit larger
-        seed: 3,
-        mix: hydra_ycsb::OpMix::ReadUpdate,
+        ..one_workload(scale, 0.6, true, 3)
     }
 }
 
-fn main() {
-    let scale = Scale::from_env();
-    let engines = [1usize, 2, 4, 8, 16, 32, 64];
-    let mut report = Report::new(
-        "fig03_g2",
-        "Fig. 3: G2 engines vs aggregated throughput — HydraDB vs in-memory DB",
-    );
-    report.line(&format!(
-        "{:<10} {:>14} {:>14} {:>8}",
-        "engines", "inmem-DB Mops", "HydraDB Mops", "ratio"
-    ));
+pub fn run(scale: Scale, report: &mut Report) {
+    report.header("engines<10|inmem-DB Mops>14.3|HydraDB Mops>14.3|ratio>8");
     let mut db_prev = 0.0;
     let mut db_sat = None;
     let mut hydra_sat = None;
     let mut hydra_prev = 0.0;
-    for &n in &engines {
-        let db = {
-            let mut c = BaselineCluster::build(BaselineConfig::g2db());
-            let clients: Vec<_> = (0..n).map(|i| c.add_client(i % 5)).collect();
-            run_workload(&mut c.sim, &clients, &wl(scale), &DriverConfig::default()).mops
-        };
-        let hydra = {
-            let cfg = paper_cluster_config();
-            hydra_bench::run_hydra(cfg, n, &wl(scale))
-        }
-        .mops;
+    for n in [1usize, 2, 4, 8, 16, 32, 64] {
+        let db = run_baseline(BaselineConfig::g2db(), n, &wl(scale)).mops;
+        let hydra = run_hydra(paper_cluster_config(), n, &wl(scale)).mops;
         if db_sat.is_none() && db_prev > 0.0 && db < db_prev * 1.10 {
             db_sat = Some(n);
         }
@@ -54,13 +34,7 @@ fn main() {
         }
         db_prev = db;
         hydra_prev = hydra;
-        report.line(&format!(
-            "{:<10} {:>14.3} {:>14.3} {:>7.1}x",
-            n,
-            db,
-            hydra,
-            hydra / db
-        ));
+        report.row(&[&n, &db, &hydra, &format!("{:.1}x", hydra / db)]);
         report.datum(&format!("db/{n}"), db);
         report.datum(&format!("hydra/{n}"), hydra);
     }
@@ -70,5 +44,4 @@ fn main() {
         fmt_sat(db_sat),
         fmt_sat(hydra_sat)
     ));
-    report.save();
 }

@@ -29,9 +29,10 @@
 //! exactly wrong in a throughput ablation — `perf_mix` covers the adaptive
 //! behaviour).
 
-use hydra_bench::{one_workload, paper_cluster_config, Report, ReportRow, Scale};
-use hydra_db::{AimdConfig, ClientMode, ClusterBuilder, ClusterConfig};
+use hydra_db::{AimdConfig, ClientMode, ClusterConfig};
 use hydra_ycsb::{run_workload, DriverConfig};
+
+use crate::{one_workload, paper_cluster, paper_cluster_config, Report, ReportRow, Scale};
 
 const CLIENTS: usize = 50;
 const POST_WQE_NS: u64 = 180;
@@ -56,11 +57,7 @@ fn run_point(depth: usize, batch: usize, scale: Scale) -> (hydra_ycsb::WorkloadR
         ..paper_cluster_config()
     };
     let wl = one_workload(scale, 1.0, true, 33);
-    let nodes = cfg.client_nodes as usize;
-    let mut cluster = ClusterBuilder::new(cfg).build();
-    let clients: Vec<_> = (0..CLIENTS)
-        .map(|i| cluster.add_client(i % nodes))
-        .collect();
+    let (mut cluster, clients) = paper_cluster(cfg, CLIENTS);
     let dcfg = DriverConfig {
         window: depth,
         ..DriverConfig::default()
@@ -72,40 +69,19 @@ fn run_point(depth: usize, batch: usize, scale: Scale) -> (hydra_ycsb::WorkloadR
     (r, per_op)
 }
 
-fn main() {
-    let scale = Scale::from_env();
-    let mut report = Report::new(
-        "BENCH_batching",
-        "Doorbell batching + batched execution: GET throughput vs pipeline depth / batch size",
-    );
-    report.line(&format!(
-        "{:<14} {:>10} {:>12} {:>12} {:>14}",
-        "depth/batch", "Mops", "get_us", "p99_us", "doorbells/op"
-    ));
-    let grid = [(1usize, 1usize), (4, 4), (16, 16), (64, 16)];
-    let mut baseline = 0.0;
-    let (mut d64_b16, mut speedup_d64_b16) = (0.0, 0.0);
-    for (depth, batch) in grid {
+pub fn run(scale: Scale, report: &mut Report) {
+    report.header("depth/batch<14|Mops>10.3|get_us>12.2|p99_us>12.2|doorbells/op>14.2");
+    let mut mops = Vec::new();
+    for (depth, batch) in [(1usize, 1usize), (4, 4), (16, 16), (64, 16)] {
         let (r, per_op) = run_point(depth, batch, scale);
-        if depth == 1 {
-            baseline = r.mops;
-        }
-        if depth == 64 {
-            d64_b16 = r.mops;
-            speedup_d64_b16 = r.mops / baseline;
-        }
-        report.line(&format!(
-            "{:<14} {:>10.3} {:>12.2} {:>12.2} {:>14.2}",
-            format!("d{depth} b{batch}"),
-            r.mops,
-            r.get_mean_us,
-            r.get_p99_us,
-            per_op
-        ));
-        report.datum(&format!("d{depth}_b{batch}"), ReportRow::from(&r));
+        mops.push(r.mops);
+        let arm = format!("d{depth} b{batch}");
+        report.row(&[&arm, &r.mops, &r.get_mean_us, &r.get_p99_us, &per_op]);
+        report.datum(&format!("d{depth}_b{batch}"), ReportRow(&r));
         report.datum(&format!("d{depth}_b{batch}_doorbells_per_op"), per_op);
     }
-    let floor = frame_arm_floor(scale);
+    let (d64_b16, floor) = (mops[3], frame_arm_floor(scale));
+    let speedup_d64_b16 = d64_b16 / mops[0];
     report.line(&format!(
         "# speedup d64/b16 over closed-loop: {speedup_d64_b16:.2}x (acceptance floor 1.4x)"
     ));
@@ -113,13 +89,14 @@ fn main() {
         "# d64/b16: {d64_b16:.3} Mops (acceptance floor {floor:.3}, its rate before sweeps)"
     ));
     report.datum("speedup_d64_b16", speedup_d64_b16);
-    report.save();
-    assert!(
+    report.claim(
         speedup_d64_b16 >= 1.4,
-        "batched pipeline must deliver >= 1.4x the GETs of swept bare requests ({speedup_d64_b16:.2}x)"
+        format!("d64/b16 {speedup_d64_b16:.2}x the closed loop"),
+        "a batched pipeline delivers >= 1.4x the GETs of swept bare requests",
     );
-    assert!(
+    report.claim(
         d64_b16 >= floor,
-        "the frame arm fell below its rate before sweeps ({d64_b16:.3} < {floor:.3} Mops)"
+        format!("d64/b16 {d64_b16:.3} < {floor:.3} Mops"),
+        "the frame arm keeps at least its rate before sweeps",
     );
 }

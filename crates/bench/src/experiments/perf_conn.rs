@@ -14,42 +14,22 @@
 //! * **mux/huge** — both fixes (the Storm/RDMAvisor recipe): the NIC
 //!   working set stays on chip across the whole sweep.
 //!
-//! Acceptance (the PR's headline floors):
+//! Claims (the study's floors):
 //! * at the top of the sweep, **mux/huge >= 1.3x ded/4k** throughput;
 //! * at 16 clients (where no cache can miss), mux/huge costs **<= 5%**
 //!   vs ded/4k — the optimizations are free when the fabric is small.
 
-use hydra_bench::{one_workload, paper_cluster, paper_cluster_config, Report, Scale};
 use hydra_db::ClusterConfig;
 use hydra_ycsb::{run_workload, DriverConfig, Workload, WorkloadReport};
 
-struct Arm {
-    name: &'static str,
-    mux: bool,
-    huge: bool,
-}
+use crate::{one_workload, paper_cluster, paper_cluster_config, Report, Scale};
 
-const ARMS: [Arm; 4] = [
-    Arm {
-        name: "ded/4k",
-        mux: false,
-        huge: false,
-    },
-    Arm {
-        name: "ded/huge",
-        mux: false,
-        huge: true,
-    },
-    Arm {
-        name: "mux/4k",
-        mux: true,
-        huge: false,
-    },
-    Arm {
-        name: "mux/huge",
-        mux: true,
-        huge: true,
-    },
+/// Name, QP multiplexing + SRQ, 2 MiB pages.
+const ARMS: [(&str, bool, bool); 4] = [
+    ("ded/4k", false, false),
+    ("ded/huge", false, true),
+    ("mux/4k", true, false),
+    ("mux/huge", true, true),
 ];
 
 struct ArmResult {
@@ -61,11 +41,11 @@ struct ArmResult {
     miss_pen_ms: f64,
 }
 
-fn run_arm(arm: &Arm, clients: usize, wl: &Workload) -> ArmResult {
-    let page = if arm.huge { 2 << 20 } else { 4096 };
+fn run_arm(mux: bool, huge: bool, clients: usize, wl: &Workload) -> ArmResult {
+    let page = if huge { 2 << 20 } else { 4096 };
     let mut cfg = ClusterConfig {
-        mux_connections: arm.mux,
-        srq: arm.mux,
+        mux_connections: mux,
+        srq: mux,
         page_bytes: page,
         // The dedicated/4K arm is *supposed* to collapse at the top of the
         // sweep; keep the client from declaring its own slowness a timeout.
@@ -87,60 +67,35 @@ fn run_arm(arm: &Arm, clients: usize, wl: &Workload) -> ArmResult {
     }
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale, report: &mut Report) {
     let counts: &[usize] = match scale {
         Scale::Smoke => &[16, 256],
         _ => &[16, 128, 512, 2048],
     };
     let top = *counts.last().unwrap();
 
-    let mut report = Report::new(
-        "BENCH_conn",
-        "Connection scaling: NIC cache cliff vs QP multiplexing + SRQ + huge pages",
-    );
     report.line(&format!(
         "# {} records, {} ops per run; 1 server node x 4 shards; 50/50 read-update",
         scale.records(),
         scale.ops()
     ));
-    report.line(&format!(
-        "{:<8} {:<9} {:>8} {:>11} {:>8} {:>8} {:>9} {:>9} {:>12}",
-        "clients",
-        "arm",
-        "mops",
-        "get_p99_us",
-        "srv_qps",
-        "mtt_ent",
-        "qp_miss",
-        "mtt_miss",
-        "miss_pen_ms"
-    ));
+    report.header(
+        "clients<8|arm<9|mops>8.3|get_p99_us>11.2|srv_qps>8|mtt_ent>8|qp_miss>9|mtt_miss>9|\
+         miss_pen_ms>12.2",
+    );
 
     // (clients, arm) -> mops, for the floor checks after the sweep.
     let mut mops = std::collections::HashMap::new();
     for &clients in counts {
         let wl = one_workload(scale, 0.5, false, 47);
-        for arm in &ARMS {
-            let r = run_arm(arm, clients, &wl);
-            assert_eq!(
-                r.rep.errors, 0,
-                "{} @ {clients} clients: run must be error-free",
-                arm.name
-            );
-            report.line(&format!(
-                "{:<8} {:<9} {:>8.3} {:>11.2} {:>8} {:>8} {:>9} {:>9} {:>12.2}",
-                clients,
-                arm.name,
-                r.rep.mops,
-                r.rep.get_p99_us,
-                r.server_qps,
-                r.mtt_entries,
-                r.qp_misses,
-                r.mtt_misses,
-                r.miss_pen_ms
-            ));
-            let key = arm.name.replace('/', "_");
+        for (name, mux, huge) in ARMS {
+            let r = run_arm(mux, huge, clients, &wl);
+            assert_eq!(r.rep.errors, 0, "{name} @ {clients} clients: run must be error-free");
+            let (rate, p99) = (r.rep.mops, r.rep.get_p99_us);
+            let (qps, mtt) = (r.server_qps, r.mtt_entries);
+            let (qp_miss, mtt_miss, pen) = (r.qp_misses, r.mtt_misses, r.miss_pen_ms);
+            report.row(&[&clients, &name, &rate, &p99, &qps, &mtt, &qp_miss, &mtt_miss, &pen]);
+            let key = name.replace('/', "_");
             report.datum(&format!("{key}_mops_{clients}"), r.rep.mops);
             report.datum(&format!("{key}_get_p99_us_{clients}"), r.rep.get_p99_us);
             if clients == top {
@@ -148,7 +103,7 @@ fn main() {
                 report.datum(&format!("{key}_qp_misses_top"), r.qp_misses);
                 report.datum(&format!("{key}_mtt_misses_top"), r.mtt_misses);
             }
-            mops.insert((clients, arm.name), r.rep.mops);
+            mops.insert((clients, name), r.rep.mops);
         }
     }
 
@@ -164,16 +119,14 @@ fn main() {
     report.datum("mux_huge_over_ded_4k_top", top_ratio);
     report.datum("mux_huge_over_ded_4k_small", small_ratio);
 
-    assert!(
+    report.claim(
         top_ratio >= 1.3,
-        "acceptance: mux/huge must beat ded/4k by >=1.3x at {top} clients \
-         (got {top_ratio:.3}x)"
+        format!("mux/huge {top_ratio:.3}x ded/4k at {top} clients"),
+        "mux + huge pages beat dedicated QPs on 4 KiB pages by >= 1.3x at the top of the sweep",
     );
-    assert!(
+    report.claim(
         small_ratio >= 0.95,
-        "acceptance: mux/huge must cost <=5% at {} clients where the NIC \
-         caches never miss (got {small_ratio:.3}x)",
-        counts[0]
+        format!("mux/huge {small_ratio:.3}x ded/4k at {} clients", counts[0]),
+        "mux + huge pages cost <= 5 % where the NIC caches never miss",
     );
-    report.save();
 }

@@ -11,7 +11,7 @@
 //! interval. The sweep varies `migration_quantum_items` (the migration
 //! rate) to show the rebalance-time / throughput-dip trade-off.
 //!
-//! Acceptance (the PR's headline floors, asserted at the default quantum):
+//! Claims (the study's floors, at the default quantum):
 //! * mid-migration point-GET p99 stays within **3x** of steady state — the
 //!   copy plane rides the throughput lane, not the latency lane;
 //! * zero keys lost, duplicated, or misplaced after the flip, and the old
@@ -23,12 +23,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hydra_bench::{one_workload, Report, Scale};
 use hydra_chaos::FaultEvent;
-use hydra_db::{ClientMode, ClusterBuilder, ClusterConfig, HydraClient, MigrationEngine};
+use hydra_db::{ClientMode, ClusterConfig, HydraClient, MigrationEngine};
 use hydra_sim::time::{as_secs, as_us};
 use hydra_sim::{Histogram, Sim};
 use hydra_ycsb::{run_workload, run_workload_hooked, DriverConfig, KvClient, OpHook, Workload};
+
+use crate::{one_workload, paper_cluster, paper_cluster_config, Report, Scale};
 
 const CLIENTS: usize = 16;
 const JOIN_SHARDS: u32 = 2;
@@ -42,10 +43,8 @@ fn elastic_cfg(quantum: u32, seed: u64) -> ClusterConfig {
         // Message-path GETs: every point op crosses the shard core, so the
         // tail actually contends with the migration quanta.
         client_mode: ClientMode::RdmaWrite,
-        arena_words: 1 << 23,
-        expected_items: 1 << 20,
         migration_quantum_items: quantum,
-        ..ClusterConfig::default()
+        ..paper_cluster_config()
     }
 }
 
@@ -99,8 +98,7 @@ fn probe_settle(
 }
 
 fn elastic_run(quantum: u32, wl: &Workload, seed: u64) -> ElasticOutcome {
-    let mut cluster = ClusterBuilder::new(elastic_cfg(quantum, seed)).build();
-    let clients: Vec<HydraClient> = (0..CLIENTS).map(|i| cluster.add_client(i % 2)).collect();
+    let (mut cluster, clients) = paper_cluster(elastic_cfg(quantum, seed), CLIENTS);
     let chaos = cluster.chaos();
     let migration = cluster.migration.clone();
 
@@ -150,34 +148,22 @@ fn elastic_run(quantum: u32, wl: &Workload, seed: u64) -> ElasticOutcome {
     }
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale, report: &mut Report) {
     let seed = hydra_sim::seed_from_env(37);
     let wl = one_workload(scale, 0.95, true, seed);
 
-    let mut report = Report::new(
-        "BENCH_elastic",
-        "Elastic membership: live join rebalance vs migration rate (95% GET zipfian)",
-    );
     report.line(&format!(
         "# {} records, {} ops, {CLIENTS} clients; JoinNode(+{JOIN_SHARDS} shards) at 20% of the run",
         wl.records, wl.ops
     ));
 
     // Steady-state baseline on the same topology, no reconfiguration.
-    let mut cluster = ClusterBuilder::new(elastic_cfg(128, seed)).build();
-    let clients: Vec<HydraClient> = (0..CLIENTS).map(|i| cluster.add_client(i % 2)).collect();
+    let (mut cluster, clients) = paper_cluster(elastic_cfg(128, seed), CLIENTS);
     let steady = run_workload(&mut cluster.sim, &clients, &wl, &DriverConfig::default());
     assert_eq!(steady.errors, 0);
 
-    report.line(&format!(
-        "{:<16} {:>12} {:>12} {:>12} {:>12} {:>10}",
-        "run", "get_p99_us", "mid_mops", "reb_ms", "moved_keys", "dip"
-    ));
-    report.line(&format!(
-        "{:<16} {:>12.2} {:>12.3} {:>12} {:>12} {:>10}",
-        "steady", steady.get_p99_us, steady.mops, "-", "-", "-"
-    ));
+    report.header("run<16|get_p99_us>12.2|mid_mops>12.3|reb_ms>12.2|moved_keys>12|dip>10.3");
+    report.row(&[&"steady", &steady.get_p99_us, &steady.mops, &"-", &"-", &"-"]);
     report.datum("steady_get_p99_us", steady.get_p99_us);
     report.datum("steady_mops", steady.mops);
 
@@ -190,28 +176,27 @@ fn main() {
         let dip = mid_mops / steady.mops.max(1e-9);
         let reb_ms = o.mid.rebalance_ns as f64 / 1e6;
         let name = format!("join-q{quantum}");
-        report.line(&format!(
-            "{:<16} {:>12.2} {:>12.3} {:>12.2} {:>12} {:>10.3}",
-            name, o.mid.get_p99_us, mid_mops, reb_ms, o.moved_keys, dip
-        ));
+        report.row(&[&name, &o.mid.get_p99_us, &mid_mops, &reb_ms, &o.moved_keys, &dip]);
         report.datum(&format!("q{quantum}_mid_get_p99_us"), o.mid.get_p99_us);
         report.datum(&format!("q{quantum}_mid_mops"), mid_mops);
         report.datum(&format!("q{quantum}_rebalance_ms"), reb_ms);
         report.datum(&format!("q{quantum}_throughput_dip"), dip);
         report.datum(&format!("q{quantum}_moved_keys"), o.moved_keys);
 
-        assert_eq!(
-            o.audit,
-            (0, 0),
-            "q{quantum}: keys misplaced or duplicated after the flip"
+        report.claim(
+            o.audit == (0, 0),
+            format!("{name}: (misplaced, duplicated) keys {:?} after the flip", o.audit),
+            "zero keys misplaced or duplicated after a live join",
         );
-        assert_eq!(
-            o.total_items, wl.records as usize,
-            "q{quantum}: keys lost or invented by the migration"
+        report.claim(
+            o.total_items == wl.records as usize,
+            format!("{name}: {} keys held of {}", o.total_items, wl.records),
+            "zero keys lost or invented by the migration",
         );
-        assert!(
+        report.claim(
             o.moved_keys > 0,
-            "q{quantum}: the join must move real ranges"
+            format!("{name}: no key moved"),
+            "the join moves real ranges",
         );
         if quantum == 128 {
             default_outcome = Some(o);
@@ -219,24 +204,29 @@ fn main() {
     }
 
     let o = default_outcome.expect("default quantum swept");
-    assert!(o.mid.ops > 0, "mid-migration window must contain traffic");
     let blowup = o.mid.get_p99_us / steady.get_p99_us.max(1e-9);
     report.line(&format!(
         "# mid-migration point-GET p99 blowup vs steady: {blowup:.2}x (gate: <= 3x)"
     ));
     report.datum("mid_p99_blowup", blowup);
-    assert!(
+    report.claim(
+        o.mid.ops > 0,
+        "join-q128: no op completed mid-migration",
+        "the mid-migration window contains traffic",
+    );
+    report.claim(
         blowup <= 3.0,
-        "acceptance: mid-migration GET p99 must stay within 3x of steady state \
-         (got {blowup:.2}x, {:.2}us vs {:.2}us)",
-        o.mid.get_p99_us,
-        steady.get_p99_us
+        format!(
+            "join-q128: mid-migration GET p99 {blowup:.2}x steady ({:.2}us vs {:.2}us)",
+            o.mid.get_p99_us, steady.get_p99_us
+        ),
+        "mid-migration GET p99 stays within 3x of steady state",
     );
 
     // The inverse reconfiguration, quiesced: drain one original machine and
     // time the plan.
-    let mut cluster = ClusterBuilder::new(elastic_cfg(128, seed)).build();
-    let client = cluster.add_client(0);
+    let (mut cluster, clients) = paper_cluster(elastic_cfg(128, seed), 1);
+    let client = &clients[0];
     let n_drain = (wl.records / 10).max(1_000);
     for i in 0..n_drain {
         let k = wl.key_of(i);
@@ -260,7 +250,9 @@ fn main() {
     ));
     report.datum("drain_partitions", departed.len());
     report.datum("drain_rebalance_ms", drain_ms);
-    assert_eq!(cluster.ownership_audit(), (0, 0), "drain audit");
-
-    report.save();
+    report.claim(
+        cluster.ownership_audit() == (0, 0),
+        format!("drain: (misplaced, duplicated) keys {:?}", cluster.ownership_audit()),
+        "zero keys misplaced or duplicated after a drain",
+    );
 }

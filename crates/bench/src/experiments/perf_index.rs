@@ -17,8 +17,9 @@
 
 use std::time::Instant;
 
-use hydra_bench::{Report, Scale};
 use hydra_store::{hash_key, ChainedTable, PackedTable, GROUP_SLOTS, LOOKUP_BATCH};
+
+use crate::{Lcg, Report, Scale};
 
 /// One synthetic item: 16 B key followed by the value bytes.
 const KEY_LEN: usize = 16;
@@ -54,95 +55,52 @@ fn key_bytes(i: usize) -> [u8; KEY_LEN] {
 
 /// Deterministic probe order: a full-period LCG walk over `[0, n)`.
 fn probe_order(n: usize, ops: usize) -> Vec<u32> {
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    (0..ops)
-        .map(|_| {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((x >> 33) % n as u64) as u32
-        })
-        .collect()
+    let mut lcg = Lcg(0x9e37_79b9_7f4a_7c15);
+    (0..ops).map(|_| ((lcg.step() >> 33) % n as u64) as u32).collect()
 }
 
-fn bench_chained(
-    t: &mut ChainedTable,
-    heap: &Heap,
-    hashes: &[u64],
-    order: &[u32],
-    batch: usize,
-) -> f64 {
-    let stride = heap.stride as u64;
-    let start = Instant::now();
-    let mut hits = 0usize;
-    if batch == 1 {
-        for &i in order {
-            let want = i as u64 * stride;
-            if t.lookup(hashes[i as usize], |off| {
-                heap.key_at(off) == heap.key_at(want)
-            }) == Some(want)
-            {
-                hits += 1;
+/// Hit-probe throughput (Mops) of one table type: the two tables share no
+/// trait, so the probe loop is written once and instantiated per type.
+macro_rules! bench_probes {
+    ($name:ident, $table:ty) => {
+        fn $name(t: &mut $table, heap: &Heap, hashes: &[u64], order: &[u32], batch: usize) -> f64 {
+            let stride = heap.stride as u64;
+            let start = Instant::now();
+            let mut hits = 0usize;
+            if batch == 1 {
+                for &i in order {
+                    let want = i as u64 * stride;
+                    if t.lookup(hashes[i as usize], |off| {
+                        heap.key_at(off) == heap.key_at(want)
+                    }) == Some(want)
+                    {
+                        hits += 1;
+                    }
+                }
+            } else {
+                let mut hbuf = [0u64; LOOKUP_BATCH];
+                let mut out = [None; LOOKUP_BATCH];
+                for chunk in order.chunks_exact(batch) {
+                    for (j, &i) in chunk.iter().enumerate() {
+                        hbuf[j] = hashes[i as usize];
+                    }
+                    t.lookup_batch(&hbuf[..batch], &mut out[..batch], |j, off| {
+                        heap.key_at(off) == heap.key_at(chunk[j] as u64 * stride)
+                    });
+                    hits += out[..batch].iter().filter(|o| o.is_some()).count();
+                }
             }
+            let secs = start.elapsed().as_secs_f64();
+            assert_eq!(hits, order.len() / batch * batch, "all probes must hit");
+            hits as f64 / secs / 1e6
         }
-    } else {
-        let mut hbuf = [0u64; LOOKUP_BATCH];
-        let mut out = [None; LOOKUP_BATCH];
-        for chunk in order.chunks_exact(batch) {
-            for (j, &i) in chunk.iter().enumerate() {
-                hbuf[j] = hashes[i as usize];
-            }
-            t.lookup_batch(&hbuf[..batch], &mut out[..batch], |j, off| {
-                heap.key_at(off) == heap.key_at(chunk[j] as u64 * stride)
-            });
-            hits += out[..batch].iter().filter(|o| o.is_some()).count();
-        }
-    }
-    let secs = start.elapsed().as_secs_f64();
-    assert_eq!(hits, order.len() / batch * batch, "all probes must hit");
-    hits as f64 / secs / 1e6
+    };
 }
 
-fn bench_packed(
-    t: &mut PackedTable,
-    heap: &Heap,
-    hashes: &[u64],
-    order: &[u32],
-    batch: usize,
-) -> f64 {
-    let stride = heap.stride as u64;
-    let start = Instant::now();
-    let mut hits = 0usize;
-    if batch == 1 {
-        for &i in order {
-            let want = i as u64 * stride;
-            if t.lookup(hashes[i as usize], |off| {
-                heap.key_at(off) == heap.key_at(want)
-            }) == Some(want)
-            {
-                hits += 1;
-            }
-        }
-    } else {
-        let mut hbuf = [0u64; LOOKUP_BATCH];
-        let mut out = [None; LOOKUP_BATCH];
-        for chunk in order.chunks_exact(batch) {
-            for (j, &i) in chunk.iter().enumerate() {
-                hbuf[j] = hashes[i as usize];
-            }
-            t.lookup_batch(&hbuf[..batch], &mut out[..batch], |j, off| {
-                heap.key_at(off) == heap.key_at(chunk[j] as u64 * stride)
-            });
-            hits += out[..batch].iter().filter(|o| o.is_some()).count();
-        }
-    }
-    let secs = start.elapsed().as_secs_f64();
-    assert_eq!(hits, order.len() / batch * batch, "all probes must hit");
-    hits as f64 / secs / 1e6
-}
+bench_probes!(bench_chained, ChainedTable);
+bench_probes!(bench_packed, PackedTable);
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale, report: &mut Report) {
     // Groups sized so load factor 0.9 holds ~`records()` entries.
     let groups = ((scale.records() as usize) / GROUP_SLOTS)
         .next_power_of_two()
@@ -154,17 +112,10 @@ fn main() {
         Scale::Paper => 20_000_000,
     };
 
-    let mut report = Report::new(
-        "BENCH_index",
-        "Index probe throughput: packed cache-line groups vs chained lists",
-    );
     report.line(&format!(
         "# {groups} groups ({slots} slots); {ops} hit-probes per cell; 16 B keys"
     ));
-    report.line(&format!(
-        "{:<6} {:>6} {:>6} {:>14} {:>14} {:>9}",
-        "lf", "value", "batch", "chained_mops", "packed_mops", "speedup"
-    ));
+    report.header("lf<6.2|value>6|batch>6|chained_mops>14.2|packed_mops>14.2|speedup>9");
 
     let mut headline = 0.0f64;
     for &lf in &[0.5f64, 0.7, 0.9] {
@@ -191,10 +142,7 @@ fn main() {
                 if (lf - 0.9).abs() < 1e-9 && value_len == 32 && batch == 1 {
                     headline = speedup;
                 }
-                report.line(&format!(
-                    "{:<6.2} {:>6} {:>6} {:>14.2} {:>14.2} {:>8.2}x",
-                    lf, value_len, batch, c, p, speedup
-                ));
+                report.row(&[&lf, &value_len, &batch, &c, &p, &format!("{speedup:.2}x")]);
                 report.datum(
                     &format!("lf{:02}_v{}_b{}", (lf * 100.0) as u32, value_len, batch),
                     serde_json::json!({
@@ -215,5 +163,4 @@ fn main() {
     ));
     report.line("# packed touches one 64 B line per group probed (tags + slots inline);");
     report.line("# chained dereferences one heap node per chain hop");
-    report.save();
 }

@@ -12,28 +12,25 @@
 //! 3. **mix / DualLane** — the same mix under deficit-round-robin lanes with
 //!    preemptible scan chunks.
 //!
-//! Acceptance (the PR's headline floors):
+//! Claims (the study's floors):
 //! * mixed point-GET p99 under DualLane stays within **2x** the pure-point
 //!   p99 — scans no longer own the tail;
 //! * DualLane scan throughput stays at **>= 0.9x** the FIFO run — isolation
 //!   is not bought by starving the scan plane.
 
-use hydra_bench::{paper_cluster, paper_cluster_config, Report, Scale};
 use hydra_db::{ClientMode, ClusterConfig, IndexKind, SchedulerKind};
-use hydra_ycsb::{run_workload, DriverConfig, Workload, WorkloadReport};
+use hydra_ycsb::{Workload, WorkloadReport};
 
-fn mix_cluster_config(scheduler: SchedulerKind) -> ClusterConfig {
-    ClusterConfig {
+use crate::{paper_cluster_config, run_hydra, Report, Scale};
+
+fn run_arm(scheduler: SchedulerKind, wl: &Workload) -> WorkloadReport {
+    let cfg = ClusterConfig {
         index: IndexKind::Hybrid,
         client_mode: ClientMode::RdmaWrite,
         scheduler,
         ..paper_cluster_config()
-    }
-}
-
-fn run(scheduler: SchedulerKind, wl: &Workload) -> WorkloadReport {
-    let (mut cluster, clients) = paper_cluster(mix_cluster_config(scheduler), 50);
-    run_workload(&mut cluster.sim, &clients, wl, &DriverConfig::default())
+    };
+    run_hydra(cfg, 50, wl)
 }
 
 /// Completed scans per second of virtual time.
@@ -41,16 +38,10 @@ fn scan_rate(r: &WorkloadReport) -> f64 {
     r.scans as f64 / (r.elapsed_ns as f64 / 1e9).max(1e-9)
 }
 
-fn main() {
-    let scale = Scale::from_env();
-    let records = scale.records();
-    let ops = scale.ops();
+pub fn run(scale: Scale, report: &mut Report) {
+    let (records, ops) = (scale.records(), scale.ops());
     let seed = hydra_sim::seed_from_env(31);
 
-    let mut report = Report::new(
-        "BENCH_mix",
-        "Mixed read plane: dual-lane tail isolation vs FIFO (50% GET / 50% SCAN)",
-    );
     report.line(&format!(
         "# {records} records, {ops} ops per run; message-path GETs; scans <=100 items"
     ));
@@ -58,27 +49,17 @@ fn main() {
     let pure_wl = Workload::workload_mix(records, ops, seed, 1.0);
     let mix_wl = Workload::workload_mix(records, ops, seed, 0.5);
 
-    let pure = run(SchedulerKind::DualLane, &pure_wl);
-    let fifo = run(SchedulerKind::Fifo, &mix_wl);
-    let dual = run(SchedulerKind::DualLane, &mix_wl);
+    let pure = run_arm(SchedulerKind::DualLane, &pure_wl);
+    let fifo = run_arm(SchedulerKind::Fifo, &mix_wl);
+    let dual = run_arm(SchedulerKind::DualLane, &mix_wl);
 
-    report.line(&format!(
-        "{:<18} {:>10} {:>12} {:>12} {:>14}",
-        "run", "mops", "get_p99_us", "scan_p99_us", "scans_per_sec"
-    ));
+    report.header("run<18|mops>10.3|get_p99_us>12.2|scan_p99_us>12.2|scans_per_sec>14.0");
     for (name, r) in [
         ("pure-point", &pure),
         ("mix-fifo", &fifo),
         ("mix-dual", &dual),
     ] {
-        report.line(&format!(
-            "{:<18} {:>10.3} {:>12.2} {:>12.2} {:>14.0}",
-            name,
-            r.mops,
-            r.get_p99_us,
-            r.scan_p99_us,
-            scan_rate(r)
-        ));
+        report.row(&[&name, &r.mops, &r.get_p99_us, &r.scan_p99_us, &scan_rate(r)]);
         assert_eq!(r.errors, 0, "{name}: run must be error-free");
     }
 
@@ -104,17 +85,17 @@ fn main() {
     report.datum("mix_fifo_mops", fifo.mops);
     report.datum("mix_dual_mops", dual.mops);
 
-    assert!(
+    report.claim(
         p99_blowup_dual <= 2.0,
-        "acceptance: mixed point-GET p99 under DualLane must stay within 2x of \
-         pure-point (got {p99_blowup_dual:.2}x, {:.2}us vs {:.2}us)",
-        dual.get_p99_us,
-        pure.get_p99_us
+        format!(
+            "DualLane mixed GET p99 {p99_blowup_dual:.2}x pure-point ({:.2} vs {:.2} us)",
+            dual.get_p99_us, pure.get_p99_us
+        ),
+        "mixed point-GET p99 under DualLane stays within 2x of pure-point",
     );
-    assert!(
+    report.claim(
         scan_ratio >= 0.9,
-        "acceptance: DualLane scan throughput must hold >=0.9x of FIFO \
-         (got {scan_ratio:.3}x)"
+        format!("DualLane scan throughput {scan_ratio:.3}x FIFO"),
+        "DualLane scan throughput holds >= 0.9x of FIFO",
     );
-    report.save();
 }

@@ -16,22 +16,24 @@
 //!    strict-semantics write p50 (every completion gated on a covering
 //!    ack) and the throughput ratio over per-record strict.
 //!
-//! Acceptance floors asserted at the bottom: group commit sustains >= 1.5x
+//! Claims (the study's floors): group commit sustains >= 1.5x
 //! the per-record strict record rate at channel depth 64, >= 1.3x cluster
 //! write throughput at depth 64, and a strict-semantics write p50 <= 5.5 us
 //! with one synchronous replica.
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::rc::Rc;
 
-use hydra_bench::{one_workload, Report, Scale};
-use hydra_db::{costs, AimdConfig, ClusterBuilder, ClusterConfig, ReplicationMode};
+use hydra_db::{costs, AimdConfig, ClusterConfig, ReplicationMode};
 use hydra_fabric::{Fabric, FabricConfig};
 use hydra_replication::{ReplConfig, ReplMode, ReplicationPair};
 use hydra_sim::{Histogram, Sim};
 use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};
 use hydra_wire::LogOp;
 use hydra_ycsb::{run_workload, DriverConfig, Workload};
+
+use crate::{one_workload, paper_cluster, replicated_shard_config, Report, Scale};
 
 struct PairBench {
     pair: ReplicationPair,
@@ -133,21 +135,11 @@ fn cluster_run(
     wl: &Workload,
 ) -> hydra_ycsb::WorkloadReport {
     let cfg = ClusterConfig {
-        server_nodes: 1 + replicas.max(1),
-        shards_per_node: 1,
-        partitions: Some(1),
-        client_nodes: 2,
-        replicas,
-        replication: mode,
         pipeline_depth: window,
         aimd: AimdConfig { enabled: false },
-        arena_words: 1 << 23,
-        expected_items: 1 << 20,
-        repl_ring_words: 1 << 18,
-        ..ClusterConfig::default()
+        ..replicated_shard_config(mode, replicas)
     };
-    let mut cluster = ClusterBuilder::new(cfg).build();
-    let cl: Vec<_> = (0..clients).map(|i| cluster.add_client(i % 2)).collect();
+    let (mut cluster, cl) = paper_cluster(cfg, clients);
     let dcfg = DriverConfig {
         window,
         ..DriverConfig::default()
@@ -155,47 +147,26 @@ fn cluster_run(
     run_workload(&mut cluster.sim, &cl, wl, &dcfg)
 }
 
-fn main() {
-    let scale = Scale::from_env();
-    let mut report = Report::new(
-        "BENCH_repl",
-        "Group-commit write plane: cumulative acks + pipelined replication vs per-record strict",
-    );
+pub fn run(scale: Scale, report: &mut Report) {
 
     // Part 1: the replication channel in isolation.
     report.line("## channel microbench (one ReplicationPair, closed loop)");
-    report.line(&format!(
-        "{:<22} {:>6} {:>10} {:>10} {:>10}",
-        "protocol", "depth", "Mrec/s", "p50_us", "p99_us"
-    ));
+    report.header("protocol<22|depth>6|Mrec/s>10.3|p50_us>10.2|p99_us>10.2");
     let total = (scale.ops() / 2).max(5_000);
-    let mut strict_d64 = 0.0;
-    let mut gc_d64 = 0.0;
-    for (label, mode) in [
-        ("strict req/ack", ReplMode::Strict),
-        ("group commit", ReplMode::GroupCommit),
+    let mut rate = HashMap::new();
+    for (label, k, mode) in [
+        ("strict req/ack", "strict", ReplMode::Strict),
+        ("group commit", "gc", ReplMode::GroupCommit),
     ] {
         for depth in [1usize, 16, 64] {
             let (mrecs, p50, p99) = run_pair(mode, depth, total);
-            if depth == 64 {
-                match mode {
-                    ReplMode::Strict => strict_d64 = mrecs,
-                    _ => gc_d64 = mrecs,
-                }
-            }
-            report.line(&format!(
-                "{label:<22} {depth:>6} {mrecs:>10.3} {p50:>10.2} {p99:>10.2}"
-            ));
-            let k = if matches!(mode, ReplMode::Strict) {
-                "strict"
-            } else {
-                "gc"
-            };
+            report.row(&[&label, &depth, &mrecs, &p50, &p99]);
             report.datum(&format!("pair/{k}/d{depth}/mrecs"), mrecs);
             report.datum(&format!("pair/{k}/d{depth}/p50_us"), p50);
+            rate.insert((k, depth), mrecs);
         }
     }
-    let pair_speedup = gc_d64 / strict_d64.max(1e-9);
+    let pair_speedup = rate[&("gc", 64)] / rate[&("strict", 64)].max(1e-9);
     report.line(&format!(
         "# channel speedup at depth 64: {pair_speedup:.2}x (floor 1.5x)"
     ));
@@ -204,17 +175,15 @@ fn main() {
     // Part 2: end-to-end cluster sweep (write-heavy, then YCSB-A).
     report.line("");
     report.line("## cluster sweep (single shard, depth = clients x window)");
-    report.line(&format!(
-        "{:<12} {:<16} {:>4} {:>6} {:>10} {:>12} {:>12}",
-        "workload", "protocol", "reps", "depth", "Mops", "upd_p50_us", "upd_p99_us"
-    ));
+    report.header(
+        "workload<12|protocol<16|reps>4|depth>6|Mops>10.3|upd_p50_us>12.2|upd_p99_us>12.2",
+    );
     let arms = [
         ("strict", ReplicationMode::Strict),
         ("gc", ReplicationMode::GroupCommit),
     ];
-    let mut strict_wh_d64 = 0.0;
-    let mut gc_wh_d64 = 0.0;
-    let mut gc_p50_d1_r1 = f64::NAN;
+    // Write-heavy runs with one replica, by protocol and depth.
+    let mut write_heavy = HashMap::new();
     for (wl_name, read_ratio) in [("write-heavy", 0.0), ("ycsb-a", 0.5)] {
         let wl = one_workload(scale, read_ratio, true, 47);
         for (name, mode) in arms {
@@ -226,23 +195,11 @@ fn main() {
                         continue;
                     }
                     let r = cluster_run(mode, replicas, clients, window, &wl);
-                    if wl_name == "write-heavy" && replicas == 1 && depth == 64 {
-                        match mode {
-                            ReplicationMode::Strict => strict_wh_d64 = r.mops,
-                            _ => gc_wh_d64 = r.mops,
-                        }
+                    if wl_name == "write-heavy" && replicas == 1 {
+                        write_heavy.insert((name, depth), (r.mops, r.update_p50_us));
                     }
-                    if wl_name == "write-heavy"
-                        && replicas == 1
-                        && depth == 1
-                        && matches!(mode, ReplicationMode::GroupCommit)
-                    {
-                        gc_p50_d1_r1 = r.update_p50_us;
-                    }
-                    report.line(&format!(
-                        "{:<12} {:<16} {:>4} {:>6} {:>10.3} {:>12.2} {:>12.2}",
-                        wl_name, name, replicas, depth, r.mops, r.update_p50_us, r.update_p99_us
-                    ));
+                    let (p50, p99) = (r.update_p50_us, r.update_p99_us);
+                    report.row(&[&wl_name, &name, &replicas, &depth, &r.mops, &p50, &p99]);
                     report.datum(
                         &format!("{wl_name}/{name}/r{replicas}/d{depth}/mops"),
                         r.mops,
@@ -255,7 +212,8 @@ fn main() {
             }
         }
     }
-    let cluster_speedup = gc_wh_d64 / strict_wh_d64.max(1e-9);
+    let cluster_speedup = write_heavy[&("gc", 64)].0 / write_heavy[&("strict", 64)].0.max(1e-9);
+    let gc_p50_d1_r1 = write_heavy[&("gc", 1)].1;
     report.line(&format!(
         "# cluster write speedup at depth 64 (r1): {cluster_speedup:.2}x (floor 1.3x)"
     ));
@@ -264,21 +222,19 @@ fn main() {
     ));
     report.datum("cluster/speedup_d64", cluster_speedup);
     report.datum("cluster/gc_p50_d1_r1_us", gc_p50_d1_r1);
-    report.save();
-
-    assert!(
+    report.claim(
         pair_speedup >= 1.5,
-        "group commit must sustain >= 1.5x per-record strict at channel depth 64 \
-         ({pair_speedup:.2}x)"
+        format!("channel speedup at depth 64 {pair_speedup:.2}x"),
+        "group commit sustains >= 1.5x per-record strict at channel depth 64",
     );
-    assert!(
+    report.claim(
         cluster_speedup >= 1.3,
-        "group commit must deliver >= 1.3x cluster write throughput at depth 64 \
-         ({cluster_speedup:.2}x)"
+        format!("cluster write speedup at depth 64 {cluster_speedup:.2}x"),
+        "group commit delivers >= 1.3x cluster write throughput at depth 64",
     );
-    assert!(
+    report.claim(
         gc_p50_d1_r1 <= 5.5,
-        "strict-semantics write p50 with one replica must stay <= 5.5 us \
-         ({gc_p50_d1_r1:.2} us)"
+        format!("group-commit write p50, depth 1, 1 replica: {gc_p50_d1_r1:.2} us"),
+        "a strict-semantics write p50 with one replica stays <= 5.5 us",
     );
 }

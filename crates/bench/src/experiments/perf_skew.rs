@@ -18,10 +18,13 @@
 //!    with sketch admission must stay within 10% of an effectively
 //!    unbounded cache's fast-path hit rate.
 
-use hydra_bench::{Report, ReportRow, Scale};
+use std::collections::HashMap;
+
 use hydra_db::server::HIST_BUCKETS;
-use hydra_db::{ClientMode, Cluster, ClusterBuilder, ClusterConfig, HydraClient, ReplicationMode};
+use hydra_db::{ClientMode, ClusterConfig, ReplicationMode};
 use hydra_ycsb::{run_workload, DriverConfig, KeyDist, Workload, WorkloadReport};
+
+use crate::{one_workload, paper_cluster, Report, ReportRow, Scale};
 
 const CLIENTS: usize = 192;
 const THETAS: [f64; 4] = [0.5, 0.9, 0.99, 1.2];
@@ -65,13 +68,9 @@ fn skew_config(spread: bool, cap: usize, scale: Scale) -> ClusterConfig {
 fn skew_workload(scale: Scale, theta: f64, records_div: u64) -> Workload {
     Workload {
         records: (scale.records() / records_div).max(1),
-        ops: scale.ops(),
-        read_ratio: 1.0,
         dist: KeyDist::Zipfian { theta },
-        key_len: 16,
         value_len: 512,
-        seed: hydra_sim::seed_from_env(71),
-        mix: hydra_ycsb::OpMix::ReadUpdate,
+        ..one_workload(scale, 1.0, true, 71)
     }
 }
 
@@ -88,11 +87,7 @@ struct Point {
 fn run_point(theta: f64, spread: bool, cap: usize, records_div: u64, scale: Scale) -> Point {
     let cfg = skew_config(spread, cap, scale);
     let shards = cfg.total_shards();
-    let nodes = cfg.client_nodes as usize;
-    let mut cluster: Cluster = ClusterBuilder::new(cfg).build();
-    let clients: Vec<HydraClient> = (0..CLIENTS)
-        .map(|i| cluster.add_client(i % nodes))
-        .collect();
+    let (mut cluster, clients) = paper_cluster(cfg, CLIENTS);
     let wl = skew_workload(scale, theta, records_div);
     // Long warmup: pointer caches fill on first GET per (cache, key), and
     // the steady state — not the cold-miss ramp — is what the skew claim is
@@ -131,52 +126,27 @@ fn run_point(theta: f64, spread: bool, cap: usize, records_div: u64, scale: Scal
     }
 }
 
-fn main() {
-    let scale = Scale::from_env();
-    let mut report = Report::new(
-        "BENCH_skew",
-        "Skew-resilient read plane: replica read spreading + bounded CLOCK pointer cache",
-    );
-
+pub fn run(scale: Scale, report: &mut Report) {
     // Sweep 1: skew x spreading at the default cache capacity.
-    report.line(&format!(
-        "{:<22} {:>8} {:>10} {:>10} {:>12} {:>10} {:>12}",
-        "theta/spread", "Mops", "get_us", "p99_us", "replica_rd", "hit_rate", "exp_ptrs"
-    ));
+    report.header(
+        "theta/spread<22|Mops>8.3|get_us>10.2|p99_us>10.2|replica_rd>12|hit_rate>10.3|\
+         exp_ptrs>12",
+    );
     let default_cap = ClusterConfig::default().ptr_cache_capacity;
-    let mut base_099 = 0.0;
-    let mut spread_099 = 0.0;
-    let mut p99_base_099 = 0.0;
-    let mut p99_spread_099 = 0.0;
+    // (Mops, GET p99) at θ=0.99, by spreading.
+    let mut at_099 = [(0.0, 0.0); 2];
     for theta in THETAS {
         for spread in [false, true] {
             let pt = run_point(theta, spread, default_cap, 16, scale);
-            let label = format!("θ={theta} {}", if spread { "spread" } else { "primary" });
+            let arm = if spread { "spread" } else { "primary" };
+            let label = format!("θ={theta} {arm}");
             if (theta - 0.99).abs() < 1e-9 {
-                if spread {
-                    spread_099 = pt.r.mops;
-                    p99_spread_099 = pt.r.get_p99_us;
-                } else {
-                    base_099 = pt.r.mops;
-                    p99_base_099 = pt.r.get_p99_us;
-                }
+                at_099[spread as usize] = (pt.r.mops, pt.r.get_p99_us);
             }
-            report.line(&format!(
-                "{:<22} {:>8.3} {:>10.2} {:>10.2} {:>12} {:>10.3} {:>12}",
-                label,
-                pt.r.mops,
-                pt.r.get_mean_us,
-                pt.r.get_p99_us,
-                pt.replica_reads,
-                pt.hit_rate,
-                pt.exported_ptrs
-            ));
-            let key = format!(
-                "theta{}_{}",
-                (theta * 100.0).round() as u32,
-                if spread { "spread" } else { "primary" }
-            );
-            report.datum(&key, ReportRow::from(&pt.r));
+            let (r, reads, hit, ptrs) = (&pt.r, pt.replica_reads, pt.hit_rate, pt.exported_ptrs);
+            report.row(&[&label, &r.mops, &r.get_mean_us, &r.get_p99_us, &reads, &hit, &ptrs]);
+            let key = format!("theta{}_{arm}", (theta * 100.0).round() as u32);
+            report.datum(&key, ReportRow(&pt.r));
             report.datum(&format!("{key}_replica_reads"), pt.replica_reads);
             report.datum(&format!("{key}_hit_rate"), pt.hit_rate);
             report.datum(&format!("{key}_exported_sets"), pt.exported_sets);
@@ -185,6 +155,7 @@ fn main() {
             report.datum(&format!("{key}_read_heat_hist"), pt.heat_hist.to_vec());
         }
     }
+    let [(base_099, p99_base_099), (spread_099, p99_spread_099)] = at_099;
     let speedup = spread_099 / base_099.max(1e-12);
     report.line(&format!(
         "# speedup at θ=0.99, spread vs primary-only: {speedup:.2}x (floor 1.3x); \
@@ -197,32 +168,21 @@ fn main() {
     // Sweep 2: cache capacity at θ=0.99 with spreading on. The unbounded
     // arm never evicts; the bounded arms rely on CLOCK + sketch admission
     // to keep the hot keys resident.
-    report.line(&format!(
-        "{:<22} {:>8} {:>10} {:>10} {:>12}",
-        "capacity", "Mops", "get_us", "hit_rate", "cache_len<=cap"
-    ));
-    let mut bounded_hit = 0.0;
-    let mut unbounded_hit = 0.0;
+    report.header("capacity<22|Mops>8.3|get_us>10.2|hit_rate>10.3|cache_len<=cap>12");
+    let mut hit = HashMap::new();
     for cap in [4096usize, 16384, default_cap, UNBOUNDED] {
         let pt = run_point(0.99, true, cap, 1, scale);
-        if cap == default_cap {
-            bounded_hit = pt.hit_rate;
-        }
-        if cap == UNBOUNDED {
-            unbounded_hit = pt.hit_rate;
-        }
+        hit.insert(cap, pt.hit_rate);
         let label = if cap == UNBOUNDED {
             "unbounded".to_string()
         } else {
             format!("{cap}")
         };
-        report.line(&format!(
-            "{:<22} {:>8.3} {:>10.2} {:>10.3} {:>12}",
-            label, pt.r.mops, pt.r.get_mean_us, pt.hit_rate, "yes"
-        ));
-        report.datum(&format!("cap_{label}"), ReportRow::from(&pt.r));
+        report.row(&[&label, &pt.r.mops, &pt.r.get_mean_us, &pt.hit_rate, &"yes"]);
+        report.datum(&format!("cap_{label}"), ReportRow(&pt.r));
         report.datum(&format!("cap_{label}_hit_rate"), pt.hit_rate);
     }
+    let (bounded_hit, unbounded_hit) = (hit[&default_cap], hit[&UNBOUNDED]);
     let hit_ratio = bounded_hit / unbounded_hit.max(1e-12);
     report.line(&format!(
         "# bounded (default cap) vs unbounded hit rate: {bounded_hit:.3} vs \
@@ -231,18 +191,19 @@ fn main() {
     report.datum("hit_rate_bounded", bounded_hit);
     report.datum("hit_rate_unbounded", unbounded_hit);
     report.datum("hit_rate_ratio", hit_ratio);
-    report.save();
-
-    assert!(
+    report.claim(
         speedup >= 1.3,
-        "replica spreading must deliver >= 1.3x GETs at θ=0.99 ({speedup:.2}x)"
+        format!("spread {speedup:.2}x primary-only GETs at θ=0.99"),
+        "replica spreading delivers >= 1.3x GETs at θ=0.99",
     );
-    assert!(
+    report.claim(
         p99_spread_099 <= p99_base_099 * 1.05,
-        "spreading must not worsen p99 ({p99_spread_099:.2}us vs {p99_base_099:.2}us)"
+        format!("p99 {p99_spread_099:.2}us spread vs {p99_base_099:.2}us primary-only"),
+        "spreading does not worsen p99",
     );
-    assert!(
+    report.claim(
         hit_ratio >= 0.9,
-        "bounded cache must stay within 10% of unbounded hit rate ({hit_ratio:.3})"
+        format!("bounded cache {hit_ratio:.3} of the unbounded hit rate"),
+        "the bounded cache stays within 10% of the unbounded hit rate",
     );
 }

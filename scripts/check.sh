@@ -19,55 +19,15 @@ cargo test -q
 echo "==> packed-group + skiplist tower and leaf layout static assertions (64 B size + alignment each, 128 B node)"
 cargo test -q --release -p hydra-store layout_is_one_aligned_cache_line
 
-echo "==> bench smoke (reduced scale, scratch results dir)"
+echo "==> every experiment at smoke scale (scratch results dir), every claim checked"
+# Each experiment states its floors and its figure's shape as claims (fail-over
+# detection under 1 000 us, the scan, mix, elastic, replication, connection,
+# skew and batching floors, the shapes of Figs. 9, 10, 11 and 13); the run
+# saves every table, then fails if any claim did not hold.
 SMOKE_RESULTS="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_RESULTS"' EXIT
 HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
-    cargo run -q --release -p hydra-bench --bin perf_events
-HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
-    cargo run -q --release -p hydra-bench --bin perf_batching
-HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
-    cargo run -q --release -p hydra-bench --bin perf_index
-# chaos_recovery asserts the fail-over floor: every fault type detected (and
-# the primary fenced) in under 1 000 us at every phase of the beat.
-HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
-    cargo run -q --release -p hydra-bench --bin chaos_recovery
-HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
-    cargo run -q --release -p hydra-bench --bin perf_skew
-# perf_scan asserts the scan-plane floors: hybrid >= 5x emulated scans, and
-# a scan's fan-out fetches <= 2.0x the items it returns on 4 partitions,
-# <= 3.0x on 16.
-HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
-    cargo run -q --release -p hydra-bench --bin perf_scan
-# perf_mix asserts the tail-isolation floors: mixed point-GET p99 <= 2x
-# pure-point under DualLane, and DualLane scan throughput >= 0.9x FIFO.
-HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
-    cargo run -q --release -p hydra-bench --bin perf_mix
-# perf_elastic asserts the elastic-membership floors: mid-migration GET p99
-# <= 3x steady state, and zero keys lost/duplicated/misplaced after a live
-# node join (plus a timed quiesced drain).
-HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
-    cargo run -q --release -p hydra-bench --bin perf_elastic
-# perf_repl asserts the group-commit write-plane floors: >= 1.5x per-record
-# strict at channel depth 64, >= 1.3x cluster write throughput at depth 64,
-# and a strict-semantics write p50 <= 5.5 us with one synchronous replica.
-HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
-    cargo run -q --release -p hydra-bench --bin perf_repl
-# perf_conn asserts the connection-scaling floors: mux + huge pages >= 1.3x
-# dedicated/4K throughput at the top of the client sweep (the NIC cache
-# cliff), and <= 5% overhead at 16 clients where the caches never miss.
-HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
-    cargo run -q --release -p hydra-bench --bin perf_conn
-# fig13_replication asserts the figure's shape: none < RDMA logging < strict
-# and group commit <= logging at every client and replica count, logging
-# >= +5 %, strict >= 1.8x none at one client.
-HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
-    cargo run -q --release -p hydra-bench --bin fig13_replication
-# fig10_incremental asserts the figure's shape: under Zipf, what one-sided
-# reads add over RDMA-Write-only messaging does not shrink as the GET share
-# rises (50 / 90 / 100 % GET).
-HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
-    cargo run -q --release -p hydra-bench --bin fig10_incremental
+    cargo run -q --release -p hydra-bench -- run all
 
 echo "==> examples (each asserts what it demonstrates)"
 # failover is the end-to-end Strict run through crash, partition, fence and
