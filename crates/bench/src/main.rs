@@ -41,9 +41,8 @@ fn main() -> ExitCode {
 
 /// Runs each experiment as `hydra-bench run <name>` and, once all have run,
 /// prints what each one wrote to stderr (its failed claims, or the panic that
-/// stopped it) and the exit status of each that failed. A dropped cluster
-/// does not return all its memory, so the experiments of one process would
-/// add up to many GiB at normal scale.
+/// stopped it) and the exit status of each that failed. A process each keeps
+/// one experiment's panic from stopping the rest and its peak memory its own.
 fn run_each_in_a_process(experiments: &[&hydra_bench::Experiment]) -> bool {
     let exe = std::env::current_exe().expect("path of the running executable");
     let mut ok = true;

@@ -1480,28 +1480,37 @@ impl HydraClient {
             demux.borrow_mut().insert(tag, (current.clone(), conn_idx));
         }
         if send_recv {
-            // Two-sided mode: deliveries arrive through recv handlers.
+            // Two-sided mode: deliveries arrive through recv handlers. The
+            // fabric keeps them and a shard holds the fabric, so a handler
+            // holds its shard (or demux table) weakly: a strong one is a
+            // cycle that outlives the cluster. This client holds both while
+            // it can send.
             match &demux {
                 None => {
                     // Dedicated QP: the handler is partition-specific.
-                    let server_rc = current.clone();
+                    let server = Rc::downgrade(&current);
                     fab.set_recv_handler(
                         qp,
                         server_node,
                         Rc::new(move |sim: &mut Sim, _qp, payload: Vec<u8>| {
-                            ShardServer::on_request_payload(&server_rc, sim, conn_idx, payload);
+                            if let Some(server_rc) = server.upgrade() {
+                                ShardServer::on_request_payload(&server_rc, sim, conn_idx, payload);
+                            }
                         }),
                     );
                 }
                 Some(demux) if new_channel => {
                     // Multiplexed QP: one handler per channel, routing each
                     // request payload by its stamped channel tag.
-                    let demux = demux.clone();
+                    let demux = Rc::downgrade(demux);
                     fab.set_recv_handler(
                         qp,
                         server_node,
                         Rc::new(move |sim: &mut Sim, _qp, payload: Vec<u8>| {
                             let tag = hydra_wire::channel_tag(&payload);
+                            let Some(demux) = demux.upgrade() else {
+                                return; // the channel's client is gone
+                            };
                             let target = demux.borrow().get(&tag).cloned();
                             let Some((server_rc, idx)) = target else {
                                 return; // tag retired (partition rerouted)

@@ -145,7 +145,9 @@ pub struct ClusterConfig {
     pub hot_read_threshold: u64,
     /// Arena words per shard.
     pub arena_words: usize,
-    /// Expected items per shard (sizes the index).
+    /// Expected items per shard. Sizes only the fixed-capacity ablation
+    /// indexes (`Chained`, `Compact`); the packed and hybrid indexes start at
+    /// one page and grow as items arrive.
     pub expected_items: usize,
     /// Request/response buffer slot size in words (bounds message size).
     pub msg_slot_words: usize,

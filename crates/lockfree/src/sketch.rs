@@ -18,7 +18,7 @@ const MAX_COUNT: u32 = u32::MAX;
 /// Approximate per-key touch counts with bounded memory.
 pub struct FreqSketch {
     /// `ROWS` logical rows concatenated; each row is `width` counters.
-    counters: Vec<AtomicU32>,
+    counters: Box<[AtomicU32]>,
     /// Power-of-two row width (mask = width - 1).
     mask: u64,
     /// Touches since the last aging pass.
@@ -32,10 +32,12 @@ impl FreqSketch {
     /// to a power of two).
     pub fn new(width: usize) -> FreqSketch {
         let width = width.max(16).next_power_of_two();
-        let mut counters = Vec::with_capacity(width * ROWS);
-        counters.resize_with(width * ROWS, || AtomicU32::new(0));
         FreqSketch {
-            counters,
+            // Zeroed by the allocator and never written here: traffic
+            // commits the counters' pages, construction does not (a fill
+            // loop commits all of them in a debug build).
+            // SAFETY: the all-zero bit pattern is a valid `AtomicU32`.
+            counters: unsafe { Box::<[AtomicU32]>::new_zeroed_slice(width * ROWS).assume_init() },
             mask: (width - 1) as u64,
             ops: AtomicU64::new(0),
             sample: (width as u64) * 8,

@@ -39,7 +39,9 @@ pub enum WriteMode {
 pub struct EngineConfig {
     /// Arena capacity in 8-byte words.
     pub arena_words: usize,
-    /// Expected item count (sizes the index).
+    /// Expected item count. Sizes only the fixed-capacity ablation indexes
+    /// (`Chained`, `Compact`); the packed and hybrid indexes start at one
+    /// page and grow as items arrive.
     pub expected_items: usize,
     /// Which index structure backs the shard (the `abl_hashtable` A/B axis).
     pub index: IndexKind,
@@ -130,8 +132,6 @@ pub struct EngineStats {
     pub scan_items: u64,
     pub evictions: u64,
     pub reclaimed_blocks: u64,
-    /// Displaced index group arrays freed by the reclamation pump.
-    pub retired_index_groups: u64,
     pub oom_events: u64,
 }
 
@@ -177,11 +177,6 @@ impl ShardEngine {
     /// Whether the index has an incremental resize in progress.
     pub fn index_resizing(&self) -> bool {
         self.table.is_resizing()
-    }
-
-    /// Bytes of displaced index group arrays awaiting epoch reclamation.
-    pub fn index_retired_bytes(&self) -> usize {
-        self.table.retired_bytes()
     }
 
     /// Bytes held by the index's live structures.
@@ -619,8 +614,8 @@ impl ShardEngine {
             return Err(EngineError::NotFound);
         };
         // Advance the reclamation epoch from the delete path too — a
-        // delete-only workload must drain expired blocks and displaced index
-        // groups without waiting for a put. Pumping *before* pushing leaves
+        // delete-only workload must drain expired blocks and retired skiplist
+        // leaves without waiting for a put. Pumping *before* pushing leaves
         // the block killed below for a later epoch, as the lease protocol
         // requires.
         self.pump_reclaim(now);
@@ -649,22 +644,18 @@ impl ShardEngine {
             .reclaim
             .reclaim(now, |off, words| arena.free(off, words));
         self.stats.reclaimed_blocks += n as u64;
-        // Displaced index group arrays ride the same epoch: the shard thread
-        // is the only index reader (remote GETs bypass it via one-sided
-        // reads), so a fully drained old half has no remaining readers by
-        // the time any pump runs.
-        self.stats.retired_index_groups += self.table.reclaim_retired() as u64;
+        // Skiplist leaves that deletes unlinked ride the same epoch.
+        self.table.reclaim_retired();
         n
     }
 
     /// Earliest pending reclamation deadline (schedules the next GC event).
     ///
-    /// Displaced index halves count as immediately-due work: once a resize
-    /// finishes they are reclaimable on the next pump, and a read-only
+    /// Retired skiplist leaves count as immediately-due work: a read-only
     /// workload would otherwise pin them forever (no put/delete ever runs
     /// the pump again).
     pub fn next_reclaim_at(&self) -> Option<u64> {
-        if self.table.retired_bytes() > 0 && !self.table.is_resizing() {
+        if self.table.retired_bytes() > 0 {
             return Some(0);
         }
         self.reclaim.next_expiry()
@@ -1113,13 +1104,14 @@ mod tests {
     }
 
     #[test]
-    fn delete_only_workload_drains_reclaim_and_retired_groups() {
+    fn delete_only_workload_drains_reclaim_and_holds_no_drained_half() {
         // Regression: the reclamation epoch used to advance only from put
-        // paths, so a delete-only phase accumulated expired blocks (and,
-        // with the packed index, retired group arrays) unboundedly.
+        // paths, so a delete-only phase accumulated expired blocks
+        // unboundedly. The index resizes under the load and the deletes
+        // (tombstone purges), and no drained half outlives its migration.
         let cfg = EngineConfig {
             arena_words: 1 << 16,
-            expected_items: 16, // tiny: loading 2k items forces many resizes
+            expected_items: 16,
             index: IndexKind::Packed,
             write_mode: WriteMode::Reliable,
             min_lease_ns: 50,
@@ -1130,6 +1122,7 @@ mod tests {
             e.insert(i, format!("dk{i:05}").as_bytes(), &[7; 16])
                 .unwrap();
         }
+        assert!(e.table_stats().resizes >= 2, "load must grow the index");
         // Deletes only from here on; leases are short, so blocks keep
         // coming due as virtual time advances.
         let mut peak_pending = 0;
@@ -1137,61 +1130,56 @@ mod tests {
             let now = 1_000_000 + i * 100; // far past every grant
             e.delete(now, format!("dk{i:05}").as_bytes()).unwrap();
             peak_pending = peak_pending.max(e.reclaim_pending());
-            assert!(
-                e.index_retired_bytes() == 0 || e.index_resizing(),
-                "retired halves must drain from the delete path"
-            );
+            if !e.index_resizing() {
+                assert!(
+                    e.index_mem_bytes().is_power_of_two() && e.index_mem_bytes() >= 4096,
+                    "no drained half may be held: {} B",
+                    e.index_mem_bytes()
+                );
+            }
         }
         assert!(
             peak_pending <= 2,
             "delete-only loop must not grow the reclaim queue: {peak_pending}"
         );
         assert!(e.stats().reclaimed_blocks >= 1_999);
-        assert!(
-            e.stats().retired_index_groups >= 1,
-            "growth during load must have retired old halves"
-        );
     }
 
     #[test]
-    fn read_only_workload_reports_retired_halves_as_due_reclaim() {
-        // Regression: `next_reclaim_at` used to consult only the lease
-        // queue, so when an insert-only load phase finished a resize the
-        // displaced old half stayed pinned for as long as the workload was
-        // read-only — no put/delete ever pumped again, and the scheduler
-        // had no deadline to arm. Retired halves must surface as
-        // immediately-due work.
+    fn a_completed_resize_frees_its_old_half_with_nothing_due() {
+        // An engine starts its packed index at one page, however many items
+        // it expects. When a resize completes, the old half is gone with the
+        // mutation that drained it: the index holds its live array alone and
+        // no reclamation pump is due, so a read-only phase after an
+        // insert-only load pins nothing and arms nothing.
         let cfg = EngineConfig {
             arena_words: 1 << 16,
-            expected_items: 16, // tiny: loading forces resizes quickly
+            expected_items: 1 << 20,
             index: IndexKind::Packed,
             write_mode: WriteMode::Reliable,
             min_lease_ns: 50,
             max_lease_ns: 3_200,
         };
         let mut e = ShardEngine::new(cfg);
-        // Load until at least one resize has fully completed with its old
-        // half retired but not yet reclaimed (inserts don't pump unless the
-        // arena fills).
+        assert_eq!(e.index_mem_bytes(), 4096, "one page before any insert");
         let mut i = 0u64;
-        while e.index_retired_bytes() == 0 || e.index_resizing() {
+        let mut was_resizing = false;
+        while e.table_stats().resizes < 3 || e.index_resizing() {
             e.insert(i, format!("ro{i:05}").as_bytes(), &[9; 16])
                 .unwrap();
             i += 1;
-            assert!(i < 100_000, "never observed a completed resize");
+            if was_resizing && !e.index_resizing() {
+                let live = 4096 << e.table_stats().resizes;
+                assert_eq!(e.index_mem_bytes(), live, "after {i} inserts");
+                assert_eq!(e.next_reclaim_at(), None);
+            }
+            was_resizing = e.index_resizing();
+            assert!(i < 100_000, "never observed three completed resizes");
         }
-        assert_eq!(
-            e.next_reclaim_at(),
-            Some(0),
-            "retired halves must register as due reclamation"
-        );
-        // Read-only from here: the scheduled pump (driven by GET traffic in
-        // the server) drains the retired half without any mutation.
         let mut scratch = Vec::new();
         e.get_into(i, b"ro00000", &mut scratch).unwrap();
-        e.pump_reclaim(i);
-        assert_eq!(e.index_retired_bytes(), 0, "pump must free retired halves");
-        assert!(e.stats().retired_index_groups >= 1);
+        assert_eq!(e.index_mem_bytes(), 4096 << 3);
+        assert_eq!(e.next_reclaim_at(), None);
     }
 
     #[test]

@@ -82,16 +82,18 @@ macro_rules! dispatch {
 }
 
 impl AnyIndex {
-    /// Builds the index of `kind` sized for `items` entries over the items
-    /// of `arena`.
+    /// Builds the index of `kind` over the items of `arena`. `items` sizes
+    /// only the fixed-capacity ablation tables (`Chained`, `Compact`); the
+    /// packed and hybrid indexes start at one page and grow by incremental
+    /// resize as items arrive.
     pub fn with_capacity(kind: IndexKind, items: usize, arena: &Arena) -> AnyIndex {
         match kind {
             // One chain head per expected item — the conventional load
             // factor the naive designs the paper argues against would run.
             IndexKind::Chained => AnyIndex::Chained(ChainedTable::new(items.max(1))),
             IndexKind::Compact => AnyIndex::Compact(CompactTable::with_capacity(items)),
-            IndexKind::Packed => AnyIndex::Packed(PackedTable::with_capacity(items)),
-            IndexKind::Hybrid => AnyIndex::Hybrid(HybridTable::with_capacity(items, arena)),
+            IndexKind::Packed => AnyIndex::Packed(PackedTable::default()),
+            IndexKind::Hybrid => AnyIndex::Hybrid(HybridTable::new(arena)),
         }
     }
 
@@ -193,22 +195,21 @@ impl AnyIndex {
         }
     }
 
-    /// Bytes parked on the retire list awaiting epoch reclamation.
+    /// Bytes parked awaiting reclamation: the hybrid's skiplist leaves that
+    /// deletes unlinked. (A drained resize half is freed as it drains.)
     pub fn retired_bytes(&self) -> usize {
         match self {
-            AnyIndex::Chained(_) | AnyIndex::Compact(_) => 0,
-            AnyIndex::Packed(t) => t.retired_bytes(),
             AnyIndex::Hybrid(t) => t.retired_bytes(),
+            _ => 0,
         }
     }
 
-    /// Frees retired structures; returns how many were reclaimed. Driven
-    /// from the engine's reclamation pump (put *and* delete paths).
+    /// Frees retired leaves; returns how many were reclaimed. Driven from
+    /// the engine's reclamation pump (put *and* delete paths).
     pub fn reclaim_retired(&mut self) -> usize {
         match self {
-            AnyIndex::Chained(_) | AnyIndex::Compact(_) => 0,
-            AnyIndex::Packed(t) => t.reclaim_retired(),
             AnyIndex::Hybrid(t) => t.reclaim_retired(),
+            _ => 0,
         }
     }
 
@@ -253,7 +254,8 @@ mod tests {
         ] {
             let mut arena = Arena::new(1 << 14);
             let mem = arena.memory();
-            // Small on purpose: the relocating kinds resize under the load.
+            // Small on purpose: the fixed kinds chain, the packed kinds
+            // resize from their one page under the load.
             let mut idx = AnyIndex::with_capacity(kind, 16, &arena);
             assert!(idx.is_empty());
             let mut write = |k: &[u8]| {
@@ -343,11 +345,19 @@ mod tests {
             assert!(idx.mem_bytes() > 0);
             assert!(idx.stats().lookups > 0);
             assert_eq!(idx.lookup(hash_key(&keys[1]), is(&keys[1])), Some(offs[1]));
-            // Growing from 16 entries retired the relocating kinds' old
-            // tables; one pump frees them.
-            let relocates = matches!(kind, IndexKind::Packed | IndexKind::Hybrid);
-            assert_eq!(idx.retired_bytes() > 0, relocates, "{kind:?}");
-            assert_eq!(idx.reclaim_retired() > 0, relocates);
+            // The packed kinds doubled from their page once and hold the
+            // live array alone: no kind holds a drained resize half. Only
+            // the hybrid's ordered side parks memory (leaves the removes
+            // emptied), and one pump frees it.
+            let packed = matches!(kind, IndexKind::Packed | IndexKind::Hybrid);
+            assert_eq!(idx.stats().resizes, packed as u64, "{kind:?}");
+            assert!(!idx.is_resizing());
+            if kind == IndexKind::Packed {
+                assert_eq!(idx.mem_bytes(), 2 * 4096);
+            }
+            let parked = idx.retired_bytes();
+            assert_eq!(parked > 0, kind == IndexKind::Hybrid, "{kind:?}");
+            assert_eq!(idx.reclaim_retired() > 0, parked > 0);
             assert_eq!(idx.retired_bytes(), 0);
         }
     }

@@ -38,10 +38,13 @@
 //! the rehash cost is spread across the very mutations that caused the
 //! growth. Lookups probe the new half, then the old; drained old groups are
 //! marked `MIGRATED` so probe chains that pass through them keep walking.
-//! A fully drained old half is *retired*, not freed: it parks on a retire
-//! list until the owner pumps [`PackedTable::reclaim_retired`] from its
-//! reclamation epoch (the engine does this from the same pump that frees
-//! lease-expired item blocks, on put *and* delete paths).
+//! A fully drained old half is freed by the mutation that drains it: the
+//! table's owner is its only reader (remote GETs read the arena, not the
+//! index), so nothing can still be probing it.
+//!
+//! **Growth from a page** — a shard's table starts at one 4 KiB page
+//! ([`PackedTable::default`]) and doubles through the same incremental
+//! resize as its items arrive, so index memory is committed as it is used.
 //!
 //! **Address stability** — resize and displacement move *index entries*,
 //! never items: arena word offsets handed to clients as remote pointers stay
@@ -193,8 +196,6 @@ pub struct PackedTable {
     /// Tombstone lanes in the live half (resize-debt accounting).
     tombs: usize,
     old: Option<OldHalf>,
-    /// Drained old halves awaiting epoch reclamation.
-    retired: Vec<Box<[Group]>>,
     /// Resize when `(len + tombs) * 8 >= slots * max_load_eighths`.
     max_load_eighths: u32,
     stats: TableStats,
@@ -224,7 +225,6 @@ impl PackedTable {
             len: 0,
             tombs: 0,
             old: None,
-            retired: Vec::new(),
             max_load_eighths,
             stats: TableStats::default(),
         }
@@ -263,27 +263,10 @@ impl PackedTable {
         }
     }
 
-    /// Bytes held by live group arrays (both halves during a resize).
+    /// Bytes held by the group arrays (both halves during a resize).
     pub fn mem_bytes(&self) -> usize {
         let old = self.old.as_ref().map_or(0, |o| o.groups.len());
         (self.groups.len() + old) * std::mem::size_of::<Group>()
-    }
-
-    /// Bytes parked on the retire list awaiting epoch reclamation.
-    pub fn retired_bytes(&self) -> usize {
-        self.retired
-            .iter()
-            .map(|g| g.len() * std::mem::size_of::<Group>())
-            .sum()
-    }
-
-    /// Frees every retired old half; returns the number of group arrays
-    /// reclaimed. Driven by the owner's reclamation epoch (the engine pumps
-    /// this wherever it pumps lease-expired item blocks).
-    pub fn reclaim_retired(&mut self) -> usize {
-        let n = self.retired.len();
-        self.retired.clear();
-        n
     }
 
     /// Looks up the entry whose tag matches `hash` and for which
@@ -538,7 +521,7 @@ impl PackedTable {
     /// Migrates one old group into the live half (the issue's "split one
     /// group per mutation"), re-deriving each entry's home via `rehash`.
     /// Drained groups are flagged `MIGRATED` so probe chains keep walking
-    /// through them; a fully drained old half moves to the retire list.
+    /// through them; a fully drained old half is freed.
     fn migrate_step(&mut self, mut rehash: impl FnMut(u64) -> u64) {
         let Some(old) = &mut self.old else {
             return;
@@ -558,8 +541,7 @@ impl PackedTable {
             self.stats.migrated_groups += 1;
         }
         if old.pos >= old.groups.len() {
-            let done = self.old.take().expect("old half present");
-            self.retired.push(done.groups);
+            self.old = None;
         }
     }
 
@@ -574,6 +556,14 @@ impl PackedTable {
                 f(g.slots[lane]);
             }
         }
+    }
+}
+
+impl Default for PackedTable {
+    /// One 4 KiB page of groups at the default ceiling: where a shard's
+    /// index starts before its items arrive.
+    fn default() -> Self {
+        Self::new(4096 / std::mem::size_of::<Group>())
     }
 }
 
@@ -735,7 +725,7 @@ mod tests {
     }
 
     #[test]
-    fn drained_halves_retire_and_reclaim() {
+    fn drained_halves_are_freed_at_once() {
         let mut m = Model::new(1);
         for i in 0..4_000 {
             m.insert(format!("rt-{i}").as_bytes());
@@ -746,13 +736,52 @@ mod tests {
             m.remove(format!("rt-{i}").as_bytes());
             i += 1;
         }
-        assert!(
-            m.table.retired_bytes() > 0,
-            "old halves must park, not drop"
+        assert!(m.table.stats().resizes >= 3, "growth must have happened");
+        assert_eq!(
+            m.table.mem_bytes(),
+            m.table.groups.len() * std::mem::size_of::<Group>(),
+            "no drained half may be held"
         );
-        let n = m.table.reclaim_retired();
-        assert!(n >= 1);
-        assert_eq!(m.table.retired_bytes(), 0);
+    }
+
+    #[test]
+    fn grows_from_one_page_through_eight_doublings() {
+        let mut m = Model::new(1);
+        m.table = PackedTable::default();
+        assert_eq!(m.table.mem_bytes(), 4096, "one page before any insert");
+        let mut keys: Vec<Vec<u8>> = Vec::new();
+        let mut offs = Vec::new();
+        let mut doublings = 0;
+        let mut was_resizing = false;
+        while doublings < 8 {
+            let k = format!("pg-{}", keys.len()).into_bytes();
+            offs.push(m.insert(&k));
+            keys.push(k);
+            let resizing = m.table.is_resizing();
+            // Every key after every insert while the table holds 4 K entries
+            // (four doublings, each mid-resize); past that, every key at each
+            // quarter of a migration and at its start and end, and the new
+            // key always, so the check stays linear in debug builds.
+            let (pos, total) = m.table.resize_progress();
+            let all = keys.len() <= 4096
+                || resizing != was_resizing
+                || (resizing && pos % (total / 4) == 0);
+            let from = if all { 0 } else { keys.len() - 1 };
+            for (k, &o) in keys.iter().zip(&offs).skip(from) {
+                assert_eq!(m.lookup(k), Some(o), "{}", String::from_utf8_lossy(k));
+            }
+            if was_resizing && !resizing {
+                doublings += 1;
+                assert_eq!(
+                    m.table.mem_bytes(),
+                    m.table.groups.len() * std::mem::size_of::<Group>(),
+                    "a completed resize holds its live array alone"
+                );
+            }
+            was_resizing = resizing;
+        }
+        assert_eq!(m.table.groups.len(), 64 << 8);
+        assert_eq!(m.table.stats().resizes, 8);
     }
 
     #[test]

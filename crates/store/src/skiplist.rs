@@ -206,14 +206,6 @@ impl SkipList {
         }
     }
 
-    /// Creates a skiplist with node storage pre-reserved for `items` (at the
-    /// half-full leaves random insertion order converges to).
-    pub fn with_capacity(items: usize) -> SkipList {
-        let mut s = SkipList::new();
-        s.nodes.reserve(items.div_ceil(LEAF_CAP / 2));
-        s
-    }
-
     /// Live entries.
     #[inline]
     pub fn len(&self) -> u64 {
@@ -600,11 +592,12 @@ pub struct HybridTable {
 }
 
 impl HybridTable {
-    /// Creates a hybrid index sized for `items` over the items of `arena`.
-    pub fn with_capacity(items: usize, arena: &Arena) -> HybridTable {
+    /// Creates an empty hybrid index over the items of `arena`: the hash
+    /// side starts at one page and both sides grow as items arrive.
+    pub fn new(arena: &Arena) -> HybridTable {
         HybridTable {
-            hash: PackedTable::with_capacity(items),
-            ordered: SkipList::with_capacity(items),
+            hash: PackedTable::default(),
+            ordered: SkipList::new(),
             mem: arena.memory(),
         }
     }
@@ -703,14 +696,15 @@ impl HybridTable {
         self.hash.is_resizing()
     }
 
-    /// Bytes either side has parked awaiting reclamation.
+    /// Bytes the ordered side has parked awaiting reclamation (leaves
+    /// unlinked by deletes).
     pub fn retired_bytes(&self) -> usize {
-        self.hash.retired_bytes() + self.ordered.retired_bytes()
+        self.ordered.retired_bytes()
     }
 
-    /// Frees both sides' retired structures; returns how many.
+    /// Frees the ordered side's retired leaves; returns how many.
     pub fn reclaim_retired(&mut self) -> usize {
-        self.hash.reclaim_retired() + self.ordered.reclaim_retired()
+        self.ordered.reclaim_retired()
     }
 
     /// Ordered iteration from the first key `>= start`; see
@@ -1053,7 +1047,7 @@ mod tests {
     #[test]
     fn hybrid_keeps_hash_and_ordered_sides_coherent() {
         let mut arena = Arena::new(1 << 14);
-        let mut t = HybridTable::with_capacity(8, &arena);
+        let mut t = HybridTable::new(&arena);
         let mem = arena.memory();
         let keys: Vec<Vec<u8>> = (0..300)
             .map(|i| format!("hy-{i:04}").into_bytes())
@@ -1088,10 +1082,10 @@ mod tests {
         assert_eq!(t.len(), 299);
         assert_eq!(t.ordered_stats().len, 299);
         assert_eq!(t.ordered_get(&keys[7]), None);
-        // The hash side's growth retired group arrays; one pump frees them.
-        assert!(t.retired_bytes() > 0);
-        t.reclaim_retired();
-        assert_eq!(SkipList::new().retired_bytes(), 0);
+        // Only the ordered side parks memory, and only for a leaf a delete
+        // empties; the hash side frees a drained half as it drains.
+        assert_eq!(t.ordered_stats().retired_nodes, 0);
+        assert_eq!(t.retired_bytes(), 0);
     }
 
     #[test]

@@ -42,7 +42,10 @@ echo "==> benchmark crate (builds against the workspace; one smoke pass per work
 # against it is caught here rather than by the pipeline running BENCHMARK.json.
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 # On failover the outage itself is gated: a primary is replaced within a few
-# missed beats (worst_wait_ms was 30.0 under the session timeout).
+# missed beats (worst_wait_ms was 30.0 under the session timeout). Footprint
+# is gated too: peak_rss_mib may not exceed 1.5x what each smoke pass reached
+# once index memory was committed as items arrive (51 / 109 / 31 / 128 /
+# 97 MiB; committing it up front read 113 / 362 / 94 / 381 / 286).
 for w in read_fastpath write_repl scan_mix prod_profile failover; do
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$w" --seed 1 --seconds 1 --scale smoke --trace 0 2>/dev/null | tail -n 1 |
@@ -52,8 +55,10 @@ r = json.load(sys.stdin)
 ok = r["correct"] and r["failed"] == 0
 if sys.argv[1] == "failover":
     ok = ok and r["metrics"]["worst_wait_ms"]["value"] < 1.0
+smoke_mib = {"read_fastpath": 51, "write_repl": 109, "scan_mix": 31, "prod_profile": 128, "failover": 97}
+ok = ok and r["metrics"]["peak_rss_mib"]["value"] <= 1.5 * smoke_mib[sys.argv[1]]
 sys.exit(not ok)' "$w" ||
-        { echo "benchmark workload $w: failed ops, bad output or a slow fail-over" >&2; exit 1; }
+        { echo "benchmark workload $w: failed ops, bad output, a slow fail-over or a peak RSS over its ceiling" >&2; exit 1; }
 done
 
 echo "==> chaos + elastic soaks (fixed-seed fault plans and join/drain rounds, full consistency checks)"

@@ -4,14 +4,15 @@
 //! `ShardEngine`. Random operation sequences are driven through engines
 //! differing only in `EngineConfig::index`; every op result, every post-op
 //! length, and the final full iteration contents must agree — across
-//! incremental resizes (the packed engines are deliberately under-sized so
-//! load forces several group splits mid-sequence) and across reclamation
-//! pumps. A second property pins the hybrid's *ordered* plane: scans, and
-//! scans continued from `last_key + 0x00` as the wire protocol continues
-//! them, must match a `BTreeMap` model item-for-item under the same
-//! interleavings — which split the skiplist's packed leaves, empty and
-//! unlink them, and remove their first keys — and a twin engine fed the
-//! same operations must build the same structure.
+//! incremental resizes (every engine starts preloaded just under its
+//! one-page packed index's ceiling, so the sequence's growth splits it
+//! mid-sequence) and across reclamation pumps. A second property pins the
+//! hybrid's *ordered* plane: scans, and scans continued from
+//! `last_key + 0x00` as the wire protocol continues them, must match a
+//! `BTreeMap` model item-for-item under the same interleavings — which
+//! split the skiplist's packed leaves, empty and unlink them, and remove
+//! their first keys — and a twin engine fed the same operations must build
+//! the same structure.
 
 use hydra_store::skiplist::LEAF_CAP;
 use hydra_store::{EngineConfig, EngineError, IndexKind, ShardEngine, WriteMode};
@@ -47,21 +48,33 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 fn key_of(k: u16) -> Vec<u8> {
     // 512 distinct keys: enough collisions to exercise deletes/updates,
-    // enough spread to push the under-sized packed table through resizes.
+    // enough spread to push the preloaded packed table through a resize.
     format!("ieq-{:04}", k % 512).into_bytes()
 }
 
+/// Items loaded before a sequence: 32 under the 392 entries at which a
+/// one-page packed index (64 groups of 7) starts to grow, so a sequence that
+/// adds a few dozen keys splits it mid-sequence.
+const PRELOAD: usize = 360;
+
+/// The `i`th preloaded key; sorts before every `key_of` key.
+fn preload_key(i: usize) -> Vec<u8> {
+    format!("fill-{i:04}").into_bytes()
+}
+
 fn engine(kind: IndexKind) -> ShardEngine {
-    ShardEngine::new(EngineConfig {
+    let mut e = ShardEngine::new(EngineConfig {
         arena_words: 1 << 15,
-        // Deliberately tiny: the packed table starts at a handful of groups
-        // and must split incrementally as the sequence loads it.
         expected_items: 8,
         index: kind,
         write_mode: WriteMode::Reliable,
         min_lease_ns: 500,
         max_lease_ns: 32_000,
-    })
+    });
+    for i in 0..PRELOAD {
+        e.insert(0, &preload_key(i), b"preloaded").expect("preload");
+    }
+    e
 }
 
 fn dump(e: &ShardEngine) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -86,6 +99,7 @@ proptest! {
         ];
         let mut now = 0u64;
         let mut resized = false;
+        let mut most = 0;
         for (step, op) in ops.iter().enumerate() {
             let results: Vec<_> = engines
                 .iter_mut()
@@ -107,19 +121,20 @@ proptest! {
             prop_assert_eq!(engines[0].len(), engines[2].len());
             prop_assert_eq!(engines[0].len(), engines[3].len());
             resized |= engines[0].index_resizing();
+            most = most.max(engines[0].len());
             if let Op::AdvanceTime(dt) = op {
                 now += dt;
             }
         }
-        // Resize coverage: most generated sequences should push the packed
-        // table through at least one split; assert on the stats so a silent
-        // "never resizes" regression cannot hide (>= 64 live keys guarantees
-        // growth past the 8-item initial sizing).
-        if engines[0].len() >= 64 {
+        // Resize coverage: most generated sequences push the packed table
+        // through at least one split; assert on the stats so a silent
+        // "never resizes" regression cannot hide (more than 392 live keys
+        // cross the one-page index's ceiling).
+        if most > 392 {
             prop_assert!(
                 resized || engines[0].table_stats().resizes > 0,
                 "packed table never resized despite {} live items",
-                engines[0].len()
+                most
             );
         }
         // Final iteration contents agree exactly.
@@ -180,8 +195,8 @@ proptest! {
     /// The hybrid index's ordered iteration must match a `BTreeMap` model
     /// exactly — every bounded scan mid-sequence and the final full walk —
     /// while random put/delete interleavings push the packed half through
-    /// incremental resizes (the engine is under-sized on purpose, so any
-    /// skiplist/table drift during a split shows up as a wrong scan).
+    /// incremental resizes (the engine starts preloaded near its ceiling, so
+    /// any skiplist/table drift during a split shows up as a wrong scan).
     #[test]
     fn hybrid_ordered_iteration_matches_btreemap_model(
         ops in proptest::collection::vec(ordered_op_strategy(), 1..400),
@@ -189,8 +204,10 @@ proptest! {
         // The twin is fed the same operations.
         let mut e = engine(IndexKind::Hybrid);
         let mut twin = engine(IndexKind::Hybrid);
-        let mut model = std::collections::BTreeMap::<Vec<u8>, Vec<u8>>::new();
+        let mut model: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
+            (0..PRELOAD).map(|i| (preload_key(i), b"preloaded".to_vec())).collect();
         let mut resized = false;
+        let mut most = 0;
         let mut most_leaves = 0;
         for (step, op) in ops.iter().enumerate() {
             match op {
@@ -267,16 +284,17 @@ proptest! {
             }
             prop_assert_eq!(e.len(), model.len());
             resized |= e.index_resizing();
+            most = most.max(e.len());
             most_leaves = most_leaves.max(e.ordered_stats().expect("hybrid").leaves);
         }
-        if e.len() >= 64 {
+        if most > 392 {
             prop_assert!(
                 resized || e.table_stats().resizes > 0,
-                "hybrid hash half never resized despite {} live items", e.len()
+                "hybrid hash half never resized despite {} live items", most
             );
-            // 64 keys do not fit four leaves: the run crossed splits.
-            prop_assert!(most_leaves > 4, "only {} leaves for {} items", most_leaves, e.len());
         }
+        // The preload alone does not fit four leaves: it crossed splits.
+        prop_assert!(most_leaves > 4, "only {} leaves for {} items", most_leaves, e.len());
         // Full ordered walk from the empty key equals the whole model.
         let (walk, exhausted) = scan(&mut e, b"", usize::MAX);
         prop_assert!(exhausted);

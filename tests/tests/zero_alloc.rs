@@ -110,12 +110,15 @@ fn packed_probe_paths_are_zero_alloc_at_high_lf_and_mid_resize() {
         min_lease_ns: 1_000,
         max_lease_ns: 64_000,
     });
-    let keys: Vec<Vec<u8>> = (0..400)
+    // 392 keys fill the one-page index (64 groups, 448 slots) to its 7/8
+    // ceiling without crossing it: the 393rd insert would start a resize.
+    let keys: Vec<Vec<u8>> = (0..392)
         .map(|i| format!("hotk{i:06}").into_bytes())
         .collect();
     for k in &keys {
         engine.insert(0, k, &[0x3C; 32]).unwrap();
     }
+    assert!(!engine.index_resizing(), "the first phase probes one half");
     let mut scratch = Vec::new();
     engine.get_into(1, &keys[0], &mut scratch).unwrap();
     let allocs = count_allocs_min(|| {
