@@ -41,7 +41,7 @@ use hydra_sim::{Histogram, Sim};
 use hydra_store::{FetchedItem, ItemError};
 use hydra_wire::{
     backlog_hint, frame, messages, scan_items_merge, scan_items_rank, BatchBuilder, BatchFrame,
-    RemotePtr, Request, Response, ScanItems, Status, MAX_EXPORT_PTRS,
+    RemotePtr, Request, Response, ScanItems, Status,
 };
 
 use crate::cluster::Directory;
@@ -126,7 +126,7 @@ pub struct ReplicaTarget {
 
 /// A cached remote pointer (§4.2.2), optionally widened with the replica
 /// set the server exported for hot keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedPtr {
     /// Partition whose primary exposed the pointer.
     pub partition: u32,
@@ -138,10 +138,10 @@ pub struct CachedPtr {
     /// Fetches are rejected as stale if the fetched version differs — the
     /// ABA guard for blocks reused behind a still-valid guardian.
     pub version: Option<u8>,
-    /// Replica locations exported with the pointer (first `n_replicas`).
-    pub replicas: [ReplicaTarget; MAX_EXPORT_PTRS],
-    /// Live prefix of `replicas`.
-    pub n_replicas: u8,
+    /// Replica locations exported with the pointer, `None` when there
+    /// were none: only hot keys carry them, so they live out of line and a
+    /// clone shares them.
+    pub replicas: Option<Arc<[ReplicaTarget]>>,
     /// The key was seen superseded — a read found its item dead, or the
     /// shard answered with a pointer other than the one the client held —
     /// and has not since been seen holding still. A suspect pointer is not
@@ -935,10 +935,10 @@ impl HydraClient {
     /// rotor only when spreading applies.
     fn pick_spread_target(&self, ptr: &CachedPtr) -> usize {
         let mut inner = self.inner.borrow_mut();
-        if !inner.cfg.replica_read_spread || ptr.n_replicas == 0 {
-            return 0;
-        }
-        let n = 1 + ptr.n_replicas as usize;
+        let n = match &ptr.replicas {
+            Some(replicas) if inner.cfg.replica_read_spread => 1 + replicas.len(),
+            _ => return 0,
+        };
         let pick = (inner.spread_rr % n as u64) as usize;
         inner.spread_rr = inner.spread_rr.wrapping_add(1);
         pick
@@ -988,7 +988,7 @@ impl HydraClient {
                 Ok((qp, arena_region, ptr.rptr, false))
             }
         } else {
-            let target = ptr.replicas[pick - 1];
+            let target = ptr.replicas.as_ref().expect("picked a replica")[pick - 1];
             let qp = self.ensure_replica_qp(target.node);
             let mut inner = self.inner.borrow_mut();
             inner.stats.rptr_reads += 1;
@@ -1711,18 +1711,21 @@ impl HydraClient {
                             // Hot keys arrive with a replica set: keep the
                             // version stamp and spread targets alongside the
                             // primary pointer.
-                            let mut replicas = [ReplicaTarget::default(); MAX_EXPORT_PTRS];
-                            let mut n_replicas = 0u8;
-                            let version = resp.replicas.as_ref().map(|set| {
-                                for e in set.entries() {
-                                    replicas[n_replicas as usize] = ReplicaTarget {
-                                        node: e.node,
-                                        rptr: e.rptr,
-                                    };
-                                    n_replicas += 1;
-                                }
-                                set.version
-                            });
+                            let version = resp.replicas.as_ref().map(|set| set.version);
+                            let replicas = resp
+                                .replicas
+                                .as_ref()
+                                .map(|set| set.entries())
+                                .filter(|entries| !entries.is_empty())
+                                .map(|entries| {
+                                    entries
+                                        .iter()
+                                        .map(|e| ReplicaTarget {
+                                            node: e.node,
+                                            rptr: e.rptr,
+                                        })
+                                        .collect()
+                                });
                             inner.ptr_cache.insert(
                                 &out.key,
                                 CachedPtr {
@@ -1731,7 +1734,6 @@ impl HydraClient {
                                     lease_expiry: resp.lease_expiry,
                                     version,
                                     replicas,
-                                    n_replicas,
                                     suspect: out.seen.is_some_and(|seen| seen != resp.rptr),
                                 },
                             );
@@ -1794,6 +1796,13 @@ fn encode_request(kind: OpKind, req_id: u64, key: &[u8], value: &[u8]) -> Vec<u8
 mod tests {
     use super::*;
 
+    /// A pointer-cache slot is the key, the hash, this value and a bit:
+    /// replica targets, which only hot keys carry, live out of line.
+    #[test]
+    fn a_cached_pointer_fits_in_48_bytes() {
+        assert!(std::mem::size_of::<CachedPtr>() <= 48);
+    }
+
     /// The client half of `corrupt_request_frame_is_counted_and_the_slot_
     /// released` (ROADMAP 4(e)): a response buffer whose head word is not a
     /// frame header is counted, cleared and survived; the parent commit
@@ -1847,7 +1856,7 @@ mod tests {
         let live = cache.get(b"k").expect("the GET cached its pointer");
         assert!(!live.suspect, "a cold miss is never suspect");
         // Suspect of a pointer the shard no longer hands out.
-        let mut dead = live;
+        let mut dead = live.clone();
         dead.rptr.offset += 8;
         dead.suspect = true;
         cache.insert(b"k", dead);

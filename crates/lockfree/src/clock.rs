@@ -8,11 +8,15 @@
 //!   for it: slots are appended as keys arrive, up to `capacity`, and the
 //!   index doubles with them. Under overload the CLOCK hand evicts, so memory
 //!   is `O(min(capacity, distinct keys cached))` no matter how many keys
-//!   stream past — the admission sketch, sized from `capacity` at
-//!   construction, is the one part an idle cache pays for.
+//!   stream past.
 //! * **Hot**: admission is gated by a [`FreqSketch`] — a newcomer only
 //!   displaces the CLOCK victim when its estimated access frequency exceeds
 //!   the victim's, so a scan of cold keys cannot flush the hot working set.
+//!   The sketch is sized from `capacity` and consulted only by a full cache,
+//!   so it is created when the cache first holds half its capacity
+//!   (Caffeine's rule): until then no call touches it, and a cache that
+//!   never gets there never pays for it. A cache that fills has counted
+//!   every touch since it was half full.
 //!
 //! A cached pointer's lease is the caller's business: it travels inside the
 //! value, and the message-path GET that re-caches a pointer is what extends
@@ -28,9 +32,10 @@
 //! slot. Probing is linear; deletion shifts the rest of the run back, so
 //! there are no tombstones and a lookup ends at the first empty word. The
 //! **slot** holds the key itself (inline up to [`INLINE_KEY`] bytes, boxed
-//! beyond), the full hash, the value and the CLOCK bit: a hit touches the
-//! sketch rows, one index line and the slot, and caching a short key
-//! allocates nothing beyond the amortised growth of the two arrays.
+//! beyond), the full hash, the value and the CLOCK bit: a hit touches one
+//! index line and the slot (and the four sketch rows once the cache has
+//! been half full), and caching a short key allocates nothing beyond the
+//! amortised growth of the two arrays.
 //!
 //! # Decisions
 //!
@@ -47,7 +52,7 @@
 //! paper's shared-cache contention point is the *pointer lookup*, which is
 //! one mutex acquire + one index probe here.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::sketch::FreqSketch;
 
@@ -215,7 +220,9 @@ pub struct ClockCacheStats {
 /// Bounded CLOCK cache with sketch-gated admission. See module docs.
 pub struct ClockCache<V> {
     inner: Mutex<Inner<V>>,
-    sketch: FreqSketch,
+    /// Created by the insert that first brings `live` to half of
+    /// `capacity`.
+    sketch: OnceLock<FreqSketch>,
     capacity: usize,
 }
 
@@ -234,7 +241,7 @@ impl<V: Clone> ClockCache<V> {
                 hand: 0,
                 stats: ClockCacheStats::default(),
             }),
-            sketch: FreqSketch::new(capacity),
+            sketch: OnceLock::new(),
             capacity,
         }
     }
@@ -265,11 +272,19 @@ impl<V: Clone> ClockCache<V> {
         self.lock().stats
     }
 
+    /// Records a touch of `hash` once the cache has been half full.
+    fn touch(&self, hash: u64) {
+        if let Some(sketch) = self.sketch.get() {
+            sketch.touch(hash);
+        }
+    }
+
     /// Looks up `key`, cloning the value on a hit. Records the touch in the
-    /// admission sketch and sets the slot's CLOCK reference bit.
+    /// admission sketch, if there is one yet, and sets the slot's CLOCK
+    /// reference bit.
     pub fn get(&self, key: &[u8]) -> Option<V> {
         let hash = crate::hash_bytes(key);
-        self.sketch.touch(hash);
+        self.touch(hash);
         let mut inner = self.lock();
         let Some(idx) = inner.find(hash, key) else {
             inner.stats.misses += 1;
@@ -288,7 +303,7 @@ impl<V: Clone> ClockCache<V> {
     /// that keeps arriving eventually qualifies.
     pub fn insert(&self, key: &[u8], value: V, _expiry: u64) -> bool {
         let hash = crate::hash_bytes(key);
-        self.sketch.touch(hash);
+        self.touch(hash);
         let mut guard = self.lock();
         let inner = &mut *guard;
         if let Some(idx) = inner.find(hash, key) {
@@ -317,7 +332,8 @@ impl<V: Clone> ClockCache<V> {
                 }
             };
             let victim_hash = inner.slots[victim].as_ref().expect("victim occupied").hash;
-            if self.sketch.estimate(hash) <= self.sketch.estimate(victim_hash) {
+            let sketch = self.sketch.get().expect("a full cache was half full");
+            if sketch.estimate(hash) <= sketch.estimate(victim_hash) {
                 inner.stats.rejected += 1;
                 return false;
             }
@@ -334,6 +350,9 @@ impl<V: Clone> ClockCache<V> {
         });
         inner.place(index_word(hash, idx));
         inner.live += 1;
+        if inner.live >= self.capacity / 2 {
+            self.sketch.get_or_init(|| FreqSketch::new(self.capacity));
+        }
         true
     }
 
@@ -448,6 +467,46 @@ mod tests {
         assert_eq!(inner.index.len(), MIN_INDEX);
         assert_eq!(inner.free.capacity(), 0);
         assert_eq!(std::mem::size_of::<Key>(), 24);
+    }
+
+    /// The sketch is only consulted by a full cache: it is created by the
+    /// insert that brings the cache to half full, once, and counts nothing
+    /// from before.
+    #[test]
+    fn the_sketch_is_created_once_when_the_cache_is_half_full() {
+        let c: ClockCache<u64> = ClockCache::new(64);
+        let key = |i: u64| format!("half{i:02}");
+        for i in 0..31 {
+            assert!(c.insert(key(i).as_bytes(), i, 0));
+            assert_eq!(c.get(key(i).as_bytes()), Some(i));
+        }
+        c.get(b"absent");
+        assert!(c.sketch.get().is_none(), "31 of 64 live: no sketch yet");
+        assert!(c.insert(key(31).as_bytes(), 31, 0));
+        let sketch: *const FreqSketch = c.sketch.get().expect("32 of 64 live");
+        for i in 0..32 {
+            let hash = crate::hash_bytes(key(i).as_bytes());
+            assert_eq!(c.sketch.get().unwrap().estimate(hash), 0, "key {i}");
+        }
+        assert_eq!(
+            c.sketch
+                .get()
+                .unwrap()
+                .estimate(crate::hash_bytes(b"absent")),
+            0
+        );
+        c.get(key(0).as_bytes());
+        let hash = crate::hash_bytes(key(0).as_bytes());
+        assert_eq!(c.sketch.get().unwrap().estimate(hash), 1);
+        // Draining below half and filling past it again keeps the sketch.
+        for i in 0..32 {
+            assert_eq!(c.remove(key(i).as_bytes()), Some(i));
+        }
+        for i in 0..64 {
+            assert!(c.insert(key(i).as_bytes(), i, 0));
+        }
+        assert!(std::ptr::eq(sketch, c.sketch.get().unwrap()));
+        assert!(c.sketch.get().unwrap().estimate(hash) >= 2);
     }
 
     /// The trap a first version of the flat index fell into: doubling the

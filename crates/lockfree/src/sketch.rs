@@ -8,6 +8,10 @@
 //! `sample = 8 × width` touches, so a formerly-hot key stops outvoting the
 //! current working set. All operations are single atomic loads/stores per
 //! row — callers may share one sketch across every client thread on a node.
+//! The rows of one key are four independent cache lines, on four random
+//! pages of a large sketch, so every touch commits memory: a
+//! [`ClockCache`](crate::ClockCache), which asks it only when full, creates
+//! its sketch once it is half full.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 

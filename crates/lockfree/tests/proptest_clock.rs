@@ -4,7 +4,9 @@
 //! the real [`FreqSketch`] — must agree on every return value, on `len()`
 //! and on every `stats()` field after every call. What the cache admits,
 //! evicts and rejects is part of the model of every experiment; its layout
-//! is not.
+//! is not. The sketch follows the cache's rule: it is created by the insert
+//! that first brings the live count to half the capacity, and a touch before
+//! that is recorded nowhere.
 
 use std::collections::HashMap;
 
@@ -23,7 +25,7 @@ struct Model {
     map: HashMap<Vec<u8>, usize>,
     free: Vec<usize>,
     hand: usize,
-    sketch: FreqSketch,
+    sketch: Option<FreqSketch>,
     stats: ClockCacheStats,
 }
 
@@ -34,13 +36,19 @@ impl Model {
             map: HashMap::new(),
             free: (0..capacity).rev().collect(),
             hand: 0,
-            sketch: FreqSketch::new(capacity),
+            sketch: None,
             stats: ClockCacheStats::default(),
         }
     }
 
+    fn touch(&self, hash: u64) {
+        if let Some(sketch) = &self.sketch {
+            sketch.touch(hash);
+        }
+    }
+
     fn get(&mut self, key: &[u8]) -> Option<u64> {
-        self.sketch.touch(hash_bytes(key));
+        self.touch(hash_bytes(key));
         let Some(&idx) = self.map.get(key) else {
             self.stats.misses += 1;
             return None;
@@ -53,7 +61,7 @@ impl Model {
 
     fn insert(&mut self, key: &[u8], value: u64) -> bool {
         let hash = hash_bytes(key);
-        self.sketch.touch(hash);
+        self.touch(hash);
         if let Some(&idx) = self.map.get(key) {
             let slot = self.slots[idx].as_mut().unwrap();
             slot.value = value;
@@ -73,7 +81,8 @@ impl Model {
                 slot.referenced = false;
             };
             let victim_hash = self.slots[victim].as_ref().unwrap().hash;
-            if self.sketch.estimate(hash) <= self.sketch.estimate(victim_hash) {
+            let sketch = self.sketch.as_ref().unwrap();
+            if sketch.estimate(hash) <= sketch.estimate(victim_hash) {
                 self.stats.rejected += 1;
                 return false;
             }
@@ -89,6 +98,9 @@ impl Model {
             referenced: true,
         });
         self.map.insert(key.to_vec(), idx);
+        if self.sketch.is_none() && self.map.len() >= self.slots.len() / 2 {
+            self.sketch = Some(FreqSketch::new(self.slots.len()));
+        }
         true
     }
 
