@@ -127,13 +127,15 @@ impl std::fmt::Display for ClusterReport {
         )?;
         writeln!(
             f,
-            "{:<5} {:<5} {:<6} {:>9} {:>8} {:>8} {:>10} {:>9} {:>6} {:>8} {:>6} {:>8} {:>6} {:>8} {:>8} {:<9} {:>8} {:>8}",
+            "{:<5} {:<5} {:<6} {:>9} {:>8} {:>8} {:>8} {:>8} {:>10} {:>9} {:>6} {:>8} {:>6} {:>8} {:>6} {:>8} {:>8} {:<9} {:>8} {:>8}",
             "part",
             "node",
             "alive",
             "items",
             "mem%",
             "reclaim",
+            "rmem%",
+            "rreclaim",
             "requests",
             "malformed",
             "fill",
@@ -150,13 +152,15 @@ impl std::fmt::Display for ClusterReport {
         for r in &self.rows {
             writeln!(
                 f,
-                "{:<5} {:<5} {:<6} {:>9} {:>7.1}% {:>8} {:>10} {:>9} {:>6.2} {:>8} {:>6} {:>8} {:>6} {:>8} {:>8.3} {:<9} {:>8} {:>8}",
+                "{:<5} {:<5} {:<6} {:>9} {:>7.1}% {:>8} {:>7.1}% {:>8} {:>10} {:>9} {:>6.2} {:>8} {:>6} {:>8} {:>6} {:>8} {:>8.3} {:<9} {:>8} {:>8}",
                 r.partition,
                 r.node,
                 r.alive,
                 r.items,
                 r.arena_occupancy * 100.0,
                 r.reclaim_pending,
+                r.replica_arena_occupancy * 100.0,
+                r.replica_reclaim_pending,
                 r.requests,
                 r.malformed,
                 r.sweep_fill,
@@ -210,9 +214,16 @@ pub struct PartitionReport {
     pub node: u32,
     pub alive: bool,
     pub items: usize,
+    /// The primary's arena occupancy (live words over capacity).
     pub arena_occupancy: f64,
     pub overflow_buckets: usize,
+    /// Dead blocks the primary's engine holds for lapsing leases.
     pub reclaim_pending: usize,
+    /// The largest arena occupancy among the partition's secondaries (0
+    /// without one).
+    pub replica_arena_occupancy: f64,
+    /// The most dead blocks any of the partition's secondaries holds.
+    pub replica_reclaim_pending: usize,
     pub requests: u64,
     /// Arrivals the primary dropped at admission because they did not
     /// decode.
@@ -253,6 +264,12 @@ pub struct PartitionReport {
     pub moved_bytes: u64,
     /// Keys this partition deleted in its post-flip drain.
     pub drained_keys: u64,
+}
+
+/// Share of an engine's arena that live and retired blocks hold.
+fn occupancy(engine: &hydra_store::ShardEngine) -> f64 {
+    let a = engine.arena_stats();
+    a.live_words as f64 / a.capacity_words.max(1) as f64
 }
 
 /// Snapshot handle to one partition's replica group.
@@ -951,15 +968,24 @@ impl Cluster {
                     }
                     None => ("idle", 0, 0, 0),
                 };
+                let (replica_arena_occupancy, replica_reclaim_pending) = state
+                    .secondaries
+                    .iter()
+                    .fold((0.0f64, 0), |(occ, pending), sec| {
+                        let sec = sec.borrow();
+                        let e = sec.engine.borrow();
+                        (occ.max(occupancy(&e)), pending.max(e.reclaim_pending()))
+                    });
                 PartitionReport {
                     partition: p as u32,
                     node: s.node.0,
                     alive: s.alive,
                     items: engine.len(),
-                    arena_occupancy: engine.arena_stats().live_words as f64
-                        / engine.arena_stats().capacity_words.max(1) as f64,
+                    arena_occupancy: occupancy(&engine),
                     overflow_buckets: 0, // index internals are shard-private
                     reclaim_pending: engine.reclaim_pending(),
+                    replica_arena_occupancy,
+                    replica_reclaim_pending,
                     requests: stats.requests,
                     malformed: stats.malformed,
                     sweep_fill: stats.swept_requests as f64 / stats.sweeps.max(1) as f64,

@@ -1,7 +1,7 @@
 //! Consistent hashing (Karger et al.) with virtual nodes — how clients route
 //! a key's 64-bit hashcode to the shard owning its partition (§4, Fig. 4).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use hydra_store::hash_key;
 
@@ -18,9 +18,12 @@ const VNODES: u32 = 64;
 /// expected load imbalance is O(sqrt(log n / v)). The paper's fine-grained
 /// partitioning argument (§4.1.1) corresponds to raising shard count and
 /// vnodes.
+///
+/// The points are one vector sorted by position, rebuilt when a shard joins
+/// or leaves, so routing a key is a binary search over contiguous memory.
 #[derive(Debug, Clone, Default)]
 pub struct HashRing {
-    points: BTreeMap<u64, ShardId>,
+    points: Vec<(u64, ShardId)>,
     shards: BTreeSet<ShardId>,
 }
 
@@ -43,9 +46,9 @@ impl HashRing {
         if !self.shards.insert(shard) {
             return; // already present; the points are in place
         }
-        for v in 0..VNODES {
-            self.points.insert(Self::point(shard, v), shard);
-        }
+        self.points
+            .extend((0..VNODES).map(|v| (Self::point(shard, v), shard)));
+        self.points.sort_unstable();
     }
 
     /// Removes a shard (fail-over re-routing, node drain).
@@ -53,9 +56,7 @@ impl HashRing {
         if !self.shards.remove(&shard) {
             return;
         }
-        for v in 0..VNODES {
-            self.points.remove(&Self::point(shard, v));
-        }
+        self.points.retain(|&(_, s)| s != shard);
     }
 
     /// Distinct shards present, in ascending id order.
@@ -65,11 +66,11 @@ impl HashRing {
 
     /// Routes a key hash to its owning shard (clockwise successor).
     fn route_hash(&self, hash: u64) -> Option<ShardId> {
+        let i = self.points.partition_point(|&(pos, _)| pos < hash);
         self.points
-            .range(hash..)
-            .next()
-            .or_else(|| self.points.iter().next())
-            .map(|(_, &s)| s)
+            .get(i)
+            .or_else(|| self.points.first())
+            .map(|&(_, s)| s)
     }
 
     /// Routes a key to its owning shard.
@@ -198,6 +199,50 @@ mod tests {
         r.remove_shard(ShardId(7));
         assert_eq!(r.shards().count(), 0);
         assert!(r.points.is_empty());
+    }
+
+    #[test]
+    fn sorted_points_route_as_an_ordered_map_does() {
+        // The tree walk the sorted vector replaced, as the reference: the
+        // clockwise successor of a hash in a map keyed by ring position.
+        fn reference(map: &std::collections::BTreeMap<u64, ShardId>, key: &[u8]) -> ShardId {
+            let h = hash_key(key);
+            let (_, &s) = map.range(h..).next().or_else(|| map.iter().next()).unwrap();
+            s
+        }
+        let mut ring = HashRing::new();
+        let mut map = std::collections::BTreeMap::new();
+        let steps: [(bool, u32); 9] = [
+            (true, 0),
+            (true, 1),
+            (true, 2),
+            (true, 3),
+            (false, 1),
+            (true, 4),
+            (false, 0),
+            (true, 1),
+            (false, 3),
+        ];
+        for (add, id) in steps {
+            let shard = ShardId(id);
+            if add {
+                ring.add_shard(shard);
+                map.extend((0..VNODES).map(|v| (HashRing::point(shard, v), shard)));
+            } else {
+                ring.remove_shard(shard);
+                map.retain(|_, s| *s != shard);
+            }
+            assert_eq!(ring.points.len(), map.len());
+            for i in 0..10_000 {
+                let k = format!("route-{i}");
+                assert_eq!(
+                    ring.route(k.as_bytes()),
+                    Some(reference(&map, k.as_bytes())),
+                    "{k} after {} {shard:?}",
+                    if add { "adding" } else { "removing" }
+                );
+            }
+        }
     }
 
     #[test]

@@ -772,6 +772,10 @@ fn cluster_report_reflects_state() {
         assert_eq!(r.secondaries, 1);
         assert!(r.arena_occupancy > 0.0 && r.arena_occupancy < 1.0);
         assert!(r.requests >= r.items as u64);
+        // The secondary holds what the primary holds (inserts retire
+        // nothing on either copy).
+        assert_eq!(r.replica_arena_occupancy, r.arena_occupancy);
+        assert_eq!(r.replica_reclaim_pending, 0);
     }
     // Display renders one line per partition and per machine, plus the
     // generation line and the two table headers.
@@ -782,6 +786,7 @@ fn cluster_report_reflects_state() {
     );
     assert!(text.contains("generation"));
     assert!(text.contains("miss_pen_ns"));
+    assert!(text.contains("rmem%") && text.contains("rreclaim"));
 }
 
 /// Regression: arming an earlier lease expiry used to leave the later pump

@@ -1113,6 +1113,17 @@ impl ReplicationPair {
                 if rec.op != LogOp::AckRequest {
                     s.stream_warm = true;
                 }
+                // The secondary runs no reclamation event of its own: it
+                // frees the superseded blocks whose leases (its own, or one
+                // the primary pinned when it exported a replica pointer)
+                // have lapsed as it applies, before the write that may need
+                // the room.
+                {
+                    let mut engine = s.engine.borrow_mut();
+                    if engine.next_reclaim_at().is_some_and(|t| t <= now) {
+                        engine.pump_reclaim(now);
+                    }
+                }
                 match rec.op {
                     LogOp::Put => {
                         s.engine
@@ -1228,6 +1239,56 @@ mod tests {
             let key = format!("k{i:03}");
             assert_eq!(e.get(0, key.as_bytes()).unwrap().value, i.to_le_bytes());
         }
+    }
+
+    #[test]
+    fn a_secondary_frees_superseded_blocks_as_it_applies() {
+        // No reclamation event runs on a secondary: each record it applies
+        // first frees the blocks whose leases have lapsed. A block pinned
+        // under a lease the primary exported stays until that lease ends.
+        let (mut sim, _fab, pair, engine) = setup(ReplConfig::default());
+        pair.replicate(&mut sim, LogOp::Put, b"hot", b"v0", None)
+            .unwrap();
+        sim.run();
+        let pinned = engine.borrow_mut().peek(b"hot").unwrap();
+        let pin_until = sim.now() + 500_000;
+        assert!(engine.borrow_mut().pin_lease(b"hot", pin_until));
+        let mut reused_after_expiry = false;
+        for round in 1..=200u64 {
+            let value = format!("v{round}");
+            pair.replicate(&mut sim, LogOp::Put, b"hot", value.as_bytes(), None)
+                .unwrap();
+            sim.run_until(round * 10_000);
+            let mut e = engine.borrow_mut();
+            assert!(e.arena_books().balanced(), "round {round}");
+            let at = e.peek(b"hot").unwrap().off_words;
+            // At most the block superseded since the last apply waits, and
+            // the pinned one until its lease ends.
+            let pending = e.reclaim_pending();
+            if sim.now() < pin_until {
+                assert_ne!(at, pinned.off_words, "round {round}: reused under a lease");
+                assert!(pending <= 2, "round {round}: {pending} pending");
+            } else {
+                reused_after_expiry |= at == pinned.off_words;
+                assert!(pending <= 1, "round {round}: {pending} pending");
+            }
+        }
+        assert!(
+            reused_after_expiry,
+            "the pinned block is reused once its lease ends"
+        );
+        sim.run();
+        assert_eq!(pair.stats().applied, 201);
+        let mut e = engine.borrow_mut();
+        assert_eq!(e.get(sim.now(), b"hot").unwrap().value, b"v200");
+        assert!(e.stats().reclaimed_blocks >= 198);
+        // The arena holds about one item: freed blocks were reused.
+        let item = pinned.read_len as u64 / 8 + 1;
+        assert!(
+            e.arena_books().allocated <= 4 * item,
+            "{:?}",
+            e.arena_books()
+        );
     }
 
     #[test]

@@ -17,11 +17,16 @@
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicU64;
 
-use crate::arena::Arena;
+use crate::arena::{size_class, Arena};
 use crate::index::{AnyIndex, IndexKind};
 use crate::item::{item_words, ItemRef};
 use crate::reclaim::ReclaimQueue;
 use crate::{hash_key, ArenaStats, SkipListStats, TableStats};
+
+/// Item count below which the CLOCK ring's compaction threshold does not
+/// fall: a nearly empty cache compacts its ring at most once per 64 writes,
+/// not on every write.
+const CLOCK_MIN_ITEMS: usize = 32;
 
 /// Whether the store is a reliable store (INSERT collides) or a cache
 /// (upserts + eviction under memory pressure).
@@ -118,6 +123,30 @@ pub struct GetResult {
     pub info: ItemInfo,
 }
 
+/// Where an engine's arena words are, as [`ShardEngine::arena_books`]
+/// counts them (size-class words). Every word carved from the arena's bump
+/// frontier is held by a live item, sits on a free list, or is retired: a
+/// superseded or deleted block waiting in the reclaim queue for its lease
+/// to lapse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArenaBooks {
+    /// Words carved from the bump frontier (capacity minus headroom).
+    pub allocated: u64,
+    /// Words of the items the index reaches.
+    pub live: u64,
+    /// Words on the arena's free lists.
+    pub free: u64,
+    /// Words of dead blocks awaiting lease expiry.
+    pub retired: u64,
+}
+
+impl ArenaBooks {
+    /// Whether `allocated = live + free + retired`.
+    pub fn balanced(&self) -> bool {
+        self.allocated == self.live + self.free + self.retired
+    }
+}
+
 /// Operation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -153,9 +182,10 @@ pub struct ShardEngine {
     table: AnyIndex,
     reclaim: ReclaimQueue,
     cfg: EngineConfig,
-    /// CLOCK ring of (key hash, offset) candidates; entries are validated
-    /// against the table on pop, so stale entries (updated/deleted items)
-    /// are dropped lazily.
+    /// CLOCK ring of (key hash, offset) candidates, kept in cache mode only
+    /// (a reliable store never evicts). Entries are validated against the
+    /// table on pop, so stale entries (updated/deleted items) are dropped
+    /// lazily, and all at once when the ring reaches twice the item count.
     clock: VecDeque<(u64, u64)>,
     stats: EngineStats,
 }
@@ -234,9 +264,36 @@ impl ShardEngine {
         self.reclaim.len()
     }
 
+    /// Entries in the CLOCK ring (always 0 in reliable mode).
+    pub fn clock_len(&self) -> usize {
+        self.clock.len()
+    }
+
     /// High-water mark of (blocks, words) pinned by unexpired leases.
     pub fn reclaim_peak(&self) -> (usize, u64) {
         self.reclaim.peak_pending()
+    }
+
+    /// The arena's books, in size-class words (see [`ArenaBooks`]).
+    /// Walks every live item and every pending dead block: a check for
+    /// tests and audits, not for the serving path.
+    pub fn arena_books(&self) -> ArenaBooks {
+        let words = self.arena.words();
+        let mut live = 0;
+        self.table.for_each(|off| {
+            live += size_class(ItemRef { off }.total_words(words)) as u64;
+        });
+        let a = self.arena.stats();
+        ArenaBooks {
+            allocated: a.capacity_words - a.headroom_words,
+            live,
+            free: a.free_list_words,
+            retired: self
+                .reclaim
+                .blocks()
+                .map(|b| size_class(b.words) as u64)
+                .sum(),
+        }
     }
 
     fn check_lengths(key: &[u8], value: &[u8]) -> Result<(), EngineError> {
@@ -333,6 +390,24 @@ impl ShardEngine {
         Err(EngineError::OutOfMemory)
     }
 
+    /// Enters a freshly written item into the CLOCK ring (cache mode only).
+    /// Once the ring holds twice as many entries as there are items, the
+    /// entries of items no longer current are dropped: the eviction sweep
+    /// skips those anyway. The one thing such an entry could still have
+    /// done is give a key written back onto the same block an earlier turn
+    /// in the sweep; that key keeps its own, newer entry.
+    fn clock_push(&mut self, hash: u64, off: u64) {
+        if self.cfg.write_mode != WriteMode::Cache {
+            return;
+        }
+        if self.clock.len() >= 2 * self.table.len().max(CLOCK_MIN_ITEMS) {
+            let table = &mut self.table;
+            self.clock
+                .retain(|&(h, o)| table.lookup(h, |cur| cur == o).is_some());
+        }
+        self.clock.push_back((hash, off));
+    }
+
     /// INSERT. In reliable mode an existing key yields
     /// [`EngineError::Exists`]; in cache mode it upserts.
     pub fn insert(&mut self, now: u64, key: &[u8], value: &[u8]) -> Result<ItemInfo, EngineError> {
@@ -351,7 +426,7 @@ impl ShardEngine {
         let off = self.alloc_item(now, key.len(), value.len())?;
         let item = ItemRef::write_new(self.arena.words(), off, key, value);
         self.index_insert(hash, key, off);
-        self.clock.push_back((hash, off));
+        self.clock_push(hash, off);
         self.stats.inserts += 1;
         Ok(ItemInfo {
             off_words: off,
@@ -378,7 +453,7 @@ impl ShardEngine {
                     let off = self.alloc_item(now, key.len(), value.len())?;
                     let item = ItemRef::write_new(self.arena.words(), off, key, value);
                     self.index_insert(hash, key, off);
-                    self.clock.push_back((hash, off));
+                    self.clock_push(hash, off);
                     self.stats.updates += 1;
                     Ok(ItemInfo {
                         off_words: off,
@@ -402,7 +477,7 @@ impl ShardEngine {
                 let off = self.alloc_item(now, key.len(), value.len())?;
                 let item = ItemRef::write_new(self.arena.words(), off, key, value);
                 self.index_insert(hash, key, off);
-                self.clock.push_back((hash, off));
+                self.clock_push(hash, off);
                 Ok(ItemInfo {
                     off_words: off,
                     read_len: item.read_len(self.arena.words()),
@@ -434,10 +509,7 @@ impl ShardEngine {
         let read_len = new_item.read_len(self.arena.words());
         let words = self.arena.words();
         // Carry popularity across versions so lease scaling survives updates.
-        let pop = old_item.popularity(words);
-        for _ in 0..pop {
-            new_item.bump_popularity(words);
-        }
+        new_item.set_popularity(words, old_item.popularity(words));
         let old_words = old_item.total_words(words);
         let old_lease = old_item.lease(words);
         old_item.kill(words);
@@ -449,7 +521,7 @@ impl ShardEngine {
             |o| ItemRef { off: o }.stored_key_hash(words),
         );
         debug_assert_eq!(replaced, Some(old_off));
-        self.clock.push_back((hash, new_off));
+        self.clock_push(hash, new_off);
         self.reclaim.push(old_off, old_words, old_lease.max(now));
         Ok(ItemInfo {
             off_words: new_off,
@@ -636,8 +708,9 @@ impl ShardEngine {
     }
 
     /// Frees every dead block whose lease has expired. The paper runs this on
-    /// a background thread; callers pump it from the shard loop or a periodic
-    /// simulator event. Returns blocks freed.
+    /// a background thread; a primary's server pumps it from a reclamation
+    /// event, a secondary's applier before each record it applies. Returns
+    /// blocks freed.
     pub fn pump_reclaim(&mut self, now: u64) -> usize {
         let arena = &mut self.arena;
         let n = self
@@ -649,7 +722,7 @@ impl ShardEngine {
         n
     }
 
-    /// Earliest pending reclamation deadline (schedules the next GC event).
+    /// Earliest pending reclamation deadline (when the next pump is due).
     ///
     /// Retired skiplist leaves count as immediately-due work: a read-only
     /// workload would otherwise pin them forever (no put/delete ever runs
@@ -1024,6 +1097,83 @@ mod tests {
             e.get(1_000, b"hot-key!").is_some(),
             "hot item must survive CLOCK sweeps"
         );
+    }
+
+    #[test]
+    fn a_reliable_engine_keeps_no_clock_ring() {
+        let mut e = ShardEngine::new(cfg_small(WriteMode::Reliable));
+        for i in 0..50u64 {
+            let k = format!("k{}", i % 10);
+            let _ = e.insert(i, k.as_bytes(), b"v");
+            e.update(i, k.as_bytes(), &[i as u8; 8]).unwrap();
+            e.put(i, format!("p{i}").as_bytes(), b"v").unwrap();
+        }
+        assert_eq!(e.clock_len(), 0);
+    }
+
+    #[test]
+    fn a_cache_clock_ring_stays_within_twice_the_items() {
+        let cfg = EngineConfig {
+            arena_words: 1 << 14,
+            ..cfg_small(WriteMode::Cache)
+        };
+        let mut e = ShardEngine::new(cfg);
+        let mut longest = 0;
+        for i in 0..20_000u64 {
+            let k = format!("key{:03}", i % 100);
+            e.put(i, k.as_bytes(), &[i as u8; 16]).unwrap();
+            e.pump_reclaim(i);
+            longest = longest.max(e.clock_len());
+        }
+        assert_eq!(e.len(), 100);
+        assert!(
+            longest <= 200,
+            "ring reached {longest} entries for 100 items"
+        );
+        assert_eq!(e.stats().evictions, 0);
+    }
+
+    #[test]
+    fn arena_books_balance_through_churn_evictions_and_compaction() {
+        for mode in [WriteMode::Reliable, WriteMode::Cache] {
+            for kind in [IndexKind::Packed, IndexKind::Hybrid, IndexKind::Chained] {
+                let mut e = ShardEngine::new(EngineConfig {
+                    arena_words: 512,
+                    expected_items: 64,
+                    index: kind,
+                    write_mode: mode,
+                    min_lease_ns: 100,
+                    max_lease_ns: 6_400,
+                });
+                for i in 0..3_000u64 {
+                    // Sizes from one to three size classes above the small
+                    // ones, so class padding is in the books too.
+                    let k = format!("b{:02}", (i * 7) % 60);
+                    let v = vec![i as u8; 8 + (i % 5) as usize * 40];
+                    match i % 6 {
+                        0 => {
+                            let _ = e.delete(i, k.as_bytes());
+                        }
+                        1 => {
+                            let _ = e.get(i, k.as_bytes());
+                        }
+                        _ => {
+                            let _ = e.put(i, k.as_bytes(), &v);
+                        }
+                    }
+                    let books = e.arena_books();
+                    assert!(books.balanced(), "{mode:?} {kind:?} step {i}: {books:?}");
+                }
+                e.pump_reclaim(u64::MAX);
+                assert_eq!(e.arena_books().retired, 0);
+                assert!(e.arena_books().balanced());
+                if mode == WriteMode::Cache {
+                    assert!(e.stats().evictions > 0, "{kind:?}: no eviction");
+                } else {
+                    assert!(e.stats().oom_events > 0, "{kind:?}: arena never filled");
+                }
+            }
+        }
     }
 
     #[test]

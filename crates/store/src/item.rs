@@ -304,6 +304,13 @@ impl ItemRef {
         }
     }
 
+    /// Stores the popularity counter outright — how a replace carries the
+    /// old item's popularity to the new one in one header write.
+    pub fn set_popularity(&self, words: &[AtomicU64], pop: u8) {
+        let h = self.header(words) & !(0xFF << POP_SHIFT);
+        words[self.off as usize].store(h | ((pop as u64) << POP_SHIFT), Ordering::Relaxed);
+    }
+
     /// Item version (mod 128), stamped at write time. Fresh inserts start at
     /// 0; each out-of-place replace bumps it, so a replica copy whose version
     /// differs from the primary's is observably stale even while its own
@@ -541,6 +548,26 @@ mod tests {
         // Lengths unchanged by popularity writes.
         assert_eq!(item.klen(&words), 1);
         assert_eq!(item.vlen(&words), 1);
+    }
+
+    #[test]
+    fn set_popularity_writes_the_header_the_bump_loop_wrote() {
+        // A replace used to carry popularity over by bumping the new item
+        // once per unit; one store must leave the identical header
+        // (popularity, version, lengths and flags).
+        let words = arena_words(32);
+        for pop in 0..=255u8 {
+            let looped = ItemRef::write_new_versioned(&words, 0, b"key", b"value!", 42);
+            for _ in 0..pop {
+                looped.bump_popularity(&words);
+            }
+            let stored = ItemRef::write_new_versioned(&words, 16, b"key", b"value!", 42);
+            stored.set_popularity(&words, pop);
+            assert_eq!(stored.header(&words), looped.header(&words), "pop {pop}");
+            assert_eq!(stored.popularity(&words), pop);
+            assert_eq!(stored.version(&words), 42);
+            assert_eq!((stored.klen(&words), stored.vlen(&words)), (3, 6));
+        }
     }
 
     #[test]

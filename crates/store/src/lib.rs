@@ -34,7 +34,7 @@ pub use arena::{size_class, Arena, ArenaStats};
 pub use chained::ChainedTable;
 pub use checksum::{ChecksumItem, ChecksumVerdict, Crc64};
 pub use engine::{
-    EngineConfig, EngineError, EngineStats, GetResult, ItemInfo, ShardEngine, WriteMode,
+    ArenaBooks, EngineConfig, EngineError, EngineStats, GetResult, ItemInfo, ShardEngine, WriteMode,
 };
 pub use heat::{HeatEntry, HeatSketch};
 pub use index::{AnyIndex, IndexKind};

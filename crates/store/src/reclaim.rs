@@ -9,8 +9,11 @@
 //! to read it anymore.
 //!
 //! The queue is a min-heap on expiry. The paper runs this on a background
-//! thread; in the engine it is pumped from the shard loop (and from the
-//! simulator's periodic reclamation event), which has identical semantics.
+//! thread; here every engine's queue is pumped where its owner already
+//! runs, with identical semantics: a primary from the reclamation event the
+//! shard server arms for the earliest expiry, a secondary from its
+//! replication applier before each record it applies, and any engine from
+//! a delete or an allocation that finds the arena full.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -74,6 +77,11 @@ impl ReclaimQueue {
             n += 1;
         }
         n
+    }
+
+    /// The blocks waiting, in no particular order.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = DeadBlock> + '_ {
+        self.heap.iter().map(|Reverse(b)| *b)
     }
 
     /// Number of blocks waiting.

@@ -44,10 +44,10 @@ cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 # On failover the outage itself is gated: a primary is replaced within a few
 # missed beats (worst_wait_ms was 30.0 under the session timeout). Footprint
 # is gated too: peak_rss_mib may not exceed 1.5x what each smoke pass reached
-# once a client's admission sketch was created only when its pointer cache is
-# half full (32 / 62 / 31 / 67 / 57 MiB; writing every client's sketch read
-# 51 / 109 / 31 / 128 / 97, committing index memory up front 113 / 362 / 94 /
-# 381 / 286).
+# once secondaries freed superseded blocks as they apply and only a cache kept
+# a CLOCK ring (31 / 58 / 30 / 64 / 53 MiB; before, 32 / 62 / 31 / 67 / 57;
+# writing every client's admission sketch read 51 / 109 / 31 / 128 / 97,
+# committing index memory up front 113 / 362 / 94 / 381 / 286).
 for w in read_fastpath write_repl scan_mix prod_profile failover; do
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$w" --seed 1 --seconds 1 --scale smoke --trace 0 2>/dev/null | tail -n 1 |
@@ -57,7 +57,7 @@ r = json.load(sys.stdin)
 ok = r["correct"] and r["failed"] == 0
 if sys.argv[1] == "failover":
     ok = ok and r["metrics"]["worst_wait_ms"]["value"] < 1.0
-smoke_mib = {"read_fastpath": 32, "write_repl": 62, "scan_mix": 31, "prod_profile": 67, "failover": 57}
+smoke_mib = {"read_fastpath": 31, "write_repl": 58, "scan_mix": 30, "prod_profile": 64, "failover": 53}
 ok = ok and r["metrics"]["peak_rss_mib"]["value"] <= 1.5 * smoke_mib[sys.argv[1]]
 sys.exit(not ok)' "$w" ||
         { echo "benchmark workload $w: failed ops, bad output, a slow fail-over or a peak RSS over its ceiling" >&2; exit 1; }

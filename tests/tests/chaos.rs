@@ -1238,8 +1238,10 @@ fn failover_is_a_few_missed_beats_at_every_fault_phase() {
     }
 }
 
-/// The three checks every recorded fault arm ends with: per-key
-/// linearizability, reads that observed real writes, converged replicas.
+/// The checks every recorded fault arm ends with: per-key
+/// linearizability, reads that observed real writes, converged replicas,
+/// and balanced arena books on every copy (each carved word live, free or
+/// retired).
 fn assert_history_clean(cluster: &hydra_db::Cluster, chaos: &hydra_db::ChaosController, seed: u64) {
     let history = chaos.history();
     if let Err(v) = history.check_linearizable() {
@@ -1251,6 +1253,11 @@ fn assert_history_clean(cluster: &hydra_db::Cluster, chaos: &hydra_db::ChaosCont
     for p in 0..cluster.cfg.total_shards() {
         if let Err(v) = check_convergence(seed, &cluster.replica_dumps(p)) {
             panic!("partition {p}: {v}");
+        }
+        let h = cluster.shard(p);
+        for server in std::iter::once(&h.primary).chain(&h.secondaries) {
+            let books = server.borrow().engine.borrow().arena_books();
+            assert!(books.balanced(), "partition {p}: {books:?}");
         }
     }
 }
