@@ -285,7 +285,7 @@ impl ChaosController {
 
     /// Brings a fresh machine online and starts a live join migration of
     /// `shards` new partitions toward it. The plan ticks in the background;
-    /// ownership flips once catch-up quiesces. Composes with the machine
+    /// ownership flips once the copy quiesces. Composes with the machine
     /// faults above: crashing the new node mid-copy aborts the plan.
     fn join_node(&self, sim: &mut Sim, shards: u32) {
         let (fab, migration) = {

@@ -192,8 +192,8 @@ pub struct ClusterConfig {
     pub repl_ring_words: usize,
     /// Fabric latency model.
     pub fabric: FabricConfig,
-    /// Items a live migration moves per quantum (snapshot scan, catch-up
-    /// flush, post-flip drain). Each quantum rides the throughput lane, so
+    /// Keys a live migration walk visits per quantum (the snapshot copy,
+    /// the post-flip drain). Each quantum rides the throughput lane, so
     /// the latency lane keeps serving point ops between quanta; smaller
     /// quanta trade rebalance time for a shallower tail-latency dip.
     pub migration_quantum_items: u32,

@@ -389,7 +389,7 @@ fn recycle<'b>(mut v: Vec<Request<'_>>) -> Vec<Request<'b>> {
 }
 
 /// Deferred migration work executed once its shard-core charge has been
-/// paid (a snapshot/catch-up/drain quantum, or an inbound record batch).
+/// paid (a snapshot or drain quantum, or an inbound record batch).
 pub(crate) type MigWork = Box<dyn FnOnce(&Rc<RefCell<ShardServer>>, &mut Sim)>;
 
 /// One unit of work queued on a lane. The shard-core cost rides alongside
@@ -1529,10 +1529,11 @@ impl ShardServer {
     }
 
     /// Applies inbound migration records at a destination shard: Put
-    /// upserts, Delete removes-if-present (merge semantics — a catch-up
-    /// record may supersede a snapshot one). The records then replicate to
-    /// this shard's own secondaries and `on_applied` fires (the channel's
-    /// applied counter, which the flip's quiescence check reads).
+    /// upserts, Delete removes-if-present (merge semantics — a forwarded
+    /// write may come before or after the walk's record of its key). The
+    /// records then replicate to this shard's own secondaries and
+    /// `on_applied` fires (the channel's applied counter, which the flip's
+    /// quiescence check reads).
     pub(crate) fn apply_migration_records(
         this: &Rc<RefCell<ShardServer>>,
         sim: &mut Sim,
@@ -1577,19 +1578,6 @@ impl ShardServer {
                         }
                     }
                     drop(engine);
-                    if let Some(m) = s.mig.clone() {
-                        let mut m = m.borrow_mut();
-                        for (op, k, _v) in &records {
-                            match op {
-                                LogOp::Delete => {
-                                    m.received.remove(k);
-                                }
-                                _ => {
-                                    m.received.insert(k.clone());
-                                }
-                            }
-                        }
-                    }
                     s.repl.clone()
                 };
                 if !pairs.is_empty() {
@@ -1817,9 +1805,9 @@ impl ShardServer {
     /// if not — and writes nothing. The write that overwrites it runs by
     /// itself, and should it fail, [`Self::fall_back`] applies the absorbed
     /// one after all. Returns the replication records of the successful
-    /// writes and their migration hooks — each key dirtied during the copy
-    /// phases, or forwarded to its new owner during DoubleWrite — grouped
-    /// per destination channel, to ship once the caller's borrow drops.
+    /// writes and their migration forwards — each moving key's write, to
+    /// its new owner, before the flip — grouped per destination channel, to
+    /// ship once the caller's borrow drops.
     fn run_quantum<'a>(
         &mut self,
         now: SimTime,

@@ -3,7 +3,7 @@
 //! the inverse reconfiguration (a node drain) on the same cluster.
 //!
 //! The operator-facing [`Cluster::report`] is printed mid-flight so the
-//! migration state machine (snapshot → catchup → dblwrite → flip → drain)
+//! migration state machine (snapshot → dblwrite → flip → drain)
 //! is visible per partition, alongside the moved/drained key counters and
 //! the `/migration/epoch` znode published at the flip.
 //!
