@@ -41,7 +41,7 @@ use hydra_sim::{Histogram, Sim};
 use hydra_store::{FetchedItem, ItemError};
 use hydra_wire::{
     backlog_hint, frame, messages, scan_items_merge, scan_items_rank, BatchBuilder, BatchFrame,
-    RemotePtr, Request, Response, ScanItems, Status,
+    RemotePtr, Request, Response, ScanItems, ScanSpan, Status,
 };
 
 use crate::cluster::Directory;
@@ -268,24 +268,25 @@ struct ScanState {
     at: usize,
     /// Items the partition being read still owes the request made of it.
     want: u32,
-    /// The response message of every step so far, as it came off the wire
-    /// and checked by [`scan_run`], with the index of the partition that
-    /// sent it: each carries one key-sorted run, merged straight out of
-    /// these at the end. What is known of a partition is read off its runs.
-    runs: Vec<(usize, Vec<u8>)>,
+    /// The response message of every step so far, as it came off the wire,
+    /// with the index of the partition that sent it and the bounds of the
+    /// run it carries, validated once on arrival: each run is key-sorted,
+    /// merged straight out of these at the end. What is known of a
+    /// partition is read off its runs.
+    runs: Vec<(usize, Vec<u8>, ScanSpan)>,
     issued_at: SimTime,
 }
 
 impl ScanState {
     /// Everything received so far.
     fn all_runs(&self) -> impl Iterator<Item = ScanItems<'_>> {
-        self.runs.iter().filter_map(|(_, msg)| scan_run(msg))
+        self.runs.iter().map(|(_, msg, span)| span.items(msg))
     }
 
     /// What partition `at` has sent, latest step first.
     fn runs_of(&self, at: usize) -> impl Iterator<Item = ScanItems<'_>> {
-        let of_part = self.runs.iter().rev().filter(move |(part, _)| *part == at);
-        of_part.filter_map(|(_, msg)| scan_run(msg))
+        let of_part = self.runs.iter().rev().filter(move |(part, ..)| *part == at);
+        of_part.map(|(_, msg, span)| span.items(msg))
     }
 
     /// The last key partition `at` has sent, if it has sent any.
@@ -319,12 +320,6 @@ pub fn scan_quota(limit: u32, partitions: usize) -> u32 {
     let (l, p) = (limit as f64, partitions.max(1) as f64);
     let share = (l / p).ceil() + (2.0 * (l * (p - 1.0)).sqrt() / p).ceil() + 1.0;
     share.min(l) as u32
-}
-
-/// The packed items a scan step's response message carries, if that is what
-/// the message is.
-fn scan_run(msg: &[u8]) -> Option<ScanItems<'_>> {
-    ScanItems::parse(Response::decode(msg)?.value)
 }
 
 /// Floor on the AIMD congestion window (requests per frame).
@@ -859,14 +854,15 @@ impl HydraClient {
                 return;
             }
         };
-        let Some(run) = scan_run(&msg) else {
+        let Some(span) = ScanSpan::of_response(&msg) else {
             cb(sim, Err(OpError::Server));
             return;
         };
+        let run = span.items(&msg);
         let (got, more) = (run.len() as u32, run.more());
         self.inner.borrow_mut().stats.scan_items_fetched += got as u64;
         state.want = state.want.saturating_sub(got);
-        state.runs.push((state.at, msg));
+        state.runs.push((state.at, msg, span));
         if more && state.want > 0 {
             // Continuation: resume just past the last received key. A step
             // crowded out of its response frame (a frame's responses share

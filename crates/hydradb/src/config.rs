@@ -128,7 +128,9 @@ pub struct ClusterConfig {
     /// Index structure per shard: the paper's chained table, the compact
     /// signature table, the packed cache-line-group table (the default; see
     /// `abl_hashtable` for the A/B), or the packed table paired with an
-    /// ordered skiplist, which serves range scans natively.
+    /// ordered skiplist, which serves range scans natively. A hybrid shard
+    /// builds its skiplist at its first scan and maintains it from then
+    /// on: one that is never scanned costs what a packed one does.
     pub index: IndexKind,
     /// Share the remote-pointer cache among clients on one node (§4.2.4).
     pub shared_ptr_cache: bool,

@@ -214,11 +214,12 @@ impl ShardEngine {
         self.table.mem_bytes()
     }
 
-    /// Shape counters of the index's ordered side (`None` on a hash-only
-    /// shard): leaves, retired nodes, comparisons.
+    /// Shape counters of the index's ordered side: leaves, retired nodes,
+    /// comparisons. `None` on a hash-only shard, and on a hybrid one that
+    /// has served no ordered read yet (it has built no ordered side).
     pub fn ordered_stats(&self) -> Option<SkipListStats> {
         match &self.table {
-            AnyIndex::Hybrid(t) => Some(t.ordered_stats()),
+            AnyIndex::Hybrid(t) => t.ordered_stats(),
             _ => None,
         }
     }
@@ -316,8 +317,8 @@ impl ShardEngine {
     /// the packed index re-derive migrated entries' home groups during
     /// incremental resize; it only ever sees offsets of live items (every
     /// engine path removes the index entry before a block can be reclaimed).
-    /// Key bytes ride along so ordered indexes (the hybrid skiplist) can
-    /// maintain their view; hash-only indexes ignore them.
+    /// Key bytes ride along so ordered indexes (the hybrid skiplist, once
+    /// built) can maintain their view; hash-only indexes ignore them.
     fn index_insert(&mut self, hash: u64, key: &[u8], off: u64) {
         let words = self.arena.words();
         self.table.insert(hash, key, off, |o| {

@@ -8,8 +8,8 @@
 //! * [`crate::ChainedTable`] — the naive linked-list baseline the paper's
 //!   §4.1.3 ablation contrasts against.
 //! * [`crate::HybridTable`] — the packed table paired with a packed-leaf
-//!   skiplist so ordered scans are possible; point ops are the packed path
-//!   unchanged.
+//!   skiplist, built at the first ordered read, so ordered scans are
+//!   possible; point ops are the packed path unchanged.
 //!
 //! Why an enum and nothing above it: the engine's correctness (address
 //! stability of arena offsets, single-writer discipline, the
@@ -28,7 +28,7 @@
 //!   `is_match(offset)` predicate. The hybrid's ordered side is the one
 //!   exception: it orders by the keys stored in the arena items its offsets
 //!   point at, so it is built over the shard's arena, and every mutation
-//!   carries the key.
+//!   carries the key (the hybrid uses it once its ordered side exists).
 //! * Mutating operations accept a `rehash(offset) -> hash` callback used by
 //!   the structures that relocate entries (the packed table's incremental
 //!   resize re-derives the home group of migrated entries from their stored
@@ -53,7 +53,9 @@ pub enum IndexKind {
     #[default]
     Packed,
     /// Packed table + ordered skiplist: point ops on the SWAR hash path,
-    /// range scans on the ordered side (§11).
+    /// range scans on the ordered side (§11). The skiplist is built at the
+    /// shard's first ordered read; until then the index is its packed
+    /// table alone, and writes pay nothing for order.
     Hybrid,
 }
 
@@ -213,8 +215,9 @@ impl AnyIndex {
         }
     }
 
-    /// Whether this index also maintains an ordered view of the keys (and
-    /// therefore supports [`scan_from`](Self::scan_from) natively).
+    /// Whether this index serves an ordered view of the keys (and therefore
+    /// supports [`scan_from`](Self::scan_from) natively; the hybrid builds
+    /// the view at its first ordered read).
     pub fn is_ordered(&self) -> bool {
         matches!(self, AnyIndex::Hybrid(_))
     }
@@ -237,6 +240,7 @@ impl AnyIndex {
 mod tests {
     use super::*;
     use crate::item::{item_words, ItemRef};
+    use crate::skiplist::LEAF_CAP;
     use crate::{hash_key, LOOKUP_BATCH};
 
     /// Every [`IndexKind`] through [`AnyIndex::with_capacity`] and the one
@@ -315,6 +319,13 @@ mod tests {
             live.sort_unstable();
             assert_eq!(seen, live, "{kind:?}");
 
+            // Until its first ordered read the hybrid holds its hash side
+            // alone: what the packed index holds, once doubled from its page.
+            if matches!(kind, IndexKind::Packed | IndexKind::Hybrid) {
+                assert_eq!(idx.mem_bytes(), 2 * 4096, "{kind:?}");
+                assert_eq!(idx.retired_bytes(), 0, "{kind:?}");
+            }
+
             // Only the hybrid keeps key order; the rest visit nothing and
             // report the keyspace exhausted.
             let mut scanned = Vec::new();
@@ -341,6 +352,16 @@ mod tests {
             } else {
                 assert!(scanned.is_empty(), "{kind:?}");
             }
+
+            // Removes after that read reach the ordered side: the smallest
+            // live keys, two leaves' worth, empty the leaf behind the head.
+            let mut smallest: Vec<usize> = (1..400).step_by(2).collect();
+            smallest.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+            for &i in &smallest[..2 * LEAF_CAP] {
+                let gone = idx.remove(hash_key(&keys[i]), &keys[i], is(&keys[i]), rehash);
+                assert_eq!(gone, Some(offs[i]), "{kind:?}");
+            }
+            assert_eq!(idx.len(), 200 - 2 * LEAF_CAP);
 
             assert!(idx.mem_bytes() > 0);
             assert!(idx.stats().lookups > 0);

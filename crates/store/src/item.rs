@@ -201,6 +201,24 @@ impl ItemRef {
         cmp_packed(words, self.off as usize + 1, self.klen(words), probe)
     }
 
+    /// Lexicographic order of the stored key against `other`'s, copying
+    /// neither: keys are zero-padded to whole words, so comparing the
+    /// shorter key's words as big-endian integers, then the lengths, orders
+    /// them as byte strings. The hybrid index sorts its offsets by this
+    /// when it builds its ordered side.
+    pub fn key_cmp_item(&self, words: &[AtomicU64], other: ItemRef) -> std::cmp::Ordering {
+        let (len, other_len) = (self.klen(words), other.klen(words));
+        let (base, other_base) = (self.off as usize + 1, other.off as usize + 1);
+        for i in 0..len.min(other_len).div_ceil(8) {
+            let mine = words[base + i].load(Ordering::Relaxed).swap_bytes();
+            let theirs = words[other_base + i].load(Ordering::Relaxed).swap_bytes();
+            if mine != theirs {
+                return mine.cmp(&theirs);
+            }
+        }
+        len.cmp(&other_len)
+    }
+
     /// Replaces `out`'s contents with the key bytes (no allocation once
     /// `out` has grown past the largest key).
     pub fn key_into(&self, words: &[AtomicU64], out: &mut Vec<u8>) {
@@ -434,9 +452,10 @@ mod tests {
 
     #[test]
     fn key_cmp_orders_like_byte_slices() {
-        // Every pair from a set built to differ in the first word, in a
-        // later word, in the zero-padded tail, in length only, and not at
-        // all — including the empty key and bytes above 0x7F.
+        // Against a probe and against a second stored key: every pair from
+        // a set built to differ in the first word, in a later word, in the
+        // zero-padded tail, in length only, and not at all — including the
+        // empty key and bytes above 0x7F.
         let keys: [&[u8]; 12] = [
             b"",
             b"\0",
@@ -462,6 +481,12 @@ mod tests {
                     item.key_cmp(&words, probe),
                     stored.cmp(probe),
                     "{stored:?} vs {probe:?}"
+                );
+                let other = ItemRef::write_new(&words, 40, probe, b"w");
+                assert_eq!(
+                    item.key_cmp_item(&words, other),
+                    stored.cmp(probe),
+                    "{stored:?} vs stored {probe:?}"
                 );
             }
         }

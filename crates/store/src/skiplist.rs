@@ -18,11 +18,15 @@
 //! unlinks, readers of a stale snapshot finish their walk, reclaim frees.
 //!
 //! [`HybridTable`] pairs the skiplist with a [`PackedTable`]: point lookups
-//! keep hitting the SWAR hash path untouched, while every mutation
+//! keep hitting the SWAR hash path untouched. The skiplist is built on
+//! demand: until the first ordered read ([`HybridTable::scan_from`],
+//! [`HybridTable::ordered_get`]) there is none, and mutations touch the hash
+//! side alone; that read sorts the hash side's offsets by their arena keys
+//! and loads them in key order, and from then on every mutation
 //! ([`HybridTable::insert`] and friends) carries the key and maintains the
-//! ordered view alongside. Ordered iteration ([`HybridTable::scan_from`])
-//! walks the leaves, presenting each key through a reused scratch buffer so
-//! steady-state scans allocate nothing.
+//! ordered view alongside. Ordered iteration walks the leaves, presenting
+//! each key through a reused scratch buffer so steady-state scans allocate
+//! nothing.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::hint::black_box;
@@ -575,17 +579,18 @@ fn unpack_key_off(key_off: u32) -> (usize, u32) {
 }
 
 /// The hybrid index: a [`PackedTable`] for point ops and a [`SkipList`] for
-/// ordered ones, kept coherent through the keyed mutation hooks. Point-op
-/// behavior (probing, SWAR, incremental resize, epoch reclaim of old tables)
-/// is byte-for-byte the packed path; only mutations pay the skiplist
-/// maintenance walk.
+/// ordered ones. Point-op behavior (probing, SWAR, incremental resize, epoch
+/// reclaim of old tables) is byte-for-byte the packed path.
 ///
-/// The plain (un-keyed) mutators panic: the hybrid index cannot maintain the
-/// ordered view without key bytes, and a silent hash-only mutation would let
-/// the two sides diverge. `ShardEngine` always uses the keyed hooks.
+/// Two states. Until something asks for order the index is its hash side
+/// alone: no skiplist exists and mutations cost what a packed index's do.
+/// The first ordered read builds the skiplist from the hash side; after it,
+/// every mutation carries the key and keeps the two sides coherent, paying
+/// the skiplist maintenance walk.
 pub struct HybridTable {
     hash: PackedTable,
-    ordered: SkipList,
+    /// Built by the first ordered read; `None` until then.
+    ordered: Option<SkipList>,
     /// The arena the indexed offsets point into: the ordered side reads its
     /// keys there.
     mem: Arc<[AtomicU64]>,
@@ -597,19 +602,45 @@ impl HybridTable {
     pub fn new(arena: &Arena) -> HybridTable {
         HybridTable {
             hash: PackedTable::default(),
-            ordered: SkipList::new(),
+            ordered: None,
             mem: arena.memory(),
         }
     }
 
-    /// Ordered-side point lookup, for direct inspection in tests.
-    pub fn ordered_get(&mut self, key: &[u8]) -> Option<u64> {
-        self.ordered.get(&self.mem, key)
+    /// The ordered side, built first if no ordered read has yet: the hash
+    /// side's offsets sorted by the keys of their items, compared in place
+    /// in the arena, then upserted in key order — each one an append, which
+    /// leaves every leaf but the last full.
+    fn ordered(&mut self) -> (&mut SkipList, &[AtomicU64]) {
+        let HybridTable { hash, ordered, mem } = self;
+        let list = ordered.get_or_insert_with(|| {
+            let mut offs = Vec::with_capacity(hash.len());
+            hash.for_each(|off| offs.push(leaf_slot(off)));
+            offs.sort_unstable_by(|&a, &b| {
+                ItemRef { off: a as u64 }.key_cmp_item(mem, ItemRef { off: b as u64 })
+            });
+            let mut list = SkipList::new();
+            list.nodes.reserve(offs.len() / LEAF_CAP);
+            let mut key = Vec::new();
+            for off in offs {
+                ItemRef { off: off as u64 }.key_into(mem, &mut key);
+                list.upsert(mem, &key, off as u64);
+            }
+            list
+        });
+        (list, mem)
     }
 
-    /// Ordered-side statistics.
-    pub fn ordered_stats(&self) -> SkipListStats {
-        self.ordered.stats()
+    /// Ordered-side point lookup, for direct inspection in tests; an
+    /// ordered read, so it builds the ordered side.
+    pub fn ordered_get(&mut self, key: &[u8]) -> Option<u64> {
+        let (list, mem) = self.ordered();
+        list.get(mem, key)
+    }
+
+    /// Ordered-side statistics; `None` until an ordered read has built it.
+    pub fn ordered_stats(&self) -> Option<SkipListStats> {
+        self.ordered.as_ref().map(SkipList::stats)
     }
 
     /// Number of entries.
@@ -629,7 +660,7 @@ impl HybridTable {
 
     /// Bytes held by both sides' live structures.
     pub fn mem_bytes(&self) -> usize {
-        self.hash.mem_bytes() + self.ordered.mem_bytes()
+        self.hash.mem_bytes() + self.ordered.as_ref().map_or(0, SkipList::mem_bytes)
     }
 
     /// Point lookup on the hash side (see [`PackedTable::lookup`]).
@@ -648,14 +679,16 @@ impl HybridTable {
     }
 
     /// Inserts `(hash, offset)` on the hash side and `key` on the ordered
-    /// side; the caller guarantees the key is absent.
+    /// side, if built; the caller guarantees the key is absent.
     pub fn insert(&mut self, hash: u64, key: &[u8], offset: u64, rehash: impl FnMut(u64) -> u64) {
         self.hash.insert(hash, offset, rehash);
-        self.ordered.upsert(&self.mem, key, offset);
+        if let Some(list) = &mut self.ordered {
+            list.upsert(&self.mem, key, offset);
+        }
     }
 
-    /// Replaces the offset of `key`'s entry on both sides; returns the old
-    /// offset.
+    /// Replaces the offset of `key`'s entry on both sides (the ordered one
+    /// if built); returns the old offset.
     pub fn replace(
         &mut self,
         hash: u64,
@@ -665,13 +698,14 @@ impl HybridTable {
         rehash: impl FnMut(u64) -> u64,
     ) -> Option<u64> {
         let old = self.hash.replace(hash, new_offset, is_match, rehash);
-        if old.is_some() {
-            self.ordered.set(&self.mem, key, new_offset);
+        if let (Some(list), Some(_)) = (&mut self.ordered, old) {
+            list.set(&self.mem, key, new_offset);
         }
         old
     }
 
-    /// Removes `key`'s entry from both sides; returns its offset.
+    /// Removes `key`'s entry from both sides (the ordered one if built);
+    /// returns its offset.
     pub fn remove(
         &mut self,
         hash: u64,
@@ -680,8 +714,8 @@ impl HybridTable {
         rehash: impl FnMut(u64) -> u64,
     ) -> Option<u64> {
         let old = self.hash.remove(hash, is_match, rehash);
-        if old.is_some() {
-            self.ordered.remove(&self.mem, key);
+        if let (Some(list), Some(_)) = (&mut self.ordered, old) {
+            list.remove(&self.mem, key);
         }
         old
     }
@@ -699,18 +733,20 @@ impl HybridTable {
     /// Bytes the ordered side has parked awaiting reclamation (leaves
     /// unlinked by deletes).
     pub fn retired_bytes(&self) -> usize {
-        self.ordered.retired_bytes()
+        self.ordered.as_ref().map_or(0, SkipList::retired_bytes)
     }
 
     /// Frees the ordered side's retired leaves; returns how many.
     pub fn reclaim_retired(&mut self) -> usize {
-        self.ordered.reclaim_retired()
+        self.ordered.as_mut().map_or(0, SkipList::reclaim_retired)
     }
 
-    /// Ordered iteration from the first key `>= start`; see
+    /// Ordered iteration from the first key `>= start`, building the
+    /// ordered side first if this is the first ordered read; see
     /// [`crate::AnyIndex::scan_from`].
     pub fn scan_from(&mut self, start: &[u8], f: impl FnMut(&[u8], u64) -> bool) -> bool {
-        self.ordered.scan_from(&self.mem, start, f)
+        let (list, mem) = self.ordered();
+        list.scan_from(mem, start, f)
     }
 }
 
@@ -1049,8 +1085,9 @@ mod tests {
         let mut arena = Arena::new(1 << 14);
         let mut t = HybridTable::new(&arena);
         let mem = arena.memory();
+        // Inserted in scrambled order so key order is the build's doing.
         let keys: Vec<Vec<u8>> = (0..300)
-            .map(|i| format!("hy-{i:04}").into_bytes())
+            .map(|i| format!("hy-{:04}", i * 7 % 300).into_bytes())
             .collect();
         let mut write = |k: &[u8]| {
             let off = arena.alloc(item_words(k.len(), 0)).expect("arena");
@@ -1058,16 +1095,41 @@ mod tests {
             off
         };
         let rehash = |o: u64| ItemRef { off: o }.stored_key_hash(&mem);
-        let offs: Vec<u64> = keys.iter().map(|k| write(k)).collect();
+        let mut offs: Vec<u64> = keys.iter().map(|k| write(k)).collect();
         for (k, &off) in keys.iter().zip(&offs) {
             t.insert(hash_key(k), k, off, rehash);
         }
         assert_eq!(t.len(), 300);
-        assert_eq!(t.ordered_stats().len, 300);
+        // No ordered read yet: no ordered side, and the hash side is all
+        // the memory there is.
+        assert_eq!(t.ordered_stats(), None);
+        assert_eq!(t.mem_bytes(), t.hash.mem_bytes());
+        // Mutations before the build touch the hash side alone; the build
+        // sees their outcome.
+        let h = hash_key(&keys[3]);
+        let moved = write(&keys[3]);
+        assert_eq!(
+            t.replace(h, &keys[3], moved, |o| o == offs[3], rehash),
+            Some(offs[3])
+        );
+        offs[3] = moved;
+        let h = hash_key(&keys[5]);
+        assert_eq!(
+            t.remove(h, &keys[5], |o| o == offs[5], rehash),
+            Some(offs[5])
+        );
+        assert_eq!(t.retired_bytes(), 0);
+        assert_eq!(t.reclaim_retired(), 0);
+        assert_eq!(t.ordered_get(&keys[5]), None);
+        // The first ordered read built it: every live key, in full leaves.
+        let built = t.ordered_stats().expect("built by the ordered read");
+        assert_eq!(built.len, 299);
+        assert_eq!(built.leaves, 299u64.div_ceil(LEAF_CAP as u64));
+        assert!(t.mem_bytes() > t.hash.mem_bytes());
         // Point path agrees with ordered path.
-        for (k, &off) in keys.iter().zip(&offs) {
-            assert_eq!(t.lookup(hash_key(k), |o| o == off), Some(off));
-            assert_eq!(t.ordered_get(k), Some(off));
+        for (i, (k, &off)) in keys.iter().zip(&offs).enumerate().filter(|(i, _)| *i != 5) {
+            assert_eq!(t.lookup(hash_key(k), |o| o == off), Some(off), "{i}");
+            assert_eq!(t.ordered_get(k), Some(off), "{i}");
         }
         // Replace moves both sides.
         let h = hash_key(&keys[7]);
@@ -1079,13 +1141,19 @@ mod tests {
         assert_eq!(t.ordered_get(&keys[7]), Some(moved));
         // Remove drops both sides.
         assert_eq!(t.remove(h, &keys[7], |o| o == moved, rehash), Some(moved));
-        assert_eq!(t.len(), 299);
-        assert_eq!(t.ordered_stats().len, 299);
+        assert_eq!(t.len(), 298);
+        assert_eq!(t.ordered_stats().expect("built").len, 298);
         assert_eq!(t.ordered_get(&keys[7]), None);
         // Only the ordered side parks memory, and only for a leaf a delete
         // empties; the hash side frees a drained half as it drains.
-        assert_eq!(t.ordered_stats().retired_nodes, 0);
+        assert_eq!(t.ordered_stats().expect("built").retired_nodes, 0);
         assert_eq!(t.retired_bytes(), 0);
+        // Inserts after the build reach both sides.
+        let k = b"hy-0150a".to_vec();
+        let off = write(&k);
+        t.insert(hash_key(&k), &k, off, rehash);
+        assert_eq!(t.ordered_get(&k), Some(off));
+        assert_eq!(t.ordered_stats().expect("built").len, 299);
     }
 
     #[test]

@@ -521,6 +521,40 @@ impl std::fmt::Debug for ScanItems<'_> {
     }
 }
 
+/// The bounds of a [`ScanItems`] validated once inside a scan response
+/// message, held apart from the borrow: kept beside the message, they view
+/// its items again with no second decode and no second walk of the packing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScanSpan {
+    more: bool,
+    count: u32,
+    /// Byte range of the entries within the message.
+    entries: (usize, usize),
+}
+
+impl ScanSpan {
+    /// Decodes `msg` as a response and validates its value as a packed item
+    /// list (see [`ScanItems::parse`]).
+    pub fn of_response(msg: &[u8]) -> Option<ScanSpan> {
+        let items = ScanItems::parse(Response::decode(msg)?.value)?;
+        let start = RESP_HDR + SCAN_ITEMS_HDR;
+        Some(ScanSpan {
+            more: items.more,
+            count: items.count,
+            entries: (start, start + items.entries.len()),
+        })
+    }
+
+    /// The items of `msg`, which must be the message the span was taken of.
+    pub fn items<'a>(&self, msg: &'a [u8]) -> ScanItems<'a> {
+        ScanItems {
+            more: self.more,
+            count: self.count,
+            entries: &msg[self.entries.0..self.entries.1],
+        }
+    }
+}
+
 /// Iterator over [`ScanItems`] entries.
 pub struct ScanItemsIter<'a> {
     remaining: u32,
@@ -975,6 +1009,33 @@ mod tests {
         let mut bad = enc;
         bad[SCAN_ITEMS_HDR..SCAN_ITEMS_HDR + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(ScanItems::parse(&bad).is_none());
+    }
+
+    #[test]
+    fn a_scan_span_views_the_items_its_response_was_validated_with() {
+        let items: [(&[u8], &[u8]); 3] =
+            [(b"a", b"1".as_slice()), (b"bb", b""), (b"", b"value-three")];
+        let mut msg = Vec::new();
+        let at = scan_response_begin(&mut msg, 9);
+        for (k, v) in items {
+            scan_items_push(&mut msg, k, v);
+        }
+        scan_response_finish(&mut msg, at, true, items.len() as u32);
+        let span = ScanSpan::of_response(&msg).expect("a scan response");
+        let (viewed, parsed) = (
+            span.items(&msg),
+            ScanItems::parse(Response::decode(&msg).expect("decodes").value).expect("parses"),
+        );
+        assert_eq!((viewed.more(), viewed.len()), (parsed.more(), parsed.len()));
+        assert!(viewed.iter().eq(parsed.iter()));
+        assert!(viewed.iter().eq(items));
+        // What the value fails to parse as, the span refuses too.
+        for cut in 0..msg.len() {
+            assert!(ScanSpan::of_response(&msg[..cut]).is_none(), "cut={cut}");
+        }
+        let mut bad = msg.clone();
+        bad[RESP_HDR] = 7;
+        assert!(ScanSpan::of_response(&bad).is_none());
     }
 
     #[test]

@@ -34,7 +34,8 @@ pub use codec::{
     backlog_hint, channel_tag, scan_items_begin, scan_items_finish, scan_items_merge,
     scan_items_push, scan_items_rank, scan_response_begin, scan_response_finish, set_backlog_hint,
     set_channel_tag, OpCode, ReplicaPtr, ReplicaSet, Request, Response, ScanItems, ScanItemsIter,
-    Status, MAX_EXPORT_PTRS, RESP_FLAG_REPLICAS, RESP_HDR, SCAN_ENTRY_HDR, SCAN_ITEMS_HDR,
+    ScanSpan, Status, MAX_EXPORT_PTRS, RESP_FLAG_REPLICAS, RESP_HDR, SCAN_ENTRY_HDR,
+    SCAN_ITEMS_HDR,
 };
 pub use frame::{
     consume_message, frame_to_words, frame_words, poll_message, write_message, FrameError,

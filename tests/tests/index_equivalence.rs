@@ -12,11 +12,14 @@
 //! `BTreeMap` model item-for-item under the same interleavings — which
 //! split the skiplist's packed leaves, empty and unlink them, and remove
 //! their first keys — and a twin engine fed the same operations must build
-//! the same structure.
+//! the same structure. A third moves the hybrid's first ordered read, which
+//! builds its skiplist, to a random step: before it the hybrid must hold
+//! exactly a packed engine's index, after it every walk must match.
 
 use hydra_store::skiplist::LEAF_CAP;
 use hydra_store::{EngineConfig, EngineError, IndexKind, ShardEngine, WriteMode};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -189,6 +192,161 @@ fn scan(e: &mut ShardEngine, start: &[u8], limit: usize) -> (Items, bool) {
     (got, exhausted)
 }
 
+/// An ordered-plane run: two hybrid engines (the one under test and a twin
+/// fed the same operations), a packed engine fed the same mutations, and the
+/// `BTreeMap` model they must all agree with.
+struct OrderedRig {
+    e: ShardEngine,
+    twin: ShardEngine,
+    packed: ShardEngine,
+    model: BTreeMap<Vec<u8>, Vec<u8>>,
+}
+
+impl OrderedRig {
+    fn new() -> OrderedRig {
+        OrderedRig {
+            e: engine(IndexKind::Hybrid),
+            twin: engine(IndexKind::Hybrid),
+            packed: engine(IndexKind::Packed),
+            model: (0..PRELOAD)
+                .map(|i| (preload_key(i), b"preloaded".to_vec()))
+                .collect(),
+        }
+    }
+
+    /// Applies `op` to every engine and the model, checking each answer.
+    fn apply(&mut self, op: &OrderedOp, step: usize) -> Result<(), TestCaseError> {
+        let OrderedRig {
+            e,
+            twin,
+            packed,
+            model,
+        } = self;
+        match op {
+            OrderedOp::Put(k, v) => {
+                for x in [&mut *e, &mut *twin, &mut *packed] {
+                    x.put(0, &key_of(*k), v).expect("put");
+                }
+                model.insert(key_of(*k), v.clone());
+            }
+            OrderedOp::Delete(k) => {
+                let removed = e.delete(0, &key_of(*k)).is_ok();
+                prop_assert_eq!(twin.delete(0, &key_of(*k)).is_ok(), removed);
+                prop_assert_eq!(packed.delete(0, &key_of(*k)).is_ok(), removed);
+                prop_assert_eq!(
+                    removed,
+                    model.remove(&key_of(*k)).is_some(),
+                    "delete presence diverged at step {}",
+                    step
+                );
+            }
+            OrderedOp::DeleteRun(k, n) => {
+                let before = e.ordered_stats();
+                let run: Vec<Vec<u8>> = model
+                    .range(key_of(*k)..)
+                    .take(*n)
+                    .map(|(k, _)| k.clone())
+                    .collect();
+                for key in &run {
+                    for x in [&mut *e, &mut *twin, &mut *packed] {
+                        x.delete(0, key).expect("live key");
+                    }
+                    model.remove(key);
+                }
+                // A leaf holds at most `LEAF_CAP` neighbours: this many
+                // covered a whole leaf, unlinked when its last key went.
+                if let Some(before) = before {
+                    if run.len() >= 2 * LEAF_CAP + 2 {
+                        let now = e.ordered_stats().expect("built").leaves;
+                        prop_assert!(
+                            now < before.leaves,
+                            "{} keys gone, {} -> {} leaves",
+                            run.len(),
+                            before.leaves,
+                            now
+                        );
+                    }
+                }
+            }
+            OrderedOp::Scan(k, limit) => {
+                let start = key_of(*k);
+                let (got, exhausted) = scan(e, &start, *limit);
+                prop_assert_eq!(&scan(twin, &start, *limit).0, &got);
+                let want: Items = model
+                    .range(start..)
+                    .take(*limit)
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                prop_assert_eq!(&got, &want, "scan diverged at step {}", step);
+                prop_assert_eq!(
+                    exhausted,
+                    want.len() < *limit,
+                    "exhaustion flag diverged at step {}",
+                    step
+                );
+            }
+            OrderedOp::ScanContinued(k, limit) => {
+                // A quantum, then its continuation from the last key's
+                // immediate successor: together, one scan of twice the
+                // limit, wherever in a leaf the quantum ended.
+                let start = key_of(*k);
+                let (mut got, exhausted) = scan(e, &start, *limit);
+                scan(twin, &start, *limit);
+                if !exhausted {
+                    let mut cursor = got.last().expect("stopped on an item").0.clone();
+                    cursor.push(0);
+                    got.extend(scan(e, &cursor, *limit).0);
+                    scan(twin, &cursor, *limit);
+                }
+                let want: Items = model
+                    .range(start..)
+                    .take(2 * *limit)
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                prop_assert_eq!(&got, &want, "continued scan diverged at step {}", step);
+            }
+            OrderedOp::Reclaim => {
+                for x in [&mut *e, &mut *twin, &mut *packed] {
+                    x.pump_reclaim(0);
+                }
+            }
+        }
+        prop_assert_eq!(e.len(), model.len());
+        prop_assert_eq!(packed.len(), model.len());
+        Ok(())
+    }
+
+    /// Before any ordered read a hybrid engine is its hash side alone: no
+    /// ordered side, and index memory byte-for-byte a packed engine's.
+    fn unbuilt(&self) -> Result<(), TestCaseError> {
+        for x in [&self.e, &self.twin] {
+            prop_assert_eq!(x.ordered_stats(), None);
+            prop_assert_eq!(x.index_mem_bytes(), self.packed.index_mem_bytes());
+        }
+        Ok(())
+    }
+
+    /// A full ordered walk from the empty key on both hybrid engines: each
+    /// equals the whole model, and the twins hold the same structure — as
+    /// many leaves, retired nodes and slabs, walked in as many comparisons,
+    /// in as many bytes.
+    fn walk(&mut self) -> Result<(), TestCaseError> {
+        let (walk, exhausted) = scan(&mut self.e, b"", usize::MAX);
+        prop_assert!(exhausted);
+        let full: Items = self
+            .model
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        prop_assert_eq!(&walk, &full, "ordered walk differs from model");
+        prop_assert_eq!(scan(&mut self.twin, b"", usize::MAX).0, full);
+        prop_assert!(self.e.ordered_stats().is_some());
+        prop_assert_eq!(self.e.ordered_stats(), self.twin.ordered_stats());
+        prop_assert_eq!(self.e.index_mem_bytes(), self.twin.index_mem_bytes());
+        Ok(())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -201,113 +359,53 @@ proptest! {
     fn hybrid_ordered_iteration_matches_btreemap_model(
         ops in proptest::collection::vec(ordered_op_strategy(), 1..400),
     ) {
-        // The twin is fed the same operations.
-        let mut e = engine(IndexKind::Hybrid);
-        let mut twin = engine(IndexKind::Hybrid);
-        let mut model: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
-            (0..PRELOAD).map(|i| (preload_key(i), b"preloaded".to_vec())).collect();
+        let mut rig = OrderedRig::new();
         let mut resized = false;
         let mut most = 0;
-        let mut most_leaves = 0;
         for (step, op) in ops.iter().enumerate() {
-            match op {
-                OrderedOp::Put(k, v) => {
-                    e.put(0, &key_of(*k), v).expect("put");
-                    twin.put(0, &key_of(*k), v).expect("put");
-                    model.insert(key_of(*k), v.clone());
-                }
-                OrderedOp::Delete(k) => {
-                    let removed = e.delete(0, &key_of(*k)).is_ok();
-                    prop_assert_eq!(twin.delete(0, &key_of(*k)).is_ok(), removed);
-                    prop_assert_eq!(
-                        removed,
-                        model.remove(&key_of(*k)).is_some(),
-                        "delete presence diverged at step {}", step
-                    );
-                }
-                OrderedOp::DeleteRun(k, n) => {
-                    let leaves = e.ordered_stats().expect("hybrid").leaves;
-                    let run: Vec<Vec<u8>> =
-                        model.range(key_of(*k)..).take(*n).map(|(k, _)| k.clone()).collect();
-                    for key in &run {
-                        e.delete(0, key).expect("live key");
-                        twin.delete(0, key).expect("live key");
-                        model.remove(key);
-                    }
-                    // A leaf holds at most `LEAF_CAP` neighbours: this many
-                    // covered a whole leaf, unlinked when its last key went.
-                    if run.len() >= 2 * LEAF_CAP + 2 {
-                        let now = e.ordered_stats().expect("hybrid").leaves;
-                        prop_assert!(now < leaves, "{} keys gone, {} -> {} leaves", run.len(), leaves, now);
-                    }
-                }
-                OrderedOp::Scan(k, limit) => {
-                    let start = key_of(*k);
-                    let (got, exhausted) = scan(&mut e, &start, *limit);
-                    prop_assert_eq!(&scan(&mut twin, &start, *limit).0, &got);
-                    let want: Vec<(Vec<u8>, Vec<u8>)> = model
-                        .range(start..)
-                        .take(*limit)
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect();
-                    prop_assert_eq!(&got, &want, "scan diverged at step {}", step);
-                    prop_assert_eq!(
-                        exhausted,
-                        want.len() < *limit,
-                        "exhaustion flag diverged at step {}", step
-                    );
-                }
-                OrderedOp::ScanContinued(k, limit) => {
-                    // A quantum, then its continuation from the last key's
-                    // immediate successor: together, one scan of twice the
-                    // limit, wherever in a leaf the quantum ended.
-                    let start = key_of(*k);
-                    let (mut got, exhausted) = scan(&mut e, &start, *limit);
-                    scan(&mut twin, &start, *limit);
-                    if !exhausted {
-                        let mut cursor = got.last().expect("stopped on an item").0.clone();
-                        cursor.push(0);
-                        got.extend(scan(&mut e, &cursor, *limit).0);
-                        scan(&mut twin, &cursor, *limit);
-                    }
-                    let want: Vec<(Vec<u8>, Vec<u8>)> = model
-                        .range(start..)
-                        .take(2 * *limit)
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect();
-                    prop_assert_eq!(&got, &want, "continued scan diverged at step {}", step);
-                }
-                OrderedOp::Reclaim => {
-                    e.pump_reclaim(0);
-                    twin.pump_reclaim(0);
-                }
-            }
-            prop_assert_eq!(e.len(), model.len());
-            resized |= e.index_resizing();
-            most = most.max(e.len());
-            most_leaves = most_leaves.max(e.ordered_stats().expect("hybrid").leaves);
+            rig.apply(op, step)?;
+            resized |= rig.e.index_resizing();
+            most = most.max(rig.e.len());
         }
         if most > 392 {
             prop_assert!(
-                resized || e.table_stats().resizes > 0,
+                resized || rig.e.table_stats().resizes > 0,
                 "hybrid hash half never resized despite {} live items", most
             );
         }
-        // The preload alone does not fit four leaves: it crossed splits.
-        prop_assert!(most_leaves > 4, "only {} leaves for {} items", most_leaves, e.len());
-        // Full ordered walk from the empty key equals the whole model.
-        let (walk, exhausted) = scan(&mut e, b"", usize::MAX);
-        prop_assert!(exhausted);
-        let full: Vec<(Vec<u8>, Vec<u8>)> = model
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        prop_assert_eq!(&walk, &full, "final ordered walk differs from model");
-        // Determinism: the twin holds the same structure — as many leaves,
-        // retired nodes and slabs, walked in as many comparisons.
-        prop_assert_eq!(scan(&mut twin, b"", usize::MAX).0, full);
-        prop_assert_eq!(e.ordered_stats(), twin.ordered_stats());
-        prop_assert_eq!(e.index_mem_bytes(), twin.index_mem_bytes());
+        rig.walk()?;
+        // Built by now: the preload alone does not fit four leaves.
+        let leaves = rig.e.ordered_stats().expect("built").leaves;
+        prop_assert!(leaves > 4, "only {} leaves for {} items", leaves, rig.e.len());
+    }
+
+    /// The ordered side is built by the first ordered read, wherever in a
+    /// sequence it falls — the first step, any step, or none (scans drawn
+    /// before it are skipped) — and mutations and scans after it keep
+    /// matching the model. Until it, each hybrid engine holds no ordered
+    /// side and exactly a packed engine's index memory.
+    #[test]
+    fn hybrid_builds_its_ordered_side_at_its_first_ordered_read(
+        ops in proptest::collection::vec(ordered_op_strategy(), 0..300),
+        first in prop_oneof![Just(0usize), Just(usize::MAX), 0..300usize],
+    ) {
+        let mut rig = OrderedRig::new();
+        for (step, op) in ops.iter().enumerate() {
+            if step == first {
+                rig.walk()?;
+            }
+            if step < first {
+                if matches!(op, OrderedOp::Scan(..) | OrderedOp::ScanContinued(..)) {
+                    continue;
+                }
+                rig.unbuilt()?;
+            }
+            rig.apply(op, step)?;
+        }
+        if first >= ops.len() {
+            rig.unbuilt()?;
+        }
+        rig.walk()?;
     }
 }
 
