@@ -1,6 +1,6 @@
 //! Mixed read plane: tail-latency isolation of point GETs from range scans.
 //!
-//! Three cluster runs over the same hybrid-indexed paper topology, all with
+//! Three cluster runs over the same paper topology, all with
 //! message-path GETs (`ClientMode::RdmaWrite`) so every point op crosses the
 //! shard core and actually contends with the scan plane:
 //!
@@ -18,14 +18,13 @@
 //! * DualLane scan throughput stays at **>= 0.9x** the FIFO run — isolation
 //!   is not bought by starving the scan plane.
 
-use hydra_db::{ClientMode, ClusterConfig, IndexKind, SchedulerKind};
+use hydra_db::{ClientMode, ClusterConfig, SchedulerKind};
 use hydra_ycsb::{Workload, WorkloadReport};
 
 use crate::{paper_cluster_config, run_hydra, Report, Scale};
 
 fn run_arm(scheduler: SchedulerKind, wl: &Workload) -> WorkloadReport {
     let cfg = ClusterConfig {
-        index: IndexKind::Hybrid,
         client_mode: ClientMode::RdmaWrite,
         scheduler,
         ..paper_cluster_config()

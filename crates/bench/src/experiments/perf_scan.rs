@@ -1,42 +1,34 @@
-//! Scan-plane ablation (YCSB-E): the hybrid ordered index against the
-//! hash-only baseline that can only *emulate* a range scan by dumping and
-//! sorting the whole shard.
+//! Scan plane (YCSB-E): the shard's ordered view, and the scan path through
+//! the cluster.
 //!
 //! Three measurements:
 //!
-//! 1. **Engine microbenchmark** — `ShardEngine::scan_into` with
-//!    `IndexKind::Hybrid` (native skiplist walk) vs `IndexKind::Packed`
-//!    (emulated: full dump + sort per scan) over Zipfian-scrambled start
-//!    keys at scan length 100, plus a point-GET probe over both engines to
-//!    bound the hybrid's read-path overhead. The emulated baseline is
-//!    sampled (each scan is O(n log n)) and reported as per-scan rate.
-//!    Engines are loaded in scrambled id order, as a cluster fed by many
-//!    interleaved clients is: index nodes and items then lie in memory in
-//!    an order unrelated to key order and a range walk misses the cache per
-//!    item. Loading in key order instead lets the hardware prefetcher
-//!    stream the walk; that special case is reported as a second row. A
-//!    hybrid shard builds its skiplist at its first ordered read, so the
-//!    scrambled engine's first scan is timed on its own: the build, in ms
-//!    and ns per item.
+//! 1. **Engine microbenchmark** — `ShardEngine::scan_into` over
+//!    Zipfian-scrambled start keys at scan length 100. Engines are loaded
+//!    in scrambled id order, as a cluster fed by many interleaved clients
+//!    is: index nodes and items then lie in memory in an order unrelated to
+//!    key order and a range walk misses the cache per item. Loading in key
+//!    order instead lets the hardware prefetcher stream the walk; that
+//!    special case is reported as a second row. A shard builds its ordered
+//!    view at its first scan, so the scrambled engine's first scan is timed
+//!    on its own: the build, in ms and ns per item. A point-GET probe then
+//!    runs over the scanned engine and an unscanned twin: the view must
+//!    leave the point path's work untouched.
 //! 2. **Cluster YCSB-E** — `Workload::workload_e` (95% scans, uniform
 //!    length 1..=100, 5% inserts) through the full wire/server/client scan
-//!    plane on a hybrid-indexed cluster, reporting end-to-end virtual-time
-//!    throughput and scan latency.
+//!    plane, reporting end-to-end virtual-time throughput and scan latency.
 //!
 //! 3. **Fan-out** — the same workload on 1, 2, 4, 8 and 16 partitions:
 //!    steps per scan and items fetched per item returned (acceptance
 //!    ceilings 2.0 on 4 partitions, 3.0 on 16).
 //!
-//! Headline data: `scan_speedup` (hybrid vs emulated scans/sec, acceptance
-//! floor 5x) and `get_regression_pct` (hybrid point-GET wall-clock cost vs
-//! packed, reported). The point-GET gate is deterministic: over the probe,
-//! the hybrid's index does exactly the packed index's lookups, bucket
-//! probes and full compares.
+//! The point-GET gate is deterministic: over the probe, a scanned shard's
+//! index does exactly an unscanned one's lookups, bucket probes and full
+//! compares.
 
 use std::time::Instant;
 
-use hydra_db::IndexKind;
-use hydra_store::{EngineConfig, ShardEngine, WriteMode};
+use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};
 use hydra_ycsb::{run_workload, DriverConfig, Workload, ZipfianGenerator};
 
 use crate::{paper_cluster, paper_cluster_config, run_hydra, Lcg, Report, Scale};
@@ -58,14 +50,14 @@ enum Load {
     KeyOrder,
 }
 
-fn engine(kind: IndexKind, records: u64, load: Load) -> ShardEngine {
+fn engine(records: u64, load: Load) -> ShardEngine {
     // ~64 B per item (16 B key + 32 B value + headers): size the arena with
-    // ample slack so neither engine ever blocks on reclamation.
+    // ample slack so the engine never blocks on reclamation.
     let arena_words = ((records as usize * 16).next_power_of_two()).max(1 << 16);
     let mut e = ShardEngine::new(EngineConfig {
         arena_words,
         expected_items: records as usize,
-        index: kind,
+        index: IndexKind::Packed,
         write_mode: WriteMode::Reliable,
         min_lease_ns: 1_000_000,
         max_lease_ns: 64_000_000,
@@ -101,168 +93,94 @@ fn bench_scans(e: &mut ShardEngine, records: u64, scans: usize, seed: u64) -> (f
     (scans as f64 / secs, items)
 }
 
-/// Point-GET throughput (Mops) for both engines over the same scrambled
-/// probe order, measured in *interleaved* rounds with alternating engine
-/// order. A sequential A-then-B measurement systematically favours whichever
-/// engine runs second (warmed caches, settled frequency scaling, completed
-/// page faults): the original layout measured hybrid first and packed
-/// second, and the resulting bias exceeded the true index overhead, showing
-/// up as a spurious *negative* "regression". Interleaving slices the probe
-/// stream into short rounds and swaps which engine goes first each round, so
-/// both engines sample the same machine conditions.
-/// Returns `(hybrid Mops, packed Mops, regression %)`. The throughputs are
-/// total-time aggregates; the regression estimate is the *median* of the
-/// per-round packed/hybrid time ratios, so a transient load spike that lands
-/// on a single round (wall-clock probes on a shared machine) cannot swing
-/// the reported regression the way it swings the aggregate.
-fn bench_gets_interleaved(
-    hybrid: &mut ShardEngine,
-    packed: &mut ShardEngine,
-    records: u64,
-    ops: usize,
-    seed: u64,
-) -> (f64, f64, f64) {
-    const ROUNDS: usize = 16;
-    let mut lcg = Lcg(seed);
-    let per_round = (ops / ROUNDS).max(1);
-    let keys: Vec<Vec<u8>> = (0..per_round * ROUNDS)
-        .map(|_| key_of(ZipfianGenerator::fnv_scramble(lcg.step() >> 11) % records))
-        .collect();
-    let mut scratch = Vec::new();
-    let probe = |e: &mut ShardEngine, round: usize, scratch: &mut Vec<u8>| -> f64 {
-        let slice = &keys[round * per_round..(round + 1) * per_round];
-        let start_t = Instant::now();
-        let mut hits = 0usize;
-        for (i, k) in slice.iter().enumerate() {
-            if e.get_into(i as u64, k, scratch).is_some() {
-                hits += 1;
-            }
-        }
-        let secs = start_t.elapsed().as_secs_f64();
-        assert_eq!(hits, slice.len(), "all probes target loaded keys");
-        secs
-    };
-    let (mut t_hy, mut t_pk) = (0.0f64, 0.0f64);
-    let mut ratios = Vec::with_capacity(ROUNDS);
-    for round in 0..ROUNDS {
-        let (hy, pk) = if round % 2 == 0 {
-            let hy = probe(hybrid, round, &mut scratch);
-            let pk = probe(packed, round, &mut scratch);
-            (hy, pk)
-        } else {
-            let pk = probe(packed, round, &mut scratch);
-            let hy = probe(hybrid, round, &mut scratch);
-            (hy, pk)
-        };
-        t_hy += hy;
-        t_pk += pk;
-        ratios.push(pk / hy.max(1e-12));
-    }
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let median_ratio = (ratios[ROUNDS / 2 - 1] + ratios[ROUNDS / 2]) / 2.0;
-    let total = (per_round * ROUNDS) as f64;
-    (
-        total / t_hy.max(1e-9) / 1e6,
-        total / t_pk.max(1e-9) / 1e6,
-        (1.0 - median_ratio) * 100.0,
-    )
-}
-
-pub fn run(scale: Scale, report: &mut Report) {
-    let records = scale.records();
-    let (hybrid_scans, emul_scans, get_ops) = match scale {
-        Scale::Smoke => (2_000, 40, 200_000),
-        Scale::Normal => (20_000, 60, 2_000_000),
-        Scale::Paper => (100_000, 100, 10_000_000),
-    };
-
-    report.line(&format!(
-        "# {records} records; scan length {SCAN_LEN}; {hybrid_scans} hybrid / {emul_scans} emulated scans (emulated sampled: each is a full dump+sort)"
-    ));
-
-    // --- engine ablation ---
-    let mut hybrid = engine(IndexKind::Hybrid, records, Load::Scrambled);
-    let mut packed = engine(IndexKind::Packed, records, Load::Scrambled);
-    assert!(hybrid.scan_is_native());
-    assert!(!packed.scan_is_native());
-
-    // Nothing has asked the hybrid for order yet: its first scan builds the
-    // ordered side from the hash side.
-    assert!(hybrid.ordered_stats().is_none());
-    let build_t = Instant::now();
-    hybrid.scan_into(b"", &mut Vec::new(), |_, _| false);
-    let build_ms = build_t.elapsed().as_secs_f64() * 1e3;
-    let build_ns_item = build_ms * 1e6 / records as f64;
-    report.line(&format!(
-        "# first scan built the hybrid's ordered side: {build_ms:.1} ms, {build_ns_item:.0} ns/item"
-    ));
-
-    // Warm both, then measure.
-    let _ = bench_scans(&mut hybrid, records, hybrid_scans / 10, 7);
-    let _ = bench_scans(&mut packed, records, (emul_scans / 10).max(1), 7);
-    let (hy_rate, hy_items) = bench_scans(&mut hybrid, records, hybrid_scans, 13);
-    let (em_rate, _) = bench_scans(&mut packed, records, emul_scans, 13);
-    let speedup = hy_rate / em_rate;
-    let ns_per_item = |rate: f64, items: u64| 1e9 * hybrid_scans as f64 / rate / items as f64;
-    let hy_ns_item = ns_per_item(hy_rate, hy_items);
-    report.line(&format!(
-        "{:<22} {:>16.0} {:>16.2} {:>10.1}x   scrambled load, {:.0} ns/item",
-        "scans_per_sec", hy_rate, em_rate, speedup, hy_ns_item
-    ));
-    report.line(&format!(
-        "# hybrid walked {} items ({:.1} per scan)",
-        hy_items,
-        hy_items as f64 / hybrid_scans as f64
-    ));
-    // The special case: memory order equals key order.
-    let (ko_rate, ko_items) = {
-        let mut keyorder = engine(IndexKind::Hybrid, records, Load::KeyOrder);
-        let _ = bench_scans(&mut keyorder, records, hybrid_scans / 10, 7);
-        bench_scans(&mut keyorder, records, hybrid_scans, 13)
-    };
-    let ko_ns_item = ns_per_item(ko_rate, ko_items);
-    report.line(&format!(
-        "{:<22} {:>16.0} {:>16} {:>11}   key-order load, {:.0} ns/item",
-        "scans_per_sec_keyorder", ko_rate, "-", "-", ko_ns_item
-    ));
-
-    // What each engine's index did over the probe: lookups, buckets probed,
-    // full key compares. The hybrid's point path is its packed side.
+/// What `e`'s index did over `gets` point GETs of scrambled loaded keys:
+/// lookups, buckets probed, full key compares.
+fn probe_gets(e: &mut ShardEngine, records: u64, gets: usize, seed: u64) -> [u64; 3] {
     let probed = |e: &ShardEngine| {
         let t = e.table_stats();
         [t.lookups, t.buckets_probed, t.full_compares]
     };
-    let (hy_before, pk_before) = (probed(&hybrid), probed(&packed));
-    let (g_hy, g_pk, regression_pct) =
-        bench_gets_interleaved(&mut hybrid, &mut packed, records, get_ops, 19);
-    let delta = |e: &ShardEngine, before: [u64; 3]| {
-        let after = probed(e);
-        [0, 1, 2].map(|i| after[i] - before[i])
+    let before = probed(e);
+    let mut lcg = Lcg(seed);
+    let mut scratch = Vec::new();
+    for i in 0..gets {
+        let k = key_of(ZipfianGenerator::fnv_scramble(lcg.step() >> 11) % records);
+        assert!(e.get_into(i as u64, &k, &mut scratch).is_some(), "probes target loaded keys");
+    }
+    let after = probed(e);
+    [0, 1, 2].map(|i| after[i] - before[i])
+}
+
+pub fn run(scale: Scale, report: &mut Report) {
+    let records = scale.records();
+    let (scans, get_ops) = match scale {
+        Scale::Smoke => (2_000, 200_000),
+        Scale::Normal => (20_000, 2_000_000),
+        Scale::Paper => (100_000, 10_000_000),
     };
-    let (hy_probe, pk_probe) = (delta(&hybrid, hy_before), delta(&packed, pk_before));
+
     report.line(&format!(
-        "{:<22} {:>16.2} {:>16.2} {:>9.2}%",
-        "point_get_mops", g_hy, g_pk, regression_pct
+        "# {records} records; scan length {SCAN_LEN}; {scans} scans per engine"
     ));
 
-    report.datum("hybrid_build_ms", build_ms);
-    report.datum("hybrid_build_ns_per_item", build_ns_item);
-    report.datum("hybrid_scans_per_s", hy_rate);
-    report.datum("hybrid_ns_per_item", hy_ns_item);
-    report.datum("hybrid_keyorder_scans_per_s", ko_rate);
-    report.datum("hybrid_keyorder_ns_per_item", ko_ns_item);
-    report.datum("emulated_scans_per_s", em_rate);
-    report.datum("scan_speedup", speedup);
-    report.datum("get_hybrid_mops", g_hy);
-    report.datum("get_packed_mops", g_pk);
-    report.datum("get_regression_pct", regression_pct);
+    // --- engine ---
+    let mut scanned = engine(records, Load::Scrambled);
+    let mut unscanned = engine(records, Load::Scrambled);
+
+    // Nothing has asked for order yet: the first scan builds the view.
+    assert!(scanned.ordered_stats().is_none());
+    let build_t = Instant::now();
+    scanned.scan_into(b"", &mut Vec::new(), |_, _| false);
+    let build_ms = build_t.elapsed().as_secs_f64() * 1e3;
+    let build_ns_item = build_ms * 1e6 / records as f64;
+    report.line(&format!(
+        "# first scan built the ordered view: {build_ms:.1} ms, {build_ns_item:.0} ns/item"
+    ));
+
+    // Warm, then measure.
+    let _ = bench_scans(&mut scanned, records, scans / 10, 7);
+    let (rate, items) = bench_scans(&mut scanned, records, scans, 13);
+    let ns_per_item = |rate: f64, items: u64| 1e9 * scans as f64 / rate / items as f64;
+    let ns_item = ns_per_item(rate, items);
+    report.line(&format!(
+        "{:<22} {:>16.0}   scrambled load, {:.0} ns/item",
+        "scans_per_sec", rate, ns_item
+    ));
+    report.line(&format!(
+        "# walked {} items ({:.1} per scan)",
+        items,
+        items as f64 / scans as f64
+    ));
+    // The special case: memory order equals key order.
+    let (ko_rate, ko_items) = {
+        let mut keyorder = engine(records, Load::KeyOrder);
+        let _ = bench_scans(&mut keyorder, records, scans / 10, 7);
+        bench_scans(&mut keyorder, records, scans, 13)
+    };
+    let ko_ns_item = ns_per_item(ko_rate, ko_items);
+    report.line(&format!(
+        "{:<22} {:>16.0}   key-order load, {:.0} ns/item",
+        "scans_per_sec_keyorder", ko_rate, ko_ns_item
+    ));
+
+    // The same point GETs on the scanned engine and its unscanned twin.
+    let with_view = probe_gets(&mut scanned, records, get_ops, 19);
+    let without = probe_gets(&mut unscanned, records, get_ops, 19);
+    assert!(unscanned.ordered_stats().is_none());
+    report.line(&format!(
+        "# {get_ops} point GETs, [lookups, buckets probed, full compares]: scanned {with_view:?}, \
+         unscanned {without:?}"
+    ));
+
+    report.datum("build_ms", build_ms);
+    report.datum("build_ns_per_item", build_ns_item);
+    report.datum("scans_per_s", rate);
+    report.datum("ns_per_item", ns_item);
+    report.datum("keyorder_scans_per_s", ko_rate);
+    report.datum("keyorder_ns_per_item", ko_ns_item);
 
     // --- cluster YCSB-E through the wire scan plane ---
-    let cfg = hydra_db::ClusterConfig {
-        index: IndexKind::Hybrid,
-        ..paper_cluster_config()
-    };
-    let r = run_hydra(cfg, 50, &Workload::workload_e(records, scale.ops(), 27));
+    let r = run_hydra(paper_cluster_config(), 50, &Workload::workload_e(records, scale.ops(), 27));
     report.line(&format!(
         "# ycsb-e (hybrid cluster): {:.3} Mops | {} scans | scan mean {:.2}us p99 {:.2}us",
         r.mops, r.scans, r.scan_mean_us, r.scan_p99_us
@@ -289,7 +207,6 @@ pub fn run(scale: Scale, report: &mut Report) {
         let cfg = hydra_db::ClusterConfig {
             server_nodes,
             shards_per_node,
-            index: IndexKind::Hybrid,
             ..paper_cluster_config()
         };
         let (mut cluster, clients) = paper_cluster(cfg, 50);
@@ -323,24 +240,12 @@ pub fn run(scale: Scale, report: &mut Report) {
     }
     report.datum("fanout", fanout);
 
-    report.line(&format!(
-        "# headline: hybrid serves scans {speedup:.1}x faster than the emulated hash-only \
-         baseline; point GETs regress {regression_pct:.2}%"
-    ));
+    // A GET's wall time on a shared machine swings by more than any
+    // difference the view could make, so the gate is the work: a scanned
+    // shard's point GETs probe exactly what an unscanned one's do.
     report.claim(
-        speedup >= 5.0,
-        format!("hybrid {speedup:.2}x emulated scans"),
-        "the hybrid index beats emulated scans by >= 5x",
-    );
-    // The GET probe's timing is wall-clock and swings by more than 5 % on a
-    // shared machine, so it is reported, not gated. The gate is the work: a
-    // hybrid point GET probes exactly what a packed one does.
-    report.claim(
-        pk_probe[0] > 0 && hy_probe == pk_probe,
-        format!(
-            "[lookups, buckets probed, full compares] over the probe: hybrid {hy_probe:?}, \
-             packed {pk_probe:?}"
-        ),
-        "hybrid point GETs do the packed index's work",
+        without[0] > 0 && with_view == without,
+        format!("[lookups, buckets probed, full compares]: scanned {with_view:?}, unscanned {without:?}"),
+        "a scanned shard's point GETs do an unscanned one's index work",
     );
 }

@@ -81,7 +81,7 @@ registry! {
     perf_index, "BENCH_index", true, "Index probe throughput: packed cache-line groups vs chained lists";
     perf_mix, "BENCH_mix", false, "Mixed read plane: dual-lane tail isolation vs FIFO (50% GET / 50% SCAN)";
     perf_repl, "BENCH_repl", false, "Group-commit write plane: cumulative acks + pipelined replication vs per-record strict";
-    perf_scan, "BENCH_scan", true, "Scan plane: hybrid ordered index vs hash-only emulated scans (YCSB-E)";
+    perf_scan, "BENCH_scan", true, "Scan plane: the shard's ordered view and YCSB-E scans";
     perf_skew, "BENCH_skew", false, "Skew-resilient read plane: replica read spreading + bounded CLOCK pointer cache";
 }
 

@@ -125,12 +125,12 @@ pub struct ClusterConfig {
     pub exec_model: ExecModel,
     /// Reliable store or cache semantics.
     pub write_mode: WriteMode,
-    /// Index structure per shard: the paper's chained table, the compact
-    /// signature table, the packed cache-line-group table (the default; see
-    /// `abl_hashtable` for the A/B), or the packed table paired with an
-    /// ordered skiplist, which serves range scans natively. A hybrid shard
-    /// builds its skiplist at its first scan and maintains it from then
-    /// on: one that is never scanned costs what a packed one does.
+    /// Hash index per shard: the paper's chained table, the compact
+    /// signature table or the packed cache-line-group table (the default;
+    /// see `abl_hashtable` for the A/B). Range scans go through an ordered
+    /// skiplist view each shard builds beside its index at its first scan,
+    /// whatever the kind, and maintains from then on: a shard that is never
+    /// scanned holds none.
     pub index: IndexKind,
     /// Share the remote-pointer cache among clients on one node (§4.2.4).
     pub shared_ptr_cache: bool,
@@ -148,8 +148,8 @@ pub struct ClusterConfig {
     /// Arena words per shard.
     pub arena_words: usize,
     /// Expected items per shard. Sizes only the fixed-capacity ablation
-    /// indexes (`Chained`, `Compact`); the packed and hybrid indexes start at
-    /// one page and grow as items arrive.
+    /// indexes (`Chained`, `Compact`); the packed index starts at one page
+    /// and grows as items arrive.
     pub expected_items: usize,
     /// Request/response buffer slot size in words (bounds message size).
     pub msg_slot_words: usize,

@@ -14,11 +14,11 @@
 //! * **Tombstone cancellation.** `cancel` drops the closure immediately and
 //!   marks the cell; the wheel lazily reaps tombstones when it next touches
 //!   their slot.
-//! * **Hierarchical timer wheel.** Six levels of 64 slots; level `L` slots
-//!   are `2^(6L)` ns wide, giving a `2^36` ns (~69 virtual seconds) horizon
-//!   that covers every short-horizon event the protocols schedule (NIC
-//!   completions, backoff polls, lease timers). Farther events overflow into
-//!   a small binary heap and are drained into the wheel when it empties.
+//! * **Hierarchical timer wheel.** Eleven levels of 64 slots; level `L`
+//!   slots are `2^(6L)` ns wide, and the top level, whose slots are `2^60`
+//!   ns wide, uses 16 of them: the levels cover all 64 bits of virtual
+//!   time, so every event, however far ahead, has a slot and the wheel is
+//!   the one event queue.
 //!
 //! Determinism contract (load-bearing for every experiment): events execute
 //! in `(time, scheduling-order)` — exactly the order the old
@@ -28,8 +28,6 @@
 //! direct insert always carries the globally latest sequence number. So
 //! every slot vector stays sequence-sorted without ever sorting.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::mem::MaybeUninit;
 
 use rand::rngs::SmallRng;
@@ -39,9 +37,9 @@ use crate::time::SimTime;
 
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS;
-const LEVELS: usize = 6;
-/// Events with `at ^ cursor >= 2^HORIZON_BITS` overflow to the heap.
-const HORIZON_BITS: u32 = SLOT_BITS * LEVELS as u32;
+/// Enough levels for the highest bit of a `u64` time: level 10 holds bits
+/// 60..64.
+const LEVELS: usize = 64_usize.div_ceil(SLOT_BITS as usize);
 
 /// Inline closure storage per arena cell. 64 bytes covers the workspace's
 /// fattest hot-path closures (fabric completions capture an `Arc`, a `Vec`
@@ -100,8 +98,8 @@ impl EventId {
 enum CellState {
     Free,
     Pending,
-    /// Cancelled but still referenced by a wheel slot / heap entry; the
-    /// closure is already dropped. Reaped lazily.
+    /// Cancelled but still referenced by a wheel slot; the closure is
+    /// already dropped. Reaped lazily.
     Tombstone,
 }
 
@@ -114,30 +112,6 @@ struct Cell {
     call: CallFn,
     drop_fn: DropFn,
     payload: Payload,
-}
-
-/// Far-future overflow entry; min-heap by `(at, seq)` via inverted `Ord`.
-struct HeapEntry {
-    at: SimTime,
-    seq: u64,
-    index: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
 }
 
 const NO_FREE: u32 = u32::MAX;
@@ -162,8 +136,6 @@ pub struct Sim {
     wheel: Vec<Vec<u32>>,
     /// Per-level slot-occupancy bitmaps.
     occupancy: [u64; LEVELS],
-    /// Far-future overflow (`at ^ cursor >= 2^36` at insert time).
-    overflow: BinaryHeap<HeapEntry>,
     /// The level-0 slot currently being fired, swapped out wholesale so
     /// handlers can schedule back into that same slot.
     ready: Vec<u32>,
@@ -186,7 +158,6 @@ impl Sim {
             free_head: NO_FREE,
             wheel: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupancy: [0; LEVELS],
-            overflow: BinaryHeap::new(),
             ready: Vec::new(),
             ready_pos: 0,
             ready_at: 0,
@@ -379,41 +350,26 @@ impl Sim {
 
     // ---- wheel ----------------------------------------------------------
 
-    /// Level for an event at `at` relative to the cursor, or `None` for
-    /// overflow. Level `L` iff the highest bit where `at` and `cursor`
-    /// differ lies in `[6L, 6L+6)`.
+    /// Level for an event at `at` relative to the cursor: level `L` iff the
+    /// highest bit where `at` and `cursor` differ lies in `[6L, 6L+6)`
+    /// (level 0 when they are equal).
     #[inline]
-    fn level_of(&self, at: SimTime) -> Option<usize> {
-        let x = at ^ self.cursor;
-        if x == 0 {
-            return Some(0);
-        }
-        let msb = 63 - x.leading_zeros();
-        if msb >= HORIZON_BITS {
-            None
-        } else {
-            Some((msb / SLOT_BITS) as usize)
-        }
+    fn level_of(&self, at: SimTime) -> usize {
+        let msb = 63 - ((at ^ self.cursor) | 1).leading_zeros();
+        (msb / SLOT_BITS) as usize
     }
 
     fn insert_index(&mut self, index: u32, at: SimTime) {
         debug_assert!(at >= self.cursor);
-        match self.level_of(at) {
-            Some(level) => {
-                let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-                self.wheel[level * SLOTS + slot].push(index);
-                self.occupancy[level] |= 1 << slot;
-            }
-            None => {
-                let seq = self.slab[index as usize].seq;
-                self.overflow.push(HeapEntry { at, seq, index });
-            }
-        }
+        let level = self.level_of(at);
+        let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+        self.wheel[level * SLOTS + slot].push(index);
+        self.occupancy[level] |= 1 << slot;
     }
 
     /// Ensures `ready[ready_pos..]` holds the next due batch (all events at
     /// one timestamp, sequence-ordered). Returns `false` when nothing is
-    /// pending. Commits cursor advances, cascades and overflow drains.
+    /// pending. Commits cursor advances and cascades.
     fn advance_to_ready(&mut self) -> bool {
         loop {
             if self.ready_pos < self.ready.len() {
@@ -422,15 +378,12 @@ impl Sim {
             self.ready.clear();
             self.ready_pos = 0;
             let Some(level) = self.occupancy.iter().position(|&b| b != 0) else {
-                if !self.drain_overflow() {
-                    // Queue truly empty (trailing tombstones all reaped).
-                    // Re-anchor the wheel at the clock: cascading past the
-                    // tombstones may have carried the cursor beyond `now`,
-                    // and the next insert must see `cursor <= at`.
-                    self.cursor = self.now;
-                    return false;
-                }
-                continue;
+                // Queue truly empty (trailing tombstones all reaped).
+                // Re-anchor the wheel at the clock: cascading past the
+                // tombstones may have carried the cursor beyond `now`, and
+                // the next insert must see `cursor <= at`.
+                self.cursor = self.now;
+                return false;
             };
             let slot = self.occupancy[level].trailing_zeros() as usize;
             self.occupancy[level] &= !(1 << slot);
@@ -446,8 +399,9 @@ impl Sim {
                 // sequence-sorted: cascaded events land in empty slots, and
                 // later direct inserts always have higher sequence numbers.
                 let width = SLOT_BITS * level as u32;
-                let slot_start =
-                    (self.cursor & !((1u64 << (width + SLOT_BITS)) - 1)) | ((slot as u64) << width);
+                // The bits above this level's span; none above the top one.
+                let above = u64::MAX.checked_shl(width + SLOT_BITS).unwrap_or(0);
+                let slot_start = (self.cursor & above) | ((slot as u64) << width);
                 // `run_until` can leave the cursor inside this slot's span;
                 // never move it backwards.
                 self.cursor = self.cursor.max(slot_start);
@@ -457,7 +411,7 @@ impl Sim {
                         self.free_cell(index);
                     } else {
                         let at = self.slab[index as usize].at;
-                        debug_assert!(self.level_of(at).is_some_and(|l| l < level));
+                        debug_assert!(self.level_of(at) < level);
                         self.insert_index(index, at);
                     }
                 }
@@ -470,43 +424,9 @@ impl Sim {
         }
     }
 
-    /// Jumps the cursor to the earliest overflow event and pulls every
-    /// overflow entry back inside the wheel horizon. Returns `false` when
-    /// the overflow heap is empty too.
-    fn drain_overflow(&mut self) -> bool {
-        loop {
-            match self.overflow.peek() {
-                None => return false,
-                Some(top) if self.slab[top.index as usize].state == CellState::Tombstone => {
-                    let top = self.overflow.pop().expect("peeked entry");
-                    self.free_cell(top.index);
-                }
-                Some(top) => {
-                    debug_assert!(top.at >= self.cursor);
-                    self.cursor = top.at;
-                    break;
-                }
-            }
-        }
-        while let Some(top) = self.overflow.peek() {
-            if (top.at ^ self.cursor) >> HORIZON_BITS != 0 {
-                break;
-            }
-            let top = self.overflow.pop().expect("peeked entry");
-            if self.slab[top.index as usize].state == CellState::Tombstone {
-                self.free_cell(top.index);
-            } else {
-                // Popped in (at, seq) order, so same-time events land in
-                // their slot sequence-sorted.
-                self.insert_index(top.index, top.at);
-            }
-        }
-        true
-    }
-
     /// Time of the next live event, without committing cursor movement
-    /// (cascades / overflow drains). The only mutation is tombstone reaping,
-    /// which is unobservable. Used by `run_until` to decide whether to fire.
+    /// (cascades). The only mutation is tombstone reaping, which is
+    /// unobservable. Used by `run_until` to decide whether to fire.
     fn peek_next_at(&mut self) -> Option<SimTime> {
         // Ready batch first.
         while self.ready_pos < self.ready.len() {
@@ -541,17 +461,7 @@ impl Sim {
                 }
             }
         }
-        // Overflow heap (lazy tombstone pops).
-        loop {
-            match self.overflow.peek() {
-                None => return None,
-                Some(top) if self.slab[top.index as usize].state == CellState::Tombstone => {
-                    let top = self.overflow.pop().expect("peeked entry");
-                    self.free_cell(top.index);
-                }
-                Some(top) => return Some(top.at),
-            }
-        }
+        None
     }
 }
 
@@ -680,7 +590,8 @@ mod tests {
 
     #[test]
     fn far_future_events_cross_the_wheel_horizon() {
-        // 2^36 ns horizon; schedule well past it, and nearby, interleaved.
+        // Past the six levels an older wheel had (2^36 ns), and nearby,
+        // interleaved.
         let mut sim = Sim::new(1);
         let order = Rc::new(RefCell::new(Vec::new()));
         for &t in &[1u64 << 40, 5, (1 << 40) + 1, 1 << 36, 70_000_000_000] {
@@ -701,7 +612,8 @@ mod tests {
         let t = 1u64 << 38;
         for i in 0..6 {
             let o = order.clone();
-            // All at the same far-future instant; must fire 0..6 in order.
+            // All at the same far-future instant, in a high level; must
+            // fire 0..6 in order after cascading down.
             sim.schedule_at(t, move |_| o.borrow_mut().push(i));
         }
         sim.run();
@@ -849,9 +761,9 @@ mod tests {
         let mut sim = Sim::new(1);
         sim.schedule_at(10, |_| {});
         let far = sim.schedule_at(1 << 20, |_| {});
-        let heap_far = sim.schedule_at(1 << 40, |_| {});
+        let farther = sim.schedule_at(1 << 40, |_| {});
         sim.cancel(far);
-        sim.cancel(heap_far);
+        sim.cancel(farther);
         sim.run();
         assert_eq!(sim.now(), 10);
         let fired = Rc::new(RefCell::new(false));
@@ -860,6 +772,38 @@ mod tests {
         sim.run();
         assert!(*fired.borrow());
         assert_eq!(sim.now(), 11);
+    }
+
+    #[test]
+    fn the_top_level_holds_the_last_bits_of_time() {
+        // Times whose highest differing bit is 60..63 live in the 16-slot
+        // top level; cascading from it must not shift past bit 63.
+        let mut sim = Sim::new(1);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let times = [
+            u64::MAX,
+            1 << 63,
+            (1 << 60) - 1,
+            1 << 60,
+            u64::MAX - 1,
+            (1 << 63) + 5,
+            7,
+        ];
+        for &t in &times {
+            let o = order.clone();
+            sim.schedule_at(t, move |sim| o.borrow_mut().push(sim.now()));
+        }
+        let o = order.clone();
+        sim.schedule_at(1 << 62, move |sim| {
+            o.borrow_mut().push(sim.now());
+            let o = o.clone();
+            sim.schedule_in(3, move |sim| o.borrow_mut().push(sim.now()));
+        });
+        sim.run();
+        let mut want = times.to_vec();
+        want.extend([1 << 62, (1 << 62) + 3]);
+        want.sort_unstable();
+        assert_eq!(*order.borrow(), want);
     }
 
     #[test]

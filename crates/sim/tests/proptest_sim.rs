@@ -11,9 +11,10 @@ use proptest::prelude::*;
 /// `hydra_sim::reference::Sim` expose the same API but distinct types, so
 /// this is a macro rather than a generic fn. Each `(t, kind)` op either
 /// schedules a logging event, schedules an event that schedules a child,
-/// cancels an earlier id, or schedules far beyond the wheel horizon; the
-/// script runs in two phases separated by a `run_until` so cancels also hit
-/// already-fired ids and inserts land near an advanced clock.
+/// cancels an earlier id, schedules a million times further out, or
+/// schedules at the absolute time `t` (at the clock, if that has passed);
+/// the script runs in two phases separated by a `run_until` so cancels also
+/// hit already-fired ids and inserts land near an advanced clock.
 macro_rules! run_script {
     ($sim_ty:ty, $ops:expr) => {{
         let ops: &Vec<(u64, u8)> = $ops;
@@ -26,7 +27,7 @@ macro_rules! run_script {
                 sim.run_until(100_000);
             }
             let l = log.clone();
-            match kind % 4 {
+            match kind % 5 {
                 // Plain event.
                 0 => ids.push(sim.schedule_in(t, move |sim| l.borrow_mut().push((sim.now(), i)))),
                 // Event whose handler schedules a child.
@@ -46,16 +47,33 @@ macro_rules! run_script {
                     }
                     ids.push(sim.schedule_in(t, move |sim| l.borrow_mut().push((sim.now(), i))));
                 }
-                // Far future: t scaled past the 2^36 ns wheel horizon.
-                _ => ids.push(sim.schedule_in(t * 1_000_000, move |sim| {
-                    l.borrow_mut().push((sim.now(), i));
-                })),
+                // Far future: t scaled up a million times, at most 2^62.
+                3 => ids.push(
+                    sim.schedule_in(t.saturating_mul(1_000_000).min(1 << 62), move |sim| {
+                        l.borrow_mut().push((sim.now(), i))
+                    }),
+                ),
+                // Absolute: `t` itself, wherever it falls against the clock.
+                _ => {
+                    let at = t.max(sim.now());
+                    ids.push(sim.schedule_at(at, move |sim| l.borrow_mut().push((sim.now(), i))));
+                }
             }
         }
         sim.run();
         assert!(sim.is_idle());
         Rc::try_unwrap(log).unwrap().into_inner()
     }};
+}
+
+/// Times for the scheduler equivalence: short delays, times straddling a
+/// power of 2^6 (a level boundary), and anything up to 2^62.
+fn wheel_time() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        4 => 0u64..200_000,
+        2 => (1u32..=10, 0u64..16).prop_map(|(level, d)| (1u64 << (6 * level)) + d - 8),
+        1 => 0u64..1 << 62,
+    ]
 }
 
 proptest! {
@@ -146,10 +164,12 @@ proptest! {
 
     /// The slab + timer-wheel scheduler is observationally equivalent to the
     /// seed heap scheduler: any schedule/cancel interleaving — including
-    /// handler-nested scheduling, mid-run `run_until`, and far-future times
-    /// that overflow the wheel horizon — executes in the identical order.
+    /// handler-nested scheduling, mid-run `run_until`, times in every level
+    /// of the wheel up to 2^62 ns, and times a few ns either side of a power
+    /// of 2^6, where an event changes level — executes in the identical
+    /// order.
     #[test]
-    fn slab_wheel_matches_reference_heap(ops in proptest::collection::vec((0u64..200_000, any::<u8>()), 1..120)) {
+    fn slab_wheel_matches_reference_heap(ops in proptest::collection::vec((wheel_time(), any::<u8>()), 1..120)) {
         let wheel = run_script!(hydra_sim::Sim, &ops);
         let heap = run_script!(hydra_sim::reference::Sim, &ops);
         prop_assert_eq!(wheel, heap);

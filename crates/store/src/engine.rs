@@ -8,7 +8,9 @@
 //!   and hand back the remote pointer metadata clients cache for RDMA Reads
 //!   (the GET that re-caches a pointer is what renews its lease),
 //! * lease-deferred reclamation,
-//! * CLOCK eviction when configured as a cache.
+//! * CLOCK eviction when configured as a cache,
+//! * ordered range scans through a [`SkipList`] view of the keys, built at
+//!   the shard's first scan and kept current from then on (§11).
 //!
 //! The engine is deliberately transport-free: the server crate feeds it
 //! decoded requests; the replication crate feeds it log records; tests feed
@@ -21,7 +23,8 @@ use crate::arena::{size_class, Arena};
 use crate::index::{AnyIndex, IndexKind};
 use crate::item::{item_words, ItemRef};
 use crate::reclaim::ReclaimQueue;
-use crate::{hash_key, ArenaStats, SkipListStats, TableStats};
+use crate::skiplist::leaf_slot;
+use crate::{hash_key, ArenaStats, SkipList, SkipListStats, TableStats};
 
 /// Item count below which the CLOCK ring's compaction threshold does not
 /// fall: a nearly empty cache compacts its ring at most once per 64 writes,
@@ -45,8 +48,8 @@ pub struct EngineConfig {
     /// Arena capacity in 8-byte words.
     pub arena_words: usize,
     /// Expected item count. Sizes only the fixed-capacity ablation indexes
-    /// (`Chained`, `Compact`); the packed and hybrid indexes start at one
-    /// page and grow as items arrive.
+    /// (`Chained`, `Compact`); the packed index starts at one page and
+    /// grows as items arrive.
     pub expected_items: usize,
     /// Which index structure backs the shard (the `abl_hashtable` A/B axis).
     pub index: IndexKind,
@@ -180,6 +183,10 @@ pub struct EngineStats {
 pub struct ShardEngine {
     arena: Arena,
     table: AnyIndex,
+    /// The keys in order: built from `table` at the first ordered read
+    /// ([`scan_into`](Self::scan_into)), `None` until then, and kept
+    /// current by every mutation after it.
+    ordered: Option<SkipList>,
     reclaim: ReclaimQueue,
     cfg: EngineConfig,
     /// CLOCK ring of (key hash, offset) candidates, kept in cache mode only
@@ -195,7 +202,8 @@ impl ShardEngine {
     pub fn new(cfg: EngineConfig) -> Self {
         let arena = Arena::new(cfg.arena_words);
         ShardEngine {
-            table: AnyIndex::with_capacity(cfg.index, cfg.expected_items, &arena),
+            table: AnyIndex::with_capacity(cfg.index, cfg.expected_items),
+            ordered: None,
             arena,
             reclaim: ReclaimQueue::new(),
             clock: VecDeque::new(),
@@ -209,19 +217,15 @@ impl ShardEngine {
         self.table.is_resizing()
     }
 
-    /// Bytes held by the index's live structures.
+    /// Bytes held by the index's live structures and the ordered view's.
     pub fn index_mem_bytes(&self) -> usize {
-        self.table.mem_bytes()
+        self.table.mem_bytes() + self.ordered.as_ref().map_or(0, SkipList::mem_bytes)
     }
 
-    /// Shape counters of the index's ordered side: leaves, retired nodes,
-    /// comparisons. `None` on a hash-only shard, and on a hybrid one that
-    /// has served no ordered read yet (it has built no ordered side).
+    /// Shape counters of the ordered view: leaves, retired nodes,
+    /// comparisons. `None` until the shard's first ordered read builds it.
     pub fn ordered_stats(&self) -> Option<SkipListStats> {
-        match &self.table {
-            AnyIndex::Hybrid(t) => t.ordered_stats(),
-            _ => None,
-        }
+        self.ordered.as_ref().map(SkipList::stats)
     }
 
     /// The registered-memory word slice remote readers access.
@@ -313,17 +317,18 @@ impl ShardEngine {
             .lookup(hash, |off| ItemRef { off }.key_eq(words, key))
     }
 
-    /// Links a freshly written item into the index. The rehash callback lets
-    /// the packed index re-derive migrated entries' home groups during
-    /// incremental resize; it only ever sees offsets of live items (every
-    /// engine path removes the index entry before a block can be reclaimed).
-    /// Key bytes ride along so ordered indexes (the hybrid skiplist, once
-    /// built) can maintain their view; hash-only indexes ignore them.
+    /// Links a freshly written item into the index, and into the ordered
+    /// view once one exists. The rehash callback lets the packed index
+    /// re-derive migrated entries' home groups during incremental resize; it
+    /// only ever sees offsets of live items (every engine path removes the
+    /// index entry before a block can be reclaimed).
     fn index_insert(&mut self, hash: u64, key: &[u8], off: u64) {
         let words = self.arena.words();
-        self.table.insert(hash, key, off, |o| {
-            ItemRef { off: o }.stored_key_hash(words)
-        });
+        self.table
+            .insert(hash, off, |o| ItemRef { off: o }.stored_key_hash(words));
+        if let Some(list) = &mut self.ordered {
+            list.upsert(words, key, off);
+        }
     }
 
     fn alloc_item(&mut self, now: u64, klen: usize, vlen: usize) -> Result<u64, EngineError> {
@@ -362,22 +367,23 @@ impl ShardEngine {
                     self.clock.push_back((h, off));
                     continue;
                 }
-                // Evict: unlink, kill, defer the block to lease expiry. The
-                // key is read back from the item so ordered indexes can drop
-                // their entry too (cold path; the copy is fine).
+                // Evict: unlink, kill, defer the block to lease expiry. An
+                // ordered view finds its entry by key, read back from the
+                // item (cold path; the copy is fine).
                 let lease = item.lease(words);
                 let total = item.total_words(words);
-                let victim_key = item.key(words);
                 let removed = self
                     .table
                     .remove(
                         h,
-                        &victim_key,
                         |o| o == off,
                         |o| ItemRef { off: o }.stored_key_hash(words),
                     )
                     .expect("entry verified current");
                 debug_assert_eq!(removed, off);
+                if let Some(list) = &mut self.ordered {
+                    list.remove(words, &item.key(words));
+                }
                 item.kill(words);
                 self.reclaim.push(off, total, lease.max(now));
                 self.stats.evictions += 1;
@@ -425,16 +431,9 @@ impl ShardEngine {
             };
         }
         let off = self.alloc_item(now, key.len(), value.len())?;
-        let item = ItemRef::write_new(self.arena.words(), off, key, value);
-        self.index_insert(hash, key, off);
-        self.clock_push(hash, off);
+        let info = self.link_new(hash, key, value, off);
         self.stats.inserts += 1;
-        Ok(ItemInfo {
-            off_words: off,
-            read_len: item.read_len(self.arena.words()),
-            lease_expiry: 0,
-            version: 0,
-        })
+        Ok(info)
     }
 
     /// UPDATE of an existing key (out-of-place). Absent keys:
@@ -452,16 +451,9 @@ impl ShardEngine {
                 WriteMode::Reliable => Err(EngineError::NotFound),
                 WriteMode::Cache => {
                     let off = self.alloc_item(now, key.len(), value.len())?;
-                    let item = ItemRef::write_new(self.arena.words(), off, key, value);
-                    self.index_insert(hash, key, off);
-                    self.clock_push(hash, off);
+                    let info = self.link_new(hash, key, value, off);
                     self.stats.updates += 1;
-                    Ok(ItemInfo {
-                        off_words: off,
-                        read_len: item.read_len(self.arena.words()),
-                        lease_expiry: 0,
-                        version: 0,
-                    })
+                    Ok(info)
                 }
             },
         }
@@ -476,16 +468,21 @@ impl ShardEngine {
             Some(old) => self.replace_item(now, hash, key, value, old),
             None => {
                 let off = self.alloc_item(now, key.len(), value.len())?;
-                let item = ItemRef::write_new(self.arena.words(), off, key, value);
-                self.index_insert(hash, key, off);
-                self.clock_push(hash, off);
-                Ok(ItemInfo {
-                    off_words: off,
-                    read_len: item.read_len(self.arena.words()),
-                    lease_expiry: 0,
-                    version: 0,
-                })
+                Ok(self.link_new(hash, key, value, off))
             }
+        }
+    }
+
+    /// Writes a key's first item into the block at `off` and links it.
+    fn link_new(&mut self, hash: u64, key: &[u8], value: &[u8], off: u64) -> ItemInfo {
+        let item = ItemRef::write_new(self.arena.words(), off, key, value);
+        self.index_insert(hash, key, off);
+        self.clock_push(hash, off);
+        ItemInfo {
+            off_words: off,
+            read_len: item.read_len(self.arena.words()),
+            lease_expiry: 0,
+            version: 0,
         }
     }
 
@@ -501,6 +498,12 @@ impl ShardEngine {
     ) -> Result<ItemInfo, EngineError> {
         let new_off = self.alloc_item(now, key.len(), value.len())?;
         let old_item = ItemRef { off: old_off };
+        if !old_item.is_valid(self.arena.words()) {
+            // The CLOCK sweep that made room evicted the very item this
+            // write replaces (its block may even be `new_off`): the key is
+            // gone, so the write lands as its first item.
+            return Ok(self.link_new(hash, key, value, new_off));
+        }
         // Bump the 7-bit item version: a client (or replica exporter) holding
         // the old version observes the mismatch even before it sees the dead
         // guardian.
@@ -516,12 +519,14 @@ impl ShardEngine {
         old_item.kill(words);
         let replaced = self.table.replace(
             hash,
-            key,
             new_off,
             |off| off == old_off,
             |o| ItemRef { off: o }.stored_key_hash(words),
         );
         debug_assert_eq!(replaced, Some(old_off));
+        if let Some(list) = &mut self.ordered {
+            list.set(words, key, new_off);
+        }
         self.clock_push(hash, new_off);
         self.reclaim.push(old_off, old_words, old_lease.max(now));
         Ok(ItemInfo {
@@ -618,7 +623,7 @@ impl ShardEngine {
     }
 
     /// Batched server-side GET over a run of keys. Index probes are
-    /// interleaved via [`CompactTable::lookup_batch`] — every key's bucket
+    /// interleaved via [`AnyIndex::lookup_batch`] — every key's bucket
     /// cache line is touched before any arena dereference, the
     /// software-prefetch shape — then per-key side effects (popularity bump,
     /// CLOCK reference, lease extension) and value extraction run strictly
@@ -698,10 +703,12 @@ impl ShardEngine {
         let lease = item.lease(words);
         self.table.remove(
             hash,
-            key,
             |o| o == off,
             |o| ItemRef { off: o }.stored_key_hash(words),
         );
+        if let Some(list) = &mut self.ordered {
+            list.remove(words, key);
+        }
         item.kill(words);
         self.reclaim.push(off, total, lease.max(now));
         self.stats.deletes += 1;
@@ -718,18 +725,20 @@ impl ShardEngine {
             .reclaim
             .reclaim(now, |off, words| arena.free(off, words));
         self.stats.reclaimed_blocks += n as u64;
-        // Skiplist leaves that deletes unlinked ride the same epoch.
-        self.table.reclaim_retired();
+        // Ordered-view leaves that deletes unlinked ride the same epoch.
+        if let Some(list) = &mut self.ordered {
+            list.reclaim_retired();
+        }
         n
     }
 
     /// Earliest pending reclamation deadline (when the next pump is due).
     ///
-    /// Retired skiplist leaves count as immediately-due work: a read-only
-    /// workload would otherwise pin them forever (no put/delete ever runs
-    /// the pump again).
+    /// Retired ordered-view leaves count as immediately-due work: a
+    /// read-only workload would otherwise pin them forever (no put/delete
+    /// ever runs the pump again).
     pub fn next_reclaim_at(&self) -> Option<u64> {
-        if self.table.retired_bytes() > 0 {
+        if self.ordered.as_ref().is_some_and(|l| l.retired_bytes() > 0) {
             return Some(0);
         }
         self.reclaim.next_expiry()
@@ -745,23 +754,16 @@ impl ShardEngine {
         });
     }
 
-    /// Whether the shard's index serves ordered scans natively (hybrid
-    /// index) or must emulate them with a full sort.
-    pub fn scan_is_native(&self) -> bool {
-        self.table.is_ordered()
-    }
-
     /// Ordered range scan from the first key `>= start`. `emit` receives
     /// each `(key, value)` in key order (the value staged in `scratch`) and
     /// returns `false` to stop — the server uses this to cap a scan quantum.
     /// Returns `true` when the keyspace was exhausted, `false` when `emit`
     /// stopped the walk (i.e. more items remain past the last emitted key).
     ///
-    /// On a hybrid shard this walks the skiplist's packed leaves and
-    /// allocates nothing after warmup. On hash-only shards it falls back to
-    /// dumping and sorting the whole partition per call — the ablation
-    /// baseline the `perf_scan` bench quantifies; correct, but O(n log n)
-    /// per scan.
+    /// The walk runs over the ordered view's packed leaves and allocates
+    /// nothing after warmup. The shard's first scan builds the view: the
+    /// index's offsets, sorted by their items' keys in the arena, loaded in
+    /// key order ([`SkipList::build`]).
     pub fn scan_into(
         &mut self,
         start: &[u8],
@@ -769,33 +771,19 @@ impl ShardEngine {
         mut emit: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> bool {
         self.stats.scans += 1;
-        if self.table.is_ordered() {
-            let words = self.arena.words();
-            let stats = &mut self.stats;
-            return self.table.scan_from(start, |key, off| {
-                stats.scan_items += 1;
-                scratch.clear();
-                ItemRef { off }.value_into(words, scratch);
-                emit(key, scratch)
-            });
-        }
-        // Emulated ordered scan: full dump + sort.
         let words = self.arena.words();
-        let mut items: Vec<(Vec<u8>, u64)> = Vec::with_capacity(self.table.len());
-        self.table.for_each(|off| {
-            items.push((ItemRef { off }.key(words), off));
+        let list = self.ordered.get_or_insert_with(|| {
+            let mut offs = Vec::with_capacity(self.table.len());
+            self.table.for_each(|off| offs.push(leaf_slot(off)));
+            SkipList::build(words, offs)
         });
-        items.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let begin = items.partition_point(|(k, _)| k.as_slice() < start);
-        for (k, off) in &items[begin..] {
-            self.stats.scan_items += 1;
+        let stats = &mut self.stats;
+        list.scan_from(words, start, |key, off| {
+            stats.scan_items += 1;
             scratch.clear();
-            ItemRef { off: *off }.value_into(words, scratch);
-            if !emit(k, scratch) {
-                return false;
-            }
-        }
-        true
+            ItemRef { off }.value_into(words, scratch);
+            emit(key, scratch)
+        })
     }
 }
 
@@ -814,6 +802,7 @@ impl SaturatingShl for u64 {
 mod tests {
     use super::*;
     use crate::item::{FetchedItem, ItemError};
+    use crate::skiplist::LEAF_CAP;
 
     fn cfg_small(mode: WriteMode) -> EngineConfig {
         EngineConfig {
@@ -1137,7 +1126,13 @@ mod tests {
     #[test]
     fn arena_books_balance_through_churn_evictions_and_compaction() {
         for mode in [WriteMode::Reliable, WriteMode::Cache] {
-            for kind in [IndexKind::Packed, IndexKind::Hybrid, IndexKind::Chained] {
+            // The middle arm keeps an ordered view from the first step on:
+            // deletes and evictions unlink its leaves as well.
+            for (kind, view) in [
+                (IndexKind::Packed, false),
+                (IndexKind::Packed, true),
+                (IndexKind::Chained, false),
+            ] {
                 let mut e = ShardEngine::new(EngineConfig {
                     arena_words: 512,
                     expected_items: 64,
@@ -1146,6 +1141,9 @@ mod tests {
                     min_lease_ns: 100,
                     max_lease_ns: 6_400,
                 });
+                if view {
+                    e.scan_into(b"", &mut Vec::new(), |_, _| false);
+                }
                 for i in 0..3_000u64 {
                     // Sizes from one to three size classes above the small
                     // ones, so class padding is in the books too.
@@ -1168,6 +1166,8 @@ mod tests {
                 e.pump_reclaim(u64::MAX);
                 assert_eq!(e.arena_books().retired, 0);
                 assert!(e.arena_books().balanced());
+                assert_eq!(e.ordered_stats().is_some(), view);
+                assert_eq!(scan_all(&mut e, b""), sorted_dump(&e, b""));
                 if mode == WriteMode::Cache {
                     assert!(e.stats().evictions > 0, "{kind:?}: no eviction");
                 } else {
@@ -1362,30 +1362,61 @@ mod tests {
         assert_eq!(got.info.off_words, info.off_words);
     }
 
+    /// Every live item, sorted by key, from `start` on: the reference an
+    /// ordered scan must equal.
+    fn sorted_dump(e: &ShardEngine, start: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut items = Vec::new();
+        e.for_each_item(|k, v| items.push((k, v)));
+        items.sort();
+        items.retain(|(k, _)| k.as_slice() >= start);
+        items
+    }
+
+    fn scan_all(e: &mut ShardEngine, start: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out = Vec::new();
+        let mut scratch = Vec::new();
+        let exhausted = e.scan_into(start, &mut scratch, |k, v| {
+            out.push((k.to_vec(), v.to_vec()));
+            true
+        });
+        assert!(exhausted);
+        out
+    }
+
+    fn engine_of(kind: IndexKind, mode: WriteMode, arena_words: usize) -> ShardEngine {
+        ShardEngine::new(EngineConfig {
+            arena_words,
+            expected_items: 16, // tiny: forces chains and packed resizes
+            index: kind,
+            write_mode: mode,
+            min_lease_ns: 1_000,
+            max_lease_ns: 64_000,
+        })
+    }
+
+    const KINDS: [IndexKind; 3] = [IndexKind::Chained, IndexKind::Compact, IndexKind::Packed];
+
     #[test]
     fn engines_agree_across_index_kinds() {
         // Cheap cross-kind smoke (the full randomized equivalence lives in
         // tests/tests/index_equivalence.rs): drive the same script through
-        // all four index structures and compare observable results.
-        let mk = |kind| {
-            ShardEngine::new(EngineConfig {
-                arena_words: 1 << 14,
-                expected_items: 32,
-                index: kind,
-                write_mode: WriteMode::Reliable,
-                min_lease_ns: 1_000,
-                max_lease_ns: 64_000,
+        // the three index structures, each once without an ordered view and
+        // once with one built before the script (so every mutation keeps
+        // it), and compare observable results.
+        let mut engines: Vec<(ShardEngine, bool)> = KINDS
+            .iter()
+            .flat_map(|&k| {
+                [false, true].map(|view| (engine_of(k, WriteMode::Reliable, 1 << 14), view))
             })
-        };
-        let mut engines = [
-            mk(IndexKind::Chained),
-            mk(IndexKind::Compact),
-            mk(IndexKind::Packed),
-            mk(IndexKind::Hybrid),
-        ];
+            .collect();
+        for (e, view) in &mut engines {
+            if *view {
+                assert!(scan_all(e, b"").is_empty());
+            }
+        }
         for i in 0..600u64 {
             let k = format!("ek{}", i % 200);
-            for e in &mut engines {
+            for (e, _) in &mut engines {
                 match i % 4 {
                     0 => {
                         let _ = e.insert(i, k.as_bytes(), &[i as u8; 12]);
@@ -1401,76 +1432,199 @@ mod tests {
             }
             let gets: Vec<Option<Vec<u8>>> = engines
                 .iter_mut()
-                .map(|e| e.get(i, k.as_bytes()).map(|g| g.value))
+                .map(|(e, _)| e.get(i, k.as_bytes()).map(|g| g.value))
                 .collect();
-            assert_eq!(gets[0], gets[1], "step {i}");
-            assert_eq!(gets[1], gets[2], "step {i}");
-            assert_eq!(gets[2], gets[3], "step {i}");
+            assert!(gets.iter().all(|g| *g == gets[0]), "step {i}: {gets:?}");
         }
-        assert_eq!(engines[0].len(), engines[2].len());
-        assert_eq!(engines[2].len(), engines[3].len());
-    }
-
-    fn scan_all(e: &mut ShardEngine, start: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        let exhausted = e.scan_into(start, &mut scratch, |k, v| {
-            out.push((k.to_vec(), v.to_vec()));
-            true
-        });
-        assert!(exhausted);
-        out
+        let want = sorted_dump(&engines[0].0, b"");
+        for (e, view) in &mut engines {
+            assert_eq!(e.len(), want.len());
+            assert_eq!(e.ordered_stats().is_some(), *view);
+            assert_eq!(scan_all(e, b""), want);
+        }
     }
 
     #[test]
     fn hybrid_scan_matches_emulated_scan_and_mutations() {
-        let mk = |kind| {
-            ShardEngine::new(EngineConfig {
-                arena_words: 1 << 14,
-                expected_items: 16, // tiny: forces hash-side resizes mid-run
-                index: kind,
-                write_mode: WriteMode::Reliable,
-                min_lease_ns: 1_000,
-                max_lease_ns: 64_000,
-            })
-        };
-        let mut hybrid = mk(IndexKind::Hybrid);
-        let mut packed = mk(IndexKind::Packed);
-        for i in 0..400u64 {
-            let k = format!("sk{:04}", (i * 37) % 256);
-            match i % 5 {
-                0..=2 => {
-                    let _ = hybrid.put(i, k.as_bytes(), &[i as u8; 10]);
-                    let _ = packed.put(i, k.as_bytes(), &[i as u8; 10]);
+        // Scans on every kind equal the sorted dump of the shard's items, at
+        // the build and after mutations the view has kept up with.
+        for kind in KINDS {
+            let mut e = engine_of(kind, WriteMode::Reliable, 1 << 14);
+            let churn = |e: &mut ShardEngine, from: u64| {
+                for i in from..from + 400 {
+                    let k = format!("sk{:04}", (i * 37) % 256);
+                    match i % 5 {
+                        0..=2 => {
+                            let _ = e.put(i, k.as_bytes(), &[i as u8; 10]);
+                        }
+                        3 => {
+                            let _ = e.delete(i, k.as_bytes());
+                        }
+                        _ => {
+                            e.pump_reclaim(i);
+                        }
+                    }
                 }
-                3 => {
-                    let _ = hybrid.delete(i, k.as_bytes());
-                    let _ = packed.delete(i, k.as_bytes());
+            };
+            churn(&mut e, 0);
+            assert_eq!(e.ordered_stats(), None, "{kind:?}");
+            for round in 0..2 {
+                // Full-keyspace and mid-keyspace scans agree exactly.
+                for start in [b"".as_slice(), b"sk0100", b"sk0255x", b"zzz"] {
+                    assert_eq!(scan_all(&mut e, start), sorted_dump(&e, start), "{kind:?}");
                 }
-                _ => {
-                    hybrid.pump_reclaim(i);
-                    packed.pump_reclaim(i);
+                // Early stop reports "more remain".
+                let mut n = 0;
+                assert!(!e.scan_into(b"", &mut Vec::new(), |_, _| {
+                    n += 1;
+                    n < 3
+                }));
+                if round == 0 {
+                    churn(&mut e, 400);
                 }
             }
+            assert!(e.stats().scans >= 10 && e.stats().scan_items > 0);
         }
-        assert!(hybrid.scan_is_native());
-        assert!(!packed.scan_is_native());
-        // Full-keyspace and mid-keyspace scans agree exactly.
-        for start in [b"".as_slice(), b"sk0100", b"sk0255x", b"zzz"] {
-            assert_eq!(scan_all(&mut hybrid, start), scan_all(&mut packed, start));
+    }
+
+    #[test]
+    fn the_ordered_view_tracks_the_index_from_its_build_on() {
+        let mut t = engine_of(IndexKind::Packed, WriteMode::Reliable, 1 << 14);
+        let mut plain = engine_of(IndexKind::Packed, WriteMode::Reliable, 1 << 14);
+        // Inserted in scrambled order so key order is the build's doing.
+        let keys: Vec<Vec<u8>> = (0..300)
+            .map(|i| format!("hy-{:04}", i * 7 % 300).into_bytes())
+            .collect();
+        for e in [&mut t, &mut plain] {
+            for k in &keys {
+                e.insert(0, k, b"v0").unwrap();
+            }
+            // Mutations before the build touch the index alone; the build
+            // sees their outcome.
+            e.update(1, &keys[3], b"v1").unwrap();
+            e.delete(1, &keys[5]).unwrap();
         }
-        // Early-stop reports "more remain" on both paths.
-        let mut scratch = Vec::new();
-        let mut n = 0;
-        assert!(!hybrid.scan_into(b"", &mut scratch, |_, _| {
-            n += 1;
-            n < 3
-        }));
-        let mut m = 0;
-        assert!(!packed.scan_into(b"", &mut scratch, |_, _| {
-            m += 1;
-            m < 3
-        }));
-        assert!(hybrid.stats().scans >= 5 && hybrid.stats().scan_items > 0);
+        // No ordered read yet: no view, and the index is all the memory
+        // there is.
+        assert_eq!(t.ordered_stats(), None);
+        assert_eq!(t.index_mem_bytes(), plain.index_mem_bytes());
+        assert_eq!(t.next_reclaim_at(), plain.next_reclaim_at());
+        // The first ordered read built it: every live key, in full leaves.
+        let all = scan_all(&mut t, b"");
+        assert_eq!(all, sorted_dump(&t, b""));
+        let built = t.ordered_stats().expect("built by the ordered read");
+        assert_eq!(built.len, 299);
+        assert_eq!(built.leaves, 299u64.div_ceil(LEAF_CAP as u64));
+        assert!(t.index_mem_bytes() > plain.index_mem_bytes());
+        // The view points where the index points.
+        let view = |t: &mut ShardEngine, k: &[u8]| {
+            let words = t.arena.words();
+            t.ordered.as_mut().expect("built").get(words, k)
+        };
+        for k in keys.iter().filter(|k| **k != keys[5]) {
+            let off = t.peek(k).expect("live").off_words;
+            assert_eq!(view(&mut t, k), Some(off));
+        }
+        assert_eq!(view(&mut t, &keys[5]), None);
+        // An update moves both; a delete drops both.
+        let moved = t.update(2, &keys[7], b"v2").unwrap().off_words;
+        assert_eq!(view(&mut t, &keys[7]), Some(moved));
+        t.delete(3, &keys[7]).unwrap();
+        assert_eq!(t.len(), 298);
+        assert_eq!(t.ordered_stats().expect("built").len, 298);
+        assert_eq!(view(&mut t, &keys[7]), None);
+        // Only a leaf a delete empties is parked.
+        assert_eq!(t.ordered_stats().expect("built").retired_nodes, 0);
+        // Inserts after the build reach the view.
+        let off = t.insert(4, b"hy-0150a", b"v3").unwrap().off_words;
+        assert_eq!(view(&mut t, b"hy-0150a"), Some(off));
+        assert_eq!(t.ordered_stats().expect("built").len, 299);
+        // Deleting the smallest keys, two leaves' worth, empties the leaf
+        // behind the head: it is parked, due at once, and one pump frees it.
+        let smallest: Vec<Vec<u8>> = all
+            .iter()
+            .take(2 * LEAF_CAP)
+            .map(|(k, _)| k.clone())
+            .collect();
+        t.pump_reclaim(u64::MAX);
+        for k in &smallest {
+            t.delete(5, k).unwrap();
+        }
+        assert!(t.ordered_stats().expect("built").retired_nodes > 0);
+        assert_eq!(t.next_reclaim_at(), Some(0));
+        t.pump_reclaim(u64::MAX);
+        assert_eq!(t.ordered_stats().expect("built").retired_nodes, 0);
+        assert_eq!(t.next_reclaim_at(), None);
+        assert_eq!(scan_all(&mut t, b""), sorted_dump(&t, b""));
+    }
+
+    #[test]
+    fn every_index_kind_scans_through_its_ordered_view() {
+        for kind in KINDS {
+            let mut e = engine_of(kind, WriteMode::Reliable, 1 << 10);
+            e.insert(0, b"via-b", b"2").unwrap();
+            e.insert(0, b"via-a", b"1").unwrap();
+            assert!(e.get(1, b"via-a").is_some());
+            // Writes and point reads build no view.
+            assert!(e.ordered.is_none(), "{kind:?}");
+            assert_eq!(
+                scan_all(&mut e, b""),
+                [
+                    (b"via-a".to_vec(), b"1".to_vec()),
+                    (b"via-b".to_vec(), b"2".to_vec())
+                ]
+            );
+            assert_eq!(e.ordered_stats().expect("built").len, 2, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_write_whose_old_item_the_sweep_evicts_lands_as_its_first_item() {
+        // The key written first sits at the CLOCK ring's front, unreferenced:
+        // once the arena is full, the allocation for its next write evicts
+        // it. Before that case was handled the write "replaced" an entry no
+        // longer in the index: the key vanished and the block was queued for
+        // reclamation twice.
+        let mut e = engine_of(IndexKind::Packed, WriteMode::Cache, 64);
+        e.put(0, b"A", &[1; 16]).unwrap();
+        let mut i = 0;
+        while e.arena_stats().headroom_words >= item_words(1, 16) as u64 {
+            e.put(0, format!("k{i}").as_bytes(), &[2; 16]).unwrap();
+            i += 1;
+        }
+        assert_eq!(e.stats().evictions, 0);
+        let info = e.put(1, b"A", &[3; 16]).unwrap();
+        assert_eq!(e.stats().evictions, 1);
+        assert_eq!(info.version, 0, "a first item");
+        assert_eq!(e.get(2, b"A").unwrap().value, [3; 16]);
+        e.pump_reclaim(u64::MAX);
+        assert!(e.arena_books().balanced(), "{:?}", e.arena_books());
+    }
+
+    #[test]
+    fn a_cache_evicts_from_its_ordered_view() {
+        // Every kind, in cache mode, on an arena that fills: after the view
+        // exists the CLOCK sweep unlinks its victims from the view too, and
+        // every scan equals the items the index still holds.
+        for kind in KINDS {
+            let mut e = engine_of(kind, WriteMode::Cache, 1 << 10);
+            for i in 0..400u64 {
+                if i == 40 {
+                    assert_eq!(e.stats().evictions, 0, "{kind:?}: evicted before the view");
+                    scan_all(&mut e, b"");
+                }
+                let k = format!("ev{:04}", i * 7919 % 400);
+                e.put(i, k.as_bytes(), &[i as u8; 24]).unwrap();
+                if i % 3 == 0 {
+                    e.get(i, format!("ev{:04}", i * 31 % 400).as_bytes());
+                }
+                if i % 16 == 0 {
+                    assert_eq!(scan_all(&mut e, b"ev0200"), sorted_dump(&e, b"ev0200"));
+                }
+            }
+            assert!(e.stats().evictions > 100, "{kind:?}: {:?}", e.stats());
+            assert_eq!(e.ordered_stats().expect("built").len, e.len() as u64);
+            assert_eq!(scan_all(&mut e, b""), sorted_dump(&e, b""));
+        }
     }
 }

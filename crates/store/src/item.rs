@@ -204,8 +204,8 @@ impl ItemRef {
     /// Lexicographic order of the stored key against `other`'s, copying
     /// neither: keys are zero-padded to whole words, so comparing the
     /// shorter key's words as big-endian integers, then the lengths, orders
-    /// them as byte strings. The hybrid index sorts its offsets by this
-    /// when it builds its ordered side.
+    /// them as byte strings. A shard sorts its offsets by this when it builds
+    /// its ordered view.
     pub fn key_cmp_item(&self, words: &[AtomicU64], other: ItemRef) -> std::cmp::Ordering {
         let (len, other_len) = (self.klen(words), other.klen(words));
         let (base, other_base) = (self.off as usize + 1, other.off as usize + 1);

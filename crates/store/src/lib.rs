@@ -1,11 +1,12 @@
 //! HydraDB's server-side memory engine.
 //!
 //! A *shard* (§4.1.1) exclusively owns one partition: a registered-memory
-//! [`Arena`] holding the key-value items, a cache-friendly compact
-//! [`CompactTable`] (§4.1.3) indexing them, and a [`ReclaimQueue`] deferring
-//! memory reuse until leases expire (§4.2.3). The [`ShardEngine`] ties these
-//! together into the operation set the server and the replication applier
-//! drive.
+//! [`Arena`] holding the key-value items, a cache-friendly hash index
+//! ([`AnyIndex`]: the packed [`PackedTable`] by default, §4.1.3) mapping key
+//! hashes to them, an ordered [`SkipList`] view of the keys built at the
+//! shard's first range scan, and a [`ReclaimQueue`] deferring memory reuse
+//! until leases expire (§4.2.3). The [`ShardEngine`] ties these together
+//! into the operation set the server and the replication applier drive.
 //!
 //! Concurrency contract, mirroring the paper:
 //!
@@ -43,7 +44,7 @@ pub use item::{
 };
 pub use packed::{PackedTable, GROUP_SLOTS};
 pub use reclaim::ReclaimQueue;
-pub use skiplist::{HybridTable, SkipList, SkipListStats, SKIP_MAX_HEIGHT};
+pub use skiplist::{SkipList, SkipListStats, SKIP_MAX_HEIGHT};
 pub use table::{CompactTable, TableStats, LOOKUP_BATCH};
 
 /// FNV-1a offset basis (shared with [`item::ItemRef::stored_key_hash`],

@@ -1,10 +1,10 @@
-//! Packed-leaf skiplist and the hybrid ordered/hash index (§11).
+//! Packed-leaf skiplist: the shard's ordered view (§11).
 //!
-//! HydraDB's packed hash table answers point ops in one SWAR probe but cannot
+//! HydraDB's hash index answers point ops in one SWAR probe but cannot
 //! enumerate keys in order, so range scans would need a full-keyspace sort.
 //! [`SkipList`] adds the ordered dimension. Its level 0 is a chain of
-//! *packed leaves*: a node is one 64-byte tower ([`Tower`]) plus one 64-byte
-//! leaf ([`Leaf`]) holding up to [`LEAF_CAP`] arena offsets in key order, so
+//! *packed leaves*: a node is one 64-byte tower (`Tower`) plus one 64-byte
+//! leaf (`Leaf`) holding up to [`LEAF_CAP`] arena offsets in key order, so
 //! a range walk pays one dependent load per leaf instead of several per
 //! item, and the item lines of a leaf — whose addresses all sit in that one
 //! line — are fetched together. A leaf covers the keys from its *separator*
@@ -13,31 +13,24 @@
 //! arena item already stores its key behind the header, and leaves are
 //! searched and presented through it. The towers above level 0 route by
 //! separator exactly as a skiplist routes by key. A full leaf splits, an
-//! emptied one is unlinked and parked on a retired list drained by the same
-//! epoch pump that recycles `PackedTable` tables — the single writer
-//! unlinks, readers of a stale snapshot finish their walk, reclaim frees.
+//! emptied one is unlinked and parked on a retired list drained by the
+//! engine's reclamation pump — the single writer unlinks, readers of a stale
+//! snapshot finish their walk, reclaim frees.
 //!
-//! [`HybridTable`] pairs the skiplist with a [`PackedTable`]: point lookups
-//! keep hitting the SWAR hash path untouched. The skiplist is built on
-//! demand: until the first ordered read ([`HybridTable::scan_from`],
-//! [`HybridTable::ordered_get`]) there is none, and mutations touch the hash
-//! side alone; that read sorts the hash side's offsets by their arena keys
-//! and loads them in key order, and from then on every mutation
-//! ([`HybridTable::insert`] and friends) carries the key and maintains the
-//! ordered view alongside. Ordered iteration walks the leaves, presenting
-//! each key through a reused scratch buffer so steady-state scans allocate
-//! nothing.
+//! The list is a view beside the shard's hash index, not an index kind: a
+//! `ShardEngine` builds one at its first ordered read with
+//! [`SkipList::build`] (its items sorted in place by their arena keys, then
+//! loaded in key order) and from then on its own mutation sites keep it
+//! current. Ordered iteration walks the leaves, presenting each key through
+//! a reused scratch buffer so steady-state scans allocate nothing.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::arena::{size_class, Arena};
 use crate::hash_key;
 use crate::item::{cmp_packed, ItemRef};
-use crate::packed::PackedTable;
-use crate::table::TableStats;
 
 /// Maximum tower height. With p = 1/4 this comfortably indexes 4^12 ≈ 16M
 /// leaves per shard — far above any per-shard sizing in the repo.
@@ -147,11 +140,11 @@ impl Leaf {
 }
 
 /// An arena word offset as a leaf stores it.
-fn leaf_slot(off: u64) -> u32 {
+pub(crate) fn leaf_slot(off: u64) -> u32 {
     u32::try_from(off).expect("ordered index addresses 2^32 arena words")
 }
 
-/// Statistics for the ordered side of the hybrid index.
+/// Statistics of a shard's ordered view.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SkipListStats {
     /// Live entries.
@@ -208,6 +201,24 @@ impl SkipList {
             cmps: 0,
             key_buf: Vec::new(),
         }
+    }
+
+    /// A list of the items at `offs`, one entry each: sorted in place by
+    /// their keys, compared word by word in the arena, then upserted in key
+    /// order — each one an append, which leaves every leaf but the last
+    /// full.
+    pub fn build(words: &[AtomicU64], mut offs: Vec<u32>) -> SkipList {
+        offs.sort_unstable_by(|&a, &b| {
+            ItemRef { off: a as u64 }.key_cmp_item(words, ItemRef { off: b as u64 })
+        });
+        let mut list = SkipList::new();
+        list.nodes.reserve(offs.len() / LEAF_CAP);
+        let mut key = Vec::new();
+        for off in offs {
+            ItemRef { off: off as u64 }.key_into(words, &mut key);
+            list.upsert(words, &key, off as u64);
+        }
+        list
     }
 
     /// Live entries.
@@ -350,8 +361,8 @@ impl SkipList {
         found
     }
 
-    /// Point lookup (used by tests and the ordered-only paths; the hybrid
-    /// index answers point ops through the hash side).
+    /// Point lookup (used by tests; the engine answers point ops through
+    /// its hash index).
     pub fn get(&mut self, words: &[AtomicU64], key: &[u8]) -> Option<u64> {
         let node = self.descend(key, NIL, &mut [0; SKIP_MAX_HEIGHT]);
         let pos = self.search(words, node, key).ok()?;
@@ -578,183 +589,10 @@ fn unpack_key_off(key_off: u32) -> (usize, u32) {
     ((key_off >> SLAB_OFF_BITS) as usize, key_off & SLAB_OFF_MASK)
 }
 
-/// The hybrid index: a [`PackedTable`] for point ops and a [`SkipList`] for
-/// ordered ones. Point-op behavior (probing, SWAR, incremental resize, epoch
-/// reclaim of old tables) is byte-for-byte the packed path.
-///
-/// Two states. Until something asks for order the index is its hash side
-/// alone: no skiplist exists and mutations cost what a packed index's do.
-/// The first ordered read builds the skiplist from the hash side; after it,
-/// every mutation carries the key and keeps the two sides coherent, paying
-/// the skiplist maintenance walk.
-pub struct HybridTable {
-    hash: PackedTable,
-    /// Built by the first ordered read; `None` until then.
-    ordered: Option<SkipList>,
-    /// The arena the indexed offsets point into: the ordered side reads its
-    /// keys there.
-    mem: Arc<[AtomicU64]>,
-}
-
-impl HybridTable {
-    /// Creates an empty hybrid index over the items of `arena`: the hash
-    /// side starts at one page and both sides grow as items arrive.
-    pub fn new(arena: &Arena) -> HybridTable {
-        HybridTable {
-            hash: PackedTable::default(),
-            ordered: None,
-            mem: arena.memory(),
-        }
-    }
-
-    /// The ordered side, built first if no ordered read has yet: the hash
-    /// side's offsets sorted by the keys of their items, compared in place
-    /// in the arena, then upserted in key order — each one an append, which
-    /// leaves every leaf but the last full.
-    fn ordered(&mut self) -> (&mut SkipList, &[AtomicU64]) {
-        let HybridTable { hash, ordered, mem } = self;
-        let list = ordered.get_or_insert_with(|| {
-            let mut offs = Vec::with_capacity(hash.len());
-            hash.for_each(|off| offs.push(leaf_slot(off)));
-            offs.sort_unstable_by(|&a, &b| {
-                ItemRef { off: a as u64 }.key_cmp_item(mem, ItemRef { off: b as u64 })
-            });
-            let mut list = SkipList::new();
-            list.nodes.reserve(offs.len() / LEAF_CAP);
-            let mut key = Vec::new();
-            for off in offs {
-                ItemRef { off: off as u64 }.key_into(mem, &mut key);
-                list.upsert(mem, &key, off as u64);
-            }
-            list
-        });
-        (list, mem)
-    }
-
-    /// Ordered-side point lookup, for direct inspection in tests; an
-    /// ordered read, so it builds the ordered side.
-    pub fn ordered_get(&mut self, key: &[u8]) -> Option<u64> {
-        let (list, mem) = self.ordered();
-        list.get(mem, key)
-    }
-
-    /// Ordered-side statistics; `None` until an ordered read has built it.
-    pub fn ordered_stats(&self) -> Option<SkipListStats> {
-        self.ordered.as_ref().map(SkipList::stats)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.hash.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Hash-side statistics snapshot.
-    pub fn stats(&self) -> TableStats {
-        self.hash.stats()
-    }
-
-    /// Bytes held by both sides' live structures.
-    pub fn mem_bytes(&self) -> usize {
-        self.hash.mem_bytes() + self.ordered.as_ref().map_or(0, SkipList::mem_bytes)
-    }
-
-    /// Point lookup on the hash side (see [`PackedTable::lookup`]).
-    pub fn lookup(&mut self, hash: u64, is_match: impl FnMut(u64) -> bool) -> Option<u64> {
-        self.hash.lookup(hash, is_match)
-    }
-
-    /// Batched point lookup on the hash side.
-    pub fn lookup_batch(
-        &mut self,
-        hashes: &[u64],
-        out: &mut [Option<u64>],
-        is_match: impl FnMut(usize, u64) -> bool,
-    ) {
-        self.hash.lookup_batch(hashes, out, is_match)
-    }
-
-    /// Inserts `(hash, offset)` on the hash side and `key` on the ordered
-    /// side, if built; the caller guarantees the key is absent.
-    pub fn insert(&mut self, hash: u64, key: &[u8], offset: u64, rehash: impl FnMut(u64) -> u64) {
-        self.hash.insert(hash, offset, rehash);
-        if let Some(list) = &mut self.ordered {
-            list.upsert(&self.mem, key, offset);
-        }
-    }
-
-    /// Replaces the offset of `key`'s entry on both sides (the ordered one
-    /// if built); returns the old offset.
-    pub fn replace(
-        &mut self,
-        hash: u64,
-        key: &[u8],
-        new_offset: u64,
-        is_match: impl FnMut(u64) -> bool,
-        rehash: impl FnMut(u64) -> u64,
-    ) -> Option<u64> {
-        let old = self.hash.replace(hash, new_offset, is_match, rehash);
-        if let (Some(list), Some(_)) = (&mut self.ordered, old) {
-            list.set(&self.mem, key, new_offset);
-        }
-        old
-    }
-
-    /// Removes `key`'s entry from both sides (the ordered one if built);
-    /// returns its offset.
-    pub fn remove(
-        &mut self,
-        hash: u64,
-        key: &[u8],
-        is_match: impl FnMut(u64) -> bool,
-        rehash: impl FnMut(u64) -> u64,
-    ) -> Option<u64> {
-        let old = self.hash.remove(hash, is_match, rehash);
-        if let (Some(list), Some(_)) = (&mut self.ordered, old) {
-            list.remove(&self.mem, key);
-        }
-        old
-    }
-
-    /// Visits every stored offset (hash-side order).
-    pub fn for_each(&self, f: impl FnMut(u64)) {
-        self.hash.for_each(f)
-    }
-
-    /// Whether the hash side's incremental resize is in progress.
-    pub fn is_resizing(&self) -> bool {
-        self.hash.is_resizing()
-    }
-
-    /// Bytes the ordered side has parked awaiting reclamation (leaves
-    /// unlinked by deletes).
-    pub fn retired_bytes(&self) -> usize {
-        self.ordered.as_ref().map_or(0, SkipList::retired_bytes)
-    }
-
-    /// Frees the ordered side's retired leaves; returns how many.
-    pub fn reclaim_retired(&mut self) -> usize {
-        self.ordered.as_mut().map_or(0, SkipList::reclaim_retired)
-    }
-
-    /// Ordered iteration from the first key `>= start`, building the
-    /// ordered side first if this is the first ordered read; see
-    /// [`crate::AnyIndex::scan_from`].
-    pub fn scan_from(&mut self, start: &[u8], f: impl FnMut(&[u8], u64) -> bool) -> bool {
-        let (list, mem) = self.ordered();
-        list.scan_from(mem, start, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::item::item_words;
-    use crate::IndexKind;
     use std::collections::BTreeMap;
 
     /// Pinned by scripts/check.sh: a tower and a leaf are each exactly one
@@ -1078,102 +916,6 @@ mod tests {
         let items = rig.dump();
         assert_eq!(items.len(), 2_000);
         assert!(items.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn hybrid_keeps_hash_and_ordered_sides_coherent() {
-        let mut arena = Arena::new(1 << 14);
-        let mut t = HybridTable::new(&arena);
-        let mem = arena.memory();
-        // Inserted in scrambled order so key order is the build's doing.
-        let keys: Vec<Vec<u8>> = (0..300)
-            .map(|i| format!("hy-{:04}", i * 7 % 300).into_bytes())
-            .collect();
-        let mut write = |k: &[u8]| {
-            let off = arena.alloc(item_words(k.len(), 0)).expect("arena");
-            ItemRef::write_new(arena.words(), off, k, b"");
-            off
-        };
-        let rehash = |o: u64| ItemRef { off: o }.stored_key_hash(&mem);
-        let mut offs: Vec<u64> = keys.iter().map(|k| write(k)).collect();
-        for (k, &off) in keys.iter().zip(&offs) {
-            t.insert(hash_key(k), k, off, rehash);
-        }
-        assert_eq!(t.len(), 300);
-        // No ordered read yet: no ordered side, and the hash side is all
-        // the memory there is.
-        assert_eq!(t.ordered_stats(), None);
-        assert_eq!(t.mem_bytes(), t.hash.mem_bytes());
-        // Mutations before the build touch the hash side alone; the build
-        // sees their outcome.
-        let h = hash_key(&keys[3]);
-        let moved = write(&keys[3]);
-        assert_eq!(
-            t.replace(h, &keys[3], moved, |o| o == offs[3], rehash),
-            Some(offs[3])
-        );
-        offs[3] = moved;
-        let h = hash_key(&keys[5]);
-        assert_eq!(
-            t.remove(h, &keys[5], |o| o == offs[5], rehash),
-            Some(offs[5])
-        );
-        assert_eq!(t.retired_bytes(), 0);
-        assert_eq!(t.reclaim_retired(), 0);
-        assert_eq!(t.ordered_get(&keys[5]), None);
-        // The first ordered read built it: every live key, in full leaves.
-        let built = t.ordered_stats().expect("built by the ordered read");
-        assert_eq!(built.len, 299);
-        assert_eq!(built.leaves, 299u64.div_ceil(LEAF_CAP as u64));
-        assert!(t.mem_bytes() > t.hash.mem_bytes());
-        // Point path agrees with ordered path.
-        for (i, (k, &off)) in keys.iter().zip(&offs).enumerate().filter(|(i, _)| *i != 5) {
-            assert_eq!(t.lookup(hash_key(k), |o| o == off), Some(off), "{i}");
-            assert_eq!(t.ordered_get(k), Some(off), "{i}");
-        }
-        // Replace moves both sides.
-        let h = hash_key(&keys[7]);
-        let moved = write(&keys[7]);
-        assert_eq!(
-            t.replace(h, &keys[7], moved, |o| o == offs[7], rehash),
-            Some(offs[7])
-        );
-        assert_eq!(t.ordered_get(&keys[7]), Some(moved));
-        // Remove drops both sides.
-        assert_eq!(t.remove(h, &keys[7], |o| o == moved, rehash), Some(moved));
-        assert_eq!(t.len(), 298);
-        assert_eq!(t.ordered_stats().expect("built").len, 298);
-        assert_eq!(t.ordered_get(&keys[7]), None);
-        // Only the ordered side parks memory, and only for a leaf a delete
-        // empties; the hash side frees a drained half as it drains.
-        assert_eq!(t.ordered_stats().expect("built").retired_nodes, 0);
-        assert_eq!(t.retired_bytes(), 0);
-        // Inserts after the build reach both sides.
-        let k = b"hy-0150a".to_vec();
-        let off = write(&k);
-        t.insert(hash_key(&k), &k, off, rehash);
-        assert_eq!(t.ordered_get(&k), Some(off));
-        assert_eq!(t.ordered_stats().expect("built").len, 299);
-    }
-
-    #[test]
-    fn hybrid_is_constructible_through_the_index_kind() {
-        let mut arena = Arena::new(64);
-        let mut any = crate::AnyIndex::with_capacity(IndexKind::Hybrid, 16, &arena);
-        assert!(any.is_ordered());
-        let k = b"via-any".to_vec();
-        let h = hash_key(&k);
-        let off = arena.alloc(item_words(k.len(), 0)).expect("arena");
-        ItemRef::write_new(arena.words(), off, &k, b"");
-        any.insert(h, &k, off, |_| unreachable!());
-        assert_eq!(any.lookup(h, |o| o == off), Some(off));
-        let mut seen = Vec::new();
-        let exhausted = any.scan_from(b"", |key, off| {
-            seen.push((key.to_vec(), off));
-            true
-        });
-        assert!(exhausted);
-        assert_eq!(seen, vec![(k, off)]);
     }
 
     #[test]

@@ -505,7 +505,7 @@ fn drive<C: KvClient>(
 mod tests {
     use super::*;
     use crate::workload::{KeyDist, OpMix};
-    use hydra_db::{ClientMode, ClusterBuilder, ClusterConfig, IndexKind};
+    use hydra_db::{ClientMode, ClusterBuilder, ClusterConfig};
 
     fn small_wl(read_ratio: f64, dist: KeyDist) -> Workload {
         Workload {
@@ -603,11 +603,7 @@ mod tests {
 
     #[test]
     fn workload_d_runs_end_to_end() {
-        let cfg = ClusterConfig {
-            index: IndexKind::Hybrid,
-            ..Default::default()
-        };
-        let mut cluster = ClusterBuilder::new(cfg).build();
+        let mut cluster = ClusterBuilder::new(ClusterConfig::default()).build();
         let clients: Vec<_> = (0..4).map(|_| cluster.add_client(0)).collect();
         let wl = Workload::workload_d(500, 2_000, 5);
         let report = run_workload(&mut cluster.sim, &clients, &wl, &DriverConfig::default());
@@ -619,11 +615,7 @@ mod tests {
 
     #[test]
     fn workload_e_runs_end_to_end_on_hybrid_index() {
-        let cfg = ClusterConfig {
-            index: IndexKind::Hybrid,
-            ..Default::default()
-        };
-        let mut cluster = ClusterBuilder::new(cfg).build();
+        let mut cluster = ClusterBuilder::new(ClusterConfig::default()).build();
         let clients: Vec<_> = (0..4).map(|_| cluster.add_client(0)).collect();
         let wl = Workload::workload_e(500, 1_000, 5);
         let report = run_workload(&mut cluster.sim, &clients, &wl, &DriverConfig::default());

@@ -49,7 +49,12 @@ rm -rf "$parent_dir"
 mkdir -p "$parent_dir"
 git archive "$(git rev-parse --verify "$ref^{commit}")" | tar -x -C "$parent_dir"
 
-exec python3 - "$pairs" "$first" "$scratch" "$parent_dir" "$PWD" "$moved" "$@" <<'EOF'
+# Building benchmark/ without --locked rewrites benchmark/Cargo.lock in the
+# working tree: put it back as it was found, however the run ends.
+cp benchmark/Cargo.lock "$scratch/benchmark-Cargo.lock"
+trap 'cp "$scratch/benchmark-Cargo.lock" benchmark/Cargo.lock' EXIT
+
+python3 - "$pairs" "$first" "$scratch" "$parent_dir" "$PWD" "$moved" "$@" <<'EOF'
 import json, os, statistics, subprocess, sys
 
 pairs, first, scratch, parent_dir, change_dir = int(sys.argv[1]), int(sys.argv[2]), *sys.argv[3:6]

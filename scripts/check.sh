@@ -40,6 +40,11 @@ done
 echo "==> benchmark crate (builds against the workspace; one smoke pass per workload)"
 # benchmark/ is a package of its own, outside the workspace: API drift
 # against it is caught here rather than by the pipeline running BENCHMARK.json.
+# Building it without --locked lets cargo rewrite benchmark/Cargo.lock (it
+# still lists crossbeam-epoch, which no workspace crate uses): the file is
+# saved first and put back after the smoke passes, or on any exit.
+cp benchmark/Cargo.lock "$SMOKE_RESULTS/benchmark-Cargo.lock"
+trap 'cp "$SMOKE_RESULTS/benchmark-Cargo.lock" benchmark/Cargo.lock; rm -rf "$SMOKE_RESULTS"' EXIT
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 # On failover the outage itself is gated: a primary is replaced within a few
 # missed beats (worst_wait_ms was 30.0 under the session timeout). Footprint
@@ -62,6 +67,7 @@ ok = ok and r["metrics"]["peak_rss_mib"]["value"] <= 1.5 * smoke_mib[sys.argv[1]
 sys.exit(not ok)' "$w" ||
         { echo "benchmark workload $w: failed ops, bad output, a slow fail-over or a peak RSS over its ceiling" >&2; exit 1; }
 done
+cp "$SMOKE_RESULTS/benchmark-Cargo.lock" benchmark/Cargo.lock
 
 echo "==> chaos + elastic soaks (fixed-seed fault plans and join/drain rounds, full consistency checks)"
 # Every soak also asserts that some round formed a sweep of two or more
@@ -75,7 +81,7 @@ scripts/loc.sh
 echo "==> pub fns no production code reaches (report only)"
 scripts/unreached.sh
 
-echo "==> the benchmark's sources and declaration are as committed"
-git diff --exit-code -- benchmark/src BENCHMARK.json
+echo "==> the benchmark's sources, lock file and declaration are as committed"
+git diff --exit-code -- benchmark/src benchmark/Cargo.lock BENCHMARK.json
 
 echo "OK: all tier-1 checks passed"

@@ -30,7 +30,12 @@ scratch=${PROFILE_SCRATCH:-${TMPDIR:-/tmp}/hydra-profile}
 target=${CARGO_TARGET_DIR:-$PWD/benchmark/target}
 mkdir -p "$scratch"
 
+# Building benchmark/ without --locked rewrites benchmark/Cargo.lock: put it
+# back as it was found.
+cp benchmark/Cargo.lock "$scratch/benchmark-Cargo.lock"
+trap 'cp "$scratch/benchmark-Cargo.lock" benchmark/Cargo.lock' EXIT
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml --target-dir "$target"
+cp "$scratch/benchmark-Cargo.lock" benchmark/Cargo.lock
 cc -O2 -shared -fPIC -o "$scratch/sampler.so" scripts/profile.c
 bin=$target/release/hydra-e2e-bench
 samples=$scratch/samples-$workload-$seed.txt

@@ -9,9 +9,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use hydra_chaos::{check_convergence, FaultEvent, FaultPlan};
-use hydra_db::{
-    ClusterBuilder, ClusterConfig, IndexKind, RecordingClient, ReplicationMode, SchedulerKind,
-};
+use hydra_db::{ClusterBuilder, ClusterConfig, RecordingClient, ReplicationMode, SchedulerKind};
 use hydra_sim::time::{MS, SEC};
 use hydra_sim::Sim;
 use proptest::prelude::*;
@@ -95,7 +93,7 @@ fn chaos_round_with(seed: u64, spread: bool) -> Quanta {
     chaos_round_inner(seed, spread, false)
 }
 
-/// A chaos round on a hybrid-indexed cluster whose workload interleaves
+/// A chaos round on a cluster whose workload interleaves
 /// SCANs with the writes: every returned scan item is checked against the
 /// recorded write history, so fail-over can never surface a torn or stale
 /// item through the ordered plane.
@@ -216,11 +214,6 @@ fn chaos_round_cfg(
         replication: ReplicationMode::Strict,
         replica_read_spread: spread,
         hot_read_threshold: if spread { 1 } else { 8 },
-        index: if scans {
-            IndexKind::Hybrid
-        } else {
-            IndexKind::Packed
-        },
         ..ClusterConfig::default()
     };
     tweak(&mut cfg);
@@ -327,7 +320,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Random fault plans against a hybrid-indexed cluster whose workload
+    /// Random fault plans against a cluster whose workload
     /// interleaves SCANs with writes: every scan-returned item is recorded
     /// as a read observation and must linearize inside the scan window —
     /// scans never observe torn or stale items across fail-over.

@@ -18,7 +18,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use hydra_db::client::{OpCb, OpError};
-use hydra_db::{Cluster, ClusterBuilder, ClusterConfig, HydraClient, IndexKind};
+use hydra_db::{Cluster, ClusterBuilder, ClusterConfig, HydraClient};
 use hydra_sim::SimTime;
 use proptest::prelude::*;
 
@@ -68,7 +68,6 @@ fn cluster_with(mux: bool, cfg_tweak: impl FnOnce(&mut ClusterConfig)) -> Cluste
         server_nodes: 2,
         shards_per_node: 2,
         client_nodes: 1,
-        index: IndexKind::Hybrid,
         mux_connections: mux,
         ..ClusterConfig::default()
     };

@@ -1,7 +1,7 @@
 //! Whole-stack integration: YCSB workloads against full HydraDB
 //! deployments, crossing every crate in the workspace.
 
-use hydra_db::{ClientMode, ClusterBuilder, ClusterConfig, IndexKind, ReplicationMode};
+use hydra_db::{ClientMode, ClusterBuilder, ClusterConfig, ReplicationMode};
 use hydra_integration::{get_value, put_ok, step_until};
 use hydra_ycsb::{run_workload, DriverConfig, KeyDist, OpMix, Workload};
 
@@ -189,7 +189,6 @@ fn scans_larger_than_the_response_slot_continue_instead_of_overflowing() {
             server_nodes: 1,
             shards_per_node: shards,
             client_nodes: 1,
-            index: IndexKind::Hybrid,
             client_mode: ClientMode::RdmaWrite,
             pipeline_depth: depth,
             ..ClusterConfig::default()
@@ -257,7 +256,6 @@ fn a_scan_stuck_on_an_item_no_response_can_carry_fails_instead_of_looping() {
         server_nodes: 1,
         shards_per_node: 1,
         client_nodes: 1,
-        index: IndexKind::Hybrid,
         client_mode: ClientMode::RdmaWrite,
         ..ClusterConfig::default()
     };
@@ -293,12 +291,12 @@ fn a_scan_stuck_on_an_item_no_response_can_carry_fails_instead_of_looping() {
     assert!(scan(&mut cluster, b"c"));
 }
 
-/// A hybrid index builds its ordered side at its first ordered read. In a
-/// replicated hybrid cluster that serves writes and no scan, every primary
-/// and secondary holds no ordered side and exactly the index memory the
-/// same run leaves on a packed cluster. A primary that has served scans then
-/// crashes: its promoted secondary holds no ordered side until it is
-/// scanned, and that first scan answers the model.
+/// A shard builds its ordered view at its first ordered read. In a
+/// replicated cluster that serves writes and no scan, no primary and no
+/// secondary holds a view. Scans build the primaries' views and no
+/// secondary's. A primary that has served scans then crashes: its promoted
+/// secondary holds no view until it is scanned, and that first scan answers
+/// the model.
 #[test]
 fn hybrid_replicas_build_their_ordered_side_only_when_promoted_and_scanned() {
     use std::cell::{Cell, RefCell};
@@ -306,46 +304,41 @@ fn hybrid_replicas_build_their_ordered_side_only_when_promoted_and_scanned() {
     use std::rc::Rc;
     const MS: u64 = 1_000_000;
 
-    type Model = BTreeMap<Vec<u8>, Vec<u8>>;
-    let run = |index: IndexKind| {
-        let cfg = ClusterConfig {
-            seed: 5,
-            server_nodes: 3,
-            partitions: Some(2),
-            client_nodes: 1,
-            replicas: 1,
-            replication: ReplicationMode::GroupCommit,
-            index,
-            ..ClusterConfig::default()
-        };
-        let mut cluster = ClusterBuilder::new(cfg).build();
-        let client = cluster.add_client(0);
-        let mut model = Model::new();
-        let key = |i: u64| format!("od-{:05}", i * 7919 % 600).into_bytes();
-        for i in 0..600u64 {
-            put_ok(&mut cluster, &client, &key(i), &[i as u8; 24]);
-            model.insert(key(i), vec![i as u8; 24]);
-        }
-        // Updates and deletes, none of them an ordered read.
-        for j in 0..900u64 {
-            let (k, done) = (key(j * 13 % 600), Rc::new(Cell::new(false)));
-            let d = done.clone();
-            let cb: hydra_db::client::OpCb = Box::new(move |_, r| {
-                r.expect("write succeeds");
-                d.set(true);
-            });
-            if j % 10 == 9 && model.remove(&k).is_some() {
-                client.delete(&mut cluster.sim, &k, cb);
-            } else {
-                let v = vec![j as u8; 8 + (j % 40) as usize];
-                client.put(&mut cluster.sim, &k, &v, cb);
-                model.insert(k, v);
-            }
-            step_until(&mut cluster, &done);
-        }
-        cluster.settle_replication();
-        (cluster, client, model)
+    let cfg = ClusterConfig {
+        seed: 5,
+        server_nodes: 3,
+        partitions: Some(2),
+        client_nodes: 1,
+        replicas: 1,
+        replication: ReplicationMode::GroupCommit,
+        ..ClusterConfig::default()
     };
+    let mut cluster = ClusterBuilder::new(cfg).build();
+    let client = cluster.add_client(0);
+    let mut model = BTreeMap::new();
+    let key = |i: u64| format!("od-{:05}", i * 7919 % 600).into_bytes();
+    for i in 0..600u64 {
+        put_ok(&mut cluster, &client, &key(i), &[i as u8; 24]);
+        model.insert(key(i), vec![i as u8; 24]);
+    }
+    // Updates and deletes, none of them an ordered read.
+    for j in 0..900u64 {
+        let (k, done) = (key(j * 13 % 600), Rc::new(Cell::new(false)));
+        let d = done.clone();
+        let cb: hydra_db::client::OpCb = Box::new(move |_, r| {
+            r.expect("write succeeds");
+            d.set(true);
+        });
+        if j % 10 == 9 && model.remove(&k).is_some() {
+            client.delete(&mut cluster.sim, &k, cb);
+        } else {
+            let v = vec![j as u8; 8 + (j % 40) as usize];
+            client.put(&mut cluster.sim, &k, &v, cb);
+            model.insert(k, v);
+        }
+        step_until(&mut cluster, &done);
+    }
+    cluster.settle_replication();
     let scan_all = |cluster: &mut hydra_db::Cluster, client: &hydra_db::HydraClient| {
         let (done, out) = (Rc::new(Cell::new(false)), Rc::new(RefCell::new(Vec::new())));
         let (d, o) = (done.clone(), out.clone());
@@ -373,23 +366,6 @@ fn hybrid_replicas_build_their_ordered_side_only_when_promoted_and_scanned() {
             .collect::<Vec<_>>()
     };
 
-    let (mut cluster, client, model) = run(IndexKind::Hybrid);
-    let (twin, _, twin_model) = run(IndexKind::Packed);
-    assert_eq!(model, twin_model);
-    for p in 0..2 {
-        for (s, t) in servers(&cluster, p).iter().zip(servers(&twin, p)) {
-            let (s, t) = (s.borrow().engine.clone(), t.borrow().engine.clone());
-            let (s, t) = (s.borrow(), t.borrow());
-            assert!(s.scan_is_native() && !t.scan_is_native());
-            assert_eq!(s.ordered_stats(), None, "partition {p}");
-            assert_eq!(s.len(), t.len(), "partition {p}");
-            assert_eq!(s.index_mem_bytes(), t.index_mem_bytes(), "partition {p}");
-        }
-    }
-
-    // Scans build the primaries' ordered sides and no secondary's.
-    let want: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
-    assert_eq!(scan_all(&mut cluster, &client), want);
     let ordered = |cluster: &hydra_db::Cluster, p: u32| -> Vec<bool> {
         let engines = servers(cluster, p)
             .into_iter()
@@ -398,12 +374,26 @@ fn hybrid_replicas_build_their_ordered_side_only_when_promoted_and_scanned() {
             .map(|e| e.borrow().ordered_stats().is_some())
             .collect()
     };
+    // Writes alone build no view, on a primary or a secondary; each
+    // secondary holds what its primary holds.
+    for p in 0..2 {
+        assert_eq!(ordered(&cluster, p), [false, false], "partition {p}");
+        let lens: Vec<usize> = servers(&cluster, p)
+            .iter()
+            .map(|s| s.borrow().engine.borrow().len())
+            .collect();
+        assert_eq!(lens[0], lens[1], "partition {p}");
+    }
+
+    // Scans build the primaries' views and no secondary's.
+    let want: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
+    assert_eq!(scan_all(&mut cluster, &client), want);
     for p in 0..2 {
         assert_eq!(ordered(&cluster, p), [true, false], "partition {p}");
     }
 
     // The scanned primary of partition 0 crashes; its secondary takes over
-    // with no ordered side, and builds one at its first scan.
+    // with no view, and builds one at its first scan.
     let now = cluster.sim.now();
     cluster.enable_ha(now + 50 * MS);
     cluster.kill_primary(0);

@@ -1,20 +1,22 @@
 //! Index-structure equivalence: the packed cache-line-group table, the
-//! compact signature table, the chained-list baseline, and the hybrid
-//! (packed + skiplist) index must be observationally identical behind
-//! `ShardEngine`. Random operation sequences are driven through engines
-//! differing only in `EngineConfig::index`; every op result, every post-op
-//! length, and the final full iteration contents must agree — across
-//! incremental resizes (every engine starts preloaded just under its
+//! compact signature table and the chained-list baseline must be
+//! observationally identical behind `ShardEngine`, with or without the
+//! ordered view a shard builds at its first scan. Random operation sequences
+//! are driven through engines differing only in `EngineConfig::index` (and
+//! one packed engine whose view exists from the start); every op result,
+//! every post-op length, and the final full iteration contents must agree —
+//! across incremental resizes (every engine starts preloaded just under its
 //! one-page packed index's ceiling, so the sequence's growth splits it
 //! mid-sequence) and across reclamation pumps. A second property pins the
-//! hybrid's *ordered* plane: scans, and scans continued from
-//! `last_key + 0x00` as the wire protocol continues them, must match a
-//! `BTreeMap` model item-for-item under the same interleavings — which
-//! split the skiplist's packed leaves, empty and unlink them, and remove
-//! their first keys — and a twin engine fed the same operations must build
-//! the same structure. A third moves the hybrid's first ordered read, which
-//! builds its skiplist, to a random step: before it the hybrid must hold
-//! exactly a packed engine's index, after it every walk must match.
+//! *ordered* plane: scans, and scans continued from `last_key + 0x00` as the
+//! wire protocol continues them, must match a `BTreeMap` model item-for-item
+//! under the same interleavings — which split the skiplist's packed leaves,
+//! empty and unlink them, and remove their first keys — and a twin engine
+//! fed the same operations must build the same structure. A third moves the
+//! first ordered read, which builds the view, to a random step, on every
+//! index kind, as a reliable store and as a cache whose CLOCK sweep evicts:
+//! before it an engine must hold exactly an unscanned twin's index, after
+//! it every walk must match the live keys.
 
 use hydra_store::skiplist::LEAF_CAP;
 use hydra_store::{EngineConfig, EngineError, IndexKind, ShardEngine, WriteMode};
@@ -66,11 +68,21 @@ fn preload_key(i: usize) -> Vec<u8> {
 }
 
 fn engine(kind: IndexKind) -> ShardEngine {
+    engine_in(kind, WriteMode::Reliable)
+}
+
+/// A preloaded engine of `kind` in `mode`. A cache's arena holds about 250
+/// items, so its preload already evicts and its CLOCK sweep keeps evicting
+/// as a sequence writes.
+fn engine_in(kind: IndexKind, mode: WriteMode) -> ShardEngine {
     let mut e = ShardEngine::new(EngineConfig {
-        arena_words: 1 << 15,
+        arena_words: match mode {
+            WriteMode::Reliable => 1 << 15,
+            WriteMode::Cache => 1 << 11,
+        },
         expected_items: 8,
         index: kind,
-        write_mode: WriteMode::Reliable,
+        write_mode: mode,
         min_lease_ns: 500,
         max_lease_ns: 32_000,
     });
@@ -78,6 +90,11 @@ fn engine(kind: IndexKind) -> ShardEngine {
         e.insert(0, &preload_key(i), b"preloaded").expect("preload");
     }
     e
+}
+
+/// Builds `e`'s ordered view with a scan that reads nothing.
+fn build_view(e: &mut ShardEngine) {
+    e.scan_into(b"", &mut Vec::new(), |_, _| false);
 }
 
 fn dump(e: &ShardEngine) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -98,8 +115,9 @@ proptest! {
             engine(IndexKind::Packed),
             engine(IndexKind::Chained),
             engine(IndexKind::Compact),
-            engine(IndexKind::Hybrid),
+            engine(IndexKind::Packed),
         ];
+        build_view(&mut engines[3]);
         let mut now = 0u64;
         let mut resized = false;
         let mut most = 0;
@@ -118,7 +136,7 @@ proptest! {
             );
             prop_assert_eq!(
                 &results[0], &results[3],
-                "packed vs hybrid diverged at step {} on {:?}", step, op
+                "packed vs packed with a view diverged at step {} on {:?}", step, op
             );
             prop_assert_eq!(engines[0].len(), engines[1].len());
             prop_assert_eq!(engines[0].len(), engines[2].len());
@@ -144,7 +162,8 @@ proptest! {
         let packed = dump(&engines[0]);
         prop_assert_eq!(&packed, &dump(&engines[1]), "iteration: packed vs chained");
         prop_assert_eq!(&packed, &dump(&engines[2]), "iteration: packed vs compact");
-        prop_assert_eq!(&packed, &dump(&engines[3]), "iteration: packed vs hybrid");
+        prop_assert_eq!(&packed, &dump(&engines[3]), "iteration: packed vs packed with a view");
+        prop_assert_eq!(&scan(&mut engines[3], b"", usize::MAX).0, &packed, "view vs dump");
         // And everything drains identically.
         for e in &mut engines {
             e.pump_reclaim(u64::MAX);
@@ -165,6 +184,8 @@ enum OrderedOp {
     Scan(u16, usize),
     ScanContinued(u16, usize),
     Reclaim,
+    /// Puts so-many fresh keys (never drawn, run after a sequence).
+    Flood(usize),
 }
 
 fn ordered_op_strategy() -> impl Strategy<Value = OrderedOp> {
@@ -192,25 +213,43 @@ fn scan(e: &mut ShardEngine, start: &[u8], limit: usize) -> (Items, bool) {
     (got, exhausted)
 }
 
-/// An ordered-plane run: two hybrid engines (the one under test and a twin
-/// fed the same operations), a packed engine fed the same mutations, and the
-/// `BTreeMap` model they must all agree with.
+/// An ordered-plane run: two engines of one kind and mode (the one under
+/// test and a twin fed the same operations), an engine of the same kind and
+/// mode fed the same mutations and never scanned, and the `BTreeMap` model
+/// of the live keys they must all agree with. A cache evicts: after each
+/// write the model drops the keys the sweep took.
 struct OrderedRig {
     e: ShardEngine,
     twin: ShardEngine,
-    packed: ShardEngine,
+    plain: ShardEngine,
     model: BTreeMap<Vec<u8>, Vec<u8>>,
+    /// Evictions the model has accounted for.
+    evictions: u64,
 }
 
 impl OrderedRig {
-    fn new() -> OrderedRig {
-        OrderedRig {
-            e: engine(IndexKind::Hybrid),
-            twin: engine(IndexKind::Hybrid),
-            packed: engine(IndexKind::Packed),
+    fn new(kind: IndexKind, mode: WriteMode) -> OrderedRig {
+        let mut rig = OrderedRig {
+            e: engine_in(kind, mode),
+            twin: engine_in(kind, mode),
+            plain: engine_in(kind, mode),
             model: (0..PRELOAD)
                 .map(|i| (preload_key(i), b"preloaded".to_vec()))
                 .collect(),
+            evictions: 0,
+        };
+        rig.forget_evicted();
+        rig
+    }
+
+    /// Drops from the model the keys the CLOCK sweep has evicted since the
+    /// last call: those the never-scanned engine no longer holds.
+    fn forget_evicted(&mut self) {
+        let evictions = self.plain.stats().evictions;
+        if evictions != self.evictions {
+            let plain = &mut self.plain;
+            self.model.retain(|k, _| plain.peek(k).is_some());
+            self.evictions = evictions;
         }
     }
 
@@ -219,20 +258,36 @@ impl OrderedRig {
         let OrderedRig {
             e,
             twin,
-            packed,
+            plain,
             model,
+            ..
         } = self;
         match op {
             OrderedOp::Put(k, v) => {
-                for x in [&mut *e, &mut *twin, &mut *packed] {
-                    x.put(0, &key_of(*k), v).expect("put");
+                // Only a cache can fail a put (nothing left to evict); the
+                // three engines fail it alike.
+                let ok = e.put(0, &key_of(*k), v).is_ok();
+                prop_assert_eq!(twin.put(0, &key_of(*k), v).is_ok(), ok);
+                prop_assert_eq!(plain.put(0, &key_of(*k), v).is_ok(), ok);
+                if ok {
+                    model.insert(key_of(*k), v.clone());
                 }
-                model.insert(key_of(*k), v.clone());
+            }
+            OrderedOp::Flood(n) => {
+                // Fresh keys, sorting after every other: more than a cache
+                // holds, so its sweep must evict.
+                for i in 0..*n {
+                    let (key, v) = (format!("jflood-{i:05}").into_bytes(), [i as u8; 32]);
+                    for x in [&mut *e, &mut *twin, &mut *plain] {
+                        x.put(0, &key, &v).expect("put");
+                    }
+                    model.insert(key, v.to_vec());
+                }
             }
             OrderedOp::Delete(k) => {
                 let removed = e.delete(0, &key_of(*k)).is_ok();
                 prop_assert_eq!(twin.delete(0, &key_of(*k)).is_ok(), removed);
-                prop_assert_eq!(packed.delete(0, &key_of(*k)).is_ok(), removed);
+                prop_assert_eq!(plain.delete(0, &key_of(*k)).is_ok(), removed);
                 prop_assert_eq!(
                     removed,
                     model.remove(&key_of(*k)).is_some(),
@@ -248,7 +303,7 @@ impl OrderedRig {
                     .map(|(k, _)| k.clone())
                     .collect();
                 for key in &run {
-                    for x in [&mut *e, &mut *twin, &mut *packed] {
+                    for x in [&mut *e, &mut *twin, &mut *plain] {
                         x.delete(0, key).expect("live key");
                     }
                     model.remove(key);
@@ -306,27 +361,31 @@ impl OrderedRig {
                 prop_assert_eq!(&got, &want, "continued scan diverged at step {}", step);
             }
             OrderedOp::Reclaim => {
-                for x in [&mut *e, &mut *twin, &mut *packed] {
+                for x in [&mut *e, &mut *twin, &mut *plain] {
                     x.pump_reclaim(0);
                 }
             }
         }
-        prop_assert_eq!(e.len(), model.len());
-        prop_assert_eq!(packed.len(), model.len());
+        self.forget_evicted();
+        for x in [&self.e, &self.twin] {
+            prop_assert_eq!(x.stats().evictions, self.evictions);
+            prop_assert_eq!(x.len(), self.model.len());
+        }
+        prop_assert_eq!(self.plain.len(), self.model.len());
         Ok(())
     }
 
-    /// Before any ordered read a hybrid engine is its hash side alone: no
-    /// ordered side, and index memory byte-for-byte a packed engine's.
+    /// Before any ordered read an engine is its index alone: no view, and
+    /// index memory byte-for-byte the unscanned engine's.
     fn unbuilt(&self) -> Result<(), TestCaseError> {
         for x in [&self.e, &self.twin] {
             prop_assert_eq!(x.ordered_stats(), None);
-            prop_assert_eq!(x.index_mem_bytes(), self.packed.index_mem_bytes());
+            prop_assert_eq!(x.index_mem_bytes(), self.plain.index_mem_bytes());
         }
         Ok(())
     }
 
-    /// A full ordered walk from the empty key on both hybrid engines: each
+    /// A full ordered walk from the empty key on both scanned engines: each
     /// equals the whole model, and the twins hold the same structure — as
     /// many leaves, retired nodes and slabs, walked in as many comparisons,
     /// in as many bytes.
@@ -350,16 +409,16 @@ impl OrderedRig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The hybrid index's ordered iteration must match a `BTreeMap` model
-    /// exactly — every bounded scan mid-sequence and the final full walk —
-    /// while random put/delete interleavings push the packed half through
-    /// incremental resizes (the engine starts preloaded near its ceiling, so
-    /// any skiplist/table drift during a split shows up as a wrong scan).
+    /// Ordered iteration must match a `BTreeMap` model exactly — every
+    /// bounded scan mid-sequence and the final full walk — while random
+    /// put/delete interleavings push the packed index through incremental
+    /// resizes (the engine starts preloaded near its ceiling, so any
+    /// view/index drift during a split shows up as a wrong scan).
     #[test]
     fn hybrid_ordered_iteration_matches_btreemap_model(
         ops in proptest::collection::vec(ordered_op_strategy(), 1..400),
     ) {
-        let mut rig = OrderedRig::new();
+        let mut rig = OrderedRig::new(IndexKind::Packed, WriteMode::Reliable);
         let mut resized = false;
         let mut most = 0;
         for (step, op) in ops.iter().enumerate() {
@@ -370,7 +429,7 @@ proptest! {
         if most > 392 {
             prop_assert!(
                 resized || rig.e.table_stats().resizes > 0,
-                "hybrid hash half never resized despite {} live items", most
+                "packed index never resized despite {} live items", most
             );
         }
         rig.walk()?;
@@ -379,33 +438,45 @@ proptest! {
         prop_assert!(leaves > 4, "only {} leaves for {} items", leaves, rig.e.len());
     }
 
-    /// The ordered side is built by the first ordered read, wherever in a
-    /// sequence it falls — the first step, any step, or none (scans drawn
-    /// before it are skipped) — and mutations and scans after it keep
-    /// matching the model. Until it, each hybrid engine holds no ordered
-    /// side and exactly a packed engine's index memory.
+    /// The view is built by the first ordered read, wherever in a sequence
+    /// it falls — the first step, any step, or none (scans drawn before it
+    /// are skipped) — and mutations, evictions and scans after it keep
+    /// matching the model of live keys, on every index kind, as a reliable
+    /// store and as a cache. Until it, each engine holds no view and exactly
+    /// an unscanned engine's index memory. A cache then takes a flood of
+    /// fresh keys it cannot hold, so its sweep evicts from a built view.
     #[test]
     fn hybrid_builds_its_ordered_side_at_its_first_ordered_read(
         ops in proptest::collection::vec(ordered_op_strategy(), 0..300),
         first in prop_oneof![Just(0usize), Just(usize::MAX), 0..300usize],
     ) {
-        let mut rig = OrderedRig::new();
-        for (step, op) in ops.iter().enumerate() {
-            if step == first {
-                rig.walk()?;
-            }
-            if step < first {
-                if matches!(op, OrderedOp::Scan(..) | OrderedOp::ScanContinued(..)) {
-                    continue;
+        for kind in [IndexKind::Chained, IndexKind::Compact, IndexKind::Packed] {
+            for mode in [WriteMode::Reliable, WriteMode::Cache] {
+                let mut rig = OrderedRig::new(kind, mode);
+                for (step, op) in ops.iter().enumerate() {
+                    if step == first {
+                        rig.walk()?;
+                    }
+                    if step < first {
+                        if matches!(op, OrderedOp::Scan(..) | OrderedOp::ScanContinued(..)) {
+                            continue;
+                        }
+                        rig.unbuilt()?;
+                    }
+                    rig.apply(op, step)?;
                 }
-                rig.unbuilt()?;
+                if first >= ops.len() {
+                    rig.unbuilt()?;
+                }
+                rig.walk()?;
+                if mode == WriteMode::Cache {
+                    let evicted = rig.evictions;
+                    rig.apply(&OrderedOp::Flood(300), ops.len())?;
+                    prop_assert!(rig.evictions > evicted, "{:?}: no eviction", kind);
+                    rig.walk()?;
+                }
             }
-            rig.apply(op, step)?;
         }
-        if first >= ops.len() {
-            rig.unbuilt()?;
-        }
-        rig.walk()?;
     }
 }
 

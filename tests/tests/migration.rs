@@ -7,9 +7,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use hydra_chaos::{FaultEvent, FaultPlan};
-use hydra_db::{
-    ClusterBuilder, ClusterConfig, IndexKind, MigrationOutcome, RecordingClient, ReplicationMode,
-};
+use hydra_db::{ClusterBuilder, ClusterConfig, MigrationOutcome, RecordingClient, ReplicationMode};
 use hydra_integration::{get_value, put_ok, step_until};
 use hydra_sim::time::MS;
 use hydra_sim::Sim;
@@ -205,7 +203,6 @@ fn elastic_round(seed: u64) -> (u64, u64) {
         client_nodes: 1,
         replicas: 1,
         replication: ReplicationMode::Strict,
-        index: IndexKind::Hybrid,
         // Small quanta over the ballast below keep each walk going for
         // many ticks after it has visited the recorded keys, which sort
         // first: their later writes reach the new owners only by forward.

@@ -8,9 +8,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use hydra_db::server::ShardServer;
-use hydra_db::{
-    ClientMode, ClusterBuilder, ClusterConfig, ExecModel, IndexKind, OpError, ReplicationMode,
-};
+use hydra_db::{ClientMode, ClusterBuilder, ClusterConfig, ExecModel, OpError, ReplicationMode};
 use hydra_wire::{
     scan_items_begin, scan_items_finish, scan_items_push, BatchBuilder, BatchFrame, ReplicaPtr,
     ReplicaSet, Request, Response, ScanItems, Status, BATCH_MAGIC,
@@ -501,7 +499,6 @@ proptest! {
             server_nodes: 1,
             shards_per_node: 1,
             client_nodes: 1,
-            index: IndexKind::Hybrid,
             client_mode: ClientMode::RdmaWrite,
             ..ClusterConfig::default()
         };

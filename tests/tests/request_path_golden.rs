@@ -67,9 +67,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use hydra_db::client::OpError;
-use hydra_db::{
-    ClientMode, Cluster, ClusterBuilder, ClusterConfig, HydraClient, IndexKind, ReplicationMode,
-};
+use hydra_db::{ClientMode, Cluster, ClusterBuilder, ClusterConfig, HydraClient, ReplicationMode};
 use hydra_sim::Sim;
 
 const CLIENTS: usize = 8;
@@ -200,7 +198,6 @@ fn build(arm: &Arm) -> Cluster {
         server_nodes: 2,
         shards_per_node: 2,
         client_nodes: 2,
-        index: IndexKind::Hybrid,
         client_mode: arm.mode,
         replicas: u32::from(arm.replication.is_some()),
         replication: arm.replication.unwrap_or(ReplicationMode::GroupCommit),

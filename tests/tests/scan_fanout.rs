@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use hydra_db::client::scan_quota;
-use hydra_db::{ClientMode, Cluster, ClusterBuilder, ClusterConfig, HydraClient, IndexKind};
+use hydra_db::{ClientMode, Cluster, ClusterBuilder, ClusterConfig, HydraClient};
 use hydra_integration::{put_ok, step_until};
 use hydra_wire::ScanItems;
 use proptest::prelude::*;
@@ -40,7 +40,6 @@ fn build(shape: (u32, u32), depth: usize) -> (Cluster, HydraClient) {
         server_nodes: shape.0,
         shards_per_node: shape.1,
         client_nodes: 1,
-        index: IndexKind::Hybrid,
         client_mode: ClientMode::RdmaWrite,
         pipeline_depth: depth,
         ..ClusterConfig::default()

@@ -16,7 +16,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use hydra_db::client::OpError;
-use hydra_db::{ClusterBuilder, ClusterConfig, HydraClient, IndexKind};
+use hydra_db::{ClusterBuilder, ClusterConfig, HydraClient};
 use hydra_sim::SimTime;
 
 fn render(res: &Result<Option<Vec<u8>>, OpError>) -> String {
@@ -44,7 +44,6 @@ fn preempted_scans_return_byte_identical_results() {
             server_nodes: 1,
             partitions: Some(2),
             client_nodes: 1,
-            index: IndexKind::Hybrid,
             // Message-path GETs only, so every point op actually crosses the
             // shard core and contends with the scans.
             client_mode: hydra_db::ClientMode::RdmaWrite,

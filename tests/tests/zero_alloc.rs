@@ -82,7 +82,7 @@ fn hot_paths_do_not_allocate() {
     decode_is_zero_alloc();
     steady_state_get_into_is_zero_alloc();
     packed_probe_paths_are_zero_alloc_at_high_lf_and_mid_resize();
-    hybrid_point_lookup_and_scan_paths_are_zero_alloc();
+    point_lookup_and_scan_paths_are_zero_alloc();
     clock_cache_lookup_is_zero_alloc();
     clock_cache_recaching_is_zero_alloc();
     server_get_alloc_count_is_constant();
@@ -172,22 +172,21 @@ fn packed_probe_paths_are_zero_alloc_at_high_lf_and_mid_resize() {
     );
 }
 
-/// The hybrid index's hot paths stay allocation-free: point lookups route
-/// through the same SWAR hash probe as the packed table, and ordered scans
-/// walk the skiplist's packed leaves, reading each key out of its arena item.
-/// The continuation pattern — re-entering `scan_into` at `last_key + 0x00`,
-/// exactly what the server does between scan quanta — must also allocate
-/// nothing once the cursor buffer is sized.
-fn hybrid_point_lookup_and_scan_paths_are_zero_alloc() {
+/// A scanned shard's hot paths stay allocation-free: point lookups take the
+/// packed table's SWAR probe, and ordered scans walk the ordered view's
+/// packed leaves, reading each key out of its arena item. The continuation
+/// pattern — re-entering `scan_into` at `last_key + 0x00`, exactly what the
+/// server does between scan quanta — must also allocate nothing once the
+/// cursor buffer is sized.
+fn point_lookup_and_scan_paths_are_zero_alloc() {
     let mut engine = ShardEngine::new(EngineConfig {
         arena_words: 1 << 16,
         expected_items: 512,
-        index: IndexKind::Hybrid,
+        index: IndexKind::Packed,
         write_mode: WriteMode::Reliable,
         min_lease_ns: 1_000,
         max_lease_ns: 64_000,
     });
-    assert!(engine.scan_is_native());
     let keys: Vec<Vec<u8>> = (0..400)
         .map(|i| format!("ordk{i:06}").into_bytes())
         .collect();
@@ -195,7 +194,8 @@ fn hybrid_point_lookup_and_scan_paths_are_zero_alloc() {
         engine.insert(0, k, &[0x42; 32]).unwrap();
     }
 
-    // Point lookups through the hash half of the hybrid.
+    // Point lookups through the hash index, before and after the view.
+    assert!(engine.ordered_stats().is_none(), "writes build no view");
     let mut scratch = Vec::new();
     engine.get_into(1, &keys[0], &mut scratch).unwrap();
     let allocs = count_allocs_min(|| {
@@ -204,10 +204,11 @@ fn hybrid_point_lookup_and_scan_paths_are_zero_alloc() {
             assert!(engine.get_into(round, k, &mut scratch).is_some());
         }
     });
-    assert_eq!(allocs, 0, "hybrid point GET must not allocate");
+    assert_eq!(allocs, 0, "point GET must not allocate");
 
-    // Ordered scans through the skiplist half, including quantum-style
-    // continuations. Warm up once to size scratch and the cursor buffer.
+    // Ordered scans through the view, including quantum-style
+    // continuations. Warm up once to build the view and size scratch and
+    // the cursor buffer.
     let mut cursor = Vec::with_capacity(64);
     let run_scan = |engine: &mut ShardEngine, scratch: &mut Vec<u8>, cursor: &mut Vec<u8>| {
         let mut emitted = 0usize;
@@ -230,6 +231,17 @@ fn hybrid_point_lookup_and_scan_paths_are_zero_alloc() {
         emitted
     };
     assert_eq!(run_scan(&mut engine, &mut scratch, &mut cursor), 32);
+    assert!(
+        engine.ordered_stats().is_some(),
+        "the first scan built the view"
+    );
+    let allocs = count_allocs_min(|| {
+        for round in 0..1_000u64 {
+            let k = &keys[(round as usize) % keys.len()];
+            assert!(engine.get_into(round, k, &mut scratch).is_some());
+        }
+    });
+    assert_eq!(allocs, 0, "point GET on a scanned shard must not allocate");
     let mut total = 0usize;
     let allocs = count_allocs_min(|| {
         for _ in 0..100 {
@@ -237,10 +249,7 @@ fn hybrid_point_lookup_and_scan_paths_are_zero_alloc() {
         }
     });
     assert_eq!(total, 3 * 3_200);
-    assert_eq!(
-        allocs, 0,
-        "hybrid scan + continuation hot path must not allocate"
-    );
+    assert_eq!(allocs, 0, "scan + continuation hot path must not allocate");
 }
 
 /// The bounded CLOCK pointer cache behind every client's remote-pointer
@@ -826,7 +835,6 @@ fn whole_path_scan_allocates_per_step_not_per_item() {
         server_nodes: 1,
         shards_per_node: PARTITIONS as u32,
         client_nodes: 1,
-        index: IndexKind::Hybrid,
         client_mode: ClientMode::RdmaWrite,
         ..ClusterConfig::default()
     };
