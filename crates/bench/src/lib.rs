@@ -68,7 +68,7 @@ registry! {
     fig11_hits, "fig11_hits", false, "Fig. 11: remote-pointer hit analysis (50 clients, RDMA Write + Read)";
     fig12_scalability, "fig12_scalability", false, "Fig. 12: scale-out and scale-up (normalized throughput)";
     fig13_replication, "fig13_replication", false, "Fig. 13: INSERT latency under replication protocols (single shard)";
-    abl_hashtable, "abl_hashtable", true, "A-HASH: packed cache-line-group vs compact vs chained tables";
+    abl_hashtable, "abl_hashtable", false, "A-HASH: packed cache-line-group vs compact vs chained tables";
     abl_lease, "abl_lease", false, "A-LEASE: lease term vs fast-path effectiveness and memory pinned by dead items";
     abl_share, "abl_share", false, "A-SHARE: shared vs exclusive remote-pointer cache (50 clients on 5 nodes)";
     abl_sleep, "abl_sleep", false, "T-SLEEP: poll-loop sleep backoff — CPU cost vs latency across offered load";

@@ -73,11 +73,6 @@ impl LeaderElection {
             None => Ok(None),
         }
     }
-
-    /// Leaves the election (clean shutdown).
-    pub fn resign(&self, coord: &mut Coord) -> Result<(), CoordError> {
-        coord.delete(&self.me)
-    }
 }
 
 #[cfg(test)]
@@ -113,23 +108,13 @@ mod tests {
     }
 
     #[test]
-    fn resign_hands_leadership_over() {
-        let mut z = Coord::new();
-        let s1 = z.create_session(0, 1_000);
-        let s2 = z.create_session(0, 1_000);
-        let e1 = LeaderElection::join(&mut z, "/el", s1, vec![]).unwrap();
-        let e2 = LeaderElection::join(&mut z, "/el", s2, vec![]).unwrap();
-        e1.resign(&mut z).unwrap();
-        assert!(e2.is_leader(&z).unwrap());
-        assert_eq!(e2.leader(&z).unwrap().unwrap().0, e2.me);
-    }
-
-    #[test]
     fn empty_election_reports_no_leader() {
         let mut z = Coord::new();
         let s = z.create_session(0, 1_000);
         let e = LeaderElection::join(&mut z, "/el", s, vec![]).unwrap();
-        e.resign(&mut z).unwrap();
+        // The only candidate's session expires, taking its znode along.
+        z.tick(10_000);
+        assert!(!z.exists(&e.me));
         assert_eq!(e.leader(&z).unwrap(), None);
         assert_eq!(e.is_leader(&z).unwrap_err(), CoordError::NoNode);
     }

@@ -913,13 +913,6 @@ impl Fabric {
         self.inner.borrow_mut().nodes[node.0 as usize].recv_posted += n;
     }
 
-    /// Releases `n` previously provisioned receive buffers on `node`.
-    pub fn release_recvs(&self, node: NodeId, n: u64) {
-        let mut inner = self.inner.borrow_mut();
-        let node = &mut inner.nodes[node.0 as usize];
-        node.recv_posted = node.recv_posted.saturating_sub(n);
-    }
-
     /// Provisions the node-wide shared receive queue: one pool of `depth`
     /// buffers every connection terminating at `node` consumes from,
     /// instead of a dedicated ring per QP. Idempotent — only the first
@@ -2415,16 +2408,11 @@ mod tests {
         fab.provision_recvs(n, 16);
         fab.provision_recvs(n, 16);
         assert_eq!(fab.recv_posted(n), 32);
-        fab.release_recvs(n, 16);
-        assert_eq!(fab.recv_posted(n), 16);
         // SRQ: first ensure posts the pool, later ensures are no-ops.
         fab.ensure_srq(n, 1024);
         fab.ensure_srq(n, 1024);
         fab.ensure_srq(n, 1024);
-        assert_eq!(fab.recv_posted(n), 16 + 1024);
-        // Releasing never underflows.
-        fab.release_recvs(n, 10_000);
-        assert_eq!(fab.recv_posted(n), 0);
+        assert_eq!(fab.recv_posted(n), 32 + 1024);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! The HydraDB client library (§4.2).
 //!
 //! A client routes each key through the consistent-hash ring to its
-//! partition's primary shard and talks to it over a dedicated connection:
+//! partition's primary shard and talks to it over a connection of its own:
 //! a request buffer on the server's node and a response buffer on its own
-//! node, both written one-sidedly and detected by polling (§4.2.1). GETs of
+//! node, both written one-sidedly and detected by polling (§4.2.1). The
+//! connection rides a channel: a QP of its own, or one shared with every
+//! partition on the same server machine
+//! ([`ClusterConfig::mux_connections`]). GETs of
 //! previously accessed keys take the fast path: the remote pointer returned
 //! by the first access is cached (privately, or in the node-wide shared
 //! cache of §4.2.4) and, while its lease holds, later GETs fetch the
@@ -28,9 +31,9 @@
 //! retried against the partition's current primary a bounded number of
 //! times.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -404,32 +407,96 @@ struct Slot {
 
 struct ClientConn {
     server: Rc<RefCell<ShardServer>>,
+    /// The channel this connection rides; `qp` is its QP, copied so the
+    /// request path does not go through the channel.
+    channel: Rc<Channel>,
     qp: QpId,
+    /// The channel tag stamped into request headers (0 on a channel of
+    /// one — the wire default).
+    tag: u16,
     req_region: RegionId,
     resp_mem: Arc<[AtomicU64]>,
     arena_region: RegionId,
     /// Kicks the server's polling loop when a request write lands.
     server_kick: Rc<dyn Fn(&mut Sim)>,
-    /// Channel tag stamped into request headers when the QP is shared by a
-    /// multiplexed channel (0 on dedicated connections — the wire default).
-    tag: u16,
 }
 
-/// Send/Recv demux table of a multiplexed channel: channel tag → the
-/// tagged partition's server instance and connection slot.
-type DemuxTable = HashMap<u16, (Rc<RefCell<ShardServer>>, usize)>;
-
-/// One pooled QP per (client, server node): partitions share the queue
-/// pair — the NIC-resident state — while keeping their own message
-/// buffers, connection slots and kicks. Requests carry a channel tag
-/// ([`hydra_wire::set_channel_tag`]) so the Send/Recv receive path can
-/// route payloads to the right partition.
-struct MuxChannel {
+/// The QP a connection rides and the partitions it carries. A dedicated
+/// connection opens a channel of its own; under
+/// [`ClusterConfig::mux_connections`] every partition homed on one server
+/// node joins that node's channel, sharing the queue pair — the
+/// NIC-resident state — while keeping its own message buffers, connection
+/// slot and kicks. Requests carry the partition's channel tag
+/// ([`hydra_wire::set_channel_tag`]), which the Send/Recv receive path
+/// routes by.
+struct Channel {
     qp: QpId,
     /// Next channel tag to hand to a partition joining this channel.
-    next_tag: u16,
-    /// Shared with the channel's recv handler on the server node.
-    demux: Rc<RefCell<DemuxTable>>,
+    next_tag: Cell<u16>,
+    /// The server node's recv handler holds the channel weakly.
+    demux: RefCell<DemuxTable>,
+}
+
+/// Channel tag → the tagged partition's server instance and connection
+/// slot.
+type DemuxTable = HashMap<u16, (Rc<RefCell<ShardServer>>, usize)>;
+
+impl Channel {
+    /// Connects a fresh QP from the client's `node` to `server_node` and
+    /// provisions its receives: per QP endpoint, a dedicated ring each
+    /// side, or the server's node-wide SRQ pool.
+    fn open(fab: &Fabric, cfg: &ClusterConfig, node: NodeId, server_node: NodeId) -> Rc<Channel> {
+        let qp = fab.connect(node, server_node, cfg.transport);
+        if cfg.srq {
+            fab.ensure_srq(server_node, SRQ_DEPTH);
+        } else {
+            fab.provision_recvs(server_node, RECV_RING_DEPTH);
+        }
+        fab.provision_recvs(node, RECV_RING_DEPTH);
+        Rc::new(Channel {
+            qp,
+            next_tag: Cell::new(0),
+            demux: RefCell::default(),
+        })
+    }
+
+    /// Two-sided mode: installs the channel's pair of recv handlers.
+    /// Requests route by their stamped channel tag; responses key on
+    /// req_id. The fabric keeps the handlers and a shard holds the fabric,
+    /// so each holds its channel or client weakly: a strong one is a cycle
+    /// that outlives the cluster. The client holds both while it can send.
+    fn listen(
+        self: &Rc<Channel>,
+        fab: &Fabric,
+        node: NodeId,
+        server_node: NodeId,
+        client: Weak<RefCell<ClientInner>>,
+    ) {
+        let ch = Rc::downgrade(self);
+        fab.set_recv_handler(
+            self.qp,
+            server_node,
+            Rc::new(move |sim: &mut Sim, _qp, payload: Vec<u8>| {
+                let Some(ch) = ch.upgrade() else {
+                    return; // the channel's client is gone
+                };
+                let tag = hydra_wire::channel_tag(&payload);
+                let target = ch.demux.borrow().get(&tag).cloned();
+                if let Some((server_rc, idx)) = target {
+                    ShardServer::on_request_payload(&server_rc, sim, idx, payload);
+                } // else the tag retired: its partition was rerouted
+            }),
+        );
+        fab.set_recv_handler(
+            self.qp,
+            node,
+            Rc::new(move |sim: &mut Sim, _qp, payload: Vec<u8>| {
+                if let Some(rc) = client.upgrade() {
+                    HydraClient { inner: rc }.on_response_payload(sim, payload);
+                }
+            }),
+        );
+    }
 }
 
 /// An operation queued behind its connection, not yet shipped.
@@ -458,8 +525,8 @@ pub(crate) struct ClientInner {
     directory: Rc<RefCell<Directory>>,
     /// The connection serving each partition, indexed like `outboxes`.
     conns: Vec<Option<ClientConn>>,
-    /// Multiplexed mode: pooled QPs keyed by server node.
-    channels: HashMap<u32, MuxChannel>,
+    /// Multiplexed mode: the shared channel of each server node.
+    channels: HashMap<u32, Rc<Channel>>,
     ptr_cache: PtrCache,
     /// Lazily opened QPs to replica-hosting nodes (read spreading).
     replica_qps: HashMap<u32, QpId>,
@@ -650,12 +717,23 @@ impl HydraClient {
         self.inner.borrow().ptr_cache.len()
     }
 
-    /// The QP serving `partition`'s connection, if one has been built.
-    /// Under [`ClusterConfig::mux_connections`] every partition homed on
-    /// one server node reports the same pooled QP — tests use this to
-    /// verify the sharing (and chaos tests to fault the shared channel).
+    /// The QP of the channel serving `partition`'s connection, if one has
+    /// been built. Under [`ClusterConfig::mux_connections`] every partition
+    /// homed on one server node reports the same shared QP — tests use this
+    /// to verify the sharing (and chaos tests to fault the shared channel).
     pub fn conn_qp(&self, partition: u32) -> Option<QpId> {
         self.inner.borrow().conn(partition).map(|c| c.qp)
+    }
+
+    /// `partition`'s channel tag and every tag its channel still routes,
+    /// sorted: one on a dedicated connection, one per partition sharing
+    /// the QP under mux — a rerouted partition's old tag is gone.
+    pub fn conn_tags(&self, partition: u32) -> Option<(u16, Vec<u16>)> {
+        let inner = self.inner.borrow();
+        let conn = inner.conn(partition)?;
+        let mut tags: Vec<u16> = conn.channel.demux.borrow().keys().copied().collect();
+        tags.sort_unstable();
+        Some((conn.tag, tags))
     }
 
     /// Operations issued but not yet completed (shipped, posted one-sided,
@@ -1356,106 +1434,44 @@ impl HydraClient {
 
     /// Builds (or reuses) the connection to `partition`'s current primary.
     ///
-    /// Dedicated mode opens one QP per partition. Multiplexed mode
-    /// ([`ClusterConfig::mux_connections`]) pools one QP per (client,
-    /// server node) in `channels` and hands the partition a channel tag;
-    /// the per-partition message buffers, connection slot and kicks are
-    /// unchanged, so the two modes are observationally equivalent.
+    /// Every connection rides a [`Channel`]: a fresh one of its own, or,
+    /// under [`ClusterConfig::mux_connections`], the one this client shares
+    /// with the server node. A connection that replaces a stale one (a
+    /// fail-over or migration rerouted the partition) first retires the
+    /// old tag, so the old channel stops routing it to the old server
+    /// instance.
     fn ensure_conn(&self, partition: u32) {
-        let (current, reuse) = {
-            let inner = self.inner.borrow();
-            let current = inner
-                .directory
-                .borrow()
-                .shards
-                .get(&partition)
-                .cloned()
-                .expect("partition exists");
-            let reuse = inner
-                .conn(partition)
-                .is_some_and(|c| Rc::ptr_eq(&c.server, &current));
-            (current, reuse)
-        };
-        if reuse {
-            return;
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let current = inner.directory.borrow().shards[&partition].clone();
+        if let Some(old) = inner.conn(partition) {
+            if Rc::ptr_eq(&old.server, &current) {
+                return;
+            }
+            old.channel.demux.borrow_mut().remove(&old.tag);
         }
         let (server_node, arena_region) = {
             let s = current.borrow();
             (s.node, s.arena_region)
         };
-        let weak = Rc::downgrade(&self.inner);
-        self.retire_stale_conn(partition);
-        let (
-            fab,
-            node,
-            qp,
-            tag,
-            demux,
-            new_channel,
-            req_region,
-            req_mem,
-            resp_region,
-            resp_mem,
-            send_recv,
-        ) = {
-            let mut inner = self.inner.borrow_mut();
-            let inner = &mut *inner;
-            let fab = inner.fab.clone();
-            let node = inner.node;
-            let send_recv = !inner.cfg.client_mode.rdma_write();
-            let page = inner.cfg.page_bytes;
-            let (req_region, req_mem) =
-                fab.alloc_region_paged(server_node, inner.cfg.msg_slot_words, page);
-            let (resp_region, resp_mem) =
-                fab.alloc_region_paged(node, inner.cfg.msg_slot_words, page);
-            let new_qp = |fab: &Fabric| {
-                let qp = fab.connect(node, server_node, inner.cfg.transport);
-                // Receive provisioning is per QP endpoint: a dedicated ring
-                // each side, or the server's node-wide SRQ pool.
-                if inner.cfg.srq {
-                    fab.ensure_srq(server_node, SRQ_DEPTH);
-                } else {
-                    fab.provision_recvs(server_node, RECV_RING_DEPTH);
-                }
-                fab.provision_recvs(node, RECV_RING_DEPTH);
-                qp
-            };
-            let (qp, tag, demux, new_channel) = if inner.cfg.mux_connections {
-                match inner.channels.entry(server_node.0) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let ch = e.get_mut();
-                        let tag = ch.next_tag;
-                        ch.next_tag = ch.next_tag.wrapping_add(1);
-                        (ch.qp, tag, Some(ch.demux.clone()), false)
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        let qp = new_qp(&fab);
-                        let demux: Rc<RefCell<DemuxTable>> = Rc::new(RefCell::new(HashMap::new()));
-                        v.insert(MuxChannel {
-                            qp,
-                            next_tag: 1,
-                            demux: demux.clone(),
-                        });
-                        (qp, 0u16, Some(demux), true)
-                    }
-                }
-            } else {
-                (new_qp(&fab), 0u16, None, false)
-            };
-            (
-                fab,
-                node,
-                qp,
-                tag,
-                demux,
-                new_channel,
-                req_region,
-                req_mem,
-                resp_region,
-                resp_mem,
-                send_recv,
-            )
+        let (fab, cfg, node) = (&inner.fab, &inner.cfg, inner.node);
+        let (req_region, req_mem) =
+            fab.alloc_region_paged(server_node, cfg.msg_slot_words, cfg.page_bytes);
+        let (resp_region, resp_mem) =
+            fab.alloc_region_paged(node, cfg.msg_slot_words, cfg.page_bytes);
+        let fresh = !(cfg.mux_connections && inner.channels.contains_key(&server_node.0));
+        let channel = if fresh {
+            Channel::open(fab, cfg, node, server_node)
+        } else {
+            inner.channels[&server_node.0].clone()
         };
+        if fresh && cfg.mux_connections {
+            inner.channels.insert(server_node.0, channel.clone());
+        }
+        let (qp, tag) = (channel.qp, channel.next_tag.get());
+        channel.next_tag.set(tag.wrapping_add(1));
+        let send_recv = !cfg.client_mode.rdma_write();
+        let weak = Rc::downgrade(&self.inner);
         // The server's kick into this client when a response lands.
         let client_kick: Rc<dyn Fn(&mut Sim)> = {
             let weak = weak.clone();
@@ -1470,67 +1486,13 @@ impl HydraClient {
             req_mem,
             resp_region,
             client_kick,
-            send_recv,
         });
-        if let Some(demux) = &demux {
-            demux.borrow_mut().insert(tag, (current.clone(), conn_idx));
-        }
-        if send_recv {
-            // Two-sided mode: deliveries arrive through recv handlers. The
-            // fabric keeps them and a shard holds the fabric, so a handler
-            // holds its shard (or demux table) weakly: a strong one is a
-            // cycle that outlives the cluster. This client holds both while
-            // it can send.
-            match &demux {
-                None => {
-                    // Dedicated QP: the handler is partition-specific.
-                    let server = Rc::downgrade(&current);
-                    fab.set_recv_handler(
-                        qp,
-                        server_node,
-                        Rc::new(move |sim: &mut Sim, _qp, payload: Vec<u8>| {
-                            if let Some(server_rc) = server.upgrade() {
-                                ShardServer::on_request_payload(&server_rc, sim, conn_idx, payload);
-                            }
-                        }),
-                    );
-                }
-                Some(demux) if new_channel => {
-                    // Multiplexed QP: one handler per channel, routing each
-                    // request payload by its stamped channel tag.
-                    let demux = Rc::downgrade(demux);
-                    fab.set_recv_handler(
-                        qp,
-                        server_node,
-                        Rc::new(move |sim: &mut Sim, _qp, payload: Vec<u8>| {
-                            let tag = hydra_wire::channel_tag(&payload);
-                            let Some(demux) = demux.upgrade() else {
-                                return; // the channel's client is gone
-                            };
-                            let target = demux.borrow().get(&tag).cloned();
-                            let Some((server_rc, idx)) = target else {
-                                return; // tag retired (partition rerouted)
-                            };
-                            ShardServer::on_request_payload(&server_rc, sim, idx, payload);
-                        }),
-                    );
-                }
-                Some(_) => {} // channel handler already installed
-            }
-            if demux.is_none() || new_channel {
-                // Responses key on req_id, so one handler serves the whole
-                // channel in either mode.
-                let weak2 = weak.clone();
-                fab.set_recv_handler(
-                    qp,
-                    node,
-                    Rc::new(move |sim: &mut Sim, _qp, payload: Vec<u8>| {
-                        if let Some(rc) = weak2.upgrade() {
-                            HydraClient { inner: rc }.on_response_payload(sim, payload);
-                        }
-                    }),
-                );
-            }
+        channel
+            .demux
+            .borrow_mut()
+            .insert(tag, (current.clone(), conn_idx));
+        if fresh && send_recv {
+            channel.listen(fab, node, server_node, weak);
         }
         let server_kick: Rc<dyn Fn(&mut Sim)> = {
             let server_rc = current.clone();
@@ -1538,34 +1500,20 @@ impl HydraClient {
                 ShardServer::on_request(&server_rc, sim, conn_idx);
             })
         };
-        let mut inner = self.inner.borrow_mut();
         let i = partition as usize;
         if i >= inner.conns.len() {
             inner.conns.resize_with(i + 1, || None);
         }
         inner.conns[i] = Some(ClientConn {
             server: current,
+            channel,
             qp,
+            tag,
             req_region,
             resp_mem,
             arena_region,
             server_kick,
-            tag,
         });
-    }
-
-    /// Drops `partition`'s demux registration when its connection is about
-    /// to be replaced (fail-over/migration rerouted the partition), so the
-    /// shared channel stops routing its tag to the dead server instance.
-    fn retire_stale_conn(&self, partition: u32) {
-        let inner = self.inner.borrow();
-        let Some(old) = inner.conn(partition) else {
-            return;
-        };
-        let old_node = old.server.borrow().node;
-        if let Some(ch) = inner.channels.get(&old_node.0) {
-            ch.demux.borrow_mut().remove(&old.tag);
-        }
     }
 
     fn on_response_kick(&self, sim: &mut Sim, partition: u32) {

@@ -906,8 +906,13 @@ pub fn run_batch<'a>(
     (repl, counts)
 }
 
-/// One client connection as seen by the server.
+/// One client connection as seen by the server: where its responses go.
+/// Under Send/Recv its requests arrive through the client channel's recv
+/// handler, which names the connection by its index; the transport is the
+/// cluster's ([`ShardServer::send_recv`]).
 pub(crate) struct ServerConn {
+    /// The channel's QP — shared with other partitions under
+    /// [`ClusterConfig::mux_connections`].
     pub qp: QpId,
     /// Request buffer (registered on the server's node). Unused in
     /// Send/Recv mode.
@@ -917,9 +922,6 @@ pub(crate) struct ServerConn {
     /// Invoked after the response write is delivered — the client's
     /// polling-loop kick.
     pub client_kick: Rc<dyn Fn(&mut Sim)>,
-    /// Whether this connection runs the two-sided Send/Recv protocol
-    /// (the §6.2 baseline) instead of RDMA-Write message passing.
-    pub send_recv: bool,
 }
 
 /// A shard server instance. Wrapped in `Rc<RefCell<..>>` by the cluster.
@@ -1080,7 +1082,7 @@ impl ShardServer {
     /// index interleaved, overlapping their cache misses, and batched
     /// writes likewise overlap their probe/allocation misses; value copies
     /// stay serial.
-    fn item_cost(req: &Request<'_>, send_recv: bool, batched: bool) -> SimTime {
+    fn item_cost(&self, req: &Request<'_>, batched: bool) -> SimTime {
         let (probe, write) = if batched {
             (costs::BATCH_PROBE_FACTOR, costs::BATCH_WRITE_FACTOR)
         } else {
@@ -1097,20 +1099,25 @@ impl ShardServer {
         };
         // Two-sided transports make the server CPU shepherd every message
         // through the receive queue (§4.2.1 / HERD).
-        base + if send_recv { costs::RECV_CPU_NS } else { 0 }
+        base + costs::RECV_CPU_NS * SimTime::from(self.send_recv())
     }
 
     /// Shard-core cost of an absorbed UPDATE ([`absorbed`]): the GET probe
     /// that decides its answer.
-    fn probe_cost(send_recv: bool, batched: bool) -> SimTime {
-        Self::item_cost(
+    fn probe_cost(&self, batched: bool) -> SimTime {
+        self.item_cost(
             &Request::Get {
                 req_id: 0,
                 key: &[],
             },
-            send_recv,
             batched,
         )
+    }
+
+    /// Whether clients run the two-sided Send/Recv protocol (the §6.2
+    /// baseline) instead of RDMA-Write message passing.
+    fn send_recv(&self) -> bool {
+        !self.cfg.client_mode.rdma_write()
     }
 
     /// Delay before an idle shard notices an arrival: the sweep position
@@ -1196,7 +1203,6 @@ impl ShardServer {
         conn_idx: usize,
         payload: Vec<u8>,
     ) -> (usize, LaneTask, SimTime) {
-        let send_recv = self.conns[conn_idx].send_recv;
         let batched = BatchFrame::is_batch(&payload);
         let fixed = costs::POLL_NS + self.cfg.post_wqe_ns;
         let own_fixed = if batched { 0 } else { fixed };
@@ -1212,9 +1218,9 @@ impl ShardServer {
         let (mut scan, mut writes, mut swept) = (None, false, 0);
         for (i, req) in reqs.iter().enumerate() {
             let cost = if absorbed(&reqs, i) {
-                Self::probe_cost(send_recv, batched)
+                self.probe_cost(batched)
             } else {
-                Self::item_cost(req, send_recv, batched)
+                self.item_cost(req, batched)
             };
             // Per-op depth samples are per request on every path.
             self.stats.queue_depth_hist_by_op[op_slot(req)]
@@ -1222,7 +1228,7 @@ impl ShardServer {
             total += cost;
             writes |= is_write(req);
             if !batched {
-                swept = fixed + Self::item_cost(req, send_recv, true);
+                swept = fixed + self.item_cost(req, true);
                 if let Request::Scan {
                     req_id,
                     start,
@@ -1466,13 +1472,11 @@ impl ShardServer {
             let mut reqs = recycle(std::mem::take(&mut self.reqs));
             let decode = |msg| Request::decode(msg).expect("validated on arrival");
             reqs.extend(members.iter().map(|m| decode(&m.payload)));
-            for (i, m) in members.iter().enumerate() {
+            let probe = costs::POLL_NS + self.cfg.post_wqe_ns + self.probe_cost(true);
+            for (i, price) in prices[..members.len()].iter_mut().enumerate() {
                 if absorbed(&reqs, i) {
-                    let send_recv = self.conns[m.conn_idx].send_recv;
-                    let probe =
-                        costs::POLL_NS + self.cfg.post_wqe_ns + Self::probe_cost(send_recv, true);
-                    self.sched.deficit[lane] += prices[i] - probe;
-                    prices[i] = probe;
+                    self.sched.deficit[lane] += *price - probe;
+                    *price = probe;
                 }
             }
             self.reqs = recycle(reqs);
@@ -2032,7 +2036,7 @@ impl ShardServer {
                 s.node,
                 conn.resp_region,
                 conn.client_kick.clone(),
-                conn.send_recv,
+                s.send_recv(),
             )
         };
         if send_recv {

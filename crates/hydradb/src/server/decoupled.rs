@@ -65,7 +65,7 @@ pub(super) fn admit(
 ) {
     let now = sim.now();
     for msg in messages(&payload) {
-        let done_at = dispatch(&mut this.borrow_mut(), now, conn_idx, msg);
+        let done_at = dispatch(&mut this.borrow_mut(), now, msg);
         let (this, payload) = (this.clone(), msg.to_vec());
         sim.schedule_at(done_at, move |sim| {
             this.borrow_mut().sweep.push(Member {
@@ -82,11 +82,9 @@ pub(super) fn admit(
 
 /// Reserves the dispatch core and a hand-off core for one request; returns
 /// when the hand-off core finishes it.
-fn dispatch(s: &mut ShardServer, now: SimTime, conn_idx: usize, msg: &[u8]) -> SimTime {
+fn dispatch(s: &mut ShardServer, now: SimTime, msg: &[u8]) -> SimTime {
     let req = Request::decode(msg).expect("admission validated it");
-    let cost = ShardServer::item_cost(&req, s.conns[conn_idx].send_recv, false)
-        + costs::POLL_NS
-        + s.cfg.post_wqe_ns;
+    let cost = s.item_cost(&req, false) + costs::POLL_NS + s.cfg.post_wqe_ns;
     s.stats.requests += 1;
     let backlog = s.cpu.free_at().saturating_sub(now);
     let depth_bucket = log2_bucket(backlog / cost.max(1));

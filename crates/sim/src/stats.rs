@@ -105,15 +105,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Records `n` identical samples.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        self.buckets[Self::index_of(value)] += n;
-        self.count += n;
-        self.sum += value as u128 * n as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     /// Number of samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -272,19 +263,6 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.mean(), 25.0);
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for _ in 0..100 {
-            a.record(12345);
-        }
-        b.record_n(12345, 100);
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.mean(), b.mean());
-        assert_eq!(a.quantile(0.9), b.quantile(0.9));
     }
 
     #[test]

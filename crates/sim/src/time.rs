@@ -16,19 +16,6 @@ pub const MS: SimTime = 1_000_000;
 /// One second.
 pub const SEC: SimTime = 1_000_000_000;
 
-/// Formats a virtual time compactly for logs and reports (e.g. `12.345us`).
-pub fn fmt_time(t: SimTime) -> String {
-    if t >= SEC {
-        format!("{:.3}s", t as f64 / SEC as f64)
-    } else if t >= MS {
-        format!("{:.3}ms", t as f64 / MS as f64)
-    } else if t >= US {
-        format!("{:.3}us", t as f64 / US as f64)
-    } else {
-        format!("{}ns", t)
-    }
-}
-
 /// Converts a duration in virtual nanoseconds to fractional microseconds.
 pub fn as_us(t: SimTime) -> f64 {
     t as f64 / US as f64
@@ -48,14 +35,6 @@ mod tests {
         assert_eq!(US, 1_000 * NS);
         assert_eq!(MS, 1_000 * US);
         assert_eq!(SEC, 1_000 * MS);
-    }
-
-    #[test]
-    fn fmt_time_picks_the_right_unit() {
-        assert_eq!(fmt_time(17), "17ns");
-        assert_eq!(fmt_time(1_500), "1.500us");
-        assert_eq!(fmt_time(2 * MS), "2.000ms");
-        assert_eq!(fmt_time(3 * SEC + 500 * MS), "3.500s");
     }
 
     #[test]

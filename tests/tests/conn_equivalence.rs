@@ -13,12 +13,20 @@
 //! 2. **Sharing is real** — the multiplexed client provably holds one QP
 //!    per server node (not one per partition), so the parity above is not
 //!    vacuous.
+//! 3. **Parity across a reroute** — partition 0's primary crashes in the
+//!    middle of the program and its secondary is promoted: both modes still
+//!    agree, every channel routes exactly the tags of the partitions it
+//!    carries (one on a dedicated connection), and the rerouted
+//!    partition's old tag is gone from its old channel.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use hydra_chaos::FaultEvent;
 use hydra_db::client::{OpCb, OpError};
-use hydra_db::{Cluster, ClusterBuilder, ClusterConfig, HydraClient};
+use hydra_db::{ChaosController, Cluster, ClusterBuilder, ClusterConfig, HydraClient};
+use hydra_fabric::QpId;
+use hydra_sim::time::SEC;
 use hydra_sim::SimTime;
 use proptest::prelude::*;
 
@@ -78,11 +86,47 @@ fn cluster_with(mux: bool, cfg_tweak: impl FnOnce(&mut ClusterConfig)) -> Cluste
 /// Replays `ops` closed-loop and returns the completion trace plus a
 /// canonical dump of every shard engine's final contents.
 fn run_sequential(mux: bool, ops: &[Op], tweak: fn(&mut ClusterConfig)) -> (Trace, Vec<String>) {
-    let mut cluster = cluster_with(mux, tweak);
+    run_program(mux, ops, tweak, None)
+}
+
+/// Partition 0's connection just before the crash: its QP and its tag.
+type Rerouted = Rc<Cell<Option<(QpId, u16)>>>;
+
+/// A crash of partition 0's primary, applied just before op `at` issues.
+struct Crash {
+    at: usize,
+    chaos: ChaosController,
+    before: Rerouted,
+}
+
+/// [`run_sequential`], optionally with a [`Crash`] at op `crash_at` (the
+/// cluster then runs one secondary per partition and failure detection).
+fn run_program(
+    mux: bool,
+    ops: &[Op],
+    tweak: fn(&mut ClusterConfig),
+    crash_at: Option<usize>,
+) -> (Trace, Vec<String>) {
+    let mut cluster = cluster_with(mux, |cfg| {
+        tweak(cfg);
+        if crash_at.is_some() {
+            cfg.replicas = 1;
+        }
+    });
     let client = cluster.add_client(0);
     for k in 0..12u8 {
         hydra_integration::put_ok(&mut cluster, &client, &key_of(k), &value_of(k, 0));
     }
+    let before: Rerouted = Rc::default();
+    let crash = crash_at.map(|at| {
+        let until = cluster.sim.now() + SEC;
+        cluster.enable_ha(until);
+        Rc::new(Crash {
+            at,
+            chaos: cluster.chaos(),
+            before: before.clone(),
+        })
+    });
     let trace: Rc<RefCell<Trace>> = Rc::new(RefCell::new(Vec::new()));
     let done = Rc::new(Cell::new(false));
 
@@ -93,17 +137,25 @@ fn run_sequential(mux: bool, ops: &[Op], tweak: fn(&mut ClusterConfig)) -> (Trac
         i: usize,
         trace: Rc<RefCell<Trace>>,
         done: Rc<Cell<bool>>,
+        crash: Option<Rc<Crash>>,
     ) {
         if i >= ops.len() {
             done.set(true);
             return;
+        }
+        if let Some(c) = crash.as_ref().filter(|c| c.at == i) {
+            let qp = client.conn_qp(0);
+            c.before
+                .set(qp.zip(client.conn_tags(0).map(|(tag, _)| tag)));
+            c.chaos
+                .apply(sim, &FaultEvent::CrashPrimary { partition: 0 });
         }
         let op = ops[i].clone();
         let c2 = client.clone();
         let t2 = trace.clone();
         let cont: OpCb = Box::new(move |sim, res| {
             t2.borrow_mut().push((sim.now(), render(&res)));
-            step(sim, c2, ops, i + 1, trace, done);
+            step(sim, c2, ops, i + 1, trace, done, crash);
         });
         match op {
             Op::Get(k) => client.get(sim, &key_of(k), cont),
@@ -122,9 +174,13 @@ fn run_sequential(mux: bool, ops: &[Op], tweak: fn(&mut ClusterConfig)) -> (Trac
         0,
         trace.clone(),
         done.clone(),
+        crash,
     );
     cluster.sim.run();
     assert!(done.get(), "op chain did not complete");
+    if crash_at.is_some() {
+        assert_eq!(cluster.promotions(), 1, "partition 0 failed over");
+    }
 
     // Sanity: under mux every touched partition on one node reports the
     // same pooled QP; dedicated mode reports distinct ones.
@@ -148,6 +204,44 @@ fn run_sequential(mux: bool, ops: &[Op], tweak: fn(&mut ClusterConfig)) -> (Trac
         }
     }
 
+    // Every channel routes exactly the tags of the partitions riding it: one
+    // on a dedicated connection, and no tag of a rerouted partition.
+    let conns: Vec<(QpId, u16, Vec<u16>)> = (0..cluster.cfg.total_shards())
+        .filter_map(|p| {
+            let (tag, routed) = client.conn_tags(p)?;
+            Some((client.conn_qp(p)?, tag, routed))
+        })
+        .collect();
+    for (qp, _, routed) in &conns {
+        let mut riding: Vec<u16> = conns
+            .iter()
+            .filter(|(q, ..)| q == qp)
+            .map(|&(_, tag, _)| tag)
+            .collect();
+        riding.sort_unstable();
+        assert_eq!(
+            routed, &riding,
+            "channel {qp:?} routes stale or foreign tags"
+        );
+        if !mux {
+            assert_eq!(routed, &[0], "a dedicated channel carries one tag");
+        }
+    }
+    if let Some((old_qp, old_tag)) = before.get() {
+        assert_ne!(client.conn_qp(0), Some(old_qp), "partition 0 was rerouted");
+        let on_old: Vec<_> = conns.iter().filter(|(qp, ..)| *qp == old_qp).collect();
+        // Under mux partition 0's sibling still rides the old channel, which
+        // no longer routes partition 0's old tag; a dedicated channel left
+        // with its partition.
+        assert_eq!(on_old.is_empty(), !mux, "who rides the old channel");
+        for (_, _, routed) in on_old {
+            assert!(
+                !routed.contains(&old_tag),
+                "retired tag {old_tag} still routed"
+            );
+        }
+    }
+
     // Canonical engine state: every key's value, per partition. Probing via
     // `get` post-run mutates lease bookkeeping identically on both sides, so
     // the dumps stay comparable.
@@ -167,6 +261,15 @@ fn run_sequential(mux: bool, ops: &[Op], tweak: fn(&mut ClusterConfig)) -> (Trac
         engines.push(format!("p{p}:[{}]", dump.join(",")));
     }
     (Rc::try_unwrap(trace).unwrap().into_inner(), engines)
+}
+
+/// Runs `ops` with partition 0's primary crashed half-way through, then
+/// updates every key (the message path) so every partition, the rerouted
+/// one included, is connected at the end.
+fn run_rerouted(mux: bool, ops: &[Op], tweak: fn(&mut ClusterConfig)) -> (Trace, Vec<String>) {
+    let sweep = (0..24).map(|k| Op::Update(k, u8::MAX));
+    let program: Vec<Op> = ops.iter().cloned().chain(sweep).collect();
+    run_program(mux, &program, tweak, Some(ops.len() / 2))
 }
 
 fn no_tweak(_: &mut ClusterConfig) {}
@@ -195,6 +298,34 @@ proptest! {
         }
         let (ded_trace, ded_engines) = run_sequential(false, &ops, send_recv);
         let (mux_trace, mux_engines) = run_sequential(true, &ops, send_recv);
+        prop_assert_eq!(ded_trace, mux_trace);
+        prop_assert_eq!(ded_engines, mux_engines);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Parity survives partition 0's fail-over mid-program on the default
+    /// plane: the rerouted partition's requests reach the promoted primary
+    /// over a fresh QP (dedicated) or the surviving node's channel (mux).
+    #[test]
+    fn mux_matches_dedicated_across_a_reroute(ops in ops()) {
+        let (ded_trace, ded_engines) = run_rerouted(false, &ops, no_tweak);
+        let (mux_trace, mux_engines) = run_rerouted(true, &ops, no_tweak);
+        prop_assert_eq!(ded_trace, mux_trace);
+        prop_assert_eq!(ded_engines, mux_engines);
+    }
+
+    /// The same across a reroute on the Send/Recv plane, where a retired
+    /// tag is what stops the old channel's recv handler.
+    #[test]
+    fn mux_matches_dedicated_across_a_reroute_send_recv(ops in ops()) {
+        fn send_recv(cfg: &mut ClusterConfig) {
+            cfg.client_mode = hydra_db::ClientMode::SendRecv;
+        }
+        let (ded_trace, ded_engines) = run_rerouted(false, &ops, send_recv);
+        let (mux_trace, mux_engines) = run_rerouted(true, &ops, send_recv);
         prop_assert_eq!(ded_trace, mux_trace);
         prop_assert_eq!(ded_engines, mux_engines);
     }
