@@ -159,8 +159,4 @@ pub fn run(scale: Scale, report: &mut Report) {
         "# simulated Mops is index-insensitive (calibrated fixed per-op cost); \
          see BENCH_index for isolated wall-clock probe speedups",
     );
-    report.line(
-        "# packed lines/op is inflated by misses that walk the drained half of a \
-         growing index (ROADMAP item 2)",
-    );
 }

@@ -67,9 +67,10 @@ struct ChaosInner {
 }
 
 /// Applies fault plans to one cluster. Cheap to clone; obtained from
-/// [`Cluster::chaos`]. All injection — including the legacy
-/// [`Cluster::kill_primary`] / [`Cluster::kill_swat_leader`] test hooks —
-/// funnels through [`apply`](Self::apply).
+/// [`Cluster::chaos`](crate::Cluster::chaos). All injection — including
+/// the legacy [`Cluster::kill_primary`](crate::Cluster::kill_primary) /
+/// [`Cluster::kill_swat_leader`](crate::Cluster::kill_swat_leader) test
+/// hooks — funnels through [`apply`](Self::apply).
 #[derive(Clone)]
 pub struct ChaosController {
     inner: Rc<RefCell<ChaosInner>>,
@@ -596,7 +597,7 @@ impl ChaosController {
 /// A [`HydraClient`] whose every operation is recorded in the cluster's
 /// chaos [`History`] (invocation and response on the virtual clock), and
 /// whose invocations drive op-count fault triggers. Obtained from
-/// [`Cluster::add_recording_client`].
+/// [`Cluster::add_recording_client`](crate::Cluster::add_recording_client).
 #[derive(Clone)]
 pub struct RecordingClient {
     client: HydraClient,

@@ -26,7 +26,7 @@
 //! frame. Either way a connection's message slot holds one shipment at a
 //! time. A fail-over reaches clients as a directory-change notification:
 //! every shipment parked on a replaced primary is re-routed at once
-//! ([`HydraClient::wake_subscribers`]). The backstop — for a lost response,
+//! (`HydraClient::wake_subscribers`). The backstop — for a lost response,
 //! a dead shard nobody replaced — is the timeout: an unanswered shipment is
 //! retried against the partition's current primary a bounded number of
 //! times.

@@ -1,6 +1,6 @@
 //! Live migration: online shard join/drain under client traffic (§5.1).
 //!
-//! The paper's SWAT manager "notif[ies] certain shards to migrate data to
+//! The paper's SWAT manager "notif\[ies\] certain shards to migrate data to
 //! newly joined nodes"; this module is that control plane. A migration is a
 //! per-source-shard state machine
 //!
@@ -12,7 +12,7 @@
 //!
 //! * **Snapshot** — the source lists its keys once, in key order, and walks
 //!   the list in bounded quanta ([`ClusterConfig::migration_quantum_items`]
-//!   keys per [`TICK_NS`]), streaming every key still present whose hash
+//!   keys per `TICK_NS`), streaming every key still present whose hash
 //!   routes elsewhere under the *target* ring to its new owner over a
 //!   dedicated RDMA channel. Quanta ride the throughput lane of the dual-lane
 //!   scheduler, so point-op tail latency stays isolated. From the plan's
@@ -34,7 +34,7 @@
 //!   delete the keys they shed, replicating the deletes to their own
 //!   secondaries. Old owners answer any straggler request for a moved key
 //!   with a wire-level `WrongOwner{generation}` redirect (see
-//!   [`MigrationState::wrong_owner`]); clients drop the stale remote pointer
+//!   `MigrationState::wrong_owner`); clients drop the stale remote pointer
 //!   and re-route through the already-updated shared directory.
 //!
 //! A node **join** creates the new partitions through the builder's own

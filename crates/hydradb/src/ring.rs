@@ -12,7 +12,7 @@ pub struct ShardId(pub u32);
 /// Virtual nodes per shard.
 const VNODES: u32 = 64;
 
-/// A consistent-hash ring of shards with [`VNODES`] virtual nodes each.
+/// A consistent-hash ring of shards with `VNODES` virtual nodes each.
 ///
 /// Virtual nodes smooth the key distribution: with `v` vnodes per shard the
 /// expected load imbalance is O(sqrt(log n / v)). The paper's fine-grained

@@ -13,9 +13,9 @@
 //! response (DESIGN §7) — except under the decoupled execution ablations,
 //! which branch off at admission into the `decoupled` submodule. A busy
 //! shard serves the bare point ops its lane holds, from every connection,
-//! as one quantum: a *sweep* ([`ShardServer::take_sweep`]). A lone request
+//! as one quantum: a *sweep* (`ShardServer::take_sweep`). A lone request
 //! and a frame are sweeps of one; every sweep runs through one executor,
-//! [`ShardServer::execute`].
+//! `ShardServer::execute`.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};

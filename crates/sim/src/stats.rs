@@ -12,12 +12,6 @@ impl Counter {
         Counter::default()
     }
 
-    /// Adds one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
     /// Adds `n`.
     #[inline]
     pub fn add(&mut self, n: u64) {
@@ -212,7 +206,7 @@ mod tests {
     #[test]
     fn counter_basics() {
         let mut c = Counter::new();
-        c.inc();
+        c.add(1);
         c.add(4);
         assert_eq!(c.get(), 5);
         assert_eq!(c.take(), 5);

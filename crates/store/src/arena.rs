@@ -162,13 +162,6 @@ impl Arena {
         self.frees += 1;
     }
 
-    /// Whether an allocation of `len` words would currently succeed.
-    pub fn can_alloc(&self, len: u32) -> bool {
-        let class = size_class(len.max(1));
-        self.free.get(&class).is_some_and(|l| !l.is_empty())
-            || self.bump + class as u64 <= self.words.len() as u64
-    }
-
     /// Retreats the bump frontier over free blocks that end exactly at it,
     /// converting tail fragmentation back into headroom that *any* size
     /// class can be carved from. Returns the number of words reclaimed.
@@ -267,9 +260,8 @@ mod tests {
         assert!(a.alloc(11).is_none());
         assert_eq!(a.alloc(10), Some(0));
         assert!(a.alloc(1).is_none());
-        assert!(!a.can_alloc(1));
         a.free(0, 10);
-        assert!(a.can_alloc(10));
+        assert_eq!(a.alloc(10), Some(0), "a freed block serves again");
     }
 
     #[test]

@@ -212,11 +212,6 @@ impl ShardEngine {
         }
     }
 
-    /// Whether the index has an incremental resize in progress.
-    pub fn index_resizing(&self) -> bool {
-        self.table.is_resizing()
-    }
-
     /// Bytes held by the index's live structures and the ordered view's.
     pub fn index_mem_bytes(&self) -> usize {
         self.table.mem_bytes() + self.ordered.as_ref().map_or(0, SkipList::mem_bytes)
@@ -319,9 +314,9 @@ impl ShardEngine {
 
     /// Links a freshly written item into the index, and into the ordered
     /// view once one exists. The rehash callback lets the packed index
-    /// re-derive migrated entries' home groups during incremental resize; it
-    /// only ever sees offsets of live items (every engine path removes the
-    /// index entry before a block can be reclaimed).
+    /// re-derive every entry's home group when it rebuilds; it only ever
+    /// sees offsets of live items (every engine path removes the index entry
+    /// before a block can be reclaimed).
     fn index_insert(&mut self, hash: u64, key: &[u8], off: u64) {
         let words = self.arena.words();
         self.table
@@ -517,12 +512,7 @@ impl ShardEngine {
         let old_words = old_item.total_words(words);
         let old_lease = old_item.lease(words);
         old_item.kill(words);
-        let replaced = self.table.replace(
-            hash,
-            new_off,
-            |off| off == old_off,
-            |o| ItemRef { off: o }.stored_key_hash(words),
-        );
+        let replaced = self.table.replace(hash, new_off, |off| off == old_off);
         debug_assert_eq!(replaced, Some(old_off));
         if let Some(list) = &mut self.ordered {
             list.set(words, key, new_off);
@@ -1258,8 +1248,8 @@ mod tests {
     fn delete_only_workload_drains_reclaim_and_holds_no_drained_half() {
         // Regression: the reclamation epoch used to advance only from put
         // paths, so a delete-only phase accumulated expired blocks
-        // unboundedly. The index resizes under the load and the deletes
-        // (tombstone purges), and no drained half outlives its migration.
+        // unboundedly. The index grows under the load and holds one array
+        // of the grown size through the deletes.
         let cfg = EngineConfig {
             arena_words: 1 << 16,
             expected_items: 16,
@@ -1273,7 +1263,9 @@ mod tests {
             e.insert(i, format!("dk{i:05}").as_bytes(), &[7; 16])
                 .unwrap();
         }
-        assert!(e.table_stats().resizes >= 2, "load must grow the index");
+        let grown = e.table_stats().resizes;
+        assert!(grown >= 2, "load must grow the index");
+        assert_eq!(e.index_mem_bytes(), 4096 << grown);
         // Deletes only from here on; leases are short, so blocks keep
         // coming due as virtual time advances.
         let mut peak_pending = 0;
@@ -1281,13 +1273,7 @@ mod tests {
             let now = 1_000_000 + i * 100; // far past every grant
             e.delete(now, format!("dk{i:05}").as_bytes()).unwrap();
             peak_pending = peak_pending.max(e.reclaim_pending());
-            if !e.index_resizing() {
-                assert!(
-                    e.index_mem_bytes().is_power_of_two() && e.index_mem_bytes() >= 4096,
-                    "no drained half may be held: {} B",
-                    e.index_mem_bytes()
-                );
-            }
+            assert_eq!(e.index_mem_bytes(), 4096 << grown, "after {i} deletes");
         }
         assert!(
             peak_pending <= 2,
@@ -1297,12 +1283,13 @@ mod tests {
     }
 
     #[test]
-    fn a_completed_resize_frees_its_old_half_with_nothing_due() {
+    fn a_grown_index_holds_one_array_with_nothing_due() {
         // An engine starts its packed index at one page, however many items
-        // it expects. When a resize completes, the old half is gone with the
-        // mutation that drained it: the index holds its live array alone and
-        // no reclamation pump is due, so a read-only phase after an
-        // insert-only load pins nothing and arms nothing.
+        // it expects. Each doubling rebuilds the index in the insert that
+        // crosses its ceiling: after every insert the index holds one array
+        // of `4096 << doublings` bytes, every key stays found, and no
+        // reclamation pump is due, so a read-only phase after an insert-only
+        // load pins nothing and arms nothing.
         let cfg = EngineConfig {
             arena_words: 1 << 16,
             expected_items: 1 << 20,
@@ -1313,21 +1300,23 @@ mod tests {
         };
         let mut e = ShardEngine::new(cfg);
         assert_eq!(e.index_mem_bytes(), 4096, "one page before any insert");
+        let mut scratch = Vec::new();
         let mut i = 0u64;
-        let mut was_resizing = false;
-        while e.table_stats().resizes < 3 || e.index_resizing() {
+        let mut doublings = 0;
+        while doublings < 3 {
             e.insert(i, format!("ro{i:05}").as_bytes(), &[9; 16])
                 .unwrap();
             i += 1;
-            if was_resizing && !e.index_resizing() {
-                let live = 4096 << e.table_stats().resizes;
-                assert_eq!(e.index_mem_bytes(), live, "after {i} inserts");
-                assert_eq!(e.next_reclaim_at(), None);
+            assert_eq!(e.index_mem_bytes(), 4096 << e.table_stats().resizes);
+            if e.table_stats().resizes > doublings {
+                doublings = e.table_stats().resizes;
+                for j in 0..i {
+                    let key = format!("ro{j:05}");
+                    assert!(e.get_into(i, key.as_bytes(), &mut scratch).is_some());
+                }
+                assert_eq!(e.next_reclaim_at(), None, "after {i} inserts");
             }
-            was_resizing = e.index_resizing();
-            assert!(i < 100_000, "never observed three completed resizes");
         }
-        let mut scratch = Vec::new();
         e.get_into(i, b"ro00000", &mut scratch).unwrap();
         assert_eq!(e.index_mem_bytes(), 4096 << 3);
         assert_eq!(e.next_reclaim_at(), None);
@@ -1336,7 +1325,7 @@ mod tests {
     #[test]
     fn item_addresses_are_stable_across_index_resizes() {
         // The address-stability contract behind client-cached remote
-        // pointers: incremental resize moves index *entries*, never items.
+        // pointers: a rebuild moves index *entries*, never items.
         let cfg = EngineConfig {
             arena_words: 1 << 16,
             expected_items: 16,
@@ -1347,7 +1336,7 @@ mod tests {
         };
         let mut e = ShardEngine::new(cfg);
         let info = e.insert(0, b"pinned-key", b"pinned-value!!").unwrap();
-        // Force multiple incremental resizes with unrelated inserts.
+        // Force multiple rebuilds with unrelated inserts.
         for i in 0..2_000u64 {
             e.insert(i, format!("fill{i:05}").as_bytes(), &[0; 8])
                 .unwrap();

@@ -2,7 +2,7 @@
 //! [`IndexKind`] names, and the one place a call is dispatched to them.
 //!
 //! * [`crate::PackedTable`] — the production structure: cache-line-packed
-//!   open addressing with SWAR tag probing and incremental resize.
+//!   open addressing with SWAR tag probing, grown by one-step rebuilds.
 //! * [`crate::CompactTable`] — the seed's overflow-chained compact table
 //!   (one line per bucket, 16-bit signatures, dynamic overflow chains).
 //! * [`crate::ChainedTable`] — the naive linked-list baseline the paper's
@@ -26,12 +26,11 @@
 //! * Indexes map 64-bit key hashes to 48-bit arena word offsets and never
 //!   look at key bytes — full equality is the caller's `is_match(offset)`
 //!   predicate.
-//! * Mutating operations accept a `rehash(offset) -> hash` callback used by
-//!   the structures that relocate entries (the packed table's incremental
-//!   resize re-derives the home group of migrated entries from their stored
-//!   keys). The callback may only be invoked for offsets currently present
-//!   in the index, which the engine guarantees always reference live,
-//!   un-reclaimed items.
+//! * `insert` and `remove` accept a `rehash(offset) -> hash` callback used by
+//!   the structure that relocates entries (the packed table's rebuild
+//!   re-derives every entry's home group from its stored key). The callback
+//!   may only be invoked for offsets currently present in the index, which
+//!   the engine guarantees always reference live, un-reclaimed items.
 //! * Index entries move; items never do. Arena offsets handed out as remote
 //!   pointers stay valid across any index churn (see `hydra_wire`'s
 //!   remote-pointer rules).
@@ -86,8 +85,7 @@ macro_rules! dispatch {
 impl AnyIndex {
     /// Builds an empty index of `kind`. `items` sizes only the
     /// fixed-capacity ablation tables (`Chained`, `Compact`); the packed
-    /// index starts at one page and grows by incremental resize as items
-    /// arrive.
+    /// index starts at one page and doubles as items arrive.
     pub fn with_capacity(kind: IndexKind, items: usize) -> AnyIndex {
         match kind {
             // One chain head per expected item — the conventional load
@@ -153,13 +151,8 @@ impl AnyIndex {
         hash: u64,
         new_offset: u64,
         is_match: impl FnMut(u64) -> bool,
-        rehash: impl FnMut(u64) -> u64,
     ) -> Option<u64> {
-        match self {
-            AnyIndex::Chained(t) => t.replace(hash, new_offset, is_match),
-            AnyIndex::Compact(t) => t.replace(hash, new_offset, is_match),
-            AnyIndex::Packed(t) => t.replace(hash, new_offset, is_match, rehash),
-        }
+        dispatch!(self, t => t.replace(hash, new_offset, is_match))
     }
 
     /// Removes the entry `is_match` confirms; returns its offset.
@@ -179,14 +172,6 @@ impl AnyIndex {
     /// Visits every stored offset.
     pub fn for_each(&self, f: impl FnMut(u64)) {
         dispatch!(self, t => t.for_each(f))
-    }
-
-    /// Whether an incremental resize is in progress.
-    pub fn is_resizing(&self) -> bool {
-        match self {
-            AnyIndex::Chained(_) | AnyIndex::Compact(_) => false,
-            AnyIndex::Packed(t) => t.is_resizing(),
-        }
     }
 }
 
@@ -235,7 +220,7 @@ mod tests {
             // Replace moves an entry to a fresh item; remove returns it.
             for i in (0..400).step_by(5) {
                 let moved = write(&keys[i]);
-                let old = idx.replace(hash_key(&keys[i]), moved, is(&keys[i]), rehash);
+                let old = idx.replace(hash_key(&keys[i]), moved, is(&keys[i]));
                 assert_eq!(old, Some(offs[i]), "{kind:?}");
                 offs[i] = moved;
             }
@@ -267,10 +252,9 @@ mod tests {
             assert!(idx.mem_bytes() > 0);
             assert!(idx.stats().lookups > 0);
             // The packed table doubled from its page once and holds the
-            // live array alone: no kind holds a drained resize half.
+            // doubled array alone.
             let packed = kind == IndexKind::Packed;
             assert_eq!(idx.stats().resizes, packed as u64, "{kind:?}");
-            assert!(!idx.is_resizing());
             if packed {
                 assert_eq!(idx.mem_bytes(), 2 * 4096);
             }

@@ -228,8 +228,8 @@ impl ItemRef {
 
     /// Hashes the stored key without allocating — byte-for-byte identical to
     /// [`crate::hash_key`] on the key bytes. This is what lets the packed
-    /// index re-derive an entry's home group during incremental resize from
-    /// nothing but the 48-bit offset in the bucket line: index entries always
+    /// index re-derive an entry's home group when it rebuilds from nothing
+    /// but the 48-bit offset in the bucket line: index entries always
     /// reference live items, so the key bytes are immutably present.
     pub fn stored_key_hash(&self, words: &[AtomicU64]) -> u64 {
         let klen = self.klen(words);

@@ -3,7 +3,7 @@
 //! This is the successor to the overflow-chained [`crate::CompactTable`]: the
 //! same one-cache-line-per-probe budget, but with open addressing instead of
 //! dynamically allocated overflow buckets, wordwise SWAR probing of an 8-bit
-//! tag array instead of a per-slot signature scan, and *incremental* resize
+//! tag array instead of a per-slot signature scan, and growth by doubling
 //! instead of a fixed main branch. Each group is exactly one 64-byte cache
 //! line:
 //!
@@ -17,36 +17,32 @@
 //!   `0x02..=0xFF`). A lookup broadcasts the probe tag across a `u64` and
 //!   finds candidate lanes with a branch-free zero-byte SWAR test — no
 //!   per-slot loop, no nightly SIMD.
-//! * **Control byte** — the group's `OVERFLOWED` sticky bit (an insert once
+//! * **Control byte** — the group's `OVERFLOWED` sticky bit: an insert once
 //!   passed through this group while it was full, so probes must continue to
-//!   the next group) and the `MIGRATED` bit (resize has drained this group,
-//!   but probe chains still pass through it).
+//!   the next group.
 //! * **Slots** — the item's arena word offset and nothing else: the lease
 //!   lives in the item header, where one-sided reads and reclamation read
 //!   it, so a lookup touches a single cache line before the item.
 //!
 //! **Probing** is bounded linear group probing: start at `hash & mask`, stop
-//! at the first group whose `OVERFLOWED`/`MIGRATED` bits are both clear.
-//! Deletion writes a tombstone when the group has overflowed (so chains stay
-//! walkable) and a plain empty lane otherwise.
+//! at the first group that has not overflowed. Deletion writes a tombstone
+//! when the group has overflowed (so chains stay walkable) and a plain empty
+//! lane otherwise.
 //!
-//! **Incremental resize** never stops the world: when occupancy (plus
-//! tombstone debt) crosses the configured ceiling, a fresh group array is
-//! installed and the full one becomes the *old half*. Every subsequent
-//! mutation migrates one old group into the new array (re-deriving each
-//! entry's hash from its arena key via the caller's `rehash` closure), so
-//! the rehash cost is spread across the very mutations that caused the
-//! growth. Lookups probe the new half, then the old; drained old groups are
-//! marked `MIGRATED` so probe chains that pass through them keep walking.
-//! A fully drained old half is freed by the mutation that drains it: the
-//! table's owner is its only reader (remote GETs read the arena, not the
-//! index), so nothing can still be probing it.
+//! **Rebuild** — when occupancy crosses the configured ceiling, the insert
+//! that crosses it allocates the doubled group array and re-places every
+//! live entry into it, re-deriving each entry's hash from its arena key via
+//! the caller's `rehash` closure; a remove that leaves too many tombstones
+//! rebuilds at the same size. Both happen in the one call: the table's owner
+//! is its only reader (remote GETs read the arena, not the index), and index
+//! work is not priced in virtual time, so spreading the rehash over later
+//! mutations would buy nothing and cost every probe a second array.
 //!
 //! **Growth from a page** — a shard's table starts at one 4 KiB page
-//! ([`PackedTable::default`]) and doubles through the same incremental
-//! resize as its items arrive, so index memory is committed as it is used.
+//! ([`PackedTable::default`]) and doubles as its items arrive, so index
+//! memory is committed as it is used.
 //!
-//! **Address stability** — resize and displacement move *index entries*,
+//! **Address stability** — rebuilds and displacement move *index entries*,
 //! never items: arena word offsets handed to clients as remote pointers stay
 //! valid across any amount of index churn (see `hydra_wire::rptr`).
 
@@ -58,9 +54,8 @@ pub const GROUP_SLOTS: usize = 7;
 const TAG_EMPTY: u8 = 0x00;
 const TAG_TOMB: u8 = 0x01;
 
-const CTRL_SHIFT: u64 = 56;
-const CTRL_OVERFLOWED: u8 = 0x01;
-const CTRL_MIGRATED: u8 = 0x02;
+/// The control byte's `OVERFLOWED` bit, in place in the tag word.
+const OVERFLOWED: u64 = 1 << 56;
 
 /// Largest arena word offset a slot holds (48 bits).
 const OFF_MASK: u64 = (1 << 48) - 1;
@@ -111,35 +106,10 @@ const _: () = assert!(std::mem::size_of::<Group>() == 64);
 const _: () = assert!(std::mem::align_of::<Group>() == 64);
 
 impl Group {
-    #[inline]
-    fn ctrl(&self) -> u8 {
-        (self.tags >> CTRL_SHIFT) as u8
-    }
-
-    #[inline]
-    fn set_ctrl(&mut self, ctrl: u8) {
-        self.tags = (self.tags & !(0xFFu64 << CTRL_SHIFT)) | ((ctrl as u64) << CTRL_SHIFT);
-    }
-
+    /// Probe chains continue past a group that has overflowed.
     #[inline]
     fn overflowed(&self) -> bool {
-        self.ctrl() & CTRL_OVERFLOWED != 0
-    }
-
-    #[inline]
-    fn migrated(&self) -> bool {
-        self.ctrl() & CTRL_MIGRATED != 0
-    }
-
-    /// Probe chains continue through overflowed and migrated groups.
-    #[inline]
-    fn chains_on(&self) -> bool {
-        self.ctrl() & (CTRL_OVERFLOWED | CTRL_MIGRATED) != 0
-    }
-
-    #[inline]
-    fn set_flag(&mut self, flag: u8) {
-        self.set_ctrl(self.ctrl() | flag);
+        self.tags & OVERFLOWED != 0
     }
 
     #[inline]
@@ -176,27 +146,18 @@ fn lane_of(bit: u64) -> usize {
     (bit.trailing_zeros() / 8) as usize
 }
 
-/// The group array being drained by an in-progress incremental resize.
-struct OldHalf {
-    groups: Box<[Group]>,
-    mask: u64,
-    /// Next group to migrate; groups below this are `MIGRATED`.
-    pos: usize,
-}
-
 /// Cache-line-packed open-addressing index mapping 64-bit key hashes to
 /// 48-bit arena word offsets. Full key equality is delegated to the caller's
-/// `is_match` predicate; mutations take a `rehash` closure so incremental
-/// resize can re-derive the home group of migrated entries from their stored
-/// keys. See the module docs for layout and protocol.
+/// `is_match` predicate; `insert` and `remove` take a `rehash` closure so a
+/// rebuild can re-derive the home group of every entry from its stored key.
+/// See the module docs for layout and protocol.
 pub struct PackedTable {
+    /// A power-of-two count of groups: `hash & (len - 1)` is a home group.
     groups: Box<[Group]>,
-    mask: u64,
     len: usize,
-    /// Tombstone lanes in the live half (resize-debt accounting).
+    /// Tombstone lanes (rebuild-debt accounting).
     tombs: usize,
-    old: Option<OldHalf>,
-    /// Resize when `(len + tombs) * 8 >= slots * max_load_eighths`.
+    /// Grow when `(len + tombs) * 8 >= slots * max_load_eighths`.
     max_load_eighths: u32,
     stats: TableStats,
 }
@@ -218,16 +179,17 @@ impl PackedTable {
     /// pinning a target load factor).
     pub fn with_max_load(groups: usize, max_load_eighths: u32) -> Self {
         assert!((1..=8).contains(&max_load_eighths));
-        let n = groups.next_power_of_two().max(1);
         PackedTable {
-            groups: vec![Group::default(); n].into_boxed_slice(),
-            mask: (n - 1) as u64,
+            groups: Self::empty_groups(groups),
             len: 0,
             tombs: 0,
-            old: None,
             max_load_eighths,
             stats: TableStats::default(),
         }
+    }
+
+    fn empty_groups(groups: usize) -> Box<[Group]> {
+        vec![Group::default(); groups.next_power_of_two().max(1)].into_boxed_slice()
     }
 
     /// Number of entries.
@@ -250,50 +212,31 @@ impl PackedTable {
         self.stats = TableStats::default();
     }
 
-    /// Whether an incremental resize is in progress.
-    pub fn is_resizing(&self) -> bool {
-        self.old.is_some()
-    }
-
-    /// `(migrated, total)` old groups of the in-progress resize.
-    pub fn resize_progress(&self) -> (usize, usize) {
-        match &self.old {
-            Some(o) => (o.pos, o.groups.len()),
-            None => (0, 0),
-        }
-    }
-
-    /// Bytes held by the group arrays (both halves during a resize).
+    /// Bytes held by the group array.
     pub fn mem_bytes(&self) -> usize {
-        let old = self.old.as_ref().map_or(0, |o| o.groups.len());
-        (self.groups.len() + old) * std::mem::size_of::<Group>()
+        self.groups.len() * std::mem::size_of::<Group>()
     }
 
     /// Looks up the entry whose tag matches `hash` and for which
     /// `is_match(offset)` confirms full key equality. Returns the offset.
-    pub fn lookup(&mut self, hash: u64, mut is_match: impl FnMut(u64) -> bool) -> Option<u64> {
+    pub fn lookup(&mut self, hash: u64, is_match: impl FnMut(u64) -> bool) -> Option<u64> {
         self.stats.lookups += 1;
-        let tag = tag_of(hash);
-        if let Some(off) = Self::probe(&self.groups, self.mask, hash, tag, &mut self.stats, |off| {
-            is_match(off)
-        }) {
-            return Some(off);
-        }
-        let old = self.old.as_ref()?;
-        Self::probe(&old.groups, old.mask, hash, tag, &mut self.stats, is_match)
+        let (idx, lane) = Self::probe(&self.groups, hash, &mut self.stats, is_match)?;
+        Some(self.groups[idx].slots[lane])
     }
 
-    /// Walks the probe chain of `hash` in one half, confirming candidates
-    /// through `is_match`. Associated fn so callers can split borrows.
+    /// Walks the probe chain of `hash`, confirming candidates through
+    /// `is_match` and charging the work to `stats`; returns the matching
+    /// `(group, lane)`. Associated fn so callers can split borrows.
     fn probe(
         groups: &[Group],
-        mask: u64,
         hash: u64,
-        tag: u8,
         stats: &mut TableStats,
         mut is_match: impl FnMut(u64) -> bool,
-    ) -> Option<u64> {
-        let mut idx = (hash & mask) as usize;
+    ) -> Option<(usize, usize)> {
+        let tag = tag_of(hash);
+        let mask = groups.len() - 1;
+        let mut idx = hash as usize & mask;
         for _ in 0..groups.len() {
             stats.buckets_probed += 1;
             let g = &groups[idx];
@@ -302,26 +245,25 @@ impl PackedTable {
                 let lane = lane_of(m);
                 m &= m - 1;
                 stats.full_compares += 1;
-                let off = g.slots[lane];
-                if is_match(off) {
-                    return Some(off);
+                if is_match(g.slots[lane]) {
+                    return Some((idx, lane));
                 }
                 stats.false_positives += 1;
             }
-            if !g.chains_on() {
+            if !g.overflowed() {
                 return None;
             }
-            idx = (idx + 1) & mask as usize;
+            idx = (idx + 1) & mask;
         }
         None
     }
 
     /// Batched lookup: pass one touches (prefetches) every key's home cache
-    /// line — both halves during a resize — so the misses overlap; pass two
-    /// resolves each key with the ordinary scalar probe. Results and charged
-    /// statistics are exactly those of per-key [`lookup`](Self::lookup)
-    /// calls in key order; only the memory-access schedule differs. At most
-    /// [`crate::LOOKUP_BATCH`] keys per call.
+    /// line so the misses overlap; pass two resolves each key with the
+    /// ordinary scalar probe. Results and charged statistics are exactly
+    /// those of per-key [`lookup`](Self::lookup) calls in key order; only the
+    /// memory-access schedule differs. At most [`crate::LOOKUP_BATCH`] keys
+    /// per call.
     pub fn lookup_batch(
         &mut self,
         hashes: &[u64],
@@ -333,11 +275,9 @@ impl PackedTable {
             "batch exceeds LOOKUP_BATCH"
         );
         assert!(out.len() >= hashes.len(), "output buffer too small");
+        let mask = self.groups.len() - 1;
         for &hash in hashes {
-            std::hint::black_box(self.groups[(hash & self.mask) as usize].tags);
-            if let Some(old) = &self.old {
-                std::hint::black_box(old.groups[(hash & old.mask) as usize].tags);
-            }
+            std::hint::black_box(self.groups[hash as usize & mask].tags);
         }
         for (i, &hash) in hashes.iter().enumerate() {
             out[i] = self.lookup(hash, |off| is_match(i, off));
@@ -351,31 +291,30 @@ impl PackedTable {
     }
 
     /// Inserts `(hash, offset)`. The caller guarantees the key is absent.
-    /// `rehash` re-derives the hash of a stored offset (used to migrate one
-    /// old group if a resize is in progress).
+    /// `rehash` re-derives the hash of a stored offset, for the rebuild an
+    /// insert that crosses the occupancy ceiling makes.
     pub fn insert(&mut self, hash: u64, offset: u64, rehash: impl FnMut(u64) -> u64) {
         assert!(offset <= OFF_MASK, "offset exceeds 48 bits");
-        if self.old.is_none() && self.over_ceiling() && self.max_load_eighths < 8 {
-            self.begin_resize(self.groups.len() * 2);
+        if self.max_load_eighths < 8 && self.over_ceiling() {
+            self.rebuild(self.groups.len() * 2, rehash);
         }
         assert!(
             self.len + self.tombs < self.groups.len() * GROUP_SLOTS,
             "packed table full"
         );
-        let reused_tomb = Self::place(&mut self.groups, self.mask, hash, offset);
-        if reused_tomb {
+        if Self::place(&mut self.groups, hash, offset) {
             self.tombs -= 1;
         }
         self.len += 1;
-        self.migrate_step(rehash);
     }
 
-    /// Raw placement into one half: bounded linear group probing from the
-    /// home group, setting the sticky `OVERFLOWED` bit on every full group
-    /// passed. Returns whether a tombstone lane was reused.
-    fn place(groups: &mut [Group], mask: u64, hash: u64, offset: u64) -> bool {
+    /// Raw placement: bounded linear group probing from the home group,
+    /// setting the sticky `OVERFLOWED` bit on every full group passed.
+    /// Returns whether a tombstone lane was reused.
+    fn place(groups: &mut [Group], hash: u64, offset: u64) -> bool {
         let tag = tag_of(hash);
-        let mut idx = (hash & mask) as usize;
+        let mask = groups.len() - 1;
+        let mut idx = hash as usize & mask;
         loop {
             let g = &mut groups[idx];
             let free = g.free_mask();
@@ -386,172 +325,70 @@ impl PackedTable {
                 g.set_tag(lane, tag);
                 return was_tomb;
             }
-            g.set_flag(CTRL_OVERFLOWED);
-            idx = (idx + 1) & mask as usize;
+            g.tags |= OVERFLOWED;
+            idx = (idx + 1) & mask;
         }
     }
 
     /// Replaces the offset of an existing entry (out-of-place update: same
-    /// key, new item location). Returns the old offset.
+    /// key, new item location). Returns the old offset. Occupancy does not
+    /// change, so a replace never rebuilds.
     pub fn replace(
         &mut self,
         hash: u64,
         new_offset: u64,
-        mut is_match: impl FnMut(u64) -> bool,
-        rehash: impl FnMut(u64) -> u64,
+        is_match: impl FnMut(u64) -> bool,
     ) -> Option<u64> {
         assert!(new_offset <= OFF_MASK, "offset exceeds 48 bits");
-        let tag = tag_of(hash);
-        let old_mask = self.old.as_ref().map(|o| o.mask);
-        let halves: [Option<(&mut [Group], u64)>; 2] = [
-            Some((&mut self.groups, self.mask)),
-            self.old
-                .as_mut()
-                .map(|o| (&mut o.groups[..], old_mask.expect("old half present"))),
-        ];
-        let mut found = None;
-        'halves: for half in halves.into_iter().flatten() {
-            let (groups, mask) = half;
-            let mut idx = (hash & mask) as usize;
-            for _ in 0..groups.len() {
-                let g = &mut groups[idx];
-                let mut m = g.match_mask(tag);
-                while m != 0 {
-                    let lane = lane_of(m);
-                    m &= m - 1;
-                    let off = g.slots[lane];
-                    if is_match(off) {
-                        g.slots[lane] = new_offset;
-                        found = Some(off);
-                        break 'halves;
-                    }
-                }
-                if !g.chains_on() {
-                    continue 'halves;
-                }
-                idx = (idx + 1) & mask as usize;
-            }
-        }
-        if found.is_some() {
-            self.migrate_step(rehash);
-        }
-        found
+        let (idx, lane) = Self::probe(&self.groups, hash, &mut TableStats::default(), is_match)?;
+        let slot = &mut self.groups[idx].slots[lane];
+        Some(std::mem::replace(slot, new_offset))
     }
 
     /// Removes the entry for `hash` confirmed by `is_match`; returns its
     /// offset. Writes a tombstone when the group has overflowed (probe
     /// chains must keep walking through it) and a plain empty lane
-    /// otherwise.
+    /// otherwise; tombstone debt past a quarter of the slots is purged by a
+    /// same-size rebuild through `rehash`.
     pub fn remove(
         &mut self,
         hash: u64,
-        mut is_match: impl FnMut(u64) -> bool,
+        is_match: impl FnMut(u64) -> bool,
         rehash: impl FnMut(u64) -> u64,
     ) -> Option<u64> {
-        let tag = tag_of(hash);
-        let mut removed = None;
-        let mut main_tomb = false;
-        'done: for half in 0..2 {
-            let (groups, mask) = match half {
-                0 => (&mut self.groups[..], self.mask),
-                _ => match &mut self.old {
-                    Some(o) => (&mut o.groups[..], o.mask),
-                    None => break,
-                },
-            };
-            let mut idx = (hash & mask) as usize;
-            for _ in 0..groups.len() {
-                let g = &mut groups[idx];
-                let mut m = g.match_mask(tag);
-                while m != 0 {
-                    let lane = lane_of(m);
-                    m &= m - 1;
-                    let off = g.slots[lane];
-                    if is_match(off) {
-                        let tomb = g.overflowed();
-                        g.set_tag(lane, if tomb { TAG_TOMB } else { TAG_EMPTY });
-                        g.slots[lane] = 0;
-                        removed = Some(off);
-                        main_tomb = tomb && half == 0;
-                        break 'done;
-                    }
-                }
-                if !g.chains_on() {
-                    break;
-                }
-                idx = (idx + 1) & mask as usize;
-            }
+        let (idx, lane) = Self::probe(&self.groups, hash, &mut TableStats::default(), is_match)?;
+        let g = &mut self.groups[idx];
+        let tomb = g.overflowed();
+        g.set_tag(lane, if tomb { TAG_TOMB } else { TAG_EMPTY });
+        let off = std::mem::take(&mut g.slots[lane]);
+        self.len -= 1;
+        self.tombs += tomb as usize;
+        if self.max_load_eighths < 8 && self.tombs * 4 > self.groups.len() * GROUP_SLOTS {
+            self.rebuild(self.groups.len(), rehash);
         }
-        if let Some(_off) = removed {
-            self.len -= 1;
-            if main_tomb {
-                self.tombs += 1;
-            }
-            // Tombstone debt in a non-resizing table degrades probes without
-            // growing len; a same-size incremental rebuild purges it.
-            if self.old.is_none()
-                && self.tombs * 4 > self.groups.len() * GROUP_SLOTS
-                && self.max_load_eighths < 8
-            {
-                self.begin_resize(self.groups.len());
-            }
-            self.migrate_step(rehash);
-        }
-        removed
+        Some(off)
     }
 
-    /// Installs a fresh group array and turns the current one into the old
-    /// half; entries migrate one group per subsequent mutation.
-    fn begin_resize(&mut self, new_groups: usize) {
-        debug_assert!(self.old.is_none(), "nested resize");
-        let n = new_groups.next_power_of_two().max(1);
-        let fresh = vec![Group::default(); n].into_boxed_slice();
-        let old_groups = std::mem::replace(&mut self.groups, fresh);
-        self.old = Some(OldHalf {
-            groups: old_groups,
-            mask: self.mask,
-            pos: 0,
-        });
-        self.mask = (n - 1) as u64;
+    /// Re-places every live entry into a fresh array of `groups` groups,
+    /// re-deriving each one's home group through `rehash`; the old array and
+    /// its tombstones are dropped.
+    fn rebuild(&mut self, groups: usize, mut rehash: impl FnMut(u64) -> u64) {
+        let old = std::mem::replace(&mut self.groups, Self::empty_groups(groups));
+        for g in old.iter() {
+            for lane in g.live_lanes() {
+                let off = g.slots[lane];
+                Self::place(&mut self.groups, rehash(off), off);
+            }
+        }
+        self.stats.displacements += self.len as u64;
         self.stats.resizes += 1;
         self.stats.tombstones_purged += self.tombs as u64;
         self.tombs = 0;
     }
 
-    /// Migrates one old group into the live half (the issue's "split one
-    /// group per mutation"), re-deriving each entry's home via `rehash`.
-    /// Drained groups are flagged `MIGRATED` so probe chains keep walking
-    /// through them; a fully drained old half is freed.
-    fn migrate_step(&mut self, mut rehash: impl FnMut(u64) -> u64) {
-        let Some(old) = &mut self.old else {
-            return;
-        };
-        if old.pos < old.groups.len() {
-            let g = old.groups[old.pos];
-            for lane in g.live_lanes() {
-                let off = g.slots[lane];
-                Self::place(&mut self.groups, self.mask, rehash(off), off);
-                self.stats.displacements += 1;
-            }
-            let drained = &mut old.groups[old.pos];
-            *drained = Group::default();
-            drained.set_flag(CTRL_MIGRATED);
-            debug_assert!(drained.migrated() && drained.chains_on());
-            old.pos += 1;
-            self.stats.migrated_groups += 1;
-        }
-        if old.pos >= old.groups.len() {
-            self.old = None;
-        }
-    }
-
     /// Visits every stored offset (diagnostics, migration, eviction scans).
     pub fn for_each(&self, mut f: impl FnMut(u64)) {
-        for g in self
-            .groups
-            .iter()
-            .chain(self.old.iter().flat_map(|o| o.groups.iter()))
-        {
+        for g in self.groups.iter() {
             for lane in g.live_lanes() {
                 f(g.slots[lane]);
             }
@@ -573,7 +410,6 @@ impl std::fmt::Debug for PackedTable {
             .field("len", &self.len)
             .field("groups", &self.groups.len())
             .field("tombs", &self.tombs)
-            .field("resizing", &self.is_resizing())
             .finish()
     }
 }
@@ -701,47 +537,33 @@ mod tests {
         assert_eq!(m.table.len(), 2_000);
     }
 
-    #[test]
-    fn lookups_succeed_mid_resize_from_both_halves() {
-        let mut m = Model::new(1);
-        let mut inserted = Vec::new();
-        // Insert until a resize is in progress, then verify every key while
-        // entries are split across the halves.
-        for i in 0..100_000 {
-            let k = format!("mid-{i}").into_bytes();
-            m.insert(&k);
-            inserted.push(k);
-            if m.table.is_resizing() {
-                let (pos, total) = m.table.resize_progress();
-                if pos * 2 < total {
-                    break; // less than half migrated: both halves populated
-                }
-            }
-        }
-        assert!(m.table.is_resizing(), "never caught a resize in flight");
-        for k in &inserted {
-            assert!(m.lookup(k).is_some(), "{}", String::from_utf8_lossy(k));
-        }
+    /// The table holds its one group array and nothing beside it.
+    fn assert_one_array(t: &PackedTable) {
+        assert!(t.groups.len().is_power_of_two());
+        assert_eq!(t.mem_bytes(), t.groups.len() * std::mem::size_of::<Group>());
     }
 
     #[test]
-    fn drained_halves_are_freed_at_once() {
+    fn rebuilds_hold_one_array_after_every_mutation() {
         let mut m = Model::new(1);
-        for i in 0..4_000 {
-            m.insert(format!("rt-{i}").as_bytes());
+        let keys: Vec<Vec<u8>> = (0..4_000).map(|i| format!("rt-{i}").into_bytes()).collect();
+        let mut resizes = 0;
+        for (i, k) in keys.iter().enumerate() {
+            m.insert(k);
+            assert_one_array(&m.table);
+            if m.table.stats().resizes > resizes {
+                resizes = m.table.stats().resizes;
+                for k in &keys[..=i] {
+                    assert!(m.lookup(k).is_some(), "{}", String::from_utf8_lossy(k));
+                }
+            }
         }
-        // Drive any in-flight migration to completion with removes.
-        let mut i = 0;
-        while m.table.is_resizing() {
-            m.remove(format!("rt-{i}").as_bytes());
-            i += 1;
+        assert!(resizes >= 3, "growth must have happened");
+        for k in &keys {
+            assert!(m.remove(k).is_some());
+            assert_one_array(&m.table);
         }
-        assert!(m.table.stats().resizes >= 3, "growth must have happened");
-        assert_eq!(
-            m.table.mem_bytes(),
-            m.table.groups.len() * std::mem::size_of::<Group>(),
-            "no drained half may be held"
-        );
+        assert!(m.table.is_empty());
     }
 
     #[test]
@@ -752,36 +574,45 @@ mod tests {
         let mut keys: Vec<Vec<u8>> = Vec::new();
         let mut offs = Vec::new();
         let mut doublings = 0;
-        let mut was_resizing = false;
         while doublings < 8 {
             let k = format!("pg-{}", keys.len()).into_bytes();
             offs.push(m.insert(&k));
             keys.push(k);
-            let resizing = m.table.is_resizing();
-            // Every key after every insert while the table holds 4 K entries
-            // (four doublings, each mid-resize); past that, every key at each
-            // quarter of a migration and at its start and end, and the new
-            // key always, so the check stays linear in debug builds.
-            let (pos, total) = m.table.resize_progress();
-            let all = keys.len() <= 4096
-                || resizing != was_resizing
-                || (resizing && pos % (total / 4) == 0);
-            let from = if all { 0 } else { keys.len() - 1 };
+            assert_one_array(&m.table);
+            assert_eq!(m.table.mem_bytes(), 4096 << m.table.stats().resizes);
+            // Every key after every doubling, and the new key always.
+            let grew = m.table.stats().resizes > doublings;
+            doublings = m.table.stats().resizes;
+            let from = if grew { 0 } else { keys.len() - 1 };
             for (k, &o) in keys.iter().zip(&offs).skip(from) {
                 assert_eq!(m.lookup(k), Some(o), "{}", String::from_utf8_lossy(k));
             }
-            if was_resizing && !resizing {
-                doublings += 1;
-                assert_eq!(
-                    m.table.mem_bytes(),
-                    m.table.groups.len() * std::mem::size_of::<Group>(),
-                    "a completed resize holds its live array alone"
-                );
-            }
-            was_resizing = resizing;
         }
         assert_eq!(m.table.groups.len(), 64 << 8);
-        assert_eq!(m.table.stats().resizes, 8);
+    }
+
+    #[test]
+    fn growth_misses_stay_constant() {
+        // The engine looks a key up before it inserts it, so every insert
+        // that loads a shard follows a miss: a miss must cost what it costs
+        // in a table that never grew, at every size on the way.
+        for n in [25_000, 100_000] {
+            let mut m = Model::new(1);
+            m.table = PackedTable::default();
+            let (mut total, mut worst) = (0, 0);
+            for i in 0..n {
+                let k = format!("gm-{i}").into_bytes();
+                let before = m.table.stats().buckets_probed;
+                assert_eq!(m.lookup(&k), None);
+                let probed = m.table.stats().buckets_probed - before;
+                total += probed;
+                worst = worst.max(probed);
+                m.insert(&k);
+            }
+            let mean = total as f64 / n as f64;
+            assert!(mean <= 2.0, "{mean:.2} groups per miss at {n} items");
+            assert!(worst <= 128, "a miss read {worst} groups at {n} items");
+        }
     }
 
     #[test]
@@ -863,7 +694,7 @@ mod tests {
     }
 
     #[test]
-    fn for_each_visits_every_entry_once_even_mid_resize() {
+    fn for_each_visits_every_entry_once_across_growth() {
         let mut m = Model::new(1);
         for i in 0..1_500 {
             m.insert(format!("fe-{i}").as_bytes());

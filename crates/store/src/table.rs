@@ -122,13 +122,11 @@ pub struct TableStats {
     pub overflow_allocs: u64,
     /// Overflow buckets merged away after removals.
     pub merges: u64,
-    /// Packed table: entries re-placed by incremental-resize migration.
+    /// Packed table: entries re-placed by rebuilds.
     pub displacements: u64,
-    /// Packed table: incremental resizes begun (growth or tombstone purge).
+    /// Packed table: rebuilds (growth or tombstone purge).
     pub resizes: u64,
-    /// Packed table: old-half groups drained by migration steps.
-    pub migrated_groups: u64,
-    /// Packed table: tombstone lanes discarded when a resize began.
+    /// Packed table: tombstone lanes discarded by rebuilds.
     pub tombstones_purged: u64,
 }
 

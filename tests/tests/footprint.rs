@@ -5,8 +5,8 @@
 //! client's pointer cache are all sized for the worst case (64 MiB of arena,
 //! a million items, 64 K pointers) and nearly empty in most experiments. The
 //! arena and the regions come zeroed from the allocator and are never
-//! written at construction, the index starts at one page and grows by
-//! incremental resize, and the pointer cache appends slots as keys arrive
+//! written at construction, the index starts at one page and doubles as
+//! items arrive, and the pointer cache appends slots as keys arrive
 //! and creates its admission sketch only when it is half full, so what a
 //! cluster costs is what its traffic touches. When every client
 //! wrote its 64 K empty slots and every arena was zeroed by a loop, the

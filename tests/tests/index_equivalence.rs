@@ -5,8 +5,8 @@
 //! are driven through engines differing only in `EngineConfig::index` (and
 //! one packed engine whose view exists from the start); every op result,
 //! every post-op length, and the final full iteration contents must agree —
-//! across incremental resizes (every engine starts preloaded just under its
-//! one-page packed index's ceiling, so the sequence's growth splits it
+//! across index rebuilds (every engine starts preloaded just under its
+//! one-page packed index's ceiling, so the sequence's growth doubles it
 //! mid-sequence) and across reclamation pumps. A second property pins the
 //! *ordered* plane: scans, and scans continued from `last_key + 0x00` as the
 //! wire protocol continues them, must match a `BTreeMap` model item-for-item
@@ -119,7 +119,6 @@ proptest! {
         ];
         build_view(&mut engines[3]);
         let mut now = 0u64;
-        let mut resized = false;
         let mut most = 0;
         for (step, op) in ops.iter().enumerate() {
             let results: Vec<_> = engines
@@ -141,19 +140,18 @@ proptest! {
             prop_assert_eq!(engines[0].len(), engines[1].len());
             prop_assert_eq!(engines[0].len(), engines[2].len());
             prop_assert_eq!(engines[0].len(), engines[3].len());
-            resized |= engines[0].index_resizing();
             most = most.max(engines[0].len());
             if let Op::AdvanceTime(dt) = op {
                 now += dt;
             }
         }
-        // Resize coverage: most generated sequences push the packed table
-        // through at least one split; assert on the stats so a silent
+        // Growth coverage: most generated sequences push the packed table
+        // through at least one doubling; assert on the stats so a silent
         // "never resizes" regression cannot hide (more than 392 live keys
         // cross the one-page index's ceiling).
         if most > 392 {
             prop_assert!(
-                resized || engines[0].table_stats().resizes > 0,
+                engines[0].table_stats().resizes > 0,
                 "packed table never resized despite {} live items",
                 most
             );
@@ -411,24 +409,22 @@ proptest! {
 
     /// Ordered iteration must match a `BTreeMap` model exactly — every
     /// bounded scan mid-sequence and the final full walk — while random
-    /// put/delete interleavings push the packed index through incremental
-    /// resizes (the engine starts preloaded near its ceiling, so any
-    /// view/index drift during a split shows up as a wrong scan).
+    /// put/delete interleavings push the packed index through rebuilds (the
+    /// engine starts preloaded near its ceiling, so any view/index drift
+    /// across a doubling shows up as a wrong scan).
     #[test]
     fn hybrid_ordered_iteration_matches_btreemap_model(
         ops in proptest::collection::vec(ordered_op_strategy(), 1..400),
     ) {
         let mut rig = OrderedRig::new(IndexKind::Packed, WriteMode::Reliable);
-        let mut resized = false;
         let mut most = 0;
         for (step, op) in ops.iter().enumerate() {
             rig.apply(op, step)?;
-            resized |= rig.e.index_resizing();
             most = most.max(rig.e.len());
         }
         if most > 392 {
             prop_assert!(
-                resized || rig.e.table_stats().resizes > 0,
+                rig.e.table_stats().resizes > 0,
                 "packed index never resized despite {} live items", most
             );
         }

@@ -81,7 +81,7 @@ fn count_bytes(f: impl FnOnce()) -> u64 {
 fn hot_paths_do_not_allocate() {
     decode_is_zero_alloc();
     steady_state_get_into_is_zero_alloc();
-    packed_probe_paths_are_zero_alloc_at_high_lf_and_mid_resize();
+    packed_probe_paths_are_zero_alloc_at_high_lf_and_after_growth();
     point_lookup_and_scan_paths_are_zero_alloc();
     clock_cache_lookup_is_zero_alloc();
     clock_cache_recaching_is_zero_alloc();
@@ -98,10 +98,10 @@ fn hot_paths_do_not_allocate() {
 }
 
 /// The packed-index probe path — single GET and batched GET — stays
-/// allocation-free at high load factor, and keeps doing so while an
-/// incremental resize is in flight (lookups probe both halves through the
-/// old groups' chains-on flags; no rehash buffer, no displacement scratch).
-fn packed_probe_paths_are_zero_alloc_at_high_lf_and_mid_resize() {
+/// allocation-free at high load factor, and right after the insert that
+/// doubles the index (the rebuild leaves one array behind it; no rehash
+/// buffer, no displacement scratch).
+fn packed_probe_paths_are_zero_alloc_at_high_lf_and_after_growth() {
     let mut engine = ShardEngine::new(EngineConfig {
         arena_words: 1 << 16,
         expected_items: 512,
@@ -111,14 +111,14 @@ fn packed_probe_paths_are_zero_alloc_at_high_lf_and_mid_resize() {
         max_lease_ns: 64_000,
     });
     // 392 keys fill the one-page index (64 groups, 448 slots) to its 7/8
-    // ceiling without crossing it: the 393rd insert would start a resize.
+    // ceiling without crossing it: the 393rd insert doubles it.
     let keys: Vec<Vec<u8>> = (0..392)
         .map(|i| format!("hotk{i:06}").into_bytes())
         .collect();
     for k in &keys {
         engine.insert(0, k, &[0x3C; 32]).unwrap();
     }
-    assert!(!engine.index_resizing(), "the first phase probes one half");
+    assert_eq!(engine.table_stats().resizes, 0, "one page at first");
     let mut scratch = Vec::new();
     engine.get_into(1, &keys[0], &mut scratch).unwrap();
     let allocs = count_allocs_min(|| {
@@ -148,28 +148,18 @@ fn packed_probe_paths_are_zero_alloc_at_high_lf_and_mid_resize() {
     assert_eq!(hits, 3 * 6_400);
     assert_eq!(allocs, 0, "packed batched GET must not allocate");
 
-    // Drive an incremental resize into flight, then probe mid-resize.
-    // Migration only advances on mutations, so the split stays in progress
-    // for as long as we only read.
-    let mut i = 0u64;
-    while !engine.index_resizing() {
-        engine
-            .insert(0, format!("grow{i:08}").as_bytes(), &[1; 8])
-            .unwrap();
-        i += 1;
-        assert!(i < 1_000_000, "resize never started");
-    }
+    // The insert that crosses the ceiling rebuilds the index at twice the
+    // size; probe the doubled array straight after it.
+    engine.insert(0, b"grow", &[1; 8]).unwrap();
+    assert_eq!(engine.table_stats().resizes, 1, "the 393rd insert doubles");
+    assert_eq!(engine.index_mem_bytes(), 2 * 4096);
     let allocs = count_allocs_min(|| {
         for round in 0..1_000u64 {
             let k = &keys[(round as usize) % keys.len()];
             assert!(engine.get_into(round, k, &mut scratch).is_some());
         }
     });
-    assert_eq!(allocs, 0, "mid-resize packed GET must not allocate");
-    assert!(
-        engine.index_resizing(),
-        "read-only probing must not migrate groups"
-    );
+    assert_eq!(allocs, 0, "packed GET after a doubling must not allocate");
 }
 
 /// A scanned shard's hot paths stay allocation-free: point lookups take the
