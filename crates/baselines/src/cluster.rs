@@ -23,8 +23,6 @@ pub struct BaselineConfig {
     pub client_nodes: u32,
     /// Arena words per instance.
     pub arena_words: usize,
-    /// Expected items per instance.
-    pub expected_items: usize,
     /// Fabric model (socket latencies matter most here).
     pub fabric: FabricConfig,
 }
@@ -38,7 +36,6 @@ impl BaselineConfig {
             instances: 1,
             client_nodes: 5,
             arena_words: 1 << 22,
-            expected_items: 1 << 20,
             fabric: FabricConfig::default(),
         }
     }
@@ -106,7 +103,6 @@ impl BaselineCluster {
                     &fab,
                     cfg.kind,
                     cfg.arena_words / cfg.instances as usize,
-                    cfg.expected_items / cfg.instances as usize,
                 )
             })
             .collect();

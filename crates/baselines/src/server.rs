@@ -6,7 +6,7 @@ use std::rc::Rc;
 use hydra_fabric::{Fabric, NodeId, QpId};
 use hydra_sim::time::SimTime;
 use hydra_sim::{FifoResource, Sim};
-use hydra_store::{EngineConfig, EngineError, IndexKind, ShardEngine, WriteMode};
+use hydra_store::{EngineConfig, EngineError, ShardEngine, WriteMode};
 use hydra_wire::{RemotePtr, Request, Response, Status};
 
 /// Which baseline architecture a server instance runs.
@@ -111,16 +111,13 @@ impl BaselineServer {
         fab: &Fabric,
         kind: BaselineKind,
         arena_words: usize,
-        expected_items: usize,
     ) -> Rc<RefCell<BaselineServer>> {
         let engine = Rc::new(RefCell::new(ShardEngine::new(EngineConfig {
             arena_words,
-            expected_items,
-            // Baselines model conventional chained-bucket stores.
-            index: IndexKind::Chained,
             write_mode: WriteMode::Cache,
             min_lease_ns: 0,
             max_lease_ns: 0,
+            ..EngineConfig::default()
         })));
         let threads = match kind {
             BaselineKind::MemcachedLike { threads, .. }

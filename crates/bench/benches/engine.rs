@@ -2,16 +2,15 @@
 //! that the cluster cost model abstracts as `hydra_db::costs::{GET_NS, WRITE_NS}`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};
+use hydra_store::{EngineConfig, ShardEngine, WriteMode};
 
 fn engine_with(n: usize) -> ShardEngine {
     let mut e = ShardEngine::new(EngineConfig {
         arena_words: n * 16,
-        expected_items: n,
-        index: IndexKind::Packed,
         write_mode: WriteMode::Reliable,
         min_lease_ns: 1_000_000,
         max_lease_ns: 64_000_000,
+        ..EngineConfig::default()
     });
     for i in 0..n {
         let key = format!("user{i:012}");

@@ -7,6 +7,10 @@ use hydra_store::{hash_key, ChainedTable, CompactTable, PackedTable};
 
 const N: usize = 100_000;
 
+/// Compact-table buckets: seven slots each, so `N` entries fill ~70 % of
+/// the main branch before its power-of-two round-up.
+const COMPACT_BUCKETS: usize = N / 5;
+
 fn keys() -> Vec<Vec<u8>> {
     (0..N)
         .map(|i| format!("user{i:012}").into_bytes())
@@ -18,7 +22,7 @@ fn bench_lookup(c: &mut Criterion) {
     let hashes: Vec<u64> = keys.iter().map(|k| hash_key(k)).collect();
 
     let mut packed = PackedTable::with_capacity(N);
-    let mut compact = CompactTable::with_capacity(N);
+    let mut compact = CompactTable::new(COMPACT_BUCKETS);
     let mut chained = ChainedTable::new(N / 4);
     let mut std_map = std::collections::HashMap::with_capacity(N);
     for (i, &h) in hashes.iter().enumerate() {
@@ -83,7 +87,7 @@ fn bench_insert_remove(c: &mut Criterion) {
         })
     });
     g.bench_function("compact", |b| {
-        let mut t = CompactTable::with_capacity(N);
+        let mut t = CompactTable::new(COMPACT_BUCKETS);
         let mut i = 0usize;
         b.iter(|| {
             let idx = i % N;

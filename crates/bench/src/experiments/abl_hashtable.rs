@@ -1,20 +1,19 @@
 //! A-HASH ablation (§4.1.3) — the index structures against each other:
-//! the packed cache-line-group table (default), the compact signature table,
-//! and the naive chained-list table. Two halves:
+//! the packed cache-line-group table every shard holds, the compact
+//! signature table, and the naive chained-list table. Two halves:
 //!
 //! 1. Structural counters: cache lines touched (groups/buckets probed, i.e.
 //!    pointer dereferences for chained) and full key comparisons per lookup,
-//!    loaded and after heavy removals.
-//! 2. A full-YCSB A/B: the same cluster and workload run twice, switching
-//!    only `ClusterConfig::index` between chained and packed, so the
-//!    indexes' probe counters are read in situ, under the real request
-//!    stream, rather than extrapolated from microbenchmarks.
+//!    loaded and after heavy removals, on the three standalone tables.
+//! 2. The packed index in situ: a full YCSB-B run on the paper's cluster,
+//!    with the probe counters of every shard's index read under the real
+//!    request stream rather than extrapolated from microbenchmarks.
 //!
 //! Every datum is a count, so two runs repeat it exactly. Wall-clock
 //! probe speed lives in `perf_index` (`BENCH_index`) and the Criterion
 //! bench (`benches/hashtable.rs`).
 
-use hydra_store::{hash_key, ChainedTable, CompactTable, IndexKind, PackedTable, TableStats};
+use hydra_store::{hash_key, ChainedTable, CompactTable, PackedTable, TableStats};
 use hydra_ycsb::{run_workload, DriverConfig};
 
 use crate::{one_workload, paper_cluster, paper_cluster_config, Report, Scale};
@@ -113,48 +112,38 @@ pub fn run(scale: Scale, report: &mut Report) {
         merges, removal_stats.tombstones_purged, removal_stats.resizes, removal_stats.displacements,
     ));
 
-    // ---- Full-YCSB A/B: identical cluster + workload, only
-    // `ClusterConfig::index` flipped. Simulated throughput uses the
+    // ---- The packed index in situ. Simulated throughput uses the
     // calibrated fixed per-op cost and is index-insensitive by design, so
-    // the in-situ comparison reports what the real index code did under the
-    // real (zipfian, read-mostly, batched) request stream: probe lines and
-    // full key comparisons per lookup, accumulated across every shard.
+    // the run reports what the index code did under the real (zipfian,
+    // read-mostly, batched) request stream: probe lines and full key
+    // comparisons per lookup, accumulated across every shard.
     let wl = one_workload(scale, 0.95, true, 4113);
     report.header("ycsb-b 95/5 zipf<22|lookups>14|lines_or_nodes/op>18.3|full_cmp/op>16.3");
-    for (name, kind) in [
-        ("chained", IndexKind::Chained),
-        ("packed", IndexKind::Packed),
-    ] {
-        let cfg = hydra_db::ClusterConfig {
-            index: kind,
-            ..paper_cluster_config()
-        };
-        let (mut cluster, clients) = paper_cluster(cfg, 50);
-        let r = run_workload(&mut cluster.sim, &clients, &wl, &DriverConfig::default());
-        let mut s = TableStats::default();
-        for p in 0..cluster.cfg.total_shards() {
-            let shard = cluster.shard(p);
-            let t = shard.primary.borrow().engine.borrow().table_stats();
-            s.lookups += t.lookups;
-            s.buckets_probed += t.buckets_probed;
-            s.full_compares += t.full_compares;
-            s.displacements += t.displacements;
-            s.resizes += t.resizes;
-        }
-        let (lines, cmps) = (s.buckets_probed as f64, s.full_compares as f64);
-        let (lines, cmps) = (lines / s.lookups as f64, cmps / s.lookups as f64);
-        report.row(&[&format!("  index={name}"), &s.lookups, &lines, &cmps]);
-        report.datum(
-            &format!("ycsb_b_{name}"),
-            serde_json::json!({
-                "sim_mops": r.mops,
-                "lines_per_lookup": lines,
-                "cmp_per_lookup": cmps,
-                "displacements": s.displacements,
-                "resizes": s.resizes,
-            }),
-        );
+    let (mut cluster, clients) = paper_cluster(paper_cluster_config(), 50);
+    let r = run_workload(&mut cluster.sim, &clients, &wl, &DriverConfig::default());
+    let mut s = TableStats::default();
+    for p in 0..cluster.cfg.total_shards() {
+        let shard = cluster.shard(p);
+        let t = shard.primary.borrow().engine.borrow().table_stats();
+        s.lookups += t.lookups;
+        s.buckets_probed += t.buckets_probed;
+        s.full_compares += t.full_compares;
+        s.displacements += t.displacements;
+        s.resizes += t.resizes;
     }
+    let (lines, cmps) = (s.buckets_probed as f64, s.full_compares as f64);
+    let (lines, cmps) = (lines / s.lookups as f64, cmps / s.lookups as f64);
+    report.row(&[&"  index=packed", &s.lookups, &lines, &cmps]);
+    report.datum(
+        "ycsb_b_packed",
+        serde_json::json!({
+            "sim_mops": r.mops,
+            "lines_per_lookup": lines,
+            "cmp_per_lookup": cmps,
+            "displacements": s.displacements,
+            "resizes": s.resizes,
+        }),
+    );
     report.line(
         "# simulated Mops is index-insensitive (calibrated fixed per-op cost); \
          see BENCH_index for isolated wall-clock probe speedups",

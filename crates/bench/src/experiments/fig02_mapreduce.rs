@@ -79,7 +79,6 @@ fn hdfs_io(reads: u64, writes: u64, preload_blocks: u64) -> u64 {
         },
         instances: 1,
         arena_words: 1 << 26,
-        expected_items: 1 << 10,
         fabric,
         ..BaselineConfig::memcached()
     };
@@ -105,7 +104,6 @@ fn hydra_io(rdma: bool, reads: u64, writes: u64, preload_blocks: u64) -> u64 {
         },
         msg_slot_words: 1 << 20, // 8 MiB message slots for 4 MiB chunks
         arena_words: 1 << 25,    // 256 MiB per shard
-        expected_items: 1 << 10,
         op_timeout_ns: 500 * MS, // large transfers over sockets are slow
         ..ClusterConfig::default()
     };

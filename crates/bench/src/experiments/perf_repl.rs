@@ -29,7 +29,7 @@ use hydra_db::{costs, AimdConfig, ClusterConfig, ReplicationMode};
 use hydra_fabric::{Fabric, FabricConfig};
 use hydra_replication::{ReplConfig, ReplMode, ReplicationPair};
 use hydra_sim::{Histogram, Sim};
-use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};
+use hydra_store::{EngineConfig, ShardEngine, WriteMode};
 use hydra_wire::LogOp;
 use hydra_ycsb::{run_workload, DriverConfig, Workload};
 
@@ -78,11 +78,10 @@ fn run_pair(mode: ReplMode, depth: usize, total: u64) -> (f64, f64, f64) {
     let s = fab.add_node();
     let engine = Rc::new(RefCell::new(ShardEngine::new(EngineConfig {
         arena_words: 1 << 22,
-        expected_items: 1 << 14,
-        index: IndexKind::Packed,
         write_mode: WriteMode::Reliable,
         min_lease_ns: 100,
         max_lease_ns: 6_400,
+        ..EngineConfig::default()
     })));
     let pair = ReplicationPair::new(
         &fab,

@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};
+use hydra_store::{EngineConfig, ShardEngine, WriteMode};
 use hydra_ycsb::{run_workload, DriverConfig, Workload, ZipfianGenerator};
 
 use crate::{paper_cluster, paper_cluster_config, run_hydra, Lcg, Report, Scale};
@@ -56,11 +56,10 @@ fn engine(records: u64, load: Load) -> ShardEngine {
     let arena_words = ((records as usize * 16).next_power_of_two()).max(1 << 16);
     let mut e = ShardEngine::new(EngineConfig {
         arena_words,
-        expected_items: records as usize,
-        index: IndexKind::Packed,
         write_mode: WriteMode::Reliable,
         min_lease_ns: 1_000_000,
         max_lease_ns: 64_000_000,
+        ..EngineConfig::default()
     });
     let mut ids: Vec<u64> = (0..records).collect();
     if let Load::Scrambled = load {

@@ -49,7 +49,6 @@ fn skew_config(spread: bool, cap: usize, scale: Scale) -> ClusterConfig {
         } else {
             1 << 21
         },
-        expected_items: 1 << 18,
         ..ClusterConfig::default()
     };
     // Replica QPs roughly double each server node's connection count; model

@@ -203,7 +203,6 @@ pub fn paper_cluster_config() -> ClusterConfig {
         shards_per_node: 4,
         client_nodes: 5,
         arena_words: 1 << 23, // 64 MiB per shard: fits the default scale
-        expected_items: 1 << 20,
         ..ClusterConfig::default()
     }
 }

@@ -127,7 +127,7 @@ impl std::fmt::Display for ClusterReport {
         )?;
         writeln!(
             f,
-            "{:<5} {:<5} {:<6} {:>9} {:>8} {:>8} {:>8} {:>8} {:>10} {:>9} {:>6} {:>8} {:>6} {:>8} {:>6} {:>8} {:>8} {:<9} {:>8} {:>8}",
+            "{:<5} {:<5} {:<6} {:>9} {:>8} {:>8} {:>8} {:>8} {:>10} {:>9} {:>6} {:>8} {:>6} {:>6} {:>8} {:>8} {:<9} {:>8} {:>8}",
             "part",
             "node",
             "alive",
@@ -141,7 +141,6 @@ impl std::fmt::Display for ClusterReport {
             "fill",
             "absorbed",
             "secs",
-            "unacked",
             "lag",
             "backlog",
             "acks/rec",
@@ -152,7 +151,7 @@ impl std::fmt::Display for ClusterReport {
         for r in &self.rows {
             writeln!(
                 f,
-                "{:<5} {:<5} {:<6} {:>9} {:>7.1}% {:>8} {:>7.1}% {:>8} {:>10} {:>9} {:>6.2} {:>8} {:>6} {:>8} {:>6} {:>8} {:>8.3} {:<9} {:>8} {:>8}",
+                "{:<5} {:<5} {:<6} {:>9} {:>7.1}% {:>8} {:>7.1}% {:>8} {:>10} {:>9} {:>6.2} {:>8} {:>6} {:>6} {:>8} {:>8.3} {:<9} {:>8} {:>8}",
                 r.partition,
                 r.node,
                 r.alive,
@@ -166,7 +165,6 @@ impl std::fmt::Display for ClusterReport {
                 r.sweep_fill,
                 r.absorbed_writes,
                 r.secondaries,
-                r.repl_unacked,
                 r.repl_lag_max,
                 r.repl_backlog,
                 r.repl_acks_per_record,
@@ -216,7 +214,6 @@ pub struct PartitionReport {
     pub items: usize,
     /// The primary's arena occupancy (live words over capacity).
     pub arena_occupancy: f64,
-    pub overflow_buckets: usize,
     /// Dead blocks the primary's engine holds for lapsing leases.
     pub reclaim_pending: usize,
     /// The largest arena occupancy among the partition's secondaries (0
@@ -236,7 +233,6 @@ pub struct PartitionReport {
     pub absorbed_writes: u64,
     pub responses: u64,
     pub secondaries: usize,
-    pub repl_unacked: u64,
     /// Worst per-pair replication lag (`next_seq - acked`, includes
     /// in-flight AckRequests) across this partition's channels.
     pub repl_lag_max: u64,
@@ -657,12 +653,6 @@ impl Cluster {
         &self.clients
     }
 
-    /// Runs any outstanding setup events (kept for API symmetry; `build`
-    /// already settles the queue).
-    pub fn run_setup(&mut self) {
-        self.sim.run();
-    }
-
     /// Snapshot of one partition's replica group.
     pub fn shard(&self, partition: u32) -> ShardHandle {
         let ha = self.ha.borrow();
@@ -933,14 +923,6 @@ impl Cluster {
                 let s = state.primary.borrow();
                 let engine = s.engine.borrow();
                 let stats = s.stats();
-                let repl_lag: u64 = s
-                    .repl
-                    .iter()
-                    .map(|pair| {
-                        let st = pair.stats();
-                        st.records.saturating_sub(pair.acked())
-                    })
-                    .sum();
                 let repl_lag_max = s.repl.iter().map(|pair| pair.lag()).max().unwrap_or(0);
                 let repl_inflight_words: usize =
                     s.repl.iter().map(|pair| pair.inflight_words()).sum();
@@ -983,7 +965,6 @@ impl Cluster {
                     alive: s.alive,
                     items: engine.len(),
                     arena_occupancy: occupancy(&engine),
-                    overflow_buckets: 0, // index internals are shard-private
                     reclaim_pending: engine.reclaim_pending(),
                     replica_arena_occupancy,
                     replica_reclaim_pending,
@@ -993,7 +974,6 @@ impl Cluster {
                     absorbed_writes: stats.absorbed_writes,
                     responses: stats.responses,
                     secondaries: state.secondaries.len(),
-                    repl_unacked: repl_lag,
                     repl_lag_max,
                     repl_inflight_words,
                     repl_backlog,
@@ -1132,8 +1112,7 @@ mod tests {
 
     #[test]
     fn builder_creates_routable_cluster() {
-        let mut cluster = ClusterBuilder::new(ClusterConfig::default()).build();
-        cluster.run_setup();
+        let cluster = ClusterBuilder::new(ClusterConfig::default()).build();
         let dir = cluster.directory.borrow();
         assert_eq!(dir.shards.len(), 4);
         assert!(dir.ring.route(b"any-key").is_some());

@@ -125,12 +125,10 @@ pub struct ClusterConfig {
     pub exec_model: ExecModel,
     /// Reliable store or cache semantics.
     pub write_mode: WriteMode,
-    /// Hash index per shard: the paper's chained table, the compact
-    /// signature table or the packed cache-line-group table (the default;
-    /// see `abl_hashtable` for the A/B). Range scans go through an ordered
-    /// skiplist view each shard builds beside its index at its first scan,
-    /// whatever the kind, and maintains from then on: a shard that is never
-    /// scanned holds none.
+    /// Selects nothing: every shard indexes its items with the packed
+    /// cache-line-group table. Kept only because the end-to-end benchmark
+    /// (`benchmark/src/workloads.rs`) names it; the next change to the
+    /// benchmark drops that use and this field.
     pub index: IndexKind,
     /// Share the remote-pointer cache among clients on one node (§4.2.4).
     pub shared_ptr_cache: bool,
@@ -147,9 +145,10 @@ pub struct ClusterConfig {
     pub hot_read_threshold: u64,
     /// Arena words per shard.
     pub arena_words: usize,
-    /// Expected items per shard. Sizes only the fixed-capacity ablation
-    /// indexes (`Chained`, `Compact`); the packed index starts at one page
-    /// and grows as items arrive.
+    /// Selects nothing: a shard's index starts at one page and grows as
+    /// items arrive. Kept only because the end-to-end benchmark
+    /// (`benchmark/src/workloads.rs`) names it; the next change to the
+    /// benchmark drops that use and this field.
     pub expected_items: usize,
     /// Request/response buffer slot size in words (bounds message size).
     pub msg_slot_words: usize,

@@ -1163,17 +1163,16 @@ pub(crate) fn on_promotion(server: &Rc<RefCell<ShardServer>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydra_store::{EngineConfig, IndexKind, WriteMode};
+    use hydra_store::{EngineConfig, WriteMode};
 
     #[test]
     fn a_walk_visits_the_keys_it_listed_in_key_order() {
         let mut engine = ShardEngine::new(EngineConfig {
             arena_words: 4096,
-            expected_items: 64,
-            index: IndexKind::Packed,
             write_mode: WriteMode::Reliable,
             min_lease_ns: 1_000,
             max_lease_ns: 64_000,
+            ..EngineConfig::default()
         });
         for k in ["d", "a", "c", "b", "e"] {
             engine.insert(0, k.as_bytes(), b"v").unwrap();

@@ -987,11 +987,10 @@ impl ShardServer {
     ) -> Rc<RefCell<ShardServer>> {
         let engine = Rc::new(RefCell::new(ShardEngine::new(hydra_store::EngineConfig {
             arena_words: cfg.arena_words,
-            expected_items: cfg.expected_items,
-            index: cfg.index,
             write_mode: cfg.write_mode,
             min_lease_ns: cfg.min_lease_ns,
             max_lease_ns: cfg.max_lease_ns,
+            ..hydra_store::EngineConfig::default()
         })));
         let arena_region = fab.register_paged(node, engine.borrow().memory(), cfg.page_bytes);
         let plane = ReadPlane::new(

@@ -12,9 +12,7 @@ use hydra_db::{
 use hydra_sim::time::{MS, SEC, US};
 
 fn build(cfg: ClusterConfig) -> Cluster {
-    let mut c = ClusterBuilder::new(cfg).build();
-    c.run_setup();
-    c
+    ClusterBuilder::new(cfg).build()
 }
 
 /// Steps the simulation event-by-event until `done` is set, without jumping
@@ -715,7 +713,6 @@ fn cache_mode_cluster_upserts_and_evicts() {
     let cfg = ClusterConfig {
         write_mode: WriteMode::Cache,
         arena_words: 512, // tiny arenas force eviction
-        expected_items: 64,
         min_lease_ns: 0,
         max_lease_ns: 0,
         ..Default::default()

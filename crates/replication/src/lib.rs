@@ -1204,7 +1204,7 @@ impl ReplicationPair {
 mod tests {
     use super::*;
     use hydra_fabric::FabricConfig;
-    use hydra_store::{EngineConfig, IndexKind, WriteMode};
+    use hydra_store::{EngineConfig, WriteMode};
 
     fn setup(cfg: ReplConfig) -> (Sim, Fabric, ReplicationPair, Rc<RefCell<ShardEngine>>) {
         let sim = Sim::new(11);
@@ -1213,11 +1213,10 @@ mod tests {
         let s = fab.add_node();
         let engine = Rc::new(RefCell::new(ShardEngine::new(EngineConfig {
             arena_words: 1 << 16,
-            expected_items: 4096,
-            index: IndexKind::Packed,
             write_mode: WriteMode::Reliable,
             min_lease_ns: 1_000,
             max_lease_ns: 64_000,
+            ..EngineConfig::default()
         })));
         let pair = ReplicationPair::new(&fab, p, s, engine.clone(), cfg);
         (sim, fab, pair, engine)

@@ -10,7 +10,7 @@ use std::rc::Rc;
 use hydra_fabric::{Fabric, FabricConfig};
 use hydra_replication::{ReplConfig, ReplMode, ReplicationPair};
 use hydra_sim::Sim;
-use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};
+use hydra_store::{EngineConfig, ShardEngine, WriteMode};
 use hydra_wire::LogOp;
 use proptest::prelude::*;
 
@@ -50,11 +50,10 @@ fn run(
     let s = fab.add_node();
     let engine = Rc::new(RefCell::new(ShardEngine::new(EngineConfig {
         arena_words: 1 << 15,
-        expected_items: 512,
-        index: IndexKind::Packed,
         write_mode: WriteMode::Reliable,
         min_lease_ns: 100,
         max_lease_ns: 6_400,
+        ..EngineConfig::default()
     })));
     let pair = ReplicationPair::new(
         &fab,
@@ -189,11 +188,10 @@ fn run_observed(
     let s = fab.add_node();
     let engine = Rc::new(RefCell::new(ShardEngine::new(EngineConfig {
         arena_words: 1 << 15,
-        expected_items: 512,
-        index: IndexKind::Packed,
         write_mode: WriteMode::Reliable,
         min_lease_ns: 100,
         max_lease_ns: 6_400,
+        ..EngineConfig::default()
     })));
     let pair = ReplicationPair::new(
         &fab,

@@ -88,27 +88,10 @@ impl ChainedTable {
         self.len += 1;
     }
 
-    /// Replaces the offset for an existing entry; returns the old offset.
-    pub fn replace(
-        &mut self,
-        hash: u64,
-        new_offset: u64,
-        mut is_match: impl FnMut(u64) -> bool,
-    ) -> Option<u64> {
-        let mut cur = self.heads[(hash & self.mask) as usize].as_deref_mut();
-        while let Some(n) = cur {
-            if n.hash == hash && is_match(n.offset) {
-                return Some(std::mem::replace(&mut n.offset, new_offset));
-            }
-            cur = n.next.as_deref_mut();
-        }
-        None
-    }
-
     /// Batched lookup. The chained layout has no group line to prefetch —
     /// chains are pointer soup — so this is simply the scalar loop; it
-    /// exists so the baseline drives the same engine batch path as the
-    /// packed table in the A/B.
+    /// exists so `perf_index`'s batched rows drive both tables through one
+    /// probe loop.
     pub fn lookup_batch(
         &mut self,
         hashes: &[u64],
@@ -116,30 +99,13 @@ impl ChainedTable {
         mut is_match: impl FnMut(usize, u64) -> bool,
     ) {
         assert!(
-            hashes.len() <= crate::table::LOOKUP_BATCH,
+            hashes.len() <= crate::LOOKUP_BATCH,
             "batch exceeds LOOKUP_BATCH"
         );
         assert!(out.len() >= hashes.len(), "output buffer too small");
         for (i, &hash) in hashes.iter().enumerate() {
             out[i] = self.lookup(hash, |off| is_match(i, off));
         }
-    }
-
-    /// Visits every stored offset (diagnostics, migration, eviction scans).
-    pub fn for_each(&self, mut f: impl FnMut(u64)) {
-        for head in self.heads.iter() {
-            let mut cur = head.as_deref();
-            while let Some(n) = cur {
-                f(n.offset);
-                cur = n.next.as_deref();
-            }
-        }
-    }
-
-    /// Bytes held by the bucket array plus every boxed node.
-    pub fn mem_bytes(&self) -> usize {
-        self.heads.len() * std::mem::size_of::<Option<Box<Node>>>()
-            + self.len * std::mem::size_of::<Node>()
     }
 
     /// Removes an entry; returns its offset.
@@ -176,8 +142,7 @@ mod tests {
         t.insert(hash_key(b"b"), 2);
         assert_eq!(t.lookup(hash_key(b"a"), |o| o == 1), Some(1));
         assert_eq!(t.lookup(hash_key(b"zz"), |_| true), None);
-        assert_eq!(t.replace(hash_key(b"b"), 20, |o| o == 2), Some(2));
-        assert_eq!(t.lookup(hash_key(b"b"), |o| o == 20), Some(20));
+        assert_eq!(t.lookup(hash_key(b"b"), |o| o == 2), Some(2));
         assert_eq!(t.remove(hash_key(b"a"), |o| o == 1), Some(1));
         assert_eq!(t.len(), 1);
     }

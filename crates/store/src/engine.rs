@@ -20,11 +20,11 @@ use std::collections::VecDeque;
 use std::sync::atomic::AtomicU64;
 
 use crate::arena::{size_class, Arena};
-use crate::index::{AnyIndex, IndexKind};
+use crate::index::IndexKind;
 use crate::item::{item_words, ItemRef};
 use crate::reclaim::ReclaimQueue;
 use crate::skiplist::leaf_slot;
-use crate::{hash_key, ArenaStats, SkipList, SkipListStats, TableStats};
+use crate::{hash_key, ArenaStats, PackedTable, SkipList, SkipListStats, TableStats};
 
 /// Item count below which the CLOCK ring's compaction threshold does not
 /// fall: a nearly empty cache compacts its ring at most once per 64 writes,
@@ -47,11 +47,14 @@ pub enum WriteMode {
 pub struct EngineConfig {
     /// Arena capacity in 8-byte words.
     pub arena_words: usize,
-    /// Expected item count. Sizes only the fixed-capacity ablation indexes
-    /// (`Chained`, `Compact`); the packed index starts at one page and
-    /// grows as items arrive.
+    /// Selects nothing: the packed index starts at one page and grows as
+    /// items arrive. Kept only because the end-to-end benchmark
+    /// (`benchmark/src/replay.rs`) names it; the next change to the
+    /// benchmark drops that use and this field.
     pub expected_items: usize,
-    /// Which index structure backs the shard (the `abl_hashtable` A/B axis).
+    /// Selects nothing: every shard holds a [`PackedTable`]. Kept only
+    /// because the end-to-end benchmark (`benchmark/src/replay.rs`) names
+    /// it; the next change to the benchmark drops that use and this field.
     pub index: IndexKind,
     /// Reliable store or cache.
     pub write_mode: WriteMode,
@@ -182,7 +185,7 @@ pub struct EngineStats {
 /// ```
 pub struct ShardEngine {
     arena: Arena,
-    table: AnyIndex,
+    table: PackedTable,
     /// The keys in order: built from `table` at the first ordered read
     /// ([`scan_into`](Self::scan_into)), `None` until then, and kept
     /// current by every mutation after it.
@@ -202,7 +205,7 @@ impl ShardEngine {
     pub fn new(cfg: EngineConfig) -> Self {
         let arena = Arena::new(cfg.arena_words);
         ShardEngine {
-            table: AnyIndex::with_capacity(cfg.index, cfg.expected_items),
+            table: PackedTable::default(),
             ordered: None,
             arena,
             reclaim: ReclaimQueue::new(),
@@ -613,8 +616,8 @@ impl ShardEngine {
     }
 
     /// Batched server-side GET over a run of keys. Index probes are
-    /// interleaved via [`AnyIndex::lookup_batch`] — every key's bucket
-    /// cache line is touched before any arena dereference, the
+    /// interleaved via [`PackedTable::lookup_batch`] — every key's home
+    /// group line is touched before any arena dereference, the
     /// software-prefetch shape — then per-key side effects (popularity bump,
     /// CLOCK reference, lease extension) and value extraction run strictly
     /// in key order. GET lookups never mutate the index, so the observable
@@ -630,7 +633,7 @@ impl ShardEngine {
         scratch: &mut Vec<u8>,
         mut emit: impl FnMut(usize, Option<ItemInfo>, &[u8]),
     ) {
-        use crate::table::LOOKUP_BATCH;
+        use crate::LOOKUP_BATCH;
         for chunk_start in (0..keys.len()).step_by(LOOKUP_BATCH) {
             let chunk = &keys[chunk_start..(chunk_start + LOOKUP_BATCH).min(keys.len())];
             let mut hashes = [0u64; LOOKUP_BATCH];
@@ -797,11 +800,10 @@ mod tests {
     fn cfg_small(mode: WriteMode) -> EngineConfig {
         EngineConfig {
             arena_words: 4096,
-            expected_items: 256,
-            index: IndexKind::Packed,
             write_mode: mode,
             min_lease_ns: 1_000,
             max_lease_ns: 64_000,
+            ..EngineConfig::default()
         }
     }
 
@@ -1015,11 +1017,10 @@ mod tests {
     fn cache_mode_evicts_under_pressure() {
         let cfg = EngineConfig {
             arena_words: 512,
-            expected_items: 64,
-            index: IndexKind::Packed,
             write_mode: WriteMode::Cache,
             min_lease_ns: 0,
             max_lease_ns: 0,
+            ..EngineConfig::default()
         };
         let mut e = ShardEngine::new(cfg);
         // Each item: 1 + 1 + 4 + 2 = 8 words; arena fits 64.
@@ -1038,11 +1039,10 @@ mod tests {
     fn reliable_mode_oom_is_an_error() {
         let cfg = EngineConfig {
             arena_words: 64,
-            expected_items: 8,
-            index: IndexKind::Packed,
             write_mode: WriteMode::Reliable,
             min_lease_ns: 1_000,
             max_lease_ns: 64_000,
+            ..EngineConfig::default()
         };
         let mut e = ShardEngine::new(cfg);
         let mut failed = false;
@@ -1060,11 +1060,10 @@ mod tests {
     fn clock_second_chance_protects_hot_items() {
         let cfg = EngineConfig {
             arena_words: 512,
-            expected_items: 64,
-            index: IndexKind::Packed,
             write_mode: WriteMode::Cache,
             min_lease_ns: 0,
             max_lease_ns: 0,
+            ..EngineConfig::default()
         };
         let mut e = ShardEngine::new(cfg);
         e.insert(0, b"hot-key!", &[1; 32]).unwrap();
@@ -1116,20 +1115,15 @@ mod tests {
     #[test]
     fn arena_books_balance_through_churn_evictions_and_compaction() {
         for mode in [WriteMode::Reliable, WriteMode::Cache] {
-            // The middle arm keeps an ordered view from the first step on:
+            // The second arm keeps an ordered view from the first step on:
             // deletes and evictions unlink its leaves as well.
-            for (kind, view) in [
-                (IndexKind::Packed, false),
-                (IndexKind::Packed, true),
-                (IndexKind::Chained, false),
-            ] {
+            for view in [false, true] {
                 let mut e = ShardEngine::new(EngineConfig {
                     arena_words: 512,
-                    expected_items: 64,
-                    index: kind,
                     write_mode: mode,
                     min_lease_ns: 100,
                     max_lease_ns: 6_400,
+                    ..EngineConfig::default()
                 });
                 if view {
                     e.scan_into(b"", &mut Vec::new(), |_, _| false);
@@ -1151,7 +1145,7 @@ mod tests {
                         }
                     }
                     let books = e.arena_books();
-                    assert!(books.balanced(), "{mode:?} {kind:?} step {i}: {books:?}");
+                    assert!(books.balanced(), "{mode:?} {view} step {i}: {books:?}");
                 }
                 e.pump_reclaim(u64::MAX);
                 assert_eq!(e.arena_books().retired, 0);
@@ -1159,9 +1153,9 @@ mod tests {
                 assert_eq!(e.ordered_stats().is_some(), view);
                 assert_eq!(scan_all(&mut e, b""), sorted_dump(&e, b""));
                 if mode == WriteMode::Cache {
-                    assert!(e.stats().evictions > 0, "{kind:?}: no eviction");
+                    assert!(e.stats().evictions > 0, "{view}: no eviction");
                 } else {
-                    assert!(e.stats().oom_events > 0, "{kind:?}: arena never filled");
+                    assert!(e.stats().oom_events > 0, "{view}: arena never filled");
                 }
             }
         }
@@ -1219,11 +1213,10 @@ mod tests {
     fn heavy_churn_with_reclamation_is_stable() {
         let cfg = EngineConfig {
             arena_words: 8192,
-            expected_items: 128,
-            index: IndexKind::Packed,
             write_mode: WriteMode::Reliable,
             min_lease_ns: 100,
             max_lease_ns: 6_400,
+            ..EngineConfig::default()
         };
         let mut e = ShardEngine::new(cfg);
         for i in 0..64 {
@@ -1252,11 +1245,10 @@ mod tests {
         // of the grown size through the deletes.
         let cfg = EngineConfig {
             arena_words: 1 << 16,
-            expected_items: 16,
-            index: IndexKind::Packed,
             write_mode: WriteMode::Reliable,
             min_lease_ns: 50,
             max_lease_ns: 3_200,
+            ..EngineConfig::default()
         };
         let mut e = ShardEngine::new(cfg);
         for i in 0..2_000u64 {
@@ -1292,11 +1284,10 @@ mod tests {
         // load pins nothing and arms nothing.
         let cfg = EngineConfig {
             arena_words: 1 << 16,
-            expected_items: 1 << 20,
-            index: IndexKind::Packed,
             write_mode: WriteMode::Reliable,
             min_lease_ns: 50,
             max_lease_ns: 3_200,
+            ..EngineConfig::default()
         };
         let mut e = ShardEngine::new(cfg);
         assert_eq!(e.index_mem_bytes(), 4096, "one page before any insert");
@@ -1328,11 +1319,10 @@ mod tests {
         // pointers: a rebuild moves index *entries*, never items.
         let cfg = EngineConfig {
             arena_words: 1 << 16,
-            expected_items: 16,
-            index: IndexKind::Packed,
             write_mode: WriteMode::Reliable,
             min_lease_ns: 1_000,
             max_lease_ns: 64_000,
+            ..EngineConfig::default()
         };
         let mut e = ShardEngine::new(cfg);
         let info = e.insert(0, b"pinned-key", b"pinned-value!!").unwrap();
@@ -1372,32 +1362,26 @@ mod tests {
         out
     }
 
-    fn engine_of(kind: IndexKind, mode: WriteMode, arena_words: usize) -> ShardEngine {
+    fn engine_of(mode: WriteMode, arena_words: usize) -> ShardEngine {
         ShardEngine::new(EngineConfig {
             arena_words,
-            expected_items: 16, // tiny: forces chains and packed resizes
-            index: kind,
             write_mode: mode,
             min_lease_ns: 1_000,
             max_lease_ns: 64_000,
+            ..EngineConfig::default()
         })
     }
 
-    const KINDS: [IndexKind; 3] = [IndexKind::Chained, IndexKind::Compact, IndexKind::Packed];
-
     #[test]
     fn engines_agree_across_index_kinds() {
-        // Cheap cross-kind smoke (the full randomized equivalence lives in
-        // tests/tests/index_equivalence.rs): drive the same script through
-        // the three index structures, each once without an ordered view and
-        // once with one built before the script (so every mutation keeps
-        // it), and compare observable results.
-        let mut engines: Vec<(ShardEngine, bool)> = KINDS
-            .iter()
-            .flat_map(|&k| {
-                [false, true].map(|view| (engine_of(k, WriteMode::Reliable, 1 << 14), view))
-            })
-            .collect();
+        // Cheap smoke (the full randomized model check lives in
+        // tests/tests/index_equivalence.rs): drive the same script through an
+        // engine without an ordered view and one with a view built before the
+        // script (so every mutation keeps it), and compare observable
+        // results.
+        let mut engines: Vec<(ShardEngine, bool)> = [false, true]
+            .map(|view| (engine_of(WriteMode::Reliable, 1 << 14), view))
+            .into();
         for (e, view) in &mut engines {
             if *view {
                 assert!(scan_all(e, b"").is_empty());
@@ -1435,51 +1419,49 @@ mod tests {
 
     #[test]
     fn hybrid_scan_matches_emulated_scan_and_mutations() {
-        // Scans on every kind equal the sorted dump of the shard's items, at
-        // the build and after mutations the view has kept up with.
-        for kind in KINDS {
-            let mut e = engine_of(kind, WriteMode::Reliable, 1 << 14);
-            let churn = |e: &mut ShardEngine, from: u64| {
-                for i in from..from + 400 {
-                    let k = format!("sk{:04}", (i * 37) % 256);
-                    match i % 5 {
-                        0..=2 => {
-                            let _ = e.put(i, k.as_bytes(), &[i as u8; 10]);
-                        }
-                        3 => {
-                            let _ = e.delete(i, k.as_bytes());
-                        }
-                        _ => {
-                            e.pump_reclaim(i);
-                        }
+        // Scans equal the sorted dump of the shard's items, at the build and
+        // after mutations the view has kept up with.
+        let mut e = engine_of(WriteMode::Reliable, 1 << 14);
+        let churn = |e: &mut ShardEngine, from: u64| {
+            for i in from..from + 400 {
+                let k = format!("sk{:04}", (i * 37) % 256);
+                match i % 5 {
+                    0..=2 => {
+                        let _ = e.put(i, k.as_bytes(), &[i as u8; 10]);
+                    }
+                    3 => {
+                        let _ = e.delete(i, k.as_bytes());
+                    }
+                    _ => {
+                        e.pump_reclaim(i);
                     }
                 }
-            };
-            churn(&mut e, 0);
-            assert_eq!(e.ordered_stats(), None, "{kind:?}");
-            for round in 0..2 {
-                // Full-keyspace and mid-keyspace scans agree exactly.
-                for start in [b"".as_slice(), b"sk0100", b"sk0255x", b"zzz"] {
-                    assert_eq!(scan_all(&mut e, start), sorted_dump(&e, start), "{kind:?}");
-                }
-                // Early stop reports "more remain".
-                let mut n = 0;
-                assert!(!e.scan_into(b"", &mut Vec::new(), |_, _| {
-                    n += 1;
-                    n < 3
-                }));
-                if round == 0 {
-                    churn(&mut e, 400);
-                }
             }
-            assert!(e.stats().scans >= 10 && e.stats().scan_items > 0);
+        };
+        churn(&mut e, 0);
+        assert_eq!(e.ordered_stats(), None);
+        for round in 0..2 {
+            // Full-keyspace and mid-keyspace scans agree exactly.
+            for start in [b"".as_slice(), b"sk0100", b"sk0255x", b"zzz"] {
+                assert_eq!(scan_all(&mut e, start), sorted_dump(&e, start));
+            }
+            // Early stop reports "more remain".
+            let mut n = 0;
+            assert!(!e.scan_into(b"", &mut Vec::new(), |_, _| {
+                n += 1;
+                n < 3
+            }));
+            if round == 0 {
+                churn(&mut e, 400);
+            }
         }
+        assert!(e.stats().scans >= 10 && e.stats().scan_items > 0);
     }
 
     #[test]
     fn the_ordered_view_tracks_the_index_from_its_build_on() {
-        let mut t = engine_of(IndexKind::Packed, WriteMode::Reliable, 1 << 14);
-        let mut plain = engine_of(IndexKind::Packed, WriteMode::Reliable, 1 << 14);
+        let mut t = engine_of(WriteMode::Reliable, 1 << 14);
+        let mut plain = engine_of(WriteMode::Reliable, 1 << 14);
         // Inserted in scrambled order so key order is the build's doing.
         let keys: Vec<Vec<u8>> = (0..300)
             .map(|i| format!("hy-{:04}", i * 7 % 300).into_bytes())
@@ -1549,22 +1531,20 @@ mod tests {
 
     #[test]
     fn every_index_kind_scans_through_its_ordered_view() {
-        for kind in KINDS {
-            let mut e = engine_of(kind, WriteMode::Reliable, 1 << 10);
-            e.insert(0, b"via-b", b"2").unwrap();
-            e.insert(0, b"via-a", b"1").unwrap();
-            assert!(e.get(1, b"via-a").is_some());
-            // Writes and point reads build no view.
-            assert!(e.ordered.is_none(), "{kind:?}");
-            assert_eq!(
-                scan_all(&mut e, b""),
-                [
-                    (b"via-a".to_vec(), b"1".to_vec()),
-                    (b"via-b".to_vec(), b"2".to_vec())
-                ]
-            );
-            assert_eq!(e.ordered_stats().expect("built").len, 2, "{kind:?}");
-        }
+        let mut e = engine_of(WriteMode::Reliable, 1 << 10);
+        e.insert(0, b"via-b", b"2").unwrap();
+        e.insert(0, b"via-a", b"1").unwrap();
+        assert!(e.get(1, b"via-a").is_some());
+        // Writes and point reads build no view.
+        assert!(e.ordered.is_none());
+        assert_eq!(
+            scan_all(&mut e, b""),
+            [
+                (b"via-a".to_vec(), b"1".to_vec()),
+                (b"via-b".to_vec(), b"2".to_vec())
+            ]
+        );
+        assert_eq!(e.ordered_stats().expect("built").len, 2);
     }
 
     #[test]
@@ -1574,7 +1554,7 @@ mod tests {
         // it. Before that case was handled the write "replaced" an entry no
         // longer in the index: the key vanished and the block was queued for
         // reclamation twice.
-        let mut e = engine_of(IndexKind::Packed, WriteMode::Cache, 64);
+        let mut e = engine_of(WriteMode::Cache, 64);
         e.put(0, b"A", &[1; 16]).unwrap();
         let mut i = 0;
         while e.arena_stats().headroom_words >= item_words(1, 16) as u64 {
@@ -1592,28 +1572,26 @@ mod tests {
 
     #[test]
     fn a_cache_evicts_from_its_ordered_view() {
-        // Every kind, in cache mode, on an arena that fills: after the view
-        // exists the CLOCK sweep unlinks its victims from the view too, and
-        // every scan equals the items the index still holds.
-        for kind in KINDS {
-            let mut e = engine_of(kind, WriteMode::Cache, 1 << 10);
-            for i in 0..400u64 {
-                if i == 40 {
-                    assert_eq!(e.stats().evictions, 0, "{kind:?}: evicted before the view");
-                    scan_all(&mut e, b"");
-                }
-                let k = format!("ev{:04}", i * 7919 % 400);
-                e.put(i, k.as_bytes(), &[i as u8; 24]).unwrap();
-                if i % 3 == 0 {
-                    e.get(i, format!("ev{:04}", i * 31 % 400).as_bytes());
-                }
-                if i % 16 == 0 {
-                    assert_eq!(scan_all(&mut e, b"ev0200"), sorted_dump(&e, b"ev0200"));
-                }
+        // In cache mode, on an arena that fills: after the view exists the
+        // CLOCK sweep unlinks its victims from the view too, and every scan
+        // equals the items the index still holds.
+        let mut e = engine_of(WriteMode::Cache, 1 << 10);
+        for i in 0..400u64 {
+            if i == 40 {
+                assert_eq!(e.stats().evictions, 0, "evicted before the view");
+                scan_all(&mut e, b"");
             }
-            assert!(e.stats().evictions > 100, "{kind:?}: {:?}", e.stats());
-            assert_eq!(e.ordered_stats().expect("built").len, e.len() as u64);
-            assert_eq!(scan_all(&mut e, b""), sorted_dump(&e, b""));
+            let k = format!("ev{:04}", i * 7919 % 400);
+            e.put(i, k.as_bytes(), &[i as u8; 24]).unwrap();
+            if i % 3 == 0 {
+                e.get(i, format!("ev{:04}", i * 31 % 400).as_bytes());
+            }
+            if i % 16 == 0 {
+                assert_eq!(scan_all(&mut e, b"ev0200"), sorted_dump(&e, b"ev0200"));
+            }
         }
+        assert!(e.stats().evictions > 100, "{:?}", e.stats());
+        assert_eq!(e.ordered_stats().expect("built").len, e.len() as u64);
+        assert_eq!(scan_all(&mut e, b""), sorted_dump(&e, b""));
     }
 }

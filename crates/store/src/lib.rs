@@ -1,10 +1,9 @@
 //! HydraDB's server-side memory engine.
 //!
 //! A *shard* (§4.1.1) exclusively owns one partition: a registered-memory
-//! [`Arena`] holding the key-value items, a cache-friendly hash index
-//! ([`AnyIndex`]: the packed [`PackedTable`] by default, §4.1.3) mapping key
-//! hashes to them, an ordered [`SkipList`] view of the keys built at the
-//! shard's first range scan, and a [`ReclaimQueue`] deferring memory reuse
+//! [`Arena`] holding the key-value items, a cache-friendly hash index (the
+//! packed [`PackedTable`], §4.1.3) mapping key hashes to them, an ordered
+//! [`SkipList`] view of the keys built at the shard's first range scan, and a [`ReclaimQueue`] deferring memory reuse
 //! until leases expire (§4.2.3). The [`ShardEngine`] ties these together
 //! into the operation set the server and the replication applier drive.
 //!
@@ -38,14 +37,14 @@ pub use engine::{
     ArenaBooks, EngineConfig, EngineError, EngineStats, GetResult, ItemInfo, ShardEngine, WriteMode,
 };
 pub use heat::{HeatEntry, HeatSketch};
-pub use index::{AnyIndex, IndexKind};
+pub use index::IndexKind;
 pub use item::{
     item_words, rdma_read_len, FetchedItem, ItemError, ItemRef, GUARD_DEAD, GUARD_VALID,
 };
-pub use packed::{PackedTable, GROUP_SLOTS};
+pub use packed::{PackedTable, GROUP_SLOTS, LOOKUP_BATCH};
 pub use reclaim::ReclaimQueue;
 pub use skiplist::{SkipList, SkipListStats, SKIP_MAX_HEIGHT};
-pub use table::{CompactTable, TableStats, LOOKUP_BATCH};
+pub use table::{CompactTable, TableStats};
 
 /// FNV-1a offset basis (shared with [`item::ItemRef::stored_key_hash`],
 /// which must reproduce [`hash_key`] from arena words byte-for-byte).

@@ -51,6 +51,9 @@ use crate::table::TableStats;
 /// Slots per 64-byte group (7 × 8 B slots + 8 B tag/control word).
 pub const GROUP_SLOTS: usize = 7;
 
+/// Maximum keys per [`PackedTable::lookup_batch`] interleaved probe pass.
+pub const LOOKUP_BATCH: usize = 16;
+
 const TAG_EMPTY: u8 = 0x00;
 const TAG_TOMB: u8 = 0x01;
 
@@ -262,7 +265,7 @@ impl PackedTable {
     /// line so the misses overlap; pass two resolves each key with the
     /// ordinary scalar probe. Results and charged statistics are exactly
     /// those of per-key [`lookup`](Self::lookup) calls in key order; only the
-    /// memory-access schedule differs. At most [`crate::LOOKUP_BATCH`] keys
+    /// memory-access schedule differs. At most [`LOOKUP_BATCH`] keys
     /// per call.
     pub fn lookup_batch(
         &mut self,
@@ -270,10 +273,7 @@ impl PackedTable {
         out: &mut [Option<u64>],
         mut is_match: impl FnMut(usize, u64) -> bool,
     ) {
-        assert!(
-            hashes.len() <= crate::table::LOOKUP_BATCH,
-            "batch exceeds LOOKUP_BATCH"
-        );
+        assert!(hashes.len() <= LOOKUP_BATCH, "batch exceeds LOOKUP_BATCH");
         assert!(out.len() >= hashes.len(), "output buffer too small");
         let mask = self.groups.len() - 1;
         for &hash in hashes {
@@ -663,12 +663,12 @@ mod tests {
         a.table.reset_stats();
         b.table.reset_stats();
         for round in 0..200 {
-            let n = rng.gen_range(1..=crate::table::LOOKUP_BATCH);
+            let n = rng.gen_range(1..=LOOKUP_BATCH);
             let keys: Vec<Vec<u8>> = (0..n)
                 .map(|_| format!("bk-{}", rng.gen_range(0..400)).into_bytes())
                 .collect();
             let hashes: Vec<u64> = keys.iter().map(|k| hash_key(k)).collect();
-            let mut out = [None; crate::table::LOOKUP_BATCH];
+            let mut out = [None; LOOKUP_BATCH];
             let by_off = a.by_off.clone();
             a.table.lookup_batch(&hashes, &mut out, |i, off| {
                 by_off.get(&off).is_some_and(|k| k == &keys[i])
@@ -688,8 +688,8 @@ mod tests {
     #[should_panic(expected = "batch exceeds LOOKUP_BATCH")]
     fn oversized_lookup_batch_panics() {
         let mut t = PackedTable::new(4);
-        let hashes = [0u64; crate::table::LOOKUP_BATCH + 1];
-        let mut out = [None; crate::table::LOOKUP_BATCH + 1];
+        let hashes = [0u64; LOOKUP_BATCH + 1];
+        let mut out = [None; LOOKUP_BATCH + 1];
         t.lookup_batch(&hashes, &mut out, |_, _| false);
     }
 

@@ -1,4 +1,6 @@
-//! The cache-friendly compact hash table (§4.1.3).
+//! The seed's compact hash table (§4.1.3), now one of the A-HASH
+//! ablation's standalone structures (`abl_hashtable`,
+//! `benches/hashtable.rs`), and the [`TableStats`] every index reports.
 //!
 //! The table stores *locations* (48-bit arena word offsets), not data. Its
 //! main branch is a contiguous array of 64-byte buckets — one cache line —
@@ -17,14 +19,11 @@
 //! table *merges* chained buckets back into earlier free slots and releases
 //! emptied overflow buckets.
 //!
-//! The table is owned exclusively by one shard thread (`&mut` API). Remote
-//! RDMA-Read GETs bypass it entirely — that is the point of the design.
+//! The table has one owner (`&mut` API). Remote RDMA-Read GETs bypass the
+//! index entirely — that is the point of the design.
 
 /// Slots per bucket (7 × 8 B slots + 8 B header = 64 B).
 pub const SLOTS_PER_BUCKET: usize = 7;
-
-/// Maximum keys per [`CompactTable::lookup_batch`] interleaved probe pass.
-pub const LOOKUP_BATCH: usize = 16;
 
 const SIG_BITS: u64 = 16;
 const SIG_MASK: u64 = (1 << SIG_BITS) - 1;
@@ -156,11 +155,6 @@ impl CompactTable {
         }
     }
 
-    /// Creates a table sized for `items` entries at ~70% occupancy.
-    pub fn with_capacity(items: usize) -> Self {
-        Self::new((items * 10 / 7 / SLOTS_PER_BUCKET).max(1))
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.len
@@ -211,22 +205,10 @@ impl CompactTable {
 
     /// Looks up the entry whose signature matches `hash` and for which
     /// `is_match(offset)` confirms full key equality. Returns the offset.
-    pub fn lookup(&mut self, hash: u64, is_match: impl FnMut(u64) -> bool) -> Option<u64> {
+    pub fn lookup(&mut self, hash: u64, mut is_match: impl FnMut(u64) -> bool) -> Option<u64> {
         self.stats.lookups += 1;
-        let start = BucketId::Main(self.bucket_index(hash));
-        self.lookup_from(start, crate::signature(hash), is_match)
-    }
-
-    /// Walks a bucket chain starting at `start`, confirming signature hits
-    /// through `is_match`. Shared by [`lookup`](Self::lookup) and the chained
-    /// fallback of [`lookup_batch`](Self::lookup_batch).
-    fn lookup_from(
-        &mut self,
-        start: BucketId,
-        sig: u16,
-        mut is_match: impl FnMut(u64) -> bool,
-    ) -> Option<u64> {
-        let mut cur = start;
+        let sig = crate::signature(hash);
+        let mut cur = BucketId::Main(self.bucket_index(hash));
         loop {
             self.stats.buckets_probed += 1;
             let b = self.bucket(cur);
@@ -256,65 +238,8 @@ impl CompactTable {
         }
     }
 
-    /// Batched lookup with an interleaved probe schedule: pass one touches
-    /// the main bucket (one cache line) of *every* key and collects its
-    /// signature candidates into stack arrays — the software-prefetch shape,
-    /// with all lines in flight before any full key comparison dereferences
-    /// the arena; pass two confirms candidates in key order. Results and
-    /// statistics are exactly what per-key [`lookup`](Self::lookup) calls
-    /// would produce (lookups never mutate the table, so the reordering is
-    /// unobservable). `is_match` receives the key index alongside the
-    /// candidate offset; `out[i]` gets key `i`'s offset. At most
-    /// [`LOOKUP_BATCH`] keys per call.
-    pub fn lookup_batch(
-        &mut self,
-        hashes: &[u64],
-        out: &mut [Option<u64>],
-        mut is_match: impl FnMut(usize, u64) -> bool,
-    ) {
-        assert!(hashes.len() <= LOOKUP_BATCH, "batch exceeds LOOKUP_BATCH");
-        assert!(out.len() >= hashes.len(), "output buffer too small");
-        let mut cands = [[0u64; SLOTS_PER_BUCKET]; LOOKUP_BATCH];
-        let mut ncands = [0usize; LOOKUP_BATCH];
-        let mut chain = [None::<BucketId>; LOOKUP_BATCH];
-        for (i, &hash) in hashes.iter().enumerate() {
-            self.stats.lookups += 1;
-            self.stats.buckets_probed += 1;
-            let sig = crate::signature(hash);
-            let head = BucketId::Main(self.bucket_index(hash));
-            let b = self.bucket(head);
-            let filter = b.filter();
-            let mut n = 0;
-            for s in 0..SLOTS_PER_BUCKET {
-                if filter & (1 << s) != 0 && b.slot_sig(s) == sig {
-                    cands[i][n] = b.slot_off(s);
-                    n += 1;
-                }
-            }
-            ncands[i] = n;
-            chain[i] = self.next_in_chain(head);
-        }
-        for (i, &hash) in hashes.iter().enumerate() {
-            let mut found = None;
-            for &off in &cands[i][..ncands[i]] {
-                self.stats.full_compares += 1;
-                if is_match(i, off) {
-                    found = Some(off);
-                    break;
-                }
-                self.stats.false_positives += 1;
-            }
-            if found.is_none() {
-                if let Some(start) = chain[i] {
-                    found = self.lookup_from(start, crate::signature(hash), |off| is_match(i, off));
-                }
-            }
-            out[i] = found;
-        }
-    }
-
     /// Inserts `(hash, offset)`. The caller is responsible for having checked
-    /// that the key is not already present (the engine does a lookup first).
+    /// that the key is not already present.
     pub fn insert(&mut self, hash: u64, offset: u64) {
         assert!(offset <= OFF_MASK, "offset exceeds 48 bits");
         let sig = crate::signature(hash);
@@ -346,32 +271,6 @@ impl CompactTable {
         } else {
             self.overflow.push(Bucket::default());
             self.overflow.len() - 1
-        }
-    }
-
-    /// Replaces the offset of an existing entry (out-of-place update: same
-    /// key, new item location). Returns the old offset.
-    pub fn replace(
-        &mut self,
-        hash: u64,
-        new_offset: u64,
-        mut is_match: impl FnMut(u64) -> bool,
-    ) -> Option<u64> {
-        assert!(new_offset <= OFF_MASK, "offset exceeds 48 bits");
-        let sig = crate::signature(hash);
-        let mut cur = BucketId::Main(self.bucket_index(hash));
-        loop {
-            let b = self.bucket(cur);
-            for s in 0..SLOTS_PER_BUCKET {
-                if b.is_used(s) && b.slot_sig(s) == sig {
-                    let off = b.slot_off(s);
-                    if is_match(off) {
-                        self.bucket_mut(cur).set_slot(s, sig, new_offset);
-                        return Some(off);
-                    }
-                }
-            }
-            cur = self.next_in_chain(cur)?;
         }
     }
 
@@ -457,33 +356,9 @@ impl CompactTable {
         }
     }
 
-    /// Visits every stored offset (diagnostics, migration, eviction scans).
-    pub fn for_each(&self, mut f: impl FnMut(u64)) {
-        for head in 0..self.main.len() {
-            let mut cur = BucketId::Main(head);
-            loop {
-                let b = self.bucket(cur);
-                for s in 0..SLOTS_PER_BUCKET {
-                    if b.is_used(s) {
-                        f(b.slot_off(s));
-                    }
-                }
-                match self.next_in_chain(cur) {
-                    Some(n) => cur = n,
-                    None => break,
-                }
-            }
-        }
-    }
-
     /// Number of live overflow buckets (chain pressure diagnostic).
     pub fn overflow_buckets(&self) -> usize {
         self.overflow.len() - self.overflow_free.len()
-    }
-
-    /// Bytes held by the main branch plus all overflow buckets.
-    pub fn mem_bytes(&self) -> usize {
-        (self.main.len() + self.overflow.len()) * std::mem::size_of::<Bucket>()
     }
 }
 
@@ -606,21 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn replace_swaps_offset_in_place() {
-        let mut m = Model::new(4);
-        let off = m.insert(b"k");
-        m.by_off.insert(999, b"k".to_vec());
-        let by_off = m.by_off.clone();
-        let old = m.table.replace(hash_key(b"k"), 999, |o| {
-            by_off.get(&o).is_some_and(|k| k == b"k")
-        });
-        assert_eq!(old, Some(off));
-        m.by_off.remove(&off);
-        assert_eq!(m.lookup(b"k"), Some(999));
-        assert_eq!(m.table.len(), 1, "replace must not change len");
-    }
-
-    #[test]
     fn signature_false_positives_are_counted_not_returned() {
         let mut t = CompactTable::new(1);
         // Two entries with identical signature+bucket but different keys.
@@ -631,20 +491,6 @@ mod tests {
         assert_eq!(got, Some(2));
         assert!(t.stats().false_positives >= 1);
         assert!(t.stats().full_compares >= 2);
-    }
-
-    #[test]
-    fn for_each_visits_every_entry_once() {
-        let mut m = Model::new(2);
-        for i in 0..40 {
-            m.insert(format!("x{i}").as_bytes());
-        }
-        let mut seen = Vec::new();
-        m.table.for_each(|o| seen.push(o));
-        seen.sort_unstable();
-        let mut expect: Vec<u64> = m.by_off.keys().copied().collect();
-        expect.sort_unstable();
-        assert_eq!(seen, expect);
     }
 
     #[test]
@@ -666,54 +512,6 @@ mod tests {
             "buckets_probed={}",
             s.buckets_probed
         );
-    }
-
-    #[test]
-    fn lookup_batch_matches_scalar_lookups_and_stats() {
-        use rand::{rngs::SmallRng, Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(0xBA7C4);
-        // Small table → plenty of collisions and overflow chains.
-        let mut a = Model::new(2);
-        for i in 0..200 {
-            a.insert(format!("bk-{i}").as_bytes());
-        }
-        // Identical twin driven through the scalar path.
-        let mut b = Model::new(2);
-        for i in 0..200 {
-            b.insert(format!("bk-{i}").as_bytes());
-        }
-        a.table.reset_stats();
-        b.table.reset_stats();
-        for round in 0..200 {
-            let n = rng.gen_range(1..=LOOKUP_BATCH);
-            // Mix of present and absent keys.
-            let keys: Vec<Vec<u8>> = (0..n)
-                .map(|_| format!("bk-{}", rng.gen_range(0..260)).into_bytes())
-                .collect();
-            let hashes: Vec<u64> = keys.iter().map(|k| hash_key(k)).collect();
-            let mut out = [None; LOOKUP_BATCH];
-            let by_off = a.by_off.clone();
-            a.table.lookup_batch(&hashes, &mut out, |i, off| {
-                by_off.get(&off).is_some_and(|k| k == &keys[i])
-            });
-            for (i, k) in keys.iter().enumerate() {
-                assert_eq!(out[i], b.lookup(k), "round {round} key {i}");
-            }
-        }
-        assert_eq!(
-            a.table.stats(),
-            b.table.stats(),
-            "batched probing must charge identical work"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "batch exceeds LOOKUP_BATCH")]
-    fn oversized_lookup_batch_panics() {
-        let mut t = CompactTable::new(4);
-        let hashes = [0u64; LOOKUP_BATCH + 1];
-        let mut out = [None; LOOKUP_BATCH + 1];
-        t.lookup_batch(&hashes, &mut out, |_, _| false);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 use std::collections::HashMap;
 
 use hydra_store::{
-    item_words, EngineConfig, EngineError, FetchedItem, IndexKind, ItemError, ShardEngine,
-    WriteMode,
+    item_words, EngineConfig, EngineError, FetchedItem, ItemError, ShardEngine, WriteMode,
 };
 use proptest::prelude::*;
 
@@ -45,11 +44,10 @@ proptest! {
     fn engine_matches_reference_model(ops in proptest::collection::vec(op_strategy(), 1..400)) {
         let mut engine = ShardEngine::new(EngineConfig {
             arena_words: 1 << 15,
-            expected_items: 256,
-            index: IndexKind::Packed,
             write_mode: WriteMode::Reliable,
             min_lease_ns: 500,
             max_lease_ns: 32_000,
+            ..EngineConfig::default()
         });
         let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
         let mut now = 0u64;
@@ -118,11 +116,10 @@ proptest! {
         // value.
         let mut engine = ShardEngine::new(EngineConfig {
             arena_words: 1 << 14,
-            expected_items: 64,
-            index: IndexKind::Packed,
             write_mode: WriteMode::Reliable,
             min_lease_ns: 1_000_000, // long lease: no reuse during the test
             max_lease_ns: 64_000_000,
+            ..EngineConfig::default()
         });
         let key = b"watched-key";
         engine.insert(0, key, &updates[0]).unwrap();
@@ -164,11 +161,10 @@ proptest! {
 fn cache_mode_never_reports_oom_under_churn() {
     let mut engine = ShardEngine::new(EngineConfig {
         arena_words: 2_048,
-        expected_items: 64,
-        index: IndexKind::Packed,
         write_mode: WriteMode::Cache,
         min_lease_ns: 0,
         max_lease_ns: 0,
+        ..EngineConfig::default()
     });
     for i in 0..5_000u64 {
         let key = format!("churn-{:04}", i % 500);

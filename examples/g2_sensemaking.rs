@@ -85,7 +85,6 @@ fn main() {
         shards_per_node: 4,
         client_nodes: 4,
         arena_words: 1 << 22,
-        expected_items: 1 << 16,
         ..ClusterConfig::default()
     };
     let mut cluster = ClusterBuilder::new(cfg).build();

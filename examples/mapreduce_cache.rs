@@ -29,7 +29,6 @@ fn main() {
         write_mode: WriteMode::Cache, // cache semantics: upserts + eviction
         msg_slot_words: 1 << 20,      // 8 MiB slots for 4 MiB chunks
         arena_words: 1 << 24,         // 128 MiB per shard
-        expected_items: 1 << 10,
         op_timeout_ns: 500_000_000,
         ..ClusterConfig::default()
     };

@@ -32,6 +32,15 @@ trap 'rm -rf "$SMOKE_RESULTS"' EXIT
 HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
     cargo run -q --release -p hydra-bench -- run all
 
+echo "==> every virtual-time experiment at normal scale equals its committed results/ files"
+# A virtual-time experiment repeats byte for byte, so a paper figure or an
+# ablation that moves (say, when an arm leaves the hot path) fails here unless
+# the PR commits the regenerated files. The `wall` experiments are left out:
+# no two runs repeat them. About 4 minutes on 2 vCPUs.
+virtual="$(cargo run -q --release -p hydra-bench -- list | awk '$3 == "virtual" { print $1 }')"
+# shellcheck disable=SC2086 # one argument per experiment name
+scripts/regen.sh "" $virtual
+
 echo "==> examples (each asserts what it demonstrates)"
 # failover is the end-to-end Strict run through crash, partition, fence and
 # promotion, with zero-acknowledged-loss and linearizability checks.

@@ -9,7 +9,8 @@
 # (`run all`). Prints each file that differs, and exits non-zero if a claim
 # failed or a file differs outside the experiments `hydra-bench list` marks
 # `wall` (wall-clock measurements, which no two runs repeat). A whole pass
-# takes several minutes; it is not part of scripts/check.sh.
+# takes several minutes; scripts/check.sh runs it over every `virtual`
+# experiment.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -10,7 +10,7 @@
 
 use hydra_db::server::{apply_request, run_batch, ReadPlane, ScanBounds};
 use hydra_fabric::RegionId;
-use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};
+use hydra_store::{EngineConfig, ShardEngine, WriteMode};
 use hydra_wire::{BatchBuilder, BatchFrame, Request};
 use proptest::prelude::*;
 
@@ -59,11 +59,10 @@ fn key_of(k: u8) -> Vec<u8> {
 fn engine() -> ShardEngine {
     let mut e = ShardEngine::new(EngineConfig {
         arena_words: 1 << 14,
-        expected_items: 256,
-        index: IndexKind::Packed,
         write_mode: WriteMode::Reliable,
         min_lease_ns: 1_000_000,
         max_lease_ns: 64_000_000,
+        ..EngineConfig::default()
     });
     // Common pre-population so GETs hit, updates succeed, inserts collide.
     for k in 0..16u8 {

@@ -574,7 +574,7 @@ fn kill_primary_via_chaos_controller_still_promotes() {
 fn crash_mid_replicate_batch_rolls_back_and_resends() {
     use hydra_fabric::{Fabric, FabricConfig};
     use hydra_replication::{ReplConfig, ReplMode, ReplicationPair};
-    use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};
+    use hydra_store::{EngineConfig, ShardEngine, WriteMode};
     use hydra_wire::LogOp;
     use std::cell::RefCell;
 
@@ -584,11 +584,10 @@ fn crash_mid_replicate_batch_rolls_back_and_resends() {
     let s = fab.add_node();
     let engine = Rc::new(RefCell::new(ShardEngine::new(EngineConfig {
         arena_words: 1 << 16,
-        expected_items: 4096,
-        index: IndexKind::Packed,
         write_mode: WriteMode::Reliable,
         min_lease_ns: 1_000,
         max_lease_ns: 64_000,
+        ..EngineConfig::default()
     })));
     let pair = ReplicationPair::new(
         &fab,

@@ -110,7 +110,6 @@ fn large_values_stream_through_the_stack() {
     let cfg = ClusterConfig {
         msg_slot_words: 1 << 20,
         arena_words: 1 << 23,
-        expected_items: 64,
         ..ClusterConfig::default()
     };
     let mut cluster = ClusterBuilder::new(cfg).build();

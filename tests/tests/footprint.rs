@@ -39,7 +39,6 @@ fn a_cluster_and_128_clients_commit_what_they_touch() {
         shards_per_node: 4,
         client_nodes: 1,
         arena_words: 1 << 23,
-        expected_items: 1 << 20,
         ..ClusterConfig::default()
     };
     let mut cluster = ClusterBuilder::new(cfg).build();

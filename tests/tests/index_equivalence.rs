@@ -1,27 +1,25 @@
-//! Index-structure equivalence: the packed cache-line-group table, the
-//! compact signature table and the chained-list baseline must be
-//! observationally identical behind `ShardEngine`, with or without the
-//! ordered view a shard builds at its first scan. Random operation sequences
-//! are driven through engines differing only in `EngineConfig::index` (and
-//! one packed engine whose view exists from the start); every op result,
-//! every post-op length, and the final full iteration contents must agree —
-//! across index rebuilds (every engine starts preloaded just under its
-//! one-page packed index's ceiling, so the sequence's growth doubles it
-//! mid-sequence) and across reclamation pumps. A second property pins the
-//! *ordered* plane: scans, and scans continued from `last_key + 0x00` as the
-//! wire protocol continues them, must match a `BTreeMap` model item-for-item
-//! under the same interleavings — which split the skiplist's packed leaves,
-//! empty and unlink them, and remove their first keys — and a twin engine
-//! fed the same operations must build the same structure. A third moves the
-//! first ordered read, which builds the view, to a random step, on every
-//! index kind, as a reliable store and as a cache whose CLOCK sweep evicts:
-//! before it an engine must hold exactly an unscanned twin's index, after
-//! it every walk must match the live keys.
+//! Index equivalence: a shard's packed index must answer as a `HashMap`
+//! model of the same operations does, with or without the ordered view a
+//! shard builds at its first scan. Random operation sequences are driven
+//! through an engine without a view, one whose view exists from the start,
+//! and the model; every op result, every post-op length, and the final full
+//! iteration contents must agree — across index rebuilds (every engine
+//! starts preloaded just under its one-page packed index's ceiling, so the
+//! sequence's growth doubles it mid-sequence) and across reclamation pumps.
+//! A second property pins the *ordered* plane: scans, and scans continued
+//! from `last_key + 0x00` as the wire protocol continues them, must match a
+//! `BTreeMap` model item-for-item under the same interleavings — which split
+//! the skiplist's packed leaves, empty and unlink them, and remove their
+//! first keys — and a twin engine fed the same operations must build the
+//! same structure. A third moves the first ordered read, which builds the
+//! view, to a random step, as a reliable store and as a cache whose CLOCK
+//! sweep evicts: before it an engine must hold exactly an unscanned twin's
+//! index, after it every walk must match the live keys.
 
 use hydra_store::skiplist::LEAF_CAP;
-use hydra_store::{EngineConfig, EngineError, IndexKind, ShardEngine, WriteMode};
+use hydra_store::{EngineConfig, EngineError, ShardEngine, WriteMode};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -67,24 +65,19 @@ fn preload_key(i: usize) -> Vec<u8> {
     format!("fill-{i:04}").into_bytes()
 }
 
-fn engine(kind: IndexKind) -> ShardEngine {
-    engine_in(kind, WriteMode::Reliable)
-}
-
-/// A preloaded engine of `kind` in `mode`. A cache's arena holds about 250
-/// items, so its preload already evicts and its CLOCK sweep keeps evicting
-/// as a sequence writes.
-fn engine_in(kind: IndexKind, mode: WriteMode) -> ShardEngine {
+/// A preloaded engine in `mode`. A cache's arena holds about 250 items, so
+/// its preload already evicts and its CLOCK sweep keeps evicting as a
+/// sequence writes.
+fn engine_in(mode: WriteMode) -> ShardEngine {
     let mut e = ShardEngine::new(EngineConfig {
         arena_words: match mode {
             WriteMode::Reliable => 1 << 15,
             WriteMode::Cache => 1 << 11,
         },
-        expected_items: 8,
-        index: kind,
         write_mode: mode,
         min_lease_ns: 500,
         max_lease_ns: 32_000,
+        ..EngineConfig::default()
     });
     for i in 0..PRELOAD {
         e.insert(0, &preload_key(i), b"preloaded").expect("preload");
@@ -111,36 +104,23 @@ proptest! {
     fn all_index_kinds_are_observationally_equivalent(
         ops in proptest::collection::vec(op_strategy(), 1..500),
     ) {
-        let mut engines = [
-            engine(IndexKind::Packed),
-            engine(IndexKind::Chained),
-            engine(IndexKind::Compact),
-            engine(IndexKind::Packed),
-        ];
-        build_view(&mut engines[3]);
+        let mut engines = [engine_in(WriteMode::Reliable), engine_in(WriteMode::Reliable)];
+        build_view(&mut engines[1]);
+        let mut model: HashMap<Vec<u8>, Vec<u8>> = (0..PRELOAD)
+            .map(|i| (preload_key(i), b"preloaded".to_vec()))
+            .collect();
         let mut now = 0u64;
         let mut most = 0;
         for (step, op) in ops.iter().enumerate() {
-            let results: Vec<_> = engines
-                .iter_mut()
-                .map(|e| apply(e, op, now))
-                .collect();
-            prop_assert_eq!(
-                &results[0], &results[1],
-                "packed vs chained diverged at step {} on {:?}", step, op
-            );
-            prop_assert_eq!(
-                &results[0], &results[2],
-                "packed vs compact diverged at step {} on {:?}", step, op
-            );
-            prop_assert_eq!(
-                &results[0], &results[3],
-                "packed vs packed with a view diverged at step {} on {:?}", step, op
-            );
-            prop_assert_eq!(engines[0].len(), engines[1].len());
-            prop_assert_eq!(engines[0].len(), engines[2].len());
-            prop_assert_eq!(engines[0].len(), engines[3].len());
-            most = most.max(engines[0].len());
+            let want = apply_model(&mut model, op);
+            for (e, name) in engines.iter_mut().zip(["packed", "packed with a view"]) {
+                prop_assert_eq!(
+                    &apply(e, op, now), &want,
+                    "{} vs the model diverged at step {} on {:?}", name, step, op
+                );
+                prop_assert_eq!(e.len(), model.len(), "{} at step {}", name, step);
+            }
+            most = most.max(model.len());
             if let Op::AdvanceTime(dt) = op {
                 now += dt;
             }
@@ -157,11 +137,11 @@ proptest! {
             );
         }
         // Final iteration contents agree exactly.
-        let packed = dump(&engines[0]);
-        prop_assert_eq!(&packed, &dump(&engines[1]), "iteration: packed vs chained");
-        prop_assert_eq!(&packed, &dump(&engines[2]), "iteration: packed vs compact");
-        prop_assert_eq!(&packed, &dump(&engines[3]), "iteration: packed vs packed with a view");
-        prop_assert_eq!(&scan(&mut engines[3], b"", usize::MAX).0, &packed, "view vs dump");
+        let mut want: Items = model.into_iter().collect();
+        want.sort();
+        prop_assert_eq!(&dump(&engines[0]), &want, "iteration: packed vs the model");
+        prop_assert_eq!(&dump(&engines[1]), &want, "iteration: packed with a view vs the model");
+        prop_assert_eq!(&scan(&mut engines[1], b"", usize::MAX).0, &want, "view vs the model");
         // And everything drains identically.
         for e in &mut engines {
             e.pump_reclaim(u64::MAX);
@@ -211,11 +191,11 @@ fn scan(e: &mut ShardEngine, start: &[u8], limit: usize) -> (Items, bool) {
     (got, exhausted)
 }
 
-/// An ordered-plane run: two engines of one kind and mode (the one under
-/// test and a twin fed the same operations), an engine of the same kind and
-/// mode fed the same mutations and never scanned, and the `BTreeMap` model
-/// of the live keys they must all agree with. A cache evicts: after each
-/// write the model drops the keys the sweep took.
+/// An ordered-plane run: two engines of one mode (the one under test and a
+/// twin fed the same operations), an engine of the same mode fed the same
+/// mutations and never scanned, and the `BTreeMap` model of the live keys
+/// they must all agree with. A cache evicts: after each write the model
+/// drops the keys the sweep took.
 struct OrderedRig {
     e: ShardEngine,
     twin: ShardEngine,
@@ -226,11 +206,11 @@ struct OrderedRig {
 }
 
 impl OrderedRig {
-    fn new(kind: IndexKind, mode: WriteMode) -> OrderedRig {
+    fn new(mode: WriteMode) -> OrderedRig {
         let mut rig = OrderedRig {
-            e: engine_in(kind, mode),
-            twin: engine_in(kind, mode),
-            plain: engine_in(kind, mode),
+            e: engine_in(mode),
+            twin: engine_in(mode),
+            plain: engine_in(mode),
             model: (0..PRELOAD)
                 .map(|i| (preload_key(i), b"preloaded".to_vec()))
                 .collect(),
@@ -416,7 +396,7 @@ proptest! {
     fn hybrid_ordered_iteration_matches_btreemap_model(
         ops in proptest::collection::vec(ordered_op_strategy(), 1..400),
     ) {
-        let mut rig = OrderedRig::new(IndexKind::Packed, WriteMode::Reliable);
+        let mut rig = OrderedRig::new(WriteMode::Reliable);
         let mut most = 0;
         for (step, op) in ops.iter().enumerate() {
             rig.apply(op, step)?;
@@ -437,48 +417,81 @@ proptest! {
     /// The view is built by the first ordered read, wherever in a sequence
     /// it falls — the first step, any step, or none (scans drawn before it
     /// are skipped) — and mutations, evictions and scans after it keep
-    /// matching the model of live keys, on every index kind, as a reliable
-    /// store and as a cache. Until it, each engine holds no view and exactly
-    /// an unscanned engine's index memory. A cache then takes a flood of
-    /// fresh keys it cannot hold, so its sweep evicts from a built view.
+    /// matching the model of live keys, as a reliable store and as a cache.
+    /// Until it, each engine holds no view and exactly an unscanned engine's
+    /// index memory. A cache then takes a flood of fresh keys it cannot
+    /// hold, so its sweep evicts from a built view.
     #[test]
     fn hybrid_builds_its_ordered_side_at_its_first_ordered_read(
         ops in proptest::collection::vec(ordered_op_strategy(), 0..300),
         first in prop_oneof![Just(0usize), Just(usize::MAX), 0..300usize],
     ) {
-        for kind in [IndexKind::Chained, IndexKind::Compact, IndexKind::Packed] {
-            for mode in [WriteMode::Reliable, WriteMode::Cache] {
-                let mut rig = OrderedRig::new(kind, mode);
-                for (step, op) in ops.iter().enumerate() {
-                    if step == first {
-                        rig.walk()?;
-                    }
-                    if step < first {
-                        if matches!(op, OrderedOp::Scan(..) | OrderedOp::ScanContinued(..)) {
-                            continue;
-                        }
-                        rig.unbuilt()?;
-                    }
-                    rig.apply(op, step)?;
-                }
-                if first >= ops.len() {
-                    rig.unbuilt()?;
-                }
-                rig.walk()?;
-                if mode == WriteMode::Cache {
-                    let evicted = rig.evictions;
-                    rig.apply(&OrderedOp::Flood(300), ops.len())?;
-                    prop_assert!(rig.evictions > evicted, "{:?}: no eviction", kind);
+        for mode in [WriteMode::Reliable, WriteMode::Cache] {
+            let mut rig = OrderedRig::new(mode);
+            for (step, op) in ops.iter().enumerate() {
+                if step == first {
                     rig.walk()?;
                 }
+                if step < first {
+                    if matches!(op, OrderedOp::Scan(..) | OrderedOp::ScanContinued(..)) {
+                        continue;
+                    }
+                    rig.unbuilt()?;
+                }
+                rig.apply(op, step)?;
+            }
+            if first >= ops.len() {
+                rig.unbuilt()?;
+            }
+            rig.walk()?;
+            if mode == WriteMode::Cache {
+                let evicted = rig.evictions;
+                rig.apply(&OrderedOp::Flood(300), ops.len())?;
+                prop_assert!(rig.evictions > evicted, "no eviction");
+                rig.walk()?;
             }
         }
     }
 }
 
+/// What a reliable engine must answer to `op`, from a `HashMap` of its live
+/// items, which the op then updates.
+fn apply_model(
+    model: &mut HashMap<Vec<u8>, Vec<u8>>,
+    op: &Op,
+) -> Result<Vec<Option<Vec<u8>>>, EngineError> {
+    match op {
+        Op::Insert(k, v) => match model.entry(key_of(*k)) {
+            std::collections::hash_map::Entry::Occupied(_) => Err(EngineError::Exists),
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(v.clone());
+                Ok(Vec::new())
+            }
+        },
+        Op::Update(k, v) => match model.get_mut(&key_of(*k)) {
+            Some(old) => {
+                *old = v.clone();
+                Ok(Vec::new())
+            }
+            None => Err(EngineError::NotFound),
+        },
+        Op::Put(k, v) => {
+            model.insert(key_of(*k), v.clone());
+            Ok(Vec::new())
+        }
+        Op::Get(k) => Ok(vec![model.get(&key_of(*k)).cloned()]),
+        Op::GetBatch(ks) => Ok(ks.iter().map(|&k| model.get(&key_of(k)).cloned()).collect()),
+        Op::Delete(k) => match model.remove(&key_of(*k)) {
+            Some(_) => Ok(Vec::new()),
+            None => Err(EngineError::NotFound),
+        },
+        Op::Reclaim | Op::AdvanceTime(_) => Ok(Vec::new()),
+    }
+}
+
 /// Applies one op and flattens the outcome into a comparable value.
-/// `ItemInfo` offsets are excluded (placement is index-specific by design;
-/// only the key/value observations must match).
+/// `ItemInfo` offsets are excluded (the model has no placement; only the
+/// key/value observations must match).
 fn apply(e: &mut ShardEngine, op: &Op, now: u64) -> Result<Vec<Option<Vec<u8>>>, EngineError> {
     match op {
         Op::Insert(k, v) => e.insert(now, &key_of(*k), v).map(|_| Vec::new()),

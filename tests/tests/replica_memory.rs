@@ -23,7 +23,7 @@ use hydra_store::{FetchedItem, ItemError, ShardEngine};
 const LEASE_NS: u64 = 200 * US;
 
 fn build(spread: bool) -> Cluster {
-    let mut cluster = ClusterBuilder::new(ClusterConfig {
+    ClusterBuilder::new(ClusterConfig {
         seed: 7,
         server_nodes: 2,
         shards_per_node: 2,
@@ -34,9 +34,7 @@ fn build(spread: bool) -> Cluster {
         max_lease_ns: LEASE_NS,
         ..ClusterConfig::default()
     })
-    .build();
-    cluster.run_setup();
-    cluster
+    .build()
 }
 
 fn update_ok(cluster: &mut Cluster, client: &HydraClient, key: &[u8], value: &[u8]) {

@@ -427,7 +427,6 @@ fn cluster_of(
         replicas,
         replication: repl.unwrap_or(ReplicationMode::GroupCommit),
         arena_words,
-        expected_items: 1 << 10,
         ..ClusterConfig::default()
     })
     .build();
@@ -502,11 +501,10 @@ fn drive(
 fn engine_of(cfg: &ClusterConfig) -> ShardEngine {
     ShardEngine::new(EngineConfig {
         arena_words: cfg.arena_words,
-        expected_items: cfg.expected_items,
-        index: cfg.index,
         write_mode: cfg.write_mode,
         min_lease_ns: cfg.min_lease_ns,
         max_lease_ns: cfg.max_lease_ns,
+        ..EngineConfig::default()
     })
 }
 
@@ -840,7 +838,6 @@ fn a_replicated_sweep_ships_once_and_holds_only_its_writes() {
         replicas: 1,
         replication: ReplicationMode::GroupCommit,
         arena_words: 1 << 16,
-        expected_items: 1 << 10,
         ..ClusterConfig::default()
     })
     .build();

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use hydra_db::{ClientMode, ClusterBuilder, ClusterConfig};
 use hydra_integration::{get_value, put_ok, step_until};
 use hydra_lockfree::ClockCache;
-use hydra_store::{EngineConfig, IndexKind, ShardEngine, WriteMode};
+use hydra_store::{EngineConfig, ShardEngine, WriteMode};
 use hydra_wire::{channel_tag, set_channel_tag, Request};
 
 struct CountingAlloc;
@@ -104,11 +104,10 @@ fn hot_paths_do_not_allocate() {
 fn packed_probe_paths_are_zero_alloc_at_high_lf_and_after_growth() {
     let mut engine = ShardEngine::new(EngineConfig {
         arena_words: 1 << 16,
-        expected_items: 512,
-        index: IndexKind::Packed,
         write_mode: WriteMode::Reliable,
         min_lease_ns: 1_000,
         max_lease_ns: 64_000,
+        ..EngineConfig::default()
     });
     // 392 keys fill the one-page index (64 groups, 448 slots) to its 7/8
     // ceiling without crossing it: the 393rd insert doubles it.
@@ -171,11 +170,10 @@ fn packed_probe_paths_are_zero_alloc_at_high_lf_and_after_growth() {
 fn point_lookup_and_scan_paths_are_zero_alloc() {
     let mut engine = ShardEngine::new(EngineConfig {
         arena_words: 1 << 16,
-        expected_items: 512,
-        index: IndexKind::Packed,
         write_mode: WriteMode::Reliable,
         min_lease_ns: 1_000,
         max_lease_ns: 64_000,
+        ..EngineConfig::default()
     });
     let keys: Vec<Vec<u8>> = (0..400)
         .map(|i| format!("ordk{i:06}").into_bytes())
@@ -352,11 +350,10 @@ fn decode_is_zero_alloc() {
 fn steady_state_get_into_is_zero_alloc() {
     let mut engine = ShardEngine::new(EngineConfig {
         arena_words: 1 << 14,
-        expected_items: 256,
-        index: IndexKind::Packed,
         write_mode: WriteMode::Reliable,
         min_lease_ns: 1_000,
         max_lease_ns: 64_000,
+        ..EngineConfig::default()
     });
     let keys: Vec<Vec<u8>> = (0..64).map(|i| format!("key{i:04}").into_bytes()).collect();
     for k in &keys {
@@ -655,11 +652,10 @@ fn group_commit_shipment_allocates_a_fixed_count() {
     let (p, s) = (fab.add_node(), fab.add_node());
     let engine = Rc::new(RefCell::new(ShardEngine::new(EngineConfig {
         arena_words: 1 << 16,
-        expected_items: 64,
-        index: IndexKind::Packed,
         write_mode: WriteMode::Reliable,
         min_lease_ns: 1_000,
         max_lease_ns: 64_000,
+        ..EngineConfig::default()
     })));
     let cfg = ReplConfig {
         mode: ReplMode::GroupCommit,
