@@ -5,8 +5,8 @@
 //! read-only Zipfian GETs through the RDMA-Write message path, either
 //! closed-loop (depth 1, every request its own frame, WQE and doorbell)
 //! or pipelined (depth d, up to b requests per batch frame; the server
-//! drains the frame in one quantum with interleaved index probing and one
-//! response frame).
+//! drains the frame in one quantum at the batched marginal cost and answers
+//! in one response frame).
 //!
 //! Both arms charge the same measured WQE-build + doorbell MMIO cost
 //! (`post_wqe_ns = 180`) so the comparison isolates batching, not a cost

@@ -2,11 +2,12 @@
 //! the chained-list baseline, probing through a simulated item heap so the
 //! full-key confirm pays realistic cache costs.
 //!
-//! Sweeps load factor × value size × probe batch width and reports hit-probe
+//! Sweeps load factor × value size and reports single-key hit-probe
 //! throughput for both structures plus the packed/chained speedup. The
-//! headline datum (`speedup_lf90_v32_b1`) is the single-key probe speedup at
-//! load factor 0.9 with 16 B keys / 32 B values — the regime the paper's
-//! YCSB runs live in.
+//! headline datum (`speedup_lf90_v32_b1`) is the speedup at load factor 0.9
+//! with 16 B keys / 32 B values — the regime the paper's YCSB runs live in.
+//! Datum keys keep the `_b1` (one key per probe) suffix of the rows they
+//! continue.
 //!
 //! The packed table is pinned at the target load factor with growth disabled
 //! (`with_max_load(groups, 8)`); the chained baseline uses the repo's
@@ -17,7 +18,7 @@
 
 use std::time::Instant;
 
-use hydra_store::{hash_key, ChainedTable, PackedTable, GROUP_SLOTS, LOOKUP_BATCH};
+use hydra_store::{hash_key, ChainedTable, PackedTable, GROUP_SLOTS};
 
 use crate::{Lcg, Report, Scale};
 
@@ -63,35 +64,20 @@ fn probe_order(n: usize, ops: usize) -> Vec<u32> {
 /// trait, so the probe loop is written once and instantiated per type.
 macro_rules! bench_probes {
     ($name:ident, $table:ty) => {
-        fn $name(t: &mut $table, heap: &Heap, hashes: &[u64], order: &[u32], batch: usize) -> f64 {
+        fn $name(t: &mut $table, heap: &Heap, hashes: &[u64], order: &[u32]) -> f64 {
             let stride = heap.stride as u64;
             let start = Instant::now();
             let mut hits = 0usize;
-            if batch == 1 {
-                for &i in order {
-                    let want = i as u64 * stride;
-                    if t.lookup(hashes[i as usize], |off| {
-                        heap.key_at(off) == heap.key_at(want)
-                    }) == Some(want)
-                    {
-                        hits += 1;
-                    }
-                }
-            } else {
-                let mut hbuf = [0u64; LOOKUP_BATCH];
-                let mut out = [None; LOOKUP_BATCH];
-                for chunk in order.chunks_exact(batch) {
-                    for (j, &i) in chunk.iter().enumerate() {
-                        hbuf[j] = hashes[i as usize];
-                    }
-                    t.lookup_batch(&hbuf[..batch], &mut out[..batch], |j, off| {
-                        heap.key_at(off) == heap.key_at(chunk[j] as u64 * stride)
-                    });
-                    hits += out[..batch].iter().filter(|o| o.is_some()).count();
+            for &i in order {
+                let want = i as u64 * stride;
+                if t.lookup(hashes[i as usize], |off| heap.key_at(off) == heap.key_at(want))
+                    == Some(want)
+                {
+                    hits += 1;
                 }
             }
             let secs = start.elapsed().as_secs_f64();
-            assert_eq!(hits, order.len() / batch * batch, "all probes must hit");
+            assert_eq!(hits, order.len(), "all probes must hit");
             hits as f64 / secs / 1e6
         }
     };
@@ -115,7 +101,7 @@ pub fn run(scale: Scale, report: &mut Report) {
     report.line(&format!(
         "# {groups} groups ({slots} slots); {ops} hit-probes per cell; 16 B keys"
     ));
-    report.header("lf<6.2|value>6|batch>6|chained_mops>14.2|packed_mops>14.2|speedup>9");
+    report.header("lf<6.2|value>6|chained_mops>14.2|packed_mops>14.2|speedup>9");
 
     let mut headline = 0.0f64;
     for &lf in &[0.5f64, 0.7, 0.9] {
@@ -131,30 +117,27 @@ pub fn run(scale: Scale, report: &mut Report) {
                 packed.insert(h, off, |_| unreachable!("growth disabled"));
                 chained.insert(h, off);
             }
-            for &batch in &[1usize, 8, 16] {
-                let order = probe_order(n, ops);
-                // Warm both structures' caches identically, then measure.
-                let _ = bench_chained(&mut chained, &heap, &hashes, &order[..ops / 10], batch);
-                let _ = bench_packed(&mut packed, &heap, &hashes, &order[..ops / 10], batch);
-                let c = bench_chained(&mut chained, &heap, &hashes, &order, batch);
-                let p = bench_packed(&mut packed, &heap, &hashes, &order, batch);
-                let speedup = p / c;
-                if (lf - 0.9).abs() < 1e-9 && value_len == 32 && batch == 1 {
-                    headline = speedup;
-                }
-                report.row(&[&lf, &value_len, &batch, &c, &p, &format!("{speedup:.2}x")]);
-                report.datum(
-                    &format!("lf{:02}_v{}_b{}", (lf * 100.0) as u32, value_len, batch),
-                    serde_json::json!({
-                        "load_factor": lf,
-                        "value_len": value_len,
-                        "batch": batch,
-                        "chained_mops": c,
-                        "packed_mops": p,
-                        "speedup": speedup,
-                    }),
-                );
+            let order = probe_order(n, ops);
+            // Warm both structures' caches identically, then measure.
+            let _ = bench_chained(&mut chained, &heap, &hashes, &order[..ops / 10]);
+            let _ = bench_packed(&mut packed, &heap, &hashes, &order[..ops / 10]);
+            let c = bench_chained(&mut chained, &heap, &hashes, &order);
+            let p = bench_packed(&mut packed, &heap, &hashes, &order);
+            let speedup = p / c;
+            if (lf - 0.9).abs() < 1e-9 && value_len == 32 {
+                headline = speedup;
             }
+            report.row(&[&lf, &value_len, &c, &p, &format!("{speedup:.2}x")]);
+            report.datum(
+                &format!("lf{:02}_v{}_b1", (lf * 100.0) as u32, value_len),
+                serde_json::json!({
+                    "load_factor": lf,
+                    "value_len": value_len,
+                    "chained_mops": c,
+                    "packed_mops": p,
+                    "speedup": speedup,
+                }),
+            );
         }
     }
     report.datum("speedup_lf90_v32_b1", headline);

@@ -81,7 +81,8 @@ registry! {
     perf_index, "BENCH_index", true, "Index probe throughput: packed cache-line groups vs chained lists";
     perf_mix, "BENCH_mix", false, "Mixed read plane: dual-lane tail isolation vs FIFO (50% GET / 50% SCAN)";
     perf_repl, "BENCH_repl", false, "Group-commit write plane: cumulative acks + pipelined replication vs per-record strict";
-    perf_scan, "BENCH_scan", true, "Scan plane: the shard's ordered view and YCSB-E scans";
+    perf_scan, "BENCH_scan", true, "Scan plane: the shard's ordered view";
+    perf_scan_fanout, "BENCH_scan_fanout", false, "Scan plane: YCSB-E scans through the cluster and their fan-out";
     perf_skew, "BENCH_skew", false, "Skew-resilient read plane: replica read spreading + bounded CLOCK pointer cache";
 }
 
@@ -482,7 +483,7 @@ mod tests {
 
     #[test]
     fn registry_names_and_stems_are_unique() {
-        assert_eq!(EXPERIMENTS.len(), 22);
+        assert_eq!(EXPERIMENTS.len(), 23);
         for (i, e) in EXPERIMENTS.iter().enumerate() {
             for f in &EXPERIMENTS[i + 1..] {
                 assert!(
@@ -493,7 +494,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(select(&["all"]).unwrap().len(), 22);
+        assert_eq!(select(&["all"]).unwrap().len(), 23);
         let picked = select(&["perf_events", "fig09_overall"]).unwrap();
         assert_eq!(picked[0].stem, "BENCH_hotpath");
         assert_eq!(picked[1].stem, "fig09_overall");

@@ -38,14 +38,16 @@ pub const SYNC_NS: SimTime = 400;
 pub const RECV_CPU_NS: SimTime = 500;
 /// Client-side processing per completed operation.
 pub const CLIENT_NS: SimTime = 150;
-/// Multiplier on [`GET_NS`] for GETs served through the batched path:
-/// interleaved bucket probing overlaps the index cache misses of
+/// Multiplier on [`GET_NS`] for GETs that share a quantum with other
+/// requests: the modelled shard overlaps the index cache misses of
 /// neighbouring keys (memory-level parallelism), so a batched GET's probe
-/// phase costs less than a serial one.
+/// phase costs less than a serial one. Like [`BATCH_WRITE_FACTOR`], it
+/// prices the paper's shard, not this code, which probes each key of a
+/// quantum on its own.
 pub const BATCH_PROBE_FACTOR: f64 = 0.85;
-/// Multiplier on [`WRITE_NS`] for INSERT/UPDATEs executed through the
-/// batched path: neighbouring writes in a quantum overlap their index-probe
-/// and arena-allocation misses, and the write path has more miss work to
+/// Multiplier on [`WRITE_NS`] for INSERT/UPDATEs that share a quantum:
+/// neighbouring writes overlap their index-probe and arena-allocation
+/// misses in the modelled shard, and the write path has more miss work to
 /// hide than a pure probe. Value copies ([`PER_BYTE_NS`]) stay serial.
 pub const BATCH_WRITE_FACTOR: f64 = 0.7;
 /// Sub-sharding model: in-process hand-off from the connection thread to a

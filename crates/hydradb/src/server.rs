@@ -27,7 +27,7 @@ use hydra_fabric::{Fabric, NodeId, QpId, RegionId};
 use hydra_replication::ReplicationPair;
 use hydra_sim::time::SimTime;
 use hydra_sim::{EventId, FifoResource, Sim};
-use hydra_store::{EngineError, HeatSketch, ItemInfo, ShardEngine, WriteMode, LOOKUP_BATCH};
+use hydra_store::{EngineError, HeatSketch, ItemInfo, ShardEngine, WriteMode};
 use hydra_wire::{
     for_each_message_mut, frame, messages, scan_items_push, scan_response_begin,
     scan_response_finish, set_backlog_hint, BatchBuilder, BatchFrame, LogOp, RemotePtr, ReplicaPtr,
@@ -336,6 +336,9 @@ const THR: usize = 1;
 /// between point ops and scan/batch quanta; either lane may use the full
 /// core when the other is idle (DRR is work-conserving).
 const LANE_QUANTUM_NS: [SimTime; 2] = [4_000, 4_000];
+/// Most bare point ops one sweep takes from a lane; a frame is a quantum of
+/// its own, whatever it holds.
+pub const SWEEP_MAX: usize = 16;
 
 /// In-engine state of a scan executing in preemptible chunks: the response
 /// accumulates across chunk executions and the cursor tracks the next key,
@@ -599,9 +602,8 @@ pub struct ScanBounds {
     /// Payload bytes the connection's message slot carries: the response —
     /// with everything sharing its frame — must fit.
     pub slot_bytes: usize,
-    /// Bytes of the slot spoken for by the responses still to come in the
-    /// same frame besides those of the requests [`run_batch`] is given (0
-    /// for a bare scan).
+    /// Bytes of the slot spoken for by the responses still to come behind
+    /// this one in the same frame (0 for a bare scan).
     pub reserved: usize,
 }
 
@@ -617,7 +619,7 @@ impl ScanBounds {
 
     /// The least a response takes of a frame: what a scan step behind this
     /// one must be left with to answer at all.
-    const MIN_RESPONSE: usize = BATCH_ENTRY_HDR + RESP_HDR + SCAN_ITEMS_HDR;
+    pub const MIN_RESPONSE: usize = BATCH_ENTRY_HDR + RESP_HDR + SCAN_ITEMS_HDR;
 }
 
 /// How a scan walk ended.
@@ -696,10 +698,10 @@ fn finish_scan_response(out: &mut Vec<u8>, at: usize, req_id: u64, served: u32, 
 /// Applies one decoded request to `engine`, appending the encoded response
 /// to `out`. Returns the replication action for successful writes.
 ///
-/// This is the execution kernel [`run_batch`] runs every request through
-/// outside a GET run, so a quantum is behaviourally identical to its
-/// requests applied one at a time by construction; the batched-vs-sequential
-/// property tests in `tests/` pin that down. `scratch` is the reused GET
+/// This is the execution kernel [`ShardServer`]'s quantum runs every request
+/// through but the UPDATEs it absorbs, so a quantum is behaviourally
+/// identical to its requests applied one at a time by construction; the
+/// quantum-vs-sequential property tests in `tests/` pin that down. `scratch` is the reused GET
 /// value buffer; `scan` bounds what one SCAN may return, its items going
 /// straight into `out`. The returned slices borrow from the request payload,
 /// never from the engine.
@@ -781,130 +783,9 @@ pub fn apply_request<'a>(
     done.is_ok().then_some(record)
 }
 
-/// Replication records produced by a batch: one `(op, key, value)` triple
+/// Replication records produced by a quantum: one `(op, key, value)` triple
 /// per successful write, borrowing the request payloads.
-pub type ReplRecords<'a> = Vec<(LogOp, &'a [u8], &'a [u8])>;
-
-/// Per-kind operation counts accumulated by [`run_batch`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BatchOpCounts {
-    pub gets: u64,
-    pub inserts: u64,
-    pub updates: u64,
-    pub deletes: u64,
-    pub scans: u64,
-}
-
-impl BatchOpCounts {
-    /// Counts `n` requests of `req`'s kind.
-    fn add(&mut self, req: &Request<'_>, n: u64) {
-        *match req {
-            Request::Get { .. } => &mut self.gets,
-            Request::Insert { .. } => &mut self.inserts,
-            Request::Update { .. } => &mut self.updates,
-            Request::Delete { .. } => &mut self.deletes,
-            Request::Scan { .. } => &mut self.scans,
-        } += n;
-    }
-}
-
-/// Executes a decoded batch against `engine`, packing the responses into
-/// `builder` (cleared by the caller) in request order. Maximal runs of GETs
-/// probe the index interleaved ([`ShardEngine::get_batch_into`]); everything
-/// else goes through [`apply_request`], so a batch is behaviourally identical
-/// to executing its requests sequentially. `scan` bounds each SCAN of the
-/// batch, whose responses share one slot. Returns the replication records
-/// for successful writes (borrowing the request payloads) plus op counts.
-#[allow(clippy::too_many_arguments)]
-pub fn run_batch<'a>(
-    engine: &mut ShardEngine,
-    now: SimTime,
-    reqs: &[Request<'a>],
-    arena_region: RegionId,
-    scratch: &mut Vec<u8>,
-    scan: ScanBounds,
-    plane: &mut ReadPlane,
-    gate: Option<&OwnershipGate<'_>>,
-    builder: &mut BatchBuilder,
-) -> (ReplRecords<'a>, BatchOpCounts) {
-    let mut repl: ReplRecords<'_> = Vec::new();
-    let mut counts = BatchOpCounts::default();
-    let mut i = 0;
-    while i < reqs.len() {
-        // Maximal GET run from here, capped at the engine's probe-batch
-        // width (where it would split a longer run anyway): probe
-        // interleaved, emit in order. A key the live ring routes elsewhere
-        // ends the run; `apply_request` answers it with a redirect.
-        let mut keys: [&[u8]; LOOKUP_BATCH] = [&[]; LOOKUP_BATCH];
-        let mut n = 0;
-        while n < LOOKUP_BATCH && i + n < reqs.len() {
-            let Request::Get { key, .. } = &reqs[i + n] else {
-                break;
-            };
-            if gate.is_some_and(|g| (g.wrong_owner)(key).is_some()) {
-                break;
-            }
-            keys[n] = key;
-            n += 1;
-        }
-        if n > 0 {
-            let run = &reqs[i..i + n];
-            engine.get_batch_into(now, &keys[..n], scratch, |k, info, val| match info {
-                Some(info) => {
-                    let hot = plane.note_get(keys[k]);
-                    let replicas = plane.export(now, keys[k], &info, hot);
-                    builder.push_with(|out| {
-                        Response {
-                            status: Status::Ok,
-                            req_id: run[k].req_id(),
-                            value: val,
-                            rptr: RemotePtr::new(arena_region.0, info.off_words * 8, info.read_len),
-                            lease_expiry: info.lease_expiry,
-                            replicas,
-                        }
-                        .encode_into(out)
-                    })
-                }
-                None => {
-                    plane.note_get(keys[k]);
-                    builder.push_with(|out| {
-                        Response::status_only(Status::NotFound, run[k].req_id()).encode_into(out)
-                    })
-                }
-            });
-            counts.add(&reqs[i], n as u64);
-            i += n;
-        } else {
-            let req = &reqs[i];
-            let mut action = None;
-            // A scan may fill the frame only as far as leaves every request
-            // behind it room to answer.
-            let scan = ScanBounds {
-                reserved: scan.reserved + (reqs.len() - i - 1) * ScanBounds::MIN_RESPONSE,
-                ..scan
-            };
-            builder.push_with(|out| {
-                action = apply_request(
-                    engine,
-                    now,
-                    req,
-                    arena_region,
-                    scratch,
-                    scan,
-                    plane,
-                    gate,
-                    out,
-                );
-            });
-            if let Some(a) = action {
-                repl.push(a);
-            }
-            counts.add(req, 1);
-            i += 1;
-        }
-    }
-    (repl, counts)
-}
+type ReplRecords<'a> = Vec<(LogOp, &'a [u8], &'a [u8])>;
 
 /// One client connection as seen by the server: where its responses go.
 /// Under Send/Recv its requests arrive through the client channel's recv
@@ -1077,10 +958,10 @@ impl ShardServer {
     }
 
     /// Shard-core cost of `req` itself, without the per-arrival sweep step
-    /// and response post. Requests sharing a quantum (`batched`) probe the
-    /// index interleaved, overlapping their cache misses, and batched
-    /// writes likewise overlap their probe/allocation misses; value copies
-    /// stay serial.
+    /// and response post. Requests sharing a quantum (`batched`) are priced
+    /// as the modelled shard serves them, overlapping their index and
+    /// allocation misses ([`costs::BATCH_PROBE_FACTOR`],
+    /// [`costs::BATCH_WRITE_FACTOR`]); value copies stay serial.
     fn item_cost(&self, req: &Request<'_>, batched: bool) -> SimTime {
         let (probe, write) = if batched {
             (costs::BATCH_PROBE_FACTOR, costs::BATCH_WRITE_FACTOR)
@@ -1413,7 +1294,7 @@ impl ShardServer {
     /// `self.sweep`; returns its price and whether it holds a write. A frame
     /// is a quantum of its own. A bare point op also takes the bare point
     /// ops [`DualLaneSched::next_member`] hands over from the same lane, up
-    /// to [`LOOKUP_BATCH`] in all; with two or more, each is charged its
+    /// to [`SWEEP_MAX`] in all; with two or more, each is charged its
     /// sweep price — an UPDATE the sweep overwrites ([`absorbed`]) the probe
     /// that decides its answer, the lane getting the difference back — and
     /// alone it keeps its singleton cost. Each member may answer at
@@ -1434,14 +1315,10 @@ impl ShardServer {
                 None => self.sched.deficit[lane] -= cost - swept,
             }
         }
-        let more = if second.is_some() {
-            LOOKUP_BATCH - 2
-        } else {
-            0
-        };
+        let more = if second.is_some() { SWEEP_MAX - 2 } else { 0 };
         let rest = std::iter::from_fn(|| self.sched.next_member(LANE_QUANTUM_NS, swept_ns));
         let mut members = std::mem::take(&mut self.sweep);
-        let mut prices = [0; LOOKUP_BATCH];
+        let mut prices = [0; SWEEP_MAX];
         let mut writes = false;
         for (task, price) in [(first, price)]
             .into_iter()
@@ -1660,12 +1537,12 @@ impl ShardServer {
     }
 
     /// The one quantum executor: runs the members [`Self::take_sweep`] left
-    /// in `self.sweep` — a frame, or up to [`LOOKUP_BATCH`] bare point ops
+    /// in `self.sweep` — a frame, or up to [`SWEEP_MAX`] bare point ops
     /// from any connections — now, as one [`run_quantum`](Self::run_quantum)
-    /// in queue order (GET runs probe interleaved across connections), ships
-    /// their writes' records in one shipment per secondary, and answers each
-    /// member in the shape it asked: a bare response, or one response frame
-    /// carrying all of a frame's answers in request order.
+    /// in queue order, ships their writes' records in one shipment per
+    /// secondary, and answers each member in the shape it asked: a bare
+    /// response, or one response frame carrying all of a frame's answers in
+    /// request order.
     ///
     /// A member's response leaves at its `ready_at`; one that produced a
     /// record also waits for the acks covering the shipment. Whatever is
@@ -1681,7 +1558,7 @@ impl ShardServer {
     fn execute(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim) -> Option<Release> {
         let now = sim.now();
         let mut members = std::mem::take(&mut this.borrow_mut().sweep);
-        let mut out: [Option<Release>; LOOKUP_BATCH] = Default::default();
+        let mut out: [Option<Release>; SWEEP_MAX] = Default::default();
         let (records, forwards, pairs, acks) = {
             let mut s = this.borrow_mut();
             if !s.alive {
@@ -1801,16 +1678,18 @@ impl ShardServer {
     }
 
     /// Runs `reqs` at `now` as one quantum into the response builder and
-    /// counts them. Every request runs through [`run_batch`] but the
-    /// UPDATEs the quantum overwrites ([`absorbed`]): such a write answers
-    /// as the probe that decides it — the redirect the live ring calls for,
-    /// else `Ok` if the key is present (or the engine upserts), `NotFound`
-    /// if not — and writes nothing. The write that overwrites it runs by
-    /// itself, and should it fail, [`Self::fall_back`] applies the absorbed
-    /// one after all. Returns the replication records of the successful
-    /// writes and their migration forwards — each moving key's write, to
-    /// its new owner, before the flip — grouped per destination channel, to
-    /// ship once the caller's borrow drops.
+    /// counts them. Every request runs through [`apply_request`], in order,
+    /// but the UPDATEs the quantum overwrites ([`absorbed`]): such a write
+    /// answers as the probe that decides it — the redirect the live ring
+    /// calls for, else `Ok` if the key is present (or the engine upserts),
+    /// `NotFound` if not — and writes nothing. The write that overwrites it
+    /// runs by itself, and should it fail, [`Self::fall_back`] applies the
+    /// absorbed one after all. A scan may fill the frame only as far as
+    /// leaves every request behind it room to answer. Returns the
+    /// replication records of the successful writes and their migration
+    /// forwards — each moving key's write, to its new owner, before the flip
+    /// — grouped per destination channel, to ship once the caller's borrow
+    /// drops.
     fn run_quantum<'a>(
         &mut self,
         now: SimTime,
@@ -1823,16 +1702,9 @@ impl ShardServer {
         let upserts = self.cfg.write_mode == WriteMode::Cache;
         let mut repl = Vec::new();
         with_gate(mig.as_ref(), |gate| {
-            let mut from = 0;
-            for i in 0..reqs.len() {
-                let over = absorbed(reqs, i);
-                if !over && absorbs(reqs, i).is_none() {
-                    continue;
-                }
-                self.run_batch_of(engine, now, reqs, from..i, gate, &mut repl);
-                from = i + 1;
-                if over {
-                    let Request::Update { req_id, key, .. } = reqs[i] else {
+            for (i, req) in reqs.iter().enumerate() {
+                if absorbed(reqs, i) {
+                    let Request::Update { req_id, key, .. } = *req else {
                         unreachable!("only an UPDATE is absorbed");
                     };
                     let answer = match gate.and_then(|g| (g.wrong_owner)(key)) {
@@ -1848,12 +1720,37 @@ impl ShardServer {
                     continue;
                 }
                 let status = self.resp_batch.bytes().len() + BATCH_ENTRY_HDR;
-                self.run_batch_of(engine, now, reqs, i..i + 1, gate, &mut repl);
-                if self.resp_batch.bytes()[status] != Status::Ok as u8 {
+                let scan = ScanBounds {
+                    reserved: (reqs.len() - i - 1) * ScanBounds::MIN_RESPONSE,
+                    ..ScanBounds::of(&self.cfg)
+                };
+                let mut record = None;
+                self.resp_batch.push_with(|out| {
+                    record = apply_request(
+                        engine,
+                        now,
+                        req,
+                        self.arena_region,
+                        &mut self.get_scratch,
+                        scan,
+                        &mut self.plane,
+                        gate,
+                        out,
+                    );
+                });
+                repl.extend(record);
+                *match req {
+                    Request::Get { .. } => &mut self.stats.gets,
+                    Request::Insert { .. } => &mut self.stats.inserts,
+                    Request::Update { .. } => &mut self.stats.updates,
+                    Request::Delete { .. } => &mut self.stats.deletes,
+                    Request::Scan { .. } => &mut self.stats.scans,
+                } += 1;
+                if absorbs(reqs, i).is_some() && self.resp_batch.bytes()[status] != Status::Ok as u8
+                {
                     self.fall_back(engine, now, reqs, i, gate, &mut repl);
                 }
             }
-            self.run_batch_of(engine, now, reqs, from..reqs.len(), gate, &mut repl);
         });
         let mut forwards: ChannelShipments = Vec::new();
         if let Some(m) = &mig {
@@ -1877,48 +1774,6 @@ impl ShardServer {
             }
         }
         (repl, forwards)
-    }
-
-    /// Runs `reqs[run]` through [`run_batch`] into the response builder,
-    /// appending their records to `repl` and counting them; a scan among
-    /// them leaves room for the answers of the requests behind `run` too.
-    fn run_batch_of<'a>(
-        &mut self,
-        engine: &mut ShardEngine,
-        now: SimTime,
-        reqs: &[Request<'a>],
-        run: std::ops::Range<usize>,
-        gate: Option<&OwnershipGate<'_>>,
-        repl: &mut ReplRecords<'a>,
-    ) {
-        if run.is_empty() {
-            return;
-        }
-        let scan = ScanBounds {
-            reserved: (reqs.len() - run.end) * ScanBounds::MIN_RESPONSE,
-            ..ScanBounds::of(&self.cfg)
-        };
-        let (records, counts) = run_batch(
-            engine,
-            now,
-            &reqs[run],
-            self.arena_region,
-            &mut self.get_scratch,
-            scan,
-            &mut self.plane,
-            gate,
-            &mut self.resp_batch,
-        );
-        if repl.is_empty() {
-            *repl = records;
-        } else {
-            repl.extend(records);
-        }
-        self.stats.gets += counts.gets;
-        self.stats.inserts += counts.inserts;
-        self.stats.updates += counts.updates;
-        self.stats.deletes += counts.deletes;
-        self.stats.scans += counts.scans;
     }
 
     /// `reqs[j]` ran and failed: the write it absorbed, if any, is applied

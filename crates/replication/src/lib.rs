@@ -48,8 +48,8 @@
 //!   primary crash.
 //! * The secondary drains each delivered quantum through a batched applier:
 //!   consecutive records of one drain pass merge at `BATCH_APPLY_FACTOR`
-//!   of the cold cost (streaming a contiguous log quantum, the way the
-//!   server's `run_batch` amortizes). An ack built on the apply path breaks
+//!   of the cold cost (streaming a contiguous log quantum overlaps its
+//!   misses). An ack built on the apply path breaks
 //!   the stream; group commit's watermark is published from the receive
 //!   path, delayed only when the merge backlog exceeds `STAGED_ACK_LAG_NS`
 //!   (bounded-apply-queue backpressure).
@@ -205,8 +205,8 @@ const ACK_CONTROL_NS: u64 = 100;
 
 /// Merge-cost multiplier for records merged mid-stream by the batched
 /// applier. Streaming backlogged log records out of the ring amortizes
-/// decode and overlaps index/arena cache misses the way the server's
-/// `run_batch` does, so a warm merge costs `apply_cost_ns ×` this. The
+/// decode and overlaps index/arena cache misses, as a quantum's writes do
+/// on the primary, so a warm merge costs `apply_cost_ns ×` this. The
 /// stream breaks — and the next record pays the full cold cost — when the
 /// applier idles, and whenever an ack built on the apply path (Strict's
 /// after every record, Logging's after every `ack_every`-th) forces the

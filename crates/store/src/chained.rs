@@ -88,26 +88,6 @@ impl ChainedTable {
         self.len += 1;
     }
 
-    /// Batched lookup. The chained layout has no group line to prefetch —
-    /// chains are pointer soup — so this is simply the scalar loop; it
-    /// exists so `perf_index`'s batched rows drive both tables through one
-    /// probe loop.
-    pub fn lookup_batch(
-        &mut self,
-        hashes: &[u64],
-        out: &mut [Option<u64>],
-        mut is_match: impl FnMut(usize, u64) -> bool,
-    ) {
-        assert!(
-            hashes.len() <= crate::LOOKUP_BATCH,
-            "batch exceeds LOOKUP_BATCH"
-        );
-        assert!(out.len() >= hashes.len(), "output buffer too small");
-        for (i, &hash) in hashes.iter().enumerate() {
-            out[i] = self.lookup(hash, |off| is_match(i, off));
-        }
-    }
-
     /// Removes an entry; returns its offset.
     pub fn remove(&mut self, hash: u64, mut is_match: impl FnMut(u64) -> bool) -> Option<u64> {
         let b = (hash & self.mask) as usize;

@@ -615,69 +615,6 @@ impl ShardEngine {
         true
     }
 
-    /// Batched server-side GET over a run of keys. Index probes are
-    /// interleaved via [`PackedTable::lookup_batch`] — every key's home
-    /// group line is touched before any arena dereference, the
-    /// software-prefetch shape — then per-key side effects (popularity bump,
-    /// CLOCK reference, lease extension) and value extraction run strictly
-    /// in key order. GET lookups never mutate the index, so the observable
-    /// outcome is byte-identical to calling [`get_into`](Self::get_into)
-    /// once per key in order; only the memory-access schedule differs.
-    ///
-    /// `emit` fires once per key, in order, with the key index, the item
-    /// info (`None` on a miss) and the value bytes staged in `scratch`.
-    pub fn get_batch_into(
-        &mut self,
-        now: u64,
-        keys: &[&[u8]],
-        scratch: &mut Vec<u8>,
-        mut emit: impl FnMut(usize, Option<ItemInfo>, &[u8]),
-    ) {
-        use crate::LOOKUP_BATCH;
-        for chunk_start in (0..keys.len()).step_by(LOOKUP_BATCH) {
-            let chunk = &keys[chunk_start..(chunk_start + LOOKUP_BATCH).min(keys.len())];
-            let mut hashes = [0u64; LOOKUP_BATCH];
-            for (i, k) in chunk.iter().enumerate() {
-                hashes[i] = hash_key(k);
-            }
-            let mut offs = [None; LOOKUP_BATCH];
-            {
-                let words = self.arena.words();
-                self.table
-                    .lookup_batch(&hashes[..chunk.len()], &mut offs, |i, off| {
-                        ItemRef { off }.key_eq(words, chunk[i])
-                    });
-            }
-            for (i, &slot) in offs.iter().enumerate().take(chunk.len()) {
-                self.stats.gets += 1;
-                scratch.clear();
-                let Some(off) = slot else {
-                    emit(chunk_start + i, None, scratch);
-                    continue;
-                };
-                self.stats.get_hits += 1;
-                let words = self.arena.words();
-                let item = ItemRef { off };
-                item.bump_popularity(words);
-                item.set_clock_ref(words, true);
-                let pop = item.popularity(words);
-                let expiry = now + self.lease_term(pop);
-                item.extend_lease(words, expiry);
-                item.value_into(words, scratch);
-                emit(
-                    chunk_start + i,
-                    Some(ItemInfo {
-                        off_words: off,
-                        read_len: item.read_len(words),
-                        lease_expiry: item.lease(words),
-                        version: item.version(words),
-                    }),
-                    scratch,
-                );
-            }
-        }
-    }
-
     /// DELETE. Flips the guardian and defers the block.
     pub fn delete(&mut self, now: u64, key: &[u8]) -> Result<(), EngineError> {
         let hash = hash_key(key);
@@ -819,43 +756,6 @@ mod tests {
             );
         }
         blob
-    }
-
-    #[test]
-    fn get_batch_into_matches_sequential_get_into() {
-        // Twin engines with identical contents; batch one, loop the other.
-        let mut batch = ShardEngine::new(cfg_small(WriteMode::Reliable));
-        let mut seq = ShardEngine::new(cfg_small(WriteMode::Reliable));
-        let keys: Vec<Vec<u8>> = (0..40).map(|i| format!("bk{i}").into_bytes()).collect();
-        for (i, k) in keys.iter().enumerate() {
-            let v = format!("value-{i}").into_bytes();
-            batch.insert(0, k, &v).unwrap();
-            seq.insert(0, k, &v).unwrap();
-        }
-        // A run longer than LOOKUP_BATCH with duplicates and misses mixed in.
-        let run: Vec<&[u8]> = (0..40)
-            .map(|i| match i % 5 {
-                0 => keys[i % keys.len()].as_slice(),
-                1 => keys[(i * 7) % keys.len()].as_slice(),
-                2 => b"missing".as_slice(),
-                _ => keys[0].as_slice(), // hot duplicate: popularity order matters
-            })
-            .collect();
-        let mut batch_out: Vec<(usize, Option<ItemInfo>, Vec<u8>)> = Vec::new();
-        let mut scratch = Vec::new();
-        batch.get_batch_into(500, &run, &mut scratch, |i, info, val| {
-            batch_out.push((i, info, val.to_vec()));
-        });
-        let mut seq_scratch = Vec::new();
-        for (i, k) in run.iter().enumerate() {
-            let info = seq.get_into(500, k, &mut seq_scratch);
-            let (bi, binfo, bval) = &batch_out[i];
-            assert_eq!(*bi, i);
-            assert_eq!(*binfo, info, "key {i}");
-            assert_eq!(bval, &seq_scratch, "key {i}");
-        }
-        assert_eq!(batch.stats(), seq.stats());
-        assert_eq!(batch.table_stats(), seq.table_stats());
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl IndexKind {
 mod tests {
     use super::*;
     use crate::item::{item_words, ItemRef};
-    use crate::{hash_key, Arena, PackedTable, LOOKUP_BATCH};
+    use crate::{hash_key, Arena, PackedTable};
 
     /// The shard's index through every call the engine makes, over real
     /// items in an arena (a rebuild rehashes entries from their stored
@@ -82,17 +82,6 @@ mod tests {
             assert_eq!(idx.lookup(hash_key(&keys[i]), is(&keys[i])), None);
         }
         assert_eq!(idx.len(), 200);
-
-        // A batch answers as its lookups would, hit or miss.
-        let batch: Vec<usize> = (100..100 + LOOKUP_BATCH).collect();
-        let hashes: Vec<u64> = batch.iter().map(|&i| hash_key(&keys[i])).collect();
-        let mut out = vec![None; batch.len()];
-        idx.lookup_batch(&hashes, &mut out, |j, o| {
-            ItemRef { off: o }.key_eq(&mem, &keys[batch[j]])
-        });
-        for (j, &i) in batch.iter().enumerate() {
-            assert_eq!(out[j], (i % 2 == 1).then_some(offs[i]));
-        }
 
         let mut live: Vec<u64> = (1..400).step_by(2).map(|i| offs[i]).collect();
         let mut seen = Vec::new();

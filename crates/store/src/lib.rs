@@ -41,7 +41,7 @@ pub use index::IndexKind;
 pub use item::{
     item_words, rdma_read_len, FetchedItem, ItemError, ItemRef, GUARD_DEAD, GUARD_VALID,
 };
-pub use packed::{PackedTable, GROUP_SLOTS, LOOKUP_BATCH};
+pub use packed::{PackedTable, GROUP_SLOTS};
 pub use reclaim::ReclaimQueue;
 pub use skiplist::{SkipList, SkipListStats, SKIP_MAX_HEIGHT};
 pub use table::{CompactTable, TableStats};

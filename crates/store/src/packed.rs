@@ -51,9 +51,6 @@ use crate::table::TableStats;
 /// Slots per 64-byte group (7 × 8 B slots + 8 B tag/control word).
 pub const GROUP_SLOTS: usize = 7;
 
-/// Maximum keys per [`PackedTable::lookup_batch`] interleaved probe pass.
-pub const LOOKUP_BATCH: usize = 16;
-
 const TAG_EMPTY: u8 = 0x00;
 const TAG_TOMB: u8 = 0x01;
 
@@ -259,29 +256,6 @@ impl PackedTable {
             idx = (idx + 1) & mask;
         }
         None
-    }
-
-    /// Batched lookup: pass one touches (prefetches) every key's home cache
-    /// line so the misses overlap; pass two resolves each key with the
-    /// ordinary scalar probe. Results and charged statistics are exactly
-    /// those of per-key [`lookup`](Self::lookup) calls in key order; only the
-    /// memory-access schedule differs. At most [`LOOKUP_BATCH`] keys
-    /// per call.
-    pub fn lookup_batch(
-        &mut self,
-        hashes: &[u64],
-        out: &mut [Option<u64>],
-        mut is_match: impl FnMut(usize, u64) -> bool,
-    ) {
-        assert!(hashes.len() <= LOOKUP_BATCH, "batch exceeds LOOKUP_BATCH");
-        assert!(out.len() >= hashes.len(), "output buffer too small");
-        let mask = self.groups.len() - 1;
-        for &hash in hashes {
-            std::hint::black_box(self.groups[hash as usize & mask].tags);
-        }
-        for (i, &hash) in hashes.iter().enumerate() {
-            out[i] = self.lookup(hash, |off| is_match(i, off));
-        }
     }
 
     /// Occupancy-ceiling check; `true` means growth is due.
@@ -648,49 +622,6 @@ mod tests {
             assert!(m.lookup(k).is_some());
         }
         assert_eq!(m.table.len(), 5);
-    }
-
-    #[test]
-    fn lookup_batch_matches_scalar_lookups_and_stats() {
-        use rand::{rngs::SmallRng, Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(0xBA7C4);
-        let mut a = Model::new(2);
-        let mut b = Model::new(2);
-        for i in 0..300 {
-            a.insert(format!("bk-{i}").as_bytes());
-            b.insert(format!("bk-{i}").as_bytes());
-        }
-        a.table.reset_stats();
-        b.table.reset_stats();
-        for round in 0..200 {
-            let n = rng.gen_range(1..=LOOKUP_BATCH);
-            let keys: Vec<Vec<u8>> = (0..n)
-                .map(|_| format!("bk-{}", rng.gen_range(0..400)).into_bytes())
-                .collect();
-            let hashes: Vec<u64> = keys.iter().map(|k| hash_key(k)).collect();
-            let mut out = [None; LOOKUP_BATCH];
-            let by_off = a.by_off.clone();
-            a.table.lookup_batch(&hashes, &mut out, |i, off| {
-                by_off.get(&off).is_some_and(|k| k == &keys[i])
-            });
-            for (i, k) in keys.iter().enumerate() {
-                assert_eq!(out[i], b.lookup(k), "round {round} key {i}");
-            }
-        }
-        assert_eq!(
-            a.table.stats(),
-            b.table.stats(),
-            "batched probing must charge identical work"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "batch exceeds LOOKUP_BATCH")]
-    fn oversized_lookup_batch_panics() {
-        let mut t = PackedTable::new(4);
-        let hashes = [0u64; LOOKUP_BATCH + 1];
-        let mut out = [None; LOOKUP_BATCH + 1];
-        t.lookup_batch(&hashes, &mut out, |_, _| false);
     }
 
     #[test]

@@ -535,10 +535,9 @@ impl SkipList {
     /// scan), `false` when `f` stopped it — the "more items remain" signal
     /// behind the wire continuation token.
     ///
-    /// Each leaf is walked in two passes, like `PackedTable::lookup_batch`:
-    /// first touch the next node and the header line of every item the leaf
-    /// still has to present — independent loads whose misses overlap — then
-    /// present them in order. The key is read from the item into an internal
+    /// Each leaf is walked in two passes: first touch the next node and the
+    /// header line of every item the leaf still has to present — independent
+    /// loads whose misses overlap — then present them in order. The key is read from the item into an internal
     /// scratch buffer that is reused across calls: after one warmup scan,
     /// this path allocates nothing.
     pub fn scan_from(

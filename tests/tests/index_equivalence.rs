@@ -499,16 +499,14 @@ fn apply(e: &mut ShardEngine, op: &Op, now: u64) -> Result<Vec<Option<Vec<u8>>>,
         Op::Put(k, v) => e.put(now, &key_of(*k), v).map(|_| Vec::new()),
         Op::Get(k) => Ok(vec![e.get(now, &key_of(*k)).map(|g| g.value)]),
         Op::GetBatch(ks) => {
-            let keys: Vec<Vec<u8>> = ks.iter().map(|&k| key_of(k)).collect();
-            let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-            let mut out: Vec<Option<Vec<u8>>> = vec![None; refs.len()];
             let mut scratch = Vec::new();
-            e.get_batch_into(now, &refs, &mut scratch, |i, info, bytes| {
-                if info.is_some() {
-                    out[i] = Some(bytes.to_vec());
-                }
-            });
-            Ok(out)
+            Ok(ks
+                .iter()
+                .map(|&k| {
+                    let hit = e.get_into(now, &key_of(k), &mut scratch);
+                    hit.map(|_| scratch.clone())
+                })
+                .collect())
         }
         Op::Delete(k) => e.delete(now, &key_of(*k)).map(|_| Vec::new()),
         Op::Reclaim => {

@@ -43,12 +43,14 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use hydra_db::server::{apply_request, OwnershipGate, ReadPlane, ScanBounds, ShardServer};
+use hydra_db::server::{
+    apply_request, OwnershipGate, ReadPlane, ScanBounds, ShardServer, SWEEP_MAX,
+};
 use hydra_db::{
     costs, ClientMode, Cluster, ClusterBuilder, ClusterConfig, ReplicationMode, SchedulerKind,
 };
 use hydra_sim::SimTime;
-use hydra_store::{EngineConfig, ShardEngine, LOOKUP_BATCH};
+use hydra_store::{EngineConfig, ShardEngine};
 use hydra_wire::{
     for_each_message_mut, messages, set_backlog_hint, BatchBuilder, BatchFrame, Request, Response,
     Status,
@@ -348,7 +350,7 @@ fn model(
                 lanes.deficit[lane] += cost - p;
                 if let Some(second) = lanes.next_member() {
                     picks.extend([(first, p), second]);
-                    while picks.len() < LOOKUP_BATCH {
+                    while picks.len() < SWEEP_MAX {
                         let Some(member) = lanes.next_member() else {
                             break;
                         };

@@ -97,10 +97,9 @@ fn hot_paths_do_not_allocate() {
     write_permission_check_adds_no_allocations();
 }
 
-/// The packed-index probe path — single GET and batched GET — stays
-/// allocation-free at high load factor, and right after the insert that
-/// doubles the index (the rebuild leaves one array behind it; no rehash
-/// buffer, no displacement scratch).
+/// The packed-index probe path stays allocation-free at high load factor,
+/// and right after the insert that doubles the index (the rebuild leaves
+/// one array behind it; no rehash buffer, no displacement scratch).
 fn packed_probe_paths_are_zero_alloc_at_high_lf_and_after_growth() {
     let mut engine = ShardEngine::new(EngineConfig {
         arena_words: 1 << 16,
@@ -130,22 +129,6 @@ fn packed_probe_paths_are_zero_alloc_at_high_lf_and_after_growth() {
         allocs, 0,
         "packed GET at high load factor must not allocate"
     );
-
-    // Batched probing: candidate prefetch uses fixed-size stack windows.
-    let refs: Vec<&[u8]> = keys.iter().take(64).map(|k| k.as_slice()).collect();
-    let mut hits = 0usize;
-    engine.get_batch_into(2, &refs, &mut scratch, |_, _, _| {});
-    let allocs = count_allocs_min(|| {
-        for round in 0..100u64 {
-            engine.get_batch_into(round, &refs, &mut scratch, |_, info, _| {
-                if info.is_some() {
-                    hits += 1;
-                }
-            });
-        }
-    });
-    assert_eq!(hits, 3 * 6_400);
-    assert_eq!(allocs, 0, "packed batched GET must not allocate");
 
     // The insert that crosses the ceiling rebuilds the index at twice the
     // size; probe the doubled array straight after it.
@@ -699,7 +682,7 @@ fn group_commit_shipment_allocates_a_fixed_count() {
 /// still due: a steady-state round of eight concurrent UPDATEs under group
 /// commit allocates `BYTES` in all, where it allocated `BYTES_BEFORE` when
 /// every replicated quantum's gate kept a response slot for each of
-/// `LOOKUP_BATCH` members, whatever the quantum held.
+/// `SWEEP_MAX` members, whatever the quantum held.
 fn replicated_sweep_holds_its_writes_in_a_fixed_byte_count() {
     const CLIENTS: usize = 8;
     const ROUNDS: usize = 16;
