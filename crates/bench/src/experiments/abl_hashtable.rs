@@ -10,8 +10,8 @@
 //!    request stream rather than extrapolated from microbenchmarks.
 //!
 //! Every datum is a count, so two runs repeat it exactly. Wall-clock
-//! probe speed lives in `perf_index` (`BENCH_index`) and the Criterion
-//! bench (`benches/hashtable.rs`).
+//! probe speed of the same three tables lives in `perf_index`
+//! (`BENCH_index`).
 
 use hydra_store::{hash_key, ChainedTable, CompactTable, PackedTable, TableStats};
 use hydra_ycsb::{run_workload, DriverConfig};

@@ -68,6 +68,7 @@ registry! {
     fig11_hits, "fig11_hits", false, "Fig. 11: remote-pointer hit analysis (50 clients, RDMA Write + Read)";
     fig12_scalability, "fig12_scalability", false, "Fig. 12: scale-out and scale-up (normalized throughput)";
     fig13_replication, "fig13_replication", false, "Fig. 13: INSERT latency under replication protocols (single shard)";
+    abl_consistency, "abl_consistency", true, "A-CONSISTENCY: guardian word vs Pilaf-style checksum — ns per validation and per write";
     abl_hashtable, "abl_hashtable", false, "A-HASH: packed cache-line-group vs compact vs chained tables";
     abl_lease, "abl_lease", false, "A-LEASE: lease term vs fast-path effectiveness and memory pinned by dead items";
     abl_share, "abl_share", false, "A-SHARE: shared vs exclusive remote-pointer cache (50 clients on 5 nodes)";
@@ -78,7 +79,7 @@ registry! {
     perf_conn, "BENCH_conn", false, "Connection scaling: NIC cache cliff vs QP multiplexing + SRQ + huge pages";
     perf_elastic, "BENCH_elastic", false, "Elastic membership: live join rebalance vs migration rate (95% GET zipfian)";
     perf_events, "BENCH_hotpath", true, "Hot-path benchmark: slab+wheel scheduler vs seed heap, peak RSS";
-    perf_index, "BENCH_index", true, "Index probe throughput: packed cache-line groups vs chained lists";
+    perf_index, "BENCH_index", true, "Index probe throughput: packed cache-line groups vs compact buckets vs chained lists";
     perf_mix, "BENCH_mix", false, "Mixed read plane: dual-lane tail isolation vs FIFO (50% GET / 50% SCAN)";
     perf_repl, "BENCH_repl", false, "Group-commit write plane: cumulative acks + pipelined replication vs per-record strict";
     perf_scan, "BENCH_scan", true, "Scan plane: the shard's ordered view";
@@ -483,7 +484,7 @@ mod tests {
 
     #[test]
     fn registry_names_and_stems_are_unique() {
-        assert_eq!(EXPERIMENTS.len(), 23);
+        assert_eq!(EXPERIMENTS.len(), 24);
         for (i, e) in EXPERIMENTS.iter().enumerate() {
             for f in &EXPERIMENTS[i + 1..] {
                 assert!(
@@ -494,7 +495,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(select(&["all"]).unwrap().len(), 23);
+        assert_eq!(select(&["all"]).unwrap().len(), 24);
         let picked = select(&["perf_events", "fig09_overall"]).unwrap();
         assert_eq!(picked[0].stem, "BENCH_hotpath");
         assert_eq!(picked[1].stem, "fig09_overall");

@@ -46,11 +46,11 @@ use decoupled::Decoupled;
 /// Buckets in the log2 observability histograms.
 pub const HIST_BUCKETS: usize = 16;
 
-/// Distinct request kinds tracked by the per-op queue-depth breakdown
-/// (rows of [`ServerStats::queue_depth_hist_by_op`], in [`op_slot`] order).
+/// Distinct request kinds tracked by the per-op service-time breakdown
+/// (rows of [`ServerStats::service_time_hist_by_op`], in [`op_slot`] order).
 pub const OP_KINDS: usize = 6;
 
-/// Row index of `req`'s kind in [`ServerStats::queue_depth_hist_by_op`]:
+/// Row index of `req`'s kind in [`ServerStats::service_time_hist_by_op`]:
 /// its wire opcode less one, so Get, Insert, Update, Delete, then Scan in
 /// row 5. Row 4, the retired opcode 5's, stays empty.
 pub fn op_slot(req: &Request<'_>) -> usize {
@@ -176,12 +176,6 @@ pub struct ServerStats {
     /// bucket 0 counts arrivals that found the core idle, bucket k counts
     /// arrivals that queued behind ~2^(k-1) requests' worth of work.
     pub queue_depth_hist: [u64; HIST_BUCKETS],
-    /// Per-op-kind breakdown of the queue-depth histogram, one row per
-    /// [`op_slot`] (Get, Insert, Update, Delete, none, Scan). Sampled
-    /// once per *request*, bare or in a frame (the aggregate histogram keeps
-    /// one sample per arrival), so scan-induced backlog is distinguishable
-    /// from point-op backlog.
-    pub queue_depth_hist_by_op: [[u64; HIST_BUCKETS]; OP_KINDS],
     /// Per-op-kind log2 histogram of *service time* (sojourn: arrival to
     /// engine completion, ns), one row per [`op_slot`]. This is the server
     /// side of the tail-latency story: queueing plus execution, before the
@@ -1102,9 +1096,6 @@ impl ShardServer {
             } else {
                 self.item_cost(req, batched)
             };
-            // Per-op depth samples are per request on every path.
-            self.stats.queue_depth_hist_by_op[op_slot(req)]
-                [log2_bucket(backlog / (cost + own_fixed).max(1))] += 1;
             total += cost;
             writes |= is_write(req);
             if !batched {

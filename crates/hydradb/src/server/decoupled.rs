@@ -17,7 +17,7 @@ use hydra_sim::time::SimTime;
 use hydra_sim::{FifoResource, Sim};
 use hydra_wire::{messages, Request};
 
-use super::{log2_bucket, op_slot, Member, ShardServer};
+use super::{log2_bucket, Member, ShardServer};
 use crate::config::ExecModel;
 use crate::costs;
 use crate::ring::ShardId;
@@ -87,9 +87,7 @@ fn dispatch(s: &mut ShardServer, now: SimTime, msg: &[u8]) -> SimTime {
     let cost = s.item_cost(&req, false) + costs::POLL_NS + s.cfg.post_wqe_ns;
     s.stats.requests += 1;
     let backlog = s.cpu.free_at().saturating_sub(now);
-    let depth_bucket = log2_bucket(backlog / cost.max(1));
-    s.stats.queue_depth_hist[depth_bucket] += 1;
-    s.stats.queue_depth_hist_by_op[op_slot(&req)][depth_bucket] += 1;
+    s.stats.queue_depth_hist[log2_bucket(backlog / cost.max(1))] += 1;
     let arrival = if s.cpu.idle_at(now) {
         now + s.detection_ns()
     } else {

@@ -8,7 +8,7 @@
 //!    random schedule/cancel interleavings against both schedulers and
 //!    assert identical execution order — the slab + timer-wheel scheduler
 //!    must be observationally indistinguishable from this one.
-//! 2. **Benchmarking.** `bench/src/bin/perf_events.rs` measures both so the
+//! 2. **Benchmarking.** `hydra-bench run perf_events` measures both so the
 //!    hot-path speedup in `results/BENCH_hotpath.json` is computed against
 //!    the real before-state, not a synthetic baseline.
 //!

@@ -6,7 +6,7 @@
 //! O(1) per validation instead of O(item size) (and nothing on the server
 //! beyond the flip). This module implements the checksum design for the
 //! A-CONSISTENCY ablation so the cost difference is measurable rather than
-//! asserted: see `crates/bench/benches/consistency.rs`.
+//! asserted: see `hydra-bench run abl_consistency`.
 
 /// CRC-64/XZ (ECMA-182 polynomial, reflected), table-driven.
 pub struct Crc64 {

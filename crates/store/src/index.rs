@@ -4,8 +4,8 @@
 //! cache-line-packed open addressing with SWAR tag probing, grown by
 //! one-step rebuilds (§4.1.3). The compact and chained tables the paper
 //! contrasts it with ([`crate::CompactTable`], [`crate::ChainedTable`]) are
-//! standalone structures for the A-HASH ablation (`abl_hashtable`,
-//! `perf_index`, `benches/hashtable.rs`); no shard holds one. Key order is
+//! standalone structures for the A-HASH ablation (`hydra-bench run
+//! abl_hashtable` and `perf_index`); no shard holds one. Key order is
 //! not the index's business either: the engine keeps its ordered view
 //! beside the table (`ShardEngine::scan_into`).
 

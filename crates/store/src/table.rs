@@ -1,6 +1,6 @@
 //! The seed's compact hash table (§4.1.3), now one of the A-HASH
-//! ablation's standalone structures (`abl_hashtable`,
-//! `benches/hashtable.rs`), and the [`TableStats`] every index reports.
+//! ablation's standalone structures (`hydra-bench run abl_hashtable` and
+//! `perf_index`), and the [`TableStats`] every index reports.
 //!
 //! The table stores *locations* (48-bit arena word offsets), not data. Its
 //! main branch is a contiguous array of 64-byte buckets — one cache line —

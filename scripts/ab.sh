@@ -8,9 +8,10 @@
 # of its own, then per workload runs N pairs on seeds s .. s+N-1, alternating
 # which side goes first. Per end-to-end metric it prints both medians, both
 # quartile pairs, the pairs the change won and the metric's bound. Last, one
-# `--seconds 1 --trace 1` pair per workload (the window is then the fixed op
-# prefix, so counters repeat exactly): every counted per-layer metric side by
-# side, differences flagged. Fails if
+# `--seconds 1 --trace 1 --scale smoke` pair per workload (at smoke scale the
+# window is the fixed op prefix, so counters repeat exactly; at the default
+# scale `failover`'s window runs past it for as long as the host takes): every
+# counted per-layer metric side by side, differences flagged. Fails if
 #   - a run reports failed ops or a failed output check, or
 #   - the two sides disagree on any digit of a virtual-clock metric at a seed
 #     (the model moved: that is a different kind of change) — except on a
@@ -39,7 +40,7 @@ while getopts "n:s:m:" opt; do
     esac
 done
 shift $((OPTIND - 1))
-[ $# -ge 1 ] || { sed -n '2,30p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,27p' "$0" >&2; exit 2; }
 ref=$1
 shift
 scratch=${AB_SCRATCH:-${TMPDIR:-/tmp}/hydra-ab}
@@ -78,11 +79,11 @@ def cargo(side, args, **kw):
     return subprocess.run(args, cwd=sides[side], env=env, **kw)
 
 
-def run(side, workload, seed, seconds, trace):
+def run(side, workload, seed, seconds, trace, scale=None):
     cmd = spec["command"] + [
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
-    ]
+    ] + (["--scale", scale] if scale else [])
     done = cargo(side, cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     if done.returncode != 0:
         sys.exit(f"{side} {workload} seed {seed}: exit code {done.returncode}")
@@ -148,8 +149,8 @@ for w in workloads:
             note = "  unresolved: spread over bound"
         print(f"  {name:<14} {pm:>12.4f} {cm:>12.4f} {pl:>12.4f} {ph:>12.4f} {cl:>12.4f} {ch:>12.4f} "
               f"{won:>2}/{won + lost:<2} {delta:>+8.1%} {m['bound']:>6}{note}")
-    p, c = (run(side, w, first, 1, 1) for side in ("parent", "change"))
-    print(f"  counters, seed {first}, --seconds 1 --trace 1 (parent, change):")
+    p, c = (run(side, w, first, 1, 1, "smoke") for side in ("parent", "change"))
+    print(f"  counters, seed {first}, --seconds 1 --trace 1 --scale smoke (parent, change):")
     for name in counted:
         if p[name] or c[name]:
             flag = "" if p[name] == c[name] else "   <- differs"
