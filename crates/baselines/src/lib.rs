@@ -20,6 +20,8 @@
 //! comparison. All serve the same `hydra-wire` protocol, so the
 //! [`hydra_ycsb`] driver benchmarks them byte-for-byte identically.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod cluster;
 pub mod server;

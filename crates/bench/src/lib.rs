@@ -16,6 +16,8 @@
 //! throughput and latency distributions stabilize; set `HYDRA_SCALE=paper`
 //! for a 10× larger run or `HYDRA_SCALE=smoke` for CI-speed smoke output.
 
+#![forbid(unsafe_code)]
+
 use std::cell::Cell;
 use std::fmt::{Display, Write as _};
 use std::io;

@@ -2,6 +2,8 @@
 //! experiments into `results/` (or `HYDRA_RESULTS_DIR`) at `HYDRA_SCALE`,
 //! then exits non-zero if any experiment's claim failed.
 
+#![forbid(unsafe_code)]
+
 use std::process::{Command, ExitCode, Stdio};
 
 use hydra_bench::{results_dir, run, select, Scale, EXPERIMENTS};

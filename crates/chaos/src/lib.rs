@@ -24,6 +24,8 @@
 //! Every check failure prints the seed that produced it; re-running with
 //! `HYDRA_SEED=<seed>` reproduces the run event for event.
 
+#![forbid(unsafe_code)]
+
 pub mod history;
 pub mod plan;
 

@@ -16,6 +16,8 @@
 //! recipe on top, used both for the SWAT leader and for primary-shard
 //! fail-over ordering.
 
+#![forbid(unsafe_code)]
+
 pub mod election;
 pub mod tree;
 

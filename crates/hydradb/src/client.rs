@@ -144,7 +144,7 @@ pub struct CachedPtr {
     /// Replica locations exported with the pointer, `None` when there
     /// were none: only hot keys carry them, so they live out of line and a
     /// clone shares them.
-    pub replicas: Option<Arc<[ReplicaTarget]>>,
+    pub replicas: Option<Rc<[ReplicaTarget]>>,
     /// The key was seen superseded — a read found its item dead, or the
     /// shard answered with a pointer other than the one the client held —
     /// and has not since been seen holding still. A suspect pointer is not
@@ -154,15 +154,16 @@ pub struct CachedPtr {
 
 /// Remote-pointer cache: a bounded CLOCK cache with sketch-gated admission.
 /// One handle type whether a client holds the only clone or every client on
-/// its node holds one (§4.2.4): [`ClockCache`] is `Sync` either way. Bounded
+/// its node holds one (§4.2.4): the clients of a node are callbacks of one
+/// single-threaded event loop, so an `Rc` shares the cache. Bounded
 /// capacity means a key-space sweep cannot grow the cache without limit, and
 /// the admission sketch keeps the hot set resident under skew.
 #[derive(Clone)]
-pub(crate) struct PtrCache(Arc<ClockCache<CachedPtr>>);
+pub(crate) struct PtrCache(Rc<ClockCache<CachedPtr>>);
 
 impl PtrCache {
     pub(crate) fn new(capacity: usize) -> PtrCache {
-        PtrCache(Arc::new(ClockCache::new(capacity)))
+        PtrCache(Rc::new(ClockCache::new(capacity)))
     }
 
     fn get(&self, key: &[u8]) -> Option<CachedPtr> {

@@ -43,6 +43,8 @@
 //! cluster.sim.run();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod client;
 pub mod cluster;

@@ -45,14 +45,12 @@
 //! recently freed first; unused slots are taken in ascending order; the hand
 //! sweeps slot numbers in ascending order, wrapping at `capacity`.
 //!
-//! Interior mutability is a single `Mutex` (the sketch is lock-free): the
-//! cache is shared by every client on a node via `Arc`, and the critical
-//! sections are a few probes long. This is deliberately not a lock-free
-//! structure — CLOCK's hand and the index want coherent mutation, and the
-//! paper's shared-cache contention point is the *pointer lookup*, which is
-//! one mutex acquire + one index probe here.
+//! Interior mutability is one `RefCell`: every client on a node shares the
+//! cache through an `Rc`, and those clients are callbacks of one
+//! single-threaded event loop, so no call finds it borrowed (a `for_each`
+//! closure that calls back into the cache would panic).
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::cell::RefCell;
 
 use crate::sketch::FreqSketch;
 
@@ -115,10 +113,20 @@ struct Inner<V> {
     live: usize,
     /// CLOCK hand position.
     hand: usize,
+    /// Created by the insert that first brings `live` to half of
+    /// `capacity`.
+    sketch: Option<FreqSketch>,
     stats: ClockCacheStats,
 }
 
 impl<V> Inner<V> {
+    /// Records a touch of `hash` once the cache has been half full.
+    fn touch(&mut self, hash: u64) {
+        if let Some(sketch) = &mut self.sketch {
+            sketch.touch(hash);
+        }
+    }
+
     /// Home position of a word (or hash) in the index: its top bits.
     fn home(&self, word: u64) -> usize {
         (word >> (64 - self.index.len().trailing_zeros())) as usize
@@ -219,10 +227,7 @@ pub struct ClockCacheStats {
 
 /// Bounded CLOCK cache with sketch-gated admission. See module docs.
 pub struct ClockCache<V> {
-    inner: Mutex<Inner<V>>,
-    /// Created by the insert that first brings `live` to half of
-    /// `capacity`.
-    sketch: OnceLock<FreqSketch>,
+    inner: RefCell<Inner<V>>,
     capacity: usize,
 }
 
@@ -233,23 +238,17 @@ impl<V: Clone> ClockCache<V> {
     pub fn new(capacity: usize) -> ClockCache<V> {
         let capacity = capacity.clamp(1, 1 << 31);
         ClockCache {
-            inner: Mutex::new(Inner {
+            inner: RefCell::new(Inner {
                 slots: Vec::new(),
                 index: vec![0; MIN_INDEX],
                 free: Vec::new(),
                 live: 0,
                 hand: 0,
+                sketch: None,
                 stats: ClockCacheStats::default(),
             }),
-            sketch: OnceLock::new(),
             capacity,
         }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Inner<V>> {
-        self.inner
-            .lock()
-            .expect("a panic under the cache lock leaves it half-updated")
     }
 
     /// Maximum entries.
@@ -259,7 +258,7 @@ impl<V: Clone> ClockCache<V> {
 
     /// Current live entries.
     pub fn len(&self) -> usize {
-        self.lock().live
+        self.inner.borrow().live
     }
 
     /// Whether the cache holds no entries.
@@ -269,14 +268,7 @@ impl<V: Clone> ClockCache<V> {
 
     /// Counter snapshot.
     pub fn stats(&self) -> ClockCacheStats {
-        self.lock().stats
-    }
-
-    /// Records a touch of `hash` once the cache has been half full.
-    fn touch(&self, hash: u64) {
-        if let Some(sketch) = self.sketch.get() {
-            sketch.touch(hash);
-        }
+        self.inner.borrow().stats
     }
 
     /// Looks up `key`, cloning the value on a hit. Records the touch in the
@@ -284,8 +276,8 @@ impl<V: Clone> ClockCache<V> {
     /// reference bit.
     pub fn get(&self, key: &[u8]) -> Option<V> {
         let hash = crate::hash_bytes(key);
-        self.touch(hash);
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
+        inner.touch(hash);
         let Some(idx) = inner.find(hash, key) else {
             inner.stats.misses += 1;
             return None;
@@ -303,9 +295,9 @@ impl<V: Clone> ClockCache<V> {
     /// that keeps arriving eventually qualifies.
     pub fn insert(&self, key: &[u8], value: V, _expiry: u64) -> bool {
         let hash = crate::hash_bytes(key);
-        self.touch(hash);
-        let mut guard = self.lock();
+        let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
+        inner.touch(hash);
         if let Some(idx) = inner.find(hash, key) {
             let slot = inner.slots[idx].as_mut().expect("indexed slot occupied");
             slot.value = value;
@@ -332,7 +324,7 @@ impl<V: Clone> ClockCache<V> {
                 }
             };
             let victim_hash = inner.slots[victim].as_ref().expect("victim occupied").hash;
-            let sketch = self.sketch.get().expect("a full cache was half full");
+            let sketch = inner.sketch.as_ref().expect("a full cache was half full");
             if sketch.estimate(hash) <= sketch.estimate(victim_hash) {
                 inner.stats.rejected += 1;
                 return false;
@@ -351,14 +343,16 @@ impl<V: Clone> ClockCache<V> {
         inner.place(index_word(hash, idx));
         inner.live += 1;
         if inner.live >= self.capacity / 2 {
-            self.sketch.get_or_init(|| FreqSketch::new(self.capacity));
+            inner
+                .sketch
+                .get_or_insert_with(|| FreqSketch::new(self.capacity));
         }
         true
     }
 
     /// Removes `key`, returning its value.
     pub fn remove(&self, key: &[u8]) -> Option<V> {
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         let idx = inner.find(crate::hash_bytes(key), key)?;
         inner.free.push(idx as u32);
         Some(inner.vacate(idx).value)
@@ -366,7 +360,7 @@ impl<V: Clone> ClockCache<V> {
 
     /// Visits a snapshot of live entries (diagnostics / tests).
     pub fn for_each(&self, mut f: impl FnMut(&[u8], &V)) {
-        let inner = self.lock();
+        let inner = self.inner.borrow();
         for slot in inner.slots.iter().flatten() {
             f(slot.key.as_slice(), &slot.value);
         }
@@ -445,7 +439,7 @@ mod tests {
         /// Every occupied slot is named by exactly one index word, found
         /// from its home, and the index is at most half full.
         fn check_index(&self) {
-            let inner = self.inner.lock().unwrap();
+            let inner = self.inner.borrow();
             let words = inner.index.iter().filter(|&&w| w != 0).count();
             assert_eq!(words, inner.live);
             assert!(words * 2 <= inner.index.len());
@@ -462,7 +456,7 @@ mod tests {
     #[test]
     fn a_new_cache_commits_one_index_line_and_keys_fill_three_words() {
         let c: ClockCache<u64> = ClockCache::new(64 << 10);
-        let inner = c.inner.lock().unwrap();
+        let inner = c.inner.borrow();
         assert_eq!(inner.slots.capacity(), 0);
         assert_eq!(inner.index.len(), MIN_INDEX);
         assert_eq!(inner.free.capacity(), 0);
@@ -480,24 +474,24 @@ mod tests {
             assert!(c.insert(key(i).as_bytes(), i, 0));
             assert_eq!(c.get(key(i).as_bytes()), Some(i));
         }
+        let estimate = |hash: u64| {
+            let inner = c.inner.borrow();
+            inner.sketch.as_ref().expect("32 of 64 live").estimate(hash)
+        };
         c.get(b"absent");
-        assert!(c.sketch.get().is_none(), "31 of 64 live: no sketch yet");
-        assert!(c.insert(key(31).as_bytes(), 31, 0));
-        let sketch: *const FreqSketch = c.sketch.get().expect("32 of 64 live");
-        for i in 0..32 {
-            let hash = crate::hash_bytes(key(i).as_bytes());
-            assert_eq!(c.sketch.get().unwrap().estimate(hash), 0, "key {i}");
-        }
-        assert_eq!(
-            c.sketch
-                .get()
-                .unwrap()
-                .estimate(crate::hash_bytes(b"absent")),
-            0
+        assert!(
+            c.inner.borrow().sketch.is_none(),
+            "31 of 64 live: no sketch yet"
         );
+        assert!(c.insert(key(31).as_bytes(), 31, 0));
+        let sketch: *const FreqSketch = c.inner.borrow().sketch.as_ref().unwrap();
+        for i in 0..32 {
+            assert_eq!(estimate(crate::hash_bytes(key(i).as_bytes())), 0, "key {i}");
+        }
+        assert_eq!(estimate(crate::hash_bytes(b"absent")), 0);
         c.get(key(0).as_bytes());
         let hash = crate::hash_bytes(key(0).as_bytes());
-        assert_eq!(c.sketch.get().unwrap().estimate(hash), 1);
+        assert_eq!(estimate(hash), 1);
         // Draining below half and filling past it again keeps the sketch.
         for i in 0..32 {
             assert_eq!(c.remove(key(i).as_bytes()), Some(i));
@@ -505,8 +499,11 @@ mod tests {
         for i in 0..64 {
             assert!(c.insert(key(i).as_bytes(), i, 0));
         }
-        assert!(std::ptr::eq(sketch, c.sketch.get().unwrap()));
-        assert!(c.sketch.get().unwrap().estimate(hash) >= 2);
+        assert!(std::ptr::eq(
+            sketch,
+            c.inner.borrow().sketch.as_ref().unwrap()
+        ));
+        assert!(estimate(hash) >= 2);
     }
 
     /// The trap a first version of the flat index fell into: doubling the

@@ -1,10 +1,12 @@
 //! The client-side remote-pointer cache (§4.2.4 of the HydraDB paper) and
-//! its parts: [`ClockCache`], a bounded CLOCK cache behind one mutex that a
-//! client owns alone or shares with every client on its node; the lock-free
-//! [`FreqSketch`] that gates admission to it; and [`hash_bytes`], the one
-//! key hash both are driven by. The sketch is what is left of the crate's
-//! name: the cache's critical sections are a few probes long, and CLOCK's
-//! hand and the index want coherent mutation (see [`ClockCache`]).
+//! its parts: [`ClockCache`], a bounded CLOCK cache that a client owns alone
+//! or shares with every client on its node; the [`FreqSketch`] that gates
+//! admission to it; and [`hash_bytes`], the one key hash both are driven by.
+//! The clients sharing a cache run on one single-threaded event loop, so
+//! nothing here is lock-free or even `Sync`: the crate keeps its name only
+//! because the benchmark package names it.
+
+#![forbid(unsafe_code)]
 
 mod clock;
 mod sketch;

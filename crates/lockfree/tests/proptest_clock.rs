@@ -41,8 +41,8 @@ impl Model {
         }
     }
 
-    fn touch(&self, hash: u64) {
-        if let Some(sketch) = &self.sketch {
+    fn touch(&mut self, hash: u64) {
+        if let Some(sketch) = &mut self.sketch {
             sketch.touch(hash);
         }
     }

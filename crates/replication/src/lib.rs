@@ -66,6 +66,8 @@
 //! A primary that was merely slow finds out from its first bounced ring
 //! write and stops shipping ([`is_revoked`](ReplicationPair::is_revoked)).
 
+#![forbid(unsafe_code)]
+
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;

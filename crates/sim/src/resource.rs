@@ -65,11 +65,6 @@ impl FifoResource {
         }
     }
 
-    /// Whether the resource is currently frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen_at.is_some()
-    }
-
     /// Resource name.
     pub fn name(&self) -> &str {
         &self.name
@@ -85,17 +80,6 @@ impl FifoResource {
         self.total_busy += dur;
         self.jobs += 1;
         self.busy_until
-    }
-
-    /// Like [`acquire`](Self::acquire) but also returns the start time, which
-    /// callers use to measure pure queueing delay.
-    pub fn acquire_with_start(&mut self, now: SimTime, dur: SimTime) -> (SimTime, SimTime) {
-        assert!(self.frozen_at.is_none(), "acquire on frozen {}", self.name);
-        let start = self.busy_until.max(now);
-        self.busy_until = start + dur;
-        self.total_busy += dur;
-        self.jobs += 1;
-        (start, self.busy_until)
     }
 
     /// Cancels the *unstarted tail* of the most recent reservation: service
@@ -178,7 +162,8 @@ mod tests {
         let mut r = FifoResource::new("cpu0");
         assert_eq!(r.acquire(0, 100), 100);
         // Arrives at t=10 but must wait until 100.
-        let (start, end) = r.acquire_with_start(10, 50);
+        let start = r.free_at().max(10);
+        let end = r.acquire(10, 50);
         assert_eq!(start, 100);
         assert_eq!(end, 150);
     }
@@ -216,10 +201,8 @@ mod tests {
         let mut r = FifoResource::new("nic");
         r.acquire(0, 100);
         r.freeze(40);
-        assert!(r.is_frozen());
         // Crash lasted 60ns; the remaining 60ns of service resumes at 100.
         r.unfreeze(100);
-        assert!(!r.is_frozen());
         assert_eq!(r.free_at(), 160);
         assert_eq!(r.acquire(100, 10), 170);
     }
@@ -299,7 +282,8 @@ mod tests {
     fn a_job_booked_ahead_delays_an_earlier_ready_one() {
         let mut r = FifoResource::new("nic.rx");
         assert_eq!(r.acquire(1_000, 100), 1_100);
-        let (start, end) = r.acquire_with_start(10, 50);
+        let start = r.free_at().max(10);
+        let end = r.acquire(10, 50);
         assert_eq!((start, end), (1_100, 1_150));
         // The busy time is right; only the order is not.
         assert_eq!(r.total_busy(), 150);

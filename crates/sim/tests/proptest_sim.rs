@@ -113,7 +113,8 @@ proptest! {
         let mut prev_end = 0u64;
         let mut total = 0u64;
         for &(at, dur) in &sorted {
-            let (start, end) = r.acquire_with_start(at, dur);
+            let start = r.free_at().max(at);
+            let end = r.acquire(at, dur);
             prop_assert!(start >= at, "service before arrival");
             prop_assert!(start >= prev_end, "overlapping service");
             prop_assert_eq!(end - start, dur);

@@ -20,6 +20,8 @@
 //!   encoded requests (and servers several responses) into one framed
 //!   payload, so a whole batch costs one doorbell and one polling sweep.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod codec;
 pub mod frame;

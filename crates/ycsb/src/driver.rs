@@ -602,18 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn workload_d_runs_end_to_end() {
-        let mut cluster = ClusterBuilder::new(ClusterConfig::default()).build();
-        let clients: Vec<_> = (0..4).map(|_| cluster.add_client(0)).collect();
-        let wl = Workload::workload_d(500, 2_000, 5);
-        let report = run_workload(&mut cluster.sim, &clients, &wl, &DriverConfig::default());
-        assert!(report.ops >= 1_800, "ops={}", report.ops);
-        assert_eq!(report.errors, 0);
-        // ~5% of 2000 ops insert fresh records.
-        assert!(cluster.total_items() > 500, "inserts must land");
-    }
-
-    #[test]
     fn workload_e_runs_end_to_end_on_hybrid_index() {
         let mut cluster = ClusterBuilder::new(ClusterConfig::default()).build();
         let clients: Vec<_> = (0..4).map(|_| cluster.add_client(0)).collect();
@@ -623,6 +611,8 @@ mod tests {
         assert_eq!(report.errors, 0);
         assert!(report.scans > 800, "scans={}", report.scans);
         assert!(report.scan_mean_us > 0.5, "scan latency must be recorded");
+        // ~5% of 1000 ops insert fresh records.
+        assert!(cluster.total_items() > 500, "inserts must land");
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! closed-loop clients and reports throughput and latency exactly as the
 //! figures need them.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod workload;
 pub mod zipf;

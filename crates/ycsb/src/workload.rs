@@ -15,16 +15,6 @@ pub enum KeyDist {
         /// Skew parameter (YCSB default 0.99).
         theta: f64,
     },
-    /// YCSB's hotspot distribution: a `frac` fraction of the records
-    /// absorbs (at least) a `weight` fraction of the requests. Hot picks
-    /// are uniform over a scrambled hot set; the remaining picks are
-    /// uniform over all records.
-    Hotspot {
-        /// Fraction of records that are hot (0, 1].
-        frac: f64,
-        /// Fraction of operations that hit the hot set [0, 1].
-        weight: f64,
-    },
 }
 
 impl KeyDist {
@@ -56,10 +46,6 @@ pub enum OpMix {
     /// `read_ratio` GETs, remainder UPDATEs (YCSB A/B/C; the paper's §6
     /// mixes). Ids are drawn from `dist`.
     ReadUpdate,
-    /// YCSB-D: `read_ratio` GETs following the *latest* distribution
-    /// (Zipfian over recency rank, anchored at the newest id this client
-    /// knows about), remainder INSERTs of fresh records.
-    ReadLatestInsert,
     /// YCSB-E: `read_ratio` SCANs (start id from `dist`, length uniform in
     /// `1..=max_scan_len`), remainder INSERTs of fresh records.
     ScanInsert {
@@ -113,8 +99,7 @@ pub struct Workload {
     pub value_len: usize,
     /// Stream seed.
     pub seed: u64,
-    /// Operation-mix shape (read/update vs. read-latest/insert vs.
-    /// scan/insert).
+    /// Operation-mix shape (read/update, scan/insert or point/scan).
     pub mix: OpMix,
 }
 
@@ -140,21 +125,6 @@ impl Workload {
             }
         }
         out
-    }
-
-    /// YCSB-D: 95% reads following the latest distribution, 5% inserts of
-    /// fresh records (ids disjoint across clients).
-    pub fn workload_d(records: u64, ops: u64, seed: u64) -> Workload {
-        Workload {
-            records,
-            ops,
-            read_ratio: 0.95,
-            dist: KeyDist::zipfian(),
-            key_len: 16,
-            value_len: 32,
-            seed,
-            mix: OpMix::ReadLatestInsert,
-        }
     }
 
     /// YCSB-E: 95% short range scans (Zipfian start key, uniform length in
@@ -213,22 +183,7 @@ impl Workload {
         assert!(clients > 0);
         let zipf = match self.dist {
             KeyDist::Zipfian { theta } => Some(ZipfianGenerator::new(self.records, theta)),
-            KeyDist::Uniform | KeyDist::Hotspot { .. } => None,
-        };
-        let hotspot = match self.dist {
-            KeyDist::Hotspot { frac, weight } => {
-                assert!(frac > 0.0 && frac <= 1.0, "hot fraction in (0, 1]");
-                assert!((0.0..=1.0).contains(&weight), "hot weight in [0, 1]");
-                let hot_n = ((self.records as f64 * frac) as u64).clamp(1, self.records);
-                Some((hot_n, weight))
-            }
-            _ => None,
-        };
-        // Recency-rank generator for the latest distribution (YCSB-D): rank
-        // 0 is the newest id this client knows about.
-        let latest = match self.mix {
-            OpMix::ReadLatestInsert => Some(ZipfianGenerator::with_default_theta(self.records)),
-            _ => None,
+            KeyDist::Uniform => None,
         };
         let per = self.ops / clients as u64;
         (0..clients)
@@ -249,27 +204,12 @@ impl Workload {
                     let chosen = rng.gen::<f64>() < self.read_ratio;
                     match self.mix {
                         OpMix::ReadUpdate => {
-                            let id = self.pick_id(zipf.as_ref(), hotspot, &mut rng);
+                            let id = self.pick_id(zipf.as_ref(), &mut rng);
                             ops.push(if chosen { Op::Read(id) } else { Op::Update(id) });
-                        }
-                        OpMix::ReadLatestInsert => {
-                            if chosen {
-                                // Newest id this client has observed: the
-                                // loaded records plus everything it inserted.
-                                let known_max = self.records + inserted * clients as u64;
-                                let offset = latest
-                                    .as_ref()
-                                    .unwrap()
-                                    .next_rank(&mut rng)
-                                    .min(known_max - 1);
-                                ops.push(Op::Read(known_max - 1 - offset));
-                            } else {
-                                ops.push(Op::Insert(fresh_id(&mut inserted)));
-                            }
                         }
                         OpMix::ScanInsert { max_scan_len } => {
                             if chosen {
-                                let id = self.pick_id(zipf.as_ref(), hotspot, &mut rng);
+                                let id = self.pick_id(zipf.as_ref(), &mut rng);
                                 let len = rng.gen_range(1..=max_scan_len.max(1));
                                 ops.push(Op::Scan(id, len));
                             } else {
@@ -277,7 +217,7 @@ impl Workload {
                             }
                         }
                         OpMix::PointScan { max_scan_len } => {
-                            let id = self.pick_id(zipf.as_ref(), hotspot, &mut rng);
+                            let id = self.pick_id(zipf.as_ref(), &mut rng);
                             if chosen {
                                 ops.push(Op::Read(id));
                             } else {
@@ -293,25 +233,10 @@ impl Workload {
     }
 
     /// Draws a record id from the configured request distribution.
-    fn pick_id(
-        &self,
-        zipf: Option<&ZipfianGenerator>,
-        hotspot: Option<(u64, f64)>,
-        rng: &mut SmallRng,
-    ) -> u64 {
-        match (zipf, hotspot) {
-            (Some(z), _) => z.next_scrambled(rng),
-            (None, Some((hot_n, weight))) => {
-                if rng.gen::<f64>() < weight {
-                    // Hot ids are scrambled across the key space like the
-                    // Zipfian hot set, so hotspot load also lands on hashed
-                    // partitions.
-                    ZipfianGenerator::fnv_scramble(rng.gen_range(0..hot_n)) % self.records
-                } else {
-                    rng.gen_range(0..self.records)
-                }
-            }
-            (None, None) => rng.gen_range(0..self.records),
+    fn pick_id(&self, zipf: Option<&ZipfianGenerator>, rng: &mut SmallRng) -> u64 {
+        match zipf {
+            Some(z) => z.next_scrambled(rng),
+            None => rng.gen_range(0..self.records),
         }
     }
 }
@@ -398,42 +323,11 @@ mod tests {
     }
 
     #[test]
-    fn hotspot_concentrates_weight_on_hot_set() {
-        let w = wl(
-            1.0,
-            KeyDist::Hotspot {
-                frac: 0.05,
-                weight: 0.9,
-            },
-        );
-        let hot: std::collections::HashSet<u64> = (0..50)
-            .map(|r| ZipfianGenerator::fnv_scramble(r) % w.records)
-            .collect();
-        let (mut hot_hits, mut total) = (0u64, 0u64);
-        for s in w.generate(4) {
-            for op in s.ops {
-                let id = id_of(&op);
-                assert!(id < w.records);
-                total += 1;
-                if hot.contains(&id) {
-                    hot_hits += 1;
-                }
-            }
-        }
-        let frac = hot_hits as f64 / total as f64;
-        assert!(frac > 0.85, "hot-set fraction {frac}");
-    }
-
-    #[test]
     fn ids_stay_within_records() {
         for dist in [
             KeyDist::Uniform,
             KeyDist::zipfian(),
             KeyDist::Zipfian { theta: 1.2 },
-            KeyDist::Hotspot {
-                frac: 0.1,
-                weight: 0.8,
-            },
         ] {
             let w = wl(0.5, dist);
             for s in w.generate(2) {
@@ -451,54 +345,6 @@ mod tests {
         let names: Vec<&str> = suite.iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"50g-50u-zipf"));
         assert!(names.contains(&"100g-uniform"));
-    }
-
-    #[test]
-    fn workload_d_reads_follow_latest_and_inserts_are_disjoint() {
-        let w = Workload::workload_d(10_000, 40_000, 9);
-        let clients = 4usize;
-        let streams = w.generate(clients);
-        assert_eq!(
-            streams,
-            w.generate(clients),
-            "streams must be deterministic"
-        );
-        let mut all_inserts = std::collections::HashSet::new();
-        let (mut reads, mut near, mut inserts, mut total) = (0u64, 0u64, 0u64, 0u64);
-        for s in &streams {
-            // Replay the stream tracking this client's view of the newest id,
-            // exactly as generate() does.
-            let mut inserted = 0u64;
-            for op in &s.ops {
-                total += 1;
-                match op {
-                    Op::Read(id) => {
-                        let known_max = w.records + inserted * clients as u64;
-                        assert!(*id < known_max, "read beyond newest known id");
-                        reads += 1;
-                        // "Near the tail": within the newest 10% of records.
-                        if *id + w.records / 10 >= known_max {
-                            near += 1;
-                        }
-                    }
-                    Op::Insert(id) => {
-                        assert!(*id >= w.records, "fresh ids start past the load");
-                        assert!(all_inserts.insert(*id), "insert ids must be disjoint");
-                        assert_eq!((*id - w.records) % clients as u64, s.client as u64);
-                        inserts += 1;
-                        inserted += 1;
-                    }
-                    other => panic!("workload D emitted {other:?}"),
-                }
-            }
-        }
-        let insert_ratio = inserts as f64 / total as f64;
-        assert!(
-            (insert_ratio - 0.05).abs() < 0.01,
-            "insert ratio {insert_ratio}"
-        );
-        let near_frac = near as f64 / reads as f64;
-        assert!(near_frac > 0.7, "latest skew too weak: {near_frac}");
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl ZipfianGenerator {
         }
     }
 
-    /// Builds with the default θ = 0.99.
-    pub fn with_default_theta(n: u64) -> Self {
-        Self::new(n, DEFAULT_THETA)
-    }
-
     fn zeta(n: u64, theta: f64) -> f64 {
         let mut sum = 0.0;
         for i in 1..=n {
@@ -132,7 +127,7 @@ mod tests {
 
     #[test]
     fn ranks_stay_in_range() {
-        let g = ZipfianGenerator::with_default_theta(1000);
+        let g = ZipfianGenerator::new(1000, DEFAULT_THETA);
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..100_000 {
             assert!(g.next_rank(&mut rng) < 1000);
@@ -142,7 +137,7 @@ mod tests {
 
     #[test]
     fn single_item_always_zero() {
-        let g = ZipfianGenerator::with_default_theta(1);
+        let g = ZipfianGenerator::new(1, DEFAULT_THETA);
         let mut rng = SmallRng::seed_from_u64(2);
         for _ in 0..100 {
             assert_eq!(g.next_rank(&mut rng), 0);
@@ -152,7 +147,7 @@ mod tests {
     #[test]
     fn distribution_is_skewed_like_zipf() {
         let n = 10_000u64;
-        let g = ZipfianGenerator::with_default_theta(n);
+        let g = ZipfianGenerator::new(n, DEFAULT_THETA);
         let mut rng = SmallRng::seed_from_u64(3);
         let draws = 200_000;
         let mut counts = vec![0u64; n as usize];
@@ -175,7 +170,7 @@ mod tests {
     #[test]
     fn scrambling_preserves_skew_but_moves_hot_ids() {
         let n = 10_000u64;
-        let g = ZipfianGenerator::with_default_theta(n);
+        let g = ZipfianGenerator::new(n, DEFAULT_THETA);
         let mut rng = SmallRng::seed_from_u64(4);
         let mut counts = vec![0u64; n as usize];
         for _ in 0..200_000 {
@@ -197,7 +192,7 @@ mod tests {
 
     #[test]
     fn deterministic_for_identical_seeds() {
-        let g = ZipfianGenerator::with_default_theta(5_000);
+        let g = ZipfianGenerator::new(5_000, DEFAULT_THETA);
         let seq = |seed| {
             let mut rng = SmallRng::seed_from_u64(seed);
             (0..1000)
