@@ -26,8 +26,8 @@ use crate::{Report, Scale};
 /// every fire allocates (seed) or reuses a slab cell (new). With `cancel`,
 /// every fired event also schedules a second successor and cancels it, so
 /// half of all scheduled events are cancelled in flight: the seed's
-/// `HashSet` bookkeeping against the new scheduler's generational
-/// tombstones.
+/// `HashSet` bookkeeping against the new scheduler's generational ids,
+/// where a cancel frees its cell at once.
 macro_rules! churn {
     ($sim_ty:ty, $fanout:expr, $total:expr, $spread:expr, $cancel:expr) => {{
         use std::cell::Cell;

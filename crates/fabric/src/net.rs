@@ -2,13 +2,12 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hydra_sim::time::SimTime;
-use hydra_sim::{FifoResource, Sim};
+use hydra_sim::{FifoResource, IdMap, Sim};
 use rand::Rng;
 
 use crate::config::{
@@ -271,7 +270,7 @@ fn cut_key(a: NodeId, b: NodeId) -> (u32, u32) {
 /// reports a miss. Capacity 0 disables the cache (every touch hits).
 pub(crate) struct NicCache {
     cap: usize,
-    map: HashMap<u64, usize, BuildHasherDefault<IdHasher>>,
+    map: IdMap<usize>,
     slab: Vec<CacheLine>,
     head: usize,
     tail: usize,
@@ -285,34 +284,11 @@ struct CacheLine {
 
 const LRU_NIL: usize = usize::MAX;
 
-/// Multiply-shift hash of one `u64` id. The keys are QP ids and
-/// `(region, page)` pairs this process numbered itself and the map is never
-/// iterated, so SipHash's keyed mixing buys nothing here; folding the upper
-/// product half down keeps ids that differ only above bit 32 apart in the
-/// low bits a table indexes by.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("NIC cache keys are u64 ids");
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 impl NicCache {
     pub(crate) fn new(cap: usize) -> NicCache {
         NicCache {
             cap,
-            map: HashMap::default(),
+            map: IdMap::default(),
             slab: Vec::new(),
             head: LRU_NIL,
             tail: LRU_NIL,

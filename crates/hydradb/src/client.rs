@@ -40,7 +40,7 @@ use std::sync::Arc;
 use hydra_fabric::{Fabric, NodeId, QpId, RegionId, Transport};
 use hydra_lockfree::ClockCache;
 use hydra_sim::time::SimTime;
-use hydra_sim::{Histogram, Sim};
+use hydra_sim::{Histogram, IdMap, Sim};
 use hydra_store::{FetchedItem, ItemError};
 use hydra_wire::{
     backlog_hint, frame, messages, scan_items_merge, scan_items_rank, BatchBuilder, BatchFrame,
@@ -537,7 +537,7 @@ pub(crate) struct ClientInner {
     next_ship: u64,
     /// Operations shipped (or posted one-sided) and awaiting completion,
     /// keyed by request id.
-    window: HashMap<u64, InFlightOp>,
+    window: IdMap<InFlightOp>,
     /// Per-partition queue, connection slot and congestion window, indexed
     /// by partition id (ids are small and dense).
     outboxes: Vec<Outbox>,
@@ -616,7 +616,7 @@ impl HydraClient {
                 spread_rr: id as u64, // desynchronize clients' rotors
                 next_req_id: 0,
                 next_ship: 0,
-                window: HashMap::new(),
+                window: IdMap::default(),
                 outboxes: Vec::new(),
                 req_batch: BatchBuilder::new(),
                 scan_order: None,

@@ -69,14 +69,14 @@
 #![forbid(unsafe_code)]
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hydra_fabric::{BatchWrite, Fabric, NodeId, QpId, RegionId, WcError, WriteDelivered};
 use hydra_sim::time::SimTime;
-use hydra_sim::{FifoResource, Sim};
+use hydra_sim::{FifoResource, IdMap, Sim};
 use hydra_store::ShardEngine;
 use hydra_wire::frame;
 use hydra_wire::{LogOp, LogRecord};
@@ -338,7 +338,7 @@ struct Primary {
     pending: VecDeque<PendingRec>,
     /// Strict-semantics completions keyed by the sequence whose covering
     /// ack releases them.
-    waiters: HashMap<u64, DoneCb>,
+    waiters: IdMap<DoneCb>,
     /// Data records since the last `AckRequest`.
     since_ack_req: u32,
     /// Sequence of the last `AckRequest` while no ack has covered it.
@@ -484,7 +484,7 @@ impl ReplicationPair {
                 acked: 0,
                 inflight_words: 0,
                 pending: VecDeque::new(),
-                waiters: HashMap::new(),
+                waiters: IdMap::default(),
                 since_ack_req: 0,
                 ack_req_seq: None,
                 backlog: VecDeque::new(),

@@ -42,6 +42,9 @@ pub mod scheduler;
 pub mod stats;
 pub mod time;
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 pub use resource::FifoResource;
 pub use scheduler::{EventId, Sim};
 pub use stats::{Counter, Histogram, HistogramSummary};
@@ -66,5 +69,31 @@ pub fn seed_from_env(default: u64) -> u64 {
             parsed.unwrap_or_else(|_| panic!("HYDRA_SEED is not a valid u64: {s:?}"))
         }
         Err(_) => default,
+    }
+}
+
+/// A map keyed by `u64` ids the process numbered itself (op ids, record
+/// sequence numbers, QP ids), hashed by [`IdHasher`].
+pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
+/// Multiply-shift hash of one `u64` id. The ids are the process's own, so
+/// SipHash's keyed mixing buys nothing, and a fixed hash lays a map out the
+/// same way in every run; folding the upper product half down keeps ids that
+/// differ only above bit 32 apart in the low bits a table indexes by.
+#[derive(Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("IdHasher keys are u64 ids");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }

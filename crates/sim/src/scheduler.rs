@@ -9,11 +9,12 @@
 //!   ones fall back to one boxed allocation. Freed cells go on a free list,
 //!   so steady-state scheduling allocates nothing.
 //! * **Generational `EventId`s.** An id is `(cell index, generation)`; the
-//!   generation bumps on every free, so a stale cancel is a cheap no-op and
-//!   the old side `HashSet` of cancelled ids is gone entirely.
-//! * **Tombstone cancellation.** `cancel` drops the closure immediately and
-//!   marks the cell; the wheel lazily reaps tombstones when it next touches
-//!   their slot.
+//!   generation bumps on every free, so an id is live exactly while its
+//!   generation matches its cell's, and a stale cancel is a cheap no-op.
+//! * **Cancellation frees at once.** `cancel` drops the closure and frees
+//!   the cell, which the next `schedule_at` reuses: the arena holds live
+//!   events only. The wheel keeps the cancelled id and skips it when it next
+//!   touches its slot, as it skips any id whose generation has moved on.
 //! * **Hierarchical timer wheel.** Eleven levels of 64 slots; level `L`
 //!   slots are `2^(6L)` ns wide, and the top level, whose slots are `2^60`
 //!   ns wide, uses 16 of them: the levels cover all 64 bits of virtual
@@ -73,9 +74,10 @@ unsafe fn drop_boxed<F: FnOnce(&mut Sim)>(payload: *mut Payload) {
 /// Identifier of a scheduled event, usable for cancellation.
 ///
 /// Packs `(generation << 32) | arena cell index`; a generation mismatch means
-/// the event already fired (or was cancelled) and the cell was reused, so the
-/// cancel is a no-op. (A 32-bit generation would need four billion reuses of
-/// one cell between issue and cancel to alias — not a practical concern for
+/// the event already fired or was cancelled and its cell was freed, so the
+/// cancel is a no-op and the wheel skips the id. (A 32-bit generation would
+/// need four billion reuses of one cell while a stale id is still held, in
+/// the caller's hands or the wheel's, to alias — not a practical concern for
 /// simulation runs.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
@@ -94,21 +96,12 @@ impl EventId {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CellState {
-    Free,
-    Pending,
-    /// Cancelled but still referenced by a wheel slot; the closure is
-    /// already dropped. Reaped lazily.
-    Tombstone,
-}
-
+/// One arena cell. It holds a pending event's closure iff its generation
+/// matches that event's id; a free cell's generation matches no id issued.
 struct Cell {
-    state: CellState,
     gen: u32,
     next_free: u32,
     at: SimTime,
-    seq: u64,
     call: CallFn,
     drop_fn: DropFn,
     payload: Payload,
@@ -128,20 +121,20 @@ pub struct Sim {
     /// event, and all level/slot assignments are relative to it. Trails
     /// `now` after `run_until` advances the clock past the last event.
     cursor: SimTime,
-    seq: u64,
     /// Event arena; payloads hold the closures inline.
     slab: Vec<Cell>,
     free_head: u32,
-    /// `wheel[l * SLOTS + s]`: arena indices, always sequence-sorted.
-    wheel: Vec<Vec<u32>>,
+    /// `wheel[l * SLOTS + s]`: event ids, always sequence-sorted. An id
+    /// whose generation no longer matches its cell's was cancelled.
+    wheel: Vec<Vec<EventId>>,
     /// Per-level slot-occupancy bitmaps.
     occupancy: [u64; LEVELS],
     /// The level-0 slot currently being fired, swapped out wholesale so
     /// handlers can schedule back into that same slot.
-    ready: Vec<u32>,
+    ready: Vec<EventId>,
     ready_pos: usize,
     ready_at: SimTime,
-    /// Pending minus tombstoned events.
+    /// Events scheduled and not yet fired or cancelled: the cells in use.
     live: usize,
     rng: SmallRng,
     executed: u64,
@@ -153,7 +146,6 @@ impl Sim {
         Sim {
             now: 0,
             cursor: 0,
-            seq: 0,
             slab: Vec::new(),
             free_head: NO_FREE,
             wheel: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
@@ -183,9 +175,9 @@ impl Sim {
         self.live
     }
 
-    /// Arena capacity in cells. Bounded by the peak number of simultaneously
-    /// pending events — not by scheduling or cancellation traffic (the
-    /// regression hook for the no-leak-on-cancel guarantee).
+    /// Arena capacity in cells: the peak number of simultaneously pending
+    /// events, since firing and cancelling both free a cell for the next
+    /// schedule. Scheduling or cancellation traffic does not grow it.
     pub fn arena_cells(&self) -> usize {
         self.slab.len()
     }
@@ -206,14 +198,9 @@ impl Sim {
             at,
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
-
         let index = self.alloc_cell();
         let cell = &mut self.slab[index as usize];
-        cell.state = CellState::Pending;
         cell.at = at;
-        cell.seq = seq;
         if std::mem::size_of::<F>() <= INLINE_WORDS * std::mem::size_of::<usize>()
             && std::mem::align_of::<F>() <= std::mem::align_of::<usize>()
         {
@@ -225,10 +212,10 @@ impl Sim {
             cell.call = call_boxed::<F>;
             cell.drop_fn = drop_boxed::<F>;
         }
-        let gen = cell.gen;
+        let id = EventId::new(index, cell.gen);
         self.live += 1;
-        self.insert_index(index, at);
-        EventId::new(index, gen)
+        self.insert(id, at);
+        id
     }
 
     /// Schedules `f` to run `delay` nanoseconds from now.
@@ -240,15 +227,14 @@ impl Sim {
     /// ran (or was already cancelled) is a no-op: the generation check makes
     /// stale ids inert, and nothing is retained per cancel.
     pub fn cancel(&mut self, id: EventId) {
-        let Some(cell) = self.slab.get_mut(id.index() as usize) else {
-            return;
-        };
-        if cell.gen != id.generation() || cell.state != CellState::Pending {
+        if !self.is_live(id) {
             return;
         }
-        // Drop the closure now; the wheel reaps the tombstoned cell lazily.
+        // Drop the closure and free the cell now; the id left in the wheel
+        // is stale from here on and is skipped where it is found.
+        let cell = &mut self.slab[id.index() as usize];
         unsafe { (cell.drop_fn)(&mut cell.payload) };
-        cell.state = CellState::Tombstone;
+        self.free_cell(id.index());
         self.live -= 1;
     }
 
@@ -280,16 +266,11 @@ impl Sim {
             if !self.advance_to_ready() {
                 return false;
             }
-            let index = self.ready[self.ready_pos];
+            let id = self.ready[self.ready_pos];
             self.ready_pos += 1;
-            let cell = &mut self.slab[index as usize];
-            match cell.state {
-                CellState::Tombstone => {
-                    self.free_cell(index);
-                    continue;
-                }
-                CellState::Pending => {}
-                CellState::Free => unreachable!("freed cell left in ready batch"),
+            let cell = &mut self.slab[id.index() as usize];
+            if cell.gen != id.generation() {
+                continue; // cancelled
             }
             let at = cell.at;
             debug_assert!(at >= self.now, "time went backwards");
@@ -302,7 +283,7 @@ impl Sim {
             unsafe {
                 std::ptr::copy_nonoverlapping(&cell.payload, &mut payload, 1);
             }
-            self.free_cell(index);
+            self.free_cell(id.index());
             self.live -= 1;
             self.now = at;
             self.cursor = at;
@@ -319,6 +300,14 @@ impl Sim {
 
     // ---- arena ----------------------------------------------------------
 
+    /// Whether `id`'s event is still pending: its cell has not been freed
+    /// since the id was issued.
+    fn is_live(&self, id: EventId) -> bool {
+        self.slab
+            .get(id.index() as usize)
+            .is_some_and(|cell| cell.gen == id.generation())
+    }
+
     fn alloc_cell(&mut self) -> u32 {
         if self.free_head != NO_FREE {
             let index = self.free_head;
@@ -327,11 +316,9 @@ impl Sim {
         }
         let index = u32::try_from(self.slab.len()).expect("event arena exceeds u32 indices");
         self.slab.push(Cell {
-            state: CellState::Free,
             gen: 0,
             next_free: NO_FREE,
             at: 0,
-            seq: 0,
             call: call_inline::<fn(&mut Sim)>,
             drop_fn: drop_inline::<fn(&mut Sim)>,
             payload: MaybeUninit::uninit(),
@@ -341,8 +328,6 @@ impl Sim {
 
     fn free_cell(&mut self, index: u32) {
         let cell = &mut self.slab[index as usize];
-        debug_assert_ne!(cell.state, CellState::Free, "double free of event cell");
-        cell.state = CellState::Free;
         cell.gen = cell.gen.wrapping_add(1);
         cell.next_free = self.free_head;
         self.free_head = index;
@@ -359,11 +344,11 @@ impl Sim {
         (msb / SLOT_BITS) as usize
     }
 
-    fn insert_index(&mut self, index: u32, at: SimTime) {
+    fn insert(&mut self, id: EventId, at: SimTime) {
         debug_assert!(at >= self.cursor);
         let level = self.level_of(at);
         let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.wheel[level * SLOTS + slot].push(index);
+        self.wheel[level * SLOTS + slot].push(id);
         self.occupancy[level] |= 1 << slot;
     }
 
@@ -378,9 +363,9 @@ impl Sim {
             self.ready.clear();
             self.ready_pos = 0;
             let Some(level) = self.occupancy.iter().position(|&b| b != 0) else {
-                // Queue truly empty (trailing tombstones all reaped).
-                // Re-anchor the wheel at the clock: cascading past the
-                // tombstones may have carried the cursor beyond `now`, and
+                // Queue truly empty (trailing cancelled ids all skipped).
+                // Re-anchor the wheel at the clock: cascading past them
+                // may have carried the cursor beyond `now`, and
                 // the next insert must see `cursor <= at`.
                 self.cursor = self.now;
                 return false;
@@ -406,13 +391,12 @@ impl Sim {
                 // never move it backwards.
                 self.cursor = self.cursor.max(slot_start);
                 let mut buf = std::mem::take(&mut self.wheel[level * SLOTS + slot]);
-                for &index in &buf {
-                    if self.slab[index as usize].state == CellState::Tombstone {
-                        self.free_cell(index);
-                    } else {
-                        let at = self.slab[index as usize].at;
+                for &id in &buf {
+                    let cell = &self.slab[id.index() as usize];
+                    if cell.gen == id.generation() {
+                        let at = cell.at;
                         debug_assert!(self.level_of(at) < level);
-                        self.insert_index(index, at);
+                        self.insert(id, at);
                     }
                 }
                 buf.clear();
@@ -425,18 +409,15 @@ impl Sim {
     }
 
     /// Time of the next live event, without committing cursor movement
-    /// (cascades). The only mutation is tombstone reaping, which is
+    /// (cascades). The only mutation is dropping cancelled ids, which is
     /// unobservable. Used by `run_until` to decide whether to fire.
     fn peek_next_at(&mut self) -> Option<SimTime> {
         // Ready batch first.
         while self.ready_pos < self.ready.len() {
-            let index = self.ready[self.ready_pos];
-            if self.slab[index as usize].state == CellState::Tombstone {
-                self.free_cell(index);
-                self.ready_pos += 1;
-            } else {
+            if self.is_live(self.ready[self.ready_pos]) {
                 return Some(self.ready_at);
             }
+            self.ready_pos += 1;
         }
         // The earliest pending event lives in the lowest occupied slot of
         // the lowest non-empty level (levels are strictly time-ordered).
@@ -445,15 +426,11 @@ impl Sim {
                 let slot = self.occupancy[level].trailing_zeros() as usize;
                 let slot_idx = level * SLOTS + slot;
                 let mut vec = std::mem::take(&mut self.wheel[slot_idx]);
-                vec.retain(|&index| {
-                    if self.slab[index as usize].state == CellState::Tombstone {
-                        self.free_cell(index);
-                        false
-                    } else {
-                        true
-                    }
-                });
-                let earliest = vec.iter().map(|&i| self.slab[i as usize].at).min();
+                vec.retain(|&id| self.is_live(id));
+                let earliest = vec
+                    .iter()
+                    .map(|&id| self.slab[id.index() as usize].at)
+                    .min();
                 self.wheel[slot_idx] = vec;
                 match earliest {
                     None => self.occupancy[level] &= !(1 << slot),
@@ -467,11 +444,15 @@ impl Sim {
 
 impl Drop for Sim {
     fn drop(&mut self) {
-        // Pending closures own resources (Rc's, callbacks); drop them.
-        for cell in &mut self.slab {
-            if cell.state == CellState::Pending {
+        // Pending closures own resources (Rc's, callbacks); drop them. Every
+        // pending event has its one live id in the wheel or the ready batch.
+        let ready = std::mem::take(&mut self.ready);
+        let wheel = std::mem::take(&mut self.wheel);
+        for &id in ready[self.ready_pos..].iter().chain(wheel.iter().flatten()) {
+            if self.is_live(id) {
+                let cell = &mut self.slab[id.index() as usize];
                 unsafe { (cell.drop_fn)(&mut cell.payload) };
-                cell.state = CellState::Free;
+                self.free_cell(id.index());
             }
         }
     }
@@ -672,25 +653,52 @@ mod tests {
         }
         assert_eq!(sim.arena_cells(), 1, "arena grew under stale cancels");
         assert!(sim.is_idle());
-        // Live cancels are reclaimed too: a tombstone holds its cell only
-        // until the wheel reaps it, so repeated schedule+cancel churn must
-        // reuse the free list instead of growing the arena again.
+        // A live cancel frees its cell at once, so schedule+cancel churn
+        // reuses the one cell however far ahead each event was due.
         for round in 0..10_000u64 {
             let id = sim.schedule_at(20_000 + round, |_| {});
             sim.cancel(id);
+            assert_eq!(sim.arena_cells(), 1, "arena grew under live cancels");
         }
         sim.run();
-        let footprint = sim.arena_cells();
-        for round in 0..10_000u64 {
-            let id = sim.schedule_at(60_000 + round, |_| {});
-            sim.cancel(id);
-        }
+        assert_eq!(sim.arena_cells(), 1);
+        assert!(sim.is_idle());
+    }
+
+    #[test]
+    fn a_cell_freed_mid_batch_is_reused_and_its_stale_entry_skipped() {
+        // A handler cancels an event later in the current ready batch, then
+        // schedules at the same tick: the new event takes the freed cell,
+        // the cancelled one's ready entry is skipped, and the new event fires
+        // after the batch, in scheduling order.
+        let mut sim = Sim::new(1);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let victim = Rc::new(RefCell::new(None));
+        let (o, v) = (order.clone(), victim.clone());
+        sim.schedule_at(10, move |sim| {
+            o.borrow_mut().push("first");
+            let victim = v.borrow_mut().take().unwrap();
+            sim.cancel(victim);
+            let o2 = o.clone();
+            let reborn = sim.schedule_at(10, move |_| o2.borrow_mut().push("reborn"));
+            assert_eq!(reborn.index(), victim.index(), "freed cell not reused");
+            assert_ne!(reborn.generation(), victim.generation());
+            let o3 = o.clone();
+            sim.schedule_at(10, move |_| o3.borrow_mut().push("after"));
+        });
+        let o = order.clone();
+        *victim.borrow_mut() = Some(sim.schedule_at(10, move |_| o.borrow_mut().push("cancelled")));
+        let o = order.clone();
+        sim.schedule_at(10, move |_| o.borrow_mut().push("second"));
         sim.run();
-        assert_eq!(
-            sim.arena_cells(),
-            footprint,
-            "arena grew across churn rounds"
-        );
+        assert_eq!(*order.borrow(), vec!["first", "second", "reborn", "after"]);
+        assert_eq!(sim.executed_events(), 4);
+        assert_eq!(sim.arena_cells(), 3);
+    }
+
+    #[test]
+    fn a_cell_is_a_64_byte_payload_and_four_words() {
+        assert_eq!(std::mem::size_of::<Cell>(), 96);
     }
 
     #[test]

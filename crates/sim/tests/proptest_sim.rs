@@ -176,6 +176,44 @@ proptest! {
         prop_assert_eq!(wheel, heap);
     }
 
+    /// Under cancel-heavy churn the arena never holds more cells than the
+    /// most events ever pending at once (+1): a cancel frees its cell at
+    /// once, however far ahead the event was due.
+    #[test]
+    fn arena_is_bounded_by_peak_pending(ops in proptest::collection::vec((0u64..1 << 24, 0u8..6), 1..300)) {
+        let mut sim = Sim::new(3);
+        let peak = Rc::new(std::cell::Cell::new(0usize));
+        let mut ids = Vec::new();
+        for &(t, kind) in &ops {
+            match kind {
+                // An event due `t` ahead whose handler schedules a child.
+                0 | 1 => {
+                    let p = peak.clone();
+                    ids.push(sim.schedule_in(t, move |sim| {
+                        sim.schedule_in(t / 2, |_| {});
+                        p.set(p.get().max(sim.pending_events()));
+                    }));
+                }
+                // Cancel an earlier id (a no-op if it has fired).
+                2..=4 => {
+                    if !ids.is_empty() {
+                        let id = ids.swap_remove(t as usize % ids.len());
+                        sim.cancel(id);
+                    }
+                }
+                _ => sim.run_until(sim.now() + t / 8),
+            }
+            peak.set(peak.get().max(sim.pending_events()));
+            prop_assert!(
+                sim.arena_cells() <= peak.get() + 1,
+                "{} cells for a peak of {} pending", sim.arena_cells(), peak.get()
+            );
+        }
+        sim.run();
+        prop_assert!(sim.arena_cells() <= peak.get() + 1);
+        prop_assert!(sim.is_idle());
+    }
+
     /// Cancelled events never run, and cancelling is stable under arbitrary
     /// subsets.
     #[test]

@@ -1,9 +1,15 @@
 //! Whole-stack integration: YCSB workloads against full HydraDB
 //! deployments, crossing every crate in the workspace.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use hydra_db::{ClientMode, ClusterBuilder, ClusterConfig, ReplicationMode};
 use hydra_integration::{get_value, put_ok, step_until};
-use hydra_ycsb::{run_workload, DriverConfig, KeyDist, OpMix, Workload};
+use hydra_sim::time::MS;
+use hydra_ycsb::{
+    run_workload, run_workload_hooked, DriverConfig, KeyDist, OpHook, OpMix, Workload,
+};
 
 fn wl(records: u64, ops: u64, read_ratio: f64, dist: KeyDist) -> Workload {
     Workload {
@@ -401,4 +407,51 @@ fn hybrid_replicas_build_their_ordered_side_only_when_promoted_and_scanned() {
     assert!(!ordered(&cluster, 0)[0], "promoted, not yet scanned");
     assert_eq!(scan_all(&mut cluster, &client), want);
     assert!(ordered(&cluster, 0)[0], "the first scan built it");
+}
+
+#[test]
+fn the_event_arena_holds_what_is_live_not_what_timed_out_in_the_last_10_ms() {
+    // Every shipment arms a 10 ms timeout its response cancels. A cancelled
+    // event frees its arena cell at once, so after 30 ms of closed-loop
+    // traffic the arena is sized by the events in flight, not by the ops
+    // issued in one timeout span (over 10 000 here).
+    const CLIENTS: usize = 8;
+    const DEPTH: usize = 4;
+    let cfg = ClusterConfig {
+        server_nodes: 2,
+        shards_per_node: 2,
+        client_nodes: 2,
+        replicas: 1,
+        replication: ReplicationMode::GroupCommit,
+        pipeline_depth: DEPTH,
+        ..ClusterConfig::default()
+    };
+    assert_eq!(cfg.op_timeout_ns, 10 * MS);
+    let mut cluster = ClusterBuilder::new(cfg).build();
+    let clients: Vec<_> = (0..CLIENTS).map(|i| cluster.add_client(i % 2)).collect();
+    let stop = Rc::new(Cell::new(false));
+    let s = stop.clone();
+    let start: OpHook = Box::new(move |sim| {
+        sim.schedule_in(30 * MS, move |_| s.set(true));
+    });
+    let driver = DriverConfig {
+        window: DEPTH,
+        until: Some(stop),
+        ..DriverConfig::default()
+    };
+    let report = run_workload_hooked(
+        &mut cluster.sim,
+        &clients,
+        &wl(1_000, 4_000, 0.5, KeyDist::zipfian()),
+        &driver,
+        vec![(0, start)],
+    );
+    assert_eq!(report.errors, 0);
+    assert!(report.elapsed_ns >= 30 * MS);
+    let (cells, ops) = (cluster.sim.arena_cells(), report.ops);
+    assert!(ops >= 10_000, "only {ops} ops in 30 ms");
+    assert!(
+        cells <= 4 * CLIENTS * DEPTH,
+        "{cells} arena cells for {CLIENTS} clients at depth {DEPTH}"
+    );
 }
