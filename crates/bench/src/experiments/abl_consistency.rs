@@ -112,7 +112,7 @@ fn write_side(crc: &Crc64, vlen: usize, iters: u64) -> (f64, f64) {
     (guardian, checksum)
 }
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     // Calls per round: a fixed byte budget over the item size, so a cell
     // takes about as long at every value size.
     let budget: u64 = match scale {

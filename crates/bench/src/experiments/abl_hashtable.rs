@@ -33,7 +33,7 @@ fn per_lookup(report: &mut Report, name: &str, s: &TableStats) -> (f64, f64) {
     (lines, cmps)
 }
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     let n = (scale.records() as usize).min(400_000);
     let keys = keys(n);
     report.header("table / phase<22|lookups>14|lines_or_nodes/op>18.3|full_cmp/op>16.3");

@@ -13,7 +13,7 @@ use hydra_ycsb::{run_workload, DriverConfig, Workload};
 
 use crate::{hit_rate, one_workload, paper_cluster, paper_cluster_config, Report, Scale};
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     report.header(
         "lease<14|Mops>10.3|hit_rate>12|invalid_hits>14|reclaimed_blks>16|peak_pinned_blks>16",
     );

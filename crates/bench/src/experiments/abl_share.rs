@@ -8,7 +8,7 @@ use hydra_ycsb::Workload;
 
 use crate::{hit_rate, one_workload, paper_cluster_config, run_hydra, Report, Scale};
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     report.header("cache<12|workload<12|Mops>10.3|hit_rate>12|invalid_hits>14|msg_gets>12");
     for (wname, ratio) in [("100g-zipf", 1.0), ("90g-10u-zipf", 0.9)] {
         for shared in [false, true] {

@@ -14,7 +14,7 @@ use hydra_ycsb::{run_workload, DriverConfig};
 
 use crate::{one_workload, paper_cluster, paper_cluster_config, Report, Scale};
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     report.header(
         "clients<10|Mops>12.3|lat_sleep_us>14.2|lat_spin_us>14.2|cpu_sleep>16|cpu_spin>16",
     );

@@ -26,7 +26,7 @@ fn run_arm(clients: usize, exec: ExecModel, shards: u32, wl: &Workload) -> (f64,
     (r.mops, qps)
 }
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     report.header("clients<10|8-shards Mops>14.3|QPs>10|sub-shard Mops>16.3|QPs>10|gain>8");
     for clients in [30usize, 60, 90, 120] {
         let wl = Workload {

@@ -157,7 +157,7 @@ fn measure(seed: u64, faults: &[FaultEvent], inject_at: u64) -> Timings {
     }
 }
 
-pub fn run(_: Scale, report: &mut Report) {
+pub(crate) fn run(_: Scale, report: &mut Report) {
     let seed = hydra_sim::seed_from_env(42);
     report.line(&format!("# seed={seed} (set HYDRA_SEED to repin)"));
     report.line(&format!(

@@ -8,13 +8,13 @@
 //! block is the application model. Speedup = job time on in-memory HDFS /
 //! job time on HydraDB.
 
-use hydra_baselines::{BaselineCluster, BaselineConfig, BaselineKind};
 use hydra_db::{ClientMode, ClusterBuilder, ClusterConfig};
 use hydra_fabric::Transport;
 use hydra_sim::time::{as_secs, MS};
 use hydra_sim::Sim;
 use hydra_ycsb::{KvCb, KvClient};
 
+use crate::baselines::{BaselineCluster, BaselineConfig, BaselineKind};
 use crate::{in_sequence, Report, Scale};
 
 const BLOCK: usize = 4 << 20; // 4 MiB chunks, as in §2.1
@@ -72,7 +72,7 @@ fn hdfs_io(reads: u64, writes: u64, preload_blocks: u64) -> u64 {
         ..Default::default()
     };
     let cfg = BaselineConfig {
-        kind: BaselineKind::MemcachedLike {
+        kind: BaselineKind::Memcached {
             threads: 8,
             lock_ns: 300,
             op_ns: 2_000,
@@ -112,7 +112,7 @@ fn hydra_io(rdma: bool, reads: u64, writes: u64, preload_blocks: u64) -> u64 {
     io_time(&mut cluster.sim, &client, preload_blocks, reads, writes)
 }
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     report.header(
         "application<24|HDFS_s>12.3|HydraTCP_s>12.3|HydraRDMA_s>12.3|spd_TCP>10|spd_RDMA>10",
     );

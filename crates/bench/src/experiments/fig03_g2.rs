@@ -3,9 +3,9 @@
 //! replaced (§2.2). Each engine continuously performs entity lookups (60%)
 //! and assertion writes (40%) against the shared store.
 
-use hydra_baselines::BaselineConfig;
 use hydra_ycsb::Workload;
 
+use crate::baselines::BaselineConfig;
 use crate::{one_workload, paper_cluster_config, run_baseline, run_hydra, Report, Scale};
 
 fn wl(scale: Scale) -> Workload {
@@ -17,7 +17,7 @@ fn wl(scale: Scale) -> Workload {
     }
 }
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     report.header("engines<10|inmem-DB Mops>14.3|HydraDB Mops>14.3|ratio>8");
     let mut db_prev = 0.0;
     let mut db_sat = None;

@@ -4,12 +4,11 @@
 
 use std::collections::HashMap;
 
-use hydra_baselines::BaselineConfig;
-
+use crate::baselines::BaselineConfig;
 use crate::{paper_cluster_config, paper_workloads, run_baseline, run_hydra, Report, ReportRow};
 use crate::Scale;
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     let clients = 50;
     report.header("workload<16|system<14|Mops>10.3|get_us>12.2|update_us>12.2");
     let mut hydra_mops = HashMap::new();

@@ -17,7 +17,7 @@ use hydra_db::{ClientMode, ClusterConfig, ExecModel};
 use crate::{paper_cluster_config, paper_workloads, run_hydra, Report, ReportRow};
 use crate::Scale;
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     let clients = 50;
     report.header(
         "workload<16|Send/Recv>12.3|RDMA Write Only>16.3|RDMA Write + Read>18.3|\

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 
 use crate::{hit_rate, paper_cluster_config, paper_workloads, run_hydra, Report, ReportRow, Scale};
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     report.header("workload<16|success_hits>14|invalid_hits>14|msg_gets>12|hit_rate>12");
     let (mut hits, mut invalid) = (HashMap::new(), HashMap::new());
     for (name, wl) in paper_workloads(scale, 11) {

@@ -16,7 +16,7 @@ use crate::{one_workload, paper_cluster_config, run_hydra, Report, Scale};
 
 const MIXES: [(&str, f64); 3] = [("50g-50u", 0.5), ("90g-10u", 0.9), ("100g", 1.0)];
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     for (panel, zipf) in [
         ("(a) scale-out uniform", false),
         ("(b) scale-out zipfian", true),

@@ -39,7 +39,7 @@ fn mean_insert_latency(repl: Option<(ReplicationMode, u32)>, clients: usize, ins
     lat.mean() / 1_000.0
 }
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     let inserts_per_client = (scale.ops() / 20).max(500);
     report.header("clients<10|protocol<22|mean_us>10.2|vs none>10|overhead>12");
     for clients in [1usize, 2, 4, 8] {

@@ -69,7 +69,7 @@ fn run_point(depth: usize, batch: usize, scale: Scale) -> (hydra_ycsb::WorkloadR
     (r, per_op)
 }
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     report.header("depth/batch<14|Mops>10.3|get_us>12.2|p99_us>12.2|doorbells/op>14.2");
     let mut mops = Vec::new();
     for (depth, batch) in [(1usize, 1usize), (4, 4), (16, 16), (64, 16)] {

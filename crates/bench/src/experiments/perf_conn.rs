@@ -67,7 +67,7 @@ fn run_arm(mux: bool, huge: bool, clients: usize, wl: &Workload) -> ArmResult {
     }
 }
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     let counts: &[usize] = match scale {
         Scale::Smoke => &[16, 256],
         _ => &[16, 128, 512, 2048],

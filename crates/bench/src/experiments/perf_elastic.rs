@@ -156,7 +156,7 @@ fn elastic_run(quantum: u32, wl: &Workload, seed: u64) -> ElasticOutcome {
     }
 }
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     let seed = hydra_sim::seed_from_env(37);
     let wl = one_workload(scale, 0.95, true, seed);
 

@@ -84,7 +84,7 @@ fn peak_rss_kib() -> u64 {
         .unwrap_or(0)
 }
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     let (fanout, total) = match scale {
         Scale::Smoke => (1_024u32, 200_000u64),
         Scale::Normal => (4_096, 2_000_000),

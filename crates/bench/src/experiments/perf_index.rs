@@ -90,7 +90,7 @@ bench_probes!(bench_chained, ChainedTable);
 bench_probes!(bench_compact, CompactTable);
 bench_probes!(bench_packed, PackedTable);
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     // Groups sized so load factor 0.9 holds ~`records()` entries.
     let groups = ((scale.records() as usize) / GROUP_SLOTS)
         .next_power_of_two()

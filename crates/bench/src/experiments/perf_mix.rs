@@ -37,7 +37,7 @@ fn scan_rate(r: &WorkloadReport) -> f64 {
     r.scans as f64 / (r.elapsed_ns as f64 / 1e9).max(1e-9)
 }
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     let (records, ops) = (scale.records(), scale.ops());
     let seed = hydra_sim::seed_from_env(31);
 

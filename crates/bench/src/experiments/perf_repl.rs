@@ -146,7 +146,7 @@ fn cluster_run(
     run_workload(&mut cluster.sim, &cl, wl, &dcfg)
 }
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
 
     // Part 1: the replication channel in isolation.
     report.line("## channel microbench (one ReplicationPair, closed loop)");

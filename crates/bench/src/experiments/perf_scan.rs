@@ -101,7 +101,7 @@ fn probe_gets(e: &mut ShardEngine, records: u64, gets: usize, seed: u64) -> [u64
     [0, 1, 2].map(|i| after[i] - before[i])
 }
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     let records = scale.records();
     let (scans, get_ops) = match scale {
         Scale::Smoke => (2_000, 200_000),

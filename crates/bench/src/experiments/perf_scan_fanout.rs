@@ -16,7 +16,7 @@ use hydra_ycsb::{run_workload, DriverConfig, Workload};
 
 use crate::{paper_cluster, paper_cluster_config, run_hydra, Report, Scale};
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     let records = scale.records();
     let r = run_hydra(paper_cluster_config(), 50, &Workload::workload_e(records, scale.ops(), 27));
     report.line(&format!(

@@ -125,7 +125,7 @@ fn run_point(theta: f64, spread: bool, cap: usize, records_div: u64, scale: Scal
     }
 }
 
-pub fn run(scale: Scale, report: &mut Report) {
+pub(crate) fn run(scale: Scale, report: &mut Report) {
     // Sweep 1: skew x spreading at the default cache capacity.
     report.header(
         "theta/spread<22|Mops>8.3|get_us>10.2|p99_us>10.2|replica_rd>12|hit_rate>10.3|\

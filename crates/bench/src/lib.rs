@@ -7,7 +7,7 @@
 //! and a JSON copy under `results/`. Absolute numbers come from the
 //! calibrated simulator — only shapes and ratios are claimed
 //! (EXPERIMENTS.md), and each experiment states its claims through
-//! [`Report::claim`]. The runner saves an experiment's results before it
+//! `Report::claim`. The runner saves an experiment's results before it
 //! checks its claims, so a failed claim never throws away the table that
 //! explains it.
 //!
@@ -18,16 +18,19 @@
 
 #![forbid(unsafe_code)]
 
+mod baselines;
+
 use std::cell::Cell;
 use std::fmt::{Display, Write as _};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use hydra_baselines::{BaselineCluster, BaselineConfig};
 use hydra_db::{Cluster, ClusterBuilder, ClusterConfig, HydraClient, ReplicationMode};
 use hydra_sim::Sim;
 use hydra_ycsb::{run_workload, DriverConfig, KeyDist, Workload, WorkloadReport};
+
+use crate::baselines::{BaselineCluster, BaselineConfig};
 
 /// One registered experiment.
 pub struct Experiment {
@@ -135,14 +138,14 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `HYDRA_SCALE`: unset is `normal`; see [`Scale::parse`].
+    /// Reads `HYDRA_SCALE`: unset is `normal`; see `Scale::parse`.
     pub fn from_env() -> Result<Scale, String> {
         Scale::parse(std::env::var("HYDRA_SCALE").ok().as_deref())
     }
 
     /// `smoke`, `normal` or `paper`; `None` is `normal`. Anything else is an
     /// error, so a mistyped scale never overwrites results at normal scale.
-    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+    pub(crate) fn parse(value: Option<&str>) -> Result<Scale, String> {
         match value {
             Some("smoke") => Ok(Scale::Smoke),
             None | Some("normal") => Ok(Scale::Normal),
@@ -154,7 +157,7 @@ impl Scale {
     }
 
     /// Records loaded per experiment.
-    pub fn records(self) -> u64 {
+    pub(crate) fn records(self) -> u64 {
         match self {
             Scale::Smoke => 5_000,
             Scale::Normal => 100_000,
@@ -163,7 +166,7 @@ impl Scale {
     }
 
     /// Requests replayed per experiment.
-    pub fn ops(self) -> u64 {
+    pub(crate) fn ops(self) -> u64 {
         match self {
             Scale::Smoke => 10_000,
             Scale::Normal => 120_000,
@@ -175,13 +178,13 @@ impl Scale {
 /// The six §6 workloads at the chosen scale. `seed` is the experiment's
 /// default; `HYDRA_SEED` overrides it, so one env var repins every RNG in a
 /// run (cluster sim, workload streams, fault plans).
-pub fn paper_workloads(scale: Scale, seed: u64) -> Vec<(String, Workload)> {
+pub(crate) fn paper_workloads(scale: Scale, seed: u64) -> Vec<(String, Workload)> {
     Workload::paper_suite(scale.records(), scale.ops(), hydra_sim::seed_from_env(seed))
 }
 
 /// A single Zipfian/Uniform workload at the chosen scale (`HYDRA_SEED`
 /// overrides `seed`, as in [`paper_workloads`]).
-pub fn one_workload(scale: Scale, read_ratio: f64, zipf: bool, seed: u64) -> Workload {
+pub(crate) fn one_workload(scale: Scale, read_ratio: f64, zipf: bool, seed: u64) -> Workload {
     let seed = hydra_sim::seed_from_env(seed);
     Workload {
         records: scale.records(),
@@ -201,7 +204,7 @@ pub fn one_workload(scale: Scale, read_ratio: f64, zipf: bool, seed: u64) -> Wor
 
 /// The paper's single-machine serving setup: 1 server with 4 shards, 50
 /// clients over 5 client machines (§6).
-pub fn paper_cluster_config() -> ClusterConfig {
+pub(crate) fn paper_cluster_config() -> ClusterConfig {
     ClusterConfig {
         server_nodes: 1,
         shards_per_node: 4,
@@ -214,7 +217,7 @@ pub fn paper_cluster_config() -> ClusterConfig {
 /// Fig. 13's single-shard setup: one partition, `replicas` secondaries on
 /// machines of their own, clients on two machines; `mode` is the only
 /// difference between protocols.
-pub fn replicated_shard_config(mode: ReplicationMode, replicas: u32) -> ClusterConfig {
+pub(crate) fn replicated_shard_config(mode: ReplicationMode, replicas: u32) -> ClusterConfig {
     ClusterConfig {
         server_nodes: 1 + replicas.max(1),
         shards_per_node: 1,
@@ -229,7 +232,7 @@ pub fn replicated_shard_config(mode: ReplicationMode, replicas: u32) -> ClusterC
 
 /// Builds the cluster and `clients` clients, spread round-robin over its
 /// client machines.
-pub fn paper_cluster(cfg: ClusterConfig, clients: usize) -> (Cluster, Vec<HydraClient>) {
+pub(crate) fn paper_cluster(cfg: ClusterConfig, clients: usize) -> (Cluster, Vec<HydraClient>) {
     let nodes = cfg.client_nodes.max(1) as usize;
     let mut cluster = ClusterBuilder::new(cfg).build();
     let clients = (0..clients)
@@ -239,25 +242,25 @@ pub fn paper_cluster(cfg: ClusterConfig, clients: usize) -> (Cluster, Vec<HydraC
 }
 
 /// Runs one workload on a fresh cluster built from `cfg`.
-pub fn run_hydra(cfg: ClusterConfig, clients: usize, wl: &Workload) -> WorkloadReport {
+pub(crate) fn run_hydra(cfg: ClusterConfig, clients: usize, wl: &Workload) -> WorkloadReport {
     let (mut cluster, clients) = paper_cluster(cfg, clients);
     run_workload(&mut cluster.sim, &clients, wl, &DriverConfig::default())
 }
 
 /// Runs one workload on a fresh baseline cluster, clients over 5 machines.
-pub fn run_baseline(cfg: BaselineConfig, clients: usize, wl: &Workload) -> WorkloadReport {
+pub(crate) fn run_baseline(cfg: BaselineConfig, clients: usize, wl: &Workload) -> WorkloadReport {
     let mut c = BaselineCluster::build(cfg);
     let clients: Vec<_> = (0..clients).map(|i| c.add_client(i % 5)).collect();
     run_workload(&mut c.sim, &clients, wl, &DriverConfig::default())
 }
 
 /// What an op in an [`in_sequence`] chain calls when it completes.
-pub type Next = Box<dyn FnOnce(&mut Sim)>;
+pub(crate) type Next = Box<dyn FnOnce(&mut Sim)>;
 
 /// Runs `op(sim, i, next)` for `i` in `0..count`, one at a time: op `i + 1`
 /// starts when op `i` calls `next`, at that virtual instant, and an op that
 /// does not call it ends the chain. The flag is set once all `count` ran.
-pub fn in_sequence(
+pub(crate) fn in_sequence(
     sim: &mut Sim,
     count: u64,
     op: impl Fn(&mut Sim, u64, Next) + 'static,
@@ -282,16 +285,16 @@ pub fn in_sequence(
 
 /// Share of GETs served by a validated one-sided read (Fig. 11's
 /// successful hits over all GETs).
-pub fn hit_rate(r: &WorkloadReport) -> f64 {
+pub(crate) fn hit_rate(r: &WorkloadReport) -> f64 {
     r.rptr_hits as f64 / (r.rptr_hits + r.invalid_hits + r.msg_gets).max(1) as f64
 }
 
 /// A deterministic LCG stream for the wall-clock studies' probe orders.
-pub struct Lcg(pub u64);
+pub(crate) struct Lcg(pub u64);
 
 impl Lcg {
     /// Advances the stream and returns its new state.
-    pub fn step(&mut self) -> u64 {
+    pub(crate) fn step(&mut self) -> u64 {
         self.0 = self
             .0
             .wrapping_mul(6364136223846793005)
@@ -302,7 +305,7 @@ impl Lcg {
 
 /// A table cell: a float shows its column's decimal places, anything else
 /// prints as it is.
-pub trait TableCell: Display {
+pub(crate) trait TableCell: Display {
     fn render(&self, _places: Option<usize>) -> String {
         self.to_string()
     }
@@ -349,7 +352,7 @@ impl Report {
     }
 
     /// Appends (and prints) one line.
-    pub fn line(&mut self, s: &str) {
+    pub(crate) fn line(&mut self, s: &str) {
         println!("{s}");
         let _ = writeln!(self.text, "{s}");
     }
@@ -358,7 +361,7 @@ impl Report {
     /// [`Report::row`] fills. `columns` is `|`-separated; each column is its
     /// header text, `<` (left-aligned) or `>` (right-aligned), its width, and
     /// for float cells `.` and the decimal places, e.g. `"name<12|Mops>10.3"`.
-    pub fn header(&mut self, columns: &str) {
+    pub(crate) fn header(&mut self, columns: &str) {
         let mut names = Vec::new();
         self.columns.clear();
         for c in columns.split('|') {
@@ -374,7 +377,7 @@ impl Report {
 
     /// Prints one row of the current table, each cell padded to its column
     /// and the columns one space apart.
-    pub fn row(&mut self, cells: &[&dyn TableCell]) {
+    pub(crate) fn row(&mut self, cells: &[&dyn TableCell]) {
         assert_eq!(cells.len(), self.columns.len(), "one cell per column");
         let mut s = String::new();
         for (i, (cell, &(left, w, places))) in cells.iter().zip(&self.columns).enumerate() {
@@ -390,7 +393,7 @@ impl Report {
     }
 
     /// Records a machine-readable datum.
-    pub fn datum(&mut self, key: &str, value: impl serde::Serialize) {
+    pub(crate) fn datum(&mut self, key: &str, value: impl serde::Serialize) {
         self.json.insert(
             key.to_string(),
             serde_json::to_value(value).expect("serializable datum"),
@@ -400,7 +403,7 @@ impl Report {
     /// States a claim the results must bear out: unless `holds`, `row` (the
     /// measured values) contradicts `sentence` (the paper's or the design's
     /// statement). The runner reports it after the results are saved.
-    pub fn claim(&mut self, holds: bool, row: impl Display, sentence: &str) {
+    pub(crate) fn claim(&mut self, holds: bool, row: impl Display, sentence: &str) {
         if !holds {
             self.contradicted
                 .push(format!("{row}: contradicts \"{sentence}\""));
@@ -439,7 +442,7 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// The JSON artifacts' view of a [`WorkloadReport`].
-pub struct ReportRow<'a>(pub &'a WorkloadReport);
+pub(crate) struct ReportRow<'a>(pub &'a WorkloadReport);
 
 impl serde::Serialize for ReportRow<'_> {
     fn to_json_value(&self) -> serde_json::Value {

@@ -61,9 +61,8 @@ pub enum Outcome {
 }
 
 /// One recorded client op.
-#[derive(Debug, Clone)]
-pub struct OpRecord {
-    pub client: u32,
+#[derive(Debug)]
+pub(crate) struct OpRecord {
     pub kind: OpKind,
     pub key: Vec<u8>,
     /// The written value for `Insert`/`Update`/`Put` (`None` for `Delete`
@@ -120,24 +119,11 @@ impl History {
         }
     }
 
-    /// The seed this history reproduces from.
-    pub fn seed(&self) -> u64 {
-        self.inner.borrow().seed
-    }
-
     /// Records an invocation at `now`; returns the record id to close with
     /// [`end`](Self::end).
-    pub fn begin(
-        &self,
-        client: u32,
-        kind: OpKind,
-        key: &[u8],
-        value: Option<&[u8]>,
-        now: SimTime,
-    ) -> usize {
+    pub fn begin(&self, kind: OpKind, key: &[u8], value: Option<&[u8]>, now: SimTime) -> usize {
         let mut inner = self.inner.borrow_mut();
         inner.records.push(OpRecord {
-            client,
             kind,
             key: key.to_vec(),
             value: value.map(|v| v.to_vec()),
@@ -185,11 +171,6 @@ impl History {
             .iter()
             .filter(|r| r.outcome == Outcome::Failed)
             .count()
-    }
-
-    /// A copy of the full op log.
-    pub fn snapshot(&self) -> Vec<OpRecord> {
-        self.inner.borrow().records.clone()
     }
 
     /// Checks per-key register linearizability over the recorded history.
@@ -429,12 +410,12 @@ mod tests {
     }
 
     fn write(h: &History, key: &[u8], val: &[u8], t0: SimTime, t1: SimTime) {
-        let id = h.begin(0, OpKind::Put, key, Some(val), t0);
+        let id = h.begin(OpKind::Put, key, Some(val), t0);
         h.end(id, t1, Outcome::Ok(None));
     }
 
     fn read(h: &History, key: &[u8], saw: Option<&[u8]>, t0: SimTime, t1: SimTime) {
-        let id = h.begin(0, OpKind::Get, key, None, t0);
+        let id = h.begin(OpKind::Get, key, None, t0);
         h.end(id, t1, Outcome::Ok(saw.map(|v| v.to_vec())));
     }
 
@@ -480,8 +461,8 @@ mod tests {
     fn concurrent_writes_allow_either_order() {
         let h = h();
         // Two overlapping writes; a later read may see either winner.
-        let w1 = h.begin(0, OpKind::Put, b"k", Some(b"x"), 0);
-        let w2 = h.begin(1, OpKind::Put, b"k", Some(b"y"), 5);
+        let w1 = h.begin(OpKind::Put, b"k", Some(b"x"), 0);
+        let w2 = h.begin(OpKind::Put, b"k", Some(b"y"), 5);
         h.end(w1, 20, Outcome::Ok(None));
         h.end(w2, 25, Outcome::Ok(None));
         read(&h, b"k", Some(b"x"), 30, 40);
@@ -494,13 +475,13 @@ mod tests {
         // its timeout fired — so a later read may see either value.
         let h2 = History::new(1);
         write(&h2, b"k", b"a", 0, 10);
-        let w = h2.begin(0, OpKind::Put, b"k", Some(b"b"), 20);
+        let w = h2.begin(OpKind::Put, b"k", Some(b"b"), 20);
         h2.end(w, 30, Outcome::Failed);
         read(&h2, b"k", Some(b"a"), 40, 50);
         h2.check_linearizable().unwrap();
         let h3 = History::new(2);
         write(&h3, b"k", b"a", 0, 10);
-        let w = h3.begin(0, OpKind::Put, b"k", Some(b"b"), 20);
+        let w = h3.begin(OpKind::Put, b"k", Some(b"b"), 20);
         h3.end(w, 30, Outcome::Failed);
         read(&h3, b"k", Some(b"b"), 40, 50);
         h3.check_linearizable().unwrap();
@@ -510,13 +491,13 @@ mod tests {
     fn value_resurrection_after_delete_is_flagged() {
         let h = h();
         write(&h, b"k", b"a", 0, 10);
-        let d = h.begin(0, OpKind::Delete, b"k", None, 20);
+        let d = h.begin(OpKind::Delete, b"k", None, 20);
         h.end(d, 30, Outcome::Ok(None));
         read(&h, b"k", Some(b"a"), 40, 50);
         assert!(h.check_linearizable().is_err());
         let h2 = History::new(9);
         write(&h2, b"k", b"a", 0, 10);
-        let d = h2.begin(0, OpKind::Delete, b"k", None, 20);
+        let d = h2.begin(OpKind::Delete, b"k", None, 20);
         h2.end(d, 30, Outcome::Ok(None));
         read(&h2, b"k", None, 40, 50);
         h2.check_linearizable().unwrap();
@@ -527,7 +508,7 @@ mod tests {
         let h = h();
         // A write that never responds can linearize arbitrarily late: read
         // "b", then the pending "a" lands, then read "a". Valid.
-        h.begin(0, OpKind::Put, b"k", Some(b"a"), 0);
+        h.begin(OpKind::Put, b"k", Some(b"a"), 0);
         write(&h, b"k", b"b", 100, 110);
         read(&h, b"k", Some(b"b"), 120, 130);
         read(&h, b"k", Some(b"a"), 140, 150);
@@ -535,7 +516,7 @@ mod tests {
         // But it cannot linearize *early*: w(b) responded before the first
         // read was invoked, so "a" then "b" has no valid order.
         let h2 = History::new(3);
-        h2.begin(0, OpKind::Put, b"k", Some(b"a"), 0);
+        h2.begin(OpKind::Put, b"k", Some(b"a"), 0);
         write(&h2, b"k", b"b", 100, 110);
         read(&h2, b"k", Some(b"a"), 120, 130);
         read(&h2, b"k", Some(b"b"), 140, 150);
@@ -568,8 +549,8 @@ mod tests {
     fn read_concurrent_with_write_may_see_old_or_new() {
         for saw in [Some(b"new".as_slice()), None] {
             let h = History::new(5);
-            let w = h.begin(0, OpKind::Insert, b"k", Some(b"new"), 0);
-            let r = h.begin(1, OpKind::Get, b"k", None, 5);
+            let w = h.begin(OpKind::Insert, b"k", Some(b"new"), 0);
+            let r = h.begin(OpKind::Get, b"k", None, 5);
             h.end(r, 8, Outcome::Ok(saw.map(|v| v.to_vec())));
             h.end(w, 10, Outcome::Ok(None));
             h.check_linearizable()

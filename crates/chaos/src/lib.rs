@@ -8,7 +8,7 @@
 //!
 //! Two halves:
 //!
-//! * [`plan`] — a **fault plan**: a seed-reproducible schedule of fault
+//! * `plan` — a **fault plan**: a seed-reproducible schedule of fault
 //!   events ([`FaultEvent`]) pinned to virtual times or op-count triggers
 //!   ([`Trigger`]). Plans are plain data; the `hydra-db` crate owns the
 //!   machinery that applies them to a live cluster through the fabric and
@@ -27,7 +27,7 @@
 #![forbid(unsafe_code)]
 
 pub mod history;
-pub mod plan;
+mod plan;
 
-pub use history::{check_convergence, History, OpKind, OpRecord, Outcome, ReplicaDump, Violation};
+pub use history::{check_convergence, History, Outcome, ReplicaDump};
 pub use plan::{FaultEvent, FaultPlan, PlannedFault, Trigger};

@@ -23,28 +23,28 @@ pub enum Transport {
 // `FabricConfig` fields.
 
 /// One-way propagation + switch latency for RDMA packets.
-pub const RDMA_PROP_NS: SimTime = 600;
+pub(crate) const RDMA_PROP_NS: SimTime = 600;
 /// Per-operation initiator NIC overhead (WQE fetch, doorbell).
-pub const RDMA_OP_NS: SimTime = 100;
+pub(crate) const RDMA_OP_NS: SimTime = 100;
 /// Marginal initiator NIC cost of each additional WQE in a doorbell batch:
 /// the NIC fetches the chained WQE but the MMIO doorbell and PCIe round trip
 /// were already paid by the first operation of the batch.
-pub const RDMA_WQE_NS: SimTime = 25;
+pub(crate) const RDMA_WQE_NS: SimTime = 25;
 /// Target-side DMA engine setup cost for one-sided operations.
-pub const RDMA_DMA_NS: SimTime = 120;
+pub(crate) const RDMA_DMA_NS: SimTime = 120;
 /// Additional cost of the two-sided path (recv WQE consumption + CQE)
 /// applied at the receiver, on top of [`RDMA_DMA_NS`].
-pub const SEND_RECV_EXTRA_NS: SimTime = 350;
+pub(crate) const SEND_RECV_EXTRA_NS: SimTime = 350;
 /// NIC serialization cost per byte (0.2 ns/B = 40 Gbps).
-pub const NIC_BYTE_NS: f64 = 0.2;
+pub(crate) const NIC_BYTE_NS: f64 = 0.2;
 /// One-way latency of the kernel socket path (IPoIB/TCP).
-pub const SOCKET_PROP_NS: SimTime = 28 * US;
+pub(crate) const SOCKET_PROP_NS: SimTime = 28 * US;
 /// Fractional per-op overhead added per QP beyond
 /// [`FabricConfig::qp_threshold`] (0.004 → +40% at threshold + 100 QPs).
-pub const QP_PENALTY_PER_CONN: f64 = 0.004;
+pub(crate) const QP_PENALTY_PER_CONN: f64 = 0.004;
 /// PCIe round-trip surcharge for fetching evicted QP state or a translation
 /// entry from host memory (per cold entry touched).
-pub const NIC_MISS_NS: SimTime = 500;
+pub(crate) const NIC_MISS_NS: SimTime = 500;
 
 // A miss surcharge is a PCIe round trip: same order of magnitude as the
 // doorbell, far below the propagation delay.
@@ -64,7 +64,7 @@ pub struct FabricConfig {
     /// Per-node on-chip QP-state (ICM) cache capacity, in connections. RC
     /// QP context lives in host memory and is cached on the NIC; once a
     /// node terminates more active connections than fit, every op on a
-    /// cold QP pays a PCIe fetch ([`NIC_MISS_NS`]) — the RDMAvisor
+    /// cold QP pays a PCIe fetch (`NIC_MISS_NS`) — the RDMAvisor
     /// connection-scaling cliff. `0` disables the model (infinite cache).
     pub qp_cache_entries: usize,
     /// Per-node on-chip memory-translation (MTT) cache capacity, in page
@@ -73,8 +73,7 @@ pub struct FabricConfig {
     /// the same PCIe fetch. `0` disables the model.
     pub mtt_cache_entries: usize,
     /// Translation granularity for regions registered without an explicit
-    /// page size ([`crate::Fabric::register`] /
-    /// [`crate::Fabric::alloc_region`]). 4 KiB matches default mappings;
+    /// page size ([`crate::Fabric::alloc_region`]). 4 KiB matches default mappings;
     /// huge-page registrations pass 2 MiB explicitly and collapse their
     /// MTT footprint ~512×.
     pub default_page_bytes: usize,
@@ -95,7 +94,7 @@ impl Default for FabricConfig {
 
 impl FabricConfig {
     /// Serialization/copy time of `bytes` on the socket path.
-    pub fn socket_ser(&self, bytes: usize) -> SimTime {
+    pub(crate) fn socket_ser(&self, bytes: usize) -> SimTime {
         (bytes as f64 * self.socket_byte_ns).round() as SimTime
     }
 
@@ -109,7 +108,7 @@ impl FabricConfig {
     }
 
     /// Driver-scalability multiplier for a node with `qps` connections.
-    pub fn qp_penalty(&self, qps: u32) -> f64 {
+    pub(crate) fn qp_penalty(&self, qps: u32) -> f64 {
         let excess = qps.saturating_sub(self.qp_threshold) as f64;
         1.0 + excess * QP_PENALTY_PER_CONN
     }

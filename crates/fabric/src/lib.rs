@@ -29,11 +29,8 @@
 mod config;
 mod net;
 
-pub use config::{
-    FabricConfig, Transport, NIC_BYTE_NS, NIC_MISS_NS, QP_PENALTY_PER_CONN, RDMA_DMA_NS,
-    RDMA_OP_NS, RDMA_PROP_NS, RDMA_WQE_NS, SEND_RECV_EXTRA_NS, SOCKET_PROP_NS,
-};
+pub use config::{FabricConfig, Transport};
 pub use net::{
-    BatchWrite, ErrorHandler, Fabric, FabricStats, FaultStats, LinkFault, NodeId, NodeStats, QpId,
-    ReadComplete, RecvHandler, RegionId, WcError, WriteDelivered,
+    BatchWrite, Fabric, FabricStats, LinkFault, NodeId, NodeStats, QpId, RegionId, WcError,
+    WriteDelivered,
 };

@@ -70,13 +70,13 @@ impl QpId {
 }
 
 /// Callback invoked when a Send arrives at an endpoint.
-pub type RecvHandler = dyn Fn(&mut Sim, QpId, Vec<u8>);
+pub(crate) type RecvHandler = dyn Fn(&mut Sim, QpId, Vec<u8>);
 
 /// Callback fired when a one-sided Write has landed in the target region.
 pub type WriteDelivered = Box<dyn FnOnce(&mut Sim)>;
 
 /// Callback fired when a one-sided Read's response reaches the initiator.
-pub type ReadComplete = Box<dyn FnOnce(&mut Sim, Vec<u8>)>;
+pub(crate) type ReadComplete = Box<dyn FnOnce(&mut Sim, Vec<u8>)>;
 
 /// Why a posted WQE completed in error at its initiator instead of landing.
 /// Every variant is a condition the *target* side decides — a peer can
@@ -97,7 +97,7 @@ pub enum WcError {
 
 /// Callback invoked at an endpoint when a WQE it posted on the queue pair
 /// completes in error.
-pub type ErrorHandler = dyn Fn(&mut Sim, QpId, WcError);
+pub(crate) type ErrorHandler = dyn Fn(&mut Sim, QpId, WcError);
 
 /// Per-node traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,12 +125,14 @@ pub struct NodeStats {
     pub miss_penalty_ns: u64,
 }
 
-/// Fabric-wide counters.
+/// Fabric-wide counters: the sum of every node's [`NodeStats`], plus the
+/// completions in error.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FabricStats {
     pub writes: u64,
     pub reads: u64,
     pub sends: u64,
+    /// Bytes moved (the sum of every node's `bytes_tx`).
     pub bytes: u64,
     pub doorbells: u64,
     /// WQEs that completed in error at their initiator ([`WcError`]); they
@@ -434,7 +436,8 @@ struct Inner {
     qps: Vec<QpSlot>,
     /// Recyclable QP slots (indices into `qps` whose `qp` is `None`).
     free_qps: Vec<u32>,
-    stats: FabricStats,
+    /// WQEs that completed in error ([`FabricStats::errors`]).
+    errors: u64,
     faults: FaultState,
 }
 
@@ -453,16 +456,12 @@ impl Inner {
     fn count(&mut self, verb: Verb, initiator: NodeId, peer: NodeId, bytes: usize, doorbell: bool) {
         let (bytes, doorbell) = (bytes as u64, doorbell as u64);
         let src = &mut self.nodes[initiator.0 as usize].stats;
-        let (node_ops, fabric_ops) = match verb {
-            Verb::Write => (&mut src.writes, &mut self.stats.writes),
-            Verb::Read => (&mut src.reads, &mut self.stats.reads),
-            Verb::Send => (&mut src.sends, &mut self.stats.sends),
-        };
-        *node_ops += 1;
-        *fabric_ops += 1;
+        match verb {
+            Verb::Write => src.writes += 1,
+            Verb::Read => src.reads += 1,
+            Verb::Send => src.sends += 1,
+        }
         src.doorbells += doorbell;
-        self.stats.doorbells += doorbell;
-        self.stats.bytes += bytes;
         let (tx, rx) = match verb {
             Verb::Read => (peer, initiator),
             Verb::Write | Verb::Send => (initiator, peer),
@@ -509,7 +508,7 @@ impl Inner {
         err: WcError,
         at: SimTime,
     ) {
-        self.stats.errors += 1;
+        self.errors += 1;
         let live = self
             .qps
             .get(qp.slot())
@@ -684,7 +683,7 @@ impl Fabric {
                 regions: Vec::new(),
                 qps: Vec::new(),
                 free_qps: Vec::new(),
-                stats: FabricStats::default(),
+                errors: 0,
                 faults: FaultState::default(),
             })),
         }
@@ -708,14 +707,9 @@ impl Fabric {
 
     /// Severs all connectivity between `a` and `b` (network partition).
     /// Symmetric; messages in either direction vanish until
-    /// [`unblock_pair`](Self::unblock_pair) or [`heal`](Self::heal).
+    /// [`heal`](Self::heal).
     pub fn block_pair(&self, a: NodeId, b: NodeId) {
         self.inner.borrow_mut().faults.cut.insert(cut_key(a, b));
-    }
-
-    /// Restores connectivity between `a` and `b`.
-    pub fn unblock_pair(&self, a: NodeId, b: NodeId) {
-        self.inner.borrow_mut().faults.cut.remove(&cut_key(a, b));
     }
 
     /// Heals every partition cut and clears all link fault programs.
@@ -799,14 +793,6 @@ impl Fabric {
             srq_installed: false,
         });
         id
-    }
-
-    /// Registers externally owned memory (e.g. a shard arena) on `node`
-    /// at the default translation granularity
-    /// ([`FabricConfig::default_page_bytes`]).
-    pub fn register(&self, node: NodeId, mem: Arc<[AtomicU64]>) -> RegionId {
-        let page = self.inner.borrow().cfg.default_page_bytes;
-        self.register_paged(node, mem, page)
     }
 
     /// Registers externally owned memory on `node`, mapped with
@@ -906,14 +892,6 @@ impl Fabric {
     /// Receive buffers currently provisioned on `node` (rings + SRQ).
     pub fn recv_posted(&self, node: NodeId) -> u64 {
         self.inner.borrow().nodes[node.0 as usize].recv_posted
-    }
-
-    /// `(total_slots, free_slots)` of the QP table — churn regression
-    /// tests assert the table stays bounded under connect/disconnect
-    /// cycles.
-    pub fn qp_slots(&self) -> (usize, usize) {
-        let inner = self.inner.borrow();
-        (inner.qps.len(), inner.free_qps.len())
     }
 
     /// Revokes write permission on `region`: its permission epoch moves on,
@@ -1019,11 +997,6 @@ impl Fabric {
         }
     }
 
-    /// The other end of `qp` as seen from `from`.
-    pub fn peer(&self, qp: QpId, from: NodeId) -> NodeId {
-        self.inner.borrow().qp(qp).peer_of(from)
-    }
-
     /// Number of QPs currently terminating at `node`.
     pub fn qp_count(&self, node: NodeId) -> u32 {
         self.inner.borrow().nodes[node.0 as usize].qp_count
@@ -1034,9 +1007,21 @@ impl Fabric {
         self.inner.borrow().nodes[node.0 as usize].stats
     }
 
-    /// Fabric-wide statistics.
+    /// Fabric-wide statistics: every node's counters summed.
     pub fn stats(&self) -> FabricStats {
-        self.inner.borrow().stats
+        let inner = self.inner.borrow();
+        let mut s = FabricStats {
+            errors: inner.errors,
+            ..FabricStats::default()
+        };
+        for n in &inner.nodes {
+            s.writes += n.stats.writes;
+            s.reads += n.stats.reads;
+            s.sends += n.stats.sends;
+            s.bytes += n.stats.bytes_tx;
+            s.doorbells += n.stats.doorbells;
+        }
+        s
     }
 
     /// One-sided RDMA Write: `words` land in `dst_region` at
@@ -1067,9 +1052,9 @@ impl Fabric {
 
     /// Doorbell-batched one-sided Writes: the whole chain of WQEs is handed
     /// to the NIC with a single MMIO doorbell. The first WQE pays the full
-    /// per-op initiator cost ([`crate::RDMA_OP_NS`]); each subsequent
+    /// per-op initiator cost (`RDMA_OP_NS`); each subsequent
     /// WQE only the marginal chained-WQE fetch
-    /// ([`crate::RDMA_WQE_NS`]). Every write still serializes its own
+    /// (`RDMA_WQE_NS`). Every write still serializes its own
     /// bytes, flies and DMAs independently, and lands in posting order;
     /// semantics are identical to the same sequence of
     /// [`post_write`](Self::post_write) calls — only the initiator-side
@@ -1377,8 +1362,7 @@ mod tests {
 
     #[test]
     fn write_lands_at_positive_latency_and_mutates_target() {
-        let (mut sim, fab, a, _b, qp) = setup();
-        let target = fab.peer(qp, a);
+        let (mut sim, fab, a, target, qp) = setup();
         let (region, mem) = fab.alloc_region(target, 64);
         let delivered = Rc::new(Cell::new(0u64));
         let d = delivered.clone();
@@ -1482,8 +1466,7 @@ mod tests {
 
     #[test]
     fn read_rtt_in_expected_range() {
-        let (mut sim, fab, a, _b, qp) = setup();
-        let target = fab.peer(qp, a);
+        let (mut sim, fab, a, target, qp) = setup();
         let (region, _mem) = fab.alloc_region(target, 16);
         let done = Rc::new(Cell::new(0u64));
         let d = done.clone();
@@ -1785,6 +1768,33 @@ mod tests {
         assert_eq!(s.bytes, 32);
         assert_eq!(fab.node_stats(a).bytes_tx, 16);
         assert_eq!(fab.node_stats(a).bytes_rx, 16);
+        // Sends both ways, then one completion in error: a region on the
+        // initiator's own node is not the peer's to write.
+        fab.set_recv_handler(qp, b, Rc::new(|_: &mut Sim, _, _| {}));
+        fab.set_recv_handler(qp, a, Rc::new(|_: &mut Sim, _, _| {}));
+        fab.post_send(&mut sim, qp, a, vec![7; 24]);
+        fab.post_send(&mut sim, qp, b, vec![8; 8]);
+        let (own, _own_mem) = fab.alloc_region(a, 8);
+        fab.post_write(&mut sim, qp, a, vec![3], own, 0, None);
+        sim.run();
+        // The fabric-wide counters are the nodes' counters summed.
+        let (na, nb) = (fab.node_stats(a), fab.node_stats(b));
+        let s = fab.stats();
+        assert_eq!(
+            s,
+            FabricStats {
+                writes: na.writes + nb.writes,
+                reads: na.reads + nb.reads,
+                sends: na.sends + nb.sends,
+                bytes: na.bytes_tx + nb.bytes_tx,
+                doorbells: na.doorbells + nb.doorbells,
+                errors: 1,
+            }
+        );
+        assert_eq!((s.writes, s.reads, s.sends), (1, 1, 2));
+        assert_eq!(s.bytes, 32 + 24 + 8);
+        assert_eq!(s.doorbells, 4);
+        assert_eq!(s.bytes, na.bytes_rx + nb.bytes_rx);
         assert_eq!(fab.qp_count(a), 1);
         fab.disconnect(qp);
         assert_eq!(fab.qp_count(a), 0);
@@ -1976,7 +1986,7 @@ mod tests {
         sim.run();
         assert_eq!(mem[0].load(Ordering::Relaxed), 0);
         assert!(!done.get(), "read across a cut must never complete");
-        fab.unblock_pair(a, b);
+        fab.heal();
         fab.post_write(&mut sim, qp, a, vec![2], region, 0, None);
         sim.run();
         assert_eq!(mem[0].load(Ordering::Relaxed), 2);
@@ -2242,9 +2252,10 @@ mod tests {
             fab.disconnect(qp);
             last = qp;
         }
-        let (total, free) = fab.qp_slots();
-        assert_eq!(total, 1, "churn must not grow the table");
-        assert_eq!(free, 1);
+        let inner = fab.inner.borrow();
+        assert_eq!(inner.qps.len(), 1, "churn must not grow the table");
+        assert_eq!(inner.free_qps.len(), 1);
+        drop(inner);
         assert_eq!(fab.qp_count(a), 0);
         assert_eq!(fab.qp_count(b), 0);
     }
@@ -2395,8 +2406,7 @@ mod tests {
     fn warm_cache_fills_are_free_at_small_scale() {
         // At a handful of connections the caches never evict, so the model
         // must not perturb the calibrated latency anchors at all.
-        let (mut sim, fab, a, _b, qp) = setup();
-        let target = fab.peer(qp, a);
+        let (mut sim, fab, a, target, qp) = setup();
         let (region, _mem) = fab.alloc_region(target, 64);
         for i in 0..32 {
             fab.post_write(&mut sim, qp, a, vec![i], region, (i % 64) as usize, None);

@@ -115,7 +115,7 @@ impl ChaosController {
     }
 
     /// Server-node indices currently crashed (sorted).
-    pub fn crashed_nodes(&self) -> Vec<usize> {
+    pub(crate) fn crashed_nodes(&self) -> Vec<usize> {
         let mut v: Vec<usize> = self.inner.borrow().crashed.iter().copied().collect();
         v.sort_unstable();
         v
@@ -124,7 +124,7 @@ impl ChaosController {
     /// Schedules every fault in `plan`: time triggers land on the event
     /// queue (clamped to now for past times), op-count triggers arm and
     /// fire as recording clients invoke operations.
-    pub fn install_plan(&self, sim: &mut Sim, plan: &FaultPlan) {
+    pub(crate) fn install_plan(&self, sim: &mut Sim, plan: &FaultPlan) {
         let now = sim.now();
         for pf in &plan.faults {
             match pf.trigger {
@@ -147,7 +147,7 @@ impl ChaosController {
 
     /// Called on every recorded invocation; fires armed op-count faults
     /// whose threshold the history has reached.
-    pub fn note_invocation(&self, sim: &mut Sim) {
+    pub(crate) fn note_invocation(&self, sim: &mut Sim) {
         let due: Vec<FaultEvent> = {
             let mut inner = self.inner.borrow_mut();
             let n = inner.history.len() as u64;
@@ -619,7 +619,7 @@ impl RecordingClient {
         let id = self
             .chaos
             .history()
-            .begin(self.client.id(), HistOp::Get, key, None, sim.now());
+            .begin(HistOp::Get, key, None, sim.now());
         self.chaos.note_invocation(sim);
         let hist = self.chaos.history();
         self.client.get(
@@ -661,7 +661,6 @@ impl RecordingClient {
         let invoked = sim.now();
         self.chaos.note_invocation(sim);
         let hist = self.chaos.history();
-        let client_id = self.client.id();
         self.client.scan(
             sim,
             start,
@@ -671,7 +670,7 @@ impl RecordingClient {
                 if let Ok(Some(payload)) = &res {
                     if let Some(items) = hydra_wire::ScanItems::parse(payload) {
                         for (k, v) in &items {
-                            let id = hist.begin(client_id, HistOp::Get, k, None, invoked);
+                            let id = hist.begin(HistOp::Get, k, None, invoked);
                             hist.end(id, done, Outcome::Ok(Some(v.to_vec())));
                         }
                     }
@@ -686,7 +685,7 @@ impl RecordingClient {
         let id = self
             .chaos
             .history()
-            .begin(self.client.id(), HistOp::Delete, key, None, sim.now());
+            .begin(HistOp::Delete, key, None, sim.now());
         self.chaos.note_invocation(sim);
         let hist = self.chaos.history();
         self.client.delete(
@@ -707,7 +706,7 @@ impl RecordingClient {
         let id = self
             .chaos
             .history()
-            .begin(self.client.id(), kind, key, Some(value), sim.now());
+            .begin(kind, key, Some(value), sim.now());
         self.chaos.note_invocation(sim);
         let hist = self.chaos.history();
         let go = |sim: &mut Sim, cb2: OpCb| match kind {

@@ -20,7 +20,7 @@
 //! [`ClusterConfig::pipeline_depth`] selects only the *shipping shape*: at
 //! depth 1 (the paper's closed-loop YCSB discipline) a request travels as a
 //! bare message; above it, queued requests ship as multi-request batch
-//! frames ([`hydra_wire::batch`]) — one RDMA Write, one doorbell, one server
+//! frames ([`hydra_wire::BatchBuilder`]) — one RDMA Write, one doorbell, one server
 //! polling sweep for a whole window of requests, up to `max_batch` per
 //! frame — and the server answers with one response frame per request
 //! frame. Either way a connection's message slot holds one shipment at a
@@ -120,7 +120,7 @@ pub struct ClientStats {
 
 /// One replica's remote location for a cached key (read spreading).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplicaTarget {
+pub(crate) struct ReplicaTarget {
     /// Fabric node hosting the replica.
     pub node: u32,
     /// Location of the replica's copy in its arena.
@@ -130,7 +130,7 @@ pub struct ReplicaTarget {
 /// A cached remote pointer (§4.2.2), optionally widened with the replica
 /// set the server exported for hot keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachedPtr {
+pub(crate) struct CachedPtr {
     /// Partition whose primary exposed the pointer.
     pub partition: u32,
     /// Location of the item in the server arena.
@@ -327,20 +327,20 @@ pub fn scan_quota(limit: u32, partitions: usize) -> u32 {
 }
 
 /// Floor on the AIMD congestion window (requests per frame).
-pub const MIN_WINDOW: usize = 1;
+pub(crate) const MIN_WINDOW: usize = 1;
 /// Additive increase per congestion-free response frame.
-pub const INCREASE: f64 = 1.0;
+pub(crate) const INCREASE: f64 = 1.0;
 /// Multiplicative decrease factor applied on congestion.
-pub const DECREASE: f64 = 0.5;
+pub(crate) const DECREASE: f64 = 0.5;
 /// Backlog hint (µs of queued shard-core work) at or below which the window
 /// may grow. A response frame normally reports ≤ a few µs of backlog (one
 /// point quantum); a scan quantum parked ahead reports ≥ 25 µs.
-pub const BACKLOG_LO_US: u16 = 4;
+pub(crate) const BACKLOG_LO_US: u16 = 4;
 /// Backlog hint at or above which the window is cut.
-pub const BACKLOG_HI_US: u16 = 16;
+pub(crate) const BACKLOG_HI_US: u16 = 16;
 /// Frame completion latency above which the window is cut even without a
 /// backlog hint (covers SendRecv and hint-less servers).
-pub const LATENCY_TARGET_NS: SimTime = 200_000;
+pub(crate) const LATENCY_TARGET_NS: SimTime = 200_000;
 
 const _: () = assert!(MIN_WINDOW >= 1);
 const _: () = assert!(BACKLOG_LO_US < BACKLOG_HI_US);
@@ -358,7 +358,7 @@ const _: () = assert!(DECREASE > 0.0 && DECREASE < 1.0);
 /// full-rate batching from the first frame, and only measured congestion
 /// sheds it.
 #[derive(Debug, Clone)]
-pub struct AimdWindow {
+pub(crate) struct AimdWindow {
     cwnd: f64,
     max: usize,
 }
@@ -366,7 +366,7 @@ pub struct AimdWindow {
 impl AimdWindow {
     /// Builds a controller capped at `max` requests per frame (the
     /// transport's `max_batch`).
-    pub fn new(max: usize) -> AimdWindow {
+    pub(crate) fn new(max: usize) -> AimdWindow {
         let max = max.max(MIN_WINDOW);
         AimdWindow {
             cwnd: max as f64,
@@ -375,14 +375,14 @@ impl AimdWindow {
     }
 
     /// Current window: how many requests the next frame may carry.
-    pub fn window(&self) -> usize {
+    pub(crate) fn window(&self) -> usize {
         (self.cwnd as usize).clamp(MIN_WINDOW, self.max)
     }
 
     /// Feeds one settled response frame into the controller: `max_hint_us`
     /// is the largest backlog hint across the frame's responses and
     /// `frame_latency_ns` the ship-to-settle time of the whole frame.
-    pub fn on_frame(&mut self, max_hint_us: u16, frame_latency_ns: SimTime) {
+    pub(crate) fn on_frame(&mut self, max_hint_us: u16, frame_latency_ns: SimTime) {
         if max_hint_us >= BACKLOG_HI_US || frame_latency_ns > LATENCY_TARGET_NS {
             self.cwnd = (self.cwnd * DECREASE).max(MIN_WINDOW as f64);
         } else if max_hint_us <= BACKLOG_LO_US {
@@ -392,7 +392,7 @@ impl AimdWindow {
     }
 
     /// A frame timed out entirely: treat it as maximal congestion.
-    pub fn on_timeout(&mut self) {
+    pub(crate) fn on_timeout(&mut self) {
         self.on_frame(u16::MAX, SimTime::MAX);
     }
 }

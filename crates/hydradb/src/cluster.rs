@@ -24,7 +24,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use hydra_coord::{Coord, CreateMode, LeaderElection, SessionId};
 use hydra_fabric::{Fabric, NodeId, Transport};
 use hydra_replication::{ReplicationPair, BEAT_NS};
 use hydra_sim::time::{SimTime, MS};
@@ -33,6 +32,7 @@ use hydra_sim::Sim;
 use crate::chaos::{ChaosController, RecordingClient};
 use crate::client::{ClientInner, HydraClient, PtrCache};
 use crate::config::{ClientMode, ClusterConfig};
+use crate::coord::{Coord, CreateMode, LeaderElection, SessionId};
 use crate::migration::{self, MigrationEngine, MigrationHandle, MigrationOutcome};
 use crate::ring::{HashRing, ShardId};
 use crate::server::{ReplicaExport, ShardServer};
@@ -1020,7 +1020,7 @@ impl Cluster {
     /// carrying `new_shards` fresh partitions and begins streaming the
     /// moving ranges toward them in bounded quanta while client traffic
     /// keeps flowing. Ownership flips atomically once the copy converges;
-    /// see [`crate::migration`] for the state machine. Returns the plan
+    /// see `migration` for the state machine. Returns the plan
     /// handle; drive `sim` (or keep issuing ops) to make progress.
     pub fn start_migration(&mut self, new_shards: u32) -> MigrationHandle {
         let node = self.fab.add_node();

@@ -52,7 +52,7 @@ impl ClientMode {
     }
 
     /// Whether messages travel as one-sided writes (vs Send/Recv).
-    pub fn rdma_write(self) -> bool {
+    pub(crate) fn rdma_write(self) -> bool {
         !matches!(self, ClientMode::SendRecv)
     }
 }
@@ -76,7 +76,7 @@ pub enum SchedulerKind {
 /// cut multiplicatively when the response frames carry a deep backlog hint
 /// (or completion latency blows past the target), so scan-congested shards
 /// shed window instead of queueing. Its gains are constants beside
-/// [`crate::AimdWindow`].
+/// `AimdWindow`.
 #[derive(Debug, Clone)]
 pub struct AimdConfig {
     /// Gate for the controller; off = fixed `max_batch` packing.
@@ -271,7 +271,7 @@ impl ClusterConfig {
 
     /// The settings every primary/secondary replication channel of this
     /// deployment runs with, or `None` when writes do not replicate.
-    pub fn repl_config(&self) -> Option<ReplConfig> {
+    pub(crate) fn repl_config(&self) -> Option<ReplConfig> {
         (self.replicas > 0).then_some(ReplConfig {
             ring_words: self.repl_ring_words,
             mode: self.replication,

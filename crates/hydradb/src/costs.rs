@@ -23,21 +23,21 @@ pub const PER_BYTE_NS: f64 = 0.06;
 pub const POLL_NS: SimTime = 15;
 /// Pipelined model: fixed serial hand-off cost per request on the dispatch
 /// path (detection, request copy, enqueue, wake, response hand-back).
-pub const DISPATCH_NS: SimTime = 600;
+pub(crate) const DISPATCH_NS: SimTime = 600;
 /// Pipelined model: the *state-mutating* share of an op (its cost beyond a
 /// plain GET) effectively serializes through the shared partition with
 /// cross-core coherence amplification — the cache lines a worker dirties
 /// must bounce to whichever thread touches them next. Calibrated against
 /// §6.2.1 (single-threaded wins 27.4-94.8%, most at 50/50).
-pub const PIPELINE_MUTATION_FACTOR: f64 = 2.4;
+pub(crate) const PIPELINE_MUTATION_FACTOR: f64 = 2.4;
 /// Pipelined model: queue synchronization overhead per request.
-pub const SYNC_NS: SimTime = 400;
+pub(crate) const SYNC_NS: SimTime = 400;
 /// Two-sided (Send/Recv) mode: server CPU charge per message for recv WQE
 /// replenishment + CQE handling — the cost HERD's analysis (and §4.2.1)
 /// holds against Send/Recv-based designs.
 pub const RECV_CPU_NS: SimTime = 500;
 /// Client-side processing per completed operation.
-pub const CLIENT_NS: SimTime = 150;
+pub(crate) const CLIENT_NS: SimTime = 150;
 /// Multiplier on [`GET_NS`] for GETs that share a quantum with other
 /// requests: the modelled shard overlaps the index cache misses of
 /// neighbouring keys (memory-level parallelism), so a batched GET's probe
@@ -52,17 +52,17 @@ pub const BATCH_PROBE_FACTOR: f64 = 0.85;
 pub const BATCH_WRITE_FACTOR: f64 = 0.7;
 /// Sub-sharding model: in-process hand-off from the connection thread to a
 /// sub-shard core (no kernel synchronization, just a queue push).
-pub const SUBSHARD_HANDOFF_NS: SimTime = 120;
+pub(crate) const SUBSHARD_HANDOFF_NS: SimTime = 120;
 /// Fixed cost of a SCAN: skiplist descent to the start key + response
 /// header assembly.
-pub const SCAN_BASE_NS: SimTime = 600;
+pub(crate) const SCAN_BASE_NS: SimTime = 600;
 /// Per-returned-item cost of a SCAN: successor hop + key/value copy into
 /// the packed response.
-pub const SCAN_ITEM_NS: SimTime = 50;
+pub(crate) const SCAN_ITEM_NS: SimTime = 50;
 /// Cost to resume a preempted scan from its in-engine cursor (guardian
 /// revalidation + one successor hop) — far cheaper than the full
 /// [`SCAN_BASE_NS`] descent, and paid only when a scan actually yielded.
-pub const SCAN_RESUME_NS: SimTime = 150;
+pub(crate) const SCAN_RESUME_NS: SimTime = 150;
 
 // A resume must undercut a fresh descent, else preemption never pays.
 const _: () = assert!(SCAN_RESUME_NS < SCAN_BASE_NS);

@@ -3,12 +3,13 @@
 //! This is the core crate of the SC '15 reproduction: the shard server, the
 //! client library, and the cluster runtime, built on the substrates in the
 //! sibling crates (`hydra-fabric` for verbs, `hydra-store` for the memory
-//! engine, `hydra-replication` for HA log shipping, `hydra-coord` for
-//! ZooKeeper/SWAT semantics).
+//! engine, `hydra-replication` for HA log shipping) and its own
+//! ZooKeeper-like coordination kernel (`coord`), which the SWAT group
+//! consumes.
 //!
 //! # Architecture (paper §4–§5)
 //!
-//! * Data is partitioned by consistent hashing ([`ring`]) across *shards*,
+//! * Data is partitioned by consistent hashing (`ring`) across *shards*,
 //!   single-threaded processes each pinned to one core and exclusively owning
 //!   one partition ([`server`]).
 //! * Clients ([`client`]) reach shards through RDMA-Write message passing
@@ -17,7 +18,7 @@
 //!   validated by guardian words and bounded by leases.
 //! * Every primary shard synchronously replicates to `R` secondaries with
 //!   RDMA Logging Replication; a ZooKeeper-backed SWAT group watches
-//!   liveness and promotes secondaries on failure ([`cluster`]).
+//!   liveness and promotes secondaries on failure (`cluster`).
 //!
 //! # Quick start
 //!
@@ -45,26 +46,24 @@
 
 #![forbid(unsafe_code)]
 
-pub mod chaos;
+mod chaos;
 pub mod client;
-pub mod cluster;
-pub mod config;
+mod cluster;
+mod config;
+mod coord;
 pub mod costs;
-pub mod migration;
-pub mod ring;
+mod migration;
+mod ring;
 pub mod server;
 
 pub use chaos::{ChaosController, RecordingClient};
-pub use client::AimdWindow;
 pub use client::{ClientStats, HydraClient, OpError};
-pub use cluster::{
-    Cluster, ClusterBuilder, ClusterReport, Failover, NodeFabricReport, PartitionReport,
-    ShardHandle,
-};
+pub use cluster::{Cluster, ClusterBuilder};
 pub use config::{
     AimdConfig, ClientMode, ClusterConfig, ExecModel, ReplicationMode, SchedulerKind,
 };
+pub use coord::SessionId;
 pub use hydra_replication::{BEAT_NS, MISSES};
 pub use hydra_store::IndexKind;
-pub use migration::{MigrationEngine, MigrationHandle, MigrationOutcome, MigrationPhase};
-pub use ring::{HashRing, ShardId};
+pub use migration::{MigrationEngine, MigrationOutcome};
+pub use ring::ShardId;

@@ -5,7 +5,7 @@
 //! per-source-shard state machine
 //!
 //! ```text
-//! Idle → Snapshot → DoubleWrite → (flip) → Drain → Done
+//! Snapshot → DoubleWrite → (flip) → Drain → Done
 //! ```
 //!
 //! driven by a recurring tick:
@@ -57,7 +57,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use hydra_coord::CreateMode;
 use hydra_fabric::{Fabric, NodeId, QpId, RegionId, Transport};
 use hydra_sim::time::SimTime;
 use hydra_sim::Sim;
@@ -66,6 +65,7 @@ use hydra_wire::LogOp;
 
 use crate::cluster::{partition_znode, Directory, HaState};
 use crate::config::ClusterConfig;
+use crate::coord::CreateMode;
 use crate::costs;
 use crate::ring::{HashRing, ShardId};
 use crate::server::ShardServer;
@@ -142,9 +142,7 @@ type QuantumDispatch = (Rc<RefCell<ShardServer>>, Rc<RefCell<MigrationState>>);
 
 /// Where a shard stands in the migration state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationPhase {
-    /// Not participating in any migration.
-    Idle,
+pub(crate) enum MigrationPhase {
     /// Source: walking its key list to the new owners, forwarding every
     /// moving write.
     Snapshot,
@@ -163,9 +161,8 @@ pub enum MigrationPhase {
 
 impl MigrationPhase {
     /// Short operator-facing label (used by the cluster report).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
-            MigrationPhase::Idle => "idle",
             MigrationPhase::Snapshot => "snapshot",
             MigrationPhase::DoubleWrite => "dblwrite",
             MigrationPhase::Drain => "drain",
@@ -438,8 +435,6 @@ struct PlanInner {
     /// copies, and the plan settles once they all have.
     aborting: bool,
     outcome: MigrationOutcome,
-    /// Directory generation published at the flip (0 until then).
-    epoch: u64,
     /// Progress fingerprint + age for the stall guard.
     last_progress: (u64, u64, u64),
     stall_ticks: u64,
@@ -488,13 +483,8 @@ impl MigrationHandle {
         self.plan.borrow().flipped
     }
 
-    /// Directory generation published at the flip (0 before it).
-    pub fn epoch(&self) -> u64 {
-        self.plan.borrow().epoch
-    }
-
     /// Partitions a join created (empty for a drain).
-    pub fn new_partitions(&self) -> Vec<u32> {
+    pub(crate) fn new_partitions(&self) -> Vec<u32> {
         match &self.plan.borrow().kind {
             PlanKind::Join { new_parts } => new_parts.clone(),
             PlanKind::Drain { .. } => Vec::new(),
@@ -607,7 +597,7 @@ impl MigrationEngine {
     /// by the builder's group assembler, every live shard streaming its
     /// moving ranges toward them. The new partitions join the
     /// directory only at the flip.
-    pub fn start_join(
+    pub(crate) fn start_join(
         &self,
         sim: &mut Sim,
         new_shards: u32,
@@ -660,7 +650,7 @@ impl MigrationEngine {
     /// Starts a node-drain plan: every live partition homed on `node`
     /// streams its whole range to the surviving owners (per the target ring
     /// without it) and leaves the directory at the flip.
-    pub fn start_drain(&self, sim: &mut Sim, node: NodeId) -> MigrationHandle {
+    pub(crate) fn start_drain(&self, sim: &mut Sim, node: NodeId) -> MigrationHandle {
         let (fab, ha_rc, directory) = {
             let inner = self.inner.borrow();
             Self::assert_settled(&inner);
@@ -719,7 +709,6 @@ impl MigrationEngine {
             flipped: false,
             aborting: false,
             outcome: MigrationOutcome::InFlight,
-            epoch: 0,
             last_progress: (u64::MAX, u64::MAX, u64::MAX),
             stall_ticks: 0,
         }));
@@ -903,7 +892,7 @@ impl MigrationEngine {
         };
         let mut p = plan.borrow_mut();
         let target = p.jobs[0].state.borrow().target_ring.clone();
-        let epoch = {
+        {
             let mut dir = directory.borrow_mut();
             dir.ring = (*target).clone();
             dir.generation += 1;
@@ -935,10 +924,8 @@ impl MigrationEngine {
                     .coord
                     .create("/migration/epoch", payload, CreateMode::Persistent, None);
             }
-            gen
-        };
+        }
         p.flipped = true;
-        p.epoch = epoch;
         for job in &p.jobs {
             job.state.borrow_mut().phase = MigrationPhase::Drain;
         }
@@ -1207,7 +1194,6 @@ mod tests {
     #[test]
     fn phase_labels_are_stable() {
         for (phase, label) in [
-            (MigrationPhase::Idle, "idle"),
             (MigrationPhase::Snapshot, "snapshot"),
             (MigrationPhase::DoubleWrite, "dblwrite"),
             (MigrationPhase::Drain, "drain"),

@@ -29,7 +29,7 @@ pub struct HashRing {
 
 impl HashRing {
     /// Creates an empty ring.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -42,7 +42,7 @@ impl HashRing {
     }
 
     /// Adds a shard's virtual nodes to the ring.
-    pub fn add_shard(&mut self, shard: ShardId) {
+    pub(crate) fn add_shard(&mut self, shard: ShardId) {
         if !self.shards.insert(shard) {
             return; // already present; the points are in place
         }
@@ -52,7 +52,7 @@ impl HashRing {
     }
 
     /// Removes a shard (fail-over re-routing, node drain).
-    pub fn remove_shard(&mut self, shard: ShardId) {
+    pub(crate) fn remove_shard(&mut self, shard: ShardId) {
         if !self.shards.remove(&shard) {
             return;
         }
@@ -60,7 +60,7 @@ impl HashRing {
     }
 
     /// Distinct shards present, in ascending id order.
-    pub fn shards(&self) -> impl Iterator<Item = ShardId> + '_ {
+    pub(crate) fn shards(&self) -> impl Iterator<Item = ShardId> + '_ {
         self.shards.iter().copied()
     }
 

@@ -48,12 +48,12 @@ pub const HIST_BUCKETS: usize = 16;
 
 /// Distinct request kinds tracked by the per-op service-time breakdown
 /// (rows of [`ServerStats::service_time_hist_by_op`], in [`op_slot`] order).
-pub const OP_KINDS: usize = 6;
+pub(crate) const OP_KINDS: usize = 6;
 
 /// Row index of `req`'s kind in [`ServerStats::service_time_hist_by_op`]:
 /// its wire opcode less one, so Get, Insert, Update, Delete, then Scan in
 /// row 5. Row 4, the retired opcode 5's, stays empty.
-pub fn op_slot(req: &Request<'_>) -> usize {
+pub(crate) fn op_slot(req: &Request<'_>) -> usize {
     req.op() as usize - 1
 }
 
@@ -123,13 +123,13 @@ fn log2_bucket(v: u64) -> usize {
 /// Shard-core time budget one SCAN may consume before the server truncates
 /// it and hands the client a continuation (`more` flag). Keeps a long range
 /// scan from parking behind it every point op in the quantum.
-pub const SCAN_QUANTUM_NS: SimTime = 25_000;
+pub(crate) const SCAN_QUANTUM_NS: SimTime = 25_000;
 
 /// Largest item count one scan may return inside its quantum: the biggest
 /// `C` with `SCAN_BASE_NS + C × SCAN_ITEM_NS ≤ SCAN_QUANTUM_NS`. The server
 /// truncates longer scans here and sets the response's `more` flag; the
 /// client continues from its last received key.
-pub const SCAN_QUANTUM_ITEMS: u32 =
+pub(crate) const SCAN_QUANTUM_ITEMS: u32 =
     ((SCAN_QUANTUM_NS - costs::SCAN_BASE_NS) / costs::SCAN_ITEM_NS) as u32;
 
 // A scan always makes progress.
@@ -139,7 +139,7 @@ const _: () = assert!(SCAN_QUANTUM_ITEMS >= 1);
 /// plus per-item cost for the items actually served (the quantum cap bounds
 /// the count, so for any `limit` the charge never exceeds
 /// [`SCAN_QUANTUM_NS`] — pinned by `scan_cost_respects_quantum_budget`).
-pub fn scan_cost(limit: u32) -> SimTime {
+pub(crate) fn scan_cost(limit: u32) -> SimTime {
     costs::SCAN_BASE_NS + limit.min(SCAN_QUANTUM_ITEMS) as SimTime * costs::SCAN_ITEM_NS
 }
 
@@ -177,7 +177,7 @@ pub struct ServerStats {
     /// arrivals that queued behind ~2^(k-1) requests' worth of work.
     pub queue_depth_hist: [u64; HIST_BUCKETS],
     /// Per-op-kind log2 histogram of *service time* (sojourn: arrival to
-    /// engine completion, ns), one row per [`op_slot`]. This is the server
+    /// engine completion, ns), one row per `op_slot`. This is the server
     /// side of the tail-latency story: queueing plus execution, before the
     /// response travels back.
     pub service_time_hist_by_op: [[u64; HIST_BUCKETS]; OP_KINDS],
@@ -194,7 +194,7 @@ pub struct ServerStats {
 
 /// A secondary's remotely readable arena, registered with the primary so
 /// hot GETs can export replica pointers (read spreading).
-pub struct ReplicaExport {
+pub(crate) struct ReplicaExport {
     /// Fabric node hosting the replica (clients open per-node QPs).
     pub node: NodeId,
     /// The replica's registered arena region.
@@ -240,7 +240,12 @@ pub struct ReadPlane {
 impl ReadPlane {
     /// Builds a read plane; `spread` gates pointer export, the sketch always
     /// runs (it feeds the heat histogram and client-side admission parity).
-    pub fn new(sketch_cap: usize, spread: bool, threshold: u64, min_lease_ns: u64) -> ReadPlane {
+    pub(crate) fn new(
+        sketch_cap: usize,
+        spread: bool,
+        threshold: u64,
+        min_lease_ns: u64,
+    ) -> ReadPlane {
         ReadPlane {
             heat: HeatSketch::new(sketch_cap),
             exports: Vec::new(),
@@ -259,13 +264,13 @@ impl ReadPlane {
     }
 
     /// Drops every registered export (fail-over re-couples replicas).
-    pub fn clear_exports(&mut self) {
+    pub(crate) fn clear_exports(&mut self) {
         self.exports.clear();
     }
 
     /// Registers a secondary's arena for read spreading. Re-registering a
     /// replica (re-coupled after a resync) replaces its entry in place.
-    pub fn add_export(&mut self, export: ReplicaExport) {
+    pub(crate) fn add_export(&mut self, export: ReplicaExport) {
         let same = |e: &ReplicaExport| Rc::ptr_eq(&e.engine, &export.engine);
         match self.exports.iter().position(same) {
             Some(i) => self.exports[i] = export,
@@ -591,7 +596,7 @@ pub(crate) fn with_gate<R>(
 /// What bounds one scan step besides the client's limit.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanBounds {
-    /// Most items a step returns: its quantum ([`SCAN_QUANTUM_ITEMS`]).
+    /// Most items a step returns: its quantum (`SCAN_QUANTUM_ITEMS`).
     pub items: u32,
     /// Payload bytes the connection's message slot carries: the response —
     /// with everything sharing its frame — must fit.
@@ -854,7 +859,7 @@ pub struct ShardServer {
 impl ShardServer {
     /// Creates a shard bound to `node`, registering its arena with the
     /// fabric.
-    pub fn new(
+    pub(crate) fn new(
         id: ShardId,
         node: NodeId,
         fab: &Fabric,
@@ -901,17 +906,17 @@ impl ShardServer {
     }
 
     /// Attaches a replication channel to a secondary.
-    pub fn add_replica(&mut self, pair: ReplicationPair) {
+    pub(crate) fn add_replica(&mut self, pair: ReplicationPair) {
         self.repl.push(pair);
     }
 
     /// Registers a secondary's arena for hot-key pointer export.
-    pub fn add_replica_export(&mut self, export: ReplicaExport) {
+    pub(crate) fn add_replica_export(&mut self, export: ReplicaExport) {
         self.plane.add_export(export);
     }
 
     /// Drops all registered exports (fail-over re-couples the group).
-    pub fn clear_replica_exports(&mut self) {
+    pub(crate) fn clear_replica_exports(&mut self) {
         self.plane.clear_exports();
     }
 
@@ -1003,7 +1008,7 @@ impl ShardServer {
 
     /// Entry point for RDMA-Write mode: a request frame has landed in
     /// connection `conn_idx`'s buffer. Polls it out and admits it.
-    pub fn on_request(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim, conn_idx: usize) {
+    pub(crate) fn on_request(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim, conn_idx: usize) {
         let payload = {
             let mut s = this.borrow_mut();
             if !s.alive {

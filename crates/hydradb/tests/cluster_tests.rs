@@ -536,6 +536,38 @@ fn swat_leader_failure_hands_over_before_shard_failure() {
 }
 
 #[test]
+fn failover_ends_the_primary_session_and_opens_its_successor() {
+    // A session id is the coordination surface `Cluster` exports: capture it
+    // before a fault and watch it end to time detection.
+    let cfg = ClusterConfig {
+        replicas: 1,
+        server_nodes: 2,
+        shards_per_node: 1,
+        replication: ReplicationMode::Logging { ack_every: 4 },
+        op_timeout_ns: 2 * MS,
+        ..Default::default()
+    };
+    let mut cluster = build(cfg);
+    let client = cluster.add_client(0);
+    put_ok(&mut cluster, &client, b"k", b"v");
+    cluster.enable_ha(2 * SEC);
+    cluster.sim.run_until(10 * MS);
+    let old = cluster.session_id(0);
+    assert!(cluster.session_alive_id(old));
+    cluster.kill_primary(0);
+    cluster.sim.run_until(11 * MS);
+    assert_eq!(cluster.promotions(), 1);
+    assert!(
+        !cluster.session_alive_id(old),
+        "the deposed primary's session must end"
+    );
+    let new = cluster.session_id(0);
+    assert_ne!(new, old);
+    assert!(cluster.session_alive_id(new));
+    assert!(cluster.session_alive(0));
+}
+
+#[test]
 fn dead_partition_without_replica_times_out() {
     let cfg = ClusterConfig {
         server_nodes: 1,

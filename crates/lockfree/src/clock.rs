@@ -251,11 +251,6 @@ impl<V: Clone> ClockCache<V> {
         }
     }
 
-    /// Maximum entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current live entries.
     pub fn len(&self) -> usize {
         self.inner.borrow().live

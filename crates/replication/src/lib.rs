@@ -64,7 +64,7 @@
 //! ring — from that instant no record can land, so nothing the primary still
 //! ships can ever be acknowledged — and applies what had already landed.
 //! A primary that was merely slow finds out from its first bounced ring
-//! write and stops shipping ([`is_revoked`](ReplicationPair::is_revoked)).
+//! write and stops shipping.
 
 #![forbid(unsafe_code)]
 
@@ -82,7 +82,7 @@ use hydra_wire::frame;
 use hydra_wire::{LogOp, LogRecord};
 
 /// Sentinel word marking "jump back to offset 0" in the ring.
-pub const WRAP_MARKER: u64 = 0x5752_4150_5F5F_5F5F; // "WRAP____"
+pub(crate) const WRAP_MARKER: u64 = 0x5752_4150_5F5F_5F5F; // "WRAP____"
 
 /// Period of the liveness beat: the primary stamps and the secondary probes
 /// once per beat. A probe is one 8-byte Read (≈ 2 µs round trip), so the
@@ -198,7 +198,7 @@ impl Default for ReplConfig {
 /// Words of ring headroom the primary always keeps free beyond one frame of
 /// potential wrap-marker waste, so `AckRequest` frames can ship even when
 /// the ring is otherwise saturated.
-pub const RING_HEADROOM_WORDS: usize = 16;
+pub(crate) const RING_HEADROOM_WORDS: usize = 16;
 
 /// Secondary CPU cost of the replication control plane: reading the
 /// watermark for an `AckRequest`, or building and posting one ack WQE. The
@@ -228,7 +228,7 @@ const STAGED_ACK_LAG_NS: u64 = 25_000;
 pub enum ReplError {
     /// The record's frame can never fit the secondary's ring, even when the
     /// ring is empty (the budget keeps one frame plus
-    /// [`RING_HEADROOM_WORDS`] in reserve). Shipping it would previously
+    /// `RING_HEADROOM_WORDS` in reserve). Shipping it would previously
     /// underflow the budget arithmetic; now it is rejected up front.
     RecordTooLarge {
         /// Words the framed record needs.
@@ -285,14 +285,6 @@ pub struct ReplStats {
     /// cumulative acks that released `n` waiters with
     /// `2^i <= n < 2^(i+1)` (bucket 0 = single-waiter releases).
     pub release_hist: [u64; 16],
-}
-
-impl ReplStats {
-    /// Total waiter releases recorded in [`release_hist`](Self::release_hist)
-    /// (i.e. acks that completed at least one held response).
-    pub fn releases(&self) -> u64 {
-        self.release_hist.iter().sum()
-    }
 }
 
 struct PendingRec {
@@ -611,25 +603,9 @@ impl ReplicationPair {
         self.shared.s.borrow().fenced
     }
 
-    /// Whether the primary has learned, from a refused ring write, that its
-    /// write permission is gone.
-    pub fn is_revoked(&self) -> bool {
-        self.shared.p.borrow().revoked
-    }
-
-    /// The node hosting the primary end of this channel.
-    pub fn primary_node(&self) -> NodeId {
-        self.shared.p.borrow().node
-    }
-
     /// The node hosting the secondary end of this channel.
     pub fn secondary_node(&self) -> NodeId {
         self.shared.s.borrow().node
-    }
-
-    /// Whether [`sever`](Self::sever) has retired this channel.
-    pub fn is_severed(&self) -> bool {
-        self.shared.severed.get()
     }
 
     /// Retires the channel, e.g. because the secondary's machine crashed
@@ -1681,7 +1657,7 @@ mod tests {
         pair.replicate(&mut sim, LogOp::Put, b"bounced", b"v", None)
             .unwrap();
         sim.run();
-        assert!(pair.is_revoked());
+        assert!(pair.shared.p.borrow().revoked);
         let (lag, asked) = (pair.lag(), pair.stats().ack_requests);
         assert_eq!((lag, asked), (2, 2));
         for _ in 0..3 {
@@ -1782,7 +1758,7 @@ mod tests {
         .unwrap();
         pair.sever(&mut sim);
         assert_eq!(fired.get(), 1, "sever fires the parked strict waiter");
-        assert!(pair.is_severed());
+        assert!(pair.shared.severed.get());
         // Post-sever traffic completes immediately and applies nothing.
         let applied_before = pair.stats().applied;
         let f = fired.clone();
@@ -1858,7 +1834,7 @@ mod tests {
         let (mut sim, fab, pair, _engine) = setup(ReplConfig::default());
         beat(&mut sim, &pair, 3, |_| true);
         // Two probes in a row are held up for longer than a beat...
-        let (s, p) = (pair.secondary_node(), pair.primary_node());
+        let (s, p) = (pair.secondary_node(), pair.shared.p.borrow().node);
         fab.set_pair_fault(s, p, hydra_fabric::LinkFault::delay_next(2, 150_000));
         // ...and the stamps they finally carry are as good as any.
         assert_eq!(beat(&mut sim, &pair, 20, |_| true), None);
@@ -1907,7 +1883,10 @@ mod tests {
         pair.replicate(&mut sim, LogOp::Put, b"late", b"v", done("late"))
             .unwrap();
         sim.run();
-        assert!(pair.is_revoked(), "the first bounce told the primary");
+        assert!(
+            pair.shared.p.borrow().revoked,
+            "the first bounce told the primary"
+        );
         assert_eq!(
             *acked.borrow(),
             ["early"],
@@ -1932,7 +1911,7 @@ mod tests {
     fn node_accessors_report_the_wiring() {
         let (_sim, fab, pair, _engine) = setup(ReplConfig::default());
         let _ = &fab;
-        assert_ne!(pair.primary_node(), pair.secondary_node());
+        assert_ne!(pair.shared.p.borrow().node, pair.secondary_node());
     }
 
     #[test]
@@ -2089,7 +2068,7 @@ mod tests {
         );
         assert_eq!(engine.borrow().len(), 24);
         // The single ack released the whole quantum's waiter in one batch.
-        assert_eq!(st.releases(), 1);
+        assert_eq!(st.release_hist.iter().sum::<u64>(), 1);
     }
 
     #[test]

@@ -37,9 +37,9 @@
 //! ```
 
 pub mod reference;
-pub mod resource;
-pub mod scheduler;
-pub mod stats;
+mod resource;
+mod scheduler;
+mod stats;
 pub mod time;
 
 use std::collections::HashMap;
@@ -47,7 +47,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 pub use resource::FifoResource;
 pub use scheduler::{EventId, Sim};
-pub use stats::{Counter, Histogram, HistogramSummary};
+pub use stats::Histogram;
 pub use time::SimTime;
 
 /// The cluster-wide RNG seed: the `HYDRA_SEED` environment variable if set

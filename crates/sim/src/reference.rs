@@ -18,9 +18,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
 use crate::time::SimTime;
 
 /// Identifier of a scheduled event, usable for cancellation.
@@ -62,19 +59,18 @@ pub struct Sim {
     seq: u64,
     queue: BinaryHeap<Entry>,
     cancelled: std::collections::HashSet<u64>,
-    rng: SmallRng,
     executed: u64,
 }
 
 impl Sim {
-    /// Creates a simulation whose RNG is seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
+    /// Creates an empty simulation. The seed is accepted for parity with
+    /// the wheel scheduler's constructor; the reference draws no randomness.
+    pub fn new(_seed: u64) -> Self {
         Sim {
             now: 0,
             seq: 0,
             queue: BinaryHeap::new(),
             cancelled: std::collections::HashSet::new(),
-            rng: SmallRng::seed_from_u64(seed),
             executed: 0,
         }
     }
@@ -83,16 +79,6 @@ impl Sim {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events executed so far.
-    pub fn executed_events(&self) -> u64 {
-        self.executed
-    }
-
-    /// The run's deterministic RNG.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
     }
 
     /// Schedules `f` to run at absolute virtual time `at`.
@@ -162,7 +148,7 @@ impl Sim {
 
     /// Executes the next event, if any. Returns `false` when the queue is
     /// empty.
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         loop {
             let Some(mut entry) = self.queue.pop() else {
                 return false;

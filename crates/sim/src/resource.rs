@@ -23,19 +23,17 @@ pub struct FifoResource {
     name: String,
     busy_until: SimTime,
     total_busy: SimTime,
-    jobs: u64,
     opened_at: SimTime,
     frozen_at: Option<SimTime>,
 }
 
 impl FifoResource {
-    /// Creates an idle resource. `name` appears in utilization reports.
+    /// Creates an idle resource. `name` labels it in panic messages.
     pub fn new(name: impl Into<String>) -> Self {
         FifoResource {
             name: name.into(),
             busy_until: 0,
             total_busy: 0,
-            jobs: 0,
             opened_at: 0,
             frozen_at: None,
         }
@@ -65,11 +63,6 @@ impl FifoResource {
         }
     }
 
-    /// Resource name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Reserves `dur` nanoseconds of service starting no earlier than `now`,
     /// queued behind any previously reserved work. Returns the completion
     /// time.
@@ -78,7 +71,6 @@ impl FifoResource {
         let start = self.busy_until.max(now);
         self.busy_until = start + dur;
         self.total_busy += dur;
-        self.jobs += 1;
         self.busy_until
     }
 
@@ -122,11 +114,6 @@ impl FifoResource {
         self.total_busy
     }
 
-    /// Number of jobs served.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
-    }
-
     /// Utilization over `[window_start, now]`: busy time divided by elapsed
     /// time, clamped to 1.0. Uses the accounting window opened at creation or
     /// the last `reset_window` call.
@@ -142,7 +129,6 @@ impl FifoResource {
     pub fn reset_window(&mut self, now: SimTime) {
         self.opened_at = now;
         self.total_busy = 0;
-        self.jobs = 0;
     }
 }
 
@@ -174,7 +160,6 @@ mod tests {
         r.acquire(0, 10);
         r.acquire(1_000, 10);
         assert_eq!(r.total_busy(), 20);
-        assert_eq!(r.jobs(), 2);
         assert!((r.utilization(1_010) - 20.0 / 1_010.0).abs() < 1e-12);
     }
 

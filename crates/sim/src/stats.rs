@@ -1,33 +1,4 @@
-//! Measurement primitives: counters and log-bucketed latency histograms.
-
-/// A named monotonically increasing counter.
-#[derive(Debug, Default, Clone)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Resets to zero and returns the previous value.
-    pub fn take(&mut self) -> u64 {
-        std::mem::take(&mut self.value)
-    }
-}
+//! Measurement primitives: log-bucketed latency histograms.
 
 const SUB_BITS: u32 = 5;
 const SUB_BUCKETS: usize = 1 << SUB_BITS; // 32 linear sub-buckets per power of two
@@ -168,7 +139,7 @@ impl Histogram {
     }
 
     /// One-line summary of the distribution.
-    pub fn summary(&self) -> HistogramSummary {
+    pub(crate) fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             count: self.count,
             mean: self.mean(),
@@ -189,7 +160,7 @@ impl std::fmt::Debug for Histogram {
 
 /// Point-in-time digest of a [`Histogram`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSummary {
+pub(crate) struct HistogramSummary {
     pub count: u64,
     pub mean: f64,
     pub min: u64,
@@ -202,16 +173,6 @@ pub struct HistogramSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.add(1);
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.take(), 5);
-        assert_eq!(c.get(), 0);
-    }
 
     #[test]
     fn empty_histogram_reports_zeros() {

@@ -7,8 +7,6 @@
 /// A point in virtual time or a duration, in nanoseconds.
 pub type SimTime = u64;
 
-/// One nanosecond.
-pub const NS: SimTime = 1;
 /// One microsecond.
 pub const US: SimTime = 1_000;
 /// One millisecond.
@@ -32,7 +30,7 @@ mod tests {
 
     #[test]
     fn unit_constants_are_consistent() {
-        assert_eq!(US, 1_000 * NS);
+        assert_eq!(US, 1_000);
         assert_eq!(MS, 1_000 * US);
         assert_eq!(SEC, 1_000 * MS);
     }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 /// two apart: `step = 2^(⌊log2(len-1)⌋ - 3)`, rounded up to a multiple of
 /// `step`, bounding internal waste at 12.5 %.
 #[inline]
-pub fn size_class(len: u32) -> u32 {
+pub(crate) fn size_class(len: u32) -> u32 {
     if len <= 16 {
         return len;
     }
@@ -61,7 +61,7 @@ pub struct ArenaStats {
 }
 
 /// Fixed-capacity word arena with size-classed free lists.
-pub struct Arena {
+pub(crate) struct Arena {
     words: Arc<[AtomicU64]>,
     bump: u64,
     /// Size class (words) → offsets of free blocks of that class.
@@ -76,7 +76,7 @@ pub struct Arena {
 
 impl Arena {
     /// Creates an arena with `capacity_words` zeroed words.
-    pub fn new(capacity_words: usize) -> Self {
+    pub(crate) fn new(capacity_words: usize) -> Self {
         Arena {
             // Zeroed by the allocator and never written here: the host
             // commits a page when an item first lands on it, so an arena
@@ -98,25 +98,25 @@ impl Arena {
     /// The raw word slice — this is the "registered memory region" remote
     /// peers read through one-sided operations.
     #[inline]
-    pub fn words(&self) -> &[AtomicU64] {
+    pub(crate) fn words(&self) -> &[AtomicU64] {
         &self.words
     }
 
     /// Shared handle to the backing memory, for registering the arena as an
     /// RDMA-readable region with the fabric.
-    pub fn memory(&self) -> Arc<[AtomicU64]> {
+    pub(crate) fn memory(&self) -> Arc<[AtomicU64]> {
         self.words.clone()
     }
 
     /// Capacity in words.
-    pub fn capacity_words(&self) -> u64 {
+    pub(crate) fn capacity_words(&self) -> u64 {
         self.words.len() as u64
     }
 
     /// Allocates a block of at least `len` words (rounded up to the size
     /// class). Returns its word offset, or `None` when neither the class free
     /// list nor bump headroom can satisfy it.
-    pub fn alloc(&mut self, len: u32) -> Option<u64> {
+    pub(crate) fn alloc(&mut self, len: u32) -> Option<u64> {
         if len == 0 {
             return None;
         }
@@ -147,7 +147,7 @@ impl Arena {
     /// The whole class extent is zeroed so stale guardian magics can never
     /// masquerade as live items to a racing RDMA Read that holds an expired
     /// pointer.
-    pub fn free(&mut self, off: u64, len: u32) {
+    pub(crate) fn free(&mut self, off: u64, len: u32) {
         let class = size_class(len);
         debug_assert!(
             off + class as u64 <= self.words.len() as u64,
@@ -168,7 +168,7 @@ impl Arena {
     ///
     /// O(free blocks) — callers (the engine) only invoke this after an
     /// allocation already failed, so the cost is off the hot path.
-    pub fn compact(&mut self) -> u64 {
+    pub(crate) fn compact(&mut self) -> u64 {
         // Blocks are disjoint, so end offsets are unique keys.
         let mut by_end: BTreeMap<u64, (u64, u32)> = BTreeMap::new();
         for (&class, list) in &self.free {
@@ -198,7 +198,7 @@ impl Arena {
     }
 
     /// Point-in-time statistics.
-    pub fn stats(&self) -> ArenaStats {
+    pub(crate) fn stats(&self) -> ArenaStats {
         ArenaStats {
             capacity_words: self.words.len() as u64,
             live_words: self.live_words,
@@ -209,14 +209,6 @@ impl Arena {
             compactions: self.compactions,
             compacted_words: self.compacted_words,
         }
-    }
-
-    /// Fraction of capacity currently live, in `[0, 1]`.
-    pub fn occupancy(&self) -> f64 {
-        if self.words.is_empty() {
-            return 0.0;
-        }
-        self.live_words as f64 / self.words.len() as f64
     }
 }
 
@@ -298,7 +290,6 @@ mod tests {
         assert_eq!(s.frees, 5);
         assert_eq!(s.live_words, 35);
         assert_eq!(s.free_list_words, 35);
-        assert!((a.occupancy() - 0.035).abs() < 1e-9);
     }
 
     #[test]

@@ -38,16 +38,6 @@ impl ChainedTable {
         }
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Statistics snapshot (`buckets_probed` counts node dereferences here).
     pub fn stats(&self) -> TableStats {
         self.stats
@@ -124,7 +114,7 @@ mod tests {
         assert_eq!(t.lookup(hash_key(b"zz"), |_| true), None);
         assert_eq!(t.lookup(hash_key(b"b"), |o| o == 2), Some(2));
         assert_eq!(t.remove(hash_key(b"a"), |o| o == 1), Some(1));
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.len, 1);
     }
 
     #[test]
@@ -140,7 +130,7 @@ mod tests {
                 Some(i)
             );
         }
-        assert_eq!(t.len(), 9);
+        assert_eq!(t.len, 9);
     }
 
     #[test]
@@ -170,7 +160,7 @@ mod tests {
                     assert_eq!(t.remove(h, |o| Some(o) == expect), expect);
                 }
             }
-            assert_eq!(t.len(), offs.len());
+            assert_eq!(t.len, offs.len());
         }
     }
 

@@ -40,7 +40,7 @@ impl Crc64 {
     }
 
     /// Checksums `data`.
-    pub fn checksum(&self, data: &[u8]) -> u64 {
+    pub(crate) fn checksum(&self, data: &[u8]) -> u64 {
         let mut crc = u64::MAX;
         for &b in data {
             crc = self.table[((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);

@@ -244,7 +244,7 @@ impl ShardEngine {
 
     /// Whether the store holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.len() == 0
     }
 
     /// Operation counters.
@@ -277,7 +277,7 @@ impl ShardEngine {
         self.reclaim.peak_pending()
     }
 
-    /// The arena's books, in size-class words (see [`ArenaBooks`]).
+    /// The arena's books, in size-class words (see `ArenaBooks`).
     /// Walks every live item and every pending dead block: a check for
     /// tests and audits, not for the serving path.
     pub fn arena_books(&self) -> ArenaBooks {
@@ -693,7 +693,7 @@ impl ShardEngine {
     /// The walk runs over the ordered view's packed leaves and allocates
     /// nothing after warmup. The shard's first scan builds the view: the
     /// index's offsets, sorted by their items' keys in the arena, loaded in
-    /// key order ([`SkipList::build`]).
+    /// key order (`SkipList::build`).
     pub fn scan_into(
         &mut self,
         start: &[u8],

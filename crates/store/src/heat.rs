@@ -17,7 +17,7 @@
 /// One monitored key: hash, estimated count, and the overestimation bound
 /// inherited from the displaced predecessor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeatEntry {
+pub(crate) struct HeatEntry {
     /// Avalanche-mixed key hash (see [`crate::hash_key`]).
     pub hash: u64,
     /// Estimated touch count (count of the displaced victim + touches).
@@ -31,8 +31,6 @@ pub struct HeatEntry {
 pub struct HeatSketch {
     entries: Vec<HeatEntry>,
     cap: usize,
-    /// Total touches observed (for diagnostics / N·k bound checks).
-    total: u64,
 }
 
 impl HeatSketch {
@@ -42,13 +40,11 @@ impl HeatSketch {
         HeatSketch {
             entries: Vec::with_capacity(cap),
             cap,
-            total: 0,
         }
     }
 
     /// Records one read of `hash`; returns the key's updated estimate.
     pub fn touch(&mut self, hash: u64) -> u64 {
-        self.total += 1;
         let mut min_idx = 0usize;
         let mut min_count = u64::MAX;
         for (i, e) in self.entries.iter_mut().enumerate() {
@@ -78,14 +74,6 @@ impl HeatSketch {
         e.count
     }
 
-    /// Estimated count for `hash`; 0 when not monitored.
-    pub fn estimate(&self, hash: u64) -> u64 {
-        self.entries
-            .iter()
-            .find(|e| e.hash == hash)
-            .map_or(0, |e| e.count)
-    }
-
     /// Whether `hash` is currently estimated at or above `threshold`
     /// *guaranteed* touches (estimate minus the admission error bound, so a
     /// freshly displaced cold key does not spuriously read as hot).
@@ -95,31 +83,19 @@ impl HeatSketch {
             .find(|e| e.hash == hash)
             .is_some_and(|e| e.count.saturating_sub(e.err) >= threshold)
     }
-
-    /// The monitored set (unordered).
-    pub fn entries(&self) -> &[HeatEntry] {
-        &self.entries
-    }
-
-    /// Total touches observed.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Halves every count and error bound — periodic decay so heat follows
-    /// the current access distribution. Entries decayed to zero are kept
-    /// (they are the natural next victims).
-    pub fn decay(&mut self) {
-        for e in &mut self.entries {
-            e.count /= 2;
-            e.err /= 2;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Estimated count for `hash`; 0 when not monitored.
+    fn estimate(s: &HeatSketch, hash: u64) -> u64 {
+        s.entries
+            .iter()
+            .find(|e| e.hash == hash)
+            .map_or(0, |e| e.count)
+    }
 
     #[test]
     fn tracks_heavy_hitters_exactly_when_under_capacity() {
@@ -130,8 +106,8 @@ mod tests {
         for _ in 0..10 {
             s.touch(2);
         }
-        assert_eq!(s.estimate(1), 50);
-        assert_eq!(s.estimate(2), 10);
+        assert_eq!(estimate(&s, 1), 50);
+        assert_eq!(estimate(&s, 2), 10);
         assert!(s.is_hot(1, 50));
         assert!(!s.is_hot(2, 11));
     }
@@ -163,22 +139,12 @@ mod tests {
             s.touch(2);
         }
         s.touch(3); // displaces key 2 (count 5) -> estimate 6, err 5
-        assert_eq!(s.estimate(3), 6);
+        assert_eq!(estimate(&s, 3), 6);
         assert!(
             !s.is_hot(3, 2),
             "guaranteed count (estimate - err) must gate hotness"
         );
         assert!(s.is_hot(1, 10));
-    }
-
-    #[test]
-    fn decay_halves_counts() {
-        let mut s = HeatSketch::new(4);
-        for _ in 0..100 {
-            s.touch(7);
-        }
-        s.decay();
-        assert_eq!(s.estimate(7), 50);
     }
 
     #[test]
@@ -192,6 +158,6 @@ mod tests {
         for i in 0..10_000u64 {
             s.touch(i % 200);
         }
-        assert_eq!(s.entries().len(), 64);
+        assert_eq!(s.entries.len(), 64);
     }
 }

@@ -32,8 +32,9 @@ impl IndexKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::Arena;
     use crate::item::{item_words, ItemRef};
-    use crate::{hash_key, Arena, PackedTable};
+    use crate::{hash_key, PackedTable};
 
     /// The shard's index through every call the engine makes, over real
     /// items in an arena (a rebuild rehashes entries from their stored
@@ -44,7 +45,7 @@ mod tests {
         let mem = arena.memory();
         // Past the one page's ceiling of 392, so the load doubles it.
         let mut idx = PackedTable::default();
-        assert!(idx.is_empty());
+        assert_eq!(idx.len(), 0);
         let mut write = |k: &[u8]| {
             let off = arena.alloc(item_words(k.len(), 0)).expect("arena");
             ItemRef::write_new(arena.words(), off, k, b"");

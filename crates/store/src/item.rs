@@ -21,9 +21,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Guardian value of a live item.
-pub const GUARD_VALID: u64 = 0xA11C_E5A1_1D00_0001;
+pub(crate) const GUARD_VALID: u64 = 0xA11C_E5A1_1D00_0001;
 /// Guardian value of a deleted/superseded item.
-pub const GUARD_DEAD: u64 = 0xDEAD_17E4_0000_0000;
+pub(crate) const GUARD_DEAD: u64 = 0xDEAD_17E4_0000_0000;
 
 /// Errors from item parsing/validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +44,7 @@ const VLEN_MASK: u64 = (1 << VLEN_BITS) - 1;
 const POP_SHIFT: u64 = KLEN_BITS + VLEN_BITS; // 48
 const FLAG_SHIFT: u64 = POP_SHIFT + 8; // 56
 /// CLOCK reference bit used by cache-mode eviction.
-pub const FLAG_CLOCK_REF: u64 = 1;
+pub(crate) const FLAG_CLOCK_REF: u64 = 1;
 /// Version counter bits (7-bit, wraps mod 128), packed above the CLOCK bit.
 const VERSION_SHIFT: u64 = FLAG_SHIFT + 1; // 57
 const VERSION_MASK: u64 = 0x7F;
@@ -84,7 +84,7 @@ impl ItemRef {
     /// guardian publication, so any fetch that validates also reads a
     /// consistent version — the replica-pointer export path relies on this
     /// to detect a replica copy lagging behind the primary.
-    pub fn write_new_versioned(
+    pub(crate) fn write_new_versioned(
         words: &[AtomicU64],
         off: u64,
         key: &[u8],
@@ -140,18 +140,18 @@ impl ItemRef {
 
     /// Key length in bytes.
     #[inline]
-    pub fn klen(&self, words: &[AtomicU64]) -> usize {
+    pub(crate) fn klen(&self, words: &[AtomicU64]) -> usize {
         (self.header(words) & KLEN_MASK) as usize
     }
 
     /// Value length in bytes.
     #[inline]
-    pub fn vlen(&self, words: &[AtomicU64]) -> usize {
+    pub(crate) fn vlen(&self, words: &[AtomicU64]) -> usize {
         ((self.header(words) >> KLEN_BITS) & VLEN_MASK) as usize
     }
 
     /// Total words occupied (header through lease).
-    pub fn total_words(&self, words: &[AtomicU64]) -> u32 {
+    pub(crate) fn total_words(&self, words: &[AtomicU64]) -> u32 {
         item_words(self.klen(words), self.vlen(words))
     }
 
@@ -161,7 +161,7 @@ impl ItemRef {
     }
 
     /// Copies the key out.
-    pub fn key(&self, words: &[AtomicU64]) -> Vec<u8> {
+    pub(crate) fn key(&self, words: &[AtomicU64]) -> Vec<u8> {
         let klen = self.klen(words);
         let mut out = Vec::with_capacity(klen);
         Self::load_bytes(words, self.off as usize + 1, klen, &mut out);
@@ -169,7 +169,7 @@ impl ItemRef {
     }
 
     /// Compares the stored key against `key` without allocating.
-    pub fn key_eq(&self, words: &[AtomicU64], key: &[u8]) -> bool {
+    pub(crate) fn key_eq(&self, words: &[AtomicU64], key: &[u8]) -> bool {
         let klen = self.klen(words);
         if klen != key.len() {
             return false;
@@ -197,7 +197,7 @@ impl ItemRef {
     /// Lexicographic order of the stored key against `probe`, without
     /// allocating: the ordered index keeps arena offsets, not keys, and
     /// searches its leaves through this.
-    pub fn key_cmp(&self, words: &[AtomicU64], probe: &[u8]) -> std::cmp::Ordering {
+    pub(crate) fn key_cmp(&self, words: &[AtomicU64], probe: &[u8]) -> std::cmp::Ordering {
         cmp_packed(words, self.off as usize + 1, self.klen(words), probe)
     }
 
@@ -206,7 +206,7 @@ impl ItemRef {
     /// shorter key's words as big-endian integers, then the lengths, orders
     /// them as byte strings. A shard sorts its offsets by this when it builds
     /// its ordered view.
-    pub fn key_cmp_item(&self, words: &[AtomicU64], other: ItemRef) -> std::cmp::Ordering {
+    pub(crate) fn key_cmp_item(&self, words: &[AtomicU64], other: ItemRef) -> std::cmp::Ordering {
         let (len, other_len) = (self.klen(words), other.klen(words));
         let (base, other_base) = (self.off as usize + 1, other.off as usize + 1);
         for i in 0..len.min(other_len).div_ceil(8) {
@@ -221,7 +221,7 @@ impl ItemRef {
 
     /// Replaces `out`'s contents with the key bytes (no allocation once
     /// `out` has grown past the largest key).
-    pub fn key_into(&self, words: &[AtomicU64], out: &mut Vec<u8>) {
+    pub(crate) fn key_into(&self, words: &[AtomicU64], out: &mut Vec<u8>) {
         out.clear();
         Self::load_bytes(words, self.off as usize + 1, self.klen(words), out);
     }
@@ -231,7 +231,7 @@ impl ItemRef {
     /// index re-derive an entry's home group when it rebuilds from nothing
     /// but the 48-bit offset in the bucket line: index entries always
     /// reference live items, so the key bytes are immutably present.
-    pub fn stored_key_hash(&self, words: &[AtomicU64]) -> u64 {
+    pub(crate) fn stored_key_hash(&self, words: &[AtomicU64]) -> u64 {
         let klen = self.klen(words);
         let mut h: u64 = crate::FNV_OFFSET;
         let mut w = self.off as usize + 1;
@@ -259,7 +259,7 @@ impl ItemRef {
 
     /// Appends the value bytes to `out` — the zero-allocation variant the
     /// server's GET hot path uses with a reused scratch buffer.
-    pub fn value_into(&self, words: &[AtomicU64], out: &mut Vec<u8>) {
+    pub(crate) fn value_into(&self, words: &[AtomicU64], out: &mut Vec<u8>) {
         let klen = self.klen(words);
         let vlen = self.vlen(words);
         out.reserve(vlen);
@@ -271,12 +271,12 @@ impl ItemRef {
     }
 
     /// Loads the guardian with `Acquire` (pairs with the publication store).
-    pub fn guardian(&self, words: &[AtomicU64]) -> u64 {
+    pub(crate) fn guardian(&self, words: &[AtomicU64]) -> u64 {
         words[self.guardian_word(words)].load(Ordering::Acquire)
     }
 
     /// Whether the item is live.
-    pub fn is_valid(&self, words: &[AtomicU64]) -> bool {
+    pub(crate) fn is_valid(&self, words: &[AtomicU64]) -> bool {
         self.guardian(words) == GUARD_VALID
     }
 
@@ -294,12 +294,12 @@ impl ItemRef {
     }
 
     /// Current lease expiry (absolute virtual ns; 0 = never leased).
-    pub fn lease(&self, words: &[AtomicU64]) -> u64 {
+    pub(crate) fn lease(&self, words: &[AtomicU64]) -> u64 {
         words[self.lease_word(words)].load(Ordering::Relaxed)
     }
 
     /// Extends the lease to `expiry` if that is later than the current one.
-    pub fn extend_lease(&self, words: &[AtomicU64], expiry: u64) {
+    pub(crate) fn extend_lease(&self, words: &[AtomicU64], expiry: u64) {
         let w = self.lease_word(words);
         let cur = words[w].load(Ordering::Relaxed);
         if expiry > cur {
@@ -309,12 +309,12 @@ impl ItemRef {
 
     /// Saturating popularity counter (0..=255), bumped on each server-side
     /// access; drives the 1–64 s lease-term scaling.
-    pub fn popularity(&self, words: &[AtomicU64]) -> u8 {
+    pub(crate) fn popularity(&self, words: &[AtomicU64]) -> u8 {
         ((self.header(words) >> POP_SHIFT) & 0xFF) as u8
     }
 
     /// Increments the popularity counter (saturating).
-    pub fn bump_popularity(&self, words: &[AtomicU64]) {
+    pub(crate) fn bump_popularity(&self, words: &[AtomicU64]) {
         let h = self.header(words);
         let pop = (h >> POP_SHIFT) & 0xFF;
         if pop < 0xFF {
@@ -324,7 +324,7 @@ impl ItemRef {
 
     /// Stores the popularity counter outright — how a replace carries the
     /// old item's popularity to the new one in one header write.
-    pub fn set_popularity(&self, words: &[AtomicU64], pop: u8) {
+    pub(crate) fn set_popularity(&self, words: &[AtomicU64], pop: u8) {
         let h = self.header(words) & !(0xFF << POP_SHIFT);
         words[self.off as usize].store(h | ((pop as u64) << POP_SHIFT), Ordering::Relaxed);
     }
@@ -333,17 +333,17 @@ impl ItemRef {
     /// 0; each out-of-place replace bumps it, so a replica copy whose version
     /// differs from the primary's is observably stale even while its own
     /// guardian still reads `GUARD_VALID`.
-    pub fn version(&self, words: &[AtomicU64]) -> u8 {
+    pub(crate) fn version(&self, words: &[AtomicU64]) -> u8 {
         ((self.header(words) >> VERSION_SHIFT) & VERSION_MASK) as u8
     }
 
     /// Reads the CLOCK reference bit.
-    pub fn clock_ref(&self, words: &[AtomicU64]) -> bool {
+    pub(crate) fn clock_ref(&self, words: &[AtomicU64]) -> bool {
         (self.header(words) >> FLAG_SHIFT) & FLAG_CLOCK_REF != 0
     }
 
     /// Sets or clears the CLOCK reference bit.
-    pub fn set_clock_ref(&self, words: &[AtomicU64], on: bool) {
+    pub(crate) fn set_clock_ref(&self, words: &[AtomicU64], on: bool) {
         let h = self.header(words);
         let nh = if on {
             h | (FLAG_CLOCK_REF << FLAG_SHIFT)

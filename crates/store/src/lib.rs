@@ -1,11 +1,12 @@
 //! HydraDB's server-side memory engine.
 //!
 //! A *shard* (§4.1.1) exclusively owns one partition: a registered-memory
-//! [`Arena`] holding the key-value items, a cache-friendly hash index (the
+//! `Arena` holding the key-value items, a cache-friendly hash index (the
 //! packed [`PackedTable`], §4.1.3) mapping key hashes to them, an ordered
-//! [`SkipList`] view of the keys built at the shard's first range scan, and a [`ReclaimQueue`] deferring memory reuse
-//! until leases expire (§4.2.3). The [`ShardEngine`] ties these together
-//! into the operation set the server and the replication applier drive.
+//! `SkipList` view of the keys built at the shard's first range scan, and a
+//! `ReclaimQueue` deferring memory reuse until leases expire (§4.2.3). The
+//! [`ShardEngine`] ties these together into the operation set the server and
+//! the replication applier drive.
 //!
 //! Concurrency contract, mirroring the paper:
 //!
@@ -18,32 +19,27 @@
 //!   update/delete) and the *lease* (expiry timestamp) — so racy reads are
 //!   well-defined and validated by the guardian protocol on the client side.
 
-pub mod arena;
-pub mod chained;
-pub mod checksum;
-pub mod engine;
-pub mod heat;
-pub mod index;
-pub mod item;
-pub mod packed;
-pub mod reclaim;
+mod arena;
+mod chained;
+mod checksum;
+mod engine;
+mod heat;
+mod index;
+mod item;
+mod packed;
+mod reclaim;
 pub mod skiplist;
-pub mod table;
+mod table;
 
-pub use arena::{size_class, Arena, ArenaStats};
+pub(crate) use arena::ArenaStats;
 pub use chained::ChainedTable;
 pub use checksum::{ChecksumItem, ChecksumVerdict, Crc64};
-pub use engine::{
-    ArenaBooks, EngineConfig, EngineError, EngineStats, GetResult, ItemInfo, ShardEngine, WriteMode,
-};
-pub use heat::{HeatEntry, HeatSketch};
+pub use engine::{EngineConfig, EngineError, ItemInfo, ShardEngine, WriteMode};
+pub use heat::HeatSketch;
 pub use index::IndexKind;
-pub use item::{
-    item_words, rdma_read_len, FetchedItem, ItemError, ItemRef, GUARD_DEAD, GUARD_VALID,
-};
+pub use item::{item_words, rdma_read_len, FetchedItem, ItemError, ItemRef};
 pub use packed::{PackedTable, GROUP_SLOTS};
-pub use reclaim::ReclaimQueue;
-pub use skiplist::{SkipList, SkipListStats, SKIP_MAX_HEIGHT};
+pub(crate) use skiplist::{SkipList, SkipListStats};
 pub use table::{CompactTable, TableStats};
 
 /// FNV-1a offset basis (shared with [`item::ItemRef::stored_key_hash`],
@@ -77,7 +73,7 @@ pub fn hash_key(key: &[u8]) -> u64 {
 
 /// The 16-bit slot signature derived from a key hash (§4.1.3).
 #[inline]
-pub fn signature(hash: u64) -> u16 {
+pub(crate) fn signature(hash: u64) -> u16 {
     // Use high bits, which are independent of the bucket-index bits.
     let s = (hash >> 48) as u16;
     // Zero is reserved for "empty slot"; remap.

@@ -83,7 +83,7 @@ fn byte_eq_mask(tags: u64, b: u8) -> u64 {
 /// The 8-bit probe tag derived from a key hash. Uses bits 56..64 — disjoint
 /// from the group-index bits — remapped off the empty/tombstone encodings.
 #[inline]
-pub fn tag_of(hash: u64) -> u8 {
+pub(crate) fn tag_of(hash: u64) -> u8 {
     let t = (hash >> 56) as u8;
     if t < 2 {
         t + 2
@@ -165,7 +165,7 @@ pub struct PackedTable {
 impl PackedTable {
     /// Creates a table with at least `groups` groups (rounded up to a power
     /// of two) and the default occupancy ceiling of 7/8.
-    pub fn new(groups: usize) -> Self {
+    pub(crate) fn new(groups: usize) -> Self {
         Self::with_max_load(groups, 7)
     }
 
@@ -193,13 +193,8 @@ impl PackedTable {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Statistics snapshot.
@@ -213,7 +208,7 @@ impl PackedTable {
     }
 
     /// Bytes held by the group array.
-    pub fn mem_bytes(&self) -> usize {
+    pub(crate) fn mem_bytes(&self) -> usize {
         self.groups.len() * std::mem::size_of::<Group>()
     }
 
@@ -307,7 +302,7 @@ impl PackedTable {
     /// Replaces the offset of an existing entry (out-of-place update: same
     /// key, new item location). Returns the old offset. Occupancy does not
     /// change, so a replace never rebuilds.
-    pub fn replace(
+    pub(crate) fn replace(
         &mut self,
         hash: u64,
         new_offset: u64,
@@ -361,7 +356,7 @@ impl PackedTable {
     }
 
     /// Visits every stored offset (diagnostics, migration, eviction scans).
-    pub fn for_each(&self, mut f: impl FnMut(u64)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(u64)) {
         for g in self.groups.iter() {
             for lane in g.live_lanes() {
                 f(g.slots[lane]);
@@ -483,7 +478,7 @@ mod tests {
         assert_eq!(m.remove(b"alpha"), Some(off));
         assert_eq!(m.lookup(b"alpha"), None);
         assert_eq!(m.remove(b"alpha"), None);
-        assert!(m.table.is_empty());
+        assert_eq!(m.table.len(), 0);
     }
 
     #[test]
@@ -537,7 +532,7 @@ mod tests {
             assert!(m.remove(k).is_some());
             assert_one_array(&m.table);
         }
-        assert!(m.table.is_empty());
+        assert_eq!(m.table.len(), 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::collections::BinaryHeap;
 
 /// A dead block awaiting lease expiry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeadBlock {
+pub(crate) struct DeadBlock {
     /// Arena word offset.
     pub off: u64,
     /// Block length in words.
@@ -42,7 +42,7 @@ impl Ord for DeadBlock {
 
 /// Min-heap of dead blocks ordered by lease expiry.
 #[derive(Debug, Default)]
-pub struct ReclaimQueue {
+pub(crate) struct ReclaimQueue {
     heap: BinaryHeap<Reverse<DeadBlock>>,
     pending_words: u64,
     peak_pending_blocks: usize,
@@ -51,12 +51,12 @@ pub struct ReclaimQueue {
 
 impl ReclaimQueue {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Defers a block until `expiry`.
-    pub fn push(&mut self, off: u64, words: u32, expiry: u64) {
+    pub(crate) fn push(&mut self, off: u64, words: u32, expiry: u64) {
         self.pending_words += words as u64;
         self.heap.push(Reverse(DeadBlock { off, words, expiry }));
         self.peak_pending_blocks = self.peak_pending_blocks.max(self.heap.len());
@@ -65,7 +65,7 @@ impl ReclaimQueue {
 
     /// Pops every block whose lease expired at or before `now`, invoking
     /// `free` for each. Returns the number of blocks reclaimed.
-    pub fn reclaim(&mut self, now: u64, mut free: impl FnMut(u64, u32)) -> usize {
+    pub(crate) fn reclaim(&mut self, now: u64, mut free: impl FnMut(u64, u32)) -> usize {
         let mut n = 0;
         while let Some(Reverse(top)) = self.heap.peek() {
             if top.expiry > now {
@@ -85,29 +85,19 @@ impl ReclaimQueue {
     }
 
     /// Number of blocks waiting.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// Whether no blocks are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Words tied up awaiting expiry (memory-pressure diagnostic).
-    pub fn pending_words(&self) -> u64 {
-        self.pending_words
     }
 
     /// Earliest pending expiry, if any (used to schedule the next
     /// reclamation event efficiently).
-    pub fn next_expiry(&self) -> Option<u64> {
+    pub(crate) fn next_expiry(&self) -> Option<u64> {
         self.heap.peek().map(|Reverse(b)| b.expiry)
     }
 
     /// High-water mark of blocks held back by leases (memory-pressure
     /// diagnostic: how much dead memory the lease protocol pins at worst).
-    pub fn peak_pending(&self) -> (usize, u64) {
+    pub(crate) fn peak_pending(&self) -> (usize, u64) {
         (self.peak_pending_blocks, self.peak_pending_words)
     }
 }
@@ -135,7 +125,7 @@ mod tests {
         q.push(0, 4, 1_000);
         assert_eq!(q.reclaim(999, |_, _| panic!("must not free")), 0);
         assert_eq!(q.reclaim(1_000, |_, _| {}), 1);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -143,11 +133,11 @@ mod tests {
         let mut q = ReclaimQueue::new();
         q.push(0, 10, 50);
         q.push(16, 6, 60);
-        assert_eq!(q.pending_words(), 16);
+        assert_eq!(q.pending_words, 16);
         q.reclaim(55, |_, _| {});
-        assert_eq!(q.pending_words(), 6);
+        assert_eq!(q.pending_words, 6);
         q.reclaim(100, |_, _| {});
-        assert_eq!(q.pending_words(), 0);
+        assert_eq!(q.pending_words, 0);
     }
 
     #[test]

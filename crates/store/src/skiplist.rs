@@ -2,13 +2,13 @@
 //!
 //! HydraDB's hash index answers point ops in one SWAR probe but cannot
 //! enumerate keys in order, so range scans would need a full-keyspace sort.
-//! [`SkipList`] adds the ordered dimension. Its level 0 is a chain of
+//! `SkipList` adds the ordered dimension. Its level 0 is a chain of
 //! *packed leaves*: a node is one 64-byte tower (`Tower`) plus one 64-byte
 //! leaf (`Leaf`) holding up to [`LEAF_CAP`] arena offsets in key order, so
 //! a range walk pays one dependent load per leaf instead of several per
 //! item, and the item lines of a leaf — whose addresses all sit in that one
 //! line — are fetched together. A leaf covers the keys from its *separator*
-//! (the key it was split at, interned into a chain of size-classed [`Arena`]
+//! (the key it was split at, interned into a chain of size-classed `Arena`
 //! slabs) up to the next leaf's; the keys themselves are not copied: the
 //! arena item already stores its key behind the header, and leaves are
 //! searched and presented through it. The towers above level 0 route by
@@ -19,7 +19,7 @@
 //!
 //! The list is a view beside the shard's hash index, not an index kind: a
 //! `ShardEngine` builds one at its first ordered read with
-//! [`SkipList::build`] (its items sorted in place by their arena keys, then
+//! `SkipList::build` (its items sorted in place by their arena keys, then
 //! loaded in key order) and from then on its own mutation sites keep it
 //! current. Ordered iteration walks the leaves, presenting each key through
 //! a reused scratch buffer so steady-state scans allocate nothing.
@@ -34,7 +34,7 @@ use crate::item::{cmp_packed, ItemRef};
 
 /// Maximum tower height. With p = 1/4 this comfortably indexes 4^12 ≈ 16M
 /// leaves per shard — far above any per-shard sizing in the repo.
-pub const SKIP_MAX_HEIGHT: usize = 12;
+pub(crate) const SKIP_MAX_HEIGHT: usize = 12;
 
 /// Offset slots in a leaf: 14 × 4 B beside the 8-byte count fill the line.
 const LEAF_SLOTS: usize = 14;
@@ -162,7 +162,7 @@ pub struct SkipListStats {
 /// Single-writer ordered map from byte keys to arena word offsets. The keys
 /// live in the arena items the offsets point at, so every operation takes the
 /// arena's word slice. See the module docs for the design.
-pub struct SkipList {
+pub(crate) struct SkipList {
     /// Node 0 is the head: full height, empty separator, never unlinked.
     nodes: Vec<Node>,
     /// Recycled node indices (from reclaimed leaves).
@@ -189,7 +189,7 @@ impl Default for SkipList {
 
 impl SkipList {
     /// Creates an empty skiplist (head node only; no key slab yet).
-    pub fn new() -> SkipList {
+    pub(crate) fn new() -> SkipList {
         SkipList {
             nodes: vec![Node::empty()],
             free: Vec::new(),
@@ -207,7 +207,7 @@ impl SkipList {
     /// their keys, compared word by word in the arena, then upserted in key
     /// order — each one an append, which leaves every leaf but the last
     /// full.
-    pub fn build(words: &[AtomicU64], mut offs: Vec<u32>) -> SkipList {
+    pub(crate) fn build(words: &[AtomicU64], mut offs: Vec<u32>) -> SkipList {
         offs.sort_unstable_by(|&a, &b| {
             ItemRef { off: a as u64 }.key_cmp_item(words, ItemRef { off: b as u64 })
         });
@@ -219,18 +219,6 @@ impl SkipList {
             list.upsert(words, &key, off as u64);
         }
         list
-    }
-
-    /// Live entries.
-    #[inline]
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether the list is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Deterministic tower height: count trailing zero bit-pairs of a remix
@@ -361,9 +349,10 @@ impl SkipList {
         found
     }
 
-    /// Point lookup (used by tests; the engine answers point ops through
-    /// its hash index).
-    pub fn get(&mut self, words: &[AtomicU64], key: &[u8]) -> Option<u64> {
+    /// Point lookup (tests only: the engine answers point ops through its
+    /// hash index).
+    #[cfg(test)]
+    pub(crate) fn get(&mut self, words: &[AtomicU64], key: &[u8]) -> Option<u64> {
         let node = self.descend(key, NIL, &mut [0; SKIP_MAX_HEIGHT]);
         let pos = self.search(words, node, key).ok()?;
         Some(self.nodes[node as usize].leaf.offs[pos] as u64)
@@ -372,7 +361,7 @@ impl SkipList {
     /// Inserts `key → val_off`, or replaces the value offset when the key is
     /// already present. Returns the previous offset, if any. The item at
     /// `val_off` must already hold `key`.
-    pub fn upsert(&mut self, words: &[AtomicU64], key: &[u8], val_off: u64) -> Option<u64> {
+    pub(crate) fn upsert(&mut self, words: &[AtomicU64], key: &[u8], val_off: u64) -> Option<u64> {
         let off = leaf_slot(val_off);
         let mut update = [0u32; SKIP_MAX_HEIGHT];
         let node = self.descend(key, NIL, &mut update);
@@ -441,7 +430,7 @@ impl SkipList {
 
     /// Replaces the value offset of an existing key. Returns the old offset,
     /// or `None` when absent (no structural change either way).
-    pub fn set(&mut self, words: &[AtomicU64], key: &[u8], new_off: u64) -> Option<u64> {
+    pub(crate) fn set(&mut self, words: &[AtomicU64], key: &[u8], new_off: u64) -> Option<u64> {
         let node = self.descend(key, NIL, &mut [0; SKIP_MAX_HEIGHT]);
         let pos = self.search(words, node, key).ok()?;
         Some(self.swap_slot(node, pos, leaf_slot(new_off)))
@@ -456,7 +445,7 @@ impl SkipList {
     /// leaf left empty is unlinked and parked on the retired list (its
     /// separator stays interned until
     /// [`reclaim_retired`](Self::reclaim_retired)); the head stays.
-    pub fn remove(&mut self, words: &[AtomicU64], key: &[u8]) -> Option<u64> {
+    pub(crate) fn remove(&mut self, words: &[AtomicU64], key: &[u8]) -> Option<u64> {
         let mut update = [0u32; SKIP_MAX_HEIGHT];
         let node = self.descend(key, NIL, &mut update);
         let pos = self.search(words, node, key).ok()?;
@@ -494,13 +483,13 @@ impl SkipList {
 
     /// Bytes parked on the retired list (nodes + interned separators).
     #[inline]
-    pub fn retired_bytes(&self) -> usize {
+    pub(crate) fn retired_bytes(&self) -> usize {
         self.retired_bytes
     }
 
     /// Frees the interned separators of retired nodes and recycles the
     /// nodes. Returns the number of nodes reclaimed.
-    pub fn reclaim_retired(&mut self) -> usize {
+    pub(crate) fn reclaim_retired(&mut self) -> usize {
         let n = self.retired.len();
         while let Some(idx) = self.retired.pop() {
             let t = self.nodes[idx as usize].tower;
@@ -512,14 +501,14 @@ impl SkipList {
     }
 
     /// Resident bytes: node storage plus separator slabs.
-    pub fn mem_bytes(&self) -> usize {
+    pub(crate) fn mem_bytes(&self) -> usize {
         let nodes = self.nodes.capacity() * std::mem::size_of::<Node>();
         let slabs: u64 = self.slabs.iter().map(|s| s.capacity_words() * 8).sum();
         nodes + slabs as usize
     }
 
     /// Point-in-time statistics.
-    pub fn stats(&self) -> SkipListStats {
+    pub(crate) fn stats(&self) -> SkipListStats {
         SkipListStats {
             len: self.len,
             leaves: self.leaves,
@@ -540,7 +529,7 @@ impl SkipList {
     /// loads whose misses overlap — then present them in order. The key is read from the item into an internal
     /// scratch buffer that is reused across calls: after one warmup scan,
     /// this path allocates nothing.
-    pub fn scan_from(
+    pub(crate) fn scan_from(
         &mut self,
         words: &[AtomicU64],
         start: &[u8],
@@ -746,7 +735,7 @@ mod tests {
                     rig.list.reclaim_retired();
                 }
             }
-            assert_eq!(rig.list.len(), model.len() as u64);
+            assert_eq!(rig.list.len, model.len() as u64);
             let now = rig.list.stats().leaves;
             splits += u64::from(now > leaves);
             unlinks += u64::from(now < leaves);
@@ -896,7 +885,7 @@ mod tests {
         }
         assert_eq!(rig.list.stats().slabs, before.slabs);
         assert_eq!(rig.list.nodes.len(), nodes);
-        assert_eq!(rig.list.len(), 100);
+        assert_eq!(rig.list.len, 100);
     }
 
     #[test]
@@ -911,7 +900,7 @@ mod tests {
             rig.put(&k);
         }
         assert!(rig.list.stats().slabs > 1, "expected slab chain growth");
-        assert_eq!(rig.list.len(), 2_000);
+        assert_eq!(rig.list.len, 2_000);
         let items = rig.dump();
         assert_eq!(items.len(), 2_000);
         assert!(items.windows(2).all(|w| w[0].0 < w[1].0));

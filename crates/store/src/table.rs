@@ -23,7 +23,7 @@
 //! index entirely — that is the point of the design.
 
 /// Slots per bucket (7 × 8 B slots + 8 B header = 64 B).
-pub const SLOTS_PER_BUCKET: usize = 7;
+pub(crate) const SLOTS_PER_BUCKET: usize = 7;
 
 const SIG_BITS: u64 = 16;
 const SIG_MASK: u64 = (1 << SIG_BITS) - 1;
@@ -153,16 +153,6 @@ impl CompactTable {
             len: 0,
             stats: TableStats::default(),
         }
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Statistics snapshot.
@@ -357,7 +347,7 @@ impl CompactTable {
     }
 
     /// Number of live overflow buckets (chain pressure diagnostic).
-    pub fn overflow_buckets(&self) -> usize {
+    pub(crate) fn overflow_buckets(&self) -> usize {
         self.overflow.len() - self.overflow_free.len()
     }
 }
@@ -437,7 +427,7 @@ mod tests {
         assert_eq!(m.remove(b"alpha"), Some(off));
         assert_eq!(m.lookup(b"alpha"), None);
         assert_eq!(m.remove(b"alpha"), None);
-        assert!(m.table.is_empty());
+        assert_eq!(m.table.len, 0);
     }
 
     #[test]
@@ -456,7 +446,7 @@ mod tests {
         for (k, &o) in keys.iter().zip(&offs) {
             assert_eq!(m.lookup(k), Some(o), "{}", String::from_utf8_lossy(k));
         }
-        assert_eq!(m.table.len(), 100);
+        assert_eq!(m.table.len, 100);
     }
 
     #[test]
@@ -472,7 +462,7 @@ mod tests {
             assert!(m.remove(k).is_some());
         }
         // 7 entries remain; merging must have collapsed the chain entirely.
-        assert_eq!(m.table.len(), 7);
+        assert_eq!(m.table.len, 7);
         assert_eq!(m.table.overflow_buckets(), 0, "chain should merge back");
         assert!(m.table.stats().merges > 0);
         for k in &keys[43..] {
@@ -537,7 +527,7 @@ mod tests {
                     assert_eq!(m.remove(&k), reference.remove(&k), "step {step}");
                 }
             }
-            assert_eq!(m.table.len(), reference.len(), "step {step}");
+            assert_eq!(m.table.len, reference.len(), "step {step}");
         }
         for (k, &off) in &reference {
             assert_eq!(m.lookup(k), Some(off));

@@ -216,11 +216,6 @@ impl BatchBuilder {
         u32::from_le_bytes(self.buf[4..8].try_into().unwrap())
     }
 
-    /// Whether no messages have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.count() == 0
-    }
-
     /// The encoded frame bytes.
     pub fn bytes(&self) -> &[u8] {
         &self.buf
@@ -253,7 +248,7 @@ mod tests {
     #[test]
     fn round_trips_messages_in_order() {
         let mut b = BatchBuilder::new();
-        assert!(b.is_empty());
+        assert_eq!(b.count(), 0);
         b.push(b"first");
         b.push(b"");
         b.push_with(|out| out.extend_from_slice(b"third"));
@@ -271,7 +266,7 @@ mod tests {
         }
         let cap = b.buf.capacity();
         b.clear();
-        assert!(b.is_empty());
+        assert_eq!(b.count(), 0);
         assert_eq!(b.buf.capacity(), cap);
         b.push(b"again");
         let frame = BatchFrame::parse(b.bytes()).unwrap();

@@ -35,7 +35,7 @@
 use crate::rptr::{RemotePtr, REMOTE_PTR_BYTES};
 
 /// Response flags bit 0: a replica-pointer list is appended after the value.
-pub const RESP_FLAG_REPLICAS: u8 = 1;
+pub(crate) const RESP_FLAG_REPLICAS: u8 = 1;
 
 /// Upper bound on exported replica pointers per response (wire + hot-path
 /// fixed arrays are sized to this).
@@ -168,7 +168,7 @@ pub enum OpCode {
 
 impl OpCode {
     /// Parses a wire byte.
-    pub fn from_u8(v: u8) -> Option<OpCode> {
+    pub(crate) fn from_u8(v: u8) -> Option<OpCode> {
         Some(match v {
             1 => OpCode::Get,
             2 => OpCode::Insert,

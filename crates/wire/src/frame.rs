@@ -28,9 +28,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Head-indicator tag stored in the upper 32 bits of word 0. Nonzero by
 /// construction so an empty (zeroed) slot is distinguishable.
-pub const MAGIC_HEAD: u32 = 0x4859_4452; // "HYDR"
+pub(crate) const MAGIC_HEAD: u32 = 0x4859_4452; // "HYDR"
 /// Trailing indicator word.
-pub const MAGIC_TAIL: u64 = 0x454E_445F_4D53_4721; // "END_MSG!"
+pub(crate) const MAGIC_TAIL: u64 = 0x454E_445F_4D53_4721; // "END_MSG!"
 
 /// Errors surfaced by the framing layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

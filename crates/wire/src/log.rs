@@ -63,16 +63,6 @@ pub struct LogRecord<'a> {
 }
 
 impl<'a> LogRecord<'a> {
-    /// Creates an [`LogOp::AckRequest`] record.
-    pub fn ack_request(seq: u64) -> LogRecord<'static> {
-        LogRecord {
-            seq,
-            op: LogOp::AckRequest,
-            key: &[],
-            value: &[],
-        }
-    }
-
     /// Encoded length in bytes.
     pub fn encoded_len(&self) -> usize {
         LOG_HDR + self.key.len() + self.value.len()
@@ -146,7 +136,12 @@ mod tests {
             value: &[],
         };
         assert_eq!(LogRecord::decode(&d.encode()).unwrap(), d);
-        let a = LogRecord::ack_request(999);
+        let a = LogRecord {
+            seq: 999,
+            op: LogOp::AckRequest,
+            key: &[],
+            value: &[],
+        };
         assert_eq!(LogRecord::decode(&a.encode()).unwrap(), a);
     }
 
@@ -166,7 +161,13 @@ mod tests {
 
     #[test]
     fn bad_op_rejected() {
-        let mut enc = LogRecord::ack_request(1).encode();
+        let mut enc = LogRecord {
+            seq: 1,
+            op: LogOp::AckRequest,
+            key: &[],
+            value: &[],
+        }
+        .encode();
         enc[8] = 200;
         assert!(LogRecord::decode(&enc).is_none());
     }

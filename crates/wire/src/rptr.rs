@@ -37,12 +37,12 @@ pub struct RemotePtr {
 }
 
 /// Byte length of the wire encoding of a [`RemotePtr`].
-pub const REMOTE_PTR_BYTES: usize = 16;
+pub(crate) const REMOTE_PTR_BYTES: usize = 16;
 
 impl RemotePtr {
     /// Maximum representable offset (48 bits, matching the compact slot
     /// layout of §4.1.3).
-    pub const MAX_OFFSET: u64 = (1 << 48) - 1;
+    pub(crate) const MAX_OFFSET: u64 = (1 << 48) - 1;
 
     /// Creates a pointer, asserting the 48-bit offset invariant.
     pub fn new(region: u32, offset: u64, len: u32) -> Self {

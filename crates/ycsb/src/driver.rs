@@ -1,8 +1,8 @@
 //! Closed-loop benchmark driver.
 //!
 //! Replays pre-generated op streams against any key-value client that
-//! implements [`KvClient`]: HydraDB's own client, or the baseline stores in
-//! `hydra-baselines`. A *load* phase inserts every record, a *warm-up* slice
+//! implements [`KvClient`]: HydraDB's own client, or the baseline stores of
+//! `hydra-bench`. A *load* phase inserts every record, a *warm-up* slice
 //! of each stream runs unmeasured (populating remote-pointer caches, exactly
 //! why Fig. 10's RDMA-Read gains need warmed caches), then statistics reset
 //! and the measured run begins. Throughput is total measured ops over the
@@ -150,22 +150,6 @@ pub struct WorkloadReport {
     pub msg_gets: u64,
     /// Errors tolerated in non-strict mode.
     pub errors: u64,
-}
-
-impl WorkloadReport {
-    /// One-line rendering used by the figure binaries.
-    pub fn row(&self) -> String {
-        format!(
-            "{:9.3} Mops | get {:7.2}us p99 {:7.2}us | upd {:7.2}us | hits {:>9} invalid {:>9} msg {:>9}",
-            self.mops,
-            self.get_mean_us,
-            self.get_p99_us,
-            self.update_mean_us,
-            self.rptr_hits,
-            self.invalid_hits,
-            self.msg_gets
-        )
-    }
 }
 
 struct Replay {
@@ -368,7 +352,7 @@ pub fn run_workload_hooked<C: KvClient>(
 }
 
 /// Inserts all records, striped across the clients, before any measurement.
-pub fn load_records<C: KvClient>(sim: &mut Sim, clients: &[C], wl: &Workload) {
+pub(crate) fn load_records<C: KvClient>(sim: &mut Sim, clients: &[C], wl: &Workload) {
     let wl = Rc::new(wl.clone());
     let done = Rc::new(Cell::new(0usize));
     for (i, client) in clients.iter().enumerate() {

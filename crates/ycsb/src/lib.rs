@@ -7,19 +7,19 @@
 //! requests before measuring — [`Workload::generate`] does the same,
 //! producing a deterministic per-client op stream from a seed.
 //!
-//! [`driver`] replays those streams against a [`hydra_db::Cluster`] with
+//! `driver` replays those streams against a `hydra_db::Cluster` with
 //! closed-loop clients and reports throughput and latency exactly as the
 //! figures need them.
 
 #![forbid(unsafe_code)]
 
-pub mod driver;
-pub mod workload;
-pub mod zipf;
+mod driver;
+mod workload;
+mod zipf;
 
 pub use driver::{
-    load_records, run_workload, run_workload_hooked, DriverConfig, KvCb, KvClient, KvSnapshot,
-    OpHook, WorkloadReport,
+    run_workload, run_workload_hooked, DriverConfig, KvCb, KvClient, KvSnapshot, OpHook,
+    WorkloadReport,
 };
-pub use workload::{KeyDist, Op, OpMix, OpStream, Workload};
+pub use workload::{KeyDist, Op, OpMix, Workload};
 pub use zipf::ZipfianGenerator;

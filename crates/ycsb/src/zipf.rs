@@ -7,7 +7,7 @@
 use rand::Rng;
 
 /// YCSB's default Zipfian constant.
-pub const DEFAULT_THETA: f64 = 0.99;
+pub(crate) const DEFAULT_THETA: f64 = 0.99;
 
 /// Draw strategy: the Gray closed form only holds for θ < 1; steeper skews
 /// fall back to inverting an explicit CDF table.
@@ -33,7 +33,7 @@ impl ZipfianGenerator {
     /// Builds a generator over `n` items with skew `theta`. O(n) setup
     /// (computing ζ(n, θ)), O(1) per draw for θ < 1 and O(log n) for the
     /// CDF-table path that covers θ ≥ 1.
-    pub fn new(n: u64, theta: f64) -> Self {
+    pub(crate) fn new(n: u64, theta: f64) -> Self {
         assert!(n > 0, "need at least one item");
         assert!(theta >= 0.0 && theta.is_finite(), "theta must be ≥ 0");
         let zetan = Self::zeta(n, theta);
@@ -71,13 +71,8 @@ impl ZipfianGenerator {
         sum
     }
 
-    /// Number of items.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
     /// Draws the next rank in `0..n` (0 = most popular).
-    pub fn next_rank(&self, rng: &mut impl Rng) -> u64 {
+    pub(crate) fn next_rank(&self, rng: &mut impl Rng) -> u64 {
         let u: f64 = rng.gen();
         match &self.kind {
             DrawKind::Gray { alpha, eta } => {
@@ -100,12 +95,12 @@ impl ZipfianGenerator {
 
     /// Draws a *scrambled* item id: Zipfian popularity, but popular items are
     /// hashed across the id space (YCSB's `ScrambledZipfianGenerator`).
-    pub fn next_scrambled(&self, rng: &mut impl Rng) -> u64 {
+    pub(crate) fn next_scrambled(&self, rng: &mut impl Rng) -> u64 {
         let rank = self.next_rank(rng);
         Self::fnv_scramble(rank) % self.n
     }
 
-    /// The stable scramble used by [`next_scrambled`](Self::next_scrambled)
+    /// The stable scramble used by `next_scrambled`
     /// (exposed so tests can locate the hot items).
     pub fn fnv_scramble(rank: u64) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -51,7 +51,8 @@ mkdir -p "$parent_dir"
 git archive "$(git rev-parse --verify "$ref^{commit}")" | tar -x -C "$parent_dir"
 
 # Building benchmark/ without --locked rewrites benchmark/Cargo.lock in the
-# working tree: put it back as it was found, however the run ends.
+# working tree (it still lists crossbeam-epoch and hydra-coord, which are no
+# longer in the workspace): put it back as it was found, however the run ends.
 cp benchmark/Cargo.lock "$scratch/benchmark-Cargo.lock"
 trap 'cp "$scratch/benchmark-Cargo.lock" benchmark/Cargo.lock' EXIT
 

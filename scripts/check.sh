@@ -8,6 +8,8 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy (-D warnings)"
+# An item only its own crate names is pub(crate) or private, so rustc's
+# dead_code lint sees it: anything nothing calls fails the build here.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (-D warnings: no broken or private intra-doc links)"
@@ -53,8 +55,9 @@ echo "==> benchmark crate (builds against the workspace; one smoke pass per work
 # benchmark/ is a package of its own, outside the workspace: API drift
 # against it is caught here rather than by the pipeline running BENCHMARK.json.
 # Building it without --locked lets cargo rewrite benchmark/Cargo.lock (it
-# still lists crossbeam-epoch, which no workspace crate uses): the file is
-# saved first and put back after the smoke passes, or on any exit.
+# still lists crossbeam-epoch and hydra-coord, which are no longer in the
+# workspace): the file is saved first and put back after the smoke passes, or
+# on any exit.
 cp benchmark/Cargo.lock "$SMOKE_RESULTS/benchmark-Cargo.lock"
 trap 'cp "$SMOKE_RESULTS/benchmark-Cargo.lock" benchmark/Cargo.lock; rm -rf "$SMOKE_RESULTS"' EXIT
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
@@ -89,9 +92,6 @@ cargo test -q --release -p hydra-integration --test migration -- --ignored
 
 echo "==> counted lines, config field counts, unsafe lines, vendored crates (report only)"
 scripts/loc.sh
-
-echo "==> pub fns no production code reaches (report only)"
-scripts/unreached.sh
 
 echo "==> the benchmark's sources, lock file and declaration are as committed"
 git diff --exit-code -- benchmark/src benchmark/Cargo.lock BENCHMARK.json

@@ -30,8 +30,9 @@ scratch=${PROFILE_SCRATCH:-${TMPDIR:-/tmp}/hydra-profile}
 target=${CARGO_TARGET_DIR:-$PWD/benchmark/target}
 mkdir -p "$scratch"
 
-# Building benchmark/ without --locked rewrites benchmark/Cargo.lock: put it
-# back as it was found.
+# Building benchmark/ without --locked rewrites benchmark/Cargo.lock (it still
+# lists crossbeam-epoch and hydra-coord, which are no longer in the workspace):
+# put it back as it was found.
 cp benchmark/Cargo.lock "$scratch/benchmark-Cargo.lock"
 trap 'cp "$scratch/benchmark-Cargo.lock" benchmark/Cargo.lock' EXIT
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml --target-dir "$target"

@@ -55,40 +55,6 @@ fn full_stack_ycsb_with_replication() {
 }
 
 #[test]
-fn hydra_beats_every_baseline_by_an_order_of_magnitude() {
-    // The Fig. 9 headline, at test scale: throughput >= ~5x the best
-    // baseline and latency far below the socket-path stores.
-    use hydra_baselines::{BaselineCluster, BaselineConfig};
-    let w = wl(2_000, 6_000, 0.9, KeyDist::zipfian());
-    let hydra = {
-        let cfg = ClusterConfig {
-            client_nodes: 5,
-            ..ClusterConfig::default()
-        };
-        let mut cluster = ClusterBuilder::new(cfg).build();
-        let clients: Vec<_> = (0..24).map(|i| cluster.add_client(i % 5)).collect();
-        run_workload(&mut cluster.sim, &clients, &w, &DriverConfig::default())
-    };
-    let mut best_baseline = 0.0f64;
-    for cfg in [
-        BaselineConfig::memcached(),
-        BaselineConfig::redis(),
-        BaselineConfig::ramcloud(),
-    ] {
-        let mut c = BaselineCluster::build(cfg);
-        let clients: Vec<_> = (0..24).map(|i| c.add_client(i % 5)).collect();
-        let r = run_workload(&mut c.sim, &clients, &w, &DriverConfig::default());
-        best_baseline = best_baseline.max(r.mops);
-    }
-    assert!(
-        hydra.mops > best_baseline * 4.0,
-        "hydra {:.3} Mops vs best baseline {:.3} Mops",
-        hydra.mops,
-        best_baseline
-    );
-}
-
-#[test]
 fn socket_transport_mode_serves_the_same_api() {
     // HydraDB's TCP mode (Fig. 2's middle bar): same protocol over the
     // socket path with Send/Recv.
