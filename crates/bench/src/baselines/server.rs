@@ -7,7 +7,7 @@ use hydra_fabric::{Fabric, NodeId, QpId};
 use hydra_sim::time::SimTime;
 use hydra_sim::{FifoResource, Sim};
 use hydra_store::{EngineConfig, EngineError, ShardEngine, WriteMode};
-use hydra_wire::{RemotePtr, Request, Response, Status};
+use hydra_wire::{written_value_len, RemotePtr, Request, Response, Status};
 
 /// Which baseline architecture a server instance runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,11 +182,8 @@ impl BaselineServer {
     ) {
         let done_at = {
             let mut s = this.borrow_mut();
-            let req = Request::decode(&payload).expect("well-formed request");
-            let bytes = match &req {
-                Request::Insert { value, .. } | Request::Update { value, .. } => value.len(),
-                _ => 0,
-            };
+            // Priced from the header; `execute` decodes the request once.
+            let bytes = written_value_len(&payload);
             let cost = s.op_base() + (bytes as f64 * s.per_byte_ns).round() as SimTime;
             s.schedule(sim.now(), cost)
         };
@@ -200,7 +197,7 @@ impl BaselineServer {
         let resp = {
             let s = this.borrow();
             let now = sim.now();
-            let req = Request::decode(&payload).expect("validated");
+            let req = Request::decode(&payload).expect("well-formed request");
             let req_id = req.req_id();
             let mut engine = s.engine.borrow_mut();
             let to = |status: Status| Response::status_only(status, req_id).encode();

@@ -11,14 +11,14 @@
 //! * **first op**: fault injection → a client write against the failed
 //!   partition completes successfully again (full client-visible outage).
 //!
-//! Faults come from the hydra-chaos plan vocabulary and are injected through
+//! Faults come from the `hydra_db::chaos` plan vocabulary and are injected through
 //! the cluster's chaos controller, exactly as the consistency tests do.
 //! `HYDRA_SEED` repins the run.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
-use hydra_chaos::FaultEvent;
+use hydra_db::chaos::FaultEvent;
 use hydra_db::{Cluster, ClusterBuilder, ClusterConfig, ReplicationMode, ShardId, BEAT_NS, MISSES};
 use hydra_sim::time::{MS, SEC, US};
 

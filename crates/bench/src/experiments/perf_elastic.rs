@@ -25,7 +25,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use hydra_chaos::FaultEvent;
+use hydra_db::chaos::FaultEvent;
 use hydra_db::{ClientMode, ClusterConfig, HydraClient, MigrationEngine};
 use hydra_sim::time::{as_secs, as_us};
 use hydra_sim::{Histogram, Sim};

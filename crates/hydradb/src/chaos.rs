@@ -1,33 +1,48 @@
-//! Cluster-side fault injection: applies [`hydra_chaos`] fault plans to a
-//! live deployment through the fabric and simulator fault hooks.
+//! Deterministic fault injection and consistency checking.
 //!
-//! The `hydra-chaos` crate defines *what* can go wrong ([`FaultEvent`]) and
-//! *when* ([`Trigger`]); this module owns *how* each fault lands on a
-//! [`Cluster`](crate::Cluster):
+//! HydraDB's headline claim is *resilience*: SWAT failure detection, lease
+//! guarded one-sided reads and RDMA-logged replication all exist to survive
+//! failures (PAPER.md §4.2.3, §5). This module is the adversary that earns
+//! that claim: it turns "the cluster survives failures" from a happy-path
+//! example into a checked property. Three parts:
 //!
-//! * machine faults map to the fabric's crash/freeze hooks (NIC engines
-//!   pause, traffic vanishes) plus the shard servers' liveness flags, so
-//!   the liveness probe and SWAT promotion run exactly as for an organic
-//!   failure;
-//! * network faults map to the fabric's per-link drop/delay/duplicate
-//!   interceptors and symmetric partition cuts — which the probe's reads
-//!   cross like any other traffic — with isolated machines also cut off
-//!   from the coordination service (an external quorum ensemble that is
-//!   not on the fabric), so a secondary there cannot report a suspicion;
-//! * restarts rebuild the node's shards: a never-promoted primary comes
-//!   back with its memory intact, stale or promoted-away secondaries are
-//!   resynced from the current primary's state over a fresh replication
-//!   channel (the old, possibly mid-stream channel is severed).
+//! * `plan` — a **fault plan**: a seed-reproducible schedule of fault
+//!   events ([`FaultEvent`]) pinned to virtual times or op-count triggers.
+//!   Plans are plain data; [`FaultPlan::random`] derives an arbitrarily
+//!   nasty but *replayable* plan from a seed.
+//! * [`ChaosController`] — *how* each fault lands on a
+//!   [`Cluster`](crate::Cluster):
+//!   * machine faults map to the fabric's crash/freeze hooks (NIC engines
+//!     pause, traffic vanishes) plus the shard servers' liveness flags, so
+//!     the liveness probe and SWAT promotion run exactly as for an organic
+//!     failure;
+//!   * network faults map to the fabric's per-link drop/delay/duplicate
+//!     interceptors and symmetric partition cuts — which the probe's reads
+//!     cross like any other traffic — with isolated machines also cut off
+//!     from the coordination service (an external quorum ensemble that is
+//!     not on the fabric), so a secondary there cannot report a suspicion;
+//!   * restarts rebuild the node's shards: a never-promoted primary comes
+//!     back with its memory intact, stale or promoted-away secondaries are
+//!     resynced from the current primary's state over a fresh replication
+//!     channel (the old, possibly mid-stream channel is severed).
+//! * `history` — a **history checker**: every op of a [`RecordingClient`]
+//!   is logged in a [`History`] with its invocation and response on the
+//!   virtual clock, and the history is verified for per-key register
+//!   linearizability (Wing & Gong style DFS with memoization), value
+//!   integrity (no read returns bytes that were never written — the
+//!   torn/stale-read lease-safety check) and, through
+//!   [`check_convergence`], replica convergence after heal.
 //!
-//! Every injected run records client ops in a [`History`] tagged with the
-//! cluster seed, so a checker failure always prints the `HYDRA_SEED` that
-//! reproduces it.
+//! The history is tagged with the cluster seed, so every checker failure
+//! prints the `HYDRA_SEED=<seed>` that reproduces the run event for event.
 
+mod history;
+mod plan;
+
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use hydra_chaos::history::OpKind as HistOp;
-use hydra_chaos::{FaultEvent, FaultPlan, History, Outcome, PlannedFault, Trigger};
 use hydra_fabric::{Fabric, LinkFault, NodeId, Transport};
 use hydra_replication::ReplicationPair;
 use hydra_sim::Sim;
@@ -39,7 +54,11 @@ use crate::migration::{MigrationEngine, Staging};
 use crate::ring::ShardId;
 use crate::server::ShardServer;
 
-use std::cell::RefCell;
+use history::OpKind as HistOp;
+pub use history::{check_convergence, History};
+pub(crate) use history::{Outcome, ReplicaDump};
+pub use plan::{FaultEvent, FaultPlan};
+use plan::{PlannedFault, Trigger};
 
 /// A shared shard-server handle, as stored in [`HaState`] partitions.
 type Srv = Rc<RefCell<ShardServer>>;
@@ -49,8 +68,6 @@ struct ChaosInner {
     fab: Fabric,
     cfg: Rc<ClusterConfig>,
     migration: MigrationEngine,
-    server_nodes: Vec<NodeId>,
-    client_nodes: Vec<NodeId>,
     history: History,
     /// Op-count-triggered faults still waiting for the workload to reach
     /// their threshold.
@@ -82,8 +99,6 @@ impl ChaosController {
         fab: Fabric,
         cfg: Rc<ClusterConfig>,
         migration: MigrationEngine,
-        server_nodes: Vec<NodeId>,
-        client_nodes: Vec<NodeId>,
     ) -> Self {
         let history = History::new(cfg.seed);
         ChaosController {
@@ -92,8 +107,6 @@ impl ChaosController {
                 fab,
                 cfg,
                 migration,
-                server_nodes,
-                client_nodes,
                 history,
                 armed: Vec::new(),
                 crashed: HashSet::new(),
@@ -258,11 +271,8 @@ impl ChaosController {
                 self.pair_fault(*from, *to, LinkFault::duplicate_next(*count));
             }
             FaultEvent::SlowNode { node, factor } => {
-                let (fab, n) = {
-                    let inner = self.inner.borrow();
-                    (inner.fab.clone(), inner.server_nodes[*node])
-                };
-                fab.set_node_slow(n, *factor);
+                let fab = self.inner.borrow().fab.clone();
+                fab.set_node_slow(self.server_node(*node), *factor);
             }
             FaultEvent::ExpireLease { partition } => self.expire_lease(*partition),
             FaultEvent::CrashPrimary { partition } => self.crash_primary(*partition),
@@ -275,52 +285,42 @@ impl ChaosController {
         }
     }
 
-    /// Registers a server machine added after construction (elastic join
-    /// started through [`Cluster::start_migration`](crate::Cluster)), so
-    /// node-indexed faults can target it.
-    pub(crate) fn note_server_node(&self, node: NodeId) {
-        self.inner.borrow_mut().server_nodes.push(node);
+    /// The fabric node of server machine `idx`, resolved against the
+    /// cluster's one machine list.
+    fn server_node(&self, idx: usize) -> NodeId {
+        self.inner.borrow().ha.borrow().server_nodes[idx]
     }
 
     // ---- elasticity events ----
 
     /// Brings a fresh machine online and starts a live join migration of
-    /// `shards` new partitions toward it. The plan ticks in the background;
-    /// ownership flips once the copy quiesces. Composes with the machine
-    /// faults above: crashing the new node mid-copy aborts the plan.
+    /// `shards` new partitions toward it — the join
+    /// [`Cluster::start_migration`](crate::Cluster::start_migration) starts.
+    /// The plan ticks in the background; ownership flips once the copy
+    /// quiesces. Composes with the machine faults above: crashing the new
+    /// node mid-copy aborts the plan.
     fn join_node(&self, sim: &mut Sim, shards: u32) {
-        let (fab, migration) = {
-            let inner = self.inner.borrow();
-            (inner.fab.clone(), inner.migration.clone())
-        };
-        let node = fab.add_node();
-        let nodes = {
-            let mut inner = self.inner.borrow_mut();
-            inner.server_nodes.push(node);
-            inner.server_nodes.clone()
-        };
-        migration.start_join(sim, shards, node, &nodes);
+        let migration = self.inner.borrow().migration.clone();
+        migration.start_join(sim, shards);
     }
 
     /// Starts a live drain of server node `idx`: every primary hosted there
     /// streams its range to the survivors and leaves the ring at the flip.
     fn drain_node(&self, sim: &mut Sim, idx: usize) {
-        let (migration, node) = {
-            let inner = self.inner.borrow();
-            (inner.migration.clone(), inner.server_nodes[idx])
-        };
-        migration.start_drain(sim, node);
+        let migration = self.inner.borrow().migration.clone();
+        migration.start_drain(sim, self.server_node(idx));
     }
 
     // ---- machine faults ----
 
     fn crash_node(&self, sim: &mut Sim, idx: usize) {
-        let (fab, node, ha) = {
+        let node = self.server_node(idx);
+        let (fab, ha) = {
             let mut inner = self.inner.borrow_mut();
             if !inner.crashed.insert(idx) {
                 return; // already down
             }
-            (inner.fab.clone(), inner.server_nodes[idx], inner.ha.clone())
+            (inner.fab.clone(), inner.ha.clone())
         };
         // Power off the machine: NIC engines freeze mid-service, every
         // message from or to it vanishes on the wire.
@@ -343,15 +343,11 @@ impl ChaosController {
     }
 
     fn restart_node(&self, sim: &mut Sim, idx: usize) {
-        let (fab, node, ha_rc, cfg) = {
+        let node = self.server_node(idx);
+        let (fab, ha_rc, cfg) = {
             let mut inner = self.inner.borrow_mut();
             inner.crashed.remove(&idx);
-            (
-                inner.fab.clone(),
-                inner.server_nodes[idx],
-                inner.ha.clone(),
-                inner.cfg.clone(),
-            )
+            (inner.fab.clone(), inner.ha.clone(), inner.cfg.clone())
         };
         fab.unfreeze_node(node, sim.now());
         fab.set_node_crashed(node, false);
@@ -498,12 +494,13 @@ impl ChaosController {
     fn partition(&self, idxs: &[usize]) {
         let (fab, ha, isolated, others) = {
             let inner = self.inner.borrow();
-            let isolated: Vec<NodeId> = idxs.iter().map(|&i| inner.server_nodes[i]).collect();
+            let ha = inner.ha.borrow();
+            let isolated: Vec<NodeId> = idxs.iter().map(|&i| ha.server_nodes[i]).collect();
             let iso_set: HashSet<u32> = isolated.iter().map(|n| n.0).collect();
-            let others: Vec<NodeId> = inner
+            let others: Vec<NodeId> = ha
                 .server_nodes
                 .iter()
-                .chain(inner.client_nodes.iter())
+                .chain(&ha.client_nodes)
                 .filter(|n| !iso_set.contains(&n.0))
                 .copied()
                 .collect();
@@ -535,15 +532,8 @@ impl ChaosController {
     }
 
     fn pair_fault(&self, from: usize, to: usize, fault: LinkFault) {
-        let (fab, a, b) = {
-            let inner = self.inner.borrow();
-            (
-                inner.fab.clone(),
-                inner.server_nodes[from],
-                inner.server_nodes[to],
-            )
-        };
-        fab.set_pair_fault(a, b, fault);
+        let fab = self.inner.borrow().fab.clone();
+        fab.set_pair_fault(self.server_node(from), self.server_node(to), fault);
     }
 
     // ---- process / protocol faults ----

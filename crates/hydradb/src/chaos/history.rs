@@ -31,7 +31,7 @@ use hydra_sim::time::SimTime;
 
 /// What kind of op a record is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
+pub(crate) enum OpKind {
     Get,
     Insert,
     Update,
@@ -47,7 +47,7 @@ impl OpKind {
 
 /// How an op ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Outcome {
+pub(crate) enum Outcome {
     /// Still in flight when the run ended. Writes are maybe-applied; reads
     /// constrain nothing.
     Pending,
@@ -62,15 +62,15 @@ pub enum Outcome {
 
 /// One recorded client op.
 #[derive(Debug)]
-pub(crate) struct OpRecord {
-    pub kind: OpKind,
-    pub key: Vec<u8>,
+struct OpRecord {
+    kind: OpKind,
+    key: Vec<u8>,
     /// The written value for `Insert`/`Update`/`Put` (`None` for `Delete`
     /// and `Get`).
-    pub value: Option<Vec<u8>>,
-    pub invoke: SimTime,
-    pub response: Option<SimTime>,
-    pub outcome: Outcome,
+    value: Option<Vec<u8>>,
+    invoke: SimTime,
+    response: Option<SimTime>,
+    outcome: Outcome,
 }
 
 struct HistoryInner {
@@ -88,8 +88,8 @@ pub struct History {
 /// A consistency-check failure. `Display` (and `Debug`, so `unwrap()`
 /// failures are actionable) include the reproduction seed.
 pub struct Violation {
-    pub seed: u64,
-    pub detail: String,
+    seed: u64,
+    detail: String,
 }
 
 impl fmt::Display for Violation {
@@ -110,7 +110,7 @@ impl fmt::Debug for Violation {
 
 impl History {
     /// Creates an empty history tagged with the run's seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         History {
             inner: Rc::new(RefCell::new(HistoryInner {
                 seed,
@@ -121,7 +121,13 @@ impl History {
 
     /// Records an invocation at `now`; returns the record id to close with
     /// [`end`](Self::end).
-    pub fn begin(&self, kind: OpKind, key: &[u8], value: Option<&[u8]>, now: SimTime) -> usize {
+    pub(crate) fn begin(
+        &self,
+        kind: OpKind,
+        key: &[u8],
+        value: Option<&[u8]>,
+        now: SimTime,
+    ) -> usize {
         let mut inner = self.inner.borrow_mut();
         inner.records.push(OpRecord {
             kind,
@@ -135,7 +141,7 @@ impl History {
     }
 
     /// Records the response for op `id` at `now`.
-    pub fn end(&self, id: usize, now: SimTime, outcome: Outcome) {
+    pub(crate) fn end(&self, id: usize, now: SimTime, outcome: Outcome) {
         let mut inner = self.inner.borrow_mut();
         let r = &mut inner.records[id];
         debug_assert!(r.response.is_none(), "op completed twice");
@@ -244,7 +250,7 @@ impl History {
 
 /// One replica's contents for the convergence checker: a label naming the
 /// replica in violations, plus its sorted `(key, value)` items.
-pub type ReplicaDump = (String, Vec<(Vec<u8>, Vec<u8>)>);
+pub(crate) type ReplicaDump = (String, Vec<(Vec<u8>, Vec<u8>)>);
 
 /// Checks that every replica dump holds the same key→value map.
 pub fn check_convergence(seed: u64, replicas: &[ReplicaDump]) -> Result<(), Violation> {

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 
 /// When a planned fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Trigger {
+pub(crate) enum Trigger {
     /// At a virtual time (nanoseconds on the sim clock).
     At(SimTime),
     /// When the recorded history reaches this many invoked client ops.
@@ -80,9 +80,9 @@ pub enum FaultEvent {
 
 /// A fault pinned to its trigger.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PlannedFault {
-    pub trigger: Trigger,
-    pub fault: FaultEvent,
+pub(crate) struct PlannedFault {
+    pub(crate) trigger: Trigger,
+    pub(crate) fault: FaultEvent,
 }
 
 /// A deterministic schedule of faults. Plans are inert data until handed to
@@ -90,8 +90,8 @@ pub struct PlannedFault {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// The seed this plan derives from; printed by every checker failure.
-    pub seed: u64,
-    pub faults: Vec<PlannedFault>,
+    pub(crate) seed: u64,
+    pub(crate) faults: Vec<PlannedFault>,
 }
 
 impl FaultPlan {

@@ -29,7 +29,7 @@ use hydra_replication::{ReplicationPair, BEAT_NS};
 use hydra_sim::time::{SimTime, MS};
 use hydra_sim::Sim;
 
-use crate::chaos::{ChaosController, RecordingClient};
+use crate::chaos::{ChaosController, FaultEvent, FaultPlan, RecordingClient, ReplicaDump};
 use crate::client::{ClientInner, HydraClient, PtrCache};
 use crate::config::{ClientMode, ClusterConfig};
 use crate::coord::{Coord, CreateMode, LeaderElection, SessionId};
@@ -317,6 +317,12 @@ pub(crate) struct HaState {
     pub(crate) directory: Rc<RefCell<Directory>>,
     pub(crate) fab: Fabric,
     pub(crate) cfg: Rc<ClusterConfig>,
+    /// Server machines in the order they came up: the builder's, then each
+    /// joined one. The one list every node index resolves against — fault
+    /// targets, drains, collocated clients, group placement and reports.
+    pub(crate) server_nodes: Vec<NodeId>,
+    /// Client machines, in id order.
+    pub(crate) client_nodes: Vec<NodeId>,
     pub(crate) swat_sessions: Vec<SessionId>,
     pub(crate) swat_elections: Vec<LeaderElection>,
     pub(crate) promotions: u64,
@@ -343,17 +349,13 @@ impl HaState {
     /// the primary registered with the coordination service. Returns the
     /// partition id. Publishing it — ring and directory — is the caller's
     /// step: the builder does so at once, a live join only at its flip.
-    pub(crate) fn spawn_group(
-        &mut self,
-        server_nodes: &[NodeId],
-        home: usize,
-        now: SimTime,
-    ) -> u32 {
+    pub(crate) fn spawn_group(&mut self, home: usize, now: SimTime) -> u32 {
         let p = self.partitions.len() as u32;
-        let primary = ShardServer::new(ShardId(p), server_nodes[home], &self.fab, self.cfg.clone());
+        let nodes = &self.server_nodes;
+        let primary = ShardServer::new(ShardId(p), nodes[home], &self.fab, self.cfg.clone());
         let secondaries: Vec<_> = (1..=self.cfg.replicas)
             .map(|r| {
-                let node = server_nodes[(home + r as usize) % server_nodes.len()];
+                let node = nodes[(home + r as usize) % nodes.len()];
                 let sec =
                     ShardServer::new(ShardId(p + (r * 10_000)), node, &self.fab, self.cfg.clone());
                 couple(&self.fab, &self.cfg, &primary, &sec);
@@ -535,6 +537,8 @@ impl ClusterBuilder {
             directory: directory.clone(),
             fab: fab.clone(),
             cfg: cfg.clone(),
+            server_nodes: server_nodes.clone(),
+            client_nodes: client_nodes.clone(),
             swat_sessions: Vec::new(),
             swat_elections: Vec::new(),
             promotions: 0,
@@ -549,7 +553,7 @@ impl ClusterBuilder {
             } else {
                 (i / cfg.shards_per_node) as usize
             };
-            let p = ha.spawn_group(&server_nodes, home, 0);
+            let p = ha.spawn_group(home, 0);
             let mut dir = directory.borrow_mut();
             dir.ring.add_shard(ShardId(p));
             dir.shards
@@ -606,9 +610,13 @@ pub struct Cluster {
     ha: Rc<RefCell<HaState>>,
     /// Live-migration orchestrator (node join/drain under traffic).
     pub migration: MigrationEngine,
-    /// Server machines, in id order.
+    /// The server machines the builder made, in id order. Machines joined
+    /// later are not added here: [`server_machines`](Self::server_machines)
+    /// is the live list. Public only because the benchmark's per-layer
+    /// table (`benchmark/src/layers.rs`) reads it.
     pub server_nodes: Vec<NodeId>,
-    /// Client machines, in id order.
+    /// Client machines, in id order. Public only because the benchmark's
+    /// per-layer table (`benchmark/src/layers.rs`) reads it.
     pub client_nodes: Vec<NodeId>,
     clients: Vec<HydraClient>,
     shared_caches: HashMap<usize, PtrCache>,
@@ -621,7 +629,8 @@ impl Cluster {
     /// placement is the caller's policy).
     pub fn add_client(&mut self, node_idx: usize) -> HydraClient {
         let node = if self.cfg.collocate_clients {
-            self.server_nodes[node_idx % self.server_nodes.len()]
+            let servers = &self.ha.borrow().server_nodes;
+            servers[node_idx % servers.len()]
         } else {
             self.client_nodes[node_idx % self.client_nodes.len()]
         };
@@ -646,6 +655,13 @@ impl Cluster {
         );
         self.clients.push(client.clone());
         client
+    }
+
+    /// Every server machine, joined ones included, in the order they came
+    /// up; index `i` here is server node `i` of [`FaultEvent`]s and of
+    /// [`start_drain_server`](Self::start_drain_server).
+    pub fn server_machines(&self) -> Vec<NodeId> {
+        self.ha.borrow().server_nodes.clone()
     }
 
     /// All clients created so far.
@@ -773,8 +789,6 @@ impl Cluster {
                 self.fab.clone(),
                 self.cfg.clone(),
                 self.migration.clone(),
-                self.server_nodes.clone(),
-                self.client_nodes.clone(),
             ));
         }
         self.chaos.clone().unwrap()
@@ -789,7 +803,7 @@ impl Cluster {
     }
 
     /// Installs a fault plan on this cluster's controller.
-    pub fn install_plan(&mut self, plan: &hydra_chaos::FaultPlan) {
+    pub fn install_plan(&mut self, plan: &FaultPlan) {
         let chaos = self.chaos();
         chaos.install_plan(&mut self.sim, plan);
     }
@@ -816,21 +830,17 @@ impl Cluster {
     /// Crashes a partition's current primary process: it stops serving,
     /// stamping its liveness word, and replicating. Detection requires
     /// [`enable_ha`](Self::enable_ha). Thin wrapper over the chaos
-    /// controller's [`FaultEvent::CrashPrimary`](hydra_chaos::FaultEvent).
+    /// controller's [`FaultEvent::CrashPrimary`].
     pub fn kill_primary(&mut self, partition: u32) {
         let chaos = self.chaos();
-        chaos.apply(
-            &mut self.sim,
-            &hydra_chaos::FaultEvent::CrashPrimary { partition },
-        );
+        chaos.apply(&mut self.sim, &FaultEvent::CrashPrimary { partition });
     }
 
     /// Crashes the current SWAT leader (tests the leader hand-over path).
-    /// Thin wrapper over
-    /// [`FaultEvent::ExpireSwatLeader`](hydra_chaos::FaultEvent).
+    /// Thin wrapper over [`FaultEvent::ExpireSwatLeader`].
     pub fn kill_swat_leader(&mut self) {
         let chaos = self.chaos();
-        chaos.apply(&mut self.sim, &hydra_chaos::FaultEvent::ExpireSwatLeader);
+        chaos.apply(&mut self.sim, &FaultEvent::ExpireSwatLeader);
     }
 
     /// Drives outstanding replication to a fixed point: requests acks on
@@ -867,8 +877,8 @@ impl Cluster {
 
     /// Sorted key-value dumps of one partition's replicas, labeled for the
     /// convergence checker
-    /// ([`check_convergence`](hydra_chaos::check_convergence)).
-    pub fn replica_dumps(&self, partition: u32) -> Vec<hydra_chaos::ReplicaDump> {
+    /// ([`check_convergence`](crate::chaos::check_convergence)).
+    pub fn replica_dumps(&self, partition: u32) -> Vec<ReplicaDump> {
         let ha = self.ha.borrow();
         let state = &ha.partitions[partition as usize];
         let dump = |server: &Rc<RefCell<ShardServer>>| {
@@ -987,10 +997,10 @@ impl Cluster {
                 }
             })
             .collect();
-        let nodes = self
+        let nodes = ha
             .server_nodes
             .iter()
-            .chain(self.client_nodes.iter())
+            .chain(&ha.client_nodes)
             .map(|&n| {
                 let st = self.fab.node_stats(n);
                 NodeFabricReport {
@@ -1023,13 +1033,7 @@ impl Cluster {
     /// see `migration` for the state machine. Returns the plan
     /// handle; drive `sim` (or keep issuing ops) to make progress.
     pub fn start_migration(&mut self, new_shards: u32) -> MigrationHandle {
-        let node = self.fab.add_node();
-        self.server_nodes.push(node);
-        if let Some(chaos) = &self.chaos {
-            chaos.note_server_node(node);
-        }
-        self.migration
-            .start_join(&mut self.sim, new_shards, node, &self.server_nodes)
+        self.migration.start_join(&mut self.sim, new_shards)
     }
 
     /// Node-join reconfiguration run to completion: starts a live join plan
@@ -1053,7 +1057,7 @@ impl Cluster {
     /// to the surviving owners and leaves the ring at the flip. Returns the
     /// plan handle.
     pub fn start_drain_server(&mut self, node_idx: usize) -> MigrationHandle {
-        let node = self.server_nodes[node_idx];
+        let node = self.ha.borrow().server_nodes[node_idx];
         self.migration.start_drain(&mut self.sim, node)
     }
 

@@ -3,9 +3,10 @@
 //! This is the core crate of the SC '15 reproduction: the shard server, the
 //! client library, and the cluster runtime, built on the substrates in the
 //! sibling crates (`hydra-fabric` for verbs, `hydra-store` for the memory
-//! engine, `hydra-replication` for HA log shipping) and its own
+//! engine, `hydra-replication` for HA log shipping), its own
 //! ZooKeeper-like coordination kernel (`coord`), which the SWAT group
-//! consumes.
+//! consumes, and the adversary that checks its resilience ([`chaos`]: fault
+//! plans, their injection, and the linearizability and convergence checker).
 //!
 //! # Architecture (paper §4–§5)
 //!
@@ -46,7 +47,7 @@
 
 #![forbid(unsafe_code)]
 
-mod chaos;
+pub mod chaos;
 pub mod client;
 mod cluster;
 mod config;
@@ -56,7 +57,6 @@ mod migration;
 mod ring;
 pub mod server;
 
-pub use chaos::{ChaosController, RecordingClient};
 pub use client::{ClientStats, HydraClient, OpError};
 pub use cluster::{Cluster, ClusterBuilder};
 pub use config::{

@@ -592,36 +592,28 @@ impl MigrationEngine {
         );
     }
 
-    /// Starts a node-join plan: `new_shards` fresh partitions homed on
-    /// `node` (already added to the fabric and to `server_nodes`), spawned
-    /// by the builder's group assembler, every live shard streaming its
-    /// moving ranges toward them. The new partitions join the
-    /// directory only at the flip.
-    pub(crate) fn start_join(
-        &self,
-        sim: &mut Sim,
-        new_shards: u32,
-        node: NodeId,
-        server_nodes: &[NodeId],
-    ) -> MigrationHandle {
+    /// Starts a node-join plan: a new machine comes up on the fabric and
+    /// joins the server list, `new_shards` fresh partitions spawned on it by
+    /// the builder's group assembler, every live shard streaming its moving
+    /// ranges toward them. The new partitions join the directory only at
+    /// the flip.
+    pub(crate) fn start_join(&self, sim: &mut Sim, new_shards: u32) -> MigrationHandle {
         assert!(new_shards > 0);
         let (fab, ha_rc, directory) = {
             let inner = self.inner.borrow();
             Self::assert_settled(&inner);
             (inner.fab.clone(), inner.ha.clone(), inner.directory.clone())
         };
-        let home = server_nodes
-            .iter()
-            .position(|n| *n == node)
-            .expect("joining node registered in server_nodes");
+        let mut ha = ha_rc.borrow_mut();
+        let home = ha.server_nodes.len();
+        ha.server_nodes.push(fab.add_node());
 
         // Spawn the new groups through the builder's own assembler — their
         // replicas land on the *existing* machines, so a joiner crash never
         // strands the only copy of migrated data — but keep them out of the
         // live ring and directory until the flip.
-        let mut ha = ha_rc.borrow_mut();
         let new_parts: Vec<u32> = (0..new_shards)
-            .map(|_| ha.spawn_group(server_nodes, home, sim.now()))
+            .map(|_| ha.spawn_group(home, sim.now()))
             .collect();
 
         // Target ring: live ring plus the joiners (monotone consistent

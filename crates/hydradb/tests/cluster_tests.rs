@@ -1070,7 +1070,7 @@ fn a_promotion_between_attempts_lets_every_op_in_the_frame_succeed() {
 /// region the fabric can never deregister.
 #[test]
 fn membership_churn_leaks_no_qps_and_no_staging_regions() {
-    use hydra_chaos::FaultEvent;
+    use hydra_db::chaos::FaultEvent;
     // Crash -> restart twice, then join -> drain; returns each node's MTT
     // footprint afterwards.
     let churn = |migration_quantum_items: u32| -> Vec<u64> {
@@ -1094,7 +1094,7 @@ fn membership_churn_leaks_no_qps_and_no_staging_regions() {
         cluster.sim.run();
         let qps = |c: &Cluster| -> Vec<u32> {
             let per_node = |&n| c.fab.qp_count(n);
-            c.server_nodes.iter().map(per_node).collect()
+            c.server_machines().iter().map(per_node).collect()
         };
         let before = qps(&cluster);
         let chaos = cluster.chaos();
@@ -1116,13 +1116,73 @@ fn membership_churn_leaks_no_qps_and_no_staging_regions() {
             "migration churn leaked QPs"
         );
         let per_node = |&n| cluster.fab.mtt_registered(n);
-        cluster.server_nodes.iter().map(per_node).collect()
+        cluster.server_machines().iter().map(per_node).collect()
     };
     assert_eq!(
         churn(8),
         churn(64),
         "MTT footprint must not depend on how many quanta a migration took"
     );
+}
+
+/// A join started by a fault plan and one started through the cluster land
+/// in one server-machine list, so a machine index means the same machine to
+/// the report, to a fault event and to a drain. When the chaos controller
+/// kept a copy of its own, a plan's `JoinNode` reached only that copy: the
+/// report listed the builder's machines alone, and after a further
+/// `start_migration` index 2 named the plan's joiner to `CrashNode` but the
+/// cluster's joiner to `drain_server`.
+#[test]
+fn plan_and_cluster_joins_share_one_machine_list() {
+    use hydra_db::chaos::FaultEvent;
+    let mut cluster = build(ClusterConfig {
+        server_nodes: 2,
+        shards_per_node: 1,
+        replicas: 1,
+        replication: ReplicationMode::GroupCommit,
+        ..ClusterConfig::default()
+    });
+    let client = cluster.add_client(0);
+    for i in 0..300u32 {
+        let key = format!("k{i:04}");
+        put_ok(&mut cluster, &client, key.as_bytes(), &i.to_le_bytes());
+    }
+    let chaos = cluster.chaos();
+    chaos.apply(&mut cluster.sim, &FaultEvent::JoinNode { shards: 1 });
+    cluster.sim.run();
+    let report = cluster.report();
+    assert_eq!(report.rows.len(), 3, "the plan's join flipped");
+    let listed: Vec<u32> = report.nodes.iter().map(|n| n.node).collect();
+    for p in 0..3 {
+        let shard = cluster.shard(p);
+        let hosts = std::iter::once(&shard.primary).chain(&shard.secondaries);
+        for server in hosts {
+            let node = server.borrow().node;
+            assert!(
+                listed.contains(&node.0),
+                "partition {p} lives on {node:?}, which the report lists nowhere in {listed:?}"
+            );
+        }
+    }
+
+    cluster.add_server_with_migration(1);
+    assert_eq!(cluster.server_machines().len(), 4);
+    // Server machine 2 is the plan's joiner: it alone homes partition 2.
+    let machine = cluster.server_machines()[2];
+    assert_eq!(cluster.shard(2).primary.borrow().node, machine);
+    assert_eq!(
+        cluster.drain_server(2),
+        vec![2],
+        "drain_server(2) drains machine 2"
+    );
+    chaos.apply(&mut cluster.sim, &FaultEvent::CrashNode { node: 2 });
+    assert!(
+        cluster.fab.is_node_crashed(machine),
+        "CrashNode {{ node: 2 }} powers off the machine drain_server(2) drained"
+    );
+    let mut crashed = cluster.server_machines();
+    crashed.retain(|&n| cluster.fab.is_node_crashed(n));
+    assert_eq!(crashed, [machine], "and no other");
 }
 
 /// Restarting a machine costs its NIC nothing the first restart did not
@@ -1136,7 +1196,7 @@ fn membership_churn_leaks_no_qps_and_no_staging_regions() {
 /// regions to its peer.
 #[test]
 fn restart_cycles_reuse_their_registrations_at_the_cluster_page_size() {
-    use hydra_chaos::FaultEvent;
+    use hydra_db::chaos::FaultEvent;
     // Load, five crash -> restart cycles of node 1 under HA (the first
     // promotes partition 1 away and rebuilds its replica on the returning
     // machine; the rest resync both replicas hosted there), then a join that
@@ -1198,7 +1258,8 @@ fn restart_cycles_reuse_their_registrations_at_the_cluster_page_size() {
         );
         cluster.add_server_with_migration(1);
         assert_eq!(cluster.ownership_audit(), (0, 0));
-        let nodes = cluster.server_nodes.iter().chain(&cluster.client_nodes);
+        let servers = cluster.server_machines();
+        let nodes = servers.iter().chain(&cluster.client_nodes);
         nodes.map(|&n| cluster.fab.mtt_registered(n)).collect()
     };
     assert_eq!(

@@ -730,6 +730,21 @@ pub fn channel_tag(req: &[u8]) -> u16 {
     }
 }
 
+/// The value length an encoded INSERT or UPDATE carries, read from its
+/// header alone (0 for any other request, or a buffer too short to carry a
+/// header): what a server prices a write by before it decodes the request.
+pub fn written_value_len(req: &[u8]) -> usize {
+    if req.len() < REQ_HDR {
+        return 0;
+    }
+    match OpCode::from_u8(req[0]) {
+        Some(OpCode::Insert | OpCode::Update) => {
+            u32::from_le_bytes([req[8], req[9], req[10], req[11]]) as usize
+        }
+        _ => 0,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -760,6 +775,39 @@ mod tests {
             req_id: 4,
             key: b"",
         });
+    }
+
+    #[test]
+    fn written_value_len_reads_the_header() {
+        let (key, value) = (&b"k"[..], &[7u8; 40][..]);
+        let insert = Request::Insert {
+            req_id: 1,
+            key,
+            value,
+        }
+        .encode();
+        assert_eq!(written_value_len(&insert), 40);
+        let update = Request::Update {
+            req_id: 2,
+            key,
+            value: &value[..9],
+        };
+        assert_eq!(written_value_len(&update.encode()), 9);
+        let scan = Request::Scan {
+            req_id: 3,
+            start: key,
+            limit: 8,
+        };
+        assert_eq!(
+            written_value_len(&scan.encode()),
+            0,
+            "a scan's limit is no value"
+        );
+        assert_eq!(
+            written_value_len(&Request::Get { req_id: 4, key }.encode()),
+            0
+        );
+        assert_eq!(written_value_len(&insert[..REQ_HDR - 1]), 0);
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub use batch::{
 pub use codec::{
     backlog_hint, channel_tag, scan_items_begin, scan_items_finish, scan_items_merge,
     scan_items_push, scan_items_rank, scan_response_begin, scan_response_finish, set_backlog_hint,
-    set_channel_tag, ReplicaPtr, ReplicaSet, Request, Response, ScanItems, ScanSpan, Status,
-    MAX_EXPORT_PTRS, RESP_HDR, SCAN_ENTRY_HDR, SCAN_ITEMS_HDR,
+    set_channel_tag, written_value_len, ReplicaPtr, ReplicaSet, Request, Response, ScanItems,
+    ScanSpan, Status, MAX_EXPORT_PTRS, RESP_HDR, SCAN_ENTRY_HDR, SCAN_ITEMS_HDR,
 };
 pub use frame::frame_to_words;
 pub use log::{LogOp, LogRecord};

@@ -1,6 +1,6 @@
 //! High availability end to end (§5), driven by a scripted chaos plan:
 //! replicated writes, a machine crash and a network partition injected by
-//! the hydra-chaos engine, detection by the secondaries' RDMA-read liveness
+//! the `hydra_db::chaos` engine, detection by the secondaries' RDMA-read liveness
 //! probe ("a few missed heartbeats"), fence, SWAT promotion and client
 //! wake — printed as a timeline in microseconds — then recovery and
 //! machine-checked consistency: every recorded op linearizable, no stale
@@ -12,8 +12,8 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use hydra_chaos::{check_convergence, FaultEvent, FaultPlan};
-use hydra_db::{ClusterBuilder, ClusterConfig, RecordingClient, ReplicationMode};
+use hydra_db::chaos::{check_convergence, FaultEvent, FaultPlan, RecordingClient};
+use hydra_db::{ClusterBuilder, ClusterConfig, ReplicationMode};
 use hydra_sim::time::{SimTime, MS, SEC, US};
 
 fn main() {

@@ -55,8 +55,8 @@ echo "==> benchmark crate (builds against the workspace; one smoke pass per work
 # benchmark/ is a package of its own, outside the workspace: API drift
 # against it is caught here rather than by the pipeline running BENCHMARK.json.
 # Building it without --locked lets cargo rewrite benchmark/Cargo.lock (it
-# still lists crossbeam-epoch and hydra-coord, which are no longer in the
-# workspace): the file is saved first and put back after the smoke passes, or
+# still lists crossbeam-epoch, hydra-coord and hydra-chaos, which are no longer
+# in the workspace): the file is saved first and put back after the smoke passes, or
 # on any exit.
 cp benchmark/Cargo.lock "$SMOKE_RESULTS/benchmark-Cargo.lock"
 trap 'cp "$SMOKE_RESULTS/benchmark-Cargo.lock" benchmark/Cargo.lock; rm -rf "$SMOKE_RESULTS"' EXIT

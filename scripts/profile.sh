@@ -31,7 +31,8 @@ target=${CARGO_TARGET_DIR:-$PWD/benchmark/target}
 mkdir -p "$scratch"
 
 # Building benchmark/ without --locked rewrites benchmark/Cargo.lock (it still
-# lists crossbeam-epoch and hydra-coord, which are no longer in the workspace):
+# lists crossbeam-epoch, hydra-coord and hydra-chaos, which are no longer in
+# the workspace):
 # put it back as it was found.
 cp benchmark/Cargo.lock "$scratch/benchmark-Cargo.lock"
 trap 'cp "$scratch/benchmark-Cargo.lock" benchmark/Cargo.lock' EXIT

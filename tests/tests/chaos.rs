@@ -1,4 +1,4 @@
-//! Fault-injection integration (the hydra-chaos adversary): random and
+//! Fault-injection integration (the `hydra_db::chaos` adversary): random and
 //! directed fault plans against replicated clusters, with every client op
 //! recorded and the resulting history checked for per-key linearizability,
 //! read integrity (no torn or never-written values) and replica convergence
@@ -8,8 +8,8 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use hydra_chaos::{check_convergence, FaultEvent, FaultPlan};
-use hydra_db::{ClusterBuilder, ClusterConfig, RecordingClient, ReplicationMode, SchedulerKind};
+use hydra_db::chaos::{check_convergence, ChaosController, FaultEvent, FaultPlan, RecordingClient};
+use hydra_db::{ClusterBuilder, ClusterConfig, ReplicationMode, SchedulerKind};
 use hydra_sim::time::{MS, SEC};
 use hydra_sim::Sim;
 use proptest::prelude::*;
@@ -1234,7 +1234,7 @@ fn failover_is_a_few_missed_beats_at_every_fault_phase() {
 /// linearizability, reads that observed real writes, converged replicas,
 /// and balanced arena books on every copy (each carved word live, free or
 /// retired).
-fn assert_history_clean(cluster: &hydra_db::Cluster, chaos: &hydra_db::ChaosController, seed: u64) {
+fn assert_history_clean(cluster: &hydra_db::Cluster, chaos: &ChaosController, seed: u64) {
     let history = chaos.history();
     if let Err(v) = history.check_linearizable() {
         panic!("{v}");
@@ -1270,7 +1270,7 @@ fn recorded_gc_cluster(
     seed: u64,
     replicas: u32,
     ops: usize,
-) -> (hydra_db::Cluster, hydra_db::ChaosController, Rc<Cell<bool>>) {
+) -> (hydra_db::Cluster, ChaosController, Rc<Cell<bool>>) {
     let cfg = ClusterConfig {
         seed,
         server_nodes: 3,

@@ -22,9 +22,9 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use hydra_chaos::FaultEvent;
+use hydra_db::chaos::{ChaosController, FaultEvent};
 use hydra_db::client::{OpCb, OpError};
-use hydra_db::{ChaosController, Cluster, ClusterBuilder, ClusterConfig, HydraClient};
+use hydra_db::{Cluster, ClusterBuilder, ClusterConfig, HydraClient};
 use hydra_fabric::QpId;
 use hydra_sim::time::SEC;
 use hydra_sim::SimTime;

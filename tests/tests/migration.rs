@@ -6,8 +6,8 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use hydra_chaos::{FaultEvent, FaultPlan};
-use hydra_db::{ClusterBuilder, ClusterConfig, MigrationOutcome, RecordingClient, ReplicationMode};
+use hydra_db::chaos::{FaultEvent, FaultPlan, RecordingClient};
+use hydra_db::{ClusterBuilder, ClusterConfig, MigrationOutcome, ReplicationMode};
 use hydra_integration::{get_value, put_ok, step_until};
 use hydra_sim::time::MS;
 use hydra_sim::Sim;
