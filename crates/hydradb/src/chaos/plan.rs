@@ -60,8 +60,8 @@ pub enum FaultEvent {
     /// `kill_primary` fault): the process stops serving and heartbeating
     /// but the machine and its other shards stay up.
     CrashPrimary { partition: u32 },
-    /// Expire the SWAT leader's coordination session, forcing a watcher
-    /// re-election before any subsequent failover can proceed.
+    /// Expire the SWAT leader's coordination session: the next live member
+    /// of the SWAT group leads from then on.
     ExpireSwatLeader,
     /// Make one partition's replication appliers fail to process record
     /// `seq` (secondary-side processing fault, PAPER.md §5.2): the

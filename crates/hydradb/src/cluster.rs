@@ -3,18 +3,17 @@
 //!
 //! A [`ClusterBuilder`] materializes a [`ClusterConfig`] into fabric nodes,
 //! shard servers (primaries + secondaries coupled by replication channels),
-//! a ZooKeeper-like coordination service, and the SWAT group. The resulting
+//! a ZooKeeper-like session table, and the SWAT group. The resulting
 //! [`Cluster`] owns the simulation and hands out [`HydraClient`]s.
 //!
 //! Failure handling follows the paper's "a few missed heartbeats" (§5.1),
 //! with the heartbeats moved onto the fabric (DESIGN.md §16). Every primary
-//! shard owns an ephemeral znode under `/servers` — its membership record —
-//! and stamps a liveness word in registered memory every beat; its first
-//! live secondary reads the word one-sidedly every beat and, after
-//! [`MISSES`](hydra_replication::MISSES) beats without a fresh stamp,
-//! revokes the primary's write permission on its replication ring, applies
-//! what had landed and reports to the SWAT leader (elected via
-//! ephemeral-sequential znodes). The leader
+//! shard holds a coordination session and stamps a liveness word in
+//! registered memory every beat; its first live secondary reads the word
+//! one-sidedly every beat and, after [`MISSES`](hydra_replication::MISSES)
+//! beats without a fresh stamp, revokes the primary's write permission on
+//! its replication ring, applies what had landed and reports to the SWAT
+//! leader (the earliest-joined SWAT member whose session lives). The leader
 //! expires the primary's session, promotes the reporter, re-couples the
 //! remaining secondaries and publishes the new partition map — which wakes
 //! every client with a shipment parked on the deposed primary. Both
@@ -32,7 +31,7 @@ use hydra_sim::Sim;
 use crate::chaos::{ChaosController, FaultEvent, FaultPlan, RecordingClient, ReplicaDump};
 use crate::client::{ClientInner, HydraClient, PtrCache};
 use crate::config::{ClientMode, ClusterConfig};
-use crate::coord::{Coord, CreateMode, LeaderElection, SessionId};
+use crate::coord::{Coord, SessionId};
 use crate::migration::{self, MigrationEngine, MigrationHandle, MigrationOutcome};
 use crate::ring::{HashRing, ShardId};
 use crate::server::{ReplicaExport, ShardServer};
@@ -57,9 +56,9 @@ const NOTIFY_BYTES: usize = 64;
 
 /// The SWAT members' own coordination sessions, which decide who leads:
 /// heartbeat period, session-expiry scan period, and the silence after which
-/// a member loses its place in the election. (Shard liveness is not a
-/// coordination matter: each primary is probed by its secondary every
-/// [`BEAT_NS`], DESIGN.md §16.)
+/// a member loses its place in the leadership order. (Shard liveness is
+/// not a coordination matter: each primary is probed by its secondary
+/// every [`BEAT_NS`], DESIGN.md §16.)
 const SWAT_HEARTBEAT_NS: SimTime = 5 * MS;
 const SWAT_TICK_NS: SimTime = 10 * MS;
 const SWAT_SESSION_TIMEOUT_NS: SimTime = 25 * MS;
@@ -281,13 +280,6 @@ pub(crate) struct PartitionState {
     pub(crate) session: SessionId,
 }
 
-/// The ephemeral znode partition `p`'s primary holds while its session
-/// lives: the partition's membership record, gone when SWAT expires the
-/// session to depose the primary.
-pub(crate) fn partition_znode(p: usize) -> String {
-    format!("/servers/part-{p}")
-}
-
 /// Couples `secondary` to `primary`: a fresh replication channel, plus the
 /// secondary's arena registered for hot-key pointer export (read
 /// spreading). Nothing to couple when the deployment does not replicate.
@@ -323,8 +315,8 @@ pub(crate) struct HaState {
     pub(crate) server_nodes: Vec<NodeId>,
     /// Client machines, in id order.
     pub(crate) client_nodes: Vec<NodeId>,
+    /// The SWAT group's sessions, in join order.
     pub(crate) swat_sessions: Vec<SessionId>,
-    pub(crate) swat_elections: Vec<LeaderElection>,
     pub(crate) promotions: u64,
     pub(crate) failovers: Vec<Failover>,
     pub(crate) monitoring_until: SimTime,
@@ -333,14 +325,20 @@ pub(crate) struct HaState {
     /// may fence its primary but its report never arrives, so it is never
     /// promoted.
     pub(crate) partitioned_nodes: std::collections::HashSet<u32>,
+    /// The directory generation the last migration flip published (0
+    /// before any).
+    pub(crate) migration_epoch: u64,
 }
 
 impl HaState {
-    /// The SWAT member currently leading reactions, if any.
+    /// The SWAT member currently leading reactions, if any: the
+    /// earliest-joined one whose session lives. This is ZooKeeper's
+    /// ephemeral-sequential election, whose sequence znodes sort in join
+    /// order and die with their sessions.
     pub(crate) fn swat_leader_idx(&self) -> Option<usize> {
-        self.swat_elections
+        self.swat_sessions
             .iter()
-            .position(|e| e.is_leader(&self.coord).unwrap_or(false))
+            .position(|&s| self.coord.session_alive(s))
     }
 
     /// Assembles the next partition's replica group: a primary on
@@ -362,7 +360,7 @@ impl HaState {
                 sec
             })
             .collect();
-        let session = self.register_primary(p as usize, now);
+        let session = self.register_primary(now);
         self.partitions.push(PartitionState {
             primary,
             secondaries,
@@ -371,22 +369,12 @@ impl HaState {
         p
     }
 
-    /// Registers partition `p`'s (new) primary with the coordination
-    /// service: a session owning the partition's ephemeral znode, the
-    /// membership record. The session never times out — liveness is the
-    /// probe's business — and ends when SWAT expires it to depose its
-    /// holder.
-    pub(crate) fn register_primary(&mut self, p: usize, now: SimTime) -> SessionId {
-        let session = self.coord.create_session(now, SimTime::MAX);
-        self.coord
-            .create(
-                &partition_znode(p),
-                p.to_string().into_bytes(),
-                CreateMode::Ephemeral,
-                Some(session),
-            )
-            .expect("the predecessor's znode went with its session");
-        session
+    /// Registers a (new) primary with the coordination service: a session
+    /// that never times out — liveness is the probe's business — and ends
+    /// when SWAT expires it to depose its holder, or when an aborted join
+    /// tears its partition down.
+    pub(crate) fn register_primary(&mut self, now: SimTime) -> SessionId {
+        self.coord.create_session(now, SimTime::MAX)
     }
 
     /// One beat of every partition's failure detector: live primaries stamp
@@ -482,8 +470,8 @@ impl HaState {
             couple(&self.fab, &self.cfg, &new_primary, sec);
         }
         migration::on_promotion(&new_primary);
-        // New primary registers its own session + ephemeral.
-        let session = self.register_primary(partition, sim.now());
+        // The new primary registers its own session.
+        let session = self.register_primary(sim.now());
         self.partitions[partition].session = session;
         // Publish the reconfiguration.
         {
@@ -521,10 +509,6 @@ impl ClusterBuilder {
         let server_nodes: Vec<NodeId> = (0..cfg.server_nodes).map(|_| fab.add_node()).collect();
         let client_nodes: Vec<NodeId> = (0..cfg.client_nodes).map(|_| fab.add_node()).collect();
 
-        let mut coord = Coord::new();
-        coord
-            .create("/servers", Vec::new(), CreateMode::Persistent, None)
-            .expect("fresh tree");
         let directory = Rc::new(RefCell::new(Directory {
             ring: HashRing::new(),
             shards: HashMap::new(),
@@ -532,7 +516,7 @@ impl ClusterBuilder {
             subscribers: Vec::new(),
         }));
         let mut ha = HaState {
-            coord,
+            coord: Coord::default(),
             partitions: Vec::new(),
             directory: directory.clone(),
             fab: fab.clone(),
@@ -540,11 +524,11 @@ impl ClusterBuilder {
             server_nodes: server_nodes.clone(),
             client_nodes: client_nodes.clone(),
             swat_sessions: Vec::new(),
-            swat_elections: Vec::new(),
             promotions: 0,
             failovers: Vec::new(),
             monitoring_until: 0,
             partitioned_nodes: std::collections::HashSet::new(),
+            migration_epoch: 0,
         };
 
         for i in 0..cfg.total_shards() {
@@ -560,18 +544,10 @@ impl ClusterBuilder {
                 .insert(p, ha.partitions[p as usize].primary.clone());
         }
 
-        // SWAT group: two members with an ephemeral-sequential election.
-        for m in 0..2 {
+        // SWAT group: two members, joined in order; the first live one leads.
+        for _ in 0..2 {
             let s = ha.coord.create_session(0, SWAT_SESSION_TIMEOUT_NS);
-            let e = LeaderElection::join(
-                &mut ha.coord,
-                "/swat/election",
-                s,
-                format!("swat-{m}").into_bytes(),
-            )
-            .expect("election joins");
             ha.swat_sessions.push(s);
-            ha.swat_elections.push(e);
         }
 
         let ha = Rc::new(RefCell::new(ha));
@@ -704,12 +680,12 @@ impl Cluster {
     /// Without this, failures are never detected.
     pub fn enable_ha(&mut self, until: SimTime) {
         {
-            let mut ha = self.ha.borrow_mut();
+            let ha = &mut *self.ha.borrow_mut();
             ha.monitoring_until = until;
             // Align session liveness with the monitoring start.
             let now = self.sim.now();
-            for s in ha.swat_sessions.clone() {
-                let _ = ha.coord.heartbeat(s, now);
+            for &s in &ha.swat_sessions {
+                ha.coord.heartbeat(s, now);
             }
         }
         Self::schedule_beat(&self.ha, &mut self.sim);
@@ -748,14 +724,12 @@ impl Cluster {
         sim.schedule_in(SWAT_HEARTBEAT_NS, move |sim| {
             let now = sim.now();
             {
-                let mut ha = ha2.borrow_mut();
+                let ha = &mut *ha2.borrow_mut();
                 if now > ha.monitoring_until {
                     return;
                 }
-                for s in ha.swat_sessions.clone() {
-                    if ha.coord.session_alive(s) {
-                        let _ = ha.coord.heartbeat(s, now);
-                    }
+                for &s in &ha.swat_sessions {
+                    ha.coord.heartbeat(s, now);
                 }
             }
             Cluster::schedule_heartbeat(&ha2, sim);
@@ -771,8 +745,8 @@ impl Cluster {
                 if now > ha.monitoring_until {
                     return;
                 }
-                // Expires SWAT members that fell silent; the election's
-                // ephemeral-sequential znodes go with their sessions.
+                // Expires SWAT members that fell silent, and with them their
+                // place in the leadership order.
                 ha.coord.tick(now);
             }
             Cluster::schedule_tick(&ha2, sim);
@@ -806,13 +780,6 @@ impl Cluster {
     pub fn install_plan(&mut self, plan: &FaultPlan) {
         let chaos = self.chaos();
         chaos.install_plan(&mut self.sim, plan);
-    }
-
-    /// Whether a partition's coordination session is currently live.
-    pub fn session_alive(&self, partition: u32) -> bool {
-        let ha = self.ha.borrow();
-        let s = ha.partitions[partition as usize].session;
-        ha.coord.session_alive(s)
     }
 
     /// The partition's current coordination session id. Failover expires
@@ -1074,15 +1041,10 @@ impl Cluster {
         handle.departing_partitions()
     }
 
-    /// The ring generation last published to the `/migration/epoch` znode
-    /// at an ownership flip (0 if no migration has flipped yet).
+    /// The ring generation last published at an ownership flip (0 if no
+    /// migration has flipped yet).
     pub fn migration_epoch(&self) -> u64 {
-        let ha = self.ha.borrow();
-        ha.coord
-            .get_data("/migration/epoch")
-            .ok()
-            .and_then(|b| b.try_into().ok().map(u64::from_le_bytes))
-            .unwrap_or(0)
+        self.ha.borrow().migration_epoch
     }
 
     /// Audits key placement across the live directory: returns
@@ -1113,6 +1075,38 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A default cluster, whose SWAT members have not beaten yet.
+    fn swat() -> Cluster {
+        ClusterBuilder::new(ClusterConfig::default()).build()
+    }
+
+    #[test]
+    fn the_first_live_swat_member_leads() {
+        let cluster = swat();
+        let ha = cluster.ha.borrow();
+        assert_eq!(ha.swat_sessions.len(), 2);
+        assert_eq!(ha.swat_leader_idx(), Some(0));
+    }
+
+    #[test]
+    fn the_next_swat_member_leads_once_the_leader_expires() {
+        let cluster = swat();
+        let mut ha = cluster.ha.borrow_mut();
+        let leader = ha.swat_sessions[0];
+        ha.coord.expire_session(leader);
+        assert_eq!(ha.swat_leader_idx(), Some(1));
+    }
+
+    #[test]
+    fn no_swat_member_leads_once_every_session_lapsed() {
+        let cluster = swat();
+        let mut ha = cluster.ha.borrow_mut();
+        ha.coord.tick(SWAT_SESSION_TIMEOUT_NS);
+        assert_eq!(ha.swat_leader_idx(), Some(0));
+        ha.coord.tick(SWAT_SESSION_TIMEOUT_NS + 1);
+        assert_eq!(ha.swat_leader_idx(), None);
+    }
 
     #[test]
     fn builder_creates_routable_cluster() {

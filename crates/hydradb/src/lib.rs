@@ -3,9 +3,9 @@
 //! This is the core crate of the SC '15 reproduction: the shard server, the
 //! client library, and the cluster runtime, built on the substrates in the
 //! sibling crates (`hydra-fabric` for verbs, `hydra-store` for the memory
-//! engine, `hydra-replication` for HA log shipping), its own
-//! ZooKeeper-like coordination kernel (`coord`), which the SWAT group
-//! consumes, and the adversary that checks its resilience ([`chaos`]: fault
+//! engine, `hydra-replication` for HA log shipping), its own table of
+//! ZooKeeper-like sessions (`coord`), which the SWAT group consumes, and the
+//! adversary that checks its resilience ([`chaos`]: fault
 //! plans, their injection, and the linearizability and convergence checker).
 //!
 //! # Architecture (paper §4–§5)
@@ -18,8 +18,9 @@
 //!   entirely via one-sided RDMA Reads against cached remote pointers,
 //!   validated by guardian words and bounded by leases.
 //! * Every primary shard synchronously replicates to `R` secondaries with
-//!   RDMA Logging Replication; a ZooKeeper-backed SWAT group watches
-//!   liveness and promotes secondaries on failure (`cluster`).
+//!   RDMA Logging Replication; a secondary's one-sided probe of its primary
+//!   fences a silent one and reports to the SWAT group, whose
+//!   earliest-joined live member promotes the secondary (`cluster`).
 //!
 //! # Quick start
 //!

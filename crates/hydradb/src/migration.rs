@@ -26,7 +26,7 @@
 //! * **Flip** — once every source is in DoubleWrite and every channel is
 //!   quiescent (shipped == applied), one tick event atomically swaps the
 //!   directory ring for the target ring, bumps the generation, publishes the
-//!   epoch to the `/migration/epoch` znode, and exposes the new owners.
+//!   epoch (`Cluster::migration_epoch`), and exposes the new owners.
 //!   Because the swap happens inside a single event with no record in
 //!   flight, no read can observe a pre-flip value after the flip:
 //!   the handoff is linearizable.
@@ -63,9 +63,8 @@ use hydra_sim::Sim;
 use hydra_store::{ItemRef, ShardEngine};
 use hydra_wire::LogOp;
 
-use crate::cluster::{partition_znode, Directory, HaState};
+use crate::cluster::{Directory, HaState};
 use crate::config::ClusterConfig;
-use crate::coord::CreateMode;
 use crate::costs;
 use crate::ring::{HashRing, ShardId};
 use crate::server::ShardServer;
@@ -875,8 +874,7 @@ impl MigrationEngine {
 
     /// Atomically swaps ownership to the target ring: new directory ring +
     /// generation, joiners enter / departers leave the shard map, the epoch
-    /// is published on the `/migration/epoch` znode, and sources move to
-    /// Drain.
+    /// is published to the coordination state, and sources move to Drain.
     fn do_flip(&self, plan: &Rc<RefCell<PlanInner>>) {
         let (ha_rc, directory) = {
             let inner = self.inner.borrow();
@@ -902,20 +900,7 @@ impl MigrationEngine {
                     }
                 }
             }
-            let gen = dir.generation;
-            let _ = ha
-                .coord
-                .create("/migration", Vec::new(), CreateMode::Persistent, None);
-            let payload = gen.to_le_bytes().to_vec();
-            if ha
-                .coord
-                .set_data("/migration/epoch", payload.clone())
-                .is_err()
-            {
-                let _ = ha
-                    .coord
-                    .create("/migration/epoch", payload, CreateMode::Persistent, None);
-            }
+            ha.migration_epoch = dir.generation;
         }
         p.flipped = true;
         for job in &p.jobs {
@@ -987,7 +972,8 @@ impl MigrationEngine {
                     for sec in &state.secondaries {
                         sec.borrow_mut().alive = false;
                     }
-                    let _ = ha.coord.delete(&partition_znode(np as usize));
+                    let session = state.session;
+                    ha.coord.expire_session(session);
                     // A fail-over may have slipped the partition into the
                     // shard map before this abort; evict it.
                     dir_changed |= dir.shards.remove(&np).is_some();

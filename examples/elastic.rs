@@ -5,7 +5,7 @@
 //! The operator-facing [`Cluster::report`] is printed mid-flight so the
 //! migration state machine (snapshot → dblwrite → flip → drain)
 //! is visible per partition, alongside the moved/drained key counters and
-//! the `/migration/epoch` znode published at the flip.
+//! the migration epoch published at the flip.
 //!
 //! Run with: `cargo run --release --example elastic`
 //! Replay any run exactly with `HYDRA_SEED=<seed>`.
@@ -96,7 +96,7 @@ fn main() {
     println!("\n== after the join settles ==");
     print!("{}", cluster.report());
     println!(
-        "flip published /migration/epoch = {} (moved {} keys, {} bytes)",
+        "flip published migration_epoch = {} (moved {} keys, {} bytes)",
         cluster.migration_epoch(),
         handle.moved_keys(),
         handle.moved_bytes()

@@ -557,7 +557,10 @@ fn kill_primary_via_chaos_controller_still_promotes() {
     // surviving SWAT member has the secondary's report within a millisecond.
     cluster.sim.run_until(21 * MS);
     assert_eq!(cluster.promotions(), 1, "partition 0 failed over");
-    assert!(cluster.session_alive(0), "new primary registered a session");
+    assert!(
+        cluster.session_alive_id(cluster.session_id(0)),
+        "new primary registered a session"
+    );
     let chaos = cluster.chaos();
     assert_eq!(
         chaos.injected(),

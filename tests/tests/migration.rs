@@ -412,6 +412,13 @@ fn abort_round(seed: u64) {
     );
     assert_eq!(cluster.ownership_audit(), (0, 0), "HYDRA_SEED={seed}");
     assert_eq!(cluster.total_items(), n as usize, "HYDRA_SEED={seed}");
+    // The torn-down partitions' sessions end with them.
+    for p in 4..6 {
+        assert!(
+            !cluster.session_alive_id(cluster.session_id(p)),
+            "HYDRA_SEED={seed}: aborted partition {p} kept its session"
+        );
+    }
     for i in 0..n {
         let k = format!("dw-key-{i:04}");
         assert_eq!(
